@@ -27,10 +27,11 @@
 //!   over `Schedule` directives, a versioned persistent tuning cache
 //!   keyed by length-histogram buckets, and a deterministic seeded
 //!   search driver.
-//! * [`verify`] — the shape-symbolic safety verifier: per-shape proofs
-//!   of in-bounds accesses and the disjoint-store contract for every
-//!   outlined program, producing the `StoreCert` the parallel executor
-//!   enforces at run time.
+//! * [`verify`] — the shape-symbolic safety verifier: a
+//!   shape-independent proof program per outlined body and a per-shape
+//!   walk of it proving in-bounds accesses and the disjoint-store
+//!   contract, producing the `StoreCert` the parallel executor enforces
+//!   at run time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -519,8 +519,10 @@ impl CompiledPipeline {
     pub fn prepare(&self) -> Result<PipelinePrep, ScheduleError> {
         let mut stages = Vec::with_capacity(self.stages.len());
         for spec in &self.stages {
+            // One built prelude per stage: the proof, the serial tier and
+            // the parallel tier all share its tables.
             let serial_prelude = spec.program.build_prelude();
-            let par = spec.program.parallel_prep()?;
+            let par = spec.program.parallel_prep_with(&serial_prelude)?;
             if let Some(prep) = &par {
                 // Cross-check the verifier's proven access hulls against
                 // the planner's buffer sizes: every input the stage reads

@@ -90,8 +90,10 @@ pub struct PreludeSpec {
 #[derive(Debug, Clone, Default)]
 pub struct PreludeData {
     /// Integer buffers to install (aux offset arrays, length tables,
-    /// fusion maps).
-    pub int_buffers: Vec<(String, Vec<i64>)>,
+    /// fusion maps). Shared handles: every consumer of one built prelude
+    /// (host evaluation, the safety proof, each minted session) binds
+    /// the same tables without copying them.
+    pub int_buffers: Vec<(String, Arc<[i64]>)>,
     /// Scalar parameters to bind (fused extents).
     pub params: Vec<(String, i64)>,
     /// Time spent building storage offset arrays.
@@ -157,18 +159,17 @@ impl PreludeSpec {
             for d in 0..layout.ndim() {
                 if let Some(a) = aux.array(d) {
                     data.storage_bytes += a.len() * 8;
-                    data.int_buffers
-                        .push((aux_buffer_name(name, d), a.to_vec()));
+                    data.int_buffers.push((aux_buffer_name(name, d), a.into()));
                 }
                 if let Some(lens) = layout.padded_lens(d) {
-                    let v: Vec<i64> = lens.as_slice().iter().map(|&x| x as i64).collect();
+                    let v: Arc<[i64]> = lens.as_slice().iter().map(|&x| x as i64).collect();
                     data.storage_bytes += v.len() * 8;
                     data.int_buffers.push((lens_buffer_name(name, d), v));
                 }
             }
         }
         for (buffer, lens) in &self.loop_tables {
-            let v: Vec<i64> = lens.as_slice().iter().map(|&x| x as i64).collect();
+            let v: Arc<[i64]> = lens.as_slice().iter().map(|&x| x as i64).collect();
             data.storage_bytes += v.len() * 8;
             data.int_buffers.push((buffer.clone(), v));
         }
@@ -181,11 +182,11 @@ impl PreludeSpec {
             data.params
                 .push((format!("F_{}", f.name()), maps.fused_extent));
             data.int_buffers
-                .push((format!("{}__ffo", f.name()), maps.ffo));
+                .push((format!("{}__ffo", f.name()), maps.ffo.into()));
             data.int_buffers
-                .push((format!("{}__ffi", f.name()), maps.ffi));
+                .push((format!("{}__ffi", f.name()), maps.ffi.into()));
             data.int_buffers
-                .push((format!("{}__foif_row", f.name()), maps.foif_row));
+                .push((format!("{}__foif_row", f.name()), maps.foif_row.into()));
         }
         data.fusion_time = t1.elapsed();
         data

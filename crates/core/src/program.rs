@@ -17,6 +17,8 @@
 //!   GPU applies, and
 //! * derive a [`SimKernel`] (per-block cost list) for the simulated GPU.
 
+use std::sync::Arc;
+
 use cora_exec::cost::{GpuModel, KernelTraits};
 use cora_exec::cpu::{cost_balanced_batches, CpuPool};
 use cora_exec::gpu::SimKernel;
@@ -28,7 +30,7 @@ use cora_ir::{Env, Expr, Stmt};
 use crate::outline::{outline, HoistedLet};
 use crate::prelude_gen::{PreludeData, PreludeSpec};
 use crate::schedule::{RemapPolicy, ScheduleError};
-use crate::verify::{self, VerifyOutcome};
+use crate::verify::{ProofProgram, VerifyCtx, VerifyOutcome};
 
 /// Estimated work of one thread block.
 #[derive(Debug, Clone, Copy)]
@@ -135,7 +137,7 @@ impl Program {
         let data = self.prelude.build();
         let mut m = Machine::new();
         for (name, buf) in &data.int_buffers {
-            m.env.set_buffer(name.clone(), buf.clone());
+            m.env.set_buffer(name.clone(), Arc::clone(buf));
         }
         for (name, v) in &data.params {
             m.env.bind(name.clone(), *v);
@@ -181,8 +183,8 @@ impl Program {
                     )
                 });
                 ParallelKernel {
+                    proof: ProofProgram::build(&o.body, &o.block_var, &self.output_name),
                     body,
-                    stmt: o.body,
                     block_var: o.block_var,
                     hoisted: o.hoisted,
                     min: o.min,
@@ -325,9 +327,10 @@ pub struct CompiledProgram {
 #[derive(Debug, Clone)]
 struct ParallelKernel {
     body: VmProgram,
-    /// The outlined body's statement IR, retained so each session can
-    /// verify the disjoint-store contract at its concrete shape.
-    stmt: Stmt,
+    /// The outlined body resolved into the verifier's shape-independent
+    /// proof program, so each session only pays the per-shape walk to
+    /// prove the disjoint-store contract.
+    proof: ProofProgram,
     block_var: String,
     hoisted: Vec<HoistedLet>,
     min: Expr,
@@ -416,7 +419,7 @@ impl CompiledProgram {
     pub fn serial_shared_with(&self, data: &PreludeData) -> cora_exec::vm::VmShared<'_> {
         let mut shared = self.vm.shared();
         for (name, buf) in &data.int_buffers {
-            shared.set_ibuffer(name, buf.clone());
+            shared.set_ibuffer(name, Arc::clone(buf));
         }
         for (name, v) in &data.params {
             shared.bind_var(name, *v);
@@ -436,7 +439,7 @@ impl CompiledProgram {
         let data = self.prelude.build();
         let mut m = self.vm.machine();
         for (name, buf) in &data.int_buffers {
-            m.set_ibuffer(name, buf.clone());
+            m.set_ibuffer(name, Arc::clone(buf));
         }
         for (name, v) in &data.params {
             m.bind_var(name, *v);
@@ -573,19 +576,32 @@ impl CompiledProgram {
     /// axis is bound but could not be outlined, or when the safety
     /// verifier cannot prove the disjoint-store contract.
     pub fn parallel_prep(&self) -> Result<Option<ParallelPrep>, ScheduleError> {
+        if matches!(self.parallel, Ok(None)) {
+            return Ok(None);
+        }
+        self.parallel_prep_with(&self.prelude.build())
+    }
+
+    /// [`CompiledProgram::parallel_prep`] against an already-built
+    /// prelude (which must come from this program's own
+    /// [`CompiledProgram::build_prelude`]): the tables are shared, not
+    /// rebuilt or copied.
+    pub(crate) fn parallel_prep_with(
+        &self,
+        data: &PreludeData,
+    ) -> Result<Option<ParallelPrep>, ScheduleError> {
         let kernel = match &self.parallel {
             Err(e) => return Err(e.clone()),
             Ok(None) => return Ok(None),
             Ok(Some(k)) => k,
         };
-        let data = self.prelude.build();
 
         // Host side: evaluate the hoisted bindings and the block loop's
         // bounds exactly once, charging the same static aux-load counts
         // the serial program charges at those sites.
         let mut env = Env::new();
         for (name, buf) in &data.int_buffers {
-            env.set_buffer(name.clone(), buf.clone());
+            env.set_buffer(name.clone(), Arc::clone(buf));
         }
         for (name, v) in &data.params {
             env.bind(name.clone(), *v);
@@ -601,11 +617,10 @@ impl CompiledProgram {
         host.aux_loads += kernel.bounds_aux;
         let n_blocks = usize::try_from(extent.max(0)).expect("extent fits usize");
 
-        // The safety proof: abstract interpretation of the outlined body
-        // over every block value at this shape. The resulting
-        // certificate is what the safe executor entry point enforces;
-        // a program the verifier cannot prove safe never runs in
-        // parallel.
+        // The safety proof: the per-shape walk of the proof program over
+        // every block value. The resulting certificate is what the safe
+        // executor entry point enforces; a program the verifier cannot
+        // prove safe never runs in parallel.
         let scalars: Vec<(String, i64)> = data
             .params
             .iter()
@@ -615,19 +630,20 @@ impl CompiledProgram {
                 (h.var.clone(), v)
             }))
             .collect();
-        let ctx = verify::VerifyCtx {
+        let ctx = VerifyCtx {
             env: &env,
             scalars: &scalars,
             output: &self.output_name,
             output_size: self.output_size,
         };
-        let outcome = verify::verify_outlined(&kernel.stmt, &kernel.block_var, min, n_blocks, &ctx)
-            .map_err(|e| ScheduleError::BlockAxisNotOutlinable {
+        let outcome = kernel.proof.verify(min, n_blocks, &ctx).map_err(|e| {
+            ScheduleError::BlockAxisNotOutlinable {
                 loop_name: kernel.block_var.clone(),
                 reason: format!(
                     "the safety verifier could not prove the disjoint-store contract: {e}"
                 ),
-            })?;
+            }
+        })?;
 
         // Dispatch order (thread remapping), resolved against the block
         // cost metadata.
@@ -642,7 +658,7 @@ impl CompiledProgram {
         let ordered_costs: Vec<f64> = order.iter().map(|&b| costs[b]).collect();
 
         Ok(Some(ParallelPrep {
-            prelude: data,
+            prelude: data.clone(),
             scalars,
             host,
             min,
@@ -687,13 +703,14 @@ impl CompiledProgram {
             }
         }
         for (name, buf) in &prep.get().prelude.int_buffers {
-            shared.set_ibuffer(name, buf.clone());
+            shared.set_ibuffer(name, Arc::clone(buf));
         }
         ParallelSession {
             compiled: self,
             kernel,
             shared,
             prep,
+            batches: (0, Vec::new()),
         }
     }
 }
@@ -770,6 +787,10 @@ pub struct ParallelSession<'p> {
     /// [`CompiledProgram::parallel_session`] path, borrowed from a cache
     /// on the [`CompiledProgram::parallel_session_with`] path.
     prep: PrepRef<'p>,
+    /// Block-variable batches in dispatch order, cached with the thread
+    /// count they were cut for (0: not cut yet), so warm runs allocate
+    /// nothing for dispatch.
+    batches: (usize, Vec<Vec<i64>>),
 }
 
 impl ParallelSession<'_> {
@@ -790,7 +811,7 @@ impl ParallelSession<'_> {
         for (name, buf) in inputs {
             self.shared.set_fbuffer(name, buf);
         }
-        let batches = self.batches(pool);
+        self.cut_batches(pool);
         let mut output = vec![self.compiled.init; self.compiled.output_size];
         // Safe entry point: this session holds a `VerifyOutcome` — the
         // verifier proved every store in-bounds and the per-block store
@@ -802,7 +823,7 @@ impl ParallelSession<'_> {
             &self.kernel.block_var,
             &self.compiled.output_name,
             &mut output,
-            &batches,
+            &self.batches.1,
             &prep.verify.cert,
         );
         RunResult {
@@ -841,7 +862,7 @@ impl ParallelSession<'_> {
             self.check_input_len(name, buf.len());
         }
         out.fill(self.compiled.init);
-        let batches = self.batches(pool);
+        self.cut_batches(pool);
         let prep = self.prep.get();
         // Safe entry point enforcing this session's `StoreCert`; see
         // `ParallelSession::run`.
@@ -851,7 +872,7 @@ impl ParallelSession<'_> {
             &self.compiled.output_name,
             out,
             inputs,
-            &batches,
+            &self.batches.1,
             &prep.verify.cert,
         );
         prep.host + stats
@@ -875,10 +896,13 @@ impl ParallelSession<'_> {
         }
     }
 
-    /// Block-variable batches for `pool`, in dispatch order.
-    fn batches(&self, pool: &CpuPool) -> Vec<Vec<i64>> {
+    /// Makes `self.batches` the block-variable batches for `pool`.
+    fn cut_batches(&mut self, pool: &CpuPool) {
+        if self.batches.0 == pool.threads() {
+            return;
+        }
         let prep = self.prep.get();
-        cost_balanced_batches(&prep.ordered_costs, pool.threads())
+        let cut = cost_balanced_batches(&prep.ordered_costs, pool.threads())
             .into_iter()
             .map(|range| {
                 prep.order[range]
@@ -886,7 +910,8 @@ impl ParallelSession<'_> {
                     .map(|&b| prep.min + b as i64)
                     .collect()
             })
-            .collect()
+            .collect();
+        self.batches = (pool.threads(), cut);
     }
 }
 

@@ -18,27 +18,39 @@
 //! # How the proof works
 //!
 //! The engine is an abstract interpretation over the *strided interval*
-//! domain [`SInt`] from `cora_ir::interval`. For each block value `b`
-//! the outlined body is walked once with the block variable bound to
-//! the point `{b}`, host parameters and hoisted bindings bound to their
-//! concrete values, and auxiliary-table loads *grounded* in the built
-//! prelude data (a point index reads the exact table entry; a range
-//! index yields the table slice's min/max hull). Loop variables become
-//! dense ranges; `If` guards narrow variable ranges along the taken
-//! branch by Fourier–Motzkin elimination over the guard's linear form
-//! ([`cora_ir::affine`]) — which is what makes padded/guarded schedules
-//! (`pad_loop` + `split`) verify precisely. Every store to the output
-//! records a strided region; after all blocks are walked, a
-//! sort-and-sweep proves the regions of distinct blocks pairwise
-//! disjoint, by interval separation or, for interleaved lanes, by
-//! stride/congruence separation.
+//! domain [`SInt`] from `cora_ir::interval`, split into two phases so
+//! that what an unseen shape pays is a walk, not a compilation:
 //!
-//! The result is a [`StoreCert`] — the certificate the safe executor
-//! entry point `VmShared::run_blocks_proven` enforces per store at run
-//! time. Soundness therefore does not hinge on this module being
-//! bug-free: the certificate is re-validated on construction and every
-//! store is checked against it before it lands, so a verifier bug
-//! surfaces as a deterministic panic, never a data race.
+//! * **Once per compiled program, no shape data** — [`ProofProgram`]:
+//!   the outlined body with every variable, auxiliary table, float
+//!   buffer and output store site resolved to a dense index
+//!   (`cora_ir::slots`), binding scopes settled by giving each
+//!   `For`/`LetInt`/`Alloc` site its own slot, and every guard's
+//!   `lhs − rhs ≤ bound` linear form ([`cora_ir::affine`]) extracted.
+//!   Nothing is pretty-printed unless an error is raised.
+//! * **Once per shape** — [`ProofWalk`]: for each block value `b` the
+//!   proof program is evaluated over one reused slot-indexed
+//!   environment with the block variable bound to the point `{b}`, host
+//!   parameters and hoisted bindings bound to their concrete values,
+//!   and auxiliary-table loads *grounded* in the shape's built prelude
+//!   tables, read in place (a point index reads the exact entry; a
+//!   range index yields the slice's min/max hull). Loop variables
+//!   become dense ranges; guards narrow variable ranges along the taken
+//!   branch by Fourier–Motzkin elimination — which is what makes
+//!   padded/guarded schedules verify precisely. Every access is proven
+//!   in bounds and every output store records a strided region. The
+//!   walk allocates nothing per block.
+//!
+//! The walk's regions become a [`StoreCert`], whose constructor proves
+//! the regions of distinct blocks pairwise disjoint with one
+//! sort-and-sweep (interval separation or, for interleaved lanes,
+//! stride/congruence separation) while laying them out as a flat
+//! per-block table. That certificate is what the safe executor entry
+//! point `VmShared::run_blocks_proven` enforces per store at run time,
+//! so soundness does not hinge on this module being bug-free: nothing
+//! reaches the executor that the certificate's own constructor did not
+//! check, and every store is checked against it before it lands — a
+//! verifier bug surfaces as a deterministic panic, never a data race.
 //!
 //! Failures produce structured [`VerifyError`]s carrying the offending
 //! store statement (pretty-printed via `cora_ir::printer`), its index
@@ -59,10 +71,11 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use cora_exec::vm::StoreCert;
+use cora_exec::vm::{CertError, StoreCert};
 use cora_ir::affine::{linearize, LinForm, LinTerm};
 use cora_ir::interval::SInt;
 use cora_ir::printer::print_c;
+use cora_ir::slots::StmtSlots;
 use cora_ir::visit::free_vars;
 use cora_ir::{Cond, CondKind, Env, Expr, ExprKind, FExpr, FExprKind, Stmt};
 
@@ -208,7 +221,8 @@ pub struct VerifyCtx<'a> {
 }
 
 /// Proves the in-bounds and disjoint-store theorems for an outlined
-/// block body at one concrete shape.
+/// block body at one concrete shape: [`ProofProgram::build`] followed
+/// by [`ProofProgram::verify`], for callers that prove a body once.
 ///
 /// `min` and `n_blocks` are the block loop's (host-evaluated) lower
 /// bound and trip count: block values `min .. min + n_blocks` are each
@@ -226,456 +240,199 @@ pub fn verify_outlined(
     n_blocks: usize,
     ctx: &VerifyCtx<'_>,
 ) -> Result<VerifyOutcome, VerifyError> {
-    let mut sites = SiteTable::default();
-    let mut required: HashMap<String, i64> = HashMap::new();
-    // (block value, site id, region) triples across all blocks.
-    let mut spans: Vec<(i64, usize, SInt)> = Vec::new();
+    ProofProgram::build(body, block_var, ctx.output).verify(min, n_blocks, ctx)
+}
 
-    for b in 0..n_blocks {
-        let bv = min + i64::try_from(b).expect("block count fits i64");
-        let mut st = BlockState {
-            vars: HashMap::new(),
-            env: ctx.env,
-            output: ctx.output,
-            output_size: i64::try_from(ctx.output_size).expect("output size fits i64"),
+// ---------------------------------------------------------------------
+// Phase 1: the shape-independent proof program
+// ---------------------------------------------------------------------
+
+/// The shape-independent half of the proof: an outlined block body with
+/// every name resolved to a dense index, built once per compiled
+/// program and walked once per block value per shape.
+///
+/// Free variables, auxiliary tables and float inputs take their slots
+/// from the body's [`StmtSlots`] census; each `For`/`LetInt` site gets a
+/// fresh variable slot past the free range and each `Alloc` site a
+/// scratch slot, so scoping is settled here and the walk needs no
+/// save/restore for bindings. Guards carry their `lhs − rhs ≤ bound`
+/// linear forms pre-linearised. Source expressions and store statements
+/// ride along only to be pretty-printed if an error is raised.
+#[derive(Debug, Clone)]
+pub struct ProofProgram {
+    slots: StmtSlots,
+    body: PStmt,
+    /// Variable slots: the census's free variables, then binding sites.
+    n_vars: usize,
+    /// The block variable's slot, when the body mentions it.
+    block_slot: Option<u32>,
+    output: String,
+    /// Buffer name of each `Alloc` site.
+    scratch_names: Vec<String>,
+    /// Distinct output store sites: the statement and its index.
+    sites: Vec<(Stmt, Expr)>,
+    /// Terms over all guards: bounds the narrowing undo stack.
+    narrow_terms: usize,
+}
+
+/// Which buffer a float access touches, settled by scope at build time:
+/// an enclosing `Alloc` site, the output, or a free input (census slot).
+#[derive(Debug, Clone, Copy)]
+enum Buf {
+    Scratch(u32),
+    Output,
+    Input(u32),
+}
+
+#[derive(Debug, Clone)]
+enum PExpr {
+    Int(i64),
+    Var(u32),
+    Bin(fn(SInt, SInt) -> SInt, Box<(PExpr, PExpr)>),
+    Select(Box<(PCond, PExpr, PExpr)>),
+    /// An uninterpreted call: nothing is known.
+    Unknown,
+    /// Auxiliary-table slot, index, and the index as written.
+    Load(u32, Box<PExpr>, Expr),
+}
+
+#[derive(Debug, Clone)]
+enum PCond {
+    Const(bool),
+    Cmp(fn(SInt, SInt) -> Option<bool>, PExpr, PExpr),
+    And(Box<(PCond, PCond)>),
+    Or(Box<(PCond, PCond)>),
+    Not(Box<PCond>),
+}
+
+/// `constant + Σ coeff·term ≤ bound`, terms in [`LinForm`] key order:
+/// a [`PExpr::Var`] is a variable to narrow, anything else is opaque.
+#[derive(Debug, Clone)]
+struct NarrowLe {
+    terms: Vec<(PExpr, i64)>,
+    constant: i64,
+    bound: i64,
+}
+
+/// A branch condition plus the narrowings its truth implies, applied
+/// in order until one empties a range.
+#[derive(Debug, Clone)]
+struct Guard {
+    cond: PCond,
+    narrow: Vec<NarrowLe>,
+}
+
+#[derive(Debug, Clone)]
+enum PStmt {
+    /// Variable slot, min, extent, body.
+    For(u32, PExpr, PExpr, Box<PStmt>),
+    Let(u32, PExpr, Box<PStmt>),
+    /// One float-buffer access: index, the index as written, and — for
+    /// a store to the output — its [`ProofProgram::sites`] entry. A store
+    /// is its value's loads in evaluation order, then its own access
+    /// (float arithmetic and constants carry no proof obligation).
+    Access(Buf, PExpr, Expr, Option<u32>),
+    /// An index-valued float operand (`Cast`), evaluated for its loads.
+    Eval(PExpr),
+    /// A statement guard or a float `Select`: then-side, else-side.
+    If(Guard, Box<PStmt>, Option<Box<PStmt>>),
+    Seq(Vec<PStmt>),
+    /// Scratch slot, size, body.
+    Alloc(u32, PExpr, Box<PStmt>),
+}
+
+impl ProofProgram {
+    /// Resolves `body` — an outlined block body whose block variable
+    /// `block_var` is free and whose parallel stores target `output` —
+    /// into a proof program. Needs no shape data.
+    pub fn build(body: &Stmt, block_var: &str, output: &str) -> ProofProgram {
+        let slots = StmtSlots::resolve(body);
+        let mut b = Builder {
+            slots: &slots,
+            output,
+            vars: Vec::new(),
+            next_var: u32::try_from(slots.free_vars.len()).expect("slot count fits u32"),
             scratch: Vec::new(),
-            regions: Vec::new(),
-            required: &mut required,
-            sites: &mut sites,
+            scratch_names: Vec::new(),
+            sites: Vec::new(),
+            narrow_terms: 0,
         };
+        ProofProgram {
+            body: b.stmt(body),
+            n_vars: b.next_var as usize,
+            block_slot: slots.free_vars.get(block_var),
+            output: output.to_string(),
+            scratch_names: b.scratch_names,
+            sites: b.sites,
+            narrow_terms: b.narrow_terms,
+            slots,
+        }
+    }
+
+    /// Runs the per-shape walk over block values `min .. min + n_blocks`
+    /// and certifies the result. `ctx.output` must be the output this
+    /// program was built for.
+    ///
+    /// # Errors
+    ///
+    /// As for [`verify_outlined`].
+    pub fn verify(
+        &self,
+        min: i64,
+        n_blocks: usize,
+        ctx: &VerifyCtx<'_>,
+    ) -> Result<VerifyOutcome, VerifyError> {
+        let mut walk = self.walk(ctx, n_blocks);
+        for b in 0..n_blocks {
+            walk.block(min + i64::try_from(b).expect("block count fits i64"))?;
+        }
+        walk.finish()
+    }
+
+    /// Starts a per-shape walk: binds the shape's scalars and auxiliary
+    /// tables to their slots and reserves room for `n_blocks` blocks'
+    /// store regions, so [`ProofWalk::block`] allocates nothing.
+    pub fn walk<'a>(&'a self, ctx: &VerifyCtx<'a>, n_blocks: usize) -> ProofWalk<'a> {
+        assert_eq!(ctx.output, self.output, "proof built for another output");
+        let mut env = vec![SInt::Top; self.n_vars];
         for (name, v) in ctx.scalars {
-            st.vars.insert(name.clone(), SInt::point(*v));
-        }
-        st.vars.insert(block_var.to_string(), SInt::point(bv));
-        walk_stmt(body, &mut st)?;
-        for (site, region) in st.regions {
-            if !matches!(region, SInt::Empty) {
-                spans.push((bv, site, region));
+            if let Some(slot) = self.slots.free_vars.get(name) {
+                env[slot as usize] = SInt::point(*v);
             }
         }
-    }
-
-    // Cross-block disjointness: sort by interval start and sweep; any
-    // hull overlap between different blocks must be refuted by the
-    // stride/congruence test.
-    let mut sorted: Vec<(i64, i64, i64, usize, SInt)> = spans
-        .iter()
-        .filter_map(|&(bv, site, r)| r.hull().map(|(lo, hi)| (lo, hi, bv, site, r)))
-        .collect();
-    sorted.sort_by_key(|&(lo, hi, bv, _, _)| (lo, hi, bv));
-    for i in 0..sorted.len() {
-        let (_, hi_i, bv_i, site_i, r_i) = sorted[i];
-        for &(lo_j, _, bv_j, site_j, r_j) in sorted.iter().skip(i + 1) {
-            if lo_j > hi_i {
-                break;
-            }
-            if bv_i != bv_j && !r_i.disjoint(r_j) {
-                let (store, index) = sites.describe(site_i.min(site_j));
-                return Err(VerifyError::StoreOverlap {
-                    store,
-                    index,
-                    block_a: bv_i,
-                    region_a: r_i,
-                    block_b: bv_j,
-                    region_b: r_j,
-                });
-            }
-        }
-    }
-
-    // Assemble the certificate; its constructor re-validates the
-    // disjointness we just proved (defence-in-depth, not redundancy:
-    // the executor trusts only the certificate's own invariant).
-    let mut per_block: HashMap<i64, Vec<SInt>> = HashMap::new();
-    for (bv, _, r) in spans {
-        per_block.entry(bv).or_default().push(r);
-    }
-    let cert = StoreCert::new(per_block).map_err(|e| VerifyError::Unsupported {
-        what: format!("certificate re-validation disagreed with the proof: {e}"),
-    })?;
-
-    let mut required_inputs: Vec<(String, i64)> = required.into_iter().collect();
-    required_inputs.sort();
-    Ok(VerifyOutcome {
-        proof: ProofKind::ConcreteInterpretation,
-        cert,
-        n_blocks,
-        store_sites: sites.len(),
-        required_inputs,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Concrete per-block abstract interpretation
-// ---------------------------------------------------------------------
-
-/// Interns output-store sites by their pretty print, so regions from
-/// different blocks attribute overlaps to a stable site identity.
-#[derive(Default)]
-struct SiteTable {
-    ids: HashMap<String, usize>,
-    /// `(store print, index print)` per site id.
-    descs: Vec<(String, String)>,
-}
-
-impl SiteTable {
-    fn intern(&mut self, s: &Stmt, index: &Expr) -> usize {
-        let store = print_c(s);
-        if let Some(&id) = self.ids.get(&store) {
-            return id;
-        }
-        let id = self.descs.len();
-        self.ids.insert(store.clone(), id);
-        self.descs.push((store, format!("{index}")));
-        id
-    }
-
-    fn describe(&self, id: usize) -> (String, String) {
-        self.descs[id].clone()
-    }
-
-    fn len(&self) -> usize {
-        self.descs.len()
-    }
-}
-
-struct BlockState<'a> {
-    /// Abstract values of in-scope integer variables.
-    vars: HashMap<String, SInt>,
-    /// Ground truth for auxiliary-table loads.
-    env: &'a Env,
-    output: &'a str,
-    output_size: i64,
-    /// Innermost-last `Alloc` scopes: scratch name and minimal
-    /// guaranteed capacity (when the size expression is bounded below).
-    scratch: Vec<(String, Option<i64>)>,
-    /// Output store regions recorded by this block, per site.
-    regions: Vec<(usize, SInt)>,
-    /// Float-input access hulls (minimal required lengths), shared
-    /// across blocks.
-    required: &'a mut HashMap<String, i64>,
-    sites: &'a mut SiteTable,
-}
-
-impl BlockState<'_> {
-    /// The innermost `Alloc` scope covering `name`, if any.
-    fn scratch_capacity(&self, name: &str) -> Option<Option<i64>> {
-        self.scratch
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, cap)| *cap)
-    }
-
-    /// Binds `var`, returning the shadowed value for scope restoration.
-    fn bind(&mut self, var: &str, v: SInt) -> Option<SInt> {
-        self.vars.insert(var.to_string(), v)
-    }
-
-    fn restore(&mut self, var: &str, old: Option<SInt>) {
-        match old {
-            Some(v) => {
-                self.vars.insert(var.to_string(), v);
-            }
-            None => {
-                self.vars.remove(var);
-            }
+        let tables = self.slots.ibufs.names().iter();
+        ProofWalk {
+            prog: self,
+            tables: tables.map(|name| ctx.env.buffer(name)).collect(),
+            output_size: i64::try_from(ctx.output_size).expect("output size fits i64"),
+            env,
+            scratch_cap: vec![None; self.scratch_names.len()],
+            undo: Vec::with_capacity(self.narrow_terms),
+            regions: Vec::with_capacity(self.sites.len()),
+            required: vec![None; self.slots.free_fbufs.len()],
+            visited: vec![false; self.sites.len()],
+            spans: Vec::with_capacity(n_blocks.saturating_mul(self.sites.len())),
+            n_blocks: 0,
         }
     }
 }
 
-fn walk_stmt(s: &Stmt, st: &mut BlockState<'_>) -> Result<(), VerifyError> {
-    match s {
-        Stmt::For {
-            var,
-            min,
-            extent,
-            body,
-            ..
-        } => {
-            let mn = eval_expr(min, st)?;
-            let ext = eval_expr(extent, st)?;
-            // A provably zero-trip loop contributes nothing (the empty
-            // rows of a ragged batch).
-            if matches!(ext.hull(), Some((_, hi)) if hi <= 0) {
-                return Ok(());
-            }
-            let range = match (mn.hull(), ext.hull()) {
-                (Some((lo, _)), Some((_, ehi))) => {
-                    let (_, mhi) = mn.hull().expect("checked");
-                    SInt::range(lo, mhi.saturating_add(ehi).saturating_sub(1))
-                }
-                _ => SInt::Top,
-            };
-            let old = st.bind(var, range);
-            let r = walk_stmt(body, st);
-            st.restore(var, old);
-            r
-        }
-        Stmt::LetInt { var, value, body } => {
-            let v = eval_expr(value, st)?;
-            let old = st.bind(var, v);
-            let r = walk_stmt(body, st);
-            st.restore(var, old);
-            r
-        }
-        Stmt::Store {
-            buffer,
-            index,
-            value,
-            ..
-        } => {
-            walk_fexpr(value, st)?;
-            let idx = eval_expr(index, st)?;
-            if let Some(cap) = st.scratch_capacity(buffer) {
-                check_known_bounds(buffer, index, idx, cap, st)?;
-            } else if buffer == st.output {
-                check_known_bounds(buffer, index, idx, Some(st.output_size), st)?;
-                let site = st.sites.intern(s, index);
-                match st.regions.iter_mut().find(|(id, _)| *id == site) {
-                    Some((_, r)) => *r = r.union(idx),
-                    None => st.regions.push((site, idx)),
-                }
-            } else {
-                // The outliner's screen rejects stores to shared inputs
-                // before the verifier ever runs; record the hull anyway
-                // so a direct caller still gets the bound.
-                record_required(buffer, idx, st);
-            }
-            Ok(())
-        }
-        Stmt::If { cond, then_, else_ } => {
-            match eval_cond(cond, st)? {
-                Some(true) => walk_stmt(then_, st),
-                Some(false) => match else_ {
-                    Some(e) => walk_stmt(e, st),
-                    None => Ok(()),
-                },
-                None => {
-                    // Walk the taken branch under the guard-narrowed
-                    // ranges; infeasible narrowing skips the branch.
-                    walk_under_narrowing(cond, then_, st)?;
-                    if let Some(e) = else_ {
-                        walk_stmt(e, st)?;
-                    }
-                    Ok(())
-                }
-            }
-        }
-        Stmt::Seq(items) => {
-            for item in items {
-                walk_stmt(item, st)?;
-            }
-            Ok(())
-        }
-        Stmt::Alloc { buffer, size, body } => {
-            let sz = eval_expr(size, st)?;
-            let cap = sz.hull().map(|(lo, _)| lo);
-            st.scratch.push((buffer.clone(), cap));
-            let r = walk_stmt(body, st);
-            st.scratch.pop();
-            r
-        }
-        Stmt::Nop => Ok(()),
-    }
+/// `f(a, c)` for a provably positive constant divisor `b = {c}`.
+fn by_const(a: SInt, b: SInt, f: fn(SInt, i64) -> SInt) -> SInt {
+    let divisor = b.as_point().filter(|&c| c >= 1);
+    divisor.map_or(SInt::Top, |c| f(a, c))
 }
 
-fn walk_fexpr(f: &FExpr, st: &mut BlockState<'_>) -> Result<(), VerifyError> {
-    match f.kind() {
-        FExprKind::Const(_) => Ok(()),
-        FExprKind::Load(buf, idx) => {
-            let r = eval_expr(idx, st)?;
-            if let Some(cap) = st.scratch_capacity(buf) {
-                check_known_bounds(buf, idx, r, cap, st)?;
-            } else if buf == st.output {
-                // The outliner rejects in-place programs; a direct
-                // caller still gets the output bound checked.
-                check_known_bounds(buf, idx, r, Some(st.output_size), st)?;
-            } else {
-                record_required(buf, r, st);
-            }
-            Ok(())
-        }
-        FExprKind::Cast(e) => eval_expr(e, st).map(|_| ()),
-        FExprKind::Add(a, b)
-        | FExprKind::Sub(a, b)
-        | FExprKind::Mul(a, b)
-        | FExprKind::Div(a, b)
-        | FExprKind::Max(a, b) => {
-            walk_fexpr(a, st)?;
-            walk_fexpr(b, st)
-        }
-        FExprKind::Unary(_, a) => walk_fexpr(a, st),
-        FExprKind::Select(cond, a, b) => match eval_cond(cond, st)? {
-            Some(true) => walk_fexpr(a, st),
-            Some(false) => walk_fexpr(b, st),
-            None => {
-                walk_fexpr_under_narrowing(cond, a, st)?;
-                walk_fexpr(b, st)
-            }
-        },
-    }
+fn div_s(a: SInt, b: SInt) -> SInt {
+    by_const(a, b, SInt::floor_div_const)
 }
 
-/// Bounds check for a buffer with a known (minimum) capacity. `None`
-/// capacity means the size expression itself was unbounded — nothing
-/// can be proven, which is an error for the output and tolerated for
-/// scratch (the VM's slice indexing still panics safely at run time).
-fn check_known_bounds(
-    buffer: &str,
-    index: &Expr,
-    r: SInt,
-    cap: Option<i64>,
-    st: &BlockState<'_>,
-) -> Result<(), VerifyError> {
-    if matches!(r, SInt::Empty) {
-        return Ok(());
-    }
-    let oob = |size: i64| VerifyError::OutOfBounds {
-        buffer: buffer.to_string(),
-        index: format!("{index}"),
-        range: r,
-        size,
-    };
-    match cap {
-        Some(size) => match r.hull() {
-            Some((lo, hi)) if lo >= 0 && hi < size => Ok(()),
-            _ => Err(oob(size)),
-        },
-        None if buffer == st.output => Err(oob(st.output_size)),
-        None => Ok(()),
-    }
+fn mod_s(a: SInt, b: SInt) -> SInt {
+    by_const(a, b, SInt::floor_mod_const)
 }
 
-/// Records the minimal length `buf` must have to cover the access `r`.
-fn record_required(buf: &str, r: SInt, st: &mut BlockState<'_>) {
-    if let Some((_, hi)) = r.hull() {
-        let need = hi.saturating_add(1).max(0);
-        let e = st.required.entry(buf.to_string()).or_insert(0);
-        *e = (*e).max(need);
-    }
-}
-
-// -- Expression evaluation over strided intervals ---------------------
-
-fn eval_expr(e: &Expr, st: &mut BlockState<'_>) -> Result<SInt, VerifyError> {
-    Ok(match e.kind() {
-        ExprKind::Int(v) => SInt::point(*v),
-        ExprKind::Var(n) => st.vars.get(n).copied().unwrap_or(SInt::Top),
-        ExprKind::Add(a, b) => eval_expr(a, st)?.add(eval_expr(b, st)?),
-        ExprKind::Sub(a, b) => eval_expr(a, st)?.sub(eval_expr(b, st)?),
-        ExprKind::Mul(a, b) => eval_expr(a, st)?.mul(eval_expr(b, st)?),
-        ExprKind::FloorDiv(a, b) => {
-            let sa = eval_expr(a, st)?;
-            match eval_expr(b, st)?.as_point() {
-                Some(c) if c >= 1 => sa.floor_div_const(c),
-                _ => SInt::Top,
-            }
-        }
-        ExprKind::FloorMod(a, b) => {
-            let sa = eval_expr(a, st)?;
-            match eval_expr(b, st)?.as_point() {
-                Some(c) if c >= 1 => sa.floor_mod_const(c),
-                _ => SInt::Top,
-            }
-        }
-        ExprKind::Min(a, b) => eval_expr(a, st)?.min_s(eval_expr(b, st)?),
-        ExprKind::Max(a, b) => eval_expr(a, st)?.max_s(eval_expr(b, st)?),
-        ExprKind::Select(c, a, b) => match eval_cond(c, st)? {
-            Some(true) => eval_expr(a, st)?,
-            Some(false) => eval_expr(b, st)?,
-            None => eval_expr(a, st)?.union(eval_expr(b, st)?),
-        },
-        // Outlined bodies carry no uninterpreted functions (lowering
-        // grounds them into aux tables), but be total regardless.
-        ExprKind::Uf(..) => SInt::Top,
-        ExprKind::Load(buf, idx) => {
-            let r = eval_expr(idx, st)?;
-            let Some(data) = st.env.buffer(buf) else {
-                return Err(VerifyError::Unsupported {
-                    what: format!("a load from unbuilt auxiliary table `{buf}`"),
-                });
-            };
-            let len = i64::try_from(data.len()).expect("table length fits i64");
-            match r {
-                SInt::Empty => SInt::Empty,
-                SInt::Top => {
-                    return Err(VerifyError::OutOfBounds {
-                        buffer: buf.clone(),
-                        index: format!("{idx}"),
-                        range: SInt::Top,
-                        size: len,
-                    });
-                }
-                SInt::Set { lo, hi, stride } => {
-                    if lo < 0 || hi >= len {
-                        return Err(VerifyError::OutOfBounds {
-                            buffer: buf.clone(),
-                            index: format!("{idx}"),
-                            range: r,
-                            size: len,
-                        });
-                    }
-                    if lo == hi {
-                        SInt::point(data[usize::try_from(lo).expect("non-negative")])
-                    } else {
-                        // Hull of the touched members: exact min/max over
-                        // the congruence class within the slice.
-                        let mut vmin = i64::MAX;
-                        let mut vmax = i64::MIN;
-                        let mut i = lo;
-                        while i <= hi {
-                            let v = data[usize::try_from(i).expect("non-negative")];
-                            vmin = vmin.min(v);
-                            vmax = vmax.max(v);
-                            i += stride;
-                        }
-                        SInt::range(vmin, vmax)
-                    }
-                }
-            }
-        }
-    })
-}
-
-/// Three-valued condition evaluation: `Some(b)` when provable, `None`
-/// when the hulls do not decide it.
-fn eval_cond(c: &Cond, st: &mut BlockState<'_>) -> Result<Option<bool>, VerifyError> {
-    Ok(match c.kind() {
-        CondKind::Const(b) => Some(*b),
-        CondKind::Lt(a, b) => cmp_hulls(eval_expr(a, st)?, eval_expr(b, st)?, true),
-        CondKind::Le(a, b) => cmp_hulls(eval_expr(a, st)?, eval_expr(b, st)?, false),
-        CondKind::Eq(a, b) => {
-            let (sa, sb) = (eval_expr(a, st)?, eval_expr(b, st)?);
-            match (sa.as_point(), sb.as_point()) {
-                (Some(x), Some(y)) => Some(x == y),
-                _ if sa.disjoint(sb) => Some(false),
-                _ => None,
-            }
-        }
-        CondKind::Ne(a, b) => {
-            let (sa, sb) = (eval_expr(a, st)?, eval_expr(b, st)?);
-            match (sa.as_point(), sb.as_point()) {
-                (Some(x), Some(y)) => Some(x != y),
-                _ if sa.disjoint(sb) => Some(true),
-                _ => None,
-            }
-        }
-        CondKind::And(x, y) => match (eval_cond(x, st)?, eval_cond(y, st)?) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        },
-        CondKind::Or(x, y) => match (eval_cond(x, st)?, eval_cond(y, st)?) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (Some(false), Some(false)) => Some(false),
-            _ => None,
-        },
-        CondKind::Not(x) => eval_cond(x, st)?.map(|b| !b),
-    })
-}
-
-/// `a < b` (strict) or `a <= b` over interval hulls.
+/// `a < b` (strict) or `a <= b` over interval hulls: `Some` when the
+/// hulls decide it.
 fn cmp_hulls(a: SInt, b: SInt, strict: bool) -> Option<bool> {
     let ((alo, ahi), (blo, bhi)) = (a.hull()?, b.hull()?);
     if (strict && ahi < blo) || (!strict && ahi <= blo) {
@@ -687,134 +444,592 @@ fn cmp_hulls(a: SInt, b: SInt, strict: bool) -> Option<bool> {
     }
 }
 
-// -- Guard narrowing (Fourier–Motzkin over linear forms) --------------
-
-/// Walks `body` with variable ranges narrowed by assuming `cond` holds;
-/// a narrowing that empties a range proves the branch infeasible for
-/// this block, so the body is skipped.
-fn walk_under_narrowing(
-    cond: &Cond,
-    body: &Stmt,
-    st: &mut BlockState<'_>,
-) -> Result<(), VerifyError> {
-    let (saved, feasible) = apply_narrowing(cond, st)?;
-    let r = if feasible {
-        walk_stmt(body, st)
-    } else {
-        Ok(())
-    };
-    for (name, old) in saved {
-        st.restore(&name, old);
-    }
-    r
-}
-
-/// [`walk_under_narrowing`] for a float `Select`'s taken branch.
-fn walk_fexpr_under_narrowing(
-    cond: &Cond,
-    f: &FExpr,
-    st: &mut BlockState<'_>,
-) -> Result<(), VerifyError> {
-    let (saved, feasible) = apply_narrowing(cond, st)?;
-    let r = if feasible { walk_fexpr(f, st) } else { Ok(()) };
-    for (name, old) in saved {
-        st.restore(&name, old);
-    }
-    r
-}
-
-/// Bindings shadowed by a guard narrowing, to restore on branch exit.
-type Shadowed = Vec<(String, Option<SInt>)>;
-
-/// Applies the narrowings implied by `cond` to the variable ranges,
-/// returning the shadowed bindings and whether the branch remains
-/// feasible (an emptied range means it cannot execute).
-fn apply_narrowing(cond: &Cond, st: &mut BlockState<'_>) -> Result<(Shadowed, bool), VerifyError> {
-    let mut saved = Vec::new();
-    let feasible = narrow_cond(cond, st, &mut saved)?;
-    Ok((saved, feasible))
-}
-
-fn narrow_cond(
-    cond: &Cond,
-    st: &mut BlockState<'_>,
-    saved: &mut Vec<(String, Option<SInt>)>,
-) -> Result<bool, VerifyError> {
-    match cond.kind() {
-        CondKind::And(a, b) => Ok(narrow_cond(a, st, saved)? && narrow_cond(b, st, saved)?),
-        // `a < b`  ⇔  a − b ≤ −1;  `a <= b`  ⇔  a − b ≤ 0.
-        CondKind::Lt(a, b) => narrow_le(a, b, -1, st, saved),
-        CondKind::Le(a, b) => narrow_le(a, b, 0, st, saved),
-        CondKind::Eq(a, b) => Ok(narrow_le(a, b, 0, st, saved)? && narrow_le(b, a, 0, st, saved)?),
-        // `Or`/`Not`/`Ne` narrow nothing (sound: wider ranges only).
-        _ => Ok(true),
+fn eq_s(a: SInt, b: SInt) -> Option<bool> {
+    match (a.as_point(), b.as_point()) {
+        (Some(x), Some(y)) => Some(x == y),
+        _ if a.disjoint(b) => Some(false),
+        _ => None,
     }
 }
 
-/// Narrows every variable appearing linearly in `lhs − rhs ≤ bound`:
-/// for coefficient `c > 0`, `v ≤ ⌊(bound − rest_lo) / c⌋`; for
-/// `c < 0` (as `−d`), `v ≥ ⌈(rest_lo − bound) / d⌉`, where `rest` is
-/// the form without `v`'s term, evaluated over the current ranges.
-fn narrow_le(
-    lhs: &Expr,
-    rhs: &Expr,
-    bound: i64,
-    st: &mut BlockState<'_>,
-    saved: &mut Vec<(String, Option<SInt>)>,
-) -> Result<bool, VerifyError> {
-    let binds = HashMap::new();
-    let form = linearize(lhs, &binds).sub(&linearize(rhs, &binds));
-    let vars: Vec<(String, i64)> = form
-        .terms()
-        .filter_map(|(t, c)| match t {
-            LinTerm::Var(n) => Some((n.clone(), c)),
-            LinTerm::Opaque(_) => None,
-        })
-        .collect();
-    for (name, c) in vars {
-        // Only narrow variables whose current range is a dense-ish set;
-        // unknown variables have nothing to tighten.
-        let Some(cur) = st.vars.get(&name).copied() else {
-            continue;
-        };
-        let SInt::Set { lo, hi, stride } = cur else {
-            continue;
-        };
-        let mut rest = form.clone();
-        rest.remove_var(&name);
-        let Some((rest_lo, _)) = eval_linform(&rest, st)?.hull() else {
-            continue;
-        };
-        let narrowed = if c > 0 {
-            let new_hi = (bound - rest_lo).div_euclid(c);
-            clamp_sint(lo, hi, stride, None, Some(new_hi))
+/// Resolves names by scope while translating the body.
+struct Builder<'a> {
+    slots: &'a StmtSlots,
+    output: &'a str,
+    /// Innermost-last `For`/`LetInt` scopes and their slots.
+    vars: Vec<(&'a str, u32)>,
+    next_var: u32,
+    /// Innermost-last `Alloc` scopes and their slots.
+    scratch: Vec<(&'a str, u32)>,
+    scratch_names: Vec<String>,
+    sites: Vec<(Stmt, Expr)>,
+    narrow_terms: usize,
+}
+
+impl<'a> Builder<'a> {
+    fn var(&self, name: &str) -> u32 {
+        let bound = self.vars.iter().rev().find(|(n, _)| *n == name);
+        bound
+            .map(|&(_, slot)| slot)
+            .or_else(|| self.slots.free_vars.get(name))
+            .expect("the slot census covers every referenced variable")
+    }
+
+    fn buf(&self, name: &str) -> Buf {
+        if let Some(&(_, slot)) = self.scratch.iter().rev().find(|(n, _)| *n == name) {
+            Buf::Scratch(slot)
+        } else if name == self.output {
+            Buf::Output
         } else {
-            let d = -c;
-            let new_lo = (rest_lo - bound + d - 1).div_euclid(d);
-            clamp_sint(lo, hi, stride, Some(new_lo), None)
-        };
-        if narrowed != cur {
-            saved.push((name.clone(), st.bind(&name, narrowed)));
-        }
-        if matches!(narrowed, SInt::Empty) {
-            return Ok(false);
+            let slot = self.slots.free_fbufs.get(name);
+            Buf::Input(slot.expect("the slot census covers every free float buffer"))
         }
     }
-    Ok(true)
+
+    /// `f(a, b)`, dropping an identity operand: lowering leaves `0 + x`
+    /// and `x * 1` in every index, and removing them is exact in the
+    /// strided-interval domain.
+    fn bin(&self, f: fn(SInt, SInt) -> SInt, ids: [Option<i64>; 2], a: &Expr, b: &Expr) -> PExpr {
+        match (self.expr(a), self.expr(b)) {
+            (PExpr::Int(v), x) if ids[0] == Some(v) => x,
+            (x, PExpr::Int(v)) if ids[1] == Some(v) => x,
+            (a, b) => PExpr::Bin(f, Box::new((a, b))),
+        }
+    }
+
+    fn expr(&self, e: &Expr) -> PExpr {
+        match e.kind() {
+            ExprKind::Int(v) => PExpr::Int(*v),
+            ExprKind::Var(n) => PExpr::Var(self.var(n)),
+            ExprKind::Add(a, b) => self.bin(SInt::add, [Some(0), Some(0)], a, b),
+            ExprKind::Sub(a, b) => self.bin(SInt::sub, [None, Some(0)], a, b),
+            ExprKind::Mul(a, b) => self.bin(SInt::mul, [Some(1), Some(1)], a, b),
+            ExprKind::FloorDiv(a, b) => self.bin(div_s, [None, None], a, b),
+            ExprKind::FloorMod(a, b) => self.bin(mod_s, [None, None], a, b),
+            ExprKind::Min(a, b) => self.bin(SInt::min_s, [None, None], a, b),
+            ExprKind::Max(a, b) => self.bin(SInt::max_s, [None, None], a, b),
+            ExprKind::Select(c, a, b) => {
+                PExpr::Select(Box::new((self.cond(c), self.expr(a), self.expr(b))))
+            }
+            // Outlined bodies carry no uninterpreted functions (lowering
+            // grounds them into aux tables), but be total regardless.
+            ExprKind::Uf(..) => PExpr::Unknown,
+            ExprKind::Load(buf, idx) => {
+                let table = self.slots.ibufs.get(buf);
+                PExpr::Load(
+                    table.expect("the slot census covers every table"),
+                    Box::new(self.expr(idx)),
+                    idx.clone(),
+                )
+            }
+        }
+    }
+
+    fn cond(&self, c: &Cond) -> PCond {
+        let cmp =
+            |f: fn(SInt, SInt) -> Option<bool>, a, b| PCond::Cmp(f, self.expr(a), self.expr(b));
+        match c.kind() {
+            CondKind::Const(b) => PCond::Const(*b),
+            CondKind::Lt(a, b) => cmp(|a, b| cmp_hulls(a, b, true), a, b),
+            CondKind::Le(a, b) => cmp(|a, b| cmp_hulls(a, b, false), a, b),
+            CondKind::Eq(a, b) => cmp(eq_s, a, b),
+            CondKind::Ne(a, b) => cmp(|a, b| eq_s(a, b).map(|eq| !eq), a, b),
+            CondKind::And(x, y) => PCond::And(Box::new((self.cond(x), self.cond(y)))),
+            CondKind::Or(x, y) => PCond::Or(Box::new((self.cond(x), self.cond(y)))),
+            CondKind::Not(x) => PCond::Not(Box::new(self.cond(x))),
+        }
+    }
+
+    fn guard(&mut self, c: &Cond) -> Guard {
+        let mut narrow = Vec::new();
+        self.narrowings(c, &mut narrow);
+        self.narrow_terms += narrow.iter().map(|n| n.terms.len()).sum::<usize>();
+        Guard {
+            cond: self.cond(c),
+            narrow,
+        }
+    }
+
+    /// The `≤` constraints `c` implies when true: conjunctions
+    /// contribute both sides, `a < b` is `a − b ≤ −1`, `a ≤ b` is
+    /// `a − b ≤ 0`, equality is both directions. `Or`/`Not`/`Ne`
+    /// narrow nothing (sound: wider ranges only).
+    fn narrowings(&self, c: &Cond, out: &mut Vec<NarrowLe>) {
+        match c.kind() {
+            CondKind::And(a, b) => {
+                self.narrowings(a, out);
+                self.narrowings(b, out);
+            }
+            CondKind::Lt(a, b) => out.push(self.narrow_le(a, b, -1)),
+            CondKind::Le(a, b) => out.push(self.narrow_le(a, b, 0)),
+            CondKind::Eq(a, b) => {
+                out.push(self.narrow_le(a, b, 0));
+                out.push(self.narrow_le(b, a, 0));
+            }
+            _ => {}
+        }
+    }
+
+    fn narrow_le(&self, lhs: &Expr, rhs: &Expr, bound: i64) -> NarrowLe {
+        let binds = HashMap::new();
+        let form = linearize(lhs, &binds).sub(&linearize(rhs, &binds));
+        let term = |t: &LinTerm| match t {
+            LinTerm::Var(n) => PExpr::Var(self.var(n)),
+            LinTerm::Opaque(e) => self.expr(e),
+        };
+        NarrowLe {
+            terms: form.terms().map(|(t, c)| (term(t), c)).collect(),
+            constant: form.constant_part(),
+            bound,
+        }
+    }
+
+    /// Appends the accesses evaluating `f` performs, in order.
+    fn floats(&mut self, f: &FExpr, out: &mut Vec<PStmt>) {
+        match f.kind() {
+            FExprKind::Const(_) => {}
+            FExprKind::Load(buf, idx) => {
+                out.push(PStmt::Access(
+                    self.buf(buf),
+                    self.expr(idx),
+                    idx.clone(),
+                    None,
+                ));
+            }
+            FExprKind::Cast(e) => out.push(PStmt::Eval(self.expr(e))),
+            FExprKind::Add(a, b)
+            | FExprKind::Sub(a, b)
+            | FExprKind::Mul(a, b)
+            | FExprKind::Div(a, b)
+            | FExprKind::Max(a, b) => {
+                self.floats(a, out);
+                self.floats(b, out);
+            }
+            FExprKind::Unary(_, a) => self.floats(a, out),
+            FExprKind::Select(cond, a, b) => {
+                let (mut then_, mut else_) = (Vec::new(), Vec::new());
+                self.floats(a, &mut then_);
+                self.floats(b, &mut else_);
+                let sides = (Box::new(PStmt::Seq(then_)), Box::new(PStmt::Seq(else_)));
+                out.push(PStmt::If(self.guard(cond), sides.0, Some(sides.1)));
+            }
+        }
+    }
+
+    /// Translates `body` with `var` bound to a fresh slot.
+    fn scoped(&mut self, var: &'a str, body: &'a Stmt) -> (u32, Box<PStmt>) {
+        let slot = self.next_var;
+        self.next_var += 1;
+        self.vars.push((var, slot));
+        let body = Box::new(self.stmt(body));
+        self.vars.pop();
+        (slot, body)
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) -> PStmt {
+        match s {
+            Stmt::For {
+                var,
+                min,
+                extent,
+                body,
+                ..
+            } => {
+                let (min, extent) = (self.expr(min), self.expr(extent));
+                let (var, body) = self.scoped(var, body);
+                PStmt::For(var, min, extent, body)
+            }
+            Stmt::LetInt { var, value, body } => {
+                let value = self.expr(value);
+                let (var, body) = self.scoped(var, body);
+                PStmt::Let(var, value, body)
+            }
+            Stmt::Store {
+                buffer,
+                index,
+                value,
+                ..
+            } => {
+                let mut accesses = Vec::new();
+                self.floats(value, &mut accesses);
+                let buf = self.buf(buffer);
+                let site = matches!(buf, Buf::Output).then(|| {
+                    // Syntactically identical stores are one site.
+                    let known = self.sites.iter().position(|(st, _)| st == s);
+                    let site = known.unwrap_or_else(|| {
+                        self.sites.push((s.clone(), index.clone()));
+                        self.sites.len() - 1
+                    });
+                    u32::try_from(site).expect("site count fits u32")
+                });
+                accesses.push(PStmt::Access(buf, self.expr(index), index.clone(), site));
+                PStmt::Seq(accesses)
+            }
+            Stmt::If { cond, then_, else_ } => PStmt::If(
+                self.guard(cond),
+                Box::new(self.stmt(then_)),
+                else_.as_ref().map(|e| Box::new(self.stmt(e))),
+            ),
+            Stmt::Seq(items) => PStmt::Seq(items.iter().map(|i| self.stmt(i)).collect()),
+            Stmt::Alloc { buffer, size, body } => {
+                let size = self.expr(size);
+                let slot = u32::try_from(self.scratch_names.len()).expect("slot count fits u32");
+                self.scratch_names.push(buffer.clone());
+                self.scratch.push((buffer, slot));
+                let body = Box::new(self.stmt(body));
+                self.scratch.pop();
+                PStmt::Alloc(slot, size, body)
+            }
+            Stmt::Nop => PStmt::Seq(Vec::new()),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Phase 2: the per-shape walk
+// ---------------------------------------------------------------------
+
+/// Errors are boxed inside the walk so the per-node `Result`s stay small.
+type Walked<T> = Result<T, Box<VerifyError>>;
+
+/// One shape's abstract interpretation of a [`ProofProgram`]: call
+/// [`ProofWalk::block`] once per block value, then [`ProofWalk::finish`].
+///
+/// All state lives in slot-indexed vectors sized at construction and
+/// reused across blocks, and auxiliary tables are read in place from the
+/// shape's built prelude — a walk allocates nothing per block.
+#[derive(Debug)]
+pub struct ProofWalk<'a> {
+    prog: &'a ProofProgram,
+    /// Ground truth for auxiliary-table loads, by table slot (`None`:
+    /// not built — an error only if a load actually reaches it).
+    tables: Vec<Option<&'a [i64]>>,
+    output_size: i64,
+    /// Abstract value of every variable slot.
+    env: Vec<SInt>,
+    /// Minimal guaranteed capacity of each `Alloc` site (when its size
+    /// expression is bounded below), set on scope entry.
+    scratch_cap: Vec<Option<i64>>,
+    /// Ranges shadowed by guard narrowing, restored on branch exit.
+    undo: Vec<(u32, SInt)>,
+    /// The current block's output store region per visited site.
+    regions: Vec<(u32, SInt)>,
+    /// Minimal required length per float input slot (access hulls).
+    required: Vec<Option<i64>>,
+    /// Which output store sites any block has reached.
+    visited: Vec<bool>,
+    /// `(block value, site, region)` of every non-empty store region.
+    spans: Vec<(i64, u32, SInt)>,
+    n_blocks: usize,
+}
+
+impl ProofWalk<'_> {
+    /// Interprets the body abstractly for block value `bv`, proving its
+    /// accesses in bounds and recording its store regions.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::OutOfBounds`] or [`VerifyError::Unsupported`]; the
+    /// proof has failed and the walk must not be continued.
+    pub fn block(&mut self, bv: i64) -> Result<(), VerifyError> {
+        let prog = self.prog;
+        if let Some(slot) = prog.block_slot {
+            self.env[slot as usize] = SInt::point(bv);
+        }
+        self.n_blocks += 1;
+        self.stmt(&prog.body).map_err(|e| *e)?;
+        for (site, region) in self.regions.drain(..) {
+            if !matches!(region, SInt::Empty) {
+                self.spans.push((bv, site, region));
+            }
+        }
+        Ok(())
+    }
+
+    /// Certifies the walked blocks: [`StoreCert::new`] proves their
+    /// store regions pairwise disjoint by sort-and-sweep (interval
+    /// separation or, for interleaved lanes, stride/congruence
+    /// separation) while assembling the certificate, so the executor
+    /// enforces exactly what was checked.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::StoreOverlap`] with the two witness blocks.
+    pub fn finish(self) -> Result<VerifyOutcome, VerifyError> {
+        let cert = StoreCert::new(self.spans.iter().map(|&(b, _, r)| (b, r)))
+            .map_err(|e| self.cert_error(e))?;
+        let names = self.prog.slots.free_fbufs.names().iter();
+        let mut required_inputs: Vec<(String, i64)> = names
+            .zip(&self.required)
+            .filter_map(|(name, need)| Some((name.clone(), (*need)?)))
+            .collect();
+        required_inputs.sort();
+        Ok(VerifyOutcome {
+            proof: ProofKind::ConcreteInterpretation,
+            cert,
+            n_blocks: self.n_blocks,
+            store_sites: self.visited.iter().filter(|&&v| v).count(),
+            required_inputs,
+        })
+    }
+
+    fn cert_error(&self, e: CertError) -> VerifyError {
+        let CertError::Overlap {
+            block_a,
+            region_a,
+            block_b,
+            region_b,
+        } = e
+        else {
+            return VerifyError::Unsupported {
+                what: format!("the store regions into a certificate: {e:?}"),
+            };
+        };
+        // Cite the syntactically first store either witness came from.
+        let is_witness = |b, r| (b, r) == (block_a, region_a) || (b, r) == (block_b, region_b);
+        let witnesses = self.spans.iter().filter(|&&(b, _, r)| is_witness(b, r));
+        let site = witnesses.map(|&(_, site, _)| site).min();
+        let (store, index) = &self.prog.sites[site.expect("witnesses are walked spans") as usize];
+        VerifyError::StoreOverlap {
+            store: print_c(store),
+            index: format!("{index}"),
+            block_a,
+            region_a,
+            block_b,
+            region_b,
+        }
+    }
+
+    fn stmt(&mut self, s: &PStmt) -> Walked<()> {
+        match s {
+            PStmt::For(var, min, extent, body) => {
+                let mn = self.expr(min)?;
+                let ext = self.expr(extent)?;
+                // A provably zero-trip loop contributes nothing (the empty
+                // rows of a ragged batch).
+                if matches!(ext.hull(), Some((_, hi)) if hi <= 0) {
+                    return Ok(());
+                }
+                self.env[*var as usize] = match (mn.hull(), ext.hull()) {
+                    (Some((lo, mhi)), Some((_, ehi))) => {
+                        SInt::range(lo, mhi.saturating_add(ehi).saturating_sub(1))
+                    }
+                    _ => SInt::Top,
+                };
+                self.stmt(body)
+            }
+            PStmt::Let(var, value, body) => {
+                self.env[*var as usize] = self.expr(value)?;
+                self.stmt(body)
+            }
+            PStmt::Access(buf, index, src, site) => {
+                let r = self.expr(index)?;
+                self.access(*buf, src, r)?;
+                if let Some(site) = site {
+                    self.visited[*site as usize] = true;
+                    match self.regions.iter_mut().find(|(id, _)| id == site) {
+                        Some((_, region)) => *region = region.union(r),
+                        None => self.regions.push((*site, r)),
+                    }
+                }
+                Ok(())
+            }
+            PStmt::Eval(e) => self.expr(e).map(|_| ()),
+            PStmt::If(guard, then_, else_) => match (self.cond(&guard.cond)?, else_) {
+                (Some(true), _) => self.stmt(then_),
+                (Some(false), Some(e)) => self.stmt(e),
+                (Some(false), None) => Ok(()),
+                (None, _) => {
+                    // Walk the taken branch under the guard-narrowed
+                    // ranges; infeasible narrowing skips the branch.
+                    self.under(&guard.narrow, then_)?;
+                    else_.as_ref().map_or(Ok(()), |e| self.stmt(e))
+                }
+            },
+            PStmt::Seq(items) => items.iter().try_for_each(|item| self.stmt(item)),
+            PStmt::Alloc(slot, size, body) => {
+                let cap = self.expr(size)?.hull().map(|(lo, _)| lo);
+                self.scratch_cap[*slot as usize] = cap;
+                self.stmt(body)
+            }
+        }
+    }
+
+    /// One float-buffer access over index range `r`. Inputs record the
+    /// minimal length covering it (the outliner's screen rejects stores
+    /// to shared inputs before the verifier runs; a direct caller still
+    /// gets the bound). Scratch and the output — whose loads the
+    /// outliner likewise rejects — are checked against their capacity;
+    /// an unbounded scratch size proves nothing, which is tolerated (the
+    /// VM's slice indexing still panics safely at run time) unless the
+    /// scratch shadows the output's name.
+    fn access(&mut self, buf: Buf, index: &Expr, r: SInt) -> Walked<()> {
+        let (name, cap) = match buf {
+            Buf::Input(slot) => {
+                if let Some((_, hi)) = r.hull() {
+                    let need = &mut self.required[slot as usize];
+                    *need = Some(need.unwrap_or(0).max(hi.saturating_add(1)));
+                }
+                return Ok(());
+            }
+            Buf::Scratch(slot) => (
+                &self.prog.scratch_names[slot as usize],
+                self.scratch_cap[slot as usize],
+            ),
+            Buf::Output => (&self.prog.output, Some(self.output_size)),
+        };
+        let proven = match (r, cap) {
+            (SInt::Empty, _) => true,
+            (_, Some(size)) => matches!(r.hull(), Some((lo, hi)) if lo >= 0 && hi < size),
+            (_, None) => *name != self.prog.output,
+        };
+        if proven {
+            Ok(())
+        } else {
+            Err(oob(name, index, r, cap.unwrap_or(self.output_size)))
+        }
+    }
+
+    /// Evaluates `e` over strided intervals.
+    fn expr(&mut self, e: &PExpr) -> Walked<SInt> {
+        Ok(match e {
+            PExpr::Int(v) => SInt::point(*v),
+            PExpr::Var(slot) => self.env[*slot as usize],
+            PExpr::Bin(f, ab) => f(self.expr(&ab.0)?, self.expr(&ab.1)?),
+            PExpr::Select(cab) => match self.cond(&cab.0)? {
+                Some(true) => self.expr(&cab.1)?,
+                Some(false) => self.expr(&cab.2)?,
+                None => self.expr(&cab.1)?.union(self.expr(&cab.2)?),
+            },
+            PExpr::Unknown => SInt::Top,
+            PExpr::Load(table, index, src) => {
+                let r = self.expr(index)?;
+                let name = &self.prog.slots.ibufs.names()[*table as usize];
+                let Some(data) = self.tables[*table as usize] else {
+                    return Err(Box::new(VerifyError::Unsupported {
+                        what: format!("a load from unbuilt auxiliary table `{name}`"),
+                    }));
+                };
+                let len = i64::try_from(data.len()).expect("table length fits i64");
+                match r {
+                    SInt::Empty => SInt::Empty,
+                    SInt::Set { lo, hi, stride } if lo >= 0 && hi < len => {
+                        // Hull of the touched members: exact min/max over
+                        // the congruence class within the slice (a point
+                        // index reads the exact entry).
+                        let touched = data[lo as usize..=hi as usize].iter();
+                        let (vmin, vmax) = (touched.step_by(stride as usize))
+                            .fold((i64::MAX, i64::MIN), |(mn, mx), &v| (mn.min(v), mx.max(v)));
+                        SInt::range(vmin, vmax)
+                    }
+                    _ => return Err(oob(name, src, r, len)),
+                }
+            }
+        })
+    }
+
+    /// Three-valued condition evaluation: `Some(b)` when provable,
+    /// `None` when the hulls do not decide it.
+    fn cond(&mut self, c: &PCond) -> Walked<Option<bool>> {
+        Ok(match c {
+            PCond::Const(b) => Some(*b),
+            PCond::Cmp(f, a, b) => f(self.expr(a)?, self.expr(b)?),
+            PCond::And(xy) => match (self.cond(&xy.0)?, self.cond(&xy.1)?) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            PCond::Or(xy) => match (self.cond(&xy.0)?, self.cond(&xy.1)?) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+            PCond::Not(x) => self.cond(x)?.map(|b| !b),
+        })
+    }
+
+    /// Runs `body` with variable ranges narrowed by `steps` (a guard
+    /// assumed true), then restores them. A narrowing that empties a
+    /// range proves the branch infeasible for this block: `body` is
+    /// skipped.
+    fn under(&mut self, steps: &[NarrowLe], body: &PStmt) -> Walked<()> {
+        let mark = self.undo.len();
+        let mut feasible = true;
+        for step in steps {
+            feasible = feasible && self.narrow(step)?;
+        }
+        let walked = if feasible { self.stmt(body) } else { Ok(()) };
+        // Innermost-first, so a range narrowed twice gets its original back.
+        for (slot, old) in self.undo.drain(mark..).rev() {
+            self.env[slot as usize] = old;
+        }
+        walked
+    }
+
+    /// Fourier–Motzkin narrowing of every variable appearing linearly
+    /// in `form ≤ bound`: for coefficient `c > 0`,
+    /// `v ≤ ⌊(bound − rest_lo) / c⌋`; for `c < 0` (as `−d`),
+    /// `v ≥ ⌈(rest_lo − bound) / d⌉`, where `rest` is the form without
+    /// `v`'s term, evaluated over the current ranges. An arithmetic
+    /// overflow skips that narrowing (a wider range is sound). Returns
+    /// whether the branch remains feasible.
+    fn narrow(&mut self, step: &NarrowLe) -> Walked<bool> {
+        for (k, (term, c)) in step.terms.iter().enumerate() {
+            // Only variables with a known set have anything to tighten.
+            let PExpr::Var(slot) = term else { continue };
+            let cur = self.env[*slot as usize];
+            let SInt::Set { lo, hi, stride } = cur else {
+                continue;
+            };
+            let mut rest = SInt::point(step.constant);
+            for (j, (t, coeff)) in step.terms.iter().enumerate() {
+                if j != k {
+                    rest = rest.add(self.expr(t)?.mul_const(*coeff));
+                }
+            }
+            let Some((rest_lo, _)) = rest.hull() else {
+                continue;
+            };
+            let narrowed = if *c > 0 {
+                (step.bound.checked_sub(rest_lo))
+                    .and_then(|n| clamp_sint(lo, hi, stride, None, Some(n.div_euclid(*c))))
+            } else {
+                (rest_lo.checked_sub(step.bound))
+                    .zip(c.checked_neg())
+                    .map(|(n, d)| n.div_euclid(d) + i64::from(n.rem_euclid(d) != 0))
+                    .and_then(|new_lo| clamp_sint(lo, hi, stride, Some(new_lo), None))
+            };
+            let Some(narrowed) = narrowed else { continue };
+            if narrowed != cur {
+                self.undo.push((*slot, cur));
+                self.env[*slot as usize] = narrowed;
+            }
+            if matches!(narrowed, SInt::Empty) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+fn oob(buffer: &str, index: &Expr, range: SInt, size: i64) -> Box<VerifyError> {
+    Box::new(VerifyError::OutOfBounds {
+        buffer: buffer.to_string(),
+        index: format!("{index}"),
+        range,
+        size,
+    })
 }
 
 /// Members of `{lo, lo+stride, …, hi}` clamped into the given bounds,
-/// keeping the congruence class.
-fn clamp_sint(lo: i64, hi: i64, stride: i64, min: Option<i64>, max: Option<i64>) -> SInt {
+/// keeping the congruence class; `None` if the first member at or above
+/// `min` is not computable in `i64`.
+fn clamp_sint(lo: i64, hi: i64, stride: i64, min: Option<i64>, max: Option<i64>) -> Option<SInt> {
     let new_lo = match min {
         Some(m) if m > lo => {
-            lo + (m - lo).div_euclid(stride) * stride + {
-                if (m - lo).rem_euclid(stride) == 0 {
-                    0
-                } else {
-                    stride
-                }
-            }
+            let gap = m.checked_sub(lo)?;
+            let steps = gap.div_euclid(stride) + i64::from(gap.rem_euclid(stride) != 0);
+            lo.checked_add(steps.checked_mul(stride)?)?
         }
         _ => lo,
     };
@@ -822,21 +1037,7 @@ fn clamp_sint(lo: i64, hi: i64, stride: i64, min: Option<i64>, max: Option<i64>)
         Some(m) if m < hi => m,
         _ => hi,
     };
-    SInt::make(new_lo, new_hi, stride)
-}
-
-/// Interval hull of a linear form under the current variable ranges
-/// (opaque terms evaluate through [`eval_expr`]).
-fn eval_linform(f: &LinForm, st: &mut BlockState<'_>) -> Result<SInt, VerifyError> {
-    let mut acc = SInt::point(f.constant_part());
-    for (t, c) in f.terms().map(|(t, c)| (t.clone(), c)).collect::<Vec<_>>() {
-        let v = match &t {
-            LinTerm::Var(n) => st.vars.get(n).copied().unwrap_or(SInt::Top),
-            LinTerm::Opaque(e) => eval_expr(e, st)?,
-        };
-        acc = acc.add(v.mul_const(c));
-    }
-    Ok(acc)
+    Some(SInt::make(new_lo, new_hi, stride))
 }
 
 // ---------------------------------------------------------------------
@@ -1087,6 +1288,106 @@ mod tests {
         let out = verify_outlined(&body, "b", 0, 4, &ctx).expect("narrowing verifies");
         assert_eq!(out.cert.regions_for(0), &[SInt::range(0, 4)]);
         assert_eq!(out.cert.regions_for(3), &[SInt::range(8, 9)]);
+    }
+
+    /// `for i in 0..8 { if cond(i) { out[b*8 + i] = 1 } }` over two blocks.
+    fn guarded_rows(cond: Cond) -> Result<VerifyOutcome, VerifyError> {
+        let body = Stmt::loop_(
+            "i",
+            Expr::int(8),
+            Stmt::if_then(
+                cond,
+                Stmt::store(
+                    "out",
+                    Expr::var("b") * 8 + Expr::var("i"),
+                    FExpr::constant(1.0),
+                ),
+            ),
+        );
+        let env = Env::new();
+        let ctx = VerifyCtx {
+            env: &env,
+            scalars: &[],
+            output: "out",
+            output_size: 16,
+        };
+        verify_outlined(&body, "b", 0, 2, &ctx)
+    }
+
+    #[test]
+    fn narrowing_near_the_i64_limits_never_shrinks_a_range_wrongly() {
+        let big = 1i64 << 62;
+        // `i·2^62 + i64::MIN <= 0` holds for i in 0..=2. The product's
+        // range overflows to ⊤, so the hulls cannot decide the guard and
+        // narrowing computes `bound − rest_lo = 0 − i64::MIN`, which
+        // does not fit: wrapping used to turn that into `i <= −2`, an
+        // empty range — "branch infeasible" — and the stores below the
+        // guard went unproven. The narrowing must be skipped instead.
+        let near_min = (Expr::var("i") * big + Expr::int(i64::MIN)).le(Expr::int(0));
+        let out = guarded_rows(near_min).expect("rows stay disjoint");
+        let (lo, hi) = out.cert.regions_for(0)[0].hull().unwrap();
+        assert!(
+            lo == 0 && hi >= 2,
+            "block 0 stores [0, 2]: got [{lo}, {hi}]"
+        );
+
+        // `i64::MAX − i·2^62 <= 0` holds for i >= 2: the lower bound
+        // `⌈(rest_lo − bound) / d⌉` has `rest_lo = i64::MAX`, where the
+        // textbook `+ d − 1` rounding overflows.
+        let near_max = (Expr::int(i64::MAX) - Expr::var("i") * big).le(Expr::int(0));
+        let out = guarded_rows(near_max).expect("rows stay disjoint");
+        let (lo, hi) = out.cert.regions_for(1)[0].hull().unwrap();
+        assert!(
+            lo <= 10 && hi == 15,
+            "block 1 stores [10, 15]: got [{lo}, {hi}]"
+        );
+
+        // The clamp itself: a first member at or above `min` that is not
+        // representable skips the narrowing rather than wrapping.
+        assert_eq!(clamp_sint(-4, 4, 1, Some(i64::MAX), None), None);
+        assert_eq!(clamp_sint(0, i64::MAX - 1, 3, Some(i64::MAX), None), None);
+        assert_eq!(
+            clamp_sint(
+                i64::MIN,
+                i64::MIN + 9,
+                3,
+                Some(i64::MIN + 4),
+                Some(i64::MIN + 7)
+            ),
+            Some(SInt::point(i64::MIN + 6))
+        );
+    }
+
+    #[test]
+    fn ranges_narrowed_twice_are_fully_restored_after_the_branch() {
+        // for i in 0..8 { if i < 6 && i < 2 { out[b*16 + i] = 1 }
+        //                 out[b*16 + 8 + i] = 1 }
+        // The guard narrows `i` twice; the store after the branch must
+        // see the whole loop range again, not the first narrowing.
+        let at = |off: i64| Expr::var("b") * 16 + Expr::var("i") + off;
+        let i = || Expr::var("i");
+        let body = Stmt::loop_(
+            "i",
+            Expr::int(8),
+            Stmt::if_then(
+                i().lt(Expr::int(6)).and(i().lt(Expr::int(2))),
+                Stmt::store("out", at(0), FExpr::constant(1.0)),
+            )
+            .then(Stmt::store("out", at(8), FExpr::constant(1.0))),
+        );
+        let env = Env::new();
+        let ctx = VerifyCtx {
+            env: &env,
+            scalars: &[],
+            output: "out",
+            output_size: 32,
+        };
+        let out = verify_outlined(&body, "b", 0, 2, &ctx).expect("verifies");
+        assert_eq!(out.store_sites, 2);
+        assert_eq!(
+            out.cert.regions_for(1),
+            &[SInt::range(16, 17), SInt::range(24, 31)]
+        );
     }
 
     #[test]

@@ -66,4 +66,4 @@ pub use interp::{InterpStats, Machine};
 pub use microkernel::MathMode;
 pub use profile::Profiler;
 pub use runtime::{Runtime, Schedule};
-pub use vm::{BoundBuf, StoreCert, VmMachine, VmProgram, VmShared};
+pub use vm::{BoundBuf, CertError, StoreCert, VmMachine, VmProgram, VmShared};

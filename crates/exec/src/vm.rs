@@ -67,9 +67,8 @@
 //! so golden tests can diff the compiled form of a kernel.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cora_ir::fexpr::apply_unary;
 use cora_ir::interval::SInt;
@@ -497,7 +496,7 @@ impl VmProgram {
             prog: self,
             vars: vec![0; s.var_slot_count()],
             var_bound: vec![false; s.free_vars.len()],
-            ibufs: vec![Vec::new(); s.ibufs.len()],
+            ibufs: vec![Arc::from([]); s.ibufs.len()],
             ibuf_bound: vec![false; s.ibufs.len()],
             fbufs: vec![Vec::new(); s.fbuf_slot_count()],
             fbuf_bound: vec![false; s.free_fbufs.len()],
@@ -518,7 +517,7 @@ impl VmProgram {
             prog: self,
             vars: vec![0; s.var_slot_count()],
             var_bound: vec![false; s.free_vars.len()],
-            ibufs: vec![Vec::new(); s.ibufs.len()],
+            ibufs: vec![Arc::from([]); s.ibufs.len()],
             ibuf_bound: vec![false; s.ibufs.len()],
             fbufs: vec![Vec::new(); s.free_fbufs.len()],
             fbuf_bound: vec![false; s.free_fbufs.len()],
@@ -2871,7 +2870,8 @@ pub struct VmMachine<'p> {
     prog: &'p VmProgram,
     vars: Vec<i64>,
     var_bound: Vec<bool>,
-    ibufs: Vec<Vec<i64>>,
+    /// Shared handles: binding a built prelude table copies nothing.
+    ibufs: Vec<Arc<[i64]>>,
     ibuf_bound: Vec<bool>,
     fbufs: Vec<Vec<f32>>,
     fbuf_bound: Vec<bool>,
@@ -2901,11 +2901,13 @@ impl VmMachine<'_> {
         }
     }
 
-    /// Installs an integer auxiliary buffer. Returns `false` if unused.
-    pub fn set_ibuffer(&mut self, name: &str, data: Vec<i64>) -> bool {
+    /// Installs an integer auxiliary buffer (an owned `Vec<i64>`, or a
+    /// shared `Arc<[i64]>` handle, which is bound without copying).
+    /// Returns `false` if unused.
+    pub fn set_ibuffer(&mut self, name: &str, data: impl Into<Arc<[i64]>>) -> bool {
         match self.prog.slots.ibufs.get(name) {
             Some(slot) => {
-                self.ibufs[slot as usize] = data;
+                self.ibufs[slot as usize] = data.into();
                 self.ibuf_bound[slot as usize] = true;
                 true
             }
@@ -2946,7 +2948,7 @@ impl VmMachine<'_> {
             self.bind_var(name, v);
         }
         for (name, buf) in env.buffers() {
-            self.set_ibuffer(name, buf.to_vec());
+            self.set_ibuffer(name, buf);
         }
         let names: Vec<String> = self.prog.slots.ufs.names().to_vec();
         for name in names {
@@ -3526,7 +3528,7 @@ struct Regs<'a> {
 /// updated if execution panics mid-kernel.
 fn dispatch<B: FloatBufs>(
     prog: &VmProgram,
-    ibufs: &[Vec<i64>],
+    ibufs: &[Arc<[i64]>],
     ufs: &[Option<UfHandle>],
     regs: &mut Regs<'_>,
     fbufs: &mut B,
@@ -4268,59 +4270,134 @@ fn fbuf_name(prog: &VmProgram, slot: u32) -> String {
 /// store space), and the executor checks every output store against the
 /// executing block's regions at run time. A verifier bug can therefore
 /// produce a deterministic panic, never a data race.
+///
+/// The layout is a flat CSR table: block `b` owns
+/// `regions[offsets[b - min_block] .. offsets[b - min_block + 1]]`, so
+/// the per-block lookup on the dispatch path is two index operations.
 #[derive(Debug, Clone, Default)]
 pub struct StoreCert {
-    regions: HashMap<i64, Vec<SInt>>,
+    min_block: i64,
+    /// One entry past each block of `min_block ..= max_block`; empty for
+    /// the empty certificate.
+    offsets: Vec<u32>,
+    regions: Vec<SInt>,
+}
+
+/// Why a set of per-block store regions is not a certificate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CertError {
+    /// A block has an unbounded ([`SInt::Top`]) store region.
+    Unbounded {
+        /// The block value.
+        block: i64,
+    },
+    /// Two distinct blocks have regions the congruence test cannot
+    /// separate: the first such pair in `(lo, hi, block)` order.
+    Overlap {
+        /// First witness block value.
+        block_a: i64,
+        /// Its region.
+        region_a: SInt,
+        /// Second witness block value.
+        block_b: i64,
+        /// Its overlapping region.
+        region_b: SInt,
+    },
+    /// The block values span more than [`StoreCert::MAX_BLOCK_SPAN`], or
+    /// there are more regions than a `u32` offset can address.
+    TooLarge,
 }
 
 impl StoreCert {
-    /// Builds a certificate, re-validating pairwise disjointness across
-    /// blocks (interval separation with stride/congruence fallback, via
-    /// a sort-and-sweep over the bounded regions).
+    /// Widest `max_block - min_block` a certificate indexes densely: the
+    /// offsets table is allocated for the whole span, so the span of an
+    /// arbitrary caller's block values is bounded before allocating.
+    pub const MAX_BLOCK_SPAN: usize = 1 << 24;
+
+    /// Builds a certificate from `(block value, region)` spans,
+    /// re-validating pairwise disjointness across blocks (interval
+    /// separation with stride/congruence fallback, via a sort-and-sweep
+    /// over the regions). A block's regions keep their input order;
+    /// empty regions are dropped.
+    ///
+    /// # Errors
     ///
     /// Rejects unbounded ([`SInt::Top`]) regions and any cross-block
-    /// overlap the congruence test cannot refute.
-    pub fn new(regions: HashMap<i64, Vec<SInt>>) -> Result<StoreCert, String> {
-        let mut spans: Vec<(i64, i64, i64, SInt)> = Vec::new();
-        for (&block, rs) in &regions {
-            for r in rs {
-                match *r {
-                    SInt::Empty => {}
-                    SInt::Top => {
-                        return Err(format!("block {block} has an unbounded store region"));
-                    }
-                    SInt::Set { lo, hi, .. } => spans.push((lo, hi, block, *r)),
-                }
+    /// overlap the congruence test cannot refute, naming the first
+    /// offending pair in `(lo, hi, block)` order.
+    pub fn new(spans: impl IntoIterator<Item = (i64, SInt)>) -> Result<StoreCert, CertError> {
+        let mut sweep: Vec<(i64, i64, i64, SInt)> = Vec::new();
+        for (block, r) in spans {
+            match r {
+                SInt::Empty => {}
+                SInt::Top => return Err(CertError::Unbounded { block }),
+                SInt::Set { lo, hi, .. } => sweep.push((lo, hi, block, r)),
             }
         }
-        spans.sort_by_key(|&(lo, hi, b, _)| (lo, hi, b));
-        for i in 0..spans.len() {
-            let (_, hi_i, block_i, r_i) = spans[i];
-            for &(lo_j, _, block_j, r_j) in spans.iter().skip(i + 1) {
+        let (Some(min_block), Some(max_block)) = (
+            sweep.iter().map(|s| s.2).min(),
+            sweep.iter().map(|s| s.2).max(),
+        ) else {
+            return Ok(StoreCert::default());
+        };
+        let span = max_block
+            .checked_sub(min_block)
+            .and_then(|d| usize::try_from(d).ok())
+            .filter(|&d| d <= Self::MAX_BLOCK_SPAN && u32::try_from(sweep.len()).is_ok())
+            .ok_or(CertError::TooLarge)?;
+        // Counting sort by block into the CSR table: count, prefix-sum
+        // into each block's start, scatter in input order.
+        let slot = |block: i64| (block - min_block) as usize;
+        let mut offsets = vec![0u32; span + 2];
+        for s in &sweep {
+            offsets[slot(s.2) + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut next = offsets.clone();
+        let mut regions = vec![SInt::Empty; sweep.len()];
+        for s in &sweep {
+            regions[next[slot(s.2)] as usize] = s.3;
+            next[slot(s.2)] += 1;
+        }
+
+        sweep.sort_by_key(|&(lo, hi, b, _)| (lo, hi, b));
+        for (i, &(_, hi_i, block_a, region_a)) in sweep.iter().enumerate() {
+            for &(lo_j, _, block_b, region_b) in &sweep[i + 1..] {
                 if lo_j > hi_i {
                     break;
                 }
-                if block_i != block_j && !r_i.disjoint(r_j) {
-                    return Err(format!(
-                        "blocks {block_i} and {block_j} have overlapping store \
-                         regions {r_i} and {r_j}"
-                    ));
+                if block_a != block_b && !region_a.disjoint(region_b) {
+                    return Err(CertError::Overlap {
+                        block_a,
+                        region_a,
+                        block_b,
+                        region_b,
+                    });
                 }
             }
         }
-        Ok(StoreCert { regions })
+        Ok(StoreCert {
+            min_block,
+            offsets,
+            regions,
+        })
     }
 
     /// The certified store regions of one block value. Blocks absent
     /// from the certificate (e.g. zero-length rows) own no elements, so
     /// any store they attempt panics.
+    #[inline]
     pub fn regions_for(&self, block: i64) -> &[SInt] {
-        self.regions.get(&block).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Number of block values with at least one recorded region.
-    pub fn block_count(&self) -> usize {
-        self.regions.len()
+        let bounds = block
+            .checked_sub(self.min_block)
+            .and_then(|d| usize::try_from(d).ok())
+            .and_then(|i| Some((*self.offsets.get(i)?, *self.offsets.get(i + 1)?)));
+        match bounds {
+            Some((start, end)) => &self.regions[start as usize..end as usize],
+            None => &[],
+        }
     }
 }
 
@@ -4751,7 +4828,8 @@ pub struct VmShared<'p> {
     /// copies this file and writes its own loop variables).
     vars: Vec<i64>,
     var_bound: Vec<bool>,
-    ibufs: Vec<Vec<i64>>,
+    /// Shared handles: binding a built prelude table copies nothing.
+    ibufs: Vec<Arc<[i64]>>,
     ibuf_bound: Vec<bool>,
     /// Free float buffers only (workers keep private `Alloc` scratch).
     fbufs: Vec<Vec<f32>>,
@@ -4773,11 +4851,13 @@ impl VmShared<'_> {
         }
     }
 
-    /// Installs an integer auxiliary buffer. Returns `false` if unused.
-    pub fn set_ibuffer(&mut self, name: &str, data: Vec<i64>) -> bool {
+    /// Installs an integer auxiliary buffer (an owned `Vec<i64>`, or a
+    /// shared `Arc<[i64]>` handle, which is bound without copying).
+    /// Returns `false` if unused.
+    pub fn set_ibuffer(&mut self, name: &str, data: impl Into<Arc<[i64]>>) -> bool {
         match self.prog.slots.ibufs.get(name) {
             Some(slot) => {
-                self.ibufs[slot as usize] = data;
+                self.ibufs[slot as usize] = data.into();
                 self.ibuf_bound[slot as usize] = true;
                 true
             }
@@ -5609,43 +5689,63 @@ mod tests {
 
     #[test]
     fn store_cert_validates_pairwise_disjointness() {
-        // Disjoint rows certify.
-        let mut ok = HashMap::new();
-        ok.insert(0i64, vec![SInt::range(0, 4)]);
-        ok.insert(1, vec![SInt::range(5, 9)]);
-        let cert = StoreCert::new(ok).expect("disjoint rows certify");
-        assert_eq!(cert.block_count(), 2);
-        assert!(cert.regions_for(2).is_empty());
+        // Disjoint rows certify; a block's regions keep their input
+        // order, and blocks between, below and above the certified ones
+        // own nothing.
+        let cert = StoreCert::new([
+            (3i64, SInt::range(5, 9)),
+            (1, SInt::range(0, 4)),
+            (3, SInt::range(12, 13)),
+            (1, SInt::Empty),
+        ])
+        .expect("disjoint rows certify");
+        assert_eq!(cert.regions_for(1), &[SInt::range(0, 4)]);
+        assert_eq!(
+            cert.regions_for(3),
+            &[SInt::range(5, 9), SInt::range(12, 13)]
+        );
+        for absent in [i64::MIN, -1, 0, 2, 4, i64::MAX] {
+            assert!(cert.regions_for(absent).is_empty(), "block {absent}");
+        }
+        let empty = StoreCert::new([(7i64, SInt::Empty)]).expect("nothing to overlap");
+        assert!(empty.regions_for(7).is_empty());
 
         // Interleaved but congruence-disjoint strided lanes certify.
-        let mut lace = HashMap::new();
-        lace.insert(0i64, vec![SInt::make(0, 8, 2)]);
-        lace.insert(1, vec![SInt::make(1, 9, 2)]);
-        StoreCert::new(lace).expect("even/odd lanes certify");
+        StoreCert::new([(0i64, SInt::make(0, 8, 2)), (1, SInt::make(1, 9, 2))])
+            .expect("even/odd lanes certify");
 
         // A genuine overlap is rejected, naming both blocks.
-        let mut bad = HashMap::new();
-        bad.insert(0i64, vec![SInt::range(0, 5)]);
-        bad.insert(1, vec![SInt::range(5, 9)]);
-        let err = StoreCert::new(bad).unwrap_err();
-        assert!(err.contains("overlapping store regions"), "{err}");
+        let err = StoreCert::new([(0i64, SInt::range(0, 5)), (1, SInt::range(5, 9))]).unwrap_err();
+        assert_eq!(
+            err,
+            CertError::Overlap {
+                block_a: 0,
+                region_a: SInt::range(0, 5),
+                block_b: 1,
+                region_b: SInt::range(5, 9),
+            }
+        );
 
-        // Unbounded regions can never certify.
-        let mut top = HashMap::new();
-        top.insert(0i64, vec![SInt::Top]);
-        assert!(StoreCert::new(top).unwrap_err().contains("unbounded"));
+        // Unbounded regions can never certify, and block values too far
+        // apart to index densely are refused before anything is allocated.
+        let err = StoreCert::new([(0i64, SInt::Top)]).unwrap_err();
+        assert_eq!(err, CertError::Unbounded { block: 0 });
+        let far = [(i64::MIN, SInt::point(0)), (i64::MAX, SInt::point(1))];
+        assert_eq!(StoreCert::new(far).unwrap_err(), CertError::TooLarge);
     }
 
     /// The row partition of `outlined_doubling_body`: block `b` owns
     /// `[row[b], row[b] + lens[b])`.
-    fn doubling_cert() -> StoreCert {
+    fn doubling_spans() -> Vec<(i64, SInt)> {
         let lens = [5i64, 0, 3, 2];
         let row = [0i64, 5, 5, 8];
-        let mut regions = HashMap::new();
-        for b in 0..4usize {
-            regions.insert(b as i64, vec![SInt::range(row[b], row[b] + lens[b] - 1)]);
-        }
-        StoreCert::new(regions).expect("rows are disjoint")
+        (0..4usize)
+            .map(|b| (b as i64, SInt::range(row[b], row[b] + lens[b] - 1)))
+            .collect()
+    }
+
+    fn doubling_cert() -> StoreCert {
+        StoreCert::new(doubling_spans()).expect("rows are disjoint")
     }
 
     #[test]
@@ -5667,22 +5767,37 @@ mod tests {
         assert_eq!(stats, ref_stats);
     }
 
-    #[test]
-    #[should_panic(expected = "outside block 3's certified regions")]
-    fn run_blocks_proven_rejects_uncertified_stores() {
+    /// Runs every block of the doubling body under `cert`.
+    fn run_doubling_under(cert: &StoreCert) {
         let bp = compile(&outlined_doubling_body());
         let mut shared = bp.shared();
         shared.set_ibuffer("lens", vec![5, 0, 3, 2]);
         shared.set_ibuffer("row", vec![0, 5, 5, 8]);
         shared.set_fbuffer("A", vec![1.0; 10]);
+        let mut out = vec![0.0f32; 10];
+        let batches = vec![vec![0, 1, 2, 3]];
+        shared.run_blocks_proven(&CpuPool::new(2), "b", "B", &mut out, &batches, cert);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside block 3's certified regions")]
+    fn run_blocks_proven_rejects_uncertified_stores() {
         // A certificate that certifies every block except 3: the store
         // must panic before it lands, not race.
-        let mut regions = HashMap::new();
-        regions.insert(0i64, vec![SInt::range(0, 4)]);
-        regions.insert(2, vec![SInt::range(5, 7)]);
-        let cert = StoreCert::new(regions).unwrap();
-        let mut out = vec![0.0f32; 10];
-        shared.run_blocks_proven(&CpuPool::new(2), "b", "B", &mut out, &[vec![3]], &cert);
+        let mut spans = doubling_spans();
+        spans.retain(|&(b, _)| b != 3);
+        run_doubling_under(&StoreCert::new(spans).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "store run [8, 10) outside block 3's certified regions")]
+    fn run_blocks_proven_rejects_a_certificate_shifted_by_one_element() {
+        // Block 3 stores [8, 9]; certify [9, 10] instead — still a valid
+        // (pairwise disjoint) certificate, so only the per-store check
+        // can catch it, at the block's first store.
+        let mut spans = doubling_spans();
+        spans[3].1 = SInt::range(9, 10);
+        run_doubling_under(&StoreCert::new(spans).unwrap());
     }
 
     #[test]

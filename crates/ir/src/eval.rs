@@ -5,6 +5,7 @@
 //! the simplifier and solver are property-tested against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::expr::{floor_div_i64, floor_mod_i64, Cond, CondKind, Expr, ExprKind};
 use crate::ufunc::{UfEval, UfTable};
@@ -13,7 +14,8 @@ use crate::ufunc::{UfEval, UfTable};
 #[derive(Debug, Default, Clone)]
 pub struct Env {
     vars: HashMap<String, i64>,
-    bufs: HashMap<String, Vec<i64>>,
+    /// Shared handles, so binding a built prelude table copies nothing.
+    bufs: HashMap<String, Arc<[i64]>>,
     ufs: UfTable,
 }
 
@@ -38,14 +40,15 @@ impl Env {
         self.vars.get(name).copied()
     }
 
-    /// Installs an integer auxiliary buffer.
-    pub fn set_buffer(&mut self, name: impl Into<String>, data: Vec<i64>) {
-        self.bufs.insert(name.into(), data);
+    /// Installs an integer auxiliary buffer (an owned `Vec<i64>`, or a
+    /// shared `Arc<[i64]>` handle, which is bound without copying).
+    pub fn set_buffer(&mut self, name: impl Into<String>, data: impl Into<Arc<[i64]>>) {
+        self.bufs.insert(name.into(), data.into());
     }
 
     /// Reads an auxiliary buffer.
     pub fn buffer(&self, name: &str) -> Option<&[i64]> {
-        self.bufs.get(name).map(|v| v.as_slice())
+        self.bufs.get(name).map(|v| &**v)
     }
 
     /// Iterates over every bound variable.
@@ -55,7 +58,7 @@ impl Env {
 
     /// Iterates over every installed auxiliary buffer.
     pub fn buffers(&self) -> impl Iterator<Item = (&str, &[i64])> + '_ {
-        self.bufs.iter().map(|(n, v)| (n.as_str(), v.as_slice()))
+        self.bufs.iter().map(|(n, v)| (n.as_str(), &**v))
     }
 
     /// Mutable access to the uninterpreted-function tables.

@@ -214,8 +214,13 @@ impl SInt {
         if lo > hi {
             return SInt::Empty;
         }
-        let span = hi - lo;
-        let hi = lo + span - span.rem_euclid(stride);
+        // Dense sets (the common case) skip the division.
+        let hi = if stride == 1 {
+            hi
+        } else {
+            let span = hi - lo;
+            lo + span - span.rem_euclid(stride)
+        };
         if lo == hi {
             SInt::point(lo)
         } else {
@@ -354,17 +359,14 @@ impl SInt {
             return o.mul_const(c);
         }
         self.bin(o, |a, b, _, c, d, _| {
-            let cands = [
-                a.checked_mul(c),
-                a.checked_mul(d),
-                b.checked_mul(c),
-                b.checked_mul(d),
-            ];
-            if cands.iter().any(Option::is_none) {
-                return SInt::Top;
+            let corners = (a.checked_mul(c).zip(a.checked_mul(d)))
+                .zip(b.checked_mul(c).zip(b.checked_mul(d)));
+            match corners {
+                Some(((p, q), (r, s))) => {
+                    SInt::make(p.min(q).min(r).min(s), p.max(q).max(r).max(s), 1)
+                }
+                None => SInt::Top,
             }
-            let vals: Vec<i64> = cands.into_iter().flatten().collect();
-            SInt::make(*vals.iter().min().unwrap(), *vals.iter().max().unwrap(), 1)
         })
     }
 

@@ -119,7 +119,10 @@ pub fn install_buffers(
         if let Some(lens) = layout.padded_lens(d) {
             env.set_buffer(
                 lens_name(d),
-                lens.as_slice().iter().map(|&x| x as i64).collect(),
+                lens.as_slice()
+                    .iter()
+                    .map(|&x| x as i64)
+                    .collect::<std::sync::Arc<[i64]>>(),
             );
         }
     }

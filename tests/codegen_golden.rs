@@ -86,7 +86,7 @@ fn fused_source_reads_fusion_maps_and_param() {
         .iter()
         .find(|(n, _)| n == "o_i_f__ffo")
         .unwrap();
-    assert_eq!(ffo.1, vec![0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2]);
+    assert_eq!(ffo.1[..], [0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2]);
 }
 
 #[test]
