@@ -3,15 +3,14 @@
 //! counterpart of Table 4's headline comparison).
 //!
 //! Besides the criterion output, the bench writes
-//! `BENCH_bench_encoder_cpu.json` (ragged vs padded vs ragged on the
-//! per-call spawn baseline) so the perf trajectory accumulates
-//! machine-readably.
+//! `BENCH_bench_encoder_cpu.json` (ragged vs padded) so the perf
+//! trajectory accumulates machine-readably.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cora_bench::Report;
 use cora_datasets::Dataset;
-use cora_exec::{Backend, CpuPool};
+use cora_exec::CpuPool;
 use cora_transformer::config::EncoderConfig;
 use cora_transformer::encoder::{encoder_layer_padded, encoder_layer_ragged, RaggedBatch};
 use cora_transformer::mha::time_best_ms;
@@ -36,17 +35,13 @@ fn bench_encoder(c: &mut Criterion) {
     });
     g.finish();
 
-    // Machine-readable counterpart, including the executor ablation.
-    let spawn_pool = pool.with_backend(Backend::Spawn);
+    // Machine-readable counterpart.
     let reps = 3;
     let padded_ms = time_best_ms(reps, || {
         let _ = encoder_layer_padded(&pool, &cfg, &w, &lens, max_len, &padded_in);
     });
     let ragged_ms = time_best_ms(reps, || {
         let _ = encoder_layer_ragged(&pool, &cfg, &w, &x);
-    });
-    let ragged_spawn_ms = time_best_ms(reps, || {
-        let _ = encoder_layer_ragged(&spawn_pool, &cfg, &w, &x);
     });
     let mut report = Report::new("bench_encoder_cpu");
     report
@@ -57,8 +52,7 @@ fn bench_encoder(c: &mut Criterion) {
     report
         .measurement("encoder_layer")
         .variant_ms("padded", padded_ms)
-        .variant_ms("ragged", ragged_ms)
-        .variant_ms("ragged_spawn_baseline", ragged_spawn_ms);
+        .variant_ms("ragged", ragged_ms);
     match report.write() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write report: {e}"),

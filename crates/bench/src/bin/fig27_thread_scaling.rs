@@ -1,11 +1,11 @@
 //! Fig. 27: MHA latency vs thread count (MNLI, batch 64 in the paper;
 //! scaled model and `--batch=16` by default here). Real execution.
 //!
-//! Besides the paper's TF-padded vs CoRa comparison, this harness ablates
-//! the executor itself: every CoRa measurement also runs on the
-//! pre-runtime per-call spawn/join backend (`CoRa(spawn)`), plus a
-//! small-op microbenchmark timing a bare `parallel_for` over a tiny
-//! range — the regime where per-call thread spawning dominates.
+//! Besides the paper's TF-padded vs CoRa comparison, this harness times
+//! a bare `parallel_for` over a tiny range — the per-region overhead of
+//! the persistent runtime. (The per-call spawn/join executor it replaced
+//! is gone; its ablation — 121.1 µs vs 19.7 µs per small region — stays
+//! recorded in the pr-2 entry of `BENCH_cpu.json`.)
 //!
 //! Emits `BENCH_fig27_thread_scaling.json` (see `cora_bench::report`).
 //! `--quick` shrinks sizes/reps for CI smoke runs.
@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use cora_bench::{f2, flag, opt_usize, print_table, seed, Report};
 use cora_datasets::Dataset;
-use cora_exec::{Backend, CpuPool};
+use cora_exec::CpuPool;
 use cora_transformer::config::EncoderConfig;
 use cora_transformer::encoder::RaggedBatch;
 use cora_transformer::mha::{mha_padded, mha_ragged, time_best_ms};
@@ -49,60 +49,52 @@ fn main() {
     let mut t = 1usize;
     while t <= host {
         let pool = CpuPool::new(t);
-        let spawn_pool = pool.with_backend(Backend::Spawn);
         let tf = time_best_ms(reps, || {
             let _ = mha_padded(&pool, &cfg, &w, &lens, max_len, &padded_in);
         });
         let cora = time_best_ms(reps, || {
             let _ = mha_ragged(&pool, &cfg, &w, &x);
         });
-        let cora_spawn = time_best_ms(reps, || {
-            let _ = mha_ragged(&spawn_pool, &cfg, &w, &x);
-        });
-        rows.push(vec![t.to_string(), f2(tf), f2(cora), f2(cora_spawn)]);
+        rows.push(vec![t.to_string(), f2(tf), f2(cora)]);
         report
             .measurement(&format!("mha_t{t}"))
             .param("threads", t)
             .variant_ms("tf_padded", tf)
-            .variant_ms("cora", cora)
-            .variant_ms("cora_spawn_baseline", cora_spawn);
+            .variant_ms("cora", cora);
         t *= 2;
     }
-    print_table(&["threads", "TF(padded)", "CoRa", "CoRa(spawn)"], &rows);
+    print_table(&["threads", "TF(padded)", "CoRa"], &rows);
 
     // Executor overhead on small ops: many short parallel regions, the
-    // shape of an encoder forward pass (one region per operator). The
-    // persistent runtime wakes parked workers; the spawn baseline pays a
-    // thread spawn/join cycle per region.
+    // shape of an encoder forward pass (one region per operator), each
+    // waking the runtime's parked workers.
     let calls = if quick { 200 } else { 2000 };
     let n_small = 64usize;
     println!("\nExecutor overhead — {calls} parallel_for calls over n={n_small} tiny iterations\n");
-    let mut overhead_rows = Vec::new();
-    let m = report.measurement("parallel_for_small_op");
-    m.param("calls", calls).param("n", n_small);
-    for (label, pool) in [
-        ("spawn", CpuPool::host().with_backend(Backend::Spawn)),
-        ("runtime", CpuPool::host()),
-    ] {
-        let data: Vec<f32> = (0..n_small).map(|i| i as f32).collect();
-        let total_ms = time_best_ms(reps, || {
-            for _ in 0..calls {
-                pool.parallel_for(n_small, |i| {
-                    black_box(data[i] * 2.0);
-                });
-            }
-        });
-        let ns_per_call = total_ms * 1e6 / calls as f64;
-        m.variant(label, ns_per_call);
-        overhead_rows.push(vec![label.to_string(), f2(ns_per_call / 1e3)]);
-    }
-    print_table(&["executor", "µs/call"], &overhead_rows);
+    let pool = CpuPool::host();
+    let data: Vec<f32> = (0..n_small).map(|i| i as f32).collect();
+    let total_ms = time_best_ms(reps, || {
+        for _ in 0..calls {
+            pool.parallel_for(n_small, |i| {
+                black_box(data[i] * 2.0);
+            });
+        }
+    });
+    let ns_per_call = total_ms * 1e6 / calls as f64;
+    report
+        .measurement("parallel_for_small_op")
+        .param("calls", calls)
+        .param("n", n_small)
+        .variant("runtime", ns_per_call);
+    print_table(
+        &["executor", "µs/call"],
+        &[vec!["runtime".to_string(), f2(ns_per_call / 1e3)]],
+    );
 
     match report.write() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write report: {e}"),
     }
     println!("\nPaper shape: both scale with threads; CoRa stays below the padded");
-    println!("implementation at every thread count, and the persistent runtime");
-    println!("beats the per-call spawn baseline (gap widest at high thread counts).");
+    println!("implementation at every thread count.");
 }

@@ -19,11 +19,13 @@
 //!   lifetime `[def stage, last use stage]`, and buffers with disjoint
 //!   lifetimes share an arena *slot*. Slots are allocated once per
 //!   session, so repeated calls allocate no intermediate storage at all.
-//! * **Execution** ([`PipelineSession`]): per stage, the prelude is built
-//!   and bound once, the parallel dispatch order resolved once (the
-//!   per-layer analogue of
-//!   [`ParallelSession`]), and each run
-//!   binds arena views through the VM's borrowed-buffer entry points.
+//! * **Execution** ([`PipelinePrep`] + [`PipelineSession`]): a prep owns
+//!   everything shape-dependent — per stage, the prelude-bound serial
+//!   table, the parallel tier's [`ParallelPrep`] (bound block-body
+//!   table, proof, dispatch order) and the dispatch batches cut for the
+//!   last pool width, plus the arena. A session is a view
+//!   `{&pipeline, prep}` and each run binds arena views through the
+//!   VM's borrowed-buffer entry points.
 //!   Runs execute serially ([`PipelineSession::run_serial`]) or with
 //!   every outlined block axis dispatched across a [`CpuPool`]
 //!   ([`PipelineSession::run`]), with identical results — parallel
@@ -75,6 +77,7 @@
 //! }
 //! ```
 
+use std::borrow::BorrowMut;
 use std::fmt;
 use std::mem;
 
@@ -83,8 +86,9 @@ use cora_exec::interp::InterpStats;
 use cora_exec::vm::{BoundBuf, VmShared};
 use cora_ir::slots::Interner;
 
-use crate::program::{CompiledProgram, ParallelSession};
+use crate::program::{CompiledProgram, DispatchBatches, ParallelPrep};
 use crate::schedule::ScheduleError;
+use crate::verify::VerifyOutcome;
 
 /// Errors raised while wiring a pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -474,44 +478,28 @@ impl CompiledPipeline {
         self.decls[self.output as usize].size
     }
 
-    /// Prepares a reusable session: per stage, the prelude is built and
-    /// bound, the parallel dispatch order resolved, and the arena
-    /// allocated — everything shape-dependent, done once. Repeated
-    /// [`PipelineSession::run`]s then only bind the external inputs.
-    ///
-    /// The session owns its prep work. To keep the prep (safety proofs,
-    /// preludes, arena) alive *across* sessions — e.g. in a session pool
-    /// that checks sessions out per request — use
+    /// Prepares a reusable session that owns its [`PipelinePrep`]:
     /// [`CompiledPipeline::prepare`] + [`CompiledPipeline::session_with`]
-    /// instead.
+    /// in one call. To keep the prep (safety proofs, preludes, arena)
+    /// alive *across* sessions — e.g. in a session pool that checks
+    /// sessions out per request — hold the prep yourself and pass
+    /// `&mut prep` instead.
     ///
     /// # Errors
     ///
     /// Returns [`ScheduleError::BlockAxisNotOutlinable`] when a stage
     /// binds a block axis the outliner cannot hoist (stages with *no*
     /// block axis are legal — they run serially in both modes).
-    pub fn session(&self) -> Result<PipelineSession<'_>, ScheduleError> {
-        let prep = self.prepare()?;
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for (spec, sp) in self.stages.iter().zip(prep.stages) {
-            let serial = spec.program.serial_shared_with(&sp.serial_prelude);
-            let par = sp.par.map(|p| spec.program.parallel_session_owned(p));
-            stages.push(PreparedStage { spec, serial, par });
-        }
-        Ok(PipelineSession {
-            pipeline: self,
-            stages,
-            slots: SlotArena::Owned(prep.slots),
-        })
+    pub fn session(&self) -> Result<PipelineSession<'_, PipelinePrep>, ScheduleError> {
+        Ok(self.session_with(self.prepare()?))
     }
 
-    /// Computes the expensive, fully *owned* prep work of a session —
-    /// per-stage preludes, parallel dispatch orders, the safety-verifier
-    /// proofs and the arena — without borrowing the pipeline. A
-    /// [`PipelinePrep`] can be stored beside its pipeline (in a cache or
-    /// session pool) and turned into a live session on demand with
-    /// [`CompiledPipeline::session_with`], which skips every proof and
-    /// allocates nothing beyond the per-stage slot tables.
+    /// Computes everything shape-dependent about a session — per-stage
+    /// preludes and bound tables, parallel dispatch orders, the
+    /// safety-verifier proofs and the arena — without borrowing the
+    /// pipeline. A [`PipelinePrep`] can be stored beside its pipeline
+    /// (in a cache or session pool); sessions over it
+    /// ([`CompiledPipeline::session_with`]) cost nothing to create.
     ///
     /// # Errors
     ///
@@ -521,8 +509,8 @@ impl CompiledPipeline {
         for spec in &self.stages {
             // One built prelude per stage: the proof, the serial tier and
             // the parallel tier all share its tables.
-            let serial_prelude = spec.program.build_prelude();
-            let par = spec.program.parallel_prep_with(&serial_prelude)?;
+            let prelude = spec.program.build_prelude();
+            let par = spec.program.parallel_prep_with(&prelude)?;
             if let Some(prep) = &par {
                 // Cross-check the verifier's proven access hulls against
                 // the planner's buffer sizes: every input the stage reads
@@ -543,8 +531,8 @@ impl CompiledPipeline {
                 }
             }
             stages.push(StagePrep {
-                serial_prelude,
-                par,
+                serial: spec.program.serial_shared_with(&prelude),
+                par: par.map(|prep| (prep, DispatchBatches::default())),
             });
         }
         Ok(PipelinePrep {
@@ -558,49 +546,56 @@ impl CompiledPipeline {
         })
     }
 
-    /// Mints a [`PipelineSession`] from a previously computed
-    /// [`PipelinePrep`]: no proofs re-run, no arena allocation — the
-    /// prep's arena buffers are borrowed and literally reused across
-    /// sessions. The prep **must** come from this pipeline's own
+    /// The safety proof behind each stage of `prep`, in stage order:
+    /// `Some` with the stage's [`VerifyOutcome`] when it runs on the
+    /// parallel tier (in-bounds and disjoint-store proven at this
+    /// shape), `None` when the stage has no block axis and runs serially
+    /// (no shared-output writes to prove anything about).
+    pub fn verify_outcomes<'a>(
+        &'a self,
+        prep: &'a PipelinePrep,
+    ) -> Vec<(&'a str, Option<&'a VerifyOutcome>)> {
+        self.stages
+            .iter()
+            .zip(&prep.stages)
+            .map(|(spec, st)| {
+                let outcome = st.par.as_ref().map(|(prep, _)| prep.verify_outcome());
+                (spec.label.as_str(), outcome)
+            })
+            .collect()
+    }
+
+    /// The one way to make a [`PipelineSession`]: a view over this
+    /// pipeline and a [`PipelinePrep`], held as `&mut` (a pooled prep
+    /// whose arena, tables and dispatch batches are literally reused
+    /// across sessions) or by value (what [`CompiledPipeline::session`]
+    /// does). Nothing is computed, bound or allocated here. The prep
+    /// **must** come from this pipeline's own
     /// [`CompiledPipeline::prepare`].
     ///
     /// # Panics
     ///
     /// Panics if the prep's stage count does not match this pipeline.
-    pub fn session_with<'p>(&'p self, prep: &'p mut PipelinePrep) -> PipelineSession<'p> {
+    pub fn session_with<P: BorrowMut<PipelinePrep>>(&self, prep: P) -> PipelineSession<'_, P> {
+        let n = prep.borrow().stages.len();
         assert_eq!(
-            prep.stages.len(),
+            n,
             self.stages.len(),
-            "prep was built for a different pipeline ({} stages vs {})",
-            prep.stages.len(),
+            "prep was built for a different pipeline ({n} stages vs {})",
             self.stages.len()
         );
-        let PipelinePrep { stages: sp, slots } = prep;
-        let stages = self
-            .stages
-            .iter()
-            .zip(sp.iter())
-            .map(|(spec, sp)| PreparedStage {
-                spec,
-                serial: spec.program.serial_shared_with(&sp.serial_prelude),
-                par: sp
-                    .par
-                    .as_ref()
-                    .map(|p| spec.program.parallel_session_with(p)),
-            })
-            .collect();
         PipelineSession {
             pipeline: self,
-            stages,
-            slots: SlotArena::Borrowed(slots),
+            prep,
         }
     }
 }
 
-/// The owned prep work of one pipeline session: per-stage preludes and
-/// parallel preps (dispatch order + safety proof) plus the arena
-/// buffers. Borrows nothing; create with [`CompiledPipeline::prepare`],
-/// use with [`CompiledPipeline::session_with`].
+/// Everything shape-dependent about one pipeline: per stage, the serial
+/// program's prelude-bound table and (for stages with a block axis) the
+/// parallel prep with its dispatch batches, plus the arena buffers.
+/// Borrows nothing; create with [`CompiledPipeline::prepare`], run
+/// through [`CompiledPipeline::session_with`].
 #[derive(Debug, Clone)]
 pub struct PipelinePrep {
     stages: Vec<StagePrep>,
@@ -613,23 +608,27 @@ impl PipelinePrep {
     pub fn arena_elems(&self) -> usize {
         self.slots.iter().map(Vec::len).sum()
     }
+
+    /// Per parallel stage, the pool width its cached dispatch batches
+    /// were cut for (0: the stage has not run in parallel yet). Batches
+    /// are re-cut only when a run's pool width differs from this tag, so
+    /// it persisting across sessions is what makes a new session free.
+    pub fn dispatch_widths(&self) -> Vec<usize> {
+        self.stages
+            .iter()
+            .filter_map(|st| st.par.as_ref().map(|(_, batches)| batches.threads()))
+            .collect()
+    }
 }
 
-/// Owned prep of one stage.
+/// Shape-resolved state of one stage.
 #[derive(Debug, Clone)]
 struct StagePrep {
-    serial_prelude: crate::prelude_gen::PreludeData,
-    par: Option<crate::program::ParallelPrep>,
-}
-
-/// One stage with its shape-invariant bindings resolved.
-#[derive(Debug)]
-struct PreparedStage<'p> {
-    spec: &'p StageSpec,
-    /// Full serial program with prelude bound (borrowed-buffer runs).
-    serial: VmShared<'p>,
-    /// Outlined parallel session, when the stage has a block axis.
-    par: Option<ParallelSession<'p>>,
+    /// Full serial program with its prelude bound (borrowed-buffer runs).
+    serial: VmShared,
+    /// The parallel tier, when the stage has a block axis, with the
+    /// dispatch batches cut for the last pool it ran on.
+    par: Option<(ParallelPrep, DispatchBatches)>,
 }
 
 /// Statistics of one executed stage.
@@ -660,37 +659,18 @@ impl PipelineRun {
     }
 }
 
-/// A prepared pipeline execution: preludes bound, dispatch orders
-/// resolved, arena allocated. Created by [`CompiledPipeline::session`];
-/// reuse one session for every run of the same shape (per layer, per
-/// call) — after construction, runs allocate no intermediate buffers.
+/// A pipeline execution at one shape: a view over the pipeline and its
+/// [`PipelinePrep`] (borrowed by default, owned when created by
+/// [`CompiledPipeline::session`]). Reuse one prep for every run of the
+/// same shape (per layer, per call) — runs allocate no intermediate
+/// buffers.
 #[derive(Debug)]
-pub struct PipelineSession<'p> {
+pub struct PipelineSession<'p, P = &'p mut PipelinePrep> {
     pipeline: &'p CompiledPipeline,
-    stages: Vec<PreparedStage<'p>>,
-    /// Arena: one buffer per plan slot — owned on the
-    /// [`CompiledPipeline::session`] path, borrowed from a
-    /// [`PipelinePrep`] on the [`CompiledPipeline::session_with`] path.
-    slots: SlotArena<'p>,
+    prep: P,
 }
 
-/// Owned-or-borrowed arena storage.
-#[derive(Debug)]
-enum SlotArena<'p> {
-    Owned(Vec<Vec<f32>>),
-    Borrowed(&'p mut Vec<Vec<f32>>),
-}
-
-impl SlotArena<'_> {
-    fn get(&mut self) -> &mut Vec<Vec<f32>> {
-        match self {
-            SlotArena::Owned(v) => v,
-            SlotArena::Borrowed(v) => v,
-        }
-    }
-}
-
-impl PipelineSession<'_> {
+impl<P: BorrowMut<PipelinePrep>> PipelineSession<'_, P> {
     /// Runs every stage with its outlined block axis dispatched across
     /// `pool` (stages without a block axis run serially). Outputs are
     /// bit-identical to [`PipelineSession::run_serial`], and each stage's
@@ -703,21 +683,9 @@ impl PipelineSession<'_> {
         self.run_inner(Some(pool), inputs)
     }
 
-    /// The safety proof behind each stage, in stage order: `Some` with
-    /// the stage's [`crate::verify::VerifyOutcome`] when it runs on the
-    /// parallel tier (in-bounds and disjoint-store proven at this
-    /// shape), `None` when the stage has no block axis and runs
-    /// serially (no shared-output writes to prove anything about).
-    pub fn verify_outcomes(&self) -> Vec<(&str, Option<&crate::verify::VerifyOutcome>)> {
-        self.stages
-            .iter()
-            .map(|st| {
-                (
-                    st.spec.label.as_str(),
-                    st.par.as_ref().map(|p| p.verify_outcome()),
-                )
-            })
-            .collect()
+    /// [`CompiledPipeline::verify_outcomes`] of this session's prep.
+    pub fn verify_outcomes(&self) -> Vec<(&str, Option<&VerifyOutcome>)> {
+        self.pipeline.verify_outcomes(self.prep.borrow())
     }
 
     /// Runs every stage on the calling thread.
@@ -758,10 +726,9 @@ impl PipelineSession<'_> {
             );
         }
 
-        let mut stage_stats = Vec::with_capacity(self.stages.len());
-        let slots = self.slots.get();
-        for st in self.stages.iter_mut() {
-            let spec = st.spec;
+        let PipelinePrep { stages, slots } = self.prep.borrow_mut();
+        let mut stage_stats = Vec::with_capacity(stages.len());
+        for (spec, st) in pl.stages.iter().zip(stages) {
             let out_size = pl.decls[spec.output as usize].size;
             let out_slot = pl
                 .plan
@@ -791,8 +758,10 @@ impl PipelineSession<'_> {
                 })
                 .collect();
             let out_view = &mut out[..out_size];
-            let stats = match (pool, st.par.as_mut()) {
-                (Some(pool), Some(par)) => par.run_into(pool, &ins, out_view),
+            let stats = match (pool, &mut st.par) {
+                (Some(pool), Some((prep, batches))) => {
+                    spec.program.run_blocks(prep, batches, pool, &ins, out_view)
+                }
                 _ => {
                     out_view.fill(spec.program.output_init());
                     let mut bufs: Vec<(&str, BoundBuf<'_>)> =

@@ -17,6 +17,8 @@
 //!   GPU applies, and
 //! * derive a [`SimKernel`] (per-block cost list) for the simulated GPU.
 
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use cora_exec::cost::{GpuModel, KernelTraits};
@@ -24,7 +26,7 @@ use cora_exec::cpu::{cost_balanced_batches, CpuPool};
 use cora_exec::gpu::SimKernel;
 use cora_exec::interp::{InterpStats, Machine};
 use cora_exec::microkernel::MathMode;
-use cora_exec::vm::{VmMachine, VmProgram};
+use cora_exec::vm::{VmMachine, VmProgram, VmShared};
 use cora_ir::{Env, Expr, Stmt};
 
 use crate::outline::{outline, HoistedLet};
@@ -184,7 +186,7 @@ impl Program {
                 });
                 ParallelKernel {
                     proof: ProofProgram::build(&o.body, &o.block_var, &self.output_name),
-                    body,
+                    body: Arc::new(body),
                     block_var: o.block_var,
                     hoisted: o.hoisted,
                     min: o.min,
@@ -201,7 +203,7 @@ impl Program {
             )
         });
         CompiledProgram {
-            vm,
+            vm: Arc::new(vm),
             parallel,
             remap: self.remap,
             block_costs: self.block_costs.clone(),
@@ -307,7 +309,8 @@ pub fn dispatch_order(remap: RemapPolicy, costs: &[f64]) -> Vec<usize> {
 /// outlined block axis across a [`CpuPool`].
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    vm: VmProgram,
+    /// Shared with every binding table minted from this program.
+    vm: Arc<VmProgram>,
     /// The outlined parallel entry point: `Ok(None)` when no block axis
     /// is bound (serial fallback), `Err` when a block axis exists but
     /// cannot be outlined (surfaced by `run_parallel`).
@@ -326,7 +329,7 @@ pub struct CompiledProgram {
 /// before entering the loop.
 #[derive(Debug, Clone)]
 struct ParallelKernel {
-    body: VmProgram,
+    body: Arc<VmProgram>,
     /// The outlined body resolved into the verifier's shape-independent
     /// proof program, so each session only pays the per-shape walk to
     /// prove the disjoint-store contract.
@@ -362,11 +365,12 @@ impl CompiledProgram {
         self
     }
 
-    /// In-place variant of [`CompiledProgram::with_math_mode`].
+    /// In-place variant of [`CompiledProgram::with_math_mode`]. Preps
+    /// computed earlier keep the bytecode (and mode) they were bound to.
     pub fn set_math_mode(&mut self, math: MathMode) {
-        self.vm.set_math_mode(math);
+        Arc::make_mut(&mut self.vm).set_math_mode(math);
         if let Ok(Some(kernel)) = &mut self.parallel {
-            kernel.body.set_math_mode(math);
+            Arc::make_mut(&mut kernel.body).set_math_mode(math);
         }
     }
 
@@ -400,30 +404,15 @@ impl CompiledProgram {
             .collect()
     }
 
-    /// Builds the prelude and binds everything shape-invariant (aux
-    /// buffers, parameters) into a [`cora_exec::vm::VmShared`] of the
-    /// *full serial* program: the serial analogue of
-    /// [`CompiledProgram::parallel_session`], for callers that execute
-    /// against borrowed (arena) float buffers via
-    /// [`cora_exec::vm::VmShared::run_borrowed`].
-    pub fn serial_shared(&self) -> (cora_exec::vm::VmShared<'_>, PreludeData) {
-        let data = self.build_prelude();
-        let shared = self.serial_shared_with(&data);
-        (shared, data)
-    }
-
-    /// [`CompiledProgram::serial_shared`] against an already-built
-    /// prelude: binds the aux tables and parameters without re-running
-    /// the prelude generators. `data` must come from this program's own
-    /// [`CompiledProgram::build_prelude`].
-    pub fn serial_shared_with(&self, data: &PreludeData) -> cora_exec::vm::VmShared<'_> {
+    /// Binds an already-built prelude (aux tables, parameters) into a
+    /// [`VmShared`] of the *full serial* program, for callers that
+    /// execute against borrowed (arena) float buffers via
+    /// [`VmShared::run_borrowed`]. `data` must come from this program's
+    /// own [`CompiledProgram::build_prelude`]; the tables are shared, not
+    /// copied.
+    pub fn serial_shared_with(&self, data: &PreludeData) -> VmShared {
         let mut shared = self.vm.shared();
-        for (name, buf) in &data.int_buffers {
-            shared.set_ibuffer(name, Arc::clone(buf));
-        }
-        for (name, v) in &data.params {
-            shared.bind_var(name, *v);
-        }
+        bind_prelude(&mut shared, data);
         shared
     }
 
@@ -435,15 +424,10 @@ impl CompiledProgram {
     /// Builds the prelude and returns a bound VM machine plus the
     /// prelude data — the bytecode analogue of [`Program::prepare`].
     /// Bindings the kernel never references are silently dropped.
-    pub fn prepare(&self, inputs: &[(&str, Vec<f32>)]) -> (VmMachine<'_>, PreludeData) {
+    pub fn prepare(&self, inputs: &[(&str, Vec<f32>)]) -> (VmMachine, PreludeData) {
         let data = self.prelude.build();
         let mut m = self.vm.machine();
-        for (name, buf) in &data.int_buffers {
-            m.set_ibuffer(name, Arc::clone(buf));
-        }
-        for (name, v) in &data.params {
-            m.bind_var(name, *v);
-        }
+        bind_prelude(&mut m, &data);
         for (name, buf) in inputs {
             m.set_fbuffer(name, buf.clone());
         }
@@ -531,16 +515,15 @@ impl CompiledProgram {
     ) -> Result<RunResult, ScheduleError> {
         match self.parallel_session()? {
             None => Ok(self.run(inputs)),
-            Some(mut session) => {
-                Ok(session.run(pool, inputs.iter().map(|(n, b)| (*n, b.clone())).collect()))
-            }
+            Some(mut session) => Ok(session.run_slices(pool, &borrow_inputs(inputs))),
         }
     }
 
-    /// Prepares a reusable parallel session: the prelude is built and
-    /// every shape-invariant binding — auxiliary tables, parameters,
-    /// hoisted host bindings, the block loop's bounds and the dispatch
-    /// order — is resolved *once*. Repeated executions
+    /// Prepares a reusable parallel session that owns its
+    /// [`ParallelPrep`]: the prelude is built and every shape-invariant
+    /// binding — auxiliary tables, parameters, hoisted host bindings,
+    /// the block loop's bounds, the safety proof and the dispatch order
+    /// — is resolved *once*. Repeated executions
     /// ([`ParallelSession::run`]) then only bind the float inputs and
     /// dispatch, which is what a per-head/per-layer hot path wants
     /// (the one-shot [`CompiledProgram::run_parallel`] rebuilds all of
@@ -553,20 +536,21 @@ impl CompiledProgram {
     ///
     /// Returns [`ScheduleError::BlockAxisNotOutlinable`] when a block
     /// axis is bound but could not be outlined.
-    pub fn parallel_session(&self) -> Result<Option<ParallelSession<'_>>, ScheduleError> {
+    pub fn parallel_session(
+        &self,
+    ) -> Result<Option<ParallelSession<'_, ParallelPrep>>, ScheduleError> {
         Ok(self
             .parallel_prep()?
-            .map(|prep| self.assemble_parallel(PrepRef::Owned(Box::new(prep)))))
+            .map(|prep| self.parallel_session_with(prep)))
     }
 
-    /// Computes the expensive, fully *owned* half of a parallel session:
-    /// prelude tables, hoisted-binding evaluation, the safety-verifier
-    /// proof and the dispatch order. A [`ParallelPrep`] borrows nothing
-    /// from the program, so callers (session pools, caches) can store it
-    /// beside the [`CompiledProgram`] and later mint sessions cheaply
-    /// with [`CompiledProgram::parallel_session_with`] — skipping the
-    /// abstract-interpretation safety proof, which dominates session
-    /// setup, on every reuse.
+    /// Computes everything shape-dependent about a parallel session:
+    /// prelude tables, hoisted-binding evaluation, the block body's
+    /// bound table, the safety-verifier proof and the dispatch order. A
+    /// [`ParallelPrep`] borrows nothing from the program, so callers
+    /// (session pools, caches) can store it beside the
+    /// [`CompiledProgram`]; a session is then only a view over it
+    /// ([`CompiledProgram::parallel_session_with`]).
     ///
     /// Returns `Ok(None)` when no block axis is bound.
     ///
@@ -655,81 +639,137 @@ impl CompiledProgram {
             vec![1.0; n_blocks]
         };
         let order = dispatch_order(self.remap, &costs);
-        let ordered_costs: Vec<f64> = order.iter().map(|&b| costs[b]).collect();
+
+        // The block body's table: the block variable stays unbound (it
+        // is supplied per block); later scalars shadow earlier ones.
+        let mut shared = kernel.body.shared();
+        for (name, buf) in &data.int_buffers {
+            shared.set_ibuffer(name, Arc::clone(buf));
+        }
+        for (name, v) in &scalars {
+            shared.bind_var(name, *v);
+        }
 
         Ok(Some(ParallelPrep {
             prelude: data.clone(),
-            scalars,
+            shared,
             host,
-            min,
-            order,
-            ordered_costs,
+            ordered_costs: order.iter().map(|&b| costs[b]).collect(),
+            blocks: order.iter().map(|&b| min + b as i64).collect(),
             verify: outcome,
         }))
     }
 
-    /// Mints a [`ParallelSession`] from a previously computed
-    /// [`ParallelPrep`] — the cheap half of session setup: only the
-    /// block body's slot table is instantiated and the shape-invariant
-    /// scalars/aux tables bound. The prep **must** come from this
-    /// program's own [`CompiledProgram::parallel_prep`] (same program,
-    /// same shape); pairing it with a different program panics on the
-    /// slot-count mismatch or fails the enforced store certificate at
-    /// run time — it cannot silently corrupt memory.
+    /// The one way to make a [`ParallelSession`]: a view over this
+    /// program and a [`ParallelPrep`], held by reference (a cached prep
+    /// serving many sessions) or by value (the session owns it — what
+    /// [`CompiledProgram::parallel_session`] does). Nothing is computed
+    /// or bound here. The prep **must** come from this program's own
+    /// [`CompiledProgram::parallel_prep`] (same program, same shape);
+    /// pairing it with a different program panics on an unknown buffer
+    /// name or fails the enforced store certificate at run time — it
+    /// cannot silently corrupt memory.
     ///
     /// # Panics
     ///
     /// Panics if this program has no outlined parallel tier.
-    pub fn parallel_session_with<'p>(&'p self, prep: &'p ParallelPrep) -> ParallelSession<'p> {
-        self.assemble_parallel(PrepRef::Borrowed(prep))
-    }
-
-    /// [`CompiledProgram::parallel_session_with`] taking the prep by
-    /// value — the session owns it (the pipeline's owned-session path).
-    pub(crate) fn parallel_session_owned(&self, prep: ParallelPrep) -> ParallelSession<'_> {
-        self.assemble_parallel(PrepRef::Owned(Box::new(prep)))
-    }
-
-    /// Shared assembly for the owned and borrowed prep paths.
-    fn assemble_parallel<'p>(&'p self, prep: PrepRef<'p>) -> ParallelSession<'p> {
-        let kernel = match &self.parallel {
-            Ok(Some(k)) => k,
-            _ => panic!("program `{}` has no parallel tier", self.output_name),
-        };
-        let mut shared = kernel.body.shared();
-        for name in kernel.body.slots().free_vars.names() {
-            if let Some(v) = prep.get().lookup_scalar(name) {
-                shared.bind_var(name, v);
-            }
-        }
-        for (name, buf) in &prep.get().prelude.int_buffers {
-            shared.set_ibuffer(name, Arc::clone(buf));
-        }
+    pub fn parallel_session_with<P: Borrow<ParallelPrep>>(
+        &self,
+        prep: P,
+    ) -> ParallelSession<'_, P> {
+        assert!(
+            self.has_parallel_tier(),
+            "program `{}` has no parallel tier",
+            self.output_name
+        );
         ParallelSession {
             compiled: self,
-            kernel,
-            shared,
             prep,
-            batches: (0, Vec::new()),
+            batches: DispatchBatches::default(),
         }
+    }
+
+    /// Runs the outlined block body over `pool` — the one parallel
+    /// execution path, shared by [`ParallelSession`] and pipeline
+    /// stages. `out` is filled with the output's initial value first;
+    /// the returned statistics include the host-charged prelude/bounds
+    /// loads.
+    pub(crate) fn run_blocks(
+        &self,
+        prep: &ParallelPrep,
+        batches: &mut DispatchBatches,
+        pool: &CpuPool,
+        inputs: &[(&str, &[f32])],
+        out: &mut [f32],
+    ) -> InterpStats {
+        let Ok(Some(kernel)) = &self.parallel else {
+            panic!("program `{}` has no parallel tier", self.output_name)
+        };
+        assert_eq!(
+            out.len(),
+            self.output_size,
+            "output slice length mismatch for `{}`",
+            self.output_name
+        );
+        for (name, buf) in inputs {
+            if let Some(need) = prep.verify.required_input_len(name) {
+                assert!(
+                    buf.len() as i64 >= need,
+                    "input `{name}` has {} elements but the verified access \
+                     hull requires at least {need}",
+                    buf.len()
+                );
+            }
+        }
+        out.fill(self.init);
+        // Safe entry point: the prep holds a `VerifyOutcome` — the
+        // verifier proved every store in-bounds and the per-block store
+        // regions pairwise disjoint — and `run_blocks_proven` enforces
+        // the resulting `StoreCert` on every store before it lands.
+        let stats = prep.shared.run_blocks_proven(
+            pool,
+            &kernel.block_var,
+            &self.output_name,
+            out,
+            inputs,
+            &prep.blocks,
+            batches.cut_for(prep, pool.threads()),
+            &prep.verify.cert,
+        );
+        prep.host + stats
     }
 }
 
-/// The owned, shape-resolved half of a [`ParallelSession`]: prelude
-/// tables, evaluated host scalars, the dispatch order and the safety
-/// proof. Borrows nothing, clones cheaply relative to recomputing the
-/// proof, and can be cached beside its [`CompiledProgram`] — see
-/// [`CompiledProgram::parallel_prep`].
+/// Binds a built prelude's aux tables and parameters into `table`.
+fn bind_prelude(table: &mut VmShared, data: &PreludeData) {
+    for (name, buf) in &data.int_buffers {
+        table.set_ibuffer(name, Arc::clone(buf));
+    }
+    for (name, v) in &data.params {
+        table.bind_var(name, *v);
+    }
+}
+
+/// Borrowed views of owned `(name, buffer)` inputs.
+fn borrow_inputs<'a>(inputs: &'a [(&'a str, Vec<f32>)]) -> Vec<(&'a str, &'a [f32])> {
+    inputs.iter().map(|(n, b)| (*n, b.as_slice())).collect()
+}
+
+/// Everything shape-dependent about one program's parallel tier:
+/// prelude tables, the block body's bound table (parameters and hoisted
+/// host scalars resolved), the dispatch order and the safety proof.
+/// Borrows nothing and can be cached beside its [`CompiledProgram`] —
+/// see [`CompiledProgram::parallel_prep`]. Clones share the prelude
+/// tables; only the small per-block vectors and the certificate copy.
 #[derive(Debug, Clone)]
 pub struct ParallelPrep {
     prelude: PreludeData,
-    /// Evaluated scalar bindings (prelude params + hoisted lets) the
-    /// outlined body may reference as free variables.
-    scalars: Vec<(String, i64)>,
+    /// The outlined body's binding table; the block variable is the one
+    /// free variable left unbound.
+    shared: VmShared,
     host: InterpStats,
-    min: i64,
-    /// Block dispatch order (`order[i]` = block at dispatch position `i`).
-    order: Vec<usize>,
+    /// Block-variable values in dispatch order.
+    blocks: Vec<i64>,
     /// Per-block costs in dispatch order (batch packing).
     ordered_costs: Vec<f64>,
     /// The machine-checked safety proof for this program at this shape,
@@ -747,57 +787,52 @@ impl ParallelPrep {
     pub fn prelude_data(&self) -> &PreludeData {
         &self.prelude
     }
+}
 
-    fn lookup_scalar(&self, name: &str) -> Option<i64> {
-        self.scalars
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+/// Cost-balanced batches — consecutive ranges of a prep's
+/// dispatch-ordered blocks — cached with the pool width they were cut
+/// for (0: not cut yet), so warm runs allocate nothing for dispatch.
+/// Lives wherever the mutable per-shape state lives: in a
+/// [`ParallelSession`], or per stage in a pipeline prep.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DispatchBatches {
+    threads: usize,
+    batches: Vec<Range<usize>>,
+}
+
+impl DispatchBatches {
+    /// The pool width the cached batches were cut for (0: never cut).
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
     }
-}
 
-/// Owned-or-borrowed [`ParallelPrep`] (a `Cow` without the `Clone`
-/// obligation on the borrowed arm).
-#[derive(Debug)]
-enum PrepRef<'p> {
-    Owned(Box<ParallelPrep>),
-    Borrowed(&'p ParallelPrep),
-}
-
-impl PrepRef<'_> {
-    fn get(&self) -> &ParallelPrep {
-        match self {
-            PrepRef::Owned(p) => p,
-            PrepRef::Borrowed(p) => p,
+    /// The batches of `prep` for a pool of `threads` workers, re-cut
+    /// only when the width changed.
+    fn cut_for(&mut self, prep: &ParallelPrep, threads: usize) -> &[Range<usize>] {
+        if self.threads != threads {
+            self.batches = cost_balanced_batches(&prep.ordered_costs, threads);
+            self.threads = threads;
         }
+        &self.batches
     }
 }
 
-/// A prepared parallel execution of one [`CompiledProgram`]: prelude
-/// built, shape-invariant bindings bound, dispatch order resolved.
-/// Created by [`CompiledProgram::parallel_session`]; call
+/// A parallel execution of one [`CompiledProgram`] at one shape: a view
+/// over the program and its [`ParallelPrep`] (borrowed by default,
+/// owned when created by [`CompiledProgram::parallel_session`]) plus
+/// the dispatch batches cut for the last pool. Call
 /// [`ParallelSession::run`] once per set of float inputs.
 #[derive(Debug)]
-pub struct ParallelSession<'p> {
+pub struct ParallelSession<'p, P = &'p ParallelPrep> {
     compiled: &'p CompiledProgram,
-    kernel: &'p ParallelKernel,
-    shared: cora_exec::vm::VmShared<'p>,
-    /// The shape-resolved artifacts — owned by the session on the
-    /// [`CompiledProgram::parallel_session`] path, borrowed from a cache
-    /// on the [`CompiledProgram::parallel_session_with`] path.
-    prep: PrepRef<'p>,
-    /// Block-variable batches in dispatch order, cached with the thread
-    /// count they were cut for (0: not cut yet), so warm runs allocate
-    /// nothing for dispatch.
-    batches: (usize, Vec<Vec<i64>>),
+    prep: P,
+    batches: DispatchBatches,
 }
 
-impl ParallelSession<'_> {
+impl<P: Borrow<ParallelPrep>> ParallelSession<'_, P> {
     /// Executes the prepared program over `pool` with the given float
-    /// inputs (taken by value — no copies on the hot path) — see
-    /// [`CompiledProgram::run_parallel`] for the safety argument and
-    /// determinism guarantees (identical results; only the
+    /// inputs — see [`CompiledProgram::run_parallel`] for the safety
+    /// argument and determinism guarantees (identical results; only the
     /// shape-invariant setup is amortized here).
     ///
     /// # Panics
@@ -805,41 +840,27 @@ impl ParallelSession<'_> {
     /// Panics if an input buffer the kernel reads was not supplied or is
     /// shorter than the verifier-proven access hull requires.
     pub fn run(&mut self, pool: &CpuPool, inputs: Vec<(&str, Vec<f32>)>) -> RunResult {
-        for (name, buf) in &inputs {
-            self.check_input_len(name, buf.len());
-        }
-        for (name, buf) in inputs {
-            self.shared.set_fbuffer(name, buf);
-        }
-        self.cut_batches(pool);
-        let mut output = vec![self.compiled.init; self.compiled.output_size];
-        // Safe entry point: this session holds a `VerifyOutcome` — the
-        // verifier proved every store in-bounds and the per-block store
-        // regions pairwise disjoint — and `run_blocks_proven` enforces
-        // the resulting `StoreCert` on every store before it lands.
-        let prep = self.prep.get();
-        let stats = self.shared.run_blocks_proven(
-            pool,
-            &self.kernel.block_var,
-            &self.compiled.output_name,
-            &mut output,
-            &self.batches.1,
-            &prep.verify.cert,
-        );
+        self.run_slices(pool, &borrow_inputs(&inputs))
+    }
+
+    /// [`ParallelSession::run`] over borrowed inputs.
+    fn run_slices(&mut self, pool: &CpuPool, inputs: &[(&str, &[f32])]) -> RunResult {
+        let mut output = vec![0.0; self.compiled.output_size];
+        let stats = self.run_into(pool, inputs, &mut output);
         RunResult {
             output,
-            stats: prep.host + stats,
-            prelude: prep.prelude.clone(),
+            stats,
+            prelude: self.prep.borrow().prelude.clone(),
         }
     }
 
     /// Executes the prepared program with *borrowed* float inputs,
     /// writing into a caller-provided output slice — the zero-copy,
-    /// zero-allocation entry point pipeline stages use. `out` must be
-    /// `output_size` long; the session fills it with the output's
-    /// initial value before dispatching. Results and statistics are
-    /// identical to [`ParallelSession::run`] (the returned stats include
-    /// the host-charged prelude/bounds loads, amortised the same way).
+    /// zero-allocation entry point. `out` must be `output_size` long;
+    /// the session fills it with the output's initial value before
+    /// dispatching. Results and statistics are identical to
+    /// [`ParallelSession::run`] (the returned stats include the
+    /// host-charged prelude/bounds loads, amortised the same way).
     ///
     /// # Panics
     ///
@@ -852,66 +873,15 @@ impl ParallelSession<'_> {
         inputs: &[(&str, &[f32])],
         out: &mut [f32],
     ) -> InterpStats {
-        assert_eq!(
-            out.len(),
-            self.compiled.output_size,
-            "output slice length mismatch for `{}`",
-            self.compiled.output_name
-        );
-        for (name, buf) in inputs {
-            self.check_input_len(name, buf.len());
-        }
-        out.fill(self.compiled.init);
-        self.cut_batches(pool);
-        let prep = self.prep.get();
-        // Safe entry point enforcing this session's `StoreCert`; see
-        // `ParallelSession::run`.
-        let stats = self.shared.run_blocks_proven_borrowed(
-            pool,
-            &self.kernel.block_var,
-            &self.compiled.output_name,
-            out,
-            inputs,
-            &self.batches.1,
-            &prep.verify.cert,
-        );
-        prep.host + stats
+        self.compiled
+            .run_blocks(self.prep.borrow(), &mut self.batches, pool, inputs, out)
     }
 
     /// The machine-checked safety proof backing this session: in-bounds
     /// accesses and pairwise-disjoint per-block store regions, verified
     /// at this shape by [`crate::verify`].
     pub fn verify_outcome(&self) -> &VerifyOutcome {
-        &self.prep.get().verify
-    }
-
-    /// Asserts a bound input covers the verifier-proven access hull.
-    fn check_input_len(&self, name: &str, len: usize) {
-        if let Some(need) = self.prep.get().verify.required_input_len(name) {
-            assert!(
-                len as i64 >= need,
-                "input `{name}` has {len} elements but the verified access \
-                 hull requires at least {need}"
-            );
-        }
-    }
-
-    /// Makes `self.batches` the block-variable batches for `pool`.
-    fn cut_batches(&mut self, pool: &CpuPool) {
-        if self.batches.0 == pool.threads() {
-            return;
-        }
-        let prep = self.prep.get();
-        let cut = cost_balanced_batches(&prep.ordered_costs, pool.threads())
-            .into_iter()
-            .map(|range| {
-                prep.order[range]
-                    .iter()
-                    .map(|&b| prep.min + b as i64)
-                    .collect()
-            })
-            .collect();
-        self.batches = (pool.threads(), cut);
+        &self.prep.borrow().verify
     }
 }
 

@@ -12,8 +12,8 @@
 //!    minimal input length ([`VerifyOutcome::required_inputs`]) that the
 //!    execution entry points check against the buffers actually bound;
 //! 2. **disjoint-store** — the store-index sets of any two distinct
-//!    block-variable values are disjoint, the contract
-//!    `VmShared::run_blocks` needs for lock-free shared-output writes.
+//!    block-variable values are disjoint, the contract the VM's
+//!    parallel dispatch needs for lock-free shared-output writes.
 //!
 //! # How the proof works
 //!

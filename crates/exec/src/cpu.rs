@@ -2,7 +2,7 @@
 //!
 //! The CPU experiments (Table 5, Table 9, Fig. 27) run for real on the
 //! host. A [`CpuPool`] is a cheap, copyable *configuration* — thread
-//! width, grain size, backend — over the process-wide persistent
+//! width and grain size — over the process-wide persistent
 //! [`Runtime`] (see [`crate::runtime`] for the worker model):
 //!
 //! * [`CpuPool::parallel_for`] distributes iterations dynamically
@@ -13,12 +13,7 @@
 //!   ragged workloads show load imbalance, used by the ablation benches;
 //! * [`CpuPool::parallel_rows`] hands out disjoint `&mut` rows of a
 //!   buffer, pre-packed into cost-balanced batches.
-//!
-//! [`Backend::Spawn`] preserves the pre-runtime per-call
-//! `std::thread::scope` executor so the spawn-overhead ablation
-//! (Fig. 27, `BENCH_fig27_thread_scaling.json`) can measure both.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::runtime::{Runtime, Schedule};
@@ -26,30 +21,18 @@ use crate::runtime::{Runtime, Schedule};
 /// A batch of `(row index, row slice)` pairs handed to one participant.
 type RowBatch<'a> = Vec<(usize, &'a mut [f32])>;
 
-/// Which executor a [`CpuPool`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The persistent work-stealing runtime (default): parked workers,
-    /// no per-call thread spawns.
-    Persistent,
-    /// Per-call `std::thread::scope` spawn/join — the pre-runtime
-    /// baseline, kept for the spawn-overhead ablation.
-    Spawn,
-}
-
 /// A fixed-width thread team for parallel loops.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuPool {
     threads: usize,
     grain: Option<usize>,
-    backend: Backend,
 }
 
 impl CpuPool {
-    /// Creates a pool that runs loops on `threads` workers. Under the
-    /// default [`Backend::Persistent`] this caps how many of the global
-    /// runtime's participants serve each loop (the Fig. 27 sweep builds
-    /// one pool per thread count); it does not spawn threads itself.
+    /// Creates a pool that runs loops on `threads` workers: this caps
+    /// how many of the global runtime's participants serve each loop
+    /// (the Fig. 27 sweep builds one pool per thread count); it does not
+    /// spawn threads itself.
     ///
     /// # Panics
     ///
@@ -59,7 +42,6 @@ impl CpuPool {
         CpuPool {
             threads,
             grain: None,
-            backend: Backend::Persistent,
         }
     }
 
@@ -82,12 +64,6 @@ impl CpuPool {
         self
     }
 
-    /// Selects the executor backend (see [`Backend`]).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Number of workers.
     pub fn threads(&self) -> usize {
         self.threads
@@ -98,23 +74,13 @@ impl CpuPool {
         self.grain
     }
 
-    /// The configured backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Runs `f(i)` for every `i in 0..n`, pulling iterations dynamically
-    /// (chunked work-stealing under [`Backend::Persistent`]).
+    /// (chunked work-stealing).
     pub fn parallel_for<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        match self.backend {
-            Backend::Persistent => {
-                Runtime::global().run(n, self.threads, Schedule::Dynamic, self.grain, f)
-            }
-            Backend::Spawn => spawn_dynamic(self.threads, n, &f),
-        }
+        Runtime::global().run(n, self.threads, Schedule::Dynamic, self.grain, f)
     }
 
     /// Runs `f(i)` for every `i in 0..n` with static contiguous chunking:
@@ -123,12 +89,7 @@ impl CpuPool {
     where
         F: Fn(usize) + Sync,
     {
-        match self.backend {
-            Backend::Persistent => {
-                Runtime::global().run(n, self.threads, Schedule::Static, None, f)
-            }
-            Backend::Spawn => spawn_static(self.threads, n, &f),
-        }
+        Runtime::global().run(n, self.threads, Schedule::Static, None, f)
     }
 
     /// Splits `data` into `n` disjoint mutable rows of given lengths and
@@ -172,16 +133,13 @@ impl CpuPool {
                 f(i, row);
             }
         };
-        match self.backend {
-            Backend::Persistent => Runtime::global().run(
-                batches.len(),
-                self.threads,
-                Schedule::Dynamic,
-                Some(1),
-                run_batch,
-            ),
-            Backend::Spawn => spawn_dynamic(self.threads, batches.len(), &run_batch),
-        }
+        Runtime::global().run(
+            batches.len(),
+            self.threads,
+            Schedule::Dynamic,
+            Some(1),
+            run_batch,
+        )
     }
 
     /// Runs `f` over each length-`n` row of `data` in parallel, with rows
@@ -242,114 +200,37 @@ pub fn cost_balanced_batches(costs: &[f64], threads: usize) -> Vec<std::ops::Ran
     out
 }
 
-/// The pre-runtime dynamic executor: spawns a fresh scoped thread team
-/// per call, pulling single iterations off an atomic cursor. Kept as the
-/// ablation baseline the persistent runtime is measured against.
-fn spawn_dynamic<F>(threads: usize, n: usize, f: &F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    if threads == 1 || n == 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.min(n);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            });
-        }
-    });
-}
-
-/// The pre-runtime static executor (one contiguous chunk per spawned
-/// thread); see [`spawn_dynamic`].
-fn spawn_static<F>(threads: usize, n: usize, f: &F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    if threads == 1 || n == 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let f = &f;
-            scope.spawn(move || {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                for i in lo..hi {
-                    f(i);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    fn both_backends() -> [CpuPool; 2] {
-        [
-            CpuPool::new(4),
-            CpuPool::new(4).with_backend(Backend::Spawn),
-        ]
-    }
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn covers_all_iterations_once() {
-        for pool in both_backends() {
-            let hits = AtomicU64::new(0);
-            let sum = AtomicU64::new(0);
-            pool.parallel_for(1000, |i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-                sum.fetch_add(i as u64, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 1000, "{:?}", pool.backend());
-            assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
-        }
+        let hits = AtomicU64::new(0);
+        let sum = AtomicU64::new(0);
+        CpuPool::new(4).parallel_for(1000, |i| {
+            hits.fetch_add(1, Ordering::Relaxed);
+            sum.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 1000);
+        assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
     }
 
     #[test]
     fn static_schedule_covers_all() {
-        for pool in [
-            CpuPool::new(3),
-            CpuPool::new(3).with_backend(Backend::Spawn),
-        ] {
-            let hits = AtomicU64::new(0);
-            pool.parallel_for_static(10, |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 10, "{:?}", pool.backend());
-        }
+        let hits = AtomicU64::new(0);
+        CpuPool::new(3).parallel_for_static(10, |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 10);
     }
 
     #[test]
     fn zero_iterations_is_noop() {
-        for pool in both_backends() {
-            pool.parallel_for(0, |_| panic!("must not run"));
-            pool.parallel_for_static(0, |_| panic!("must not run"));
-        }
+        let pool = CpuPool::new(4);
+        pool.parallel_for(0, |_| panic!("must not run"));
+        pool.parallel_for_static(0, |_| panic!("must not run"));
     }
 
     #[test]
@@ -365,20 +246,13 @@ mod tests {
 
     #[test]
     fn parallel_rows_disjoint_writes() {
-        for pool in both_backends() {
-            let mut data = vec![0.0f32; 10];
-            pool.parallel_rows(&mut data, &[3, 2, 5], |i, row| {
-                for v in row.iter_mut() {
-                    *v = i as f32 + 1.0;
-                }
-            });
-            assert_eq!(
-                data,
-                vec![1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0],
-                "{:?}",
-                pool.backend()
-            );
-        }
+        let mut data = vec![0.0f32; 10];
+        CpuPool::new(4).parallel_rows(&mut data, &[3, 2, 5], |i, row| {
+            for v in row.iter_mut() {
+                *v = i as f32 + 1.0;
+            }
+        });
+        assert_eq!(data, vec![1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0]);
     }
 
     #[test]

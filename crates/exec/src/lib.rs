@@ -16,16 +16,17 @@
 //! * [`vm`] — a slot-resolved bytecode VM: the compiled execution tier,
 //!   bit-identical to the interpreter (outputs *and* statistics) but
 //!   free of string hashing, tree recursion and per-expression
-//!   allocation. A compiled [`VmProgram`] is `Sync`; [`VmShared`] holds
-//!   the immutable per-run bindings and dispatches outlined thread
-//!   blocks across a [`CpuPool`] with per-worker machine state.
+//!   allocation. A compiled [`VmProgram`] is `Sync`; [`VmShared`] is
+//!   the lifetime-free per-shape binding table, executed serially or
+//!   with outlined thread blocks dispatched across a [`CpuPool`], always
+//!   over one float-buffer view (see the [`vm`] module docs for the
+//!   file layout and where its `unsafe` lives).
 //! * [`microkernel`] — the vectorized microkernel ISA behind the VM's
 //!   fused superinstructions: register-blocked GEMM panels, chunked
 //!   reductions and fast transcendentals, all keyed by the
 //!   [`MathMode`] strict/fast contract.
 //! * [`cost`] — the analytic cost model shared by the simulator and the
 //!   benchmark harnesses.
-//! * [`profile`] — per-operator breakdown accounting.
 //!
 //! ## CPU scheduling policies
 //!
@@ -55,15 +56,13 @@ pub mod cpu;
 pub mod gpu;
 pub mod interp;
 pub mod microkernel;
-pub mod profile;
 pub mod runtime;
 pub mod vm;
 
 pub use cost::{proxy_score, CpuModel, GpuModel, KernelTraits};
-pub use cpu::{Backend, CpuPool};
+pub use cpu::CpuPool;
 pub use gpu::{GpuRunReport, GpuSim, KernelReport, SimKernel};
 pub use interp::{InterpStats, Machine};
 pub use microkernel::MathMode;
-pub use profile::Profiler;
 pub use runtime::{Runtime, Schedule};
 pub use vm::{BoundBuf, CertError, StoreCert, VmMachine, VmProgram, VmShared};

@@ -1,0 +1,282 @@
+//! The disassembler: [`VmProgram`]'s `Display` impl.
+
+use std::fmt;
+
+use cora_ir::{FUnaryOp, StoreKind};
+
+use super::isa::{fbuf_name, CmpOp, FBinOp, IBinOp, Instr, MapOp, VmProgram};
+
+/// Disassembly: one instruction per line (`pc  mnemonic operands`), with
+/// every variable, buffer and UF slot resolved back to its source name.
+/// Alpha-renamed binding slots print as `name@slot` so shadowed loops
+/// stay distinguishable. Golden tests diff this text to catch bytecode
+/// and outlining regressions.
+impl fmt::Display for VmProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ibin = |op: IBinOp| match op {
+            IBinOp::Add => "iadd",
+            IBinOp::Sub => "isub",
+            IBinOp::Mul => "imul",
+            IBinOp::FloorDiv => "idiv",
+            IBinOp::FloorMod => "imod",
+            IBinOp::Min => "imin",
+            IBinOp::Max => "imax",
+        };
+        let fbin = |op: FBinOp| match op {
+            FBinOp::Add => "fadd",
+            FBinOp::Sub => "fsub",
+            FBinOp::Mul => "fmul",
+            FBinOp::Div => "fdiv",
+            FBinOp::Max => "fmax",
+        };
+        let cmp = |op: CmpOp| match op {
+            CmpOp::Lt => "br.lt",
+            CmpOp::Le => "br.le",
+            CmpOp::Eq => "br.eq",
+            CmpOp::Ne => "br.ne",
+        };
+        let var = |slot: u32| self.var_name(slot);
+        let ibuf = |slot: u32| self.slots.ibufs.names()[slot as usize].clone();
+        let fbuf = |slot: u32| fbuf_name(self, slot);
+        for (pc, instr) in self.code.iter().enumerate() {
+            let line = match instr {
+                Instr::IConst { dst, v } => format!("iconst   r{dst}, {v}"),
+                Instr::IVar { dst, slot } => format!("ivar     r{dst}, {}", var(*slot)),
+                Instr::ICopy { dst, src } => format!("icopy    r{dst}, r{src}"),
+                Instr::IBin { op, dst, a, b } => {
+                    format!("{:<8} r{dst}, r{a}, r{b}", ibin(*op))
+                }
+                Instr::IBinC { op, dst, a, c } => {
+                    format!("{:<8} r{dst}, r{a}, #{c}", format!("{}.c", ibin(*op)))
+                }
+                Instr::IBinV { op, dst, a, vslot } => {
+                    format!(
+                        "{:<8} r{dst}, r{a}, {}",
+                        format!("{}.v", ibin(*op)),
+                        var(*vslot)
+                    )
+                }
+                Instr::ILoad { dst, buf, idx } => {
+                    format!("iload    r{dst}, {}[r{idx}]", ibuf(*buf))
+                }
+                Instr::ILoadV { dst, buf, vslot } => {
+                    format!("iload.v  r{dst}, {}[{}]", ibuf(*buf), var(*vslot))
+                }
+                Instr::IUf { dst, uf, args } => {
+                    let args: Vec<String> = args.iter().map(|a| format!("r{a}")).collect();
+                    format!(
+                        "iuf      r{dst}, {}({})",
+                        self.slots.ufs.names()[*uf as usize],
+                        args.join(", ")
+                    )
+                }
+                Instr::SetVar { slot, src } => format!("setvar   {}, r{src}", var(*slot)),
+                Instr::LetVar { slot, src, aux } => {
+                    format!("letvar   {}, r{src}, aux={aux}", var(*slot))
+                }
+                Instr::BrVarGe { slot, lim, to } => {
+                    format!("br.ge    {}, r{lim} -> {to}", var(*slot))
+                }
+                Instr::LoopNext { slot, lim, back } => {
+                    format!("loop     {}, r{lim} -> {back}", var(*slot))
+                }
+                Instr::BrCmp {
+                    op,
+                    a,
+                    b,
+                    on_true,
+                    on_false,
+                } => format!("{:<8} r{a}, r{b} -> {on_true}, {on_false}", cmp(*op)),
+                Instr::Jump { to } => format!("jump     -> {to}"),
+                Instr::Guard { aux } => format!("guard    aux={aux}"),
+                Instr::BumpAux { n } => format!("bumpaux  n={n}"),
+                Instr::FConst { dst, v } => format!("fconst   f{dst}, {v:?}"),
+                Instr::FLoad { dst, buf, idx, aux } => {
+                    format!("fload    f{dst}, {}[r{idx}], aux={aux}", fbuf(*buf))
+                }
+                Instr::FCast { dst, src, aux } => {
+                    format!("fcast    f{dst}, r{src}, aux={aux}")
+                }
+                Instr::FCopy { dst, src } => format!("fcopy    f{dst}, f{src}"),
+                Instr::FBin { op, dst, a, b } => {
+                    format!("{:<8} f{dst}, f{a}, f{b}", fbin(*op))
+                }
+                Instr::FBinC { op, dst, a, c } => {
+                    format!("{:<8} f{dst}, f{a}, #{c:?}", format!("{}.c", fbin(*op)))
+                }
+                Instr::FBinCL { op, dst, c, b } => {
+                    format!("{:<8} f{dst}, #{c:?}, f{b}", format!("{}.cl", fbin(*op)))
+                }
+                Instr::FUn { op, dst, a } => {
+                    let name = match op {
+                        FUnaryOp::Neg => "f.neg",
+                        FUnaryOp::Exp => "f.exp",
+                        FUnaryOp::Sqrt => "f.sqrt",
+                        FUnaryOp::Recip => "f.recip",
+                        FUnaryOp::Tanh => "f.tanh",
+                        FUnaryOp::Relu => "f.relu",
+                    };
+                    format!("{name:<8} f{dst}, f{a}")
+                }
+                Instr::FStore {
+                    buf,
+                    idx,
+                    val,
+                    kind,
+                    aux,
+                } => {
+                    let k = match kind {
+                        StoreKind::Assign => "assign",
+                        StoreKind::AddAssign => "add",
+                        StoreKind::MaxAssign => "max",
+                    };
+                    format!("fstore   {}[r{idx}], f{val}, {k}, aux={aux}", fbuf(*buf))
+                }
+                Instr::FAlloc { slot, size, aux } => {
+                    format!("falloc   {}, r{size}, aux={aux}", fbuf(*slot))
+                }
+                Instr::FMulAcc(op) => {
+                    format!(
+                        "fmulacc  {}[r{}:r{}] += {}[r{}:r{}] * {}[r{}:r{}], n=r{}, aux={}",
+                        fbuf(op.out),
+                        op.o0,
+                        op.o1,
+                        fbuf(op.a),
+                        op.a0,
+                        op.a1,
+                        fbuf(op.b),
+                        op.b0,
+                        op.b1,
+                        op.n,
+                        op.aux
+                    )
+                }
+                Instr::FMap(op) => {
+                    let sites: Vec<String> = op
+                        .sites
+                        .iter()
+                        .map(|s| {
+                            if s.buf == u32::MAX {
+                                format!("<idx r{}:r{}>", s.r0, s.r1)
+                            } else {
+                                format!("{}[r{}:r{}]", fbuf(s.buf), s.r0, s.r1)
+                            }
+                        })
+                        .collect();
+                    let tape: Vec<String> = op
+                        .tape
+                        .iter()
+                        .map(|o| match o {
+                            MapOp::Const { v } => format!("#{v:?}"),
+                            MapOp::Load { site } => format!("ld{site}"),
+                            MapOp::Cast { site } => format!("cast{site}"),
+                            MapOp::Bin { op, a, b } => format!("{} t{a} t{b}", fbin(*op)),
+                            MapOp::Un { op, a } => {
+                                let name = match op {
+                                    FUnaryOp::Neg => "neg",
+                                    FUnaryOp::Exp => "exp",
+                                    FUnaryOp::Sqrt => "sqrt",
+                                    FUnaryOp::Recip => "recip",
+                                    FUnaryOp::Tanh => "tanh",
+                                    FUnaryOp::Relu => "relu",
+                                };
+                                format!("{name} t{a}")
+                            }
+                        })
+                        .collect();
+                    let k = match op.kind {
+                        StoreKind::Assign => "assign",
+                        StoreKind::AddAssign => "add",
+                        StoreKind::MaxAssign => "max",
+                    };
+                    format!(
+                        "fmap     {}[r{}:r{}] {k} ({}), sites=[{}], n=r{}, aux={}, flops={}",
+                        fbuf(op.out),
+                        op.o0,
+                        op.o1,
+                        tape.join("; "),
+                        sites.join(", "),
+                        op.n,
+                        op.aux,
+                        op.flops
+                    )
+                }
+                Instr::FMulAcc2(op) => {
+                    format!(
+                        "fmulacc2 {}[r{}:r{}:r{}] += {}[r{}:r{}:r{}] * {}[r{}:r{}:r{}], \
+                         n=r{}xr{}, aux={}, baux={}",
+                        fbuf(op.out),
+                        op.o00,
+                        op.o0i,
+                        op.o0o,
+                        fbuf(op.a),
+                        op.a00,
+                        op.a0i,
+                        op.a0o,
+                        fbuf(op.b),
+                        op.b00,
+                        op.b0i,
+                        op.b0o,
+                        op.n_outer,
+                        op.n_inner,
+                        op.aux,
+                        op.aux_inner_bounds
+                    )
+                }
+            };
+            writeln!(f, "{pc:>4}  {line}")?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cora_ir::{Expr, FExpr, Stmt};
+
+    use super::super::compile;
+
+    #[test]
+    fn disassembly_resolves_slot_names() {
+        // The float select keeps the inner loop out of the fused-map
+        // path, so the plain fload/fstore forms stay visible.
+        let s = Stmt::loop_(
+            "o",
+            Expr::int(3),
+            Stmt::loop_(
+                "i",
+                Expr::load("lens", Expr::var("o")),
+                Stmt::store(
+                    "B",
+                    Expr::load("row", Expr::var("o")) + Expr::var("i"),
+                    FExpr::select(
+                        Expr::var("i").lt(Expr::int(1)),
+                        FExpr::load("A", Expr::var("n_free")) * 2.0,
+                        FExpr::constant(0.0),
+                    ),
+                ),
+            ),
+        );
+        let p = compile(&s);
+        let text = p.to_string();
+        assert!(text.contains("o@"), "bound loop var with slot:\n{text}");
+        assert!(text.contains("lens["), "aux buffer name:\n{text}");
+        assert!(text.contains("fstore   B["), "output store:\n{text}");
+        assert!(
+            text.contains("ivar     r0, n_free") || text.contains("n_free"),
+            "free var by name:\n{text}"
+        );
+        assert_eq!(
+            text.lines().count(),
+            p.len(),
+            "one line per instruction:\n{text}"
+        );
+        // Every line is `pc  mnemonic ...` with aligned pcs.
+        for (i, line) in text.lines().enumerate() {
+            assert!(
+                line.starts_with(&format!("{i:>4}  ")),
+                "line {i} misformatted: {line:?}"
+            );
+        }
+    }
+}

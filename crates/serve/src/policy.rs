@@ -17,7 +17,7 @@ use cora_core::autotune::length_class;
 use crate::queue::RequestQueue;
 
 /// Knobs of the continuous-batching policy. Environment overrides (all
-/// optional) are read by [`BatchPolicy::from_env`]:
+/// optional) are layered over a policy by [`BatchPolicy::apply_env`]:
 ///
 /// | variable                | meaning                                  |
 /// |-------------------------|------------------------------------------|
@@ -41,6 +41,16 @@ pub struct BatchPolicy {
     pub bucket_affinity: bool,
 }
 
+/// The process environment as a variable lookup.
+pub(crate) fn env_var(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// `1`/`true` (any case) is on; everything else is off.
+pub(crate) fn env_flag(v: &str) -> bool {
+    v == "1" || v.eq_ignore_ascii_case("true")
+}
+
 impl Default for BatchPolicy {
     fn default() -> BatchPolicy {
         BatchPolicy {
@@ -55,21 +65,33 @@ impl Default for BatchPolicy {
 impl BatchPolicy {
     /// Defaults overridden by the `CORA_SERVE_*` environment knobs.
     pub fn from_env() -> BatchPolicy {
-        let mut p = BatchPolicy::default();
-        let get = |name: &str| std::env::var(name).ok();
+        BatchPolicy::default().apply_env()
+    }
+
+    /// Layers the `CORA_SERVE_*` policy knobs over `self`: a field
+    /// changes only when its variable is set and parses (a malformed
+    /// number is ignored; any `CORA_SERVE_AFFINITY` value other than
+    /// `1`/`true` turns affinity off).
+    pub fn apply_env(self) -> BatchPolicy {
+        self.apply_vars(&env_var)
+    }
+
+    /// [`BatchPolicy::apply_env`] reading variables through `get`, so
+    /// tests need not mutate the process environment.
+    pub(crate) fn apply_vars(mut self, get: &dyn Fn(&str) -> Option<String>) -> BatchPolicy {
         if let Some(v) = get("CORA_SERVE_MAX_ROWS").and_then(|v| v.parse().ok()) {
-            p.max_batch_rows = v;
+            self.max_batch_rows = v;
         }
         if let Some(v) = get("CORA_SERVE_MAX_SEQS").and_then(|v| v.parse().ok()) {
-            p.max_batch_seqs = v;
+            self.max_batch_seqs = v;
         }
         if let Some(us) = get("CORA_SERVE_MAX_WAIT_US").and_then(|v| v.parse::<u64>().ok()) {
-            p.max_wait_ns = us.saturating_mul(1_000);
+            self.max_wait_ns = us.saturating_mul(1_000);
         }
         if let Some(v) = get("CORA_SERVE_AFFINITY") {
-            p.bucket_affinity = v == "1" || v.eq_ignore_ascii_case("true");
+            self.bucket_affinity = env_flag(&v);
         }
-        p
+        self
     }
 
     /// True when a request that arrived at `arrival_ns` has hit the

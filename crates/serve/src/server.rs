@@ -15,7 +15,7 @@ use cora_transformer::autotune::EncoderAutotuner;
 use cora_transformer::{CompiledEncoderLayer, EncoderConfig, EncoderPrep, EncoderWeights};
 
 use crate::clock::{ChannelSource, Clock, Source, SystemClock, VirtualClock};
-use crate::policy::BatchPolicy;
+use crate::policy::{env_flag, env_var, BatchPolicy};
 use crate::pool::{PoolStats, SessionPool};
 use crate::queue::RequestQueue;
 use crate::request::{pack_ragged, unpack_rows, Request};
@@ -28,7 +28,7 @@ use crate::request::{pack_ragged, unpack_rows, Request};
 /// | `CORA_SERVE_POOL_CAP`  | max idle sessions in the pool               |
 /// | `CORA_SERVE_CHECK`     | `1`: differentially verify every microbatch |
 ///
-/// plus the `CORA_SERVE_*` policy knobs ([`BatchPolicy::from_env`]).
+/// plus the `CORA_SERVE_*` policy knobs ([`BatchPolicy::apply_env`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The encoder model the server runs (single layer per request).
@@ -59,17 +59,22 @@ impl ServerConfig {
         }
     }
 
-    /// Applies the `CORA_SERVE_*` environment knobs on top of `self`.
-    pub fn apply_env(mut self) -> ServerConfig {
-        self.policy = BatchPolicy::from_env();
-        if let Some(v) = std::env::var("CORA_SERVE_POOL_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
+    /// Applies the `CORA_SERVE_*` environment knobs on top of `self`:
+    /// every field — the policy's included — keeps its configured value
+    /// unless its variable is set.
+    pub fn apply_env(self) -> ServerConfig {
+        self.apply_vars(&env_var)
+    }
+
+    /// [`ServerConfig::apply_env`] reading variables through `get`, so
+    /// tests need not mutate the process environment.
+    fn apply_vars(mut self, get: &dyn Fn(&str) -> Option<String>) -> ServerConfig {
+        self.policy = self.policy.apply_vars(get);
+        if let Some(v) = get("CORA_SERVE_POOL_CAP").and_then(|v| v.parse().ok()) {
             self.pool_capacity = v;
         }
-        if let Ok(v) = std::env::var("CORA_SERVE_CHECK") {
-            self.differential_check = v == "1" || v.eq_ignore_ascii_case("true");
+        if let Some(v) = get("CORA_SERVE_CHECK") {
+            self.differential_check = env_flag(&v);
         }
         self
     }
@@ -667,5 +672,40 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn configured() -> ServerConfig {
+        let mut cfg = ServerConfig::new(EncoderConfig::scaled(8));
+        cfg.policy.max_batch_rows = 77;
+        cfg.policy.max_wait_ns = 123_456;
+        cfg.pool_capacity = 3;
+        cfg
+    }
+
+    #[test]
+    fn apply_env_layers_over_the_configured_policy() {
+        // Empty environment: nothing a caller configured is reset.
+        let kept = configured().apply_vars(&|_| None);
+        assert_eq!(kept.policy, configured().policy);
+        assert_eq!(kept.pool_capacity, 3);
+        assert!(!kept.differential_check);
+
+        // One variable set: only that field changes.
+        let one = configured()
+            .apply_vars(&|name| (name == "CORA_SERVE_MAX_WAIT_US").then(|| "9".to_string()));
+        let mut want = configured().policy;
+        want.max_wait_ns = 9_000;
+        assert_eq!(one.policy, want);
+        assert_eq!(one.pool_capacity, 3);
+
+        // A malformed number is ignored, not turned into a default.
+        let bad = configured()
+            .apply_vars(&|name| (name == "CORA_SERVE_MAX_ROWS").then(|| "lots".to_string()));
+        assert_eq!(bad.policy, configured().policy);
     }
 }

@@ -245,8 +245,8 @@ impl CompiledMaskedSdpa {
 /// layer — only the head's float inputs are bound per call.
 #[derive(Debug)]
 pub struct MaskedSdpaSession<'p> {
-    scores: ParallelSession<'p>,
-    attnv: ParallelSession<'p>,
+    scores: ParallelSession<'p, ParallelPrep>,
+    attnv: ParallelSession<'p, ParallelPrep>,
     tri: &'p [usize],
 }
 
@@ -409,11 +409,7 @@ mod tests {
         // A single session reused across pools and repeats, like the
         // multi-head hot path does.
         let mut session = sdpa.session();
-        for pool in [
-            CpuPool::new(1),
-            CpuPool::new(8),
-            CpuPool::new(8).with_backend(cora_exec::Backend::Spawn),
-        ] {
+        for pool in [CpuPool::new(1), CpuPool::new(8)] {
             let par = session.forward_head(&pool, q.clone(), k.clone(), v.clone());
             let sb: Vec<u32> = serial.iter().map(|x| x.to_bits()).collect();
             let pb: Vec<u32> = par.iter().map(|x| x.to_bits()).collect();

@@ -34,7 +34,9 @@
 //! proptest suite (`tests/encoder_compiled_props.rs`) locks serial,
 //! parallel and reference paths together.
 
-use cora_core::pipeline::{CompiledPipeline, PipelineBuilder, PipelineRun, PipelineSession};
+use std::borrow::BorrowMut;
+
+use cora_core::pipeline::{CompiledPipeline, PipelineBuilder, PipelinePrep, PipelineRun};
 use cora_core::prelude::*;
 use cora_exec::CpuPool;
 use cora_ragged::RaggedLayout;
@@ -839,29 +841,26 @@ impl CompiledEncoderLayer {
         self.rows
     }
 
-    /// Prepares a reusable session: per stage, prelude built and bound,
-    /// dispatch order resolved, arena allocated — once per shape. Reuse
-    /// the session across layers and repeated calls.
+    /// Prepares a reusable session that owns its [`EncoderPrep`]:
+    /// [`CompiledEncoderLayer::prepare`] +
+    /// [`CompiledEncoderLayer::session_with`] in one call. Reuse the
+    /// session across layers and repeated calls.
     ///
     /// # Errors
     ///
     /// Returns the outline error if a stage's block axis cannot be
     /// hoisted — a compiler regression by definition.
-    pub fn session(&self) -> Result<EncoderSession<'_>, ScheduleError> {
-        let inner = match &self.pipeline {
-            Some(p) => Some(p.session()?),
-            None => None,
-        };
-        Ok(EncoderSession { layer: self, inner })
+    pub fn session(&self) -> Result<EncoderSession<'_, EncoderPrep>, ScheduleError> {
+        Ok(self.session_with(self.prepare()?))
     }
 
-    /// Computes the owned prep work of a session — per-stage preludes,
-    /// safety proofs, dispatch orders and the arena — without borrowing
-    /// the layer. Store the [`EncoderPrep`] beside the layer (e.g. in a
-    /// serving session pool) and mint sessions per request with
-    /// [`CompiledEncoderLayer::session_with`]: arena and preludes are
-    /// then literally reused across requests and nothing expensive is
-    /// recomputed.
+    /// Computes everything shape-dependent about a session — per-stage
+    /// preludes and bound tables, safety proofs, dispatch orders and the
+    /// arena — without borrowing the layer. Store the [`EncoderPrep`]
+    /// beside the layer (e.g. in a serving session pool) and run each
+    /// request through [`CompiledEncoderLayer::session_with`]: the
+    /// session is only a view, so arena, tables and dispatch batches are
+    /// literally reused across requests and nothing is recomputed.
     ///
     /// # Errors
     ///
@@ -875,22 +874,21 @@ impl CompiledEncoderLayer {
         })
     }
 
-    /// Mints a session from a previously computed [`EncoderPrep`]
-    /// (which **must** come from this layer's own
-    /// [`CompiledEncoderLayer::prepare`]): no proofs re-run, no arena
-    /// allocation.
+    /// The one way to make an [`EncoderSession`]: a view over this
+    /// layer and an [`EncoderPrep`] (which **must** come from this
+    /// layer's own [`CompiledEncoderLayer::prepare`]), held as `&mut` or
+    /// by value. Nothing is computed or allocated here.
     ///
     /// # Panics
     ///
-    /// Panics if the prep was built for a layer of a different stage
-    /// structure.
-    pub fn session_with<'p>(&'p self, prep: &'p mut EncoderPrep) -> EncoderSession<'p> {
-        let inner = match (&self.pipeline, &mut prep.inner) {
-            (Some(p), Some(pr)) => Some(p.session_with(pr)),
-            (None, _) => None,
-            (Some(_), None) => panic!("prep was built for an empty batch; layer is not"),
-        };
-        EncoderSession { layer: self, inner }
+    /// Panics if the prep was built for an empty batch and the layer
+    /// was not.
+    pub fn session_with<P: BorrowMut<EncoderPrep>>(&self, prep: P) -> EncoderSession<'_, P> {
+        assert!(
+            self.pipeline.is_none() || prep.borrow().inner.is_some(),
+            "prep was built for an empty batch; layer is not"
+        );
+        EncoderSession { layer: self, prep }
     }
 
     /// One-shot convenience: build a session and run once on `pool`.
@@ -907,27 +905,28 @@ impl CompiledEncoderLayer {
     }
 }
 
-/// The owned prep work of one [`CompiledEncoderLayer`] session:
-/// everything [`CompiledEncoderLayer::prepare`] resolves, borrowing
-/// nothing from the layer — storable beside it in caches and pools.
-/// `None` inner prep corresponds to an empty batch (no pipeline).
+/// Everything shape-dependent about one [`CompiledEncoderLayer`]: what
+/// [`CompiledEncoderLayer::prepare`] resolves, borrowing nothing from
+/// the layer — storable beside it in caches and pools. `None` inner
+/// prep corresponds to an empty batch (no pipeline).
 #[derive(Debug, Clone)]
 pub struct EncoderPrep {
-    inner: Option<cora_core::pipeline::PipelinePrep>,
+    inner: Option<PipelinePrep>,
 }
 
-/// A prepared execution of one [`CompiledEncoderLayer`]: everything
-/// shape-dependent resolved once; each call binds only the weights and
-/// activations. One session serves every layer of a model (same shape,
-/// different weights) with zero per-call compilation and zero per-op
-/// intermediate allocation.
+/// An execution of one [`CompiledEncoderLayer`] at its shape: a view
+/// over the layer and its [`EncoderPrep`] (borrowed by default, owned
+/// when created by [`CompiledEncoderLayer::session`]); each call binds
+/// only the weights and activations. One prep serves every layer of a
+/// model (same shape, different weights) with zero per-call compilation
+/// and zero per-op intermediate allocation.
 #[derive(Debug)]
-pub struct EncoderSession<'p> {
+pub struct EncoderSession<'p, P = &'p mut EncoderPrep> {
     layer: &'p CompiledEncoderLayer,
-    inner: Option<PipelineSession<'p>>,
+    prep: P,
 }
 
-impl EncoderSession<'_> {
+impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
     fn inputs<'a>(
         &self,
         w: &'a EncoderWeights,
@@ -987,13 +986,17 @@ impl EncoderSession<'_> {
         x: &RaggedBatch,
     ) -> PipelineRun {
         let inputs = self.inputs(w, x);
-        match (&mut self.inner, pool) {
-            (None, _) => PipelineRun {
+        let Some(pipeline) = &self.layer.pipeline else {
+            return PipelineRun {
                 output: Vec::new(),
                 stages: Vec::new(),
-            },
-            (Some(s), Some(pool)) => s.run(pool, &inputs),
-            (Some(s), None) => s.run_serial(&inputs),
+            };
+        };
+        let prep = self.prep.borrow_mut().inner.as_mut();
+        let mut session = pipeline.session_with(prep.expect("checked by session_with"));
+        match pool {
+            Some(pool) => session.run(pool, &inputs),
+            None => session.run_serial(&inputs),
         }
     }
 
@@ -1002,10 +1005,10 @@ impl EncoderSession<'_> {
     /// disjoint-store, verified at this layer's shape), `None` for
     /// serial stages. Empty for an empty batch (no pipeline is built).
     pub fn verify_outcomes(&self) -> Vec<(&str, Option<&cora_core::verify::VerifyOutcome>)> {
-        self.inner
-            .as_ref()
-            .map(|s| s.verify_outcomes())
-            .unwrap_or_default()
+        match (&self.layer.pipeline, &self.prep.borrow().inner) {
+            (Some(pipeline), Some(prep)) => pipeline.verify_outcomes(prep),
+            _ => Vec::new(),
+        }
     }
 }
 

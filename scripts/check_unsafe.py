@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Fail if `unsafe` appears outside the audited executor files.
+"""Fail if `unsafe` appears outside the audited executor files, or if
+those files grow past what a reviewer can read in a sitting.
 
 The workspace's safety story (README "Safety & verification") rests on
 unsafe code being confined to two audited sites in `cora-exec`: the VM's
-shared-output block dispatch (`crates/exec/src/vm.rs`) and the
+shared-output block dispatch (`crates/exec/src/vm/parallel.rs`) and the
 work-stealing runtime's parked-worker handoff
 (`crates/exec/src/runtime.rs`). Every other crate carries
 `#![forbid(unsafe_code)]`; this script is the belt to that suspender —
@@ -12,6 +13,11 @@ anywhere else fails CI even before rustc sees it.
 
 Doc comments and line comments are stripped before matching, so prose
 *about* unsafety (safety comments, module docs) does not count.
+
+Two size tripwires keep the confinement meaningful: the VM's unsafe
+module may not exceed `MAX_UNSAFE_MODULE_LINES`, and no file under
+`crates/exec/src/` may exceed `MAX_EXEC_FILE_LINES` (the executor was
+once a single 6k-line `vm.rs`; this stops it re-accreting).
 """
 
 from __future__ import annotations
@@ -23,10 +29,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # The only files allowed to contain the token `unsafe`.
+VM_UNSAFE_MODULE = Path("crates/exec/src/vm/parallel.rs")
 ALLOWED = {
-    Path("crates/exec/src/vm.rs"),
+    VM_UNSAFE_MODULE,
     Path("crates/exec/src/runtime.rs"),
 }
+
+MAX_UNSAFE_MODULE_LINES = 800
+MAX_EXEC_FILE_LINES = 2000
+EXEC_SRC = Path("crates/exec/src")
 
 # Directories scanned for Rust sources.
 SCAN_DIRS = ["crates", "src", "tests", "examples"]
@@ -44,7 +55,32 @@ def strip_comments(text: str) -> str:
     return text
 
 
+def line_count(path: Path) -> int:
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+def oversized() -> list[str]:
+    """Files past the re-accretion tripwires."""
+    out: list[str] = []
+    for path in sorted((ROOT / EXEC_SRC).rglob("*.rs")):
+        rel = path.relative_to(ROOT)
+        limit = MAX_UNSAFE_MODULE_LINES if rel == VM_UNSAFE_MODULE else MAX_EXEC_FILE_LINES
+        n = line_count(path)
+        if n > limit:
+            out.append(f"{rel}: {n} lines (limit {limit})")
+    return out
+
+
 def main() -> int:
+    if not (ROOT / VM_UNSAFE_MODULE).is_file():
+        print(f"check_unsafe: {VM_UNSAFE_MODULE} is missing", file=sys.stderr)
+        return 1
+    too_big = oversized()
+    if too_big:
+        print("executor files past their size limit:", file=sys.stderr)
+        for o in too_big:
+            print(f"  {o}", file=sys.stderr)
+        return 1
     offenders: list[str] = []
     for d in SCAN_DIRS:
         base = ROOT / d
@@ -65,7 +101,7 @@ def main() -> int:
         for o in offenders:
             print(f"  {o}", file=sys.stderr)
         print(
-            "\nOnly crates/exec/src/vm.rs and crates/exec/src/runtime.rs may "
+            f"\nOnly {VM_UNSAFE_MODULE} and crates/exec/src/runtime.rs may "
             "contain unsafe code; see README 'Safety & verification'.",
             file=sys.stderr,
         )

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use cora::exec::{Backend, CpuPool, MathMode};
+use cora::exec::{CpuPool, MathMode};
 use cora::transformer::encoder_compiled::CompiledEncoderLayer;
 use cora::transformer::{encoder_layer_ragged, EncoderConfig, EncoderWeights, RaggedBatch};
 
@@ -72,28 +72,23 @@ proptest! {
         );
 
         // Parallel runs: bit-identical outputs, exactly equal per-stage
-        // statistics, across worker counts and backends.
+        // statistics, across worker counts.
         for workers in [1usize, 2, 8] {
-            for backend in [Backend::Persistent, Backend::Spawn] {
-                let pool = CpuPool::new(workers).with_backend(backend);
-                let par = session.run(Some(&pool), &w, &x);
-                let sb: Vec<u32> = serial.output.iter().map(|v| v.to_bits()).collect();
-                let pb: Vec<u32> = par.output.iter().map(|v| v.to_bits()).collect();
+            let pool = CpuPool::new(workers);
+            let par = session.run(Some(&pool), &w, &x);
+            let sb: Vec<u32> = serial.output.iter().map(|v| v.to_bits()).collect();
+            let pb: Vec<u32> = par.output.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(sb, pb, "parallel output diverges at {} workers", workers);
+            prop_assert_eq!(par.stages.len(), serial.stages.len());
+            for (p, s) in par.stages.iter().zip(&serial.stages) {
+                prop_assert_eq!(&p.label, &s.label);
                 prop_assert_eq!(
-                    sb, pb,
-                    "parallel output diverges at {} workers ({:?})", workers, backend
+                    p.stats, s.stats,
+                    "stage `{}` stats diverge at {} workers",
+                    p.label, workers
                 );
-                prop_assert_eq!(par.stages.len(), serial.stages.len());
-                for (p, s) in par.stages.iter().zip(&serial.stages) {
-                    prop_assert_eq!(&p.label, &s.label);
-                    prop_assert_eq!(
-                        p.stats, s.stats,
-                        "stage `{}` stats diverge at {} workers ({:?})",
-                        p.label, workers, backend
-                    );
-                }
-                prop_assert_eq!(par.total_stats(), serial.total_stats());
             }
+            prop_assert_eq!(par.total_stats(), serial.total_stats());
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Property-based tests for the persistent work-stealing CPU runtime:
 //! every parallel-for policy must visit each index in `0..n` exactly
-//! once, for any thread width, grain size, and backend.
+//! once, for any thread width and grain size.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use proptest::prelude::*;
 
-use cora::exec::{Backend, CpuPool, Runtime, Schedule};
+use cora::exec::{CpuPool, Runtime, Schedule};
 
 fn visit_counts(n: usize, run: impl FnOnce(&(dyn Fn(usize) + Sync))) -> Vec<u8> {
     let counts: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
@@ -37,14 +37,6 @@ proptest! {
     fn static_visits_each_index_once(n in 0usize..600, threads in 1usize..9) {
         let pool = CpuPool::new(threads);
         let counts = visit_counts(n, |f| pool.parallel_for_static(n, f));
-        prop_assert!(counts.iter().all(|&c| c == 1), "n={} counts={:?}", n, counts);
-    }
-
-    /// The per-call spawn baseline keeps the same contract.
-    #[test]
-    fn spawn_backend_visits_each_index_once(n in 0usize..300, threads in 1usize..5) {
-        let pool = CpuPool::new(threads).with_backend(Backend::Spawn);
-        let counts = visit_counts(n, |f| pool.parallel_for(n, f));
         prop_assert!(counts.iter().all(|&c| c == 1), "n={} counts={:?}", n, counts);
     }
 

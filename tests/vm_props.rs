@@ -5,16 +5,23 @@
 //! The interpreter is the semantic ground truth; `Program::run_compiled`
 //! is the fast tier, and `Program::run_compiled_parallel` the parallel
 //! tier, which must also be bit-identical (including aggregated stats)
-//! at every worker count and on both pool backends. Any divergence
-//! (values, flops, guards, aux loads, stores) is a compiler bug by
-//! definition.
+//! at every worker count. All tiers execute through one float-buffer
+//! view, so every program here also runs *four ways* — owned machine,
+//! borrowed serial, proven parallel at 1 and 4 threads — in both math
+//! modes. Any divergence (values, flops, guards, aux loads, stores) is
+//! a compiler bug by definition.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use cora::core::pipeline::{CompiledPipeline, PipelineBuilder};
 use cora::core::prelude::*;
-use cora::exec::Backend;
+use cora::exec::vm::{self, BoundBuf, StoreCert};
+use cora::exec::InterpStats;
+use cora::ir::interval::SInt;
+use cora::ir::{Stmt, StoreKind};
 use cora::ragged::{Dim, RaggedLayout};
 
 fn ragged_2d(name: &str, lens: &[usize], pad: usize) -> TensorRef {
@@ -175,12 +182,201 @@ fn apply_block_schedule(op: &mut Operator, sched: usize, pad: usize) {
     }
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Executes `compiled` four ways — the owned machine, the borrowed
+/// serial view, and the proven parallel tier at 1 and 4 threads — and
+/// asserts bit-identical outputs and identical statistics.
+fn assert_four_ways_agree(compiled: &CompiledProgram, inputs: &[(&str, Vec<f32>)]) {
+    let mode = compiled.math_mode();
+    let owned = compiled.run(inputs);
+
+    let table = compiled.serial_shared_with(&compiled.build_prelude());
+    let mut out = vec![compiled.output_init(); compiled.output_size()];
+    let mut bufs: Vec<(&str, BoundBuf<'_>)> =
+        inputs.iter().map(|(n, b)| (*n, BoundBuf::In(b))).collect();
+    bufs.push((compiled.output_name(), BoundBuf::Out(&mut out)));
+    let stats = table.run_borrowed(bufs);
+    assert_eq!(
+        bits(&owned.output),
+        bits(&out),
+        "borrowed serial ({mode:?})"
+    );
+    assert_eq!(owned.stats, stats, "borrowed serial stats ({mode:?})");
+
+    for threads in [1usize, 4] {
+        let par = compiled
+            .run_parallel(&CpuPool::new(threads), inputs)
+            .unwrap();
+        assert_eq!(
+            bits(&owned.output),
+            bits(&par.output),
+            "parallel at {threads} threads ({mode:?})"
+        );
+        assert_eq!(
+            owned.stats, par.stats,
+            "parallel stats at {threads} threads ({mode:?})"
+        );
+    }
+}
+
+/// Block body over a free block variable `b`, with `Alloc` scratch that
+/// is first a panel *output* and then a panel *operand*:
+///
+/// ```text
+/// alloc tile[n] {
+///   for d in 0..k    { for j in 0..n { tile[j]          += A[b·k + d] · W[d·n + j] } }
+///   for r in lens[b] { for j in 0..n { O[row[b] + r]    += tile[j]    · V[r·n + j] } }
+/// }
+/// ```
+///
+/// The first nest is the i-k-j saxpy panel into scratch; the second is
+/// the per-row dot panel reading scratch and storing the ragged output
+/// row of block `b` (zero-length when `lens[b] == 0`).
+fn scratch_panel_body(k: i64, n: i64) -> Stmt {
+    let acc = |buffer: &str, index: Expr, value: FExpr| Stmt::Store {
+        buffer: buffer.into(),
+        index,
+        value,
+        kind: StoreKind::AddAssign,
+    };
+    let fill = Stmt::loop_(
+        "d",
+        Expr::int(k),
+        Stmt::loop_(
+            "j",
+            Expr::int(n),
+            acc(
+                "tile",
+                Expr::var("j"),
+                FExpr::load("A", Expr::var("b") * k + Expr::var("d"))
+                    * FExpr::load("W", Expr::var("d") * n + Expr::var("j")),
+            ),
+        ),
+    );
+    let reduce = Stmt::loop_(
+        "r",
+        Expr::load("lens", Expr::var("b")),
+        Stmt::loop_(
+            "j",
+            Expr::int(n),
+            acc(
+                "O",
+                Expr::load("row", Expr::var("b")) + Expr::var("r"),
+                FExpr::load("tile", Expr::var("j"))
+                    * FExpr::load("V", Expr::var("r") * n + Expr::var("j")),
+            ),
+        ),
+    );
+    Stmt::Alloc {
+        buffer: "tile".into(),
+        size: Expr::int(n),
+        body: Box::new(fill.then(reduce)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// A program whose `Alloc` scratch is both a panel output and a
+    /// panel operand, over ragged output rows that include zero-length
+    /// ones: owned machine, borrowed serial, and proven parallel at 1
+    /// and 4 threads agree bit-for-bit and on statistics, in both math
+    /// modes.
+    #[test]
+    fn scratch_panels_agree_four_ways(
+        lens in prop::collection::vec(0usize..6, 1..5),
+        k in 1usize..6,
+        n in 1usize..20,
+    ) {
+        let nb = lens.len();
+        let rows: Vec<i64> = lens.iter().scan(0i64, |at, &l| {
+            let r = *at;
+            *at += l as i64;
+            Some(r)
+        }).collect();
+        let total: usize = lens.iter().sum();
+        let max_len = lens.iter().copied().max().unwrap_or(0);
+        let fill = |len: usize, f: f32| -> Vec<f32> {
+            (0..len).map(|x| (x as f32 * f).sin()).collect()
+        };
+        let (a, w, v) = (fill(nb * k, 0.7), fill(k * n, 0.3), fill(max_len * n, 0.11));
+        let lens_i: Vec<i64> = lens.iter().map(|&l| l as i64).collect();
+
+        let body = scratch_panel_body(k as i64, n as i64);
+        let serial = Stmt::loop_kind("b", Expr::int(nb as i64), ForKind::GpuBlockX, body.clone());
+        let cert = StoreCert::new((0..nb).map(|b| {
+            let region = match lens[b] {
+                0 => SInt::Empty,
+                l => SInt::range(rows[b], rows[b] + l as i64 - 1),
+            };
+            (b as i64, region)
+        })).expect("ragged rows are disjoint");
+
+        for mode in [MathMode::Strict, MathMode::Fast] {
+            let compile = |s: &Stmt| {
+                let mut p = vm::compile(s);
+                p.set_math_mode(mode);
+                Arc::new(p)
+            };
+            let (sp, bp) = (compile(&serial), compile(&body));
+            prop_assert_eq!(bp.fused_counts().1, 2, "both nests must fuse to panels:\n{}", bp);
+
+            // Owned machine.
+            let mut m = sp.machine();
+            m.set_ibuffer("lens", lens_i.clone());
+            m.set_ibuffer("row", rows.clone());
+            m.set_fbuffer("A", a.clone());
+            m.set_fbuffer("W", w.clone());
+            m.set_fbuffer("V", v.clone());
+            m.set_fbuffer("O", vec![0.0; total]);
+            m.run();
+            let want = bits(m.fbuffer("O").unwrap());
+
+            // Borrowed serial view over the same program.
+            let mut table = sp.shared();
+            table.set_ibuffer("lens", lens_i.clone());
+            table.set_ibuffer("row", rows.clone());
+            let mut out = vec![0.0f32; total];
+            let stats = table.run_borrowed(vec![
+                ("A", BoundBuf::In(&a)),
+                ("W", BoundBuf::In(&w)),
+                ("V", BoundBuf::In(&v)),
+                ("O", BoundBuf::Out(&mut out)),
+            ]);
+            prop_assert_eq!(&want, &bits(&out), "borrowed serial ({:?})", mode);
+            prop_assert_eq!(m.stats, stats, "borrowed serial stats ({:?})", mode);
+
+            // Proven parallel: the body alone, one batch per block.
+            let mut table = bp.shared();
+            table.set_ibuffer("lens", lens_i.clone());
+            table.set_ibuffer("row", rows.clone());
+            let blocks: Vec<i64> = (0..nb as i64).rev().collect();
+            let batches: Vec<std::ops::Range<usize>> = (0..nb).map(|i| i..i + 1).collect();
+            for threads in [1usize, 4] {
+                let mut out = vec![0.0f32; total];
+                let stats: InterpStats = table.run_blocks_proven(
+                    &CpuPool::new(threads),
+                    "b",
+                    "O",
+                    &mut out,
+                    &[("A", &a), ("W", &w), ("V", &v)],
+                    &blocks,
+                    &batches,
+                    &cert,
+                );
+                prop_assert_eq!(&want, &bits(&out), "{} threads ({:?})", threads, mode);
+                prop_assert_eq!(m.stats, stats, "stats at {} threads ({:?})", threads, mode);
+            }
+        }
+    }
+
     /// Serial VM vs parallel VM across random ragged shapes, bodies and
-    /// block-bound schedules, at 1, 2 and 8 workers on both pool
-    /// backends: outputs bit-identical, aggregated stats identical.
+    /// block-bound schedules, at 1, 2 and 8 workers: outputs
+    /// bit-identical, aggregated stats identical — and the four
+    /// execution routes agree with each other in both math modes.
     #[test]
     fn parallel_vm_matches_serial_vm(
         lens in prop::collection::vec(0usize..12, 1..7),
@@ -198,25 +394,23 @@ proptest! {
             .collect();
         let serial = compiled.run(&[("A", input.clone())]);
         for workers in [1usize, 2, 8] {
-            for backend in [Backend::Persistent, Backend::Spawn] {
-                let pool = CpuPool::new(workers).with_backend(backend);
-                let par = compiled
-                    .run_parallel(&pool, &[("A", input.clone())])
-                    .unwrap();
-                prop_assert_eq!(serial.output.len(), par.output.len());
-                for (i, (a, b)) in serial.output.iter().zip(&par.output).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "element {} diverges at {} workers ({:?}): serial {} vs parallel {}",
-                        i, workers, backend, a, b
-                    );
-                }
+            let pool = CpuPool::new(workers);
+            let par = compiled
+                .run_parallel(&pool, &[("A", input.clone())])
+                .unwrap();
+            prop_assert_eq!(serial.output.len(), par.output.len());
+            for (i, (a, b)) in serial.output.iter().zip(&par.output).enumerate() {
                 prop_assert_eq!(
-                    serial.stats, par.stats,
-                    "stats diverge at {} workers ({:?})", workers, backend
+                    a.to_bits(), b.to_bits(),
+                    "element {} diverges at {} workers: serial {} vs parallel {}",
+                    i, workers, a, b
                 );
             }
+            prop_assert_eq!(serial.stats, par.stats, "stats diverge at {} workers", workers);
         }
+        let inputs = [("A", input)];
+        assert_four_ways_agree(&compiled, &inputs);
+        assert_four_ways_agree(&compiled.with_math_mode(MathMode::Fast), &inputs);
     }
 
     /// Ragged block-bound reductions (`AddAssign` inside a block) agree
@@ -244,7 +438,7 @@ proptest! {
         let n: usize = lens.iter().sum();
         let input: Vec<f32> = (0..n).map(|x| x as f32 - 7.0).collect();
         let serial = p.run_compiled(&[("A", input.clone())]);
-        let pool = CpuPool::new(8).with_backend(Backend::Spawn);
+        let pool = CpuPool::new(8);
         let par = p.run_compiled_parallel(&pool, &[("A", input)]).unwrap();
         for (a, b) in serial.output.iter().zip(&par.output) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -412,6 +606,38 @@ fn reduction_store_order_preserved_across_chunk_boundary() {
 // Buffer-planned pipelines
 // ---------------------------------------------------------------------
 
+/// `(program, source buffer, output buffer)` of one chain stage.
+type ChainStage = (CompiledProgram, String, String);
+
+/// A random operator chain over external input `B0`: each stage reads a
+/// pseudo-random earlier buffer, so lifetimes vary from die-immediately
+/// to live-to-the-end. Returns the pipeline, its stages and the buffer
+/// size.
+fn random_chain(
+    lens: &[usize],
+    pad: usize,
+    srcs: &[usize],
+) -> (CompiledPipeline, Vec<ChainStage>, usize) {
+    let size = lower(&make_op(lens, pad, 0)).unwrap().output_size();
+    let mut b = PipelineBuilder::new("randchain");
+    b.input("B0", size).unwrap();
+    let mut names = vec!["B0".to_string()];
+    let mut progs = Vec::new();
+    for (i, &s) in srcs.iter().enumerate() {
+        let mut op = make_op(lens, pad, s % 3);
+        op.schedule_mut().bind("o", ForKind::GpuBlockX);
+        let prog = lower(&op).unwrap().compile();
+        let src = names[(s / 3) % names.len()].clone();
+        let out = format!("B{}", i + 1);
+        b.stage(&format!("s{i}"), prog.clone(), &[("A", &src)], &out)
+            .unwrap();
+        progs.push((prog, src, out.clone()));
+        names.push(out);
+    }
+    let pipeline = b.build(names.last().unwrap()).unwrap();
+    (pipeline, progs, size)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -426,29 +652,10 @@ proptest! {
         pad in 1usize..4,
         srcs in prop::collection::vec(0usize..1000, 2..7),
     ) {
-        use cora::core::pipeline::PipelineBuilder;
         use std::collections::HashMap;
 
-        let size = lower(&make_op(&lens, pad, 0)).unwrap().output_size();
-        let mut b = PipelineBuilder::new("randchain");
-        b.input("B0", size).unwrap();
-        let mut names = vec!["B0".to_string()];
-        // (program, source buffer, output buffer) per stage; each stage
-        // reads a pseudo-random earlier buffer, so lifetimes vary from
-        // die-immediately to live-to-the-end.
-        let mut progs = Vec::new();
-        for (i, &s) in srcs.iter().enumerate() {
-            let mut op = make_op(&lens, pad, s % 3);
-            op.schedule_mut().bind("o", ForKind::GpuBlockX);
-            let prog = lower(&op).unwrap().compile();
-            let src = names[(s / 3) % names.len()].clone();
-            let out = format!("B{}", i + 1);
-            b.stage(&format!("s{i}"), prog.clone(), &[("A", &src)], &out)
-                .unwrap();
-            progs.push((prog, src, out.clone()));
-            names.push(out);
-        }
-        let pipeline = b.build(names.last().unwrap()).unwrap();
+        let (pipeline, progs, size) = random_chain(&lens, pad, &srcs);
+        let last = &progs.last().unwrap().2;
 
         // (a) Plan soundness: a shared slot implies disjoint lifetimes.
         let entries = pipeline.plan().entries();
@@ -472,7 +679,7 @@ proptest! {
             let r = prog.run(&[("A", vals[src].clone())]);
             vals.insert(out.clone(), r.output);
         }
-        let want = &vals[names.last().unwrap()];
+        let want = &vals[last];
 
         let mut session = pipeline.session().unwrap();
         let serial = session.run_serial(&[("B0", &x)]);
@@ -488,6 +695,76 @@ proptest! {
             prop_assert_eq!(p.stats, s.stats, "stage `{}` stats diverge", p.label);
         }
     }
+
+    /// A session is a view over a prep: sessions minted in turn from one
+    /// `PipelinePrep`, the owned-convenience session and a session run
+    /// at a different pool width all give identical outputs and stats,
+    /// and the dispatch batches cut by the first session are still in
+    /// the prep for the second — no re-cut.
+    #[test]
+    fn sessions_over_one_prep_agree(
+        lens in prop::collection::vec(0usize..10, 1..5),
+        pad in 1usize..4,
+        srcs in prop::collection::vec(0usize..1000, 2..5),
+    ) {
+        let (pipeline, progs, size) = random_chain(&lens, pad, &srcs);
+        let x: Vec<f32> = (0..size).map(|v| v as f32 * 0.25 - 2.0).collect();
+        let inputs: [(&str, &[f32]); 1] = [("B0", &x)];
+        let stats_of = |run: &cora::core::pipeline::PipelineRun| -> Vec<InterpStats> {
+            run.stages.iter().map(|s| s.stats).collect()
+        };
+
+        let want = pipeline.session().unwrap().run(&CpuPool::new(4), &inputs);
+
+        let mut prep = pipeline.prepare().unwrap();
+        prop_assert_eq!(prep.dispatch_widths(), vec![0; progs.len()], "nothing cut yet");
+        for mint in 0..3 {
+            if mint > 0 {
+                // The previous session's batches survive in the prep.
+                prop_assert_eq!(prep.dispatch_widths(), vec![4; progs.len()]);
+            }
+            let run = pipeline.session_with(&mut prep).run(&CpuPool::new(4), &inputs);
+            prop_assert_eq!(bits(&want.output), bits(&run.output), "mint {}", mint);
+            prop_assert_eq!(stats_of(&want), stats_of(&run), "mint {}", mint);
+        }
+        let narrow = pipeline.session_with(&mut prep).run(&CpuPool::new(2), &inputs);
+        prop_assert_eq!(prep.dispatch_widths(), vec![2; progs.len()], "re-cut for the new width");
+        prop_assert_eq!(bits(&want.output), bits(&narrow.output));
+        prop_assert_eq!(stats_of(&want), stats_of(&narrow));
+        let serial = pipeline.session_with(&mut prep).run_serial(&inputs);
+        prop_assert_eq!(bits(&want.output), bits(&serial.output));
+        prop_assert_eq!(stats_of(&want), stats_of(&serial));
+    }
+}
+
+/// An output slot bound read-only panics with the same message whether
+/// the store goes through the chunked path (a fused unit-stride map) or
+/// the per-element path (a select keeps the loop unfused).
+#[test]
+fn read_only_output_panics_identically_on_chunked_and_element_paths() {
+    let lens = [4usize, 0, 7];
+    let message = |body_kind: usize| -> String {
+        let compiled = lower(&make_op(&lens, 1, body_kind)).unwrap().compile();
+        let fused = compiled.vm().fused_counts().2 > 0;
+        assert_eq!(
+            fused,
+            body_kind == 0,
+            "body {body_kind} picks the intended store path"
+        );
+        let table = compiled.serial_shared_with(&compiled.build_prelude());
+        let buf = vec![0.0f32; compiled.output_size()];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.run_borrowed(vec![("A", BoundBuf::In(&buf)), ("B", BoundBuf::In(&buf))]);
+        }))
+        .expect_err("a store to a read-only binding must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    };
+    let (chunked, element) = (message(0), message(1));
+    assert!(chunked.contains("bound read-only"), "{chunked}");
+    assert_eq!(chunked, element);
 }
 
 #[test]
