@@ -1,102 +1,59 @@
-//! Developer tool: disassemble and time individual compiled encoder
-//! stages at a bench-like shape, to check which fused superinstructions
-//! the lowering actually emits and where the serial time goes.
+//! Developer tool: disassemble and time every compiled encoder stage at
+//! a bench-like shape, to check which fused superinstructions the
+//! lowering actually emits and where the serial time goes.
+//!
+//! The stages come from the stage table
+//! (`cora_transformer::encoder_compiled::STAGES`) and each stage's input
+//! sizes from its verifier-proven access hulls, so the tool cannot drift
+//! from what `CompiledEncoderLayer::build` compiles. Pass stage labels
+//! as arguments to print their full disassembly.
 
 use cora_core::prelude::*;
 use cora_datasets::Dataset;
-use cora_transformer::encoder_compiled::{
-    bias_gelu_operator, enc_attnv_operator, enc_scores_operator, ln_norm_operator, ln_sum_operator,
-    ln_var_operator, merge_proj_operator, proj_operator, row_exp_operator, row_max_operator,
-    row_softmax_operator, row_sum_operator,
-};
+use cora_transformer::encoder_compiled::{Attend, Geometry, STAGES};
 use cora_transformer::EncoderConfig;
 
 fn main() {
     let cfg = EncoderConfig::scaled(8);
     let lens = Dataset::Mnli.sample_lengths(8, 42);
-    let rows: usize = lens.iter().sum();
-    println!(
-        "rows={rows} hidden={} heads={} ff={}",
-        cfg.hidden, cfg.heads, cfg.ff
-    );
+    let geometry = Geometry::new(&cfg, &lens, Attend::Full);
+    println!("rows={} {cfg:?}", geometry.rows());
 
-    let stages: Vec<(&str, Operator)> = vec![
-        (
-            "qkv_proj",
-            proj_operator("qkv", rows, cfg.hidden, 3 * cfg.hidden),
-        ),
-        ("scores", enc_scores_operator(&cfg, &lens)),
-        ("row_max", row_max_operator(&cfg, &lens)),
-        ("row_exp", row_exp_operator(&cfg, &lens)),
-        ("row_sum", row_sum_operator(&cfg, &lens)),
-        ("row_softmax", row_softmax_operator(&cfg, &lens)),
-        ("attnv", enc_attnv_operator(&cfg, &lens)),
-        ("merge_proj", merge_proj_operator(&cfg, rows)),
-        ("ln_sum", ln_sum_operator("ln1_sum", rows, cfg.hidden)),
-        ("ln_var", ln_var_operator("ln1_var", rows, cfg.hidden)),
-        ("ln_norm", ln_norm_operator("ln1_norm", rows, cfg.hidden)),
-        ("ff1", proj_operator("ff1", rows, cfg.hidden, cfg.ff)),
-        ("bias_gelu", bias_gelu_operator("ff1_act", rows, cfg.ff)),
-        ("ff2", proj_operator("ff2", rows, cfg.ff, cfg.hidden)),
-    ];
-    let h = cfg.hidden;
-    let hr: usize = cfg.heads * rows;
-    let sq: usize = cfg.heads * lens.iter().map(|l| l * l).sum::<usize>();
-    let inputs: Vec<(&str, Vec<(&str, usize)>)> = vec![
-        ("qkv_proj", vec![("In", rows * h), ("W", h * 3 * h)]),
-        ("scores", vec![("QKV", rows * 3 * h)]),
-        ("row_max", vec![("S", sq)]),
-        ("row_exp", vec![("S", sq), ("M", hr)]),
-        ("row_sum", vec![("Ex", sq)]),
-        ("row_softmax", vec![("Ex", sq), ("E", hr)]),
-        ("attnv", vec![("P", sq), ("QKV", rows * 3 * h)]),
-        ("merge_proj", vec![("O", rows * h), ("W", h * h)]),
-        ("ln_sum", vec![("In", rows * h)]),
-        ("ln_var", vec![("In", rows * h), ("S", rows)]),
-        (
-            "ln_norm",
-            vec![
-                ("In", rows * h),
-                ("S", rows),
-                ("V", rows),
-                ("G", h),
-                ("Bt", h),
-            ],
-        ),
-        ("ff1", vec![("In", rows * h), ("W", h * cfg.ff)]),
-        ("bias_gelu", vec![("In", rows * cfg.ff), ("B", cfg.ff)]),
-        ("ff2", vec![("In", rows * cfg.ff), ("W", cfg.ff * h)]),
-    ];
     let want: Vec<String> = std::env::args().skip(1).collect();
     let mut total_ns = 0.0f64;
-    for (label, op) in stages {
-        let p = lower(&op).unwrap();
+    for stage in &STAGES {
+        let label = stage.label;
+        let p = lower(&stage.operator(&geometry)).expect("built-in schedules are legal");
         let c = p.compile();
         let disasm = format!("{}", c.vm());
-        let mut fused = Vec::new();
-        for line in disasm.lines() {
-            let t = line.trim();
-            if t.contains("fmulacc") || t.contains("fmap") {
-                fused.push(t.to_string());
-            }
-        }
-        let ins = &inputs.iter().find(|(l, _)| *l == label).unwrap().1;
-        let data: Vec<(&str, Vec<f32>)> = ins
-            .iter()
-            .map(|(n, sz)| (*n, (0..*sz).map(|x| (x % 97) as f32 * 0.01 - 0.3).collect()))
+        let fused: Vec<&str> = disasm
+            .lines()
+            .map(str::trim)
+            .filter(|t| t.contains("fmulacc") || t.contains("fmap"))
             .collect();
-        let cf = p.compile().with_math_mode(MathMode::Fast);
-        let reps = 10;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(c.run(&data));
-        }
-        let ns = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;
-        let t1 = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(cf.run(&data));
-        }
-        let fast_ns = t1.elapsed().as_secs_f64() * 1e9 / reps as f64;
+        let prep = c
+            .parallel_prep()
+            .expect("built-in schedules verify")
+            .expect("every stage binds a block axis");
+        let hulls = prep.verify_outcome();
+        let data: Vec<(&str, Vec<f32>)> = c
+            .input_names()
+            .into_iter()
+            .map(|name| {
+                let len = hulls.required_input_len(name).unwrap_or(0).max(0) as usize;
+                (name, (0..len).map(|x| (x % 97) as f32 * 0.01).collect())
+            })
+            .collect();
+        let time_ns = |program: &CompiledProgram| {
+            let reps = 10;
+            let t = std::time::Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(program.run(&data));
+            }
+            t.elapsed().as_secs_f64() * 1e9 / reps as f64
+        };
+        let ns = time_ns(&c);
+        let fast_ns = time_ns(&p.compile().with_math_mode(MathMode::Fast));
         total_ns += ns;
         println!(
             "\n=== {label}: {} instrs, fused: {}, strict {:.3} ms, fast {:.3} ms",

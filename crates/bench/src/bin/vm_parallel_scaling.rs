@@ -5,10 +5,10 @@
 //!   2·A[o,i] + 1`, MNLI raggedness) with its batch loop bound to
 //!   `blockIdx.x` — tiny per-block work, so this column is an honest
 //!   measurement of the parallel tier's dispatch overhead;
-//! * `masked_scores`: the compiled triangular masked-attention score
-//!   kernel from `cora_transformer::compiled` — `(pos+1)·head_dim` FLOPs
-//!   per block, longest-first dispatch, the compute-bound shape the
-//!   paper's CPU results depend on.
+//! * `masked_scores`: the encoder stage table's attention-score stage
+//!   under `Attend::Causal` (one head) — `(pos+1)·head_dim` FLOPs per
+//!   block, longest-first dispatch, the compute-bound shape the paper's
+//!   CPU results depend on.
 //!
 //! `Program::compile()` is hoisted out of every timed region (the
 //! closures only execute), and the harness asserts the parallel tier's
@@ -26,7 +26,8 @@ use cora_core::prelude::*;
 use cora_datasets::Dataset;
 use cora_exec::CpuPool;
 use cora_ragged::{Dim, RaggedLayout};
-use cora_transformer::compiled::masked_scores_operator;
+use cora_transformer::encoder_compiled::{stage, Attend, Geometry, SCORES};
+use cora_transformer::EncoderConfig;
 
 fn ragged_2d(name: &str, lens: &[usize]) -> TensorRef {
     let b = Dim::new("batch");
@@ -107,18 +108,25 @@ fn main() {
         });
     }
     {
-        let p = lower(&masked_scores_operator(&lens, head_dim)).expect("legal schedule");
-        let q: Vec<f32> = (0..elems * head_dim)
+        // One head of width `head_dim`: the packed QKV rows are 3·head_dim wide.
+        let cfg = EncoderConfig {
+            hidden: head_dim,
+            heads: 1,
+            head_dim,
+            ff: head_dim,
+            layers: 1,
+        };
+        let causal = Geometry::new(&cfg, &lens, Attend::Causal);
+        let scores = stage(SCORES).expect("the table has a score stage");
+        let p = lower(&scores.operator(&causal)).expect("legal schedule");
+        let qkv: Vec<f32> = (0..elems * 3 * head_dim)
             .map(|x| (x as f32 * 0.37).sin())
-            .collect();
-        let k: Vec<f32> = (0..elems * head_dim)
-            .map(|x| (x as f32 * 0.11).cos())
             .collect();
         let score_elems = p.output_size();
         kernels.push(Kernel {
             name: "masked_scores",
             compiled: p.compile(),
-            inputs: vec![("Q", q), ("K", k)],
+            inputs: vec![("QKV", qkv)],
             elems: score_elems,
             reps: if quick { 3 } else { 10 },
         });

@@ -8,9 +8,12 @@
 //! seeded search driver, the versioned cache) lives in
 //! [`cora_core::autotune`]; this module binds it to the encoder:
 //!
-//! * [`encoder_stage_spaces`] declares, per stage, the candidate
-//!   [`StageChoice`]s — loop reorders, divisible tiling splits, and
-//!   block-axis remap policies. Every candidate is **value-preserving**:
+//! * [`encoder_stage_spaces`] projects the stage table
+//!   ([`crate::encoder_compiled::STAGES`]): every row that names a
+//!   [`Tune`] kind gets that kind's candidate [`StageChoice`]s — loop
+//!   reorders, divisible tiling splits, and block-axis remap policies
+//!   — and [`stage_operator`] is a lookup in the same table. Every
+//!   candidate is **value-preserving**:
 //!   each output element's reduction still accumulates in ascending
 //!   reduction-index order, so tuned layers are bit-identical to the
 //!   default under [`MathMode::Strict`] (locked by
@@ -47,11 +50,7 @@ use cora_exec::{proxy_score, KernelTraits};
 
 use crate::config::EncoderConfig;
 use crate::encoder::RaggedBatch;
-use crate::encoder_compiled::{
-    bias_gelu_operator, enc_attnv_operator, enc_scores_operator, merge_proj_operator,
-    proj_operator, row_exp_operator, row_max_operator, row_softmax_operator, row_sum_operator,
-    score_scale_operator, CompiledEncoderLayer,
-};
+use crate::encoder_compiled::{stage, Attend, CompiledEncoderLayer, Geometry, Tune, STAGES};
 use crate::weights::EncoderWeights;
 
 /// Applies one autotuner choice on top of an operator's hand-picked
@@ -92,114 +91,78 @@ fn tile_factor(n: usize) -> Option<usize> {
     [8usize, 4].into_iter().find(|f| n % f == 0)
 }
 
-/// The per-stage schedule spaces of the compiled encoder layer.
-/// Candidate 0 of every space is the hand-picked default. All
-/// candidates preserve each output element's reduction accumulation
-/// order, so every schedule this enumerator can emit is bit-identical
-/// to the default under [`MathMode::Strict`].
-pub fn encoder_stage_spaces(cfg: &EncoderConfig) -> Vec<StageSpace> {
-    let (h, ff) = (cfg.hidden, cfg.ff);
+/// The candidates of one tuned kind, candidate 0 being the hand-picked
+/// default. Tile factors are read off the stage's own operator (its
+/// loop extents), so a stage's dimensions are written once — in the
+/// stage table. All candidates preserve each output element's
+/// reduction accumulation order.
+fn candidates(tune: Tune, op: &Operator) -> Vec<StageChoice> {
     let d = StageChoice::default_choice;
-    let mut spaces = Vec::new();
-
-    // Projection GEMMs (default i-k-j): alternate i-j-k order, column
-    // tiling, and reduction tiling. Splitting `d` into `d_o, d_i` still
-    // enumerates the reduction in ascending `d` per output element.
-    for (stage, k, n) in [("qkv_proj", h, 3 * h), ("ff1", h, ff), ("ff2", ff, h)] {
-        let mut c = vec![d(), d().with_reorder(&["r", "c", "d"])];
-        if let Some(f) = tile_factor(n) {
-            c.push(d().with_split("c", f));
+    let tile = |name: &str| tile_factor(op.find_loop(name)?.extent.max());
+    let remaps = |a, b| [d().with_remap(a), d().with_remap(b)];
+    let dispatch = remaps(RemapPolicy::Identity, RemapPolicy::Reversed);
+    let mut c = vec![d()];
+    match tune {
+        // Default i-k-j: alternate i-j-k order, column tiling, and
+        // reduction tiling. Splitting `d` into `d_o, d_i` still
+        // enumerates the reduction in ascending `d` per output element.
+        Tune::Gemm => {
+            let ijk = || d().with_reorder(&["r", "c", "d"]);
+            c.push(ijk());
+            c.extend(tile("c").map(|f| d().with_split("c", f)));
+            c.extend(tile("d").map(|f| ijk().with_split("d", f)));
         }
-        if let Some(f) = tile_factor(k) {
-            c.push(d().with_reorder(&["r", "c", "d"]).with_split("d", f));
+        // Default r, head, e, c: any order keeping (head, e)
+        // lexicographically ascending per element is bit-identical.
+        Tune::MergeProj => {
+            c.push(d().with_reorder(&["r", "c", "head", "e"]));
+            c.push(d().with_reorder(&["r", "head", "c", "e"]));
+            c.extend(tile("c").map(|f| d().with_split("c", f)));
         }
-        spaces.push(StageSpace::new(stage, c));
+        // The `d` reduction can move inside-out, and the ragged block
+        // axis can dispatch under any remap policy.
+        Tune::Scores => {
+            c.push(d().with_reorder(&["hr", "d", "j"]));
+            c.extend(dispatch);
+        }
+        // Default hr, j, e: saxpy vs dot inner shape.
+        Tune::Attnv => {
+            c.push(d().with_reorder(&["hr", "e", "j"]));
+            c.extend(dispatch);
+        }
+        // Dispatch-order only (numerically the remap changes nothing;
+        // it only reorders block execution).
+        Tune::RaggedSweep => c.extend(dispatch),
+        // Rows are uniform, so this probes dispatch overhead, not
+        // balance.
+        Tune::DenseSweep => c.extend(remaps(RemapPolicy::LongestFirst, RemapPolicy::Reversed)),
+        Tune::None => {}
     }
-
-    // Head-merging output projection (default r, head, e, c): any order
-    // keeping (head, e) lexicographically ascending per element is
-    // bit-identical.
-    let mut c = vec![
-        d(),
-        d().with_reorder(&["r", "c", "head", "e"]),
-        d().with_reorder(&["r", "head", "c", "e"]),
-    ];
-    if let Some(f) = tile_factor(h) {
-        c.push(d().with_split("c", f));
-    }
-    spaces.push(StageSpace::new("out_proj", c));
-
-    // Attention score GEMM: the `d` reduction can move inside-out, and
-    // the ragged block axis can dispatch under any remap policy.
-    spaces.push(StageSpace::new(
-        "scores",
-        vec![
-            d(),
-            d().with_reorder(&["hr", "d", "j"]),
-            d().with_remap(RemapPolicy::Identity),
-            d().with_remap(RemapPolicy::Reversed),
-        ],
-    ));
-
-    // Attention × values (default hr, j, e): saxpy vs dot inner shape.
-    spaces.push(StageSpace::new(
-        "attnv",
-        vec![
-            d(),
-            d().with_reorder(&["hr", "e", "j"]),
-            d().with_remap(RemapPolicy::Identity),
-            d().with_remap(RemapPolicy::Reversed),
-        ],
-    ));
-
-    // Ragged row sweeps: dispatch-order-only spaces (numerically the
-    // remap changes nothing; it only reorders block execution).
-    for stage in ["scale", "row_max", "row_exp", "row_sum", "row_softmax"] {
-        spaces.push(StageSpace::new(
-            stage,
-            vec![
-                d(),
-                d().with_remap(RemapPolicy::Identity),
-                d().with_remap(RemapPolicy::Reversed),
-            ],
-        ));
-    }
-
-    // Dense GELU sweep: remap-only (rows are uniform, so this probes
-    // dispatch overhead, not balance).
-    spaces.push(StageSpace::new(
-        "ff1_bias_gelu",
-        vec![
-            d(),
-            d().with_remap(RemapPolicy::LongestFirst),
-            d().with_remap(RemapPolicy::Reversed),
-        ],
-    ));
-
-    spaces
+    c
 }
 
-/// Builds the standalone operator of a tunable stage for one batch
-/// shape — the unit the per-stage micro-benchmarks compile and run.
-/// Returns `None` for stage labels this enumerator does not tune.
-pub fn stage_operator(stage: &str, cfg: &EncoderConfig, lens: &[usize]) -> Option<Operator> {
-    let rows: usize = lens.iter().sum();
-    let (h, ff) = (cfg.hidden, cfg.ff);
-    Some(match stage {
-        "qkv_proj" => proj_operator("qkv_proj", rows, h, 3 * h),
-        "ff1" => proj_operator("ff1", rows, h, ff),
-        "ff2" => proj_operator("ff2", rows, ff, h),
-        "out_proj" => merge_proj_operator(cfg, rows),
-        "scores" => enc_scores_operator(cfg, lens),
-        "scale" => score_scale_operator(cfg, lens),
-        "row_max" => row_max_operator(cfg, lens),
-        "row_exp" => row_exp_operator(cfg, lens),
-        "row_sum" => row_sum_operator(cfg, lens),
-        "row_softmax" => row_softmax_operator(cfg, lens),
-        "attnv" => enc_attnv_operator(cfg, lens),
-        "ff1_bias_gelu" => bias_gelu_operator("ff1_bias_gelu", rows, ff),
-        _ => return None,
-    })
+/// The per-stage schedule spaces of the compiled encoder layer: one per
+/// row of the stage table that names a [`Tune`] kind, heaviest kind
+/// first (the order [`Tune`] declares), table order within a kind.
+/// Candidate 0 of every space is the hand-picked default, and every
+/// schedule this enumerator can emit is bit-identical to the default
+/// under [`MathMode::Strict`].
+pub fn encoder_stage_spaces(cfg: &EncoderConfig) -> Vec<StageSpace> {
+    // Only row counts depend on the batch; tile factors do not.
+    let one_row = Geometry::new(cfg, &[1], Attend::Full);
+    let mut tuned: Vec<_> = STAGES.iter().filter(|s| s.tune != Tune::None).collect();
+    tuned.sort_by_key(|s| s.tune);
+    tuned
+        .into_iter()
+        .map(|s| StageSpace::new(s.label, candidates(s.tune, &s.operator(&one_row))))
+        .collect()
+}
+
+/// The standalone operator of a stage (any row of the stage table) for
+/// one batch shape under full attention — the unit the per-stage
+/// micro-benchmarks compile and run. `None` for an unknown label.
+pub fn stage_operator(label: &str, cfg: &EncoderConfig, lens: &[usize]) -> Option<Operator> {
+    Some(stage(label)?.operator(&Geometry::new(cfg, lens, Attend::Full)))
 }
 
 /// Analytic pruning estimate for one candidate (arbitrary units,
@@ -463,17 +426,26 @@ impl EncoderAutotuner {
         }
 
         // Fallback guarantee: the assembled winner must beat the
-        // hand-picked default end-to-end, or the default ships.
-        let (default_score, tuned_score) = self.end_to_end(cfg, lens, math, &outcome.chosen)?;
-        outcome.default_score = default_score;
-        outcome.tuned_score = tuned_score;
-        if tuned_score > default_score {
-            outcome.chosen.clear();
-            outcome.fell_back = true;
-            outcome.tuned_score = default_score;
+        // hand-picked default end-to-end, or the default ships. With
+        // nothing chosen the winner *is* the default: timing two
+        // identical layers would only let noise set `fell_back`.
+        let w = EncoderWeights::random(cfg, self.seed ^ 0x5EED);
+        let x = RaggedBatch::random(lens, cfg.hidden, self.seed ^ 0xBA7C);
+        let mut layer = CompiledEncoderLayer::build_with_math(cfg, lens, math)?;
+        outcome.default_score = self.score_layer(&layer, &w, &x)?;
+        outcome.tuned_score = outcome.default_score;
+        if !outcome.chosen.is_empty() {
+            let tuned = CompiledEncoderLayer::build_with_choices(cfg, lens, math, &outcome.chosen)?;
+            let tuned_score = self.score_layer(&tuned, &w, &x)?;
+            if tuned_score > outcome.default_score {
+                outcome.chosen.clear();
+                outcome.fell_back = true;
+            } else {
+                outcome.tuned_score = tuned_score;
+                layer = tuned;
+            }
         }
 
-        let layer = CompiledEncoderLayer::build_with_choices(cfg, lens, math, &outcome.chosen)?;
         self.cache.insert(
             &bucket,
             CacheEntry {
@@ -549,27 +521,10 @@ impl EncoderAutotuner {
         }
     }
 
-    /// End-to-end scores `(default, tuned)` of the full layer on seeded
-    /// synthetic weights/activations (serial runs — dispatch-order
-    /// candidates are judged by their serial cost here; the parallel
-    /// tier's balance gains ride along for free).
-    fn end_to_end(
-        &self,
-        cfg: &EncoderConfig,
-        lens: &[usize],
-        math: MathMode,
-        chosen: &BTreeMap<String, StageChoice>,
-    ) -> Result<(f64, f64), ScheduleError> {
-        let default = CompiledEncoderLayer::build_with_math(cfg, lens, math)?;
-        let tuned = CompiledEncoderLayer::build_with_choices(cfg, lens, math, chosen)?;
-        let w = EncoderWeights::random(cfg, self.seed ^ 0x5EED);
-        let x = RaggedBatch::random(lens, cfg.hidden, self.seed ^ 0xBA7C);
-        Ok((
-            self.score_layer(&default, &w, &x)?,
-            self.score_layer(&tuned, &w, &x)?,
-        ))
-    }
-
+    /// End-to-end score of a built layer on seeded synthetic
+    /// weights/activations (serial runs — dispatch-order candidates are
+    /// judged by their serial cost here; the parallel tier's balance
+    /// gains ride along for free).
     fn score_layer(
         &self,
         layer: &CompiledEncoderLayer,
@@ -664,6 +619,23 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(second.trials, 0);
         assert_eq!(second.chosen, first.chosen);
+    }
+
+    #[test]
+    fn empty_search_ships_the_default_without_a_comparison() {
+        // Wall-clock mode, zero trials: nothing is chosen, so the
+        // default ships as built — no tuned-vs-default timing of two
+        // identical layers whose noise could set `fell_back`.
+        let cfg = EncoderConfig::scaled(8);
+        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(0), 42);
+        let (layer, out) = tuner
+            .tuned_layer(&cfg, &[5, 2, 7], MathMode::Strict)
+            .unwrap();
+        assert!(out.chosen.is_empty() && out.trials == 0);
+        assert!(!out.fell_back, "nothing was compared");
+        assert!(out.default_score > 0.0);
+        assert_eq!(out.tuned_score, out.default_score);
+        assert_eq!(layer.rows(), 14);
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! ragged and padded encoder layers (real CPU execution), CPU MHA with
 //! micro-batching baselines, simulated-GPU encoder implementations
 //! (PyTorch / FT / FT-Eff / CoRa), masked SDPA, operation-splitting and
-//! hfusion ablations, prelude-overhead measurement, and the
-//! compiler-generated masked attention path ([`compiled`]) whose ragged
-//! triangular kernels run on the parallel compiled tier.
+//! hfusion ablations, prelude-overhead measurement, and the compiled
+//! tier ([`encoder_compiled`]): one declarative stage table from which
+//! the 21-stage encoder layer, its causal masked-attention prefix
+//! ([`encoder_compiled::Attend`]), the autotuner's search spaces
+//! ([`autotune`]) and the disassembly tool are all derived. To add or
+//! fuse a stage, edit that table — nothing else lists the stages.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod autotune;
-pub mod compiled;
 pub mod config;
 pub mod encoder;
 pub mod encoder_compiled;
@@ -30,7 +32,7 @@ pub use autotune::{EncoderAutotuner, TuneOutcome};
 pub use config::EncoderConfig;
 pub use encoder::{encoder_layer_padded, encoder_layer_ragged, RaggedBatch};
 pub use encoder_compiled::{
-    encoder_layer_compiled, CompiledEncoderLayer, EncoderPrep, EncoderSession,
+    encoder_layer_compiled, masked_mha_compiled, CompiledEncoderLayer, EncoderPrep, EncoderSession,
 };
 pub use gpu::{EncoderImpl, EncoderSim};
 pub use weights::EncoderWeights;

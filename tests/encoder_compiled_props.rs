@@ -10,6 +10,10 @@
 //! * report per-stage `InterpStats` whose parallel (per-worker-summed)
 //!   values equal the serial run's exactly.
 //!
+//! The same table under `Attend::Causal` — the masked-MHA block — is
+//! held to `masked_mha_ragged` the same way, plus the property that
+//! defines it: no token's output depends on a later token.
+//!
 //! The encoder pipeline is the paper's end-to-end artifact; this suite
 //! is what locks it to the reference implementation.
 
@@ -17,7 +21,10 @@ use proptest::prelude::*;
 
 use cora::exec::{CpuPool, MathMode};
 use cora::transformer::encoder_compiled::CompiledEncoderLayer;
-use cora::transformer::{encoder_layer_ragged, EncoderConfig, EncoderWeights, RaggedBatch};
+use cora::transformer::masked_mha::masked_mha_ragged;
+use cora::transformer::{
+    encoder_layer_ragged, masked_mha_compiled, EncoderConfig, EncoderWeights, RaggedBatch,
+};
 
 fn small_config(heads: usize, head_dim: usize, ff_mult: usize) -> EncoderConfig {
     EncoderConfig {
@@ -163,6 +170,104 @@ proptest! {
                 fb, pb,
                 "fast parallel output diverges at {} workers", workers
             );
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// The causal variant of the stage table (masked MHA: the attention
+    /// prefix under `Attend::Causal` plus the output bias), across
+    /// random raggedness (0-/1-length sequences included) × heads:
+    /// matches the hand-written `masked_mha_ragged`, is triangular and
+    /// proven block-parallel, runs bit-identically serially and at 1, 2
+    /// and 8 workers, and never lets a later token reach an earlier one.
+    #[test]
+    fn causal_masked_mha_matches_reference_and_never_leaks(
+        lens in prop::collection::vec(0usize..7, 1..5),
+        heads_idx in 0usize..3,
+        head_dim_idx in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let heads = [1usize, 2, 4][heads_idx];
+        let head_dim = [2usize, 4, 8][head_dim_idx];
+        let cfg = small_config(heads, head_dim, 1);
+        let h = cfg.hidden;
+        let w = EncoderWeights::random(&cfg, seed);
+        let x = RaggedBatch::random(&lens, h, seed.wrapping_add(1));
+        let rows: usize = lens.iter().sum();
+
+        let reference = masked_mha_ragged(&CpuPool::new(4), &cfg, &w, &x);
+        let layer = CompiledEncoderLayer::build_masked_mha(&cfg, &lens).expect("legal schedules");
+        let mut session = layer.session().expect("stages outline");
+        let serial = session.run(None, &w, &x);
+        prop_assert_eq!(serial.output.len(), reference.len());
+        let worst = reference
+            .iter()
+            .zip(&serial.output)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        prop_assert!(
+            worst < 1e-3,
+            "compiled masked MHA diverges from reference by {} (rows = {})",
+            worst,
+            rows
+        );
+
+        // Triangular and block-bound: the score stage stores `pos + 1`
+        // entries per (head, row), and every stage carries a proof for
+        // the parallel tier — one block per (head, row) in attention.
+        if let Some(pipeline) = layer.pipeline() {
+            let triangle: usize = lens.iter().map(|l| l * (l + 1) / 2).sum();
+            let (_, scores) = pipeline
+                .stage_programs()
+                .find(|(label, _)| *label == "scores")
+                .expect("the attention prefix has a score stage");
+            prop_assert_eq!(scores.output_size(), heads * triangle);
+            for (label, outcome) in session.verify_outcomes() {
+                let outcome = outcome.expect("every stage binds a block axis");
+                if label == "scores" {
+                    prop_assert_eq!(outcome.n_blocks, heads * rows);
+                }
+            }
+        }
+
+        // Serial, every worker count, session reuse and the one-shot
+        // convenience: bit-identical outputs, equal statistics.
+        for workers in [1usize, 2, 8] {
+            let pool = CpuPool::new(workers);
+            let par = session.run(Some(&pool), &w, &x);
+            prop_assert_eq!(
+                bits(&par.output), bits(&serial.output),
+                "parallel output diverges at {} workers", workers
+            );
+            prop_assert_eq!(par.total_stats(), serial.total_stats());
+        }
+        let one_shot = masked_mha_compiled(&CpuPool::new(2), &cfg, &w, &x);
+        prop_assert_eq!(bits(&one_shot), bits(&serial.output));
+
+        // Causality: perturb the last token of the first non-empty
+        // sequence. Only that token's own row may change — not the
+        // earlier rows of its sequence, not any other sequence.
+        if let Some(s) = lens.iter().position(|&l| l > 0) {
+            let last = x.row_offset(s) + lens[s] - 1;
+            let mut moved = x.clone();
+            for v in &mut moved.data[last * h..(last + 1) * h] {
+                *v += 1.0;
+            }
+            let y = session.run(None, &w, &moved).output;
+            let (before, own, after) = (..last * h, last * h..(last + 1) * h, (last + 1) * h..);
+            prop_assert_eq!(
+                bits(&y[before]), bits(&serial.output[before]),
+                "future tokens must not leak"
+            );
+            prop_assert_eq!(bits(&y[after.clone()]), bits(&serial.output[after]));
+            prop_assert_ne!(bits(&y[own.clone()]), bits(&serial.output[own]));
         }
     }
 }

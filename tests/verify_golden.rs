@@ -6,7 +6,10 @@
 //! For each of the 21 encoder stages at two fixed ragged shapes it pins
 //! the whole verdict: the number of blocks proven, the store sites
 //! visited, the required input lengths, and a hash over every block's
-//! certified store regions in certificate order. Any change to the
+//! certified store regions in certificate order. (The causal tables —
+//! the 11 stages of the masked-MHA block at the same shapes — were
+//! recorded later, when the masked-attention operators were folded
+//! into the encoder's stage table.) Any change to the
 //! abstract domain, guard narrowing, site accounting or certificate
 //! assembly shows up here as a one-line diff.
 
@@ -72,9 +75,11 @@ fn stage_line(label: &str, outcome: &cora::core::verify::VerifyOutcome) -> Strin
     )
 }
 
-fn verdicts(lens: &[usize]) -> Vec<String> {
+type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
+
+fn verdicts(build: Build, lens: &[usize]) -> Vec<String> {
     let cfg = EncoderConfig::scaled(8);
-    let layer = CompiledEncoderLayer::build(&cfg, lens).expect("builds");
+    let layer = build(&cfg, lens).expect("builds");
     let session = layer.session().expect("verifies");
     session
         .verify_outcomes()
@@ -86,8 +91,8 @@ fn verdicts(lens: &[usize]) -> Vec<String> {
         .collect()
 }
 
-fn check(lens: &[usize], golden: &[&str]) {
-    let actual = verdicts(lens);
+fn check(build: Build, lens: &[usize], golden: &[&str]) {
+    let actual = verdicts(build, lens);
     assert_eq!(
         actual,
         golden,
@@ -113,12 +118,22 @@ const MNLI_LENS: [usize; 8] = [21, 34, 9, 17, 40, 13, 28, 6];
 
 #[test]
 fn encoder_stage_verdicts_match_the_recorded_golden_edge_shape() {
-    check(&EDGE_LENS, &EDGE_GOLDEN);
+    check(CompiledEncoderLayer::build, &EDGE_LENS, &EDGE_GOLDEN);
 }
 
 #[test]
 fn encoder_stage_verdicts_match_the_recorded_golden_mnli_shape() {
-    check(&MNLI_LENS, &MNLI_GOLDEN);
+    check(CompiledEncoderLayer::build, &MNLI_LENS, &MNLI_GOLDEN);
+}
+
+/// The same operators under `Attend::Causal`: triangular score shapes,
+/// so the attention stages' hulls and regions differ from the lines
+/// above while the dense stages' agree.
+#[test]
+fn causal_stage_verdicts_match_the_recorded_golden() {
+    let build: Build = CompiledEncoderLayer::build_masked_mha;
+    check(build, &EDGE_LENS, &CAUSAL_EDGE_GOLDEN);
+    check(build, &MNLI_LENS, &CAUSAL_MNLI_GOLDEN);
 }
 
 fn ragged_2d(name: &str, lens: &[usize], pad: usize) -> TensorRef {
@@ -247,4 +262,32 @@ const MNLI_GOLDEN: [&str; 21] = [
     "ln2_sum blocks=168 sites=1 required=[In=10752] regions=8dc1a9ea83af8125",
     "ln2_var blocks=168 sites=1 required=[In=10752,S=168] regions=8dc1a9ea83af8125",
     "ln2_norm blocks=168 sites=1 required=[Bt=64,G=64,In=10752,S=168,V=168] regions=8c852945db6d4d65",
+];
+
+const CAUSAL_EDGE_GOLDEN: [&str; 11] = [
+    "qkv_proj blocks=29 sites=1 required=[In=1856,W=12288] regions=fbf50b82326004be",
+    "qkv_bias blocks=29 sites=1 required=[B=192,In=5568] regions=fbf50b82326004be",
+    "scores blocks=232 sites=1 required=[QKV=5504] regions=7a086466c5f8ab99",
+    "scale blocks=232 sites=1 required=[S=1032] regions=7a086466c5f8ab99",
+    "row_max blocks=232 sites=1 required=[S=1032] regions=4ddaef7d54cf5525",
+    "row_exp blocks=232 sites=1 required=[M=232,S=1032] regions=7a086466c5f8ab99",
+    "row_sum blocks=232 sites=1 required=[Ex=1032] regions=4ddaef7d54cf5525",
+    "row_softmax blocks=232 sites=1 required=[E=232,Ex=1032] regions=7a086466c5f8ab99",
+    "attnv blocks=232 sites=1 required=[P=1032,QKV=5568] regions=5e866b201c4e2f45",
+    "out_proj blocks=29 sites=1 required=[O=1856,W=4096] regions=9d3966ef1f1b16c0",
+    "attn_bias blocks=29 sites=1 required=[B=64,In=1856] regions=9d3966ef1f1b16c0",
+];
+
+const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
+    "qkv_proj blocks=168 sites=1 required=[In=10752,W=12288] regions=1b0f792f4f778b89",
+    "qkv_bias blocks=168 sites=1 required=[B=192,In=32256] regions=1b0f792f4f778b89",
+    "scores blocks=1344 sites=1 required=[QKV=32192] regions=cadf308fed9a597c",
+    "scale blocks=1344 sites=1 required=[S=18896] regions=cadf308fed9a597c",
+    "row_max blocks=1344 sites=1 required=[S=18896] regions=ab854977a20377e5",
+    "row_exp blocks=1344 sites=1 required=[M=1344,S=18896] regions=cadf308fed9a597c",
+    "row_sum blocks=1344 sites=1 required=[Ex=18896] regions=ab854977a20377e5",
+    "row_softmax blocks=1344 sites=1 required=[E=1344,Ex=18896] regions=cadf308fed9a597c",
+    "attnv blocks=1344 sites=1 required=[P=18896,QKV=32256] regions=cdc73b6460a938a5",
+    "out_proj blocks=168 sites=1 required=[O=10752,W=4096] regions=8c852945db6d4d65",
+    "attn_bias blocks=168 sites=1 required=[B=64,In=10752] regions=8c852945db6d4d65",
 ];

@@ -17,7 +17,7 @@ use stats_alloc::{Region, Stats, StatsAlloc, INSTRUMENTED_SYSTEM};
 use cora::core::prelude::*;
 use cora::core::verify::{ProofProgram, VerifyCtx};
 use cora::ir::{Env, Stmt};
-use cora::transformer::encoder_compiled::enc_scores_operator;
+use cora::transformer::autotune::stage_operator;
 use cora::transformer::EncoderConfig;
 
 #[global_allocator]
@@ -74,7 +74,8 @@ fn per_block_walk_never_allocates() {
     // Unguarded: the encoder's attention-scores stage as lowered, with
     // its prelude tables bound the way `parallel_prep` binds them.
     let cfg = EncoderConfig::scaled(8);
-    let program = lower(&enc_scores_operator(&cfg, &lens)).expect("legal schedule");
+    let scores = stage_operator("scores", &cfg, &lens).expect("a table stage");
+    let program = lower(&scores).expect("legal schedule");
     let o = outline(program.stmt(), program.output_name())
         .expect("outlinable")
         .expect("block axis bound");
