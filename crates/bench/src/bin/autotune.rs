@@ -1,5 +1,6 @@
-//! The shape-bucketed schedule autotuner end-to-end: tuning time vs
-//! speedup on the fig02-sized (MNLI-shaped) compiled encoder layer.
+//! The shape-bucketed schedule autotuner end-to-end on the fig02-sized
+//! (MNLI-shaped) compiled encoder layer: what it searched, what it
+//! chose, and the cache file it wrote.
 //!
 //! The harness runs [`cora_transformer::autotune::EncoderAutotuner`]
 //! against a fresh tuning cache, then exercises the two properties the
@@ -8,23 +9,27 @@
 //! * **Never slower than the hand-picked default** — the tuner's
 //!   end-to-end fallback rejects any assembled winner that does not
 //!   beat the default, so the shipped schedule's score is asserted
-//!   `<=` the default's before any timing happens; the Strict tuned
-//!   output is additionally asserted bit-identical to the default's.
+//!   `<=` the default's; the Strict tuned output is additionally
+//!   asserted bit-identical to the default's.
 //! * **Zero-trial cache hits** — a second batch in the same shape
 //!   bucket (resampled lengths, same histogram classes) must come back
 //!   from the cache without a single search trial.
 //!
-//! Writes `BENCH_autotune.json` (schema v1). `--quick` shrinks batch
-//! and reps for CI; `--seed=N` redirects sampling and the candidate
-//! visit order; `--deterministic` swaps wall-clock micro-benchmarks for
-//! the proxy-score measurer (two identically seeded runs then write
-//! byte-identical cache files — the `tune-determinism` CI job runs this
-//! binary twice and `cmp`s the caches); `--cache=PATH` persists the
-//! cache there (default: fresh file under the target dir).
+//! Nothing here is timed beyond the tuner's own `tuning_ms`: what a
+//! search costs and what a cache hit costs are `perf_ledger`'s
+//! `transformer.autotune.{tune_ms,trials,cache_hit_ms}`.
+//!
+//! `--quick` shrinks the batch for CI; `--seed=N` redirects sampling
+//! and the candidate visit order; `--deterministic` swaps wall-clock
+//! micro-benchmarks for the proxy-score measurer (two identically
+//! seeded runs then write byte-identical cache files — the
+//! `tune-determinism` CI job runs this binary twice and `cmp`s the
+//! caches); `--cache=PATH` persists the cache there (default: fresh
+//! file under the temp dir).
 
-use cora_bench::{f2, flag, opt, opt_usize, print_table, seed, time_ns, Report};
+use cora_bench::{f2, flag, opt, opt_usize, seed};
 use cora_datasets::Dataset;
-use cora_exec::{CpuPool, MathMode};
+use cora_exec::MathMode;
 use cora_transformer::autotune::{bucket_key, EncoderAutotuner};
 use cora_transformer::encoder_compiled::CompiledEncoderLayer;
 use cora_transformer::{EncoderConfig, EncoderWeights, RaggedBatch};
@@ -36,11 +41,9 @@ fn main() {
     let deterministic = flag("deterministic");
     let scale = opt_usize("scale", 8);
     let batch = opt_usize("batch", if quick { 8 } else { 32 });
-    let reps = opt_usize("reps", if quick { 3 } else { 10 });
     let trials = opt_usize("trials", 64);
     let seed = seed();
     let cfg = EncoderConfig::scaled(scale);
-    let pool = CpuPool::host();
 
     let cache_path = opt("cache")
         .map(std::path::PathBuf::from)
@@ -53,18 +56,6 @@ fn main() {
     let rows: usize = lens.iter().sum();
     let w = EncoderWeights::random(&cfg, seed.wrapping_add(1));
     let x = RaggedBatch::random(&lens, cfg.hidden, seed.wrapping_add(2));
-
-    let mut report = Report::new("autotune");
-    report
-        .param("dataset", "mnli")
-        .param("seed", seed as usize)
-        .param("batch", batch)
-        .param("rows", rows)
-        .param("hidden", cfg.hidden)
-        .param("threads", pool.threads())
-        .param("deterministic", deterministic)
-        .param("trials_budget", trials)
-        .param("quick", quick);
 
     println!("autotune — shape-bucketed schedule search over the compiled encoder layer");
     println!(
@@ -133,68 +124,6 @@ fn main() {
         cache_path.display()
     );
 
-    // Timings: default vs tuned, serial and parallel.
-    let default_serial_ns = time_ns(reps, || {
-        std::hint::black_box(default_session.forward_serial(&w, &x));
-    });
-    let tuned_serial_ns = time_ns(reps, || {
-        std::hint::black_box(tuned_session.forward_serial(&w, &x));
-    });
-    let default_par_ns = time_ns(reps, || {
-        std::hint::black_box(default_session.forward(&pool, &w, &x));
-    });
-    let tuned_par_ns = time_ns(reps, || {
-        std::hint::black_box(tuned_session.forward(&pool, &w, &x));
-    });
-
-    report
-        .param("search_trials", first.trials)
-        .param("search_pruned", first.pruned)
-        .param("stage_overrides", first.chosen.len())
-        .param("fell_back", first.fell_back)
-        .param("tuning_ms", first.tuning_ms)
-        .param("cache_hit_ms", second.tuning_ms)
-        .param("cache_hit_trials", second.trials);
-    report
-        .measurement("encoder_layer")
-        .param("reps", reps)
-        .variant("default_serial", default_serial_ns)
-        .variant("tuned_serial", tuned_serial_ns)
-        .variant("default_parallel", default_par_ns)
-        .variant("tuned_parallel", tuned_par_ns);
-
-    let ms = |ns: f64| f2(ns / 1e6);
-    print_table(
-        &["variant", "ms/layer", "vs default"],
-        &[
-            vec![
-                "default_serial".into(),
-                ms(default_serial_ns),
-                "1.00".into(),
-            ],
-            vec![
-                "tuned_serial".into(),
-                ms(tuned_serial_ns),
-                f2(default_serial_ns / tuned_serial_ns),
-            ],
-            vec!["default_parallel".into(), ms(default_par_ns), "1.00".into()],
-            vec![
-                "tuned_parallel".into(),
-                ms(tuned_par_ns),
-                f2(default_par_ns / tuned_par_ns),
-            ],
-        ],
-    );
-    println!(
-        "\ntuning cost: {} ms once per bucket; cache hit: {} ms, 0 trials",
-        f2(first.tuning_ms),
-        f2(second.tuning_ms)
-    );
-
-    match report.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write report: {e}"),
-    }
     println!("\nPaper shape: FTuner-style histogram bucketing amortizes one search across");
     println!("every unseen ragged batch in the bucket; the fallback keeps tuned >= default.");
 }

@@ -7,12 +7,11 @@
 //! is gone; its ablation — 121.1 µs vs 19.7 µs per small region — stays
 //! recorded in the pr-2 entry of `BENCH_cpu.json`.)
 //!
-//! Emits `BENCH_fig27_thread_scaling.json` (see `cora_bench::report`).
 //! `--quick` shrinks sizes/reps for CI smoke runs.
 
 use std::hint::black_box;
 
-use cora_bench::{f2, flag, opt_usize, print_table, seed, Report};
+use cora_bench::{f2, flag, opt_usize, print_table, seed};
 use cora_datasets::Dataset;
 use cora_exec::CpuPool;
 use cora_transformer::config::EncoderConfig;
@@ -34,16 +33,6 @@ fn main() {
     let padded_in = x.to_padded(max_len);
     let host = CpuPool::host().threads();
 
-    let mut report = Report::new("fig27_thread_scaling");
-    report
-        .param("dataset", "mnli")
-        .param("seed", seed as usize)
-        .param("batch", bs)
-        .param("hidden", cfg.hidden)
-        .param("reps", reps)
-        .param("host_threads", host)
-        .param("quick", quick);
-
     println!("Fig. 27 — MHA latency (ms) vs thread count, MNLI @ batch {bs}\n");
     let mut rows = Vec::new();
     let mut t = 1usize;
@@ -56,11 +45,6 @@ fn main() {
             let _ = mha_ragged(&pool, &cfg, &w, &x);
         });
         rows.push(vec![t.to_string(), f2(tf), f2(cora)]);
-        report
-            .measurement(&format!("mha_t{t}"))
-            .param("threads", t)
-            .variant_ms("tf_padded", tf)
-            .variant_ms("cora", cora);
         t *= 2;
     }
     print_table(&["threads", "TF(padded)", "CoRa"], &rows);
@@ -81,20 +65,11 @@ fn main() {
         }
     });
     let ns_per_call = total_ms * 1e6 / calls as f64;
-    report
-        .measurement("parallel_for_small_op")
-        .param("calls", calls)
-        .param("n", n_small)
-        .variant("runtime", ns_per_call);
     print_table(
         &["executor", "µs/call"],
         &[vec!["runtime".to_string(), f2(ns_per_call / 1e3)]],
     );
 
-    match report.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write report: {e}"),
-    }
     println!("\nPaper shape: both scale with threads; CoRa stays below the padded");
     println!("implementation at every thread count.");
 }

@@ -8,12 +8,11 @@
 //! recursion + per-expression allocation (interpreter) vs flat register
 //! bytecode (VM).
 //!
-//! Writes `BENCH_interp_vs_vm.json` (schema v1); `--quick` shrinks batch
-//! and repetitions for the CI smoke job.
+//! `--quick` shrinks batch and repetitions for the CI smoke job.
 
 use std::rc::Rc;
 
-use cora_bench::{f2, flag, print_table, seed, time_ns, Report};
+use cora_bench::{f2, flag, print_table, seed, time_ns};
 use cora_core::prelude::*;
 use cora_datasets::Dataset;
 use cora_ragged::{Dim, RaggedLayout};
@@ -57,13 +56,6 @@ fn main() {
     let vm_reps = if quick { 200 } else { 1000 };
 
     let seed = seed();
-    let mut report = Report::new("interp_vs_vm");
-    report
-        .param("dataset", "mnli")
-        .param("seed", seed as usize)
-        .param("batch", batch)
-        .param("quick", quick);
-
     println!("interp_vs_vm — tree-walking interpreter vs bytecode VM (ns per element)");
     println!("batch = {batch} MNLI-shaped sequences, elementwise affine kernel\n");
 
@@ -100,15 +92,10 @@ fn main() {
 
         let interp_per_elem = interp_ns / elems as f64;
         let vm_per_elem = vm_ns / elems as f64;
-        report
-            .measurement(label)
-            .param("elements", elems)
-            .param("vm_instrs", compiled.vm().len())
-            .variant("interp", interp_per_elem)
-            .variant("vm", vm_per_elem);
         rows.push(vec![
             label.to_string(),
             elems.to_string(),
+            compiled.vm().len().to_string(),
             f2(interp_per_elem),
             f2(vm_per_elem),
             f2(interp_per_elem / vm_per_elem),
@@ -116,14 +103,16 @@ fn main() {
     }
 
     print_table(
-        &["kernel", "elems", "interp ns/elem", "vm ns/elem", "speedup"],
+        &[
+            "kernel",
+            "elems",
+            "vm instrs",
+            "interp ns/elem",
+            "vm ns/elem",
+            "speedup",
+        ],
         &rows,
     );
-
-    match report.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write report: {e}"),
-    }
     println!("\nPaper shape: the compiled tier must be >= 5x the interpreter on");
     println!("fig02-sized ragged kernels; CoRa's claim is dense-kernel speed, so");
     println!("the numeric path cannot afford per-access string hashing.");

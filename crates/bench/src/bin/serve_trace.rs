@@ -1,25 +1,24 @@
-//! Open-loop serving bench: replays a seeded arrival trace against the
-//! continuous-batching server ([`cora_serve`]) and reports steady-state
-//! throughput plus p50/p99 request latency.
+//! Deterministic serving simulation: replays a seeded open-loop
+//! arrival trace against the continuous-batching server
+//! ([`cora_serve`]) under `Server::run_sim` — virtual time, analytic
+//! service model, zero threads, a disabled autotuner — asserts every
+//! request completes, and prints the batching summary.
 //!
-//! Two modes:
+//! Same seed ⇒ byte-identical event log; `--log=PATH` dumps it, which
+//! is what the CI determinism gate byte-compares across two separate
+//! processes. Nothing here is timed: wall-clock serving numbers
+//! (throughput, latency percentiles, pool behaviour under real
+//! threads) are `perf_ledger`'s `serve_quantized` / `serve_unquantized`
+//! workloads.
 //!
-//! * default — **threaded**: a feeder thread replays the trace against
-//!   the wall clock while the scheduler packs ragged microbatches and
-//!   runs them on the CPU pool (`Server::run_threaded`). Real numbers,
-//!   not reproducible bit-for-bit.
-//! * `--sim` — **deterministic simulation**: virtual time, analytic
-//!   service model, zero threads (`Server::run_sim`). Same seed ⇒
-//!   byte-identical event log; `--log=PATH` dumps it, which is what the
-//!   CI determinism gate byte-compares across two separate processes.
-//!
-//! Writes `BENCH_serve_trace.json` (schema v1); `--quick` shrinks the
-//! trace for the CI smoke job; `--seed=N` reseeds the trace;
-//! `--requests=N` / `--gap-us=N` reshape the offered load.
+//! `--quick` shrinks the trace for CI; `--seed=N` reseeds it;
+//! `--requests=N` / `--gap-us=N` reshape the offered load;
+//! `--max-seqs=N` / `--max-wait-us=N` set the batching policy.
 
-use cora_bench::{f2, flag, opt, opt_usize, print_table, seed, Report};
-use cora_exec::CpuPool;
+use cora_bench::{f2, flag, opt, opt_usize, print_table, seed};
+use cora_core::autotune::TuneBudget;
 use cora_serve::{Request, Server, ServerConfig, ServiceModel, TraceSource};
+use cora_transformer::autotune::EncoderAutotuner;
 use cora_transformer::{EncoderConfig, EncoderWeights};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -50,7 +49,6 @@ fn make_trace(
 
 fn main() {
     let quick = flag("quick");
-    let sim = flag("sim");
     let log_path = opt("log");
     let seed = seed();
     let requests = opt_usize("requests", if quick { 32 } else { 128 });
@@ -58,7 +56,7 @@ fn main() {
     let scale = opt_usize("scale", 8);
 
     let encoder = EncoderConfig::scaled(scale);
-    let mut cfg = ServerConfig::new(encoder).apply_env();
+    let mut cfg = ServerConfig::new(encoder);
     cfg.policy.max_batch_seqs = opt_usize("max-seqs", if quick { 4 } else { 8 });
     // A wide deadline keeps affinity packing in charge (overdue
     // requests override affinity and produce mixed, unwarmed shapes).
@@ -71,102 +69,64 @@ fn main() {
         .flat_map(|&l| (1..=cfg.policy.max_batch_seqs).map(move |k| vec![l; k]))
         .collect();
     cfg.pool_capacity = cfg.pool_capacity.max(shapes.len());
-    let policy = cfg.policy.clone();
     let weights = EncoderWeights::random(&encoder, seed.wrapping_add(1));
     let gap_ns = gap_us as u64 * 1_000;
     let trace = make_trace(seed, requests, encoder.hidden, len_set, gap_ns, 0);
     let rows: usize = trace.iter().map(|r| r.len).sum();
 
-    let pool = CpuPool::host();
-    let mode = if sim { "sim" } else { "threaded" };
-    println!("serve_trace — open-loop continuous batching ({mode})");
+    println!("serve_trace — open-loop continuous batching (deterministic simulation)");
     println!(
-        "{requests} requests, {rows} total rows, gap {gap_us} us, lens {len_set:?}, hidden {}, {} threads\n",
-        encoder.hidden,
-        pool.threads()
+        "{requests} requests, {rows} total rows, gap {gap_us} us, lens {len_set:?}, hidden {}\n",
+        encoder.hidden
     );
 
-    // In sim mode the compiled tier still runs for real, but the engine
-    // occupies *virtual* time — latencies below are then virtual too.
-    cfg.differential_check = false;
-    let mut server = Server::new(cfg, weights);
-    // Warm the pool so the measured pass reports steady-state serving,
-    // not one-off compiles (real deployments do exactly this).
-    let t0 = std::time::Instant::now();
+    // A wall-clock schedule search would make the run depend on the
+    // host: misses build the hand-picked schedules.
+    let mut tuner = EncoderAutotuner::new(TuneBudget::default(), seed);
+    tuner.disabled = true;
+    let mut server = Server::with_tuner(cfg, weights, tuner);
+    // Warm the pool so the replay is steady-state serving, not one-off
+    // compiles (real deployments do exactly this).
     server.warm(&shapes).expect("built-in schedules compile");
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
     let warm_stats = server.pool_stats();
-    println!("warmed {} shapes in {} ms\n", shapes.len(), f2(warm_ms));
-    let report_run = if sim {
-        server.run_sim(TraceSource::new(trace), &ServiceModel::default())
-    } else {
-        server.run_threaded(trace, &pool)
-    };
-    let warm_misses = warm_stats.misses;
+    println!("warmed {} shapes\n", shapes.len());
+    // The compiled tier runs for real; the engine occupies *virtual*
+    // time, so the latencies below are virtual too.
+    let report = server.run_sim(TraceSource::new(trace), &ServiceModel::default());
 
     if let Some(path) = log_path {
-        std::fs::write(&path, report_run.event_log()).expect("write event log");
+        std::fs::write(&path, report.event_log()).expect("write event log");
         println!("wrote event log to {path}");
     }
 
-    let ok = report_run
+    let ok = report
         .completions
         .iter()
         .filter(|c| c.result.is_ok())
         .count();
     assert_eq!(ok, requests, "every request must complete successfully");
-    let p50 = report_run.latency_percentile_ns(50.0);
-    let p99 = report_run.latency_percentile_ns(99.0);
-    let rps = report_run.throughput_rps();
+    assert_eq!(report.pool_stats.tune_trials, 0, "the tuner is disabled");
     // Pool counters are cumulative across the warmup; subtract it so the
-    // hit rate below describes the measured (steady-state) pass only.
-    let stats = report_run.pool_stats;
-    let steady_hits = stats.hits - warm_stats.hits;
-    let steady_misses = stats.misses - warm_misses;
-
-    let mut report = Report::new("serve_trace");
-    report
-        .param("seed", seed as usize)
-        .param("quick", quick)
-        .param("mode", mode)
-        .param("requests", requests)
-        .param("rows", rows)
-        .param("gap_us", gap_us)
-        .param("hidden", encoder.hidden)
-        .param("threads", pool.threads())
-        .param("max_batch_rows", policy.max_batch_rows)
-        .param("max_batch_seqs", policy.max_batch_seqs)
-        .param("max_wait_us", (policy.max_wait_ns / 1_000) as usize)
-        .param("batches", report_run.batches.len())
-        .param("pool_hits", steady_hits as usize)
-        .param("pool_misses", steady_misses as usize)
-        .param("warm_misses", warm_misses as usize);
-    report
-        .measurement("latency")
-        .param("percentile_source", "completion - arrival")
-        .variant("p50", p50 as f64)
-        .variant("p99", p99 as f64);
-    report
-        .measurement("throughput")
-        .param("unit", "ns per completed request")
-        .variant("per_request", 1e9 / rps);
+    // hit rate below describes the replayed trace only.
+    let hits = report.pool_stats.hits - warm_stats.hits;
+    let misses = report.pool_stats.misses - warm_stats.misses;
 
     print_table(
         &["metric", "value"],
         &[
-            vec!["p50 latency (ms)".into(), f2(p50 as f64 / 1e6)],
-            vec!["p99 latency (ms)".into(), f2(p99 as f64 / 1e6)],
-            vec!["throughput (req/s)".into(), f2(rps)],
-            vec!["microbatches".into(), report_run.batches.len().to_string()],
+            vec![
+                "virtual p50 latency (ms)".into(),
+                f2(report.latency_percentile_ns(50.0) as f64 / 1e6),
+            ],
+            vec![
+                "virtual p99 latency (ms)".into(),
+                f2(report.latency_percentile_ns(99.0) as f64 / 1e6),
+            ],
+            vec!["microbatches".into(), report.batches.len().to_string()],
             vec![
                 "pool hit rate".into(),
-                f2(steady_hits as f64 / (steady_hits + steady_misses).max(1) as f64),
+                f2(hits as f64 / (hits + misses).max(1) as f64),
             ],
         ],
     );
-
-    match report.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write report: {e}"),
-    }
 }

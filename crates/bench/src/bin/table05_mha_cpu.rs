@@ -8,7 +8,7 @@
 //! CoRa ≤ TF-UB ≤ TF, with gaps widest for skewed datasets — is
 //! scale-invariant because it is driven by the length distribution.
 
-use cora_bench::{f2, flag, opt_usize, print_table, seed, Report};
+use cora_bench::{f2, flag, opt_usize, print_table, seed};
 use cora_datasets::ALL_DATASETS;
 use cora_exec::CpuPool;
 use cora_transformer::config::EncoderConfig;
@@ -37,14 +37,6 @@ fn main() {
     let seed = seed();
     let w = EncoderWeights::random(&cfg, seed);
 
-    let mut report = Report::new("table05_mha_cpu");
-    report
-        .param("threads", pool.threads())
-        .param("seed", seed as usize)
-        .param("hidden", cfg.hidden)
-        .param("reps", reps)
-        .param("quick", quick);
-
     println!(
         "Table 5 — MHA latency in ms (real CPU, {} threads, hidden {}, batches {:?})\n",
         pool.threads(),
@@ -71,13 +63,6 @@ fn main() {
             geo_tf += (tf / cora).ln();
             geo_ub += (tf_ub / cora).ln();
             count += 1;
-            report
-                .measurement(&format!("mha_{}_b{}", ds.name(), bs))
-                .param("dataset", ds.name())
-                .param("batch", bs)
-                .variant_ms("tf_padded", tf)
-                .variant_ms("tf_micro_batched", tf_ub)
-                .variant_ms("cora", cora);
             rows.push(vec![
                 ds.name().to_string(),
                 bs.to_string(),
@@ -93,11 +78,4 @@ fn main() {
     println!(
         "\nGeomean: CoRa {geomean_tf:.2}x faster than TF (paper: 1.57x), {geomean_ub:.2}x faster than TF-UB (paper: 1.37x)"
     );
-    report
-        .param("geomean_speedup_vs_tf", geomean_tf)
-        .param("geomean_speedup_vs_tf_ub", geomean_ub);
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write report: {e}"),
-    }
 }

@@ -2,13 +2,20 @@
 //! memory of the auxiliary structures — CSF-style "sparse storage" vs
 //! CoRa storage vs CoRa loop fusion, plus the host-to-device copy — for
 //! CoLA and RACE at batch sizes 32 and 128, with and without the
-//! prototype's redundant per-operator rebuilds.
+//! prototype's redundant per-operator rebuilds. A last row times what
+//! the structures buy at access time (§5.3): CoRa's O(1) offset
+//! computation vs the CSF tree walk on the attention layout.
 
-use cora_bench::{f3, print_table};
+use std::hint::black_box;
+
+use cora_bench::{f2, f3, print_table, time_ns};
 use cora_datasets::Dataset;
 use cora_exec::cost::GpuModel;
+use cora_ragged::access::offset;
+use cora_ragged::aux::AuxOffsets;
+use cora_ragged::csf::CsfStorage;
 use cora_transformer::config::EncoderConfig;
-use cora_transformer::prelude_costs::measure_prelude;
+use cora_transformer::prelude_costs::{attention_layout, measure_prelude};
 
 fn main() {
     let cfg = EncoderConfig::base();
@@ -54,6 +61,35 @@ fn main() {
             &rows,
         );
     }
+
+    // §5.3: one element access through each scheme's structures.
+    let lens: Vec<usize> = (0..64).map(|i| 32 + (i * 7) % 96).collect();
+    let layout = attention_layout(&cfg, &lens);
+    let aux = AuxOffsets::build(&layout);
+    let csf = CsfStorage::build(&layout);
+    let indices: Vec<[usize; 4]> = (0..1024)
+        .map(|i| {
+            let b = i % lens.len();
+            [b, i % lens[b], i % cfg.heads, (i * 3) % lens[b]]
+        })
+        .collect();
+    let per_access = |f: &dyn Fn(&[usize; 4]) -> usize| {
+        let sweep_ns = time_ns(200, || {
+            let sum = indices
+                .iter()
+                .fold(0usize, |acc, ix| acc.wrapping_add(f(black_box(ix))));
+            black_box(sum);
+        });
+        sweep_ns / indices.len() as f64
+    };
+    let cora_ns = per_access(&|ix| offset(&layout, &aux, ix));
+    let csf_ns = per_access(&|ix| csf.offset(&layout, ix));
+    println!("\n§5.3 — one ragged access, attention layout, 64 sequences (ns)\n");
+    print_table(
+        &["cora O(1) offset", "csf tree walk", "csf / cora"],
+        &[vec![f2(cora_ns), f2(csf_ns), f2(csf_ns / cora_ns)]],
+    );
+
     println!("\nPaper shape: CoRa's storage scheme needs orders of magnitude less");
     println!("time/memory than the sparse (CSF) scheme; loop-fusion maps dominate");
     println!("CoRa's own aux data; the device copy is the largest single cost; and");

@@ -13,15 +13,14 @@
 //! `Program::compile()` is hoisted out of every timed region (the
 //! closures only execute), and the harness asserts the parallel tier's
 //! outputs and aggregated statistics are identical to the serial VM's
-//! before timing anything. Writes `BENCH_vm_parallel_scaling.json`
-//! (schema v1); `--quick` shrinks sizes and repetitions for the CI
-//! smoke job. Note that wall-clock speedup requires real cores:
+//! before timing anything. `--quick` shrinks sizes and repetitions for
+//! the CI smoke job. Note that wall-clock speedup requires real cores:
 //! single-core containers measure scheduling overhead, not parallelism
 //! (pin with `CORA_NUM_THREADS`).
 
 use std::rc::Rc;
 
-use cora_bench::{f2, flag, print_table, seed, time_ns, Report};
+use cora_bench::{f2, flag, print_table, seed, time_ns};
 use cora_core::prelude::*;
 use cora_datasets::Dataset;
 use cora_exec::CpuPool;
@@ -80,17 +79,11 @@ fn main() {
     let thread_counts = [1usize, 2, 4, 8];
 
     let seed = seed();
-    let mut report = Report::new("vm_parallel_scaling");
-    report
-        .param("dataset", "mnli")
-        .param("seed", seed as usize)
-        .param("batch", batch)
-        .param("head_dim", head_dim)
-        .param("host_threads", cora_exec::Runtime::global().threads())
-        .param("quick", quick);
-
     println!("vm_parallel_scaling — serial VM vs parallel compiled tier (ns per element)");
-    println!("batch = {batch} MNLI-shaped sequences, head_dim = {head_dim}\n");
+    println!(
+        "batch = {batch} MNLI-shaped sequences, head_dim = {head_dim}, host_threads = {}\n",
+        cora_exec::Runtime::global().threads()
+    );
 
     let lens = Dataset::Mnli.sample_lengths(batch, seed);
     let elems: usize = lens.iter().sum();
@@ -158,12 +151,6 @@ fn main() {
             });
             let serial_per = serial_ns / kernel.elems as f64;
             let par_per = par_ns / kernel.elems as f64;
-            report
-                .measurement(&format!("{}_t{t}", kernel.name))
-                .param("threads", t)
-                .param("elements", kernel.elems)
-                .variant("vm_serial", serial_per)
-                .variant("vm_parallel", par_per);
             rows.push(vec![
                 kernel.name.to_string(),
                 t.to_string(),
@@ -187,10 +174,6 @@ fn main() {
         &rows,
     );
 
-    match report.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write report: {e}"),
-    }
     println!("\nPaper shape: block-bound ragged kernels must scale with cores on the");
     println!("compiled tier (Fig. 27 / Table 5); on single-core hosts the parallel");
     println!("column measures dispatch overhead instead — read it with host_threads.");

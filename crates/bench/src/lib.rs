@@ -1,14 +1,17 @@
 //! Shared utilities for the experiment harnesses: tiny CLI parsing,
-//! table rendering, machine-readable reports (`BENCH_<name>.json`), and
-//! the matmul experiment builders (Figs. 9/10).
+//! table rendering, a rep timer, and the matmul experiment builders
+//! (Figs. 9/10).
+//!
+//! The binaries in `src/bin/` print the paper's figures and tables and
+//! assert their own correctness gates; none writes a file except the
+//! two assert-and-dump tools (`autotune --cache=PATH`, `serve_trace
+//! --log=PATH`). Numbers that gate a PR come from `perf_ledger/` at the
+//! repo root, not from here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod matmul;
-pub mod report;
-
-pub use report::{Json, Measurement, Report};
 
 /// Returns true if `--name` appears in the process arguments.
 pub fn flag(name: &str) -> bool {
@@ -30,10 +33,9 @@ pub fn opt_usize(name: &str, default: usize) -> usize {
 
 /// The shared `--seed=N` flag of the bench harnesses (default 42).
 ///
-/// Every report-writing binary keys its dataset sampling and data
-/// initialisation off this value and records it as a report param, so a
-/// report JSON is reproducible run-to-run (timings aside) and two runs
-/// with the same seed measure identical work.
+/// A binary that takes it keys its dataset sampling and data
+/// initialisation off this value, so two runs with the same seed
+/// measure identical work.
 pub fn seed() -> u64 {
     opt("seed").and_then(|v| v.parse().ok()).unwrap_or(42)
 }

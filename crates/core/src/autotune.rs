@@ -71,8 +71,7 @@ use crate::schedule::RemapPolicy;
 pub const CACHE_SCHEMA: u32 = 1;
 
 // ---------------------------------------------------------------------
-// Minimal JSON reader (the cache file side of `cora_bench::report`'s
-// dependency-free writer).
+// Minimal dependency-free JSON reader for the cache file.
 // ---------------------------------------------------------------------
 
 /// A parsed JSON value (reader subset; the cache only needs objects,

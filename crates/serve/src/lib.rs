@@ -27,7 +27,7 @@
 //! ([`Server::run_sim`]: virtual time, seeded traces, zero real
 //! threads, byte-stable event logs — what the test suite and the CI
 //! determinism gate drive) or under real threads against the wall
-//! clock ([`Server::run_threaded`], the bench path).
+//! clock ([`Server::run_threaded`], what `perf_ledger` times).
 
 #![forbid(unsafe_code)]
 

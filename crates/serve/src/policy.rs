@@ -16,15 +16,8 @@ use cora_core::autotune::length_class;
 
 use crate::queue::RequestQueue;
 
-/// Knobs of the continuous-batching policy. Environment overrides (all
-/// optional) are layered over a policy by [`BatchPolicy::apply_env`]:
-///
-/// | variable                | meaning                                  |
-/// |-------------------------|------------------------------------------|
-/// | `CORA_SERVE_MAX_ROWS`   | max Σ len per microbatch                 |
-/// | `CORA_SERVE_MAX_SEQS`   | max sequences per microbatch             |
-/// | `CORA_SERVE_MAX_WAIT_US`| dispatch deadline, microseconds          |
-/// | `CORA_SERVE_AFFINITY`   | `1`/`0`: length-bucket affinity packing  |
+/// Knobs of the continuous-batching policy: plain fields the caller
+/// sets over [`BatchPolicy::default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Target cap on total rows (Σ len) per microbatch. A single
@@ -41,16 +34,6 @@ pub struct BatchPolicy {
     pub bucket_affinity: bool,
 }
 
-/// The process environment as a variable lookup.
-pub(crate) fn env_var(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
-
-/// `1`/`true` (any case) is on; everything else is off.
-pub(crate) fn env_flag(v: &str) -> bool {
-    v == "1" || v.eq_ignore_ascii_case("true")
-}
-
 impl Default for BatchPolicy {
     fn default() -> BatchPolicy {
         BatchPolicy {
@@ -63,37 +46,6 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Defaults overridden by the `CORA_SERVE_*` environment knobs.
-    pub fn from_env() -> BatchPolicy {
-        BatchPolicy::default().apply_env()
-    }
-
-    /// Layers the `CORA_SERVE_*` policy knobs over `self`: a field
-    /// changes only when its variable is set and parses (a malformed
-    /// number is ignored; any `CORA_SERVE_AFFINITY` value other than
-    /// `1`/`true` turns affinity off).
-    pub fn apply_env(self) -> BatchPolicy {
-        self.apply_vars(&env_var)
-    }
-
-    /// [`BatchPolicy::apply_env`] reading variables through `get`, so
-    /// tests need not mutate the process environment.
-    pub(crate) fn apply_vars(mut self, get: &dyn Fn(&str) -> Option<String>) -> BatchPolicy {
-        if let Some(v) = get("CORA_SERVE_MAX_ROWS").and_then(|v| v.parse().ok()) {
-            self.max_batch_rows = v;
-        }
-        if let Some(v) = get("CORA_SERVE_MAX_SEQS").and_then(|v| v.parse().ok()) {
-            self.max_batch_seqs = v;
-        }
-        if let Some(us) = get("CORA_SERVE_MAX_WAIT_US").and_then(|v| v.parse::<u64>().ok()) {
-            self.max_wait_ns = us.saturating_mul(1_000);
-        }
-        if let Some(v) = get("CORA_SERVE_AFFINITY") {
-            self.bucket_affinity = env_flag(&v);
-        }
-        self
-    }
-
     /// True when a request that arrived at `arrival_ns` has hit the
     /// deadline at `now`.
     pub fn overdue(&self, arrival_ns: u64, now: u64) -> bool {

@@ -48,6 +48,9 @@ pub struct PoolStats {
     /// Of the misses, how many found tuned schedule choices in the
     /// autotuner's bucket cache.
     pub tune_cache_hits: u64,
+    /// Schedule-search trials the misses ran (the sum of
+    /// `TuneOutcome::trials`): zero under a disabled tuner.
+    pub tune_trials: u64,
 }
 
 /// A checked-out, fully owned serving session: the compiled layer plus
@@ -116,8 +119,8 @@ pub struct SessionPool {
 
 impl SessionPool {
     /// A pool holding at most `capacity` idle sessions (≥ 1). Misses
-    /// build through `tuner`, so its schedule cache (and any
-    /// `CORA_TUNE_*` configuration) is honoured.
+    /// build through `tuner`, so its schedule cache and budget are
+    /// honoured.
     pub fn new(
         cfg: EncoderConfig,
         math: MathMode,
@@ -153,6 +156,7 @@ impl SessionPool {
         if outcome.cache_hit {
             self.stats.tune_cache_hits += 1;
         }
+        self.stats.tune_trials += outcome.trials as u64;
         let prep = layer.prepare()?;
         Ok(PooledSession {
             lens: lens.to_vec(),

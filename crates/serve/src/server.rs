@@ -3,32 +3,26 @@
 //! drivable by a deterministic discrete-event simulator
 //! ([`Server::run_sim`]: virtual time, zero real threads, byte-stable
 //! event logs) or by real threads against the wall clock
-//! ([`Server::run_threaded`], the bench path).
+//! ([`Server::run_threaded`], what `perf_ledger` times).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use cora_core::autotune::TuneBudget;
 use cora_exec::cpu::CpuPool;
 use cora_exec::MathMode;
 use cora_transformer::autotune::EncoderAutotuner;
 use cora_transformer::{CompiledEncoderLayer, EncoderConfig, EncoderPrep, EncoderWeights};
 
 use crate::clock::{ChannelSource, Clock, Source, SystemClock, VirtualClock};
-use crate::policy::{env_flag, env_var, BatchPolicy};
+use crate::policy::BatchPolicy;
 use crate::pool::{PoolStats, SessionPool};
 use crate::queue::RequestQueue;
 use crate::request::{pack_ragged, unpack_rows, Request};
 
-/// Server configuration. Environment overrides (all optional) are read
-/// by [`ServerConfig::apply_env`]:
-///
-/// | variable               | meaning                                     |
-/// |------------------------|---------------------------------------------|
-/// | `CORA_SERVE_POOL_CAP`  | max idle sessions in the pool               |
-/// | `CORA_SERVE_CHECK`     | `1`: differentially verify every microbatch |
-///
-/// plus the `CORA_SERVE_*` policy knobs ([`BatchPolicy::apply_env`]).
+/// Server configuration: plain fields the caller sets over
+/// [`ServerConfig::new`]'s defaults.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The encoder model the server runs (single layer per request).
@@ -57,26 +51,6 @@ impl ServerConfig {
             pool_capacity: 8,
             differential_check: false,
         }
-    }
-
-    /// Applies the `CORA_SERVE_*` environment knobs on top of `self`:
-    /// every field — the policy's included — keeps its configured value
-    /// unless its variable is set.
-    pub fn apply_env(self) -> ServerConfig {
-        self.apply_vars(&env_var)
-    }
-
-    /// [`ServerConfig::apply_env`] reading variables through `get`, so
-    /// tests need not mutate the process environment.
-    fn apply_vars(mut self, get: &dyn Fn(&str) -> Option<String>) -> ServerConfig {
-        self.policy = self.policy.apply_vars(get);
-        if let Some(v) = get("CORA_SERVE_POOL_CAP").and_then(|v| v.parse().ok()) {
-            self.pool_capacity = v;
-        }
-        if let Some(v) = get("CORA_SERVE_CHECK") {
-            self.differential_check = env_flag(&v);
-        }
-        self
     }
 }
 
@@ -296,14 +270,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `weights`, with the pool's autotuner configured
-    /// from the `CORA_TUNE_*` environment.
+    /// A server over `weights` whose pool misses search schedules with
+    /// the default autotuner (64 wall-clock trials, seed 42, no cache
+    /// file); pass your own through [`Server::with_tuner`].
     ///
     /// # Panics
     ///
     /// Panics if `weights` do not match `cfg.encoder`.
     pub fn new(cfg: ServerConfig, weights: EncoderWeights) -> Server {
-        Server::with_tuner(cfg, weights, EncoderAutotuner::from_env())
+        Server::with_tuner(
+            cfg,
+            weights,
+            EncoderAutotuner::new(TuneBudget::default(), 42),
+        )
     }
 
     /// [`Server::new`] with an explicit autotuner (tests pin a disabled
@@ -440,11 +419,11 @@ impl Server {
         st.finish(clock.now_ns(), self.pool.stats())
     }
 
-    /// Real-thread open-loop mode (the bench path): a feeder thread
-    /// replays the trace against the wall clock while the scheduler
-    /// packs and runs microbatches on `exec_pool`. Batching decisions
-    /// depend on real timing, so reports are *not* byte-reproducible —
-    /// outputs still are.
+    /// Real-thread open-loop mode (what `perf_ledger` times): a feeder
+    /// thread replays the trace against the wall clock while the
+    /// scheduler packs and runs microbatches on `exec_pool`. Batching
+    /// decisions depend on real timing, so reports are *not*
+    /// byte-reproducible — outputs still are.
     ///
     /// # Panics
     ///
@@ -672,40 +651,5 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn configured() -> ServerConfig {
-        let mut cfg = ServerConfig::new(EncoderConfig::scaled(8));
-        cfg.policy.max_batch_rows = 77;
-        cfg.policy.max_wait_ns = 123_456;
-        cfg.pool_capacity = 3;
-        cfg
-    }
-
-    #[test]
-    fn apply_env_layers_over_the_configured_policy() {
-        // Empty environment: nothing a caller configured is reset.
-        let kept = configured().apply_vars(&|_| None);
-        assert_eq!(kept.policy, configured().policy);
-        assert_eq!(kept.pool_capacity, 3);
-        assert!(!kept.differential_check);
-
-        // One variable set: only that field changes.
-        let one = configured()
-            .apply_vars(&|name| (name == "CORA_SERVE_MAX_WAIT_US").then(|| "9".to_string()));
-        let mut want = configured().policy;
-        want.max_wait_ns = 9_000;
-        assert_eq!(one.policy, want);
-        assert_eq!(one.pool_capacity, 3);
-
-        // A malformed number is ignored, not turned into a default.
-        let bad = configured()
-            .apply_vars(&|name| (name == "CORA_SERVE_MAX_ROWS").then(|| "lots".to_string()));
-        assert_eq!(bad.policy, configured().policy);
     }
 }

@@ -26,16 +26,10 @@
 //!   schedule** whenever the assembled winner does not beat it — tuning
 //!   can never ship a slower-than-default program.
 //!
-//! Environment knobs (read by [`EncoderAutotuner::from_env`]):
-//!
-//! | Variable | Effect |
-//! |---|---|
-//! | `CORA_TUNE_CACHE` | Path of the persistent JSON tuning cache. |
-//! | `CORA_TUNE_SEED` | Search seed (default 42). |
-//! | `CORA_TUNE_TRIALS` | Total measured candidates per tuning run. |
-//! | `CORA_TUNE_MAX_MS` | Wall-clock cap (ignored in deterministic mode). |
-//! | `CORA_TUNE_DETERMINISTIC` | `1`/`true`: proxy-score measurement, byte-reproducible cache files. |
-//! | `CORA_TUNE_DISABLE` | `1`/`true`: always use the hand-picked schedules. |
+//! Configuration is [`EncoderAutotuner::new`] (budget, seed),
+//! [`EncoderAutotuner::deterministic`],
+//! [`EncoderAutotuner::with_cache_path`] and the public `disabled`
+//! field.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -214,12 +208,13 @@ pub struct TuneOutcome {
 /// thereafter.
 ///
 /// ```no_run
+/// use cora_core::autotune::TuneBudget;
 /// use cora_transformer::autotune::EncoderAutotuner;
 /// use cora_transformer::EncoderConfig;
 /// use cora_exec::MathMode;
 ///
 /// let cfg = EncoderConfig::scaled(64);
-/// let mut tuner = EncoderAutotuner::from_env();
+/// let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
 /// // First contact with this length histogram: searches, caches.
 /// let (layer, out) = tuner.tuned_layer(&cfg, &[18, 5, 33], MathMode::Strict).unwrap();
 /// assert!(!out.cache_hit);
@@ -285,41 +280,6 @@ impl EncoderAutotuner {
         self.cache = cache;
         self.cache_path = Some(path);
         self
-    }
-
-    /// Builds a tuner from the `CORA_TUNE_*` environment knobs (see the
-    /// module docs for the table).
-    pub fn from_env() -> EncoderAutotuner {
-        let flag = |name: &str| {
-            std::env::var(name)
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false)
-        };
-        let mut t = EncoderAutotuner::new(TuneBudget::default(), 42);
-        if let Some(seed) = std::env::var("CORA_TUNE_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            t.seed = seed;
-        }
-        if let Some(trials) = std::env::var("CORA_TUNE_TRIALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            t.budget.max_trials = trials;
-        }
-        if let Some(ms) = std::env::var("CORA_TUNE_MAX_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            t.budget.max_ms = Some(ms);
-        }
-        t.deterministic = flag("CORA_TUNE_DETERMINISTIC");
-        t.disabled = flag("CORA_TUNE_DISABLE");
-        if let Ok(path) = std::env::var("CORA_TUNE_CACHE") {
-            t = t.with_cache_path(path);
-        }
-        t
     }
 
     /// The in-memory cache (loaded + tuned entries).

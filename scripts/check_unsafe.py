@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Fail if `unsafe` appears outside the audited executor files, or if
-those files grow past what a reviewer can read in a sitting.
+"""Fail if `unsafe` or an environment read appears outside the audited
+executor files, or if those files grow past what a reviewer can read in
+a sitting.
 
 The workspace's safety story (README "Safety & verification") rests on
 unsafe code being confined to two audited sites in `cora-exec`: the VM's
@@ -10,6 +11,13 @@ work-stealing runtime's parked-worker handoff
 `#![forbid(unsafe_code)]`; this script is the belt to that suspender —
 it greps the whole tree so a stray `#[allow(unsafe_code)]` added
 anywhere else fails CI even before rustc sees it.
+
+The same two files are the only library code that reads the process
+environment (`CORA_NUM_THREADS` in the runtime, `CORA_CHECK_DISJOINT`
+in the dispatch): everything else is configured through fields and
+constructors, so `env::var` / `env::vars` (and their `_os` forms)
+anywhere else under `crates/*/src` fails too. `env::args` — the bench
+binaries' command lines — is not a match.
 
 Doc comments and line comments are stripped before matching, so prose
 *about* unsafety (safety comments, module docs) does not count.
@@ -28,7 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The only files allowed to contain the token `unsafe`.
+# The only files allowed to contain the token `unsafe`, and the only
+# ones under `crates/*/src` allowed to read the environment.
 VM_UNSAFE_MODULE = Path("crates/exec/src/vm/parallel.rs")
 ALLOWED = {
     VM_UNSAFE_MODULE,
@@ -43,6 +52,12 @@ EXEC_SRC = Path("crates/exec/src")
 SCAN_DIRS = ["crates", "src", "tests", "examples"]
 
 UNSAFE_RE = re.compile(r"\bunsafe\b")
+ENV_READ_RE = re.compile(r"\benv::vars?(_os)?\b")
+
+
+def is_crate_src(rel: Path) -> bool:
+    """True for `crates/<name>/src/**`."""
+    return len(rel.parts) > 3 and rel.parts[0] == "crates" and rel.parts[2] == "src"
 
 
 def strip_comments(text: str) -> str:
@@ -94,19 +109,28 @@ def main() -> int:
                 continue
             body = strip_comments(path.read_text(encoding="utf-8"))
             for lineno, line in enumerate(body.splitlines(), start=1):
-                if UNSAFE_RE.search(line):
+                if UNSAFE_RE.search(line) or (
+                    is_crate_src(rel) and ENV_READ_RE.search(line)
+                ):
                     offenders.append(f"{rel}:{lineno}: {line.strip()}")
     if offenders:
-        print("`unsafe` outside the audited executor files:", file=sys.stderr)
+        print(
+            "`unsafe` or an environment read outside the audited executor files:",
+            file=sys.stderr,
+        )
         for o in offenders:
             print(f"  {o}", file=sys.stderr)
         print(
             f"\nOnly {VM_UNSAFE_MODULE} and crates/exec/src/runtime.rs may "
-            "contain unsafe code; see README 'Safety & verification'.",
+            "contain unsafe code or read the environment; see README "
+            "'Safety & verification' and 'Environment knobs'.",
             file=sys.stderr,
         )
         return 1
-    print(f"check_unsafe: no unsafe outside {sorted(str(p) for p in ALLOWED)}")
+    print(
+        "check_unsafe: no unsafe and no environment read outside "
+        f"{sorted(str(p) for p in ALLOWED)}"
+    )
     return 0
 
 

@@ -16,8 +16,10 @@
 //! Everything here runs in virtual time: zero real-time sleeps, zero
 //! threads.
 
+use cora::core::autotune::TuneBudget;
 use cora::exec::MathMode;
 use cora::serve::{Arrival, Server, ServerConfig, ServiceModel, TraceConfig, TraceSource};
+use cora::transformer::autotune::EncoderAutotuner;
 use cora::transformer::{EncoderConfig, EncoderWeights};
 
 fn small_config() -> EncoderConfig {
@@ -38,7 +40,11 @@ fn server(check: bool) -> Server {
     cfg.policy.max_batch_rows = 24;
     cfg.policy.max_batch_seqs = 4;
     cfg.policy.max_wait_ns = 500_000;
-    Server::new(cfg, EncoderWeights::random(&encoder, 7))
+    // A wall-clock schedule search has no place in a deterministic
+    // simulation: misses build the hand-picked schedules.
+    let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
+    tuner.disabled = true;
+    Server::with_tuner(cfg, EncoderWeights::random(&encoder, 7), tuner)
 }
 
 fn bursty_trace(seed: u64, requests: usize) -> Vec<cora::serve::Request> {
@@ -62,6 +68,10 @@ fn same_seed_simulations_are_byte_identical() {
         s.run_sim(TraceSource::new(bursty_trace(42, 20)), &model)
     };
     let (a, b) = (run(0), run(1));
+    assert_eq!(
+        a.pool_stats.tune_trials, 0,
+        "pool misses must not run a wall-clock schedule search"
+    );
 
     assert_eq!(
         a.event_log(),
