@@ -16,9 +16,7 @@
 //! `--max-seqs=N` / `--max-wait-us=N` set the batching policy.
 
 use cora_bench::{f2, flag, opt, opt_usize, print_table, seed};
-use cora_core::autotune::TuneBudget;
 use cora_serve::{Request, Server, ServerConfig, ServiceModel, TraceSource};
-use cora_transformer::autotune::EncoderAutotuner;
 use cora_transformer::{EncoderConfig, EncoderWeights};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -80,11 +78,9 @@ fn main() {
         encoder.hidden
     );
 
-    // A wall-clock schedule search would make the run depend on the
-    // host: misses build the hand-picked schedules.
-    let mut tuner = EncoderAutotuner::new(TuneBudget::default(), seed);
-    tuner.disabled = true;
-    let mut server = Server::with_tuner(cfg, weights, tuner);
+    // `Server::new` searches no schedules (a wall-clock search would
+    // make the run depend on the host): misses build the hand-picked ones.
+    let mut server = Server::new(cfg, weights);
     // Warm the pool so the replay is steady-state serving, not one-off
     // compiles (real deployments do exactly this).
     server.warm(&shapes).expect("built-in schedules compile");
@@ -105,7 +101,7 @@ fn main() {
         .filter(|c| c.result.is_ok())
         .count();
     assert_eq!(ok, requests, "every request must complete successfully");
-    assert_eq!(report.pool_stats.tune_trials, 0, "the tuner is disabled");
+    assert_eq!(report.pool_stats.tune_trials, 0, "no search by default");
     // Pool counters are cumulative across the warmup; subtract it so the
     // hit rate below describes the replayed trace only.
     let hits = report.pool_stats.hits - warm_stats.hits;

@@ -2,9 +2,9 @@
 //!
 //! The CoRa ragged-tensor compiler (the paper's primary contribution):
 //!
-//! * [`api`] — the Ragged API: named dimensions, vloops/vdims with
-//!   uninterpreted extent functions, tensor declarations with Algorithm-1
-//!   access lowering.
+//! * [`api`] — the Ragged API: named dimensions, vloops/vdims whose
+//!   extents are per-slice length tables, tensor declarations with
+//!   Algorithm-1 access lowering.
 //! * [`schedule`] — scheduling primitives, including the ragged-specific
 //!   ones: loop/storage padding, vloop fusion, bulk padding, thread
 //!   remapping, load hoisting.

@@ -2,9 +2,9 @@
 //!
 //! The pipeline applies scheduling directives in order (padding, splitting,
 //! binding, vloop fusion, bulk padding), builds the statement IR with all
-//! tensor accesses lowered through Algorithm 1, simplifies index
-//! expressions, elides guards the solver proves redundant, and optionally
-//! hoists loop-invariant auxiliary loads (§D.7).
+//! tensor accesses lowered through Algorithm 1, elides guards that
+//! interval analysis proves redundant (`cora_ir::interval::decide`), and
+//! optionally hoists loop-invariant auxiliary loads (§D.7).
 //!
 //! Memory legality follows the paper: loop padding must be covered by
 //! storage padding (§4.1), checked here; bulk padding follows §6's
@@ -14,7 +14,9 @@
 
 use std::collections::HashMap;
 
-use cora_ir::{Cond, Expr, ForKind, Solver, Stmt, StoreKind};
+use cora_ir::interval::decide;
+use cora_ir::simplify::simplify_cond;
+use cora_ir::{Cond, Expr, ForKind, SInt, Stmt, StoreKind};
 use cora_ragged::LengthFn;
 
 use crate::api::{LoopExtent, Operator};
@@ -393,18 +395,16 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
     };
 
     // ---- Assemble loops (innermost-first wrap) -------------------------
-    let mut solver = Solver::new();
-    for l in &loops {
-        solver.ranges_mut().set(
-            l.var.clone(),
-            cora_ir::Interval::bounded(0, l.extent.max() - 1),
-        );
-    }
+    let ranges: HashMap<String, SInt> = loops
+        .iter()
+        .map(|l| (l.var.clone(), SInt::range(0, l.extent.max() - 1)))
+        .collect();
     for l in loops.iter().rev() {
         if let Some(g) = &l.guard {
-            match solver.elide_guard(g) {
-                None => {}
-                Some(g) => body = Stmt::if_then(g, body),
+            // A guard that holds over every loop range is redundant.
+            let g = simplify_cond(g);
+            if decide(&g, &ranges) != Some(true) {
+                body = Stmt::if_then(g, body);
             }
         }
         body = Stmt::For {

@@ -18,8 +18,13 @@
 //! # How the proof works
 //!
 //! The engine is an abstract interpretation over the *strided interval*
-//! domain [`SInt`] from `cora_ir::interval`, split into two phases so
-//! that what an unseen shape pays is a walk, not a compilation:
+//! domain [`SInt`] from `cora_ir::interval` — the compiler's only
+//! abstract domain, shared with lowering's guard elision. Every transfer
+//! function (arithmetic, floor division/modulo, comparisons, clamping)
+//! is an `SInt` method; this module adds only what needs the shape:
+//! grounding table loads and narrowing under guards. The proof is split
+//! into two phases so that what an unseen shape pays is a walk, not a
+//! compilation:
 //!
 //! * **Once per compiled program, no shape data** — [`ProofProgram`]:
 //!   the outlined body with every variable, auxiliary table, float
@@ -290,8 +295,6 @@ enum PExpr {
     Var(u32),
     Bin(fn(SInt, SInt) -> SInt, Box<(PExpr, PExpr)>),
     Select(Box<(PCond, PExpr, PExpr)>),
-    /// An uninterpreted call: nothing is known.
-    Unknown,
     /// Auxiliary-table slot, index, and the index as written.
     Load(u32, Box<PExpr>, Expr),
 }
@@ -417,41 +420,6 @@ impl ProofProgram {
     }
 }
 
-/// `f(a, c)` for a provably positive constant divisor `b = {c}`.
-fn by_const(a: SInt, b: SInt, f: fn(SInt, i64) -> SInt) -> SInt {
-    let divisor = b.as_point().filter(|&c| c >= 1);
-    divisor.map_or(SInt::Top, |c| f(a, c))
-}
-
-fn div_s(a: SInt, b: SInt) -> SInt {
-    by_const(a, b, SInt::floor_div_const)
-}
-
-fn mod_s(a: SInt, b: SInt) -> SInt {
-    by_const(a, b, SInt::floor_mod_const)
-}
-
-/// `a < b` (strict) or `a <= b` over interval hulls: `Some` when the
-/// hulls decide it.
-fn cmp_hulls(a: SInt, b: SInt, strict: bool) -> Option<bool> {
-    let ((alo, ahi), (blo, bhi)) = (a.hull()?, b.hull()?);
-    if (strict && ahi < blo) || (!strict && ahi <= blo) {
-        Some(true)
-    } else if (strict && alo >= bhi) || (!strict && alo > bhi) {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-fn eq_s(a: SInt, b: SInt) -> Option<bool> {
-    match (a.as_point(), b.as_point()) {
-        (Some(x), Some(y)) => Some(x == y),
-        _ if a.disjoint(b) => Some(false),
-        _ => None,
-    }
-}
-
 /// Resolves names by scope while translating the body.
 struct Builder<'a> {
     slots: &'a StmtSlots,
@@ -504,16 +472,13 @@ impl<'a> Builder<'a> {
             ExprKind::Add(a, b) => self.bin(SInt::add, [Some(0), Some(0)], a, b),
             ExprKind::Sub(a, b) => self.bin(SInt::sub, [None, Some(0)], a, b),
             ExprKind::Mul(a, b) => self.bin(SInt::mul, [Some(1), Some(1)], a, b),
-            ExprKind::FloorDiv(a, b) => self.bin(div_s, [None, None], a, b),
-            ExprKind::FloorMod(a, b) => self.bin(mod_s, [None, None], a, b),
+            ExprKind::FloorDiv(a, b) => self.bin(SInt::floor_div, [None, None], a, b),
+            ExprKind::FloorMod(a, b) => self.bin(SInt::floor_mod, [None, None], a, b),
             ExprKind::Min(a, b) => self.bin(SInt::min_s, [None, None], a, b),
             ExprKind::Max(a, b) => self.bin(SInt::max_s, [None, None], a, b),
             ExprKind::Select(c, a, b) => {
                 PExpr::Select(Box::new((self.cond(c), self.expr(a), self.expr(b))))
             }
-            // Outlined bodies carry no uninterpreted functions (lowering
-            // grounds them into aux tables), but be total regardless.
-            ExprKind::Uf(..) => PExpr::Unknown,
             ExprKind::Load(buf, idx) => {
                 let table = self.slots.ibufs.get(buf);
                 PExpr::Load(
@@ -530,10 +495,10 @@ impl<'a> Builder<'a> {
             |f: fn(SInt, SInt) -> Option<bool>, a, b| PCond::Cmp(f, self.expr(a), self.expr(b));
         match c.kind() {
             CondKind::Const(b) => PCond::Const(*b),
-            CondKind::Lt(a, b) => cmp(|a, b| cmp_hulls(a, b, true), a, b),
-            CondKind::Le(a, b) => cmp(|a, b| cmp_hulls(a, b, false), a, b),
-            CondKind::Eq(a, b) => cmp(eq_s, a, b),
-            CondKind::Ne(a, b) => cmp(|a, b| eq_s(a, b).map(|eq| !eq), a, b),
+            CondKind::Lt(a, b) => cmp(SInt::lt_s, a, b),
+            CondKind::Le(a, b) => cmp(SInt::le_s, a, b),
+            CondKind::Eq(a, b) => cmp(SInt::eq_s, a, b),
+            CondKind::Ne(a, b) => cmp(SInt::ne_s, a, b),
             CondKind::And(x, y) => PCond::And(Box::new((self.cond(x), self.cond(y)))),
             CondKind::Or(x, y) => PCond::Or(Box::new((self.cond(x), self.cond(y)))),
             CondKind::Not(x) => PCond::Not(Box::new(self.cond(x))),
@@ -901,7 +866,6 @@ impl ProofWalk<'_> {
                 Some(false) => self.expr(&cab.2)?,
                 None => self.expr(&cab.1)?.union(self.expr(&cab.2)?),
             },
-            PExpr::Unknown => SInt::Top,
             PExpr::Load(table, index, src) => {
                 let r = self.expr(index)?;
                 let name = &self.prog.slots.ibufs.names()[*table as usize];
@@ -978,9 +942,9 @@ impl ProofWalk<'_> {
             // Only variables with a known set have anything to tighten.
             let PExpr::Var(slot) = term else { continue };
             let cur = self.env[*slot as usize];
-            let SInt::Set { lo, hi, stride } = cur else {
+            if cur.hull().is_none() {
                 continue;
-            };
+            }
             let mut rest = SInt::point(step.constant);
             for (j, (t, coeff)) in step.terms.iter().enumerate() {
                 if j != k {
@@ -992,12 +956,12 @@ impl ProofWalk<'_> {
             };
             let narrowed = if *c > 0 {
                 (step.bound.checked_sub(rest_lo))
-                    .and_then(|n| clamp_sint(lo, hi, stride, None, Some(n.div_euclid(*c))))
+                    .and_then(|n| cur.clamp(None, Some(n.div_euclid(*c))))
             } else {
                 (rest_lo.checked_sub(step.bound))
                     .zip(c.checked_neg())
                     .map(|(n, d)| n.div_euclid(d) + i64::from(n.rem_euclid(d) != 0))
-                    .and_then(|new_lo| clamp_sint(lo, hi, stride, Some(new_lo), None))
+                    .and_then(|new_lo| cur.clamp(Some(new_lo), None))
             };
             let Some(narrowed) = narrowed else { continue };
             if narrowed != cur {
@@ -1019,25 +983,6 @@ fn oob(buffer: &str, index: &Expr, range: SInt, size: i64) -> Box<VerifyError> {
         range,
         size,
     })
-}
-
-/// Members of `{lo, lo+stride, …, hi}` clamped into the given bounds,
-/// keeping the congruence class; `None` if the first member at or above
-/// `min` is not computable in `i64`.
-fn clamp_sint(lo: i64, hi: i64, stride: i64, min: Option<i64>, max: Option<i64>) -> Option<SInt> {
-    let new_lo = match min {
-        Some(m) if m > lo => {
-            let gap = m.checked_sub(lo)?;
-            let steps = gap.div_euclid(stride) + i64::from(gap.rem_euclid(stride) != 0);
-            lo.checked_add(steps.checked_mul(stride)?)?
-        }
-        _ => lo,
-    };
-    let new_hi = match max {
-        Some(m) if m < hi => m,
-        _ => hi,
-    };
-    Some(SInt::make(new_lo, new_hi, stride))
 }
 
 // ---------------------------------------------------------------------
@@ -1340,21 +1285,6 @@ mod tests {
         assert!(
             lo <= 10 && hi == 15,
             "block 1 stores [10, 15]: got [{lo}, {hi}]"
-        );
-
-        // The clamp itself: a first member at or above `min` that is not
-        // representable skips the narrowing rather than wrapping.
-        assert_eq!(clamp_sint(-4, 4, 1, Some(i64::MAX), None), None);
-        assert_eq!(clamp_sint(0, i64::MAX - 1, 3, Some(i64::MAX), None), None);
-        assert_eq!(
-            clamp_sint(
-                i64::MIN,
-                i64::MIN + 9,
-                3,
-                Some(i64::MIN + 4),
-                Some(i64::MIN + 7)
-            ),
-            Some(SInt::point(i64::MIN + 6))
         );
     }
 

@@ -47,10 +47,10 @@ impl std::ops::Add for InterpStats {
 }
 
 /// The interpreter's mutable machine state: float buffers plus the integer
-/// environment (vars, int buffers, UF tables).
+/// environment (vars, int buffers).
 #[derive(Debug, Default)]
 pub struct Machine {
-    /// Integer environment (loop vars, aux buffers, UF tables).
+    /// Integer environment (loop vars, aux buffers).
     pub env: Env,
     fbufs: HashMap<String, Vec<f32>>,
     /// Statistics for the current/most recent run.
@@ -265,19 +265,18 @@ mod tests {
 
     #[test]
     fn ragged_doubling_from_fig1() {
-        // for o in 0..3 { for i in 0..s(o) { B[row[o]+i] = 2*A[row[o]+i] } }
+        // for o in 0..3 { for i in 0..s[o] { B[row[o]+i] = 2*A[row[o]+i] } }
         let mut m = Machine::new();
-        m.env.uf_table_mut().insert_table1d("s", vec![5, 2, 3]);
+        m.env.set_buffer("s", vec![5, 2, 3]);
         m.env.set_buffer("row", vec![0, 5, 7]);
         m.set_fbuffer("A", (0..10).map(|x| x as f32).collect());
         m.set_fbuffer("B", vec![0.0; 10]);
-        let s = cora_ir::UfRef::new("s", 1);
         let idx = Expr::load("row", Expr::var("o")) + Expr::var("i");
         let body = Stmt::store("B", idx.clone(), FExpr::load("A", idx) * 2.0);
         let nest = Stmt::loop_(
             "o",
             Expr::int(3),
-            Stmt::loop_("i", Expr::uf(s, vec![Expr::var("o")]), body),
+            Stmt::loop_("i", Expr::load("s", Expr::var("o")), body),
         );
         m.run(&nest);
         let b = m.fbuffer("B").unwrap();

@@ -5,7 +5,7 @@
 //! * [`gpu`] — a deterministic simulated GPU (in-order thread-block
 //!   dispatch over streaming multiprocessors, launch and copy overheads)
 //!   used for every GPU-side experiment, since real CUDA codegen is out of
-//!   scope for this environment (see DESIGN.md §2).
+//!   scope for this environment.
 //! * [`runtime`] — the persistent work-stealing CPU runtime: a
 //!   process-wide team of parked worker threads with per-worker chunk
 //!   deques, woken per parallel region instead of spawned per call.

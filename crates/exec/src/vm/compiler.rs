@@ -204,22 +204,6 @@ impl Compiler {
                 self.place(l_end);
                 dst
             }
-            ExprKind::Uf(f, args) => {
-                let m = self.iregs.mark();
-                let regs: Box<[u16]> = args.iter().map(|a| self.expr(a)).collect();
-                self.iregs.release(m);
-                let dst = self.iregs.alloc();
-                let uf =
-                    self.slots.ufs.get(f.name()).unwrap_or_else(|| {
-                        panic!("unresolved uninterpreted function `{}`", f.name())
-                    });
-                self.emit(Instr::IUf {
-                    dst,
-                    uf,
-                    args: regs,
-                });
-                dst
-            }
             ExprKind::Load(buf, idx) => {
                 let b = self
                     .slots
@@ -1040,8 +1024,8 @@ fn as_mul_acc_store(body: &Stmt) -> Option<(&str, &Expr, &str, &Expr, &str, &Exp
     Some((buffer, index, abuf, aidx, bbuf, bidx))
 }
 
-/// True when `e` is affine in `var` *and* no memory access, uninterpreted
-/// function, select or non-linear operator involves `var`: `var` may
+/// True when `e` is affine in `var` *and* no memory access, select or
+/// non-linear operator involves `var`: `var` may
 /// appear only under `+`/`-`, or under `×` with a `var`-free co-factor.
 /// Such an expression is fully determined by its values at two
 /// consecutive `var` points, and probing it at any in-range point
@@ -1104,15 +1088,6 @@ fn affine2_degree(e: &Expr, vi: &str, vo: &str) -> Option<(bool, bool)> {
                 Some((false, false))
             }
         }
-        ExprKind::Uf(_, args) => {
-            for a in args {
-                let (ai, ao) = affine2_degree(a, vi, vo)?;
-                if ai || ao {
-                    return None;
-                }
-            }
-            Some((false, false))
-        }
         ExprKind::Load(_, idx) => {
             let (ai, ao) = affine2_degree(idx, vi, vo)?;
             if ai || ao {
@@ -1158,14 +1133,6 @@ fn affine_degree(e: &Expr, var: &str) -> Option<bool> {
             } else {
                 Some(false)
             }
-        }
-        ExprKind::Uf(_, args) => {
-            for a in args {
-                if affine_degree(a, var)? {
-                    return None;
-                }
-            }
-            Some(false)
         }
         ExprKind::Load(_, idx) => {
             // A table lookup indexed by the loop variable is not affine

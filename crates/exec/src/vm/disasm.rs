@@ -7,7 +7,7 @@ use cora_ir::{FUnaryOp, StoreKind};
 use super::isa::{fbuf_name, CmpOp, FBinOp, IBinOp, Instr, MapOp, VmProgram};
 
 /// Disassembly: one instruction per line (`pc  mnemonic operands`), with
-/// every variable, buffer and UF slot resolved back to its source name.
+/// every variable and buffer slot resolved back to its source name.
 /// Alpha-renamed binding slots print as `name@slot` so shadowed loops
 /// stay distinguishable. Golden tests diff this text to catch bytecode
 /// and outlining regressions.
@@ -61,14 +61,6 @@ impl fmt::Display for VmProgram {
                 }
                 Instr::ILoadV { dst, buf, vslot } => {
                     format!("iload.v  r{dst}, {}[{}]", ibuf(*buf), var(*vslot))
-                }
-                Instr::IUf { dst, uf, args } => {
-                    let args: Vec<String> = args.iter().map(|a| format!("r{a}")).collect();
-                    format!(
-                        "iuf      r{dst}, {}({})",
-                        self.slots.ufs.names()[*uf as usize],
-                        args.join(", ")
-                    )
                 }
                 Instr::SetVar { slot, src } => format!("setvar   {}, r{src}", var(*slot)),
                 Instr::LetVar { slot, src, aux } => {

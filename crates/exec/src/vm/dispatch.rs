@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use cora_ir::fexpr::apply_unary;
-use cora_ir::{FUnaryOp, StoreKind, UfHandle};
+use cora_ir::{FUnaryOp, StoreKind};
 
 use super::bufs::{Bufs, OutPort};
 use super::isa::{
@@ -27,7 +27,6 @@ pub(super) struct Regs {
     pub(super) vars: Vec<i64>,
     iregs: Vec<i64>,
     fregs: Vec<f32>,
-    uf_args: Vec<i64>,
     map_scratch: [[f32; MAP_CHUNK]; MAX_MAP_TAPE],
 }
 
@@ -39,7 +38,6 @@ impl Regs {
             vars: vars.to_vec(),
             iregs: vec![0; prog.n_iregs],
             fregs: vec![0.0; prog.n_fregs],
-            uf_args: Vec::new(),
             map_scratch: [[0f32; MAP_CHUNK]; MAX_MAP_TAPE],
         }
     }
@@ -51,7 +49,6 @@ impl Regs {
 pub(super) fn dispatch<P: OutPort>(
     prog: &VmProgram,
     ibufs: &[Arc<[i64]>],
-    ufs: &[Option<UfHandle>],
     regs: &mut Regs,
     fbufs: &mut Bufs<'_, P>,
     stats: &mut InterpStats,
@@ -61,7 +58,6 @@ pub(super) fn dispatch<P: OutPort>(
         vars,
         iregs,
         fregs,
-        uf_args,
         map_scratch,
     } = regs;
     let mut st = *stats;
@@ -108,14 +104,6 @@ pub(super) fn dispatch<P: OutPort>(
                     )
                 });
                 iregs[*dst as usize] = ibufs[*buf as usize][iu];
-            }
-            Instr::IUf { dst, uf, args } => {
-                uf_args.clear();
-                for &a in args.iter() {
-                    uf_args.push(iregs[a as usize]);
-                }
-                let h = ufs[*uf as usize].as_ref().expect("checked bound");
-                iregs[*dst as usize] = h.call(uf_args);
             }
             Instr::SetVar { slot, src } => {
                 vars[*slot as usize] = iregs[*src as usize];

@@ -79,8 +79,6 @@ pub(super) enum Instr {
         a: u16,
         vslot: u32,
     },
-    /// `ireg[dst] = ufs[uf](ireg[args..])`.
-    IUf { dst: u16, uf: u32, args: Box<[u16]> },
     /// `vars[slot] = ireg[src]` (loop initialisation).
     SetVar { slot: u32, src: u16 },
     /// `vars[slot] = ireg[src]`, charging `aux` loads (`LetInt`).
@@ -234,8 +232,8 @@ pub(super) struct FusedMap {
 ///
 /// The compiler proves (syntactically) that all three index expressions
 /// are *affine* in the loop variable — the variable appears only under
-/// `+`/`-`/`×`-by-invariant, never inside a buffer load, uninterpreted
-/// function, select, division or min/max — so each index is fully
+/// `+`/`-`/`×`-by-invariant, never inside a buffer load, select,
+/// division or min/max — so each index is fully
 /// described by its value at `i = min` (the `*0` registers) and at
 /// `i = min + 1` (the `*1` registers): `idx(t) = idx0 + t·(idx1 - idx0)`.
 /// Both probes are pure arithmetic over the loop variable (no memory

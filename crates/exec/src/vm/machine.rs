@@ -1,7 +1,7 @@
 //! The binding table and the serial machines.
 //!
-//! [`VmShared`] is the one binding table: free variables, auxiliary
-//! buffers and UF tables, bound by name once. It owns its program
+//! [`VmShared`] is the one binding table: free variables and auxiliary
+//! buffers, bound by name once. It owns its program
 //! through an `Arc`, so it has no lifetime and can be stored beside (or
 //! inside) whatever prepared it. Float buffers are never part of the
 //! table — every execution receives them as a slot view
@@ -12,7 +12,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use cora_ir::{Env, UfHandle};
+use cora_ir::Env;
 
 use super::bufs::{Bufs, Slot};
 use super::dispatch::{dispatch, Regs};
@@ -33,8 +33,8 @@ impl VmProgram {
     }
 
     /// Creates the binding table for this program with everything
-    /// unset: bind variables, auxiliary buffers and UF tables once,
-    /// then execute any number of times against per-call float buffers.
+    /// unset: bind variables and auxiliary buffers once, then execute
+    /// any number of times against per-call float buffers.
     pub fn shared(self: &Arc<Self>) -> VmShared {
         let s = &self.slots;
         VmShared {
@@ -43,14 +43,13 @@ impl VmProgram {
             var_bound: vec![false; s.free_vars.len()],
             ibufs: vec![Arc::from([]); s.ibufs.len()],
             ibuf_bound: vec![false; s.ibufs.len()],
-            ufs: vec![None; s.ufs.len()],
         }
     }
 }
 
-/// The per-shape bindings of one [`VmProgram`]: free variables,
-/// auxiliary buffers and UF tables. Immutable during execution and
-/// `Sync`, so one table backs any number of serial runs and every
+/// The per-shape bindings of one [`VmProgram`]: free variables and
+/// auxiliary buffers. Immutable during execution and `Sync`, so one
+/// table backs any number of serial runs and every
 /// worker of a parallel region; each execution keeps its own registers,
 /// loop variables and `Alloc` scratch.
 #[derive(Debug, Clone)]
@@ -63,7 +62,6 @@ pub struct VmShared {
     /// Shared handles: binding a built prelude table copies nothing.
     pub(super) ibufs: Vec<Arc<[i64]>>,
     ibuf_bound: Vec<bool>,
-    pub(super) ufs: Vec<Option<UfHandle>>,
 }
 
 impl VmShared {
@@ -94,34 +92,15 @@ impl VmShared {
         }
     }
 
-    /// Installs an uninterpreted-function table. Returns `false` if
-    /// unused.
-    pub fn set_uf(&mut self, name: &str, h: UfHandle) -> bool {
-        match self.prog.slots.ufs.get(name) {
-            Some(slot) => {
-                self.ufs[slot as usize] = Some(h);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Binds everything an interpreter [`Env`] holds: variables,
-    /// auxiliary buffers, and uninterpreted-function tables the program
-    /// references. Convenience for differential testing against the tree
-    /// walker.
+    /// Binds everything an interpreter [`Env`] holds: variables and
+    /// auxiliary buffers the program references. Convenience for
+    /// differential testing against the tree walker.
     pub fn bind_env(&mut self, env: &Env) {
         for (name, v) in env.vars() {
             self.bind_var(name, v);
         }
         for (name, buf) in env.buffers() {
             self.set_ibuffer(name, buf);
-        }
-        let names: Vec<String> = self.prog.slots.ufs.names().to_vec();
-        for name in names {
-            if let Some(h) = env.uf_table().handle(&name) {
-                self.set_uf(&name, h);
-            }
         }
     }
 
@@ -143,13 +122,6 @@ impl VmShared {
         }
         for (i, name) in s.free_fbufs.names().iter().enumerate() {
             assert!(fbuf_bound(i), "missing float buffer `{name}`");
-        }
-        for (i, h) in self.ufs.iter().enumerate() {
-            assert!(
-                h.is_some(),
-                "no runtime table for uninterpreted function `{}`",
-                s.ufs.names()[i]
-            );
         }
     }
 
@@ -195,7 +167,6 @@ impl VmShared {
         dispatch(
             &self.prog,
             &self.ibufs,
-            &self.ufs,
             &mut Regs::new(&self.prog, &self.vars),
             &mut Bufs::new(&self.prog, free),
             &mut stats,
@@ -216,7 +187,7 @@ pub enum BoundBuf<'a> {
 }
 
 /// The owned-buffer machine: a binding table ([`VmShared`], reachable
-/// through `Deref`, so `bind_var`/`set_ibuffer`/`set_uf`/`bind_env` are
+/// through `Deref`, so `bind_var`/`set_ibuffer`/`bind_env` are
 /// the table's own methods) plus one owned `Vec` per free float buffer.
 /// [`VmMachine::run`] executes the borrowed view over those `Vec`s.
 #[derive(Debug)]
@@ -292,7 +263,7 @@ impl VmMachine {
 mod tests {
     use std::sync::Arc;
 
-    use cora_ir::{Expr, FExpr, FUnaryOp, ForKind, Stmt, StoreKind, UfRef};
+    use cora_ir::{Expr, FExpr, FUnaryOp, ForKind, Stmt, StoreKind};
 
     use super::super::isa::Instr;
     use super::super::testutil::{differential, gemm_nest};
@@ -300,18 +271,17 @@ mod tests {
 
     #[test]
     fn ragged_doubling_matches_interpreter() {
-        let s_uf = UfRef::new("s", 1);
         let idx = Expr::load("row", Expr::var("o")) + Expr::var("i");
         let body = Stmt::store("B", idx.clone(), FExpr::load("A", idx) * 2.0);
         let nest = Stmt::loop_(
             "o",
             Expr::int(3),
-            Stmt::loop_("i", Expr::uf(s_uf, vec![Expr::var("o")]), body),
+            Stmt::loop_("i", Expr::load("s", Expr::var("o")), body),
         );
         let (stats, outs) = differential(
             &nest,
             |m| {
-                m.env.uf_table_mut().insert_table1d("s", vec![5, 2, 3]);
+                m.env.set_buffer("s", vec![5, 2, 3]);
                 m.env.set_buffer("row", vec![0, 5, 7]);
                 m.set_fbuffer("A", (0..10).map(|x| x as f32).collect());
                 m.set_fbuffer("B", vec![0.0; 10]);

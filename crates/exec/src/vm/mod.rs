@@ -3,14 +3,14 @@
 //!
 //! The tree-walking interpreter ([`crate::interp::Machine`]) defines the
 //! IR's semantics, but it pays a `HashMap<String, i64>` lookup for every
-//! variable, auxiliary-buffer and uninterpreted-function access, recurses
+//! variable and auxiliary-buffer access, recurses
 //! through `Rc` expression trees, and allocates a fresh `Vec` per
 //! expression just to count aux loads. [`compile`] removes all three
 //! costs:
 //!
 //! * **Slot resolution** ([`cora_ir::slots`]): every name the statement
 //!   references is interned to a dense index. Free variables, auxiliary
-//!   buffers, float buffers and UF tables become positions in flat `Vec`s
+//!   buffers and float buffers become positions in flat `Vec`s
 //!   bound once before execution; each `For`/`LetInt` binding site and
 //!   each `Alloc` site is alpha-renamed to its own fresh slot past the
 //!   free range, so shadowing needs no save/restore at run time.

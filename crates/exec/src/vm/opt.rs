@@ -27,11 +27,6 @@ fn ireg_reads_mut(ins: &mut Instr, f: &mut impl FnMut(&mut u16)) {
         }
         Instr::IBinC { a, .. } | Instr::IBinV { a, .. } => f(a),
         Instr::ILoad { idx, .. } => f(idx),
-        Instr::IUf { args, .. } => {
-            for a in args.iter_mut() {
-                f(a);
-            }
-        }
         Instr::SetVar { src, .. } | Instr::LetVar { src, .. } | Instr::FCast { src, .. } => f(src),
         Instr::BrVarGe { lim, .. } | Instr::LoopNext { lim, .. } => f(lim),
         Instr::BrCmp { a, b, .. } => {
@@ -113,8 +108,7 @@ fn ireg_write(ins: &Instr) -> Option<u16> {
         | Instr::IBinC { dst, .. }
         | Instr::IBinV { dst, .. }
         | Instr::ILoad { dst, .. }
-        | Instr::ILoadV { dst, .. }
-        | Instr::IUf { dst, .. } => Some(*dst),
+        | Instr::ILoadV { dst, .. } => Some(*dst),
         _ => None,
     }
 }
@@ -373,14 +367,8 @@ pub(super) fn local_cse(code: Vec<Instr>, n_iregs: &mut usize) -> Vec<Instr> {
                     }
                 }
             }
-            (None, _) => {
-                if let Some(d) = dst {
-                    // Impure write (`iuf`): fresh opaque value.
-                    next_val += 1;
-                    reg_val.insert(d, next_val);
-                }
-                out.push(ins);
-            }
+            // Everything that writes an integer register is pure.
+            (None, _) => out.push(ins),
         }
     }
     newpc[n] = out.len() as u32;

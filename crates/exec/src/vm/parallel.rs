@@ -415,14 +415,7 @@ impl VmShared {
                 let port = bufs.port_mut(out_slot);
                 port.cur_block = bv;
                 port.regions = cert.map(|c| c.regions_for(bv));
-                dispatch(
-                    prog,
-                    &self.ibufs,
-                    &self.ufs,
-                    &mut regs,
-                    &mut bufs,
-                    &mut stats,
-                );
+                dispatch(prog, &self.ibufs, &mut regs, &mut bufs, &mut stats);
             }
             let mut t = total.lock().unwrap_or_else(|e| e.into_inner());
             *t += stats;

@@ -11,8 +11,8 @@ impl VmProgram {
     ///
     /// Checks, in order: every jump target lands inside the program (or
     /// one past the end — the halt address); every variable / integer
-    /// buffer / float buffer / UF slot is within its census and UF call
-    /// arities match; every register index is within the allocated
+    /// buffer / float buffer slot is within its census; every register
+    /// index is within the allocated
     /// file; fused-superinstruction metadata is self-consistent (a
     /// `FusedMap`'s static flop count equals its tape, tape operands
     /// are in SSA order, `FMulAcc`/`FMulAcc2` outputs are distinct from
@@ -33,7 +33,6 @@ impl VmProgram {
         let n_ibufs = s.ibufs.len();
         let n_fbufs = s.fbuf_slot_count();
         let free_fbufs = s.free_fbufs.len();
-        let n_ufs = s.ufs.len();
 
         /// Per-pc effect summary feeding the dataflow pass: integer /
         /// float register uses and defs, plus CFG successors.
@@ -112,22 +111,6 @@ impl VmProgram {
                 Instr::IBinV { dst, a, vslot, .. } => {
                     ck_var(*vslot)?;
                     e.ui.push(*a);
-                    e.di.push(*dst);
-                }
-                Instr::IUf { dst, uf, args } => {
-                    if *uf as usize >= n_ufs {
-                        return Err(format!(
-                            "bytecode pc {pc} ({ins:?}): UF slot {uf} out of census ({n_ufs} UFs)"
-                        ));
-                    }
-                    let arity = s.uf_arities[*uf as usize];
-                    if args.len() != arity {
-                        return Err(format!(
-                            "bytecode pc {pc} ({ins:?}): UF call arity {} disagrees with census arity {arity}",
-                            args.len()
-                        ));
-                    }
-                    e.ui.extend(args.iter().copied());
                     e.di.push(*dst);
                 }
                 Instr::SetVar { slot, src } | Instr::LetVar { slot, src, .. } => {

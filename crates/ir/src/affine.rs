@@ -3,7 +3,7 @@
 //!
 //! A [`LinForm`] is `c₀ + Σ cᵢ·tᵢ` where each term `tᵢ` is either a
 //! variable or an *opaque* non-affine subexpression (an auxiliary-table
-//! load, an uninterpreted ragged-extent call, a flooring division, …)
+//! load such as a ragged extent, a flooring division, a select, …)
 //! kept as-is and identified by its canonical print. Linearization is
 //! total: anything that is not affine folds into an opaque term, so the
 //! form is always a sound *equality* — the precision question is only
@@ -38,7 +38,7 @@ use crate::visit;
 pub enum LinTerm {
     /// A scalar integer variable.
     Var(String),
-    /// A non-affine subexpression kept opaque (load, UF call, division…).
+    /// A non-affine subexpression kept opaque (load, division, select…).
     Opaque(Expr),
 }
 

@@ -1,14 +1,13 @@
 //! Concrete evaluation of expressions and conditions.
 //!
-//! Evaluation resolves variables, uninterpreted-function calls (through
-//! [`UfEval`]) and auxiliary-buffer loads. It is the semantic ground truth
-//! the simplifier and solver are property-tested against.
+//! Evaluation resolves variables and auxiliary-buffer loads. It is the
+//! semantic ground truth the simplifier and the interval analysis are
+//! property-tested against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::expr::{floor_div_i64, floor_mod_i64, Cond, CondKind, Expr, ExprKind};
-use crate::ufunc::{UfEval, UfTable};
 
 /// A concrete environment binding everything an [`Expr`] can reference.
 #[derive(Debug, Default, Clone)]
@@ -16,7 +15,6 @@ pub struct Env {
     vars: HashMap<String, i64>,
     /// Shared handles, so binding a built prelude table copies nothing.
     bufs: HashMap<String, Arc<[i64]>>,
-    ufs: UfTable,
 }
 
 impl Env {
@@ -61,21 +59,11 @@ impl Env {
         self.bufs.iter().map(|(n, v)| (n.as_str(), &**v))
     }
 
-    /// Mutable access to the uninterpreted-function tables.
-    pub fn uf_table_mut(&mut self) -> &mut UfTable {
-        &mut self.ufs
-    }
-
-    /// Shared access to the uninterpreted-function tables.
-    pub fn uf_table(&self) -> &UfTable {
-        &self.ufs
-    }
-
     /// Evaluates `e` in this environment.
     ///
     /// # Panics
     ///
-    /// Panics on unbound variables, missing buffers/tables, out-of-bounds
+    /// Panics on unbound variables, missing buffers, out-of-bounds
     /// loads, or division by zero — all of which indicate a lowering bug,
     /// not a user error.
     pub fn eval(&self, e: &Expr) -> i64 {
@@ -97,10 +85,6 @@ impl Env {
                 } else {
                     self.eval(b)
                 }
-            }
-            ExprKind::Uf(f, args) => {
-                let argv: Vec<i64> = args.iter().map(|a| self.eval(a)).collect();
-                self.ufs.eval_uf(f.name(), &argv)
             }
             ExprKind::Load(buf, idx) => {
                 let i = self.eval(idx);
@@ -129,16 +113,9 @@ impl Env {
     }
 }
 
-impl UfEval for Env {
-    fn eval_uf(&self, name: &str, args: &[i64]) -> i64 {
-        self.ufs.eval_uf(name, args)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ufunc::UfRef;
 
     #[test]
     fn arithmetic_and_vars() {
@@ -158,13 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn uf_and_load() {
+    fn extent_and_offset_loads() {
         let mut env = Env::new();
-        env.uf_table_mut().insert_table1d("s", vec![4, 1, 7]);
+        env.set_buffer("s", vec![4, 1, 7]);
         env.set_buffer("row_idx", vec![0, 4, 5]);
         env.bind("o", 2);
-        let s = UfRef::new("s", 1);
-        let e = Expr::uf(s, vec![Expr::var("o")]) + Expr::load("row_idx", Expr::var("o") - 1);
+        let e = Expr::load("s", Expr::var("o")) + Expr::load("row_idx", Expr::var("o") - 1);
         assert_eq!(env.eval(&e), 7 + 4);
     }
 

@@ -1,24 +1,18 @@
 //! Integer scalar expressions.
 //!
 //! CoRa's lowering manipulates *index expressions*: loop variables, extents,
-//! memory offsets. Ragged tensors add two constructs absent from dense
-//! tensor compilers:
-//!
-//! * [`ExprKind::Uf`] — a call to an *uninterpreted function* (Strout et
-//!   al., 2018) such as the variable loop bound `s(o)` or the fused-loop
-//!   maps `ffo`/`ffi`/`foif` of the paper's §5.1. At compile time these are
-//!   opaque symbols with registered properties; at run time the prelude
-//!   materialises them as arrays.
-//! * [`ExprKind::Load`] — a read from a named integer auxiliary buffer
-//!   (e.g. a row-offset array produced by the prelude).
+//! memory offsets. Ragged tensors add one construct absent from dense
+//! tensor compilers: [`ExprKind::Load`], a read from a named integer
+//! auxiliary buffer. Everything the paper models as an uninterpreted
+//! function (§5.1) — the variable loop bound `s(o)`, a row-offset array,
+//! the fused-loop maps `ffo`/`ffi` — is such a table, built by the prelude
+//! before the kernel runs.
 //!
 //! Expressions are immutable trees shared through [`std::rc::Rc`]; cloning
 //! is O(1).
 
 use std::fmt;
 use std::rc::Rc;
-
-use crate::ufunc::UfRef;
 
 /// An integer-valued expression (cheaply cloneable handle).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -47,8 +41,6 @@ pub enum ExprKind {
     Max(Expr, Expr),
     /// `if cond { then_ } else { else_ }`.
     Select(Cond, Expr, Expr),
-    /// Application of an uninterpreted function to integer arguments.
-    Uf(UfRef, Vec<Expr>),
     /// Read of element `index` from a named integer auxiliary buffer.
     Load(String, Expr),
 }
@@ -87,19 +79,6 @@ impl Expr {
     /// Named variable.
     pub fn var(name: impl Into<String>) -> Self {
         Expr(Rc::new(ExprKind::Var(name.into())))
-    }
-
-    /// Uninterpreted-function call.
-    pub fn uf(f: UfRef, args: Vec<Expr>) -> Self {
-        assert_eq!(
-            f.arity(),
-            args.len(),
-            "uninterpreted function `{}` expects {} argument(s), got {}",
-            f.name(),
-            f.arity(),
-            args.len()
-        );
-        Expr(Rc::new(ExprKind::Uf(f, args)))
     }
 
     /// Read from a named integer auxiliary buffer.
@@ -329,16 +308,6 @@ impl fmt::Display for Expr {
             ExprKind::Min(a, b) => write!(f, "min({a}, {b})"),
             ExprKind::Max(a, b) => write!(f, "max({a}, {b})"),
             ExprKind::Select(c, a, b) => write!(f, "({c} ? {a} : {b})"),
-            ExprKind::Uf(uf, args) => {
-                write!(f, "{}(", uf.name())?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
             ExprKind::Load(buf, idx) => write!(f, "{buf}[{idx}]"),
         }
     }
@@ -397,12 +366,5 @@ mod tests {
         assert!(Expr::int(1).is_one());
         assert_eq!(Expr::var("x").as_int(), None);
         assert_eq!(Expr::var("x").as_var(), Some("x"));
-    }
-
-    #[test]
-    #[should_panic(expected = "expects 1 argument")]
-    fn uf_arity_is_checked() {
-        let f = UfRef::new("s", 1);
-        let _ = Expr::uf(f, vec![Expr::int(1), Expr::int(2)]);
     }
 }

@@ -1,159 +1,45 @@
-//! Interval (value-range) analysis over index expressions.
+//! Strided-interval (value-range) analysis over index expressions: the
+//! one abstract domain of the compiler.
 //!
-//! Used for bounds inference and for proving conditional checks redundant
-//! (so padded loop bodies can elide them, §4.1). Ranges of uninterpreted
-//! functions come from their registered [`UfProperties`]; variables get
-//! ranges from the loop nest enclosing the expression.
+//! [`SInt`] carries every transfer function — arithmetic, floor
+//! division/modulo, min/max, union, the three-valued comparisons and
+//! range clamping — and two consumers go through it:
 //!
-//! [`UfProperties`]: crate::ufunc::UfProperties
+//! * **guard elision** in lowering asks [`decide`] whether a bound check
+//!   always holds under the enclosing loops' ranges, so padded loop
+//!   bodies can drop it (§4.1);
+//! * **the safety verifier** (`cora_core::verify`) evaluates outlined
+//!   block bodies over the same methods, grounding auxiliary-table
+//!   `Load`s in the built prelude tables.
+//!
+//! All arithmetic is overflow-aware: a sum, product or negation that
+//! leaves `i64` degrades to [`SInt::Top`], and differences of endpoints
+//! (which can span the whole `i64` range) are taken as unsigned
+//! distances, which always fit.
 
 use std::collections::HashMap;
 
-use crate::expr::{floor_div_i64, Cond, CondKind, Expr, ExprKind};
-use crate::ufunc::UfRegistry;
+use crate::expr::{Cond, CondKind, Expr, ExprKind};
 
-/// A (possibly half-open) inclusive integer interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Interval {
-    /// Greatest known lower bound.
-    pub min: Option<i64>,
-    /// Least known upper bound.
-    pub max: Option<i64>,
-}
-
-impl Interval {
-    /// The unbounded interval.
-    pub fn unknown() -> Self {
-        Interval::default()
-    }
-
-    /// A single point.
-    pub fn point(v: i64) -> Self {
-        Interval {
-            min: Some(v),
-            max: Some(v),
-        }
-    }
-
-    /// A fully known interval `[lo, hi]`.
-    pub fn bounded(lo: i64, hi: i64) -> Self {
-        Interval {
-            min: Some(lo),
-            max: Some(hi),
-        }
-    }
-
-    /// True if both endpoints are known.
-    pub fn is_bounded(&self) -> bool {
-        self.min.is_some() && self.max.is_some()
-    }
-
-    fn add(self, o: Interval) -> Interval {
-        Interval {
-            min: opt2(self.min, o.min, i64::checked_add),
-            max: opt2(self.max, o.max, i64::checked_add),
-        }
-    }
-
-    fn sub(self, o: Interval) -> Interval {
-        Interval {
-            min: opt2(self.min, o.max, i64::checked_sub),
-            max: opt2(self.max, o.min, i64::checked_sub),
-        }
-    }
-
-    fn mul(self, o: Interval) -> Interval {
-        // Sound only with all four corner products; any unknown endpoint
-        // poisons the result.
-        match (self.min, self.max, o.min, o.max) {
-            (Some(a), Some(b), Some(c), Some(d)) => {
-                let cands = [
-                    a.checked_mul(c),
-                    a.checked_mul(d),
-                    b.checked_mul(c),
-                    b.checked_mul(d),
-                ];
-                if cands.iter().any(|c| c.is_none()) {
-                    Interval::unknown()
-                } else {
-                    let vals: Vec<i64> = cands.into_iter().map(Option::unwrap).collect();
-                    Interval::bounded(*vals.iter().min().unwrap(), *vals.iter().max().unwrap())
-                }
-            }
-            _ => Interval::unknown(),
-        }
-    }
-
-    fn floor_div(self, o: Interval) -> Interval {
-        match (self.min, self.max, o.min, o.max) {
-            // Only the common, well-behaved case: positive constant-range divisor.
-            (Some(a), Some(b), Some(c), Some(d)) if c > 0 => {
-                let vals = [
-                    floor_div_i64(a, c),
-                    floor_div_i64(a, d),
-                    floor_div_i64(b, c),
-                    floor_div_i64(b, d),
-                ];
-                Interval::bounded(*vals.iter().min().unwrap(), *vals.iter().max().unwrap())
-            }
-            _ => Interval::unknown(),
-        }
-    }
-
-    fn floor_mod(self, o: Interval) -> Interval {
-        match (o.min, o.max) {
-            (Some(c), Some(d)) if c > 0 => Interval::bounded(0, d - 1),
-            _ => Interval::unknown(),
-        }
-    }
-
-    fn min_i(self, o: Interval) -> Interval {
-        Interval {
-            min: opt2(self.min, o.min, |a, b| Some(a.min(b))),
-            max: match (self.max, o.max) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (Some(a), None) | (None, Some(a)) => Some(a),
-                (None, None) => None,
-            },
-        }
-    }
-
-    fn max_i(self, o: Interval) -> Interval {
-        Interval {
-            min: match (self.min, o.min) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (Some(a), None) | (None, Some(a)) => Some(a),
-                (None, None) => None,
-            },
-            max: opt2(self.max, o.max, |a, b| Some(a.max(b))),
-        }
-    }
-
-    fn union(self, o: Interval) -> Interval {
-        Interval {
-            min: opt2(self.min, o.min, |a, b| Some(a.min(b))),
-            max: opt2(self.max, o.max, |a, b| Some(a.max(b))),
-        }
-    }
-}
-
-fn opt2(a: Option<i64>, b: Option<i64>, f: impl Fn(i64, i64) -> Option<i64>) -> Option<i64> {
-    match (a, b) {
-        (Some(a), Some(b)) => f(a, b),
-        _ => None,
-    }
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
     a
 }
 
-/// A *strided interval*: the abstract value used by the safety verifier's
-/// concrete (per-block) pass. `Set { lo, hi, stride }` denotes
+/// `gcd(s, t)` of two strides (both `≥ 1`, so the result fits).
+fn stride_gcd(s: i64, t: i64) -> i64 {
+    gcd(s.unsigned_abs(), t.unsigned_abs()) as i64
+}
+
+/// Stride of the coarsest lattice holding both `{a + k·s}` and
+/// `{c + k·t}`: `gcd(s, t, |a − c|)`, which divides `s ≥ 1` and so fits.
+fn common_stride(s: i64, t: i64, a: i64, c: i64) -> i64 {
+    gcd(gcd(s.unsigned_abs(), t.unsigned_abs()), a.abs_diff(c)) as i64
+}
+
+/// A *strided interval*: `Set { lo, hi, stride }` denotes
 /// `{ x : lo ≤ x ≤ hi, x ≡ lo (mod stride) }`; `Top` is "any integer"
 /// (unknown), `Empty` the empty set. The stride is what lets two blocks'
 /// interleaved store sets (`b + j·N` for distinct `b`) be proven disjoint
@@ -214,12 +100,12 @@ impl SInt {
         if lo > hi {
             return SInt::Empty;
         }
-        // Dense sets (the common case) skip the division.
+        // Dense sets (the common case) skip the division. The remainder
+        // is below `stride`, so it fits and `hi − rem ≥ lo`.
         let hi = if stride == 1 {
             hi
         } else {
-            let span = hi - lo;
-            lo + span - span.rem_euclid(stride)
+            hi - (hi.abs_diff(lo) % stride.unsigned_abs()) as i64
         };
         if lo == hi {
             SInt::point(lo)
@@ -249,7 +135,9 @@ impl SInt {
         match *self {
             SInt::Empty => false,
             SInt::Top => true,
-            SInt::Set { lo, hi, stride } => lo <= v && v <= hi && (v - lo).rem_euclid(stride) == 0,
+            SInt::Set { lo, hi, stride } => {
+                lo <= v && v <= hi && v.abs_diff(lo) % stride.unsigned_abs() == 0
+            }
         }
     }
 
@@ -265,7 +153,10 @@ impl SInt {
         match *self {
             SInt::Empty => false,
             SInt::Top => true,
-            SInt::Set { lo, hi, stride } => stride == 1 && lo <= run_lo && run_lo + n - 1 <= hi,
+            SInt::Set { lo, hi, stride } => {
+                let last = run_lo.checked_add(n - 1);
+                stride == 1 && lo <= run_lo && last.is_some_and(|last| last <= hi)
+            }
         }
     }
 
@@ -301,9 +192,9 @@ impl SInt {
                     } else if c == d {
                         s
                     } else {
-                        gcd(s, t)
+                        stride_gcd(s, t)
                     };
-                    SInt::make(lo, hi, stride.max(1))
+                    SInt::make(lo, hi, stride)
                 }
                 _ => SInt::Top,
             }
@@ -339,7 +230,7 @@ impl SInt {
         match self {
             SInt::Set { lo, hi, stride } => {
                 let (a, b) = (lo.checked_mul(c), hi.checked_mul(c));
-                let s = stride.checked_mul(c.abs());
+                let s = c.checked_abs().and_then(|c| stride.checked_mul(c));
                 match (a, b, s) {
                     (Some(a), Some(b), Some(s)) => SInt::make(a.min(b), a.max(b), s),
                     _ => SInt::Top,
@@ -371,8 +262,8 @@ impl SInt {
     }
 
     /// Floor division by a positive constant. Exact stride transfer when
-    /// the divisor divides the stride *and* the phase (then every element
-    /// maps by `x ↦ x/c` bijectively onto the lattice `stride/c`).
+    /// the divisor divides the stride (then every element maps by
+    /// `x ↦ ⌊x/c⌋` onto the lattice `stride/c`).
     pub fn floor_div_const(self, c: i64) -> SInt {
         if c <= 0 {
             return SInt::Top;
@@ -403,29 +294,48 @@ impl SInt {
                 }
                 // Span fits inside one period without wrapping?
                 let base = lo.rem_euclid(c);
-                if hi - lo < c && base + (hi - lo) < c {
-                    return SInt::make(base, base + (hi - lo), stride);
+                let span = hi.abs_diff(lo);
+                if span < (c - base).unsigned_abs() {
+                    return SInt::make(base, base + span as i64, stride);
                 }
                 // General: residues lie on the gcd lattice within [0, c).
-                let g = gcd(stride, c);
-                let first = lo.rem_euclid(g);
-                SInt::make(first, c - 1, g.max(1))
+                let g = stride_gcd(stride, c);
+                SInt::make(lo.rem_euclid(g), c - 1, g)
             }
             other => other,
         }
     }
 
+    /// `f(self, c)` for a provably positive constant divisor `o = {c}`;
+    /// [`SInt::Top`] for any other divisor.
+    fn by_const(self, o: SInt, f: fn(SInt, i64) -> SInt) -> SInt {
+        let divisor = o.as_point().filter(|&c| c >= 1);
+        divisor.map_or(SInt::Top, |c| f(self, c))
+    }
+
+    /// Element-wise floor division (known only for a positive constant
+    /// divisor).
+    pub fn floor_div(self, o: SInt) -> SInt {
+        self.by_const(o, SInt::floor_div_const)
+    }
+
+    /// Element-wise floor modulo (known only for a positive constant
+    /// divisor).
+    pub fn floor_mod(self, o: SInt) -> SInt {
+        self.by_const(o, SInt::floor_mod_const)
+    }
+
     /// Element-wise binary minimum.
     pub fn min_s(self, o: SInt) -> SInt {
         self.bin(o, |a, b, s, c, d, t| {
-            SInt::make(a.min(c), b.min(d), gcd(gcd(s, t), (a - c).abs()).max(1))
+            SInt::make(a.min(c), b.min(d), common_stride(s, t, a, c))
         })
     }
 
     /// Element-wise binary maximum.
     pub fn max_s(self, o: SInt) -> SInt {
         self.bin(o, |a, b, s, c, d, t| {
-            SInt::make(a.max(c), b.max(d), gcd(gcd(s, t), (a - c).abs()).max(1))
+            SInt::make(a.max(c), b.max(d), common_stride(s, t, a, c))
         })
     }
 
@@ -445,7 +355,7 @@ impl SInt {
                     hi: d,
                     stride: t,
                 },
-            ) => SInt::make(a.min(c), b.max(d), gcd(gcd(s, t), (a - c).abs()).max(1)),
+            ) => SInt::make(a.min(c), b.max(d), common_stride(s, t, a, c)),
         }
     }
 
@@ -472,203 +382,218 @@ impl SInt {
                 if b < c || d < a {
                     return true;
                 }
-                (a - c).rem_euclid(gcd(s, t).max(1)) != 0
+                a.abs_diff(c) % stride_gcd(s, t).unsigned_abs() != 0
             }
         }
     }
+
+    /// `self < o` (strict) or `self ≤ o` over interval hulls: `Some`
+    /// when the hulls decide it for every pair of members.
+    fn cmp_hulls(self, o: SInt, strict: bool) -> Option<bool> {
+        let ((alo, ahi), (blo, bhi)) = (self.hull()?, o.hull()?);
+        if (strict && ahi < blo) || (!strict && ahi <= blo) {
+            Some(true)
+        } else if (strict && alo >= bhi) || (!strict && alo > bhi) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Three-valued `self < o`: `Some(b)` when it holds (or fails) for
+    /// every pair of members, `None` when undecided.
+    pub fn lt_s(self, o: SInt) -> Option<bool> {
+        self.cmp_hulls(o, true)
+    }
+
+    /// Three-valued `self ≤ o`.
+    pub fn le_s(self, o: SInt) -> Option<bool> {
+        self.cmp_hulls(o, false)
+    }
+
+    /// Three-valued `self == o`: decided by two points, or refuted by
+    /// provable disjointness.
+    pub fn eq_s(self, o: SInt) -> Option<bool> {
+        match (self.as_point(), o.as_point()) {
+            (Some(x), Some(y)) => Some(x == y),
+            _ if self.disjoint(o) => Some(false),
+            _ => None,
+        }
+    }
+
+    /// Three-valued `self != o`.
+    pub fn ne_s(self, o: SInt) -> Option<bool> {
+        self.eq_s(o).map(|eq| !eq)
+    }
+
+    /// The members within `[min, max]` (either bound optional), keeping
+    /// the congruence class; `Top` is returned unchanged (it has no
+    /// half-bounded form). `None` if the first member at or above `min`
+    /// is not computable in `i64` — the caller keeps the wider set.
+    pub fn clamp(self, min: Option<i64>, max: Option<i64>) -> Option<SInt> {
+        let SInt::Set { lo, hi, stride } = self else {
+            return Some(self);
+        };
+        let new_lo = match min {
+            Some(m) if m > lo => {
+                let gap = m.checked_sub(lo)?;
+                let steps = gap.div_euclid(stride) + i64::from(gap.rem_euclid(stride) != 0);
+                lo.checked_add(steps.checked_mul(stride)?)?
+            }
+            _ => lo,
+        };
+        let new_hi = match max {
+            Some(m) if m < hi => m,
+            _ => hi,
+        };
+        Some(SInt::make(new_lo, new_hi, stride))
+    }
 }
 
-/// Variable-range context for interval analysis.
-#[derive(Debug, Default, Clone)]
-pub struct RangeMap {
-    ranges: HashMap<String, Interval>,
-}
-
-impl RangeMap {
-    /// Creates an empty range map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares that `var` ranges over `interval`.
-    pub fn set(&mut self, var: impl Into<String>, interval: Interval) {
-        self.ranges.insert(var.into(), interval);
-    }
-
-    /// Declares the half-open loop range `var in [0, extent)`.
-    pub fn set_loop(&mut self, var: impl Into<String>, extent_hi: i64) {
-        self.set(var, Interval::bounded(0, extent_hi - 1));
-    }
-
-    /// Range of `var`, unbounded if undeclared.
-    pub fn get(&self, var: &str) -> Interval {
-        self.ranges.get(var).copied().unwrap_or_default()
-    }
-}
-
-/// Computes a sound interval for `e`.
-pub fn infer(e: &Expr, ranges: &RangeMap, reg: &UfRegistry) -> Interval {
+/// A sound strided interval for `e`: variables take their set from
+/// `ranges` (absent means unknown), auxiliary-table loads are unknown
+/// (only the verifier, which holds the built tables, can ground them).
+pub fn range_of(e: &Expr, ranges: &HashMap<String, SInt>) -> SInt {
+    let r = |x: &Expr| range_of(x, ranges);
     match e.kind() {
-        ExprKind::Int(v) => Interval::point(*v),
-        ExprKind::Var(n) => ranges.get(n),
-        ExprKind::Add(a, b) => infer(a, ranges, reg).add(infer(b, ranges, reg)),
-        ExprKind::Sub(a, b) => infer(a, ranges, reg).sub(infer(b, ranges, reg)),
-        ExprKind::Mul(a, b) => infer(a, ranges, reg).mul(infer(b, ranges, reg)),
-        ExprKind::FloorDiv(a, b) => infer(a, ranges, reg).floor_div(infer(b, ranges, reg)),
-        ExprKind::FloorMod(a, b) => infer(a, ranges, reg).floor_mod(infer(b, ranges, reg)),
-        ExprKind::Min(a, b) => infer(a, ranges, reg).min_i(infer(b, ranges, reg)),
-        ExprKind::Max(a, b) => infer(a, ranges, reg).max_i(infer(b, ranges, reg)),
-        ExprKind::Select(_, a, b) => infer(a, ranges, reg).union(infer(b, ranges, reg)),
-        ExprKind::Uf(f, _) => match reg.properties(f.name()) {
-            Some(p) => Interval {
-                min: p.min_value,
-                max: p.max_value,
-            },
-            None => Interval::unknown(),
+        ExprKind::Int(v) => SInt::point(*v),
+        ExprKind::Var(n) => ranges.get(n).copied().unwrap_or(SInt::Top),
+        ExprKind::Add(a, b) => r(a).add(r(b)),
+        ExprKind::Sub(a, b) => r(a).sub(r(b)),
+        ExprKind::Mul(a, b) => r(a).mul(r(b)),
+        ExprKind::FloorDiv(a, b) => r(a).floor_div(r(b)),
+        ExprKind::FloorMod(a, b) => r(a).floor_mod(r(b)),
+        ExprKind::Min(a, b) => r(a).min_s(r(b)),
+        ExprKind::Max(a, b) => r(a).max_s(r(b)),
+        ExprKind::Select(c, a, b) => match decide(c, ranges) {
+            Some(true) => r(a),
+            Some(false) => r(b),
+            None => r(a).union(r(b)),
         },
-        ExprKind::Load(_, _) => Interval::unknown(),
+        ExprKind::Load(_, _) => SInt::Top,
     }
 }
 
 /// Tries to prove `c` always true (`Some(true)`), always false
-/// (`Some(false)`), or gives up (`None`).
-pub fn prove(c: &Cond, ranges: &RangeMap, reg: &UfRegistry) -> Option<bool> {
+/// (`Some(false)`), or gives up (`None`), for variables ranging over
+/// `ranges`.
+///
+/// This is the query lowering issues to elide a guard that loop padding
+/// makes redundant (§4.1): a guard is dropped only on `Some(true)`.
+pub fn decide(c: &Cond, ranges: &HashMap<String, SInt>) -> Option<bool> {
+    let r = |x: &Expr| range_of(x, ranges);
     match c.kind() {
         CondKind::Const(b) => Some(*b),
-        CondKind::Lt(a, b) => prove_lt(a, b, ranges, reg),
-        CondKind::Le(a, b) => {
-            // a <= b  <=>  a < b + 1
-            prove_lt(&(a.clone() + 1), &(b.clone() + 1 - 0), ranges, reg)
-                .or_else(|| prove_lt(a, &(b.clone() + 1), ranges, reg))
-        }
-        CondKind::Eq(a, b) => {
-            let ia = infer(a, ranges, reg);
-            let ib = infer(b, ranges, reg);
-            if let (Some(x), Some(y)) = (ia.min, ia.max) {
-                if x == y {
-                    if let (Some(u), Some(v)) = (ib.min, ib.max) {
-                        if u == v {
-                            return Some(x == u);
-                        }
-                    }
-                }
-            }
-            // Disjoint ranges prove inequality.
-            if disjoint(ia, ib) {
-                return Some(false);
-            }
-            None
-        }
-        CondKind::Ne(a, b) => prove(&a.clone().eq_expr(b.clone()), ranges, reg).map(|v| !v),
-        CondKind::And(a, b) => match (prove(a, ranges, reg), prove(b, ranges, reg)) {
+        CondKind::Lt(a, b) => r(a).lt_s(r(b)),
+        CondKind::Le(a, b) => r(a).le_s(r(b)),
+        CondKind::Eq(a, b) => r(a).eq_s(r(b)),
+        CondKind::Ne(a, b) => r(a).ne_s(r(b)),
+        CondKind::And(a, b) => match (decide(a, ranges), decide(b, ranges)) {
             (Some(false), _) | (_, Some(false)) => Some(false),
             (Some(true), Some(true)) => Some(true),
             _ => None,
         },
-        CondKind::Or(a, b) => match (prove(a, ranges, reg), prove(b, ranges, reg)) {
+        CondKind::Or(a, b) => match (decide(a, ranges), decide(b, ranges)) {
             (Some(true), _) | (_, Some(true)) => Some(true),
             (Some(false), Some(false)) => Some(false),
             _ => None,
         },
-        CondKind::Not(a) => prove(a, ranges, reg).map(|v| !v),
+        CondKind::Not(a) => decide(a, ranges).map(|v| !v),
     }
-}
-
-fn prove_lt(a: &Expr, b: &Expr, ranges: &RangeMap, reg: &UfRegistry) -> Option<bool> {
-    let ia = infer(a, ranges, reg);
-    let ib = infer(b, ranges, reg);
-    if let (Some(amax), Some(bmin)) = (ia.max, ib.min) {
-        if amax < bmin {
-            return Some(true);
-        }
-    }
-    if let (Some(amin), Some(bmax)) = (ia.min, ib.max) {
-        if amin >= bmax {
-            return Some(false);
-        }
-    }
-    None
-}
-
-fn disjoint(a: Interval, b: Interval) -> bool {
-    matches!((a.max, b.min), (Some(x), Some(y)) if x < y)
-        || matches!((b.max, a.min), (Some(x), Some(y)) if x < y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ufunc::{UfProperties, UfRef, UfRegistry};
+
+    fn ranges(vars: &[(&str, SInt)]) -> HashMap<String, SInt> {
+        vars.iter().map(|&(n, r)| (n.to_string(), r)).collect()
+    }
 
     #[test]
     fn arithmetic_ranges() {
-        let mut rm = RangeMap::new();
-        rm.set_loop("i", 8);
-        let reg = UfRegistry::new();
+        let rm = ranges(&[("i", SInt::range(0, 7))]);
         let e = Expr::var("i") * 4 + 3;
-        assert_eq!(infer(&e, &rm, &reg), Interval::bounded(3, 31));
+        assert_eq!(range_of(&e, &rm), SInt::make(3, 31, 4));
     }
 
     #[test]
     fn division_and_modulo_ranges() {
-        let mut rm = RangeMap::new();
-        rm.set_loop("i", 10);
-        let reg = UfRegistry::new();
-        assert_eq!(
-            infer(&Expr::var("i").floor_div(Expr::int(3)), &rm, &reg),
-            Interval::bounded(0, 3)
-        );
-        assert_eq!(
-            infer(&Expr::var("i").floor_mod(Expr::int(4)), &rm, &reg),
-            Interval::bounded(0, 3)
-        );
+        let rm = ranges(&[("i", SInt::range(0, 9))]);
+        let div = Expr::var("i").floor_div(Expr::int(3));
+        assert_eq!(range_of(&div, &rm), SInt::range(0, 3));
+        let modulo = Expr::var("i").floor_mod(Expr::int(4));
+        assert_eq!(range_of(&modulo, &rm), SInt::range(0, 3));
+        // A non-constant or non-positive divisor is unknown, not wrong.
+        let by_var = Expr::var("i").floor_div(Expr::var("i") + 1);
+        assert_eq!(range_of(&by_var, &rm), SInt::Top);
+        assert_eq!(SInt::range(0, 9).floor_mod(SInt::point(0)), SInt::Top);
     }
 
     #[test]
-    fn uf_ranges_from_registry() {
-        let mut reg = UfRegistry::new();
-        let s = UfRef::new("s", 1);
-        reg.register(
-            &s,
-            UfProperties {
-                min_value: Some(1),
-                max_value: Some(128),
-                ..Default::default()
-            },
-        );
-        let rm = RangeMap::new();
-        let e = Expr::uf(s, vec![Expr::var("o")]);
-        assert_eq!(infer(&e, &rm, &reg), Interval::bounded(1, 128));
+    fn loads_and_undeclared_variables_are_unknown() {
+        let rm = ranges(&[("i", SInt::range(0, 3))]);
+        let e = Expr::load("ext", Expr::var("i")) + Expr::var("ghost");
+        assert_eq!(range_of(&e, &rm), SInt::Top);
+        assert_eq!(decide(&Expr::var("i").lt(e), &rm), None);
     }
 
     #[test]
     fn proves_redundant_bound_check() {
         // i in [0, 32), tile j in [0, 4): i*4 + j < 128 always holds...
-        let mut rm = RangeMap::new();
-        rm.set_loop("i", 32);
-        rm.set_loop("j", 4);
-        let reg = UfRegistry::new();
+        let rm = ranges(&[("i", SInt::range(0, 31)), ("j", SInt::range(0, 3))]);
         let c = (Expr::var("i") * 4 + Expr::var("j")).lt(Expr::int(128));
-        assert_eq!(prove(&c, &rm, &reg), Some(true));
+        assert_eq!(decide(&c, &rm), Some(true));
         // ...but i*4 + j < 100 does not.
         let c2 = (Expr::var("i") * 4 + Expr::var("j")).lt(Expr::int(100));
-        assert_eq!(prove(&c2, &rm, &reg), None);
+        assert_eq!(decide(&c2, &rm), None);
+    }
+
+    #[test]
+    fn elides_guard_proved_by_padding() {
+        // Loop padded to a multiple of 4 with storage padded to a multiple
+        // of 4: access index i < padded_extent always holds.
+        let rm = ranges(&[("i", SInt::range(0, 127))]);
+        assert_eq!(decide(&Expr::var("i").lt(Expr::int(128)), &rm), Some(true));
+        assert_eq!(decide(&Expr::var("i").lt(Expr::int(100)), &rm), None);
+        assert_eq!(decide(&Expr::var("i").le(Expr::int(127)), &rm), Some(true));
     }
 
     #[test]
     fn proves_false_and_disjoint_eq() {
-        let mut rm = RangeMap::new();
-        rm.set("x", Interval::bounded(10, 20));
-        rm.set("y", Interval::bounded(0, 5));
-        let reg = UfRegistry::new();
+        let rm = ranges(&[("x", SInt::range(10, 20)), ("y", SInt::range(0, 5))]);
+        let (x, y) = (Expr::var("x"), Expr::var("y"));
+        assert_eq!(decide(&x.clone().lt(y.clone()), &rm), Some(false));
+        assert_eq!(decide(&x.clone().eq_expr(y.clone()), &rm), Some(false));
+        assert_eq!(decide(&x.clone().ne_expr(y.clone()), &rm), Some(true));
+        // Congruence refutes equality where the hulls overlap.
+        let odd = (y.clone() * 2 + 11).eq_expr(x.clone() * 2);
+        assert_eq!(decide(&odd, &rm), Some(false));
+        // Three-valued connectives.
+        let unknown = x.clone().lt(Expr::int(15));
+        assert_eq!(decide(&unknown, &rm), None);
+        let never = x.lt(y);
         assert_eq!(
-            prove(&Expr::var("x").lt(Expr::var("y")), &rm, &reg),
+            decide(&unknown.clone().and(never.clone()), &rm),
             Some(false)
         );
-        assert_eq!(
-            prove(&Expr::var("x").eq_expr(Expr::var("y")), &rm, &reg),
-            Some(false)
-        );
+        assert_eq!(decide(&unknown.clone().or(!never), &rm), Some(true));
+        assert_eq!(decide(&!unknown, &rm), None);
+    }
+
+    #[test]
+    fn select_follows_a_decided_condition() {
+        let rm = ranges(&[("i", SInt::range(0, 3))]);
+        let pick = |bound| {
+            Expr::select(
+                Expr::var("i").lt(Expr::int(bound)),
+                Expr::int(10),
+                Expr::int(20),
+            )
+        };
+        assert_eq!(range_of(&pick(4), &rm), SInt::point(10));
+        assert_eq!(range_of(&pick(0), &rm), SInt::point(20));
+        assert_eq!(range_of(&pick(2), &rm), SInt::range(10, 20));
     }
 
     #[test]
@@ -726,13 +651,114 @@ mod tests {
     }
 
     #[test]
-    fn le_via_lt_rewrite() {
-        let mut rm = RangeMap::new();
-        rm.set_loop("i", 4);
-        let reg = UfRegistry::new();
+    fn clamp_keeps_the_congruence_class() {
+        let s = SInt::make(1, 21, 4); // {1, 5, 9, 13, 17, 21}
+        assert_eq!(s.clamp(Some(6), Some(18)), Some(SInt::make(9, 17, 4)));
+        assert_eq!(s.clamp(None, Some(0)), Some(SInt::Empty));
+        assert_eq!(SInt::Top.clamp(Some(0), Some(9)), Some(SInt::Top));
+        // A first member at or above `min` that is not representable
+        // yields `None` (the caller keeps the wider set), never a wrap.
+        assert_eq!(SInt::range(-4, 4).clamp(Some(i64::MAX), None), None);
+        let thirds = SInt::make(0, i64::MAX - 1, 3);
+        assert_eq!(thirds.clamp(Some(i64::MAX), None), None);
         assert_eq!(
-            prove(&Expr::var("i").le(Expr::int(3)), &rm, &reg),
-            Some(true)
+            SInt::make(i64::MIN, i64::MIN + 9, 3).clamp(Some(i64::MIN + 4), Some(i64::MIN + 7)),
+            Some(SInt::point(i64::MIN + 6))
         );
+    }
+
+    // The sets below span (almost) the whole i64 range, so `hi − lo` and
+    // `lo₁ − lo₂` do not fit in i64. Each test panicked in debug builds
+    // ("attempt to subtract with overflow") and computed a wrapped, wrong
+    // answer in release builds before these distances became unsigned.
+    const LOW: SInt = SInt::Set {
+        lo: i64::MIN,
+        hi: i64::MIN + 6,
+        stride: 3,
+    };
+    const HIGH: SInt = SInt::Set {
+        lo: i64::MAX - 6,
+        hi: i64::MAX,
+        stride: 3,
+    };
+
+    /// `{MIN, MIN + 3, …, MAX}`: 2⁶⁴ − 1 is a multiple of 3.
+    const WIDE: SInt = SInt::Set {
+        lo: i64::MIN,
+        hi: i64::MAX,
+        stride: 3,
+    };
+
+    /// Members of both `LOW` and `HIGH`, which every join must keep.
+    fn assert_covers_low_and_high(joined: SInt) {
+        for v in [i64::MIN, i64::MIN + 3, i64::MAX - 6, i64::MAX] {
+            assert!(joined.contains(v), "{joined} lost {v}");
+        }
+    }
+
+    #[test]
+    fn make_does_not_overflow_on_a_full_width_span() {
+        assert_eq!(SInt::make(i64::MIN, i64::MAX, 3), WIDE);
+        // 2⁶⁴ − 1 ≡ 1 (mod 2): the top member is MAX − 1.
+        let even = SInt::make(i64::MIN, i64::MAX, 2);
+        assert_eq!(even.hull(), Some((i64::MIN, i64::MAX - 1)));
+    }
+
+    #[test]
+    fn union_does_not_overflow_on_distant_sets() {
+        // |MIN − (MAX − 6)| = 2⁶⁴ − 7 ≡ 0 (mod 3): the stride survives.
+        let u = LOW.union(HIGH);
+        assert_eq!(u, WIDE);
+        assert_covers_low_and_high(u);
+        // Shifted by one the classes differ and the stride must drop to 1.
+        let shifted = SInt::make(i64::MAX - 5, i64::MAX - 2, 3);
+        assert_eq!(
+            LOW.union(shifted),
+            SInt::range(i64::MIN, i64::MAX - 2),
+            "incongruent sets join densely"
+        );
+    }
+
+    #[test]
+    fn min_s_does_not_overflow_on_distant_sets() {
+        assert_eq!(LOW.min_s(HIGH), LOW);
+        assert_eq!(HIGH.min_s(LOW), LOW);
+    }
+
+    #[test]
+    fn max_s_does_not_overflow_on_distant_sets() {
+        assert_eq!(LOW.max_s(HIGH), HIGH);
+        assert_eq!(HIGH.max_s(LOW), HIGH);
+    }
+
+    #[test]
+    fn disjoint_does_not_overflow_on_distant_sets() {
+        // Overlapping hulls whose low ends are 2⁶⁴ − 7 apart.
+        assert!(!WIDE.disjoint(HIGH), "MAX − 6 is in both");
+        let off = SInt::make(i64::MAX - 5, i64::MAX - 2, 3);
+        assert!(WIDE.disjoint(off), "classes differ modulo 3");
+    }
+
+    #[test]
+    fn floor_mod_const_does_not_overflow_on_a_full_width_span() {
+        // Unsound before: the wrapped span made this `Empty`.
+        let m = SInt::range(i64::MIN, i64::MAX).floor_mod_const(7);
+        assert_eq!(m, SInt::range(0, 6));
+        // A divisor near i64::MAX: `base + span` must not overflow either.
+        let c = i64::MAX;
+        let near = SInt::range(c - 3, c - 1).floor_mod_const(c);
+        assert_eq!(near, SInt::range(c - 3, c - 1));
+        // {−1, 0, …, 5} mod MAX = {MAX − 1, 0, …, 5}: wraps, so general.
+        assert_eq!(SInt::range(-1, 5).floor_mod_const(c), SInt::range(0, c - 1));
+    }
+
+    #[test]
+    fn membership_does_not_overflow_on_a_full_width_span() {
+        assert!(WIDE.contains(i64::MAX) && !WIDE.contains(i64::MAX - 1));
+        let dense = SInt::range(i64::MAX - 9, i64::MAX);
+        assert!(dense.contains_run(i64::MAX - 3, 4));
+        assert!(!dense.contains_run(i64::MAX - 3, 5));
+        // Scaling by i64::MIN has no representable stride.
+        assert_eq!(SInt::range(0, 1).mul_const(i64::MIN), SInt::Top);
     }
 }

@@ -1,10 +1,11 @@
-//! Algebraic simplification with uninterpreted-function axioms.
+//! Algebraic simplification of index expressions and conditions.
 //!
 //! Where the paper hands expressions to Z3 (§B.2), we apply a terminating
 //! bottom-up rewriter. It covers the query shapes CoRa's lowering produces:
 //! constant folding, neutral/absorbing elements, floor-division
-//! cancellation, min/max collapsing, and the three fused-loop axioms
-//! (`ffo(foif(o,i)) = o`, `ffi(foif(o,i)) = i`, `foif(ffo(f),ffi(f)) = f`).
+//! cancellation and min/max collapsing. (The paper's fused-loop axioms
+//! need no rewrite rule here: lowering reads `ffo`/`ffi` as prelude-built
+//! tables, so `ffo(foif(o, i))` never appears as a term.)
 //!
 //! Every rule is semantics-preserving; `proptest` checks random expressions
 //! evaluate identically before and after simplification.
@@ -12,19 +13,18 @@
 use std::ops::Not;
 
 use crate::expr::{floor_div_i64, floor_mod_i64, Cond, CondKind, Expr, ExprKind};
-use crate::ufunc::UfRegistry;
 
-/// Simplifies `e` bottom-up using the axioms in `reg`.
-pub fn simplify(e: &Expr, reg: &UfRegistry) -> Expr {
+/// Simplifies `e` bottom-up.
+pub fn simplify(e: &Expr) -> Expr {
     match e.kind() {
         ExprKind::Int(_) | ExprKind::Var(_) => e.clone(),
-        ExprKind::Add(a, b) => simplify_add(simplify(a, reg), simplify(b, reg)),
-        ExprKind::Sub(a, b) => simplify_sub(simplify(a, reg), simplify(b, reg)),
-        ExprKind::Mul(a, b) => simplify_mul(simplify(a, reg), simplify(b, reg)),
-        ExprKind::FloorDiv(a, b) => simplify_div(simplify(a, reg), simplify(b, reg)),
-        ExprKind::FloorMod(a, b) => simplify_mod(simplify(a, reg), simplify(b, reg)),
+        ExprKind::Add(a, b) => simplify_add(simplify(a), simplify(b)),
+        ExprKind::Sub(a, b) => simplify_sub(simplify(a), simplify(b)),
+        ExprKind::Mul(a, b) => simplify_mul(simplify(a), simplify(b)),
+        ExprKind::FloorDiv(a, b) => simplify_div(simplify(a), simplify(b)),
+        ExprKind::FloorMod(a, b) => simplify_mod(simplify(a), simplify(b)),
         ExprKind::Min(a, b) => {
-            let (a, b) = (simplify(a, reg), simplify(b, reg));
+            let (a, b) = (simplify(a), simplify(b));
             match (a.as_int(), b.as_int()) {
                 (Some(x), Some(y)) => Expr::int(x.min(y)),
                 _ if a == b => a,
@@ -32,7 +32,7 @@ pub fn simplify(e: &Expr, reg: &UfRegistry) -> Expr {
             }
         }
         ExprKind::Max(a, b) => {
-            let (a, b) = (simplify(a, reg), simplify(b, reg));
+            let (a, b) = (simplify(a), simplify(b));
             match (a.as_int(), b.as_int()) {
                 (Some(x), Some(y)) => Expr::int(x.max(y)),
                 _ if a == b => a,
@@ -40,8 +40,8 @@ pub fn simplify(e: &Expr, reg: &UfRegistry) -> Expr {
             }
         }
         ExprKind::Select(c, a, b) => {
-            let c = simplify_cond(c, reg);
-            let (a, b) = (simplify(a, reg), simplify(b, reg));
+            let c = simplify_cond(c);
+            let (a, b) = (simplify(a), simplify(b));
             match c.as_bool() {
                 Some(true) => a,
                 Some(false) => b,
@@ -49,36 +49,32 @@ pub fn simplify(e: &Expr, reg: &UfRegistry) -> Expr {
                 None => Expr::select(c, a, b),
             }
         }
-        ExprKind::Uf(f, args) => {
-            let args: Vec<Expr> = args.iter().map(|a| simplify(a, reg)).collect();
-            apply_uf_axioms(f.name(), &args, reg).unwrap_or_else(|| Expr::uf(f.clone(), args))
-        }
-        ExprKind::Load(buf, idx) => Expr::load(buf.clone(), simplify(idx, reg)),
+        ExprKind::Load(buf, idx) => Expr::load(buf.clone(), simplify(idx)),
     }
 }
 
 /// Simplifies a condition bottom-up.
-pub fn simplify_cond(c: &Cond, reg: &UfRegistry) -> Cond {
+pub fn simplify_cond(c: &Cond) -> Cond {
     match c.kind() {
         CondKind::Const(_) => c.clone(),
-        CondKind::Lt(a, b) => fold_cmp(simplify(a, reg), simplify(b, reg), |x, y| x < y, Expr::lt),
-        CondKind::Le(a, b) => fold_cmp(simplify(a, reg), simplify(b, reg), |x, y| x <= y, Expr::le),
+        CondKind::Lt(a, b) => fold_cmp(simplify(a), simplify(b), |x, y| x < y, Expr::lt),
+        CondKind::Le(a, b) => fold_cmp(simplify(a), simplify(b), |x, y| x <= y, Expr::le),
         CondKind::Eq(a, b) => {
-            let (a, b) = (simplify(a, reg), simplify(b, reg));
+            let (a, b) = (simplify(a), simplify(b));
             if a == b {
                 return Cond::const_bool(true);
             }
             fold_cmp(a, b, |x, y| x == y, Expr::eq_expr)
         }
         CondKind::Ne(a, b) => {
-            let (a, b) = (simplify(a, reg), simplify(b, reg));
+            let (a, b) = (simplify(a), simplify(b));
             if a == b {
                 return Cond::const_bool(false);
             }
             fold_cmp(a, b, |x, y| x != y, Expr::ne_expr)
         }
         CondKind::And(a, b) => {
-            let (a, b) = (simplify_cond(a, reg), simplify_cond(b, reg));
+            let (a, b) = (simplify_cond(a), simplify_cond(b));
             match (a.as_bool(), b.as_bool()) {
                 (Some(false), _) | (_, Some(false)) => Cond::const_bool(false),
                 (Some(true), _) => b,
@@ -87,7 +83,7 @@ pub fn simplify_cond(c: &Cond, reg: &UfRegistry) -> Cond {
             }
         }
         CondKind::Or(a, b) => {
-            let (a, b) = (simplify_cond(a, reg), simplify_cond(b, reg));
+            let (a, b) = (simplify_cond(a), simplify_cond(b));
             match (a.as_bool(), b.as_bool()) {
                 (Some(true), _) | (_, Some(true)) => Cond::const_bool(true),
                 (Some(false), _) => b,
@@ -96,7 +92,7 @@ pub fn simplify_cond(c: &Cond, reg: &UfRegistry) -> Cond {
             }
         }
         CondKind::Not(a) => {
-            let a = simplify_cond(a, reg);
+            let a = simplify_cond(a);
             match a.as_bool() {
                 Some(v) => Cond::const_bool(!v),
                 None => a.not(),
@@ -189,8 +185,8 @@ fn simplify_div(a: Expr, b: Expr) -> Expr {
             return x.clone();
         }
     }
-    // (x*c1 + r) / c2 where c2 | c1 and 0 <= r < c2 cannot be proven here;
-    // handled by the solver with interval context instead.
+    // (x*c1 + r) / c2 where c2 | c1 and 0 <= r < c2 cannot be proven
+    // without ranges; `interval::range_of` bounds it instead.
     a.floor_div(b)
 }
 
@@ -216,168 +212,76 @@ fn simplify_mod(a: Expr, b: Expr) -> Expr {
     a.floor_mod(b)
 }
 
-/// Applies the fused-triple axioms to a UF call; returns `None` if no axiom
-/// matched.
-fn apply_uf_axioms(name: &str, args: &[Expr], reg: &UfRegistry) -> Option<Expr> {
-    // ffo(foif(o, i)) -> o and ffi(foif(o, i)) -> i.
-    if let Some(triple) = reg.triple_with_component(name) {
-        if args.len() == 1 {
-            if let ExprKind::Uf(inner, inner_args) = args[0].kind() {
-                if inner.name() == triple.foif.name() && inner_args.len() == 2 {
-                    if name == triple.ffo.name() {
-                        return Some(inner_args[0].clone());
-                    }
-                    if name == triple.ffi.name() {
-                        return Some(inner_args[1].clone());
-                    }
-                }
-            }
-        }
-    }
-    // foif(ffo(f), ffi(f)) -> f.
-    if let Some(triple) = reg.triple_with_foif(name) {
-        if args.len() == 2 {
-            if let (ExprKind::Uf(f0, a0), ExprKind::Uf(f1, a1)) = (args[0].kind(), args[1].kind()) {
-                if f0.name() == triple.ffo.name()
-                    && f1.name() == triple.ffi.name()
-                    && a0.len() == 1
-                    && a1.len() == 1
-                    && a0[0] == a1[0]
-                {
-                    return Some(a0[0].clone());
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ufunc::{FusedTriple, UfRef};
-
-    fn reg_with_triple() -> (UfRegistry, UfRef, UfRef, UfRef) {
-        let mut reg = UfRegistry::new();
-        let foif = UfRef::new("foif", 2);
-        let ffo = UfRef::new("ffo", 1);
-        let ffi = UfRef::new("ffi", 1);
-        reg.register_fused_triple(FusedTriple {
-            foif: foif.clone(),
-            ffo: ffo.clone(),
-            ffi: ffi.clone(),
-        });
-        (reg, foif, ffo, ffi)
-    }
 
     #[test]
     fn folds_constants() {
-        let reg = UfRegistry::new();
         let e = (Expr::int(3) + 4) * 2 - 1;
-        assert_eq!(simplify(&e, &reg).as_int(), Some(13));
+        assert_eq!(simplify(&e).as_int(), Some(13));
     }
 
     #[test]
     // `x * 0` is the point of the test: the simplifier must erase it.
     #[allow(clippy::erasing_op)]
     fn neutral_elements() {
-        let reg = UfRegistry::new();
         let x = Expr::var("x");
-        assert_eq!(simplify(&(x.clone() + 0), &reg), x);
-        assert_eq!(simplify(&(x.clone() * 1), &reg), x);
-        assert_eq!(simplify(&(x.clone() * 0), &reg).as_int(), Some(0));
-        assert_eq!(simplify(&(x.clone() - x.clone()), &reg).as_int(), Some(0));
+        assert_eq!(simplify(&(x.clone() + 0)), x);
+        assert_eq!(simplify(&(x.clone() * 1)), x);
+        assert_eq!(simplify(&(x.clone() * 0)).as_int(), Some(0));
+        assert_eq!(simplify(&(x.clone() - x.clone())).as_int(), Some(0));
     }
 
     #[test]
     fn mul_div_cancellation() {
-        let reg = UfRegistry::new();
         let x = Expr::var("x");
         let e = (x.clone() * 8).floor_div(Expr::int(8));
-        assert_eq!(simplify(&e, &reg), x);
+        assert_eq!(simplify(&e), x);
         let m = (Expr::var("x") * 8).floor_mod(Expr::int(8));
-        assert_eq!(simplify(&m, &reg).as_int(), Some(0));
+        assert_eq!(simplify(&m).as_int(), Some(0));
     }
 
     #[test]
     fn overflowing_constants_stay_unfolded() {
-        let reg = UfRegistry::new();
-        assert_eq!(simplify(&(Expr::int(i64::MAX) + 1), &reg).as_int(), None);
-        assert_eq!(simplify(&(Expr::int(i64::MIN) - 1), &reg).as_int(), None);
-        assert_eq!(simplify(&(Expr::int(i64::MAX) * 2), &reg).as_int(), None);
+        assert_eq!(simplify(&(Expr::int(i64::MAX) + 1)).as_int(), None);
+        assert_eq!(simplify(&(Expr::int(i64::MIN) - 1)).as_int(), None);
+        assert_eq!(simplify(&(Expr::int(i64::MAX) * 2)).as_int(), None);
         let d = Expr::int(i64::MIN).floor_div(Expr::int(-1));
-        assert_eq!(simplify(&d, &reg).as_int(), None);
+        assert_eq!(simplify(&d).as_int(), None);
         // Modulo is total for non-zero divisors: MIN % -1 folds to 0.
         let m = Expr::int(i64::MIN).floor_mod(Expr::int(-1));
-        assert_eq!(simplify(&m, &reg).as_int(), Some(0));
+        assert_eq!(simplify(&m).as_int(), Some(0));
         let m2 = Expr::int(i64::MIN).floor_mod(Expr::int(3));
-        assert_eq!(
-            simplify(&m2, &reg).as_int(),
-            Some(floor_mod_i64(i64::MIN, 3))
-        );
+        assert_eq!(simplify(&m2).as_int(), Some(floor_mod_i64(i64::MIN, 3)));
         // The (x + c1) + c2 reassociation must also refuse to overflow.
-        let r = simplify(&((Expr::var("x") + i64::MAX) + 1), &reg);
+        let r = simplify(&((Expr::var("x") + i64::MAX) + 1));
         assert_eq!(format!("{r}"), "((x + 9223372036854775807) + 1)");
     }
 
     #[test]
     fn add_chain_reassociation() {
-        let reg = UfRegistry::new();
         let e = (Expr::var("x") + 3) + 4;
-        assert_eq!(format!("{}", simplify(&e, &reg)), "(x + 7)");
-    }
-
-    #[test]
-    fn fused_axioms_fire() {
-        let (reg, foif, ffo, ffi) = reg_with_triple();
-        let o = Expr::var("o");
-        let i = Expr::var("i");
-        let f = Expr::var("f");
-
-        let e1 = Expr::uf(
-            ffo.clone(),
-            vec![Expr::uf(foif.clone(), vec![o.clone(), i.clone()])],
-        );
-        assert_eq!(simplify(&e1, &reg), o);
-
-        let e2 = Expr::uf(
-            ffi.clone(),
-            vec![Expr::uf(foif.clone(), vec![o.clone(), i.clone()])],
-        );
-        assert_eq!(simplify(&e2, &reg), i);
-
-        let e3 = Expr::uf(
-            foif,
-            vec![
-                Expr::uf(ffo, vec![f.clone()]),
-                Expr::uf(ffi, vec![f.clone()]),
-            ],
-        );
-        assert_eq!(simplify(&e3, &reg), f);
+        assert_eq!(format!("{}", simplify(&e)), "(x + 7)");
     }
 
     #[test]
     fn select_with_constant_condition() {
-        let reg = UfRegistry::new();
         let e = Expr::select(
             Expr::int(1).lt(Expr::int(2)),
             Expr::var("a"),
             Expr::var("b"),
         );
-        assert_eq!(simplify(&e, &reg), Expr::var("a"));
+        assert_eq!(simplify(&e), Expr::var("a"));
     }
 
     #[test]
     fn cond_simplification() {
-        let reg = UfRegistry::new();
         let t = Expr::int(1).lt(Expr::int(2));
         let u = Expr::var("x").lt(Expr::var("y"));
-        assert_eq!(
-            simplify_cond(&t.clone().and(u.clone()), &reg),
-            simplify_cond(&u, &reg)
-        );
-        assert_eq!(simplify_cond(&t.or(u), &reg).as_bool(), Some(true));
+        assert_eq!(simplify_cond(&t.clone().and(u.clone())), simplify_cond(&u));
+        assert_eq!(simplify_cond(&t.or(u)).as_bool(), Some(true));
         let same = Expr::var("x").eq_expr(Expr::var("x"));
-        assert_eq!(simplify_cond(&same, &reg).as_bool(), Some(true));
+        assert_eq!(simplify_cond(&same).as_bool(), Some(true));
     }
 }

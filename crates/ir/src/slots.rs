@@ -1,11 +1,11 @@
 //! Slot resolution: interning every name a lowered statement references
 //! into dense indices.
 //!
-//! The tree-walking interpreter resolves variables, auxiliary buffers,
-//! float buffers and uninterpreted functions through `HashMap<String, _>`
-//! lookups on every access. A compiled execution tier cannot afford that,
-//! so [`StmtSlots::resolve`] walks a [`Stmt`] once and produces a census
-//! of the four runtime namespaces:
+//! The tree-walking interpreter resolves variables, auxiliary buffers
+//! and float buffers through `HashMap<String, _>` lookups on every
+//! access. A compiled execution tier cannot afford that, so
+//! [`StmtSlots::resolve`] walks a [`Stmt`] once and produces a census of
+//! the three runtime namespaces:
 //!
 //! * **free integer variables** — referenced but never bound by an
 //!   enclosing `For`/`LetInt` (e.g. fused-extent parameters like
@@ -13,9 +13,7 @@
 //! * **integer auxiliary buffers** — always external (row offsets,
 //!   extent tables, fusion maps built by the prelude),
 //! * **free float buffers** — kernel inputs and outputs; buffers
-//!   introduced by `Alloc` are scoped scratch and excluded,
-//! * **uninterpreted functions** — opaque symbols resolved to runtime
-//!   tables.
+//!   introduced by `Alloc` are scoped scratch and excluded.
 //!
 //! Each namespace is a dense [`Interner`], so an executor can replace
 //! string hashing with direct `Vec` indexing. Binding sites (`For`,
@@ -28,7 +26,6 @@ use std::collections::HashMap;
 use crate::expr::{Cond, CondKind, Expr, ExprKind};
 use crate::fexpr::{FExpr, FExprKind};
 use crate::stmt::Stmt;
-use crate::ufunc::UfRef;
 
 /// A dense string interner for one namespace: names map to stable
 /// `u32` slots in first-seen order.
@@ -88,10 +85,6 @@ pub struct StmtSlots {
     pub ibufs: Interner,
     /// Free float buffers (inputs/outputs; `Alloc` scratch excluded).
     pub free_fbufs: Interner,
-    /// Uninterpreted functions referenced by the statement.
-    pub ufs: Interner,
-    /// Arity of each uninterpreted function, indexed like [`Self::ufs`].
-    pub uf_arities: Vec<usize>,
     /// Number of `For`/`LetInt` binding sites (each gets a fresh slot).
     pub binding_sites: usize,
     /// Number of `Alloc` sites (each gets a fresh float-buffer slot).
@@ -177,14 +170,6 @@ impl Resolver {
         }
     }
 
-    fn uf_use(&mut self, f: &UfRef) {
-        let before = self.slots.ufs.len();
-        let id = self.slots.ufs.intern(f.name());
-        if id as usize == before {
-            self.slots.uf_arities.push(f.arity());
-        }
-    }
-
     fn expr(&mut self, e: &Expr) {
         match e.kind() {
             ExprKind::Int(_) => {}
@@ -203,12 +188,6 @@ impl Resolver {
                 self.cond(c);
                 self.expr(a);
                 self.expr(b);
-            }
-            ExprKind::Uf(f, args) => {
-                self.uf_use(f);
-                for a in args {
-                    self.expr(a);
-                }
             }
             ExprKind::Load(buf, idx) => {
                 self.slots.ibufs.intern(buf);
@@ -388,18 +367,5 @@ mod tests {
         assert!(!slots.fbuf_is_inplace("B"));
         assert!(slots.fbuf_is_inplace("C"));
         assert!(!slots.fbuf_is_inplace("missing"));
-    }
-
-    #[test]
-    fn ufs_record_arity() {
-        let s = crate::ufunc::UfRef::new("s", 1);
-        let nest = Stmt::loop_(
-            "o",
-            Expr::uf(s, vec![Expr::var("o2")]),
-            Stmt::store("B", Expr::var("o"), FExpr::constant(0.0)),
-        );
-        let slots = StmtSlots::resolve(&nest);
-        assert_eq!(slots.ufs.names(), &["s".to_string()]);
-        assert_eq!(slots.uf_arities, vec![1]);
     }
 }

@@ -25,7 +25,6 @@ pub fn subst(e: &Expr, map: &HashMap<String, Expr>) -> Expr {
         ExprKind::Min(a, b) => subst(a, map).min(subst(b, map)),
         ExprKind::Max(a, b) => subst(a, map).max(subst(b, map)),
         ExprKind::Select(c, a, b) => Expr::select(subst_cond(c, map), subst(a, map), subst(b, map)),
-        ExprKind::Uf(f, args) => Expr::uf(f.clone(), args.iter().map(|a| subst(a, map)).collect()),
         ExprKind::Load(buf, idx) => Expr::load(buf.clone(), subst(idx, map)),
     }
 }
@@ -141,11 +140,6 @@ pub fn free_vars(e: &Expr, out: &mut BTreeSet<String>) {
             free_vars(a, out);
             free_vars(b, out);
         }
-        ExprKind::Uf(_, args) => {
-            for a in args {
-                free_vars(a, out);
-            }
-        }
         ExprKind::Load(_, idx) => free_vars(idx, out),
     }
 }
@@ -184,7 +178,6 @@ pub fn count_loads(e: &Expr) -> u64 {
         | ExprKind::Min(a, b)
         | ExprKind::Max(a, b)
         | ExprKind::Select(_, a, b) => count_loads(a) + count_loads(b),
-        ExprKind::Uf(_, args) => args.iter().map(count_loads).sum(),
         ExprKind::Load(_, idx) => 1 + count_loads(idx),
     }
 }
@@ -220,11 +213,6 @@ pub fn collect_loads(e: &Expr, out: &mut Vec<(String, Expr)>) {
             collect_loads(a, out);
             collect_loads(b, out);
         }
-        ExprKind::Uf(_, args) => {
-            for a in args {
-                collect_loads(a, out);
-            }
-        }
         ExprKind::Load(buf, idx) => {
             collect_loads(idx, out);
             out.push((buf.clone(), idx.clone()));
@@ -257,10 +245,6 @@ pub fn replace_load(e: &Expr, target: &(String, Expr), name: &str) -> Expr {
             replace_load_cond(c, target, name),
             replace_load(a, target, name),
             replace_load(b, target, name),
-        ),
-        ExprKind::Uf(f, args) => Expr::uf(
-            f.clone(),
-            args.iter().map(|a| replace_load(a, target, name)).collect(),
         ),
         ExprKind::Load(buf, idx) => Expr::load(buf.clone(), replace_load(idx, target, name)),
     }

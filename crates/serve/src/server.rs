@@ -270,23 +270,22 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `weights` whose pool misses search schedules with
-    /// the default autotuner (64 wall-clock trials, seed 42, no cache
-    /// file); pass your own through [`Server::with_tuner`].
+    /// A server over `weights` whose pool misses build the hand-picked
+    /// schedules: no schedule search runs (`PoolStats::tune_trials`
+    /// stays 0). Searching is opt-in — pass an enabled autotuner
+    /// through [`Server::with_tuner`].
     ///
     /// # Panics
     ///
     /// Panics if `weights` do not match `cfg.encoder`.
     pub fn new(cfg: ServerConfig, weights: EncoderWeights) -> Server {
-        Server::with_tuner(
-            cfg,
-            weights,
-            EncoderAutotuner::new(TuneBudget::default(), 42),
-        )
+        let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
+        tuner.disabled = true;
+        Server::with_tuner(cfg, weights, tuner)
     }
 
-    /// [`Server::new`] with an explicit autotuner (tests pin a disabled
-    /// or deterministic one).
+    /// [`Server::new`] with an explicit autotuner, e.g. an enabled one
+    /// that searches schedules on every pool miss.
     pub fn with_tuner(
         cfg: ServerConfig,
         weights: EncoderWeights,
