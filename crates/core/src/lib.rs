@@ -9,8 +9,6 @@
 //!   ones: loop/storage padding, vloop fusion, bulk padding, thread
 //!   remapping, load hoisting.
 //! * [`opsplit`] — operation splitting and horizontal fusion.
-//! * [`bounds`] — iteration-variable range translation across fused
-//!   vloops (Fig. 7).
 //! * [`mod@lower`] — the lowering pipeline to statement IR + prelude spec.
 //! * [`outline`] — the parallel outlining pass: hoists the outermost
 //!   block-bound loop into a block-indexed entry point for the CPU
@@ -38,7 +36,6 @@
 
 pub mod api;
 pub mod autotune;
-pub mod bounds;
 pub mod builder;
 pub mod lower;
 pub mod opsplit;

@@ -16,7 +16,8 @@ use std::collections::HashMap;
 
 use cora_ir::interval::decide;
 use cora_ir::simplify::simplify_cond;
-use cora_ir::{Cond, Expr, ForKind, SInt, Stmt, StoreKind};
+use cora_ir::visit::{mentions, subst, subst_cond, Node};
+use cora_ir::{Cond, Expr, FExprKind, ForKind, SInt, Stmt, StoreKind};
 use cora_ragged::LengthFn;
 
 use crate::api::{LoopExtent, Operator};
@@ -30,9 +31,6 @@ struct LoweredLoop {
     var: String,
     extent: ExtentIr,
     kind: ForKind,
-    /// Guard to apply inside this loop (from non-dividing constant
-    /// splits): `cond` must hold for the body to execute.
-    guard: Option<Cond>,
 }
 
 /// Extent representation of a scheduled loop.
@@ -85,6 +83,9 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
     // Map original loop name -> expression reconstructing it from the
     // scheduled loops.
     let mut var_map: HashMap<String, Expr> = HashMap::new();
+    // Tail guards of non-dividing constant splits, over the scheduled
+    // loops' variables (rewritten with `var_map` by `substitute_all`).
+    let mut guards: Vec<Cond> = Vec::new();
     // Original loop name -> position of its *spec* (for dep resolution).
     let spatial_names: Vec<String> = op.loops.iter().map(|l| l.name.clone()).collect();
 
@@ -93,7 +94,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
         prelude.add_tensor(t.name(), t.layout_arc());
     }
 
-    for (pos, spec) in op.loops.iter().chain(op.reduce.iter()).enumerate() {
+    for spec in op.loops.iter().chain(op.reduce.iter()) {
         let extent = match &spec.extent {
             LoopExtent::Fixed(e) => ExtentIr::Const(*e as i64),
             LoopExtent::Variable { dep, lens } => {
@@ -114,7 +115,6 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                 }
             }
         };
-        let _ = pos;
         // Operation splitting shifts the loop variable: the body sees
         // `var + shift_table[dep]` while the loop itself runs from 0.
         let reconstructed = match op.shifts.iter().find(|s| s.loop_name == spec.name) {
@@ -130,7 +130,6 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
             var: spec.name.clone(),
             extent,
             kind: ForKind::Serial,
-            guard: None,
         });
     }
 
@@ -151,14 +150,10 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                             let out_lens = op.output.layout().padded_lens(dpos);
                             if let Some(store_lens) = out_lens {
                                 let loop_padded = lens.padded(*multiple);
-                                for (slice, (&lp, &sp)) in loop_padded
-                                    .as_slice()
-                                    .iter()
-                                    .zip(store_lens.as_slice())
-                                    .enumerate()
+                                for (&lp, &sp) in
+                                    loop_padded.as_slice().iter().zip(store_lens.as_slice())
                                 {
                                     if lp > sp {
-                                        let _ = slice;
                                         return Err(ScheduleError::LoopPaddingExceedsStorage {
                                             loop_name: loop_name.clone(),
                                             loop_pad: *multiple,
@@ -184,15 +179,18 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
             Directive::Split { loop_name, factor } => {
                 let idx = find_loop(&loops, loop_name)?;
                 let f = *factor as i64;
-                let (outer_ext, inner_guard) = match &loops[idx].extent {
+                let vo = format!("{loop_name}_o");
+                let vi = format!("{loop_name}_i");
+                // The original variable, rebuilt from the two halves.
+                let rebuilt = Expr::var(vo.clone()) * f + Expr::var(vi.clone());
+                let outer_ext = match &loops[idx].extent {
                     ExtentIr::Const(e) => {
-                        let outer = (*e + f - 1) / f;
-                        let guard = if e % f == 0 {
-                            None
-                        } else {
-                            Some(Expr::var(loop_name.clone()).lt(Expr::int(*e)))
-                        };
-                        (ExtentIr::Const(outer), guard)
+                        // A non-dividing split over-runs in its last outer
+                        // iteration; the tail guard cuts it off.
+                        if e % f != 0 {
+                            guards.push(rebuilt.clone().lt(Expr::int(*e)));
+                        }
+                        ExtentIr::Const((*e + f - 1) / f)
                     }
                     ExtentIr::Table {
                         buffer,
@@ -207,14 +205,11 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                         }
                         let outer_lens =
                             LengthFn::new(lens.as_slice().iter().map(|&l| l / factor).collect());
-                        (
-                            ExtentIr::Table {
-                                buffer: format!("{buffer}_o"),
-                                dep_var: dep_var.clone(),
-                                lens: outer_lens,
-                            },
-                            None,
-                        )
+                        ExtentIr::Table {
+                            buffer: format!("{buffer}_o"),
+                            dep_var: dep_var.clone(),
+                            lens: outer_lens,
+                        }
                     }
                     ExtentIr::Param { var, value } => {
                         // Fused loops are padded to a multiple before
@@ -225,27 +220,18 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                                 factor: *factor,
                             });
                         }
-                        (
-                            ExtentIr::Param {
-                                var: format!("{var}_o"),
-                                value: value / f,
-                            },
-                            None,
-                        )
+                        ExtentIr::Param {
+                            var: format!("{var}_o"),
+                            value: value / f,
+                        }
                     }
                 };
-                let vo = format!("{loop_name}_o");
-                let vi = format!("{loop_name}_i");
-                // Rebuild the original variable from the two halves.
-                let rebuilt = Expr::var(vo.clone()) * f + Expr::var(vi.clone());
-                substitute_all(&mut var_map, loop_name, &rebuilt);
+                substitute_all(&mut var_map, &mut guards, loop_name, &rebuilt);
                 let kind = loops[idx].kind;
-                let guard = loops[idx].guard.clone().or(inner_guard);
                 loops[idx] = LoweredLoop {
                     var: vo,
                     extent: outer_ext,
                     kind,
-                    guard: None,
                 };
                 loops.insert(
                     idx + 1,
@@ -253,7 +239,6 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                         var: vi,
                         extent: ExtentIr::Const(f),
                         kind: ForKind::Serial,
-                        guard,
                     },
                 );
             }
@@ -302,8 +287,8 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                 // Body reconstructs o and i from the prelude maps.
                 let o_expr = Expr::load(format!("{fused}__ffo"), Expr::var(fused.clone()));
                 let i_expr = Expr::load(format!("{fused}__ffi"), Expr::var(fused.clone()));
-                substitute_all(&mut var_map, outer, &o_expr);
-                substitute_all(&mut var_map, inner, &i_expr);
+                substitute_all(&mut var_map, &mut guards, outer, &o_expr);
+                substitute_all(&mut var_map, &mut guards, inner, &i_expr);
                 let kind = loops[oi].kind;
                 loops[oi] = LoweredLoop {
                     var: fused.clone(),
@@ -312,7 +297,6 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                         value: total as i64,
                     },
                     kind,
-                    guard: None,
                 };
                 loops.remove(ii);
                 fusions.push(spec);
@@ -400,9 +384,13 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
         .map(|l| (l.var.clone(), SInt::range(0, l.extent.max() - 1)))
         .collect();
     for l in loops.iter().rev() {
-        if let Some(g) = &l.guard {
-            // A guard that holds over every loop range is redundant.
-            let g = simplify_cond(g);
+        // A guard sits directly inside the innermost loop it mentions,
+        // unless it holds over every loop range (then it is redundant).
+        let (here, outside) = guards
+            .into_iter()
+            .partition(|g| mentions(Node::Cond(g), &l.var));
+        guards = outside;
+        for g in here.iter().map(simplify_cond) {
             if decide(&g, &ranges) != Some(true) {
                 body = Stmt::if_then(g, body);
             }
@@ -415,6 +403,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
             body: Box::new(body),
         };
     }
+    debug_assert!(guards.is_empty(), "a tail guard mentions its split loops");
     if op.schedule.hoisting_enabled() {
         body = cora_ir::visit::hoist_loads(&body);
     }
@@ -433,7 +422,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
     }
 
     // ---- Block-cost metadata for the GPU simulator ----------------------
-    let body_flops = count_store_flops(&body);
+    let body_flops = count_flops(Node::Stmt(&body));
     let block_costs = derive_block_costs(&loops, body_flops);
 
     Ok(Program::new(
@@ -455,45 +444,46 @@ fn find_loop(loops: &[LoweredLoop], name: &str) -> Result<usize, ScheduleError> 
         .ok_or_else(|| ScheduleError::UnknownLoop(name.to_string()))
 }
 
-/// Rewrites every mapping in `var_map` that mentions `name`, and the entry
-/// for `name` itself, in terms of `replacement`.
-fn substitute_all(var_map: &mut HashMap<String, Expr>, name: &str, replacement: &Expr) {
-    let mut single = HashMap::new();
-    single.insert(name.to_string(), replacement.clone());
+/// Rewrites every mapping in `var_map` that mentions `name`, the entry
+/// for `name` itself, and every pending tail guard, in terms of
+/// `replacement` — so a guard follows its loop through later splits and
+/// fusions.
+fn substitute_all(
+    var_map: &mut HashMap<String, Expr>,
+    guards: &mut [Cond],
+    name: &str,
+    replacement: &Expr,
+) {
+    let single = HashMap::from([(name.to_string(), replacement.clone())]);
     for v in var_map.values_mut() {
-        *v = cora_ir::visit::subst(v, &single);
+        *v = subst(v, &single);
+    }
+    for g in guards {
+        *g = subst_cond(g, &single);
     }
 }
 
-/// Counts the FLOPs of the (single) store in the lowered body.
-fn count_store_flops(s: &Stmt) -> f64 {
-    match s {
-        Stmt::For { body, .. } | Stmt::LetInt { body, .. } | Stmt::Alloc { body, .. } => {
-            count_store_flops(body)
-        }
-        Stmt::If { then_, .. } => count_store_flops(then_),
-        Stmt::Seq(items) => items.iter().map(count_store_flops).sum(),
-        Stmt::Store { value, kind, .. } => {
-            let mut n = count_fexpr_flops(value);
-            if !matches!(kind, StoreKind::Assign) {
-                n += 1.0;
+/// FLOPs of one execution of `n` (the lowered body holds a single
+/// store): one per float operator and per reducing store. A guard costs
+/// its taken branch and a select its dearer one — the only nodes spelled;
+/// the rest sum their children.
+fn count_flops(n: Node<'_>) -> f64 {
+    let mut flops = match n {
+        Node::Stmt(Stmt::If { then_, .. }) => return count_flops(Node::Stmt(then_)),
+        Node::Stmt(Stmt::Store { kind, .. }) if *kind != StoreKind::Assign => 1.0,
+        Node::FExpr(e) => match e.kind() {
+            FExprKind::Select(_, a, b) => {
+                return count_flops(Node::FExpr(a)).max(count_flops(Node::FExpr(b)));
             }
-            n
-        }
-        Stmt::Nop => 0.0,
-    }
-}
-
-fn count_fexpr_flops(e: &cora_ir::FExpr) -> f64 {
-    use cora_ir::FExprKind as K;
-    match e.kind() {
-        K::Const(_) | K::Load(_, _) | K::Cast(_) => 0.0,
-        K::Add(a, b) | K::Sub(a, b) | K::Mul(a, b) | K::Div(a, b) | K::Max(a, b) => {
-            1.0 + count_fexpr_flops(a) + count_fexpr_flops(b)
-        }
-        K::Unary(_, a) => 1.0 + count_fexpr_flops(a),
-        K::Select(_, a, b) => count_fexpr_flops(a).max(count_fexpr_flops(b)),
-    }
+            FExprKind::Bin(..) | FExprKind::Unary(..) => 1.0,
+            _ => 0.0,
+        },
+        // Index arithmetic is free.
+        Node::Expr(_) | Node::Cond(_) => return 0.0,
+        Node::Stmt(_) => 0.0,
+    };
+    n.for_each_child(|c| flops += count_flops(c));
+    flops
 }
 
 /// Derives per-block FLOP counts: the outermost block-bound loop's

@@ -33,11 +33,9 @@
 //! `Ok(None)`: running serially is then the correct behaviour, not a
 //! degradation.
 
-use std::collections::BTreeSet;
-
 use cora_ir::printer::print_c;
 use cora_ir::slots::StmtSlots;
-use cora_ir::visit::{count_loads, free_vars};
+use cora_ir::visit::{count_loads, mentions, Node};
 use cora_ir::{Expr, Stmt};
 
 use crate::schedule::ScheduleError;
@@ -272,9 +270,7 @@ fn scoped_binding(
 }
 
 fn mentions_taint(e: &Expr, taint: &[String]) -> bool {
-    let mut vars = BTreeSet::new();
-    free_vars(e, &mut vars);
-    taint.iter().any(|t| vars.contains(t))
+    taint.iter().any(|t| mentions(Node::Expr(e), t))
 }
 
 /// Removes `name` from the taint set if present; returns whether it was.

@@ -73,7 +73,7 @@
 // pretty-printed store); the size only matters on the cold compile path.
 #![allow(clippy::result_large_err)]
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use cora_exec::vm::{CertError, StoreCert};
@@ -81,8 +81,7 @@ use cora_ir::affine::{linearize, LinForm, LinTerm};
 use cora_ir::interval::SInt;
 use cora_ir::printer::print_c;
 use cora_ir::slots::StmtSlots;
-use cora_ir::visit::free_vars;
-use cora_ir::{Cond, CondKind, Env, Expr, ExprKind, FExpr, FExprKind, Stmt};
+use cora_ir::{CmpOp, Cond, CondKind, Env, Expr, ExprKind, FExpr, FExprKind, IBinOp, Stmt};
 
 /// A failed safety proof, with the evidence.
 #[derive(Debug, Clone)]
@@ -293,7 +292,7 @@ enum Buf {
 enum PExpr {
     Int(i64),
     Var(u32),
-    Bin(fn(SInt, SInt) -> SInt, Box<(PExpr, PExpr)>),
+    Bin(IBinOp, Box<(PExpr, PExpr)>),
     Select(Box<(PCond, PExpr, PExpr)>),
     /// Auxiliary-table slot, index, and the index as written.
     Load(u32, Box<PExpr>, Expr),
@@ -302,7 +301,7 @@ enum PExpr {
 #[derive(Debug, Clone)]
 enum PCond {
     Const(bool),
-    Cmp(fn(SInt, SInt) -> Option<bool>, PExpr, PExpr),
+    Cmp(CmpOp, PExpr, PExpr),
     And(Box<(PCond, PCond)>),
     Or(Box<(PCond, PCond)>),
     Not(Box<PCond>),
@@ -454,28 +453,18 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// `f(a, b)`, dropping an identity operand: lowering leaves `0 + x`
-    /// and `x * 1` in every index, and removing them is exact in the
-    /// strided-interval domain.
-    fn bin(&self, f: fn(SInt, SInt) -> SInt, ids: [Option<i64>; 2], a: &Expr, b: &Expr) -> PExpr {
-        match (self.expr(a), self.expr(b)) {
-            (PExpr::Int(v), x) if ids[0] == Some(v) => x,
-            (x, PExpr::Int(v)) if ids[1] == Some(v) => x,
-            (a, b) => PExpr::Bin(f, Box::new((a, b))),
-        }
-    }
-
     fn expr(&self, e: &Expr) -> PExpr {
         match e.kind() {
             ExprKind::Int(v) => PExpr::Int(*v),
             ExprKind::Var(n) => PExpr::Var(self.var(n)),
-            ExprKind::Add(a, b) => self.bin(SInt::add, [Some(0), Some(0)], a, b),
-            ExprKind::Sub(a, b) => self.bin(SInt::sub, [None, Some(0)], a, b),
-            ExprKind::Mul(a, b) => self.bin(SInt::mul, [Some(1), Some(1)], a, b),
-            ExprKind::FloorDiv(a, b) => self.bin(SInt::floor_div, [None, None], a, b),
-            ExprKind::FloorMod(a, b) => self.bin(SInt::floor_mod, [None, None], a, b),
-            ExprKind::Min(a, b) => self.bin(SInt::min_s, [None, None], a, b),
-            ExprKind::Max(a, b) => self.bin(SInt::max_s, [None, None], a, b),
+            // An identity operand is dropped: lowering leaves `0 + x` and
+            // `x * 1` in every index, and removing them is exact in the
+            // strided-interval domain.
+            ExprKind::Bin(op, a, b) => match (self.expr(a), self.expr(b), op.identities()) {
+                (PExpr::Int(v), x, [Some(id), _]) if v == id => x,
+                (x, PExpr::Int(v), [_, Some(id)]) if v == id => x,
+                (a, b, _) => PExpr::Bin(*op, Box::new((a, b))),
+            },
             ExprKind::Select(c, a, b) => {
                 PExpr::Select(Box::new((self.cond(c), self.expr(a), self.expr(b))))
             }
@@ -491,14 +480,9 @@ impl<'a> Builder<'a> {
     }
 
     fn cond(&self, c: &Cond) -> PCond {
-        let cmp =
-            |f: fn(SInt, SInt) -> Option<bool>, a, b| PCond::Cmp(f, self.expr(a), self.expr(b));
         match c.kind() {
             CondKind::Const(b) => PCond::Const(*b),
-            CondKind::Lt(a, b) => cmp(SInt::lt_s, a, b),
-            CondKind::Le(a, b) => cmp(SInt::le_s, a, b),
-            CondKind::Eq(a, b) => cmp(SInt::eq_s, a, b),
-            CondKind::Ne(a, b) => cmp(SInt::ne_s, a, b),
+            CondKind::Cmp(op, a, b) => PCond::Cmp(*op, self.expr(a), self.expr(b)),
             CondKind::And(x, y) => PCond::And(Box::new((self.cond(x), self.cond(y)))),
             CondKind::Or(x, y) => PCond::Or(Box::new((self.cond(x), self.cond(y)))),
             CondKind::Not(x) => PCond::Not(Box::new(self.cond(x))),
@@ -525,9 +509,9 @@ impl<'a> Builder<'a> {
                 self.narrowings(a, out);
                 self.narrowings(b, out);
             }
-            CondKind::Lt(a, b) => out.push(self.narrow_le(a, b, -1)),
-            CondKind::Le(a, b) => out.push(self.narrow_le(a, b, 0)),
-            CondKind::Eq(a, b) => {
+            CondKind::Cmp(CmpOp::Lt, a, b) => out.push(self.narrow_le(a, b, -1)),
+            CondKind::Cmp(CmpOp::Le, a, b) => out.push(self.narrow_le(a, b, 0)),
+            CondKind::Cmp(CmpOp::Eq, a, b) => {
                 out.push(self.narrow_le(a, b, 0));
                 out.push(self.narrow_le(b, a, 0));
             }
@@ -562,11 +546,7 @@ impl<'a> Builder<'a> {
                 ));
             }
             FExprKind::Cast(e) => out.push(PStmt::Eval(self.expr(e))),
-            FExprKind::Add(a, b)
-            | FExprKind::Sub(a, b)
-            | FExprKind::Mul(a, b)
-            | FExprKind::Div(a, b)
-            | FExprKind::Max(a, b) => {
+            FExprKind::Bin(_, a, b) => {
                 self.floats(a, out);
                 self.floats(b, out);
             }
@@ -860,7 +840,7 @@ impl ProofWalk<'_> {
         Ok(match e {
             PExpr::Int(v) => SInt::point(*v),
             PExpr::Var(slot) => self.env[*slot as usize],
-            PExpr::Bin(f, ab) => f(self.expr(&ab.0)?, self.expr(&ab.1)?),
+            PExpr::Bin(op, ab) => op.apply_sint(self.expr(&ab.0)?, self.expr(&ab.1)?),
             PExpr::Select(cab) => match self.cond(&cab.0)? {
                 Some(true) => self.expr(&cab.1)?,
                 Some(false) => self.expr(&cab.2)?,
@@ -897,7 +877,7 @@ impl ProofWalk<'_> {
     fn cond(&mut self, c: &PCond) -> Walked<Option<bool>> {
         Ok(match c {
             PCond::Const(b) => Some(*b),
-            PCond::Cmp(f, a, b) => f(self.expr(a)?, self.expr(b)?),
+            PCond::Cmp(op, a, b) => op.apply_sint(self.expr(a)?, self.expr(b)?),
             PCond::And(xy) => match (self.cond(&xy.0)?, self.cond(&xy.1)?) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
                 (Some(true), Some(true)) => Some(true),
@@ -1011,14 +991,8 @@ pub fn symbolic_store_check(body: &Stmt, output: &str, block_var: &str) -> Resul
 }
 
 fn form_tainted(f: &LinForm, tainted: &[String]) -> bool {
-    f.terms().any(|(t, _)| match t {
-        LinTerm::Var(n) => tainted.iter().any(|t| t == n),
-        LinTerm::Opaque(e) => {
-            let mut vs = BTreeSet::new();
-            free_vars(e, &mut vs);
-            tainted.iter().any(|t| vs.contains(t))
-        }
-    })
+    f.terms()
+        .any(|(term, _)| tainted.iter().any(|t| term.mentions(t)))
 }
 
 fn sym_walk(

@@ -153,37 +153,6 @@ impl GpuModel {
     }
 }
 
-/// Device-level constants for the simulated multicore CPU.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuModel {
-    /// Number of cores.
-    pub cores: usize,
-    /// Peak FLOPs per core per microsecond.
-    pub flops_per_core_per_us: f64,
-    /// Per-parallel-region fork/join overhead, microseconds.
-    pub fork_join_us: f64,
-}
-
-impl CpuModel {
-    /// A 64-core Graviton2-like CPU (§7's `c6g.16xlarge`).
-    pub fn graviton64() -> Self {
-        CpuModel {
-            cores: 64,
-            flops_per_core_per_us: 16_000.0,
-            fork_join_us: 10.0,
-        }
-    }
-
-    /// An 8-core Graviton2-like CPU (§7's `c6g.2xlarge`).
-    pub fn graviton8() -> Self {
-        CpuModel {
-            cores: 8,
-            flops_per_core_per_us: 16_000.0,
-            fork_join_us: 6.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 
-use cora_ir::fexpr::apply_unary;
 use cora_ir::visit::{count_cond_loads, count_loads};
 use cora_ir::{Env, FExpr, FExprKind, Stmt, StoreKind};
 
@@ -213,33 +212,13 @@ impl Machine {
                 let v = self.eval_counting(i);
                 v as f32
             }
-            FExprKind::Add(a, b) => {
-                let r = self.eval_f(a) + self.eval_f(b);
-                self.stats.flops += 1;
-                r
-            }
-            FExprKind::Sub(a, b) => {
-                let r = self.eval_f(a) - self.eval_f(b);
-                self.stats.flops += 1;
-                r
-            }
-            FExprKind::Mul(a, b) => {
-                let r = self.eval_f(a) * self.eval_f(b);
-                self.stats.flops += 1;
-                r
-            }
-            FExprKind::Div(a, b) => {
-                let r = self.eval_f(a) / self.eval_f(b);
-                self.stats.flops += 1;
-                r
-            }
-            FExprKind::Max(a, b) => {
-                let r = self.eval_f(a).max(self.eval_f(b));
+            FExprKind::Bin(op, a, b) => {
+                let r = op.apply(self.eval_f(a), self.eval_f(b));
                 self.stats.flops += 1;
                 r
             }
             FExprKind::Unary(op, a) => {
-                let r = apply_unary(*op, self.eval_f(a));
+                let r = op.apply(self.eval_f(a));
                 self.stats.flops += 1;
                 r
             }

@@ -2,12 +2,14 @@
 //! the loop-fusion pattern matchers for the three superinstructions.
 
 use cora_ir::slots::StmtSlots;
-use cora_ir::visit::{count_cond_loads, count_loads};
-use cora_ir::{Cond, CondKind, Expr, ExprKind, FExpr, FExprKind, Stmt, StoreKind};
+use cora_ir::visit::{count_cond_loads, count_loads, mentions, Node};
+use cora_ir::{
+    CmpOp, Cond, CondKind, Expr, ExprKind, FBinOp, FExpr, FExprKind, IBinOp, Stmt, StoreKind,
+};
 
 use super::isa::{
-    CmpOp, FBinOp, FusedMap, FusedMulAcc, FusedMulAcc2, IBinOp, Instr, MapOp, MapSite, VmProgram,
-    MAX_MAP_SITES, MAX_MAP_TAPE,
+    FusedMap, FusedMulAcc, FusedMulAcc2, Instr, MapOp, MapSite, VmProgram, MAX_MAP_SITES,
+    MAX_MAP_TAPE,
 };
 use super::opt::local_cse;
 use crate::microkernel::MathMode;
@@ -157,13 +159,14 @@ impl Compiler {
         // lowering produces (`0 + x`, `x*1`, ...). Only literal operands
         // are discarded, so evaluation order, panic behaviour and the
         // (separately pre-computed) load counts are all unchanged.
-        match e.kind() {
-            ExprKind::Add(a, b) if a.as_int() == Some(0) => return self.expr(b),
-            ExprKind::Add(a, b) if b.as_int() == Some(0) => return self.expr(a),
-            ExprKind::Sub(a, b) if b.as_int() == Some(0) => return self.expr(a),
-            ExprKind::Mul(a, b) if b.as_int() == Some(1) => return self.expr(a),
-            ExprKind::Mul(a, b) if a.as_int() == Some(1) => return self.expr(b),
-            _ => {}
+        if let ExprKind::Bin(op, a, b) = e.kind() {
+            let [left, right] = op.identities();
+            if left.is_some() && a.as_int() == left {
+                return self.expr(b);
+            }
+            if right.is_some() && b.as_int() == right {
+                return self.expr(a);
+            }
         }
         match e.kind() {
             ExprKind::Int(v) => {
@@ -177,13 +180,7 @@ impl Compiler {
                 self.emit(Instr::IVar { dst, slot });
                 dst
             }
-            ExprKind::Add(a, b) => self.ibin(IBinOp::Add, a, b),
-            ExprKind::Sub(a, b) => self.ibin(IBinOp::Sub, a, b),
-            ExprKind::Mul(a, b) => self.ibin(IBinOp::Mul, a, b),
-            ExprKind::FloorDiv(a, b) => self.ibin(IBinOp::FloorDiv, a, b),
-            ExprKind::FloorMod(a, b) => self.ibin(IBinOp::FloorMod, a, b),
-            ExprKind::Min(a, b) => self.ibin(IBinOp::Min, a, b),
-            ExprKind::Max(a, b) => self.ibin(IBinOp::Max, a, b),
+            ExprKind::Bin(op, a, b) => self.ibin(*op, a, b),
             ExprKind::Select(c, a, b) => {
                 // The interpreter's `Env::eval` evaluates only the taken
                 // branch and counts no guard; mirror with a plain branch.
@@ -288,10 +285,7 @@ impl Compiler {
                 let to = if *b { on_true } else { on_false };
                 self.emit(Instr::Jump { to });
             }
-            CondKind::Lt(a, b) => self.cmp(CmpOp::Lt, a, b, on_true, on_false),
-            CondKind::Le(a, b) => self.cmp(CmpOp::Le, a, b, on_true, on_false),
-            CondKind::Eq(a, b) => self.cmp(CmpOp::Eq, a, b, on_true, on_false),
-            CondKind::Ne(a, b) => self.cmp(CmpOp::Ne, a, b, on_true, on_false),
+            CondKind::Cmp(op, a, b) => self.cmp(*op, a, b, on_true, on_false),
             CondKind::And(a, b) => {
                 let mid = self.new_label();
                 self.cond(a, mid, on_false);
@@ -360,11 +354,7 @@ impl Compiler {
                 });
                 dst
             }
-            FExprKind::Add(a, b) => self.fbin(FBinOp::Add, a, b),
-            FExprKind::Sub(a, b) => self.fbin(FBinOp::Sub, a, b),
-            FExprKind::Mul(a, b) => self.fbin(FBinOp::Mul, a, b),
-            FExprKind::Div(a, b) => self.fbin(FBinOp::Div, a, b),
-            FExprKind::Max(a, b) => self.fbin(FBinOp::Max, a, b),
+            FExprKind::Bin(op, a, b) => self.fbin(*op, a, b),
             FExprKind::Unary(op, a) => {
                 let m = self.fregs.mark();
                 let ra = self.fexpr(a);
@@ -568,7 +558,7 @@ impl Compiler {
         };
         // Inner bounds are hoisted out of the outer loop, so they must
         // not depend on it.
-        if expr_mentions(imin, ovar) || expr_mentions(iext, ovar) {
+        if mentions(Node::Expr(imin), ovar) || mentions(Node::Expr(iext), ovar) {
             return false;
         }
         if !is_affine2(index, ivar, ovar)
@@ -728,11 +718,17 @@ impl Compiler {
                 mb.memo.insert(key, t);
                 return Some(t);
             }
-            FExprKind::Add(a, b) => self.map_bin(FBinOp::Add, a, b, var, mb)?,
-            FExprKind::Sub(a, b) => self.map_bin(FBinOp::Sub, a, b, var, mb)?,
-            FExprKind::Mul(a, b) => self.map_bin(FBinOp::Mul, a, b, var, mb)?,
-            FExprKind::Div(a, b) => self.map_bin(FBinOp::Div, a, b, var, mb)?,
-            FExprKind::Max(a, b) => self.map_bin(FBinOp::Max, a, b, var, mb)?,
+            FExprKind::Bin(op, a, b) => {
+                let ta = self.map_tape(a, var, mb)?;
+                let tb = self.map_tape(b, var, mb)?;
+                mb.flops += 1;
+                mb.tape.push(MapOp::Bin {
+                    op: *op,
+                    a: ta,
+                    b: tb,
+                });
+                mb.tape.len() - 1
+            }
             FExprKind::Unary(op, a) => {
                 let ta = self.map_tape(a, var, mb)?;
                 mb.flops += 1;
@@ -742,21 +738,6 @@ impl Compiler {
             FExprKind::Select(_, _, _) => return None,
         };
         u16::try_from(t).ok()
-    }
-
-    fn map_bin(
-        &self,
-        op: FBinOp,
-        a: &FExpr,
-        b: &FExpr,
-        var: &str,
-        mb: &mut MapBuild,
-    ) -> Option<usize> {
-        let ta = self.map_tape(a, var, mb)?;
-        let tb = self.map_tape(b, var, mb)?;
-        mb.flops += 1;
-        mb.tape.push(MapOp::Bin { op, a: ta, b: tb });
-        Some(mb.tape.len() - 1)
     }
 
     /// Attempts to compile `for var { out[..] (=|+=|max=) f(..) }` as one
@@ -1015,7 +996,7 @@ fn as_mul_acc_store(body: &Stmt) -> Option<(&str, &Expr, &str, &Expr, &str, &Exp
     else {
         return None;
     };
-    let FExprKind::Mul(a, b) = value.kind() else {
+    let FExprKind::Bin(FBinOp::Mul, a, b) = value.kind() else {
         return None;
     };
     let (FExprKind::Load(abuf, aidx), FExprKind::Load(bbuf, bidx)) = (a.kind(), b.kind()) else {
@@ -1031,7 +1012,7 @@ fn as_mul_acc_store(body: &Stmt) -> Option<(&str, &Expr, &str, &Expr, &str, &Exp
 /// consecutive `var` points, and probing it at any in-range point
 /// touches exactly the memory an ordinary evaluation would.
 fn is_affine_in(e: &Expr, var: &str) -> bool {
-    affine_degree(e, var).is_some()
+    is_affine2(e, var, var)
 }
 
 /// True when `e` is `base + c_i·vi + c_o·vo` with constant coefficients:
@@ -1045,122 +1026,36 @@ fn is_affine2(e: &Expr, vi: &str, vo: &str) -> bool {
 /// `Some((mentions_vi, mentions_vo))` for bilinear-free 2-D affine
 /// expressions, `None` otherwise.
 fn affine2_degree(e: &Expr, vi: &str, vo: &str) -> Option<(bool, bool)> {
+    // Operands of anything but `+ − ×` must not involve the variables.
+    let var_free = |(i, o): (bool, bool)| (!i && !o).then_some((false, false));
     match e.kind() {
         ExprKind::Int(_) => Some((false, false)),
         ExprKind::Var(n) => Some((n == vi, n == vo)),
-        ExprKind::Add(a, b) | ExprKind::Sub(a, b) => {
+        ExprKind::Bin(op, a, b) => {
             let (ai, ao) = affine2_degree(a, vi, vo)?;
             let (bi, bo) = affine2_degree(b, vi, vo)?;
-            Some((ai || bi, ao || bo))
-        }
-        ExprKind::Mul(a, b) => {
-            let (ai, ao) = affine2_degree(a, vi, vo)?;
-            let (bi, bo) = affine2_degree(b, vi, vo)?;
-            // A product of two variable-dependent factors is quadratic
-            // or bilinear — its strides are not constant.
-            if (ai || ao) && (bi || bo) {
-                None
-            } else {
-                Some((ai || bi, ao || bo))
-            }
-        }
-        ExprKind::FloorDiv(a, b)
-        | ExprKind::FloorMod(a, b)
-        | ExprKind::Min(a, b)
-        | ExprKind::Max(a, b) => {
-            let (ai, ao) = affine2_degree(a, vi, vo)?;
-            let (bi, bo) = affine2_degree(b, vi, vo)?;
-            if ai || ao || bi || bo {
-                None
-            } else {
-                Some((false, false))
+            let either = (ai || bi, ao || bo);
+            match op {
+                IBinOp::Add | IBinOp::Sub => Some(either),
+                // A product of two variable-dependent factors is quadratic
+                // or bilinear — its strides are not constant.
+                IBinOp::Mul if (ai || ao) && (bi || bo) => None,
+                IBinOp::Mul => Some(either),
+                IBinOp::FloorDiv | IBinOp::FloorMod | IBinOp::Min | IBinOp::Max => var_free(either),
             }
         }
         ExprKind::Select(c, a, b) => {
-            if cond_mentions(c, vi) || cond_mentions(c, vo) {
+            if mentions(Node::Cond(c), vi) || mentions(Node::Cond(c), vo) {
                 return None;
             }
             let (ai, ao) = affine2_degree(a, vi, vo)?;
             let (bi, bo) = affine2_degree(b, vi, vo)?;
-            if ai || ao || bi || bo {
-                None
-            } else {
-                Some((false, false))
-            }
+            var_free((ai || bi, ao || bo))
         }
-        ExprKind::Load(_, idx) => {
-            let (ai, ao) = affine2_degree(idx, vi, vo)?;
-            if ai || ao {
-                None
-            } else {
-                Some((false, false))
-            }
-        }
+        // A table lookup indexed by a loop variable is not affine (and
+        // probing it out of loop order would be unsound).
+        ExprKind::Load(_, idx) => var_free(affine2_degree(idx, vi, vo)?),
     }
-}
-
-/// `Some(true)` if affine and mentioning `var`, `Some(false)` if `var`-free,
-/// `None` if non-affine in `var`.
-fn affine_degree(e: &Expr, var: &str) -> Option<bool> {
-    match e.kind() {
-        ExprKind::Int(_) => Some(false),
-        ExprKind::Var(n) => Some(n == var),
-        ExprKind::Add(a, b) | ExprKind::Sub(a, b) => {
-            Some(affine_degree(a, var)? || affine_degree(b, var)?)
-        }
-        ExprKind::Mul(a, b) => {
-            let (da, db) = (affine_degree(a, var)?, affine_degree(b, var)?);
-            // Affine × var-free stays affine; var × var is quadratic.
-            if da && db {
-                None
-            } else {
-                Some(da || db)
-            }
-        }
-        ExprKind::FloorDiv(a, b)
-        | ExprKind::FloorMod(a, b)
-        | ExprKind::Min(a, b)
-        | ExprKind::Max(a, b) => {
-            if affine_degree(a, var)? || affine_degree(b, var)? {
-                None
-            } else {
-                Some(false)
-            }
-        }
-        ExprKind::Select(c, a, b) => {
-            if cond_mentions(c, var) || affine_degree(a, var)? || affine_degree(b, var)? {
-                None
-            } else {
-                Some(false)
-            }
-        }
-        ExprKind::Load(_, idx) => {
-            // A table lookup indexed by the loop variable is not affine
-            // (and probing it out of loop order would be unsound).
-            if affine_degree(idx, var)? {
-                None
-            } else {
-                Some(false)
-            }
-        }
-    }
-}
-
-fn cond_mentions(c: &Cond, var: &str) -> bool {
-    match c.kind() {
-        CondKind::Const(_) => false,
-        CondKind::Lt(a, b) | CondKind::Le(a, b) | CondKind::Eq(a, b) | CondKind::Ne(a, b) => {
-            expr_mentions(a, var) || expr_mentions(b, var)
-        }
-        CondKind::And(a, b) | CondKind::Or(a, b) => cond_mentions(a, var) || cond_mentions(b, var),
-        CondKind::Not(a) => cond_mentions(a, var),
-    }
-}
-
-fn expr_mentions(e: &Expr, var: &str) -> bool {
-    let mut vars = std::collections::BTreeSet::new();
-    cora_ir::visit::free_vars(e, &mut vars);
-    vars.contains(var)
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use cora_ir::{FUnaryOp, StoreKind};
+use cora_ir::StoreKind;
 
-use super::isa::{fbuf_name, CmpOp, FBinOp, IBinOp, Instr, MapOp, VmProgram};
+use super::isa::{fbuf_name, Instr, MapOp, VmProgram};
 
 /// Disassembly: one instruction per line (`pc  mnemonic operands`), with
 /// every variable and buffer slot resolved back to its source name.
@@ -13,27 +13,10 @@ use super::isa::{fbuf_name, CmpOp, FBinOp, IBinOp, Instr, MapOp, VmProgram};
 /// and outlining regressions.
 impl fmt::Display for VmProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ibin = |op: IBinOp| match op {
-            IBinOp::Add => "iadd",
-            IBinOp::Sub => "isub",
-            IBinOp::Mul => "imul",
-            IBinOp::FloorDiv => "idiv",
-            IBinOp::FloorMod => "imod",
-            IBinOp::Min => "imin",
-            IBinOp::Max => "imax",
-        };
-        let fbin = |op: FBinOp| match op {
-            FBinOp::Add => "fadd",
-            FBinOp::Sub => "fsub",
-            FBinOp::Mul => "fmul",
-            FBinOp::Div => "fdiv",
-            FBinOp::Max => "fmax",
-        };
-        let cmp = |op: CmpOp| match op {
-            CmpOp::Lt => "br.lt",
-            CmpOp::Le => "br.le",
-            CmpOp::Eq => "br.eq",
-            CmpOp::Ne => "br.ne",
+        let store = |kind: StoreKind| match kind {
+            StoreKind::Assign => "assign",
+            StoreKind::AddAssign => "add",
+            StoreKind::MaxAssign => "max",
         };
         let var = |slot: u32| self.var_name(slot);
         let ibuf = |slot: u32| self.slots.ibufs.names()[slot as usize].clone();
@@ -44,15 +27,15 @@ impl fmt::Display for VmProgram {
                 Instr::IVar { dst, slot } => format!("ivar     r{dst}, {}", var(*slot)),
                 Instr::ICopy { dst, src } => format!("icopy    r{dst}, r{src}"),
                 Instr::IBin { op, dst, a, b } => {
-                    format!("{:<8} r{dst}, r{a}, r{b}", ibin(*op))
+                    format!("{:<8} r{dst}, r{a}, r{b}", op.mnemonic())
                 }
                 Instr::IBinC { op, dst, a, c } => {
-                    format!("{:<8} r{dst}, r{a}, #{c}", format!("{}.c", ibin(*op)))
+                    format!("{:<8} r{dst}, r{a}, #{c}", format!("{}.c", op.mnemonic()))
                 }
                 Instr::IBinV { op, dst, a, vslot } => {
                     format!(
                         "{:<8} r{dst}, r{a}, {}",
-                        format!("{}.v", ibin(*op)),
+                        format!("{}.v", op.mnemonic()),
                         var(*vslot)
                     )
                 }
@@ -78,7 +61,10 @@ impl fmt::Display for VmProgram {
                     b,
                     on_true,
                     on_false,
-                } => format!("{:<8} r{a}, r{b} -> {on_true}, {on_false}", cmp(*op)),
+                } => format!(
+                    "{:<8} r{a}, r{b} -> {on_true}, {on_false}",
+                    format!("br.{}", op.mnemonic())
+                ),
                 Instr::Jump { to } => format!("jump     -> {to}"),
                 Instr::Guard { aux } => format!("guard    aux={aux}"),
                 Instr::BumpAux { n } => format!("bumpaux  n={n}"),
@@ -91,24 +77,19 @@ impl fmt::Display for VmProgram {
                 }
                 Instr::FCopy { dst, src } => format!("fcopy    f{dst}, f{src}"),
                 Instr::FBin { op, dst, a, b } => {
-                    format!("{:<8} f{dst}, f{a}, f{b}", fbin(*op))
+                    format!("{:<8} f{dst}, f{a}, f{b}", op.mnemonic())
                 }
                 Instr::FBinC { op, dst, a, c } => {
-                    format!("{:<8} f{dst}, f{a}, #{c:?}", format!("{}.c", fbin(*op)))
+                    format!("{:<8} f{dst}, f{a}, #{c:?}", format!("{}.c", op.mnemonic()))
                 }
                 Instr::FBinCL { op, dst, c, b } => {
-                    format!("{:<8} f{dst}, #{c:?}, f{b}", format!("{}.cl", fbin(*op)))
+                    format!(
+                        "{:<8} f{dst}, #{c:?}, f{b}",
+                        format!("{}.cl", op.mnemonic())
+                    )
                 }
                 Instr::FUn { op, dst, a } => {
-                    let name = match op {
-                        FUnaryOp::Neg => "f.neg",
-                        FUnaryOp::Exp => "f.exp",
-                        FUnaryOp::Sqrt => "f.sqrt",
-                        FUnaryOp::Recip => "f.recip",
-                        FUnaryOp::Tanh => "f.tanh",
-                        FUnaryOp::Relu => "f.relu",
-                    };
-                    format!("{name:<8} f{dst}, f{a}")
+                    format!("{:<8} f{dst}, f{a}", format!("f.{}", op.mnemonic()))
                 }
                 Instr::FStore {
                     buf,
@@ -117,11 +98,7 @@ impl fmt::Display for VmProgram {
                     kind,
                     aux,
                 } => {
-                    let k = match kind {
-                        StoreKind::Assign => "assign",
-                        StoreKind::AddAssign => "add",
-                        StoreKind::MaxAssign => "max",
-                    };
+                    let k = store(*kind);
                     format!("fstore   {}[r{idx}], f{val}, {k}, aux={aux}", fbuf(*buf))
                 }
                 Instr::FAlloc { slot, size, aux } => {
@@ -162,25 +139,11 @@ impl fmt::Display for VmProgram {
                             MapOp::Const { v } => format!("#{v:?}"),
                             MapOp::Load { site } => format!("ld{site}"),
                             MapOp::Cast { site } => format!("cast{site}"),
-                            MapOp::Bin { op, a, b } => format!("{} t{a} t{b}", fbin(*op)),
-                            MapOp::Un { op, a } => {
-                                let name = match op {
-                                    FUnaryOp::Neg => "neg",
-                                    FUnaryOp::Exp => "exp",
-                                    FUnaryOp::Sqrt => "sqrt",
-                                    FUnaryOp::Recip => "recip",
-                                    FUnaryOp::Tanh => "tanh",
-                                    FUnaryOp::Relu => "relu",
-                                };
-                                format!("{name} t{a}")
-                            }
+                            MapOp::Bin { op, a, b } => format!("{} t{a} t{b}", op.mnemonic()),
+                            MapOp::Un { op, a } => format!("{} t{a}", op.mnemonic()),
                         })
                         .collect();
-                    let k = match op.kind {
-                        StoreKind::Assign => "assign",
-                        StoreKind::AddAssign => "add",
-                        StoreKind::MaxAssign => "max",
-                    };
+                    let k = store(op.kind);
                     format!(
                         "fmap     {}[r{}:r{}] {k} ({}), sites=[{}], n=r{}, aux={}, flops={}",
                         fbuf(op.out),

@@ -4,13 +4,12 @@
 
 use std::sync::Arc;
 
-use cora_ir::fexpr::apply_unary;
-use cora_ir::{FUnaryOp, StoreKind};
+use cora_ir::{FBinOp, FUnaryOp, StoreKind};
 
 use super::bufs::{Bufs, OutPort};
 use super::isa::{
-    fbuf_name, CmpOp, FBinOp, FusedMap, FusedMulAcc2, IBinOp, Instr, MapOp, VmProgram, MAP_CHUNK,
-    MAX_MAP_SITES, MAX_MAP_TAPE,
+    fbuf_name, FusedMap, FusedMulAcc2, Instr, MapOp, VmProgram, MAP_CHUNK, MAX_MAP_SITES,
+    MAX_MAP_TAPE,
 };
 use crate::interp::InterpStats;
 use crate::microkernel::{self, AxpyKind, MathMode, PanelKind, PanelShape};
@@ -74,16 +73,16 @@ pub(super) fn dispatch<P: OutPort>(
             Instr::IBin { op, dst, a, b } => {
                 let x = iregs[*a as usize];
                 let y = iregs[*b as usize];
-                iregs[*dst as usize] = ibin_apply(*op, x, y);
+                iregs[*dst as usize] = op.apply(x, y);
             }
             Instr::IBinC { op, dst, a, c } => {
                 let x = iregs[*a as usize];
-                iregs[*dst as usize] = ibin_apply(*op, x, *c);
+                iregs[*dst as usize] = op.apply(x, *c);
             }
             Instr::IBinV { op, dst, a, vslot } => {
                 let x = iregs[*a as usize];
                 let y = vars[*vslot as usize];
-                iregs[*dst as usize] = ibin_apply(*op, x, y);
+                iregs[*dst as usize] = op.apply(x, y);
             }
             Instr::ILoad { dst, buf, idx } => {
                 let i = iregs[*idx as usize];
@@ -135,13 +134,7 @@ pub(super) fn dispatch<P: OutPort>(
             } => {
                 let x = iregs[*a as usize];
                 let y = iregs[*b as usize];
-                let t = match op {
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                };
-                pc = if t { *on_true } else { *on_false } as usize;
+                pc = if op.apply(x, y) { *on_true } else { *on_false } as usize;
                 continue;
             }
             Instr::Jump { to } => {
@@ -172,21 +165,21 @@ pub(super) fn dispatch<P: OutPort>(
             Instr::FBin { op, dst, a, b } => {
                 let x = fregs[*a as usize];
                 let y = fregs[*b as usize];
-                fregs[*dst as usize] = fbin_apply(*op, x, y);
+                fregs[*dst as usize] = op.apply(x, y);
                 st.flops += 1;
             }
             Instr::FBinC { op, dst, a, c } => {
                 let x = fregs[*a as usize];
-                fregs[*dst as usize] = fbin_apply(*op, x, *c);
+                fregs[*dst as usize] = op.apply(x, *c);
                 st.flops += 1;
             }
             Instr::FBinCL { op, dst, c, b } => {
                 let y = fregs[*b as usize];
-                fregs[*dst as usize] = fbin_apply(*op, *c, y);
+                fregs[*dst as usize] = op.apply(*c, y);
                 st.flops += 1;
             }
             Instr::FUn { op, dst, a } => {
-                fregs[*dst as usize] = apply_unary(*op, fregs[*a as usize]);
+                fregs[*dst as usize] = op.apply(fregs[*a as usize]);
                 st.flops += 1;
             }
             Instr::FStore {
@@ -369,7 +362,7 @@ fn run_fused_map<P: OutPort>(
                     let (av, bv) = (&prev[*a as usize], &prev[*b as usize]);
                     let (ua, ub) = (uniform[*a as usize], uniform[*b as usize]);
                     if ua && ub {
-                        dst.fill(fbin_apply(*bop, av[0], bv[0]));
+                        dst.fill(bop.apply(av[0], bv[0]));
                     } else if ua {
                         bin_chunk_sv(*bop, dst, av[0], &bv[..m]);
                     } else if ub {
@@ -384,7 +377,7 @@ fn run_fused_map<P: OutPort>(
                         let v = match (prog.math, uop) {
                             (MathMode::Fast, FUnaryOp::Exp) => microkernel::exp_fast(av[0]),
                             (MathMode::Fast, FUnaryOp::Tanh) => microkernel::tanh_fast(av[0]),
-                            _ => apply_unary(*uop, av[0]),
+                            _ => uop.apply(av[0]),
                         };
                         dst.fill(v);
                     } else {
@@ -649,33 +642,9 @@ fn run_fused_mul_acc<P: OutPort>(
     }
 }
 
-#[inline]
-fn ibin_apply(op: IBinOp, x: i64, y: i64) -> i64 {
-    match op {
-        IBinOp::Add => x + y,
-        IBinOp::Sub => x - y,
-        IBinOp::Mul => x * y,
-        IBinOp::FloorDiv => cora_ir::expr::floor_div_i64(x, y),
-        IBinOp::FloorMod => cora_ir::expr::floor_mod_i64(x, y),
-        IBinOp::Min => x.min(y),
-        IBinOp::Max => x.max(y),
-    }
-}
-
-#[inline]
-fn fbin_apply(op: FBinOp, x: f32, y: f32) -> f32 {
-    match op {
-        FBinOp::Add => x + y,
-        FBinOp::Sub => x - y,
-        FBinOp::Mul => x * y,
-        FBinOp::Div => x / y,
-        FBinOp::Max => x.max(y),
-    }
-}
-
 /// Tape binary over a chunk, dispatching on the op *once* so each arm is
 /// a tight loop the compiler vectorizes (per-element results identical
-/// to `fbin_apply`, so both math modes use these).
+/// to [`FBinOp::apply`], so both math modes use these).
 fn bin_chunk(op: FBinOp, dst: &mut [f32], a: &[f32], b: &[f32]) {
     macro_rules! sweep {
         ($f:expr) => {
@@ -730,7 +699,7 @@ fn bin_chunk_vs(op: FBinOp, dst: &mut [f32], a: &[f32], y: f32) {
 }
 
 /// Tape unary over a chunk with the op dispatch hoisted out of the loop
-/// (per-element results identical to `apply_unary`; `Fast` transcendental
+/// (per-element results identical to [`FUnaryOp::apply`]; `Fast` transcendental
 /// sweeps are handled by the caller).
 fn un_chunk(op: FUnaryOp, dst: &mut [f32], a: &[f32]) {
     macro_rules! sweep {

@@ -7,40 +7,9 @@
 //! in this module (see [`super::dispatch`]).
 
 use cora_ir::slots::StmtSlots;
-use cora_ir::{FUnaryOp, StoreKind};
+use cora_ir::{CmpOp, FBinOp, FUnaryOp, IBinOp, StoreKind};
 
 use crate::microkernel::MathMode;
-
-/// Integer ALU operations (mirror [`ExprKind`] binary nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(super) enum IBinOp {
-    Add,
-    Sub,
-    Mul,
-    FloorDiv,
-    FloorMod,
-    Min,
-    Max,
-}
-
-/// Float ALU operations (mirror [`FExprKind`] binary nodes).
-#[derive(Debug, Clone, Copy)]
-pub(super) enum FBinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Max,
-}
-
-/// Comparison operators for branch instructions.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum CmpOp {
-    Lt,
-    Le,
-    Eq,
-    Ne,
-}
 
 /// One bytecode instruction. Jump targets are program counters after
 /// [`Compiler::finish`] resolves labels.

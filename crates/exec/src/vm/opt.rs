@@ -1,7 +1,9 @@
 //! Block-local common-subexpression elimination and dead-code
 //! elimination over the flat instruction stream.
 
-use super::isa::{IBinOp, Instr};
+use cora_ir::IBinOp;
+
+use super::isa::Instr;
 
 /// Symbolic value of one pure integer instruction, over value ids rather
 /// than register names (so operand overwrites can never produce a stale

@@ -27,11 +27,12 @@
 //! scope; callers analyzing statements with shadowed bindings must fall
 //! back to a scoped (concrete) pass.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::expr::{Expr, ExprKind};
-use crate::visit;
+use crate::ops::IBinOp;
+use crate::visit::{mentions, Node};
 
 /// One non-constant term of a [`LinForm`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,11 +58,7 @@ impl LinTerm {
     pub fn mentions(&self, var: &str) -> bool {
         match self {
             LinTerm::Var(n) => n == var,
-            LinTerm::Opaque(e) => {
-                let mut vs = BTreeSet::new();
-                visit::free_vars(e, &mut vs);
-                vs.contains(var)
-            }
+            LinTerm::Opaque(e) => mentions(Node::Expr(e), var),
         }
     }
 }
@@ -204,9 +201,9 @@ pub fn linearize(e: &Expr, binds: &HashMap<String, LinForm>) -> LinForm {
             Some(f) => f.clone(),
             None => LinForm::term(LinTerm::Var(n.clone())),
         },
-        ExprKind::Add(a, b) => linearize(a, binds).add(&linearize(b, binds)),
-        ExprKind::Sub(a, b) => linearize(a, binds).sub(&linearize(b, binds)),
-        ExprKind::Mul(a, b) => {
+        ExprKind::Bin(IBinOp::Add, a, b) => linearize(a, binds).add(&linearize(b, binds)),
+        ExprKind::Bin(IBinOp::Sub, a, b) => linearize(a, binds).sub(&linearize(b, binds)),
+        ExprKind::Bin(IBinOp::Mul, a, b) => {
             let fa = linearize(a, binds);
             let fb = linearize(b, binds);
             if fa.is_constant() {

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::expr::{floor_div_i64, floor_mod_i64, Cond, CondKind, Expr, ExprKind};
+use crate::expr::{Cond, CondKind, Expr, ExprKind};
 
 /// A concrete environment binding everything an [`Expr`] can reference.
 #[derive(Debug, Default, Clone)]
@@ -72,13 +72,7 @@ impl Env {
             ExprKind::Var(n) => self
                 .lookup(n)
                 .unwrap_or_else(|| panic!("unbound variable `{n}` during evaluation")),
-            ExprKind::Add(a, b) => self.eval(a) + self.eval(b),
-            ExprKind::Sub(a, b) => self.eval(a) - self.eval(b),
-            ExprKind::Mul(a, b) => self.eval(a) * self.eval(b),
-            ExprKind::FloorDiv(a, b) => floor_div_i64(self.eval(a), self.eval(b)),
-            ExprKind::FloorMod(a, b) => floor_mod_i64(self.eval(a), self.eval(b)),
-            ExprKind::Min(a, b) => self.eval(a).min(self.eval(b)),
-            ExprKind::Max(a, b) => self.eval(a).max(self.eval(b)),
+            ExprKind::Bin(op, a, b) => op.apply(self.eval(a), self.eval(b)),
             ExprKind::Select(c, a, b) => {
                 if self.eval_cond(c) {
                     self.eval(a)
@@ -102,10 +96,7 @@ impl Env {
     pub fn eval_cond(&self, c: &Cond) -> bool {
         match c.kind() {
             CondKind::Const(b) => *b,
-            CondKind::Lt(a, b) => self.eval(a) < self.eval(b),
-            CondKind::Le(a, b) => self.eval(a) <= self.eval(b),
-            CondKind::Eq(a, b) => self.eval(a) == self.eval(b),
-            CondKind::Ne(a, b) => self.eval(a) != self.eval(b),
+            CondKind::Cmp(op, a, b) => op.apply(self.eval(a), self.eval(b)),
             CondKind::And(a, b) => self.eval_cond(a) && self.eval_cond(b),
             CondKind::Or(a, b) => self.eval_cond(a) || self.eval_cond(b),
             CondKind::Not(a) => !self.eval_cond(a),

@@ -14,6 +14,8 @@
 use std::fmt;
 use std::rc::Rc;
 
+use crate::ops::{CmpOp, IBinOp};
+
 /// An integer-valued expression (cheaply cloneable handle).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Expr(pub(crate) Rc<ExprKind>);
@@ -25,20 +27,8 @@ pub enum ExprKind {
     Int(i64),
     /// Named integer variable (loop iteration variable or parameter).
     Var(String),
-    /// `lhs + rhs`.
-    Add(Expr, Expr),
-    /// `lhs - rhs`.
-    Sub(Expr, Expr),
-    /// `lhs * rhs`.
-    Mul(Expr, Expr),
-    /// Floor division `lhs / rhs` (rounds toward negative infinity).
-    FloorDiv(Expr, Expr),
-    /// Floor modulo, `lhs - floor_div(lhs, rhs) * rhs`.
-    FloorMod(Expr, Expr),
-    /// Binary minimum.
-    Min(Expr, Expr),
-    /// Binary maximum.
-    Max(Expr, Expr),
+    /// `op(lhs, rhs)`.
+    Bin(IBinOp, Expr, Expr),
     /// `if cond { then_ } else { else_ }`.
     Select(Cond, Expr, Expr),
     /// Read of element `index` from a named integer auxiliary buffer.
@@ -54,14 +44,8 @@ pub struct Cond(pub(crate) Rc<CondKind>);
 pub enum CondKind {
     /// Boolean literal.
     Const(bool),
-    /// `lhs < rhs`.
-    Lt(Expr, Expr),
-    /// `lhs <= rhs`.
-    Le(Expr, Expr),
-    /// `lhs == rhs`.
-    Eq(Expr, Expr),
-    /// `lhs != rhs`.
-    Ne(Expr, Expr),
+    /// `op(lhs, rhs)`.
+    Cmp(CmpOp, Expr, Expr),
     /// Conjunction.
     And(Cond, Cond),
     /// Disjunction.
@@ -91,24 +75,29 @@ impl Expr {
         Expr(Rc::new(ExprKind::Select(cond, then_, else_)))
     }
 
+    /// `op(lhs, rhs)`.
+    pub fn bin(op: IBinOp, lhs: Expr, rhs: Expr) -> Self {
+        Expr(Rc::new(ExprKind::Bin(op, lhs, rhs)))
+    }
+
     /// Binary minimum.
     pub fn min(self, other: Expr) -> Self {
-        Expr(Rc::new(ExprKind::Min(self, other)))
+        Expr::bin(IBinOp::Min, self, other)
     }
 
     /// Binary maximum.
     pub fn max(self, other: Expr) -> Self {
-        Expr(Rc::new(ExprKind::Max(self, other)))
+        Expr::bin(IBinOp::Max, self, other)
     }
 
     /// Floor division by `other`.
     pub fn floor_div(self, other: Expr) -> Self {
-        Expr(Rc::new(ExprKind::FloorDiv(self, other)))
+        Expr::bin(IBinOp::FloorDiv, self, other)
     }
 
     /// Floor modulo by `other`.
     pub fn floor_mod(self, other: Expr) -> Self {
-        Expr(Rc::new(ExprKind::FloorMod(self, other)))
+        Expr::bin(IBinOp::FloorMod, self, other)
     }
 
     /// Ceiling division `ceil(self / other)` expressed with floor division.
@@ -126,22 +115,22 @@ impl Expr {
 
     /// `self < other`.
     pub fn lt(self, other: Expr) -> Cond {
-        Cond(Rc::new(CondKind::Lt(self, other)))
+        Cond::cmp(CmpOp::Lt, self, other)
     }
 
     /// `self <= other`.
     pub fn le(self, other: Expr) -> Cond {
-        Cond(Rc::new(CondKind::Le(self, other)))
+        Cond::cmp(CmpOp::Le, self, other)
     }
 
     /// `self == other`.
     pub fn eq_expr(self, other: Expr) -> Cond {
-        Cond(Rc::new(CondKind::Eq(self, other)))
+        Cond::cmp(CmpOp::Eq, self, other)
     }
 
     /// `self != other`.
     pub fn ne_expr(self, other: Expr) -> Cond {
-        Cond(Rc::new(CondKind::Ne(self, other)))
+        Cond::cmp(CmpOp::Ne, self, other)
     }
 
     /// `self > other`.
@@ -192,6 +181,11 @@ impl Cond {
         Cond(Rc::new(CondKind::Const(v)))
     }
 
+    /// `op(lhs, rhs)`.
+    pub fn cmp(op: CmpOp, lhs: Expr, rhs: Expr) -> Self {
+        Cond(Rc::new(CondKind::Cmp(op, lhs, rhs)))
+    }
+
     /// Conjunction.
     pub fn and(self, other: Cond) -> Self {
         Cond(Rc::new(CondKind::And(self, other)))
@@ -238,27 +232,27 @@ impl From<usize> for Expr {
 }
 
 macro_rules! impl_binop {
-    ($trait_:ident, $method:ident, $kind:ident) => {
+    ($trait_:ident, $method:ident) => {
         impl std::ops::$trait_ for Expr {
             type Output = Expr;
             fn $method(self, rhs: Expr) -> Expr {
-                Expr(Rc::new(ExprKind::$kind(self, rhs)))
+                Expr::bin(IBinOp::$trait_, self, rhs)
             }
         }
         impl std::ops::$trait_<i64> for Expr {
             type Output = Expr;
             fn $method(self, rhs: i64) -> Expr {
-                Expr(Rc::new(ExprKind::$kind(self, Expr::int(rhs))))
+                Expr::bin(IBinOp::$trait_, self, Expr::int(rhs))
             }
         }
     };
 }
 
-impl_binop!(Add, add, Add);
-impl_binop!(Sub, sub, Sub);
-impl_binop!(Mul, mul, Mul);
+impl_binop!(Add, add);
+impl_binop!(Sub, sub);
+impl_binop!(Mul, mul);
 
-/// Floor division for `i64` matching [`ExprKind::FloorDiv`] semantics.
+/// Floor division for `i64`: the semantics of [`IBinOp::FloorDiv`].
 pub fn floor_div_i64(a: i64, b: i64) -> i64 {
     debug_assert!(b != 0, "division by zero in index arithmetic");
     let q = a / b;
@@ -269,7 +263,7 @@ pub fn floor_div_i64(a: i64, b: i64) -> i64 {
     }
 }
 
-/// Floor modulo for `i64` matching [`ExprKind::FloorMod`] semantics
+/// Floor modulo for `i64`: the semantics of [`IBinOp::FloorMod`]
 /// (result has the divisor's sign).
 ///
 /// Computed without the `a - floor_div(a, b) * b` intermediates, which
@@ -300,13 +294,7 @@ impl fmt::Display for Expr {
         match self.kind() {
             ExprKind::Int(v) => write!(f, "{v}"),
             ExprKind::Var(n) => write!(f, "{n}"),
-            ExprKind::Add(a, b) => write!(f, "({a} + {b})"),
-            ExprKind::Sub(a, b) => write!(f, "({a} - {b})"),
-            ExprKind::Mul(a, b) => write!(f, "({a}*{b})"),
-            ExprKind::FloorDiv(a, b) => write!(f, "({a}/{b})"),
-            ExprKind::FloorMod(a, b) => write!(f, "({a}%{b})"),
-            ExprKind::Min(a, b) => write!(f, "min({a}, {b})"),
-            ExprKind::Max(a, b) => write!(f, "max({a}, {b})"),
+            ExprKind::Bin(op, a, b) => op.symbol().write(f, a, b),
             ExprKind::Select(c, a, b) => write!(f, "({c} ? {a} : {b})"),
             ExprKind::Load(buf, idx) => write!(f, "{buf}[{idx}]"),
         }
@@ -323,10 +311,7 @@ impl fmt::Display for Cond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind() {
             CondKind::Const(b) => write!(f, "{b}"),
-            CondKind::Lt(a, b) => write!(f, "({a} < {b})"),
-            CondKind::Le(a, b) => write!(f, "({a} <= {b})"),
-            CondKind::Eq(a, b) => write!(f, "({a} == {b})"),
-            CondKind::Ne(a, b) => write!(f, "({a} != {b})"),
+            CondKind::Cmp(op, a, b) => op.symbol().write(f, a, b),
             CondKind::And(a, b) => write!(f, "({a} && {b})"),
             CondKind::Or(a, b) => write!(f, "({a} || {b})"),
             CondKind::Not(a) => write!(f, "!{a}"),

@@ -9,6 +9,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::expr::{Cond, Expr};
+use crate::ops::{FBinOp, FUnaryOp};
 
 /// A `f32`-valued expression (cheaply cloneable handle).
 #[derive(Clone, PartialEq)]
@@ -23,37 +24,12 @@ pub enum FExprKind {
     Load(String, Expr),
     /// Cast of an integer index expression to `f32`.
     Cast(Expr),
-    /// `lhs + rhs`.
-    Add(FExpr, FExpr),
-    /// `lhs - rhs`.
-    Sub(FExpr, FExpr),
-    /// `lhs * rhs`.
-    Mul(FExpr, FExpr),
-    /// `lhs / rhs`.
-    Div(FExpr, FExpr),
-    /// Binary maximum.
-    Max(FExpr, FExpr),
+    /// `op(lhs, rhs)`.
+    Bin(FBinOp, FExpr, FExpr),
     /// Unary intrinsic call.
     Unary(FUnaryOp, FExpr),
     /// `if cond { then_ } else { else_ }` on an index condition.
     Select(Cond, FExpr, FExpr),
-}
-
-/// Unary floating intrinsics needed by the paper's operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FUnaryOp {
-    /// Negation.
-    Neg,
-    /// `e^x` (softmax).
-    Exp,
-    /// `sqrt(x)` (layer norm).
-    Sqrt,
-    /// `1/x`.
-    Recip,
-    /// `tanh(x)` (GELU approximation).
-    Tanh,
-    /// `max(x, 0)` (ReLU).
-    Relu,
 }
 
 impl FExpr {
@@ -72,9 +48,14 @@ impl FExpr {
         FExpr(Rc::new(FExprKind::Cast(index)))
     }
 
+    /// `op(lhs, rhs)`.
+    pub fn bin(op: FBinOp, lhs: FExpr, rhs: FExpr) -> Self {
+        FExpr(Rc::new(FExprKind::Bin(op, lhs, rhs)))
+    }
+
     /// Binary maximum.
     pub fn max(self, other: FExpr) -> Self {
-        FExpr(Rc::new(FExprKind::Max(self, other)))
+        FExpr::bin(FBinOp::Max, self, other)
     }
 
     /// Applies a unary intrinsic.
@@ -110,38 +91,26 @@ impl From<f32> for FExpr {
 }
 
 macro_rules! impl_fbinop {
-    ($trait_:ident, $method:ident, $kind:ident) => {
+    ($trait_:ident, $method:ident) => {
         impl std::ops::$trait_ for FExpr {
             type Output = FExpr;
             fn $method(self, rhs: FExpr) -> FExpr {
-                FExpr(Rc::new(FExprKind::$kind(self, rhs)))
+                FExpr::bin(FBinOp::$trait_, self, rhs)
             }
         }
         impl std::ops::$trait_<f32> for FExpr {
             type Output = FExpr;
             fn $method(self, rhs: f32) -> FExpr {
-                FExpr(Rc::new(FExprKind::$kind(self, FExpr::constant(rhs))))
+                FExpr::bin(FBinOp::$trait_, self, FExpr::constant(rhs))
             }
         }
     };
 }
 
-impl_fbinop!(Add, add, Add);
-impl_fbinop!(Sub, sub, Sub);
-impl_fbinop!(Mul, mul, Mul);
-impl_fbinop!(Div, div, Div);
-
-/// Applies `op` to a concrete value, matching interpreter semantics.
-pub fn apply_unary(op: FUnaryOp, x: f32) -> f32 {
-    match op {
-        FUnaryOp::Neg => -x,
-        FUnaryOp::Exp => x.exp(),
-        FUnaryOp::Sqrt => x.sqrt(),
-        FUnaryOp::Recip => 1.0 / x,
-        FUnaryOp::Tanh => x.tanh(),
-        FUnaryOp::Relu => x.max(0.0),
-    }
-}
+impl_fbinop!(Add, add);
+impl_fbinop!(Sub, sub);
+impl_fbinop!(Mul, mul);
+impl_fbinop!(Div, div);
 
 impl fmt::Debug for FExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -155,19 +124,11 @@ impl fmt::Display for FExpr {
             FExprKind::Const(v) => write!(f, "{v:?}f"),
             FExprKind::Load(buf, idx) => write!(f, "{buf}[{idx}]"),
             FExprKind::Cast(e) => write!(f, "(float){e}"),
-            FExprKind::Add(a, b) => write!(f, "({a} + {b})"),
-            FExprKind::Sub(a, b) => write!(f, "({a} - {b})"),
-            FExprKind::Mul(a, b) => write!(f, "({a}*{b})"),
-            FExprKind::Div(a, b) => write!(f, "({a}/{b})"),
-            FExprKind::Max(a, b) => write!(f, "fmaxf({a}, {b})"),
-            FExprKind::Unary(op, a) => match op {
-                FUnaryOp::Neg => write!(f, "(-{a})"),
-                FUnaryOp::Exp => write!(f, "expf({a})"),
-                FUnaryOp::Sqrt => write!(f, "sqrtf({a})"),
-                FUnaryOp::Recip => write!(f, "(1.0f/{a})"),
-                FUnaryOp::Tanh => write!(f, "tanhf({a})"),
-                FUnaryOp::Relu => write!(f, "fmaxf({a}, 0.0f)"),
-            },
+            FExprKind::Bin(op, a, b) => op.symbol().write(f, a, b),
+            FExprKind::Unary(op, a) => {
+                let (before, after) = op.symbol();
+                write!(f, "{before}{a}{after}")
+            }
             FExprKind::Select(c, a, b) => write!(f, "({c} ? {a} : {b})"),
         }
     }
@@ -186,9 +147,21 @@ mod tests {
     }
 
     #[test]
-    fn unary_semantics() {
-        assert_eq!(apply_unary(FUnaryOp::Relu, -3.0), 0.0);
-        assert_eq!(apply_unary(FUnaryOp::Neg, 2.0), -2.0);
-        assert!((apply_unary(FUnaryOp::Recip, 4.0) - 0.25).abs() < 1e-7);
+    fn unary_display_forms() {
+        let x = FExpr::load("x", Expr::int(0));
+        let forms: Vec<String> = FUnaryOp::ALL
+            .iter()
+            .map(|&op| x.clone().unary(op).to_string())
+            .collect();
+        let want = [
+            "(-x[0])",
+            "expf(x[0])",
+            "sqrtf(x[0])",
+            "(1.0f/x[0])",
+            "tanhf(x[0])",
+            "fmaxf(x[0], 0.0f)",
+        ];
+        assert_eq!(forms, want);
+        assert_eq!(format!("{}", x.clone().max(x)), "fmaxf(x[0], x[0])");
     }
 }

@@ -458,13 +458,7 @@ pub fn range_of(e: &Expr, ranges: &HashMap<String, SInt>) -> SInt {
     match e.kind() {
         ExprKind::Int(v) => SInt::point(*v),
         ExprKind::Var(n) => ranges.get(n).copied().unwrap_or(SInt::Top),
-        ExprKind::Add(a, b) => r(a).add(r(b)),
-        ExprKind::Sub(a, b) => r(a).sub(r(b)),
-        ExprKind::Mul(a, b) => r(a).mul(r(b)),
-        ExprKind::FloorDiv(a, b) => r(a).floor_div(r(b)),
-        ExprKind::FloorMod(a, b) => r(a).floor_mod(r(b)),
-        ExprKind::Min(a, b) => r(a).min_s(r(b)),
-        ExprKind::Max(a, b) => r(a).max_s(r(b)),
+        ExprKind::Bin(op, a, b) => op.apply_sint(r(a), r(b)),
         ExprKind::Select(c, a, b) => match decide(c, ranges) {
             Some(true) => r(a),
             Some(false) => r(b),
@@ -484,10 +478,7 @@ pub fn decide(c: &Cond, ranges: &HashMap<String, SInt>) -> Option<bool> {
     let r = |x: &Expr| range_of(x, ranges);
     match c.kind() {
         CondKind::Const(b) => Some(*b),
-        CondKind::Lt(a, b) => r(a).lt_s(r(b)),
-        CondKind::Le(a, b) => r(a).le_s(r(b)),
-        CondKind::Eq(a, b) => r(a).eq_s(r(b)),
-        CondKind::Ne(a, b) => r(a).ne_s(r(b)),
+        CondKind::Cmp(op, a, b) => op.apply_sint(r(a), r(b)),
         CondKind::And(a, b) => match (decide(a, ranges), decide(b, ranges)) {
             (Some(false), _) | (_, Some(false)) => Some(false),
             (Some(true), Some(true)) => Some(true),

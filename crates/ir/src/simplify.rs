@@ -13,30 +13,25 @@
 use std::ops::Not;
 
 use crate::expr::{floor_div_i64, floor_mod_i64, Cond, CondKind, Expr, ExprKind};
+use crate::ops::{CmpOp, IBinOp};
+use crate::visit::map_expr;
 
 /// Simplifies `e` bottom-up.
 pub fn simplify(e: &Expr) -> Expr {
     match e.kind() {
-        ExprKind::Int(_) | ExprKind::Var(_) => e.clone(),
-        ExprKind::Add(a, b) => simplify_add(simplify(a), simplify(b)),
-        ExprKind::Sub(a, b) => simplify_sub(simplify(a), simplify(b)),
-        ExprKind::Mul(a, b) => simplify_mul(simplify(a), simplify(b)),
-        ExprKind::FloorDiv(a, b) => simplify_div(simplify(a), simplify(b)),
-        ExprKind::FloorMod(a, b) => simplify_mod(simplify(a), simplify(b)),
-        ExprKind::Min(a, b) => {
+        ExprKind::Bin(op, a, b) => {
             let (a, b) = (simplify(a), simplify(b));
-            match (a.as_int(), b.as_int()) {
-                (Some(x), Some(y)) => Expr::int(x.min(y)),
-                _ if a == b => a,
-                _ => a.min(b),
-            }
-        }
-        ExprKind::Max(a, b) => {
-            let (a, b) = (simplify(a), simplify(b));
-            match (a.as_int(), b.as_int()) {
-                (Some(x), Some(y)) => Expr::int(x.max(y)),
-                _ if a == b => a,
-                _ => a.max(b),
+            match op {
+                IBinOp::Add => simplify_add(a, b),
+                IBinOp::Sub => simplify_sub(a, b),
+                IBinOp::Mul => simplify_mul(a, b),
+                IBinOp::FloorDiv => simplify_div(a, b),
+                IBinOp::FloorMod => simplify_mod(a, b),
+                IBinOp::Min | IBinOp::Max => match (a.as_int(), b.as_int()) {
+                    (Some(x), Some(y)) => Expr::int(op.apply(x, y)),
+                    _ if a == b => a,
+                    _ => Expr::bin(*op, a, b),
+                },
             }
         }
         ExprKind::Select(c, a, b) => {
@@ -49,7 +44,7 @@ pub fn simplify(e: &Expr) -> Expr {
                 None => Expr::select(c, a, b),
             }
         }
-        ExprKind::Load(buf, idx) => Expr::load(buf.clone(), simplify(idx)),
+        ExprKind::Int(_) | ExprKind::Var(_) | ExprKind::Load(..) => map_expr(e, &mut simplify),
     }
 }
 
@@ -57,21 +52,14 @@ pub fn simplify(e: &Expr) -> Expr {
 pub fn simplify_cond(c: &Cond) -> Cond {
     match c.kind() {
         CondKind::Const(_) => c.clone(),
-        CondKind::Lt(a, b) => fold_cmp(simplify(a), simplify(b), |x, y| x < y, Expr::lt),
-        CondKind::Le(a, b) => fold_cmp(simplify(a), simplify(b), |x, y| x <= y, Expr::le),
-        CondKind::Eq(a, b) => {
+        CondKind::Cmp(op, a, b) => {
             let (a, b) = (simplify(a), simplify(b));
-            if a == b {
-                return Cond::const_bool(true);
+            match (a.as_int(), b.as_int()) {
+                (Some(x), Some(y)) => Cond::const_bool(op.apply(x, y)),
+                _ if a == b && *op == CmpOp::Eq => Cond::const_bool(true),
+                _ if a == b && *op == CmpOp::Ne => Cond::const_bool(false),
+                _ => Cond::cmp(*op, a, b),
             }
-            fold_cmp(a, b, |x, y| x == y, Expr::eq_expr)
-        }
-        CondKind::Ne(a, b) => {
-            let (a, b) = (simplify(a), simplify(b));
-            if a == b {
-                return Cond::const_bool(false);
-            }
-            fold_cmp(a, b, |x, y| x != y, Expr::ne_expr)
         }
         CondKind::And(a, b) => {
             let (a, b) = (simplify_cond(a), simplify_cond(b));
@@ -101,18 +89,6 @@ pub fn simplify_cond(c: &Cond) -> Cond {
     }
 }
 
-fn fold_cmp(
-    a: Expr,
-    b: Expr,
-    f: impl Fn(i64, i64) -> bool,
-    rebuild: impl Fn(Expr, Expr) -> Cond,
-) -> Cond {
-    match (a.as_int(), b.as_int()) {
-        (Some(x), Some(y)) => Cond::const_bool(f(x, y)),
-        _ => rebuild(a, b),
-    }
-}
-
 // Constant folding uses checked arithmetic throughout: adversarial
 // constants near `i64::MAX`/`i64::MIN` must leave the node unsimplified
 // instead of panicking in debug builds (or silently wrapping in release).
@@ -129,7 +105,7 @@ fn simplify_add(a: Expr, b: Expr) -> Expr {
         _ => {}
     }
     // (x + c1) + c2 -> x + (c1+c2): keeps offset chains shallow.
-    if let (ExprKind::Add(x, c1), Some(c2)) = (a.kind(), b.as_int()) {
+    if let (ExprKind::Bin(IBinOp::Add, x, c1), Some(c2)) = (a.kind(), b.as_int()) {
         if let Some(c) = c1.as_int().and_then(|c1v| c1v.checked_add(c2)) {
             return simplify_add(x.clone(), Expr::int(c));
         }
@@ -180,7 +156,7 @@ fn simplify_div(a: Expr, b: Expr) -> Expr {
         return Expr::int(0);
     }
     // (x * c) / c -> x for positive constant c.
-    if let (ExprKind::Mul(x, c1), Some(c)) = (a.kind(), b.as_int()) {
+    if let (ExprKind::Bin(IBinOp::Mul, x, c1), Some(c)) = (a.kind(), b.as_int()) {
         if c > 0 && c1.as_int() == Some(c) {
             return x.clone();
         }
@@ -204,7 +180,7 @@ fn simplify_mod(a: Expr, b: Expr) -> Expr {
         return Expr::int(0);
     }
     // (x * c) % c -> 0 for positive constant c.
-    if let (ExprKind::Mul(_, c1), Some(c)) = (a.kind(), b.as_int()) {
+    if let (ExprKind::Bin(IBinOp::Mul, _, c1), Some(c)) = (a.kind(), b.as_int()) {
         if c > 0 && c1.as_int() == Some(c) {
             return Expr::int(0);
         }

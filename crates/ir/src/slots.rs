@@ -23,9 +23,10 @@
 
 use std::collections::HashMap;
 
-use crate::expr::{Cond, CondKind, Expr, ExprKind};
-use crate::fexpr::{FExpr, FExprKind};
+use crate::expr::ExprKind;
+use crate::fexpr::FExprKind;
 use crate::stmt::Stmt;
+use crate::visit::Node;
 
 /// A dense string interner for one namespace: names map to stable
 /// `u32` slots in first-seen order.
@@ -107,7 +108,7 @@ impl StmtSlots {
             var_scope: Vec::new(),
             fbuf_scope: Vec::new(),
         };
-        r.stmt(s);
+        r.node(Node::Stmt(s));
         r.slots
     }
 
@@ -170,135 +171,69 @@ impl Resolver {
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match e.kind() {
-            ExprKind::Int(_) => {}
-            ExprKind::Var(n) => self.var_use(n),
-            ExprKind::Add(a, b)
-            | ExprKind::Sub(a, b)
-            | ExprKind::Mul(a, b)
-            | ExprKind::FloorDiv(a, b)
-            | ExprKind::FloorMod(a, b)
-            | ExprKind::Min(a, b)
-            | ExprKind::Max(a, b) => {
-                self.expr(a);
-                self.expr(b);
+    /// The census over the default child walk: only the nodes that use
+    /// or bind a name are spelled; a name is recorded before the node's
+    /// children are visited (a store's destination after them).
+    fn node(&mut self, n: Node<'_>) {
+        match n {
+            Node::Expr(e) => match e.kind() {
+                ExprKind::Var(name) => self.var_use(name),
+                ExprKind::Load(buf, _) => {
+                    self.slots.ibufs.intern(buf);
+                }
+                _ => {}
+            },
+            Node::FExpr(e) => {
+                if let FExprKind::Load(buf, _) = e.kind() {
+                    self.fbuf_use(buf, false);
+                }
             }
-            ExprKind::Select(c, a, b) => {
-                self.cond(c);
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprKind::Load(buf, idx) => {
-                self.slots.ibufs.intern(buf);
-                self.expr(idx);
-            }
-        }
-    }
-
-    fn cond(&mut self, c: &Cond) {
-        match c.kind() {
-            CondKind::Const(_) => {}
-            CondKind::Lt(a, b) | CondKind::Le(a, b) | CondKind::Eq(a, b) | CondKind::Ne(a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            CondKind::And(a, b) | CondKind::Or(a, b) => {
-                self.cond(a);
-                self.cond(b);
-            }
-            CondKind::Not(a) => self.cond(a),
-        }
-    }
-
-    fn fexpr(&mut self, e: &FExpr) {
-        match e.kind() {
-            FExprKind::Const(_) => {}
-            FExprKind::Load(buf, idx) => {
-                self.fbuf_use(buf, false);
-                self.expr(idx);
-            }
-            FExprKind::Cast(i) => self.expr(i),
-            FExprKind::Add(a, b)
-            | FExprKind::Sub(a, b)
-            | FExprKind::Mul(a, b)
-            | FExprKind::Div(a, b)
-            | FExprKind::Max(a, b) => {
-                self.fexpr(a);
-                self.fexpr(b);
-            }
-            FExprKind::Unary(_, a) => self.fexpr(a),
-            FExprKind::Select(c, a, b) => {
-                self.cond(c);
-                self.fexpr(a);
-                self.fexpr(b);
-            }
-        }
-    }
-
-    fn stmt(&mut self, s: &Stmt) {
-        match s {
-            Stmt::For {
+            Node::Stmt(Stmt::For {
                 var,
                 min,
                 extent,
                 body,
                 kind: _,
-            } => {
+            }) => {
                 // Bounds are evaluated in the enclosing scope, before the
                 // iteration variable is bound (interpreter order).
-                self.expr(min);
-                self.expr(extent);
-                self.slots.binding_sites += 1;
-                self.var_scope.push(var.clone());
-                self.stmt(body);
-                self.var_scope.pop();
+                self.node(Node::Expr(min));
+                self.node(Node::Expr(extent));
+                return self.binding(var, body);
             }
-            Stmt::LetInt { var, value, body } => {
-                self.expr(value);
-                self.slots.binding_sites += 1;
-                self.var_scope.push(var.clone());
-                self.stmt(body);
-                self.var_scope.pop();
+            Node::Stmt(Stmt::LetInt { var, value, body }) => {
+                self.node(Node::Expr(value));
+                return self.binding(var, body);
             }
-            Stmt::Store {
-                buffer,
-                index,
-                value,
-                kind: _,
-            } => {
-                self.expr(index);
-                self.fexpr(value);
-                self.fbuf_use(buffer, true);
-            }
-            Stmt::If { cond, then_, else_ } => {
-                self.cond(cond);
-                self.stmt(then_);
-                if let Some(e) = else_ {
-                    self.stmt(e);
-                }
-            }
-            Stmt::Seq(items) => {
-                for i in items {
-                    self.stmt(i);
-                }
-            }
-            Stmt::Alloc { buffer, size, body } => {
-                self.expr(size);
+            Node::Stmt(Stmt::Alloc { buffer, size, body }) => {
+                self.node(Node::Expr(size));
                 self.slots.alloc_sites += 1;
                 self.fbuf_scope.push(buffer.clone());
-                self.stmt(body);
+                self.node(Node::Stmt(body));
                 self.fbuf_scope.pop();
+                return;
             }
-            Stmt::Nop => {}
+            Node::Cond(_) | Node::Stmt(_) => {}
         }
+        n.for_each_child(|c| self.node(c));
+        if let Node::Stmt(Stmt::Store { buffer, .. }) = n {
+            self.fbuf_use(buffer, true);
+        }
+    }
+
+    /// One `For`/`LetInt` binding site scoping `var` over `body`.
+    fn binding(&mut self, var: &str, body: &Stmt) {
+        self.slots.binding_sites += 1;
+        self.var_scope.push(var.to_string());
+        self.node(Node::Stmt(body));
+        self.var_scope.pop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fexpr::FExpr;
+    use crate::{Expr, FExpr};
 
     #[test]
     fn interner_is_stable_and_dedups() {

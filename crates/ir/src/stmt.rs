@@ -10,6 +10,7 @@ use std::fmt;
 
 use crate::expr::{Cond, Expr};
 use crate::fexpr::FExpr;
+use crate::visit::Node;
 
 /// How a loop's iterations are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,31 +180,23 @@ impl Stmt {
     /// Counts statements of each syntactic class (used in tests and by the
     /// codegen statistics the benches report).
     pub fn count_nodes(&self) -> usize {
-        match self {
-            Stmt::For { body, .. } | Stmt::LetInt { body, .. } | Stmt::Alloc { body, .. } => {
-                1 + body.count_nodes()
-            }
-            Stmt::If { then_, else_, .. } => {
-                1 + then_.count_nodes() + else_.as_ref().map_or(0, |e| e.count_nodes())
-            }
-            Stmt::Seq(items) => 1 + items.iter().map(Stmt::count_nodes).sum::<usize>(),
-            Stmt::Store { .. } | Stmt::Nop => 1,
-        }
+        1 + self.sum_over_children(Stmt::count_nodes)
     }
 
     /// Counts `If` guards in the tree — the quantity operation splitting
     /// exists to reduce (§7.1: "eliding conditional checks in the main body").
     pub fn count_guards(&self) -> usize {
-        match self {
-            Stmt::For { body, .. } | Stmt::LetInt { body, .. } | Stmt::Alloc { body, .. } => {
-                body.count_guards()
+        usize::from(matches!(self, Stmt::If { .. })) + self.sum_over_children(Stmt::count_guards)
+    }
+
+    fn sum_over_children(&self, f: fn(&Stmt) -> usize) -> usize {
+        let mut total = 0;
+        Node::Stmt(self).for_each_child(|c| {
+            if let Node::Stmt(child) = c {
+                total += f(child);
             }
-            Stmt::If { then_, else_, .. } => {
-                1 + then_.count_guards() + else_.as_ref().map_or(0, |e| e.count_guards())
-            }
-            Stmt::Seq(items) => items.iter().map(Stmt::count_guards).sum(),
-            Stmt::Store { .. } | Stmt::Nop => 0,
-        }
+        });
+        total
     }
 }
 

@@ -1,8 +1,32 @@
-//! Traversal and rewriting utilities over expressions and statements.
+//! Traversal and rewriting over the four node types of the IR —
+//! [`Expr`], [`Cond`], [`FExpr`], [`Stmt`] — and the passes built on them.
 //!
-//! Provides variable substitution (used when splitting/fusing loops turns
-//! `i` into `i_outer*tile + i_inner`), free-variable collection, auxiliary
-//! buffer-load collection, and the load-hoisting pass of §D.7.
+//! This module is the one place that knows what a node's children are:
+//!
+//! * [`Node::for_each_child`] visits each direct child of a node, in
+//!   evaluation order;
+//! * [`map_expr`], [`map_cond`], [`map_fexpr`] and [`map_stmt`] rebuild a
+//!   node from mapped children.
+//!
+//! **Writing a pass** is writing a closure over one of them: the pass
+//! spells the node kinds it treats specially and hands every other node
+//! to the default walk. [`free_vars`] names only `Var`; [`replace_load`]
+//! only the `Load` it replaces; the slot census (`crate::slots`) only
+//! the nodes that use or bind a name. A new operator or node kind is
+//! added to the walks here and every pass inherits it.
+//!
+//! Two conventions the execution tiers' statistics parity rests on are
+//! implemented here, and only here:
+//!
+//! * **An integer `Select`'s condition is neither counted nor
+//!   collected** ([`count_loads`], [`collect_loads`]; see
+//!   `for_each_counted_child`). `Env::eval` evaluates that condition
+//!   without charging it, so the static per-expression load count both
+//!   tiers charge covers the two branches only. (A *float* `Select` and a
+//!   statement guard do charge their condition.)
+//! * **[`subst_stmt`] respects shadowing:** a `For`/`LetInt` that rebinds
+//!   a substituted variable hides it for its body, while its own bounds
+//!   or bound value still see the outer binding.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
@@ -12,59 +36,110 @@ use crate::expr::{Cond, CondKind, Expr, ExprKind};
 use crate::fexpr::{FExpr, FExprKind};
 use crate::stmt::Stmt;
 
-/// Substitutes variables in an integer expression.
-pub fn subst(e: &Expr, map: &HashMap<String, Expr>) -> Expr {
-    match e.kind() {
-        ExprKind::Int(_) => e.clone(),
-        ExprKind::Var(n) => map.get(n).cloned().unwrap_or_else(|| e.clone()),
-        ExprKind::Add(a, b) => subst(a, map) + subst(b, map),
-        ExprKind::Sub(a, b) => subst(a, map) - subst(b, map),
-        ExprKind::Mul(a, b) => subst(a, map) * subst(b, map),
-        ExprKind::FloorDiv(a, b) => subst(a, map).floor_div(subst(b, map)),
-        ExprKind::FloorMod(a, b) => subst(a, map).floor_mod(subst(b, map)),
-        ExprKind::Min(a, b) => subst(a, map).min(subst(b, map)),
-        ExprKind::Max(a, b) => subst(a, map).max(subst(b, map)),
-        ExprKind::Select(c, a, b) => Expr::select(subst_cond(c, map), subst(a, map), subst(b, map)),
-        ExprKind::Load(buf, idx) => Expr::load(buf.clone(), subst(idx, map)),
-    }
+/// A borrowed IR node of any of the four types.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    /// An integer expression.
+    Expr(&'a Expr),
+    /// A condition.
+    Cond(&'a Cond),
+    /// A float expression.
+    FExpr(&'a FExpr),
+    /// A statement.
+    Stmt(&'a Stmt),
 }
 
-/// Substitutes variables in a condition.
-pub fn subst_cond(c: &Cond, map: &HashMap<String, Expr>) -> Cond {
-    match c.kind() {
-        CondKind::Const(_) => c.clone(),
-        CondKind::Lt(a, b) => subst(a, map).lt(subst(b, map)),
-        CondKind::Le(a, b) => subst(a, map).le(subst(b, map)),
-        CondKind::Eq(a, b) => subst(a, map).eq_expr(subst(b, map)),
-        CondKind::Ne(a, b) => subst(a, map).ne_expr(subst(b, map)),
-        CondKind::And(a, b) => subst_cond(a, map).and(subst_cond(b, map)),
-        CondKind::Or(a, b) => subst_cond(a, map).or(subst_cond(b, map)),
-        CondKind::Not(a) => subst_cond(a, map).not(),
-    }
-}
-
-/// Substitutes variables in a float expression (indices only).
-pub fn subst_fexpr(e: &FExpr, map: &HashMap<String, Expr>) -> FExpr {
-    match e.kind() {
-        FExprKind::Const(_) => e.clone(),
-        FExprKind::Load(buf, idx) => FExpr::load(buf.clone(), subst(idx, map)),
-        FExprKind::Cast(i) => FExpr::cast(subst(i, map)),
-        FExprKind::Add(a, b) => subst_fexpr(a, map) + subst_fexpr(b, map),
-        FExprKind::Sub(a, b) => subst_fexpr(a, map) - subst_fexpr(b, map),
-        FExprKind::Mul(a, b) => subst_fexpr(a, map) * subst_fexpr(b, map),
-        FExprKind::Div(a, b) => subst_fexpr(a, map) / subst_fexpr(b, map),
-        FExprKind::Max(a, b) => subst_fexpr(a, map).max(subst_fexpr(b, map)),
-        FExprKind::Unary(op, a) => subst_fexpr(a, map).unary(*op),
-        FExprKind::Select(c, a, b) => {
-            FExpr::select(subst_cond(c, map), subst_fexpr(a, map), subst_fexpr(b, map))
+impl<'a> Node<'a> {
+    /// Calls `f` on each direct child, in evaluation order.
+    #[inline]
+    pub fn for_each_child(self, mut f: impl FnMut(Node<'a>)) {
+        let mut each = |children: &[Node<'a>]| children.iter().for_each(|&c| f(c));
+        match self {
+            Node::Expr(e) => match e.kind() {
+                ExprKind::Int(_) | ExprKind::Var(_) => {}
+                ExprKind::Bin(_, a, b) => each(&[Node::Expr(a), Node::Expr(b)]),
+                ExprKind::Select(c, a, b) => each(&[Node::Cond(c), Node::Expr(a), Node::Expr(b)]),
+                ExprKind::Load(_, idx) => each(&[Node::Expr(idx)]),
+            },
+            Node::Cond(c) => match c.kind() {
+                CondKind::Const(_) => {}
+                CondKind::Cmp(_, a, b) => each(&[Node::Expr(a), Node::Expr(b)]),
+                CondKind::And(a, b) | CondKind::Or(a, b) => each(&[Node::Cond(a), Node::Cond(b)]),
+                CondKind::Not(a) => each(&[Node::Cond(a)]),
+            },
+            Node::FExpr(e) => match e.kind() {
+                FExprKind::Const(_) => {}
+                FExprKind::Load(_, idx) | FExprKind::Cast(idx) => each(&[Node::Expr(idx)]),
+                FExprKind::Bin(_, a, b) => each(&[Node::FExpr(a), Node::FExpr(b)]),
+                FExprKind::Unary(_, a) => each(&[Node::FExpr(a)]),
+                FExprKind::Select(c, a, b) => {
+                    each(&[Node::Cond(c), Node::FExpr(a), Node::FExpr(b)]);
+                }
+            },
+            Node::Stmt(s) => match s {
+                Stmt::For {
+                    min, extent, body, ..
+                } => each(&[Node::Expr(min), Node::Expr(extent), Node::Stmt(body)]),
+                Stmt::LetInt { value, body, .. } => each(&[Node::Expr(value), Node::Stmt(body)]),
+                Stmt::Store { index, value, .. } => each(&[Node::Expr(index), Node::FExpr(value)]),
+                Stmt::If { cond, then_, else_ } => {
+                    each(&[Node::Cond(cond), Node::Stmt(then_)]);
+                    else_.iter().for_each(|e| each(&[Node::Stmt(e)]));
+                }
+                Stmt::Seq(items) => items.iter().for_each(|i| each(&[Node::Stmt(i)])),
+                Stmt::Alloc { size, body, .. } => each(&[Node::Expr(size), Node::Stmt(body)]),
+                Stmt::Nop => {}
+            },
         }
     }
 }
 
-/// Substitutes variables throughout a statement tree.
-///
-/// Bindings shadowed by inner loops or lets are respected.
-pub fn subst_stmt(s: &Stmt, map: &HashMap<String, Expr>) -> Stmt {
+/// Rebuilds `e` with each direct child expression replaced by `f(child)`
+/// (a `Select`'s condition goes through [`map_cond`] over the same `f`).
+pub fn map_expr(e: &Expr, f: &mut impl FnMut(&Expr) -> Expr) -> Expr {
+    match e.kind() {
+        ExprKind::Int(_) | ExprKind::Var(_) => e.clone(),
+        ExprKind::Bin(op, a, b) => Expr::bin(*op, f(a), f(b)),
+        ExprKind::Select(c, a, b) => Expr::select(map_cond(c, f), f(a), f(b)),
+        ExprKind::Load(buf, idx) => Expr::load(buf.clone(), f(idx)),
+    }
+}
+
+/// Rebuilds `c` with every expression it compares replaced by `f(expr)`.
+pub fn map_cond(c: &Cond, f: &mut impl FnMut(&Expr) -> Expr) -> Cond {
+    match c.kind() {
+        CondKind::Const(_) => c.clone(),
+        CondKind::Cmp(op, a, b) => Cond::cmp(*op, f(a), f(b)),
+        CondKind::And(a, b) => map_cond(a, f).and(map_cond(b, f)),
+        CondKind::Or(a, b) => map_cond(a, f).or(map_cond(b, f)),
+        CondKind::Not(a) => map_cond(a, f).not(),
+    }
+}
+
+/// Rebuilds `e` with every integer expression in it (load indices, cast
+/// operands, the operands of select conditions) replaced by `f(expr)`.
+pub fn map_fexpr(e: &FExpr, f: &mut impl FnMut(&Expr) -> Expr) -> FExpr {
+    match e.kind() {
+        FExprKind::Const(_) => e.clone(),
+        FExprKind::Load(buf, idx) => FExpr::load(buf.clone(), f(idx)),
+        FExprKind::Cast(i) => FExpr::cast(f(i)),
+        FExprKind::Bin(op, a, b) => FExpr::bin(*op, map_fexpr(a, f), map_fexpr(b, f)),
+        FExprKind::Unary(op, a) => map_fexpr(a, f).unary(*op),
+        FExprKind::Select(c, a, b) => {
+            FExpr::select(map_cond(c, f), map_fexpr(a, f), map_fexpr(b, f))
+        }
+    }
+}
+
+/// Rebuilds `s` with each integer expression it directly contains
+/// (bounds, bound values, indices, sizes, and those of its guard and
+/// stored value) replaced by `fe(expr)` and each child statement by
+/// `fs(child)`.
+pub fn map_stmt(
+    s: &Stmt,
+    fe: &mut impl FnMut(&Expr) -> Expr,
+    fs: &mut impl FnMut(&Stmt) -> Stmt,
+) -> Stmt {
     match s {
         Stmt::For {
             var,
@@ -72,26 +147,18 @@ pub fn subst_stmt(s: &Stmt, map: &HashMap<String, Expr>) -> Stmt {
             extent,
             kind,
             body,
-        } => {
-            let mut inner = map.clone();
-            inner.remove(var);
-            Stmt::For {
-                var: var.clone(),
-                min: subst(min, map),
-                extent: subst(extent, map),
-                kind: *kind,
-                body: Box::new(subst_stmt(body, &inner)),
-            }
-        }
-        Stmt::LetInt { var, value, body } => {
-            let mut inner = map.clone();
-            inner.remove(var);
-            Stmt::LetInt {
-                var: var.clone(),
-                value: subst(value, map),
-                body: Box::new(subst_stmt(body, &inner)),
-            }
-        }
+        } => Stmt::For {
+            var: var.clone(),
+            min: fe(min),
+            extent: fe(extent),
+            kind: *kind,
+            body: Box::new(fs(body)),
+        },
+        Stmt::LetInt { var, value, body } => Stmt::LetInt {
+            var: var.clone(),
+            value: fe(value),
+            body: Box::new(fs(body)),
+        },
         Stmt::Store {
             buffer,
             index,
@@ -99,122 +166,125 @@ pub fn subst_stmt(s: &Stmt, map: &HashMap<String, Expr>) -> Stmt {
             kind,
         } => Stmt::Store {
             buffer: buffer.clone(),
-            index: subst(index, map),
-            value: subst_fexpr(value, map),
+            index: fe(index),
+            value: map_fexpr(value, fe),
             kind: *kind,
         },
         Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: subst_cond(cond, map),
-            then_: Box::new(subst_stmt(then_, map)),
-            else_: else_.as_ref().map(|e| Box::new(subst_stmt(e, map))),
+            cond: map_cond(cond, fe),
+            then_: Box::new(fs(then_)),
+            else_: else_.as_ref().map(|e| Box::new(fs(e))),
         },
-        Stmt::Seq(items) => Stmt::Seq(items.iter().map(|i| subst_stmt(i, map)).collect()),
+        Stmt::Seq(items) => Stmt::Seq(items.iter().map(fs).collect()),
         Stmt::Alloc { buffer, size, body } => Stmt::Alloc {
             buffer: buffer.clone(),
-            size: subst(size, map),
-            body: Box::new(subst_stmt(body, map)),
+            size: fe(size),
+            body: Box::new(fs(body)),
         },
         Stmt::Nop => Stmt::Nop,
     }
 }
 
+/// Substitutes variables in an integer expression.
+pub fn subst(e: &Expr, map: &HashMap<String, Expr>) -> Expr {
+    match e.as_var().and_then(|n| map.get(n)) {
+        Some(replacement) => replacement.clone(),
+        None => map_expr(e, &mut |c| subst(c, map)),
+    }
+}
+
+/// Substitutes variables in a condition.
+pub fn subst_cond(c: &Cond, map: &HashMap<String, Expr>) -> Cond {
+    map_cond(c, &mut |e| subst(e, map))
+}
+
+/// Substitutes variables in a float expression (indices only).
+pub fn subst_fexpr(e: &FExpr, map: &HashMap<String, Expr>) -> FExpr {
+    map_fexpr(e, &mut |i| subst(i, map))
+}
+
+/// Substitutes variables throughout a statement tree, respecting
+/// shadowing (see the module docs).
+pub fn subst_stmt(s: &Stmt, map: &HashMap<String, Expr>) -> Stmt {
+    let shadowed = match s {
+        Stmt::For { var, .. } | Stmt::LetInt { var, .. } if map.contains_key(var) => {
+            let mut inner = map.clone();
+            inner.remove(var);
+            Some(inner)
+        }
+        _ => None,
+    };
+    let inner = shadowed.as_ref().unwrap_or(map);
+    map_stmt(s, &mut |e| subst(e, map), &mut |b| subst_stmt(b, inner))
+}
+
+/// True if variable `var` occurs anywhere in `n`.
+pub fn mentions(n: Node<'_>, var: &str) -> bool {
+    let mut found = matches!(n, Node::Expr(e) if e.as_var() == Some(var));
+    n.for_each_child(|c| found = found || mentions(c, var));
+    found
+}
+
 /// Collects free variable names of an expression.
 pub fn free_vars(e: &Expr, out: &mut BTreeSet<String>) {
-    match e.kind() {
-        ExprKind::Int(_) => {}
-        ExprKind::Var(n) => {
-            out.insert(n.clone());
-        }
-        ExprKind::Add(a, b)
-        | ExprKind::Sub(a, b)
-        | ExprKind::Mul(a, b)
-        | ExprKind::FloorDiv(a, b)
-        | ExprKind::FloorMod(a, b)
-        | ExprKind::Min(a, b)
-        | ExprKind::Max(a, b) => {
-            free_vars(a, out);
-            free_vars(b, out);
-        }
-        ExprKind::Select(c, a, b) => {
-            free_vars_cond(c, out);
-            free_vars(a, out);
-            free_vars(b, out);
-        }
-        ExprKind::Load(_, idx) => free_vars(idx, out),
-    }
+    vars_in(Node::Expr(e), out);
 }
 
 /// Collects free variable names of a condition.
 pub fn free_vars_cond(c: &Cond, out: &mut BTreeSet<String>) {
-    match c.kind() {
-        CondKind::Const(_) => {}
-        CondKind::Lt(a, b) | CondKind::Le(a, b) | CondKind::Eq(a, b) | CondKind::Ne(a, b) => {
-            free_vars(a, out);
-            free_vars(b, out);
-        }
-        CondKind::And(a, b) | CondKind::Or(a, b) => {
-            free_vars_cond(a, out);
-            free_vars_cond(b, out);
-        }
-        CondKind::Not(a) => free_vars_cond(a, out),
+    vars_in(Node::Cond(c), out);
+}
+
+fn vars_in(n: Node<'_>, out: &mut BTreeSet<String>) {
+    if let Node::Expr(e) = n {
+        out.extend(e.as_var().map(str::to_string));
     }
+    n.for_each_child(|c| vars_in(c, out));
+}
+
+/// The children whose auxiliary-buffer loads count towards `n`'s: all of
+/// them, except the condition of an integer `Select` (see the module
+/// docs) — the one place that convention is implemented.
+fn for_each_counted_child<'a>(n: Node<'a>, mut f: impl FnMut(Node<'a>)) {
+    let int_select = matches!(n, Node::Expr(e) if matches!(e.kind(), ExprKind::Select(..)));
+    n.for_each_child(|c| {
+        if !(int_select && matches!(c, Node::Cond(_))) {
+            f(c);
+        }
+    });
 }
 
 /// Counts auxiliary-buffer loads in `e` without allocating.
 ///
-/// Same convention as [`collect_loads`]: both branches of a
-/// [`ExprKind::Select`] are counted, its condition is not. This is the
-/// *static* per-expression count the interpreter charges to
+/// This is the *static* per-expression count the interpreter charges to
 /// `InterpStats.aux_loads` and the bytecode compiler bakes into
 /// instruction metadata, so both execution tiers account identically.
 pub fn count_loads(e: &Expr) -> u64 {
-    match e.kind() {
-        ExprKind::Int(_) | ExprKind::Var(_) => 0,
-        ExprKind::Add(a, b)
-        | ExprKind::Sub(a, b)
-        | ExprKind::Mul(a, b)
-        | ExprKind::FloorDiv(a, b)
-        | ExprKind::FloorMod(a, b)
-        | ExprKind::Min(a, b)
-        | ExprKind::Max(a, b)
-        | ExprKind::Select(_, a, b) => count_loads(a) + count_loads(b),
-        ExprKind::Load(_, idx) => 1 + count_loads(idx),
-    }
+    loads_in(Node::Expr(e))
 }
 
 /// Counts auxiliary-buffer loads in a condition without allocating
 /// (both sides of comparisons, through `&&`/`||`/`!`).
 pub fn count_cond_loads(c: &Cond) -> u64 {
-    match c.kind() {
-        CondKind::Const(_) => 0,
-        CondKind::Lt(a, b) | CondKind::Le(a, b) | CondKind::Eq(a, b) | CondKind::Ne(a, b) => {
-            count_loads(a) + count_loads(b)
-        }
-        CondKind::And(a, b) | CondKind::Or(a, b) => count_cond_loads(a) + count_cond_loads(b),
-        CondKind::Not(a) => count_cond_loads(a),
-    }
+    loads_in(Node::Cond(c))
 }
 
-/// Collects all auxiliary-buffer loads (`buffer`, `index`) appearing in `e`.
+fn loads_in(n: Node<'_>) -> u64 {
+    let mut total = u64::from(matches!(n, Node::Expr(e) if matches!(e.kind(), ExprKind::Load(..))));
+    for_each_counted_child(n, |c| total += loads_in(c));
+    total
+}
+
+/// Collects all auxiliary-buffer loads (`buffer`, `index`) appearing in
+/// `e`, a load's index before the load itself.
 pub fn collect_loads(e: &Expr, out: &mut Vec<(String, Expr)>) {
-    match e.kind() {
-        ExprKind::Int(_) | ExprKind::Var(_) => {}
-        ExprKind::Add(a, b)
-        | ExprKind::Sub(a, b)
-        | ExprKind::Mul(a, b)
-        | ExprKind::FloorDiv(a, b)
-        | ExprKind::FloorMod(a, b)
-        | ExprKind::Min(a, b)
-        | ExprKind::Max(a, b) => {
-            collect_loads(a, out);
-            collect_loads(b, out);
-        }
-        ExprKind::Select(_, a, b) => {
-            collect_loads(a, out);
-            collect_loads(b, out);
-        }
-        ExprKind::Load(buf, idx) => {
-            collect_loads(idx, out);
+    collect_in(Node::Expr(e), out);
+}
+
+fn collect_in(n: Node<'_>, out: &mut Vec<(String, Expr)>) {
+    for_each_counted_child(n, |c| collect_in(c, out));
+    if let Node::Expr(e) = n {
+        if let ExprKind::Load(buf, idx) = e.kind() {
             out.push((buf.clone(), idx.clone()));
         }
     }
@@ -223,77 +293,15 @@ pub fn collect_loads(e: &Expr, out: &mut Vec<(String, Expr)>) {
 /// Replaces every occurrence of a `Load(buffer, index)` matching `target`
 /// with variable `name` inside `e`.
 pub fn replace_load(e: &Expr, target: &(String, Expr), name: &str) -> Expr {
-    if let ExprKind::Load(buf, idx) = e.kind() {
-        if buf == &target.0 && idx == &target.1 {
-            return Expr::var(name);
-        }
-    }
     match e.kind() {
-        ExprKind::Int(_) | ExprKind::Var(_) => e.clone(),
-        ExprKind::Add(a, b) => replace_load(a, target, name) + replace_load(b, target, name),
-        ExprKind::Sub(a, b) => replace_load(a, target, name) - replace_load(b, target, name),
-        ExprKind::Mul(a, b) => replace_load(a, target, name) * replace_load(b, target, name),
-        ExprKind::FloorDiv(a, b) => {
-            replace_load(a, target, name).floor_div(replace_load(b, target, name))
-        }
-        ExprKind::FloorMod(a, b) => {
-            replace_load(a, target, name).floor_mod(replace_load(b, target, name))
-        }
-        ExprKind::Min(a, b) => replace_load(a, target, name).min(replace_load(b, target, name)),
-        ExprKind::Max(a, b) => replace_load(a, target, name).max(replace_load(b, target, name)),
-        ExprKind::Select(c, a, b) => Expr::select(
-            replace_load_cond(c, target, name),
-            replace_load(a, target, name),
-            replace_load(b, target, name),
-        ),
-        ExprKind::Load(buf, idx) => Expr::load(buf.clone(), replace_load(idx, target, name)),
+        ExprKind::Load(buf, idx) if (buf, idx) == (&target.0, &target.1) => Expr::var(name),
+        _ => map_expr(e, &mut |c| replace_load(c, target, name)),
     }
 }
 
-fn replace_load_cond(c: &Cond, target: &(String, Expr), name: &str) -> Cond {
-    match c.kind() {
-        CondKind::Const(_) => c.clone(),
-        CondKind::Lt(a, b) => replace_load(a, target, name).lt(replace_load(b, target, name)),
-        CondKind::Le(a, b) => replace_load(a, target, name).le(replace_load(b, target, name)),
-        CondKind::Eq(a, b) => replace_load(a, target, name).eq_expr(replace_load(b, target, name)),
-        CondKind::Ne(a, b) => replace_load(a, target, name).ne_expr(replace_load(b, target, name)),
-        CondKind::And(a, b) => {
-            replace_load_cond(a, target, name).and(replace_load_cond(b, target, name))
-        }
-        CondKind::Or(a, b) => {
-            replace_load_cond(a, target, name).or(replace_load_cond(b, target, name))
-        }
-        CondKind::Not(a) => replace_load_cond(a, target, name).not(),
-    }
-}
-
-fn replace_load_fexpr(e: &FExpr, target: &(String, Expr), name: &str) -> FExpr {
-    match e.kind() {
-        FExprKind::Const(_) => e.clone(),
-        FExprKind::Load(buf, idx) => FExpr::load(buf.clone(), replace_load(idx, target, name)),
-        FExprKind::Cast(i) => FExpr::cast(replace_load(i, target, name)),
-        FExprKind::Add(a, b) => {
-            replace_load_fexpr(a, target, name) + replace_load_fexpr(b, target, name)
-        }
-        FExprKind::Sub(a, b) => {
-            replace_load_fexpr(a, target, name) - replace_load_fexpr(b, target, name)
-        }
-        FExprKind::Mul(a, b) => {
-            replace_load_fexpr(a, target, name) * replace_load_fexpr(b, target, name)
-        }
-        FExprKind::Div(a, b) => {
-            replace_load_fexpr(a, target, name) / replace_load_fexpr(b, target, name)
-        }
-        FExprKind::Max(a, b) => {
-            replace_load_fexpr(a, target, name).max(replace_load_fexpr(b, target, name))
-        }
-        FExprKind::Unary(op, a) => replace_load_fexpr(a, target, name).unary(*op),
-        FExprKind::Select(c, a, b) => FExpr::select(
-            replace_load_cond(c, target, name),
-            replace_load_fexpr(a, target, name),
-            replace_load_fexpr(b, target, name),
-        ),
-    }
+fn replace_load_stmt(s: &Stmt, target: &(String, Expr), name: &str) -> Stmt {
+    let fe = &mut |e: &Expr| replace_load(e, target, name);
+    map_stmt(s, fe, &mut |b| replace_load_stmt(b, target, name))
 }
 
 /// Hoists loop-invariant auxiliary-array loads out of loops (§D.7).
@@ -308,231 +316,68 @@ pub fn hoist_loads(s: &Stmt) -> Stmt {
 }
 
 fn hoist_rec(s: &Stmt, counter: &mut usize) -> Stmt {
-    match s {
-        Stmt::For {
+    // Inner loops first, so their hoists take the lower numbers.
+    let (var, min, extent, kind, body) =
+        match map_stmt(s, &mut Expr::clone, &mut |b| hoist_rec(b, counter)) {
+            Stmt::For {
+                var,
+                min,
+                extent,
+                kind,
+                body,
+            } => (var, min, extent, kind, body),
+            other => return other,
+        };
+    // The loads in the body whose indices depend on neither `var` nor
+    // anything bound deeper in the body.
+    let mut bound = BTreeSet::from([var.clone()]);
+    collect_bound(&body, &mut bound);
+    let mut loads = Vec::new();
+    collect_in(Node::Stmt(&body), &mut loads);
+    let mut hoistable: Vec<(String, Expr)> = Vec::new();
+    for l in loads {
+        let mut fv = BTreeSet::new();
+        free_vars(&l.1, &mut fv);
+        if fv.is_disjoint(&bound) && !hoistable.contains(&l) {
+            hoistable.push(l);
+        }
+    }
+    let mut body = *body;
+    let mut lets: Vec<(String, Expr)> = Vec::new();
+    for target in hoistable {
+        let name = format!("hoist_{}", *counter);
+        *counter += 1;
+        body = replace_load_stmt(&body, &target, &name);
+        // The hoisted value itself may mention earlier hoists; fine.
+        lets.push((name, Expr::load(target.0, target.1)));
+    }
+    let looped = Stmt::For {
+        var,
+        min,
+        extent,
+        kind,
+        body: Box::new(body),
+    };
+    // The bindings wrap the loop, the first hoist outermost.
+    lets.into_iter()
+        .rev()
+        .fold(looped, |inner, (var, value)| Stmt::LetInt {
             var,
-            min,
-            extent,
-            kind,
-            body,
-        } => {
-            let body = hoist_rec(body, counter);
-            // Find loads in the body whose indices don't depend on `var` or
-            // anything bound deeper in the body.
-            let bound = bound_vars(&body, var);
-            let mut loads = Vec::new();
-            collect_stmt_loads(&body, &mut loads);
-            let mut hoistable: Vec<(String, Expr)> = Vec::new();
-            for l in loads {
-                let mut fv = BTreeSet::new();
-                free_vars(&l.1, &mut fv);
-                if fv.iter().all(|v| !bound.contains(v)) && !hoistable.contains(&l) {
-                    hoistable.push(l);
-                }
-            }
-            let mut new_body = body;
-            let mut wrapped = Stmt::For {
-                var: var.clone(),
-                min: min.clone(),
-                extent: extent.clone(),
-                kind: *kind,
-                body: Box::new(Stmt::Nop), // placeholder, fixed below
-            };
-            let mut lets: Vec<(String, Expr)> = Vec::new();
-            for target in hoistable {
-                let name = format!("hoist_{}", *counter);
-                *counter += 1;
-                new_body = replace_load_stmt(&new_body, &target, &name);
-                lets.push((name, Expr::load(target.0.clone(), target.1.clone())));
-                // The hoisted value itself may mention earlier hoists; fine.
-            }
-            if let Stmt::For { body, .. } = &mut wrapped {
-                **body = new_body;
-            }
-            // Wrap LetInt bindings outside the loop, innermost last.
-            for (name, value) in lets.into_iter().rev() {
-                wrapped = Stmt::LetInt {
-                    var: name,
-                    value,
-                    body: Box::new(wrapped),
-                };
-            }
-            wrapped
-        }
-        Stmt::LetInt { var, value, body } => Stmt::LetInt {
-            var: var.clone(),
-            value: value.clone(),
-            body: Box::new(hoist_rec(body, counter)),
-        },
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: cond.clone(),
-            then_: Box::new(hoist_rec(then_, counter)),
-            else_: else_.as_ref().map(|e| Box::new(hoist_rec(e, counter))),
-        },
-        Stmt::Seq(items) => Stmt::Seq(items.iter().map(|i| hoist_rec(i, counter)).collect()),
-        Stmt::Alloc { buffer, size, body } => Stmt::Alloc {
-            buffer: buffer.clone(),
-            size: size.clone(),
-            body: Box::new(hoist_rec(body, counter)),
-        },
-        Stmt::Store { .. } | Stmt::Nop => s.clone(),
-    }
-}
-
-/// All variables bound inside `s`, plus `extra`.
-fn bound_vars(s: &Stmt, extra: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    out.insert(extra.to_string());
-    collect_bound(s, &mut out);
-    out
-}
-
-fn collect_bound(s: &Stmt, out: &mut BTreeSet<String>) {
-    match s {
-        Stmt::For { var, body, .. } | Stmt::LetInt { var, body, .. } => {
-            out.insert(var.clone());
-            collect_bound(body, out);
-        }
-        Stmt::If { then_, else_, .. } => {
-            collect_bound(then_, out);
-            if let Some(e) = else_ {
-                collect_bound(e, out);
-            }
-        }
-        Stmt::Seq(items) => {
-            for i in items {
-                collect_bound(i, out);
-            }
-        }
-        Stmt::Alloc { body, .. } => collect_bound(body, out),
-        Stmt::Store { .. } | Stmt::Nop => {}
-    }
-}
-
-fn collect_stmt_loads(s: &Stmt, out: &mut Vec<(String, Expr)>) {
-    match s {
-        Stmt::For {
-            min, extent, body, ..
-        } => {
-            collect_loads(min, out);
-            collect_loads(extent, out);
-            collect_stmt_loads(body, out);
-        }
-        Stmt::LetInt { value, body, .. } => {
-            collect_loads(value, out);
-            collect_stmt_loads(body, out);
-        }
-        Stmt::Store { index, value, .. } => {
-            collect_loads(index, out);
-            collect_fexpr_loads(value, out);
-        }
-        Stmt::If { cond, then_, else_ } => {
-            collect_cond_loads(cond, out);
-            collect_stmt_loads(then_, out);
-            if let Some(e) = else_ {
-                collect_stmt_loads(e, out);
-            }
-        }
-        Stmt::Seq(items) => {
-            for i in items {
-                collect_stmt_loads(i, out);
-            }
-        }
-        Stmt::Alloc { size, body, .. } => {
-            collect_loads(size, out);
-            collect_stmt_loads(body, out);
-        }
-        Stmt::Nop => {}
-    }
-}
-
-fn collect_fexpr_loads(e: &FExpr, out: &mut Vec<(String, Expr)>) {
-    match e.kind() {
-        FExprKind::Const(_) => {}
-        FExprKind::Load(_, idx) | FExprKind::Cast(idx) => collect_loads(idx, out),
-        FExprKind::Add(a, b)
-        | FExprKind::Sub(a, b)
-        | FExprKind::Mul(a, b)
-        | FExprKind::Div(a, b)
-        | FExprKind::Max(a, b) => {
-            collect_fexpr_loads(a, out);
-            collect_fexpr_loads(b, out);
-        }
-        FExprKind::Unary(_, a) => collect_fexpr_loads(a, out),
-        FExprKind::Select(c, a, b) => {
-            collect_cond_loads(c, out);
-            collect_fexpr_loads(a, out);
-            collect_fexpr_loads(b, out);
-        }
-    }
-}
-
-fn collect_cond_loads(c: &Cond, out: &mut Vec<(String, Expr)>) {
-    match c.kind() {
-        CondKind::Const(_) => {}
-        CondKind::Lt(a, b) | CondKind::Le(a, b) | CondKind::Eq(a, b) | CondKind::Ne(a, b) => {
-            collect_loads(a, out);
-            collect_loads(b, out);
-        }
-        CondKind::And(a, b) | CondKind::Or(a, b) => {
-            collect_cond_loads(a, out);
-            collect_cond_loads(b, out);
-        }
-        CondKind::Not(a) => collect_cond_loads(a, out),
-    }
-}
-
-fn replace_load_stmt(s: &Stmt, target: &(String, Expr), name: &str) -> Stmt {
-    match s {
-        Stmt::For {
-            var,
-            min,
-            extent,
-            kind,
-            body,
-        } => Stmt::For {
-            var: var.clone(),
-            min: replace_load(min, target, name),
-            extent: replace_load(extent, target, name),
-            kind: *kind,
-            body: Box::new(replace_load_stmt(body, target, name)),
-        },
-        Stmt::LetInt { var, value, body } => Stmt::LetInt {
-            var: var.clone(),
-            value: replace_load(value, target, name),
-            body: Box::new(replace_load_stmt(body, target, name)),
-        },
-        Stmt::Store {
-            buffer,
-            index,
             value,
-            kind,
-        } => Stmt::Store {
-            buffer: buffer.clone(),
-            index: replace_load(index, target, name),
-            value: replace_load_fexpr(value, target, name),
-            kind: *kind,
-        },
-        Stmt::If { cond, then_, else_ } => Stmt::If {
-            cond: replace_load_cond(cond, target, name),
-            then_: Box::new(replace_load_stmt(then_, target, name)),
-            else_: else_
-                .as_ref()
-                .map(|e| Box::new(replace_load_stmt(e, target, name))),
-        },
-        Stmt::Seq(items) => Stmt::Seq(
-            items
-                .iter()
-                .map(|i| replace_load_stmt(i, target, name))
-                .collect(),
-        ),
-        Stmt::Alloc { buffer, size, body } => Stmt::Alloc {
-            buffer: buffer.clone(),
-            size: replace_load(size, target, name),
-            body: Box::new(replace_load_stmt(body, target, name)),
-        },
-        Stmt::Nop => Stmt::Nop,
+            body: Box::new(inner),
+        })
+}
+
+/// Adds every variable bound inside `s` to `out`.
+fn collect_bound(s: &Stmt, out: &mut BTreeSet<String>) {
+    if let Stmt::For { var, .. } | Stmt::LetInt { var, .. } = s {
+        out.insert(var.clone());
     }
+    Node::Stmt(s).for_each_child(|c| {
+        if let Node::Stmt(child) = c {
+            collect_bound(child, out);
+        }
+    });
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! variable extents (length functions), dimension graphs with precise
 //! dependence modelling (Fig. 8), storage layouts with loop/storage
 //! padding, the prelude's auxiliary structures (prefix-sum offset arrays
-//! and fused-loop maps), Algorithm-1 O(1) access lowering, ragged tensor
-//! values, and the CSF-style scheme of past work for overhead comparisons.
+//! and fused-loop maps), Algorithm-1 O(1) access lowering, and the
+//! CSF-style scheme of past work for overhead comparisons.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,7 +18,6 @@ pub mod dim;
 pub mod dimsched;
 pub mod extent;
 pub mod layout;
-pub mod tensor;
 
 pub use aux::{AuxOffsets, FusedLoopMaps};
 pub use csf::CsfStorage;
@@ -27,4 +26,3 @@ pub use dim::Dim;
 pub use dimsched::{can_swap_dims, fuse_dims, split_dim, DimSchedError};
 pub use extent::{DimExtent, LengthFn};
 pub use layout::{LayoutBuilder, LayoutDim, RaggedLayout};
-pub use tensor::RaggedTensor;

@@ -1,8 +1,7 @@
 //! Requests and the ragged boundary contract: sequences enter as
 //! `(id, embedding rows, arrival time)` and microbatches are packed
-//! into the existing [`RaggedBatch`] (row lengths + packed data — the
-//! TRT-LLM `RaggedTensor` idiom), so the compiled tier never sees
-//! padding.
+//! into the existing [`RaggedBatch`] (row lengths + packed data), so the
+//! compiled tier never sees padding.
 
 use cora_transformer::RaggedBatch;
 

@@ -69,20 +69,20 @@ fn edge_const() -> impl Strategy<Value = i64> {
 /// Overflow-aware reference evaluation of constant expressions: `None`
 /// when any step would overflow or divide by zero.
 fn checked_eval(e: &Expr) -> Option<i64> {
-    use cora::ir::ExprKind as K;
+    use cora::ir::{ExprKind as K, IBinOp as Op};
     match e.kind() {
         K::Int(v) => Some(*v),
-        K::Add(a, b) => checked_eval(a)?.checked_add(checked_eval(b)?),
-        K::Sub(a, b) => checked_eval(a)?.checked_sub(checked_eval(b)?),
-        K::Mul(a, b) => checked_eval(a)?.checked_mul(checked_eval(b)?),
-        K::FloorDiv(a, b) => {
+        K::Bin(Op::Add, a, b) => checked_eval(a)?.checked_add(checked_eval(b)?),
+        K::Bin(Op::Sub, a, b) => checked_eval(a)?.checked_sub(checked_eval(b)?),
+        K::Bin(Op::Mul, a, b) => checked_eval(a)?.checked_mul(checked_eval(b)?),
+        K::Bin(Op::FloorDiv, a, b) => {
             let (x, y) = (checked_eval(a)?, checked_eval(b)?);
             if y == 0 || (x == i64::MIN && y == -1) {
                 return None;
             }
             Some(cora::ir::expr::floor_div_i64(x, y))
         }
-        K::FloorMod(a, b) => {
+        K::Bin(Op::FloorMod, a, b) => {
             let (x, y) = (checked_eval(a)?, checked_eval(b)?);
             if y == 0 {
                 return None;
