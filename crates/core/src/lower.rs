@@ -43,9 +43,12 @@ enum ExtentIr {
         dep_var: String,
         lens: LengthFn,
     },
-    /// Extent is a runtime parameter (fused loops), bound by the prelude.
+    /// Extent is a runtime parameter (fused loops), bound by the prelude,
+    /// over the product of the factors the loop has since been split by:
+    /// `var / div`, which is `value` at this shape.
     Param {
         var: String,
+        div: i64,
         value: i64,
     },
 }
@@ -57,7 +60,8 @@ impl ExtentIr {
             ExtentIr::Table {
                 buffer, dep_var, ..
             } => Expr::load(buffer.clone(), Expr::var(dep_var.clone())),
-            ExtentIr::Param { var, .. } => Expr::var(var.clone()),
+            ExtentIr::Param { var, div: 1, .. } => Expr::var(var.clone()),
+            ExtentIr::Param { var, div, .. } => Expr::var(var.clone()).floor_div(Expr::int(*div)),
         }
     }
 
@@ -211,7 +215,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                             lens: outer_lens,
                         }
                     }
-                    ExtentIr::Param { var, value } => {
+                    ExtentIr::Param { var, div, value } => {
                         // Fused loops are padded to a multiple before
                         // splitting (bulk padding), so require divisibility.
                         if value % f != 0 {
@@ -220,8 +224,11 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                                 factor: *factor,
                             });
                         }
+                        // The prelude binds only the fused extent itself,
+                        // so the outer half stays an expression over it.
                         ExtentIr::Param {
-                            var: format!("{var}_o"),
+                            var: var.clone(),
+                            div: div * f,
                             value: value / f,
                         }
                     }
@@ -294,6 +301,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                     var: fused.clone(),
                     extent: ExtentIr::Param {
                         var: format!("F_{fused}"),
+                        div: 1,
                         value: total as i64,
                     },
                     kind,

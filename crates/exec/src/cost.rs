@@ -82,8 +82,9 @@ impl KernelTraits {
 
 /// A deterministic score for one measured candidate program, computed
 /// from the interpreter-identical execution statistics of a single
-/// serial VM run plus the program's fused-superinstruction census
-/// (`(fmulacc, fmulacc2, fmap)` from `VmProgram::fused_counts`).
+/// serial VM run plus the program's fused-nest census
+/// (`(fmulacc, fmulacc2, fmap)` — one-deep mul-acc, two-deep mul-acc,
+/// map — from `VmProgram::fused_counts`).
 ///
 /// The score is a pure function of the program and its input shape —
 /// no wall-clock anywhere — so two identically seeded tuning runs score

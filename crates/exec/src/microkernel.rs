@@ -1,23 +1,39 @@
-//! The vectorized microkernel ISA behind the VM's fused superinstructions.
+//! The vectorized microkernels behind the VM's fused superinstruction.
 //!
-//! The fused loops (`fmulacc`, `fmulacc2`, `fmap`) stop interpreting
-//! bytecode per element, but until this module they still executed as
-//! *scalar* panels and tapes. Here the hot shapes become explicit SIMD
+//! A fused loop nest (`vm::isa::FusedNest`; it disassembles as
+//! `fmulacc`, `fmulacc2` or `fmap`) stops interpreting bytecode per
+//! element; this module is what it runs instead: explicit SIMD
 //! microkernels built from portable `[f32; LANES]` register blocks — the
 //! compiler auto-vectorizes the fixed-width chunk loops on every
 //! architecture, with a scalar tail for the ragged remainders that are
 //! this codebase's whole point. Arch-gated intrinsics can slot in behind
 //! the same functions later without touching the VM.
 //!
-//! # The ISA, declaratively
+//! # The kernel table
 //!
 //! Rather than hard-coding stride peepholes inside the VM's dispatch,
-//! the recognisable loop shapes are described as a small table of
-//! [`KernelDesc`] entries ([`PANEL_KERNELS`], [`AXPY_KERNELS`]) that the
-//! executor pattern-matches runtime stride vectors against
-//! ([`classify_panel`], [`classify_axpy`]). Adding a microkernel means
-//! adding a row and an implementation — the match logic is data, not
-//! control flow (the ACT-style mini-ISA framing).
+//! the nests a native kernel can run whole are described by one table,
+//! `NEST_KERNELS`: each row names a nest class (tape pattern + store
+//! kind, classified at compile time), the runtime stride pattern it
+//! requires, and the kernel. The executor reads a nest's bases and
+//! strides once, asks `select_kernel` for a row, and otherwise runs the
+//! chunked tape sweep (whose per-op building blocks — [`exp_chunk`],
+//! [`tanh_chunk`], [`sum_fast`], [`max_fast`] — also live here). The
+//! match logic is data, not control flow (the ACT-style mini-ISA
+//! framing).
+//!
+//! **Adding a microkernel** is one function and one row: write the
+//! kernel beside [`saxpy_panel`]/[`dot_panel`] (bit-identical to the
+//! serial nest under `Strict`), then add a `NestKernel` row with its
+//! class, its `[inner, outer]` stride pattern per index (pin both output
+//! strides: the kernel receives the dense output run the nest covers)
+//! and a closure adapting the operands to the function's signature. The
+//! table test (`vm::dispatch::tests::every_kernel_row_matches_the_sweep`)
+//! iterates the rows, so the new one is checked against the chunked
+//! sweep and the interpreter on the ragged extent grid without a new
+//! test. A kernel for a tape that is not a multiply-accumulate
+//! additionally needs a `NestClass` variant, its arm in
+//! `FusedNest::classify`, and the nest that test builds for the class.
 //!
 //! # Strict vs fast math
 //!
@@ -68,124 +84,109 @@ pub const EXP_REL_TOL: f32 = 4e-6;
 pub const TANH_ABS_TOL: f32 = 4e-7;
 
 // ---------------------------------------------------------------------
-// ISA descriptions
+// The kernel table
 // ---------------------------------------------------------------------
 
-/// Microkernels for the two-deep fused nest (`fmulacc2`), keyed by the
-/// runtime stride pattern `(out, a, b) × (inner, outer)`.
+/// What a fused nest computes per element, as the kernel table keys it:
+/// the tape pattern together with the store kind. The VM's compiler
+/// classifies each nest once, so the executor never inspects a tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanelKind {
-    /// i-k-j GEMM row panel: `out_row += a[t] · b_row(t)` — output and
-    /// `b` stream the inner axis, `a` is the outer-axis scalar.
-    Saxpy,
-    /// Per-row dot panel: `out[t] += a_row(t) · b_row(t)` — output
-    /// indexes the outer axis, both operands stream the inner axis.
-    Dot,
+pub(crate) enum NestClass {
+    /// `out[..] += a[..] · b[..]`: the tape `ld a; ld b; fmul` under
+    /// `+=` — the nests of GEMM-, score- and AttnV-style operators.
+    MulAcc,
+    /// Any other tape or store kind. No row implements it; the VM's
+    /// chunked tape sweep runs it.
+    Map,
 }
 
-/// Microkernels for the one-deep fused loop (`fmulacc`), keyed by the
-/// runtime stride triple `(out, a, b)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AxpyKind {
-    /// `out[o] += Σ a[t]·b[t]` — a dot-product reduction into one
-    /// element (`so == 0`).
-    DotAcc,
-    /// `out[t] += s · b[t]` — a scalar-times-vector update (`sa == 0`,
-    /// unit output/`b` strides).
-    Saxpy,
+/// One loaded operand of a whole-nest kernel: its buffer, its index at
+/// the nest's first iteration, and its stride along the outer loop (a
+/// row's pattern pins the inner one).
+pub(crate) struct Operand<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) base: usize,
+    pub(crate) outer: usize,
 }
 
-/// Runtime shape of one fused nest: per tensor, the index strides along
-/// the (inner, outer) loop axes. Bases are handled by the caller; a
-/// kernel row matches on strides alone.
-#[derive(Debug, Clone, Copy)]
-pub struct PanelShape {
-    /// Output strides (inner, outer).
-    pub out: (i64, i64),
-    /// Left-operand strides (inner, outer).
-    pub a: (i64, i64),
-    /// Right-operand strides (inner, outer).
-    pub b: (i64, i64),
+/// What a whole-nest kernel runs over, besides its output: the operands
+/// in tape order, the trip counts and the float semantics. Passed by
+/// reference so a row's adapter marshals the kernel's arguments once.
+pub(crate) struct KernelArgs<'a> {
+    pub(crate) a: Operand<'a>,
+    pub(crate) b: Operand<'a>,
+    pub(crate) n_inner: usize,
+    pub(crate) n_outer: usize,
+    pub(crate) mode: MathMode,
 }
 
-/// One row of the declarative microkernel table: a name (for docs and
-/// disassembly), the stride pattern it requires, and the kernel id the
-/// executor dispatches on.
-pub struct KernelDesc<K: Copy> {
-    /// Human-readable microkernel name.
-    pub name: &'static str,
-    /// Stride predicate: `Some(_) = must equal`, `None = don't care`.
-    /// Order: `out_i, out_o, a_i, a_o, b_i, b_o`.
-    pub strides: [Option<i64>; 6],
-    /// Kernel id handed back to the executor.
-    pub kind: K,
+/// One row of the microkernel table: a whole-nest kernel and the nests
+/// it may run in place of the chunked tape sweep.
+pub(crate) struct NestKernel {
+    /// The nest class the kernel implements.
+    pub(crate) class: NestClass,
+    /// Stride predicate per index — the output, then the tape's sites in
+    /// order — as `[inner, outer]`: `Some(_)` = must equal, `None` = any
+    /// non-negative stride.
+    pub(crate) strides: [[Option<i64>; 2]; 3],
+    /// The kernel, bit-identical to the serial nest under
+    /// [`MathMode::Strict`]. `out` is the exclusive run of the output
+    /// the nest's stores cover, starting at the first iteration's index
+    /// — a row must therefore pin both output strides, to a pattern
+    /// whose stores are dense.
+    pub(crate) run: fn(out: &mut [f32], k: &KernelArgs<'_>),
 }
 
-/// The two-deep nest microkernel ISA, in match-priority order.
-pub const PANEL_KERNELS: &[KernelDesc<PanelKind>] = &[
-    KernelDesc {
-        name: "saxpy_panel",
-        strides: [Some(1), Some(0), Some(0), None, Some(1), None],
-        kind: PanelKind::Saxpy,
+/// The microkernel table, in match-priority order.
+pub(crate) static NEST_KERNELS: &[NestKernel] = &[
+    // i-k-j GEMM row: output and `b` stream the inner axis, `a` is the
+    // outer-axis scalar.
+    NestKernel {
+        class: NestClass::MulAcc,
+        strides: [[Some(1), Some(0)], [Some(0), None], [Some(1), None]],
+        run: |out, k| {
+            let (a, b) = (&k.a, &k.b);
+            saxpy_panel(
+                out, a.data, a.base, a.outer, b.data, b.base, b.outer, k.n_outer,
+            );
+        },
     },
-    KernelDesc {
-        name: "dot_panel",
-        strides: [Some(0), Some(1), Some(1), None, Some(1), None],
-        kind: PanelKind::Dot,
+    // Per-row dots: output indexes the outer axis, both operands stream
+    // the inner axis.
+    NestKernel {
+        class: NestClass::MulAcc,
+        strides: [[Some(0), Some(1)], [Some(1), None], [Some(1), None]],
+        run: |out, k| {
+            let (a, b, n) = (&k.a, &k.b, [k.n_inner, k.n_outer]);
+            dot_panel(
+                out, 0, a.data, a.base, a.outer, b.data, b.base, b.outer, n[0], n[1], k.mode,
+            );
+        },
     },
 ];
 
-/// The one-deep loop microkernel ISA, in match-priority order. Only the
-/// first three stride slots (`out, a, b`) are meaningful.
-pub const AXPY_KERNELS: &[KernelDesc<AxpyKind>] = &[
-    KernelDesc {
-        name: "dot_acc",
-        strides: [Some(0), None, None, None, None, None],
-        kind: AxpyKind::DotAcc,
-    },
-    KernelDesc {
-        name: "saxpy",
-        strides: [Some(1), Some(0), Some(1), None, None, None],
-        kind: AxpyKind::Saxpy,
-    },
-];
-
-fn matches<K: Copy>(desc: &KernelDesc<K>, strides: &[i64; 6]) -> bool {
-    desc.strides
-        .iter()
-        .zip(strides)
-        .all(|(want, got)| want.map_or(true, |w| w == *got))
-}
-
-/// Pattern-matches a two-deep nest's runtime strides against
-/// [`PANEL_KERNELS`]. Negative bases/outer strides never match (the
-/// kernels address `usize` ranges).
-pub fn classify_panel(shape: &PanelShape) -> Option<PanelKind> {
-    if shape.out.1 < 0 || shape.a.1 < 0 || shape.b.1 < 0 {
+/// Looks a nest up in [`NEST_KERNELS`]: the first row of its class whose
+/// stride pattern matches. `strides` holds `[inner, outer]` per index in
+/// row order. A one-deep nest (`two_deep == false`) has no outer
+/// strides and is matched on the inner pattern alone — it is the
+/// two-deep nest at `n_outer = 1`, which never steps them. Negative
+/// outer strides never select (the kernels address `usize` ranges).
+#[inline]
+pub(crate) fn select_kernel(
+    class: NestClass,
+    strides: &[[i64; 2]; 3],
+    two_deep: bool,
+) -> Option<&'static NestKernel> {
+    if two_deep && strides.iter().any(|s| s[1] < 0) {
         return None;
     }
-    let strides = [
-        shape.out.0,
-        shape.out.1,
-        shape.a.0,
-        shape.a.1,
-        shape.b.0,
-        shape.b.1,
-    ];
-    PANEL_KERNELS
-        .iter()
-        .find(|d| matches(d, &strides))
-        .map(|d| d.kind)
-}
-
-/// Pattern-matches a one-deep loop's runtime stride triple against
-/// [`AXPY_KERNELS`].
-pub fn classify_axpy(so: i64, sa: i64, sb: i64) -> Option<AxpyKind> {
-    let strides = [so, sa, sb, 0, 0, 0];
-    AXPY_KERNELS
-        .iter()
-        .find(|d| matches(d, &strides))
-        .map(|d| d.kind)
+    let agrees = |want: Option<i64>, got: i64| want.map_or(true, |w| w == got);
+    NEST_KERNELS.iter().find(|k| {
+        k.class == class
+            && k.strides.iter().zip(strides).all(|(want, got)| {
+                agrees(want[0], got[0]) && (!two_deep || agrees(want[1], got[1]))
+            })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -589,45 +590,29 @@ mod tests {
     }
 
     #[test]
-    fn isa_tables_classify_the_canonical_shapes() {
+    fn the_table_selects_the_canonical_shapes() {
+        let row = |strides: [[i64; 2]; 3], two_deep: bool| {
+            select_kernel(NestClass::MulAcc, &strides, two_deep).map(|k| {
+                NEST_KERNELS
+                    .iter()
+                    .position(|r| std::ptr::eq(r, k))
+                    .unwrap()
+            })
+        };
         // The proj-GEMM shape: out/b stream columns, a is per-k scalar.
-        let saxpy = PanelShape {
-            out: (1, 0),
-            a: (0, 1),
-            b: (1, 64),
-        };
-        assert_eq!(classify_panel(&saxpy), Some(PanelKind::Saxpy));
+        assert_eq!(row([[1, 0], [0, 1], [1, 64]], true), Some(0));
         // The QKᵀ shape: out indexes rows, operands stream the head dim.
-        let dot = PanelShape {
-            out: (0, 1),
-            a: (1, 0),
-            b: (1, 8),
-        };
-        assert_eq!(classify_panel(&dot), Some(PanelKind::Dot));
+        assert_eq!(row([[0, 1], [1, 0], [1, 8]], true), Some(1));
         // Negative outer strides never match (usize addressing).
-        let neg = PanelShape {
-            out: (1, -4),
-            a: (0, 1),
-            b: (1, 4),
-        };
-        assert_eq!(classify_panel(&neg), None);
+        assert_eq!(row([[1, 0], [0, -1], [1, 4]], true), None);
         // A generic strided nest matches nothing.
-        let generic = PanelShape {
-            out: (2, 1),
-            a: (1, 3),
-            b: (5, 0),
-        };
-        assert_eq!(classify_panel(&generic), None);
-
-        assert_eq!(classify_axpy(0, 3, 1), Some(AxpyKind::DotAcc));
-        assert_eq!(classify_axpy(1, 0, 1), Some(AxpyKind::Saxpy));
-        assert_eq!(classify_axpy(1, 1, 1), None);
-        for d in PANEL_KERNELS {
-            assert!(!d.name.is_empty());
-        }
-        for d in AXPY_KERNELS {
-            assert!(!d.name.is_empty());
-        }
+        assert_eq!(row([[2, 1], [1, 3], [5, 0]], true), None);
+        // A one-deep nest is matched on its inner strides alone.
+        assert_eq!(row([[1, 9], [0, -9], [1, 9]], false), Some(0));
+        assert_eq!(row([[0, 9], [1, -9], [1, 9]], false), Some(1));
+        assert_eq!(row([[1, 0], [1, 0], [1, 0]], false), None);
+        // No row implements a general map.
+        assert!(select_kernel(NestClass::Map, &[[1, 0], [0, 1], [1, 64]], true).is_none());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A [`Bufs`] is a slot table: every free float buffer of the program is
 //! either a read-only slice ([`Slot::In`]) or a *written* buffer reached
 //! through an [`OutPort`] ([`Slot::Out`]); every `Alloc` site is private
-//! scratch ([`Slot::Scratch`]). The element accessors and the four fused
-//! fast paths are written once, here, and monomorphised over the port:
+//! scratch ([`Slot::Scratch`]). The element accessors and the two fused
+//! fast paths (chunk store, whole-nest kernel) are written once, here,
+//! and monomorphised over the port:
 //!
 //! * serial runs use the exclusive-slice port (`&mut [f32]`) — the
 //!   borrowed entry point binds caller storage, and the owned
@@ -17,7 +18,6 @@
 use cora_ir::StoreKind;
 
 use super::isa::{fbuf_name, VmProgram};
-use crate::microkernel::{self, MathMode};
 
 /// Access to one *written* free float buffer. The dispatch loop never
 /// sees the representation: an exclusive slice for serial runs, the
@@ -250,83 +250,26 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         })
     }
 
-    /// `out[o0 + t] += s * b[b0 + t]` for `t in 0..n`, the vectorizable
-    /// unit-stride shape of a one-deep fused multiply-accumulate.
-    /// Callers guarantee `out != b` (established at compile time) and
-    /// in-range, non-negative bases.
-    pub(super) fn saxpy(
+    /// Runs a whole-nest microkernel `f` over the exclusive output run
+    /// `[o0, o0 + n)` of slot `out` beside contiguous read-only views of
+    /// the operand slots `a` and `b`. Callers guarantee `out ∉ {a, b}`
+    /// (validated at compile time) and a non-negative base. Returns
+    /// `false` without calling `f` — the caller falls back to the
+    /// element paths — when `out` is bound read-only or an operand has
+    /// no contiguous view.
+    pub(super) fn run_kernel(
         &mut self,
         out: u32,
         o0: usize,
-        b: u32,
-        b0: usize,
-        s: f32,
         n: usize,
+        [a, b]: [u32; 2],
+        f: impl FnOnce(&mut [f32], &[f32], &[f32]),
     ) -> bool {
         self.with_out_run(out, o0, n, |run, others| {
-            let Some(bv) = others.ro(b) else { return false };
-            for (o, x) in run.iter_mut().zip(&bv[b0..b0 + n]) {
-                *o += s * *x;
-            }
-            true
-        })
-    }
-
-    /// The i-k-j GEMM row panel of a two-deep fused multiply-accumulate:
-    /// `out[o0..o0+n_i] += a[a0 + t·sa_o] · b[b0 + t·sb_o ..][..n_i]`
-    /// for `t in 0..n_o`, in that order. Callers guarantee
-    /// `out ∉ {a, b}` and non-negative bases/strides; the
-    /// register-blocked microkernel is bit-identical to the per-element
-    /// nest in both math modes.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn saxpy_panel(
-        &mut self,
-        out: u32,
-        o0: usize,
-        n_i: usize,
-        a: u32,
-        a0: usize,
-        sa_o: usize,
-        b: u32,
-        b0: usize,
-        sb_o: usize,
-        n_o: usize,
-    ) -> bool {
-        self.with_out_run(out, o0, n_i, |run, others| {
             let (Some(av), Some(bv)) = (others.ro(a), others.ro(b)) else {
                 return false;
             };
-            microkernel::saxpy_panel(run, av, a0, sa_o, bv, b0, sb_o, n_o);
-            true
-        })
-    }
-
-    /// The per-row dot panel of a two-deep fused multiply-accumulate:
-    /// `out[o0 + t] += Σ_u a[a0 + t·sa_o + u] · b[b0 + t·sb_o + u]`
-    /// (`u in 0..n_i`) for `t in 0..n_o`. Same contract as
-    /// [`Bufs::saxpy_panel`], except that under [`MathMode::Fast`] each
-    /// row's reduction may reassociate across lanes (still
-    /// deterministic).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn dot_panel(
-        &mut self,
-        out: u32,
-        o0: usize,
-        a: u32,
-        a0: usize,
-        sa_o: usize,
-        b: u32,
-        b0: usize,
-        sb_o: usize,
-        n_i: usize,
-        n_o: usize,
-        mode: MathMode,
-    ) -> bool {
-        self.with_out_run(out, o0, n_o, |run, others| {
-            let (Some(av), Some(bv)) = (others.ro(a), others.ro(b)) else {
-                return false;
-            };
-            microkernel::dot_panel(run, 0, av, a0, sa_o, bv, b0, sb_o, n_i, n_o, mode);
+            f(run, av, bv);
             true
         })
     }

@@ -1,5 +1,5 @@
 //! The bytecode compiler: lowered [`Stmt`] → [`VmProgram`], including
-//! the loop-fusion pattern matchers for the three superinstructions.
+//! the loop-fusion pattern matcher for the fused-nest superinstruction.
 
 use cora_ir::slots::StmtSlots;
 use cora_ir::visit::{count_cond_loads, count_loads, mentions, Node};
@@ -7,12 +7,9 @@ use cora_ir::{
     CmpOp, Cond, CondKind, Expr, ExprKind, FBinOp, FExpr, FExprKind, IBinOp, Stmt, StoreKind,
 };
 
-use super::isa::{
-    FusedMap, FusedMulAcc, FusedMulAcc2, Instr, MapOp, MapSite, VmProgram, MAX_MAP_SITES,
-    MAX_MAP_TAPE,
-};
+use super::isa::{FusedNest, Instr, MapOp, MapSite, Probe, VmProgram, MAX_MAP_SITES, MAX_MAP_TAPE};
 use super::opt::local_cse;
-use crate::microkernel::MathMode;
+use crate::microkernel::{MathMode, NestClass};
 
 /// Compiles a lowered statement to bytecode.
 ///
@@ -65,18 +62,41 @@ impl RegAlloc {
     }
 }
 
-/// Builder state for one [`FusedMap`] tape.
+/// Builder state for one [`FusedNest`] tape.
 #[derive(Default)]
 struct MapBuild {
-    /// `(buffer slot | u32::MAX for casts, index expr)` per site.
-    sites: Vec<(u32, Expr)>,
-    /// `(slot, rendered index)` → temp id, for site deduplication.
-    memo: std::collections::HashMap<(u32, String), u16>,
+    /// `(buffer slot | u32::MAX for casts, index expr, producing temp)`
+    /// per site.
+    sites: Vec<(u32, Expr, u16)>,
     tape: Vec<MapOp>,
     /// Static aux loads per element (occurrence-counted).
     aux: u64,
     /// Float (tape) ops per element.
     flops: u64,
+}
+
+impl MapBuild {
+    /// The temp holding the load (`slot`) or cast (`u32::MAX`) through
+    /// `idx`, or `None` when `idx` is not bilinear-free affine in
+    /// `(vi, vo)`. A repeated `(slot, index)` site is computed once but
+    /// still charges its aux loads per occurrence.
+    fn site(&mut self, slot: u32, idx: &Expr, vi: &str, vo: &str) -> Option<u16> {
+        if !is_affine2(idx, vi, vo) {
+            return None;
+        }
+        self.aux += count_loads(idx);
+        if let Some((.., t)) = self.sites.iter().find(|(s, e, _)| *s == slot && e == idx) {
+            return Some(*t);
+        }
+        let site = u16::try_from(self.sites.len()).ok()?;
+        let t = u16::try_from(self.tape.len()).ok()?;
+        self.tape.push(match slot {
+            u32::MAX => MapOp::Cast { site },
+            _ => MapOp::Load { site },
+        });
+        self.sites.push((slot, idx.clone(), t));
+        Some(t)
+    }
 }
 
 struct Compiler {
@@ -437,393 +457,212 @@ impl Compiler {
         dst
     }
 
-    /// Attempts to compile `for var in min..min+extent { body }` as one
-    /// [`FusedMulAcc`] instruction. Succeeds only for the canonical
-    /// reduction shape `out[i(var)] += A[j(var)] * B[k(var)]` with all
-    /// three indices affine in `var` and the output buffer distinct from
-    /// both operands — the inner loop of every lowered GEMM-, score- and
-    /// AttnV-style operator. Returns `false` (and emits nothing) when the
-    /// pattern does not apply; the caller then compiles the loop normally.
-    fn try_fused_mul_acc(&mut self, var: &str, min: &Expr, extent: &Expr, body: &Stmt) -> bool {
-        // Prefer fusing a whole two-deep nest (this loop + the loop
-        // directly inside it) when the body is itself a loop around the
-        // canonical store — the GEMM/scores/AttnV shape.
-        if let Stmt::For {
-            var: ivar,
-            min: imin,
-            extent: iext,
-            body: ibody,
-            kind: _,
-        } = body
-        {
-            if self.try_fused_mul_acc2(var, min, extent, ivar, imin, iext, ibody) {
-                return true;
-            }
-        }
-        let Some((buffer, index, abuf, aidx, bbuf, bidx)) = as_mul_acc_store(body) else {
-            return false;
-        };
-        if !is_affine_in(index, var) || !is_affine_in(aidx, var) || !is_affine_in(bidx, var) {
-            return false;
-        }
-        let out = self.resolve_fbuf(buffer);
-        let a_slot = self.resolve_fbuf(abuf);
-        let b_slot = self.resolve_fbuf(bbuf);
-        // The fused form accumulates out-of-buffer (and `saxpy` splits
-        // borrows), so the output must not alias either operand.
-        if a_slot == out || b_slot == out {
-            return false;
-        }
-
-        let im = self.iregs.mark();
-        let r_min = self.expr(min);
-        let r_ext = self.expr(extent);
-        // Loop bounds charge their static load counts once, exactly like
-        // the unfused loop header.
-        self.emit(Instr::BumpAux {
-            n: count_loads(min) + count_loads(extent),
-        });
-        let slot = self.push_var(var);
-        self.emit(Instr::SetVar { slot, src: r_min });
-        // Zero-trip guard *before* the index probes: an empty loop must
-        // evaluate nothing, like the unfused `BrVarGe` would ensure.
-        let rz = self.iregs.alloc();
-        self.emit(Instr::IConst { dst: rz, v: 0 });
-        let (l_run, l_end) = (self.new_label(), self.new_label());
-        self.emit(Instr::BrCmp {
-            op: CmpOp::Le,
-            a: r_ext,
-            b: rz,
-            on_true: l_end,
-            on_false: l_run,
-        });
-        self.place(l_run);
-        // Probe each index at i = min and i = min + 1; affine-ness makes
-        // the pair a full description (base + stride).
-        let o0 = self.expr(index);
-        let a0 = self.expr(aidx);
-        let b0 = self.expr(bidx);
-        let bump = self.iregs.alloc();
-        self.emit(Instr::IVar { dst: bump, slot });
-        self.emit(Instr::IBinC {
-            op: IBinOp::Add,
-            dst: bump,
-            a: bump,
-            c: 1,
-        });
-        self.emit(Instr::SetVar { slot, src: bump });
-        let o1 = self.expr(index);
-        let a1 = self.expr(aidx);
-        let b1 = self.expr(bidx);
-        self.emit(Instr::FMulAcc(Box::new(FusedMulAcc {
-            out,
-            a: a_slot,
-            b: b_slot,
-            o0,
-            o1,
-            a0,
-            a1,
-            b0,
-            b1,
-            n: r_ext,
-            aux: count_loads(index) + count_loads(aidx) + count_loads(bidx),
-        })));
-        self.place(l_end);
-        self.var_scope.pop();
-        self.iregs.release(im);
-        true
-    }
-
-    /// Attempts to compile the two-deep nest
-    /// `for ovar { for ivar { out[..] += A[..] * B[..] } }` as one
-    /// [`FusedMulAcc2`]. Requires all three indices bilinear-free 2-D
-    /// affine in `(ivar, ovar)` and the inner bounds outer-invariant;
-    /// returns `false` (emitting nothing) otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn try_fused_mul_acc2(
-        &mut self,
-        ovar: &str,
-        omin: &Expr,
-        oext: &Expr,
-        ivar: &str,
-        imin: &Expr,
-        iext: &Expr,
-        body: &Stmt,
-    ) -> bool {
-        if ovar == ivar {
-            return false;
-        }
-        let Some((buffer, index, abuf, aidx, bbuf, bidx)) = as_mul_acc_store(body) else {
-            return false;
-        };
-        // Inner bounds are hoisted out of the outer loop, so they must
-        // not depend on it.
-        if mentions(Node::Expr(imin), ovar) || mentions(Node::Expr(iext), ovar) {
-            return false;
-        }
-        if !is_affine2(index, ivar, ovar)
-            || !is_affine2(aidx, ivar, ovar)
-            || !is_affine2(bidx, ivar, ovar)
-        {
-            return false;
-        }
-        let out = self.resolve_fbuf(buffer);
-        let a_slot = self.resolve_fbuf(abuf);
-        let b_slot = self.resolve_fbuf(bbuf);
-        if a_slot == out || b_slot == out {
-            return false;
-        }
-
-        let im = self.iregs.mark();
-        let r_omin = self.expr(omin);
-        let r_oext = self.expr(oext);
-        self.emit(Instr::BumpAux {
-            n: count_loads(omin) + count_loads(oext),
-        });
-        let oslot = self.push_var(ovar);
-        self.emit(Instr::SetVar {
-            slot: oslot,
-            src: r_omin,
-        });
-        let rz = self.iregs.alloc();
-        self.emit(Instr::IConst { dst: rz, v: 0 });
-        let (l_run, l_end) = (self.new_label(), self.new_label());
-        self.emit(Instr::BrCmp {
-            op: CmpOp::Le,
-            a: r_oext,
-            b: rz,
-            on_true: l_end,
-            on_false: l_run,
-        });
-        self.place(l_run);
-        // Inner bounds, evaluated once (outer-invariant); the serial
-        // nest charges their loads per outer iteration — reproduced by
-        // `aux_inner_bounds` at run time.
-        let r_imin = self.expr(imin);
-        let r_iext = self.expr(iext);
-        let islot = self.push_var(ivar);
-        self.emit(Instr::SetVar {
-            slot: islot,
-            src: r_imin,
-        });
-        // Probes at (o₀, i₀), (o₀, i₀+1) and (o₀+1, i₀).
-        let o00 = self.expr(index);
-        let a00 = self.expr(aidx);
-        let b00 = self.expr(bidx);
-        let bump_i = self.iregs.alloc();
-        self.emit(Instr::IVar {
-            dst: bump_i,
-            slot: islot,
-        });
-        self.emit(Instr::IBinC {
-            op: IBinOp::Add,
-            dst: bump_i,
-            a: bump_i,
-            c: 1,
-        });
-        self.emit(Instr::SetVar {
-            slot: islot,
-            src: bump_i,
-        });
-        let o0i = self.expr(index);
-        let a0i = self.expr(aidx);
-        let b0i = self.expr(bidx);
-        self.emit(Instr::SetVar {
-            slot: islot,
-            src: r_imin,
-        });
-        let bump_o = self.iregs.alloc();
-        self.emit(Instr::IVar {
-            dst: bump_o,
-            slot: oslot,
-        });
-        self.emit(Instr::IBinC {
-            op: IBinOp::Add,
-            dst: bump_o,
-            a: bump_o,
-            c: 1,
-        });
-        self.emit(Instr::SetVar {
-            slot: oslot,
-            src: bump_o,
-        });
-        let o0o = self.expr(index);
-        let a0o = self.expr(aidx);
-        let b0o = self.expr(bidx);
-        self.emit(Instr::FMulAcc2(Box::new(FusedMulAcc2 {
-            out,
-            a: a_slot,
-            b: b_slot,
-            o00,
-            o0i,
-            o0o,
-            a00,
-            a0i,
-            a0o,
-            b00,
-            b0i,
-            b0o,
-            n_outer: r_oext,
-            n_inner: r_iext,
-            aux: count_loads(index) + count_loads(aidx) + count_loads(bidx),
-            aux_inner_bounds: count_loads(imin) + count_loads(iext),
-        })));
-        self.place(l_end);
-        self.var_scope.pop();
-        self.var_scope.pop();
-        self.iregs.release(im);
-        true
-    }
-
-    /// Builds the [`FusedMap`] tape for `e`, returning the producing temp
-    /// id, or `None` when `e` contains a select or a non-affine index.
-    /// Repeated `(buffer, index)` sites are memoised into one temp but
-    /// still charge their aux loads per occurrence.
-    fn map_tape(&self, e: &FExpr, var: &str, mb: &mut MapBuild) -> Option<u16> {
-        let t = match e.kind() {
-            FExprKind::Const(v) => {
-                mb.tape.push(MapOp::Const { v: *v });
-                mb.tape.len() - 1
-            }
-            FExprKind::Load(buf, idx) => {
-                if !is_affine_in(idx, var) {
-                    return None;
-                }
-                let slot = self.resolve_fbuf(buf);
-                mb.aux += count_loads(idx);
-                let key = (slot, format!("{idx}"));
-                if let Some(&t) = mb.memo.get(&key) {
-                    return Some(t);
-                }
-                let site = u16::try_from(mb.sites.len()).ok()?;
-                mb.sites.push((slot, idx.clone()));
-                mb.tape.push(MapOp::Load { site });
-                let t = (mb.tape.len() - 1) as u16;
-                mb.memo.insert(key, t);
-                return Some(t);
-            }
-            FExprKind::Cast(i) => {
-                if !is_affine_in(i, var) {
-                    return None;
-                }
-                mb.aux += count_loads(i);
-                let key = (u32::MAX, format!("{i}"));
-                if let Some(&t) = mb.memo.get(&key) {
-                    return Some(t);
-                }
-                let site = u16::try_from(mb.sites.len()).ok()?;
-                mb.sites.push((u32::MAX, i.clone()));
-                mb.tape.push(MapOp::Cast { site });
-                let t = (mb.tape.len() - 1) as u16;
-                mb.memo.insert(key, t);
-                return Some(t);
-            }
+    /// Builds the [`FusedNest`] tape for `e`, returning the producing
+    /// temp id, or `None` when `e` contains a select or an index that is
+    /// not bilinear-free affine in `(vi, vo)`.
+    fn map_tape(&self, e: &FExpr, vi: &str, vo: &str, mb: &mut MapBuild) -> Option<u16> {
+        let op = match e.kind() {
+            FExprKind::Const(v) => MapOp::Const { v: *v },
+            FExprKind::Load(buf, idx) => return mb.site(self.resolve_fbuf(buf), idx, vi, vo),
+            FExprKind::Cast(i) => return mb.site(u32::MAX, i, vi, vo),
             FExprKind::Bin(op, a, b) => {
-                let ta = self.map_tape(a, var, mb)?;
-                let tb = self.map_tape(b, var, mb)?;
+                let a = self.map_tape(a, vi, vo, mb)?;
+                let b = self.map_tape(b, vi, vo, mb)?;
                 mb.flops += 1;
-                mb.tape.push(MapOp::Bin {
-                    op: *op,
-                    a: ta,
-                    b: tb,
-                });
-                mb.tape.len() - 1
+                MapOp::Bin { op: *op, a, b }
             }
             FExprKind::Unary(op, a) => {
-                let ta = self.map_tape(a, var, mb)?;
+                let a = self.map_tape(a, vi, vo, mb)?;
                 mb.flops += 1;
-                mb.tape.push(MapOp::Un { op: *op, a: ta });
-                mb.tape.len() - 1
+                MapOp::Un { op: *op, a }
             }
             FExprKind::Select(_, _, _) => return None,
         };
-        u16::try_from(t).ok()
+        mb.tape.push(op);
+        u16::try_from(mb.tape.len() - 1).ok()
     }
 
-    /// Attempts to compile `for var { out[..] (=|+=|max=) f(..) }` as one
-    /// [`FusedMap`]. Applies to branch-free bodies whose every integer
-    /// index is affine in `var` (and that do not load the output buffer,
-    /// which chunked evaluation could observe mid-store). Returns `false`
-    /// (emitting nothing) when the pattern does not apply.
-    fn try_fused_map(&mut self, var: &str, min: &Expr, extent: &Expr, body: &Stmt) -> bool {
+    /// Emits the header of a fused loop: its bounds and the variable's
+    /// initialisation, returning `(slot, min register, extent register)`.
+    /// A nest's outermost loop passes `zero_trip: Some(end)` and also
+    /// charges the bounds' static load counts once, exactly like the
+    /// unfused loop header, and branches to `end` when the extent is not
+    /// positive — *before* any index probe, so an empty loop evaluates
+    /// nothing, like the unfused `BrVarGe` would ensure. The hoisted
+    /// inner loop of a two-deep nest passes `None`: its loads are
+    /// charged per outer iteration at run time
+    /// ([`FusedNest::aux_inner_bounds`]) and its extent is tested there.
+    fn fused_loop_header(
+        &mut self,
+        var: &str,
+        min: &Expr,
+        extent: &Expr,
+        zero_trip: Option<u32>,
+    ) -> (u32, u16, u16) {
+        let r_min = self.expr(min);
+        let r_ext = self.expr(extent);
+        if zero_trip.is_some() {
+            self.emit(Instr::BumpAux {
+                n: count_loads(min) + count_loads(extent),
+            });
+        }
+        let slot = self.push_var(var);
+        self.emit(Instr::SetVar { slot, src: r_min });
+        if let Some(l_end) = zero_trip {
+            let rz = self.iregs.alloc();
+            self.emit(Instr::IConst { dst: rz, v: 0 });
+            let l_run = self.new_label();
+            self.emit(Instr::BrCmp {
+                op: CmpOp::Le,
+                a: r_ext,
+                b: rz,
+                on_true: l_end,
+                on_false: l_run,
+            });
+            self.place(l_run);
+        }
+        (slot, r_min, r_ext)
+    }
+
+    /// Emits one probe round: steps the loop variable in `step` (if any)
+    /// by one, then evaluates the store index and every site index at
+    /// the current loop variables, returning their registers in that
+    /// order.
+    fn probe_round(
+        &mut self,
+        step: Option<u32>,
+        index: &Expr,
+        sites: &[(u32, Expr, u16)],
+    ) -> Vec<u16> {
+        if let Some(slot) = step {
+            let bump = self.iregs.alloc();
+            self.emit(Instr::IVar { dst: bump, slot });
+            self.emit(Instr::IBinC {
+                op: IBinOp::Add,
+                dst: bump,
+                a: bump,
+                c: 1,
+            });
+            self.emit(Instr::SetVar { slot, src: bump });
+        }
+        std::iter::once(index)
+            .chain(sites.iter().map(|(_, e, _)| e))
+            .map(|e| self.expr(e))
+            .collect()
+    }
+
+    /// Attempts to compile `for var in min..min+extent { body }` as one
+    /// [`FusedNest`]: `body` is either the store itself (a one-deep
+    /// nest) or a loop directly around it (a two-deep nest, taken when
+    /// the inner bounds are outer-invariant — and today only around
+    /// multiply-accumulate tapes, the GEMM/scores/AttnV shape). The
+    /// store's value must be branch-free, every integer index
+    /// bilinear-free affine in the peeled loop variables, and the output
+    /// buffer must not be loaded (chunked evaluation could observe it
+    /// mid-store, and the kernels split borrows around it). Returns
+    /// `false` (emitting nothing) when the pattern does not apply; the
+    /// caller then compiles the loop normally.
+    fn try_fused_nest(&mut self, var: &str, min: &Expr, extent: &Expr, body: &Stmt) -> bool {
+        let (outer, (ivar, imin, iext), store) = match body {
+            Stmt::For {
+                var: ivar,
+                min: imin,
+                extent: iext,
+                body: ibody,
+                kind: _,
+            } => (
+                Some((var, min, extent)),
+                (ivar.as_str(), imin, iext),
+                &**ibody,
+            ),
+            _ => (None, (var, min, extent), body),
+        };
         let Stmt::Store {
             buffer,
             index,
             value,
             kind,
-        } = body
+        } = store
         else {
             return false;
         };
-        if !is_affine_in(index, var) {
+        let ovar = outer.map_or(ivar, |(ovar, ..)| ovar);
+        // Inner bounds are hoisted out of the outer loop, so they must
+        // not depend on it.
+        if outer.is_some()
+            && (ovar == ivar
+                || mentions(Node::Expr(imin), ovar)
+                || mentions(Node::Expr(iext), ovar))
+        {
+            return false;
+        }
+        if !is_affine2(index, ivar, ovar) {
             return false;
         }
         let out = self.resolve_fbuf(buffer);
         let mut mb = MapBuild::default();
-        if self.map_tape(value, var, &mut mb).is_none() {
+        if self.map_tape(value, ivar, ovar, &mut mb).is_none() {
             return false;
         }
         if mb.sites.len() > MAX_MAP_SITES || mb.tape.len() > MAX_MAP_TAPE {
             return false;
         }
-        if mb.sites.iter().any(|(slot, _)| *slot == out) {
+        if mb.sites.iter().any(|(slot, ..)| *slot == out) {
             return false;
         }
-        let aux = mb.aux + count_loads(index);
-        let flops = mb.flops + u64::from(!matches!(kind, StoreKind::Assign));
+        let class = FusedNest::classify(&mb.tape, *kind);
+        if outer.is_some() && class != NestClass::MulAcc {
+            return false;
+        }
 
-        let im = self.iregs.mark();
-        let r_min = self.expr(min);
-        let r_ext = self.expr(extent);
-        self.emit(Instr::BumpAux {
-            n: count_loads(min) + count_loads(extent),
+        let (im, scope) = (self.iregs.mark(), self.var_scope.len());
+        let l_end = self.new_label();
+        let outer_loop =
+            outer.map(|(ovar, omin, oext)| self.fused_loop_header(ovar, omin, oext, Some(l_end)));
+        let zero_trip = outer.is_none().then_some(l_end);
+        let (islot, r_imin, n_inner) = self.fused_loop_header(ivar, imin, iext, zero_trip);
+        // Probe every index at the first iteration and one step along
+        // each loop; affine-ness makes that a full description (base +
+        // strides).
+        let base = self.probe_round(None, index, &mb.sites);
+        let inner = self.probe_round(Some(islot), index, &mb.sites);
+        let outer_round = outer_loop.map(|(oslot, ..)| {
+            self.emit(Instr::SetVar {
+                slot: islot,
+                src: r_imin,
+            });
+            self.probe_round(Some(oslot), index, &mb.sites)
         });
-        let slot = self.push_var(var);
-        self.emit(Instr::SetVar { slot, src: r_min });
-        let rz = self.iregs.alloc();
-        self.emit(Instr::IConst { dst: rz, v: 0 });
-        let (l_run, l_end) = (self.new_label(), self.new_label());
-        self.emit(Instr::BrCmp {
-            op: CmpOp::Le,
-            a: r_ext,
-            b: rz,
-            on_true: l_end,
-            on_false: l_run,
+        let mut probes = (0..base.len()).map(|i| Probe {
+            base: base[i],
+            inner: inner[i],
+            outer: outer_round.as_ref().map(|round| round[i]),
         });
-        self.place(l_run);
-        let o0 = self.expr(index);
-        let site_exprs: Vec<Expr> = mb.sites.iter().map(|(_, e)| e.clone()).collect();
-        let r0s: Vec<u16> = site_exprs.iter().map(|e| self.expr(e)).collect();
-        let bump = self.iregs.alloc();
-        self.emit(Instr::IVar { dst: bump, slot });
-        self.emit(Instr::IBinC {
-            op: IBinOp::Add,
-            dst: bump,
-            a: bump,
-            c: 1,
-        });
-        self.emit(Instr::SetVar { slot, src: bump });
-        let o1 = self.expr(index);
-        let r1s: Vec<u16> = site_exprs.iter().map(|e| self.expr(e)).collect();
-        let sites: Box<[MapSite]> = mb
+        let out_idx = probes.next().expect("a round probes the store index first");
+        let sites = mb
             .sites
             .iter()
-            .zip(r0s.iter().zip(&r1s))
-            .map(|((slot, _), (&r0, &r1))| MapSite { buf: *slot, r0, r1 })
+            .zip(probes)
+            .map(|((slot, ..), idx)| MapSite { buf: *slot, idx })
             .collect();
-        self.emit(Instr::FMap(Box::new(FusedMap {
+        self.emit(Instr::FNest(Box::new(FusedNest {
             out,
-            o0,
-            o1,
             kind: *kind,
+            out_idx,
             sites,
             tape: mb.tape.into_boxed_slice(),
-            n: r_ext,
-            aux,
-            flops,
+            class,
+            n_inner,
+            n_outer: outer_loop.map(|(_, _, r_ext)| r_ext),
+            aux: mb.aux + count_loads(index),
+            aux_inner_bounds: match outer {
+                Some(_) => count_loads(imin) + count_loads(iext),
+                None => 0,
+            },
+            flops: mb.flops + u64::from(!matches!(kind, StoreKind::Assign)),
         })));
         self.place(l_end);
-        self.var_scope.pop();
+        self.var_scope.truncate(scope);
         self.iregs.release(im);
         true
     }
@@ -837,10 +676,7 @@ impl Compiler {
                 body,
                 kind: _,
             } => {
-                if self.try_fused_mul_acc(var, min, extent, body) {
-                    return;
-                }
-                if self.try_fused_map(var, min, extent, body) {
+                if self.try_fused_nest(var, min, extent, body) {
                     return;
                 }
                 let im = self.iregs.mark();
@@ -984,41 +820,15 @@ impl Compiler {
     }
 }
 
-/// Matches the canonical fusable reduction store
-/// `buffer[index] += A[aidx] * B[bidx]`.
-fn as_mul_acc_store(body: &Stmt) -> Option<(&str, &Expr, &str, &Expr, &str, &Expr)> {
-    let Stmt::Store {
-        buffer,
-        index,
-        value,
-        kind: StoreKind::AddAssign,
-    } = body
-    else {
-        return None;
-    };
-    let FExprKind::Bin(FBinOp::Mul, a, b) = value.kind() else {
-        return None;
-    };
-    let (FExprKind::Load(abuf, aidx), FExprKind::Load(bbuf, bidx)) = (a.kind(), b.kind()) else {
-        return None;
-    };
-    Some((buffer, index, abuf, aidx, bbuf, bidx))
-}
-
-/// True when `e` is affine in `var` *and* no memory access, select or
-/// non-linear operator involves `var`: `var` may
-/// appear only under `+`/`-`, or under `×` with a `var`-free co-factor.
-/// Such an expression is fully determined by its values at two
-/// consecutive `var` points, and probing it at any in-range point
-/// touches exactly the memory an ordinary evaluation would.
-fn is_affine_in(e: &Expr, var: &str) -> bool {
-    is_affine2(e, var, var)
-}
-
 /// True when `e` is `base + c_i·vi + c_o·vo` with constant coefficients:
-/// affine in each variable, with no product of two variable-dependent
-/// factors (which would make a stride depend on the other variable) and
-/// no memory access through either variable.
+/// a variable may appear only under `+`/`-`, or under `×` with a
+/// co-factor free of *both* variables (a product of two
+/// variable-dependent factors would make a stride depend on the other
+/// variable), and no memory access, select or non-linear operator
+/// involves either. Such an expression is fully determined by its value
+/// at one point and one step along each variable, and probing it at any
+/// in-range point touches exactly the memory an ordinary evaluation
+/// would. A one-deep nest passes its loop variable twice.
 fn is_affine2(e: &Expr, vi: &str, vo: &str) -> bool {
     affine2_degree(e, vi, vo).is_some()
 }

@@ -4,7 +4,8 @@ use std::fmt;
 
 use cora_ir::StoreKind;
 
-use super::isa::{fbuf_name, Instr, MapOp, VmProgram};
+use super::isa::{fbuf_name, Instr, MapOp, Probe, VmProgram};
+use crate::microkernel::NestClass;
 
 /// Disassembly: one instruction per line (`pc  mnemonic operands`), with
 /// every variable and buffer slot resolved back to its source name.
@@ -104,79 +105,64 @@ impl fmt::Display for VmProgram {
                 Instr::FAlloc { slot, size, aux } => {
                     format!("falloc   {}, r{size}, aux={aux}", fbuf(*slot))
                 }
-                Instr::FMulAcc(op) => {
-                    format!(
-                        "fmulacc  {}[r{}:r{}] += {}[r{}:r{}] * {}[r{}:r{}], n=r{}, aux={}",
-                        fbuf(op.out),
-                        op.o0,
-                        op.o1,
-                        fbuf(op.a),
-                        op.a0,
-                        op.a1,
-                        fbuf(op.b),
-                        op.b0,
-                        op.b1,
-                        op.n,
-                        op.aux
-                    )
-                }
-                Instr::FMap(op) => {
+                // One record, three mnemonics: a multiply-accumulate
+                // nest prints its two operands inline (`fmulacc`, or
+                // `fmulacc2` when two-deep), any other nest its tape and
+                // site list (`fmap`).
+                Instr::FNest(op) => {
+                    let probe = |p: &Probe| match p.outer {
+                        Some(outer) => format!("r{}:r{}:r{outer}", p.base, p.inner),
+                        None => format!("r{}:r{}", p.base, p.inner),
+                    };
+                    let (depth, trips, baux) = match op.n_outer {
+                        Some(n_outer) => (
+                            "2",
+                            format!("r{n_outer}xr{}", op.n_inner),
+                            format!(", baux={}", op.aux_inner_bounds),
+                        ),
+                        None => (" ", format!("r{}", op.n_inner), String::new()),
+                    };
                     let sites: Vec<String> = op
                         .sites
                         .iter()
                         .map(|s| {
                             if s.buf == u32::MAX {
-                                format!("<idx r{}:r{}>", s.r0, s.r1)
+                                format!("<idx {}>", probe(&s.idx))
                             } else {
-                                format!("{}[r{}:r{}]", fbuf(s.buf), s.r0, s.r1)
+                                format!("{}[{}]", fbuf(s.buf), probe(&s.idx))
                             }
                         })
                         .collect();
-                    let tape: Vec<String> = op
-                        .tape
-                        .iter()
-                        .map(|o| match o {
-                            MapOp::Const { v } => format!("#{v:?}"),
-                            MapOp::Load { site } => format!("ld{site}"),
-                            MapOp::Cast { site } => format!("cast{site}"),
-                            MapOp::Bin { op, a, b } => format!("{} t{a} t{b}", op.mnemonic()),
-                            MapOp::Un { op, a } => format!("{} t{a}", op.mnemonic()),
-                        })
-                        .collect();
-                    let k = store(op.kind);
-                    format!(
-                        "fmap     {}[r{}:r{}] {k} ({}), sites=[{}], n=r{}, aux={}, flops={}",
-                        fbuf(op.out),
-                        op.o0,
-                        op.o1,
-                        tape.join("; "),
-                        sites.join(", "),
-                        op.n,
-                        op.aux,
-                        op.flops
-                    )
-                }
-                Instr::FMulAcc2(op) => {
-                    format!(
-                        "fmulacc2 {}[r{}:r{}:r{}] += {}[r{}:r{}:r{}] * {}[r{}:r{}:r{}], \
-                         n=r{}xr{}, aux={}, baux={}",
-                        fbuf(op.out),
-                        op.o00,
-                        op.o0i,
-                        op.o0o,
-                        fbuf(op.a),
-                        op.a00,
-                        op.a0i,
-                        op.a0o,
-                        fbuf(op.b),
-                        op.b00,
-                        op.b0i,
-                        op.b0o,
-                        op.n_outer,
-                        op.n_inner,
-                        op.aux,
-                        op.aux_inner_bounds
-                    )
+                    let out = format!("{}[{}]", fbuf(op.out), probe(&op.out_idx));
+                    match op.class {
+                        NestClass::MulAcc => format!(
+                            "fmulacc{depth} {out} += {} * {}, n={trips}, aux={}{baux}",
+                            sites[0], sites[1], op.aux
+                        ),
+                        NestClass::Map => {
+                            let tape: Vec<String> = op
+                                .tape
+                                .iter()
+                                .map(|o| match o {
+                                    MapOp::Const { v } => format!("#{v:?}"),
+                                    MapOp::Load { site } => format!("ld{site}"),
+                                    MapOp::Cast { site } => format!("cast{site}"),
+                                    MapOp::Bin { op, a, b } => {
+                                        format!("{} t{a} t{b}", op.mnemonic())
+                                    }
+                                    MapOp::Un { op, a } => format!("{} t{a}", op.mnemonic()),
+                                })
+                                .collect();
+                            format!(
+                                "fmap     {out} {} ({}), sites=[{}], n={trips}, aux={}, flops={}{baux}",
+                                store(op.kind),
+                                tape.join("; "),
+                                sites.join(", "),
+                                op.aux,
+                                op.flops
+                            )
+                        }
+                    }
                 }
             };
             writeln!(f, "{pc:>4}  {line}")?;

@@ -8,17 +8,16 @@ use cora_ir::{FBinOp, FUnaryOp, StoreKind};
 
 use super::bufs::{Bufs, OutPort};
 use super::isa::{
-    fbuf_name, FusedMap, FusedMulAcc2, Instr, MapOp, VmProgram, MAP_CHUNK, MAX_MAP_SITES,
-    MAX_MAP_TAPE,
+    fbuf_name, FusedNest, Instr, MapOp, Probe, VmProgram, MAP_CHUNK, MAX_MAP_SITES, MAX_MAP_TAPE,
 };
 use crate::interp::InterpStats;
-use crate::microkernel::{self, AxpyKind, MathMode, PanelKind, PanelShape};
+use crate::microkernel::{self, KernelArgs, MathMode, NestClass, Operand};
 
 /// Private per-execution state of one dispatch: the variable file (a
 /// copy of the binding table's, so loop variables never touch shared
 /// state), the register files, and the chunk scratch of
-/// [`run_fused_map`] — kept here so its ~6 KiB zero-fill happens once
-/// per execution context instead of once per fused-map instruction
+/// [`sweep_nest`] — kept here so its ~6 KiB zero-fill happens once
+/// per execution context instead of once per fused instruction
 /// (which, in the outlined parallel tier, would mean once per row).
 /// Every tape op fully overwrites its `dst[..m]` slice before anything
 /// reads it, so stale chunk contents are never observed.
@@ -215,58 +214,18 @@ pub(super) fn dispatch<P: OutPort>(
                     .unwrap_or_else(|_| panic!("negative alloc size {n} for scratch buffer"));
                 fbufs.alloc(*slot, nu);
             }
-            Instr::FMulAcc(op) => {
-                let n = iregs[op.n as usize];
-                debug_assert!(n > 0, "zero-trip fused loops are branched around");
-                let o0 = iregs[op.o0 as usize];
-                let so = iregs[op.o1 as usize] - o0;
-                let a0 = iregs[op.a0 as usize];
-                let sa = iregs[op.a1 as usize] - a0;
-                let b0 = iregs[op.b0 as usize];
-                let sb = iregs[op.b1 as usize] - b0;
-                run_fused_mul_acc(prog, fbufs, op.out, op.a, op.b, n, o0, so, a0, sa, b0, sb);
-                let iters = n as u64;
-                st.aux_loads += iters * op.aux;
-                st.flops += 2 * iters;
-                st.stores += iters;
-            }
-            Instr::FMap(op) => {
-                let n = iregs[op.n as usize];
-                debug_assert!(n > 0, "zero-trip fused loops are branched around");
-                let o0 = iregs[op.o0 as usize];
-                let so = iregs[op.o1 as usize] - o0;
-                run_fused_map(prog, fbufs, op, n, o0, so, iregs, map_scratch);
-                let iters = n as u64;
-                st.aux_loads += iters * op.aux;
-                st.flops += iters * op.flops;
-                st.stores += iters;
-            }
-            Instr::FMulAcc2(op) => {
-                let n_o = iregs[op.n_outer as usize];
+            Instr::FNest(op) => {
+                let n_o = op.n_outer.map_or(1, |r| iregs[r as usize]);
                 debug_assert!(n_o > 0, "zero-trip fused loops are branched around");
                 let n_i = iregs[op.n_inner as usize];
                 // The serial nest charges the inner loop header's bound
                 // loads once per outer iteration, body or not.
                 st.aux_loads += (n_o as u64) * op.aux_inner_bounds;
                 if n_i > 0 {
-                    let o00 = iregs[op.o00 as usize];
-                    let (so_i, so_o) = (iregs[op.o0i as usize] - o00, iregs[op.o0o as usize] - o00);
-                    let a00 = iregs[op.a00 as usize];
-                    let (sa_i, sa_o) = (iregs[op.a0i as usize] - a00, iregs[op.a0o as usize] - a00);
-                    let b00 = iregs[op.b00 as usize];
-                    let (sb_i, sb_o) = (iregs[op.b0i as usize] - b00, iregs[op.b0o as usize] - b00);
-                    run_fused_mul_acc2(
-                        prog,
-                        fbufs,
-                        op,
-                        [n_o, n_i],
-                        [o00, so_i, so_o],
-                        [a00, sa_i, sa_o],
-                        [b00, sb_i, sb_o],
-                    );
+                    run_fused_nest(prog, fbufs, op, [n_o, n_i], iregs, map_scratch);
                     let iters = (n_o as u64) * (n_i as u64);
                     st.aux_loads += iters * op.aux;
-                    st.flops += 2 * iters;
+                    st.flops += iters * op.flops;
                     st.stores += iters;
                 }
             }
@@ -276,21 +235,117 @@ pub(super) fn dispatch<P: OutPort>(
     *stats = st;
 }
 
-/// Executes one [`FusedMap`]: `n` elements of
-/// `out[o0 + t·so] (=|+=|max=) tape(t)`, evaluated chunk-wise (each tape
-/// op swept across a whole chunk before the next — element independence
-/// keeps the per-element float sequence identical) and stored in
-/// ascending element order, so reductions accumulate exactly as the
-/// unfused loop would.
-#[allow(clippy::too_many_arguments)]
-fn run_fused_map<P: OutPort>(
+/// One affine index of a nest at run time: its value at the first
+/// iteration and its strides along the inner and outer loops.
+#[derive(Clone, Copy, Default)]
+struct Axis {
+    base: i64,
+    inner: i64,
+    outer: i64,
+}
+
+impl Axis {
+    /// The kernel operand reading `data` along this (non-negative) axis.
+    fn operand(self, data: &[f32]) -> Operand<'_> {
+        Operand {
+            data,
+            base: self.base as usize,
+            outer: self.outer as usize,
+        }
+    }
+}
+
+/// Executes one [`FusedNest`] of `n = [n_outer, n_inner]` (both positive)
+/// iterations: as a native kernel when the microkernel table has a row
+/// for its class and runtime strides, as the chunked tape sweep
+/// otherwise.
+fn run_fused_nest<P: OutPort>(
     prog: &VmProgram,
     fbufs: &mut Bufs<'_, P>,
-    op: &FusedMap,
-    n: i64,
-    o0: i64,
-    so: i64,
+    op: &FusedNest,
+    n: [i64; 2],
     iregs: &[i64],
+    scratch: &mut [[f32; MAP_CHUNK]; MAX_MAP_TAPE],
+) {
+    let axis = |p: &Probe| {
+        let base = iregs[p.base as usize];
+        Axis {
+            base,
+            inner: iregs[p.inner as usize] - base,
+            outer: p.outer.map_or(0, |r| iregs[r as usize] - base),
+        }
+    };
+    let out = axis(&op.out_idx);
+    let site = |s: u16| axis(&op.sites[s as usize].idx);
+    let ran = match op.class {
+        // A multiply-accumulate's operands are its two sites, in tape
+        // order.
+        NestClass::MulAcc => {
+            let operands = [0, 1].map(|s| (op.sites[s as usize].buf, site(s)));
+            run_kernel(prog, fbufs, op, n, out, operands)
+        }
+        NestClass::Map => false,
+    };
+    if !ran {
+        sweep_nest(prog, fbufs, op, n, out, &site, scratch);
+    }
+}
+
+/// Runs the whole nest through the microkernel-table row matching its
+/// class and runtime strides; `operands` are the buffer slot and axis
+/// of each site the kernel loads through. Returns `false`, having
+/// stored nothing, when no row matches, a base is negative (the kernels
+/// address `usize` ranges) or the buffers have no contiguous views.
+fn run_kernel<P: OutPort>(
+    prog: &VmProgram,
+    fbufs: &mut Bufs<'_, P>,
+    op: &FusedNest,
+    [n_o, n_i]: [i64; 2],
+    out: Axis,
+    [(a_buf, a), (b_buf, b)]: [(u32, Axis); 2],
+) -> bool {
+    let strides = [out, a, b].map(|x| [x.inner, x.outer]);
+    let Some(kernel) = microkernel::select_kernel(op.class, &strides, op.n_outer.is_some()) else {
+        return false;
+    };
+    if out.base < 0 || a.base < 0 || b.base < 0 {
+        return false;
+    }
+    // A row pins the output strides to a dense pattern, so the nest's
+    // stores cover exactly this run.
+    let span = 1 + (n_i - 1) * out.inner + (n_o - 1) * out.outer;
+    let (o0, span) = (out.base as usize, span as usize);
+    fbufs.run_kernel(op.out, o0, span, [a_buf, b_buf], |run, av, bv| {
+        let args = KernelArgs {
+            a: a.operand(av),
+            b: b.operand(bv),
+            n_inner: n_i as usize,
+            n_outer: n_o as usize,
+            mode: prog.math,
+        };
+        (kernel.run)(run, &args);
+    })
+}
+
+/// The generic executor of a [`FusedNest`]: per outer iteration, `n_i`
+/// elements of `out[o(t)] (=|+=|max=) tape(t)`, evaluated chunk-wise
+/// (each tape op swept across a whole chunk before the next — element
+/// independence keeps the per-element float sequence identical) and
+/// stored in ascending element order, so reductions accumulate exactly
+/// as the unfused loops would.
+///
+/// Kept out of line: inlined into [`dispatch`], its locals compete with
+/// the loop's program counter and register-file pointers for machine
+/// registers, and every *scalar* instruction of the per-row prologues
+/// slows down (measured at up to 10 % of a `scale`/`attnv` block).
+#[inline(never)]
+fn sweep_nest<P: OutPort>(
+    prog: &VmProgram,
+    fbufs: &mut Bufs<'_, P>,
+    op: &FusedNest,
+    [n_o, n]: [i64; 2],
+    out: Axis,
+    site: &impl Fn(u16) -> Axis,
     scratch: &mut [[f32; MAP_CHUNK]; MAX_MAP_TAPE],
 ) {
     let nneg = |i: i64, slot: u32, what: &str| -> usize {
@@ -298,10 +353,10 @@ fn run_fused_map<P: OutPort>(
             panic!("negative {what} index {i} into `{}`", fbuf_name(prog, slot))
         })
     };
-    let mut bases = [(0i64, 0i64); MAX_MAP_SITES];
-    for (i, s) in op.sites.iter().enumerate() {
-        let b = iregs[s.r0 as usize];
-        bases[i] = (b, iregs[s.r1 as usize] - b);
+    // Every site's axis, read once.
+    let mut sites = [Axis::default(); MAX_MAP_SITES];
+    for (s, x) in (0..).zip(&mut sites[..op.sites.len()]) {
+        *x = site(s);
     }
     // An entry is *uniform* when every element of its chunk holds the
     // same value — constants, stride-0 loads/casts, and any op whose
@@ -314,330 +369,164 @@ fn run_fused_map<P: OutPort>(
     for (ti, t) in op.tape.iter().enumerate() {
         uniform[ti] = match t {
             MapOp::Const { .. } => true,
-            MapOp::Load { site } | MapOp::Cast { site } => bases[*site as usize].1 == 0,
+            MapOp::Load { site } | MapOp::Cast { site } => sites[*site as usize].inner == 0,
             MapOp::Bin { a, b, .. } => uniform[*a as usize] && uniform[*b as usize],
             MapOp::Un { a, .. } => uniform[*a as usize],
         };
     }
-    let mut start = 0i64;
-    while start < n {
-        let m = ((n - start) as usize).min(MAP_CHUNK);
-        for ti in 0..op.tape.len() {
-            let (prev, cur) = scratch.split_at_mut(ti);
-            let dst = &mut cur[0][..m];
-            match &op.tape[ti] {
-                MapOp::Const { v } => dst.fill(*v),
-                MapOp::Load { site } => {
-                    let s = &op.sites[*site as usize];
-                    let (base, stride) = bases[*site as usize];
-                    let first = base + start * stride;
-                    if stride == 0 {
-                        dst.fill(fbufs.get(s.buf, nneg(first, s.buf, "load")));
-                    } else if stride == 1 {
-                        if let Some(bufv) = fbufs.ro(s.buf) {
-                            let i0 = nneg(first, s.buf, "load");
-                            dst.copy_from_slice(&bufv[i0..i0 + m]);
+    for u in 0..n_o {
+        let (o0, so) = (out.base + u * out.outer, out.inner);
+        // A site's first index and inner stride in this outer iteration.
+        let row = |site: u16| {
+            let x = sites[site as usize];
+            (x.base + u * x.outer, x.inner)
+        };
+        let mut start = 0i64;
+        while start < n {
+            let m = ((n - start) as usize).min(MAP_CHUNK);
+            for ti in 0..op.tape.len() {
+                let (prev, cur) = scratch.split_at_mut(ti);
+                let dst = &mut cur[0][..m];
+                match &op.tape[ti] {
+                    MapOp::Const { v } => dst.fill(*v),
+                    MapOp::Load { site } => {
+                        let s = &op.sites[*site as usize];
+                        let (base, stride) = row(*site);
+                        let first = base + start * stride;
+                        if stride == 0 {
+                            dst.fill(fbufs.get(s.buf, nneg(first, s.buf, "load")));
+                        } else if stride == 1 {
+                            if let Some(bufv) = fbufs.ro(s.buf) {
+                                let i0 = nneg(first, s.buf, "load");
+                                dst.copy_from_slice(&bufv[i0..i0 + m]);
+                            } else {
+                                for (e, d) in dst.iter_mut().enumerate() {
+                                    *d = fbufs.get(s.buf, nneg(first + e as i64, s.buf, "load"));
+                                }
+                            }
                         } else {
                             for (e, d) in dst.iter_mut().enumerate() {
-                                *d = fbufs.get(s.buf, nneg(first + e as i64, s.buf, "load"));
+                                *d = fbufs
+                                    .get(s.buf, nneg(first + e as i64 * stride, s.buf, "load"));
                             }
                         }
-                    } else {
-                        for (e, d) in dst.iter_mut().enumerate() {
-                            *d = fbufs.get(s.buf, nneg(first + e as i64 * stride, s.buf, "load"));
+                    }
+                    MapOp::Cast { site } => {
+                        let (base, stride) = row(*site);
+                        if stride == 0 {
+                            dst.fill(base as f32);
+                        } else {
+                            for (e, d) in dst.iter_mut().enumerate() {
+                                *d = (base + (start + e as i64) * stride) as f32;
+                            }
                         }
                     }
-                }
-                MapOp::Cast { site } => {
-                    let (base, stride) = bases[*site as usize];
-                    if stride == 0 {
-                        dst.fill(base as f32);
-                    } else {
-                        for (e, d) in dst.iter_mut().enumerate() {
-                            *d = (base + (start + e as i64) * stride) as f32;
+                    MapOp::Bin { op: bop, a, b } => {
+                        let (av, bv) = (&prev[*a as usize], &prev[*b as usize]);
+                        let (ua, ub) = (uniform[*a as usize], uniform[*b as usize]);
+                        if ua && ub {
+                            dst.fill(bop.apply(av[0], bv[0]));
+                        } else if ua {
+                            bin_chunk_sv(*bop, dst, av[0], &bv[..m]);
+                        } else if ub {
+                            bin_chunk_vs(*bop, dst, &av[..m], bv[0]);
+                        } else {
+                            bin_chunk(*bop, dst, &av[..m], &bv[..m]);
                         }
                     }
-                }
-                MapOp::Bin { op: bop, a, b } => {
-                    let (av, bv) = (&prev[*a as usize], &prev[*b as usize]);
-                    let (ua, ub) = (uniform[*a as usize], uniform[*b as usize]);
-                    if ua && ub {
-                        dst.fill(bop.apply(av[0], bv[0]));
-                    } else if ua {
-                        bin_chunk_sv(*bop, dst, av[0], &bv[..m]);
-                    } else if ub {
-                        bin_chunk_vs(*bop, dst, &av[..m], bv[0]);
-                    } else {
-                        bin_chunk(*bop, dst, &av[..m], &bv[..m]);
-                    }
-                }
-                MapOp::Un { op: uop, a } => {
-                    let av = &prev[*a as usize];
-                    if uniform[*a as usize] {
-                        let v = match (prog.math, uop) {
-                            (MathMode::Fast, FUnaryOp::Exp) => microkernel::exp_fast(av[0]),
-                            (MathMode::Fast, FUnaryOp::Tanh) => microkernel::tanh_fast(av[0]),
-                            _ => uop.apply(av[0]),
-                        };
-                        dst.fill(v);
-                    } else {
-                        match (prog.math, uop) {
-                            // Fast mode swaps the libm transcendentals
-                            // for the branch-free polynomial chunk
-                            // sweeps, under the microkernel module's
-                            // documented tolerances.
-                            (MathMode::Fast, FUnaryOp::Exp) => {
-                                microkernel::exp_chunk(dst, &av[..m]);
+                    MapOp::Un { op: uop, a } => {
+                        let av = &prev[*a as usize];
+                        if uniform[*a as usize] {
+                            let v = match (prog.math, uop) {
+                                (MathMode::Fast, FUnaryOp::Exp) => microkernel::exp_fast(av[0]),
+                                (MathMode::Fast, FUnaryOp::Tanh) => microkernel::tanh_fast(av[0]),
+                                _ => uop.apply(av[0]),
+                            };
+                            dst.fill(v);
+                        } else {
+                            match (prog.math, uop) {
+                                // Fast mode swaps the libm transcendentals
+                                // for the branch-free polynomial chunk
+                                // sweeps, under the microkernel module's
+                                // documented tolerances.
+                                (MathMode::Fast, FUnaryOp::Exp) => {
+                                    microkernel::exp_chunk(dst, &av[..m]);
+                                }
+                                (MathMode::Fast, FUnaryOp::Tanh) => {
+                                    microkernel::tanh_chunk(dst, &av[..m]);
+                                }
+                                _ => un_chunk(*uop, dst, &av[..m]),
                             }
-                            (MathMode::Fast, FUnaryOp::Tanh) => {
-                                microkernel::tanh_chunk(dst, &av[..m]);
-                            }
-                            _ => un_chunk(*uop, dst, &av[..m]),
                         }
                     }
                 }
             }
-        }
-        let vals = &scratch[op.tape.len() - 1][..m];
-        let first = o0 + start * so;
-        if so == 1 {
-            // Contiguous output: one bounds-checked chunk store instead
-            // of a dispatch per element (bit-identical element order).
-            let i0 = nneg(first, op.out, "store");
-            if fbufs.store_chunk(op.out, i0, op.kind, vals) {
+            let vals = &scratch[op.tape.len() - 1][..m];
+            let first = o0 + start * so;
+            if so == 1 {
+                // Contiguous output: one bounds-checked chunk store instead
+                // of a dispatch per element (bit-identical element order).
+                let i0 = nneg(first, op.out, "store");
+                if fbufs.store_chunk(op.out, i0, op.kind, vals) {
+                    start += m as i64;
+                    continue;
+                }
+            }
+            if so == 0 {
+                // Every element of the chunk lands on one output cell:
+                // fold locally and touch memory once per chunk. Chunks are
+                // combined in ascending order, so Strict folds reproduce
+                // the serial store sequence exactly; Fast reassociates the
+                // in-chunk reduction across lanes (still deterministic).
+                let idx = nneg(first, op.out, "store");
+                match op.kind {
+                    // Repeated plain stores: the last value wins.
+                    StoreKind::Assign => fbufs.set(op.out, idx, vals[m - 1]),
+                    StoreKind::AddAssign => {
+                        let mut acc = fbufs.get(op.out, idx);
+                        match prog.math {
+                            MathMode::Strict => {
+                                for v in vals {
+                                    acc += *v;
+                                }
+                            }
+                            MathMode::Fast => acc += microkernel::sum_fast(vals),
+                        }
+                        fbufs.set(op.out, idx, acc);
+                    }
+                    StoreKind::MaxAssign => {
+                        let acc = fbufs.get(op.out, idx);
+                        let acc = match prog.math {
+                            MathMode::Strict => vals.iter().fold(acc, |c, v| c.max(*v)),
+                            MathMode::Fast => microkernel::max_fast(acc, vals),
+                        };
+                        fbufs.set(op.out, idx, acc);
+                    }
+                }
                 start += m as i64;
                 continue;
             }
-        }
-        if so == 0 {
-            // Every element of the chunk lands on one output cell:
-            // fold locally and touch memory once per chunk. Chunks are
-            // combined in ascending order, so Strict folds reproduce
-            // the serial store sequence exactly; Fast reassociates the
-            // in-chunk reduction across lanes (still deterministic).
-            let idx = nneg(first, op.out, "store");
             match op.kind {
-                // Repeated plain stores: the last value wins.
-                StoreKind::Assign => fbufs.set(op.out, idx, vals[m - 1]),
-                StoreKind::AddAssign => {
-                    let mut acc = fbufs.get(op.out, idx);
-                    match prog.math {
-                        MathMode::Strict => {
-                            for v in vals {
-                                acc += *v;
-                            }
-                        }
-                        MathMode::Fast => acc += microkernel::sum_fast(vals),
+                StoreKind::Assign => {
+                    for (e, v) in vals.iter().enumerate() {
+                        let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
+                        fbufs.set(op.out, idx, *v);
                     }
-                    fbufs.set(op.out, idx, acc);
+                }
+                StoreKind::AddAssign => {
+                    for (e, v) in vals.iter().enumerate() {
+                        let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
+                        fbufs.rmw(op.out, idx, |c| c + *v);
+                    }
                 }
                 StoreKind::MaxAssign => {
-                    let acc = fbufs.get(op.out, idx);
-                    let acc = match prog.math {
-                        MathMode::Strict => vals.iter().fold(acc, |c, v| c.max(*v)),
-                        MathMode::Fast => microkernel::max_fast(acc, vals),
-                    };
-                    fbufs.set(op.out, idx, acc);
+                    for (e, v) in vals.iter().enumerate() {
+                        let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
+                        fbufs.rmw(op.out, idx, |c| c.max(*v));
+                    }
                 }
             }
             start += m as i64;
-            continue;
-        }
-        match op.kind {
-            StoreKind::Assign => {
-                for (e, v) in vals.iter().enumerate() {
-                    let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
-                    fbufs.set(op.out, idx, *v);
-                }
-            }
-            StoreKind::AddAssign => {
-                for (e, v) in vals.iter().enumerate() {
-                    let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
-                    fbufs.rmw(op.out, idx, |c| c + *v);
-                }
-            }
-            StoreKind::MaxAssign => {
-                for (e, v) in vals.iter().enumerate() {
-                    let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
-                    fbufs.rmw(op.out, idx, |c| c.max(*v));
-                }
-            }
-        }
-        start += m as i64;
-    }
-}
-
-/// Executes one [`FusedMulAcc2`]: the full `n_o × n_i` nest of
-/// `out[o(t,u)] += a[a(t,u)] · b[b(t,u)]` with 2-D affine indices
-/// (`[base, inner stride, outer stride]` triples), in serial nest order.
-/// The two ubiquitous stride shapes run as native panels; anything else
-/// falls back to one fused inner loop per outer iteration.
-fn run_fused_mul_acc2<P: OutPort>(
-    prog: &VmProgram,
-    fbufs: &mut Bufs<'_, P>,
-    op: &FusedMulAcc2,
-    n: [i64; 2],
-    o: [i64; 3],
-    a: [i64; 3],
-    b: [i64; 3],
-) {
-    let [n_o, n_i] = n;
-    let ([o00, so_i, so_o], [a00, sa_i, sa_o], [b00, sb_i, sb_o]) = (o, a, b);
-    // The nest's runtime stride shape, pattern-matched against the
-    // declarative microkernel ISA (`microkernel::PANEL_KERNELS`) instead
-    // of hard-coded stride peepholes; negative outer strides never
-    // classify (the kernels address `usize` ranges).
-    let shape = PanelShape {
-        out: (so_i, so_o),
-        a: (sa_i, sa_o),
-        b: (sb_i, sb_o),
-    };
-    let bases_ok = o00 >= 0 && a00 >= 0 && b00 >= 0;
-    let kind = if bases_ok {
-        microkernel::classify_panel(&shape)
-    } else {
-        None
-    };
-    match kind {
-        // i-k-j GEMM row: out_row += a[t] · b_row(t).
-        Some(PanelKind::Saxpy) => {
-            let done = fbufs.saxpy_panel(
-                op.out,
-                o00 as usize,
-                n_i as usize,
-                op.a,
-                a00 as usize,
-                sa_o as usize,
-                op.b,
-                b00 as usize,
-                sb_o as usize,
-                n_o as usize,
-            );
-            if done {
-                return;
-            }
-        }
-        // Per-row dots: out[t] += a_row(t) · b_row(t).
-        Some(PanelKind::Dot) => {
-            let done = fbufs.dot_panel(
-                op.out,
-                o00 as usize,
-                op.a,
-                a00 as usize,
-                sa_o as usize,
-                op.b,
-                b00 as usize,
-                sb_o as usize,
-                n_i as usize,
-                n_o as usize,
-                prog.math,
-            );
-            if done {
-                return;
-            }
-        }
-        None => {}
-    }
-    for t in 0..n_o {
-        run_fused_mul_acc(
-            prog,
-            fbufs,
-            op.out,
-            op.a,
-            op.b,
-            n_i,
-            o00 + t * so_o,
-            so_i,
-            a00 + t * sa_o,
-            sa_i,
-            b00 + t * sb_o,
-            sb_i,
-        );
-    }
-}
-
-/// Executes one [`FusedMulAcc`]: `n` iterations of
-/// `out[o0 + t·so] += a[a0 + t·sa] · b[b0 + t·sb]` in serial order, so the
-/// result is bit-identical to the unfused loop's per-iteration stores.
-#[allow(clippy::too_many_arguments)]
-fn run_fused_mul_acc<P: OutPort>(
-    prog: &VmProgram,
-    fbufs: &mut Bufs<'_, P>,
-    out: u32,
-    a: u32,
-    b: u32,
-    n: i64,
-    o0: i64,
-    so: i64,
-    a0: i64,
-    sa: i64,
-    b0: i64,
-    sb: i64,
-) {
-    let load_idx = |base: i64, stride: i64, t: i64, slot: u32| -> usize {
-        let i = base + t * stride;
-        usize::try_from(i)
-            .unwrap_or_else(|_| panic!("negative load index {i} into `{}`", fbuf_name(prog, slot)))
-    };
-    let store_idx = |i: i64| -> usize {
-        usize::try_from(i)
-            .unwrap_or_else(|_| panic!("negative store index {i} into `{}`", fbuf_name(prog, out)))
-    };
-    let nu = n as usize;
-    // Classify the stride triple against the one-deep microkernel ISA
-    // (`microkernel::AXPY_KERNELS`) rather than matching strides inline.
-    match microkernel::classify_axpy(so, sa, sb) {
-        Some(AxpyKind::DotAcc) => {
-            // A reduction into one element: accumulate locally and write
-            // once. In Strict mode the float-add sequence
-            // `((out + x₀y₀) + x₁y₁) + …` is exactly what per-iteration
-            // read-modify-writes produce; Fast mode reassociates the
-            // unit-stride shape across lanes.
-            let o = store_idx(o0);
-            let mut acc = fbufs.get(out, o);
-            if sa == 1 && sb == 1 {
-                if let (Some(av), Some(bv)) = (fbufs.ro(a), fbufs.ro(b)) {
-                    let ab = load_idx(a0, 1, 0, a);
-                    let bb = load_idx(b0, 1, 0, b);
-                    let (ar, br) = (&av[ab..ab + nu], &bv[bb..bb + nu]);
-                    match prog.math {
-                        MathMode::Strict => {
-                            for (x, y) in ar.iter().zip(br) {
-                                acc += *x * *y;
-                            }
-                        }
-                        MathMode::Fast => acc += microkernel::dot_fast(ar, br),
-                    }
-                    fbufs.set(out, o, acc);
-                    return;
-                }
-            }
-            for t in 0..n {
-                let x = fbufs.get(a, load_idx(a0, sa, t, a));
-                let y = fbufs.get(b, load_idx(b0, sb, t, b));
-                acc += x * y;
-            }
-            fbufs.set(out, o, acc);
-        }
-        Some(AxpyKind::Saxpy) => {
-            // The vectorizable saxpy shape: a scalar left operand
-            // streaming over contiguous right/output rows.
-            let s = fbufs.get(a, load_idx(a0, 0, 0, a));
-            let ob = store_idx(o0);
-            let bb = load_idx(b0, 1, 0, b);
-            if !fbufs.saxpy(out, ob, b, bb, s, nu) {
-                for t in 0..n {
-                    let y = fbufs.get(b, load_idx(b0, 1, t, b));
-                    fbufs.rmw(out, store_idx(o0 + t), |c| c + s * y);
-                }
-            }
-        }
-        None => {
-            for t in 0..n {
-                let x = fbufs.get(a, load_idx(a0, sa, t, a));
-                let y = fbufs.get(b, load_idx(b0, sb, t, b));
-                fbufs.rmw(out, store_idx(o0 + t * so), |c| c + x * y);
-            }
         }
     }
 }
@@ -716,5 +605,233 @@ fn un_chunk(op: FUnaryOp, dst: &mut [f32], a: &[f32]) {
         FUnaryOp::Recip => sweep!(|x: f32| 1.0 / x),
         FUnaryOp::Tanh => sweep!(|x: f32| x.tanh()),
         FUnaryOp::Relu => sweep!(|x: f32| x.max(0.0)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cora_ir::{Expr, FExpr, Stmt};
+
+    use super::super::bufs::Slot;
+    use super::super::compile;
+    use super::super::testutil::differential;
+    use super::*;
+    use crate::interp::Machine;
+    use crate::microkernel::{select_kernel, NEST_KERNELS};
+
+    /// `C[cb + i·c_i + o·c_o] += A[ab + i·a_i + o·a_o] · B[bb + i·b_i + o·b_o]`
+    /// with every base and stride a run-time variable, so one program
+    /// realises every stride vector. `wrap` is the loop around the
+    /// `i < ni[0]` reduction, if any.
+    fn strided_mul_acc(wrap: Option<(&str, Expr)>) -> Stmt {
+        let idx = |t: &str| {
+            Expr::var(format!("{t}b"))
+                + Expr::var("i") * Expr::var(format!("{t}_i"))
+                + Expr::var("o") * Expr::var(format!("{t}_o"))
+        };
+        let store = Stmt::Store {
+            buffer: "C".into(),
+            index: idx("c"),
+            value: FExpr::load("A", idx("a")) * FExpr::load("B", idx("b")),
+            kind: StoreKind::AddAssign,
+        };
+        let inner = Stmt::loop_("i", Expr::load("ni", Expr::int(0)), store);
+        match wrap {
+            Some((var, extent)) => Stmt::loop_(var, extent, inner),
+            None => inner,
+        }
+    }
+
+    /// One concrete nest: trip counts and `[base, inner, outer]` per
+    /// index (`C`, `A`, `B`).
+    #[derive(Clone, Copy)]
+    struct Shape {
+        n: [i64; 2],
+        axes: [[i64; 3]; 3],
+    }
+
+    impl Shape {
+        /// Deterministic contents for buffer `k`, long enough for every
+        /// index the nest touches.
+        fn data(&self, k: usize) -> Vec<f32> {
+            let [base, inner, outer] = self.axes[k];
+            let len = base + self.n[1].max(1) * inner + self.n[0] * outer + 1;
+            (0..len)
+                .map(|x| ((x * 7 + 3 + 5 * k as i64) % 23) as f32 * 0.125 - 1.25)
+                .collect()
+        }
+
+        /// Binds the interpreter's variables, tables and buffers (`o`
+        /// only when the nest leaves it free).
+        fn bind(&self, m: &mut Machine, free_o: bool) {
+            for (t, [base, inner, outer]) in ["c", "a", "b"].iter().zip(self.axes) {
+                m.env.bind(format!("{t}b"), base);
+                m.env.bind(format!("{t}_i"), inner);
+                m.env.bind(format!("{t}_o"), outer);
+            }
+            m.env.bind("no", self.n[0]);
+            if free_o {
+                m.env.bind("o", 0);
+            }
+            m.env.set_buffer("ni", vec![self.n[1]]);
+            for (k, name) in ["C", "A", "B"].iter().enumerate() {
+                m.set_fbuffer(*name, self.data(k));
+            }
+        }
+
+        /// Runs the nest record of `stmt`'s program directly — through
+        /// the table's kernel or through the chunked sweep — and returns
+        /// `C`, or `None` when no kernel ran.
+        fn execute(&self, stmt: &Stmt, math: MathMode, kernel: bool) -> Option<Vec<f32>> {
+            let mut prog = compile(stmt);
+            prog.set_math_mode(math);
+            let nest = prog
+                .code
+                .iter()
+                .find_map(|i| match i {
+                    Instr::FNest(nest) => Some(&**nest),
+                    _ => None,
+                })
+                .expect("the nest fuses");
+            let [out, a, b] = self
+                .axes
+                .map(|[base, inner, outer]| Axis { base, inner, outer });
+            let site = |s: u16| [a, b][s as usize];
+            let operands = [(nest.sites[0].buf, a), (nest.sites[1].buf, b)];
+            let (mut c, av, bv) = (self.data(0), self.data(1), self.data(2));
+            let mut c_port = Some(&mut c[..]);
+            let free = prog
+                .slots
+                .free_fbufs
+                .names()
+                .iter()
+                .map(|name| match name.as_str() {
+                    "C" => Slot::Out(c_port.take().expect("one output slot")),
+                    "A" => Slot::In(&av[..]),
+                    _ => Slot::In(&bv[..]),
+                });
+            let mut fbufs = Bufs::new(&prog, free);
+            if kernel {
+                if !run_kernel(&prog, &mut fbufs, nest, self.n, out, operands) {
+                    return None;
+                }
+            } else {
+                let mut scratch = [[0f32; MAP_CHUNK]; MAX_MAP_TAPE];
+                sweep_nest(&prog, &mut fbufs, nest, self.n, out, &site, &mut scratch);
+            }
+            drop(fbufs);
+            Some(c)
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The kernel table, tested as a table: every row, on the ragged
+    /// extent grid, against the chunked sweep and the interpreter.
+    #[test]
+    fn every_kernel_row_matches_the_sweep() {
+        let stmt = strided_mul_acc(Some(("o", Expr::var("no"))));
+        assert!(compile(&stmt).to_string().contains("fmulacc2"), "fuses");
+        for (ri, row) in NEST_KERNELS.iter().enumerate() {
+            assert_eq!(
+                row.class,
+                NestClass::MulAcc,
+                "this test builds mul-acc nests"
+            );
+            for n_o in [1i64, 2, 37] {
+                for n_i in [0i64, 1, 7, 8, 9, 64, 65] {
+                    for (bases, free) in [([0i64, 0, 0], 0), ([3, 1, 2], n_i + 1)] {
+                        // The row's pattern, its don't-cares set to `free`.
+                        let strides = row.strides.map(|s| s.map(|w| w.unwrap_or(free)));
+                        let at = format!("row {ri} n={n_o}x{n_i} bases {bases:?} free {free}");
+                        let shape = Shape {
+                            n: [n_o, n_i],
+                            axes: [0, 1, 2].map(|k| [bases[k], strides[k][0], strides[k][1]]),
+                        };
+                        let selected = select_kernel(row.class, &strides, true);
+                        assert!(selected.is_some_and(|k| std::ptr::eq(k, row)), "{at}");
+
+                        // Whole program: VM (kernel path) == interpreter,
+                        // bit for bit and in statistics.
+                        let (stats, outs) = differential(&stmt, |m| shape.bind(m, false), &["C"]);
+                        let iters = (n_o * n_i) as u64;
+                        assert_eq!((stats.stores, stats.flops), (iters, 2 * iters), "{at}");
+                        // The inner extent's table load, once per outer
+                        // iteration — also when the inner loop is empty.
+                        assert_eq!(stats.aux_loads, n_o as u64, "{at}");
+                        if n_i == 0 {
+                            continue;
+                        }
+
+                        // The record, run both ways on the same buffers.
+                        let kernel = shape.execute(&stmt, MathMode::Strict, true);
+                        let sweep = shape.execute(&stmt, MathMode::Strict, false).unwrap();
+                        assert_eq!(kernel.as_deref().map(bits), Some(bits(&sweep)), "{at}");
+                        assert_eq!(bits(&sweep), bits(&outs[0]), "{at}");
+                        let fast = shape
+                            .execute(&stmt, MathMode::Fast, true)
+                            .expect("selected");
+                        let fast_sweep = shape.execute(&stmt, MathMode::Fast, false).unwrap();
+                        for fast in [fast, fast_sweep] {
+                            for (strict, fast) in sweep.iter().zip(&fast) {
+                                assert!(
+                                    (fast - strict).abs() <= 1e-3 * (1.0 + strict.abs()),
+                                    "{at}: fast {fast} vs strict {strict}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+
+            // One off in any pinned stride: the row is not selected, and
+            // whatever runs instead still equals the interpreter.
+            for (k, axis) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)] {
+                let Some(pinned) = row.strides[k][axis] else {
+                    continue;
+                };
+                let mut strides = row.strides.map(|s| s.map(|w| w.unwrap_or(9)));
+                strides[k][axis] = pinned + 1;
+                let selected = select_kernel(row.class, &strides, true);
+                assert!(
+                    !selected.is_some_and(|k| std::ptr::eq(k, row)),
+                    "row {ri} selected by {strides:?}"
+                );
+                let shape = Shape {
+                    n: [3, 9],
+                    axes: [0, 1, 2].map(|k| [k as i64, strides[k][0], strides[k][1]]),
+                };
+                differential(&stmt, |m| shape.bind(m, false), &["C"]);
+            }
+        }
+    }
+
+    /// A one-deep multiply-accumulate is the two-deep nest at one outer
+    /// trip: both forms agree with the interpreter, hence each other.
+    #[test]
+    fn one_deep_mul_acc_equals_its_one_trip_wrapping() {
+        let bare = strided_mul_acc(None);
+        let wrapped = strided_mul_acc(Some(("o", Expr::int(1))));
+        assert!(compile(&bare).to_string().contains("fmulacc  "));
+        assert!(compile(&wrapped).to_string().contains("fmulacc2 "));
+        // The two kernel shapes, then strides no row matches.
+        for inner in [[1i64, 0, 1], [0, 1, 1], [2, 3, 1], [0, 2, 1]] {
+            for n_i in [0i64, 1, 7, 8, 9, 64, 65] {
+                let shape = Shape {
+                    n: [1, n_i],
+                    axes: [0, 1, 2].map(|k| [k as i64 + 1, inner[k], 0]),
+                };
+                let (bare_stats, bare_out) = differential(&bare, |m| shape.bind(m, true), &["C"]);
+                let (stats, out) = differential(&wrapped, |m| shape.bind(m, false), &["C"]);
+                assert_eq!(bits(&bare_out[0]), bits(&out[0]), "{inner:?} n={n_i}");
+                assert_eq!(
+                    (bare_stats.stores, bare_stats.flops, bare_stats.aux_loads),
+                    (stats.stores, stats.flops, stats.aux_loads),
+                    "{inner:?} n={n_i}"
+                );
+            }
+        }
     }
 }

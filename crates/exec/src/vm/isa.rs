@@ -1,15 +1,15 @@
 //! The bytecode ISA and the compiled-program container.
 //!
 //! Everything here is plain data: the instruction set the
-//! [compiler](super::compiler) emits, the fused superinstruction
-//! operand records, and [`VmProgram`] — the immutable artefact the
+//! [compiler](super::compiler) emits, the fused superinstruction's
+//! operand record, and [`VmProgram`] — the immutable artefact the
 //! [machines](super::machine) execute. No instruction is interpreted
 //! in this module (see [`super::dispatch`]).
 
 use cora_ir::slots::StmtSlots;
 use cora_ir::{CmpOp, FBinOp, FUnaryOp, IBinOp, StoreKind};
 
-use crate::microkernel::MathMode;
+use crate::microkernel::{MathMode, NestClass};
 
 /// One bytecode instruction. Jump targets are program counters after
 /// [`Compiler::finish`] resolves labels.
@@ -123,20 +123,13 @@ pub(super) enum Instr {
     },
     /// (Re)allocate `fbufs[slot]` as `ireg[size]` zeroes; charges `aux`.
     FAlloc { slot: u32, size: u16, aux: u64 },
-    /// Fused multiply-accumulate loop (see [`FusedMulAcc`]): the whole
-    /// innermost `for t { out[..] += a[..] * b[..] }` reduction in one
-    /// dispatch, bit- and stats-identical to the unfused instruction
-    /// sequence.
-    FMulAcc(Box<FusedMulAcc>),
-    /// Two-level fused multiply-accumulate (see [`FusedMulAcc2`]): a
-    /// whole two-deep loop nest in one dispatch.
-    FMulAcc2(Box<FusedMulAcc2>),
-    /// Fused map/reduce loop (see [`FusedMap`]): a branch-free store
-    /// loop executed as a float-op tape over element chunks.
-    FMap(Box<FusedMap>),
+    /// Fused loop nest (see [`FusedNest`]): a whole one- or two-deep
+    /// loop nest around one store in a single dispatch, bit- and
+    /// stats-identical to the unfused instruction sequence.
+    FNest(Box<FusedNest>),
 }
 
-/// One step of a [`FusedMap`] tape, producing SSA temp `t<index>`.
+/// One step of a [`FusedNest`] tape, producing SSA temp `t<index>`.
 #[derive(Debug, Clone)]
 pub(super) enum MapOp {
     /// Broadcast constant.
@@ -151,137 +144,115 @@ pub(super) enum MapOp {
     Un { op: FUnaryOp, a: u16 },
 }
 
-/// One affine index site of a [`FusedMap`]: `idx(t) = r0 + t·(r1 − r0)`.
-/// `buf == u32::MAX` marks a pure-index [`MapOp::Cast`] site.
+/// Registers holding one affine index of a [`FusedNest`] at the nest's
+/// first iteration (`base`), one step along the inner loop (`inner`)
+/// and — in a two-deep nest — one step along the outer loop (`outer`):
+/// `idx(u, t) = base + u·(outer − base) + t·(inner − base)`.
+#[derive(Debug, Clone)]
+pub(super) struct Probe {
+    pub(super) base: u16,
+    pub(super) inner: u16,
+    pub(super) outer: Option<u16>,
+}
+
+/// One affine index site of a [`FusedNest`] tape. `buf == u32::MAX`
+/// marks a pure-index [`MapOp::Cast`] site.
 #[derive(Debug, Clone)]
 pub(super) struct MapSite {
     pub(super) buf: u32,
-    pub(super) r0: u16,
-    pub(super) r1: u16,
+    pub(super) idx: Probe,
 }
 
-/// The fused map/reduce loop: an innermost
-/// `for t { out[o(t)] (=|+=|max=) f(loads at affine sites) }` where the
-/// value expression is branch-free (no selects) and every integer index
-/// is affine in the loop variable.
+/// The fused loop nest: a one- or two-deep nest
+/// `for u { for t { out[o(u,t)] (=|+=|max=) f(loads at affine sites) } }`
+/// around a single store, where the value expression is branch-free (no
+/// selects), the output buffer is not among the loaded ones, and every
+/// integer index is affine in the loop variables. The multiply-accumulate
+/// nests of GEMM-, score- and AttnV-style operators are the tape
+/// `ld a; ld b; fmul` under `+=` ([`NestClass::MulAcc`], classified once
+/// at compile time); row sweeps, bias/GELU epilogues and layer-norm
+/// passes are longer tapes in the same instruction.
 ///
-/// The value tree compiles to a flat SSA tape; execution processes the
-/// iteration space in small chunks, applying each tape op across the
-/// whole chunk (vectorizable slice loops) before the next — legal
-/// because elements are independent (the per-element float op sequence
-/// is unchanged) — then stores chunk results in ascending element
-/// order, so reducing kinds accumulate in exactly the serial order.
-/// Repeated loads of one `(buffer, index)` site are computed once but
-/// still charge their aux loads per occurrence, matching the
-/// interpreter. Statistics per element are static: `aux` auxiliary
-/// loads, `flops` float ops (tape ops plus one for reducing stores) and
-/// one store.
+/// **Why probes describe an index.** The compiler proves (syntactically)
+/// that each index is *bilinear-free affine* in the loop variables — a
+/// variable appears only under `+`/`-`/`×`-by-invariant, never inside a
+/// buffer load, select, division or min/max, and never multiplied by the
+/// other variable — so `idx = base + u·s_o + t·s_i` with constant
+/// strides, fully described by its value at the first iteration and one
+/// step along each loop (a [`Probe`]). The probes are pure arithmetic
+/// over the loop variables (no memory access depends on them), so
+/// evaluating them touches exactly the memory a first iteration would.
+/// The zero-trip case of the nest's outermost loop is branched around
+/// *before* the probes, so an empty loop evaluates nothing — exactly like
+/// the unfused back-edge. A two-deep nest's inner bounds are
+/// outer-invariant and evaluated once; the serial program charges their
+/// static loads per outer iteration, which `aux_inner_bounds` reproduces.
+/// (Its *inner* extent is tested at run time, after the probes: a
+/// two-deep nest whose inner loop is empty still reads the
+/// loop-invariant tables its indices mention, which the serial program
+/// would not.)
+///
+/// **Execution.** The nest's runtime stride pattern is looked up in the
+/// one microkernel table ([`crate::microkernel::NEST_KERNELS`]); a
+/// matching row runs the whole nest as a native panel. Otherwise the
+/// value tree — a flat SSA tape — is evaluated once per outer iteration
+/// in small chunks, each tape op applied across the whole chunk
+/// (vectorizable slice loops) before the next — legal because elements
+/// are independent (the per-element float op sequence is unchanged) —
+/// and chunk results are stored in ascending element order, so reducing
+/// kinds accumulate in exactly the serial order. Repeated loads of one
+/// `(buffer, index)` site are computed once but still charge their aux
+/// loads per occurrence, matching the interpreter. Either way the nest
+/// performs its iterations in serial nest order and charges the
+/// statistics the unfused loops would: per element `aux` auxiliary
+/// loads, `flops` float ops and one store.
 #[derive(Debug, Clone)]
-pub(super) struct FusedMap {
+pub(super) struct FusedNest {
+    /// Output buffer slot (proved distinct from every site's buffer).
     pub(super) out: u32,
-    /// Output index probes at `t = min` / `t = min + 1`.
-    pub(super) o0: u16,
-    pub(super) o1: u16,
     pub(super) kind: StoreKind,
+    /// The output index.
+    pub(super) out_idx: Probe,
     pub(super) sites: Box<[MapSite]>,
     pub(super) tape: Box<[MapOp]>,
-    /// Register holding the trip count.
-    pub(super) n: u16,
+    /// What the tape computes, as the kernel table keys it.
+    pub(super) class: NestClass,
+    /// Register holding the inner trip count.
+    pub(super) n_inner: u16,
+    /// Register holding the outer trip count of a two-deep nest (present
+    /// iff every probe has an `outer` register).
+    pub(super) n_outer: Option<u16>,
     /// Static aux loads per element (every load/cast occurrence plus the
     /// store index). `u64`: deeply shared (`Rc`-DAG) index expressions
     /// have exponential static load counts, which the interpreter
     /// charges in full at run time — truncating here would break stats
     /// parity (and used to abort compilation outright).
     pub(super) aux: u64,
+    /// Static aux loads of a two-deep nest's inner bounds, charged once
+    /// per outer iteration (the serial inner-loop header's `BumpAux`);
+    /// zero for a one-deep nest, whose header charges them itself.
+    pub(super) aux_inner_bounds: u64,
     /// Float ops per element (tape `Bin`/`Un` plus reducing store).
     pub(super) flops: u64,
 }
 
-/// Operands of the fused multiply-accumulate loop.
-///
-/// The compiler proves (syntactically) that all three index expressions
-/// are *affine* in the loop variable — the variable appears only under
-/// `+`/`-`/`×`-by-invariant, never inside a buffer load, select,
-/// division or min/max — so each index is fully
-/// described by its value at `i = min` (the `*0` registers) and at
-/// `i = min + 1` (the `*1` registers): `idx(t) = idx0 + t·(idx1 - idx0)`.
-/// Both probes are pure arithmetic over the loop variable (no memory
-/// access depends on it), so evaluating them touches exactly the memory
-/// a first iteration would.
-///
-/// Executing the instruction performs `n` iterations of
-/// `out[o(t)] += a[a(t)] * b[b(t)]` in serial order and charges the same
-/// statistics the unfused loop would: per iteration `aux` auxiliary
-/// loads (the three indices' static load counts), two FLOPs (multiply +
-/// add-assign) and one store. The zero-trip case is branched around
-/// before the index probes, so an empty loop executes nothing — exactly
-/// like the unfused back-edge.
-#[derive(Debug, Clone)]
-pub(super) struct FusedMulAcc {
-    /// Output buffer slot (proved distinct from `a` and `b`).
-    pub(super) out: u32,
-    /// Left operand buffer slot.
-    pub(super) a: u32,
-    /// Right operand buffer slot.
-    pub(super) b: u32,
-    /// Registers holding each index at `i = min` / `i = min + 1`.
-    pub(super) o0: u16,
-    pub(super) o1: u16,
-    pub(super) a0: u16,
-    pub(super) a1: u16,
-    pub(super) b0: u16,
-    pub(super) b1: u16,
-    /// Register holding the trip count (the loop extent).
-    pub(super) n: u16,
-    /// Static aux loads charged per iteration (all three indices); `u64`
-    /// because shared expression DAGs count exponentially (see
-    /// [`FusedMap::aux`]).
-    pub(super) aux: u64,
-}
-
-/// Operands of the two-level fused multiply-accumulate loop: a whole
-/// `for o { for i { out[..] += a[..] · b[..] } }` nest in one dispatch.
-///
-/// All three indices are proven *bilinear-free* 2-D affine in the two
-/// loop variables (`idx = base + o·so + i·si` with constant strides), so
-/// three probes fully describe each: at `(o₀, i₀)` (`*00`), at
-/// `(o₀, i₀+1)` (`*0i`, inner stride) and at `(o₀+1, i₀)` (`*0o`, outer
-/// stride). The inner bounds are outer-invariant and evaluated once; the
-/// serial program charges their static loads per outer iteration, which
-/// [`FusedMulAcc2::aux_inner_bounds`] reproduces.
-///
-/// The common stride shapes execute as native *panels* — the i-k-j GEMM
-/// row (`out_row += a[t]·b_row(t)`, vectorizable) and the per-row dot
-/// (`out[t] += a_row(t)·b_row(t)`) — with bit-identical results and
-/// statistics to the unfused nest.
-#[derive(Debug, Clone)]
-pub(super) struct FusedMulAcc2 {
-    /// Output buffer slot (proved distinct from `a` and `b`).
-    pub(super) out: u32,
-    /// Left operand buffer slot.
-    pub(super) a: u32,
-    /// Right operand buffer slot.
-    pub(super) b: u32,
-    /// Index probes (see type docs).
-    pub(super) o00: u16,
-    pub(super) o0i: u16,
-    pub(super) o0o: u16,
-    pub(super) a00: u16,
-    pub(super) a0i: u16,
-    pub(super) a0o: u16,
-    pub(super) b00: u16,
-    pub(super) b0i: u16,
-    pub(super) b0o: u16,
-    /// Registers holding the outer / inner trip counts.
-    pub(super) n_outer: u16,
-    pub(super) n_inner: u16,
-    /// Static aux loads charged per inner iteration (all three indices);
-    /// `u64` because shared expression DAGs count exponentially (see
-    /// [`FusedMap::aux`]).
-    pub(super) aux: u64,
-    /// Static aux loads of the inner loop's bounds, charged once per
-    /// outer iteration (the serial inner-loop header's `BumpAux`).
-    pub(super) aux_inner_bounds: u64,
+impl FusedNest {
+    /// Classifies a tape under its store kind — the compile-time half of
+    /// kernel selection, so the executor never inspects the tape.
+    pub(super) fn classify(tape: &[MapOp], kind: StoreKind) -> NestClass {
+        use MapOp::{Bin, Load};
+        match (tape, kind) {
+            (
+                [Load { site: 0 }, Load { site: 1 }, Bin {
+                    op: FBinOp::Mul,
+                    a: 0,
+                    b: 1,
+                }],
+                StoreKind::AddAssign,
+            ) => NestClass::MulAcc,
+            _ => NestClass::Map,
+        }
+    }
 }
 
 /// A lowered statement compiled to slot-resolved bytecode.
@@ -307,7 +278,8 @@ pub struct VmProgram {
     pub(super) fbuf_slot_names: Vec<String>,
 }
 
-/// Pattern caps keeping the [`FusedMap`] executor's stack scratch small.
+/// Pattern caps: the tape cap sizes the [`FusedNest`] executor's chunk
+/// scratch, the site cap bounds the probe rounds a nest's prologue runs.
 pub(super) const MAX_MAP_SITES: usize = 12;
 pub(super) const MAX_MAP_TAPE: usize = 24;
 /// Elements processed per tape sweep.
@@ -330,17 +302,19 @@ impl VmProgram {
     }
 
     /// Counts of the fused superinstructions in the stream, as
-    /// `(fmulacc, fmulacc2, fmap)`. The autotuner's deterministic proxy
-    /// measurer uses these to credit schedules whose loop nests the
-    /// fusion pass could collapse into panel microkernels.
+    /// `(one-deep mul-acc, two-deep mul-acc, map)` — they disassemble as
+    /// `fmulacc`, `fmulacc2` and `fmap`. The autotuner's deterministic
+    /// proxy measurer uses these to credit schedules whose loop nests
+    /// the fusion pass could collapse into panel microkernels.
     pub fn fused_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0usize, 0usize, 0usize);
         for instr in &self.code {
-            match instr {
-                Instr::FMulAcc(_) => counts.0 += 1,
-                Instr::FMulAcc2(_) => counts.1 += 1,
-                Instr::FMap(_) => counts.2 += 1,
-                _ => {}
+            if let Instr::FNest(op) = instr {
+                match (op.class, op.n_outer) {
+                    (NestClass::MulAcc, None) => counts.0 += 1,
+                    (NestClass::MulAcc, Some(_)) => counts.1 += 1,
+                    (NestClass::Map, _) => counts.2 += 1,
+                }
             }
         }
         counts

@@ -27,13 +27,21 @@
 //!   the tree walker by construction. The interpreter stays as semantic
 //!   ground truth; differential tests assert bit-identical outputs and
 //!   stats between the two tiers.
-//! * **Loop fusion** (`fmulacc`/`fmulacc2`/`fmap`): an innermost
-//!   reduction of the shape `out[i(t)] += A[j(t)] · B[k(t)]` with indices
-//!   provably affine in the loop variable — the inner loop of every
-//!   GEMM-, score- and AttnV-style operator — compiles to a single
-//!   instruction that runs the whole loop natively (vectorizable for the
-//!   unit-stride shapes), with bit-identical results and statistics to
-//!   the unfused form.
+//! * **Loop fusion**: a one- or two-deep loop nest around a single
+//!   store `out[o] (=|+=|max=) f(loads)` whose value is branch-free and
+//!   whose indices are provably affine in the loop variables — the
+//!   reduction nests of every GEMM-, score- and AttnV-style operator,
+//!   and every row sweep, bias/GELU epilogue and layer-norm pass —
+//!   compiles to **one** superinstruction, the *fused nest*
+//!   (`isa::FusedNest`, one matcher in `compiler`, one executor in
+//!   `dispatch`). It runs the whole nest natively — as a panel kernel
+//!   when the one microkernel table ([`crate::microkernel`]) has a row
+//!   for the nest's class and runtime strides, as a chunked sweep of its
+//!   float-op tape otherwise — with bit-identical results and statistics
+//!   to the unfused form. It disassembles as `fmulacc`/`fmulacc2` (a
+//!   one-/two-deep multiply-accumulate) or `fmap` (any other tape).
+//!   *Adding a microkernel* is one function and one table row; the
+//!   recipe is in [`crate::microkernel`]'s module docs.
 //!
 //! # Layout
 //!
@@ -41,13 +49,13 @@
 //!
 //! | module | holds |
 //! |---|---|
-//! | `isa` | instruction set, fused-op records, [`VmProgram`] |
-//! | `compiler` | [`compile`]: `Stmt` → bytecode, fusion pattern matchers |
+//! | `isa` | instruction set, the fused-nest record, [`VmProgram`] |
+//! | `compiler` | [`compile`]: `Stmt` → bytecode, the fused-nest matcher |
 //! | `opt` | block-local CSE + DCE over the instruction stream |
 //! | `validate` | [`VmProgram::validate`] (census, registers, def-before-use) |
 //! | `disasm` | [`VmProgram`]'s `Display` (golden-tested disassembly) |
 //! | `bufs` | the one float-buffer view + the output-port trait |
-//! | `dispatch` | the instruction loop and fused-loop executors |
+//! | `dispatch` | the instruction loop and the fused-nest executor |
 //! | `machine` | [`VmShared`] binding table, [`VmMachine`], serial runs |
 //! | `cert` | [`StoreCert`], the disjoint-store certificate |
 //! | `parallel` | [`VmShared::run_blocks_proven`], the shared output — **all `unsafe`** |

@@ -37,37 +37,19 @@ fn ireg_reads_mut(ins: &mut Instr, f: &mut impl FnMut(&mut u16)) {
         }
         Instr::FLoad { idx, .. } | Instr::FStore { idx, .. } => f(idx),
         Instr::FAlloc { size, .. } => f(size),
-        Instr::FMulAcc(op) => {
-            for r in [
-                &mut op.o0, &mut op.o1, &mut op.a0, &mut op.a1, &mut op.b0, &mut op.b1, &mut op.n,
-            ] {
-                f(r);
+        Instr::FNest(op) => {
+            let probes =
+                std::iter::once(&mut op.out_idx).chain(op.sites.iter_mut().map(|s| &mut s.idx));
+            for p in probes {
+                f(&mut p.base);
+                f(&mut p.inner);
+                if let Some(r) = &mut p.outer {
+                    f(r);
+                }
             }
-        }
-        Instr::FMulAcc2(op) => {
-            for r in [
-                &mut op.o00,
-                &mut op.o0i,
-                &mut op.o0o,
-                &mut op.a00,
-                &mut op.a0i,
-                &mut op.a0o,
-                &mut op.b00,
-                &mut op.b0i,
-                &mut op.b0o,
-                &mut op.n_outer,
-                &mut op.n_inner,
-            ] {
+            f(&mut op.n_inner);
+            if let Some(r) = &mut op.n_outer {
                 f(r);
-            }
-        }
-        Instr::FMap(op) => {
-            f(&mut op.o0);
-            f(&mut op.o1);
-            f(&mut op.n);
-            for s in op.sites.iter_mut() {
-                f(&mut s.r0);
-                f(&mut s.r1);
             }
         }
         Instr::IConst { .. }

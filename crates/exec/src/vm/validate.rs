@@ -2,7 +2,7 @@
 //! CSE/DCE/register-renaming passes, run on every
 //! `CompiledProgram::compile`.
 
-use super::isa::{Instr, MapOp, VmProgram};
+use super::isa::{FusedNest, Instr, MapOp, VmProgram, MAX_MAP_SITES, MAX_MAP_TAPE};
 use cora_ir::StoreKind;
 
 impl VmProgram {
@@ -13,10 +13,12 @@ impl VmProgram {
     /// one past the end — the halt address); every variable / integer
     /// buffer / float buffer slot is within its census; every register
     /// index is within the allocated
-    /// file; fused-superinstruction metadata is self-consistent (a
-    /// `FusedMap`'s static flop count equals its tape, tape operands
-    /// are in SSA order, `FMulAcc`/`FMulAcc2` outputs are distinct from
-    /// their operands, `FAlloc` only targets scratch slots); and — via
+    /// file; fused-nest metadata is self-consistent (no site loads the
+    /// output buffer, outer probes are present iff an outer trip count
+    /// is, the tape is non-empty, within the executor's caps and in SSA
+    /// order over sites of the right kind, the static flop count and
+    /// the nest class equal what the tape says); `FAlloc` only targets
+    /// scratch slots; and — via
     /// a forward dataflow pass with intersection merge over the
     /// instruction-level CFG — no integer or float register is read on
     /// *any* path before an instruction wrote it.
@@ -183,96 +185,74 @@ impl VmProgram {
                     }
                     e.ui.push(*size);
                 }
-                Instr::FMulAcc(m) => {
-                    for b in [m.out, m.a, m.b] {
-                        ck_fbuf(b)?;
-                    }
-                    if m.out == m.a || m.out == m.b {
-                        return Err(format!(
-                            "bytecode pc {pc} ({ins:?}): FMulAcc output buffer aliases an operand"
-                        ));
-                    }
-                    e.ui.extend([m.o0, m.o1, m.a0, m.a1, m.b0, m.b1, m.n]);
-                }
-                Instr::FMulAcc2(m) => {
-                    for b in [m.out, m.a, m.b] {
-                        ck_fbuf(b)?;
-                    }
-                    if m.out == m.a || m.out == m.b {
-                        return Err(format!(
-                            "bytecode pc {pc} ({ins:?}): FMulAcc2 output buffer aliases an operand"
-                        ));
-                    }
-                    e.ui.extend([
-                        m.o00, m.o0i, m.o0o, m.a00, m.a0i, m.a0o, m.b00, m.b0i, m.b0o, m.n_outer,
-                        m.n_inner,
-                    ]);
-                }
-                Instr::FMap(m) => {
+                Instr::FNest(m) => {
+                    let bad = |what: String| Err(format!("bytecode pc {pc}: fused nest {what}"));
                     ck_fbuf(m.out)?;
-                    e.ui.extend([m.o0, m.o1, m.n]);
+                    let probes = std::iter::once(&m.out_idx).chain(m.sites.iter().map(|s| &s.idx));
+                    for p in probes {
+                        if p.outer.is_some() != m.n_outer.is_some() {
+                            return bad(
+                                "has an outer trip count without outer probes (or the reverse)"
+                                    .into(),
+                            );
+                        }
+                        e.ui.extend([p.base, p.inner]);
+                        e.ui.extend(p.outer);
+                    }
+                    e.ui.push(m.n_inner);
+                    e.ui.extend(m.n_outer);
                     for site in m.sites.iter() {
+                        if site.buf == m.out {
+                            return bad("loads its own output buffer".into());
+                        }
                         if site.buf != u32::MAX {
                             ck_fbuf(site.buf)?;
                         }
-                        e.ui.extend([site.r0, site.r1]);
                     }
-                    if m.tape.is_empty() {
-                        return Err(format!("bytecode pc {pc}: FMap with an empty tape"));
+                    if m.tape.is_empty()
+                        || m.tape.len() > MAX_MAP_TAPE
+                        || m.sites.len() > MAX_MAP_SITES
+                    {
+                        return bad(format!(
+                            "has {} tape ops over {} sites (1..={MAX_MAP_TAPE} over at most \
+                             {MAX_MAP_SITES} fit the executor's scratch)",
+                            m.tape.len(),
+                            m.sites.len()
+                        ));
                     }
-                    let mut flops = 0u64;
+                    let mut flops = u64::from(!matches!(m.kind, StoreKind::Assign));
+                    // A site of the kind an op reads: a buffer for a
+                    // load, a bare index for a cast.
+                    let site_is = |site: u16, index_only: bool| {
+                        let found = m.sites.get(site as usize);
+                        found.is_some_and(|s| (s.buf == u32::MAX) == index_only)
+                    };
                     for (ti, op) in m.tape.iter().enumerate() {
-                        match op {
-                            MapOp::Const { .. } => {}
-                            MapOp::Load { site } => {
-                                if *site as usize >= m.sites.len()
-                                    || m.sites[*site as usize].buf == u32::MAX
-                                {
-                                    return Err(format!(
-                                        "bytecode pc {pc}: FMap tape op {ti} loads through an \
-                                         invalid site {site}"
-                                    ));
-                                }
-                            }
-                            MapOp::Cast { site } => {
-                                if *site as usize >= m.sites.len()
-                                    || m.sites[*site as usize].buf != u32::MAX
-                                {
-                                    return Err(format!(
-                                        "bytecode pc {pc}: FMap tape op {ti} casts through a \
-                                         non-index site {site}"
-                                    ));
-                                }
-                            }
-                            MapOp::Bin { a, b, .. } => {
-                                if *a as usize >= ti || *b as usize >= ti {
-                                    return Err(format!(
-                                        "bytecode pc {pc}: FMap tape op {ti} reads a temp that \
-                                         is not yet computed"
-                                    ));
-                                }
-                                flops += 1;
-                            }
-                            MapOp::Un { a, .. } => {
-                                if *a as usize >= ti {
-                                    return Err(format!(
-                                        "bytecode pc {pc}: FMap tape op {ti} reads a temp that \
-                                         is not yet computed"
-                                    ));
-                                }
-                                flops += 1;
-                            }
+                        let in_order = |t: u16| (t as usize) < ti;
+                        let (ok, op_flops) = match op {
+                            MapOp::Const { .. } => (true, 0),
+                            MapOp::Load { site } => (site_is(*site, false), 0),
+                            MapOp::Cast { site } => (site_is(*site, true), 0),
+                            MapOp::Bin { a, b, .. } => (in_order(*a) && in_order(*b), 1),
+                            MapOp::Un { a, .. } => (in_order(*a), 1),
+                        };
+                        if !ok {
+                            return bad(format!(
+                                "tape op {ti} ({op:?}) reads a temp that is not yet computed, \
+                                 or a site that is missing or of the other kind"
+                            ));
                         }
-                    }
-                    if !matches!(m.kind, StoreKind::Assign) {
-                        flops += 1;
+                        flops += op_flops;
                     }
                     if flops != m.flops {
-                        return Err(format!(
-                            "bytecode pc {pc}: FMap static flop metadata {} disagrees with its \
-                             tape ({flops} per element)",
+                        return bad(format!(
+                            "static flop metadata {} disagrees with its tape ({flops} per \
+                             element)",
                             m.flops
                         ));
+                    }
+                    if m.class != FusedNest::classify(&m.tape, m.kind) {
+                        return bad(format!("is classed {:?}, which its tape is not", m.class));
                     }
                 }
             }
@@ -387,8 +367,10 @@ mod tests {
     use cora_ir::{Expr, FExpr, Stmt};
 
     use super::super::compile;
-    use super::super::testutil::outlined_doubling_body;
-    use super::Instr;
+    use super::super::isa::VmProgram;
+    use super::super::testutil::{gemm_nest, outlined_doubling_body};
+    use super::{FusedNest, Instr, MapOp, MAX_MAP_SITES, MAX_MAP_TAPE};
+    use crate::microkernel::NestClass;
 
     #[test]
     fn validate_accepts_compiled_programs() {
@@ -440,5 +422,86 @@ mod tests {
         let slot = u32::try_from(p.slots.var_slot_count()).unwrap();
         p.code.push(Instr::IVar { dst: 0, slot });
         assert!(p.validate().unwrap_err().contains("out of census"));
+    }
+
+    /// The program's (single) fused nest.
+    fn nest_mut(p: &mut VmProgram) -> &mut FusedNest {
+        p.code
+            .iter_mut()
+            .find_map(|i| match i {
+                Instr::FNest(nest) => Some(&mut **nest),
+                _ => None,
+            })
+            .expect("the program holds a fused nest")
+    }
+
+    #[test]
+    fn validate_rejects_each_inconsistent_fused_nest() {
+        // A one-deep map (`B[..] = A[..] * 2`) and a two-deep mul-acc.
+        let map = compile(&outlined_doubling_body());
+        let gemm = compile(&gemm_nest(2, 3, 4, true));
+        for p in [&map, &gemm] {
+            p.validate().expect("baselines validate");
+        }
+        let rejects = |base: &VmProgram, corrupt: &dyn Fn(&mut FusedNest), msg: &str| {
+            let mut p = base.clone();
+            corrupt(nest_mut(&mut p));
+            let err = p.validate().expect_err(msg);
+            assert!(err.contains(msg), "expected `{msg}` in: {err}");
+        };
+
+        // A site that loads the output buffer (one rule for every tape).
+        rejects(&map, &|n| n.sites[0].buf = n.out, "loads its own output");
+        rejects(&gemm, &|n| n.sites[1].buf = n.out, "loads its own output");
+
+        // Outer probes without an outer trip count, and the reverse.
+        rejects(&map, &|n| n.n_outer = Some(n.n_inner), "outer trip count");
+        rejects(
+            &map,
+            &|n| n.sites[0].idx.outer = Some(0),
+            "outer trip count",
+        );
+        rejects(&gemm, &|n| n.out_idx.outer = None, "outer trip count");
+        rejects(&gemm, &|n| n.n_outer = None, "outer trip count");
+
+        // Tape shape: empty, beyond the executor's caps, out of SSA
+        // order, through a missing site or one of the wrong kind.
+        rejects(&map, &|n| n.tape = Box::new([]), "0 tape ops");
+        rejects(
+            &map,
+            &|n| n.tape = vec![MapOp::Const { v: 0.0 }; MAX_MAP_TAPE + 1].into(),
+            "tape ops",
+        );
+        rejects(
+            &map,
+            &|n| n.sites = vec![n.sites[0].clone(); MAX_MAP_SITES + 1].into(),
+            "tape ops",
+        );
+        rejects(&gemm, &|n| n.tape.swap(1, 2), "tape op 1");
+        rejects(&gemm, &|n| n.tape[1] = MapOp::Load { site: 2 }, "tape op 1");
+        rejects(&gemm, &|n| n.tape[1] = MapOp::Cast { site: 1 }, "tape op 1");
+        rejects(&map, &|n| n.sites[0].buf = u32::MAX, "tape op 0");
+
+        // Static metadata the executor trusts: the flop charge and the
+        // kernel-table class.
+        rejects(&map, &|n| n.flops += 1, "static flop metadata");
+        rejects(&gemm, &|n| n.flops -= 1, "static flop metadata");
+        rejects(&gemm, &|n| n.class = NestClass::Map, "is classed");
+        rejects(&map, &|n| n.class = NestClass::MulAcc, "is classed");
+
+        // A probe or trip-count register nothing wrote.
+        for field in 0..4 {
+            let mut p = gemm.clone();
+            let fresh = u16::try_from(p.n_iregs).unwrap();
+            p.n_iregs += 1;
+            let nest = nest_mut(&mut p);
+            match field {
+                0 => nest.out_idx.base = fresh,
+                1 => nest.sites[0].idx.inner = fresh,
+                2 => nest.sites[1].idx.outer = Some(fresh),
+                _ => nest.n_outer = Some(fresh),
+            }
+            assert!(p.validate().unwrap_err().contains("read before any write"));
+        }
     }
 }

@@ -11,9 +11,13 @@
 //! rows it moved — the failure prints the new table and the full text of
 //! every stage whose hash changed.
 
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use cora::core::prelude::*;
+use cora::exec::{MathMode, VmProgram};
+use cora::transformer::autotune::encoder_stage_spaces;
+use cora::transformer::encoder_compiled::STAGES;
 use cora::transformer::encoder_compiled::{stage, Attend, Geometry};
 use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
 
@@ -173,3 +177,85 @@ const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
     "out_proj 38fe31c4b6a1d920",
     "attn_bias 973132503bca1bf7",
 ];
+
+/// Adds `program`'s fused-instruction census to `total`; a program that
+/// does not hold exactly one fused instruction — a stage that fell off
+/// the fused path, or grew a second nest — is reported by label with its
+/// disassembly.
+fn tally_one_fused(
+    label: &str,
+    program: &VmProgram,
+    total: &mut (usize, usize, usize),
+    off_path: &mut String,
+) {
+    let (one_deep, two_deep, map) = program.fused_counts();
+    if one_deep + two_deep + map != 1 {
+        writeln!(off_path, "\n######## {label}\n{program}").unwrap();
+    }
+    *total = (total.0 + one_deep, total.1 + two_deep, total.2 + map);
+}
+
+/// The deterministic tripwire for "a stage compiles to scalar bytecode":
+/// every built-in program — each row of the stage table (and the masked
+/// block's `attn_bias`) under both attention kinds, whole program and
+/// outlined body — and every autotune candidate holds exactly one fused
+/// superinstruction. The totals are `fused_counts()` summed:
+/// `(one-deep mul-acc, two-deep mul-acc, map)`.
+#[test]
+fn every_stage_and_every_tuner_candidate_compiles_to_one_fused_instruction() {
+    let cfg = EncoderConfig::scaled(8);
+    let mut off_path = String::new();
+
+    let mut built_in = (0, 0, 0);
+    let mut causal_block = (0, 0, 0);
+    for attend in [Attend::Full, Attend::Causal] {
+        let geometry = Geometry::new(&cfg, &MNLI_LENS, attend);
+        for row in STAGES.iter() {
+            let compiled = lower(&row.operator(&geometry))
+                .expect("built-in schedules are legal")
+                .compile();
+            let body = compiled.parallel_body().expect("every stage outlines");
+            for (tier, program) in [("whole program", compiled.vm()), ("body", body)] {
+                let label = format!("{} ({attend:?}, {tier})", row.label);
+                tally_one_fused(&label, program, &mut built_in, &mut off_path);
+            }
+        }
+    }
+    let masked = CompiledEncoderLayer::build_masked_mha(&cfg, &MNLI_LENS).expect("builds");
+    for (label, compiled) in masked.pipeline().expect("non-empty batch").stage_programs() {
+        let body = compiled.parallel_body().expect("every stage outlines");
+        for (tier, program) in [("whole program", compiled.vm()), ("body", body)] {
+            let label = format!("{label} (masked block, {tier})");
+            tally_one_fused(&label, program, &mut causal_block, &mut off_path);
+        }
+    }
+
+    let mut candidates = (0, 0, 0);
+    for space in encoder_stage_spaces(&cfg) {
+        for (ci, choice) in space.choices().iter().enumerate() {
+            let chosen = BTreeMap::from([(space.stage().to_string(), choice.clone())]);
+            let layer = CompiledEncoderLayer::build_with_choices(
+                &cfg,
+                &MNLI_LENS,
+                MathMode::Strict,
+                &chosen,
+            )
+            .expect("every candidate builds");
+            let pipeline = layer.pipeline().expect("non-empty batch");
+            let (_, compiled) = pipeline
+                .stage_programs()
+                .find(|(label, _)| *label == space.stage())
+                .expect("a space names a pipeline stage");
+            let label = format!("{} candidate {ci} {choice:?}", space.stage());
+            tally_one_fused(&label, compiled.vm(), &mut candidates, &mut off_path);
+        }
+    }
+
+    assert!(
+        off_path.is_empty(),
+        "programs without exactly one fused instruction:{off_path}"
+    );
+    assert_eq!(built_in, (0, 24, 60), "the 84 stage-table programs");
+    assert_eq!(causal_block, (0, 8, 14), "the masked block's 22 programs");
+    assert_eq!(candidates, (0, 24, 18), "the 42 autotune candidates");
+}
