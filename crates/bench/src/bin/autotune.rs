@@ -20,12 +20,10 @@
 //! `transformer.autotune.{tune_ms,trials,cache_hit_ms}`.
 //!
 //! `--quick` shrinks the batch for CI; `--seed=N` redirects sampling
-//! and the candidate visit order; `--deterministic` swaps wall-clock
-//! micro-benchmarks for the proxy-score measurer (two identically
-//! seeded runs then write byte-identical cache files — the
-//! `tune-determinism` CI job runs this binary twice and `cmp`s the
-//! caches); `--cache=PATH` persists the cache there (default: fresh
-//! file under the temp dir).
+//! and the candidate visit order (two identically seeded runs write
+//! byte-identical cache files — the `tune-determinism` CI job runs this
+//! binary twice and `cmp`s the caches); `--cache=PATH` persists the
+//! cache there (default: fresh file under the temp dir).
 
 use cora_bench::{f2, flag, opt, opt_usize, seed};
 use cora_datasets::Dataset;
@@ -38,7 +36,6 @@ use cora_core::autotune::TuneBudget;
 
 fn main() {
     let quick = flag("quick");
-    let deterministic = flag("deterministic");
     let scale = opt_usize("scale", 8);
     let batch = opt_usize("batch", if quick { 8 } else { 32 });
     let trials = opt_usize("trials", 64);
@@ -64,9 +61,8 @@ fn main() {
         bucket_key(&cfg, MathMode::Strict, &lens)
     );
 
-    let mut tuner = EncoderAutotuner::new(TuneBudget::trials(trials), seed)
-        .deterministic(deterministic)
-        .with_cache_path(&cache_path);
+    let mut tuner =
+        EncoderAutotuner::new(TuneBudget::trials(trials), seed).with_cache_path(&cache_path);
 
     // First contact: full search against a fresh cache.
     let (tuned, first) = tuner
@@ -81,10 +77,9 @@ fn main() {
         first.default_score
     );
     println!(
-        "tuned in {} ms: {} trials ({} pruned), {} stage overrides{}",
+        "tuned in {} ms: {} trials, {} stage overrides{}",
         f2(first.tuning_ms),
         first.trials,
-        first.pruned,
         first.chosen.len(),
         if first.fell_back {
             " — fell back to the hand-picked default"

@@ -1,5 +1,5 @@
 //! Shape-bucketed schedule autotuning: search space, persistent cache,
-//! and the deterministic search driver.
+//! and the search driver.
 //!
 //! CoRa's schedules (loop order, tiling, block-axis remapping) are
 //! hand-picked everywhere else in this workspace. This module adds the
@@ -16,24 +16,26 @@
 //! * [`StageChoice`] / [`StageSpace`] — one point in, and the
 //!   per-operator enumeration of, the schedule space: loop `reorder`,
 //!   an optional `split` (tiling), and the block-axis
-//!   [`RemapPolicy`]. Every choice a space emits must be
-//!   value-preserving for its operator (the differential test suite
-//!   locks tuned against default bit-for-bit under Strict math).
+//!   [`RemapPolicy`] (read only when blocks are dispatched in
+//!   parallel, so a measurer that scores serial runs cannot rank it).
+//!   Every choice a space emits must be value-preserving for its
+//!   operator (the differential test suite locks tuned against default
+//!   bit-for-bit under Strict math).
 //! * [`TuningCache`] — a versioned JSON cache of winning choices keyed
 //!   by bucket, with *robust* loads: an unknown schema version or a
 //!   malformed entry is reported (log-and-retune), never a panic and
 //!   never a silently applied stale schedule.
-//! * [`Autotuner`] — the search driver: seeded candidate order, cost
-//!   model pruning, a [`TuneBudget`] trial/time cap, and strictly
-//!   deterministic selection (lowest score wins; ties break on the
-//!   candidate's declared index, never on wall-clock).
+//! * [`Autotuner`] — the search driver: seeded candidate order, a
+//!   [`TuneBudget`] trial cap, and strictly deterministic selection
+//!   (lowest score wins; ties break on the candidate's declared index).
+//!   It reads no clock: given a deterministic measurer the search is
+//!   deterministic by construction.
 //!
 //! # Example
 //!
 //! Tuning one toy "stage" whose candidates have known scores. The
-//! driver is generic over how candidates are priced (the cost-model
-//! pruning estimate) and measured (wall-clock micro-benchmarks in
-//! production; any deterministic proxy in tests and CI):
+//! driver is generic over how candidates are measured (the encoder
+//! scores the compiled VM's run statistics):
 //!
 //! ```
 //! use cora_core::autotune::{Autotuner, StageChoice, StageSpace, TuneBudget};
@@ -49,11 +51,8 @@
 //! );
 //! let tuner = Autotuner::new(TuneBudget::trials(16), 42);
 //! let scores = [3.0, 5.0, 1.0];
-//! let result = tuner.tune_stage(
-//!     &space,
-//!     |_choice| 1.0,                       // cost-model estimate (no pruning here)
-//!     |idx, _choice| Some(scores[idx]),    // measurement, lower is better
-//! );
+//! // The measurement: lower is better.
+//! let result = tuner.tune_stage(&space, |idx, _choice| Some(scores[idx]));
 //! assert_eq!(result.best, 2);
 //! assert_eq!(result.measured, 3);
 //! // The winning choice serializes into the tuning cache as plain JSON.
@@ -68,7 +67,7 @@ use crate::schedule::RemapPolicy;
 
 /// Version stamp of the tuning-cache file format. Bump on any change to
 /// the serialized shape; readers refuse (and re-tune) on mismatch.
-pub const CACHE_SCHEMA: u32 = 1;
+pub const CACHE_SCHEMA: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Minimal dependency-free JSON reader for the cache file.
@@ -600,8 +599,6 @@ impl StageSpace {
 pub struct CacheEntry {
     /// Winning choice per tuned stage label.
     pub stages: BTreeMap<String, StageChoice>,
-    /// How the entry was produced (`"wallclock"` / `"deterministic"`).
-    pub measurer: String,
     /// Search trials spent producing the entry.
     pub trials: usize,
 }
@@ -680,9 +677,7 @@ impl TuningCache {
             }
             out.push_str("\n    ");
             write_json_escaped(&mut out, bucket);
-            out.push_str(": {\"measurer\": ");
-            write_json_escaped(&mut out, &entry.measurer);
-            out.push_str(&format!(", \"trials\": {}, \"stages\": {{", entry.trials));
+            out.push_str(&format!(": {{\"trials\": {}, \"stages\": {{", entry.trials));
             for (j, (stage, choice)) in entry.stages.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
@@ -725,11 +720,6 @@ impl TuningCache {
         let mut cache = TuningCache::new();
         for (bucket, entry) in entries {
             let bad = |what: &str| CacheLoad::Malformed(format!("bucket `{bucket}`: {what}"));
-            let measurer = entry
-                .get("measurer")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| bad("missing `measurer`"))?
-                .to_string();
             let trials = entry
                 .get("trials")
                 .and_then(JsonValue::as_num)
@@ -746,14 +736,9 @@ impl TuningCache {
                     .map_err(|e| bad(&format!("stage `{stage}`: {e}")))?;
                 stages.insert(stage.clone(), choice);
             }
-            cache.entries.insert(
-                bucket.clone(),
-                CacheEntry {
-                    stages,
-                    measurer,
-                    trials,
-                },
-            );
+            cache
+                .entries
+                .insert(bucket.clone(), CacheEntry { stages, trials });
         }
         Ok(cache)
     }
@@ -798,37 +783,32 @@ impl TuningCache {
 // Budget and search driver
 // ---------------------------------------------------------------------
 
-/// Caps on one tuning run: a hard trial count and an optional
-/// wall-clock cap. The time cap is only consulted by *wall-clock*
-/// measurers — deterministic runs must ignore it, or two identically
-/// seeded runs could truncate the search differently.
+/// The cap on one tuning run: a hard trial count. There is no time cap
+/// — a clock in the loop could truncate two identically seeded runs
+/// differently.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneBudget {
     /// Maximum measured candidates across the whole tuning run
     /// (defaults are always measured and count against this).
     pub max_trials: usize,
-    /// Optional wall-clock cap in milliseconds (wall-clock mode only).
-    pub max_ms: Option<f64>,
 }
 
 impl TuneBudget {
-    /// A trial-count-only budget.
+    /// A trial-count budget.
     pub fn trials(max_trials: usize) -> TuneBudget {
-        TuneBudget {
-            max_trials,
-            max_ms: None,
-        }
+        TuneBudget { max_trials }
     }
 
-    /// Adds a wall-clock cap in milliseconds.
-    pub fn with_max_ms(mut self, ms: f64) -> TuneBudget {
-        self.max_ms = Some(ms);
+    /// Accepted and ignored: the search reads no clock, so there is
+    /// nothing for a time cap to bound. Kept only because the benchmark
+    /// (`perf_ledger`) calls it.
+    pub fn with_max_ms(self, _ms: f64) -> TuneBudget {
         self
     }
 }
 
 impl Default for TuneBudget {
-    /// 64 trials, no time cap.
+    /// 64 trials.
     fn default() -> TuneBudget {
         TuneBudget::trials(64)
     }
@@ -847,8 +827,6 @@ pub struct StageTuneResult {
     pub default_score: f64,
     /// Candidates actually measured.
     pub measured: usize,
-    /// Candidates skipped by cost-model pruning.
-    pub pruned: usize,
     /// Candidates skipped because the budget ran out.
     pub skipped: usize,
 }
@@ -857,51 +835,38 @@ pub struct StageTuneResult {
 ///
 /// Selection is strictly deterministic given deterministic measurements:
 /// candidates are visited in a seeded order (default always first, so a
-/// baseline always exists), pruned against the cost model's best
-/// estimate, and the winner is the lowest `(score, candidate index)`
-/// pair — index breaks ties, wall-clock never does. Because the default
-/// is always measured and always eligible, the chosen schedule can
-/// never score worse than the hand-picked one under the measurer in
+/// baseline always exists) and the winner is the lowest
+/// `(score, candidate index)` pair — index breaks ties. Because the
+/// default is always measured and always eligible, the chosen schedule
+/// can never score worse than the hand-picked one under the measurer in
 /// use.
 #[derive(Debug, Clone)]
 pub struct Autotuner {
-    /// Trial/time caps.
+    /// Trial cap.
     pub budget: TuneBudget,
     /// Seed for the candidate visit order.
     pub seed: u64,
-    /// Prune candidates whose cost-model estimate exceeds this multiple
-    /// of the cheapest estimate (default 8.0; the default candidate is
-    /// never pruned).
-    pub prune_factor: f64,
 }
 
 impl Autotuner {
     /// A tuner with the given budget and seed.
     pub fn new(budget: TuneBudget, seed: u64) -> Autotuner {
-        Autotuner {
-            budget,
-            seed,
-            prune_factor: 8.0,
-        }
+        Autotuner { budget, seed }
     }
 
     /// Searches one stage space.
     ///
-    /// `estimate` prices a candidate with the analytic cost model
-    /// (pruning only — units are arbitrary); `measure` returns the
-    /// candidate's score (lower is better) or `None` when the candidate
-    /// fails to build, which disqualifies it. The returned
-    /// [`StageTuneResult::best`] is always a measured candidate, and
-    /// the default (candidate 0) is always measured first.
+    /// `measure` returns the candidate's score (lower is better) or
+    /// `None` when the candidate fails to build, which disqualifies it.
+    /// The returned [`StageTuneResult::best`] is always a measured
+    /// candidate, and the default (candidate 0) is always measured
+    /// first.
     pub fn tune_stage(
         &self,
         space: &StageSpace,
-        mut estimate: impl FnMut(&StageChoice) -> f64,
         mut measure: impl FnMut(usize, &StageChoice) -> Option<f64>,
     ) -> StageTuneResult {
         let choices = space.choices();
-        let estimates: Vec<f64> = choices.iter().map(&mut estimate).collect();
-        let min_estimate = estimates.iter().copied().fold(f64::INFINITY, f64::min);
 
         // Seeded visit order over the non-default candidates; the
         // default is always visited first so a baseline always exists.
@@ -911,32 +876,20 @@ impl Autotuner {
         visit.push(0usize);
         visit.extend(order);
 
-        let t0 = std::time::Instant::now();
         let mut result = StageTuneResult {
             stage: space.stage().to_string(),
             best: 0,
             best_score: f64::INFINITY,
             default_score: f64::INFINITY,
             measured: 0,
-            pruned: 0,
             skipped: 0,
         };
         let mut best: Option<(f64, usize)> = None;
         for &idx in &visit {
             let is_default = idx == 0;
-            if !is_default && estimates[idx] > self.prune_factor * min_estimate {
-                result.pruned += 1;
-                continue;
-            }
             if !is_default && result.measured >= self.budget.max_trials {
                 result.skipped += 1;
                 continue;
-            }
-            if let Some(max_ms) = self.budget.max_ms {
-                if !is_default && t0.elapsed().as_secs_f64() * 1e3 > max_ms {
-                    result.skipped += 1;
-                    continue;
-                }
             }
             let Some(score) = measure(idx, &choices[idx]) else {
                 // Candidate failed to build/run: disqualified.
@@ -948,7 +901,7 @@ impl Autotuner {
             }
             // Deterministic selection: strictly lower score wins; equal
             // scores keep the lower candidate index (so exact ties keep
-            // the default). Wall-clock order never breaks ties.
+            // the default).
             let better = match best {
                 None => true,
                 Some((bs, bi)) => score < bs || (score == bs && idx < bi),
@@ -1076,14 +1029,7 @@ mod tests {
         );
         stages.insert("scores".to_string(), StageChoice::default_choice());
         let mut cache = TuningCache::new();
-        cache.insert(
-            &key,
-            CacheEntry {
-                stages,
-                measurer: "deterministic".to_string(),
-                trials: 7,
-            },
-        );
+        cache.insert(&key, CacheEntry { stages, trials: 7 });
         (cache, key)
     }
 
@@ -1110,16 +1056,23 @@ mod tests {
         let err = TuningCache::parse(r#"{"schema": 99, "entries": {}}"#).unwrap_err();
         assert!(matches!(err, CacheLoad::UnknownVersion(_)), "{err:?}");
         assert!(!err.is_usable());
+        // The retired format, whose entries named the measurer that
+        // wrote them (one of which no longer exists): refused whole.
+        let err = TuningCache::parse(
+            r#"{"schema": 1, "entries": {"b": {"measurer": "m", "trials": 1, "stages": {}}}}"#,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CacheLoad::UnknownVersion(_)), "{err:?}");
         // Truncated / invalid JSON.
-        let err = TuningCache::parse(r#"{"schema": 1, "entries": {"#).unwrap_err();
+        let err = TuningCache::parse(r#"{"schema": 2, "entries": {"#).unwrap_err();
         assert!(matches!(err, CacheLoad::Malformed(_)), "{err:?}");
         // Entry missing required fields.
         let err =
-            TuningCache::parse(r#"{"schema": 1, "entries": {"b": {"stages": {}}}}"#).unwrap_err();
+            TuningCache::parse(r#"{"schema": 2, "entries": {"b": {"stages": {}}}}"#).unwrap_err();
         assert!(matches!(err, CacheLoad::Malformed(_)), "{err:?}");
         // Entry with a malformed stage choice.
         let err = TuningCache::parse(
-            r#"{"schema": 1, "entries": {"b": {"measurer": "m", "trials": 1, "stages": {"s": {"split": "nope"}}}}}"#,
+            r#"{"schema": 2, "entries": {"b": {"trials": 1, "stages": {"s": {"split": "nope"}}}}}"#,
         )
         .unwrap_err();
         assert!(matches!(err, CacheLoad::Malformed(_)), "{err:?}");
@@ -1165,47 +1118,34 @@ mod tests {
         let space = toy_space(5);
         let tuner = Autotuner::new(TuneBudget::trials(16), 7);
         // All candidates tie: the default (index 0) must win.
-        let r = tuner.tune_stage(&space, |_| 1.0, |_, _| Some(2.0));
+        let r = tuner.tune_stage(&space, |_, _| Some(2.0));
         assert_eq!(r.best, 0);
         assert_eq!(r.measured, 5);
         assert_eq!(r.default_score, 2.0);
         // A strictly better candidate wins regardless of visit order.
         let scores = [5.0, 4.0, 1.0, 4.0, 1.0];
-        let r1 = tuner.tune_stage(&space, |_| 1.0, |i, _| Some(scores[i]));
-        let r2 = tuner.tune_stage(&space, |_| 1.0, |i, _| Some(scores[i]));
+        let r1 = tuner.tune_stage(&space, |i, _| Some(scores[i]));
+        let r2 = tuner.tune_stage(&space, |i, _| Some(scores[i]));
         assert_eq!(r1.best, 2, "equal scores break ties on candidate index");
         assert_eq!(r1.best, r2.best);
         assert_eq!(r1.best_score, r2.best_score);
     }
 
     #[test]
-    fn search_prunes_and_budgets() {
+    fn search_stops_at_the_trial_budget() {
         let space = toy_space(6);
+        // Budget of 2 trials: default + one more measured, the rest
+        // skipped.
         let tuner = Autotuner::new(TuneBudget::trials(2), 1);
-        // Estimates: candidate 3 is wildly expensive → pruned. Budget of
-        // 2 trials: default + one more measured, the rest skipped.
-        let r = tuner.tune_stage(
-            &space,
-            |c| {
-                if c.split.as_ref().is_some_and(|(_, f)| *f == 8) {
-                    1e9
-                } else {
-                    1.0
-                }
-            },
-            |_, _| Some(1.0),
-        );
+        let r = tuner.tune_stage(&space, |_, _| Some(1.0));
         assert_eq!(r.measured, 2);
-        assert_eq!(r.pruned, 1);
-        assert_eq!(r.skipped, 3);
+        assert_eq!(r.skipped, 4);
         assert_eq!(r.best, 0, "ties keep the default");
-        // The default is never pruned even when its estimate is awful.
-        let r = tuner.tune_stage(
-            &space,
-            |c| if c.is_default() { 1e9 } else { 1.0 },
-            |_, _| Some(1.0),
-        );
-        assert!(r.measured >= 1);
+        // The default is measured even when the budget is already spent.
+        let tuner = Autotuner::new(TuneBudget::trials(0), 1);
+        let r = tuner.tune_stage(&space, |_, _| Some(1.0));
+        assert_eq!(r.measured, 1);
+        assert_eq!(r.skipped, 5);
         assert_eq!(r.default_score, 1.0);
     }
 
@@ -1214,7 +1154,7 @@ mod tests {
         let space = toy_space(3);
         let tuner = Autotuner::new(TuneBudget::default(), 3);
         // Every non-default candidate fails to build.
-        let r = tuner.tune_stage(&space, |_| 1.0, |i, _| (i == 0).then_some(4.0));
+        let r = tuner.tune_stage(&space, |i, _| (i == 0).then_some(4.0));
         assert_eq!(r.best, 0);
         assert_eq!(r.measured, 1);
     }

@@ -62,7 +62,9 @@
 //! stages' external-facing wires, and whose `out` is the second stage's;
 //! the intermediate buffer then leaves the arena plan by itself. `tune`
 //! names the candidate kind [`crate::autotune`] enumerates for the row
-//! ([`Tune::None`] opts out).
+//! ([`Tune::None`] opts out — the right value for a stage with no
+//! alternative loop order or tiling: a block-dispatch `remap` is not a
+//! candidate, the tuner's serial measurement cannot see it).
 //!
 //! Because every operator replays the reference kernels' loop orders and
 //! float operations, [`CompiledEncoderLayer::forward`] tracks
@@ -563,7 +565,9 @@ fn merge_proj_operator(g: &Geometry) -> Operator {
 /// value-preserving schedule alternatives [`crate::autotune`] enumerates
 /// for it. Declared heaviest first — the tuner searches kinds in this
 /// order, so a capped trial budget goes to the GEMMs that dominate the
-/// layer's flops before the cheap row sweeps.
+/// layer's flops. A kind may only hold candidates whose *serial*
+/// program differs from the default's (the tuner scores serial runs):
+/// the row sweeps have no such alternative today, so they opt out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tune {
     /// Dense projection GEMM over `r, d, c`: loop order, column and
@@ -571,15 +575,10 @@ pub enum Tune {
     Gemm,
     /// Head-merging projection over `r, head, e, c`.
     MergeProj,
-    /// Attention score GEMM over `hr, j, d`: loop order, dispatch order.
+    /// Attention score GEMM over `hr, j, d`: loop order.
     Scores,
-    /// Attention × values over `hr, j, e`: saxpy vs dot inner shape,
-    /// dispatch order.
+    /// Attention × values over `hr, j, e`: saxpy vs dot inner shape.
     Attnv,
-    /// Ragged `hr` row sweep: dispatch order only.
-    RaggedSweep,
-    /// Dense (uniform-row) sweep: dispatch order only.
-    DenseSweep,
     /// Not tuned.
     None,
 }
@@ -651,7 +650,7 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("S", "S0")],
         out: "S",
         fast: false,
-        tune: Tune::RaggedSweep,
+        tune: Tune::None,
     },
     Stage {
         label: "row_max",
@@ -659,7 +658,7 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("S", "S")],
         out: "M",
         fast: true,
-        tune: Tune::RaggedSweep,
+        tune: Tune::None,
     },
     Stage {
         label: "row_exp",
@@ -667,7 +666,7 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("S", "S"), ("M", "M")],
         out: "EX",
         fast: true,
-        tune: Tune::RaggedSweep,
+        tune: Tune::None,
     },
     Stage {
         label: "row_sum",
@@ -675,7 +674,7 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("Ex", "EX")],
         out: "E",
         fast: true,
-        tune: Tune::RaggedSweep,
+        tune: Tune::None,
     },
     Stage {
         label: "row_softmax",
@@ -683,7 +682,7 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("Ex", "EX"), ("E", "E")],
         out: "P",
         fast: false,
-        tune: Tune::RaggedSweep,
+        tune: Tune::None,
     },
     Stage {
         label: "attnv",
@@ -755,7 +754,7 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "F0"), ("B", "B1")],
         out: "F",
         fast: true,
-        tune: Tune::DenseSweep,
+        tune: Tune::None,
     },
     Stage {
         label: "ff2",

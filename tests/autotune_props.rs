@@ -1,4 +1,4 @@
-//! Properties of the shape-bucketed autotuner (PR 7):
+//! Properties of the shape-bucketed autotuner:
 //!
 //! * **Bucket-key stability** — permuting the sequences of a batch and
 //!   resampling each length within its histogram class must map to the
@@ -9,19 +9,29 @@
 //!   parallel, on random ragged batches including 0-/1-length
 //!   sequences. This is the contract that lets the tuner swap
 //!   schedules without a correctness re-validation per bucket.
+//! * **Observability** — every non-default candidate's serial program
+//!   differs from the default's: the tuner scores serial runs, so a
+//!   candidate that compiles to the default's program (a block-dispatch
+//!   `remap`) could only ever tie with it.
 //! * **End-to-end tuning** — a tuned layer equals the default
 //!   bit-for-bit (Strict), a second batch in the same bucket is a
-//!   zero-trial cache hit, and two identically seeded deterministic
-//!   tuning runs produce byte-identical cache files.
+//!   zero-trial cache hit, two identically seeded tuning runs produce
+//!   byte-identical cache files, and the frozen `with_max_ms` is inert.
 //! * **Cache robustness** — corrupted/unknown-version cache files are
-//!   reported and re-tuned, never panicking and never silently applying
-//!   a stale schedule.
+//!   reported and re-tuned, and a schema-valid entry is applied only if
+//!   the spaces enumerate every choice in it — never panicking and
+//!   never silently applying a stale schedule.
 
 use proptest::prelude::*;
 
-use cora::core::autotune::{length_class, BucketKey, TuneBudget, TuningCache};
+use cora::core::autotune::{
+    length_class, BucketKey, CacheLoad, StageChoice, TuneBudget, TuningCache,
+};
+use cora::core::prelude::lower;
 use cora::exec::{CpuPool, MathMode};
-use cora::transformer::autotune::{bucket_key, encoder_stage_spaces, EncoderAutotuner};
+use cora::transformer::autotune::{
+    apply_choice, bucket_key, encoder_stage_spaces, stage_operator, EncoderAutotuner,
+};
 use cora::transformer::encoder_compiled::CompiledEncoderLayer;
 use cora::transformer::{EncoderConfig, EncoderWeights, RaggedBatch};
 
@@ -161,7 +171,7 @@ proptest! {
         let w = EncoderWeights::random(&cfg, seed);
         let x = RaggedBatch::random(&lens, cfg.hidden, seed.wrapping_add(1));
 
-        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(64), seed).deterministic(true);
+        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(64), seed);
         let (tuned, out) = tuner
             .tuned_layer(&cfg, &lens, MathMode::Strict)
             .expect("tuning never fails on legal defaults");
@@ -249,6 +259,71 @@ fn every_autotune_candidate_verifies_under_both_remap_policies() {
 }
 
 #[test]
+fn every_candidate_is_observable_by_a_serial_run() {
+    // The tuner's only measurer scores a *serial* run of the stage's
+    // compiled program. A candidate whose serial program is the
+    // default's is an exact tie by construction — a wasted trial that
+    // can never be chosen — so no space may enumerate one. Block
+    // dispatch policies are the known case: `RemapPolicy` is read only
+    // when blocks are dispatched in parallel.
+    let cfg = EncoderConfig::scaled(8);
+    let lens = [21usize, 34, 9, 17, 40, 13, 28, 6]; // program_golden's MNLI shape
+    let serial_program = |stage: &str, choice: &StageChoice| {
+        let mut op = stage_operator(stage, &cfg, &lens).expect("a space names a table row");
+        apply_choice(&mut op, choice);
+        let compiled = lower(&op).expect("every candidate lowers").compile();
+        compiled.vm().to_string()
+    };
+    for space in encoder_stage_spaces(&cfg) {
+        let default = serial_program(space.stage(), &space.choices()[0]);
+        for choice in &space.choices()[1..] {
+            assert!(
+                serial_program(space.stage(), choice) != default,
+                "stage {} choice {}: a candidate the measurer cannot observe \
+                 (its serial program is the default's)",
+                space.stage(),
+                choice.to_json()
+            );
+        }
+    }
+}
+
+#[test]
+fn the_frozen_time_cap_is_inert() {
+    // `TuneBudget::with_max_ms` survives only as a signature the
+    // benchmark calls (`trials(16).with_max_ms(..)`, then a same-bucket
+    // second call): whatever cap is passed, the search is the uncapped
+    // one.
+    let cfg = small_config();
+    let lens = [5usize, 0, 3, 1, 7];
+    let dir = std::env::temp_dir().join(format!("cora_tune_cap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut runs = Vec::new();
+    for (name, budget) in [
+        ("capped", TuneBudget::trials(16).with_max_ms(0.0)),
+        ("uncapped", TuneBudget::trials(16)),
+    ] {
+        let path = dir.join(format!("{name}/cache.json"));
+        let mut tuner = EncoderAutotuner::new(budget, 42).with_cache_path(&path);
+        let (_, out) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
+        assert!(!out.cache_hit);
+        assert_eq!(out.trials, 16, "{name}: the whole trial budget is spent");
+        let reversed: Vec<usize> = lens.iter().rev().copied().collect();
+        let (_, hit) = tuner
+            .tuned_layer(&cfg, &reversed, MathMode::Strict)
+            .unwrap();
+        assert!(hit.cache_hit && hit.trials == 0, "{name}: same bucket hits");
+        runs.push((
+            out.trials,
+            out.chosen,
+            std::fs::read(&path).expect("cache written"),
+        ));
+    }
+    assert_eq!(runs[0], runs[1], "a time cap changed the search");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn seeded_deterministic_runs_write_byte_identical_caches() {
     let cfg = small_config();
     let lens = [5usize, 0, 3, 1, 7];
@@ -257,9 +332,7 @@ fn seeded_deterministic_runs_write_byte_identical_caches() {
     let mut files = Vec::new();
     for run in 0..2 {
         let path = dir.join(format!("run{run}/cache.json"));
-        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(64), 42)
-            .deterministic(true)
-            .with_cache_path(&path);
+        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(64), 42).with_cache_path(&path);
         let (_, out) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
         assert!(!out.cache_hit);
         files.push(std::fs::read(&path).expect("cache written"));
@@ -280,21 +353,31 @@ fn corrupted_cache_fixtures_log_and_retune() {
     let lens = [3usize, 1];
     let dir = std::env::temp_dir().join(format!("cora_tune_corrupt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let fixtures: [(&str, &str); 4] = [
+    // `retired_schema` is a well-formed file of the format that still
+    // recorded a `measurer`: entries the deleted wall-clock measurer
+    // may have written are refused, not trusted.
+    let retired = format!(
+        r#"{{"schema": 1, "entries": {{"{}": {{"measurer": "wallclock", "trials": 1, "stages": {{}}}}}}}}"#,
+        bucket_key(&cfg, MathMode::Strict, &lens)
+    );
+    assert!(matches!(
+        TuningCache::parse(&retired),
+        Err(CacheLoad::UnknownVersion(_))
+    ));
+    let fixtures: [(&str, &str); 5] = [
         ("unknown_version", r#"{"schema": 99, "entries": {}}"#),
-        ("truncated", r#"{"schema": 1, "entries": {"#),
+        ("retired_schema", &retired),
+        ("truncated", r#"{"schema": 2, "entries": {"#),
         ("not_json", "definitely not json"),
         (
             "malformed_entry",
-            r#"{"schema": 1, "entries": {"b": {"measurer": "m", "trials": 1, "stages": {"s": {"split": "oops"}}}}}"#,
+            r#"{"schema": 2, "entries": {"b": {"trials": 1, "stages": {"s": {"split": "oops"}}}}}"#,
         ),
     ];
     for (name, contents) in fixtures {
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, contents).unwrap();
-        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(8), 42)
-            .deterministic(true)
-            .with_cache_path(&path);
+        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(8), 42).with_cache_path(&path);
         let (_, out) = tuner
             .tuned_layer(&cfg, &lens, MathMode::Strict)
             .unwrap_or_else(|e| panic!("fixture {name} must re-tune, not fail: {e:?}"));
@@ -315,27 +398,53 @@ fn corrupted_cache_fixtures_log_and_retune() {
 
 #[test]
 fn stale_cache_entries_trigger_retune_not_silent_application() {
-    // A schema-valid cache whose entry names a stage/loop that no
-    // longer exists: the build fails, the tuner discards it and
-    // re-tunes.
+    // Schema-valid caches for the live bucket whose entry is not one
+    // the spaces enumerate. Applying any of them is a silent partial
+    // application or worse: the first names no loop (lowering fails),
+    // the second names no stage (the wiring would ignore it), the next
+    // three build layers whose sessions fail (an outlined block axis
+    // moved inward, a split with a tail escaping the planned size), and
+    // the last is what the deleted wall-clock measurer used to write.
+    // Each must be discarded, reported and re-tuned.
     let cfg = small_config();
     let lens = [4usize, 2];
     let key = bucket_key(&cfg, MathMode::Strict, &lens);
     let dir = std::env::temp_dir().join(format!("cora_tune_stale_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.json");
-    let stale = format!(
-        r#"{{"schema": 1, "entries": {{"{key}": {{"measurer": "deterministic", "trials": 1, "stages": {{"qkv_proj": {{"split": ["no_such_loop", 8]}}}}}}}}}}"#
-    );
-    std::fs::write(&path, stale).unwrap();
-    let mut tuner = EncoderAutotuner::new(TuneBudget::trials(16), 42)
-        .deterministic(true)
-        .with_cache_path(&path);
-    let (_, out) = tuner
-        .tuned_layer(&cfg, &lens, MathMode::Strict)
-        .expect("stale entry must re-tune");
-    assert!(!out.cache_hit, "stale entry must not count as a hit");
-    let note = out.cache_note.expect("stale entry must be reported");
-    assert!(note.contains("stale"), "{note}");
+    let fixtures = [
+        r#"{"qkv_proj": {"split": ["no_such_loop", 8]}}"#,
+        r#"{"no_such_stage": {"split": ["c", 8]}}"#,
+        r#"{"scores": {"reorder": ["d", "hr", "j"]}}"#,
+        r#"{"qkv_proj": {"reorder": ["c", "r", "d"]}}"#,
+        r#"{"qkv_proj": {"split": ["c", 5]}}"#,
+        r#"{"attnv": {"remap": "identity"}}"#,
+    ];
+    for stages in fixtures {
+        let stale = format!(
+            r#"{{"schema": 2, "entries": {{"{key}": {{"trials": 1, "stages": {stages}}}}}}}"#
+        );
+        assert!(
+            TuningCache::parse(&stale).is_ok(),
+            "{stages} is schema-valid"
+        );
+        std::fs::write(&path, stale).unwrap();
+        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(16), 42).with_cache_path(&path);
+        let (layer, out) = tuner
+            .tuned_layer(&cfg, &lens, MathMode::Strict)
+            .unwrap_or_else(|e| panic!("{stages} must re-tune, not fail: {e:?}"));
+        assert!(!out.cache_hit, "{stages} must not count as a hit");
+        let note = out
+            .cache_note
+            .unwrap_or_else(|| panic!("{stages} must be reported"));
+        assert!(note.contains("stale"), "{stages}: {note}");
+        assert!(out.trials > 0, "{stages} must be re-tuned");
+        layer
+            .session()
+            .unwrap_or_else(|e| panic!("{stages}: the re-tuned layer must outline: {e}"));
+        // The entry is healed: the same bucket now hits.
+        let (_, again) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
+        assert!(again.cache_hit && again.cache_note.is_none(), "{stages}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
