@@ -19,13 +19,13 @@
 //! search costs and what a cache hit costs are `perf_ledger`'s
 //! `transformer.autotune.{tune_ms,trials,cache_hit_ms}`.
 //!
-//! `--quick` shrinks the batch for CI; `--seed=N` redirects sampling
-//! and the candidate visit order (two identically seeded runs write
+//! `--quick` shrinks the batch for CI; `--cache=PATH` persists the
+//! cache there (default: fresh file under the temp dir). Sampling and
+//! the candidate visit order are seeded, so two runs write
 //! byte-identical cache files — the `tune-determinism` CI job runs this
-//! binary twice and `cmp`s the caches); `--cache=PATH` persists the
-//! cache there (default: fresh file under the temp dir).
+//! binary twice and `cmp`s the caches.
 
-use cora_bench::{f2, flag, opt, opt_usize, seed};
+use cora_bench::{f2, flag, opt};
 use cora_datasets::Dataset;
 use cora_exec::MathMode;
 use cora_transformer::autotune::{bucket_key, EncoderAutotuner};
@@ -35,12 +35,9 @@ use cora_transformer::{EncoderConfig, EncoderWeights, RaggedBatch};
 use cora_core::autotune::TuneBudget;
 
 fn main() {
-    let quick = flag("quick");
-    let scale = opt_usize("scale", 8);
-    let batch = opt_usize("batch", if quick { 8 } else { 32 });
-    let trials = opt_usize("trials", 64);
-    let seed = seed();
-    let cfg = EncoderConfig::scaled(scale);
+    let batch = if flag("quick") { 8 } else { 32 };
+    let seed: u64 = 42;
+    let cfg = EncoderConfig::scaled(8);
 
     let cache_path = opt("cache")
         .map(std::path::PathBuf::from)
@@ -62,7 +59,7 @@ fn main() {
     );
 
     let mut tuner =
-        EncoderAutotuner::new(TuneBudget::trials(trials), seed).with_cache_path(&cache_path);
+        EncoderAutotuner::new(TuneBudget::trials(64), seed).with_cache_path(&cache_path);
 
     // First contact: full search against a fresh cache.
     let (tuned, first) = tuner
@@ -118,7 +115,4 @@ fn main() {
         second.trials,
         cache_path.display()
     );
-
-    println!("\nPaper shape: FTuner-style histogram bucketing amortizes one search across");
-    println!("every unseen ragged batch in the bucket; the fallback keeps tuned >= default.");
 }

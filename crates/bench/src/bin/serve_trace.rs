@@ -11,11 +11,9 @@
 //! threads) are `perf_ledger`'s `serve_quantized` / `serve_unquantized`
 //! workloads.
 //!
-//! `--quick` shrinks the trace for CI; `--seed=N` reseeds it;
-//! `--requests=N` / `--gap-us=N` reshape the offered load;
-//! `--max-seqs=N` / `--max-wait-us=N` set the batching policy.
+//! `--quick` shrinks the trace for CI.
 
-use cora_bench::{f2, flag, opt, opt_usize, print_table, seed};
+use cora_bench::{f2, flag, opt};
 use cora_serve::{Request, Server, ServerConfig, ServiceModel, TraceSource};
 use cora_transformer::{EncoderConfig, EncoderWeights};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -23,15 +21,13 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Open-loop trace over a small quantized length set: compiled layers
 /// are exact-shape-keyed, so steady-state pool reuse needs batch shapes
 /// that actually recur — real serving stacks quantize for the same
-/// reason. Same seed ⇒ same lengths and data; `first_id` offsets ids so
-/// warmup and measured passes stay distinct.
+/// reason. Same seed ⇒ same lengths and data.
 fn make_trace(
     seed: u64,
     requests: usize,
     hidden: usize,
     len_set: &[usize],
     gap_ns: u64,
-    first_id: u64,
 ) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..requests)
@@ -40,7 +36,7 @@ fn make_trace(
             let data = (0..len * hidden)
                 .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
                 .collect();
-            Request::new(first_id + i as u64, len, data, i as u64 * gap_ns)
+            Request::new(i as u64, len, data, i as u64 * gap_ns)
         })
         .collect()
 }
@@ -48,17 +44,16 @@ fn make_trace(
 fn main() {
     let quick = flag("quick");
     let log_path = opt("log");
-    let seed = seed();
-    let requests = opt_usize("requests", if quick { 32 } else { 128 });
-    let gap_us = opt_usize("gap-us", if quick { 500 } else { 1_000 });
-    let scale = opt_usize("scale", 8);
+    let seed: u64 = 42;
+    let requests = if quick { 32 } else { 128 };
+    let gap_us: u64 = if quick { 500 } else { 1_000 };
 
-    let encoder = EncoderConfig::scaled(scale);
+    let encoder = EncoderConfig::scaled(8);
     let mut cfg = ServerConfig::new(encoder);
-    cfg.policy.max_batch_seqs = opt_usize("max-seqs", if quick { 4 } else { 8 });
+    cfg.policy.max_batch_seqs = if quick { 4 } else { 8 };
     // A wide deadline keeps affinity packing in charge (overdue
     // requests override affinity and produce mixed, unwarmed shapes).
-    cfg.policy.max_wait_ns = opt_usize("max-wait-us", 50_000) as u64 * 1_000;
+    cfg.policy.max_wait_ns = 50_000_000;
     let len_set: &[usize] = if quick { &[4, 8, 16] } else { &[8, 16, 32, 48] };
     // Warm every shape the policy can produce from the quantized length
     // set under affinity packing: uniform-length batches of 1..=seq cap.
@@ -68,8 +63,8 @@ fn main() {
         .collect();
     cfg.pool_capacity = cfg.pool_capacity.max(shapes.len());
     let weights = EncoderWeights::random(&encoder, seed.wrapping_add(1));
-    let gap_ns = gap_us as u64 * 1_000;
-    let trace = make_trace(seed, requests, encoder.hidden, len_set, gap_ns, 0);
+    let gap_ns = gap_us * 1_000;
+    let trace = make_trace(seed, requests, encoder.hidden, len_set, gap_ns);
     let rows: usize = trace.iter().map(|r| r.len).sum();
 
     println!("serve_trace — open-loop continuous batching (deterministic simulation)");
@@ -107,22 +102,10 @@ fn main() {
     let hits = report.pool_stats.hits - warm_stats.hits;
     let misses = report.pool_stats.misses - warm_stats.misses;
 
-    print_table(
-        &["metric", "value"],
-        &[
-            vec![
-                "virtual p50 latency (ms)".into(),
-                f2(report.latency_percentile_ns(50.0) as f64 / 1e6),
-            ],
-            vec![
-                "virtual p99 latency (ms)".into(),
-                f2(report.latency_percentile_ns(99.0) as f64 / 1e6),
-            ],
-            vec!["microbatches".into(), report.batches.len().to_string()],
-            vec![
-                "pool hit rate".into(),
-                f2(hits as f64 / (hits + misses).max(1) as f64),
-            ],
-        ],
-    );
+    let latency_ms = |p| f2(report.latency_percentile_ns(p) as f64 / 1e6);
+    println!("virtual p50 latency: {} ms", latency_ms(50.0));
+    println!("virtual p99 latency: {} ms", latency_ms(99.0));
+    println!("microbatches: {}", report.batches.len());
+    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+    println!("pool hit rate: {}", f2(hit_rate));
 }

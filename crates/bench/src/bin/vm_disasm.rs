@@ -6,11 +6,16 @@
 //! (`cora_transformer::encoder_compiled::STAGES`) and each stage's input
 //! sizes from its verifier-proven access hulls, so the tool cannot drift
 //! from what `CompiledEncoderLayer::build` compiles. Pass stage labels
-//! as arguments to print their full disassembly.
+//! as arguments to print their full disassembly. Times are best of N
+//! calls.
+
+use std::hint::black_box;
 
 use cora_core::prelude::*;
 use cora_datasets::Dataset;
+use cora_exec::microkernel;
 use cora_transformer::encoder_compiled::{Attend, Geometry, STAGES};
+use cora_transformer::mha::time_best_ms;
 use cora_transformer::EncoderConfig;
 
 fn main() {
@@ -20,7 +25,7 @@ fn main() {
     println!("rows={} {cfg:?}", geometry.rows());
 
     let want: Vec<String> = std::env::args().skip(1).collect();
-    let mut total_ns = 0.0f64;
+    let mut total_ms = 0.0f64;
     for stage in &STAGES {
         let label = stage.label;
         let p = lower(&stage.operator(&geometry)).expect("built-in schedules are legal");
@@ -44,23 +49,15 @@ fn main() {
                 (name, (0..len).map(|x| (x % 97) as f32 * 0.01).collect())
             })
             .collect();
-        let time_ns = |program: &CompiledProgram| {
-            let reps = 10;
-            let t = std::time::Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(program.run(&data));
-            }
-            t.elapsed().as_secs_f64() * 1e9 / reps as f64
-        };
-        let ns = time_ns(&c);
-        let fast_ns = time_ns(&p.compile().with_math_mode(MathMode::Fast));
-        total_ns += ns;
+        let time_ms =
+            |program: &CompiledProgram| time_best_ms(10, || drop(black_box(program.run(&data))));
+        let ms = time_ms(&c);
+        let fast_ms = time_ms(&p.compile().with_math_mode(MathMode::Fast));
+        total_ms += ms;
         println!(
-            "\n=== {label}: {} instrs, fused: {}, strict {:.3} ms, fast {:.3} ms",
+            "\n=== {label}: {} instrs, fused: {}, strict {ms:.3} ms, fast {fast_ms:.3} ms",
             disasm.lines().count(),
             fused.len(),
-            ns / 1e6,
-            fast_ns / 1e6
         );
         for f in &fused {
             println!("    {f}");
@@ -69,37 +66,27 @@ fn main() {
             println!("{disasm}");
         }
     }
-    println!("\nsum of standalone stage times: {:.3} ms", total_ns / 1e6);
+    println!("\nsum of standalone stage times: {total_ms:.3} ms");
 
     // Microkernel primitive sweep: exp/tanh chunk cost per element.
     let src: Vec<f32> = (0..1_000_000)
         .map(|i| (i % 173) as f32 * 0.05 - 4.0)
         .collect();
     let mut dst = vec![0f32; src.len()];
-    let t = std::time::Instant::now();
-    for ch in src.chunks(64).zip(dst.chunks_mut(64)) {
-        cora_exec::microkernel::exp_chunk(ch.1, ch.0);
-    }
-    println!(
-        "exp_chunk: {:.2} ns/elem",
-        t.elapsed().as_secs_f64() * 1e9 / src.len() as f64
-    );
-    let t = std::time::Instant::now();
-    for (d, s) in dst.iter_mut().zip(&src) {
-        *d = s.exp();
-    }
-    println!(
-        "libm exp:  {:.2} ns/elem",
-        t.elapsed().as_secs_f64() * 1e9 / src.len() as f64
-    );
-    let t = std::time::Instant::now();
-    for ch in src.chunks(64).zip(dst.chunks_mut(64)) {
-        cora_exec::microkernel::tanh_chunk(ch.1, ch.0);
-    }
-    println!(
-        "tanh_chunk: {:.2} ns/elem",
-        t.elapsed().as_secs_f64() * 1e9 / src.len() as f64
-    );
+    let mut ns_per_elem = |f: &dyn Fn(&mut [f32], &[f32])| {
+        let sweep = || {
+            for (s, d) in src.chunks(64).zip(dst.chunks_mut(64)) {
+                f(d, s);
+            }
+        };
+        time_best_ms(1, sweep) * 1e6 / src.len() as f64
+    };
+    let libm = |d: &mut [f32], s: &[f32]| d.iter_mut().zip(s).for_each(|(d, s)| *d = s.exp());
+    let exp = ns_per_elem(&microkernel::exp_chunk);
+    println!("exp_chunk: {exp:.2} ns/elem");
+    println!("libm exp:  {:.2} ns/elem", ns_per_elem(&libm));
+    let tanh = ns_per_elem(&microkernel::tanh_chunk);
+    println!("tanh_chunk: {tanh:.2} ns/elem");
 
     // Dot-panel sweep at the attention-scores shape: n_i = head_dim = 8,
     // b rows strided by 3*hidden, ~37 dots per panel.
@@ -108,27 +95,12 @@ fn main() {
     let b: Vec<f32> = (0..sb * n_o).map(|i| (i % 31) as f32 * 0.03).collect();
     let mut outp = vec![0f32; n_o];
     for mode in [MathMode::Strict, MathMode::Fast] {
-        let t = std::time::Instant::now();
-        let reps = 100_000;
-        for _ in 0..reps {
-            cora_exec::microkernel::dot_panel(
-                std::hint::black_box(&mut outp),
-                0,
-                std::hint::black_box(&a),
-                0,
-                0,
-                std::hint::black_box(&b),
-                0,
-                sb,
-                n_i,
-                n_o,
-                mode,
-            );
-        }
-        println!(
-            "dot_panel {mode:?} (n_i=8, n_o=37): {:.2} ns/dot",
-            t.elapsed().as_secs_f64() * 1e9 / (reps * n_o) as f64
-        );
+        let (reps, a, b) = (100_000, black_box(&a), black_box(&b));
+        let panel =
+            |out: &mut [f32]| microkernel::dot_panel(out, 0, a, 0, 0, b, 0, sb, n_i, n_o, mode);
+        let ms = time_best_ms(1, || (0..reps).for_each(|_| panel(black_box(&mut outp))));
+        let ns_per_dot = ms * 1e6 / (reps * n_o) as f64;
+        println!("dot_panel {mode:?} (n_i=8, n_o=37): {ns_per_dot:.2} ns/dot");
     }
-    std::hint::black_box(&dst);
+    black_box(&dst);
 }

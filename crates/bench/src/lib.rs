@@ -1,17 +1,17 @@
-//! Shared utilities for the experiment harnesses: tiny CLI parsing,
-//! table rendering, a rep timer, and the matmul experiment builders
-//! (Figs. 9/10).
+//! Shared utilities of the experiment binaries: argument lookup and
+//! table rendering.
 //!
-//! The binaries in `src/bin/` print the paper's figures and tables and
-//! assert their own correctness gates; none writes a file except the
-//! two assert-and-dump tools (`autotune --cache=PATH`, `serve_trace
-//! --log=PATH`). Numbers that gate a PR come from `perf_ledger/` at the
-//! repo root, not from here.
+//! `paper` reproduces the paper's figures and tables as one table of
+//! rows, each asserting the paper's claim over the numbers it prints;
+//! `autotune`, `serve_trace` and `vm_disasm` are developer tools. None
+//! writes a file except the two assert-and-dump tools (`autotune
+//! --cache=PATH`, `serve_trace --log=PATH`). Numbers that gate a change
+//! come from `perf_ledger/` at the repo root, not from here. Every
+//! wall-clock figure is `cora_transformer::mha::time_best_ms` (best of N
+//! calls).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod matmul;
 
 /// Returns true if `--name` appears in the process arguments.
 pub fn flag(name: &str) -> bool {
@@ -26,22 +26,9 @@ pub fn opt(name: &str) -> Option<String> {
         .map(|a| a[prefix.len()..].to_string())
 }
 
-/// Parses `--name=value` as a number with a default.
-pub fn opt_usize(name: &str, default: usize) -> usize {
-    opt(name).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// The shared `--seed=N` flag of the bench harnesses (default 42).
-///
-/// A binary that takes it keys its dataset sampling and data
-/// initialisation off this value, so two runs with the same seed
-/// measure identical work.
-pub fn seed() -> u64 {
-    opt("seed").and_then(|v| v.parse().ok()).unwrap_or(42)
-}
-
 /// Renders an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table(headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
+    let headers: Vec<&str> = headers.iter().map(|h| h.as_ref()).collect();
     let ncols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -65,22 +52,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
-}
-
-/// Times `f` over `reps` calls and returns nanoseconds per call, with
-/// one untimed warm-up call (caches, page faults, lazy pools).
-///
-/// Execution-tier benches must pass a closure that *only executes*:
-/// hoist `Program::compile()` (and any other setup) out of the closure,
-/// or the measurement charges compilation to the execution tier.
-pub fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    assert!(reps > 0, "reps must be positive");
-    f();
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t0.elapsed().as_nanos() as f64 / reps as f64
 }
 
 /// Formats a float with 3 decimal places.

@@ -614,7 +614,7 @@ impl Stage {
 }
 
 /// Label of the attention-score stage — the one stage a bench addresses
-/// by name (`vm_parallel_scaling` times its causal form).
+/// by name (the `paper` binary's `tiers` row times its causal form).
 pub const SCORES: &str = "scores";
 
 /// The encoder layer, stage by stage, in execution order.

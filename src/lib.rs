@@ -35,7 +35,7 @@
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios (transformer encoder, triangular
-//! matmul, load balancing) and `crates/bench` for the paper's experiments.
+//! matmul, load balancing) and `crates/bench`'s `paper` binary for the evaluation.
 
 #![forbid(unsafe_code)]
 
