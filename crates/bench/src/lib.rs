@@ -3,12 +3,11 @@
 //!
 //! `paper` reproduces the paper's figures and tables as one table of
 //! rows, each asserting the paper's claim over the numbers it prints;
-//! `autotune`, `serve_trace` and `vm_disasm` are developer tools. None
-//! writes a file except the two assert-and-dump tools (`autotune
-//! --cache=PATH`, `serve_trace --log=PATH`). Numbers that gate a change
-//! come from `perf_ledger/` at the repo root, not from here. Every
-//! wall-clock figure is `cora_transformer::mha::time_best_ms` (best of N
-//! calls).
+//! `serve_trace` and `vm_disasm` are developer tools. None writes a file
+//! except the assert-and-dump tool `serve_trace --log=PATH`. Numbers
+//! that gate a change come from `perf_ledger/` at the repo root, not
+//! from here. Every wall-clock figure is
+//! `cora_transformer::mha::time_best_ms` (best of N calls).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -21,10 +21,9 @@
 //!   sharing a statically planned buffer arena, with preludes and
 //!   dispatch orders resolved once per shape.
 //! * [`builder`] — a compact facade for common operator shapes.
-//! * [`autotune`] — shape-bucketed schedule search: candidate spaces
-//!   over `Schedule` directives, a versioned persistent tuning cache
-//!   keyed by length-histogram buckets, and a deterministic seeded
-//!   search driver.
+//! * [`autotune`] — shape buckets: the length-histogram class of a
+//!   ragged batch (there is no schedule search; every operator runs the
+//!   schedule it declares).
 //! * [`verify`] — the shape-symbolic safety verifier: a
 //!   shape-independent proof program per outlined body and a per-shape
 //!   walk of it proving in-bounds accesses and the disjoint-store
@@ -49,10 +48,6 @@ pub mod verify;
 /// Convenience re-exports for downstream code and examples.
 pub mod prelude {
     pub use crate::api::{BodyFn, LoopExtent, LoopShift, LoopSpec, Operator, TensorRef};
-    pub use crate::autotune::{
-        Autotuner, BucketKey, CacheEntry, CacheLoad, StageChoice, StageSpace, StageTuneResult,
-        TuneBudget, TuningCache,
-    };
     pub use crate::builder::{BuildError, BuiltOp, OpBuilder};
     pub use crate::lower::lower;
     pub use crate::opsplit::{hfuse_sim, split_operation};

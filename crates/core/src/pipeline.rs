@@ -461,9 +461,7 @@ impl CompiledPipeline {
         self.stages.iter().map(|s| s.label.as_str()).collect()
     }
 
-    /// `(label, compiled program)` per stage, in execution order — the
-    /// autotuner's deterministic measurer reads each stage's bytecode
-    /// census from here.
+    /// `(label, compiled program)` per stage, in execution order.
     pub fn stage_programs(&self) -> impl Iterator<Item = (&str, &CompiledProgram)> {
         self.stages.iter().map(|s| (s.label.as_str(), &s.program))
     }

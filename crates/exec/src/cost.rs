@@ -80,38 +80,6 @@ impl KernelTraits {
     }
 }
 
-/// A deterministic score for one measured candidate program, computed
-/// from the interpreter-identical execution statistics of a single
-/// serial VM run plus the program's fused-nest census
-/// (`(fmulacc, fmulacc2, fmap)` — one-deep mul-acc, two-deep mul-acc,
-/// map — from `VmProgram::fused_counts`).
-///
-/// The score is a pure function of the program and its input shape —
-/// no wall-clock anywhere — so two identically seeded tuning runs score
-/// every candidate identically. Weights approximate the compiled
-/// tier's relative instruction costs: guards and un-hoisted aux loads
-/// are charged above plain flops, and programs whose reductions
-/// collapsed into panel microkernels (`fmulacc`/`fmulacc2`) get the
-/// vectorization discount that `fmap`-only or fully scalar programs
-/// don't.
-pub fn proxy_score(
-    flops: u64,
-    guards: u64,
-    aux_loads: u64,
-    stores: u64,
-    fused: (usize, usize, usize),
-) -> f64 {
-    let (fmulacc, fmulacc2, fmap) = fused;
-    let inner = if fmulacc > 0 || fmulacc2 > 0 {
-        0.25 // register-blocked panels over the reduction
-    } else if fmap > 0 {
-        0.5 // chunked elementwise sweeps only
-    } else {
-        1.0 // scalar dispatch per element
-    };
-    flops as f64 * inner + guards as f64 * 1.5 + aux_loads as f64 * 1.25 + stores as f64 * 0.5
-}
-
 /// Device-level constants for the simulated GPU.
 #[derive(Debug, Clone, Copy)]
 pub struct GpuModel {
@@ -176,25 +144,6 @@ mod tests {
         let m = GpuModel::default();
         assert_eq!(m.block_time_us(0.0, KernelTraits::vendor()), m.min_block_us);
         assert!(m.block_time_us(1e9, KernelTraits::vendor()) > 1000.0);
-    }
-
-    #[test]
-    fn proxy_score_orders_vectorization_tiers() {
-        let panel = proxy_score(1000, 0, 0, 100, (4, 0, 0));
-        let sweep = proxy_score(1000, 0, 0, 100, (0, 0, 4));
-        let scalar = proxy_score(1000, 0, 0, 100, (0, 0, 0));
-        assert!(panel < sweep && sweep < scalar);
-        // Guards and aux loads are charged above plain flops.
-        assert!(proxy_score(1000, 100, 0, 0, (0, 0, 0)) > scalar - 50.0 + 150.0 - 1.0);
-        assert!(
-            proxy_score(0, 0, 10, 0, (0, 0, 0)) > proxy_score(10, 0, 0, 0, (0, 0, 0)),
-            "an aux load outprices a flop"
-        );
-        // Deterministic: same inputs, same score.
-        assert_eq!(
-            proxy_score(123, 4, 5, 6, (1, 2, 3)),
-            proxy_score(123, 4, 5, 6, (1, 2, 3))
-        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod microkernel;
 pub mod runtime;
 pub mod vm;
 
-pub use cost::{proxy_score, GpuModel, KernelTraits};
+pub use cost::{GpuModel, KernelTraits};
 pub use cpu::CpuPool;
 pub use gpu::{GpuRunReport, GpuSim, KernelReport, SimKernel};
 pub use interp::{InterpStats, Machine};

@@ -303,9 +303,7 @@ impl VmProgram {
 
     /// Counts of the fused superinstructions in the stream, as
     /// `(one-deep mul-acc, two-deep mul-acc, map)` — they disassemble as
-    /// `fmulacc`, `fmulacc2` and `fmap`. The autotuner's deterministic
-    /// proxy measurer uses these to credit schedules whose loop nests
-    /// the fusion pass could collapse into panel microkernels.
+    /// `fmulacc`, `fmulacc2` and `fmap`.
     pub fn fused_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0usize, 0usize, 0usize);
         for instr in &self.code {

@@ -9,7 +9,7 @@
 //!                 FIFO)             / affinity)        ▼
 //!                                              SessionPool ──► engine
 //!                                              (shape-keyed       (compiled
-//!                                               LRU, autotuned)    encoder)
+//!                                               LRU)               encoder)
 //! ```
 //!
 //! Requests — `(id, embedding rows, arrival time)` — are admitted into
@@ -19,8 +19,8 @@
 //! microbatch — sequences of unequal length share one batch with no
 //! padding, which is the point of serving on a ragged compiler. A
 //! [`SessionPool`] caches compiled layers plus their prepared state
-//! (preludes, safety proofs, arena) per batch shape, consulting the
-//! encoder autotuner's schedule cache on every miss.
+//! (preludes, safety proofs, arena) per batch shape, building the
+//! layer's declared schedules on a miss.
 //!
 //! The scheduler is written against the [`Clock`]/[`Source`] traits, so
 //! the whole server runs under a deterministic discrete-event simulator

@@ -7,10 +7,8 @@
 //! A [`CompiledEncoderLayer`] is exact-shape-keyed, so the pool key is
 //! the canonical lens vector of the microbatch (the packer sorts
 //! selected requests longest-first, so recurring compositions map to
-//! recurring keys). The autotuner's [`BucketKey`] — the coarser
-//! length-histogram bucket — is consulted *inside* a miss: building a
-//! new entry goes through [`EncoderAutotuner::tuned_layer`], which
-//! serves cached schedule choices for the shape's bucket.
+//! recurring keys). A miss builds the layer's declared schedules with
+//! [`CompiledEncoderLayer::build_with_math`].
 //!
 //! # Checkout discipline
 //!
@@ -25,11 +23,10 @@
 
 use std::collections::BTreeMap;
 
-use cora_core::autotune::BucketKey;
 use cora_core::schedule::ScheduleError;
 use cora_exec::cpu::CpuPool;
 use cora_exec::MathMode;
-use cora_transformer::autotune::{bucket_key, EncoderAutotuner};
+use cora_transformer::autotune::EncoderAutotuner;
 use cora_transformer::{
     CompiledEncoderLayer, EncoderConfig, EncoderPrep, EncoderWeights, RaggedBatch,
 };
@@ -45,12 +42,6 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Sessions discarded after a mid-run panic.
     pub poisoned: u64,
-    /// Of the misses, how many found tuned schedule choices in the
-    /// autotuner's bucket cache.
-    pub tune_cache_hits: u64,
-    /// Schedule-search trials the misses ran (the sum of
-    /// `TuneOutcome::trials`): zero under a disabled tuner.
-    pub tune_trials: u64,
 }
 
 /// A checked-out, fully owned serving session: the compiled layer plus
@@ -61,18 +52,12 @@ pub struct PooledSession {
     lens: Vec<usize>,
     layer: CompiledEncoderLayer,
     prep: EncoderPrep,
-    bucket: BucketKey,
 }
 
 impl PooledSession {
     /// The exact batch shape this session serves.
     pub fn lens(&self) -> &[usize] {
         &self.lens
-    }
-
-    /// The autotuner shape bucket the layer was tuned under.
-    pub fn bucket(&self) -> &BucketKey {
-        &self.bucket
     }
 
     /// Runs one microbatch on the calling thread (the deterministic
@@ -111,40 +96,37 @@ pub struct SessionPool {
     cfg: EncoderConfig,
     math: MathMode,
     capacity: usize,
-    tuner: EncoderAutotuner,
     entries: BTreeMap<Vec<usize>, PoolEntry>,
     tick: u64,
     stats: PoolStats,
 }
 
 impl SessionPool {
-    /// A pool holding at most `capacity` idle sessions (≥ 1). Misses
-    /// build through `tuner`, so its schedule cache and budget are
-    /// honoured.
+    /// A pool holding at most `capacity` idle sessions (≥ 1). The
+    /// tuner is ignored: misses build the declared schedules.
     pub fn new(
         cfg: EncoderConfig,
         math: MathMode,
         capacity: usize,
-        tuner: EncoderAutotuner,
+        _tuner: EncoderAutotuner,
     ) -> SessionPool {
         SessionPool {
             cfg,
             math,
             capacity: capacity.max(1),
-            tuner,
             entries: BTreeMap::new(),
             tick: 0,
             stats: PoolStats::default(),
         }
     }
 
-    /// Checks out a session for the exact shape `lens`, building (and
-    /// tuning) one on a miss. The entry leaves the pool until
+    /// Checks out a session for the exact shape `lens`, building one on
+    /// a miss. The entry leaves the pool until
     /// [`SessionPool::check_in`] — eviction cannot touch it meanwhile.
     ///
     /// # Errors
     ///
-    /// Returns the schedule error if the default schedules fail to
+    /// Returns the schedule error if the declared schedules fail to
     /// build — a compiler regression by definition.
     pub fn checkout(&mut self, lens: &[usize]) -> Result<PooledSession, ScheduleError> {
         if let Some(entry) = self.entries.remove(lens) {
@@ -152,17 +134,12 @@ impl SessionPool {
             return Ok(entry.session);
         }
         self.stats.misses += 1;
-        let (layer, outcome) = self.tuner.tuned_layer(&self.cfg, lens, self.math)?;
-        if outcome.cache_hit {
-            self.stats.tune_cache_hits += 1;
-        }
-        self.stats.tune_trials += outcome.trials as u64;
+        let layer = CompiledEncoderLayer::build_with_math(&self.cfg, lens, self.math)?;
         let prep = layer.prepare()?;
         Ok(PooledSession {
             lens: lens.to_vec(),
             layer,
             prep,
-            bucket: bucket_key(&self.cfg, self.math, lens),
         })
     }
 
@@ -235,9 +212,7 @@ mod tests {
             ff: 16,
             layers: 1,
         };
-        // Disabled tuner: unit tests exercise pool mechanics, not search.
-        let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
-        tuner.disabled = true;
+        let tuner = EncoderAutotuner::new(TuneBudget, 42);
         SessionPool::new(cfg, MathMode::Strict, capacity, tuner)
     }
 

@@ -270,28 +270,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `weights` whose pool misses build the hand-picked
-    /// schedules: no schedule search runs (`PoolStats::tune_trials`
-    /// stays 0). Searching is opt-in — pass an enabled autotuner
-    /// through [`Server::with_tuner`].
+    /// A server over `weights` whose pool misses build the declared
+    /// schedules.
     ///
     /// # Panics
     ///
     /// Panics if `weights` do not match `cfg.encoder`.
     pub fn new(cfg: ServerConfig, weights: EncoderWeights) -> Server {
-        let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
-        tuner.disabled = true;
-        Server::with_tuner(cfg, weights, tuner)
-    }
-
-    /// [`Server::new`] with an explicit autotuner, e.g. an enabled one
-    /// that searches schedules on every pool miss.
-    pub fn with_tuner(
-        cfg: ServerConfig,
-        weights: EncoderWeights,
-        tuner: EncoderAutotuner,
-    ) -> Server {
         let hidden = cfg.encoder.hidden;
+        let tuner = EncoderAutotuner::new(TuneBudget, 0);
         let pool = SessionPool::new(cfg.encoder, cfg.math, cfg.pool_capacity, tuner);
         Server {
             cfg,
@@ -301,6 +288,15 @@ impl Server {
             faults: BTreeSet::new(),
             ref_layers: BTreeMap::new(),
         }
+    }
+
+    /// [`Server::new`]; the tuner is ignored.
+    pub fn with_tuner(
+        cfg: ServerConfig,
+        weights: EncoderWeights,
+        _tuner: EncoderAutotuner,
+    ) -> Server {
+        Server::new(cfg, weights)
     }
 
     /// Pre-builds and pools a session per shape — cold-start avoidance:

@@ -9,15 +9,14 @@
 //! A [`Stage`] row holds everything the rest of the system needs to know
 //! about one stage: its label, an operator constructor over the shared
 //! [`Geometry`], the wires from pipeline buffers to the operator's
-//! inputs, its output buffer, whether it opts into [`MathMode::Fast`],
-//! and its autotune candidate kind ([`Tune`]). `EXTERNALS` does the
-//! same for the pipeline's external inputs (name, size, where the data
-//! comes from). Everything else is a loop over or a lookup in those two
-//! tables: [`CompiledEncoderLayer::build_with_choices`] wires them,
-//! [`crate::autotune::stage_operator`] and
-//! [`crate::autotune::encoder_stage_spaces`] project them, the
-//! `vm_disasm` tool walks them, and sessions bind the externals from
-//! them. No other module spells a stage label.
+//! inputs, its output buffer, and whether it opts into
+//! [`MathMode::Fast`]. `EXTERNALS` does the same for the pipeline's
+//! external inputs (name, size, where the data comes from). Everything
+//! else is a loop over or a lookup in those two tables:
+//! [`CompiledEncoderLayer::build_with_math`] wires them,
+//! [`crate::autotune::stage_operator`] projects them, the `vm_disasm`
+//! tool walks them, and sessions bind the externals from them. No other
+//! module spells a stage label.
 //!
 //! The stages, in order:
 //!
@@ -55,16 +54,15 @@
 //! # Adding or fusing a stage
 //!
 //! Add a row to [`STAGES`] at its execution position (and a row to
-//! `EXTERNALS` if it reads a new weight): the builder, the tuner, the
-//! verifier goldens' stage order and the tools pick it up. To fuse two
+//! `EXTERNALS` if it reads a new weight): the builder, the verifier
+//! goldens' stage order and the tools pick it up. To fuse two
 //! consecutive stages, replace their rows by one whose constructor
 //! builds the fused operator, whose wires are the union of the two
 //! stages' external-facing wires, and whose `out` is the second stage's;
-//! the intermediate buffer then leaves the arena plan by itself. `tune`
-//! names the candidate kind [`crate::autotune`] enumerates for the row
-//! ([`Tune::None`] opts out — the right value for a stage with no
-//! alternative loop order or tiling: a block-dispatch `remap` is not a
-//! candidate, the tuner's serial measurement cannot see it).
+//! the intermediate buffer then leaves the arena plan by itself. A
+//! row's schedule is the one its constructor declares;
+//! `tests/common/schedule_variants.rs` holds the value-preserving
+//! alternatives the test suites check against it.
 //!
 //! Because every operator replays the reference kernels' loop orders and
 //! float operations, [`CompiledEncoderLayer::forward`] tracks
@@ -75,10 +73,8 @@
 //! serial, parallel and reference paths together.
 
 use std::borrow::BorrowMut;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use cora_core::autotune::StageChoice;
 use cora_core::pipeline::{CompiledPipeline, PipelineBuilder, PipelinePrep, PipelineRun};
 use cora_core::prelude::*;
 use cora_exec::CpuPool;
@@ -561,33 +557,11 @@ fn merge_proj_operator(g: &Geometry) -> Operator {
 // The stage table
 // ---------------------------------------------------------------------
 
-/// The autotune candidate kind of a stage: which family of
-/// value-preserving schedule alternatives [`crate::autotune`] enumerates
-/// for it. Declared heaviest first — the tuner searches kinds in this
-/// order, so a capped trial budget goes to the GEMMs that dominate the
-/// layer's flops. A kind may only hold candidates whose *serial*
-/// program differs from the default's (the tuner scores serial runs):
-/// the row sweeps have no such alternative today, so they opt out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tune {
-    /// Dense projection GEMM over `r, d, c`: loop order, column and
-    /// reduction tiling.
-    Gemm,
-    /// Head-merging projection over `r, head, e, c`.
-    MergeProj,
-    /// Attention score GEMM over `hr, j, d`: loop order.
-    Scores,
-    /// Attention × values over `hr, j, e`: saxpy vs dot inner shape.
-    Attnv,
-    /// Not tuned.
-    None,
-}
-
-/// One row of the stage table: everything the builder, the tuner and
-/// the tools know about one pipeline stage.
+/// One row of the stage table: everything the builder and the tools
+/// know about one pipeline stage.
 #[derive(Debug)]
 pub struct Stage {
-    /// The stage label (pipeline stage name, tuning-cache key).
+    /// The stage label (pipeline stage name).
     pub label: &'static str,
     /// Operator constructor, given the stage's label and the batch
     /// geometry.
@@ -601,8 +575,6 @@ pub struct Stage {
     /// run Strict (Fast changes nothing for them, so opting in would
     /// only blur the contract).
     pub fast: bool,
-    /// The autotune candidate kind.
-    pub tune: Tune,
 }
 
 impl Stage {
@@ -626,7 +598,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "X"), ("W", "Wqkv")],
         out: "QKV0",
         fast: true,
-        tune: Tune::Gemm,
     },
     Stage {
         label: "qkv_bias",
@@ -634,7 +605,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "QKV0"), ("B", "Bqkv")],
         out: "QKV",
         fast: false,
-        tune: Tune::None,
     },
     Stage {
         label: SCORES,
@@ -642,7 +612,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("QKV", "QKV")],
         out: "S0",
         fast: true,
-        tune: Tune::Scores,
     },
     Stage {
         label: "scale",
@@ -650,7 +619,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("S", "S0")],
         out: "S",
         fast: false,
-        tune: Tune::None,
     },
     Stage {
         label: "row_max",
@@ -658,7 +626,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("S", "S")],
         out: "M",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "row_exp",
@@ -666,7 +633,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("S", "S"), ("M", "M")],
         out: "EX",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "row_sum",
@@ -674,7 +640,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("Ex", "EX")],
         out: "E",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "row_softmax",
@@ -682,7 +647,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("Ex", "EX"), ("E", "E")],
         out: "P",
         fast: false,
-        tune: Tune::None,
     },
     Stage {
         label: "attnv",
@@ -690,7 +654,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("P", "P"), ("QKV", "QKV")],
         out: "O",
         fast: true,
-        tune: Tune::Attnv,
     },
     Stage {
         label: "out_proj",
@@ -698,7 +661,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("O", "O"), ("W", "Wo")],
         out: "AO",
         fast: true,
-        tune: Tune::MergeProj,
     },
     Stage {
         label: "attn_bias_residual",
@@ -706,7 +668,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "AO"), ("B", "Bo"), ("R", "X")],
         out: "Y1",
         fast: false,
-        tune: Tune::None,
     },
     // First layer norm.
     Stage {
@@ -715,7 +676,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "Y1")],
         out: "S1",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "ln1_var",
@@ -723,7 +683,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "Y1"), ("S", "S1")],
         out: "V1",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "ln1_norm",
@@ -737,7 +696,6 @@ pub static STAGES: [Stage; 21] = [
         ],
         out: "Z1",
         fast: false,
-        tune: Tune::None,
     },
     // Feed-forward block.
     Stage {
@@ -746,7 +704,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "Z1"), ("W", "W1")],
         out: "F0",
         fast: true,
-        tune: Tune::Gemm,
     },
     Stage {
         label: "ff1_bias_gelu",
@@ -754,7 +711,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "F0"), ("B", "B1")],
         out: "F",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "ff2",
@@ -762,7 +718,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "F"), ("W", "W2")],
         out: "G0",
         fast: true,
-        tune: Tune::Gemm,
     },
     Stage {
         label: "ff_bias_residual",
@@ -770,7 +725,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "G0"), ("B", "B2"), ("R", "Z1")],
         out: "Y2",
         fast: false,
-        tune: Tune::None,
     },
     // Second layer norm.
     Stage {
@@ -779,7 +733,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "Y2")],
         out: "S2",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "ln2_var",
@@ -787,7 +740,6 @@ pub static STAGES: [Stage; 21] = [
         wires: &[("In", "Y2"), ("S", "S2")],
         out: "V2",
         fast: true,
-        tune: Tune::None,
     },
     Stage {
         label: "ln2_norm",
@@ -801,7 +753,6 @@ pub static STAGES: [Stage; 21] = [
         ],
         out: "OUT",
         fast: false,
-        tune: Tune::None,
     },
 ];
 
@@ -818,7 +769,6 @@ static MHA_OUT_BIAS: Stage = Stage {
     wires: &[("In", "AO"), ("B", "Bo")],
     out: "Y",
     fast: false,
-    tune: Tune::None,
 };
 
 /// The table row of a stage label, if any.
@@ -927,32 +877,7 @@ impl CompiledEncoderLayer {
         lens: &[usize],
         math: MathMode,
     ) -> Result<CompiledEncoderLayer, ScheduleError> {
-        Self::build_with_choices(cfg, lens, math, &BTreeMap::new())
-    }
-
-    /// [`CompiledEncoderLayer::build_with_math`] with per-stage schedule
-    /// overrides from the autotuner: each stage label present in
-    /// `choices` has its [`StageChoice`] applied on top of the
-    /// hand-picked schedule (a choice's `reorder` *replaces* the
-    /// default order; its `split`/`remap` are layered after it). An
-    /// empty map reproduces the default build exactly. Every choice the
-    /// stage spaces in [`crate::autotune`] emit is value-preserving, so
-    /// tuned layers stay bit-identical to default ones under
-    /// [`MathMode::Strict`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the schedule error if lowering rejects a directive — for
-    /// cached choices this means the cache is stale and the caller
-    /// should re-tune.
-    pub fn build_with_choices(
-        cfg: &EncoderConfig,
-        lens: &[usize],
-        math: MathMode,
-        choices: &BTreeMap<String, StageChoice>,
-    ) -> Result<CompiledEncoderLayer, ScheduleError> {
-        let stages = STAGES.iter().collect();
-        Self::wire(cfg, lens, Attend::Full, stages, math, choices)
+        Self::wire(cfg, lens, Attend::Full, STAGES.iter().collect(), math)
     }
 
     /// The causally masked multi-head-attention block (§D.3) at a batch
@@ -974,8 +899,7 @@ impl CompiledEncoderLayer {
             .iter()
             .chain([&MHA_OUT_BIAS])
             .collect();
-        let (math, choices) = (MathMode::Strict, BTreeMap::new());
-        Self::wire(cfg, lens, Attend::Causal, stages, math, &choices)
+        Self::wire(cfg, lens, Attend::Causal, stages, MathMode::Strict)
     }
 
     /// The one builder: lowers and compiles `stages` in order at the
@@ -987,7 +911,6 @@ impl CompiledEncoderLayer {
         attend: Attend,
         stages: Vec<&'static Stage>,
         math: MathMode,
-        choices: &BTreeMap<String, StageChoice>,
     ) -> Result<CompiledEncoderLayer, ScheduleError> {
         cfg.validate().expect("consistent encoder config");
         let geometry = Geometry::new(cfg, lens, attend);
@@ -1014,11 +937,7 @@ impl CompiledEncoderLayer {
                 .expect("unique external names");
         }
         for stage in &stages {
-            let mut op = stage.operator(&geometry);
-            if let Some(choice) = choices.get(stage.label) {
-                crate::autotune::apply_choice(&mut op, choice);
-            }
-            let mut program = lower(&op)?.compile();
+            let mut program = lower(&stage.operator(&geometry))?.compile();
             if stage.fast {
                 program = program.with_math_mode(math);
             }
@@ -1255,7 +1174,7 @@ pub fn masked_mha_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::{encoder_stage_spaces, stage_operator};
+    use crate::autotune::stage_operator;
     use crate::encoder::encoder_layer_ragged;
 
     #[test]
@@ -1312,8 +1231,8 @@ mod tests {
         assert!(plan.arena_elems() < plan.unshared_elems());
     }
 
-    /// The table is the single source: the built pipeline, the operator
-    /// lookup and the tuner's spaces all read the same rows.
+    /// The table is the single source: the built pipeline and the
+    /// operator lookup read the same rows.
     #[test]
     fn the_table_is_the_single_source_of_stages() {
         let cfg = EncoderConfig::scaled(8);
@@ -1323,10 +1242,6 @@ mod tests {
         assert_eq!(layer.pipeline().unwrap().stage_labels(), labels);
         for label in &labels {
             assert!(stage_operator(label, &cfg, &lens).is_some(), "{label}");
-        }
-        for space in encoder_stage_spaces(&cfg) {
-            assert!(labels.contains(&space.stage()), "{}", space.stage());
-            assert!(space.choices()[0].is_default(), "{}", space.stage());
         }
         // Masked MHA is the attention prefix plus its own bias stage.
         let mha = CompiledEncoderLayer::build_masked_mha(&cfg, &lens).unwrap();

@@ -8,9 +8,12 @@
 //! hfusion ablations, prelude-overhead measurement, and the compiled
 //! tier ([`encoder_compiled`]): one declarative stage table from which
 //! the 21-stage encoder layer, its causal masked-attention prefix
-//! ([`encoder_compiled::Attend`]), the autotuner's search spaces
-//! ([`autotune`]) and the disassembly tool are all derived. To add or
-//! fuse a stage, edit that table — nothing else lists the stages.
+//! ([`encoder_compiled::Attend`]), the per-stage operator lookup
+//! ([`autotune::stage_operator`]) and the disassembly tool are all
+//! derived. To add or fuse a stage, edit that table — nothing else lists
+//! the stages. [`autotune`] also keeps the shape-bucket key and the
+//! frozen `EncoderAutotuner`, which builds the declared schedules; there
+//! is no schedule search.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,39 +1,34 @@
-//! Properties of the shape-bucketed autotuner:
+//! The encoder's shape buckets, the frozen tuner surface, and the
+//! alternative schedules kept as test inputs:
 //!
 //! * **Bucket-key stability** — permuting the sequences of a batch and
 //!   resampling each length within its histogram class must map to the
 //!   same [`BucketKey`]; crossing a class boundary must not.
-//! * **Schedule-space safety** — for *every* choice the encoder's
-//!   enumerator can emit, the tuned layer's Strict output is
-//!   bit-identical to the hand-picked default's, serially and in
-//!   parallel, on random ragged batches including 0-/1-length
-//!   sequences. This is the contract that lets the tuner swap
-//!   schedules without a correctness re-validation per bucket.
-//! * **Observability** — every non-default candidate's serial program
-//!   differs from the default's: the tuner scores serial runs, so a
-//!   candidate that compiles to the default's program (a block-dispatch
-//!   `remap`) could only ever tie with it.
-//! * **End-to-end tuning** — a tuned layer equals the default
-//!   bit-for-bit (Strict), a second batch in the same bucket is a
-//!   zero-trial cache hit, two identically seeded tuning runs produce
-//!   byte-identical cache files, and the frozen `with_max_ms` is inert.
-//! * **Cache robustness** — corrupted/unknown-version cache files are
-//!   reported and re-tuned, and a schema-valid entry is applied only if
-//!   the spaces enumerate every choice in it — never panicking and
-//!   never silently applying a stale schedule.
+//! * **Schedule-variant safety** — every row of
+//!   `common/schedule_variants.rs` is bit-identical to its stage's
+//!   declared schedule under Strict math, serially and in parallel, on
+//!   ragged shapes with 0-/1-length sequences; the verifier accepts it
+//!   under every remap policy; and its serial program differs from the
+//!   declared one, so it is a real alternative.
+//! * **The frozen shim** — `EncoderAutotuner::tuned_layer` compiles
+//!   exactly what `CompiledEncoderLayer::build_with_math` compiles, for
+//!   any budget, seed or math mode; it reports a hit only for a bucket
+//!   the same enabled tuner built in the same math mode; and a server
+//!   given an enabled tuner replays `Server::new` byte for byte.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use cora::core::autotune::{
-    length_class, BucketKey, CacheLoad, StageChoice, TuneBudget, TuningCache,
-};
-use cora::core::prelude::lower;
-use cora::exec::{CpuPool, MathMode};
-use cora::transformer::autotune::{
-    apply_choice, bucket_key, encoder_stage_spaces, stage_operator, EncoderAutotuner,
-};
+use cora::core::autotune::{length_class, BucketKey, TuneBudget};
+use cora::core::prelude::*;
+use cora::serve::{Arrival, Server, ServerConfig, ServiceModel, TraceConfig, TraceSource};
+use cora::transformer::autotune::{bucket_key, stage_operator, EncoderAutotuner};
 use cora::transformer::encoder_compiled::CompiledEncoderLayer;
 use cora::transformer::{EncoderConfig, EncoderWeights, RaggedBatch};
+
+#[path = "common/schedule_variants.rs"]
+mod schedule_variants;
+use schedule_variants::{schedule_variants, variant_operator};
 
 fn small_config() -> EncoderConfig {
     EncoderConfig {
@@ -56,6 +51,46 @@ fn resample_in_class(len: usize, salt: usize) -> usize {
     let lo = 1usize << (class - 1);
     let hi = (1usize << class) - 1;
     lo + (len - lo + salt) % (hi - lo + 1)
+}
+
+/// Seeded inputs for `compiled`, each sized by the verifier's access
+/// hull (`required_input_len`).
+fn hull_sized_inputs(compiled: &CompiledProgram, seed: u64) -> Vec<(&str, Vec<f32>)> {
+    let prep = compiled
+        .parallel_prep()
+        .expect("the declared schedule verifies")
+        .expect("every stage binds a block axis");
+    let mut rng = StdRng::seed_from_u64(seed);
+    compiled
+        .input_names()
+        .into_iter()
+        .map(|name| {
+            let need = prep.verify_outcome().required_input_len(name).unwrap_or(0);
+            let len = need.max(0) as usize;
+            (
+                name,
+                (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            )
+        })
+        .collect()
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every stage's serial program and outlined body, as text.
+fn stage_programs(layer: &CompiledEncoderLayer) -> Vec<String> {
+    let Some(pipeline) = layer.pipeline() else {
+        return Vec::new();
+    };
+    pipeline
+        .stage_programs()
+        .map(|(label, compiled)| {
+            let body = compiled.parallel_body().expect("every stage outlines");
+            format!("{label}\n{}== body\n{body}", compiled.vm())
+        })
+        .collect()
 }
 
 proptest! {
@@ -99,59 +134,39 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every single choice the enumerator can emit produces a layer
-    /// whose Strict output is bit-identical to the default's, serially
-    /// and in parallel.
+    /// Every schedule variant computes its stage's declared output bit
+    /// for bit under Strict math, serially and on a 2-thread pool.
     #[test]
     fn every_enumerated_schedule_is_bit_identical_strict(
-        lens in prop::collection::vec(0usize..6, 1..4),
+        lens in prop::collection::vec(0usize..6, 0..3),
         seed in 0u64..1000,
     ) {
         let cfg = small_config();
-        let w = EncoderWeights::random(&cfg, seed);
-        let x = RaggedBatch::random(&lens, cfg.hidden, seed.wrapping_add(1));
+        let mut lens = lens;
+        lens.extend([0, 1]);
         let pool = CpuPool::new(2);
 
-        let default = CompiledEncoderLayer::build(&cfg, &lens).expect("default builds");
-        let mut dsession = default.session().expect("default outlines");
-        let baseline: Vec<u32> = dsession
-            .forward_serial(&w, &x)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        for (stage, directives) in &schedule_variants() {
+            let declared = stage_operator(stage, &cfg, &lens).expect("a table row");
+            let declared = lower(&declared).expect("declared schedules lower").compile();
+            let inputs = hull_sized_inputs(&declared, seed);
+            let baseline = bits(&declared.run(&inputs).output);
 
-        for space in encoder_stage_spaces(&cfg) {
-            for (ci, choice) in space.choices().iter().enumerate().skip(1) {
-                let mut chosen = std::collections::BTreeMap::new();
-                chosen.insert(space.stage().to_string(), choice.clone());
-                let layer = CompiledEncoderLayer::build_with_choices(
-                    &cfg, &lens, MathMode::Strict, &chosen,
-                )
-                .unwrap_or_else(|e| {
-                    panic!("choice {ci} of {} fails to build: {e:?}", space.stage())
-                });
-                let mut session = layer.session().expect("tuned layer outlines");
-                let serial: Vec<u32> = session
-                    .forward_serial(&w, &x)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                prop_assert_eq!(
-                    &serial, &baseline,
-                    "stage {} choice {} diverges from the default (serial)",
-                    space.stage(), ci
-                );
-                let parallel: Vec<u32> = session
-                    .forward(&pool, &w, &x)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                prop_assert_eq!(
-                    &parallel, &baseline,
-                    "stage {} choice {} diverges in parallel",
-                    space.stage(), ci
-                );
-            }
+            let op = variant_operator(stage, directives, &cfg, &lens);
+            let variant = lower(&op)
+                .unwrap_or_else(|e| panic!("{stage} {directives:?} fails to lower: {e:?}"))
+                .compile();
+            prop_assert_eq!(
+                &bits(&variant.run(&inputs).output), &baseline,
+                "{} {:?} diverges from the declared schedule (serial)", stage, directives
+            );
+            let parallel = variant
+                .run_parallel(&pool, &inputs)
+                .unwrap_or_else(|e| panic!("{stage} {directives:?} fails to verify: {e}"));
+            prop_assert_eq!(
+                &bits(&parallel.output), &baseline,
+                "{} {:?} diverges in parallel", stage, directives
+            );
         }
     }
 }
@@ -159,9 +174,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The full tuned layer (whatever combination the search picked)
-    /// equals the default bit-for-bit under Strict, and the bucket is
-    /// a zero-trial cache hit afterwards.
+    /// The tuner's layer equals the default bit for bit under Strict,
+    /// and the bucket is a zero-trial hit afterwards.
     #[test]
     fn tuned_layer_is_bit_identical_and_caches(
         lens in prop::collection::vec(0usize..8, 1..5),
@@ -174,19 +188,13 @@ proptest! {
         let mut tuner = EncoderAutotuner::new(TuneBudget::trials(64), seed);
         let (tuned, out) = tuner
             .tuned_layer(&cfg, &lens, MathMode::Strict)
-            .expect("tuning never fails on legal defaults");
+            .expect("declared schedules build");
         prop_assert!(!out.cache_hit);
 
         let default = CompiledEncoderLayer::build(&cfg, &lens).expect("default builds");
         let a = default.session().expect("outlines").forward_serial(&w, &x);
         let b = tuned.session().expect("outlines").forward_serial(&w, &x);
-        let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-        let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(ab, bb, "tuned layer output differs from default");
-
-        // Fallback guarantee: the shipped schedule never scores worse
-        // than the default under the measurer.
-        prop_assert!(out.tuned_score <= out.default_score || out.chosen.is_empty());
+        prop_assert_eq!(bits(&a), bits(&b), "tuned layer output differs from default");
 
         // Same bucket again: cache hit, zero trials.
         let (_, again) = tuner
@@ -199,92 +207,58 @@ proptest! {
 
 #[test]
 fn every_autotune_candidate_verifies_under_both_remap_policies() {
-    // Safety sweep over the whole tuning space: every candidate of every
-    // stage space, additionally forced onto each remap policy, must
-    // build a layer whose session construction succeeds — session
-    // construction *is* the safety proof now (the verifier runs on
-    // every outlined stage) — and one forward pass must run clean under
+    // Safety sweep over every schedule variant, additionally forced onto
+    // each remap policy: the verifier must accept it (a `ParallelPrep`
+    // exists only for a proven program) and one parallel run must pass
     // the per-element owning-block tracker (active in debug builds).
-    use cora::core::RemapPolicy;
-
     let cfg = small_config();
     let lens = [5usize, 0, 3, 1, 7];
-    let w = EncoderWeights::random(&cfg, 11);
-    let x = RaggedBatch::random(&lens, cfg.hidden, 12);
     let pool = CpuPool::new(2);
-    let mut candidates = 0usize;
-    for space in encoder_stage_spaces(&cfg) {
-        for choice in space.choices() {
-            for remap in [
-                None,
-                Some(RemapPolicy::Identity),
-                Some(RemapPolicy::LongestFirst),
-            ] {
-                let mut c = choice.clone();
-                if remap.is_some() {
-                    c.remap = remap;
-                }
-                let mut chosen = std::collections::BTreeMap::new();
-                chosen.insert(space.stage().to_string(), c);
-                let layer = CompiledEncoderLayer::build_with_choices(
-                    &cfg,
-                    &lens,
-                    MathMode::Strict,
-                    &chosen,
-                )
-                .unwrap_or_else(|e| {
-                    panic!("stage {} candidate fails to build: {e:?}", space.stage())
-                });
-                let mut session = layer.session().unwrap_or_else(|e| {
-                    panic!(
-                        "stage {} candidate fails verification (remap {remap:?}): {e}",
-                        space.stage()
-                    )
-                });
-                for (label, outcome) in session.verify_outcomes() {
-                    if let Some(o) = outcome {
-                        assert!(o.n_blocks > 0, "stage `{label}` proof covers no blocks");
-                    }
-                }
-                // One tracked forward pass: static proof vs runtime oracle.
-                session.forward(&pool, &w, &x);
-                candidates += 1;
-            }
+    let mut swept = 0usize;
+    for (stage, directives) in &schedule_variants() {
+        for remap in [
+            None,
+            Some(RemapPolicy::Identity),
+            Some(RemapPolicy::LongestFirst),
+        ] {
+            let mut directives = directives.clone();
+            directives.extend(remap.map(Directive::ThreadRemap));
+            let op = variant_operator(stage, &directives, &cfg, &lens);
+            let compiled = lower(&op).expect("every variant lowers").compile();
+            let prep = compiled
+                .parallel_prep()
+                .unwrap_or_else(|e| panic!("{stage} {directives:?} fails verification: {e}"))
+                .expect("every variant keeps its block axis");
+            assert!(
+                prep.verify_outcome().n_blocks > 0,
+                "{stage} {directives:?}: the proof covers no blocks"
+            );
+            let inputs = hull_sized_inputs(&compiled, 11);
+            compiled
+                .run_parallel(&pool, &inputs)
+                .expect("a verified program runs");
+            swept += 1;
         }
     }
-    assert!(
-        candidates >= 42,
-        "the tuning space shrank unexpectedly: only {candidates} candidates swept"
-    );
+    assert_eq!(swept, 42, "14 variants × 3 remap policies");
 }
 
 #[test]
 fn every_candidate_is_observable_by_a_serial_run() {
-    // The tuner's only measurer scores a *serial* run of the stage's
-    // compiled program. A candidate whose serial program is the
-    // default's is an exact tie by construction — a wasted trial that
-    // can never be chosen — so no space may enumerate one. Block
-    // dispatch policies are the known case: `RemapPolicy` is read only
-    // when blocks are dispatched in parallel.
+    // A variant whose serial program is the declared one's is no
+    // alternative at all. Block dispatch policies are the known case:
+    // `RemapPolicy` is read only when blocks are dispatched in parallel,
+    // so the table holds none.
     let cfg = EncoderConfig::scaled(8);
     let lens = [21usize, 34, 9, 17, 40, 13, 28, 6]; // program_golden's MNLI shape
-    let serial_program = |stage: &str, choice: &StageChoice| {
-        let mut op = stage_operator(stage, &cfg, &lens).expect("a space names a table row");
-        apply_choice(&mut op, choice);
-        let compiled = lower(&op).expect("every candidate lowers").compile();
-        compiled.vm().to_string()
-    };
-    for space in encoder_stage_spaces(&cfg) {
-        let default = serial_program(space.stage(), &space.choices()[0]);
-        for choice in &space.choices()[1..] {
-            assert!(
-                serial_program(space.stage(), choice) != default,
-                "stage {} choice {}: a candidate the measurer cannot observe \
-                 (its serial program is the default's)",
-                space.stage(),
-                choice.to_json()
-            );
-        }
+    let serial_program = |op: &Operator| lower(op).expect("lowers").compile().vm().to_string();
+    for (stage, directives) in &schedule_variants() {
+        let declared = stage_operator(stage, &cfg, &lens).expect("a table row");
+        let variant = variant_operator(stage, directives, &cfg, &lens);
+        assert!(
+            serial_program(&variant) != serial_program(&declared),
+            "{stage} {directives:?} compiles to the declared serial program"
+        );
     }
 }
 
@@ -292,159 +266,125 @@ fn every_candidate_is_observable_by_a_serial_run() {
 fn the_frozen_time_cap_is_inert() {
     // `TuneBudget::with_max_ms` survives only as a signature the
     // benchmark calls (`trials(16).with_max_ms(..)`, then a same-bucket
-    // second call): whatever cap is passed, the search is the uncapped
-    // one.
+    // second call): a capped and an uncapped tuner build the same layer,
+    // run no trials, and hit on the second call.
     let cfg = small_config();
     let lens = [5usize, 0, 3, 1, 7];
-    let dir = std::env::temp_dir().join(format!("cora_tune_cap_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let reversed: Vec<usize> = lens.iter().rev().copied().collect();
     let mut runs = Vec::new();
     for (name, budget) in [
         ("capped", TuneBudget::trials(16).with_max_ms(0.0)),
         ("uncapped", TuneBudget::trials(16)),
     ] {
-        let path = dir.join(format!("{name}/cache.json"));
-        let mut tuner = EncoderAutotuner::new(budget, 42).with_cache_path(&path);
-        let (_, out) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
-        assert!(!out.cache_hit);
-        assert_eq!(out.trials, 16, "{name}: the whole trial budget is spent");
-        let reversed: Vec<usize> = lens.iter().rev().copied().collect();
+        let mut tuner = EncoderAutotuner::new(budget, 42);
+        let (layer, out) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
+        assert!(!out.cache_hit, "{name}: a fresh tuner misses");
+        assert_eq!(out.trials, 0, "{name}: nothing is searched");
         let (_, hit) = tuner
             .tuned_layer(&cfg, &reversed, MathMode::Strict)
             .unwrap();
         assert!(hit.cache_hit && hit.trials == 0, "{name}: same bucket hits");
-        runs.push((
-            out.trials,
-            out.chosen,
-            std::fs::read(&path).expect("cache written"),
-        ));
+        runs.push(stage_programs(&layer));
     }
-    assert_eq!(runs[0], runs[1], "a time cap changed the search");
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(runs[0], runs[1], "a time cap changed the build");
 }
 
 #[test]
-fn seeded_deterministic_runs_write_byte_identical_caches() {
+fn tuned_layer_compiles_the_default_programs_for_any_budget_seed_or_mode() {
     let cfg = small_config();
     let lens = [5usize, 0, 3, 1, 7];
-    let dir = std::env::temp_dir().join(format!("cora_tune_det_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut files = Vec::new();
-    for run in 0..2 {
-        let path = dir.join(format!("run{run}/cache.json"));
-        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(64), 42).with_cache_path(&path);
-        let (_, out) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
-        assert!(!out.cache_hit);
-        files.push(std::fs::read(&path).expect("cache written"));
+    for math in [MathMode::Strict, MathMode::Fast] {
+        let default = CompiledEncoderLayer::build_with_math(&cfg, &lens, math).unwrap();
+        let want = stage_programs(&default);
+        assert_eq!(want.len(), 21);
+        for (budget, seed, disabled) in [
+            (TuneBudget::trials(0), 0, false),
+            (TuneBudget, 42, false),
+            (TuneBudget::trials(16).with_max_ms(0.0), 7, true),
+        ] {
+            let mut tuner = EncoderAutotuner::new(budget, seed);
+            tuner.disabled = disabled;
+            for call in 0..2 {
+                let (layer, _) = tuner.tuned_layer(&cfg, &lens, math).unwrap();
+                assert_eq!(layer.math_mode(), math);
+                assert!(
+                    stage_programs(&layer) == want,
+                    "{math:?}, {budget:?}, seed {seed}, disabled {disabled}, call {call}: \
+                     the tuner compiled something build_with_math does not"
+                );
+            }
+        }
     }
-    assert_eq!(
-        files[0], files[1],
-        "identically seeded deterministic tuning runs must write byte-identical caches"
-    );
-    // A different seed may choose differently but must still parse.
-    let parsed = TuningCache::parse(std::str::from_utf8(&files[0]).unwrap()).unwrap();
-    assert_eq!(parsed.len(), 1);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn corrupted_cache_fixtures_log_and_retune() {
-    let cfg = small_config();
-    let lens = [3usize, 1];
-    let dir = std::env::temp_dir().join(format!("cora_tune_corrupt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    // `retired_schema` is a well-formed file of the format that still
-    // recorded a `measurer`: entries the deleted wall-clock measurer
-    // may have written are refused, not trusted.
-    let retired = format!(
-        r#"{{"schema": 1, "entries": {{"{}": {{"measurer": "wallclock", "trials": 1, "stages": {{}}}}}}}}"#,
-        bucket_key(&cfg, MathMode::Strict, &lens)
-    );
-    assert!(matches!(
-        TuningCache::parse(&retired),
-        Err(CacheLoad::UnknownVersion(_))
-    ));
-    let fixtures: [(&str, &str); 5] = [
-        ("unknown_version", r#"{"schema": 99, "entries": {}}"#),
-        ("retired_schema", &retired),
-        ("truncated", r#"{"schema": 2, "entries": {"#),
-        ("not_json", "definitely not json"),
-        (
-            "malformed_entry",
-            r#"{"schema": 2, "entries": {"b": {"trials": 1, "stages": {"s": {"split": "oops"}}}}}"#,
-        ),
-    ];
-    for (name, contents) in fixtures {
-        let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, contents).unwrap();
-        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(8), 42).with_cache_path(&path);
-        let (_, out) = tuner
-            .tuned_layer(&cfg, &lens, MathMode::Strict)
-            .unwrap_or_else(|e| panic!("fixture {name} must re-tune, not fail: {e:?}"));
-        assert!(!out.cache_hit, "fixture {name} must not hit the cache");
-        let note = out
-            .cache_note
-            .unwrap_or_else(|| panic!("fixture {name} must be reported"));
-        assert!(note.contains("re-tuning"), "fixture {name}: {note}");
-        // The file is healed with a valid, schema-current cache.
-        let (_, status) = TuningCache::load(&path);
-        assert!(
-            status.is_usable(),
-            "fixture {name} left a bad file: {status:?}"
-        );
+fn a_server_with_an_enabled_tuner_replays_server_new_byte_for_byte() {
+    let encoder = small_config();
+    let trace = cora::serve::generate(&TraceConfig {
+        seed: 17,
+        requests: 16,
+        hidden: encoder.hidden,
+        len_range: (0, 6),
+        arrival: Arrival::Bursty {
+            burst: 3,
+            gap_ns: 200_000,
+        },
+    });
+    let run = |server: &mut Server| {
+        server.run_sim(TraceSource::new(trace.clone()), &ServiceModel::default())
+    };
+    let mut cfg = ServerConfig::new(encoder);
+    cfg.policy.max_batch_seqs = 4;
+    cfg.pool_capacity = 2;
+    let weights = EncoderWeights::random(&encoder, 3);
+    let plain = run(&mut Server::new(cfg.clone(), weights.clone()));
+    let tuner = EncoderAutotuner::new(TuneBudget::trials(64), 9);
+    assert!(!tuner.disabled);
+    let tuned = run(&mut Server::with_tuner(cfg, weights, tuner));
+
+    assert!(plain.pool_stats.misses > 1 && plain.pool_stats.evictions > 0);
+    assert_eq!(plain.event_log(), tuned.event_log());
+    assert_eq!(plain.pool_stats, tuned.pool_stats);
+    assert_eq!(plain.completions.len(), 16);
+    assert_eq!(plain.completions.len(), tuned.completions.len());
+    for (a, b) in plain.completions.iter().zip(&tuned.completions) {
+        assert_eq!(a.id, b.id);
+        let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+        assert_eq!(bits(a), bits(b), "completion outputs differ");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn stale_cache_entries_trigger_retune_not_silent_application() {
-    // Schema-valid caches for the live bucket whose entry is not one
-    // the spaces enumerate. Applying any of them is a silent partial
-    // application or worse: the first names no loop (lowering fails),
-    // the second names no stage (the wiring would ignore it), the next
-    // three build layers whose sessions fail (an outlined block axis
-    // moved inward, a split with a tail escaping the planned size), and
-    // the last is what the deleted wall-clock measurer used to write.
-    // Each must be discarded, reported and re-tuned.
+fn the_bucket_record_is_per_tuner_and_per_math_mode() {
     let cfg = small_config();
     let lens = [4usize, 2];
-    let key = bucket_key(&cfg, MathMode::Strict, &lens);
-    let dir = std::env::temp_dir().join(format!("cora_tune_stale_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.json");
-    let fixtures = [
-        r#"{"qkv_proj": {"split": ["no_such_loop", 8]}}"#,
-        r#"{"no_such_stage": {"split": ["c", 8]}}"#,
-        r#"{"scores": {"reorder": ["d", "hr", "j"]}}"#,
-        r#"{"qkv_proj": {"reorder": ["c", "r", "d"]}}"#,
-        r#"{"qkv_proj": {"split": ["c", 5]}}"#,
-        r#"{"attnv": {"remap": "identity"}}"#,
-    ];
-    for stages in fixtures {
-        let stale = format!(
-            r#"{{"schema": 2, "entries": {{"{key}": {{"trials": 1, "stages": {stages}}}}}}}"#
-        );
-        assert!(
-            TuningCache::parse(&stale).is_ok(),
-            "{stages} is schema-valid"
-        );
-        std::fs::write(&path, stale).unwrap();
-        let mut tuner = EncoderAutotuner::new(TuneBudget::trials(16), 42).with_cache_path(&path);
-        let (layer, out) = tuner
-            .tuned_layer(&cfg, &lens, MathMode::Strict)
-            .unwrap_or_else(|e| panic!("{stages} must re-tune, not fail: {e:?}"));
-        assert!(!out.cache_hit, "{stages} must not count as a hit");
-        let note = out
-            .cache_note
-            .unwrap_or_else(|| panic!("{stages} must be reported"));
-        assert!(note.contains("stale"), "{stages}: {note}");
-        assert!(out.trials > 0, "{stages} must be re-tuned");
-        layer
-            .session()
-            .unwrap_or_else(|e| panic!("{stages}: the re-tuned layer must outline: {e}"));
-        // The entry is healed: the same bucket now hits.
-        let (_, again) = tuner.tuned_layer(&cfg, &lens, MathMode::Strict).unwrap();
-        assert!(again.cache_hit && again.cache_note.is_none(), "{stages}");
+    let resampled = [5usize, 3]; // same length classes
+
+    let mut tuner = EncoderAutotuner::new(TuneBudget, 42);
+    let hit = |tuner: &mut EncoderAutotuner, lens: &[usize], math| {
+        tuner.tuned_layer(&cfg, lens, math).unwrap().1.cache_hit
+    };
+    assert!(!hit(&mut tuner, &lens, MathMode::Strict));
+    assert!(
+        !hit(&mut tuner, &lens, MathMode::Fast),
+        "a Fast call does not hit on a Strict build"
+    );
+    assert!(hit(&mut tuner, &resampled, MathMode::Strict));
+    assert!(hit(&mut tuner, &resampled, MathMode::Fast));
+    assert!(
+        !hit(&mut tuner, &[4, 2, 1], MathMode::Strict),
+        "another histogram is another bucket"
+    );
+
+    let mut other = EncoderAutotuner::new(TuneBudget, 42);
+    assert!(
+        !hit(&mut other, &lens, MathMode::Strict),
+        "the record belongs to one tuner"
+    );
+
+    let mut disabled = EncoderAutotuner::new(TuneBudget, 42);
+    disabled.disabled = true;
+    for _ in 0..3 {
+        assert!(!hit(&mut disabled, &lens, MathMode::Strict));
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -11,15 +11,17 @@
 //! rows it moved — the failure prints the new table and the full text of
 //! every stage whose hash changed.
 
-use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use cora::core::prelude::*;
-use cora::exec::{MathMode, VmProgram};
-use cora::transformer::autotune::encoder_stage_spaces;
+use cora::exec::VmProgram;
 use cora::transformer::encoder_compiled::STAGES;
 use cora::transformer::encoder_compiled::{stage, Attend, Geometry};
 use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
+
+#[path = "common/schedule_variants.rs"]
+mod schedule_variants;
+use schedule_variants::{schedule_variants, variant_operator};
 
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, byte| {
@@ -198,7 +200,7 @@ fn tally_one_fused(
 /// The deterministic tripwire for "a stage compiles to scalar bytecode":
 /// every built-in program — each row of the stage table (and the masked
 /// block's `attn_bias`) under both attention kinds, whole program and
-/// outlined body — and every autotune candidate holds exactly one fused
+/// outlined body — and every schedule variant holds exactly one fused
 /// superinstruction. The totals are `fused_counts()` summed:
 /// `(one-deep mul-acc, two-deep mul-acc, map)`.
 #[test]
@@ -230,25 +232,12 @@ fn every_stage_and_every_tuner_candidate_compiles_to_one_fused_instruction() {
         }
     }
 
-    let mut candidates = (0, 0, 0);
-    for space in encoder_stage_spaces(&cfg) {
-        for (ci, choice) in space.choices().iter().enumerate() {
-            let chosen = BTreeMap::from([(space.stage().to_string(), choice.clone())]);
-            let layer = CompiledEncoderLayer::build_with_choices(
-                &cfg,
-                &MNLI_LENS,
-                MathMode::Strict,
-                &chosen,
-            )
-            .expect("every candidate builds");
-            let pipeline = layer.pipeline().expect("non-empty batch");
-            let (_, compiled) = pipeline
-                .stage_programs()
-                .find(|(label, _)| *label == space.stage())
-                .expect("a space names a pipeline stage");
-            let label = format!("{} candidate {ci} {choice:?}", space.stage());
-            tally_one_fused(&label, compiled.vm(), &mut candidates, &mut off_path);
-        }
+    let mut variants = (0, 0, 0);
+    for (stage, directives) in &schedule_variants() {
+        let op = variant_operator(stage, directives, &cfg, &MNLI_LENS);
+        let compiled = lower(&op).expect("every variant lowers").compile();
+        let label = format!("{stage} variant {directives:?}");
+        tally_one_fused(&label, compiled.vm(), &mut variants, &mut off_path);
     }
 
     assert!(
@@ -257,5 +246,5 @@ fn every_stage_and_every_tuner_candidate_compiles_to_one_fused_instruction() {
     );
     assert_eq!(built_in, (0, 24, 60), "the 84 stage-table programs");
     assert_eq!(causal_block, (0, 8, 14), "the masked block's 22 programs");
-    assert_eq!(candidates, (0, 20, 0), "the 20 autotune candidates");
+    assert_eq!(variants, (0, 14, 0), "the 14 schedule variants");
 }

@@ -14,12 +14,10 @@
 
 use proptest::prelude::*;
 
-use cora::core::autotune::TuneBudget;
 use cora::exec::{CpuPool, MathMode};
 use cora::serve::{
     generate, Arrival, Request, Server, ServerConfig, ServiceModel, TraceConfig, TraceSource,
 };
-use cora::transformer::autotune::EncoderAutotuner;
 use cora::transformer::{encoder_layer_ragged, EncoderConfig, EncoderWeights, RaggedBatch};
 
 fn small_config() -> EncoderConfig {
@@ -44,11 +42,7 @@ fn server() -> Server {
     cfg.policy.max_batch_rows = 16;
     cfg.policy.max_batch_seqs = 4;
     cfg.policy.max_wait_ns = MAX_WAIT_NS;
-    // A wall-clock schedule search has no place in a deterministic
-    // simulation: misses build the hand-picked schedules.
-    let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
-    tuner.disabled = true;
-    Server::with_tuner(cfg, EncoderWeights::random(&encoder, 13), tuner)
+    Server::new(cfg, EncoderWeights::random(&encoder, 13))
 }
 
 fn arrival_strategy() -> impl Strategy<Value = Arrival> {
@@ -95,7 +89,6 @@ proptest! {
 
         // Exactly-once completion, nothing rejected, nothing failed.
         prop_assert!(report.rejected.is_empty());
-        prop_assert_eq!(report.pool_stats.tune_trials, 0);
         let mut ids: Vec<u64> = report.completions.iter().map(|c| c.id).collect();
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..cfg.requests as u64).collect::<Vec<u64>>());

@@ -16,10 +16,8 @@
 //! Everything here runs in virtual time: zero real-time sleeps, zero
 //! threads.
 
-use cora::core::autotune::TuneBudget;
 use cora::exec::MathMode;
 use cora::serve::{Arrival, Server, ServerConfig, ServiceModel, TraceConfig, TraceSource};
-use cora::transformer::autotune::EncoderAutotuner;
 use cora::transformer::{EncoderConfig, EncoderWeights};
 
 fn small_config() -> EncoderConfig {
@@ -40,11 +38,7 @@ fn server(check: bool) -> Server {
     cfg.policy.max_batch_rows = 24;
     cfg.policy.max_batch_seqs = 4;
     cfg.policy.max_wait_ns = 500_000;
-    // A wall-clock schedule search has no place in a deterministic
-    // simulation: misses build the hand-picked schedules.
-    let mut tuner = EncoderAutotuner::new(TuneBudget::default(), 42);
-    tuner.disabled = true;
-    Server::with_tuner(cfg, EncoderWeights::random(&encoder, 7), tuner)
+    Server::new(cfg, EncoderWeights::random(&encoder, 7))
 }
 
 fn bursty_trace(seed: u64, requests: usize) -> Vec<cora::serve::Request> {
@@ -68,11 +62,6 @@ fn same_seed_simulations_are_byte_identical() {
         s.run_sim(TraceSource::new(bursty_trace(42, 20)), &model)
     };
     let (a, b) = (run(0), run(1));
-    assert_eq!(
-        a.pool_stats.tune_trials, 0,
-        "pool misses must not run a wall-clock schedule search"
-    );
-
     assert_eq!(
         a.event_log(),
         b.event_log(),
@@ -210,8 +199,7 @@ fn zero_and_one_length_requests_flow_through() {
 #[test]
 fn pool_reuse_kicks_in_for_recurring_shapes() {
     // Fixed-length open loop: after the first build, every batch shape
-    // recurs, so the pool must serve hits and the autotuner cache
-    // must be consulted at most once per shape.
+    // recurs, so the pool must serve hits.
     let trace = cora::serve::generate(&TraceConfig {
         seed: 5,
         requests: 16,
