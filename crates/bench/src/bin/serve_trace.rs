@@ -18,10 +18,11 @@ use cora_serve::{Request, Server, ServerConfig, ServiceModel, TraceSource};
 use cora_transformer::{EncoderConfig, EncoderWeights};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Open-loop trace over a small quantized length set: compiled layers
-/// are exact-shape-keyed, so steady-state pool reuse needs batch shapes
-/// that actually recur — real serving stacks quantize for the same
-/// reason. Same seed ⇒ same lengths and data.
+/// Open-loop trace over a small quantized length set: sessions (prelude
+/// tables, proofs, arena) are exact-shape-keyed, so steady-state pool
+/// reuse needs batch shapes that actually recur — real serving stacks
+/// quantize for the same reason. The code is compiled once per pool,
+/// whatever the shapes. Same seed ⇒ same lengths and data.
 fn make_trace(
     seed: u64,
     requests: usize,
@@ -76,8 +77,8 @@ fn main() {
     // `Server::new` searches no schedules (a wall-clock search would
     // make the run depend on the host): misses build the hand-picked ones.
     let mut server = Server::new(cfg, weights);
-    // Warm the pool so the replay is steady-state serving, not one-off
-    // compiles (real deployments do exactly this).
+    // Warm the pool so the replay is steady-state serving, not the one
+    // compile and per-shape prepares (real deployments do exactly this).
     server.warm(&shapes).expect("built-in schedules compile");
     let warm_stats = server.pool_stats();
     println!("warmed {} shapes\n", shapes.len());
@@ -96,6 +97,13 @@ fn main() {
         .filter(|c| c.result.is_ok())
         .count();
     assert_eq!(ok, requests, "every request must complete successfully");
+    // The stage programs are shape-generic: warming every shape and
+    // replaying the trace compiled one layer.
+    assert_eq!(
+        report.pool_stats.compiles, 1,
+        "the pool compiles once: {:?}",
+        report.pool_stats
+    );
     // Pool counters are cumulative across the warmup; subtract it so the
     // hit rate below describes the replayed trace only.
     let hits = report.pool_stats.hits - warm_stats.hits;

@@ -97,6 +97,16 @@ pub enum LoopExtent {
         /// Tabulated extent function.
         lens: LengthFn,
     },
+    /// Trip count read from a named scalar the prelude binds (a shape
+    /// parameter, e.g. a batch's total rows). The generated code reads
+    /// `param`, so one compiled program serves every value; `value` is
+    /// this shape's, used only by the prelude and the block costs.
+    Param {
+        /// Name of the prelude parameter holding the trip count.
+        param: String,
+        /// The trip count at this shape.
+        value: usize,
+    },
 }
 
 impl LoopExtent {
@@ -105,10 +115,10 @@ impl LoopExtent {
         matches!(self, LoopExtent::Fixed(_))
     }
 
-    /// Maximum trip count.
+    /// Maximum trip count (a parameter's value at this shape).
     pub fn max(&self) -> usize {
         match self {
-            LoopExtent::Fixed(e) => *e,
+            LoopExtent::Fixed(e) | LoopExtent::Param { value: e, .. } => *e,
             LoopExtent::Variable { lens, .. } => lens.max(),
         }
     }
@@ -139,6 +149,18 @@ impl LoopSpec {
             extent: LoopExtent::Variable {
                 dep,
                 lens: lens.into(),
+            },
+        }
+    }
+
+    /// A loop of `value` iterations whose trip count the code reads from
+    /// the prelude parameter `param` — see [`LoopExtent::Param`].
+    pub fn param(name: impl Into<String>, param: impl Into<String>, value: usize) -> LoopSpec {
+        LoopSpec {
+            name: name.into(),
+            extent: LoopExtent::Param {
+                param: param.into(),
+                value,
             },
         }
     }
@@ -282,7 +304,7 @@ impl Operator {
                 return 1;
             }
             let extent = match &loops[at].extent {
-                LoopExtent::Fixed(e) => *e,
+                LoopExtent::Fixed(e) | LoopExtent::Param { value: e, .. } => *e,
                 LoopExtent::Variable { dep, lens } => lens.len_at(idx[*dep]),
             };
             let mut total = 0u64;
@@ -353,5 +375,8 @@ mod tests {
         };
         assert_eq!(v.max(), 7);
         assert!(!v.is_fixed());
+        let p = LoopSpec::param("r", "rows", 9).extent;
+        assert_eq!(p.max(), 9);
+        assert!(!p.is_fixed());
     }
 }

@@ -11,6 +11,17 @@
 //! contract — "our implementation currently expects users to correctly
 //! allocate memory (taking into account padding requirements as specified
 //! in the schedule)".
+//!
+//! **Shape-generic code.** A parameter extent (a fused extent, or a shape
+//! parameter declared with [`crate::api::LoopSpec::param`]) is emitted as
+//! a read of the parameter, and lowering never reads its value when
+//! deciding what code to emit: guard elision treats it as unbounded
+//! above, and a split of a shape parameter is always tail-guarded (a
+//! fused extent's split must divide, which bulk padding ensures). The
+//! value reaches only the per-shape part of a [`Program`] — its prelude,
+//! output size and block costs — so operators that differ only in
+//! parameter values lower to equal statements, and one compiled program
+//! serves them all ([`Program::rebind`]).
 
 use std::collections::HashMap;
 
@@ -43,13 +54,17 @@ enum ExtentIr {
         dep_var: String,
         lens: LengthFn,
     },
-    /// Extent is a runtime parameter (fused loops), bound by the prelude,
-    /// over the product of the factors the loop has since been split by:
-    /// `var / div`, which is `value` at this shape.
+    /// Extent is a runtime parameter bound by the prelude, over the
+    /// product of the factors the loop has since been split by. A fused
+    /// extent is bulk-padded before splitting, so it divides exactly
+    /// (`var / div`); a shape parameter rounds up (`⌈var / div⌉`) and its
+    /// splits are tail-guarded. `value` is the extent at this shape, read
+    /// only for fusion maps and block costs.
     Param {
         var: String,
         div: i64,
         value: i64,
+        fused: bool,
     },
 }
 
@@ -61,15 +76,26 @@ impl ExtentIr {
                 buffer, dep_var, ..
             } => Expr::load(buffer.clone(), Expr::var(dep_var.clone())),
             ExtentIr::Param { var, div: 1, .. } => Expr::var(var.clone()),
-            ExtentIr::Param { var, div, .. } => Expr::var(var.clone()).floor_div(Expr::int(*div)),
+            ExtentIr::Param {
+                var,
+                div,
+                fused: true,
+                ..
+            } => Expr::var(var.clone()).floor_div(Expr::int(*div)),
+            ExtentIr::Param { var, div, .. } => {
+                (Expr::var(var.clone()) + Expr::int(div - 1)).floor_div(Expr::int(*div))
+            }
         }
     }
 
-    fn max(&self) -> i64 {
+    /// The loop variable's range for guard elision. A parameter extent
+    /// is unbounded above: no guard is dropped on the strength of one
+    /// shape's value.
+    fn var_range(&self) -> SInt {
         match self {
-            ExtentIr::Const(e) => *e,
-            ExtentIr::Table { lens, .. } => lens.max() as i64,
-            ExtentIr::Param { value, .. } => *value,
+            ExtentIr::Const(e) => SInt::range(0, e - 1),
+            ExtentIr::Table { lens, .. } => SInt::range(0, lens.max() as i64 - 1),
+            ExtentIr::Param { .. } => SInt::range(0, i64::MAX),
         }
     }
 }
@@ -82,6 +108,25 @@ impl ExtentIr {
 /// loops, loop padding beyond storage padding, splitting unpadded vloops,
 /// non-adjacent fusion).
 pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
+    let (loops, body, prelude) = schedule(op)?;
+    // ---- Block-cost metadata for the GPU simulator ----------------------
+    let block_costs = derive_block_costs(&loops, count_flops(Node::Stmt(&body)));
+    Ok(Program::new(
+        op.name.clone(),
+        body,
+        prelude,
+        op.schedule.remap_policy(),
+        op.output.name().to_string(),
+        op.output.layout().size(),
+        op.init,
+        block_costs,
+    ))
+}
+
+/// Applies the schedule and builds the statement: the scheduled loops
+/// (outermost first), the lowered statement and its prelude
+/// requirements.
+fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), ScheduleError> {
     let mut loops: Vec<LoweredLoop> = Vec::new();
     let n_spatial = op.loops.len();
     // Map original loop name -> expression reconstructing it from the
@@ -116,6 +161,16 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                     buffer,
                     dep_var: dep_name,
                     lens: lens.clone(),
+                }
+            }
+            LoopExtent::Param { param, value } => {
+                let value = *value as i64;
+                prelude.add_param(param, value);
+                ExtentIr::Param {
+                    var: param.clone(),
+                    div: 1,
+                    value,
+                    fused: false,
                 }
             }
         };
@@ -175,7 +230,8 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                     ExtentIr::Param { .. } => {
                         // Padding a fused loop is bulk padding; redirect.
                         return Err(ScheduleError::UnknownLoop(format!(
-                            "{loop_name} (use bulk_pad for fused loops)"
+                            "{loop_name} (a parameter extent cannot be loop-padded; \
+                             use bulk_pad for fused loops)"
                         )));
                     }
                 }
@@ -215,7 +271,12 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                             lens: outer_lens,
                         }
                     }
-                    ExtentIr::Param { var, div, value } => {
+                    ExtentIr::Param {
+                        var,
+                        div,
+                        value,
+                        fused: true,
+                    } => {
                         // Fused loops are padded to a multiple before
                         // splitting (bulk padding), so require divisibility.
                         if value % f != 0 {
@@ -230,6 +291,22 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                             var: var.clone(),
                             div: div * f,
                             value: value / f,
+                            fused: true,
+                        }
+                    }
+                    param @ ExtentIr::Param {
+                        var, div, value, ..
+                    } => {
+                        // The code cannot know whether a shape parameter
+                        // divides, so its last outer iteration is always
+                        // guarded. ⌈⌈n/a⌉/b⌉ = ⌈n/(ab)⌉: the outer half
+                        // stays one expression over the parameter.
+                        guards.push(rebuilt.clone().lt(param.to_expr()));
+                        ExtentIr::Param {
+                            var: var.clone(),
+                            div: div * f,
+                            value: (*value + f - 1) / f,
+                            fused: false,
                         }
                     }
                 };
@@ -270,17 +347,27 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                         inner: inner.clone(),
                     });
                 }
-                let (outer_extent, inner_lens) = match (&loops[oi].extent, &loops[ii].extent) {
-                    (ExtentIr::Const(m), ExtentIr::Table { lens, dep_var, .. })
+                // The outer trip count feeds only the prelude's fusion
+                // maps, so an unsplit shape parameter fuses like a
+                // constant.
+                let outer_count = match &loops[oi].extent {
+                    ExtentIr::Const(m)
+                    | ExtentIr::Param {
+                        value: m,
+                        div: 1,
+                        fused: false,
+                        ..
+                    } => Some(*m as usize),
+                    _ => None,
+                };
+                let (outer_extent, inner_lens) = match (outer_count, &loops[ii].extent) {
+                    (Some(m), ExtentIr::Table { lens, dep_var, .. })
                         if dep_var == &loops[oi].var =>
                     {
-                        (*m as usize, lens.clone())
+                        (m, lens.clone())
                     }
                     // Fusing two constant loops is ordinary dense fusion.
-                    (ExtentIr::Const(m), ExtentIr::Const(e)) => {
-                        let lens = LengthFn::new(vec![*e as usize; *m as usize]);
-                        (*m as usize, lens)
-                    }
+                    (Some(m), ExtentIr::Const(e)) => (m, LengthFn::new(vec![*e as usize; m])),
                     _ => {
                         return Err(ScheduleError::NonAdjacentFusion {
                             outer: outer.clone(),
@@ -303,6 +390,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
                         var: format!("F_{fused}"),
                         div: 1,
                         value: total as i64,
+                        fused: true,
                     },
                     kind,
                 };
@@ -389,7 +477,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
     // ---- Assemble loops (innermost-first wrap) -------------------------
     let ranges: HashMap<String, SInt> = loops
         .iter()
-        .map(|l| (l.var.clone(), SInt::range(0, l.extent.max() - 1)))
+        .map(|l| (l.var.clone(), l.extent.var_range()))
         .collect();
     for l in loops.iter().rev() {
         // A guard sits directly inside the innermost loop it mentions,
@@ -428,21 +516,7 @@ pub fn lower(op: &Operator) -> Result<Program, ScheduleError> {
     for f in fusions {
         prelude.add_fusion(f);
     }
-
-    // ---- Block-cost metadata for the GPU simulator ----------------------
-    let body_flops = count_flops(Node::Stmt(&body));
-    let block_costs = derive_block_costs(&loops, body_flops);
-
-    Ok(Program::new(
-        op.name.clone(),
-        body,
-        prelude,
-        op.schedule.remap_policy(),
-        op.output.name().to_string(),
-        op.output.layout().size(),
-        op.init,
-        block_costs,
-    ))
+    Ok((loops, body, prelude))
 }
 
 fn find_loop(loops: &[LoweredLoop], name: &str) -> Result<usize, ScheduleError> {
@@ -494,38 +568,107 @@ fn count_flops(n: Node<'_>) -> f64 {
     flops
 }
 
-/// Derives per-block FLOP counts: the outermost block-bound loop's
-/// iterations are blocks; each block's work is the product of inner
-/// extents times the body FLOPs, resolved against the extent tables.
+/// A loop's trip count as block-cost enumeration resolves it: fixed at
+/// this shape, or a table read at the index of an enumerated outer loop.
+#[derive(Clone, Copy)]
+enum CostExtent<'a> {
+    Fixed(i64),
+    At(usize, &'a LengthFn),
+}
+
+impl CostExtent<'_> {
+    fn at(self, idx: &[i64]) -> i64 {
+        match self {
+            CostExtent::Fixed(e) => e,
+            CostExtent::At(dep, lens) => lens.len_at(idx[dep] as usize) as i64,
+        }
+    }
+}
+
+/// Derives per-block FLOP counts: the iterations of the loops at or
+/// outside the outermost block-bound loop are blocks; each block's work
+/// is the product of inner extents times the body FLOPs, resolved
+/// against the extent tables at the block's outer indices.
 fn derive_block_costs(loops: &[LoweredLoop], body_flops: f64) -> Vec<BlockCost> {
     let block_pos = loops
         .iter()
         .position(|l| l.kind.is_block_axis())
         .unwrap_or(0);
-    // Iterate the loops at or outside the block axis concretely; multiply
-    // extents of inner loops symbolically (resolving tables against the
-    // concrete outer indices).
+    let outer = (block_pos + 1).min(loops.len());
+    // A table resolves at the index of the enumerated loop it depends on
+    // — one outside it, or, for loops inside the block, any of the
+    // enumerated ones — and otherwise falls back to its maximum
+    // (conservative).
+    let extents: Vec<CostExtent<'_>> = loops
+        .iter()
+        .enumerate()
+        .map(|(pos, l)| match &l.extent {
+            ExtentIr::Const(e) | ExtentIr::Param { value: e, .. } => CostExtent::Fixed(*e),
+            ExtentIr::Table { dep_var, lens, .. } => {
+                match loops[..pos.min(outer)]
+                    .iter()
+                    .position(|o| &o.var == dep_var)
+                {
+                    Some(dep) => CostExtent::At(dep, lens),
+                    None => CostExtent::Fixed(lens.max() as i64),
+                }
+            }
+        })
+        .collect();
     let mut costs = Vec::new();
-    let mut idx: HashMap<String, i64> = HashMap::new();
-    enumerate_blocks(loops, 0, block_pos, body_flops, &mut idx, &mut costs);
+    let mut idx = vec![0; outer];
+    enumerate_blocks(&extents, 0, body_flops, &mut idx, &mut costs);
     costs
 }
 
+/// Iterates the enumerated loops from position `at` concretely (`idx`
+/// holds the outer ones' indices) and pushes one cost per block.
 fn enumerate_blocks(
-    loops: &[LoweredLoop],
+    extents: &[CostExtent<'_>],
     at: usize,
-    block_pos: usize,
     body_flops: f64,
-    idx: &mut HashMap<String, i64>,
+    idx: &mut [i64],
     out: &mut Vec<BlockCost>,
 ) {
-    if at > block_pos {
-        // Everything inside the block: product of extents at the current
-        // outer indices. Variable extents that depend on inner loop
-        // variables fall back to their maximum (conservative).
+    if at == idx.len() {
         let mut work = body_flops;
-        for l in &loops[at..] {
-            let e = match &l.extent {
+        for e in &extents[at..] {
+            work *= e.at(idx) as f64;
+        }
+        out.push(BlockCost { flops: work });
+        return;
+    }
+    for v in 0..extents[at].at(idx) {
+        idx[at] = v;
+        enumerate_blocks(extents, at + 1, body_flops, idx, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+
+    use cora_ir::FExpr;
+    use cora_ragged::{Dim, RaggedLayout};
+
+    use super::*;
+    use crate::api::{BodyFn, LoopSpec, TensorRef};
+    use crate::schedule::RemapPolicy;
+
+    /// The block-cost enumeration [`derive_block_costs`] replaced: outer
+    /// indices in a map keyed by loop name, one cloned key per block.
+    /// Kept as the reference the positional version must match bit for
+    /// bit.
+    fn reference_block_costs(loops: &[LoweredLoop], body_flops: f64) -> Vec<BlockCost> {
+        fn enumerate(
+            loops: &[LoweredLoop],
+            at: usize,
+            block_pos: usize,
+            body_flops: f64,
+            idx: &mut HashMap<String, i64>,
+            out: &mut Vec<BlockCost>,
+        ) {
+            let extent_of = |l: &LoweredLoop, idx: &HashMap<String, i64>| match &l.extent {
                 ExtentIr::Const(e) => *e,
                 ExtentIr::Param { value, .. } => *value,
                 ExtentIr::Table { dep_var, lens, .. } => match idx.get(dep_var) {
@@ -533,23 +676,290 @@ fn enumerate_blocks(
                     None => lens.max() as i64,
                 },
             };
-            work *= e as f64;
+            if at > block_pos {
+                let mut work = body_flops;
+                for l in &loops[at..] {
+                    work *= extent_of(l, idx) as f64;
+                }
+                out.push(BlockCost { flops: work });
+                return;
+            }
+            let l = &loops[at];
+            for v in 0..extent_of(l, idx) {
+                idx.insert(l.var.clone(), v);
+                enumerate(loops, at + 1, block_pos, body_flops, idx, out);
+            }
+            idx.remove(&l.var);
         }
-        out.push(BlockCost { flops: work });
-        return;
+        let block_pos = loops
+            .iter()
+            .position(|l| l.kind.is_block_axis())
+            .unwrap_or(0);
+        let mut costs = Vec::new();
+        enumerate(
+            loops,
+            0,
+            block_pos,
+            body_flops,
+            &mut HashMap::new(),
+            &mut costs,
+        );
+        costs
     }
-    let l = &loops[at];
-    let extent = match &l.extent {
-        ExtentIr::Const(e) => *e,
-        ExtentIr::Param { value, .. } => *value,
-        ExtentIr::Table { dep_var, lens, .. } => match idx.get(dep_var) {
-            Some(&v) => lens.len_at(v as usize) as i64,
-            None => lens.max() as i64,
-        },
-    };
-    for v in 0..extent {
-        idx.insert(l.var.clone(), v);
-        enumerate_blocks(loops, at + 1, block_pos, body_flops, idx, out);
+
+    /// Lowers `op` and checks its block costs against the reference
+    /// enumeration over the same scheduled loops.
+    fn assert_block_costs_match(op: &Operator) {
+        let (loops, body, _) = schedule(op).expect("legal schedule");
+        let want = reference_block_costs(&loops, count_flops(Node::Stmt(&body)));
+        let program = lower(op).expect("legal schedule");
+        let bits = |c: &[BlockCost]| c.iter().map(|b| b.flops.to_bits()).collect::<Vec<_>>();
+        assert!(!want.is_empty(), "`{}` has blocks", op.name);
+        assert_eq!(bits(program.block_costs()), bits(&want), "`{}`", op.name);
     }
-    idx.remove(&l.var);
+
+    /// An operator whose body is one float op per point: only the loop
+    /// structure and schedule matter to block costs.
+    fn nest(
+        name: &str,
+        loops: Vec<LoopSpec>,
+        reduce: Vec<LoopSpec>,
+        out: RaggedLayout,
+    ) -> Operator {
+        let out = TensorRef::new("Out", out);
+        let body: BodyFn = Rc::new(|_| FExpr::constant(1.0) * 2.0);
+        Operator::new(name, loops, reduce, out, vec![], body)
+    }
+
+    /// The loop nests of the compiled encoder's stages (the transformer
+    /// crate's stage table, which this crate cannot see), at one batch
+    /// shape: row stages over the `rows` parameter, attention stages over
+    /// `head_rows` with `attend[hr]` keys per row.
+    fn encoder_stage_nests(lens: &[usize], causal: bool) -> Vec<Operator> {
+        let (hidden, heads, hd, ff) = (64, 8, 8, 256);
+        let rows: usize = lens.iter().sum();
+        let mut attend = Vec::new();
+        for _ in 0..heads {
+            for &len in lens {
+                attend.extend((0..len).map(|pos| if causal { pos + 1 } else { len }));
+            }
+        }
+        let hr = attend.len();
+        let r = || LoopSpec::param("r", "rows", rows);
+        let hr_loop = || LoopSpec::param("hr", "head_rows", hr);
+        let j = || LoopSpec::variable("j", 0, attend.clone());
+        let scores_layout = || {
+            let (row, key) = (Dim::new("row"), Dim::new("key"));
+            RaggedLayout::builder()
+                .cdim(row.clone(), hr)
+                .vdim(key, &row, attend.clone())
+                .build()
+                .expect("per-row ragged layout")
+        };
+        let mut ops = Vec::new();
+        for (name, k, n) in [
+            ("qkv_proj", hidden, 3 * hidden),
+            ("ff1", hidden, ff),
+            ("ff2", ff, hidden),
+        ] {
+            let mut op = nest(
+                name,
+                vec![r(), LoopSpec::fixed("c", n)],
+                vec![LoopSpec::fixed("d", k)],
+                RaggedLayout::dense(&[rows, n]),
+            );
+            op.schedule_mut()
+                .reorder(&["r", "d", "c"])
+                .bind("r", ForKind::GpuBlockX);
+            ops.push(op);
+        }
+        for (name, n) in [("bias", 3 * hidden), ("bias_gelu", ff), ("ln_norm", hidden)] {
+            let mut op = nest(
+                name,
+                vec![r(), LoopSpec::fixed("c", n)],
+                vec![],
+                RaggedLayout::dense(&[rows, n]),
+            );
+            op.schedule_mut().bind("r", ForKind::GpuBlockX);
+            ops.push(op);
+        }
+        let mut ln_sum = nest(
+            "ln_sum",
+            vec![r()],
+            vec![LoopSpec::fixed("d", hidden)],
+            RaggedLayout::dense(&[rows]),
+        );
+        ln_sum.schedule_mut().bind("r", ForKind::GpuBlockX);
+        ops.push(ln_sum);
+        let scores = nest(
+            "scores",
+            vec![hr_loop(), j()],
+            vec![LoopSpec::fixed("d", hd)],
+            scores_layout(),
+        );
+        let sweep = nest("sweep", vec![hr_loop(), j()], vec![], scores_layout());
+        let row_reduce = nest(
+            "row_reduce",
+            vec![hr_loop()],
+            vec![j()],
+            RaggedLayout::dense(&[hr]),
+        );
+        let mut attnv = nest(
+            "attnv",
+            vec![hr_loop(), LoopSpec::fixed("e", hd)],
+            vec![j()],
+            RaggedLayout::dense(&[hr, hd]),
+        );
+        attnv.schedule_mut().reorder(&["hr", "j", "e"]);
+        for mut op in [scores, sweep, row_reduce, attnv] {
+            op.schedule_mut()
+                .bind("hr", ForKind::GpuBlockX)
+                .thread_remap(RemapPolicy::LongestFirst);
+            ops.push(op);
+        }
+        let mut out_proj = nest(
+            "out_proj",
+            vec![r(), LoopSpec::fixed("c", hidden)],
+            vec![LoopSpec::fixed("head", heads), LoopSpec::fixed("e", hd)],
+            RaggedLayout::dense(&[rows, hidden]),
+        );
+        out_proj
+            .schedule_mut()
+            .reorder(&["r", "head", "e", "c"])
+            .bind("r", ForKind::GpuBlockX);
+        ops.push(out_proj);
+        ops
+    }
+
+    #[test]
+    fn block_costs_match_the_reference_for_every_encoder_stage_nest() {
+        // The program goldens' two shapes: zero-length and single-token
+        // sequences, and an MNLI-like batch.
+        for lens in [
+            &[5usize, 0, 3, 1, 7, 12, 1, 0][..],
+            &[21, 34, 9, 17, 40, 13, 28, 6],
+        ] {
+            for causal in [false, true] {
+                for op in encoder_stage_nests(lens, causal) {
+                    assert_block_costs_match(&op);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_costs_match_the_reference_for_split_and_fused_nests() {
+        // A row nest split by non-dividing factors, once and twice: the
+        // block axis moves to the outer half.
+        for (rows, splits) in [(10, &[4][..]), (10, &[3]), (7, &[8]), (10, &[4, 2])] {
+            let mut op = nest(
+                "split",
+                vec![LoopSpec::param("r", "rows", rows), LoopSpec::fixed("c", 4)],
+                vec![LoopSpec::fixed("d", 4)],
+                RaggedLayout::dense(&[rows, 4]),
+            );
+            let schedule = op.schedule_mut();
+            schedule
+                .reorder(&["r", "d", "c"])
+                .bind("r", ForKind::GpuBlockX);
+            let mut name = String::from("r");
+            for &factor in splits {
+                schedule.split(name.clone(), factor);
+                name.push_str("_o");
+            }
+            assert_block_costs_match(&op);
+        }
+        // A fused ragged nest, bulk-padded, then split and bound — and
+        // unbound, so the costs enumerate the fused loop itself.
+        for (lens, splits) in [
+            (&[4usize, 8, 4][..], &[4][..]),
+            (&[4, 3], &[2, 2]),
+            (&[4, 3], &[]),
+        ] {
+            let batch = Dim::new("batch");
+            let layout = RaggedLayout::builder()
+                .cdim(batch.clone(), lens.len())
+                .vdim(Dim::new("len"), &batch, lens.to_vec())
+                .build()
+                .expect("a legal layout");
+            let mut op = nest(
+                "fused",
+                vec![
+                    LoopSpec::fixed("o", lens.len()),
+                    LoopSpec::variable("i", 0, lens.to_vec()),
+                ],
+                vec![],
+                layout,
+            );
+            let schedule = op.schedule_mut();
+            schedule.fuse_loops("o", "i").bulk_pad("o_i_f", 4);
+            let mut name = String::from("o_i_f");
+            for &factor in splits {
+                schedule.split(name.clone(), factor);
+                name.push_str("_o");
+            }
+            if !splits.is_empty() {
+                schedule.bind(name, ForKind::GpuBlockX);
+            }
+            assert_block_costs_match(&op);
+        }
+    }
+
+    #[test]
+    fn a_shape_parameter_lowers_to_one_statement_at_every_value() {
+        let op = |rows: usize, split: usize| {
+            let mut op = nest(
+                "rows",
+                vec![LoopSpec::param("r", "rows", rows), LoopSpec::fixed("c", 4)],
+                vec![],
+                RaggedLayout::dense(&[rows, 4]),
+            );
+            op.schedule_mut().split("r", split);
+            lower(&op).expect("legal schedule")
+        };
+        // A dividing and a non-dividing value emit the same statement:
+        // the split is guarded either way, and the value is prelude data.
+        let (a, b) = (op(8, 4), op(10, 4));
+        assert_eq!(a.stmt(), b.stmt(), "{}\n{}", a.c_source(), b.c_source());
+        assert_eq!(a.stmt().count_guards(), 1, "{}", a.c_source());
+        assert!(a.c_source().contains("(rows + 3)/4"), "{}", a.c_source());
+        assert_eq!(a.prelude_spec().build().params, [("rows".to_string(), 8)]);
+        assert_eq!(b.prelude_spec().build().params, [("rows".to_string(), 10)]);
+        assert_eq!((a.block_costs().len(), b.block_costs().len()), (2, 3));
+    }
+
+    #[test]
+    fn a_shape_parameter_fuses_with_its_ragged_inner_loop_like_a_constant() {
+        // `B[o, i] = 2·A[o, i]` over `n` ragged rows: fusing the
+        // parameter loop with its vloop (§4.1's `(hr, j)` fusion) builds
+        // the fusion maps from the parameter's value, and the fused code
+        // is the same at every row count.
+        let op = |lens: &[usize], fuse: bool| {
+            let layout = || {
+                let batch = Dim::new("batch");
+                RaggedLayout::builder()
+                    .cdim(batch.clone(), lens.len())
+                    .vdim(Dim::new("len"), &batch, lens.to_vec())
+                    .build()
+                    .expect("a legal layout")
+            };
+            let a = TensorRef::new("A", layout());
+            let a2 = a.clone();
+            let body: BodyFn = Rc::new(move |args| a2.at(args) * 2.0);
+            let loops = vec![
+                LoopSpec::param("o", "n", lens.len()),
+                LoopSpec::variable("i", 0, lens.to_vec()),
+            ];
+            let out = TensorRef::new("B", layout());
+            let mut op = Operator::new("ragged", loops, vec![], out, vec![a], body);
+            if fuse {
+                op.schedule_mut().fuse_loops("o", "i");
+            }
+            lower(&op).expect("legal schedule")
+        };
+        let input = [("A", (0..6).map(|v| v as f32).collect::<Vec<_>>())];
+        let (fused, unfused) = (op(&[3, 1, 2], true), op(&[3, 1, 2], false));
+        assert_eq!(fused.run(&input).output, unfused.run(&input).output);
+        assert_eq!(fused.stmt(), op(&[2, 2, 1, 1], true).stmt());
+    }
 }

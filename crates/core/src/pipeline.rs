@@ -172,7 +172,7 @@ struct BufDecl {
 }
 
 /// One wired stage.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StageSpec {
     label: String,
     program: CompiledProgram,
@@ -435,7 +435,7 @@ impl BufferPlan {
 
 /// A wired, buffer-planned chain of compiled programs. Create with
 /// [`PipelineBuilder`]; execute through [`CompiledPipeline::session`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompiledPipeline {
     name: String,
     bufs: Interner,

@@ -2,7 +2,9 @@
 //! compiled kernel needs (§2 step 7, §5.1, §5.3).
 //!
 //! A [`PreludeSpec`] records *what* a program needs (tensor offset arrays,
-//! vloop extent tables, fused-loop maps); [`PreludeSpec::build`] runs on
+//! vloop extent tables, shape parameters, fused-loop maps) — everything a
+//! shape changes, so the compiled code itself stays shape-generic;
+//! [`PreludeSpec::build`] runs on
 //! the host and produces the concrete arrays, timing each category
 //! separately — the §7.4 overhead table reports exactly these times and
 //! byte counts.
@@ -82,6 +84,9 @@ impl FusionSpec {
 pub struct PreludeSpec {
     tensors: Vec<(String, Arc<RaggedLayout>)>,
     loop_tables: Vec<(String, LengthFn)>,
+    /// Shape parameters (loop extents declared with
+    /// [`crate::api::LoopSpec::param`]) and their values at this shape.
+    params: Vec<(String, i64)>,
     fusions: Vec<FusionSpec>,
 }
 
@@ -94,7 +99,7 @@ pub struct PreludeData {
     /// (host evaluation, the safety proof, each minted session) binds
     /// the same tables without copying them.
     pub int_buffers: Vec<(String, Arc<[i64]>)>,
-    /// Scalar parameters to bind (fused extents).
+    /// Scalar parameters to bind (shape parameters, fused extents).
     pub params: Vec<(String, i64)>,
     /// Time spent building storage offset arrays.
     pub storage_time: Duration,
@@ -134,6 +139,19 @@ impl PreludeSpec {
         }
     }
 
+    /// Registers a shape parameter. A name registered twice must carry
+    /// the same value; it is kept once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered with another value.
+    pub fn add_param(&mut self, name: &str, value: i64) {
+        match self.params.iter().find(|(n, _)| n == name) {
+            Some((_, v)) => assert_eq!(*v, value, "parameter `{name}` bound twice"),
+            None => self.params.push((name.to_string(), value)),
+        }
+    }
+
     /// Registers a fusion.
     pub fn add_fusion(&mut self, spec: FusionSpec) {
         self.fusions.push(spec);
@@ -152,7 +170,10 @@ impl PreludeSpec {
     /// Builds all auxiliary structures, timing storage and fusion work
     /// separately (the split the §7.4 table reports).
     pub fn build(&self) -> PreludeData {
-        let mut data = PreludeData::default();
+        let mut data = PreludeData {
+            params: self.params.clone(),
+            ..PreludeData::default()
+        };
         let t0 = std::time::Instant::now();
         for (name, layout) in &self.tensors {
             let aux = AuxOffsets::build(layout);
@@ -227,13 +248,18 @@ mod tests {
         spec.add_tensor("A", Arc::new(layout(&[5, 2, 3])));
         spec.add_loop_table("op__ext_i", LengthFn::new(vec![5, 2, 3]));
         spec.add_fusion(FusionSpec::new("o_i_f", 3, LengthFn::new(vec![5, 2, 3])));
+        spec.add_param("rows", 10);
+        spec.add_param("rows", 10);
         let data = spec.build();
         let names: Vec<&str> = data.int_buffers.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"A__A0"));
         assert!(names.contains(&"A__lens1"));
         assert!(names.contains(&"op__ext_i"));
         assert!(names.contains(&"o_i_f__ffo"));
-        assert_eq!(data.params, vec![("F_o_i_f".to_string(), 10)]);
+        assert_eq!(
+            data.params,
+            vec![("rows".to_string(), 10), ("F_o_i_f".to_string(), 10)]
+        );
         assert!(data.storage_bytes > 0 && data.fusion_bytes > 0);
         assert_eq!(data.total_bytes(), data.storage_bytes + data.fusion_bytes);
     }

@@ -19,6 +19,7 @@
 
 use std::borrow::Borrow;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use cora_exec::cost::{GpuModel, KernelTraits};
@@ -202,15 +203,52 @@ impl Program {
                 self.name
             )
         });
-        CompiledProgram {
+        self.bind(Rc::new(ProgramCode {
+            stmt: self.stmt.clone(),
             vm: Arc::new(vm),
             parallel,
             remap: self.remap,
-            block_costs: self.block_costs.clone(),
-            prelude: self.prelude.clone(),
             output_name: self.output_name.clone(),
-            output_size: self.output_size,
             init: self.init,
+        }))
+    }
+
+    /// This program at its own shape over `code`'s compiled code: what
+    /// [`Program::compile`] returns, minus the compiling. `code` may come
+    /// from this operator lowered at any other shape — shape parameters
+    /// and prelude tables are all a shape changes, so the two lowered
+    /// statements are equal and one compiled program serves both. The
+    /// result shares `code`'s bytecode, outlined body, proof program and
+    /// math mode, and carries this program's prelude, output size and
+    /// block costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` was compiled from a different statement (or
+    /// output, initial value or remap policy). For two shapes of one
+    /// operator that is a compiler bug: lowering chose code from a
+    /// shape-dependent value. There is no fallback compile.
+    pub fn rebind(&self, code: &CompiledProgram) -> CompiledProgram {
+        let c = &code.code;
+        assert!(
+            c.stmt == self.stmt
+                && c.output_name == self.output_name
+                && c.init.to_bits() == self.init.to_bits()
+                && c.remap == self.remap,
+            "compiler bug: `{}` lowered to a different program than the code it is \
+             rebound to, so its lowering depends on a shape value",
+            self.name
+        );
+        self.bind(Rc::clone(c))
+    }
+
+    /// `code` with this program's per-shape part.
+    fn bind(&self, code: Rc<ProgramCode>) -> CompiledProgram {
+        CompiledProgram {
+            code,
+            prelude: self.prelude.clone(),
+            output_size: self.output_size,
+            block_costs: self.block_costs.clone(),
         }
     }
 
@@ -307,8 +345,25 @@ pub fn dispatch_order(remap: RemapPolicy, costs: &[f64]) -> Vec<usize> {
 /// as [`Program::run`], same statistics, no tree walking.
 /// [`CompiledProgram::run_parallel`] additionally dispatches the
 /// outlined block axis across a [`CpuPool`].
+///
+/// Two parts: the compiled code, shared by every shape the program is
+/// rebound to ([`Program::rebind`]) through an `Rc` (it holds the
+/// lowered IR, which is `Rc`-based), and this shape's prelude, output
+/// size and block costs.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
+    code: Rc<ProgramCode>,
+    prelude: PreludeSpec,
+    output_size: usize,
+    block_costs: Vec<BlockCost>,
+}
+
+/// The shape-independent part of a compiled program, and the lowered
+/// statement it was compiled from (what [`Program::rebind`] checks a new
+/// shape's statement against).
+#[derive(Debug, Clone)]
+struct ProgramCode {
+    stmt: Stmt,
     /// Shared with every binding table minted from this program.
     vm: Arc<VmProgram>,
     /// The outlined parallel entry point: `Ok(None)` when no block axis
@@ -316,10 +371,7 @@ pub struct CompiledProgram {
     /// cannot be outlined (surfaced by `run_parallel`).
     parallel: Result<Option<ParallelKernel>, ScheduleError>,
     remap: RemapPolicy,
-    block_costs: Vec<BlockCost>,
-    prelude: PreludeSpec,
     output_name: String,
-    output_size: usize,
     init: f32,
 }
 
@@ -344,13 +396,13 @@ struct ParallelKernel {
 impl CompiledProgram {
     /// The underlying bytecode program.
     pub fn vm(&self) -> &VmProgram {
-        &self.vm
+        &self.code.vm
     }
 
     /// Float semantics the compiled microkernels execute under (set on
     /// both the serial program and the outlined parallel body).
     pub fn math_mode(&self) -> MathMode {
-        self.vm.math_mode()
+        self.code.vm.math_mode()
     }
 
     /// Selects the float semantics for every subsequent execution of
@@ -366,17 +418,20 @@ impl CompiledProgram {
     }
 
     /// In-place variant of [`CompiledProgram::with_math_mode`]. Preps
-    /// computed earlier keep the bytecode (and mode) they were bound to.
+    /// computed earlier, and programs sharing this one's code
+    /// ([`Program::rebind`]), keep the bytecode (and mode) they were
+    /// bound to.
     pub fn set_math_mode(&mut self, math: MathMode) {
-        Arc::make_mut(&mut self.vm).set_math_mode(math);
-        if let Ok(Some(kernel)) = &mut self.parallel {
+        let code = Rc::make_mut(&mut self.code);
+        Arc::make_mut(&mut code.vm).set_math_mode(math);
+        if let Ok(Some(kernel)) = &mut code.parallel {
             Arc::make_mut(&mut kernel.body).set_math_mode(math);
         }
     }
 
     /// Output buffer name.
     pub fn output_name(&self) -> &str {
-        &self.output_name
+        &self.code.output_name
     }
 
     /// Output buffer length in elements.
@@ -388,19 +443,20 @@ impl CompiledProgram {
     /// `-∞` for `max=`). Callers that manage the output storage
     /// themselves must fill it with this value before each run.
     pub fn output_init(&self) -> f32 {
-        self.init
+        self.code.init
     }
 
     /// Names of the float input buffers the kernel loads (every free
     /// float buffer except the output) — what a pipeline must wire.
     pub fn input_names(&self) -> Vec<&str> {
-        self.vm
+        self.code
+            .vm
             .slots()
             .free_fbufs
             .names()
             .iter()
             .map(String::as_str)
-            .filter(|n| *n != self.output_name)
+            .filter(|n| *n != self.code.output_name)
             .collect()
     }
 
@@ -411,7 +467,7 @@ impl CompiledProgram {
     /// own [`CompiledProgram::build_prelude`]; the tables are shared, not
     /// copied.
     pub fn serial_shared_with(&self, data: &PreludeData) -> VmShared {
-        let mut shared = self.vm.shared();
+        let mut shared = self.code.vm.shared();
         bind_prelude(&mut shared, data);
         shared
     }
@@ -426,12 +482,15 @@ impl CompiledProgram {
     /// Bindings the kernel never references are silently dropped.
     pub fn prepare(&self, inputs: &[(&str, Vec<f32>)]) -> (VmMachine, PreludeData) {
         let data = self.prelude.build();
-        let mut m = self.vm.machine();
+        let mut m = self.code.vm.machine();
         bind_prelude(&mut m, &data);
         for (name, buf) in inputs {
             m.set_fbuffer(name, buf.clone());
         }
-        m.set_fbuffer(&self.output_name, vec![self.init; self.output_size]);
+        m.set_fbuffer(
+            &self.code.output_name,
+            vec![self.code.init; self.output_size],
+        );
         (m, data)
     }
 
@@ -444,7 +503,7 @@ impl CompiledProgram {
         let (mut m, prelude) = self.prepare(inputs);
         m.run();
         let output = m
-            .take_fbuffer(&self.output_name)
+            .take_fbuffer(&self.code.output_name)
             .expect("output buffer exists");
         RunResult {
             output,
@@ -457,14 +516,14 @@ impl CompiledProgram {
     /// [`CompiledProgram::run_parallel`] will actually parallelize
     /// rather than fall back to serial execution).
     pub fn has_parallel_tier(&self) -> bool {
-        matches!(self.parallel, Ok(Some(_)))
+        matches!(self.code.parallel, Ok(Some(_)))
     }
 
     /// The outlined block body's bytecode, if a parallel tier exists —
     /// the block variable is a *free* variable of this program.
     /// Disassemble it (`Display`) to diff outlining changes.
     pub fn parallel_body(&self) -> Option<&VmProgram> {
-        match &self.parallel {
+        match &self.code.parallel {
             Ok(Some(k)) => Some(&k.body),
             _ => None,
         }
@@ -560,7 +619,7 @@ impl CompiledProgram {
     /// axis is bound but could not be outlined, or when the safety
     /// verifier cannot prove the disjoint-store contract.
     pub fn parallel_prep(&self) -> Result<Option<ParallelPrep>, ScheduleError> {
-        if matches!(self.parallel, Ok(None)) {
+        if matches!(self.code.parallel, Ok(None)) {
             return Ok(None);
         }
         self.parallel_prep_with(&self.prelude.build())
@@ -574,7 +633,7 @@ impl CompiledProgram {
         &self,
         data: &PreludeData,
     ) -> Result<Option<ParallelPrep>, ScheduleError> {
-        let kernel = match &self.parallel {
+        let kernel = match &self.code.parallel {
             Err(e) => return Err(e.clone()),
             Ok(None) => return Ok(None),
             Ok(Some(k)) => k,
@@ -617,7 +676,7 @@ impl CompiledProgram {
         let ctx = VerifyCtx {
             env: &env,
             scalars: &scalars,
-            output: &self.output_name,
+            output: &self.code.output_name,
             output_size: self.output_size,
         };
         let outcome = kernel.proof.verify(min, n_blocks, &ctx).map_err(|e| {
@@ -638,7 +697,7 @@ impl CompiledProgram {
             // too; when it does not line up one-to-one, balance blindly.
             vec![1.0; n_blocks]
         };
-        let order = dispatch_order(self.remap, &costs);
+        let order = dispatch_order(self.code.remap, &costs);
 
         // The block body's table: the block variable stays unbound (it
         // is supplied per block); later scalars shadow earlier ones.
@@ -680,7 +739,7 @@ impl CompiledProgram {
         assert!(
             self.has_parallel_tier(),
             "program `{}` has no parallel tier",
-            self.output_name
+            self.code.output_name
         );
         ParallelSession {
             compiled: self,
@@ -702,14 +761,14 @@ impl CompiledProgram {
         inputs: &[(&str, &[f32])],
         out: &mut [f32],
     ) -> InterpStats {
-        let Ok(Some(kernel)) = &self.parallel else {
-            panic!("program `{}` has no parallel tier", self.output_name)
+        let Ok(Some(kernel)) = &self.code.parallel else {
+            panic!("program `{}` has no parallel tier", self.code.output_name)
         };
         assert_eq!(
             out.len(),
             self.output_size,
             "output slice length mismatch for `{}`",
-            self.output_name
+            self.code.output_name
         );
         for (name, buf) in inputs {
             if let Some(need) = prep.verify.required_input_len(name) {
@@ -721,7 +780,7 @@ impl CompiledProgram {
                 );
             }
         }
-        out.fill(self.init);
+        out.fill(self.code.init);
         // Safe entry point: the prep holds a `VerifyOutcome` — the
         // verifier proved every store in-bounds and the per-block store
         // regions pairwise disjoint — and `run_blocks_proven` enforces
@@ -729,7 +788,7 @@ impl CompiledProgram {
         let stats = prep.shared.run_blocks_proven(
             pool,
             &kernel.block_var,
-            &self.output_name,
+            &self.code.output_name,
             out,
             inputs,
             &prep.blocks,
@@ -887,7 +946,49 @@ impl<P: Borrow<ParallelPrep>> ParallelSession<'_, P> {
 
 #[cfg(test)]
 mod tests {
+    use cora_ir::ForKind;
+    use cora_ragged::RaggedLayout;
+
     use super::*;
+    use crate::api::{BodyFn, LoopSpec, Operator, TensorRef};
+    use crate::lower::lower;
+
+    /// `Out[r, c] = In[r, c] · k` over `rows` rows of the `rows` shape
+    /// parameter, one block per row.
+    fn scale_rows(rows: usize, k: f32) -> Operator {
+        let input = TensorRef::new("In", RaggedLayout::dense(&[rows, 3]));
+        let out = TensorRef::new("Out", RaggedLayout::dense(&[rows, 3]));
+        let it = input.clone();
+        let body: BodyFn = Rc::new(move |args| it.at(args) * k);
+        let loops = vec![LoopSpec::param("r", "rows", rows), LoopSpec::fixed("c", 3)];
+        let mut op = Operator::new("scale_rows", loops, vec![], out, vec![input], body);
+        op.schedule_mut().bind("r", ForKind::GpuBlockX);
+        op
+    }
+
+    #[test]
+    fn rebind_shares_the_code_and_keeps_its_own_shape() {
+        let code = lower(&scale_rows(2, 2.0)).unwrap().compile();
+        let five = lower(&scale_rows(5, 2.0)).unwrap();
+        let rebound = five.rebind(&code);
+        assert!(Rc::ptr_eq(&rebound.code, &code.code));
+        assert_eq!(rebound.output_size(), 15);
+        assert_eq!(rebound.block_costs.len(), 5);
+        let input: Vec<f32> = (0..15).map(|v| v as f32).collect();
+        let inputs = [("In", input)];
+        let fresh = five.compile();
+        assert_eq!(rebound.run(&inputs).output, fresh.run(&inputs).output);
+        let pool = CpuPool::new(2);
+        let parallel = rebound.run_parallel(&pool, &inputs).unwrap();
+        assert_eq!(parallel.output, fresh.run(&inputs).output);
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered to a different program than the code it is rebound to")]
+    fn rebind_refuses_the_code_of_another_statement() {
+        let code = lower(&scale_rows(2, 2.0)).unwrap().compile();
+        let _ = lower(&scale_rows(2, 3.0)).unwrap().rebind(&code);
+    }
 
     #[test]
     fn dispatch_order_matches_remap_policies() {

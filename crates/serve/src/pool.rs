@@ -1,14 +1,21 @@
-//! The session pool: cached compiled encoder layers plus their owned
-//! session prep (preludes, safety proofs, arena), keyed by exact batch
-//! shape, with LRU eviction under a capacity bound.
+//! The session pool: serving sessions — a compiled encoder layer plus
+//! its owned session prep (preludes, safety proofs, arena) — keyed by
+//! exact batch shape, with LRU eviction under a capacity bound, over
+//! code compiled once per pool.
 //!
 //! # Keying
 //!
-//! A [`CompiledEncoderLayer`] is exact-shape-keyed, so the pool key is
-//! the canonical lens vector of the microbatch (the packer sorts
-//! selected requests longest-first, so recurring compositions map to
-//! recurring keys). A miss builds the layer's declared schedules with
-//! [`CompiledEncoderLayer::build_with_math`].
+//! A session is exact-shape-keyed (its prelude tables, proofs and arena
+//! are one shape's), so the pool key is the canonical lens vector of the
+//! microbatch (the packer sorts selected requests longest-first, so
+//! recurring compositions map to recurring keys). The code is not: the
+//! stage programs are shape-generic, so the pool compiles the declared
+//! schedules once ([`CompiledEncoderLayer::build_with_math`], at its
+//! first non-empty miss), keeps that layer as its code, and every later
+//! miss costs [`CompiledEncoderLayer::for_shape`] (lower and rebind) +
+//! [`CompiledEncoderLayer::prepare`]. [`PoolStats::compiles`] counts the
+//! compiles: 1 for the pool's lifetime, however many shapes it serves
+//! or evicts.
 //!
 //! # Checkout discipline
 //!
@@ -19,7 +26,7 @@
 //! it (the unit test below pins this). A session that panicked mid-run
 //! is simply never checked back in: the caller routes it to
 //! [`SessionPool::discard_poisoned`] and the next request for that
-//! shape rebuilds a fresh entry.
+//! shape prepares a fresh entry over the same code.
 
 use std::collections::BTreeMap;
 
@@ -42,6 +49,9 @@ pub struct PoolStats {
     pub evictions: u64,
     /// Sessions discarded after a mid-run panic.
     pub poisoned: u64,
+    /// Layers compiled: at most 1 — the pool's code, compiled at its
+    /// first non-empty miss and rebound for every other shape.
+    pub compiles: u64,
 }
 
 /// A checked-out, fully owned serving session: the compiled layer plus
@@ -90,7 +100,8 @@ struct PoolEntry {
 }
 
 /// Shape-keyed cache of [`PooledSession`]s with checkout/check-in
-/// semantics and LRU eviction. See the module docs for the discipline.
+/// semantics and LRU eviction, over code compiled once. See the module
+/// docs for the keying and the discipline.
 #[derive(Debug)]
 pub struct SessionPool {
     cfg: EncoderConfig,
@@ -99,6 +110,9 @@ pub struct SessionPool {
     entries: BTreeMap<Vec<usize>, PoolEntry>,
     tick: u64,
     stats: PoolStats,
+    /// The first non-empty layer the pool built: the compiled code every
+    /// session's layer shares.
+    code: Option<CompiledEncoderLayer>,
 }
 
 impl SessionPool {
@@ -117,12 +131,14 @@ impl SessionPool {
             entries: BTreeMap::new(),
             tick: 0,
             stats: PoolStats::default(),
+            code: None,
         }
     }
 
-    /// Checks out a session for the exact shape `lens`, building one on
-    /// a miss. The entry leaves the pool until
-    /// [`SessionPool::check_in`] — eviction cannot touch it meanwhile.
+    /// Checks out a session for the exact shape `lens`, preparing one
+    /// on a miss (over the pool's code — see the module docs). The entry
+    /// leaves the pool until [`SessionPool::check_in`] — eviction cannot
+    /// touch it meanwhile.
     ///
     /// # Errors
     ///
@@ -134,13 +150,36 @@ impl SessionPool {
             return Ok(entry.session);
         }
         self.stats.misses += 1;
-        let layer = CompiledEncoderLayer::build_with_math(&self.cfg, lens, self.math)?;
+        let layer = self.layer_for(lens)?;
         let prep = layer.prepare()?;
         Ok(PooledSession {
             lens: lens.to_vec(),
             layer,
             prep,
         })
+    }
+
+    /// The pool's layer at the shape `lens`: the pool's code rebound to
+    /// `lens` ([`CompiledEncoderLayer::for_shape`]). Before the pool has
+    /// code, it builds the layer, and a non-empty one becomes the code —
+    /// the only compile ([`PoolStats::compiles`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`SessionPool::checkout`].
+    pub(crate) fn layer_for(
+        &mut self,
+        lens: &[usize],
+    ) -> Result<CompiledEncoderLayer, ScheduleError> {
+        if let Some(code) = &self.code {
+            return code.for_shape(lens);
+        }
+        let layer = CompiledEncoderLayer::build_with_math(&self.cfg, lens, self.math)?;
+        if layer.pipeline().is_some() {
+            self.stats.compiles += 1;
+            self.code = Some(layer.clone());
+        }
+        Ok(layer)
     }
 
     /// Returns a session to the pool, evicting least-recently-used
@@ -167,7 +206,7 @@ impl SessionPool {
     }
 
     /// Drops a session whose run panicked instead of returning it: the
-    /// shape's next checkout rebuilds from scratch.
+    /// shape's next checkout prepares a fresh session (the code stays).
     pub fn discard_poisoned(&mut self, session: PooledSession) {
         self.stats.poisoned += 1;
         drop(session);
@@ -272,5 +311,65 @@ mod tests {
         assert!(!pool.contains(&[3]));
         let _ = pool.checkout(&[3]).unwrap();
         assert_eq!(pool.stats().misses, 2, "poisoned shape rebuilds");
+        assert_eq!(pool.stats().compiles, 1, "over the code it already has");
+    }
+
+    #[test]
+    fn the_pool_compiles_once_however_many_shapes_it_serves_or_evicts() {
+        let mut pool = small_pool(2);
+        let w = EncoderWeights::random(&pool.cfg, 3);
+        let shapes: [&[usize]; 6] = [&[3, 2], &[2, 3], &[5], &[4, 1, 1], &[1], &[7, 0, 2]];
+        for lens in shapes {
+            let mut s = pool.checkout(lens).unwrap();
+            let x = RaggedBatch::random(lens, pool.cfg.hidden, 5);
+            // Served from the shared code, yet exactly what a layer
+            // built for the shape computes.
+            let built = CompiledEncoderLayer::build(&pool.cfg, lens).unwrap();
+            let want = built.session().unwrap().forward_serial(&w, &x);
+            assert_eq!(s.run_serial(&w, &x), want, "{lens:?}");
+            pool.check_in(s);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.misses, stats.evictions), (6, 4));
+        assert_eq!(stats.compiles, 1, "{stats:?}");
+        // Every entry evicted in turn: the code outlives them.
+        for lens in [&[6usize][..], &[6, 6], &[6, 6, 6]] {
+            let s = pool.checkout(lens).unwrap();
+            pool.check_in(s);
+        }
+        assert!(shapes.iter().all(|lens| !pool.contains(lens)));
+        assert_eq!(pool.stats().compiles, 1);
+        // A poisoned session's shape is prepared again, not compiled.
+        let s = pool.checkout(&[6]).unwrap();
+        pool.discard_poisoned(s);
+        let _ = pool.checkout(&[6]).unwrap();
+        assert_eq!(pool.stats().compiles, 1, "{:?}", pool.stats());
+    }
+
+    #[test]
+    fn an_empty_first_miss_leaves_the_compile_to_the_first_non_empty_one() {
+        let mut pool = small_pool(4);
+        let empty = pool.checkout(&[0, 0]).unwrap();
+        assert_eq!(pool.stats().compiles, 0, "an empty batch has no code");
+        pool.check_in(empty);
+        let _ = pool.checkout(&[2]).unwrap();
+        assert_eq!(pool.stats().compiles, 1);
+        let _ = pool.checkout(&[0]).unwrap();
+        let _ = pool.checkout(&[4, 1]).unwrap();
+        assert_eq!(pool.stats().compiles, 1);
+    }
+
+    /// `[3, 2]` and `[2, 3]` plan equal buffer sizes and share the code,
+    /// so only the remembered shape tells their preps apart.
+    #[test]
+    #[should_panic(
+        expected = "prep was prepared for lens [2, 3]; this layer is compiled for lens [3, 2]"
+    )]
+    fn a_rebound_layer_still_rejects_another_shapes_prep() {
+        let mut pool = small_pool(4);
+        let a = pool.checkout(&[3, 2]).unwrap();
+        let mut b = pool.checkout(&[2, 3]).unwrap();
+        assert_eq!(pool.stats().compiles, 1);
+        let _ = a.layer.session_with(&mut b.prep);
     }
 }

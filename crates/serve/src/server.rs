@@ -265,7 +265,7 @@ pub struct Server {
     /// Batch indices the test hook fails with an injected panic.
     faults: BTreeSet<usize>,
     /// Differential-check reference layers, one per single-request
-    /// length actually seen.
+    /// length actually seen, over the pool's code.
     ref_layers: BTreeMap<usize, (CompiledEncoderLayer, EncoderPrep)>,
 }
 
@@ -299,11 +299,12 @@ impl Server {
         Server::new(cfg, weights)
     }
 
-    /// Pre-builds and pools a session per shape — cold-start avoidance:
+    /// Prepares and pools a session per shape — cold-start avoidance:
     /// deployments warm the expected batch shapes before admitting
-    /// load, so steady-state traffic never pays a compile. Shapes
-    /// already pooled are skipped. The pool's capacity bound still
-    /// applies, so warm at most `pool_capacity` shapes.
+    /// load, so steady-state traffic pays neither the one compile (the
+    /// first shape's) nor a per-shape lower + prepare. Shapes already
+    /// pooled are skipped. The pool's capacity bound still applies, so
+    /// warm at most `pool_capacity` shapes.
     ///
     /// # Errors
     ///
@@ -601,19 +602,18 @@ impl Server {
     }
 
     /// The differential gate: re-runs every request of the batch alone
-    /// through a single-request compiled layer and asserts the batched
-    /// rows are bit-identical. Per-row float-op order in the compiled
-    /// tier is independent of batch composition under Strict math, so
-    /// any divergence is a packing/batching bug.
+    /// through a single-request layer — the pool's code at that shape,
+    /// so the gate checks the programs serving actually runs — and
+    /// asserts the batched rows are bit-identical. Per-row float-op
+    /// order in the compiled tier is independent of batch composition
+    /// under Strict math, so any divergence is a packing/batching bug.
     fn check_differential(&mut self, selected: &[Request], split: &[Vec<f32>]) {
         for (req, rows) in selected.iter().zip(split) {
             let (layer, prep) = self.ref_layers.entry(req.len).or_insert_with(|| {
-                let layer = CompiledEncoderLayer::build_with_math(
-                    &self.cfg.encoder,
-                    &[req.len],
-                    self.cfg.math,
-                )
-                .expect("built-in schedules compile");
+                let layer = self
+                    .pool
+                    .layer_for(&[req.len])
+                    .expect("built-in schedules compile");
                 let prep = layer.prepare().expect("built-in schedules outline");
                 (layer, prep)
             });

@@ -51,6 +51,18 @@
 //! `Causal` plus a plain output bias, run through the same pipeline
 //! session.
 //!
+//! # Compiled once, prepared per shape
+//!
+//! A batch's shape reaches the stages only as prelude data: the row
+//! loops run to the `rows` parameter, the attention loops to
+//! `head_rows`, `out_proj` reads its head-major stride as `rows`, and
+//! the ragged extents and offsets are tables. Every stage therefore
+//! lowers to the same statement at every shape, and one compiled program
+//! per `(cfg, MathMode, Attend)` serves them all:
+//! [`CompiledEncoderLayer::for_shape`] lowers the stages at a new shape
+//! and rebinds them to a layer's code; only the preludes, proofs and
+//! arena ([`CompiledEncoderLayer::prepare`]) are per shape.
+//!
 //! # Adding or fusing a stage
 //!
 //! Add a row to [`STAGES`] at its execution position (and a row to
@@ -87,6 +99,16 @@ use crate::weights::EncoderWeights;
 /// Layer-norm stabiliser, matching [`crate::encoder`]'s calls.
 const LN_EPS: f32 = 1e-5;
 
+/// The prelude parameter holding a batch's total rows (`Σ lens`): the
+/// row loop `r` of every row operator runs to it, and `out_proj` reads
+/// its head-major stride from it. A shape parameter, not a constant, so
+/// one compiled program serves every batch shape.
+const ROWS: &str = "rows";
+
+/// The prelude parameter holding the flattened `(head, row)` count
+/// (`heads · Σ lens`) the attention stages' `hr` loop runs to.
+const HEAD_ROWS: &str = "head_rows";
+
 // ---------------------------------------------------------------------
 // Dense row operators
 // ---------------------------------------------------------------------
@@ -106,7 +128,7 @@ pub fn proj_operator(name: &str, rows: usize, k: usize, n: usize) -> Operator {
     });
     let mut op = Operator::new(
         name,
-        vec![LoopSpec::fixed("r", rows), LoopSpec::fixed("c", n)],
+        vec![LoopSpec::param("r", ROWS, rows), LoopSpec::fixed("c", n)],
         vec![LoopSpec::fixed("d", k)],
         out,
         vec![input, w],
@@ -141,7 +163,7 @@ pub fn bias_operator(name: &str, rows: usize, n: usize, residual: bool) -> Opera
     }
     let mut op = Operator::new(
         name,
-        vec![LoopSpec::fixed("r", rows), LoopSpec::fixed("c", n)],
+        vec![LoopSpec::param("r", ROWS, rows), LoopSpec::fixed("c", n)],
         vec![],
         out,
         inputs,
@@ -169,7 +191,7 @@ pub fn bias_gelu_operator(name: &str, rows: usize, n: usize) -> Operator {
     });
     let mut op = Operator::new(
         name,
-        vec![LoopSpec::fixed("r", rows), LoopSpec::fixed("c", n)],
+        vec![LoopSpec::param("r", ROWS, rows), LoopSpec::fixed("c", n)],
         vec![],
         out,
         vec![input, b],
@@ -188,7 +210,7 @@ pub fn ln_sum_operator(name: &str, rows: usize, n: usize) -> Operator {
     let body: BodyFn = Rc::new(move |args| it.at(&[args[0].clone(), args[1].clone()]));
     let mut op = Operator::new(
         name,
-        vec![LoopSpec::fixed("r", rows)],
+        vec![LoopSpec::param("r", ROWS, rows)],
         vec![LoopSpec::fixed("d", n)],
         out,
         vec![input],
@@ -213,7 +235,7 @@ pub fn ln_var_operator(name: &str, rows: usize, n: usize) -> Operator {
     });
     let mut op = Operator::new(
         name,
-        vec![LoopSpec::fixed("r", rows)],
+        vec![LoopSpec::param("r", ROWS, rows)],
         vec![LoopSpec::fixed("d", n)],
         out,
         vec![input, sum],
@@ -250,7 +272,7 @@ pub fn ln_norm_operator(name: &str, rows: usize, n: usize) -> Operator {
     });
     let mut op = Operator::new(
         name,
-        vec![LoopSpec::fixed("r", rows), LoopSpec::fixed("d", n)],
+        vec![LoopSpec::param("r", ROWS, rows), LoopSpec::fixed("d", n)],
         vec![],
         out,
         vec![input, sum, var, g, beta],
@@ -370,7 +392,7 @@ impl Geometry {
     }
 
     fn hr_loop(&self) -> LoopSpec {
-        LoopSpec::fixed("hr", self.hr())
+        LoopSpec::param("hr", HEAD_ROWS, self.hr())
     }
 
     /// The ragged key loop: `attend[hr]` iterations under `hr`.
@@ -520,14 +542,15 @@ fn attnv_operator(g: &Geometry) -> Operator {
 /// `Out[r, c] = Σ_head Σ_e O[(head·rows + r)·hd + e] · W[(head·hd + e)·h + c]`
 /// — so no separate concat/merge stage exists. Reordered to
 /// `r, head, e, c`: the reduction enumerates `k = head·hd + e` in
-/// exactly the i-k-j order the reference `attn · Wo` GEMM uses.
+/// exactly the i-k-j order the reference `attn · Wo` GEMM uses. The
+/// head-major stride `rows` is the [`ROWS`] parameter.
 fn merge_proj_operator(g: &Geometry) -> Operator {
     let (h, hd, heads, rows) = (g.cfg.hidden, g.cfg.head_dim, g.cfg.heads, g.rows);
     let o_in = TensorRef::new("O", RaggedLayout::dense(&[heads * rows * hd]));
     let w = TensorRef::new("W", RaggedLayout::dense(&[h * h]));
     let out = TensorRef::new("Out", RaggedLayout::dense(&[rows, h]));
     let (ot, wt) = (o_in.clone(), w.clone());
-    let (rows_i, hd_i, h_i) = (rows as i64, hd as i64, h as i64);
+    let (hd_i, h_i) = (hd as i64, h as i64);
     let body: BodyFn = Rc::new(move |args| {
         let (r, c, head, e) = (
             args[0].clone(),
@@ -535,13 +558,13 @@ fn merge_proj_operator(g: &Geometry) -> Operator {
             args[2].clone(),
             args[3].clone(),
         );
-        let o_idx = (head.clone() * rows_i + r) * hd_i + e.clone();
+        let o_idx = (head.clone() * Expr::var(ROWS) + r) * hd_i + e.clone();
         let w_idx = (head * hd_i + e) * h_i + c;
         FExpr::load(ot.name().to_string(), o_idx) * FExpr::load(wt.name().to_string(), w_idx)
     });
     let mut op = Operator::new(
         "merge_proj",
-        vec![LoopSpec::fixed("r", rows), LoopSpec::fixed("c", h)],
+        vec![LoopSpec::param("r", ROWS, rows), LoopSpec::fixed("c", h)],
         vec![LoopSpec::fixed("head", heads), LoopSpec::fixed("e", hd)],
         out,
         vec![o_in, w],
@@ -820,22 +843,31 @@ static EXTERNALS: [External; 13] = {
 // The layer
 // ---------------------------------------------------------------------
 
-/// A run of table stages compiled for one batch shape and wired through
-/// a buffer-planned [`CompiledPipeline`]: the full 21-stage encoder
-/// layer ([`CompiledEncoderLayer::build`]) or the causal masked-MHA
-/// block ([`CompiledEncoderLayer::build_masked_mha`]). Shape-keyed —
-/// build once per `(cfg, lens)`, then create a session and run any
-/// number of layers/batches of that shape through it (weights and
-/// activations are per-call inputs; nothing is re-compiled or
-/// re-planned).
-#[derive(Debug)]
+/// A run of table stages at one batch shape, wired through a
+/// buffer-planned [`CompiledPipeline`]: the full 21-stage encoder layer
+/// ([`CompiledEncoderLayer::build`]) or the causal masked-MHA block
+/// ([`CompiledEncoderLayer::build_masked_mha`]).
+///
+/// The compiled code is shape-generic — batch shape reaches it only
+/// through prelude parameters and tables — so it is compiled once per
+/// `(cfg, MathMode, Attend)`: [`CompiledEncoderLayer::for_shape`] moves
+/// a layer to another batch shape by lowering and rebinding, sharing
+/// this layer's code. The layer itself (its preludes, buffer plan and
+/// the sessions it admits) is shape-keyed: prepare a session per
+/// `lens` and run any number of layers/batches of that shape through
+/// it (weights and activations are per-call inputs; nothing is
+/// re-compiled or re-planned).
+#[derive(Debug, Clone)]
 pub struct CompiledEncoderLayer {
     /// `None` for an empty batch (zero total rows): forward returns an
     /// empty output without executing anything.
     pipeline: Option<CompiledPipeline>,
+    /// The table rows the pipeline runs, in order.
+    stages: Vec<&'static Stage>,
     /// The externals the pipeline's stages read, in declaration order.
     externals: Vec<&'static External>,
     cfg: EncoderConfig,
+    attend: Attend,
     lens: Vec<usize>,
     rows: usize,
     math: MathMode,
@@ -877,7 +909,7 @@ impl CompiledEncoderLayer {
         lens: &[usize],
         math: MathMode,
     ) -> Result<CompiledEncoderLayer, ScheduleError> {
-        Self::wire(cfg, lens, Attend::Full, STAGES.iter().collect(), math)
+        Self::wire(cfg, lens, Attend::Full, STAGES.iter().collect(), math, None)
     }
 
     /// The causally masked multi-head-attention block (§D.3) at a batch
@@ -899,11 +931,38 @@ impl CompiledEncoderLayer {
             .iter()
             .chain([&MHA_OUT_BIAS])
             .collect();
-        Self::wire(cfg, lens, Attend::Causal, stages, MathMode::Strict)
+        Self::wire(cfg, lens, Attend::Causal, stages, MathMode::Strict, None)
     }
 
-    /// The one builder: lowers and compiles `stages` in order at the
-    /// batch geometry and wires them into a pipeline whose output is the
+    /// This layer's stages at the batch shape `lens`, over this layer's
+    /// compiled code: each stage is lowered at `lens` and rebound
+    /// ([`Program::rebind`]) to the program this layer compiled, under
+    /// the same [`MathMode`] and [`Attend`]. Nothing is compiled; the
+    /// result owns `lens`' preludes and buffer plan and shares the code.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledEncoderLayer::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if this layer is empty (zero total rows: it holds no code)
+    /// and `lens` is not, or if a stage lowers at `lens` to a program
+    /// other than the one this layer compiled — a compiler bug.
+    pub fn for_shape(&self, lens: &[usize]) -> Result<CompiledEncoderLayer, ScheduleError> {
+        Self::wire(
+            &self.cfg,
+            lens,
+            self.attend,
+            self.stages.clone(),
+            self.math,
+            Some(self),
+        )
+    }
+
+    /// The one builder: lowers `stages` in order at the batch geometry,
+    /// compiles them — or, given `code`, rebinds them to its pipeline's
+    /// programs — and wires them into a pipeline whose output is the
     /// last stage's buffer.
     fn wire(
         cfg: &EncoderConfig,
@@ -911,13 +970,16 @@ impl CompiledEncoderLayer {
         attend: Attend,
         stages: Vec<&'static Stage>,
         math: MathMode,
+        code: Option<&CompiledEncoderLayer>,
     ) -> Result<CompiledEncoderLayer, ScheduleError> {
         cfg.validate().expect("consistent encoder config");
         let geometry = Geometry::new(cfg, lens, attend);
         let mut layer = CompiledEncoderLayer {
             pipeline: None,
+            stages,
             externals: Vec::new(),
             cfg: *cfg,
+            attend,
             lens: lens.to_vec(),
             rows: geometry.rows,
             math,
@@ -925,6 +987,14 @@ impl CompiledEncoderLayer {
         if layer.rows == 0 {
             return Ok(layer);
         }
+        let mut code = code.map(|layer| {
+            layer
+                .pipeline
+                .as_ref()
+                .expect("an empty layer holds no code to rebind")
+                .stage_programs()
+        });
+        let stages = &layer.stages;
         let mut b = PipelineBuilder::new(match attend {
             Attend::Full => "encoder_layer",
             Attend::Causal => "masked_mha",
@@ -936,11 +1006,17 @@ impl CompiledEncoderLayer {
             b.input(e.name, (e.size)(&geometry))
                 .expect("unique external names");
         }
-        for stage in &stages {
-            let mut program = lower(&stage.operator(&geometry))?.compile();
-            if stage.fast {
-                program = program.with_math_mode(math);
-            }
+        for stage in stages {
+            let lowered = lower(&stage.operator(&geometry))?;
+            let program = match code.as_mut() {
+                Some(programs) => {
+                    let (label, compiled) = programs.next().expect("code of the same stage rows");
+                    debug_assert_eq!(label, stage.label, "code of the same stage rows");
+                    lowered.rebind(compiled)
+                }
+                None if stage.fast => lowered.compile().with_math_mode(math),
+                None => lowered.compile(),
+            };
             b.stage(stage.label, program, stage.wires, stage.out)
                 .expect("encoder pipeline wiring is static");
         }
@@ -1007,8 +1083,9 @@ impl CompiledEncoderLayer {
     /// # Panics
     ///
     /// Panics if the prep was prepared for a different batch shape: two
-    /// shapes can plan equal buffer sizes (`[3, 2]` and `[2, 3]`), so
-    /// running one shape's tables under the other's programs would
+    /// shapes can plan equal buffer sizes (`[3, 2]` and `[2, 3]`) and
+    /// share one compiled code ([`CompiledEncoderLayer::for_shape`]),
+    /// so running one shape's tables under the other's layer would
     /// return wrong values rather than fail.
     pub fn session_with<P: BorrowMut<EncoderPrep>>(&self, prep: P) -> EncoderSession<'_, P> {
         let prepared = &prep.borrow().lens;

@@ -192,43 +192,43 @@ fn vm_disassembly_of_projection_gemm_is_golden() {
     .unwrap();
     let compiled = p.compile();
     let golden = "   0  iconst   r0, 0
-   1  iconst   r1, 3
+   1  ivar     r1, rows
    2  bumpaux  n=0
-   3  setvar   r@0, r0
+   3  setvar   r@1, r0
    4  iadd     r0, r0, r1
-   5  br.ge    r@0, r0 -> 38
+   5  br.ge    r@1, r0 -> 38
    6  iconst   r1, 0
    7  iconst   r2, 2
    8  bumpaux  n=0
-   9  setvar   d@1, r1
+   9  setvar   d@2, r1
   10  br.le    r2, r1 -> 37, 11
   11  iconst   r18, 0
   12  iconst   r19, 2
-  13  setvar   c@2, r18
-  14  ivar     r20, r@0
+  13  setvar   c@3, r18
+  14  ivar     r20, r@1
   15  imul     r21, r20, r19
-  16  ivar     r22, c@2
+  16  ivar     r22, c@3
   17  iadd     r23, r21, r22
-  18  ivar     r24, d@1
+  18  ivar     r24, d@2
   19  iadd     r25, r21, r24
   20  imul     r26, r24, r19
   21  iadd     r27, r26, r22
   22  iadd.c   r28, r22, #1
-  23  setvar   c@2, r28
-  24  ivar     r29, c@2
+  23  setvar   c@3, r28
+  24  ivar     r29, c@3
   25  iadd     r30, r21, r29
   26  iadd     r31, r26, r29
-  27  setvar   c@2, r18
+  27  setvar   c@3, r18
   28  iadd.c   r32, r24, #1
-  29  setvar   d@1, r32
-  30  ivar     r33, c@2
+  29  setvar   d@2, r32
+  30  ivar     r33, c@3
   31  iadd     r34, r21, r33
-  32  ivar     r35, d@1
+  32  ivar     r35, d@2
   33  iadd     r36, r21, r35
   34  imul     r37, r35, r19
   35  iadd     r38, r37, r33
   36  fmulacc2 Out[r23:r30:r34] += In[r25:r25:r36] * W[r27:r31:r38], n=r2xr19, aux=0, baux=0
-  37  loop     r@0, r0 -> 6
+  37  loop     r@1, r0 -> 6
 ";
     assert_eq!(
         compiled.vm().to_string(),
@@ -294,27 +294,27 @@ fn vm_disassembly_of_layernorm_is_golden() {
     .unwrap();
     let compiled = p.compile();
     let golden = "   0  iconst   r0, 0
-   1  iconst   r1, 2
+   1  ivar     r1, rows
    2  bumpaux  n=0
-   3  setvar   r@0, r0
+   3  setvar   r@1, r0
    4  iadd     r0, r0, r1
-   5  br.ge    r@0, r0 -> 22
+   5  br.ge    r@1, r0 -> 22
    6  iconst   r1, 0
    7  iconst   r2, 2
    8  bumpaux  n=0
-   9  setvar   d@1, r1
+   9  setvar   d@2, r1
   10  br.le    r2, r1 -> 21, 11
-  11  ivar     r17, r@0
+  11  ivar     r17, r@1
   12  iconst   r18, 2
   13  imul     r19, r17, r18
-  14  ivar     r20, d@1
+  14  ivar     r20, d@2
   15  iadd     r21, r19, r20
   16  iadd.c   r22, r20, #1
-  17  setvar   d@1, r22
-  18  ivar     r23, d@1
+  17  setvar   d@2, r22
+  18  ivar     r23, d@2
   19  iadd     r24, r19, r23
   20  fmap     Out[r21:r24] assign (ld0; ld1; #2.0; fdiv t1 t2; fsub t0 t3; ld2; #2.0; fdiv t5 t6; #1e-5; fadd t7 t8; sqrt t9; recip t10; fmul t4 t11; ld3; fmul t12 t13; ld4; fadd t14 t15), sites=[In[r21:r24], S[r17:r17], V[r17:r17], G[r20:r23], Bt[r20:r23]], n=r2, aux=0, flops=9
-  21  loop     r@0, r0 -> 6
+  21  loop     r@1, r0 -> 6
 ";
     assert_eq!(
         compiled.vm().to_string(),

@@ -105,79 +105,79 @@ fn causal_stage_programs_match_the_recorded_golden() {
 }
 
 const EDGE_GOLDEN: [&str; 21] = [
-    "qkv_proj 772fb8b382fd3dfa",
-    "qkv_bias ebd62bd101be48d9",
-    "scores 00da1598b3d4b57b",
-    "scale 6ada97117a8f9a36",
-    "row_max bfbcabab92cf6b38",
-    "row_exp 033e5b3e9b24b9f4",
-    "row_sum f85502fc8ff41c92",
-    "row_softmax f2b978565e5ce8bc",
-    "attnv f7cf4849ae4f6f8b",
-    "out_proj dd66c3ae665a9f20",
-    "attn_bias_residual b37871857ea50c2d",
-    "ln1_sum 74b9f1b6f3bd1096",
-    "ln1_var 9a9410511d8603c6",
-    "ln1_norm 582dea18c1b37123",
-    "ff1 54988bee511c66b1",
-    "ff1_bias_gelu 5fdc9bccfffe6aea",
-    "ff2 907983b61b9cae4f",
-    "ff_bias_residual 49c887de357fa9f4",
-    "ln2_sum b68855f5c5d21d4d",
-    "ln2_var dbb7a42d3c99da62",
-    "ln2_norm 3d3ad733e4b2428d",
+    "qkv_proj ab69488a7b2af1f4",
+    "qkv_bias 1fc0eda7e3b67bb7",
+    "scores 82b1f167b22f8c2f",
+    "scale f94b435a8f71c4cd",
+    "row_max 1157e76aa5a6bc65",
+    "row_exp 40559290db36789a",
+    "row_sum 2530d216be8369d7",
+    "row_softmax df1606daacadced4",
+    "attnv 2b106eb4422243c6",
+    "out_proj 14d6b87eb58304cd",
+    "attn_bias_residual e21131655f2cf8a9",
+    "ln1_sum 4c645ec9320aa148",
+    "ln1_var aa1483c7e5204f66",
+    "ln1_norm afe1ec4d905bec81",
+    "ff1 aab4a209fecefcdb",
+    "ff1_bias_gelu 59f5839db6ea6be4",
+    "ff2 a14af69f196d8f0b",
+    "ff_bias_residual 183ce4b513b1f618",
+    "ln2_sum acdc4178712c519b",
+    "ln2_var 085fe42c5d409322",
+    "ln2_norm 2c387679c0b845f3",
 ];
 
 const MNLI_GOLDEN: [&str; 21] = [
-    "qkv_proj 7626efd53712105a",
-    "qkv_bias 57c51e2e6cd64f85",
-    "scores 8ac44b486f78a1c4",
-    "scale 81dce3aebd362739",
-    "row_max 8ffd983e2263565e",
-    "row_exp de6154f95e38900d",
-    "row_sum 88a020f1d9fa904e",
-    "row_softmax 972e2baaed2183b5",
-    "attnv 87d3aa8299f2a00f",
-    "out_proj 3d71ba0385eabe42",
-    "attn_bias_residual bf9c8c59679672c0",
-    "ln1_sum 1a252af36b10d5f7",
-    "ln1_var f957958ea6a475cc",
-    "ln1_norm 40a6369939eeefa5",
-    "ff1 c3ac9a21db044f7e",
-    "ff1_bias_gelu 7819364f042107b9",
-    "ff2 315b0c2c0fe52843",
-    "ff_bias_residual 00ea15684fd83ddb",
-    "ln2_sum 86fe24ba1a747f46",
-    "ln2_var 1c50d765f7eb1907",
-    "ln2_norm e438c45166278808",
+    "qkv_proj c0d30b3b24c2d5ae",
+    "qkv_bias ee2c9f71e96a1c99",
+    "scores 4df9808dd4982b73",
+    "scale 17bb59080d913d7d",
+    "row_max cbb093fab60105d4",
+    "row_exp 627a0ea068e76e82",
+    "row_sum 56c4273be9705a7e",
+    "row_softmax 732452fc5fd1f866",
+    "attnv 92358994078234eb",
+    "out_proj f7ae75274876427b",
+    "attn_bias_residual 88a79b262fb4654a",
+    "ln1_sum e468c337f737bbbd",
+    "ln1_var 78a7b6f6ea191fb4",
+    "ln1_norm 7761eec16abbd075",
+    "ff1 92f351d67b03d50c",
+    "ff1_bias_gelu 4c6d6a0c05282967",
+    "ff2 a7e2a150bdeeb605",
+    "ff_bias_residual 2e971affe7101c35",
+    "ln2_sum fee179d5cce7d360",
+    "ln2_var 8d55300cafb703f7",
+    "ln2_norm c754f4f1e46059b8",
 ];
 
 const CAUSAL_EDGE_GOLDEN: [&str; 11] = [
-    "qkv_proj 772fb8b382fd3dfa",
-    "qkv_bias ebd62bd101be48d9",
-    "scores 5ae3aaf9a35efc8c",
-    "scale 5c32f197dddd55bc",
-    "row_max 78b6a0c4cad5a12b",
-    "row_exp 4cb4774f7a377b86",
-    "row_sum 732d75f9dd4ed83d",
-    "row_softmax 2fd28e518319a010",
-    "attnv d5f7f45ff334f254",
-    "out_proj dd66c3ae665a9f20",
-    "attn_bias 6437d5365207664f",
+    "qkv_proj ab69488a7b2af1f4",
+    "qkv_bias 1fc0eda7e3b67bb7",
+    "scores 8522ec5d4143e8f2",
+    "scale e5724b0fbca2a263",
+    "row_max a3d4a115542d003e",
+    "row_exp 9d8c7521d4765bdc",
+    "row_sum 433a861fb6d194e0",
+    "row_softmax e92faddbc61902c8",
+    "attnv bb4a4d576cfec789",
+    "out_proj 14d6b87eb58304cd",
+    "attn_bias 720cb20bba5f4ac9",
 ];
 
 const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
-    "qkv_proj 7626efd53712105a",
-    "qkv_bias 57c51e2e6cd64f85",
-    "scores dfa78ad7d160d504",
-    "scale deb7cc1e16ae0d12",
-    "row_max dce63ac9aa066f11",
-    "row_exp c598bcc7ad65e672",
-    "row_sum 04948472b4644d67",
-    "row_softmax 36d73eb2bfb63dfa",
-    "attnv 7660fde31a8529da",
-    "out_proj 38fe31c4b6a1d920",
-    "attn_bias 973132503bca1bf7",
+    "qkv_proj c0d30b3b24c2d5ae",
+    "qkv_bias ee2c9f71e96a1c99",
+    "scores b1fc03ef01096b6b",
+    "scale bd516046bdacd5f6",
+    "row_max ab4c708251de675d",
+    "row_exp 9bd8ff825280768d",
+    "row_sum ff502bd4f9bf1ad1",
+    "row_softmax 792091c808fbf56d",
+    "attnv 2567dd3ce707b638",
+    "out_proj f9ae619132cba2ad",
+    "attn_bias 775a0b55536cef67",
 ];
 
 /// Adds `program`'s fused-instruction census to `total`; a program that

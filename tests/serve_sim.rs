@@ -12,6 +12,9 @@
 //!   keeps serving: no deadlock, no lost completions.
 //! * **Ragged edges** — zero- and one-length requests flow through the
 //!   whole stack.
+//! * **Compile once** — a run compiles one layer however many shapes it
+//!   serves, and its seeded log and outputs are the ones recorded when
+//!   every miss compiled.
 //!
 //! Everything here runs in virtual time: zero real-time sleeps, zero
 //! threads.
@@ -78,6 +81,47 @@ fn same_seed_simulations_are_byte_identical() {
     for (x, y) in a.completions.iter().zip(&b.completions) {
         assert_eq!(x.id, y.id);
         assert_eq!(x.result, y.result);
+    }
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Compiling once per pool instead of once per shape changes neither
+/// what the simulator logs nor what it returns: the seed-42 event log and
+/// every completion's output bits hash to the values recorded when each
+/// pool miss compiled its own layer. Misses still log `pool=build`, and
+/// the whole run — differential gate included — compiles once.
+#[test]
+fn compiling_once_per_pool_keeps_the_seeded_log_and_outputs() {
+    for check in [false, true] {
+        let mut s = server(check);
+        let report = s.run_sim(
+            TraceSource::new(bursty_trace(42, 20)),
+            &ServiceModel::default(),
+        );
+        let outputs = report.completions.iter().flat_map(|c| {
+            let rows = c.result.as_ref().expect("no faults injected");
+            let bits = rows.iter().flat_map(|v| v.to_bits().to_le_bytes());
+            c.id.to_le_bytes()
+                .into_iter()
+                .chain(bits)
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            fnv1a(report.event_log().into_bytes()),
+            0x9249_d236_cce1_0255
+        );
+        assert_eq!(fnv1a(outputs), 0x4d6d_c6dc_0cd4_904e);
+        let logged = |mark: &str| report.events.iter().filter(|e| e.ends_with(mark)).count();
+        let stats = report.pool_stats;
+        assert_eq!((stats.hits, stats.misses), (1, 8));
+        assert_eq!(logged(" pool=build") as u64, stats.misses);
+        assert_eq!(logged(" pool=hit") as u64, stats.hits);
+        assert_eq!(stats.compiles, 1, "{stats:?}");
     }
 }
 
