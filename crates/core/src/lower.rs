@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use cora_ir::interval::decide;
 use cora_ir::simplify::simplify_cond;
 use cora_ir::visit::{mentions, subst, subst_cond, Node};
-use cora_ir::{Cond, Expr, FExprKind, ForKind, SInt, Stmt, StoreKind};
+use cora_ir::{Cond, Expr, ExprKind, FExprKind, ForKind, SInt, Stmt, StoreKind};
 use cora_ragged::LengthFn;
 
 use crate::api::{LoopExtent, Operator};
@@ -48,10 +48,12 @@ struct LoweredLoop {
 #[derive(Debug, Clone)]
 enum ExtentIr {
     Const(i64),
-    /// Extent read from a prelude-built table at the dependence variable.
+    /// Extent read from a prelude-built table at the value of the loop it
+    /// depends on: that loop's variable, rewritten like every other
+    /// index when the loop is later split or fused.
     Table {
         buffer: String,
-        dep_var: String,
+        index: Expr,
         lens: LengthFn,
     },
     /// Extent is a runtime parameter bound by the prelude, over the
@@ -72,9 +74,7 @@ impl ExtentIr {
     fn to_expr(&self) -> Expr {
         match self {
             ExtentIr::Const(e) => Expr::int(*e),
-            ExtentIr::Table {
-                buffer, dep_var, ..
-            } => Expr::load(buffer.clone(), Expr::var(dep_var.clone())),
+            ExtentIr::Table { buffer, index, .. } => Expr::load(buffer.clone(), index.clone()),
             ExtentIr::Param { var, div: 1, .. } => Expr::var(var.clone()),
             ExtentIr::Param {
                 var,
@@ -85,6 +85,18 @@ impl ExtentIr {
             ExtentIr::Param { var, div, .. } => {
                 (Expr::var(var.clone()) + Expr::int(div - 1)).floor_div(Expr::int(*div))
             }
+        }
+    }
+
+    /// The loop a table extent is read at, while its index is that loop's
+    /// bare variable (not yet rebuilt by a split or fusion of the loop).
+    fn dep_var(&self) -> Option<&str> {
+        match self {
+            ExtentIr::Table { index, .. } => match index.kind() {
+                ExprKind::Var(v) => Some(v),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
@@ -159,7 +171,7 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                 let buffer = format!("{}__ext_{}", op.name, spec.name);
                 ExtentIr::Table {
                     buffer,
-                    dep_var: dep_name,
+                    index: Expr::var(dep_name),
                     lens: lens.clone(),
                 }
             }
@@ -254,7 +266,7 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                     }
                     ExtentIr::Table {
                         buffer,
-                        dep_var,
+                        index,
                         lens,
                     } => {
                         if lens.as_slice().iter().any(|&l| l % factor != 0) {
@@ -267,7 +279,7 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                             LengthFn::new(lens.as_slice().iter().map(|&l| l / factor).collect());
                         ExtentIr::Table {
                             buffer: format!("{buffer}_o"),
-                            dep_var: dep_var.clone(),
+                            index: index.clone(),
                             lens: outer_lens,
                         }
                     }
@@ -310,7 +322,7 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                         }
                     }
                 };
-                substitute_all(&mut var_map, &mut guards, loop_name, &rebuilt);
+                substitute_all(&mut var_map, &mut guards, &mut loops, loop_name, &rebuilt);
                 let kind = loops[idx].kind;
                 loops[idx] = LoweredLoop {
                     var: vo,
@@ -361,8 +373,8 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                     _ => None,
                 };
                 let (outer_extent, inner_lens) = match (outer_count, &loops[ii].extent) {
-                    (Some(m), ExtentIr::Table { lens, dep_var, .. })
-                        if dep_var == &loops[oi].var =>
+                    (Some(m), inner @ ExtentIr::Table { lens, .. })
+                        if inner.dep_var() == Some(loops[oi].var.as_str()) =>
                     {
                         (m, lens.clone())
                     }
@@ -381,8 +393,8 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                 // Body reconstructs o and i from the prelude maps.
                 let o_expr = Expr::load(format!("{fused}__ffo"), Expr::var(fused.clone()));
                 let i_expr = Expr::load(format!("{fused}__ffi"), Expr::var(fused.clone()));
-                substitute_all(&mut var_map, &mut guards, outer, &o_expr);
-                substitute_all(&mut var_map, &mut guards, inner, &i_expr);
+                substitute_all(&mut var_map, &mut guards, &mut loops, outer, &o_expr);
+                substitute_all(&mut var_map, &mut guards, &mut loops, inner, &i_expr);
                 let kind = loops[oi].kind;
                 loops[oi] = LoweredLoop {
                     var: fused.clone(),
@@ -432,11 +444,12 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                     let idx = find_loop(&loops, name)?;
                     reordered.push(loops[idx].clone());
                 }
-                // §4.1: a vloop cannot move outside the loop its extent
+                // §4.1: a vloop cannot move outside the loops its extent
                 // depends on.
                 for (pos, l) in reordered.iter().enumerate() {
-                    if let ExtentIr::Table { dep_var, .. } = &l.extent {
-                        let dep_ok = reordered[..pos].iter().any(|o| &o.var == dep_var);
+                    if let ExtentIr::Table { index, .. } = &l.extent {
+                        let inner = &reordered[pos..];
+                        let dep_ok = inner.iter().all(|o| !mentions(Node::Expr(index), &o.var));
                         if !dep_ok {
                             return Err(ScheduleError::VloopReorderedPastDependence {
                                 loop_name: l.var.clone(),
@@ -527,12 +540,13 @@ fn find_loop(loops: &[LoweredLoop], name: &str) -> Result<usize, ScheduleError> 
 }
 
 /// Rewrites every mapping in `var_map` that mentions `name`, the entry
-/// for `name` itself, and every pending tail guard, in terms of
-/// `replacement` — so a guard follows its loop through later splits and
-/// fusions.
+/// for `name` itself, every pending tail guard and every table extent's
+/// index, in terms of `replacement` — so a guard or a vloop's extent
+/// follows its loop through later splits and fusions.
 fn substitute_all(
     var_map: &mut HashMap<String, Expr>,
     guards: &mut [Cond],
+    loops: &mut [LoweredLoop],
     name: &str,
     replacement: &Expr,
 ) {
@@ -542,6 +556,11 @@ fn substitute_all(
     }
     for g in guards {
         *g = subst_cond(g, &single);
+    }
+    for l in loops {
+        if let ExtentIr::Table { index, .. } = &mut l.extent {
+            *index = subst(index, &single);
+        }
     }
 }
 
@@ -595,20 +614,19 @@ fn derive_block_costs(loops: &[LoweredLoop], body_flops: f64) -> Vec<BlockCost> 
         .position(|l| l.kind.is_block_axis())
         .unwrap_or(0);
     let outer = (block_pos + 1).min(loops.len());
-    // A table resolves at the index of the enumerated loop it depends on
-    // — one outside it, or, for loops inside the block, any of the
-    // enumerated ones — and otherwise falls back to its maximum
-    // (conservative).
+    // A table indexed by an enumerated loop's variable resolves at that
+    // loop's index — one outside it, or, for loops inside the block, any
+    // of the enumerated ones — and otherwise (another loop, or an index
+    // rebuilt by a split) falls back to its maximum (conservative).
     let extents: Vec<CostExtent<'_>> = loops
         .iter()
         .enumerate()
         .map(|(pos, l)| match &l.extent {
             ExtentIr::Const(e) | ExtentIr::Param { value: e, .. } => CostExtent::Fixed(*e),
-            ExtentIr::Table { dep_var, lens, .. } => {
-                match loops[..pos.min(outer)]
-                    .iter()
-                    .position(|o| &o.var == dep_var)
-                {
+            ExtentIr::Table { lens, .. } => {
+                let enumerated = &loops[..pos.min(outer)];
+                let dep = l.extent.dep_var();
+                match dep.and_then(|v| enumerated.iter().position(|o| o.var == v)) {
                     Some(dep) => CostExtent::At(dep, lens),
                     None => CostExtent::Fixed(lens.max() as i64),
                 }
@@ -671,7 +689,7 @@ mod tests {
             let extent_of = |l: &LoweredLoop, idx: &HashMap<String, i64>| match &l.extent {
                 ExtentIr::Const(e) => *e,
                 ExtentIr::Param { value, .. } => *value,
-                ExtentIr::Table { dep_var, lens, .. } => match idx.get(dep_var) {
+                ExtentIr::Table { lens, .. } => match l.extent.dep_var().and_then(|v| idx.get(v)) {
                     Some(&v) => lens.len_at(v as usize) as i64,
                     None => lens.max() as i64,
                 },

@@ -508,7 +508,7 @@ impl CompiledPipeline {
             // One built prelude per stage: the proof, the serial tier and
             // the parallel tier all share its tables.
             let prelude = spec.program.build_prelude();
-            let par = spec.program.parallel_prep_with(&prelude)?;
+            let par = spec.program.parallel_prep_with(&prelude, None)?;
             if let Some(prep) = &par {
                 // Cross-check the verifier's proven access hulls against
                 // the planner's buffer sizes: every input the stage reads

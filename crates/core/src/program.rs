@@ -533,27 +533,30 @@ impl CompiledProgram {
     /// parallel region on `pool`: prelude on the host, then one bytecode
     /// execution of the outlined block body per block index.
     ///
-    /// **Scheduling.** Blocks are ordered by the schedule's thread-remap
-    /// policy over [`Program::block_costs`] (identical to the simulated
-    /// GPU's dispatch order — heaviest-first under
+    /// **Scheduling.** The unit of dispatch is the proof's tile of
+    /// consecutive block values ([`crate::verify::tile_grain`]). Tiles
+    /// are ordered by the schedule's thread-remap policy over the summed
+    /// [`Program::block_costs`] of their blocks (the simulated GPU's
+    /// dispatch order at grain 1 — heaviest-first under
     /// [`RemapPolicy::LongestFirst`]) and packed into cost-balanced
     /// batches, which the pool's work-stealing runtime then rebalances
-    /// dynamically.
+    /// dynamically; a worker runs a tile's blocks in ascending order.
     ///
     /// **Safety (disjoint stores).** Workers share one output buffer
     /// without locks. This is sound because every session carries a
     /// [`VerifyOutcome`]: the [`crate::verify`] pass abstractly
     /// interprets the outlined body at this shape and proves each store
-    /// in-bounds and the per-block store regions pairwise disjoint. The
+    /// in-bounds and the per-tile store regions pairwise disjoint. The
     /// proof's [`cora_exec::vm::StoreCert`] is then *enforced* by the
     /// safe executor entry point on every store, so even a verifier bug
     /// surfaces as a deterministic panic rather than a data race.
-    /// Reductions (`+=`, `max=`) stay inside a block, so their
-    /// read-modify-writes touch only elements the executing block owns.
+    /// Reductions (`+=`, `max=`) stay inside a tile, so their
+    /// read-modify-writes touch only elements the executing tile owns.
     ///
     /// **Determinism.** Outputs are bit-identical to [`Program::run`]
-    /// (every element has exactly one writer, and within a block the
-    /// serial evaluation order is preserved), and the aggregated
+    /// (every element is written by one tile, whose blocks run in the
+    /// serial order, and within a block the serial evaluation order is
+    /// preserved), and the aggregated
     /// [`InterpStats`] — host-charged bound/hoist loads plus the summed
     /// per-worker counters — equal the serial statistics exactly.
     ///
@@ -622,16 +625,43 @@ impl CompiledProgram {
         if matches!(self.code.parallel, Ok(None)) {
             return Ok(None);
         }
-        self.parallel_prep_with(&self.prelude.build())
+        self.parallel_prep_with(&self.prelude.build(), None)
+    }
+
+    /// [`CompiledProgram::parallel_prep`] with every proof and dispatch
+    /// tile exactly `grain` block values (the last one shorter) and no
+    /// per-block retry — what the tile-grain rule
+    /// ([`crate::verify::tile_grain`]) would do at a grain it does not
+    /// pick, for checking the proof, the certificate and the dispatch at
+    /// any grain.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledProgram::parallel_prep`]; a proof that only the
+    /// per-block retry would have found is an error here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grain` is zero.
+    pub fn parallel_prep_at_grain(
+        &self,
+        grain: usize,
+    ) -> Result<Option<ParallelPrep>, ScheduleError> {
+        if matches!(self.code.parallel, Ok(None)) {
+            return Ok(None);
+        }
+        self.parallel_prep_with(&self.prelude.build(), Some(grain))
     }
 
     /// [`CompiledProgram::parallel_prep`] against an already-built
     /// prelude (which must come from this program's own
     /// [`CompiledProgram::build_prelude`]): the tables are shared, not
-    /// rebuilt or copied.
+    /// rebuilt or copied. `grain`: as for
+    /// [`CompiledProgram::parallel_prep_at_grain`]; `None` is the rule.
     pub(crate) fn parallel_prep_with(
         &self,
         data: &PreludeData,
+        grain: Option<usize>,
     ) -> Result<Option<ParallelPrep>, ScheduleError> {
         let kernel = match &self.code.parallel {
             Err(e) => return Err(e.clone()),
@@ -661,9 +691,9 @@ impl CompiledProgram {
         let n_blocks = usize::try_from(extent.max(0)).expect("extent fits usize");
 
         // The safety proof: the per-shape walk of the proof program over
-        // every block value. The resulting certificate is what the safe
-        // executor entry point enforces; a program the verifier cannot
-        // prove safe never runs in parallel.
+        // every tile of block values. The resulting certificate is what
+        // the safe executor entry point enforces; a program the verifier
+        // cannot prove safe never runs in parallel.
         let scalars: Vec<(String, i64)> = data
             .params
             .iter()
@@ -679,17 +709,17 @@ impl CompiledProgram {
             output: &self.code.output_name,
             output_size: self.output_size,
         };
-        let outcome = kernel.proof.verify(min, n_blocks, &ctx).map_err(|e| {
-            ScheduleError::BlockAxisNotOutlinable {
-                loop_name: kernel.block_var.clone(),
-                reason: format!(
-                    "the safety verifier could not prove the disjoint-store contract: {e}"
-                ),
-            }
+        let proved = match grain {
+            None => kernel.proof.verify(min, n_blocks, &ctx),
+            Some(grain) => kernel.proof.verify_tiles(min, n_blocks, grain, &ctx),
+        };
+        let outcome = proved.map_err(|e| ScheduleError::BlockAxisNotOutlinable {
+            loop_name: kernel.block_var.clone(),
+            reason: format!("the safety verifier could not prove the disjoint-store contract: {e}"),
         })?;
 
-        // Dispatch order (thread remapping), resolved against the block
-        // cost metadata.
+        // Dispatch order (thread remapping) of the certificate's tiles,
+        // by the summed cost metadata of their blocks.
         let costs: Vec<f64> = if self.block_costs.len() == n_blocks {
             self.block_costs.iter().map(|b| b.flops).collect()
         } else {
@@ -697,7 +727,11 @@ impl CompiledProgram {
             // too; when it does not line up one-to-one, balance blindly.
             vec![1.0; n_blocks]
         };
-        let order = dispatch_order(self.code.remap, &costs);
+        let tile_costs: Vec<f64> = costs
+            .chunks(outcome.grain)
+            .map(|c| c.iter().sum())
+            .collect();
+        let order = dispatch_order(self.code.remap, &tile_costs);
 
         // The block body's table: the block variable stays unbound (it
         // is supplied per block); later scalars shadow earlier ones.
@@ -713,8 +747,8 @@ impl CompiledProgram {
             prelude: data.clone(),
             shared,
             host,
-            ordered_costs: order.iter().map(|&b| costs[b]).collect(),
-            blocks: order.iter().map(|&b| min + b as i64).collect(),
+            ordered_costs: order.iter().map(|&t| tile_costs[t]).collect(),
+            tiles: order.iter().map(|&t| outcome.cert.tile_start(t)).collect(),
             verify: outcome,
         }))
     }
@@ -791,7 +825,7 @@ impl CompiledProgram {
             &self.code.output_name,
             out,
             inputs,
-            &prep.blocks,
+            &prep.tiles,
             batches.cut_for(prep, pool.threads()),
             &prep.verify.cert,
         );
@@ -827,9 +861,9 @@ pub struct ParallelPrep {
     /// free variable left unbound.
     shared: VmShared,
     host: InterpStats,
-    /// Block-variable values in dispatch order.
-    blocks: Vec<i64>,
-    /// Per-block costs in dispatch order (batch packing).
+    /// First block value of each proven tile, in dispatch order.
+    tiles: Vec<i64>,
+    /// Per-tile costs in dispatch order (batch packing).
     ordered_costs: Vec<f64>,
     /// The machine-checked safety proof for this program at this shape,
     /// carrying the store certificate the executor enforces.
@@ -849,7 +883,7 @@ impl ParallelPrep {
 }
 
 /// Cost-balanced batches — consecutive ranges of a prep's
-/// dispatch-ordered blocks — cached with the pool width they were cut
+/// dispatch-ordered tiles — cached with the pool width they were cut
 /// for (0: not cut yet), so warm runs allocate nothing for dispatch.
 /// Lives wherever the mutable per-shape state lives: in a
 /// [`ParallelSession`], or per stage in a pipeline prep.

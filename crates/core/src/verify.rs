@@ -12,8 +12,25 @@
 //!    minimal input length ([`VerifyOutcome::required_inputs`]) that the
 //!    execution entry points check against the buffers actually bound;
 //! 2. **disjoint-store** — the store-index sets of any two distinct
-//!    block-variable values are disjoint, the contract the VM's
+//!    *tiles* of block values are disjoint, the contract the VM's
 //!    parallel dispatch needs for lock-free shared-output writes.
+//!
+//! # Tiles
+//!
+//! A tile is `g` consecutive block values; the dispatcher hands a tile
+//! to one worker, which runs its blocks in ascending order, so blocks of
+//! one tile never race and only distinct tiles need disjoint stores.
+//! The grain is a fixed function of the block count, [`tile_grain`]:
+//! `g = clamp(⌈n_blocks / 64⌉, 1, 16)`, at least 64 tiles until the
+//! grain reaches 16. The walk evaluates the body once per tile with the
+//! block variable bound to the tile's range, which is what makes an
+//! unseen shape's proof cost ~`1/g` of a per-block one. When the tiled
+//! proof fails — a tile's hull can be looser than its blocks' union
+//! (a guard that only a single block satisfies exactly, a table read
+//! past its end by the tile's widest index) — [`ProofProgram::verify`]
+//! proves once more at grain 1 and records the grain that won in
+//! [`VerifyOutcome::grain`]. [`verify_outlined`] always proves per
+//! block.
 //!
 //! # How the proof works
 //!
@@ -33,35 +50,49 @@
 //!   `For`/`LetInt`/`Alloc` site its own slot, and every guard's
 //!   `lhs − rhs ≤ bound` linear form ([`cora_ir::affine`]) extracted.
 //!   Nothing is pretty-printed unless an error is raised.
-//! * **Once per shape** — [`ProofWalk`]: for each block value `b` the
-//!   proof program is evaluated over one reused slot-indexed
-//!   environment with the block variable bound to the point `{b}`, host
-//!   parameters and hoisted bindings bound to their concrete values,
-//!   and auxiliary-table loads *grounded* in the shape's built prelude
-//!   tables, read in place (a point index reads the exact entry; a
-//!   range index yields the slice's min/max hull). Loop variables
-//!   become dense ranges; guards narrow variable ranges along the taken
-//!   branch by Fourier–Motzkin elimination — which is what makes
-//!   padded/guarded schedules verify precisely. Every access is proven
-//!   in bounds and every output store records a strided region. The
-//!   walk allocates nothing per block.
+//! * **Once per shape** — [`ProofWalk`]: for each tile the proof
+//!   program is evaluated over one reused slot-indexed environment with
+//!   the block variable bound to the tile's range (the point `{b}` at
+//!   grain 1), host parameters and hoisted bindings bound to their
+//!   concrete values, and auxiliary-table loads *grounded* in the
+//!   shape's built prelude tables, read in place (a point index reads
+//!   the exact entry; a range index yields the slice's min/max hull).
+//!   Loop variables become dense ranges; guards narrow variable ranges
+//!   along the taken branch by Fourier–Motzkin elimination — which is
+//!   what makes padded/guarded schedules verify precisely. Every access
+//!   is proven in bounds and every output store records a strided
+//!   region. The walk allocates nothing per tile.
+//!
+//! **Correlated table pairs.** A range index loses the correlation
+//! between two tables read at the same row: over a tile, the hull of a
+//! ragged row's `base[x] + j` with `j < len[x]` is `max base + max len`,
+//! which escapes the buffer although no row does. So one rule is added:
+//! when an access index is `Load(A, X) + c·j + rest` and `j` is the
+//! variable of an enclosing `for j in 0..Load(L, X)` with the same `X`
+//! (compared through `LetInt` bindings), that part is bounded by one
+//! scan over `x ∈ X` as `[min A[x], max (A[x] + c·(L[x] − 1))]` (for
+//! `c ≥ 0`; mirrored for `c < 0`), skipping rows with `L[x] = 0`, whose
+//! loop body never runs. The rule is exact — it needs no monotonicity
+//! of either table — and the access's range is the intersection of its
+//! plain interval value with this bound.
 //!
 //! The walk's regions become a [`StoreCert`], whose constructor proves
-//! the regions of distinct blocks pairwise disjoint with one
+//! the regions of distinct tiles pairwise disjoint with one
 //! sort-and-sweep (interval separation or, for interleaved lanes,
 //! stride/congruence separation) while laying them out as a flat
-//! per-block table. That certificate is what the safe executor entry
+//! per-tile table. That certificate is what the safe executor entry
 //! point `VmShared::run_blocks_proven` enforces per store at run time,
-//! so soundness does not hinge on this module being bug-free: nothing
-//! reaches the executor that the certificate's own constructor did not
-//! check, and every store is checked against it before it lands — a
-//! verifier bug surfaces as a deterministic panic, never a data race.
+//! dispatching whole tiles, so soundness does not hinge on this module
+//! being bug-free: nothing reaches the executor that the certificate's
+//! own constructor did not check, and every store is checked against it
+//! before it lands — a verifier bug surfaces as a deterministic panic,
+//! never a data race.
 //!
 //! Failures produce structured [`VerifyError`]s carrying the offending
 //! store statement (pretty-printed via `cora_ir::printer`), its index
-//! expression, and — for overlaps — the two block values and witness
-//! regions, replacing the previously opaque "cannot be outlined"
-//! rejection.
+//! expression, and — for overlaps — the two witness tiles (blocks, at
+//! grain 1) and their regions, replacing the previously opaque "cannot
+//! be outlined" rejection.
 //!
 //! [`symbolic_store_check`] is the *symbolic* companion (Rule A): a
 //! shape-independent linear-form pass the outliner runs before any
@@ -86,17 +117,20 @@ use cora_ir::{CmpOp, Cond, CondKind, Env, Expr, ExprKind, FExpr, FExprKind, IBin
 /// A failed safety proof, with the evidence.
 #[derive(Debug, Clone)]
 pub enum VerifyError {
-    /// Two distinct block values may store to the same output element.
+    /// Two distinct tiles of block values may store to the same output
+    /// element.
     StoreOverlap {
         /// Pretty-printed offending store statement.
         store: String,
         /// The store's index expression.
         index: String,
-        /// First witness block value.
+        /// Block values per tile of the failed proof (1: per block).
+        grain: usize,
+        /// First block value of the first witness tile.
         block_a: i64,
         /// Its store region containing the collision.
         region_a: SInt,
-        /// Second witness block value.
+        /// First block value of the second witness tile.
         block_b: i64,
         /// Its overlapping store region.
         region_b: SInt,
@@ -135,17 +169,28 @@ impl fmt::Display for VerifyError {
             VerifyError::StoreOverlap {
                 store,
                 index,
+                grain,
                 block_a,
                 region_a,
                 block_b,
                 region_b,
-            } => write!(
-                f,
-                "blocks {block_a} and {block_b} may store to the same output \
-                 elements: regions {region_a} and {region_b} overlap at the \
-                 store `{}` (index `{index}`)",
-                store.trim_end()
-            ),
+            } => {
+                if *grain == 1 {
+                    write!(f, "blocks {block_a} and {block_b}")?;
+                } else {
+                    write!(
+                        f,
+                        "the tiles of {grain} blocks starting at blocks {block_a} \
+                         and {block_b}"
+                    )?;
+                }
+                write!(
+                    f,
+                    " may store to the same output elements: regions {region_a} \
+                     and {region_b} overlap at the store `{}` (index `{index}`)",
+                    store.trim_end()
+                )
+            }
             VerifyError::OutOfBounds {
                 buffer,
                 index,
@@ -187,17 +232,37 @@ pub enum ProofKind {
 pub struct VerifyOutcome {
     /// The proof strategy used.
     pub proof: ProofKind,
-    /// The disjoint-store certificate (per-block store regions,
+    /// The disjoint-store certificate (per-tile store regions,
     /// re-validated on construction) the executor enforces at run time.
     pub cert: StoreCert,
     /// Number of block values covered by the proof.
     pub n_blocks: usize,
+    /// Block values per tile of the proof that succeeded: the
+    /// [`tile_grain`] rule's, or 1 when only the per-block retry proved
+    /// the program.
+    pub grain: usize,
+    /// Number of tiles proven and dispatched.
+    pub tiles: usize,
     /// Number of distinct syntactic store sites to the output.
     pub store_sites: usize,
     /// Minimal length of each float input buffer implied by the proven
     /// access hulls, sorted by name. Execution entry points check the
     /// buffers actually bound against these.
     pub required_inputs: Vec<(String, i64)>,
+}
+
+/// The tile count the grain rule aims for.
+const TARGET_TILES: usize = 64;
+
+/// The widest tile the grain rule forms.
+const MAX_GRAIN: usize = 16;
+
+/// Block values per proof and dispatch tile for a block loop of
+/// `n_blocks`: `clamp(⌈n_blocks / 64⌉, 1, 16)`. A fixed function of the
+/// block count: small loops keep one block per tile (and every worker
+/// something to steal), large ones prove and dispatch 16 rows at a time.
+pub fn tile_grain(n_blocks: usize) -> usize {
+    n_blocks.div_ceil(TARGET_TILES).clamp(1, MAX_GRAIN)
 }
 
 impl VerifyOutcome {
@@ -225,8 +290,9 @@ pub struct VerifyCtx<'a> {
 }
 
 /// Proves the in-bounds and disjoint-store theorems for an outlined
-/// block body at one concrete shape: [`ProofProgram::build`] followed
-/// by [`ProofProgram::verify`], for callers that prove a body once.
+/// block body at one concrete shape, per block (grain 1):
+/// [`ProofProgram::build`] followed by [`ProofProgram::verify_tiles`],
+/// for callers that prove a body once.
 ///
 /// `min` and `n_blocks` are the block loop's (host-evaluated) lower
 /// bound and trip count: block values `min .. min + n_blocks` are each
@@ -244,7 +310,7 @@ pub fn verify_outlined(
     n_blocks: usize,
     ctx: &VerifyCtx<'_>,
 ) -> Result<VerifyOutcome, VerifyError> {
-    ProofProgram::build(body, block_var, ctx.output).verify(min, n_blocks, ctx)
+    ProofProgram::build(body, block_var, ctx.output).verify_tiles(min, n_blocks, 1, ctx)
 }
 
 // ---------------------------------------------------------------------
@@ -253,15 +319,17 @@ pub fn verify_outlined(
 
 /// The shape-independent half of the proof: an outlined block body with
 /// every name resolved to a dense index, built once per compiled
-/// program and walked once per block value per shape.
+/// program and walked once per tile per shape.
 ///
 /// Free variables, auxiliary tables and float inputs take their slots
 /// from the body's [`StmtSlots`] census; each `For`/`LetInt` site gets a
 /// fresh variable slot past the free range and each `Alloc` site a
 /// scratch slot, so scoping is settled here and the walk needs no
 /// save/restore for bindings. Guards carry their `lhs − rhs ≤ bound`
-/// linear forms pre-linearised. Source expressions and store statements
-/// ride along only to be pretty-printed if an error is raised.
+/// linear forms pre-linearised, and access indices of the correlated
+/// table-pair form (module docs) their pair. Source expressions and
+/// store statements ride along only to be pretty-printed if an error is
+/// raised.
 #[derive(Debug, Clone)]
 pub struct ProofProgram {
     slots: StmtSlots,
@@ -324,6 +392,26 @@ struct Guard {
     narrow: Vec<NarrowLe>,
 }
 
+/// An access index `Load(base, at) + coeff·j + rest` under an enclosing
+/// `for j in 0..Load(extent, at)`: the part before `rest` is bounded by
+/// one scan of the two tables over `at` (module docs).
+#[derive(Debug, Clone)]
+struct Pair {
+    base: u32,
+    extent: u32,
+    at: PExpr,
+    coeff: i64,
+    rest: Option<PExpr>,
+}
+
+/// A float-access index: its plain form, and its correlated table pair
+/// when it has one.
+#[derive(Debug, Clone)]
+struct PIndex {
+    expr: PExpr,
+    pair: Option<Box<Pair>>,
+}
+
 #[derive(Debug, Clone)]
 enum PStmt {
     /// Variable slot, min, extent, body.
@@ -333,7 +421,7 @@ enum PStmt {
     /// a store to the output — its [`ProofProgram::sites`] entry. A store
     /// is its value's loads in evaluation order, then its own access
     /// (float arithmetic and constants carry no proof obligation).
-    Access(Buf, PExpr, Expr, Option<u32>),
+    Access(Buf, PIndex, Expr, Option<u32>),
     /// An index-valued float operand (`Cast`), evaluated for its loads.
     Eval(PExpr),
     /// A statement guard or a float `Select`: then-side, else-side.
@@ -354,6 +442,8 @@ impl ProofProgram {
             output,
             vars: Vec::new(),
             next_var: u32::try_from(slots.free_vars.len()).expect("slot count fits u32"),
+            lets: HashMap::new(),
+            vloops: Vec::new(),
             scratch: Vec::new(),
             scratch_names: Vec::new(),
             sites: Vec::new(),
@@ -371,31 +461,77 @@ impl ProofProgram {
         }
     }
 
-    /// Runs the per-shape walk over block values `min .. min + n_blocks`
-    /// and certifies the result. `ctx.output` must be the output this
-    /// program was built for.
+    /// Proves block values `min .. min + n_blocks` in tiles of the
+    /// [`tile_grain`] rule's grain, and — if that proof fails — once more
+    /// per block; [`VerifyOutcome::grain`] records which succeeded.
+    /// `ctx.output` must be the output this program was built for.
     ///
     /// # Errors
     ///
-    /// As for [`verify_outlined`].
+    /// As for [`verify_outlined`]: the per-block proof's error when
+    /// both fail.
     pub fn verify(
         &self,
         min: i64,
         n_blocks: usize,
         ctx: &VerifyCtx<'_>,
     ) -> Result<VerifyOutcome, VerifyError> {
-        let mut walk = self.walk(ctx, n_blocks);
-        for b in 0..n_blocks {
-            walk.block(min + i64::try_from(b).expect("block count fits i64"))?;
+        let grain = tile_grain(n_blocks);
+        match self.verify_tiles(min, n_blocks, grain, ctx) {
+            Err(_) if grain > 1 => self.verify_tiles(min, n_blocks, 1, ctx),
+            proved => proved,
+        }
+    }
+
+    /// One proof of block values `min .. min + n_blocks` in tiles of
+    /// `grain`, with no retry: the per-shape walk over every tile, then
+    /// the certificate.
+    ///
+    /// # Errors
+    ///
+    /// As for [`verify_outlined`]; an overlap names two witness tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grain` is zero.
+    pub fn verify_tiles(
+        &self,
+        min: i64,
+        n_blocks: usize,
+        grain: usize,
+        ctx: &VerifyCtx<'_>,
+    ) -> Result<VerifyOutcome, VerifyError> {
+        let mut walk = self.walk(ctx, min, n_blocks, grain);
+        for t in 0..walk.tiles() {
+            walk.tile(t)?;
         }
         walk.finish()
     }
 
-    /// Starts a per-shape walk: binds the shape's scalars and auxiliary
-    /// tables to their slots and reserves room for `n_blocks` blocks'
-    /// store regions, so [`ProofWalk::block`] allocates nothing.
-    pub fn walk<'a>(&'a self, ctx: &VerifyCtx<'a>, n_blocks: usize) -> ProofWalk<'a> {
+    /// Starts a per-shape walk over block values `min .. min + n_blocks`
+    /// in tiles of `grain`: binds the shape's scalars and auxiliary
+    /// tables to their slots and reserves room for every tile's store
+    /// regions, so [`ProofWalk::tile`] allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grain` is zero or the block values overflow `i64`.
+    pub fn walk<'a>(
+        &'a self,
+        ctx: &VerifyCtx<'a>,
+        min: i64,
+        n_blocks: usize,
+        grain: usize,
+    ) -> ProofWalk<'a> {
         assert_eq!(ctx.output, self.output, "proof built for another output");
+        assert!(grain > 0, "a tile holds at least one block");
+        let end = i64::try_from(n_blocks)
+            .ok()
+            .and_then(|n| min.checked_add(n));
+        assert!(
+            end.is_some(),
+            "block values {min} + {n_blocks} overflow i64"
+        );
         let mut env = vec![SInt::Top; self.n_vars];
         for (name, v) in ctx.scalars {
             if let Some(slot) = self.slots.free_vars.get(name) {
@@ -403,17 +539,21 @@ impl ProofProgram {
             }
         }
         let tables = self.slots.ibufs.names().iter();
+        let tiles = n_blocks.div_ceil(grain);
         ProofWalk {
             prog: self,
             tables: tables.map(|name| ctx.env.buffer(name)).collect(),
             output_size: i64::try_from(ctx.output_size).expect("output size fits i64"),
+            min,
+            total: n_blocks,
+            grain,
             env,
             scratch_cap: vec![None; self.scratch_names.len()],
             undo: Vec::with_capacity(self.narrow_terms),
             regions: Vec::with_capacity(self.sites.len()),
             required: vec![None; self.slots.free_fbufs.len()],
             visited: vec![false; self.sites.len()],
-            spans: Vec::with_capacity(n_blocks.saturating_mul(self.sites.len())),
+            spans: Vec::with_capacity(tiles.saturating_mul(self.sites.len())),
             n_blocks: 0,
         }
     }
@@ -426,6 +566,11 @@ struct Builder<'a> {
     /// Innermost-last `For`/`LetInt` scopes and their slots.
     vars: Vec<(&'a str, u32)>,
     next_var: u32,
+    /// The value of every `LetInt` slot bound so far.
+    lets: HashMap<u32, PExpr>,
+    /// Innermost-last enclosing loops `for j in 0..Load(extent, at)`:
+    /// `(j's slot, extent table, at)`.
+    vloops: Vec<(u32, u32, PExpr)>,
     /// Innermost-last `Alloc` scopes and their slots.
     scratch: Vec<(&'a str, u32)>,
     scratch_names: Vec<String>,
@@ -477,6 +622,71 @@ impl<'a> Builder<'a> {
                 )
             }
         }
+    }
+
+    /// `e` seen through `LetInt` bindings: a let-bound variable is its
+    /// value.
+    fn deref<'e>(&'e self, mut e: &'e PExpr) -> &'e PExpr {
+        while let PExpr::Var(slot) = e {
+            match self.lets.get(slot) {
+                Some(value) => e = value,
+                None => break,
+            }
+        }
+        e
+    }
+
+    /// True when `a` and `b` are the same expression through `LetInt`
+    /// bindings. Slots are per binding site, so equal expressions over
+    /// the same slots have equal values wherever both are in scope.
+    fn same(&self, a: &PExpr, b: &PExpr) -> bool {
+        match (self.deref(a), self.deref(b)) {
+            (PExpr::Int(x), PExpr::Int(y)) => x == y,
+            (PExpr::Var(x), PExpr::Var(y)) => x == y,
+            (PExpr::Bin(op, xy), PExpr::Bin(oq, zw)) => {
+                op == oq && self.same(&xy.0, &zw.0) && self.same(&xy.1, &zw.1)
+            }
+            (PExpr::Load(t, x, _), PExpr::Load(u, y, _)) => t == u && self.same(x, y),
+            _ => false,
+        }
+    }
+
+    /// An access index with its correlated table pair, if it has one:
+    /// an additive term `Load(A, X)` and a term `c·j` for an enclosing
+    /// `for j in 0..Load(L, X)` at the same `X`; the other terms are the
+    /// pair's `rest`.
+    fn index(&self, e: &Expr) -> PIndex {
+        let expr = self.expr(e);
+        let mut terms = Vec::new();
+        sum_terms(&expr, &mut terms);
+        let mut pair = None;
+        'search: for (k, term) in terms.iter().enumerate() {
+            let PExpr::Load(base, at, _) = self.deref(term) else {
+                continue;
+            };
+            for (m, scaled) in terms.iter().enumerate() {
+                let Some((j, coeff)) = scaled_var(scaled).filter(|_| m != k) else {
+                    continue;
+                };
+                let vloop = self.vloops.iter().find(|(v, _, _)| *v == j);
+                let Some(&(_, extent, _)) = vloop.filter(|(_, _, x)| self.same(x, at)) else {
+                    continue;
+                };
+                let rest = (terms.iter().enumerate())
+                    .filter(|&(i, _)| i != k && i != m)
+                    .map(|(_, t)| (*t).clone())
+                    .reduce(|a, b| PExpr::Bin(IBinOp::Add, Box::new((a, b))));
+                pair = Some(Box::new(Pair {
+                    base: *base,
+                    extent,
+                    at: (**at).clone(),
+                    coeff,
+                    rest,
+                }));
+                break 'search;
+            }
+        }
+        PIndex { expr, pair }
     }
 
     fn cond(&self, c: &Cond) -> PCond {
@@ -540,7 +750,7 @@ impl<'a> Builder<'a> {
             FExprKind::Load(buf, idx) => {
                 out.push(PStmt::Access(
                     self.buf(buf),
-                    self.expr(idx),
+                    self.index(idx),
                     idx.clone(),
                     None,
                 ));
@@ -561,14 +771,12 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Translates `body` with `var` bound to a fresh slot.
-    fn scoped(&mut self, var: &'a str, body: &'a Stmt) -> (u32, Box<PStmt>) {
+    /// Binds `var` to a fresh slot for the scope being translated.
+    fn bind(&mut self, var: &'a str) -> u32 {
         let slot = self.next_var;
         self.next_var += 1;
         self.vars.push((var, slot));
-        let body = Box::new(self.stmt(body));
-        self.vars.pop();
-        (slot, body)
+        slot
     }
 
     fn stmt(&mut self, s: &'a Stmt) -> PStmt {
@@ -581,13 +789,27 @@ impl<'a> Builder<'a> {
                 ..
             } => {
                 let (min, extent) = (self.expr(min), self.expr(extent));
-                let (var, body) = self.scoped(var, body);
-                PStmt::For(var, min, extent, body)
+                let vloop = match (&min, self.deref(&extent)) {
+                    (PExpr::Int(0), PExpr::Load(table, at, _)) => Some((*table, (**at).clone())),
+                    _ => None,
+                };
+                let slot = self.bind(var);
+                let enclosing = self.vloops.len();
+                if let Some((table, at)) = vloop {
+                    self.vloops.push((slot, table, at));
+                }
+                let body = Box::new(self.stmt(body));
+                self.vloops.truncate(enclosing);
+                self.vars.pop();
+                PStmt::For(slot, min, extent, body)
             }
             Stmt::LetInt { var, value, body } => {
                 let value = self.expr(value);
-                let (var, body) = self.scoped(var, body);
-                PStmt::Let(var, value, body)
+                let slot = self.bind(var);
+                self.lets.insert(slot, value.clone());
+                let body = Box::new(self.stmt(body));
+                self.vars.pop();
+                PStmt::Let(slot, value, body)
             }
             Stmt::Store {
                 buffer,
@@ -607,7 +829,7 @@ impl<'a> Builder<'a> {
                     });
                     u32::try_from(site).expect("site count fits u32")
                 });
-                accesses.push(PStmt::Access(buf, self.expr(index), index.clone(), site));
+                accesses.push(PStmt::Access(buf, self.index(index), index.clone(), site));
                 PStmt::Seq(accesses)
             }
             Stmt::If { cond, then_, else_ } => PStmt::If(
@@ -630,6 +852,29 @@ impl<'a> Builder<'a> {
     }
 }
 
+/// The additive terms of `e`, left to right.
+fn sum_terms<'e>(e: &'e PExpr, out: &mut Vec<&'e PExpr>) {
+    match e {
+        PExpr::Bin(IBinOp::Add, ab) => {
+            sum_terms(&ab.0, out);
+            sum_terms(&ab.1, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// `j` or `j·c` / `c·j` as `(j's slot, c)`.
+fn scaled_var(e: &PExpr) -> Option<(u32, i64)> {
+    match e {
+        PExpr::Var(j) => Some((*j, 1)),
+        PExpr::Bin(IBinOp::Mul, ab) => match &**ab {
+            (PExpr::Var(j), PExpr::Int(c)) | (PExpr::Int(c), PExpr::Var(j)) => Some((*j, *c)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------
 // Phase 2: the per-shape walk
 // ---------------------------------------------------------------------
@@ -638,11 +883,11 @@ impl<'a> Builder<'a> {
 type Walked<T> = Result<T, Box<VerifyError>>;
 
 /// One shape's abstract interpretation of a [`ProofProgram`]: call
-/// [`ProofWalk::block`] once per block value, then [`ProofWalk::finish`].
+/// [`ProofWalk::tile`] once per tile, then [`ProofWalk::finish`].
 ///
 /// All state lives in slot-indexed vectors sized at construction and
-/// reused across blocks, and auxiliary tables are read in place from the
-/// shape's built prelude — a walk allocates nothing per block.
+/// reused across tiles, and auxiliary tables are read in place from the
+/// shape's built prelude — a walk allocates nothing per tile.
 #[derive(Debug)]
 pub struct ProofWalk<'a> {
     prog: &'a ProofProgram,
@@ -650,6 +895,10 @@ pub struct ProofWalk<'a> {
     /// not built — an error only if a load actually reaches it).
     tables: Vec<Option<&'a [i64]>>,
     output_size: i64,
+    /// The block values `min .. min + total`, in tiles of `grain`.
+    min: i64,
+    total: usize,
+    grain: usize,
     /// Abstract value of every variable slot.
     env: Vec<SInt>,
     /// Minimal guaranteed capacity of each `Alloc` site (when its size
@@ -657,51 +906,68 @@ pub struct ProofWalk<'a> {
     scratch_cap: Vec<Option<i64>>,
     /// Ranges shadowed by guard narrowing, restored on branch exit.
     undo: Vec<(u32, SInt)>,
-    /// The current block's output store region per visited site.
+    /// The current tile's output store region per visited site.
     regions: Vec<(u32, SInt)>,
     /// Minimal required length per float input slot (access hulls).
     required: Vec<Option<i64>>,
-    /// Which output store sites any block has reached.
+    /// Which output store sites any tile has reached.
     visited: Vec<bool>,
-    /// `(block value, site, region)` of every non-empty store region.
-    spans: Vec<(i64, u32, SInt)>,
+    /// `(tile, site, region)` of every non-empty store region.
+    spans: Vec<(usize, u32, SInt)>,
+    /// Block values walked so far.
     n_blocks: usize,
 }
 
 impl ProofWalk<'_> {
-    /// Interprets the body abstractly for block value `bv`, proving its
-    /// accesses in bounds and recording its store regions.
+    /// Number of tiles the block values fall into.
+    pub fn tiles(&self) -> usize {
+        self.total.div_ceil(self.grain)
+    }
+
+    /// Interprets the body abstractly once for tile `t`, with the block
+    /// variable bound to the tile's block values, proving its accesses
+    /// in bounds and recording its store regions.
     ///
     /// # Errors
     ///
     /// [`VerifyError::OutOfBounds`] or [`VerifyError::Unsupported`]; the
     /// proof has failed and the walk must not be continued.
-    pub fn block(&mut self, bv: i64) -> Result<(), VerifyError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not below [`ProofWalk::tiles`].
+    pub fn tile(&mut self, t: usize) -> Result<(), VerifyError> {
         let prog = self.prog;
+        let first = t * self.grain;
+        assert!(first < self.total, "tile {t} of {} tiles", self.tiles());
+        let len = self.grain.min(self.total - first);
+        // Both ends lie inside `min .. min + total`, checked by `walk`.
+        let lo = self.min + first as i64;
         if let Some(slot) = prog.block_slot {
-            self.env[slot as usize] = SInt::point(bv);
+            self.env[slot as usize] = SInt::range(lo, lo + (len - 1) as i64);
         }
-        self.n_blocks += 1;
+        self.n_blocks += len;
         self.stmt(&prog.body).map_err(|e| *e)?;
         for (site, region) in self.regions.drain(..) {
             if !matches!(region, SInt::Empty) {
-                self.spans.push((bv, site, region));
+                self.spans.push((t, site, region));
             }
         }
         Ok(())
     }
 
-    /// Certifies the walked blocks: [`StoreCert::new`] proves their
-    /// store regions pairwise disjoint by sort-and-sweep (interval
-    /// separation or, for interleaved lanes, stride/congruence
+    /// Certifies the walked tiles: [`StoreCert::tiled`] proves the store
+    /// regions of distinct tiles pairwise disjoint by sort-and-sweep
+    /// (interval separation or, for interleaved lanes, stride/congruence
     /// separation) while assembling the certificate, so the executor
-    /// enforces exactly what was checked.
+    /// enforces exactly what was checked. Tiles not walked own nothing.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::StoreOverlap`] with the two witness blocks.
+    /// [`VerifyError::StoreOverlap`] with the two witness tiles.
     pub fn finish(self) -> Result<VerifyOutcome, VerifyError> {
-        let cert = StoreCert::new(self.spans.iter().map(|&(b, _, r)| (b, r)))
+        let spans = self.spans.iter().map(|&(t, _, r)| (t, r));
+        let cert = StoreCert::tiled(self.min, self.total, self.grain, spans)
             .map_err(|e| self.cert_error(e))?;
         let names = self.prog.slots.free_fbufs.names().iter();
         let mut required_inputs: Vec<(String, i64)> = names
@@ -711,8 +977,10 @@ impl ProofWalk<'_> {
         required_inputs.sort();
         Ok(VerifyOutcome {
             proof: ProofKind::ConcreteInterpretation,
-            cert,
             n_blocks: self.n_blocks,
+            grain: self.grain,
+            tiles: cert.tiles(),
+            cert,
             store_sites: self.visited.iter().filter(|&&v| v).count(),
             required_inputs,
         })
@@ -732,12 +1000,14 @@ impl ProofWalk<'_> {
         };
         // Cite the syntactically first store either witness came from.
         let is_witness = |b, r| (b, r) == (block_a, region_a) || (b, r) == (block_b, region_b);
-        let witnesses = self.spans.iter().filter(|&&(b, _, r)| is_witness(b, r));
+        let first_block = |t: usize| self.min + (t * self.grain) as i64;
+        let witnesses = (self.spans.iter()).filter(|&&(t, _, r)| is_witness(first_block(t), r));
         let site = witnesses.map(|&(_, site, _)| site).min();
         let (store, index) = &self.prog.sites[site.expect("witnesses are walked spans") as usize];
         VerifyError::StoreOverlap {
             store: print_c(store),
             index: format!("{index}"),
+            grain: self.grain,
             block_a,
             region_a,
             block_b,
@@ -768,7 +1038,7 @@ impl ProofWalk<'_> {
                 self.stmt(body)
             }
             PStmt::Access(buf, index, src, site) => {
-                let r = self.expr(index)?;
+                let r = self.index(index)?;
                 self.access(*buf, src, r)?;
                 if let Some(site) = site {
                     self.visited[*site as usize] = true;
@@ -833,6 +1103,71 @@ impl ProofWalk<'_> {
         } else {
             Err(oob(name, index, r, cap.unwrap_or(self.output_size)))
         }
+    }
+
+    /// The range of an access index: its plain value, narrowed to its
+    /// correlated pair's bound when it has one.
+    fn index(&mut self, ix: &PIndex) -> Walked<SInt> {
+        let plain = self.expr(&ix.expr)?;
+        let Some(pair) = &ix.pair else {
+            return Ok(plain);
+        };
+        Ok(match self.pair(pair)? {
+            SInt::Empty => SInt::Empty,
+            SInt::Top => plain,
+            bound @ SInt::Set { lo, hi, .. } => match plain {
+                SInt::Top => bound,
+                _ => plain.clamp(Some(lo), Some(hi)).unwrap_or(plain),
+            },
+        })
+    }
+
+    /// Bounds `Load(base, at) + coeff·j + rest` by one scan over
+    /// `x ∈ at`: each row `x` with `extent[x] > 0` contributes
+    /// `base[x] + coeff·[0, extent[x] − 1]`, and a row with
+    /// `extent[x] = 0` never runs the loop that holds the access. Empty
+    /// when no row runs it; [`SInt::Top`] (no bound) when `at` is not a
+    /// bounded in-range set or the arithmetic overflows.
+    fn pair(&mut self, p: &Pair) -> Walked<SInt> {
+        let (SInt::Set { lo, hi, stride }, Some(base), Some(extent)) = (
+            self.expr(&p.at)?,
+            self.tables[p.base as usize],
+            self.tables[p.extent as usize],
+        ) else {
+            return Ok(SInt::Top);
+        };
+        let rows = base.len().min(extent.len());
+        let (Ok(lo), Ok(hi)) = (usize::try_from(lo), usize::try_from(hi)) else {
+            return Ok(SInt::Top);
+        };
+        if hi >= rows {
+            return Ok(SInt::Top);
+        }
+        let mut span: Option<(i64, i64)> = None;
+        for x in (lo..=hi).step_by(stride as usize) {
+            if extent[x] <= 0 {
+                continue;
+            }
+            let reach = (extent[x] - 1).checked_mul(p.coeff);
+            let row = reach.and_then(|d| {
+                Some((
+                    base[x].checked_add(d.min(0))?,
+                    base[x].checked_add(d.max(0))?,
+                ))
+            });
+            let Some((a, b)) = row else {
+                return Ok(SInt::Top);
+            };
+            span = Some(span.map_or((a, b), |(s, t)| (s.min(a), t.max(b))));
+        }
+        let Some((s, t)) = span else {
+            return Ok(SInt::Empty);
+        };
+        let rest = match &p.rest {
+            Some(rest) => self.expr(rest)?,
+            None => SInt::point(0),
+        };
+        Ok(SInt::range(s, t).add(rest))
     }
 
     /// Evaluates `e` over strided intervals.

@@ -57,7 +57,7 @@
 //! | `bufs` | the one float-buffer view + the output-port trait |
 //! | `dispatch` | the instruction loop and the fused-nest executor |
 //! | `machine` | [`VmShared`] binding table, [`VmMachine`], serial runs |
-//! | `cert` | [`StoreCert`], the disjoint-store certificate |
+//! | `cert` | [`StoreCert`], the per-tile disjoint-store certificate |
 //! | `parallel` | [`VmShared::run_blocks_proven`], the shared output — **all `unsafe`** |
 //!
 //! # Execution model
@@ -78,9 +78,10 @@
 //! * serial runs ([`VmShared::run_borrowed`], [`VmMachine::run`]) use an
 //!   exclusive `&mut [f32]`; the owned machine is just the borrowed view
 //!   over its own `Vec`s;
-//! * parallel workers ([`VmShared::run_blocks_proven`]) use the shared
-//!   output, where every store is checked against the executing block's
-//!   [`StoreCert`] regions (and, in debug builds or under
+//! * parallel workers ([`VmShared::run_blocks_proven`]) run whole tiles
+//!   of blocks and use the shared output, where every store is checked
+//!   against the executing tile's [`StoreCert`] regions (and, in debug
+//!   builds or under
 //!   `CORA_CHECK_DISJOINT=1`, the per-element owner tracker) before the
 //!   cell is written. Its soundness rests on the disjoint-store
 //!   contract the static verifier proves and the port enforces.

@@ -1,14 +1,16 @@
 //! Parallel block dispatch — the one VM module that contains `unsafe`.
 //!
 //! A [`VmShared`] binding table is executed once per block value across
-//! a [`CpuPool`]: each worker keeps private registers, loop variables
-//! and `Alloc` scratch, reads the float inputs through shared slices,
-//! and writes the single kernel output through [`SharedOut`]. The
-//! worker's [`OutPort`] ([`WorkerOut`]) is where the disjoint-store
-//! contract is enforced — bounds, [`StoreCert`] membership and the
-//! [`OutOwners`] tracker all run *before* any cell is touched — so the
-//! shared dispatch loop and buffer view ([`super::dispatch`],
-//! [`super::bufs`]) stay free of `unsafe`.
+//! a [`CpuPool`], dispatched in *tiles* — the consecutive block values a
+//! [`StoreCert`] certifies together. A worker runs a whole tile, its
+//! blocks in ascending order, so only distinct tiles run concurrently.
+//! Each worker keeps private registers, loop variables and `Alloc`
+//! scratch, reads the float inputs through shared slices, and writes the
+//! single kernel output through [`SharedOut`]. The worker's [`OutPort`]
+//! ([`WorkerOut`]) enforces the disjoint-store contract — bounds, the
+//! tile's certified regions and the [`OutOwners`] tracker all run
+//! *before* any cell is touched — so the shared dispatch loop and buffer
+//! view ([`super::dispatch`], [`super::bufs`]) stay free of `unsafe`.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -45,29 +47,30 @@ fn dynamic_check_enabled() -> bool {
 ///
 /// Unsynchronized writes through the cells are sound *given* the
 /// disjoint-store contract of [`VmShared::run_blocks`]: every store
-/// executed for block index `b` targets an output element owned by `b`,
-/// distinct blocks own disjoint element sets, and reads through
-/// `SharedOut::get` only observe elements owned by the reading block
-/// (read-modify-write reductions) — so no location is ever accessed
-/// from two threads without ordering. The exclusive borrow keeps all
-/// other access paths frozen for the region's lifetime, and
-/// [`CpuPool::parallel_for`] joins every worker before `run_blocks`
-/// returns.
+/// executed for a block of tile `t` targets an element owned by `t`,
+/// distinct tiles own disjoint element sets, one worker runs all of a
+/// tile's blocks, and reads through `SharedOut::get` only observe
+/// elements owned by the reading tile (read-modify-write reductions) —
+/// so no location is ever accessed from two threads without ordering.
+/// The exclusive borrow keeps all other access paths frozen for the
+/// region's lifetime, and [`CpuPool::parallel_for`] joins every worker
+/// before `run_blocks` returns.
 ///
 /// The contract is discharged in layers (the README's "Safety &
 /// verification" story). Statically, the outliner's taint screen is a
 /// fast necessary-filter and `cora_core::verify` then *proves*
-/// disjointness per block value by abstract interpretation over strided
+/// disjointness per tile by abstract interpretation over strided
 /// intervals, recording the proof as a [`StoreCert`]. At run time the
 /// only public entry point, [`VmShared::run_blocks_proven`], takes that
-/// certificate and [`WorkerOut`] checks membership on every store, so
-/// even a verifier bug panics deterministically instead of racing; in
-/// debug builds — and release builds under `CORA_CHECK_DISJOINT=1` —
-/// the [`OutOwners`] tracker additionally records a per-element owning
-/// block and panics on any cross-block overlap. The uncertified
-/// [`VmShared::run_blocks`] is private to this module: only the unit
-/// tests below (the suites CI runs under `miri`) reach it, to drive the
-/// tracker and the raw cell accesses without a certificate.
+/// certificate, dispatches whole tiles, and [`WorkerOut`] checks
+/// membership on every store, so even a verifier bug panics
+/// deterministically instead of racing; in debug builds — and release
+/// builds under `CORA_CHECK_DISJOINT=1` — the [`OutOwners`] tracker
+/// additionally records each element's owning tile and panics on any
+/// cross-tile overlap. The uncertified [`VmShared::run_blocks`] is
+/// private to this module: only the unit tests below (the suites CI runs
+/// under `miri`) reach it, to drive the tracker and the raw cell
+/// accesses without a certificate.
 struct SharedOut<'a>(&'a [Cell<f32>]);
 
 // SAFETY: see the type-level contract above — concurrent access is
@@ -118,9 +121,10 @@ impl<'a> SharedOut<'a> {
 }
 
 /// Dynamic enforcement of the disjoint-store contract: one atomic
-/// owner record per output element, claimed by the first block that
-/// stores there. A second block claiming the same element means the
-/// contract the `unsafe impl Sync` relies on is violated — panic
+/// owner record per output element, claimed by the first tile (named by
+/// its first block value) that stores there. A second tile claiming the
+/// same element means the contract the `unsafe impl Sync` relies on is
+/// violated — panic
 /// deterministically instead of racing. Active in every debug build
 /// and, via `CORA_CHECK_DISJOINT=1` (see [`dynamic_check_enabled`]),
 /// in release builds as the verifier's runtime cross-check.
@@ -133,17 +137,17 @@ impl OutOwners {
         OutOwners((0..len).map(|_| AtomicI64::new(Self::UNCLAIMED)).collect())
     }
 
-    fn claim(&self, idx: usize, block: i64) {
+    fn claim(&self, idx: usize, tile: i64) {
         if let Err(owner) = self.0[idx].compare_exchange(
             Self::UNCLAIMED,
-            block,
+            tile,
             Ordering::Relaxed,
             Ordering::Relaxed,
         ) {
             assert!(
-                owner == block,
-                "disjoint-store contract violated: blocks {owner} and {block} \
-                 both stored to output element {idx}"
+                owner == tile,
+                "disjoint-store contract violated: the tiles starting at blocks \
+                 {owner} and {tile} both stored to output element {idx}"
             );
         }
     }
@@ -159,10 +163,11 @@ struct WorkerOut<'a> {
     /// Per-element owner records, when the dynamic tracker is active
     /// (debug builds, or release under `CORA_CHECK_DISJOINT=1`).
     owners: Option<&'a OutOwners>,
-    /// Block-variable value currently executing (owner records and
-    /// certificate diagnostics).
+    /// First block value of the executing tile (owner records).
+    tile: i64,
+    /// Block-variable value currently executing (diagnostics).
     cur_block: i64,
-    /// The certified store regions of `cur_block` under
+    /// The certified store regions of the executing tile under
     /// [`VmShared::run_blocks_proven`]; `None` only for the in-module
     /// uncertified runs.
     regions: Option<&'a [SInt]>,
@@ -190,7 +195,7 @@ impl WorkerOut<'_> {
             );
         }
         if let Some(owners) = self.owners {
-            owners.claim(idx, self.cur_block);
+            owners.claim(idx, self.tile);
         }
     }
 
@@ -214,7 +219,7 @@ impl WorkerOut<'_> {
         }
         if let Some(owners) = self.owners {
             for idx in o0..o0 + n {
-                owners.claim(idx, self.cur_block);
+                owners.claim(idx, self.tile);
             }
         }
     }
@@ -268,24 +273,25 @@ impl OutPort for WorkerOut<'_> {
 }
 
 impl VmShared {
-    /// Executes the program once per block index, in parallel, under a
+    /// Executes the program once per block value, in parallel, under a
     /// machine-checked disjoint-store certificate — the one public
     /// parallel entry point, and a *safe* one.
     ///
-    /// `blocks` holds *values of the block variable* (`min + b`) in
-    /// dispatch order and `batches` cuts it into consecutive
-    /// cost-balanced ranges; each batch runs on one participant of
-    /// `pool`, with its own registers, loop variables and `Alloc`
-    /// scratch. `inputs` binds the read-only float buffers
-    /// by name (bindings the program never references are ignored); all
-    /// stores land in `out`, bound to the `output` buffer slot.
-    /// Per-worker [`InterpStats`] are summed, so the aggregate equals a
-    /// serial run's statistics exactly (the counters are plain sums).
+    /// `tiles` holds the first block value of each tile of `cert`
+    /// ([`StoreCert::tile_start`]) in dispatch order, and `batches` cuts
+    /// it into consecutive cost-balanced ranges; each batch runs on one
+    /// participant of `pool`, with its own registers, loop variables and
+    /// `Alloc` scratch, dispatching the program once per block value of
+    /// each tile in ascending order — no batch can split a tile. `inputs`
+    /// binds the read-only float buffers by name (bindings the program
+    /// never references are ignored); all stores land in `out`, bound to
+    /// the `output` buffer slot. Per-worker [`InterpStats`] are summed,
+    /// so the aggregate equals a serial run's statistics exactly.
     ///
-    /// Soundness is enforced, not assumed: [`StoreCert::new`] has
-    /// already re-validated that distinct blocks' certified regions are
+    /// Soundness is enforced, not assumed: [`StoreCert::tiled`] has
+    /// already re-validated that distinct tiles' certified regions are
     /// pairwise disjoint, and every output store is checked for
-    /// membership in the executing block's regions before it lands. A
+    /// membership in the executing tile's regions before it lands. A
     /// store outside its certificate — i.e. any disagreement between
     /// the static verifier (`cora_core::verify`, which records the
     /// certificate in a session's `VerifyOutcome`) and the actual
@@ -297,10 +303,12 @@ impl VmShared {
     ///
     /// Panics if `block_var` or `output` are unknown to the program, if
     /// the program reads the output buffer back, if any other external
-    /// binding is missing, on any store outside the executing block's
-    /// certified regions, or if the program itself panics
-    /// (out-of-bounds access, negative index) — propagated after the
-    /// region drains.
+    /// binding is missing, if `batches` overlap or dispatch a tile twice,
+    /// if a value of `tiles` lies inside the certificate without starting
+    /// a tile, on any store outside the
+    /// executing tile's certified regions, or if the program itself
+    /// panics (out-of-bounds access, negative index) — propagated after
+    /// the region drains.
     #[allow(unsafe_code)] // contains the one audited unsafe dispatch; see SAFETY below
     #[allow(clippy::too_many_arguments)]
     pub fn run_blocks_proven(
@@ -310,16 +318,18 @@ impl VmShared {
         output: &str,
         out: &mut [f32],
         inputs: &[(&str, &[f32])],
-        blocks: &[i64],
+        tiles: &[i64],
         batches: &[Range<usize>],
         cert: &StoreCert,
     ) -> InterpStats {
-        // SAFETY: every output store is checked against the executing
-        // block's certified regions before it happens, and the regions
-        // of distinct blocks are pairwise disjoint by `StoreCert`'s
-        // construction-time validation — so two threads can never touch
-        // the same output element (stores or read-modify-writes), which
-        // is exactly the `run_blocks` contract.
+        cert.check_dispatch(tiles, batches);
+        // SAFETY: no tile is dispatched twice (checked just above), so a
+        // tile's blocks run on one worker; every output store is checked
+        // against the executing tile's certified regions before it
+        // happens, and distinct tiles' regions are pairwise disjoint by
+        // `StoreCert`'s construction-time validation — so two threads
+        // never touch the same output element, which is exactly the
+        // `run_blocks` contract.
         unsafe {
             self.run_blocks(
                 pool,
@@ -327,7 +337,7 @@ impl VmShared {
                 output,
                 out,
                 inputs,
-                blocks,
+                tiles,
                 batches,
                 Some(cert),
             )
@@ -335,21 +345,22 @@ impl VmShared {
     }
 
     /// The dispatch behind [`VmShared::run_blocks_proven`]; with
-    /// `cert == None` stores are checked only by the dynamic tracker.
+    /// `cert == None` every value of `tiles` is a one-block tile and
+    /// stores are checked only by the dynamic tracker.
     ///
     /// # Safety
     ///
     /// The caller must guarantee the disjoint-store contract: across all
-    /// of `blocks`, distinct block-variable values store to disjoint
-    /// elements of `out` and never load another block's elements (see
-    /// [`SharedOut`]). A certificate discharges it. Without one, two
-    /// helpers reduce the obligation but do not discharge it: in-place
-    /// programs (output loaded *and* stored) are rejected up front, and
-    /// the dynamic tracker (debug builds, or release under
-    /// `CORA_CHECK_DISJOINT=1`) records each output element's owning
-    /// block, panicking deterministically on any cross-block overlap —
-    /// untracked release builds run unchecked, so a violated contract
-    /// is a data race (undefined behaviour).
+    /// of `tiles`, distinct tiles store to disjoint elements of `out` and
+    /// never load another tile's elements (see [`SharedOut`]). A
+    /// certificate discharges it. Without one, two helpers reduce the
+    /// obligation but do not discharge it: in-place programs (output
+    /// loaded *and* stored) are rejected up front, and the dynamic
+    /// tracker (debug builds, or release under `CORA_CHECK_DISJOINT=1`)
+    /// records each output element's owning tile, panicking
+    /// deterministically on any cross-tile overlap — untracked release
+    /// builds run unchecked, so a violated contract is a data race
+    /// (undefined behaviour).
     #[allow(unsafe_code)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn run_blocks(
@@ -359,7 +370,7 @@ impl VmShared {
         output: &str,
         out: &mut [f32],
         inputs: &[(&str, &[f32])],
-        blocks: &[i64],
+        tiles: &[i64],
         batches: &[Range<usize>],
         cert: Option<&StoreCert>,
     ) -> InterpStats {
@@ -400,6 +411,7 @@ impl VmShared {
                         out: &shared_out,
                         name: output,
                         owners: owners.as_ref(),
+                        tile: 0,
                         cur_block: 0,
                         regions: None,
                     })
@@ -410,12 +422,22 @@ impl VmShared {
             let mut bufs = Bufs::new(prog, free);
             let mut regs = Regs::new(prog, &self.vars);
             let mut stats = InterpStats::default();
-            for &bv in &blocks[batches[bi].clone()] {
-                regs.vars[block_slot as usize] = bv;
+            for &first in &tiles[batches[bi].clone()] {
+                let (len, regions) = match cert {
+                    Some(c) => {
+                        let (len, regions) = c.tile_at(first);
+                        (len, Some(regions))
+                    }
+                    None => (1, None),
+                };
                 let port = bufs.port_mut(out_slot);
-                port.cur_block = bv;
-                port.regions = cert.map(|c| c.regions_for(bv));
-                dispatch(prog, &self.ibufs, &mut regs, &mut bufs, &mut stats);
+                (port.tile, port.regions) = (first, regions);
+                // A covered tile ends inside the certificate's `i64` range.
+                for bv in (0..len as i64).map(|k| first + k) {
+                    regs.vars[block_slot as usize] = bv;
+                    bufs.port_mut(out_slot).cur_block = bv;
+                    dispatch(prog, &self.ibufs, &mut regs, &mut bufs, &mut stats);
+                }
             }
             let mut t = total.lock().unwrap_or_else(|e| e.into_inner());
             *t += stats;
@@ -454,6 +476,21 @@ mod tests {
         unsafe {
             shared.run_blocks(pool, block_var, output, out, inputs, &blocks, &ranges, None)
         }
+    }
+
+    /// The certified dispatch over nested batches of tile starts, on a
+    /// 2-thread pool.
+    fn run_proven(
+        shared: &VmShared,
+        output: &str,
+        out: &mut [f32],
+        inputs: &[(&str, &[f32])],
+        batches: &[Vec<i64>],
+        cert: &StoreCert,
+    ) -> InterpStats {
+        let (tiles, ranges) = flat(batches);
+        let pool = CpuPool::new(2);
+        shared.run_blocks_proven(&pool, "b", output, out, inputs, &tiles, &ranges, cert)
     }
 
     /// Nested batches as the flat `(blocks, ranges)` pair the dispatch
@@ -529,16 +566,16 @@ mod tests {
 
     /// The row partition of `outlined_doubling_body`: block `b` owns
     /// `[row[b], row[b] + lens[b])`.
-    fn doubling_spans() -> Vec<(i64, SInt)> {
+    fn doubling_spans() -> Vec<(usize, SInt)> {
         let lens = [5i64, 0, 3, 2];
         let row = [0i64, 5, 5, 8];
-        (0..4usize)
-            .map(|b| (b as i64, SInt::range(row[b], row[b] + lens[b] - 1)))
+        (0..4)
+            .map(|b| (b, SInt::range(row[b], row[b] + lens[b] - 1)))
             .collect()
     }
 
     fn doubling_cert() -> StoreCert {
-        StoreCert::new(doubling_spans()).expect("rows are disjoint")
+        StoreCert::tiled(0, 4, 1, doubling_spans()).expect("rows are disjoint")
     }
 
     #[test]
@@ -548,39 +585,25 @@ mod tests {
         let shared = doubling_shared();
         let pool = CpuPool::new(3);
         let batches = vec![vec![0, 2], vec![1, 3]];
-        let (blocks, ranges) = flat(&batches);
         let mut reference = vec![0.0f32; 10];
         let ref_stats = run_raw(&shared, &pool, "b", "B", &mut reference, &inputs, &batches);
         let mut proven = vec![0.0f32; 10];
         let cert = doubling_cert();
-        let stats = shared.run_blocks_proven(
-            &pool,
-            "b",
-            "B",
-            &mut proven,
-            &inputs,
-            &blocks,
-            &ranges,
-            &cert,
-        );
+        let stats = run_proven(&shared, "B", &mut proven, &inputs, &batches, &cert);
         assert_eq!(proven, reference);
         assert_eq!(stats, ref_stats);
     }
 
-    /// Runs every block of the doubling body under `cert`.
+    /// Dispatches every block value of the doubling body as a tile
+    /// start under `cert`.
     fn run_doubling_under(cert: &StoreCert) {
-        let shared = doubling_shared();
-        let mut out = vec![0.0f32; 10];
-        let (blocks, ranges) = flat(&[vec![0, 1, 2, 3]]);
-        let pool = CpuPool::new(2);
-        shared.run_blocks_proven(
-            &pool,
-            "b",
+        let inputs = [("A", &[1.0; 10][..])];
+        run_proven(
+            &doubling_shared(),
             "B",
-            &mut out,
-            &[("A", &[1.0; 10])],
-            &blocks,
-            &ranges,
+            &mut [0.0; 10],
+            &inputs,
+            &[vec![0, 1, 2, 3]],
             cert,
         );
     }
@@ -592,7 +615,7 @@ mod tests {
         // must panic before it lands, not race.
         let mut spans = doubling_spans();
         spans.retain(|&(b, _)| b != 3);
-        run_doubling_under(&StoreCert::new(spans).unwrap());
+        run_doubling_under(&StoreCert::tiled(0, 4, 1, spans).unwrap());
     }
 
     #[test]
@@ -603,7 +626,56 @@ mod tests {
         // can catch it, at the block's first store.
         let mut spans = doubling_spans();
         spans[3].1 = SInt::range(9, 10);
-        run_doubling_under(&StoreCert::new(spans).unwrap());
+        run_doubling_under(&StoreCert::tiled(0, 4, 1, spans).unwrap());
+    }
+
+    #[test]
+    fn run_blocks_proven_runs_whole_tiles_in_any_dispatch_order() {
+        // Tiles of three rows: [0, 3) owns the hull [0, 7] of rows 0–2,
+        // [3, 4) owns row 3's [8, 9]. Dispatched last tile first, in one
+        // batch or two, output and statistics equal the per-block run's.
+        let input: Vec<f32> = (0..10).map(|x| x as f32 - 4.5).collect();
+        let inputs: [(&str, &[f32]); 1] = [("A", &input)];
+        let shared = doubling_shared();
+        let (mut want, per_block) = (vec![0.0f32; 10], [vec![0], vec![1], vec![2], vec![3]]);
+        let pool = CpuPool::new(2);
+        let want_stats = run_raw(&shared, &pool, "b", "B", &mut want, &inputs, &per_block);
+        let spans = [(0usize, SInt::range(0, 7)), (1, SInt::range(8, 9))];
+        let cert = StoreCert::tiled(0, 4, 3, spans).expect("the two tiles are disjoint");
+        for batches in [vec![vec![3], vec![0]], vec![vec![3, 0]]] {
+            let mut out = vec![0.0f32; 10];
+            let stats = run_proven(&shared, "B", &mut out, &inputs, &batches, &cert);
+            assert_eq!((out, stats), (want.clone(), want_stats));
+        }
+    }
+
+    #[test]
+    fn run_blocks_tracker_lets_the_blocks_of_one_tile_share_elements() {
+        // out[b div 2] += 1 over four blocks: blocks 0 and 1 both reduce
+        // into out[0]. Tiles of two own one element each, so one worker
+        // runs both writers in order and the tracker — always on in
+        // these debug-profile tests — sees one owner per element.
+        let body = Stmt::Store {
+            buffer: "out".into(),
+            index: Expr::var("b").floor_div(Expr::int(2)),
+            value: FExpr::constant(1.0),
+            kind: StoreKind::AddAssign,
+        };
+        let shared = Arc::new(compile(&body)).shared();
+        let spans = [(0usize, SInt::point(0)), (1, SInt::point(1))];
+        let cert = StoreCert::tiled(0, 4, 2, spans).expect("one element per tile");
+        let mut out = vec![0.0f32; 2];
+        run_proven(&shared, "out", &mut out, &[], &[vec![2], vec![0]], &cert);
+        assert_eq!(out, [2.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the tile of block 1 is dispatched twice")]
+    fn run_blocks_proven_rejects_a_dispatch_from_inside_a_tile() {
+        // Dispatching blocks 0–3 one by one would run block 1 — inside
+        // tile [0, 3) — beside the worker that owns that tile.
+        let spans = [(0usize, SInt::range(0, 7)), (1, SInt::range(8, 9))];
+        run_doubling_under(&StoreCert::tiled(0, 4, 3, spans).unwrap());
     }
 
     #[test]

@@ -14,12 +14,23 @@
 //! (`o_i_f_o < F_o_i_f_o`), and the prelude binds only `F_o_i_f`, so
 //! every tier panicked `unbound variable `F_o_i_f_o``. The outer half's
 //! extent is now the expression `F_o_i_f / k`.
+//!
+//! Regression: splitting the loop a vloop's extent depends on rewrites
+//! the extent's table index.
+//!
+//! Lowering used to keep the extent reading the retired variable
+//! (`split("hr", 4)` on `row_max` emitted `row_max__ext_j[hr]` under
+//! `for hr_o … for hr_i`), so the interpreter panicked `unbound
+//! variable`, the verifier could not bound the extent and block costs
+//! fell back to the table maximum. The extent's index is now an
+//! expression that splits and fusions rewrite like any other index.
 
 use std::rc::Rc;
 
 use cora::core::prelude::*;
 use cora::ragged::{Dim, RaggedLayout};
-use cora::transformer::encoder_compiled::proj_operator;
+use cora::transformer::encoder_compiled::{proj_operator, stage, Attend, Geometry};
+use cora::transformer::EncoderConfig;
 
 const K: usize = 4;
 const N: usize = 4;
@@ -175,4 +186,51 @@ fn split_fused_loop_covers_its_bulk_padding() {
     assert_eq!(run(&[2]), unsplit);
     // A second split divides the same parameter again: `F_o_i_f / 4`.
     assert_eq!(run(&[2, 2]), unsplit);
+}
+
+#[test]
+fn splitting_the_loop_a_vloop_depends_on_rewrites_the_extent_index() {
+    // 16 rows × 8 heads = 128 `(head, row)` blocks: 4 divides them and
+    // 3 does not; `head_rows` is a shape parameter, so both splits keep
+    // one tail guard. The last group of rows straddles the 7-row and the
+    // 1-row sequence: a bound on its reads of `S` from the group's widest
+    // base plus its longest row runs past the scores.
+    let cfg = EncoderConfig::scaled(8);
+    let lens = [5usize, 0, 3, 7, 1];
+    let head_rows = cfg.heads * lens.iter().sum::<usize>();
+    for attend in [Attend::Full, Attend::Causal] {
+        let geometry = Geometry::new(&cfg, &lens, attend);
+        let row_max = || stage("row_max").expect("a stage").operator(&geometry);
+        // Every row's keys, as the per-block proof bounds them.
+        let required_s = |op: &Operator| {
+            let compiled = lower(op).expect("legal schedule").compile();
+            let prep = compiled.parallel_prep_at_grain(1).expect("verifies");
+            prep.expect("outlined")
+                .verify_outcome()
+                .required_input_len("S")
+        };
+        let scores_len = required_s(&row_max()).expect("reads S");
+        let input = [("S", data(scores_len as usize, 0.37))];
+        let want = run_with_inputs(&row_max(), &input, 0, head_rows);
+        for factor in [4usize, 3] {
+            let mut op = row_max();
+            op.schedule_mut().split("hr", factor);
+            let source = lower(&op).expect("legal schedule").c_source();
+            assert!(
+                source.contains(&format!("row_max__ext_j[((hr_o*{factor}) + hr_i)]")),
+                "{source}"
+            );
+            let blocks = head_rows.div_ceil(factor);
+            assert_eq!(
+                run_with_inputs(&op, &input, 1, blocks),
+                want,
+                "{attend:?} / {factor}"
+            );
+            // A block is `factor` rows of two tables read at one row
+            // index: only the correlated-pair rule bounds its reads of
+            // `S` by the rows' own extents, as exactly as one row's.
+            let need = required_s(&op);
+            assert_eq!(need, Some(scores_len), "{attend:?} / {factor}");
+        }
+    }
 }

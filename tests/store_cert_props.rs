@@ -1,17 +1,22 @@
-//! The flat (CSR) `StoreCert` against a map-based reference.
+//! The flat (CSR) `StoreCert` against a map-based reference, and the
+//! tile dispatch over it.
 //!
 //! The certificate the parallel executor enforces per store is indexed
-//! by two array reads (`offsets[b - min_block]`, then the region slice).
-//! The reference below is the obvious formulation — a map from block
-//! value to its regions, all pairs compared — and the property is that
-//! the two agree on everything observable: acceptance, the error class
-//! on rejection, and the regions of every block value, present, absent,
-//! negative or far outside the certified span.
+//! by two array reads (`offsets[tile]`, then the region slice). The
+//! reference below is the obvious formulation — a map from block value
+//! to its regions, all pairs compared — and the property is that the
+//! two agree, at one block per tile, on everything observable:
+//! acceptance, the error class on rejection, and the regions of every
+//! block value, present, absent, negative or far outside the certified
+//! span. The second property is
+//! the executor's dispatch loop over a tiled certificate: no batch ever
+//! splits a tile.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use cora::exec::cpu::cost_balanced_batches;
 use cora::exec::{CertError, StoreCert};
 use cora::ir::interval::SInt;
 
@@ -74,7 +79,9 @@ proptest! {
             spans[top_at].1 = SInt::Top;
         }
         let want = reference(&spans);
-        match StoreCert::new(spans.iter().copied()) {
+        // One tile per block value, from the origin to the last id.
+        let tiles = spans.iter().map(|&(b, r)| (usize::try_from(b - origin).unwrap(), r));
+        match StoreCert::tiled(origin, 34, 1, tiles) {
             Err(CertError::Unbounded { block }) => {
                 prop_assert_eq!(&want, &Verdict::Unbounded);
                 prop_assert!(spans.iter().any(|&(b, r)| b == block && r == SInt::Top));
@@ -87,7 +94,7 @@ proptest! {
                 prop_assert!(spans.contains(&(block_a, region_a)));
                 prop_assert!(spans.contains(&(block_b, region_b)));
             }
-            Err(CertError::TooLarge) => prop_assert!(false, "span of 36 block values refused"),
+            Err(CertError::TooLarge) => prop_assert!(false, "34 block values refused"),
             Ok(cert) => {
                 prop_assert!(matches!(want, Verdict::Accept(_)), "certified {:?}", want);
                 let Verdict::Accept(by_block) = want else { unreachable!() };
@@ -99,6 +106,43 @@ proptest! {
                     prop_assert_eq!(cert.regions_for(block), regions, "block {}", block);
                 }
             }
+        }
+    }
+
+    /// The dispatch `run_blocks_proven` performs over a tiled
+    /// certificate: the tiles' first block values in an arbitrary
+    /// dispatch order, cut into cost-balanced batches, each expanded
+    /// through `tile_at`. Every covered block value runs exactly once,
+    /// the blocks of one tile all run in one batch — no batch splits a
+    /// tile — and every tile but the last holds exactly `grain` blocks.
+    #[test]
+    fn a_batch_never_splits_a_tile(
+        origin in -1000i64..1000,
+        n_blocks in 0usize..200,
+        grain in 1usize..20,
+        threads in 1usize..9,
+        keys in prop::collection::vec((0u32..1000, 0u32..10), 200),
+    ) {
+        let cert = StoreCert::tiled(origin, n_blocks, grain, []).expect("nothing to overlap");
+        prop_assert_eq!(cert.tiles(), n_blocks.div_ceil(grain));
+        let mut order: Vec<usize> = (0..cert.tiles()).collect();
+        order.sort_by_key(|&t| keys[t].0);
+        let tiles: Vec<i64> = order.iter().map(|&t| cert.tile_start(t)).collect();
+        let costs: Vec<f64> = order.iter().map(|&t| f64::from(keys[t].1)).collect();
+        let mut batch_of: Vec<Option<usize>> = vec![None; n_blocks];
+        for (batch, range) in cost_balanced_batches(&costs, threads).into_iter().enumerate() {
+            for &first in &tiles[range] {
+                let (len, _) = cert.tile_at(first);
+                let at = usize::try_from(first - origin).expect("a covered block");
+                prop_assert_eq!(len, grain.min(n_blocks - at));
+                for (b, ran) in batch_of[at..at + len].iter_mut().enumerate() {
+                    prop_assert!(ran.replace(batch).is_none(), "block {} ran twice", at + b);
+                }
+            }
+        }
+        for b in 0..n_blocks {
+            prop_assert!(batch_of[b].is_some(), "block {} never ran", b);
+            prop_assert_eq!(batch_of[b], batch_of[b / grain * grain], "block {} left its tile", b);
         }
     }
 }

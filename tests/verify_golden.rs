@@ -12,10 +12,19 @@
 //! into the encoder's stage table.) Any change to the
 //! abstract domain, guard narrowing, site accounting or certificate
 //! assembly shows up here as a one-line diff.
+//!
+//! Those per-block tables are proven at grain 1 (one block per tile),
+//! which the tile-grain rule no longer picks for large block counts;
+//! `MNLI_TILED_GOLDEN` pins the verdicts the rule does pick, and the
+//! tripwire below checks that every encoder stage proves in tiles
+//! without falling back to the per-block proof, with the same input
+//! requirements.
 
 use std::rc::Rc;
 
 use cora::core::prelude::*;
+use cora::core::verify::{tile_grain, VerifyOutcome};
+use cora::datasets::Dataset;
 use cora::ir::interval::SInt;
 use cora::ir::ForKind;
 use cora::ragged::{Dim, RaggedLayout};
@@ -37,13 +46,13 @@ impl Fnv {
     }
 }
 
-/// One stage's verdict, rendered as a golden line.
-fn stage_line(label: &str, outcome: &cora::core::verify::VerifyOutcome) -> String {
+/// Hashes the regions of `units` certificate entries — blocks at grain
+/// 1, tiles otherwise — each looked up by its first block value.
+fn regions_hash(outcome: &VerifyOutcome, units: i64, first: impl Fn(i64) -> i64) -> u64 {
     let mut h = Fnv::new();
-    let n = i64::try_from(outcome.n_blocks).unwrap();
-    for b in 0..n {
-        let regions = outcome.cert.regions_for(b);
-        h.push(b);
+    for u in 0..units {
+        let regions = outcome.cert.regions_for(first(u));
+        h.push(u);
         h.push(i64::try_from(regions.len()).unwrap());
         for r in regions {
             match *r {
@@ -58,36 +67,65 @@ fn stage_line(label: &str, outcome: &cora::core::verify::VerifyOutcome) -> Strin
             }
         }
     }
+    h.0
+}
+
+fn required(outcome: &VerifyOutcome) -> String {
+    let required: Vec<String> = (outcome.required_inputs.iter())
+        .map(|(name, len)| format!("{name}={len}"))
+        .collect();
+    required.join(",")
+}
+
+/// One stage's per-block verdict, rendered as a golden line.
+fn stage_line(label: &str, outcome: &VerifyOutcome) -> String {
+    assert_eq!(outcome.grain, 1, "{label}");
+    let n = i64::try_from(outcome.n_blocks).unwrap();
+    let hash = regions_hash(outcome, n, |b| b);
     // Block values outside the proven range own nothing.
     assert!(outcome.cert.regions_for(-1).is_empty(), "{label}");
     assert!(outcome.cert.regions_for(n).is_empty(), "{label}");
-    let required: Vec<String> = outcome
-        .required_inputs
-        .iter()
-        .map(|(name, len)| format!("{name}={len}"))
-        .collect();
     format!(
-        "{label} blocks={} sites={} required=[{}] regions={:016x}",
+        "{label} blocks={} sites={} required=[{}] regions={hash:016x}",
         outcome.n_blocks,
         outcome.store_sites,
-        required.join(","),
-        h.0
+        required(outcome),
+    )
+}
+
+/// One stage's tiled verdict: the grain and tile count, then a hash
+/// over the tiles' regions.
+fn tiled_line(label: &str, outcome: &VerifyOutcome) -> String {
+    let grain = i64::try_from(outcome.grain).unwrap();
+    let tiles = i64::try_from(outcome.tiles).unwrap();
+    let hash = regions_hash(outcome, tiles, |t| t * grain);
+    format!(
+        "{label} blocks={} grain={grain} tiles={tiles} sites={} required=[{}] regions={hash:016x}",
+        outcome.n_blocks,
+        outcome.store_sites,
+        required(outcome),
     )
 }
 
 type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
 
+/// The layer `build` makes at `lens` for the scaled model.
+fn layer(build: Build, lens: &[usize]) -> CompiledEncoderLayer {
+    build(&EncoderConfig::scaled(8), lens).expect("builds")
+}
+
+/// The per-block (grain 1) verdict of every stage.
 fn verdicts(build: Build, lens: &[usize]) -> Vec<String> {
-    let cfg = EncoderConfig::scaled(8);
-    let layer = build(&cfg, lens).expect("builds");
-    let session = layer.session().expect("verifies");
-    session
-        .verify_outcomes()
-        .into_iter()
-        .map(|(label, outcome)| match outcome {
-            Some(o) => stage_line(label, o),
-            None => format!("{label} serial"),
-        })
+    let layer = layer(build, lens);
+    let pipeline = layer.pipeline().expect("non-empty batch");
+    pipeline
+        .stage_programs()
+        .map(
+            |(label, program)| match program.parallel_prep_at_grain(1).expect("verifies") {
+                Some(prep) => stage_line(label, prep.verify_outcome()),
+                None => format!("{label} serial"),
+            },
+        )
         .collect()
 }
 
@@ -134,6 +172,68 @@ fn causal_stage_verdicts_match_the_recorded_golden() {
     let build: Build = CompiledEncoderLayer::build_masked_mha;
     check(build, &EDGE_LENS, &CAUSAL_EDGE_GOLDEN);
     check(build, &MNLI_LENS, &CAUSAL_MNLI_GOLDEN);
+}
+
+/// The verdicts a session proves — in tiles of the grain rule's grain.
+#[test]
+fn tiled_stage_verdicts_match_the_recorded_golden_mnli_shape() {
+    let layer = layer(CompiledEncoderLayer::build, &MNLI_LENS);
+    let session = layer.session().expect("verifies");
+    let actual: Vec<String> = (session.verify_outcomes().into_iter())
+        .map(|(label, outcome)| tiled_line(label, outcome.expect("a parallel stage")))
+        .collect();
+    assert_eq!(
+        actual,
+        MNLI_TILED_GOLDEN,
+        "tiled verdicts changed; actual table:\n{}",
+        render(&actual)
+    );
+}
+
+/// Every encoder stage, under both attention masks, at the program
+/// goldens' two shapes and at a 16-sequence MNLI batch, proves in tiles
+/// of the rule's grain without the per-block retry — and at grains 4
+/// and 16, which the rule does not pick for the small shapes — and every
+/// tiled proof requires exactly the input lengths the per-block proof
+/// does (a looser tile hull would make a run reject inputs that fit).
+#[test]
+fn every_encoder_stage_proves_in_tiles_without_the_retry() {
+    let mnli16 = Dataset::Mnli.sample_lengths(16, 42);
+    let builds: [Build; 2] = [
+        CompiledEncoderLayer::build,
+        CompiledEncoderLayer::build_masked_mha,
+    ];
+    for build in builds {
+        for lens in [&EDGE_LENS[..], &MNLI_LENS, &mnli16] {
+            let layer = layer(build, lens);
+            let session = layer.session().expect("verifies");
+            let pipeline = layer.pipeline().expect("non-empty batch");
+            let proofs = session.verify_outcomes().into_iter();
+            for ((label, outcome), (_, program)) in proofs.zip(pipeline.stage_programs()) {
+                let outcome = outcome.expect("every stage runs in parallel");
+                let rule = tile_grain(outcome.n_blocks);
+                assert_eq!(outcome.grain, rule, "`{label}` at {lens:?} fell back");
+                if lens == &mnli16[..] {
+                    assert!(rule > 1, "`{label}`: {} blocks", outcome.n_blocks);
+                }
+                let prove = |grain| {
+                    let prep = program.parallel_prep_at_grain(grain);
+                    let prep = prep.unwrap_or_else(|e| panic!("`{label}` at grain {grain}: {e}"));
+                    prep.expect("a parallel stage").verify_outcome().clone()
+                };
+                let per_block = prove(1);
+                for grain in [rule, 4, 16] {
+                    let tiled = prove(grain);
+                    assert_eq!(tiled.n_blocks, per_block.n_blocks, "`{label}`");
+                    assert_eq!(tiled.tiles, per_block.n_blocks.div_ceil(grain), "`{label}`");
+                    assert_eq!(
+                        tiled.required_inputs, per_block.required_inputs,
+                        "`{label}` at {lens:?}, grain {grain}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 fn ragged_2d(name: &str, lens: &[usize], pad: usize) -> TensorRef {
@@ -290,4 +390,30 @@ const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
     "attnv blocks=1344 sites=1 required=[P=18896,QKV=32256] regions=cdc73b6460a938a5",
     "out_proj blocks=168 sites=1 required=[O=10752,W=4096] regions=8c852945db6d4d65",
     "attn_bias blocks=168 sites=1 required=[B=64,In=10752] regions=8c852945db6d4d65",
+];
+
+/// `MNLI_LENS` as a session proves it: 168 rows in tiles of 3, 1344
+/// `(head, row)` blocks in tiles of 16.
+const MNLI_TILED_GOLDEN: [&str; 21] = [
+    "qkv_proj blocks=168 grain=3 tiles=56 sites=1 required=[In=10752,W=12288] regions=3021d7b1df57c28d",
+    "qkv_bias blocks=168 grain=3 tiles=56 sites=1 required=[B=192,In=32256] regions=3021d7b1df57c28d",
+    "scores blocks=1344 grain=16 tiles=84 sites=1 required=[QKV=32192] regions=9721f66b84736df3",
+    "scale blocks=1344 grain=16 tiles=84 sites=1 required=[S=36448] regions=9721f66b84736df3",
+    "row_max blocks=1344 grain=16 tiles=84 sites=1 required=[S=36448] regions=2e14a5e88335997d",
+    "row_exp blocks=1344 grain=16 tiles=84 sites=1 required=[M=1344,S=36448] regions=9721f66b84736df3",
+    "row_sum blocks=1344 grain=16 tiles=84 sites=1 required=[Ex=36448] regions=2e14a5e88335997d",
+    "row_softmax blocks=1344 grain=16 tiles=84 sites=1 required=[E=1344,Ex=36448] regions=9721f66b84736df3",
+    "attnv blocks=1344 grain=16 tiles=84 sites=1 required=[P=36448,QKV=32256] regions=dcc2944cb8401c05",
+    "out_proj blocks=168 grain=3 tiles=56 sites=1 required=[O=10752,W=4096] regions=0f9510b96b5fec61",
+    "attn_bias_residual blocks=168 grain=3 tiles=56 sites=1 required=[B=64,In=10752,R=10752] regions=0f9510b96b5fec61",
+    "ln1_sum blocks=168 grain=3 tiles=56 sites=1 required=[In=10752] regions=fe4fccaebdd1deb5",
+    "ln1_var blocks=168 grain=3 tiles=56 sites=1 required=[In=10752,S=168] regions=fe4fccaebdd1deb5",
+    "ln1_norm blocks=168 grain=3 tiles=56 sites=1 required=[Bt=64,G=64,In=10752,S=168,V=168] regions=0f9510b96b5fec61",
+    "ff1 blocks=168 grain=3 tiles=56 sites=1 required=[In=10752,W=16384] regions=6178f59cfb6702cd",
+    "ff1_bias_gelu blocks=168 grain=3 tiles=56 sites=1 required=[B=256,In=43008] regions=6178f59cfb6702cd",
+    "ff2 blocks=168 grain=3 tiles=56 sites=1 required=[In=43008,W=16384] regions=0f9510b96b5fec61",
+    "ff_bias_residual blocks=168 grain=3 tiles=56 sites=1 required=[B=64,In=10752,R=10752] regions=0f9510b96b5fec61",
+    "ln2_sum blocks=168 grain=3 tiles=56 sites=1 required=[In=10752] regions=fe4fccaebdd1deb5",
+    "ln2_var blocks=168 grain=3 tiles=56 sites=1 required=[In=10752,S=168] regions=fe4fccaebdd1deb5",
+    "ln2_norm blocks=168 grain=3 tiles=56 sites=1 required=[Bt=64,G=64,In=10752,S=168,V=168] regions=0f9510b96b5fec61",
 ];

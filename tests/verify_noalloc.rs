@@ -1,10 +1,12 @@
 //! Allocation guard for the verifier's per-shape walk.
 //!
-//! The safety proof runs once per block value per unseen shape, so its
-//! per-block cost is what a cold shape pays. `ProofProgram::walk` sizes
-//! every piece of state up front; this test pins that `ProofWalk::block`
-//! then never touches the allocator — not for the block's environment,
-//! not for guard narrowing, not for recording store regions.
+//! The safety proof runs once per tile of block values per unseen shape,
+//! so its per-tile cost is what a cold shape pays. `ProofProgram::walk`
+//! sizes every piece of state up front; this test pins that
+//! `ProofWalk::tile` then never touches the allocator — not for the
+//! tile's environment, not for guard narrowing, not for the correlated
+//! table-pair scans, not for recording store regions — at one block per
+//! tile and at several.
 //!
 //! One `#[test]` only: the counters of the instrumented allocator are
 //! process-wide, so nothing else may run beside the measured region.
@@ -23,18 +25,25 @@ use cora::transformer::EncoderConfig;
 #[global_allocator]
 static GLOBAL: &StatsAlloc<System> = &INSTRUMENTED_SYSTEM;
 
-/// Walks block values `0 .. n_blocks` of an outlined `body`, returning
-/// the allocator calls made by all `block` calls together.
-fn walk_blocks(body: &Stmt, block_var: &str, n_blocks: usize, ctx: &VerifyCtx<'_>) -> Stats {
+/// Walks block values `0 .. n_blocks` of an outlined `body` in tiles of
+/// `grain`, returning the allocator calls made by all `tile` calls
+/// together.
+fn walk_tiles(
+    body: &Stmt,
+    block_var: &str,
+    n_blocks: usize,
+    grain: usize,
+    ctx: &VerifyCtx<'_>,
+) -> Stats {
     let proof = ProofProgram::build(body, block_var, ctx.output);
-    let mut walk = proof.walk(ctx, n_blocks);
+    let mut walk = proof.walk(ctx, 0, n_blocks, grain);
     let region = Region::new(GLOBAL);
-    for b in 0..n_blocks {
-        walk.block(b as i64).expect("block verifies");
+    for t in 0..walk.tiles() {
+        walk.tile(t).expect("tile verifies");
     }
     let change = region.change();
-    let outcome = walk.finish().expect("blocks are disjoint");
-    assert_eq!(outcome.n_blocks, n_blocks);
+    let outcome = walk.finish().expect("tiles are disjoint");
+    assert_eq!((outcome.n_blocks, outcome.grain), (n_blocks, grain));
     change
 }
 
@@ -68,7 +77,7 @@ fn per_block_walk_never_allocates() {
         output: "out",
         output_size: lens.iter().sum(),
     };
-    let change = walk_blocks(&guarded, "b", lens.len(), &ctx);
+    let change = walk_tiles(&guarded, "b", lens.len(), 1, &ctx);
     assert_eq!(change, Stats::default(), "guarded pad_loop-shaped stage");
 
     // Unguarded: the encoder's attention-scores stage as lowered, with
@@ -97,6 +106,12 @@ fn per_block_walk_never_allocates() {
         output: program.output_name(),
         output_size: program.output_size(),
     };
-    let change = walk_blocks(&o.body, &o.block_var, n_blocks, &ctx);
-    assert_eq!(change, Stats::default(), "unguarded scores stage");
+    for grain in [1, 4, 16] {
+        let change = walk_tiles(&o.body, &o.block_var, n_blocks, grain, &ctx);
+        assert_eq!(
+            change,
+            Stats::default(),
+            "unguarded scores stage, grain {grain}"
+        );
+    }
 }

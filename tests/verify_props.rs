@@ -18,7 +18,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use cora::core::prelude::*;
-use cora::core::verify::{verify_outlined, VerifyCtx, VerifyError};
+use cora::core::verify::{tile_grain, verify_outlined, ProofProgram, VerifyCtx, VerifyError};
+use cora::ir::interval::SInt;
 use cora::ir::{Env, ForKind, Stmt};
 use cora::ragged::{Dim, RaggedLayout};
 use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
@@ -275,70 +276,231 @@ fn make_op(lens: &[usize], pad: usize) -> Operator {
     )
 }
 
+/// `make_op(lens, pad)` under schedule `sched`: the row axis bound to
+/// blocks (0), the same heaviest-first (1), padded and split rows (2), or
+/// the `(o, i)` nest fused and the fused axis bound (3).
+fn scheduled_op(lens: &[usize], pad: usize, sched: usize) -> Operator {
+    let mut op = make_op(lens, pad);
+    match sched {
+        0 => {
+            op.schedule_mut().bind("o", ForKind::GpuBlockX);
+        }
+        1 => {
+            op.schedule_mut()
+                .bind("o", ForKind::GpuBlockX)
+                .thread_remap(RemapPolicy::LongestFirst);
+        }
+        2 => {
+            op.schedule_mut()
+                .pad_loop("i", pad)
+                .split("i", pad)
+                .bind("o", ForKind::GpuBlockX);
+        }
+        _ => {
+            op.schedule_mut()
+                .fuse_loops("o", "i")
+                .bind("o_i_f", ForKind::GpuBlockX);
+        }
+    }
+    op
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Static/dynamic agreement: for random ragged shapes and block
-    /// schedules the verifier accepts (every session construction below
-    /// runs the proof), parallel execution under the per-element
-    /// owning-block tracker and the store-certificate checks — both
-    /// active in debug builds — completes with serial-identical output.
-    /// A tracker or certificate panic here means the static proof and
-    /// the runtime oracle disagree.
+    /// schedules the verifier accepts — at the tile-grain rule's grain
+    /// (with its per-block retry, so always) and at fixed grains 1, 4, 16
+    /// and past the block count — parallel execution under the
+    /// per-element owning-tile tracker and the store-certificate checks
+    /// — both active in debug builds — completes with serial-identical
+    /// output and statistics. A tracker or certificate panic here means
+    /// the static proof and the runtime oracle disagree. Only the fused
+    /// block axis may need blocks proven one at a time: a tile of fused
+    /// iterations straddles rows, and its hull covers the next tile's.
     #[test]
     fn verified_programs_never_trip_the_dynamic_tracker(
-        lens in prop::collection::vec(0usize..12, 1..7),
+        lens in prop::collection::vec(0usize..24, 1..7),
         pad in 1usize..5,
         sched in 0usize..4,
     ) {
-        let mut op = make_op(&lens, pad);
-        match sched {
-            0 => { op.schedule_mut().bind("o", ForKind::GpuBlockX); }
-            1 => {
-                op.schedule_mut()
-                    .bind("o", ForKind::GpuBlockX)
-                    .thread_remap(RemapPolicy::LongestFirst);
-            }
-            2 => {
-                op.schedule_mut()
-                    .pad_loop("i", pad)
-                    .split("i", pad)
-                    .bind("o", ForKind::GpuBlockX);
-            }
-            _ => {
-                op.schedule_mut()
-                    .fuse_loops("o", "i")
-                    .bind("o_i_f", ForKind::GpuBlockX);
-            }
-        }
-        let p = lower(&op).unwrap();
+        let p = lower(&scheduled_op(&lens, pad, sched)).unwrap();
         let compiled = p.compile();
-        let mut session = compiled
-            .parallel_session()
-            .expect("verifier accepts lowered schedules")
-            .expect("block axis outlined");
-
-        // The proof artifact is well-formed: every certified block's
-        // regions stay inside the output.
-        let outcome = session.verify_outcome();
-        let n_rows: usize = lens.len();
-        prop_assert!(outcome.n_blocks <= n_rows.max(lens.iter().map(|&l| l.max(1)).sum()));
-        for b in 0..outcome.n_blocks as i64 {
-            for r in outcome.cert.regions_for(b) {
-                let (lo, hi) = r.hull().expect("certified regions are bounded");
-                prop_assert!(lo >= 0 && hi < p.output_size() as i64);
-            }
-        }
-
         let input: Vec<f32> = (0..p.output_size())
             .map(|x| x as f32 * 0.25 - 3.0)
             .collect();
         let serial = compiled.run(&[("A", input.clone())]);
         let pool = CpuPool::new(4);
-        let par = session.run(&pool, vec![("A", input)]);
-        let sb: Vec<u32> = serial.output.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u32> = par.output.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(sb, pb, "verified parallel run diverges from serial");
+        let rule = compiled
+            .parallel_prep()
+            .expect("verifier accepts lowered schedules")
+            .expect("block axis outlined");
+        let n_blocks = rule.verify_outcome().n_blocks;
+        let fixed = [1, 4, 16, n_blocks + 1].map(|g| (g, compiled.parallel_prep_at_grain(g)));
+        for (grain, prep) in std::iter::once((0, Ok(Some(rule)))).chain(fixed) {
+            let prep = match prep {
+                Ok(prep) => prep.expect("block axis outlined"),
+                Err(e) => {
+                    prop_assert!(sched == 3 && grain > 1, "grain {}: {}", grain, e);
+                    continue;
+                }
+            };
+            // The proof artifact is well-formed: every certified tile's
+            // regions stay inside the output.
+            let outcome = prep.verify_outcome();
+            prop_assert!(outcome.n_blocks <= lens.len().max(lens.iter().map(|&l| l.max(1)).sum()));
+            prop_assert_eq!(outcome.tiles, outcome.n_blocks.div_ceil(outcome.grain));
+            for b in 0..outcome.n_blocks as i64 {
+                for r in outcome.cert.regions_for(b) {
+                    let (lo, hi) = r.hull().expect("certified regions are bounded");
+                    prop_assert!(lo >= 0 && hi < p.output_size() as i64);
+                }
+            }
+            let par = compiled.parallel_session_with(&prep).run(&pool, vec![("A", input.clone())]);
+            prop_assert_eq!(
+                bits(&serial.output), bits(&par.output),
+                "verified parallel run at grain {} diverges from serial", outcome.grain
+            );
+            prop_assert_eq!(&serial.stats, &par.stats);
+        }
+    }
+}
+
+#[test]
+fn the_fused_block_axis_proves_through_the_per_block_retry() {
+    // 69 fused iterations: the rule's grain is 2. The tile of
+    // iterations 42 and 43 straddles the end of the 30-element row: its
+    // hull runs from that row's base (13) to the next row's base (43)
+    // plus the long row's whole `i` range, past the output — so the
+    // session's proof is the per-block one.
+    let lens = [13usize, 0, 30, 1, 25];
+    let compiled = lower(&scheduled_op(&lens, 1, 3)).unwrap().compile();
+    let err = compiled.parallel_prep_at_grain(2).unwrap_err().to_string();
+    assert!(
+        err.contains("spans [13, 72], escaping the planned size 69"),
+        "{err}"
+    );
+    let prep = compiled.parallel_prep().unwrap().unwrap();
+    let outcome = prep.verify_outcome();
+    assert_eq!(tile_grain(outcome.n_blocks), 2);
+    assert_eq!(
+        (outcome.n_blocks, outcome.grain, outcome.tiles),
+        (69, 1, 69)
+    );
+    let input: Vec<f32> = (0..69).map(|x| x as f32 - 30.0).collect();
+    let serial = compiled.run(&[("A", input.clone())]);
+    let par = compiled
+        .parallel_session_with(&prep)
+        .run(&CpuPool::new(4), vec![("A", input)]);
+    assert_eq!(bits(&par.output), bits(&serial.output));
+}
+
+// ---------------------------------------------------------------------
+// Correlated table pairs
+// ---------------------------------------------------------------------
+
+/// `for b (block) { for j in 0..lens[b] { out[row[b'] + j] = 1 } }`,
+/// with `b'` the block variable or `at_row` when given.
+fn ragged_rows(at_row: Option<Expr>) -> Stmt {
+    let at = at_row.unwrap_or_else(|| Expr::var("b"));
+    Stmt::loop_kind(
+        "b",
+        Expr::int(8),
+        ForKind::GpuBlockX,
+        Stmt::loop_(
+            "j",
+            Expr::load("lens", Expr::var("b")),
+            Stmt::store(
+                "out",
+                Expr::load("row", at) + Expr::var("j"),
+                FExpr::constant(1.0),
+            ),
+        ),
+    )
+}
+
+/// Proves `stmt` over its 8 blocks in tiles of `grain`.
+#[allow(clippy::result_large_err)] // witness-rich error, cold path
+fn prove_tiles(
+    stmt: &Stmt,
+    env: &Env,
+    grain: usize,
+    output_size: usize,
+) -> Result<cora::core::verify::VerifyOutcome, VerifyError> {
+    let o = outline(stmt, "out").unwrap().expect("a block axis exists");
+    let ctx = VerifyCtx {
+        env,
+        scalars: &[],
+        output: "out",
+        output_size,
+    };
+    ProofProgram::build(&o.body, &o.block_var, "out").verify_tiles(0, 8, grain, &ctx)
+}
+
+#[test]
+fn a_base_table_that_is_not_a_prefix_sum_is_rejected_with_witness_tiles() {
+    // Rows of two, but row 4 starts at 7, inside row 3's [6, 7]: the
+    // tiles [0, 4) and [4, 8) collide at element 7.
+    let mut env = Env::new();
+    env.set_buffer("lens", vec![2i64; 8]);
+    env.set_buffer("row", vec![0i64, 2, 4, 6, 7, 9, 11, 13]);
+    let err = prove_tiles(&ragged_rows(None), &env, 4, 15).unwrap_err();
+    match &err {
+        VerifyError::StoreOverlap {
+            grain,
+            block_a,
+            block_b,
+            region_a,
+            region_b,
+            ..
+        } => {
+            assert_eq!((*grain, *block_a, *block_b), (4, 0, 4), "witness tiles");
+            // The pair rule bounds each tile by its own rows exactly.
+            assert_eq!(
+                (*region_a, *region_b),
+                (SInt::range(0, 7), SInt::range(7, 14))
+            );
+        }
+        other => panic!("expected StoreOverlap, got {other:?}"),
+    }
+    assert!(
+        err.to_string()
+            .contains("tiles of 4 blocks starting at blocks 0 and 4"),
+        "{err}"
+    );
+
+    // The same collision inside one tile (rows 1 and 2) is no race: one
+    // worker runs both rows in order. Per block it is still rejected.
+    env.set_buffer("row", vec![0i64, 2, 3, 5, 7, 9, 11, 13]);
+    let inside = prove_tiles(&ragged_rows(None), &env, 4, 15).expect("tiles are disjoint");
+    assert_eq!(inside.cert.regions_for(1), &[SInt::range(0, 6)]);
+    assert!(prove_tiles(&ragged_rows(None), &env, 1, 15).is_err());
+}
+
+#[test]
+fn a_pair_read_at_two_different_indices_does_not_fire_the_rule() {
+    // `out[row[7 − b] + j]` under `for j in 0..lens[b]`: the extent and
+    // the base are read at different rows, so row 7 − b's base meets
+    // row b's length. Block 0 really stores `row[7] + [0, 4]` = [9, 13],
+    // escaping the 10-element output; pairing `row` with `lens` at the
+    // access's index would claim `row[7] + [0, 0]` = {9} and accept.
+    let mut env = Env::new();
+    env.set_buffer("lens", vec![5i64, 1, 1, 1, 1, 1, 1, 1]);
+    env.set_buffer("row", vec![0i64, 5, 6, 7, 8, 9, 9, 9]);
+    let mirrored = Some(Expr::int(7) - Expr::var("b"));
+    for grain in [1, 4] {
+        let err = prove_tiles(&ragged_rows(mirrored.clone()), &env, grain, 10).unwrap_err();
+        match &err {
+            VerifyError::OutOfBounds { buffer, range, .. } => {
+                assert_eq!(buffer, "out");
+                assert!(range.hull().is_some_and(|(_, hi)| hi >= 13), "{err}");
+            }
+            other => panic!("expected OutOfBounds, got {other:?}"),
+        }
     }
 }
 
@@ -369,4 +531,52 @@ fn every_encoder_stage_verifies() {
         proven > 0,
         "at least one encoder stage runs on the parallel tier"
     );
+}
+
+/// Every encoder stage program, under both attention masks, run alone
+/// on a 4-worker pool in tiles of 1, 4 and 16 blocks and in one tile of
+/// them all — tiles that straddle sequence boundaries, in a batch with
+/// zero-length and one-token sequences — matches its serial run bit for
+/// bit with equal statistics, under the owning-tile tracker (debug
+/// builds).
+#[test]
+fn every_encoder_stage_runs_as_serially_at_every_grain() {
+    let cfg = EncoderConfig::scaled(8);
+    let lens = [5usize, 0, 3, 1, 7, 12, 1, 0];
+    let pool = CpuPool::new(4);
+    for build in [
+        CompiledEncoderLayer::build,
+        CompiledEncoderLayer::build_masked_mha,
+    ] {
+        let layer = build(&cfg, &lens).expect("builds");
+        for (label, program) in layer.pipeline().expect("rows").stage_programs() {
+            let per_block = program.parallel_prep_at_grain(1).unwrap().unwrap();
+            let outcome = per_block.verify_outcome();
+            let inputs: Vec<(&str, Vec<f32>)> = (program.input_names().into_iter())
+                .map(|name| {
+                    let len = outcome.required_input_len(name).unwrap_or(0) as usize;
+                    (
+                        name,
+                        (0..len)
+                            .map(|x| 0.5 + (x as f32 * 0.37).sin() / 4.0)
+                            .collect(),
+                    )
+                })
+                .collect();
+            let serial = program.run(&inputs);
+            for grain in [1, 4, 16, outcome.n_blocks + 1] {
+                let prep = program.parallel_prep_at_grain(grain);
+                let prep = prep.unwrap_or_else(|e| panic!("`{label}` at grain {grain}: {e}"));
+                let par = program
+                    .parallel_session_with(prep.expect("a parallel stage"))
+                    .run(&pool, inputs.clone());
+                assert_eq!(
+                    bits(&par.output),
+                    bits(&serial.output),
+                    "`{label}` at grain {grain}"
+                );
+                assert_eq!(par.stats, serial.stats, "`{label}` at grain {grain}");
+            }
+        }
+    }
 }

@@ -307,12 +307,12 @@ proptest! {
 
         let body = scratch_panel_body(k as i64, n as i64);
         let serial = Stmt::loop_kind("b", Expr::int(nb as i64), ForKind::GpuBlockX, body.clone());
-        let cert = StoreCert::new((0..nb).map(|b| {
+        let cert = StoreCert::tiled(0, nb, 1, (0..nb).map(|b| {
             let region = match lens[b] {
                 0 => SInt::Empty,
                 l => SInt::range(rows[b], rows[b] + l as i64 - 1),
             };
-            (b as i64, region)
+            (b, region)
         })).expect("ragged rows are disjoint");
 
         for mode in [MathMode::Strict, MathMode::Fast] {
