@@ -27,13 +27,49 @@
 //! serial nest under `Strict`), then add a `NestKernel` row with its
 //! class, its `[inner, outer]` stride pattern per index (pin both output
 //! strides: the kernel receives the dense output run the nest covers)
-//! and a closure adapting the operands to the function's signature. The
+//! and a closure adapting the operands to the function's signature. A
+//! kernel that wants state across the nests of one execution — a packed
+//! operand, like the panel row below — sets `packs_b` and keeps that
+//! state in the per-execution scratch its closure receives (`PanelCache`
+//! today; it lives in the dispatch loop's register state, beside the
+//! chunk sweep's buffers, and is handed over only where reuse is sound),
+//! computing the same bits without it otherwise. The
 //! table test (`vm::dispatch::tests::every_kernel_row_matches_the_sweep`)
 //! iterates the rows, so the new one is checked against the chunked
 //! sweep and the interpreter on the ragged extent grid without a new
 //! test. A kernel for a tape that is not a multiply-accumulate
 //! additionally needs a `NestClass` variant, its arm in
 //! `FusedNest::classify`, and the nest that test builds for the class.
+//!
+//! # The packed-panel row
+//!
+//! The attention-score nest dots one query row with `n_o` key rows:
+//! `out[t] += Σ_k q[k] · K[b0 + t·sb_o + k]`, whose `a` operand has outer
+//! stride 0. [`dot_panel`] runs it one short reduction at a time. The
+//! panel row instead copies the key rows into blocks of [`LANES`] rows
+//! laid out `[t / LANES][k][t % LANES]` (`pack_panel`, the packing a
+//! BLIS-style GEMM uses) and runs the saxpy shape over them
+//! (`packed_dot_panel`): `acc[t..t + LANES] += q[k] · panel[k][..]` for
+//! ascending `k`. Each output still receives its adds in exactly the
+//! serial nest's order, so the row is bit-identical under `Strict` (and
+//! runs in both modes: it reassociates nothing).
+//!
+//! Packing costs more than one dot pass; the gain is reuse. Every query
+//! row of one (head, sequence) reads the same key panel, so the packed
+//! copy lives in the execution's `PanelCache`, keyed by the `b`
+//! operand's slot, base, outer stride and row length: a later nest with
+//! the same key reuses it, one that needs more rows (causal attention's
+//! growing prefix) extends it, and any other key repacks it. **Why reuse
+//! is sound:** the cache is handed to the row only when `b` is bound
+//! read-only (`vm::bufs`' `Slot::In`, a shared borrow held for the whole
+//! execution), so nothing can change the rows between the pack and a
+//! later hit; and a cache is created with, and dropped beside, the buffer
+//! view of one execution (a serial run, or one parallel worker's batch of
+//! tiles), so it never sees another execution's buffers. A `b` that is
+//! written or `Alloc` scratch is never packed: the row runs per-row dots
+//! in the serial order instead, in both modes, so a result never depends
+//! on how `b` is bound (the owned machine, which binds every buffer as
+//! written, agrees with the borrowed and parallel tiers under `Fast` too).
 //!
 //! # Strict vs fast math
 //!
@@ -51,6 +87,9 @@
 //!   approximations. The error bounds are part of this module's
 //!   contract — [`EXP_REL_TOL`], [`TANH_ABS_TOL`] — and the unit tests
 //!   here plus the differential harnesses assert them.
+
+use std::cell::Cell;
+use std::ops::Range;
 
 /// Floating-point semantics knob for compiled execution, threaded from
 /// `CompiledProgram`/`CompiledPipeline` down to the VM's fused kernels.
@@ -100,10 +139,11 @@ pub(crate) enum NestClass {
     Map,
 }
 
-/// One loaded operand of a whole-nest kernel: its buffer, its index at
-/// the nest's first iteration, and its stride along the outer loop (a
-/// row's pattern pins the inner one).
+/// One loaded operand of a whole-nest kernel: its buffer slot and
+/// contents, its index at the nest's first iteration, and its stride
+/// along the outer loop (a row's pattern pins the inner one).
 pub(crate) struct Operand<'a> {
+    pub(crate) slot: u32,
     pub(crate) data: &'a [f32],
     pub(crate) base: usize,
     pub(crate) outer: usize,
@@ -129,12 +169,20 @@ pub(crate) struct NestKernel {
     /// order — as `[inner, outer]`: `Some(_)` = must equal, `None` = any
     /// non-negative stride.
     pub(crate) strides: [[Option<i64>; 2]; 3],
+    /// Whether the kernel may keep a packed copy of `b` in the
+    /// execution's [`PanelCache`] for later nests to reuse. Such a row is
+    /// selected only for two-deep nests (a one-deep nest has one row of
+    /// `b`, nothing to reuse).
+    pub(crate) packs_b: bool,
     /// The kernel, bit-identical to the serial nest under
     /// [`MathMode::Strict`]. `out` is the exclusive run of the output
     /// the nest's stores cover, starting at the first iteration's index
     /// — a row must therefore pin both output strides, to a pattern
-    /// whose stores are dense.
-    pub(crate) run: fn(out: &mut [f32], k: &KernelArgs<'_>),
+    /// whose stores are dense. `panels` is the execution's panel cache,
+    /// passed only when `b` is bound read-only (module docs); a `packs_b`
+    /// row must compute the same bits without it, so how `b` is bound
+    /// never changes a result.
+    pub(crate) run: fn(out: &mut [f32], k: &KernelArgs<'_>, panels: Option<&mut PanelCache>),
 }
 
 /// The microkernel table, in match-priority order.
@@ -144,11 +192,42 @@ pub(crate) static NEST_KERNELS: &[NestKernel] = &[
     NestKernel {
         class: NestClass::MulAcc,
         strides: [[Some(1), Some(0)], [Some(0), None], [Some(1), None]],
-        run: |out, k| {
+        packs_b: false,
+        run: |out, k, _| {
             let (a, b) = (&k.a, &k.b);
             saxpy_panel(
                 out, a.data, a.base, a.outer, b.data, b.base, b.outer, k.n_outer,
             );
+        },
+    },
+    // One row of `a` dotted with `n_outer` rows of `b` (attention
+    // scores): the rows of `b`, packed once and reused, in the saxpy
+    // shape. When `b` may change between nests, per-row dots in the
+    // serial order instead — in both modes, like the packed kernel.
+    NestKernel {
+        class: NestClass::MulAcc,
+        strides: [[Some(0), Some(1)], [Some(1), Some(0)], [Some(1), None]],
+        packs_b: true,
+        run: |out, k, panels| {
+            let (a, b, n) = (&k.a, &k.b, [k.n_inner, k.n_outer]);
+            match panels {
+                Some(panels) => {
+                    packed_dot_panel(out, a.data, a.base, panels.rows(b, n[0], n[1]), n[0]);
+                }
+                None => dot_panel(
+                    out,
+                    0,
+                    a.data,
+                    a.base,
+                    0,
+                    b.data,
+                    b.base,
+                    b.outer,
+                    n[0],
+                    n[1],
+                    MathMode::Strict,
+                ),
+            }
         },
     },
     // Per-row dots: output indexes the outer axis, both operands stream
@@ -156,7 +235,8 @@ pub(crate) static NEST_KERNELS: &[NestKernel] = &[
     NestKernel {
         class: NestClass::MulAcc,
         strides: [[Some(0), Some(1)], [Some(1), None], [Some(1), None]],
-        run: |out, k| {
+        packs_b: false,
+        run: |out, k, _| {
             let (a, b, n) = (&k.a, &k.b, [k.n_inner, k.n_outer]);
             dot_panel(
                 out, 0, a.data, a.base, a.outer, b.data, b.base, b.outer, n[0], n[1], k.mode,
@@ -169,8 +249,9 @@ pub(crate) static NEST_KERNELS: &[NestKernel] = &[
 /// stride pattern matches. `strides` holds `[inner, outer]` per index in
 /// row order. A one-deep nest (`two_deep == false`) has no outer
 /// strides and is matched on the inner pattern alone — it is the
-/// two-deep nest at `n_outer = 1`, which never steps them. Negative
-/// outer strides never select (the kernels address `usize` ranges).
+/// two-deep nest at `n_outer = 1`, which never steps them — and never
+/// selects a `packs_b` row. Negative outer strides never select (the
+/// kernels address `usize` ranges).
 #[inline]
 pub(crate) fn select_kernel(
     class: NestClass,
@@ -183,6 +264,7 @@ pub(crate) fn select_kernel(
     let agrees = |want: Option<i64>, got: i64| want.map_or(true, |w| w == got);
     NEST_KERNELS.iter().find(|k| {
         k.class == class
+            && (two_deep || !k.packs_b)
             && k.strides.iter().zip(strides).all(|(want, got)| {
                 agrees(want[0], got[0]) && (!two_deep || agrees(want[1], got[1]))
             })
@@ -300,6 +382,168 @@ pub fn dot_panel(
             }
             MathMode::Fast => acc + dot_fast(ar, br),
         };
+    }
+}
+
+/// Packs rows `rows` of the panel `b[b0 + t·sb_o ..][..n_i]` into `panel`,
+/// laid out in blocks of [`LANES`] rows as `[t / LANES][k][t % LANES]` —
+/// the layout [`packed_dot_panel`] reads. `panel` grows to hold the
+/// blocks up to `rows.end`; rows before `rows.start` are left as they
+/// are (extending a packed panel), and the lanes of the last block past
+/// `rows.end` are zeroed.
+pub(crate) fn pack_panel(
+    panel: &mut Vec<f32>,
+    b: &[f32],
+    b0: usize,
+    sb_o: usize,
+    n_i: usize,
+    rows: Range<usize>,
+) {
+    if n_i == 0 {
+        return;
+    }
+    let block = n_i * LANES;
+    let len = rows.end.div_ceil(LANES) * block;
+    if panel.len() < len {
+        panel.resize(len, 0.0);
+    }
+    // Element `k` of row `t` sits at `lane(t) + k·LANES`.
+    let lane = |t: usize| t / LANES * block + t % LANES;
+    for t in rows.clone() {
+        let row = &b[b0 + t * sb_o..][..n_i];
+        let at = &mut panel[lane(t)..len];
+        for (k, x) in row.iter().enumerate() {
+            at[k * LANES] = *x;
+        }
+    }
+    for t in rows.end..rows.end.next_multiple_of(LANES) {
+        let at = &mut panel[lane(t)..len];
+        for k in 0..n_i {
+            at[k * LANES] = 0.0;
+        }
+    }
+}
+
+/// Packed-panel dot: `out[t] += Σ_k a[a0 + k] · row_t[k]` for
+/// `t in 0..out.len()`, rows of length `n_i` read from `panel` as
+/// [`pack_panel`] laid them out.
+///
+/// The saxpy shape over [`LANES`]-row blocks: a block's outputs are held
+/// in one register block while `acc += a[a0 + k] · panel[k][..]` runs for
+/// ascending `k`, two blocks at a time so two independent add chains
+/// overlap. Every output receives its `n_i` adds in the serial fold's
+/// order, one `mul` + one `add` each, so results are **bit-identical to
+/// the scalar nest in both math modes**; lanes past `out.len()` are
+/// computed and discarded.
+///
+/// # Panics
+///
+/// Panics if `panel` holds fewer blocks than `out` needs.
+pub(crate) fn packed_dot_panel(out: &mut [f32], a: &[f32], a0: usize, panel: &[f32], n_i: usize) {
+    if n_i == 0 {
+        return;
+    }
+    let (n_o, block) = (out.len(), n_i * LANES);
+    assert!(
+        panel.len() >= n_o.div_ceil(LANES) * block,
+        "packed panel too short"
+    );
+    let q = &a[a0..a0 + n_i];
+    // Output `t`'s block starts at `t / LANES · block = t · n_i`.
+    let mut t = 0;
+    while t + 2 * LANES <= n_o {
+        let mut acc = [[0.0f32; LANES]; 2];
+        for (g, r) in acc.iter_mut().enumerate() {
+            r.copy_from_slice(&out[t + g * LANES..][..LANES]);
+        }
+        let (b0, b1) = panel[t * n_i..][..2 * block].split_at(block);
+        dot_block_pair(&mut acc, q, b0, b1);
+        for (g, r) in acc.iter().enumerate() {
+            out[t + g * LANES..][..LANES].copy_from_slice(r);
+        }
+        t += 2 * LANES;
+    }
+    while t < n_o {
+        let m = (n_o - t).min(LANES);
+        let mut acc = [0.0f32; LANES];
+        acc[..m].copy_from_slice(&out[t..t + m]);
+        dot_block(&mut acc, q, &panel[t * n_i..][..block]);
+        out[t..t + m].copy_from_slice(&acc[..m]);
+        t += LANES;
+    }
+}
+
+/// `acc[l] += Σ_k q[k] · block[k·LANES + l]` for ascending `k`: one
+/// block of a packed panel. The accumulators are copied into a local
+/// first, so they stay in registers even when the caller filled `acc`
+/// through a variable-length copy.
+#[inline(always)]
+fn dot_block(acc: &mut [f32; LANES], q: &[f32], block: &[f32]) {
+    let mut r = *acc;
+    for (s, p) in q.iter().zip(block.chunks_exact(LANES)) {
+        for l in 0..LANES {
+            r[l] += *s * p[l];
+        }
+    }
+    *acc = r;
+}
+
+/// [`dot_block`] over two blocks at once: two independent add chains.
+#[inline(always)]
+fn dot_block_pair(acc: &mut [[f32; LANES]; 2], q: &[f32], b0: &[f32], b1: &[f32]) {
+    let mut r = *acc;
+    let rows = b0.chunks_exact(LANES).zip(b1.chunks_exact(LANES));
+    for (s, (p0, p1)) in q.iter().zip(rows) {
+        for l in 0..LANES {
+            r[0][l] += *s * p0[l];
+            r[1][l] += *s * p1[l];
+        }
+    }
+    *acc = r;
+}
+
+thread_local! {
+    static PANEL_PACKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Panels the packed-panel row has packed on the calling thread so far —
+/// fresh packs only; extending a packed panel does not count. How a test
+/// observes that a nest ran through the row and how often its panel was
+/// reused. A serial execution counts on the calling thread; parallel
+/// workers count on theirs.
+pub fn panels_packed() -> u64 {
+    PANEL_PACKS.with(Cell::get)
+}
+
+/// The packed `b` panel of one execution: the last one the packed-panel
+/// row built, reused by every later nest that reads the same rows (see
+/// the module docs for the reuse rule and why it is sound). Created
+/// empty with the execution's register state; the first pack allocates.
+#[derive(Default)]
+pub(crate) struct PanelCache {
+    /// `(slot, base, outer stride, row length)` of the packed operand.
+    key: Option<(u32, usize, usize, usize)>,
+    /// Rows of that operand packed so far.
+    rows: usize,
+    data: Vec<f32>,
+}
+
+impl PanelCache {
+    /// The first `n_o` rows (of `n_i` elements) of operand `b`, packed:
+    /// reused when the key matches and enough rows are packed, extended
+    /// when the key matches and more are needed, repacked otherwise.
+    pub(crate) fn rows(&mut self, b: &Operand<'_>, n_i: usize, n_o: usize) -> &[f32] {
+        let key = (b.slot, b.base, b.outer, n_i);
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.rows = 0;
+            PANEL_PACKS.with(|c| c.set(c.get() + 1));
+        }
+        if self.rows < n_o {
+            pack_panel(&mut self.data, b.data, b.base, b.outer, n_i, self.rows..n_o);
+            self.rows = n_o;
+        }
+        &self.data[..n_o.div_ceil(LANES) * n_i * LANES]
     }
 }
 
@@ -532,6 +776,87 @@ mod tests {
         }
     }
 
+    /// Scalar reference of the score nest, in interpreter order:
+    /// `out[t] += a[a0..][..n_i] · b[b0 + t·sb_o..][..n_i]`.
+    fn dots_ref(
+        out: &mut [f32],
+        a: &[f32],
+        a0: usize,
+        b: &[f32],
+        b0: usize,
+        sb_o: usize,
+        n_i: usize,
+    ) {
+        for (t, o) in out.iter_mut().enumerate() {
+            for k in 0..n_i {
+                *o += a[a0 + k] * b[b0 + t * sb_o + k];
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_dot_panel_is_bit_identical_to_serial_nest() {
+        for n_i in [0usize, 1, 7, 8, 9, 64, 65] {
+            for n_o in [1usize, 7, 8, 9, 17, 37, 512] {
+                let (a0, b0, sb_o) = (2, 5, n_i + 3);
+                let a = seq(a0 + n_i, 0.3);
+                let b = seq(b0 + n_o * sb_o, 0.7);
+                let mut want = seq(n_o, 1.0);
+                let mut out = want.clone();
+                dots_ref(&mut want, &a, a0, &b, b0, sb_o, n_i);
+                let mut panel = Vec::new();
+                pack_panel(&mut panel, &b, b0, sb_o, n_i, 0..n_o);
+                packed_dot_panel(&mut out, &a, a0, &panel, n_i);
+                assert_eq!(bits(&out), bits(&want), "n_i={n_i} n_o={n_o}");
+            }
+        }
+    }
+
+    /// The reuse rule, call by call: a matching key with enough rows
+    /// hits, one with more rows extends, any other key (base, slot,
+    /// outer stride or row length) repacks — and every call equals the
+    /// serial nest over the operand it names.
+    #[test]
+    fn the_panel_cache_reuses_extends_and_repacks() {
+        let (k1, k2) = (seq(700, 0.7), seq(700, 0.45));
+        let a = seq(70, 0.3);
+        let mut cache = PanelCache::default();
+        // `(slot, keys, base, outer stride, n_i, n_o, packs)`.
+        let same = |n_o: usize| (1, &k1, 3usize, 11usize, 8usize, n_o, false);
+        let mut calls = vec![(1, &k1, 3usize, 11usize, 8usize, 20usize, true)];
+        calls.extend([20, 20, 9, 1].map(same)); // repeated, shrinking
+        calls.extend((21..=40).map(same)); // growing row by row
+        calls.extend([
+            (1, &k1, 50, 11, 8, 9, true),   // another base
+            (1, &k1, 3, 11, 8, 9, true),    // alternating back
+            (1, &k1, 50, 11, 8, 9, true),   // and again
+            (2, &k2, 50, 11, 8, 9, true),   // same base, another slot
+            (2, &k2, 50, 13, 8, 9, true),   // same base, another stride
+            (2, &k2, 50, 13, 9, 9, true),   // another row length
+            (2, &k2, 50, 13, 9, 30, false), // extended
+            (2, &k2, 50, 13, 9, 3, false),  // hit
+        ]);
+        for (i, (slot, keys, base, outer, n_i, n_o, packs)) in calls.into_iter().enumerate() {
+            let b = Operand {
+                slot,
+                data: keys,
+                base,
+                outer,
+            };
+            let before = panels_packed();
+            let mut out = seq(n_o, 1.0);
+            let mut want = out.clone();
+            dots_ref(&mut want, &a, 7, keys, base, outer, n_i);
+            packed_dot_panel(&mut out, &a, 7, cache.rows(&b, n_i, n_o), n_i);
+            assert_eq!(bits(&out), bits(&want), "call {i}");
+            assert_eq!(panels_packed() - before, u64::from(packs), "call {i}");
+        }
+    }
+
     #[test]
     fn fast_reductions_match_serial_within_tolerance() {
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
@@ -601,15 +926,20 @@ mod tests {
         };
         // The proj-GEMM shape: out/b stream columns, a is per-k scalar.
         assert_eq!(row([[1, 0], [0, 1], [1, 64]], true), Some(0));
-        // The QKᵀ shape: out indexes rows, operands stream the head dim.
-        assert_eq!(row([[0, 1], [1, 0], [1, 8]], true), Some(1));
+        // The QKᵀ shape: out indexes the key rows, one query row (outer
+        // stride 0) against key rows that stream the head dim.
+        assert_eq!(row([[0, 1], [1, 0], [1, 192]], true), Some(1));
+        // A query row that moves with the key row: per-row dots.
+        assert_eq!(row([[0, 1], [1, 8], [1, 8]], true), Some(2));
         // Negative outer strides never match (usize addressing).
         assert_eq!(row([[1, 0], [0, -1], [1, 4]], true), None);
         // A generic strided nest matches nothing.
         assert_eq!(row([[2, 1], [1, 3], [5, 0]], true), None);
-        // A one-deep nest is matched on its inner strides alone.
+        // A one-deep nest is matched on its inner strides alone, and the
+        // panel row is two-deep only: a one-deep dot is per-row dots.
         assert_eq!(row([[1, 9], [0, -9], [1, 9]], false), Some(0));
-        assert_eq!(row([[0, 9], [1, -9], [1, 9]], false), Some(1));
+        assert_eq!(row([[0, 9], [1, -9], [1, 9]], false), Some(2));
+        assert_eq!(row([[0, 0], [1, 0], [1, 0]], false), Some(2));
         assert_eq!(row([[1, 0], [1, 0], [1, 0]], false), None);
         // No row implements a general map.
         assert!(select_kernel(NestClass::Map, &[[1, 0], [0, 1], [1, 64]], true).is_none());

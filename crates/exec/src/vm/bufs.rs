@@ -14,6 +14,12 @@
 //! * parallel workers use the certificate-checked port over the shared
 //!   output ([`super::parallel`]), which is where every `unsafe` access
 //!   lives.
+//!
+//! Only a [`Slot::In`] is immutable for the whole execution, which is
+//! what a kernel reusing a packed copy of an operand requires: the
+//! whole-nest path tells its kernel whether `b` is bound that way. The
+//! owned machine binds every buffer as written, so only the borrowed and
+//! parallel entry points bind inputs that way.
 
 use cora_ir::StoreKind;
 
@@ -111,16 +117,32 @@ struct Operands<'s, 'a, P> {
 }
 
 impl<P: OutPort> Operands<'_, '_, P> {
-    /// [`Bufs::ro`] of an operand slot.
+    /// An operand slot.
     #[inline]
-    fn ro(&self, slot: u32) -> Option<&[f32]> {
+    fn slot(&self, slot: u32) -> &Slot<'_, P> {
         let (slot, out) = (slot as usize, self.lo.len());
         assert_ne!(slot, out, "aliasing fused-loop operands");
         if slot < out {
-            self.lo[slot].ro()
+            &self.lo[slot]
         } else {
-            self.hi[slot - out - 1].ro()
+            &self.hi[slot - out - 1]
         }
+    }
+
+    /// [`Bufs::ro`] of an operand slot.
+    #[inline]
+    fn ro(&self, slot: u32) -> Option<&[f32]> {
+        self.slot(slot).ro()
+    }
+
+    /// Whether an operand slot is bound [`Slot::In`]: a shared borrow
+    /// held for as long as the table exists, so its contents cannot
+    /// change during the execution — what lets the packed-panel kernel
+    /// reuse a copy of it across nests. Written and scratch slots never
+    /// qualify.
+    #[inline]
+    fn is_input(&self, slot: u32) -> bool {
+        matches!(self.slot(slot), Slot::In(_))
     }
 }
 
@@ -252,7 +274,8 @@ impl<'a, P: OutPort> Bufs<'a, P> {
 
     /// Runs a whole-nest microkernel `f` over the exclusive output run
     /// `[o0, o0 + n)` of slot `out` beside contiguous read-only views of
-    /// the operand slots `a` and `b`. Callers guarantee `out ∉ {a, b}`
+    /// the operand slots `a` and `b`, and whether `b` is bound
+    /// [`Slot::In`] (immutable for the execution). Callers guarantee `out ∉ {a, b}`
     /// (validated at compile time) and a non-negative base. Returns
     /// `false` without calling `f` — the caller falls back to the
     /// element paths — when `out` is bound read-only or an operand has
@@ -263,13 +286,13 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         o0: usize,
         n: usize,
         [a, b]: [u32; 2],
-        f: impl FnOnce(&mut [f32], &[f32], &[f32]),
+        f: impl FnOnce(&mut [f32], &[f32], &[f32], bool),
     ) -> bool {
         self.with_out_run(out, o0, n, |run, others| {
             let (Some(av), Some(bv)) = (others.ro(a), others.ro(b)) else {
                 return false;
             };
-            f(run, av, bv);
+            f(run, av, bv, others.is_input(b));
             true
         })
     }

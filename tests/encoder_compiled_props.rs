@@ -17,10 +17,13 @@
 //! The encoder pipeline is the paper's end-to-end artifact; this suite
 //! is what locks it to the reference implementation.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
+use cora::core::prelude::{lower, ScheduleError};
 use cora::exec::{CpuPool, MathMode};
-use cora::transformer::encoder_compiled::CompiledEncoderLayer;
+use cora::transformer::encoder_compiled::{stage, Attend, CompiledEncoderLayer, Geometry};
 use cora::transformer::masked_mha::masked_mha_ragged;
 use cora::transformer::{
     encoder_layer_ragged, masked_mha_compiled, EncoderConfig, EncoderWeights, RaggedBatch,
@@ -298,6 +301,107 @@ fn session_reuse_across_layers_matches_fresh_builds() {
             data: out,
             hidden: cfg.hidden,
         };
+    }
+}
+
+/// Runs `layer`'s stages one by one as standalone programs, wiring
+/// buffers as the stage table does: on the tree-walking interpreter —
+/// the semantics every compiled tier reproduces bit for bit under
+/// `Strict` — or, with `interpret == false`, on the owned-buffer VM,
+/// which binds every buffer as written and so never takes the
+/// packed-panel row (`vm_props` holds that tier to the interpreter).
+fn stage_by_stage(
+    layer: &CompiledEncoderLayer,
+    (cfg, attend): (&EncoderConfig, Attend),
+    w: &EncoderWeights,
+    x: &RaggedBatch,
+    interpret: bool,
+) -> Vec<f32> {
+    let geometry = Geometry::new(cfg, &x.lens, attend);
+    let mut bufs: HashMap<&str, Vec<f32>> = HashMap::from([
+        ("X", x.data.clone()),
+        ("Wqkv", w.wqkv.clone()),
+        ("Bqkv", w.bqkv.clone()),
+        ("Wo", w.wo.clone()),
+        ("Bo", w.bo.clone()),
+        ("W1", w.w1.clone()),
+        ("B1", w.b1.clone()),
+        ("W2", w.w2.clone()),
+        ("B2", w.b2.clone()),
+        ("Ln1G", w.ln1_g.clone()),
+        ("Ln1B", w.ln1_b.clone()),
+        ("Ln2G", w.ln2_g.clone()),
+        ("Ln2B", w.ln2_b.clone()),
+    ]);
+    let mut out = "";
+    for label in layer.pipeline().expect("non-empty batch").stage_labels() {
+        let row = stage(label).expect("pipeline labels come from the stage table");
+        let inputs: Vec<(&str, Vec<f32>)> = (row.wires.iter())
+            .map(|(name, buf)| (*name, bufs[buf].clone()))
+            .collect();
+        let program = lower(&row.operator(&geometry)).expect("built-in schedules are legal");
+        let run = if interpret {
+            program.run(&inputs)
+        } else {
+            program.compile().run(&inputs)
+        };
+        bufs.insert(row.out, run.output);
+        out = row.out;
+    }
+    bufs.remove(out).expect("the last stage's output")
+}
+
+/// The Strict parallel forward at 1 and 4 workers is bit-identical to
+/// `forward_serial` and to the interpreter, under `Full` (the encoder
+/// layer) and `Causal` (the masked block), on the shapes the score
+/// stage's packed-panel reuse must survive: zero-length and single-token
+/// sequences, one 512-token sequence, and `(head, row)` tiles that
+/// straddle sequence boundaries. The tree walker needs ~14 s for the
+/// 512-token layers in a debug build, so there (only) they are held to
+/// the owned-buffer VM instead; release runs interpret every shape.
+#[test]
+fn strict_forwards_match_the_interpreter_on_panel_reuse_edges() {
+    type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
+    let builds: [(Attend, Build); 2] = [
+        (Attend::Full, CompiledEncoderLayer::build),
+        (Attend::Causal, CompiledEncoderLayer::build_masked_mha),
+    ];
+    let straddling = vec![13usize, 5, 0, 21, 1, 9];
+    for (cfg, lens) in [
+        (small_config(2, 4, 2), vec![0usize, 1, 0, 3, 1, 0]),
+        (small_config(1, 2, 1), vec![512]),
+        (small_config(2, 4, 2), straddling.clone()),
+    ] {
+        let w = EncoderWeights::random(&cfg, 7);
+        let x = RaggedBatch::random(&lens, cfg.hidden, 8);
+        let interpret = !cfg!(debug_assertions) || lens.iter().all(|&l| l < 512);
+        for (attend, build) in builds {
+            let at = format!("{attend:?} lens {lens:?}");
+            let layer = build(&cfg, &lens).expect("legal schedules");
+            let mut session = layer.session().expect("stages outline");
+            let serial = session.forward_serial(&w, &x);
+            let reference = stage_by_stage(&layer, (&cfg, attend), &w, &x, interpret);
+            assert_eq!(bits(&serial), bits(&reference), "{at}: serial");
+            for workers in [1usize, 4] {
+                let par = session.forward(&CpuPool::new(workers), &w, &x);
+                assert_eq!(bits(&par), bits(&serial), "{at}: {workers} workers");
+            }
+            if lens == straddling {
+                // Some score tile holds rows of two sequences.
+                let grain = (session.verify_outcomes().into_iter())
+                    .find_map(|(label, v)| (label == "scores").then(|| v.unwrap().grain))
+                    .expect("a score stage");
+                let mut end = 0;
+                assert!(grain > 1, "{at}");
+                assert!(
+                    lens.iter().any(|l| {
+                        end += l;
+                        end % grain != 0
+                    }),
+                    "{at}"
+                );
+            }
+        }
     }
 }
 
