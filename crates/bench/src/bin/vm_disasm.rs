@@ -6,7 +6,9 @@
 //! (`cora_transformer::encoder_compiled::STAGES`) and each stage's input
 //! sizes from its verifier-proven access hulls, so the tool cannot drift
 //! from what `CompiledEncoderLayer::build` compiles. Pass stage labels
-//! as arguments to print their full disassembly. Times are best of N
+//! as arguments to print their full disassembly. After the stages it
+//! prints the layer's chains — the stages each parallel dispatch runs
+//! tile by tile, and why each chain ends — and the arena they leave. Times are best of N
 //! serial runs as the pipeline makes them: prelude built once, inputs
 //! bound read-only, output written in place.
 
@@ -17,7 +19,7 @@ use cora_datasets::Dataset;
 use cora_exec::{microkernel, BoundBuf};
 use cora_transformer::encoder_compiled::{Attend, Geometry, STAGES};
 use cora_transformer::mha::time_best_ms;
-use cora_transformer::EncoderConfig;
+use cora_transformer::{CompiledEncoderLayer, EncoderConfig};
 
 fn main() {
     let cfg = EncoderConfig::scaled(8);
@@ -79,6 +81,26 @@ fn main() {
         }
     }
     println!("\nsum of standalone stage times: {total_ms:.3} ms");
+
+    // The chains the layer's parallel run dispatches, and why each ends.
+    let layer = CompiledEncoderLayer::build(&cfg, &lens).expect("built-in schedules are legal");
+    let pipeline = layer.pipeline().expect("a non-empty batch");
+    let labels = pipeline.stage_labels();
+    println!("\n{} chains (one dispatch each):", pipeline.chains().len());
+    for chain in pipeline.chains() {
+        let ends = (chain.refusal.as_ref()).map_or("the last stage".to_string(), |r| r.to_string());
+        println!(
+            "    {{{}}} ends: {ends}",
+            labels[chain.stages.clone()].join(", ")
+        );
+    }
+    let plan = pipeline.plan();
+    println!(
+        "arena: {} elements in {} slots; stage by stage: {}",
+        plan.arena_elems(),
+        plan.slot_count(),
+        plan.serial_elems()
+    );
 
     // Microkernel primitive sweep: exp/tanh chunk cost per element.
     let src: Vec<f32> = (0..1_000_000)

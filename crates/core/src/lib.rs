@@ -53,8 +53,8 @@ pub mod prelude {
     pub use crate::opsplit::{hfuse_sim, split_operation};
     pub use crate::outline::{outline, BlockOutline};
     pub use crate::pipeline::{
-        BufferPlan, CompiledPipeline, PipelineBuilder, PipelineError, PipelinePrep, PipelineRun,
-        PipelineSession,
+        BufferPlan, Chain, ChainRefusal, CompiledPipeline, PipelineBuilder, PipelineError,
+        PipelinePrep, PipelineRun, PipelineSession,
     };
     pub use crate::prelude_gen::{FusionSpec, PreludeData, PreludeSpec};
     pub use crate::program::{CompiledProgram, ParallelPrep, ParallelSession, Program, RunResult};

@@ -1,12 +1,13 @@
 //! Multi-operator compiled pipelines: chaining compiled programs through
-//! a statically planned buffer arena.
+//! a statically planned buffer arena, and running consecutive row-local
+//! stages as one dispatch.
 //!
 //! A single [`CompiledProgram`] executes
 //! one ragged operator. Real workloads — the paper's §7 transformer
-//! encoder layer above all — are *chains* of operators whose
-//! intermediates exist only to feed the next stage. Running such a chain
-//! through the single-program interface costs, per operator per call:
-//! a fresh output `Vec`, a prelude rebuild, aux-table rebinding and
+//! encoder layer above all — are sequences of operators whose
+//! intermediates exist only to feed the next stage. Running such a
+//! sequence through the single-program interface costs, per operator per
+//! call: a fresh output `Vec`, a prelude rebuild, aux-table rebinding and
 //! dispatch-order resolution. [`CompiledPipeline`] hoists all of it to
 //! *once per shape*:
 //!
@@ -15,26 +16,68 @@
 //!   same dense-identity machinery the VM uses within one program). Each
 //!   buffer has exactly one writer; external inputs are declared up
 //!   front and bound per call.
-//! * **Buffer plan** ([`BufferPlan`]): every stage-produced buffer gets a
-//!   lifetime `[def stage, last use stage]`, and buffers with disjoint
-//!   lifetimes share an arena *slot*. Slots are allocated once per
-//!   session, so repeated calls allocate no intermediate storage at all.
+//! * **Chains** ([`Chain`]): when the pipeline is built, every stage is
+//!   resolved at its shape (prelude, tables, safety proof) and one pass
+//!   groups consecutive stages into chains by a fixed rule, below.
+//! * **Buffer plan** ([`BufferPlan`]): every buffer that outlives its
+//!   chain gets an arena slot, shared with buffers whose lifetimes are
+//!   disjoint; slots are allocated once per session, so repeated calls
+//!   allocate no intermediate storage beyond the workers' windows.
 //! * **Execution** ([`PipelinePrep`] + [`PipelineSession`]): a prep owns
 //!   everything shape-dependent — per stage, the prelude-bound serial
-//!   table, the parallel tier's [`ParallelPrep`] (bound block-body
-//!   table, proof, dispatch order) and the dispatch batches cut for the
-//!   last pool width, plus the arena. A session is a view
-//!   `{&pipeline, prep}` and each run binds arena views through the
-//!   VM's borrowed-buffer entry points.
-//!   Runs execute serially ([`PipelineSession::run_serial`]) or with
-//!   every outlined block axis dispatched across a [`CpuPool`]
-//!   ([`PipelineSession::run`]), with identical results — parallel
-//!   stages are bit-identical to serial ones — and per-stage
-//!   [`InterpStats`].
+//!   table and the parallel tier's [`ParallelPrep`] (bound block-body
+//!   table, proof, dispatch order); per chain, the dispatch batches cut
+//!   for the last pool width; and the arena. A session is a view
+//!   `{&pipeline, prep}`. [`PipelineSession::run`] dispatches each chain
+//!   once across a [`CpuPool`]; [`PipelineSession::run_serial`] runs
+//!   stage after stage on the calling thread, the reference the chained
+//!   run is bit-identical to, with identical per-stage [`InterpStats`].
+//!
+//! # Chains
+//!
+//! The paper keeps ragged operators "ragged on the outside, dense on the
+//! inside" (§4) and fuses operators to keep intermediates out of memory
+//! (Fig. 12). A chain does the same across stages without changing any
+//! stage's program: a worker takes a tile of block values and runs every
+//! stage of the chain over that tile's blocks, one stage after another,
+//! each with its unchanged outlined body, its own registers and its own
+//! statistics. A chain grows from its first stage while the next stage
+//!
+//! 1. has the same block domain: the same block count and first value,
+//!    proven at the same grain, so the tile starts agree
+//!    ([`ChainRefusal::TilesDiffer`], [`ChainRefusal::GrainMismatch`];
+//!    a stage without a block axis runs alone, [`ChainRefusal::Serial`]);
+//! 2. loads, in every tile, only elements of the chain's outputs that
+//!    the producing stage stores in the same tile — each tile's load set
+//!    ([`VerifyOutcome::tile_loads`]) inside the producer's certified
+//!    store regions for that tile ([`ChainRefusal::NotContained`]);
+//!
+//! and is then cut back to its longest prefix whose outputs, all but the
+//! last, are read by nothing after the chain — not a later stage, not
+//! the caller ([`ChainRefusal::ReadOutsideChain`]). A refused stage starts
+//! the next chain; [`CompiledPipeline::chains`] records every chain and
+//! why it ended. There is no knob: the rule is the proof.
+//!
+//! **Windows.** Every output a chain reads only internally leaves the
+//! arena: each worker keeps it in a *window* spanning the current tile's
+//! certified store regions, filled with the producer's initial value
+//! before the producer runs the tile and read by later stages at
+//! `index − origin` (`cora_exec::vm`'s chain dispatch). Condition 2 is
+//! the proof obligation that makes this exact: those elements are final
+//! once the producer has run the tile, because no other tile stores to
+//! them, so every stage reads the values a stage-by-stage run would. The
+//! chain's last stage stores into the arena through its certificate, as
+//! a lone stage does; a lone stage is a chain of one.
+//!
+//! **Plan.** Because a chain interleaves its stages tile by tile, the
+//! arena keeps a chain's output live from the chain's first stage, and
+//! every arena buffer the chain reads live through its last stage. The
+//! stage-by-stage lifetimes ([`BufferPlan::entries`]) are what a serial
+//! run allocates for the duration of its call.
 //!
 //! # Example
 //!
-//! Two chained elementwise operators (`Y = 2·X`, `Z = 2·Y`), compiled
+//! Two elementwise operators (`Y = 2·X`, `Z = 2·Y`), compiled
 //! once and run twice off one session — the reuse pattern a multi-layer
 //! model wants, where "layer" means "same shapes, new inputs":
 //!
@@ -66,6 +109,10 @@
 //! b.stage("double", double.clone(), &[("In", "X")], "Y").unwrap();
 //! b.stage("again", double, &[("In", "Y")], "Z").unwrap();
 //! let pipeline = b.build("Z").unwrap();
+//! // Both stages are row-local over the same rows: one chain, and `Y`
+//! // lives only in the workers' windows.
+//! assert_eq!(pipeline.chains().len(), 1);
+//! assert_eq!(pipeline.plan().arena_elems(), 4);
 //!
 //! // Everything shape-dependent is resolved here, once.
 //! let mut session = pipeline.session().unwrap();
@@ -73,20 +120,23 @@
 //! for _layer in 0..2 {
 //!     let run = session.run(&pool, &[("X", &[1.0, 2.0, 3.0, 4.0])]);
 //!     assert_eq!(run.output, vec![4.0, 8.0, 12.0, 16.0]);
-//!     assert_eq!(run.stages.len(), 2);
+//!     assert_eq!((run.stages.len(), run.dispatches), (2, 1));
 //! }
 //! ```
 
 use std::borrow::BorrowMut;
 use std::fmt;
 use std::mem;
+use std::ops::Range;
+use std::sync::Arc;
 
 use cora_exec::cpu::CpuPool;
 use cora_exec::interp::InterpStats;
-use cora_exec::vm::{BoundBuf, VmShared};
+use cora_exec::vm::{BoundBuf, ChainInput, VmShared};
+use cora_ir::interval::SInt;
 use cora_ir::slots::Interner;
 
-use crate::program::{CompiledProgram, DispatchBatches, ParallelPrep};
+use crate::program::{run_chain, ChainRun, CompiledProgram, DispatchBatches, ParallelPrep};
 use crate::schedule::ScheduleError;
 use crate::verify::VerifyOutcome;
 
@@ -287,7 +337,10 @@ impl PipelineBuilder {
     }
 
     /// Finalises the pipeline with `output` as the buffer
-    /// [`PipelineRun::output`] returns, computing the arena buffer plan.
+    /// [`PipelineRun::output`] returns: resolves every stage at its
+    /// shape (preludes, tables, safety proofs), forms the chains and
+    /// computes the buffer plan. A stage whose proof fails is reported
+    /// by [`CompiledPipeline::prepare`].
     ///
     /// # Errors
     ///
@@ -299,77 +352,90 @@ impl PipelineBuilder {
             .get(output)
             .filter(|&id| self.decls[id as usize].def.is_some())
             .ok_or_else(|| PipelineError::MissingOutput(output.to_string()))?;
-        let plan = BufferPlan::assign(&self.bufs, &self.decls, &self.stages, out_id);
-        Ok(CompiledPipeline {
+        let resolved = resolve_stages(&self.decls, &self.stages, None).map(Arc::from);
+        let mut pipeline = CompiledPipeline {
             name: self.name,
             bufs: self.bufs,
             decls: self.decls,
+            resolved,
             stages: self.stages,
-            plan,
+            plan: BufferPlan {
+                serial: Slots::default(),
+                arena: Slots::default(),
+            },
             output: out_id,
-        })
+            chains: Vec::new(),
+        };
+        pipeline.chains = match &pipeline.resolved {
+            Ok(stages) => pipeline.form_chains(stages),
+            // Nothing will run: plan one stage per chain.
+            Err(_) => (0..pipeline.stages.len())
+                .map(|s| Chain {
+                    stages: s..s + 1,
+                    refusal: None,
+                })
+                .collect(),
+        };
+        let pl = &pipeline;
+        pipeline.plan = BufferPlan::assign(&pl.bufs, &pl.decls, &pl.stages, out_id, &pl.chains);
+        Ok(pipeline)
     }
 }
 
-/// One planned intermediate buffer: its lifetime in stage indices and the
-/// arena slot it was assigned.
+/// One planned buffer: its lifetime in stage indices and the arena slot
+/// it was assigned.
 #[derive(Debug, Clone)]
 pub struct PlanEntry {
     /// Pipeline buffer name.
     pub name: String,
     /// Element count.
     pub size: usize,
-    /// Producing stage index.
+    /// Producing stage index (in the chained arena, the first stage of
+    /// the producer's chain).
     pub def: usize,
     /// Last stage index that reads the buffer (the pipeline output stays
-    /// live through the final stage). Equals `def` for dead outputs.
+    /// live through the final stage; in the chained arena, the last
+    /// stage of the reader's chain). Equals `def` for dead outputs.
     pub last_use: usize,
     /// Assigned arena slot.
     pub slot: u32,
 }
 
-/// The static arena plan: every stage output is assigned a slot such that
-/// two buffers share a slot only when their lifetimes are disjoint, and
-/// each slot is sized for the largest buffer it ever holds.
-#[derive(Debug, Clone)]
-pub struct BufferPlan {
+/// One side of the plan: the planned buffers, where each one sits, and
+/// the slot sizes.
+#[derive(Debug, Clone, Default)]
+struct Slots {
     entries: Vec<PlanEntry>,
-    /// Buffer id → planned entry index (externals unmapped).
+    /// Buffer id → planned entry index (externals and windows unmapped).
     entry_of: Vec<Option<usize>>,
-    slot_sizes: Vec<usize>,
+    sizes: Vec<usize>,
 }
 
-impl BufferPlan {
-    fn assign(bufs: &Interner, decls: &[BufDecl], stages: &[StageSpec], output: u32) -> BufferPlan {
-        // Lifetimes: def = producing stage; last_use = max reading stage
-        // (the pipeline output is read "after" the last stage).
-        let mut last_use: Vec<usize> = decls.iter().map(|d| d.def.unwrap_or(0)).collect();
-        for (si, st) in stages.iter().enumerate() {
-            for (_, id) in &st.inputs {
-                last_use[*id as usize] = last_use[*id as usize].max(si);
-            }
-        }
-        last_use[output as usize] = stages.len();
-
+impl Slots {
+    /// Best-fit slot assignment: `(buffer, def, last_use)` in ascending
+    /// `def` order; two buffers share a slot only when their lifetimes
+    /// are disjoint, and each slot is sized for the largest buffer it
+    /// ever holds.
+    fn assign(bufs: &Interner, decls: &[BufDecl], items: &[(u32, usize, usize)]) -> Slots {
         let mut entries: Vec<PlanEntry> = Vec::new();
         let mut entry_of: Vec<Option<usize>> = vec![None; decls.len()];
         let mut slot_sizes: Vec<usize> = Vec::new();
         let mut free: Vec<u32> = Vec::new();
-        // One output per stage, so walking stages walks defs in order.
-        for (si, st) in stages.iter().enumerate() {
+        for &(id, def, last_use) in items {
             // Release buffers whose last use is strictly before this
-            // stage — their slots may be reused by this stage's output
+            // definition — their slots may be reused by this buffer
             // (but not by anything live *during* their last use).
             for e in &entries {
-                if e.last_use < si && !free.contains(&e.slot) {
-                    let still_held = entries.iter().any(|o| o.slot == e.slot && o.last_use >= si);
+                if e.last_use < def && !free.contains(&e.slot) {
+                    let still_held = entries
+                        .iter()
+                        .any(|o| o.slot == e.slot && o.last_use >= def);
                     if !still_held {
                         free.push(e.slot);
                     }
                 }
             }
-            let id = st.output as usize;
-            let size = decls[id].size;
+            let size = decls[id as usize].size;
             // Best fit: the smallest free slot that already fits, else
             // the free slot needing the least growth, else a new slot.
             let slot = match free
@@ -391,50 +457,294 @@ impl BufferPlan {
                 }
             };
             slot_sizes[slot as usize] = slot_sizes[slot as usize].max(size);
-            entry_of[id] = Some(entries.len());
+            entry_of[id as usize] = Some(entries.len());
             entries.push(PlanEntry {
-                name: bufs.names()[id].clone(),
+                name: bufs.names()[id as usize].clone(),
                 size,
-                def: si,
-                last_use: last_use[id],
+                def,
+                last_use,
                 slot,
             });
         }
-        BufferPlan {
+        Slots {
             entries,
             entry_of,
-            slot_sizes,
+            sizes: slot_sizes,
         }
-    }
-
-    /// The planned stage outputs, in stage order.
-    pub fn entries(&self) -> &[PlanEntry] {
-        &self.entries
-    }
-
-    /// Number of arena slots.
-    pub fn slot_count(&self) -> usize {
-        self.slot_sizes.len()
-    }
-
-    /// Total arena size in elements (what a session allocates once).
-    pub fn arena_elems(&self) -> usize {
-        self.slot_sizes.iter().sum()
-    }
-
-    /// Sum of all planned buffer sizes — what per-op fresh allocation
-    /// would cost per call; `arena_elems() ≤ unshared_elems()`.
-    pub fn unshared_elems(&self) -> usize {
-        self.entries.iter().map(|e| e.size).sum()
     }
 
     fn slot_of(&self, buf: u32) -> Option<u32> {
         self.entry_of[buf as usize].map(|i| self.entries[i].slot)
     }
+
+    /// One zeroed buffer per slot.
+    fn alloc(&self) -> Vec<Vec<f32>> {
+        self.sizes.iter().map(|&n| vec![0.0f32; n]).collect()
+    }
 }
 
-/// A wired, buffer-planned chain of compiled programs. Create with
-/// [`PipelineBuilder`]; execute through [`CompiledPipeline::session`].
+/// The static buffer plan, in two layouts of the same stage outputs:
+///
+/// * the **arena** a session holds ([`BufferPlan::arena`]): only the
+///   buffers that outlive their chain — each chain's last output — live
+///   for the whole chain they are written in (from its first stage) and
+///   through the last stage of every chain that reads them. Chain
+///   intermediates are per-worker windows, outside the arena;
+/// * the **stage-major** buffers ([`BufferPlan::entries`]): every stage
+///   output, live from its producing stage to its last reader — what
+///   [`PipelineSession::run_serial`] allocates for the duration of one
+///   call.
+///
+/// In both, two buffers share a slot only when their lifetimes are
+/// disjoint, and each slot is sized for the largest buffer it ever
+/// holds.
+#[derive(Debug, Clone)]
+pub struct BufferPlan {
+    /// Stage-major: every stage output.
+    serial: Slots,
+    /// Chained: the outputs that outlive their chain.
+    arena: Slots,
+}
+
+impl BufferPlan {
+    fn assign(
+        bufs: &Interner,
+        decls: &[BufDecl],
+        stages: &[StageSpec],
+        output: u32,
+        chains: &[Chain],
+    ) -> BufferPlan {
+        // Lifetimes in stage indices: a buffer read by a stage of a chain
+        // stays live through the chain's last stage (the pipeline output
+        // is read "after" the last stage).
+        let chain_end: Vec<usize> = (chains.iter())
+            .flat_map(|c| c.stages.clone().map(|_| c.stages.end - 1))
+            .collect();
+        let mut last_read: Vec<Option<usize>> = vec![None; decls.len()];
+        let mut last_chained: Vec<Option<usize>> = vec![None; decls.len()];
+        for (si, st) in stages.iter().enumerate() {
+            for (_, id) in &st.inputs {
+                last_read[*id as usize] = last_read[*id as usize].max(Some(si));
+                last_chained[*id as usize] = last_chained[*id as usize].max(Some(chain_end[si]));
+            }
+        }
+        let end = stages.len();
+        let serial: Vec<(u32, usize, usize)> = (stages.iter().enumerate())
+            .map(|(si, st)| {
+                let read = if st.output == output {
+                    end
+                } else {
+                    last_read[st.output as usize].unwrap_or(si).max(si)
+                };
+                (st.output, si, read)
+            })
+            .collect();
+        let arena: Vec<(u32, usize, usize)> = (chains.iter())
+            .map(|c| {
+                let id = stages[c.stages.end - 1].output;
+                let read = if id == output {
+                    end
+                } else {
+                    last_chained[id as usize].unwrap_or(0).max(c.stages.end - 1)
+                };
+                (id, c.stages.start, read)
+            })
+            .collect();
+        BufferPlan {
+            serial: Slots::assign(bufs, decls, &serial),
+            arena: Slots::assign(bufs, decls, &arena),
+        }
+    }
+
+    /// The stage-major plan: every stage output, in stage order, with
+    /// its lifetime and slot among the full-size buffers a serial run
+    /// allocates for the duration of the call.
+    pub fn entries(&self) -> &[PlanEntry] {
+        &self.serial.entries
+    }
+
+    /// The arena a session allocates once: the buffers that outlive
+    /// their chain, in chain order, each live from its chain's first
+    /// stage through the last stage of every chain that reads it.
+    pub fn arena(&self) -> &[PlanEntry] {
+        &self.arena.entries
+    }
+
+    /// Number of arena slots.
+    pub fn slot_count(&self) -> usize {
+        self.arena.sizes.len()
+    }
+
+    /// Total arena size in elements (what a session allocates once).
+    pub fn arena_elems(&self) -> usize {
+        self.arena.sizes.iter().sum()
+    }
+
+    /// Total size of the stage-major buffers in elements (what a serial
+    /// run allocates for the duration of one call).
+    pub fn serial_elems(&self) -> usize {
+        self.serial.sizes.iter().sum()
+    }
+
+    /// Sum of all planned buffer sizes — what per-op fresh allocation
+    /// would cost per call; `arena_elems() ≤ serial_elems() ≤
+    /// unshared_elems()`.
+    pub fn unshared_elems(&self) -> usize {
+        self.serial.entries.iter().map(|e| e.size).sum()
+    }
+}
+
+/// Why a chain ends before the next stage: the condition of the chain
+/// rule that joining it would break.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChainRefusal {
+    /// This stage or the next has no block axis, so it runs serially,
+    /// on its own.
+    Serial,
+    /// The next stage runs over other block values (another count or
+    /// first value), so its tiles start elsewhere.
+    TilesDiffer,
+    /// The two stages cover the same block values, but their proofs
+    /// tile them at different grains (one needed the per-block retry).
+    GrainMismatch,
+    /// Joining the next stage would leave `buffer`, an output of this
+    /// chain, an intermediate that a stage after the chain (or the
+    /// caller, for the pipeline output) still reads.
+    ReadOutsideChain {
+        /// The escaping buffer.
+        buffer: String,
+    },
+    /// In tile `tile`, the next stage may load elements of `buffer`, an
+    /// output of this chain, that the producing stage does not store in
+    /// the same tile (a neighbour row, say).
+    NotContained {
+        /// The buffer read out of tile.
+        buffer: String,
+        /// The first such tile.
+        tile: usize,
+    },
+}
+
+impl fmt::Display for ChainRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChainRefusal::Serial => write!(f, "a serial stage runs alone"),
+            ChainRefusal::TilesDiffer => write!(f, "the next stage tiles other blocks"),
+            ChainRefusal::GrainMismatch => write!(f, "the next stage's proof has another grain"),
+            ChainRefusal::ReadOutsideChain { buffer } => {
+                write!(f, "`{buffer}` is read after the chain")
+            }
+            ChainRefusal::NotContained { buffer, tile } => {
+                write!(
+                    f,
+                    "tile {tile} of the next stage reads `{buffer}` outside its own tile"
+                )
+            }
+        }
+    }
+}
+
+/// A run of consecutive stages dispatched as one: a worker takes a tile
+/// and runs every stage of the chain over its blocks, one stage after
+/// another (see the module docs for the rule that forms chains).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chain {
+    /// The stage indices of the chain.
+    pub stages: Range<usize>,
+    /// Why the stage after the chain did not join it; `None` for the
+    /// pipeline's last chain.
+    pub refusal: Option<ChainRefusal>,
+}
+
+/// The chain pass: groups consecutive stages of `par` (per stage, its
+/// parallel prep) into chains by the one fixed rule of the module docs.
+fn form_chains(
+    bufs: &Interner,
+    decls: &[BufDecl],
+    stages: &[StageSpec],
+    output: u32,
+    par: &[Option<&ParallelPrep>],
+) -> Vec<Chain> {
+    let mut last_read: Vec<Option<usize>> = vec![None; decls.len()];
+    for (si, st) in stages.iter().enumerate() {
+        for (_, id) in &st.inputs {
+            last_read[*id as usize] = last_read[*id as usize].max(Some(si));
+        }
+    }
+    let name = |id: u32| bufs.names()[id as usize].clone();
+    // An output of stages `start..end` read after stage `end`: what a
+    // chain `start..=end` would leave escaping from a window.
+    let escaping = |start: usize, end: usize| {
+        (stages[start..end].iter().map(|st| st.output))
+            .find(|&id| id == output || last_read[id as usize].is_some_and(|r| r > end))
+    };
+    // Whether stage `s` may join the chain `start..s`.
+    let joins = |start: usize, s: usize| -> Result<(), ChainRefusal> {
+        let (Some(head), Some(next)) = (par[start], par[s]) else {
+            return Err(ChainRefusal::Serial);
+        };
+        let (a, b) = (head.verify_outcome(), next.verify_outcome());
+        if a.n_blocks != b.n_blocks || a.cert.tile_start(0) != b.cert.tile_start(0) {
+            return Err(ChainRefusal::TilesDiffer);
+        }
+        if a.grain != b.grain {
+            return Err(ChainRefusal::GrainMismatch);
+        }
+        for (pname, id) in &stages[s].inputs {
+            let Some(k) = decls[*id as usize].def.filter(|&k| k >= start) else {
+                continue;
+            };
+            let cert = &par[k]
+                .expect("a chain stage is parallel")
+                .verify_outcome()
+                .cert;
+            let loads = b.loads_of(pname).unwrap_or(&[]);
+            let contained = |t: usize| {
+                let regions = cert.tile_at(cert.tile_start(t)).1;
+                (loads.get(t))
+                    .is_some_and(|l| regions.iter().any(|r| l.subset_of(*r)) || *l == SInt::Empty)
+            };
+            if let Some(tile) = (0..cert.tiles()).find(|&t| !contained(t)) {
+                let buffer = name(*id);
+                return Err(ChainRefusal::NotContained { buffer, tile });
+            }
+        }
+        Ok(())
+    };
+    let mut chains = Vec::new();
+    let mut start = 0;
+    while start < stages.len() {
+        // Grow while the tiles agree and every in-chain load is
+        // contained, then cut back to the longest prefix whose
+        // intermediates nothing outside reads.
+        let mut end = start;
+        let mut refusal = None;
+        while end + 1 < stages.len() {
+            match joins(start, end + 1) {
+                Ok(()) => end += 1,
+                Err(why) => {
+                    refusal = Some(why);
+                    break;
+                }
+            }
+        }
+        let mut cut = end;
+        while let Some(id) = escaping(start, cut) {
+            cut -= 1;
+            refusal = Some(ChainRefusal::ReadOutsideChain { buffer: name(id) });
+        }
+        chains.push(Chain {
+            stages: start..cut + 1,
+            refusal,
+        });
+        start = cut + 1;
+    }
+    chains
+}
+
+/// A wired, buffer-planned sequence of compiled programs, grouped into
+/// chains. Create with [`PipelineBuilder`]; execute through
+/// [`CompiledPipeline::session`].
 #[derive(Debug, Clone)]
 pub struct CompiledPipeline {
     name: String,
@@ -443,6 +753,12 @@ pub struct CompiledPipeline {
     stages: Vec<StageSpec>,
     plan: BufferPlan,
     output: u32,
+    /// Per stage, the shape-resolved state at the tile-grain rule's
+    /// grain (what every [`CompiledPipeline::prepare`] shares), or the
+    /// error a stage's proof raised.
+    resolved: Result<Arc<[StagePrep]>, ScheduleError>,
+    /// The chains of `resolved` (one stage each when it failed).
+    chains: Vec<Chain>,
 }
 
 impl CompiledPipeline {
@@ -466,9 +782,15 @@ impl CompiledPipeline {
         self.stages.iter().map(|s| (s.label.as_str(), &s.program))
     }
 
-    /// The arena buffer plan.
+    /// The buffer plan: the chained arena and the stage-major buffers.
     pub fn plan(&self) -> &BufferPlan {
         &self.plan
+    }
+
+    /// The chains a parallel run dispatches, in stage order, each with
+    /// the reason the next stage did not join it.
+    pub fn chains(&self) -> &[Chain] {
+        &self.chains
     }
 
     /// Element count of the pipeline output.
@@ -486,62 +808,71 @@ impl CompiledPipeline {
     /// # Errors
     ///
     /// Returns [`ScheduleError::BlockAxisNotOutlinable`] when a stage
-    /// binds a block axis the outliner cannot hoist (stages with *no*
-    /// block axis are legal — they run serially in both modes).
+    /// binds a block axis the outliner cannot hoist or the verifier
+    /// cannot prove (stages with *no* block axis are legal — they run
+    /// serially in both modes).
     pub fn session(&self) -> Result<PipelineSession<'_, PipelinePrep>, ScheduleError> {
         Ok(self.session_with(self.prepare()?))
     }
 
-    /// Computes everything shape-dependent about a session — per-stage
-    /// preludes and bound tables, parallel dispatch orders, the
-    /// safety-verifier proofs and the arena — without borrowing the
+    /// Everything shape-dependent about a session — per-stage preludes
+    /// and bound tables, parallel dispatch orders, the safety-verifier
+    /// proofs, the chains and the arena — without borrowing the
     /// pipeline. A [`PipelinePrep`] can be stored beside its pipeline
     /// (in a cache or session pool); sessions over it
-    /// ([`CompiledPipeline::session_with`]) cost nothing to create.
+    /// ([`CompiledPipeline::session_with`]) cost nothing to create. The
+    /// tables and proofs were resolved when the pipeline was built (the
+    /// chain pass needs them); a prep shares them and allocates the
+    /// arena.
     ///
     /// # Errors
     ///
     /// As for [`CompiledPipeline::session`].
     pub fn prepare(&self) -> Result<PipelinePrep, ScheduleError> {
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for spec in &self.stages {
-            // One built prelude per stage: the proof, the serial tier and
-            // the parallel tier all share its tables.
-            let prelude = spec.program.build_prelude();
-            let par = spec.program.parallel_prep_with(&prelude, None)?;
-            if let Some(prep) = &par {
-                // Cross-check the verifier's proven access hulls against
-                // the planner's buffer sizes: every input the stage reads
-                // must fit inside the arena slot it is wired to. Both
-                // derive from the same lowering, so a mismatch is a
-                // planner or verifier bug, not a user error.
-                let outcome = prep.verify_outcome();
-                for (name, buf) in &spec.inputs {
-                    if let Some(need) = outcome.required_input_len(name) {
-                        let planned = self.decls[*buf as usize].size;
-                        assert!(
-                            planned as i64 >= need,
-                            "stage `{}`: verified access hull of `{name}` needs \
-                             {need} elements but the plan allots {planned}",
-                            spec.label
-                        );
-                    }
-                }
-            }
-            stages.push(StagePrep {
-                serial: spec.program.serial_shared_with(&prelude),
-                par: par.map(|prep| (prep, DispatchBatches::default())),
-            });
-        }
-        Ok(PipelinePrep {
+        let stages = self.resolved.clone()?;
+        Ok(self.prep_of(stages, self.chains.clone(), &self.plan.arena))
+    }
+
+    /// [`CompiledPipeline::prepare`] with every stage proven and
+    /// dispatched in tiles of exactly `grain` block values
+    /// ([`CompiledProgram::parallel_prep_at_grain`]), and chains and
+    /// arena formed from those proofs by the same rule — for checking
+    /// the chained execution at a grain the rule does not pick.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledPipeline::session`]; a proof that only the
+    /// per-block retry would have found is an error here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grain` is zero.
+    pub fn prepare_at_grain(&self, grain: usize) -> Result<PipelinePrep, ScheduleError> {
+        let stages = resolve_stages(&self.decls, &self.stages, Some(grain))?;
+        let chains = self.form_chains(&stages);
+        let plan = BufferPlan::assign(&self.bufs, &self.decls, &self.stages, self.output, &chains);
+        Ok(self.prep_of(Arc::from(stages), chains, &plan.arena))
+    }
+
+    /// The chain pass over resolved stages.
+    fn form_chains(&self, stages: &[StagePrep]) -> Vec<Chain> {
+        let par: Vec<Option<&ParallelPrep>> = stages.iter().map(|st| st.par.as_ref()).collect();
+        form_chains(&self.bufs, &self.decls, &self.stages, self.output, &par)
+    }
+
+    fn prep_of(&self, stages: Arc<[StagePrep]>, chains: Vec<Chain>, arena: &Slots) -> PipelinePrep {
+        PipelinePrep {
             stages,
-            slots: self
-                .plan
-                .slot_sizes
-                .iter()
-                .map(|&n| vec![0.0f32; n])
+            chains: (chains.into_iter())
+                .map(|chain| (chain, DispatchBatches::default()))
                 .collect(),
-        })
+            arena: arena
+                .entry_of
+                .iter()
+                .map(|e| e.map(|i| arena.entries[i].slot))
+                .collect(),
+            slots: arena.alloc(),
+        }
     }
 
     /// The safety proof behind each stage of `prep`, in stage order:
@@ -555,9 +886,9 @@ impl CompiledPipeline {
     ) -> Vec<(&'a str, Option<&'a VerifyOutcome>)> {
         self.stages
             .iter()
-            .zip(&prep.stages)
+            .zip(prep.stages.iter())
             .map(|(spec, st)| {
-                let outcome = st.par.as_ref().map(|(prep, _)| prep.verify_outcome());
+                let outcome = st.par.as_ref().map(|prep| prep.verify_outcome());
                 (spec.label.as_str(), outcome)
             })
             .collect()
@@ -589,15 +920,61 @@ impl CompiledPipeline {
     }
 }
 
+/// Resolves every stage at its shape: one built prelude per stage (the
+/// proof, the serial tier and the parallel tier all share its tables),
+/// the serial table and, for stages with a block axis, the parallel
+/// prep — proven at `grain` (`None`: the tile-grain rule).
+fn resolve_stages(
+    decls: &[BufDecl],
+    specs: &[StageSpec],
+    grain: Option<usize>,
+) -> Result<Vec<StagePrep>, ScheduleError> {
+    let mut stages = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let prelude = spec.program.build_prelude();
+        let par = spec.program.parallel_prep_with(&prelude, grain)?;
+        if let Some(prep) = &par {
+            // Cross-check the verifier's proven access hulls against
+            // the planner's buffer sizes: every input the stage reads
+            // must fit inside the buffer it is wired to. Both derive
+            // from the same lowering, so a mismatch is a planner or
+            // verifier bug, not a user error.
+            let outcome = prep.verify_outcome();
+            for (name, buf) in &spec.inputs {
+                if let Some(need) = outcome.required_input_len(name) {
+                    let planned = decls[*buf as usize].size;
+                    assert!(
+                        planned as i64 >= need,
+                        "stage `{}`: verified access hull of `{name}` needs \
+                         {need} elements but the plan allots {planned}",
+                        spec.label
+                    );
+                }
+            }
+        }
+        stages.push(StagePrep {
+            serial: spec.program.serial_shared_with(&prelude),
+            par,
+        });
+    }
+    Ok(stages)
+}
+
 /// Everything shape-dependent about one pipeline: per stage, the serial
 /// program's prelude-bound table and (for stages with a block axis) the
-/// parallel prep with its dispatch batches, plus the arena buffers.
+/// parallel prep; the chains with their dispatch batches; and the arena.
 /// Borrows nothing; create with [`CompiledPipeline::prepare`], run
 /// through [`CompiledPipeline::session_with`].
 #[derive(Debug, Clone)]
 pub struct PipelinePrep {
-    stages: Vec<StagePrep>,
-    /// Arena: one buffer per plan slot, reused across sessions.
+    /// Shared with the pipeline (and every prep at the rule's grain).
+    stages: Arc<[StagePrep]>,
+    /// The chains, each with the dispatch batches cut for the last pool
+    /// it ran on.
+    chains: Vec<(Chain, DispatchBatches)>,
+    /// Buffer id → arena slot, for the buffers that outlive their chain.
+    arena: Vec<Option<u32>>,
+    /// Arena: one buffer per slot, reused across sessions.
     slots: Vec<Vec<f32>>,
 }
 
@@ -607,14 +984,21 @@ impl PipelinePrep {
         self.slots.iter().map(Vec::len).sum()
     }
 
-    /// Per parallel stage, the pool width its cached dispatch batches
-    /// were cut for (0: the stage has not run in parallel yet). Batches
-    /// are re-cut only when a run's pool width differs from this tag, so
-    /// it persisting across sessions is what makes a new session free.
+    /// The chains this prep dispatches (see [`CompiledPipeline::chains`]).
+    pub fn chains(&self) -> impl Iterator<Item = &Chain> {
+        self.chains.iter().map(|(chain, _)| chain)
+    }
+
+    /// Per parallel stage, the pool width its chain's cached dispatch
+    /// batches were cut for (0: the chain has not run in parallel yet).
+    /// Batches are re-cut only when a run's pool width differs from this
+    /// tag, so it persisting across sessions is what makes a new session
+    /// free.
     pub fn dispatch_widths(&self) -> Vec<usize> {
-        self.stages
-            .iter()
-            .filter_map(|st| st.par.as_ref().map(|(_, batches)| batches.threads()))
+        (self.chains.iter())
+            .flat_map(|(chain, batches)| chain.stages.clone().map(|s| (s, batches.threads())))
+            .filter(|&(s, _)| self.stages[s].par.is_some())
+            .map(|(_, width)| width)
             .collect()
     }
 }
@@ -624,9 +1008,8 @@ impl PipelinePrep {
 struct StagePrep {
     /// Full serial program with its prelude bound (borrowed-buffer runs).
     serial: VmShared,
-    /// The parallel tier, when the stage has a block axis, with the
-    /// dispatch batches cut for the last pool it ran on.
-    par: Option<(ParallelPrep, DispatchBatches)>,
+    /// The parallel tier, when the stage has a block axis.
+    par: Option<ParallelPrep>,
 }
 
 /// Statistics of one executed stage.
@@ -646,6 +1029,9 @@ pub struct PipelineRun {
     pub output: Vec<f32>,
     /// Per-stage statistics, in execution order.
     pub stages: Vec<StageStats>,
+    /// Passes over the blocks: one per chain in a parallel run, one per
+    /// stage in a serial run.
+    pub dispatches: usize,
 }
 
 impl PipelineRun {
@@ -660,25 +1046,106 @@ impl PipelineRun {
 /// A pipeline execution at one shape: a view over the pipeline and its
 /// [`PipelinePrep`] (borrowed by default, owned when created by
 /// [`CompiledPipeline::session`]). Reuse one prep for every run of the
-/// same shape (per layer, per call) — runs allocate no intermediate
-/// buffers.
+/// same shape (per layer, per call) — parallel runs allocate no
+/// intermediate buffers beyond their workers' windows.
 #[derive(Debug)]
 pub struct PipelineSession<'p, P = &'p mut PipelinePrep> {
     pipeline: &'p CompiledPipeline,
     prep: P,
 }
 
-impl<P: BorrowMut<PipelinePrep>> PipelineSession<'_, P> {
-    /// Runs every stage with its outlined block axis dispatched across
-    /// `pool` (stages without a block axis run serially). Outputs are
-    /// bit-identical to [`PipelineSession::run_serial`], and each stage's
-    /// summed per-worker statistics equal its serial statistics exactly.
+impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
+    /// Runs every chain as one dispatch across `pool` (stages without a
+    /// block axis run serially). Outputs are bit-identical to
+    /// [`PipelineSession::run_serial`], and each stage's summed
+    /// per-worker statistics equal its serial statistics exactly.
     ///
     /// # Panics
     ///
     /// Panics if an external input is missing, misnamed or mis-sized.
     pub fn run(&mut self, pool: &CpuPool, inputs: &[(&str, &[f32])]) -> PipelineRun {
-        self.run_inner(Some(pool), inputs)
+        let pl = self.pipeline;
+        let ext = pl.externals(inputs);
+        let PipelinePrep {
+            stages,
+            chains,
+            arena,
+            slots,
+        } = self.prep.borrow_mut();
+        let mut stage_stats = Vec::with_capacity(stages.len());
+        for (chain, batches) in chains.iter_mut() {
+            let range = chain.stages.clone();
+            let last = &pl.stages[range.end - 1];
+            let out_slot = arena[last.output as usize].expect("a chain output is in the arena");
+            // Take the output's slot out of the arena (O(1), no
+            // allocation) so the remaining slots can be borrowed as
+            // inputs; the plan guarantees no buffer the chain reads
+            // shares it.
+            let mut out = mem::take(&mut slots[out_slot as usize]);
+            let out_view = &mut out[..pl.decls[last.output as usize].size];
+            let inputs: Vec<Vec<(&str, ChainInput<'_>)>> = (range.clone())
+                .map(|s| {
+                    let spec = &pl.stages[s];
+                    let wire = |(pname, bid): &'p (String, u32)| {
+                        let bid = *bid;
+                        let input = match pl.decls[bid as usize].def {
+                            Some(k) if range.contains(&k) => ChainInput::Window(k - range.start),
+                            None => ChainInput::Shared(ext[bid as usize].expect("validated")),
+                            Some(_) => {
+                                let slot = arena[bid as usize].expect("planned") as usize;
+                                assert_ne!(
+                                    slot, out_slot as usize,
+                                    "buffer plan aliased a live input of stage `{}`",
+                                    spec.label
+                                );
+                                let size = pl.decls[bid as usize].size;
+                                ChainInput::Shared(&slots[slot][..size])
+                            }
+                        };
+                        (pname.as_str(), input)
+                    };
+                    spec.inputs.iter().map(wire).collect()
+                })
+                .collect();
+            let stats = match &stages[range.start].par {
+                Some(_) => {
+                    let runs: Vec<ChainRun<'_>> = (range.clone().zip(&inputs))
+                        .map(|(s, ins)| {
+                            let par = stages[s].par.as_ref().expect("a chain stage is parallel");
+                            (&pl.stages[s].program, par, &ins[..])
+                        })
+                        .collect();
+                    run_chain(&runs, batches, pool, out_view)
+                }
+                None => {
+                    let shared = inputs[0].iter().map(|&(name, input)| match input {
+                        ChainInput::Shared(data) => (name, data),
+                        ChainInput::Window(_) => unreachable!("a serial stage runs alone"),
+                    });
+                    let bufs = shared.collect::<Vec<_>>();
+                    vec![run_stage(
+                        &pl.stages[range.start],
+                        &stages[range.start],
+                        &bufs,
+                        out_view,
+                    )]
+                }
+            };
+            drop(inputs);
+            slots[out_slot as usize] = out;
+            for (s, stats) in range.zip(stats) {
+                stage_stats.push(StageStats {
+                    label: pl.stages[s].label.clone(),
+                    stats,
+                });
+            }
+        }
+        let out_slot = arena[pl.output as usize].expect("output is planned") as usize;
+        PipelineRun {
+            output: slots[out_slot][..pl.output_size()].to_vec(),
+            stages: stage_stats,
+            dispatches: chains.len(),
+        }
     }
 
     /// [`CompiledPipeline::verify_outcomes`] of this session's prep.
@@ -686,64 +1153,31 @@ impl<P: BorrowMut<PipelinePrep>> PipelineSession<'_, P> {
         self.pipeline.verify_outcomes(self.prep.borrow())
     }
 
-    /// Runs every stage on the calling thread.
+    /// Runs every stage on the calling thread, stage by stage, through
+    /// the stage-major buffers ([`BufferPlan::entries`]), which live
+    /// for the duration of the call: the reference the chained parallel
+    /// run is bit-identical to.
     ///
     /// # Panics
     ///
     /// As for [`PipelineSession::run`].
     pub fn run_serial(&mut self, inputs: &[(&str, &[f32])]) -> PipelineRun {
-        self.run_inner(None, inputs)
-    }
-
-    fn run_inner(&mut self, pool: Option<&CpuPool>, inputs: &[(&str, &[f32])]) -> PipelineRun {
         let pl = self.pipeline;
-        // Resolve and validate the external inputs.
-        let mut ext: Vec<Option<&[f32]>> = vec![None; pl.decls.len()];
-        for (name, data) in inputs {
-            let id = pl
-                .bufs
-                .get(name)
-                .unwrap_or_else(|| panic!("unknown pipeline input `{name}`"));
-            let d = &pl.decls[id as usize];
-            assert!(
-                d.def.is_none(),
-                "`{name}` is a stage output, not an external input"
-            );
-            assert_eq!(
-                data.len(),
-                d.size,
-                "pipeline input `{name}` length mismatch"
-            );
-            ext[id as usize] = Some(*data);
-        }
-        for (id, d) in pl.decls.iter().enumerate() {
-            assert!(
-                d.def.is_some() || ext[id].is_some(),
-                "missing pipeline input `{}`",
-                pl.bufs.names()[id]
-            );
-        }
-
-        let PipelinePrep { stages, slots } = self.prep.borrow_mut();
-        let mut stage_stats = Vec::with_capacity(stages.len());
-        for (spec, st) in pl.stages.iter().zip(stages) {
-            let out_size = pl.decls[spec.output as usize].size;
-            let out_slot = pl
-                .plan
+        let ext = pl.externals(inputs);
+        let serial = &pl.plan.serial;
+        let mut slots = serial.alloc();
+        let mut stage_stats = Vec::with_capacity(pl.stages.len());
+        for (spec, st) in pl.stages.iter().zip(self.prep.borrow().stages.iter()) {
+            let out_slot = serial
                 .slot_of(spec.output)
                 .expect("stage outputs are planned") as usize;
-            // Take the output's slot out of the arena (O(1), no
-            // allocation) so the remaining slots can be borrowed as
-            // inputs; the plan guarantees no live input shares it.
             let mut out = mem::take(&mut slots[out_slot]);
-            let ins: Vec<(&str, &[f32])> = spec
-                .inputs
-                .iter()
+            let ins: Vec<(&str, &[f32])> = (spec.inputs.iter())
                 .map(|(pname, bid)| {
                     let slice: &[f32] = match pl.decls[*bid as usize].def {
-                        None => ext[*bid as usize].expect("validated above"),
+                        None => ext[*bid as usize].expect("validated"),
                         Some(_) => {
-                            let slot = pl.plan.slot_of(*bid).expect("planned") as usize;
+                            let slot = serial.slot_of(*bid).expect("planned") as usize;
                             assert_ne!(
                                 slot, out_slot,
                                 "buffer plan aliased a live input of stage `{}`",
@@ -755,19 +1189,12 @@ impl<P: BorrowMut<PipelinePrep>> PipelineSession<'_, P> {
                     (pname.as_str(), slice)
                 })
                 .collect();
-            let out_view = &mut out[..out_size];
-            let stats = match (pool, &mut st.par) {
-                (Some(pool), Some((prep, batches))) => {
-                    spec.program.run_blocks(prep, batches, pool, &ins, out_view)
-                }
-                _ => {
-                    out_view.fill(spec.program.output_init());
-                    let mut bufs: Vec<(&str, BoundBuf<'_>)> =
-                        ins.iter().map(|(n, s)| (*n, BoundBuf::In(s))).collect();
-                    bufs.push((spec.program.output_name(), BoundBuf::Out(out_view)));
-                    st.serial.run_borrowed(bufs)
-                }
-            };
+            let stats = run_stage(
+                spec,
+                st,
+                &ins,
+                &mut out[..pl.decls[spec.output as usize].size],
+            );
             drop(ins);
             slots[out_slot] = out;
             stage_stats.push(StageStats {
@@ -775,12 +1202,58 @@ impl<P: BorrowMut<PipelinePrep>> PipelineSession<'_, P> {
                 stats,
             });
         }
-
-        let out_slot = pl.plan.slot_of(pl.output).expect("output is planned") as usize;
+        let out_slot = serial.slot_of(pl.output).expect("output is planned") as usize;
         PipelineRun {
-            output: slots[out_slot][..pl.decls[pl.output as usize].size].to_vec(),
+            output: slots[out_slot][..pl.output_size()].to_vec(),
             stages: stage_stats,
+            dispatches: pl.stages.len(),
         }
+    }
+}
+
+/// Runs one stage serially on the calling thread into `out`.
+fn run_stage(
+    spec: &StageSpec,
+    st: &StagePrep,
+    ins: &[(&str, &[f32])],
+    out: &mut [f32],
+) -> InterpStats {
+    out.fill(spec.program.output_init());
+    let mut bufs: Vec<(&str, BoundBuf<'_>)> =
+        ins.iter().map(|(n, s)| (*n, BoundBuf::In(s))).collect();
+    bufs.push((spec.program.output_name(), BoundBuf::Out(out)));
+    st.serial.run_borrowed(bufs)
+}
+
+impl CompiledPipeline {
+    /// Resolves and validates a run's external inputs, by buffer id.
+    fn externals<'a>(&self, inputs: &[(&str, &'a [f32])]) -> Vec<Option<&'a [f32]>> {
+        let mut ext: Vec<Option<&[f32]>> = vec![None; self.decls.len()];
+        for (name, data) in inputs {
+            let id = self
+                .bufs
+                .get(name)
+                .unwrap_or_else(|| panic!("unknown pipeline input `{name}`"));
+            let d = &self.decls[id as usize];
+            assert!(
+                d.def.is_none(),
+                "`{name}` is a stage output, not an external input"
+            );
+            assert_eq!(
+                data.len(),
+                d.size,
+                "pipeline input `{name}` length mismatch"
+            );
+            ext[id as usize] = Some(*data);
+        }
+        for (id, d) in self.decls.iter().enumerate() {
+            assert!(
+                d.def.is_some() || ext[id].is_some(),
+                "missing pipeline input `{}`",
+                self.bufs.names()[id]
+            );
+        }
+        ext
     }
 }
 
@@ -867,10 +1340,19 @@ mod tests {
         let p = diamond(n);
         assert_eq!(p.stage_count(), 3);
         assert_eq!(p.output_size(), n);
-        // Y dies after stage 1, so W (def stage 2) reuses its slot: the
-        // arena needs 2 slots, not 3.
-        assert_eq!(p.plan().slot_count(), 2);
-        assert_eq!(p.plan().arena_elems(), 2 * n);
+        // Stage by stage, Y dies after stage 1, so W (def stage 2) reuses
+        // its slot: the serial buffers need 2 slots, not 3.
+        let serial_slots = p.plan().entries().iter().map(|e| e.slot);
+        assert_eq!(serial_slots.collect::<Vec<_>>(), [0, 1, 0]);
+        assert_eq!(p.plan().serial_elems(), 2 * n);
+        // All three stages are row-local over the same rows: one chain,
+        // whose intermediates are windows, so the arena holds W alone.
+        let one = Chain {
+            stages: 0..3,
+            refusal: None,
+        };
+        assert_eq!(p.chains(), [one]);
+        assert_eq!((p.plan().slot_count(), p.plan().arena_elems()), (1, n));
         assert!(p.plan().arena_elems() < p.plan().unshared_elems());
 
         let x: Vec<f32> = (0..n).map(|v| v as f32).collect();
@@ -883,6 +1365,7 @@ mod tests {
             assert_eq!(serial.output, want);
             let par = session.run(&pool, &[("X", &x)]);
             assert_eq!(par.output, serial.output, "parallel must be bit-identical");
+            assert_eq!((par.dispatches, serial.dispatches), (1, 3));
             assert_eq!(par.stages.len(), serial.stages.len());
             for (a, b) in par.stages.iter().zip(&serial.stages) {
                 assert_eq!(a.label, b.label);
@@ -974,6 +1457,123 @@ mod tests {
         assert_eq!(err, PipelineError::DuplicateBuffer("Y".into()));
         let err = b.build("X").unwrap_err();
         assert_eq!(err, PipelineError::MissingOutput("X".into()));
+    }
+
+    /// `Out[i] = In[n − 1 − i]`, block-bound.
+    fn reverse_op(name: &str, n: usize) -> Operator {
+        let a = TensorRef::new("In", RaggedLayout::dense(&[n]));
+        let out = TensorRef::new("Out", RaggedLayout::dense(&[n]));
+        let a2 = a.clone();
+        let body: BodyFn = Rc::new(move |args| a2.at(&[Expr::int(n as i64 - 1) - args[0].clone()]));
+        let loops = vec![LoopSpec::fixed("i", n)];
+        let mut op = Operator::new(name, loops, vec![], out, vec![a], body);
+        op.schedule_mut().bind("i", ForKind::GpuBlockX);
+        op
+    }
+
+    /// Four stages: a serial `X → Y`, then a row chain `Y → A → B → C`
+    /// whose first stage reads `Y` back to front. Stage by stage `Y`
+    /// dies at stage 1 and `C` is born at stage 3, so a plan that kept
+    /// those lifetimes could put `C` in `Y`'s slot — and the chain's
+    /// first tile would overwrite the `Y` rows its last tile reads. The
+    /// arena keeps `Y` live through the chain and `C` from its start.
+    #[test]
+    fn a_chain_keeps_the_arena_buffers_it_reads_live() {
+        let n = 37usize;
+        let mut head = affine_op("head", n, 3.0, 1.0);
+        head.schedule = Schedule::default();
+        let mut b = PipelineBuilder::new("regression");
+        b.input("X", n).unwrap();
+        b.stage("head", compiled(&head), &[("In", "X")], "Y")
+            .unwrap();
+        let rev = compiled(&reverse_op("rev", n));
+        b.stage("rev", rev, &[("In", "Y")], "A").unwrap();
+        let scale = compiled(&affine_op("scale", n, 0.5, 2.0));
+        b.stage("scale", scale, &[("In", "A")], "B").unwrap();
+        let shift = compiled(&affine_op("shift", n, 1.0, -4.0));
+        b.stage("shift", shift, &[("In", "B")], "C").unwrap();
+        let p = b.build("C").unwrap();
+        let chains: Vec<Range<usize>> = p.chains().iter().map(|c| c.stages.clone()).collect();
+        assert_eq!(chains, [0..1, 1..4]);
+        assert_eq!(p.chains()[0].refusal, Some(ChainRefusal::Serial));
+        let entry = |entries: &[PlanEntry], name: &str| {
+            let e = entries.iter().find(|e| e.name == name).expect("planned");
+            (e.def, e.last_use, e.slot)
+        };
+        let (y, c) = (
+            entry(p.plan().entries(), "Y"),
+            entry(p.plan().entries(), "C"),
+        );
+        assert!(
+            y.1 < c.0,
+            "stage by stage, Y {y:?} dies before C {c:?} is born"
+        );
+        let (y, c) = (entry(p.plan().arena(), "Y"), entry(p.plan().arena(), "C"));
+        assert_eq!((y.0, y.1, c.0, c.1), (0, 3, 1, 4));
+        assert_ne!(y.2, c.2, "the chain reads Y while it writes C");
+
+        let x: Vec<f32> = (0..n).map(|v| v as f32 * 0.75 - 9.0).collect();
+        let want: Vec<f32> = (0..n)
+            .map(|i| ((3.0 * x[n - 1 - i] + 1.0) * 0.5 + 2.0) * 1.0 - 4.0)
+            .collect();
+        let mut session = p.session().unwrap();
+        let serial = session.run_serial(&[("X", &x)]);
+        assert_eq!(serial.output, want);
+        for workers in [1, 4] {
+            let par = session.run(&CpuPool::new(workers), &[("X", &x)]);
+            assert_eq!(par.output, serial.output, "{workers} workers");
+            assert_eq!(par.dispatches, 2);
+            for (a, b) in par.stages.iter().zip(&serial.stages) {
+                assert_eq!((&a.label, a.stats), (&b.label, b.stats));
+            }
+        }
+    }
+
+    /// `Out[r] = In[r] + In[(r + 1) mod n]` reads its neighbour row, so
+    /// it cannot run inside its producer's tiles: the chain ends with
+    /// the refusal naming the buffer and the first tile, and the output
+    /// is still right.
+    #[test]
+    fn a_neighbour_row_read_is_refused_and_still_correct() {
+        let n = 9usize;
+        let a = TensorRef::new("In", RaggedLayout::dense(&[n]));
+        let out = TensorRef::new("Out", RaggedLayout::dense(&[n]));
+        let a2 = a.clone();
+        let body: BodyFn = Rc::new(move |args| {
+            let next = (args[0].clone() + 1).floor_mod(Expr::int(n as i64));
+            a2.at(args) + a2.at(&[next])
+        });
+        let loops = vec![LoopSpec::fixed("i", n)];
+        let mut pair = Operator::new("pair", loops, vec![], out, vec![a], body);
+        pair.schedule_mut().bind("i", ForKind::GpuBlockX);
+        let mut b = PipelineBuilder::new("neighbour");
+        b.input("X", n).unwrap();
+        let double = compiled(&affine_op("double", n, 2.0, 0.0));
+        b.stage("double", double, &[("In", "X")], "Y").unwrap();
+        b.stage("pair", compiled(&pair), &[("In", "Y")], "Z")
+            .unwrap();
+        let p = b.build("Z").unwrap();
+        let refused = ChainRefusal::NotContained {
+            buffer: "Y".into(),
+            tile: 0,
+        };
+        let chains = [
+            Chain {
+                stages: 0..1,
+                refusal: Some(refused),
+            },
+            Chain {
+                stages: 1..2,
+                refusal: None,
+            },
+        ];
+        assert_eq!(p.chains(), chains);
+        let x: Vec<f32> = (0..n).map(|v| v as f32).collect();
+        let want: Vec<f32> = (0..n).map(|i| 2.0 * x[i] + 2.0 * x[(i + 1) % n]).collect();
+        let mut session = p.session().unwrap();
+        assert_eq!(session.run_serial(&[("X", &x)]).output, want);
+        let par = session.run(&CpuPool::new(4), &[("X", &x)]);
+        assert_eq!((par.output, par.dispatches), (want, 2));
     }
 
     #[test]

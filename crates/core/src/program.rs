@@ -27,7 +27,7 @@ use cora_exec::cpu::{cost_balanced_batches, CpuPool};
 use cora_exec::gpu::SimKernel;
 use cora_exec::interp::{InterpStats, Machine};
 use cora_exec::microkernel::MathMode;
-use cora_exec::vm::{VmMachine, VmProgram, VmShared};
+use cora_exec::vm::{run_chain_proven, ChainInput, ChainStage, VmMachine, VmProgram, VmShared};
 use cora_ir::{Env, Expr, Stmt};
 
 use crate::outline::{outline, HoistedLet};
@@ -782,30 +782,63 @@ impl CompiledProgram {
         }
     }
 
-    /// Runs the outlined block body over `pool` — the one parallel
-    /// execution path, shared by [`ParallelSession`] and pipeline
-    /// stages. `out` is filled with the output's initial value first;
-    /// the returned statistics include the host-charged prelude/bounds
-    /// loads.
-    pub(crate) fn run_blocks(
-        &self,
-        prep: &ParallelPrep,
-        batches: &mut DispatchBatches,
-        pool: &CpuPool,
-        inputs: &[(&str, &[f32])],
-        out: &mut [f32],
-    ) -> InterpStats {
-        let Ok(Some(kernel)) = &self.code.parallel else {
-            panic!("program `{}` has no parallel tier", self.code.output_name)
-        };
-        assert_eq!(
-            out.len(),
-            self.output_size,
-            "output slice length mismatch for `{}`",
-            self.code.output_name
-        );
-        for (name, buf) in inputs {
-            if let Some(need) = prep.verify.required_input_len(name) {
+    /// The outlined parallel entry point, which the caller has checked
+    /// exists.
+    fn kernel(&self) -> &ParallelKernel {
+        match &self.code.parallel {
+            Ok(Some(kernel)) => kernel,
+            _ => panic!("program `{}` has no parallel tier", self.code.output_name),
+        }
+    }
+}
+
+/// One stage of a [`run_chain`]: the program, its parallel prep, and
+/// where each float input comes from.
+pub(crate) type ChainRun<'a> = (
+    &'a CompiledProgram,
+    &'a ParallelPrep,
+    &'a [(&'a str, ChainInput<'a>)],
+);
+
+/// Runs consecutive programs as **one** dispatch over `pool`: every tile
+/// through every stage in order, the intermediates in per-worker windows
+/// ([`ChainInput::Window`] names the producing stage's position), the
+/// last stage's output in `out` — the one parallel execution path,
+/// shared by [`ParallelSession`] (a chain of one) and pipeline chains.
+/// The stages must tile the same block values alike, and each window
+/// load must lie in the producer's store regions of the same tile —
+/// what `cora_core::pipeline`'s chain pass proves before it forms a
+/// chain. Tiles run in the first stage's dispatch order, cut into the
+/// batches `batches` caches. `out` is filled with the last stage's
+/// initial value first; each stage's statistics include its
+/// host-charged prelude/bounds loads.
+///
+/// # Panics
+///
+/// Panics if a stage has no parallel tier, `out` or a shared input is
+/// shorter than its verified requirement, or on anything
+/// [`run_chain_proven`] rejects.
+pub(crate) fn run_chain(
+    stages: &[ChainRun<'_>],
+    batches: &mut DispatchBatches,
+    pool: &CpuPool,
+    out: &mut [f32],
+) -> Vec<InterpStats> {
+    let (last, _, _) = stages.last().expect("a chain holds at least one stage");
+    assert_eq!(
+        out.len(),
+        last.output_size,
+        "output slice length mismatch for `{}`",
+        last.code.output_name
+    );
+    let chain: Vec<ChainStage<'_>> = (stages.iter().enumerate())
+        .map(|(k, &(program, prep, inputs))| {
+            for (name, input) in inputs {
+                let (ChainInput::Shared(buf), Some(need)) =
+                    (input, prep.verify.required_input_len(name))
+                else {
+                    continue;
+                };
                 assert!(
                     buf.len() as i64 >= need,
                     "input `{name}` has {} elements but the verified access \
@@ -813,24 +846,27 @@ impl CompiledProgram {
                     buf.len()
                 );
             }
-        }
-        out.fill(self.code.init);
-        // Safe entry point: the prep holds a `VerifyOutcome` — the
-        // verifier proved every store in-bounds and the per-block store
-        // regions pairwise disjoint — and `run_blocks_proven` enforces
-        // the resulting `StoreCert` on every store before it lands.
-        let stats = prep.shared.run_blocks_proven(
-            pool,
-            &kernel.block_var,
-            &self.code.output_name,
-            out,
-            inputs,
-            &prep.tiles,
-            batches.cut_for(prep, pool.threads()),
-            &prep.verify.cert,
-        );
-        prep.host + stats
-    }
+            ChainStage {
+                table: &prep.shared,
+                block_var: &program.kernel().block_var,
+                output: &program.code.output_name,
+                cert: &prep.verify.cert,
+                inputs,
+                window_init: (k + 1 < stages.len()).then_some(program.code.init),
+            }
+        })
+        .collect();
+    out.fill(last.code.init);
+    // Safe entry point: each prep holds a `VerifyOutcome` — the verifier
+    // proved every store in-bounds and the per-tile store regions
+    // pairwise disjoint — and `run_chain_proven` enforces the resulting
+    // `StoreCert`s on every store before it lands.
+    let head = stages[0].1;
+    let cut = batches.cut_for(&head.ordered_costs, pool.threads());
+    let stats = run_chain_proven(pool, &chain, out, &head.tiles, cut);
+    (stats.into_iter().zip(stages))
+        .map(|(stats, (_, prep, _))| prep.host + stats)
+        .collect()
 }
 
 /// Binds a built prelude's aux tables and parameters into `table`.
@@ -899,11 +935,19 @@ impl DispatchBatches {
         self.threads
     }
 
-    /// The batches of `prep` for a pool of `threads` workers, re-cut
-    /// only when the width changed.
-    fn cut_for(&mut self, prep: &ParallelPrep, threads: usize) -> &[Range<usize>] {
+    /// The batches of tiles costing `costs` (in dispatch order) for a
+    /// pool of `threads` workers, re-cut only when the width changed. A
+    /// one-worker pool has nothing to balance: it runs all tiles as one
+    /// batch, so its registers (and packed panels) span them all.
+    fn cut_for(&mut self, costs: &[f64], threads: usize) -> &[Range<usize>] {
         if self.threads != threads {
-            self.batches = cost_balanced_batches(&prep.ordered_costs, threads);
+            self.batches = match threads {
+                1 => (!costs.is_empty())
+                    .then_some(0..costs.len())
+                    .into_iter()
+                    .collect(),
+                _ => cost_balanced_batches(costs, threads),
+            };
             self.threads = threads;
         }
         &self.batches
@@ -966,8 +1010,11 @@ impl<P: Borrow<ParallelPrep>> ParallelSession<'_, P> {
         inputs: &[(&str, &[f32])],
         out: &mut [f32],
     ) -> InterpStats {
-        self.compiled
-            .run_blocks(self.prep.borrow(), &mut self.batches, pool, inputs, out)
+        let inputs: Vec<(&str, ChainInput<'_>)> = (inputs.iter())
+            .map(|&(name, data)| (name, ChainInput::Shared(data)))
+            .collect();
+        let stage = (self.compiled, self.prep.borrow(), &inputs[..]);
+        run_chain(&[stage], &mut self.batches, pool, out)[0]
     }
 
     /// The machine-checked safety proof backing this session: in-bounds

@@ -60,8 +60,10 @@
 //!   Loop variables become dense ranges; guards narrow variable ranges
 //!   along the taken branch by Fourier–Motzkin elimination — which is
 //!   what makes padded/guarded schedules verify precisely. Every access
-//!   is proven in bounds and every output store records a strided
-//!   region. The walk allocates nothing per tile.
+//!   is proven in bounds, every output store records a strided region
+//!   and every input load joins the tile's load set for that input
+//!   ([`VerifyOutcome::tile_loads`], what a pipeline's chain pass checks
+//!   against a producer's regions). The walk allocates nothing per tile.
 //!
 //! **Correlated table pairs.** A range index loses the correlation
 //! between two tables read at the same row: over a tile, the hull of a
@@ -81,7 +83,7 @@
 //! sort-and-sweep (interval separation or, for interleaved lanes,
 //! stride/congruence separation) while laying them out as a flat
 //! per-tile table. That certificate is what the safe executor entry
-//! point `VmShared::run_blocks_proven` enforces per store at run time,
+//! point `cora_exec::vm::run_chain_proven` enforces per store at run time,
 //! dispatching whole tiles, so soundness does not hinge on this module
 //! being bug-free: nothing reaches the executor that the certificate's
 //! own constructor did not check, and every store is checked against it
@@ -249,6 +251,12 @@ pub struct VerifyOutcome {
     /// access hulls, sorted by name. Execution entry points check the
     /// buffers actually bound against these.
     pub required_inputs: Vec<(String, i64)>,
+    /// Per float input the body reads, sorted by name: the elements
+    /// each tile loads, one set per tile in tile order ([`SInt::Empty`]
+    /// for a tile that loads nothing) — what a pipeline checks against
+    /// the producing stage's per-tile store regions before it runs the
+    /// two stages tile by tile.
+    pub tile_loads: Vec<(String, Vec<SInt>)>,
 }
 
 /// The tile count the grain rule aims for.
@@ -272,6 +280,15 @@ impl VerifyOutcome {
             .binary_search_by(|(n, _)| n.as_str().cmp(input))
             .ok()
             .map(|i| self.required_inputs[i].1)
+    }
+
+    /// The per-tile load sets of `input` ([`VerifyOutcome::tile_loads`]),
+    /// if the program reads it.
+    pub fn loads_of(&self, input: &str) -> Option<&[SInt]> {
+        self.tile_loads
+            .binary_search_by(|(n, _)| n.as_str().cmp(input))
+            .ok()
+            .map(|i| &self.tile_loads[i].1[..])
     }
 }
 
@@ -552,6 +569,8 @@ impl ProofProgram {
             undo: Vec::with_capacity(self.narrow_terms),
             regions: Vec::with_capacity(self.sites.len()),
             required: vec![None; self.slots.free_fbufs.len()],
+            loads: vec![SInt::Empty; tiles.saturating_mul(self.slots.free_fbufs.len())],
+            tile: 0,
             visited: vec![false; self.sites.len()],
             spans: Vec::with_capacity(tiles.saturating_mul(self.sites.len())),
             n_blocks: 0,
@@ -910,6 +929,11 @@ pub struct ProofWalk<'a> {
     regions: Vec<(u32, SInt)>,
     /// Minimal required length per float input slot (access hulls).
     required: Vec<Option<i64>>,
+    /// The elements each tile loads, per float input slot: tile-major,
+    /// one entry per `(tile, slot)`.
+    loads: Vec<SInt>,
+    /// The tile being walked.
+    tile: usize,
     /// Which output store sites any tile has reached.
     visited: Vec<bool>,
     /// `(tile, site, region)` of every non-empty store region.
@@ -926,7 +950,8 @@ impl ProofWalk<'_> {
 
     /// Interprets the body abstractly once for tile `t`, with the block
     /// variable bound to the tile's block values, proving its accesses
-    /// in bounds and recording its store regions.
+    /// in bounds and recording its store regions and, per float input,
+    /// the elements it loads.
     ///
     /// # Errors
     ///
@@ -947,6 +972,7 @@ impl ProofWalk<'_> {
             self.env[slot as usize] = SInt::range(lo, lo + (len - 1) as i64);
         }
         self.n_blocks += len;
+        self.tile = t;
         self.stmt(&prog.body).map_err(|e| *e)?;
         for (site, region) in self.regions.drain(..) {
             if !matches!(region, SInt::Empty) {
@@ -975,6 +1001,15 @@ impl ProofWalk<'_> {
             .filter_map(|(name, need)| Some((name.clone(), (*need)?)))
             .collect();
         required_inputs.sort();
+        let inputs = self.prog.slots.free_fbufs.names();
+        let mut tile_loads: Vec<(String, Vec<SInt>)> = (inputs.iter().enumerate())
+            .filter(|&(slot, _)| self.required[slot].is_some())
+            .map(|(slot, name)| {
+                let per_tile = self.loads.iter().skip(slot).step_by(inputs.len());
+                (name.clone(), per_tile.copied().collect())
+            })
+            .collect();
+        tile_loads.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(VerifyOutcome {
             proof: ProofKind::ConcreteInterpretation,
             n_blocks: self.n_blocks,
@@ -983,6 +1018,7 @@ impl ProofWalk<'_> {
             cert,
             store_sites: self.visited.iter().filter(|&&v| v).count(),
             required_inputs,
+            tile_loads,
         })
     }
 
@@ -1081,6 +1117,8 @@ impl ProofWalk<'_> {
     fn access(&mut self, buf: Buf, index: &Expr, r: SInt) -> Walked<()> {
         let (name, cap) = match buf {
             Buf::Input(slot) => {
+                let at = self.tile * self.required.len() + slot as usize;
+                self.loads[at] = self.loads[at].union(r);
                 if let Some((_, hi)) = r.hull() {
                     let need = &mut self.required[slot as usize];
                     *need = Some(need.unwrap_or(0).max(hi.saturating_add(1)));

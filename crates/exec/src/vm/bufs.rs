@@ -20,7 +20,16 @@
 //! whole-nest path tells its kernel whether `b` is bound that way. The
 //! owned machine binds every buffer as written, so only the borrowed and
 //! parallel entry points bind inputs that way.
+//!
+//! A chain dispatch ([`super::chain`]) keeps an intermediate buffer in a
+//! per-worker *window*: the elements `[origin, origin + len)` one tile
+//! stores, held at `index − origin`. The producing stage writes it
+//! through a [`WindowOut`] port; later stages read it as
+//! [`Slot::Win`]. Both take the program's absolute indices, so a stage's
+//! bytecode runs unchanged over a window. A window's contents change
+//! from tile to tile, so it never counts as [`Slot::In`].
 
+use cora_ir::interval::SInt;
 use cora_ir::StoreKind;
 
 use super::isa::{fbuf_name, VmProgram};
@@ -48,6 +57,10 @@ pub(super) trait OutPort {
 
     /// The panic for a store to the free buffer `name` bound read-only.
     fn reject_input_store(name: &str) -> !;
+
+    /// Notes the block value about to run (store diagnostics).
+    #[inline]
+    fn enter_block(&mut self, _block: i64) {}
 }
 
 /// The serial port: the caller's exclusive slice, bounds-checked by
@@ -84,10 +97,82 @@ impl OutPort for &mut [f32] {
     }
 }
 
+/// A chain stage's output window: the elements `[origin, origin +
+/// data.len())` of the producing stage's output for one tile, every
+/// store checked against the tile's certified regions before it lands.
+/// The window owns its storage, which is lent to the reading stages'
+/// [`Slot::Win`]s between tiles ([`Bufs::window_mut`]).
+pub(super) struct WindowOut<'a> {
+    pub(super) data: Vec<f32>,
+    pub(super) origin: usize,
+    pub(super) regions: &'a [SInt],
+    /// Block value currently executing (diagnostics).
+    pub(super) block: i64,
+}
+
+impl WindowOut<'_> {
+    /// The window offset of the run `[idx, idx + n)`, after checking it
+    /// lies in the tile's certified regions.
+    #[inline]
+    fn at(&self, idx: usize, n: usize) -> usize {
+        assert!(
+            (self.regions.iter()).any(|r| r.contains_run(idx as i64, n as i64)),
+            "store to window element {idx} outside block {}'s certified regions",
+            self.block
+        );
+        idx - self.origin
+    }
+}
+
+impl OutPort for WindowOut<'_> {
+    #[inline]
+    fn ro(&self) -> Option<&[f32]> {
+        None
+    }
+
+    #[inline]
+    fn get(&self, idx: usize) -> f32 {
+        self.data[idx - self.origin]
+    }
+
+    #[inline]
+    fn set(&mut self, idx: usize, v: f32) {
+        let i = self.at(idx, 1);
+        self.data[i] = v;
+    }
+
+    #[inline]
+    fn rmw(&mut self, idx: usize, f: impl FnOnce(f32) -> f32) {
+        let i = self.at(idx, 1);
+        self.data[i] = f(self.data[i]);
+    }
+
+    #[inline]
+    fn run_mut(&mut self, o0: usize, n: usize) -> &mut [f32] {
+        if n == 0 {
+            return &mut [];
+        }
+        let i = self.at(o0, n);
+        &mut self.data[i..i + n]
+    }
+
+    fn reject_input_store(name: &str) -> ! {
+        panic!("chain stage stored to input buffer `{name}`")
+    }
+
+    #[inline]
+    fn enter_block(&mut self, block: i64) {
+        self.block = block;
+    }
+}
+
 /// One float-buffer slot of a [`Bufs`] table.
 pub(super) enum Slot<'a, P> {
     /// A free buffer bound read-only.
     In(&'a [f32]),
+    /// A read-only window of a buffer, `(data, origin)`: element `i` at
+    /// `data[i − origin]`.
+    Win(Vec<f32>, usize),
     /// A free buffer the program may store to.
     Out(P),
     /// An `Alloc` site: scratch private to this execution.
@@ -95,13 +180,15 @@ pub(super) enum Slot<'a, P> {
 }
 
 impl<P: OutPort> Slot<'_, P> {
-    /// Contiguous read-only view, when one exists.
+    /// Contiguous read-only view, when one exists, and the absolute
+    /// index of its first element.
     #[inline]
-    fn ro(&self) -> Option<&[f32]> {
+    fn ro(&self) -> Option<(&[f32], usize)> {
         match self {
-            Slot::In(b) => Some(b),
-            Slot::Out(p) => p.ro(),
-            Slot::Scratch(b) => Some(b),
+            Slot::In(b) => Some((b, 0)),
+            Slot::Win(b, origin) => Some((b, *origin)),
+            Slot::Scratch(b) => Some((b, 0)),
+            Slot::Out(p) => p.ro().map(|b| (b, 0)),
         }
     }
 }
@@ -129,9 +216,9 @@ impl<P: OutPort> Operands<'_, '_, P> {
         }
     }
 
-    /// [`Bufs::ro`] of an operand slot.
+    /// [`Slot::ro`] of an operand slot.
     #[inline]
-    fn ro(&self, slot: u32) -> Option<&[f32]> {
+    fn ro(&self, slot: u32) -> Option<(&[f32], usize)> {
         self.slot(slot).ro()
     }
 
@@ -154,12 +241,22 @@ pub(super) struct Bufs<'a, P> {
 }
 
 impl<'a, P: OutPort> Bufs<'a, P> {
-    /// Builds the view from one binding per free float-buffer slot.
+    /// Builds the view from one binding per free float-buffer slot (the
+    /// written ones the caller moves in for the execution).
     pub(super) fn new(prog: &'a VmProgram, free: impl Iterator<Item = Slot<'a, P>>) -> Self {
         let mut slots: Vec<Slot<'a, P>> = free.collect();
         debug_assert_eq!(slots.len(), prog.slots.free_fbufs.len());
         slots.resize_with(prog.slots.fbuf_slot_count(), || Slot::Scratch(Vec::new()));
         Bufs { prog, slots }
+    }
+
+    /// The storage and origin of a slot bound [`Slot::Win`], to lend a
+    /// window in or take it back.
+    pub(super) fn window_mut(&mut self, slot: u32) -> (&mut Vec<f32>, &mut usize) {
+        match &mut self.slots[slot as usize] {
+            Slot::Win(data, origin) => (data, origin),
+            _ => unreachable!("slot {slot} was bound as a window"),
+        }
     }
 
     /// The port of a slot bound [`Slot::Out`].
@@ -174,6 +271,7 @@ impl<'a, P: OutPort> Bufs<'a, P> {
     pub(super) fn get(&self, slot: u32, idx: usize) -> f32 {
         match &self.slots[slot as usize] {
             Slot::In(b) => b[idx],
+            Slot::Win(b, origin) => b[idx - origin],
             Slot::Out(p) => p.get(idx),
             Slot::Scratch(b) => b[idx],
         }
@@ -184,7 +282,7 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         match &mut self.slots[slot as usize] {
             Slot::Out(p) => p.set(idx, v),
             Slot::Scratch(b) => b[idx] = v,
-            Slot::In(_) => P::reject_input_store(&fbuf_name(self.prog, slot)),
+            Slot::In(_) | Slot::Win(..) => P::reject_input_store(&fbuf_name(self.prog, slot)),
         }
     }
 
@@ -196,7 +294,7 @@ impl<'a, P: OutPort> Bufs<'a, P> {
                 let cell = &mut b[idx];
                 *cell = f(*cell);
             }
-            Slot::In(_) => P::reject_input_store(&fbuf_name(self.prog, slot)),
+            Slot::In(_) | Slot::Win(..) => P::reject_input_store(&fbuf_name(self.prog, slot)),
         }
     }
 
@@ -211,11 +309,14 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         }
     }
 
-    /// Contiguous read-only view of a slot, when one exists (used by the
-    /// fused-loop fast paths; `None` falls back to per-element `get`).
+    /// The contiguous read-only run `[i0, i0 + n)` of a slot, when the
+    /// slot has a contiguous view (used by the fused-loop fast paths;
+    /// `None` falls back to per-element `get`).
     #[inline]
-    pub(super) fn ro(&self, slot: u32) -> Option<&[f32]> {
-        self.slots[slot as usize].ro()
+    pub(super) fn ro_run(&self, slot: u32, i0: usize, n: usize) -> Option<&[f32]> {
+        let (b, origin) = self.slots[slot as usize].ro()?;
+        let at = i0 - origin;
+        Some(&b[at..at + n])
     }
 
     /// Runs `f` over the exclusive run `[o0, o0 + n)` of slot `out`,
@@ -236,7 +337,7 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         let (slot, hi) = rest.split_first_mut().expect("census-checked slot");
         let others = Operands { lo, hi };
         match slot {
-            Slot::In(_) => false,
+            Slot::In(_) | Slot::Win(..) => false,
             Slot::Out(p) => f(p.run_mut(o0, n), others),
             Slot::Scratch(b) => f(&mut b[o0..o0 + n], others),
         }
@@ -274,8 +375,9 @@ impl<'a, P: OutPort> Bufs<'a, P> {
 
     /// Runs a whole-nest microkernel `f` over the exclusive output run
     /// `[o0, o0 + n)` of slot `out` beside contiguous read-only views of
-    /// the operand slots `a` and `b`, and whether `b` is bound
-    /// [`Slot::In`] (immutable for the execution). Callers guarantee `out ∉ {a, b}`
+    /// the operand slots `a` and `b` (each with the absolute index of
+    /// its first element), and whether `b` is bound [`Slot::In`]
+    /// (immutable for the execution). Callers guarantee `out ∉ {a, b}`
     /// (validated at compile time) and a non-negative base. Returns
     /// `false` without calling `f` — the caller falls back to the
     /// element paths — when `out` is bound read-only or an operand has
@@ -286,7 +388,7 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         o0: usize,
         n: usize,
         [a, b]: [u32; 2],
-        f: impl FnOnce(&mut [f32], &[f32], &[f32], bool),
+        f: impl FnOnce(&mut [f32], (&[f32], usize), (&[f32], usize), bool),
     ) -> bool {
         self.with_out_run(out, o0, n, |run, others| {
             let (Some(av), Some(bv)) = (others.ro(a), others.ro(b)) else {

@@ -16,7 +16,7 @@ use cora_ir::interval::SInt;
 ///
 /// Produced by the static verifier (`cora_core::verify`) from a
 /// concrete abstract interpretation of the outlined body, and consumed
-/// by [`run_blocks_proven`](super::VmShared::run_blocks_proven) — the
+/// by [`run_chain_proven`](super::run_chain_proven) — the
 /// *safe* parallel entry point. Soundness does not rest on trusting the
 /// verifier:
 /// [`StoreCert::tiled`] re-validates that regions of distinct tiles are

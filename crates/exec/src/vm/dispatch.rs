@@ -34,10 +34,13 @@ pub(super) struct Regs {
 /// once per fused instruction (which, in the outlined parallel tier,
 /// would mean once per row); every tape op fully overwrites its
 /// `dst[..m]` slice before anything reads it, so stale chunk contents
-/// are never observed. `panel` is the packed-panel row's cache, reused
-/// across the nests that read the same read-only rows.
+/// are never observed — which is also why executions that run one after
+/// another may pass one chunk scratch between them
+/// ([`Regs::swap_chunk_scratch`]; `None` while another execution holds
+/// it). `panel` is the packed-panel row's cache, reused across the nests
+/// that read the same read-only rows.
 pub(super) struct NestScratch {
-    map: [[f32; MAP_CHUNK]; MAX_MAP_TAPE],
+    map: Option<Box<[[f32; MAP_CHUNK]; MAX_MAP_TAPE]>>,
     panel: PanelCache,
 }
 
@@ -45,15 +48,31 @@ impl Regs {
     /// Fresh register state for `prog`, starting from the bound
     /// variable file `vars`.
     pub(super) fn new(prog: &VmProgram, vars: &[i64]) -> Regs {
+        let mut regs = Regs::without_chunk_scratch(prog, vars);
+        regs.scratch.map = Some(Box::new([[0f32; MAP_CHUNK]; MAX_MAP_TAPE]));
+        regs
+    }
+
+    /// [`Regs::new`] without a chunk scratch of its own: for an execution
+    /// that is handed one ([`Regs::swap_chunk_scratch`]) before each run.
+    pub(super) fn without_chunk_scratch(prog: &VmProgram, vars: &[i64]) -> Regs {
         Regs {
             vars: vars.to_vec(),
             iregs: vec![0; prog.n_iregs],
             fregs: vec![0.0; prog.n_fregs],
             scratch: NestScratch {
-                map: [[0f32; MAP_CHUNK]; MAX_MAP_TAPE],
+                map: None,
                 panel: PanelCache::default(),
             },
         }
+    }
+
+    /// Exchanges the fused-nest chunk scratch with `other`'s. The stages
+    /// of a chain run one after another on a worker, tile after tile;
+    /// handing one chunk scratch from stage to stage keeps a single one
+    /// warm in cache instead of one per stage.
+    pub(super) fn swap_chunk_scratch(&mut self, other: &mut Regs) {
+        std::mem::swap(&mut self.scratch.map, &mut other.scratch.map);
     }
 }
 
@@ -261,13 +280,15 @@ struct Axis {
 }
 
 impl Axis {
-    /// The kernel operand reading `data`, the contents of buffer `slot`,
-    /// along this (non-negative) axis.
-    fn operand(self, slot: u32, data: &[f32]) -> Operand<'_> {
+    /// The kernel operand reading `data` — the contents of buffer `slot`
+    /// from absolute index `origin` on — along this (non-negative) axis.
+    fn operand(self, slot: u32, (data, origin): (&[f32], usize)) -> Operand<'_> {
         Operand {
             slot,
             data,
-            base: self.base as usize,
+            base: (self.base as usize)
+                .checked_sub(origin)
+                .expect("kernel operand starts below its window"),
             outer: self.outer as usize,
         }
     }
@@ -305,7 +326,9 @@ fn run_fused_nest<P: OutPort>(
         NestClass::Map => false,
     };
     if !ran {
-        sweep_nest(prog, fbufs, op, n, out, &site, &mut scratch.map);
+        let map = scratch.map.as_deref_mut();
+        let map = map.expect("a chunk scratch is handed in before the run");
+        sweep_nest(prog, fbufs, op, n, out, &site, map);
     }
 }
 
@@ -417,9 +440,9 @@ fn sweep_nest<P: OutPort>(
                         if stride == 0 {
                             dst.fill(fbufs.get(s.buf, nneg(first, s.buf, "load")));
                         } else if stride == 1 {
-                            if let Some(bufv) = fbufs.ro(s.buf) {
-                                let i0 = nneg(first, s.buf, "load");
-                                dst.copy_from_slice(&bufv[i0..i0 + m]);
+                            let i0 = nneg(first, s.buf, "load");
+                            if let Some(run) = fbufs.ro_run(s.buf, i0, m) {
+                                dst.copy_from_slice(run);
                             } else {
                                 for (e, d) in dst.iter_mut().enumerate() {
                                     *d = fbufs.get(s.buf, nneg(first + e as i64, s.buf, "load"));

@@ -6,7 +6,7 @@
 //! inside) whatever prepared it. Float buffers are never part of the
 //! table — every execution receives them as a slot view
 //! ([`super::bufs`]): borrowed from the caller ([`VmShared::run_borrowed`],
-//! [`VmShared::run_blocks_proven`]) or owned by a [`VmMachine`], which
+//! [`super::run_chain_proven`]) or owned by a [`VmMachine`], which
 //! is nothing more than a table plus its own `Vec`s.
 
 use std::ops::{Deref, DerefMut};

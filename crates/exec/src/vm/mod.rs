@@ -58,7 +58,8 @@
 //! | `dispatch` | the instruction loop and the fused-nest executor |
 //! | `machine` | [`VmShared`] binding table, [`VmMachine`], serial runs |
 //! | `cert` | [`StoreCert`], the per-tile disjoint-store certificate |
-//! | `parallel` | [`VmShared::run_blocks_proven`], the shared output — **all `unsafe`** |
+//! | `chain` | [`ChainStage`]: stages run tile by tile, intermediates in per-worker windows |
+//! | `parallel` | [`run_chain_proven`], the shared output — **all `unsafe`** |
 //!
 //! # Execution model
 //!
@@ -78,8 +79,10 @@
 //! * serial runs ([`VmShared::run_borrowed`], [`VmMachine::run`]) use an
 //!   exclusive `&mut [f32]`; the owned machine is just the borrowed view
 //!   over its own `Vec`s;
-//! * parallel workers ([`VmShared::run_blocks_proven`]) run whole tiles
-//!   of blocks and use the shared output, where every store is checked
+//! * parallel workers ([`run_chain_proven`]) run whole tiles of blocks
+//!   through a chain of one or more stages; every stage but the last
+//!   writes a per-worker window (an origin-shifted port of its own), and
+//!   the last uses the shared output, where every store is checked
 //!   against the executing tile's [`StoreCert`] regions (and, in debug
 //!   builds or under
 //!   `CORA_CHECK_DISJOINT=1`, the per-element owner tracker) before the
@@ -94,6 +97,7 @@
 
 mod bufs;
 mod cert;
+mod chain;
 mod compiler;
 mod disasm;
 mod dispatch;
@@ -106,9 +110,11 @@ mod testutil;
 mod validate;
 
 pub use cert::{CertError, StoreCert};
+pub use chain::{ChainInput, ChainStage};
 pub use compiler::compile;
 pub use isa::VmProgram;
 pub use machine::{BoundBuf, VmMachine, VmShared};
+pub use parallel::run_chain_proven;
 
 /// Compile-time proof that a compiled program (and the binding table
 /// built on top of it) can be handed to worker threads by reference.

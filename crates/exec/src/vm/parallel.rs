@@ -1,12 +1,14 @@
 //! Parallel block dispatch — the one VM module that contains `unsafe`.
 //!
-//! A [`VmShared`] binding table is executed once per block value across
-//! a [`CpuPool`], dispatched in *tiles* — the consecutive block values a
-//! [`StoreCert`] certifies together. A worker runs a whole tile, its
-//! blocks in ascending order, so only distinct tiles run concurrently.
-//! Each worker keeps private registers, loop variables and `Alloc`
-//! scratch, reads the float inputs through shared slices, and writes the
-//! single kernel output through [`SharedOut`]. The worker's [`OutPort`]
+//! A chain of bound block bodies ([`super::chain`]; one stage is a chain
+//! of one) is executed once per block value across a [`CpuPool`],
+//! dispatched in *tiles* — the consecutive block values a [`StoreCert`](super::StoreCert)
+//! certifies together. A worker runs a whole tile through every stage,
+//! its blocks in ascending order, so only distinct tiles run
+//! concurrently. Each worker keeps private registers, loop variables,
+//! `Alloc` scratch and windows, reads the float inputs through shared
+//! slices, and writes the chain's single shared output through
+//! [`SharedOut`]. The worker's [`OutPort`]
 //! ([`WorkerOut`]) enforces the disjoint-store contract — bounds, the
 //! tile's certified regions and the [`OutOwners`] tracker all run
 //! *before* any cell is touched — so the shared dispatch loop and buffer
@@ -19,10 +21,8 @@ use std::sync::{Mutex, OnceLock};
 
 use cora_ir::interval::SInt;
 
-use super::bufs::{Bufs, OutPort, Slot};
-use super::cert::StoreCert;
-use super::dispatch::{dispatch, Regs};
-use super::machine::VmShared;
+use super::bufs::OutPort;
+use super::chain::{self, ChainStage, Worker};
 use crate::cpu::CpuPool;
 use crate::interp::InterpStats;
 
@@ -46,7 +46,7 @@ fn dynamic_check_enabled() -> bool {
 /// # Safety
 ///
 /// Unsynchronized writes through the cells are sound *given* the
-/// disjoint-store contract of [`VmShared::run_blocks`]: every store
+/// disjoint-store contract of [`run_blocks`]: every store
 /// executed for a block of tile `t` targets an element owned by `t`,
 /// distinct tiles own disjoint element sets, one worker runs all of a
 /// tile's blocks, and reads through `SharedOut::get` only observe
@@ -60,14 +60,14 @@ fn dynamic_check_enabled() -> bool {
 /// verification" story). Statically, the outliner's taint screen is a
 /// fast necessary-filter and `cora_core::verify` then *proves*
 /// disjointness per tile by abstract interpretation over strided
-/// intervals, recording the proof as a [`StoreCert`]. At run time the
-/// only public entry point, [`VmShared::run_blocks_proven`], takes that
+/// intervals, recording the proof as a [`StoreCert`](super::StoreCert). At run time the
+/// only public entry point, [`run_chain_proven`], takes that
 /// certificate, dispatches whole tiles, and [`WorkerOut`] checks
 /// membership on every store, so even a verifier bug panics
 /// deterministically instead of racing; in debug builds — and release
 /// builds under `CORA_CHECK_DISJOINT=1` — the [`OutOwners`] tracker
 /// additionally records each element's owning tile and panics on any
-/// cross-tile overlap. The uncertified [`VmShared::run_blocks`] is
+/// cross-tile overlap. The uncertified [`run_blocks`] is
 /// private to this module: only the unit tests below (the suites CI runs
 /// under `miri`) reach it, to drive the tracker and the raw cell
 /// accesses without a certificate.
@@ -168,8 +168,8 @@ struct WorkerOut<'a> {
     /// Block-variable value currently executing (diagnostics).
     cur_block: i64,
     /// The certified store regions of the executing tile under
-    /// [`VmShared::run_blocks_proven`]; `None` only for the in-module
-    /// uncertified runs.
+    /// [`run_chain_proven`]; `None` only for the in-module uncertified
+    /// runs.
     regions: Option<&'a [SInt]>,
 }
 
@@ -270,180 +270,126 @@ impl OutPort for WorkerOut<'_> {
         // means a compiler bug, not a user error.
         panic!("parallel block stored to shared input buffer `{name}`")
     }
+
+    #[inline]
+    fn enter_block(&mut self, block: i64) {
+        self.cur_block = block;
+    }
 }
 
-impl VmShared {
-    /// Executes the program once per block value, in parallel, under a
-    /// machine-checked disjoint-store certificate — the one public
-    /// parallel entry point, and a *safe* one.
-    ///
-    /// `tiles` holds the first block value of each tile of `cert`
-    /// ([`StoreCert::tile_start`]) in dispatch order, and `batches` cuts
-    /// it into consecutive cost-balanced ranges; each batch runs on one
-    /// participant of `pool`, with its own registers, loop variables and
-    /// `Alloc` scratch, dispatching the program once per block value of
-    /// each tile in ascending order — no batch can split a tile. `inputs`
-    /// binds the read-only float buffers by name (bindings the program
-    /// never references are ignored); all stores land in `out`, bound to
-    /// the `output` buffer slot. Per-worker [`InterpStats`] are summed,
-    /// so the aggregate equals a serial run's statistics exactly.
-    ///
-    /// Soundness is enforced, not assumed: [`StoreCert::tiled`] has
-    /// already re-validated that distinct tiles' certified regions are
-    /// pairwise disjoint, and every output store is checked for
-    /// membership in the executing tile's regions before it lands. A
-    /// store outside its certificate — i.e. any disagreement between
-    /// the static verifier (`cora_core::verify`, which records the
-    /// certificate in a session's `VerifyOutcome`) and the actual
-    /// execution — panics deterministically before the write, so no
-    /// interleaving can produce a data race. That is what makes this
-    /// function safe to expose despite the internal `unsafe` dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_var` or `output` are unknown to the program, if
-    /// the program reads the output buffer back, if any other external
-    /// binding is missing, if `batches` overlap or dispatch a tile twice,
-    /// if a value of `tiles` lies inside the certificate without starting
-    /// a tile, on any store outside the
-    /// executing tile's certified regions, or if the program itself
-    /// panics (out-of-bounds access, negative index) — propagated after
-    /// the region drains.
-    #[allow(unsafe_code)] // contains the one audited unsafe dispatch; see SAFETY below
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_blocks_proven(
-        &self,
-        pool: &CpuPool,
-        block_var: &str,
-        output: &str,
-        out: &mut [f32],
-        inputs: &[(&str, &[f32])],
-        tiles: &[i64],
-        batches: &[Range<usize>],
-        cert: &StoreCert,
-    ) -> InterpStats {
-        cert.check_dispatch(tiles, batches);
-        // SAFETY: no tile is dispatched twice (checked just above), so a
-        // tile's blocks run on one worker; every output store is checked
-        // against the executing tile's certified regions before it
-        // happens, and distinct tiles' regions are pairwise disjoint by
-        // `StoreCert`'s construction-time validation — so two threads
-        // never touch the same output element, which is exactly the
-        // `run_blocks` contract.
-        unsafe {
-            self.run_blocks(
-                pool,
-                block_var,
-                output,
-                out,
-                inputs,
-                tiles,
-                batches,
-                Some(cert),
-            )
-        }
-    }
-
-    /// The dispatch behind [`VmShared::run_blocks_proven`]; with
-    /// `cert == None` every value of `tiles` is a one-block tile and
-    /// stores are checked only by the dynamic tracker.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee the disjoint-store contract: across all
-    /// of `tiles`, distinct tiles store to disjoint elements of `out` and
-    /// never load another tile's elements (see [`SharedOut`]). A
-    /// certificate discharges it. Without one, two helpers reduce the
-    /// obligation but do not discharge it: in-place programs (output
-    /// loaded *and* stored) are rejected up front, and the dynamic
-    /// tracker (debug builds, or release under `CORA_CHECK_DISJOINT=1`)
-    /// records each output element's owning tile, panicking
-    /// deterministically on any cross-tile overlap — untracked release
-    /// builds run unchecked, so a violated contract is a data race
-    /// (undefined behaviour).
+/// Executes a chain of outlined block bodies across `pool`, tile by
+/// tile, under their machine-checked disjoint-store certificates — the
+/// one public parallel entry point, and a *safe* one. A single stage is
+/// a chain of one.
+///
+/// `tiles` holds the first block value of each tile
+/// ([`StoreCert::tile_start`](super::StoreCert::tile_start)) in dispatch
+/// order, and `batches` cuts it into consecutive cost-balanced ranges;
+/// each batch runs on one participant of `pool`, which runs every tile
+/// of it through every [`ChainStage`] in order — no batch can split a
+/// tile. Each stage keeps its own registers, loop variables and `Alloc`
+/// scratch per worker; every stage but the last writes a per-worker
+/// window, and all stores of the last stage land in `out`. Per-worker
+/// [`InterpStats`] are summed per stage, so each stage's aggregate
+/// equals its serial statistics exactly.
+///
+/// Soundness is enforced, not assumed:
+/// [`StoreCert::tiled`](super::StoreCert::tiled) has already
+/// re-validated that distinct tiles' certified regions are
+/// pairwise disjoint, and every store — to `out` or to a window — is
+/// checked for membership in the executing tile's regions before it
+/// lands. A store outside its certificate — i.e. any disagreement
+/// between the static verifier (`cora_core::verify`) and the actual
+/// execution — panics deterministically before the write, so no
+/// interleaving can produce a data race. That is what makes this
+/// function safe to expose despite the internal `unsafe` dispatch.
+///
+/// # Panics
+///
+/// Panics on an unknown block variable or output, a program that loads
+/// its own output, a missing binding or a malformed chain (a window
+/// input naming a later stage, a window on the last stage or none on
+/// another), if `batches` overlap or dispatch a tile twice, if a value of
+/// `tiles` lies inside a certificate without starting a tile, if the
+/// stages tile the blocks differently, on any store outside the
+/// executing tile's certified regions, or if a program itself panics
+/// (out-of-bounds access, negative index) — propagated after the region
+/// drains.
+pub fn run_chain_proven(
+    pool: &CpuPool,
+    chain: &[ChainStage<'_>],
+    out: &mut [f32],
+    tiles: &[i64],
+    batches: &[Range<usize>],
+) -> Vec<InterpStats> {
+    let last = chain.last().expect("a chain holds at least one stage");
+    last.cert.check_dispatch(tiles, batches);
+    // SAFETY: no tile is dispatched twice (checked just above), so a
+    // tile's blocks run on one worker; every store to `out` is checked
+    // against the executing tile's certified regions before it happens,
+    // and distinct tiles' regions are pairwise disjoint by `StoreCert`'s
+    // construction-time validation — so two threads never touch the same
+    // output element, which is exactly the `run_blocks` contract.
     #[allow(unsafe_code)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn run_blocks(
-        &self,
-        pool: &CpuPool,
-        block_var: &str,
-        output: &str,
-        out: &mut [f32],
-        inputs: &[(&str, &[f32])],
-        tiles: &[i64],
-        batches: &[Range<usize>],
-        cert: Option<&StoreCert>,
-    ) -> InterpStats {
-        let prog = &*self.prog;
-        let s = &prog.slots;
-        let block_slot = s
-            .free_vars
-            .get(block_var)
-            .unwrap_or_else(|| panic!("unknown block variable `{block_var}`"));
-        let out_slot = s
-            .free_fbufs
-            .get(output)
-            .unwrap_or_else(|| panic!("unknown output buffer `{output}`"));
-        // An in-place program could read elements another block is
-        // writing — reject it here (not just in the outliner) so the
-        // race is unreachable through this entry point.
-        assert!(
-            !s.fbuf_is_inplace(output),
-            "program both loads and stores output `{output}`; \
-             the parallel tier forbids in-place output access"
-        );
-        let mut views: Vec<Option<&[f32]>> = vec![None; s.free_fbufs.len()];
-        for (name, buf) in inputs {
-            if let Some(slot) = s.free_fbufs.get(name) {
-                views[slot as usize] = Some(buf);
-            }
-        }
-        self.check_bound(Some(block_slot), |i| {
-            views[i].is_some() || i == out_slot as usize
-        });
-        let owners = dynamic_check_enabled().then(|| OutOwners::new(out.len()));
-        let shared_out = SharedOut::new(out);
-        let total = Mutex::new(InterpStats::default());
-        pool.parallel_for(batches.len(), |bi| {
-            let free = views.iter().enumerate().map(|(i, view)| {
-                if i == out_slot as usize {
-                    Slot::Out(WorkerOut {
-                        out: &shared_out,
-                        name: output,
-                        owners: owners.as_ref(),
-                        tile: 0,
-                        cur_block: 0,
-                        regions: None,
-                    })
-                } else {
-                    Slot::In(view.expect("checked bound"))
-                }
-            });
-            let mut bufs = Bufs::new(prog, free);
-            let mut regs = Regs::new(prog, &self.vars);
-            let mut stats = InterpStats::default();
-            for &first in &tiles[batches[bi].clone()] {
-                let (len, regions) = match cert {
-                    Some(c) => {
-                        let (len, regions) = c.tile_at(first);
-                        (len, Some(regions))
-                    }
-                    None => (1, None),
-                };
-                let port = bufs.port_mut(out_slot);
-                (port.tile, port.regions) = (first, regions);
-                // A covered tile ends inside the certificate's `i64` range.
-                for bv in (0..len as i64).map(|k| first + k) {
-                    regs.vars[block_slot as usize] = bv;
-                    bufs.port_mut(out_slot).cur_block = bv;
-                    dispatch(prog, &self.ibufs, &mut regs, &mut bufs, &mut stats);
-                }
-            }
-            let mut t = total.lock().unwrap_or_else(|e| e.into_inner());
-            *t += stats;
-        });
-        total.into_inner().unwrap_or_else(|e| e.into_inner())
+    unsafe {
+        run_blocks(pool, chain, out, tiles, batches, true)
     }
+}
+
+/// The dispatch behind [`run_chain_proven`]; with `certified == false`
+/// stores to `out` are checked only by the dynamic tracker (tile lengths
+/// still come from the last stage's certificate).
+///
+/// # Safety
+///
+/// The caller must guarantee the disjoint-store contract: across all
+/// of `tiles`, distinct tiles store to disjoint elements of `out` and
+/// never load another tile's elements (see [`SharedOut`]). A
+/// certificate discharges it. Without one, two helpers reduce the
+/// obligation but do not discharge it: in-place programs (output
+/// loaded *and* stored) are rejected up front, and the dynamic
+/// tracker (debug builds, or release under `CORA_CHECK_DISJOINT=1`)
+/// records each output element's owning tile, panicking
+/// deterministically on any cross-tile overlap — untracked release
+/// builds run unchecked, so a violated contract is a data race
+/// (undefined behaviour). Windows are private to a worker and take no
+/// part in the contract.
+#[allow(unsafe_code)]
+unsafe fn run_blocks(
+    pool: &CpuPool,
+    chain: &[ChainStage<'_>],
+    out: &mut [f32],
+    tiles: &[i64],
+    batches: &[Range<usize>],
+    certified: bool,
+) -> Vec<InterpStats> {
+    let stages = chain::resolve(chain);
+    let last = chain.last().expect("resolved");
+    let owners = dynamic_check_enabled().then(|| OutOwners::new(out.len()));
+    let shared_out = SharedOut::new(out);
+    let total = Mutex::new(vec![InterpStats::default(); chain.len()]);
+    pool.parallel_for(batches.len(), |bi| {
+        let port = WorkerOut {
+            out: &shared_out,
+            name: last.output,
+            owners: owners.as_ref(),
+            tile: 0,
+            cur_block: 0,
+            regions: None,
+        };
+        let mut worker = Worker::new(&stages, port);
+        for &first in &tiles[batches[bi].clone()] {
+            let (len, regions) = last.cert.tile_at(first);
+            let port = worker.last_port();
+            (port.tile, port.regions) = (first, certified.then_some(regions));
+            worker.run_tile(&stages, first, len);
+        }
+        let mut t = total.lock().unwrap_or_else(|e| e.into_inner());
+        for (sum, stats) in t.iter_mut().zip(&worker.stats) {
+            *sum += *stats;
+        }
+    });
+    total.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -452,9 +398,35 @@ mod tests {
 
     use cora_ir::{Expr, FExpr, ForKind, Stmt, StoreKind};
 
+    use super::super::chain::ChainInput;
     use super::super::compile;
     use super::super::testutil::outlined_doubling_body;
+    use super::super::{StoreCert, VmShared};
     use super::*;
+
+    /// `shared` as a one-stage chain writing `output`, under `cert`.
+    fn one_stage<'a>(
+        shared: &'a VmShared,
+        block_var: &'a str,
+        output: &'a str,
+        inputs: &'a [(&'a str, ChainInput<'a>)],
+        cert: &'a StoreCert,
+    ) -> [ChainStage<'a>; 1] {
+        [ChainStage {
+            table: shared,
+            block_var,
+            output,
+            cert,
+            inputs,
+            window_init: None,
+        }]
+    }
+
+    fn shared_inputs<'a>(inputs: &[(&'a str, &'a [f32])]) -> Vec<(&'a str, ChainInput<'a>)> {
+        (inputs.iter())
+            .map(|&(n, b)| (n, ChainInput::Shared(b)))
+            .collect()
+    }
 
     /// The uncertified dispatch: stores are checked only by the dynamic
     /// tracker (always on in these debug-profile tests).
@@ -467,14 +439,19 @@ mod tests {
         inputs: &[(&str, &[f32])],
         batches: &[Vec<i64>],
     ) -> InterpStats {
+        let (blocks, ranges) = flat(batches);
+        let (inputs, no_cert) = (
+            shared_inputs(inputs),
+            StoreCert::tiled(0, 0, 1, []).unwrap(),
+        );
+        let chain = one_stage(shared, block_var, output, &inputs, &no_cert);
         // SAFETY: each caller either upholds the disjoint-store contract
         // or deliberately violates it to check the guards, which fire
         // before any racing write (in-place rejection up front; debug
         // owner check before the store).
-        let (blocks, ranges) = flat(batches);
         #[allow(unsafe_code)]
         unsafe {
-            shared.run_blocks(pool, block_var, output, out, inputs, &blocks, &ranges, None)
+            run_blocks(pool, &chain, out, &blocks, &ranges, false)[0]
         }
     }
 

@@ -387,6 +387,32 @@ impl SInt {
         }
     }
 
+    /// True if every member of `self` is *provably* a member of `o`: a
+    /// hull inside `o`'s hull on `o`'s congruence class, at a stride `o`
+    /// divides. `false` whenever containment cannot be established —
+    /// also for [`SInt::Top`] inside anything but `Top`.
+    pub fn subset_of(self, o: SInt) -> bool {
+        match (self, o) {
+            (SInt::Empty, _) | (_, SInt::Top) => true,
+            (_, SInt::Empty) | (SInt::Top, _) => false,
+            (
+                SInt::Set {
+                    lo: a,
+                    hi: b,
+                    stride: s,
+                },
+                SInt::Set {
+                    lo: c,
+                    hi: d,
+                    stride: t,
+                },
+            ) => {
+                let t = t.unsigned_abs();
+                c <= a && b <= d && a.abs_diff(c) % t == 0 && (a == b || s.unsigned_abs() % t == 0)
+            }
+        }
+    }
+
     /// `self < o` (strict) or `self ≤ o` over interval hulls: `Some`
     /// when the hulls decide it for every pair of members.
     fn cmp_hulls(self, o: SInt, strict: bool) -> Option<bool> {
@@ -741,6 +767,25 @@ mod tests {
         assert_eq!(near, SInt::range(c - 3, c - 1));
         // {−1, 0, …, 5} mod MAX = {MAX − 1, 0, …, 5}: wraps, so general.
         assert_eq!(SInt::range(-1, 5).floor_mod_const(c), SInt::range(0, c - 1));
+    }
+
+    #[test]
+    fn subset_holds_only_on_the_containing_class() {
+        let rows = SInt::range(10, 40);
+        assert!(SInt::range(10, 40).subset_of(rows) && SInt::point(25).subset_of(rows));
+        assert!(SInt::make(12, 36, 4).subset_of(rows) && SInt::Empty.subset_of(rows));
+        // One element past either end, or unknown, is not contained.
+        assert!(!SInt::range(9, 20).subset_of(rows) && !SInt::range(30, 41).subset_of(rows));
+        assert!(!SInt::Top.subset_of(rows) && SInt::Top.subset_of(SInt::Top));
+        assert!(!rows.subset_of(SInt::Empty));
+        // Strided: the class and the stride must both fit.
+        let even = SInt::make(0, 20, 2);
+        assert!(SInt::make(4, 16, 4).subset_of(even) && SInt::point(8).subset_of(even));
+        assert!(!SInt::make(1, 9, 2).subset_of(even) && !SInt::range(4, 6).subset_of(even));
+        assert!(!SInt::make(4, 16, 6).subset_of(SInt::make(0, 20, 4)));
+        // Full-width hulls neither overflow nor lie.
+        assert!(WIDE.subset_of(WIDE) && !WIDE.subset_of(HIGH));
+        assert!(SInt::point(i64::MAX).subset_of(WIDE));
     }
 
     #[test]

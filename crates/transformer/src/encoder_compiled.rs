@@ -1,8 +1,9 @@
 //! The ragged encoder layer on the compiled tier, described **once**:
 //! every stage of Fig. 3's pipeline is a row of [`STAGES`], a CoRa
-//! operator lowered, compiled to the bytecode VM and chained through a
-//! buffer-planned [`CompiledPipeline`] — the paper's end-to-end artifact
-//! (§7, Figs. 17–20) rather than a per-operator demonstration.
+//! operator lowered, compiled to the bytecode VM and wired through a
+//! buffer-planned [`CompiledPipeline`], which runs consecutive row-local
+//! stages as one chain — the paper's end-to-end artifact (§7, Figs.
+//! 17–20) rather than a per-operator demonstration.
 //!
 //! # The stage table
 //!
@@ -67,12 +68,15 @@
 //!
 //! Add a row to [`STAGES`] at its execution position (and a row to
 //! `EXTERNALS` if it reads a new weight): the builder, the verifier
-//! goldens' stage order and the tools pick it up. To fuse two
-//! consecutive stages, replace their rows by one whose constructor
-//! builds the fused operator, whose wires are the union of the two
-//! stages' external-facing wires, and whose `out` is the second stage's;
-//! the intermediate buffer then leaves the arena plan by itself. A
-//! row's schedule is the one its constructor declares;
+//! goldens' stage order and the tools pick it up. Consecutive rows that
+//! run over the same block axis and read only their own block's share
+//! of each other's outputs fuse by themselves: the pipeline's chain pass
+//! ([`cora_core::pipeline`]) runs them as one dispatch, tile by tile,
+//! and their intermediates leave the arena for per-worker windows. So
+//! there is no need to hand-fuse rows — keep one operator per row, and
+//! the layer runs as three chains (`qkv_proj … qkv_bias`,
+//! `scores … attnv`, `out_proj … ln2_norm`); `vm_disasm` prints them and
+//! why each ends. A row's schedule is the one its constructor declares;
 //! `tests/common/schedule_variants.rs` holds the value-preserving
 //! alternatives the test suites check against it.
 //!
@@ -1135,7 +1139,7 @@ pub struct EncoderSession<'p, P = &'p mut EncoderPrep> {
 }
 
 impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
-    /// Runs the layer with every stage's block axis dispatched across
+    /// Runs the layer with each chain of stages dispatched once across
     /// `pool`; returns the `Σ lens × hidden` output rows. Bit-identical
     /// to [`EncoderSession::forward_serial`].
     ///
@@ -1146,7 +1150,9 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
         self.run(Some(pool), w, x).output
     }
 
-    /// Runs the layer on the calling thread; returns the output rows.
+    /// Runs the layer on the calling thread, stage by stage, through
+    /// full-size intermediates that live for the call; returns the
+    /// output rows.
     ///
     /// # Panics
     ///
@@ -1176,6 +1182,7 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
             return PipelineRun {
                 output: Vec::new(),
                 stages: Vec::new(),
+                dispatches: 0,
             };
         };
         let inputs: Vec<(&str, &[f32])> = layer

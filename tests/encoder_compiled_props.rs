@@ -21,7 +21,9 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use cora::core::pipeline::{Chain, ChainRefusal, PipelineRun};
 use cora::core::prelude::{lower, ScheduleError};
+use cora::datasets::Dataset;
 use cora::exec::{CpuPool, MathMode};
 use cora::transformer::encoder_compiled::{stage, Attend, CompiledEncoderLayer, Geometry};
 use cora::transformer::masked_mha::masked_mha_ragged;
@@ -304,6 +306,26 @@ fn session_reuse_across_layers_matches_fresh_builds() {
     }
 }
 
+/// Every external buffer a stage of the table may read, by pipeline
+/// buffer name.
+fn external_buffers(w: &EncoderWeights, x: &RaggedBatch) -> HashMap<&'static str, Vec<f32>> {
+    HashMap::from([
+        ("X", x.data.clone()),
+        ("Wqkv", w.wqkv.clone()),
+        ("Bqkv", w.bqkv.clone()),
+        ("Wo", w.wo.clone()),
+        ("Bo", w.bo.clone()),
+        ("W1", w.w1.clone()),
+        ("B1", w.b1.clone()),
+        ("W2", w.w2.clone()),
+        ("B2", w.b2.clone()),
+        ("Ln1G", w.ln1_g.clone()),
+        ("Ln1B", w.ln1_b.clone()),
+        ("Ln2G", w.ln2_g.clone()),
+        ("Ln2B", w.ln2_b.clone()),
+    ])
+}
+
 /// Runs `layer`'s stages one by one as standalone programs, wiring
 /// buffers as the stage table does: on the tree-walking interpreter —
 /// the semantics every compiled tier reproduces bit for bit under
@@ -318,21 +340,7 @@ fn stage_by_stage(
     interpret: bool,
 ) -> Vec<f32> {
     let geometry = Geometry::new(cfg, &x.lens, attend);
-    let mut bufs: HashMap<&str, Vec<f32>> = HashMap::from([
-        ("X", x.data.clone()),
-        ("Wqkv", w.wqkv.clone()),
-        ("Bqkv", w.bqkv.clone()),
-        ("Wo", w.wo.clone()),
-        ("Bo", w.bo.clone()),
-        ("W1", w.w1.clone()),
-        ("B1", w.b1.clone()),
-        ("W2", w.w2.clone()),
-        ("B2", w.b2.clone()),
-        ("Ln1G", w.ln1_g.clone()),
-        ("Ln1B", w.ln1_b.clone()),
-        ("Ln2G", w.ln2_g.clone()),
-        ("Ln2B", w.ln2_b.clone()),
-    ]);
+    let mut bufs = external_buffers(w, x);
     let mut out = "";
     for label in layer.pipeline().expect("non-empty batch").stage_labels() {
         let row = stage(label).expect("pipeline labels come from the stage table");
@@ -418,4 +426,203 @@ fn empty_batch_round_trips() {
     let mut session = layer.session().unwrap();
     assert!(session.forward(&CpuPool::new(2), &w, &x).is_empty());
     assert!(session.forward_serial(&w, &x).is_empty());
+}
+
+type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
+
+/// The encoder layer under `Full`, the masked attention block under
+/// `Causal`.
+const BUILDS: [(Attend, Build); 2] = [
+    (Attend::Full, CompiledEncoderLayer::build),
+    (Attend::Causal, CompiledEncoderLayer::build_masked_mha),
+];
+
+/// The chain tripwire: at `program_golden`'s two shapes and at MNLI-16,
+/// the encoder layer (`Full`) and the masked block (`Causal`) run as
+/// exactly three chains — the QKV projection, the attention block, and
+/// everything after it — so a forward is three dispatches, not one per
+/// stage, and the arena holds only the three chain outputs.
+#[test]
+fn encoder_layers_run_as_three_chains() {
+    let cfg = EncoderConfig::scaled(8);
+    let mnli16 = Dataset::Mnli.sample_lengths(16, 42);
+    let edge = [5usize, 0, 3, 1, 7, 12, 1, 0];
+    let mnli = [21usize, 34, 9, 17, 40, 13, 28, 6];
+    let attention = [
+        "scores",
+        "scale",
+        "row_max",
+        "row_exp",
+        "row_sum",
+        "row_softmax",
+        "attnv",
+    ];
+    let encoder_tail = [
+        "out_proj",
+        "attn_bias_residual",
+        "ln1_sum",
+        "ln1_var",
+        "ln1_norm",
+        "ff1",
+        "ff1_bias_gelu",
+        "ff2",
+        "ff_bias_residual",
+        "ln2_sum",
+        "ln2_var",
+        "ln2_norm",
+    ];
+    for lens in [&edge[..], &mnli, &mnli16] {
+        for (attend, build) in BUILDS {
+            let at = format!("{attend:?} lens {lens:?}");
+            let layer = build(&cfg, lens).expect("legal schedules");
+            let pipeline = layer.pipeline().expect("non-empty batch");
+            let labels = pipeline.stage_labels();
+            let (tail, out): (&[&str], &str) = match attend {
+                Attend::Full => (&encoder_tail, "OUT"),
+                Attend::Causal => (&["out_proj", "attn_bias"], "Y"),
+            };
+            let want: Vec<Vec<&str>> = vec![
+                vec!["qkv_proj", "qkv_bias"],
+                attention.to_vec(),
+                tail.to_vec(),
+            ];
+            let chains: Vec<Vec<&str>> = (pipeline.chains().iter())
+                .map(|c| labels[c.stages.clone()].to_vec())
+                .collect();
+            assert_eq!(chains, want, "{at}");
+            let refusals: Vec<Option<ChainRefusal>> = pipeline
+                .chains()
+                .iter()
+                .map(|c: &Chain| c.refusal.clone())
+                .collect();
+            let tiles = Some(ChainRefusal::TilesDiffer);
+            assert_eq!(refusals, [tiles.clone(), tiles, None], "{at}");
+            let arena: Vec<&str> = pipeline
+                .plan()
+                .arena()
+                .iter()
+                .map(|e| e.name.as_str())
+                .collect();
+            assert_eq!(arena, ["QKV", "O", out], "{at}");
+
+            let w = EncoderWeights::random(&cfg, 5);
+            let x = RaggedBatch::random(lens, cfg.hidden, 6);
+            let mut session = layer.session().expect("stages outline");
+            let par = session.run(Some(&CpuPool::new(2)), &w, &x);
+            let serial = session.run(None, &w, &x);
+            assert_eq!(
+                (par.dispatches, serial.dispatches),
+                (3, labels.len()),
+                "{at}"
+            );
+            assert_eq!(bits(&par.output), bits(&serial.output), "{at}");
+        }
+    }
+}
+
+/// The pipeline's external inputs, bound from `bufs`: every wired
+/// buffer no stage produces.
+fn pipeline_inputs<'a>(
+    layer: &CompiledEncoderLayer,
+    bufs: &'a HashMap<&'static str, Vec<f32>>,
+) -> Vec<(&'static str, &'a [f32])> {
+    let rows: Vec<_> = (layer.pipeline().expect("non-empty batch").stage_labels())
+        .into_iter()
+        .map(|label| stage(label).expect("a table stage"))
+        .collect();
+    let mut names: Vec<&'static str> = (rows.iter())
+        .flat_map(|row| row.wires.iter().map(|(_, buf)| *buf))
+        .filter(|buf| rows.iter().all(|row| row.out != *buf))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+        .into_iter()
+        .map(|name| (name, &bufs[name][..]))
+        .collect()
+}
+
+/// `layer`'s stage programs run one after another, each on its own
+/// parallel session over `pool` — the unchained parallel tier, one
+/// dispatch per stage.
+fn unchained(
+    layer: &CompiledEncoderLayer,
+    w: &EncoderWeights,
+    x: &RaggedBatch,
+    pool: &CpuPool,
+) -> Vec<f32> {
+    let mut bufs = external_buffers(w, x);
+    let mut out = "";
+    for (label, program) in layer.pipeline().expect("non-empty batch").stage_programs() {
+        let row = stage(label).expect("a table stage");
+        let inputs: Vec<(&str, Vec<f32>)> = (row.wires.iter())
+            .map(|(name, buf)| (*name, bufs[buf].clone()))
+            .collect();
+        let mut session = program
+            .parallel_session()
+            .expect("proves")
+            .expect("parallel");
+        bufs.insert(row.out, session.run(pool, inputs).output);
+        out = row.out;
+    }
+    bufs.remove(out).expect("the last stage's output")
+}
+
+fn assert_same_run(run: &PipelineRun, serial: &PipelineRun, at: &str) {
+    assert_eq!(bits(&run.output), bits(&serial.output), "{at}");
+    assert_eq!(run.stages.len(), serial.stages.len(), "{at}");
+    for (a, b) in run.stages.iter().zip(&serial.stages) {
+        assert_eq!((&a.label, a.stats), (&b.label, b.stats), "{at}");
+    }
+}
+
+/// Chained forwards on the shapes that stress tiles: zero-length and
+/// single-token sequences, one 512-token sequence, and tiles that
+/// straddle sequence boundaries. Strict chained runs — at the grain
+/// rule's tiles and at grain 1 (`prepare_at_grain`), on 1 and 4 workers,
+/// `Full` and `Causal` — are bit-identical to `forward_serial` with
+/// exactly its per-stage statistics (the interpreter holds the serial
+/// run in `strict_forwards_match_the_interpreter_on_panel_reuse_edges`);
+/// Fast chained runs are bit-identical to the unchained Fast parallel
+/// tier.
+#[test]
+fn chained_forwards_match_serial_at_every_grain_and_unchained_fast_runs() {
+    for (cfg, lens) in [
+        (small_config(2, 4, 2), vec![0usize, 1, 0, 3, 1, 0]),
+        (small_config(1, 2, 1), vec![512]),
+        (small_config(2, 4, 2), vec![13usize, 5, 0, 21, 1, 9]),
+    ] {
+        let w = EncoderWeights::random(&cfg, 17);
+        let x = RaggedBatch::random(&lens, cfg.hidden, 18);
+        let bufs = external_buffers(&w, &x);
+        for (attend, build) in BUILDS {
+            let layer = build(&cfg, &lens).expect("legal schedules");
+            let pipeline = layer.pipeline().expect("non-empty batch");
+            let inputs = pipeline_inputs(&layer, &bufs);
+            let serial = layer.session().expect("outlines").run(None, &w, &x);
+            for workers in [1usize, 4] {
+                let pool = CpuPool::new(workers);
+                let at = format!("{attend:?} lens {lens:?}, {workers} workers");
+                let rule = layer.session().expect("outlines").run(Some(&pool), &w, &x);
+                assert_same_run(&rule, &serial, &format!("{at}, rule grain"));
+                let prep = pipeline.prepare_at_grain(1).expect("proves per block");
+                let chains = prep.chains().count();
+                let per_block = pipeline.session_with(prep).run(&pool, &inputs);
+                assert_same_run(&per_block, &serial, &format!("{at}, grain 1"));
+                assert_eq!(per_block.dispatches, chains, "{at}, grain 1");
+            }
+        }
+        let fast = CompiledEncoderLayer::build_with_math(&cfg, &lens, MathMode::Fast)
+            .expect("legal schedules");
+        for workers in [1usize, 4] {
+            let pool = CpuPool::new(workers);
+            let chained = fast.session().expect("outlines").forward(&pool, &w, &x);
+            let want = unchained(&fast, &w, &x, &pool);
+            assert_eq!(
+                bits(&chained),
+                bits(&want),
+                "Fast lens {lens:?}, {workers} workers"
+            );
+        }
+    }
 }

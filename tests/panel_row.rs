@@ -11,13 +11,17 @@
 //! * Soundness: one program run twice with different `QKV` contents —
 //!   serially, and on the proven parallel tier at 1 and 4 workers and
 //!   tile grains 1 and 16 — equals a fresh interpreter run each time.
+//! * Chains keep the count: a chained forward on one worker packs
+//!   exactly as many panels as its stages run one by one on their own
+//!   parallel sessions — a chain dispatches its tiles in its first
+//!   stage's order and batches, and each stage keeps its own panel.
 
 use cora::core::prelude::*;
 use cora::datasets::Dataset;
 use cora::exec::microkernel::panels_packed;
 use cora::exec::{BoundBuf, CpuPool, VmShared};
 use cora::transformer::encoder_compiled::{stage, Attend, Geometry, SCORES};
-use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
+use cora::transformer::{CompiledEncoderLayer, EncoderConfig, EncoderWeights, RaggedBatch};
 
 /// `program_golden`'s shapes: empty and single-token sequences, and an
 /// MNLI-like batch.
@@ -133,6 +137,64 @@ fn a_reused_panel_never_outlives_the_inputs_it_copies() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn a_chained_forward_packs_what_its_stages_pack_alone() {
+    let cfg = EncoderConfig::scaled(8);
+    let mnli16 = Dataset::Mnli.sample_lengths(16, 42);
+    let w = EncoderWeights::random(&cfg, 3);
+    let pool = CpuPool::new(1);
+    for lens in [&EDGE_LENS[..], &MNLI_LENS, &mnli16] {
+        for (attend, build) in BUILDS {
+            let at = format!("{attend:?} lens {lens:?}");
+            let layer = build(&cfg, lens).expect("builds");
+            let pipeline = layer.pipeline().expect("non-empty batch");
+            let x = RaggedBatch::random(lens, cfg.hidden, 4);
+            let mut session = layer.session().expect("outlines");
+            let before = panels_packed();
+            let run = session.run(Some(&pool), &w, &x);
+            let chained = panels_packed() - before;
+            assert_eq!(run.dispatches, 3, "{at}");
+
+            // The same stages, one dispatch each, on the chained run's
+            // own intermediates.
+            let mut bufs: Vec<(&str, Vec<f32>)> = vec![("X", x.data.clone())];
+            let weights = [
+                ("Wqkv", &w.wqkv),
+                ("Bqkv", &w.bqkv),
+                ("Wo", &w.wo),
+                ("Bo", &w.bo),
+                ("W1", &w.w1),
+                ("B1", &w.b1),
+                ("W2", &w.w2),
+                ("B2", &w.b2),
+                ("Ln1G", &w.ln1_g),
+                ("Ln1B", &w.ln1_b),
+                ("Ln2G", &w.ln2_g),
+                ("Ln2B", &w.ln2_b),
+            ];
+            bufs.extend(weights.map(|(name, data)| (name, data.clone())));
+            let before = panels_packed();
+            for (label, program) in pipeline.stage_programs() {
+                let row = stage(label).expect("a table stage");
+                let find = |buf: &str| bufs.iter().find(|(n, _)| *n == buf).unwrap().1.clone();
+                let inputs = (row.wires.iter())
+                    .map(|(name, buf)| (*name, find(buf)))
+                    .collect();
+                let mut alone = program
+                    .parallel_session()
+                    .expect("proves")
+                    .expect("parallel");
+                let out = alone.run(&pool, inputs).output;
+                bufs.push((row.out, out));
+            }
+            let alone = panels_packed() - before;
+            assert_eq!(chained, alone, "{at}");
+            assert!(chained > 0, "{at}");
+            assert_eq!(bits(&run.output), bits(&bufs.last().unwrap().1), "{at}");
         }
     }
 }
