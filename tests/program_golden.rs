@@ -2,14 +2,21 @@
 //!
 //! For each stage of the 21-row stage table and of the 11-stage causal
 //! masked-MHA block, at the two ragged shapes `verify_golden.rs` uses,
-//! one FNV-1a hash pins *everything the compiler emits* for the stage:
-//! the serial VM disassembly, the outlined parallel body's disassembly,
-//! the C source of the lowered statement, every prelude table and
-//! parameter, and the stage's arena-plan entry. A refactor that claims
-//! "byte-identical programs" proves it by leaving this file untouched; an
-//! intended change (a fusion pass, a new peephole) re-records exactly the
-//! rows it moved — the failure prints the new table and the full text of
-//! every stage whose hash changed.
+//! two FNV-1a hashes pin *everything the compiler emits* for the stage,
+//! split by layer so a change is attributed to the layer that made it:
+//!
+//! * the **front-end** hash (`fe=`) covers the C source of the lowered
+//!   statement, every prelude table and parameter, and the stage's
+//!   arena-plan entry — what lowering, preludes and the pipeline plan
+//!   decide;
+//! * the **VM** hash (`vm=`) covers the serial program's disassembly and
+//!   the parallel body's — what the bytecode compiler decides.
+//!
+//! A refactor that claims "byte-identical programs" proves it by leaving
+//! this file untouched; an intended change re-records exactly the hashes
+//! it moved (a VM-only change, such as a fusion pass or a new peephole,
+//! moves only `vm=` hashes) — the failure prints the new table and the
+//! full text of every stage whose row changed.
 
 use std::fmt::Write;
 
@@ -29,25 +36,31 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Everything the compiler emitted for one pipeline stage, as text.
-fn stage_text(label: &str, compiled: &CompiledProgram, g: &Geometry, plan: &str) -> String {
+/// Everything the compiler emitted for one pipeline stage, as text:
+/// `(front end, VM)`.
+fn stage_text(
+    label: &str,
+    compiled: &CompiledProgram,
+    g: &Geometry,
+    plan: &str,
+) -> (String, String) {
     let row = stage(label).expect("pipeline labels come from the stage table");
     let program = lower(&row.operator(g)).expect("built-in schedules are legal");
-    let mut text = format!("== vm\n{}== parallel body\n", compiled.vm());
+    let mut vm = format!("== vm\n{}== parallel body\n", compiled.vm());
     match compiled.parallel_body() {
-        Some(body) => write!(text, "{body}").unwrap(),
-        None => text.push_str("none\n"),
+        Some(body) => write!(vm, "{body}").unwrap(),
+        None => vm.push_str("none\n"),
     }
-    write!(text, "== c\n{}== prelude\n", program.c_source()).unwrap();
+    let mut front = format!("== c\n{}== prelude\n", program.c_source());
     let prelude = compiled.build_prelude();
     for (name, table) in &prelude.int_buffers {
-        writeln!(text, "table {name} = {table:?}").unwrap();
+        writeln!(front, "table {name} = {table:?}").unwrap();
     }
     for (name, value) in &prelude.params {
-        writeln!(text, "param {name} = {value}").unwrap();
+        writeln!(front, "param {name} = {value}").unwrap();
     }
-    writeln!(text, "== plan\n{plan}").unwrap();
-    text
+    writeln!(front, "== plan\n{plan}").unwrap();
+    (front, vm)
 }
 
 type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
@@ -62,10 +75,10 @@ fn check(build: Build, attend: Attend, lens: &[usize], golden: &[&str]) {
     let mut moved = String::new();
     for (si, (label, compiled)) in pipeline.stage_programs().enumerate() {
         let entry = plan.entries().iter().find(|e| e.def == si);
-        let text = stage_text(label, compiled, &geometry, &format!("{entry:?}"));
-        let line = format!("{label} {:016x}", fnv1a(&text));
+        let (front, vm) = stage_text(label, compiled, &geometry, &format!("{entry:?}"));
+        let line = format!("{label} fe={:016x} vm={:016x}", fnv1a(&front), fnv1a(&vm));
         if golden.get(si) != Some(&line.as_str()) {
-            writeln!(moved, "\n######## {label}\n{text}").unwrap();
+            writeln!(moved, "\n######## {label}\n{vm}{front}").unwrap();
         }
         actual.push(line);
     }
@@ -105,79 +118,79 @@ fn causal_stage_programs_match_the_recorded_golden() {
 }
 
 const EDGE_GOLDEN: [&str; 21] = [
-    "qkv_proj ab69488a7b2af1f4",
-    "qkv_bias 1fc0eda7e3b67bb7",
-    "scores 82b1f167b22f8c2f",
-    "scale f94b435a8f71c4cd",
-    "row_max 1157e76aa5a6bc65",
-    "row_exp 40559290db36789a",
-    "row_sum 2530d216be8369d7",
-    "row_softmax df1606daacadced4",
-    "attnv 2b106eb4422243c6",
-    "out_proj 14d6b87eb58304cd",
-    "attn_bias_residual e21131655f2cf8a9",
-    "ln1_sum 4c645ec9320aa148",
-    "ln1_var aa1483c7e5204f66",
-    "ln1_norm afe1ec4d905bec81",
-    "ff1 aab4a209fecefcdb",
-    "ff1_bias_gelu 59f5839db6ea6be4",
-    "ff2 a14af69f196d8f0b",
-    "ff_bias_residual 183ce4b513b1f618",
-    "ln2_sum acdc4178712c519b",
-    "ln2_var 085fe42c5d409322",
-    "ln2_norm 2c387679c0b845f3",
+    "qkv_proj fe=0d55fc3dfbdf5829 vm=4caafaa0778c9c38",
+    "qkv_bias fe=aa8fb4271f611620 vm=e2d4fc23ace67672",
+    "scores fe=b7808722ae55a0cb vm=1ca65fc93e619f71",
+    "scale fe=83df336a7d1e318a vm=dedae3c17d3f938e",
+    "row_max fe=0391e557203a10ca vm=67991600d1e8b95c",
+    "row_exp fe=08d0ae85df9481bf vm=e37624f6bcca9e92",
+    "row_sum fe=59efcce8064dfba2 vm=cd46df69241deda8",
+    "row_softmax fe=d87bca12f2c76515 vm=7370a79d59e6b232",
+    "attnv fe=08f84b2473aec269 vm=4e57ffaaf67107a8",
+    "out_proj fe=7c7cd62e3deeab49 vm=8a5c6570d8fcb1b9",
+    "attn_bias_residual fe=3409f4d62cc0a59d vm=6dae96504330a3d1",
+    "ln1_sum fe=2fd08a67c6c69f7d vm=f66b36dada440edc",
+    "ln1_var fe=d12280f81d6fb37f vm=7ac8b683a1602822",
+    "ln1_norm fe=fe7ccfa76d81e8a8 vm=371ae4dde4471d28",
+    "ff1 fe=bd0bc1865877d228 vm=bd800e72b1a54c64",
+    "ff1_bias_gelu fe=dfdcfe8b02d02597 vm=fc9550cfdf069c6c",
+    "ff2 fe=504e985fce9b7f16 vm=51c885bae26c5874",
+    "ff_bias_residual fe=3bb7aa6d2e25e6ac vm=6dae96504330a3d1",
+    "ln2_sum fe=d9e39c65b3d85676 vm=f66b36dada440edc",
+    "ln2_var fe=f302346345ff0857 vm=7ac8b683a1602822",
+    "ln2_norm fe=28bc0cff8d428620 vm=371ae4dde4471d28",
 ];
 
 const MNLI_GOLDEN: [&str; 21] = [
-    "qkv_proj c0d30b3b24c2d5ae",
-    "qkv_bias ee2c9f71e96a1c99",
-    "scores 4df9808dd4982b73",
-    "scale 17bb59080d913d7d",
-    "row_max cbb093fab60105d4",
-    "row_exp 627a0ea068e76e82",
-    "row_sum 56c4273be9705a7e",
-    "row_softmax 732452fc5fd1f866",
-    "attnv 92358994078234eb",
-    "out_proj f7ae75274876427b",
-    "attn_bias_residual 88a79b262fb4654a",
-    "ln1_sum e468c337f737bbbd",
-    "ln1_var 78a7b6f6ea191fb4",
-    "ln1_norm 7761eec16abbd075",
-    "ff1 92f351d67b03d50c",
-    "ff1_bias_gelu 4c6d6a0c05282967",
-    "ff2 a7e2a150bdeeb605",
-    "ff_bias_residual 2e971affe7101c35",
-    "ln2_sum fee179d5cce7d360",
-    "ln2_var 8d55300cafb703f7",
-    "ln2_norm c754f4f1e46059b8",
+    "qkv_proj fe=546f80ee1fa4f90b vm=4caafaa0778c9c38",
+    "qkv_bias fe=2805b37020f06256 vm=e2d4fc23ace67672",
+    "scores fe=30b3dce22f50679f vm=1ca65fc93e619f71",
+    "scale fe=e39d891eb3fa6f1e vm=dedae3c17d3f938e",
+    "row_max fe=b2da9684ad75af43 vm=67991600d1e8b95c",
+    "row_exp fe=5597017052fccd77 vm=e37624f6bcca9e92",
+    "row_sum fe=5cf0c8f2c8cba98b vm=cd46df69241deda8",
+    "row_softmax fe=bb2dddbdee64badb vm=7370a79d59e6b232",
+    "attnv fe=938ebbb2c84d2f10 vm=4e57ffaaf67107a8",
+    "out_proj fe=869089ed5d0695af vm=8a5c6570d8fcb1b9",
+    "attn_bias_residual fe=38827db3e0551436 vm=6dae96504330a3d1",
+    "ln1_sum fe=354d405c8964a948 vm=f66b36dada440edc",
+    "ln1_var fe=dccaeb08ce4db289 vm=7ac8b683a1602822",
+    "ln1_norm fe=dd93876e61c8d544 vm=371ae4dde4471d28",
+    "ff1 fe=df8dc8a3b89bad8b vm=bd800e72b1a54c64",
+    "ff1_bias_gelu fe=71963abe01809e78 vm=fc9550cfdf069c6c",
+    "ff2 fe=606d104f7970618c vm=51c885bae26c5874",
+    "ff_bias_residual fe=c41b334158e27211 vm=6dae96504330a3d1",
+    "ln2_sum fe=25ab1ee261028085 vm=f66b36dada440edc",
+    "ln2_var fe=5393f17c3bb731ce vm=7ac8b683a1602822",
+    "ln2_norm fe=ac2f0bc7ac78f177 vm=371ae4dde4471d28",
 ];
 
 const CAUSAL_EDGE_GOLDEN: [&str; 11] = [
-    "qkv_proj ab69488a7b2af1f4",
-    "qkv_bias 1fc0eda7e3b67bb7",
-    "scores 8522ec5d4143e8f2",
-    "scale e5724b0fbca2a263",
-    "row_max a3d4a115542d003e",
-    "row_exp 9d8c7521d4765bdc",
-    "row_sum 433a861fb6d194e0",
-    "row_softmax e92faddbc61902c8",
-    "attnv bb4a4d576cfec789",
-    "out_proj 14d6b87eb58304cd",
-    "attn_bias 720cb20bba5f4ac9",
+    "qkv_proj fe=0d55fc3dfbdf5829 vm=4caafaa0778c9c38",
+    "qkv_bias fe=aa8fb4271f611620 vm=e2d4fc23ace67672",
+    "scores fe=20a0e8b23fce3ba6 vm=1ca65fc93e619f71",
+    "scale fe=cfb84b11afe573ac vm=dedae3c17d3f938e",
+    "row_max fe=a4ef655b78349f9b vm=67991600d1e8b95c",
+    "row_exp fe=760c5c92e3f01b41 vm=e37624f6bcca9e92",
+    "row_sum fe=9803cad03c5f672b vm=cd46df69241deda8",
+    "row_softmax fe=1e86652267bbeec9 vm=7370a79d59e6b232",
+    "attnv fe=d5294b0bec594a8c vm=4e57ffaaf67107a8",
+    "out_proj fe=7c7cd62e3deeab49 vm=8a5c6570d8fcb1b9",
+    "attn_bias fe=09541f59c0ff6742 vm=c1acfea07f2b7cd6",
 ];
 
 const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
-    "qkv_proj c0d30b3b24c2d5ae",
-    "qkv_bias ee2c9f71e96a1c99",
-    "scores b1fc03ef01096b6b",
-    "scale bd516046bdacd5f6",
-    "row_max ab4c708251de675d",
-    "row_exp 9bd8ff825280768d",
-    "row_sum ff502bd4f9bf1ad1",
-    "row_softmax 792091c808fbf56d",
-    "attnv 2567dd3ce707b638",
-    "out_proj f9ae619132cba2ad",
-    "attn_bias 775a0b55536cef67",
+    "qkv_proj fe=546f80ee1fa4f90b vm=4caafaa0778c9c38",
+    "qkv_bias fe=2805b37020f06256 vm=e2d4fc23ace67672",
+    "scores fe=be7f649982bcb76f vm=1ca65fc93e619f71",
+    "scale fe=4ffa47a71f3513cd vm=dedae3c17d3f938e",
+    "row_max fe=ccdb47d4edd36658 vm=67991600d1e8b95c",
+    "row_exp fe=13351b65eb8824f0 vm=e37624f6bcca9e92",
+    "row_sum fe=797e94714260bb26 vm=cd46df69241deda8",
+    "row_softmax fe=bd11197974e4d01c vm=7370a79d59e6b232",
+    "attnv fe=f3f7fb08fa153935 vm=4e57ffaaf67107a8",
+    "out_proj fe=35c5623115637061 vm=8a5c6570d8fcb1b9",
+    "attn_bias fe=71131ffe1442f8d4 vm=c1acfea07f2b7cd6",
 ];
 
 /// Adds `program`'s fused-instruction census to `total`; a program that
