@@ -178,7 +178,7 @@ impl Program {
     pub fn compile(&self) -> CompiledProgram {
         let parallel = outline(&self.stmt, &self.output_name).map(|opt| {
             opt.map(|o| {
-                let body = cora_exec::vm::compile(&o.body);
+                let body = cora_exec::vm::compile_tile(&o.body, &o.block_var);
                 body.validate().unwrap_or_else(|e| {
                     panic!(
                         "compiler bug: outlined bytecode for `{}` failed validation: {e}",
@@ -376,11 +376,12 @@ struct ProgramCode {
 }
 
 /// The block-indexed entry point of a compiled program: the block loop's
-/// body as its own bytecode program (block variable free), plus the
+/// body as its own bytecode program (compiled as a tile body), plus the
 /// host-evaluated context the serial program would have established
 /// before entering the loop.
 #[derive(Debug, Clone)]
 struct ParallelKernel {
+    /// The outlined body compiled as a tile body.
     body: Arc<VmProgram>,
     /// The outlined body resolved into the verifier's shape-independent
     /// proof program, so each session only pays the per-shape walk to
@@ -519,9 +520,11 @@ impl CompiledProgram {
         matches!(self.code.parallel, Ok(Some(_)))
     }
 
-    /// The outlined block body's bytecode, if a parallel tier exists —
-    /// the block variable is a *free* variable of this program.
-    /// Disassemble it (`Display`) to diff outlining changes.
+    /// The outlined block body's bytecode, if a parallel tier exists, as
+    /// a *tile body* ([`cora_exec::vm::compile_tile`]): the block loop
+    /// over `[tile.first, tile.first + tile.len)` around the body, the
+    /// two tile bounds its free variables in place of the block
+    /// variable. Disassemble it (`Display`) to diff outlining changes.
     pub fn parallel_body(&self) -> Option<&VmProgram> {
         match &self.code.parallel {
             Ok(Some(k)) => Some(&k.body),
@@ -531,7 +534,7 @@ impl CompiledProgram {
 
     /// Executes the compiled kernel with its outermost block axis as a
     /// parallel region on `pool`: prelude on the host, then one bytecode
-    /// execution of the outlined block body per block index.
+    /// execution of the outlined tile body per tile of block indices.
     ///
     /// **Scheduling.** The unit of dispatch is the proof's tile of
     /// consecutive block values ([`crate::verify::tile_grain`]). Tiles
@@ -733,8 +736,8 @@ impl CompiledProgram {
             .collect();
         let order = dispatch_order(self.code.remap, &tile_costs);
 
-        // The block body's table: the block variable stays unbound (it
-        // is supplied per block); later scalars shadow earlier ones.
+        // The tile body's table: the tile bounds stay unbound (they are
+        // supplied per tile); later scalars shadow earlier ones.
         let mut shared = kernel.body.shared();
         for (name, buf) in &data.int_buffers {
             shared.set_ibuffer(name, Arc::clone(buf));
@@ -779,15 +782,6 @@ impl CompiledProgram {
             compiled: self,
             prep,
             batches: DispatchBatches::default(),
-        }
-    }
-
-    /// The outlined parallel entry point, which the caller has checked
-    /// exists.
-    fn kernel(&self) -> &ParallelKernel {
-        match &self.code.parallel {
-            Ok(Some(kernel)) => kernel,
-            _ => panic!("program `{}` has no parallel tier", self.code.output_name),
         }
     }
 }
@@ -848,7 +842,6 @@ pub(crate) fn run_chain(
             }
             ChainStage {
                 table: &prep.shared,
-                block_var: &program.kernel().block_var,
                 output: &program.code.output_name,
                 cert: &prep.verify.cert,
                 inputs,
@@ -893,8 +886,8 @@ fn borrow_inputs<'a>(inputs: &'a [(&'a str, Vec<f32>)]) -> Vec<(&'a str, &'a [f3
 #[derive(Debug, Clone)]
 pub struct ParallelPrep {
     prelude: PreludeData,
-    /// The outlined body's binding table; the block variable is the one
-    /// free variable left unbound.
+    /// The tile body's binding table; the tile bounds are the free
+    /// variables left unbound.
     shared: VmShared,
     host: InterpStats,
     /// First block value of each proven tile, in dispatch order.

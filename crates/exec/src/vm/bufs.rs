@@ -298,6 +298,17 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         }
     }
 
+    /// Announces the block value about to run to the port of every
+    /// written slot (store diagnostics).
+    #[inline]
+    pub(super) fn enter_block(&mut self, block: i64) {
+        for slot in &mut self.slots {
+            if let Slot::Out(p) = slot {
+                p.enter_block(block);
+            }
+        }
+    }
+
     /// (Re)allocates an `Alloc` site as `n` zeroes.
     pub(super) fn alloc(&mut self, slot: u32, n: usize) {
         match &mut self.slots[slot as usize] {

@@ -3,7 +3,12 @@
 //! that owns the tile.
 //!
 //! A [`ChainStage`] describes one stage: its bound table, its
-//! certificate and where each float input comes from. Every stage but
+//! certificate and where each float input comes from. Each stage's
+//! program is a *tile body* ([`compile_tile`](super::compile_tile)): the
+//! block loop over a tile's blocks is part of the program, so a stage's
+//! turn at a tile is **one** dispatch with the tile's bounds bound —
+//! one dispatch per stage per tile — and a block loop whose body is a
+//! fused nest runs as that nest's row level, natively. Every stage but
 //! the last writes a *window* — a buffer private to the worker, holding
 //! only the elements the stage stores for the current tile (the hull of
 //! the tile's certified regions), filled with the stage's initial value
@@ -34,6 +39,7 @@ use cora_ir::interval::SInt;
 
 use super::bufs::{Bufs, OutPort, Slot, WindowOut};
 use super::cert::StoreCert;
+use super::compiler::{TILE_FIRST, TILE_LEN};
 use super::dispatch::{dispatch, Regs};
 use super::isa::VmProgram;
 use super::machine::VmShared;
@@ -44,10 +50,9 @@ use crate::interp::InterpStats;
 /// ([`run_chain_proven`](super::run_chain_proven)).
 #[derive(Debug, Clone, Copy)]
 pub struct ChainStage<'a> {
-    /// The stage's outlined block body, bound to its shape.
+    /// The stage's tile body ([`compile_tile`](super::compile_tile)),
+    /// bound to its shape; its tile bounds are bound per tile.
     pub table: &'a VmShared,
-    /// The body's block variable.
-    pub block_var: &'a str,
     /// The buffer the body stores to.
     pub output: &'a str,
     /// The stage's disjoint-store certificate. Every stage of a chain
@@ -73,8 +78,8 @@ pub enum ChainInput<'a> {
 
 impl VmShared {
     /// [`run_chain_proven`](super::run_chain_proven) for a chain of one:
-    /// the program once per block value of each tile of `tiles` (first
-    /// block values, in dispatch order, cut into `batches`), under
+    /// the tile body once per tile of `tiles` (first block values, in
+    /// dispatch order, cut into `batches`), under
     /// `cert`, its float `inputs` shared and its stores landing in `out`
     /// (bound to `output`). Returns the summed per-worker statistics.
     ///
@@ -85,7 +90,6 @@ impl VmShared {
     pub fn run_blocks_proven(
         &self,
         pool: &CpuPool,
-        block_var: &str,
         output: &str,
         out: &mut [f32],
         inputs: &[(&str, &[f32])],
@@ -98,7 +102,6 @@ impl VmShared {
             .collect();
         let chain = [ChainStage {
             table: self,
-            block_var,
             output,
             cert,
             inputs: &inputs,
@@ -112,7 +115,8 @@ impl VmShared {
 pub(super) struct Resolved<'a> {
     pub(super) stage: &'a ChainStage<'a>,
     prog: &'a VmProgram,
-    block_slot: usize,
+    /// The slots of the tile body's first block value and block count.
+    tile: [usize; 2],
     out_slot: u32,
     /// Per free float slot: `None` for the output, else its input.
     free: Vec<Option<ChainInput<'a>>>,
@@ -137,13 +141,13 @@ fn span(regions: &[SInt]) -> (usize, usize) {
     })
 }
 
-/// Resolves every stage's block variable, output and inputs, and checks
-/// the bindings.
+/// Resolves every stage's tile bounds, output and inputs, and checks the
+/// bindings.
 ///
 /// # Panics
 ///
-/// Panics if a block variable or output is unknown to its program, a
-/// program reads its output back, a binding is missing, a window input
+/// Panics if a program is not a tile body, an output is unknown to its
+/// program, a program reads its output back, a binding is missing, a window input
 /// does not name an earlier stage, or a stage other than the last has
 /// no window (or the last one has).
 pub(super) fn resolve<'a>(chain: &'a [ChainStage<'a>]) -> Vec<Resolved<'a>> {
@@ -151,9 +155,11 @@ pub(super) fn resolve<'a>(chain: &'a [ChainStage<'a>]) -> Vec<Resolved<'a>> {
     let resolve_one = |(k, stage): (usize, &'a ChainStage<'a>)| {
         let prog = &*stage.table.prog;
         let s = &prog.slots;
-        let (block_var, output) = (stage.block_var, stage.output);
-        let block_slot = (s.free_vars.get(block_var))
-            .unwrap_or_else(|| panic!("unknown block variable `{block_var}`"));
+        let output = stage.output;
+        let tile = [TILE_FIRST, TILE_LEN].map(|name| {
+            (s.free_vars.get(name))
+                .unwrap_or_else(|| panic!("not a tile body: no free variable `{name}`"))
+        });
         let out_slot = (s.free_fbufs.get(output))
             .unwrap_or_else(|| panic!("unknown output buffer `{output}`"));
         // An in-place program could read elements another block is
@@ -179,9 +185,9 @@ pub(super) fn resolve<'a>(chain: &'a [ChainStage<'a>]) -> Vec<Resolved<'a>> {
                 free[slot as usize] = Some(*input);
             }
         }
-        stage.table.check_bound(Some(block_slot), |i| {
-            free[i].is_some() || i == out_slot as usize
-        });
+        stage
+            .table
+            .check_bound(&tile, |i| free[i].is_some() || i == out_slot as usize);
         let mut windows: Vec<(u32, usize, bool)> = Vec::new();
         for (slot, input) in (0..).zip(&free) {
             if let Some(ChainInput::Window(j)) = *input {
@@ -194,7 +200,7 @@ pub(super) fn resolve<'a>(chain: &'a [ChainStage<'a>]) -> Vec<Resolved<'a>> {
         Resolved {
             stage,
             prog,
-            block_slot: block_slot as usize,
+            tile: tile.map(|slot| slot as usize),
             out_slot,
             free,
             windows,
@@ -299,9 +305,10 @@ impl<'a, P: OutPort> Worker<'a, P> {
     }
 }
 
-/// Stage `k`'s turn over `len` blocks from `first`: its window inputs
-/// lent from their producers in `mid` to its table `to`, the shared
-/// chunk scratch handed to its registers, and both taken back after.
+/// Stage `k`'s turn over `len` blocks from `first` — one dispatch of its
+/// tile body: its window inputs lent from their producers in `mid` to
+/// its table `to`, the shared chunk scratch handed to its registers, and
+/// both taken back after.
 fn turn<Q: OutPort>(
     (mid, to): (&mut [Bufs<'_, WindowOut<'_>>], &mut Bufs<'_, Q>),
     chain: &[Resolved<'_>],
@@ -312,12 +319,9 @@ fn turn<Q: OutPort>(
     let st = &chain[k];
     lend(mid, chain, to, &st.windows, false);
     let r = hand_scratch(regs, k);
-    // A covered tile ends inside the certificate's `i64` range.
-    for bv in (0..len as i64).map(|b| first + b) {
-        r.vars[st.block_slot] = bv;
-        to.port_mut(st.out_slot).enter_block(bv);
-        dispatch(st.prog, &st.stage.table.ibufs, r, to, &mut stats[k]);
-    }
+    r.vars[st.tile[0]] = first;
+    r.vars[st.tile[1]] = len as i64;
+    dispatch(st.prog, &st.stage.table.ibufs, r, to, &mut stats[k]);
     hand_scratch(regs, k);
     lend(mid, chain, to, &st.windows, true);
 }
@@ -367,7 +371,7 @@ mod tests {
     use cora_ir::{Expr, FExpr, Stmt, StoreKind};
 
     use super::super::testutil::outlined_doubling_body;
-    use super::super::{compile, run_chain_proven};
+    use super::super::{compile_tile, run_chain_proven};
     use super::*;
 
     /// Rows of the 4-block ragged shape: `(row start, length)`.
@@ -387,7 +391,7 @@ mod tests {
     }
 
     fn bound(body: &Stmt) -> VmShared {
-        let mut shared = Arc::new(compile(body)).shared();
+        let mut shared = Arc::new(compile_tile(body, "b")).shared();
         shared.set_ibuffer("lens", ROWS.map(|r| r.1).to_vec());
         shared.set_ibuffer("row", ROWS.map(|r| r.0).to_vec());
         shared
@@ -426,7 +430,6 @@ mod tests {
             let b_in = [("B", ChainInput::Window(0))];
             let stage = |table, output, cert, inputs, window_init| ChainStage {
                 table,
-                block_var: "b",
                 output,
                 cert,
                 inputs,
@@ -468,7 +471,6 @@ mod tests {
         let bd_in = [("B", ChainInput::Window(0)), ("D", ChainInput::Window(0))];
         let stage = |table, output, inputs, window_init| ChainStage {
             table,
-            block_var: "b",
             output,
             cert: &cert,
             inputs,

@@ -4,10 +4,14 @@
 use cora_ir::slots::StmtSlots;
 use cora_ir::visit::{count_cond_loads, count_loads, mentions, Node};
 use cora_ir::{
-    CmpOp, Cond, CondKind, Expr, ExprKind, FBinOp, FExpr, FExprKind, IBinOp, Stmt, StoreKind,
+    CmpOp, Cond, CondKind, Expr, ExprKind, FBinOp, FExpr, FExprKind, ForKind, IBinOp, Stmt,
+    StoreKind,
 };
 
-use super::isa::{FusedNest, Instr, MapOp, MapSite, Probe, VmProgram, MAX_MAP_SITES, MAX_MAP_TAPE};
+use super::isa::{
+    Coef, FusedNest, Instr, MapOp, MapSite, NestIndex, RowAffine, RowLevel, VmProgram,
+    MAX_MAP_SITES, MAX_MAP_TAPE, MAX_ROW_TABLES,
+};
 use super::opt::local_cse;
 use crate::microkernel::{MathMode, NestClass};
 
@@ -17,21 +21,40 @@ use crate::microkernel::{MathMode, NestClass};
 /// [`VmMachine`](super::VmMachine) per execution (or reuse one across
 /// runs of the same bindings).
 pub fn compile(stmt: &Stmt) -> VmProgram {
-    let slots = StmtSlots::resolve(stmt);
-    let mut c = Compiler {
-        code: Vec::new(),
-        labels: Vec::new(),
-        iregs: RegAlloc::default(),
-        fregs: RegAlloc::default(),
-        var_scope: Vec::new(),
-        fbuf_scope: Vec::new(),
-        next_var_slot: u32::try_from(slots.free_vars.len()).expect("var census fits u32"),
-        next_fbuf_slot: u32::try_from(slots.free_fbufs.len()).expect("fbuf census fits u32"),
-        var_slot_names: Vec::new(),
-        fbuf_slot_names: Vec::new(),
-        slots,
-    };
+    let mut c = Compiler::new(stmt);
     c.stmt(stmt);
+    c.finish()
+}
+
+/// The free variable of a tile body holding the tile's first block
+/// value.
+pub const TILE_FIRST: &str = "tile.first";
+/// The free variable of a tile body holding the tile's block count.
+pub const TILE_LEN: &str = "tile.len";
+
+/// Compiles an outlined block body — `block_var` free — as a *tile
+/// body*: the program `for block_var in [tile.first, tile.first +
+/// tile.len) { body }`, which runs the consecutive blocks of one tile in
+/// ascending order, exactly as one execution of `body` per block would.
+/// [`TILE_FIRST`] and [`TILE_LEN`] are its free variables in place of
+/// the block variable; the parallel tier binds them once per tile
+/// ([`super::run_chain_proven`]).
+///
+/// The block loop is compiled like any loop — as the row level of a
+/// fused nest when its body is one, in bytecode otherwise — and
+/// announces each block value to the output ports, so store
+/// diagnostics name the block.
+pub fn compile_tile(body: &Stmt, block_var: &str) -> VmProgram {
+    let (first, len) = (Expr::var(TILE_FIRST), Expr::var(TILE_LEN));
+    let tile = Stmt::For {
+        var: block_var.to_string(),
+        min: first.clone(),
+        extent: len.clone(),
+        body: Box::new(body.clone()),
+        kind: ForKind::Serial,
+    };
+    let mut c = Compiler::new(&tile);
+    c.for_loop(block_var, &first, &len, body, true);
     c.finish()
 }
 
@@ -65,9 +88,9 @@ impl RegAlloc {
 /// Builder state for one [`FusedNest`] tape.
 #[derive(Default)]
 struct MapBuild {
-    /// `(buffer slot | u32::MAX for casts, index expr, producing temp)`
-    /// per site.
-    sites: Vec<(u32, Expr, u16)>,
+    /// `(buffer slot | u32::MAX for casts, index expr, its linear form,
+    /// producing temp)` per site.
+    sites: Vec<(u32, Expr, Lin, u16)>,
     tape: Vec<MapOp>,
     /// Static aux loads per element (occurrence-counted).
     aux: u64,
@@ -77,15 +100,13 @@ struct MapBuild {
 
 impl MapBuild {
     /// The temp holding the load (`slot`) or cast (`u32::MAX`) through
-    /// `idx`, or `None` when `idx` is not bilinear-free affine in
-    /// `(vi, vo)`. A repeated `(slot, index)` site is computed once but
-    /// still charges its aux loads per occurrence.
-    fn site(&mut self, slot: u32, idx: &Expr, vi: &str, vo: &str) -> Option<u16> {
-        if !is_affine2(idx, vi, vo) {
-            return None;
-        }
+    /// `idx`, or `None` when `idx` is not linear in the nest's variables
+    /// ([`linearize`]). A repeated `(slot, index)` site is computed once
+    /// but still charges its aux loads per occurrence.
+    fn site(&mut self, slot: u32, idx: &Expr, vars: NestVars<'_>) -> Option<u16> {
+        let lin = linearize(idx, vars)?;
         self.aux += count_loads(idx);
-        if let Some((.., t)) = self.sites.iter().find(|(s, e, _)| *s == slot && e == idx) {
+        if let Some((.., t)) = self.sites.iter().find(|(s, e, ..)| *s == slot && e == idx) {
             return Some(*t);
         }
         let site = u16::try_from(self.sites.len()).ok()?;
@@ -94,9 +115,73 @@ impl MapBuild {
             u32::MAX => MapOp::Cast { site },
             _ => MapOp::Load { site },
         });
-        self.sites.push((slot, idx.clone(), t));
+        self.sites.push((slot, idx.clone(), lin, t));
         Some(t)
     }
+}
+
+/// A loop nest the fused-nest matcher may take:
+/// `for ovar { for ivar { store } }`, or `for ivar { store }` (no
+/// `outer`). Loops are `(variable, min, extent)`.
+struct NestShape<'s> {
+    outer: Option<(&'s str, &'s Expr, &'s Expr)>,
+    inner: (&'s str, &'s Expr, &'s Expr),
+    buffer: &'s str,
+    index: &'s Expr,
+    value: &'s FExpr,
+    kind: StoreKind,
+}
+
+impl<'s> NestShape<'s> {
+    /// The nest `for var in [min, min + extent) { body }`, if its body is
+    /// the store or one loop directly around it.
+    fn of(var: &'s str, min: &'s Expr, extent: &'s Expr, body: &'s Stmt) -> Option<Self> {
+        let (outer, inner, store) = match body {
+            Stmt::For {
+                var: ivar,
+                min: imin,
+                extent: iext,
+                body: ibody,
+                kind: _,
+            } => (
+                Some((var, min, extent)),
+                (ivar.as_str(), imin, iext),
+                &**ibody,
+            ),
+            _ => (None, (var, min, extent), body),
+        };
+        let Stmt::Store {
+            buffer,
+            index,
+            value,
+            kind,
+        } = store
+        else {
+            return None;
+        };
+        Some(NestShape {
+            outer,
+            inner,
+            buffer,
+            index,
+            value,
+            kind: *kind,
+        })
+    }
+
+    /// The outermost loop of the nest.
+    fn head(&self) -> (&'s str, &'s Expr, &'s Expr) {
+        self.outer.unwrap_or(self.inner)
+    }
+}
+
+/// A [`NestShape`] the matcher took: its variables, output slot, the
+/// store index's linear form, the tape and the tape's class.
+struct Matched {
+    out: u32,
+    out_lin: Lin,
+    mb: MapBuild,
+    class: NestClass,
 }
 
 struct Compiler {
@@ -119,6 +204,24 @@ struct Compiler {
 }
 
 impl Compiler {
+    /// A compiler over `stmt`'s name census.
+    fn new(stmt: &Stmt) -> Compiler {
+        let slots = StmtSlots::resolve(stmt);
+        Compiler {
+            code: Vec::new(),
+            labels: Vec::new(),
+            iregs: RegAlloc::default(),
+            fregs: RegAlloc::default(),
+            var_scope: Vec::new(),
+            fbuf_scope: Vec::new(),
+            next_var_slot: u32::try_from(slots.free_vars.len()).expect("var census fits u32"),
+            next_fbuf_slot: u32::try_from(slots.free_fbufs.len()).expect("fbuf census fits u32"),
+            var_slot_names: Vec::new(),
+            fbuf_slot_names: Vec::new(),
+            slots,
+        }
+    }
+
     fn new_label(&mut self) -> u32 {
         let id = u32::try_from(self.labels.len()).expect("label count fits u32");
         self.labels.push(u32::MAX);
@@ -459,20 +562,20 @@ impl Compiler {
 
     /// Builds the [`FusedNest`] tape for `e`, returning the producing
     /// temp id, or `None` when `e` contains a select or an index that is
-    /// not bilinear-free affine in `(vi, vo)`.
-    fn map_tape(&self, e: &FExpr, vi: &str, vo: &str, mb: &mut MapBuild) -> Option<u16> {
+    /// not linear in the nest's variables.
+    fn map_tape(&self, e: &FExpr, vars: NestVars<'_>, mb: &mut MapBuild) -> Option<u16> {
         let op = match e.kind() {
             FExprKind::Const(v) => MapOp::Const { v: *v },
-            FExprKind::Load(buf, idx) => return mb.site(self.resolve_fbuf(buf), idx, vi, vo),
-            FExprKind::Cast(i) => return mb.site(u32::MAX, i, vi, vo),
+            FExprKind::Load(buf, idx) => return mb.site(self.resolve_fbuf(buf), idx, vars),
+            FExprKind::Cast(i) => return mb.site(u32::MAX, i, vars),
             FExprKind::Bin(op, a, b) => {
-                let a = self.map_tape(a, vi, vo, mb)?;
-                let b = self.map_tape(b, vi, vo, mb)?;
+                let a = self.map_tape(a, vars, mb)?;
+                let b = self.map_tape(b, vars, mb)?;
                 mb.flops += 1;
                 MapOp::Bin { op: *op, a, b }
             }
             FExprKind::Unary(op, a) => {
-                let a = self.map_tape(a, vi, vo, mb)?;
+                let a = self.map_tape(a, vars, mb)?;
                 mb.flops += 1;
                 MapOp::Un { op: *op, a }
             }
@@ -482,12 +585,51 @@ impl Compiler {
         u16::try_from(mb.tape.len() - 1).ok()
     }
 
+    /// The matcher's checks shared by both forms of the fused nest: the
+    /// store's value is branch-free, every integer index is linear in
+    /// the nest's variables (`vars`), the output buffer is not loaded
+    /// (chunked evaluation could observe it mid-store, and the kernels
+    /// split borrows around it), the tape fits the executor's caps, and
+    /// a two-deep nest is a multiply-accumulate (the GEMM/scores/AttnV
+    /// shape) whose inner bounds do not depend on its outer variable.
+    fn match_nest(&self, shape: &NestShape<'_>, vars: NestVars<'_>) -> Option<Matched> {
+        let (ivar, imin, iext) = shape.inner;
+        if let Some((ovar, ..)) = shape.outer {
+            // Inner bounds are hoisted out of the outer loop, so they must
+            // not depend on it.
+            if ovar == ivar || mentions(Node::Expr(imin), ovar) || mentions(Node::Expr(iext), ovar)
+            {
+                return None;
+            }
+        }
+        let out_lin = linearize(shape.index, vars)?;
+        let out = self.resolve_fbuf(shape.buffer);
+        let mut mb = MapBuild::default();
+        self.map_tape(shape.value, vars, &mut mb)?;
+        if mb.sites.len() > MAX_MAP_SITES || mb.tape.len() > MAX_MAP_TAPE {
+            return None;
+        }
+        if mb.sites.iter().any(|(slot, ..)| *slot == out) {
+            return None;
+        }
+        let class = FusedNest::classify(&mb.tape, shape.kind);
+        if shape.outer.is_some() && class != NestClass::MulAcc {
+            return None;
+        }
+        Some(Matched {
+            out,
+            out_lin,
+            mb,
+            class,
+        })
+    }
+
     /// Emits the header of a fused loop: its bounds and the variable's
-    /// initialisation, returning `(slot, min register, extent register)`.
-    /// A nest's outermost loop passes `zero_trip: Some(end)` and also
-    /// charges the bounds' static load counts once, exactly like the
-    /// unfused loop header, and branches to `end` when the extent is not
-    /// positive — *before* any index probe, so an empty loop evaluates
+    /// initialisation, returning `(slot, extent register)`. A nest's
+    /// outermost loop passes `zero_trip: Some(end)` and also charges the
+    /// bounds' static load counts once, exactly like the unfused loop
+    /// header, and branches to `end` when the extent is not positive —
+    /// *before* any index is evaluated, so an empty loop evaluates
     /// nothing, like the unfused `BrVarGe` would ensure. The hoisted
     /// inner loop of a two-deep nest passes `None`: its loads are
     /// charged per outer iteration at run time
@@ -498,7 +640,7 @@ impl Compiler {
         min: &Expr,
         extent: &Expr,
         zero_trip: Option<u32>,
-    ) -> (u32, u16, u16) {
+    ) -> u16 {
         let r_min = self.expr(min);
         let r_ext = self.expr(extent);
         if zero_trip.is_some() {
@@ -521,150 +663,316 @@ impl Compiler {
             });
             self.place(l_run);
         }
-        (slot, r_min, r_ext)
+        r_ext
     }
 
-    /// Emits one probe round: steps the loop variable in `step` (if any)
-    /// by one, then evaluates the store index and every site index at
-    /// the current loop variables, returning their registers in that
-    /// order.
-    fn probe_round(
-        &mut self,
-        step: Option<u32>,
-        index: &Expr,
-        sites: &[(u32, Expr, u16)],
-    ) -> Vec<u16> {
-        if let Some(slot) = step {
-            let bump = self.iregs.alloc();
-            self.emit(Instr::IVar { dst: bump, slot });
-            self.emit(Instr::IBinC {
-                op: IBinOp::Add,
-                dst: bump,
-                a: bump,
-                c: 1,
-            });
-            self.emit(Instr::SetVar { slot, src: bump });
+    /// A row-invariant operand: the literal, or a register computing
+    /// `e`.
+    fn coef(&mut self, e: &Expr) -> Coef {
+        match e.as_int() {
+            Some(v) => Coef::Lit(v),
+            None => Coef::Reg(self.expr(e)),
         }
-        std::iter::once(index)
-            .chain(sites.iter().map(|(_, e, _)| e))
-            .map(|e| self.expr(e))
-            .collect()
+    }
+
+    /// The strides of an index with linear form `lin`.
+    fn strides(&mut self, lin: &Lin) -> (Coef, Coef) {
+        let inner = self.coef(&lin.coef(&Atom::Inner));
+        let outer = self.coef(&lin.coef(&Atom::Outer));
+        (inner, outer)
+    }
+
+    /// The [`RowAffine`] of a linear form's row atoms (its nest-variable
+    /// terms are the strides), with `c` in place of the form's constant.
+    fn row_affine(&mut self, lin: &Lin, c: &Expr) -> RowAffine {
+        let c = self.coef(c);
+        let step = self.coef(&lin.coef(&Atom::Row));
+        let mut tables = Vec::new();
+        for (atom, w) in &lin.terms {
+            if let Atom::Table(buf) = atom {
+                let slot = (self.slots.ibufs.get(buf))
+                    .unwrap_or_else(|| panic!("unresolved auxiliary buffer `{buf}`"));
+                tables.push((slot, self.coef(w)));
+            }
+        }
+        RowAffine {
+            c,
+            step,
+            tables: tables.into_boxed_slice(),
+        }
     }
 
     /// Attempts to compile `for var in min..min+extent { body }` as one
-    /// [`FusedNest`]: `body` is either the store itself (a one-deep
-    /// nest) or a loop directly around it (a two-deep nest, taken when
-    /// the inner bounds are outer-invariant — and today only around
-    /// multiply-accumulate tapes, the GEMM/scores/AttnV shape). The
-    /// store's value must be branch-free, every integer index
-    /// bilinear-free affine in the peeled loop variables, and the output
-    /// buffer must not be loaded (chunked evaluation could observe it
-    /// mid-store, and the kernels split borrows around it). Returns
-    /// `false` (emitting nothing) when the pattern does not apply; the
-    /// caller then compiles the loop normally.
+    /// [`FusedNest`] without a row level: `body` is either the store
+    /// itself (a one-deep nest) or a loop directly around it (a two-deep
+    /// nest) — see [`Compiler::match_nest`]. Returns `false` (emitting
+    /// nothing) when the pattern does not apply.
     fn try_fused_nest(&mut self, var: &str, min: &Expr, extent: &Expr, body: &Stmt) -> bool {
-        let (outer, (ivar, imin, iext), store) = match body {
-            Stmt::For {
-                var: ivar,
-                min: imin,
-                extent: iext,
-                body: ibody,
-                kind: _,
-            } => (
-                Some((var, min, extent)),
-                (ivar.as_str(), imin, iext),
-                &**ibody,
-            ),
-            _ => (None, (var, min, extent), body),
-        };
-        let Stmt::Store {
-            buffer,
-            index,
-            value,
-            kind,
-        } = store
-        else {
+        let Some(shape) = NestShape::of(var, min, extent, body) else {
             return false;
         };
-        let ovar = outer.map_or(ivar, |(ovar, ..)| ovar);
-        // Inner bounds are hoisted out of the outer loop, so they must
-        // not depend on it.
-        if outer.is_some()
-            && (ovar == ivar
-                || mentions(Node::Expr(imin), ovar)
-                || mentions(Node::Expr(iext), ovar))
-        {
+        let vars = NestVars {
+            inner: shape.inner.0,
+            outer: shape.outer.map(|o| o.0),
+            row: None,
+        };
+        let Some(m) = self.match_nest(&shape, vars) else {
             return false;
-        }
-        if !is_affine2(index, ivar, ovar) {
-            return false;
-        }
-        let out = self.resolve_fbuf(buffer);
-        let mut mb = MapBuild::default();
-        if self.map_tape(value, ivar, ovar, &mut mb).is_none() {
-            return false;
-        }
-        if mb.sites.len() > MAX_MAP_SITES || mb.tape.len() > MAX_MAP_TAPE {
-            return false;
-        }
-        if mb.sites.iter().any(|(slot, ..)| *slot == out) {
-            return false;
-        }
-        let class = FusedNest::classify(&mb.tape, *kind);
-        if outer.is_some() && class != NestClass::MulAcc {
-            return false;
-        }
-
+        };
+        let (ivar, imin, iext) = shape.inner;
         let (im, scope) = (self.iregs.mark(), self.var_scope.len());
         let l_end = self.new_label();
-        let outer_loop =
-            outer.map(|(ovar, omin, oext)| self.fused_loop_header(ovar, omin, oext, Some(l_end)));
-        let zero_trip = outer.is_none().then_some(l_end);
-        let (islot, r_imin, n_inner) = self.fused_loop_header(ivar, imin, iext, zero_trip);
-        // Probe every index at the first iteration and one step along
-        // each loop; affine-ness makes that a full description (base +
-        // strides).
-        let base = self.probe_round(None, index, &mb.sites);
-        let inner = self.probe_round(Some(islot), index, &mb.sites);
-        let outer_round = outer_loop.map(|(oslot, ..)| {
-            self.emit(Instr::SetVar {
-                slot: islot,
-                src: r_imin,
-            });
-            self.probe_round(Some(oslot), index, &mb.sites)
-        });
-        let mut probes = (0..base.len()).map(|i| Probe {
-            base: base[i],
-            inner: inner[i],
-            outer: outer_round.as_ref().map(|round| round[i]),
-        });
-        let out_idx = probes.next().expect("a round probes the store index first");
-        let sites = mb
-            .sites
-            .iter()
-            .zip(probes)
-            .map(|((slot, ..), idx)| MapSite { buf: *slot, idx })
+        let n_outer = (shape.outer)
+            .map(|(ovar, omin, oext)| self.fused_loop_header(ovar, omin, oext, Some(l_end)));
+        let zero_trip = shape.outer.is_none().then_some(l_end);
+        let n_inner = self.fused_loop_header(ivar, imin, iext, zero_trip);
+        // Every index at the nest's first iteration (the loop variables
+        // sit at their minima), then the strides: the index's
+        // coefficients of the nest variables.
+        let bases: Vec<u16> = std::iter::once(shape.index)
+            .chain(m.mb.sites.iter().map(|(_, e, ..)| e))
+            .map(|e| self.expr(e))
             .collect();
-        self.emit(Instr::FNest(Box::new(FusedNest {
-            out,
-            kind: *kind,
-            out_idx,
-            sites,
-            tape: mb.tape.into_boxed_slice(),
-            class,
-            n_inner,
-            n_outer: outer_loop.map(|(_, _, r_ext)| r_ext),
-            aux: mb.aux + count_loads(index),
-            aux_inner_bounds: match outer {
-                Some(_) => count_loads(imin) + count_loads(iext),
-                None => 0,
-            },
-            flops: mb.flops + u64::from(!matches!(kind, StoreKind::Assign)),
-        })));
+        let lins = std::iter::once(&m.out_lin).chain(m.mb.sites.iter().map(|(_, _, lin, _)| lin));
+        let mut indices = Vec::with_capacity(bases.len());
+        for (base, lin) in bases.into_iter().zip(lins) {
+            let (inner, outer) = self.strides(lin);
+            indices.push(NestIndex {
+                base: RowAffine::invariant(Coef::Reg(base)),
+                inner,
+                outer,
+            });
+        }
+        let aux_inner_bounds = match shape.outer {
+            Some(_) => count_loads(imin) + count_loads(iext),
+            None => 0,
+        };
+        self.emit_nest(
+            &shape,
+            m,
+            indices,
+            (
+                RowAffine::invariant(Coef::Reg(n_inner)),
+                n_outer.map(|r| RowAffine::invariant(Coef::Reg(r))),
+            ),
+            aux_inner_bounds,
+            None,
+        );
         self.place(l_end);
         self.var_scope.truncate(scope);
         self.iregs.release(im);
         true
+    }
+
+    /// Attempts to compile `for var in min..min+extent { body }` as one
+    /// [`FusedNest`] with a ragged row level over `var`: `body` is a
+    /// nest [`Compiler::match_nest`] takes, in which every index and
+    /// bound is linear in the nest variables, `var` and tables indexed
+    /// by `var` alone, over load-free invariant coefficients
+    /// ([`linearize`]), and whose loops start at row-invariant minima.
+    /// `block` marks the block loop of a tile body. Returns `false`
+    /// (emitting nothing) when the pattern does not apply.
+    fn try_row_nest(
+        &mut self,
+        var: &str,
+        min: &Expr,
+        extent: &Expr,
+        body: &Stmt,
+        block: bool,
+    ) -> bool {
+        let Stmt::For {
+            var: hvar,
+            min: hmin,
+            extent: hext,
+            body: hbody,
+            kind: _,
+        } = body
+        else {
+            return false;
+        };
+        let Some(shape) = NestShape::of(hvar, hmin, hext, hbody) else {
+            return false;
+        };
+        let (ivar, imin, iext) = shape.inner;
+        let ovar = shape.outer.map(|o| o.0);
+        if var == ivar || Some(var) == ovar {
+            return false;
+        }
+        let vars = NestVars {
+            inner: ivar,
+            outer: ovar,
+            row: Some(var),
+        };
+        let Some(m) = self.match_nest(&shape, vars) else {
+            return false;
+        };
+        // Bounds: row-invariant minima, extents over the row atoms.
+        let bound = |e: &Expr| linearize(e, vars);
+        let (imin_l, iext_l) = (bound(imin), bound(iext));
+        let outer_l = shape
+            .outer
+            .map(|(_, omin, oext)| (bound(omin), bound(oext)));
+        let invariant = |l: &Option<Lin>| l.as_ref().is_some_and(|l| l.terms.is_empty());
+        let over_rows =
+            |l: &Option<Lin>| (l.as_ref()).is_some_and(|l| l.terms.iter().all(|(a, _)| a.is_row()));
+        if !invariant(&imin_l) || !over_rows(&iext_l) {
+            return false;
+        }
+        if let Some((omin_l, oext_l)) = &outer_l {
+            if !invariant(omin_l) || !over_rows(oext_l) {
+                return false;
+            }
+        }
+        let (tmin, iext_l) = (imin_l.expect("checked").c, iext_l.expect("checked"));
+        let (umin, oext_l) = match outer_l {
+            Some((omin, oext)) => (omin.expect("checked").c, oext),
+            None => (Expr::int(0), None),
+        };
+        let forms = || {
+            (std::iter::once(&m.out_lin))
+                .chain(m.mb.sites.iter().map(|(_, _, lin, _)| lin))
+                .chain([&iext_l])
+                .chain(oext_l.as_ref())
+        };
+        if forms().any(|lin| lin.tables() > MAX_ROW_TABLES) {
+            return false;
+        }
+
+        let im = self.iregs.mark();
+        let r_first = self.expr(min);
+        let r_n = self.expr(extent);
+        // The row loop's bounds, charged once like any loop header's.
+        self.emit(Instr::BumpAux {
+            n: count_loads(min) + count_loads(extent),
+        });
+        let slot = self.push_var(var);
+        // The row-invariant operands, once per execution.
+        let lins = std::iter::once(&m.out_lin).chain(m.mb.sites.iter().map(|(_, _, lin, _)| lin));
+        let mut indices = Vec::new();
+        for lin in lins {
+            let (inner, outer) = self.strides(lin);
+            // The base: the index at the nest's first iteration.
+            let first = fold(
+                IBinOp::Add,
+                fold(IBinOp::Mul, lin.coef(&Atom::Inner), tmin.clone()),
+                fold(IBinOp::Mul, lin.coef(&Atom::Outer), umin.clone()),
+            );
+            let base = self.row_affine(lin, &fold(IBinOp::Add, lin.c.clone(), first));
+            indices.push(NestIndex { base, inner, outer });
+        }
+        let n_inner = self.row_affine(&iext_l, &iext_l.c);
+        let n_outer = oext_l.map(|l| self.row_affine(&l, &l.c));
+        let (_, hmin, hext) = shape.head();
+        let aux_inner_bounds = match shape.outer {
+            Some(_) => count_loads(imin) + count_loads(iext),
+            None => 0,
+        };
+        let rows = RowLevel {
+            slot,
+            first: r_first,
+            n: r_n,
+            aux: count_loads(hmin) + count_loads(hext),
+            block,
+        };
+        self.emit_nest(
+            &shape,
+            m,
+            indices,
+            (n_inner, n_outer),
+            aux_inner_bounds,
+            Some(rows),
+        );
+        self.var_scope.pop();
+        self.iregs.release(im);
+        true
+    }
+
+    /// Emits the [`FusedNest`] of a matched nest.
+    fn emit_nest(
+        &mut self,
+        shape: &NestShape<'_>,
+        m: Matched,
+        indices: Vec<NestIndex>,
+        (n_inner, n_outer): (RowAffine, Option<RowAffine>),
+        aux_inner_bounds: u64,
+        rows: Option<RowLevel>,
+    ) {
+        let mut indices = indices.into_iter();
+        let out_idx = indices.next().expect("the store index comes first");
+        let sites = (m.mb.sites.iter())
+            .zip(indices)
+            .map(|((slot, ..), idx)| MapSite { buf: *slot, idx })
+            .collect();
+        self.emit(Instr::FNest(Box::new(FusedNest {
+            out: m.out,
+            kind: shape.kind,
+            out_idx,
+            sites,
+            tape: m.mb.tape.into_boxed_slice(),
+            class: m.class,
+            n_inner,
+            n_outer,
+            aux: m.mb.aux + count_loads(shape.index),
+            aux_inner_bounds,
+            flops: m.mb.flops + u64::from(!matches!(shape.kind, StoreKind::Assign)),
+            rows,
+        })));
+    }
+
+    /// Compiles `for var in [min, min + extent) { body }`: as a fused
+    /// nest when the loop and its body are one, else as a fused nest
+    /// with a row level over `var`, else in bytecode. `block` marks the
+    /// block loop of a tile body ([`compile_tile`]), whose rows are
+    /// announced to the output ports; it is never the outer loop of a
+    /// plain two-deep nest, which has no per-block hook.
+    fn for_loop(&mut self, var: &str, min: &Expr, extent: &Expr, body: &Stmt, block: bool) {
+        if !block && self.try_fused_nest(var, min, extent, body) {
+            return;
+        }
+        if self.try_row_nest(var, min, extent, body, block) {
+            return;
+        }
+        let im = self.iregs.mark();
+        let r_min = self.expr(min);
+        let r_ext = self.expr(extent);
+        // Loop bounds are evaluated once per For execution; the
+        // interpreter charges their static load counts there.
+        self.emit(Instr::BumpAux {
+            n: count_loads(min) + count_loads(extent),
+        });
+        let slot = self.push_var(var);
+        self.emit(Instr::SetVar { slot, src: r_min });
+        // The limit register must survive the body: release the
+        // operand marks, then hold one register for lo + n.
+        self.iregs.release(im);
+        let r_lim = self.iregs.alloc();
+        self.emit(Instr::IBin {
+            op: IBinOp::Add,
+            dst: r_lim,
+            a: r_min,
+            b: r_ext,
+        });
+        let (l_body, l_exit) = (self.new_label(), self.new_label());
+        // Zero-trip test once, then a fused increment+test+jump
+        // back-edge: one dispatch of loop overhead per iteration.
+        self.emit(Instr::BrVarGe {
+            slot,
+            lim: r_lim,
+            to: l_exit,
+        });
+        self.place(l_body);
+        if block {
+            self.emit(Instr::EnterBlock { slot });
+        }
+        self.stmt(body);
+        self.emit(Instr::LoopNext {
+            slot,
+            lim: r_lim,
+            back: l_body,
+        });
+        self.place(l_exit);
+        self.var_scope.pop();
+        self.iregs.release(im);
     }
 
     fn stmt(&mut self, s: &Stmt) {
@@ -675,49 +983,7 @@ impl Compiler {
                 extent,
                 body,
                 kind: _,
-            } => {
-                if self.try_fused_nest(var, min, extent, body) {
-                    return;
-                }
-                let im = self.iregs.mark();
-                let r_min = self.expr(min);
-                let r_ext = self.expr(extent);
-                // Loop bounds are evaluated once per For execution; the
-                // interpreter charges their static load counts there.
-                self.emit(Instr::BumpAux {
-                    n: count_loads(min) + count_loads(extent),
-                });
-                let slot = self.push_var(var);
-                self.emit(Instr::SetVar { slot, src: r_min });
-                // The limit register must survive the body: release the
-                // operand marks, then hold one register for lo + n.
-                self.iregs.release(im);
-                let r_lim = self.iregs.alloc();
-                self.emit(Instr::IBin {
-                    op: IBinOp::Add,
-                    dst: r_lim,
-                    a: r_min,
-                    b: r_ext,
-                });
-                let (l_body, l_exit) = (self.new_label(), self.new_label());
-                // Zero-trip test once, then a fused increment+test+jump
-                // back-edge: one dispatch of loop overhead per iteration.
-                self.emit(Instr::BrVarGe {
-                    slot,
-                    lim: r_lim,
-                    to: l_exit,
-                });
-                self.place(l_body);
-                self.stmt(body);
-                self.emit(Instr::LoopNext {
-                    slot,
-                    lim: r_lim,
-                    back: l_body,
-                });
-                self.place(l_exit);
-                self.var_scope.pop();
-                self.iregs.release(im);
-            }
+            } => self.for_loop(var, min, extent, body, false),
             Stmt::LetInt { var, value, body } => {
                 let m = self.iregs.mark();
                 let r = self.expr(value);
@@ -820,51 +1086,200 @@ impl Compiler {
     }
 }
 
-/// True when `e` is `base + c_i·vi + c_o·vo` with constant coefficients:
-/// a variable may appear only under `+`/`-`, or under `×` with a
-/// co-factor free of *both* variables (a product of two
-/// variable-dependent factors would make a stride depend on the other
-/// variable), and no memory access, select or non-linear operator
-/// involves either. Such an expression is fully determined by its value
-/// at one point and one step along each variable, and probing it at any
-/// in-range point touches exactly the memory an ordinary evaluation
-/// would. A one-deep nest passes its loop variable twice.
-fn is_affine2(e: &Expr, vi: &str, vo: &str) -> bool {
-    affine2_degree(e, vi, vo).is_some()
+/// The variables of a fused nest: its inner loop's, its outer loop's
+/// (two-deep nests) and the row level's (nests with one).
+#[derive(Clone, Copy)]
+struct NestVars<'a> {
+    inner: &'a str,
+    outer: Option<&'a str>,
+    row: Option<&'a str>,
 }
 
-/// `Some((mentions_vi, mentions_vo))` for bilinear-free 2-D affine
-/// expressions, `None` otherwise.
-fn affine2_degree(e: &Expr, vi: &str, vo: &str) -> Option<(bool, bool)> {
-    // Operands of anything but `+ − ×` must not involve the variables.
-    let var_free = |(i, o): (bool, bool)| (!i && !o).then_some((false, false));
+impl NestVars<'_> {
+    /// True when `e` mentions any of the variables.
+    fn mentioned_in(&self, e: &Expr) -> bool {
+        let names = [Some(self.inner), self.outer, self.row];
+        names
+            .into_iter()
+            .flatten()
+            .any(|v| mentions(Node::Expr(e), v))
+    }
+}
+
+/// What an index of a fused nest is linear in: a nest variable, the row
+/// variable, or an auxiliary table indexed by the row variable alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Atom {
+    Inner,
+    Outer,
+    Row,
+    Table(String),
+}
+
+impl Atom {
+    /// True for the atoms a value that varies only with the row may hold.
+    fn is_row(&self) -> bool {
+        matches!(self, Atom::Row | Atom::Table(_))
+    }
+}
+
+/// `c + Σ coef·atom`, where the constant and every coefficient are free
+/// of the nest's variables. A term whose coefficient folds to zero is
+/// kept: it records that the expression mentions the atom.
+#[derive(Debug, Clone)]
+struct Lin {
+    c: Expr,
+    terms: Vec<(Atom, Expr)>,
+}
+
+impl Lin {
+    /// The coefficient of `atom` (zero when absent).
+    fn coef(&self, atom: &Atom) -> Expr {
+        let term = self.terms.iter().find(|(a, _)| a == atom);
+        term.map_or(Expr::int(0), |(_, c)| c.clone())
+    }
+
+    /// The number of table terms.
+    fn tables(&self) -> usize {
+        (self.terms.iter())
+            .filter(|(a, _)| matches!(a, Atom::Table(_)))
+            .count()
+    }
+
+    /// `self ± other`.
+    fn combine(mut self, other: Lin, op: IBinOp) -> Lin {
+        self.c = fold(op, self.c, other.c);
+        for (atom, coef) in other.terms {
+            match self.terms.iter_mut().find(|(a, _)| *a == atom) {
+                Some((_, mine)) => *mine = fold(op, mine.clone(), coef),
+                None => self.terms.push((atom, fold(op, Expr::int(0), coef))),
+            }
+        }
+        self
+    }
+
+    /// `self · k` for an atom-free `k`.
+    fn scaled(mut self, k: &Expr) -> Lin {
+        self.c = fold(IBinOp::Mul, self.c, k.clone());
+        for (_, coef) in &mut self.terms {
+            *coef = fold(IBinOp::Mul, coef.clone(), k.clone());
+        }
+        self
+    }
+}
+
+/// `op(a, b)` with literal operands folded and neutral or absorbing
+/// literals dropped. Only arithmetic that cannot change a value is
+/// folded: an overflowing literal sum or product is left to run.
+fn fold(op: IBinOp, a: Expr, b: Expr) -> Expr {
+    if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
+        let v = match op {
+            IBinOp::Add => x.checked_add(y),
+            IBinOp::Sub => x.checked_sub(y),
+            IBinOp::Mul => x.checked_mul(y),
+            _ => None,
+        };
+        if let Some(v) = v {
+            return Expr::int(v);
+        }
+    }
+    let [left, right] = op.identities();
+    if left.is_some() && a.as_int() == left {
+        return b;
+    }
+    if right.is_some() && b.as_int() == right {
+        return a;
+    }
+    if op == IBinOp::Mul && (a.as_int() == Some(0) || b.as_int() == Some(0)) {
+        return Expr::int(0);
+    }
+    Expr::bin(op, a, b)
+}
+
+/// The value of `e` when it is literal arithmetic (`+ − ×` over
+/// literals, none overflowing) — so a stride like `r·(1·2)` is the
+/// literal 2.
+fn literal(e: &Expr) -> Option<i64> {
     match e.kind() {
-        ExprKind::Int(_) => Some((false, false)),
-        ExprKind::Var(n) => Some((n == vi, n == vo)),
+        ExprKind::Int(v) => Some(*v),
         ExprKind::Bin(op, a, b) => {
-            let (ai, ao) = affine2_degree(a, vi, vo)?;
-            let (bi, bo) = affine2_degree(b, vi, vo)?;
-            let either = (ai || bi, ao || bo);
+            let (a, b) = (literal(a)?, literal(b)?);
             match op {
-                IBinOp::Add | IBinOp::Sub => Some(either),
-                // A product of two variable-dependent factors is quadratic
-                // or bilinear — its strides are not constant.
-                IBinOp::Mul if (ai || ao) && (bi || bo) => None,
-                IBinOp::Mul => Some(either),
-                IBinOp::FloorDiv | IBinOp::FloorMod | IBinOp::Min | IBinOp::Max => var_free(either),
+                IBinOp::Add => a.checked_add(b),
+                IBinOp::Sub => a.checked_sub(b),
+                IBinOp::Mul => a.checked_mul(b),
+                _ => None,
             }
         }
-        ExprKind::Select(c, a, b) => {
-            if mentions(Node::Cond(c), vi) || mentions(Node::Cond(c), vo) {
-                return None;
-            }
-            let (ai, ao) = affine2_degree(a, vi, vo)?;
-            let (bi, bo) = affine2_degree(b, vi, vo)?;
-            var_free((ai || bi, ao || bo))
+        _ => None,
+    }
+}
+
+/// True when evaluating `e` can neither read memory nor panic: literals
+/// and variables under `+ − × min max`.
+fn is_pure(e: &Expr) -> bool {
+    match e.kind() {
+        ExprKind::Int(_) | ExprKind::Var(_) => true,
+        ExprKind::Bin(op, a, b) => {
+            matches!(
+                op,
+                IBinOp::Add | IBinOp::Sub | IBinOp::Mul | IBinOp::Min | IBinOp::Max
+            ) && is_pure(a)
+                && is_pure(b)
         }
-        // A table lookup indexed by a loop variable is not affine (and
-        // probing it out of loop order would be unsound).
-        ExprKind::Load(_, idx) => var_free(affine2_degree(idx, vi, vo)?),
+        ExprKind::Select(..) | ExprKind::Load(..) => false,
+    }
+}
+
+/// `e` as a linear form over the nest's [`Atom`]s, or `None` when it is
+/// not *bilinear-free affine*: a variable may appear only under `+`/`-`,
+/// or under `×` with a co-factor free of every variable (a product of
+/// two variable-dependent factors would make a stride vary), and no
+/// memory access, select or non-linear operator may involve one — except
+/// that, in a nest with a row level, a table indexed by exactly the row
+/// variable is an atom of its own. Such an expression is fully described
+/// by its coefficients, and evaluating them touches only memory an
+/// ordinary evaluation would.
+///
+/// With a row level, the constant and coefficients are evaluated once
+/// per execution, before any row runs, so they must also be pure
+/// ([`is_pure`]): an empty row evaluates nothing the serial row would
+/// not.
+fn linearize(e: &Expr, vars: NestVars<'_>) -> Option<Lin> {
+    if !vars.mentioned_in(e) {
+        let pure = vars.row.is_none() || is_pure(e);
+        return pure.then(|| Lin {
+            c: literal(e).map_or_else(|| e.clone(), Expr::int),
+            terms: Vec::new(),
+        });
+    }
+    let atom = |atom: Atom| Lin {
+        c: Expr::int(0),
+        terms: vec![(atom, Expr::int(1))],
+    };
+    match e.kind() {
+        ExprKind::Var(n) if n == vars.inner => Some(atom(Atom::Inner)),
+        ExprKind::Var(n) if Some(n.as_str()) == vars.outer => Some(atom(Atom::Outer)),
+        ExprKind::Var(_) => Some(atom(Atom::Row)),
+        ExprKind::Load(buf, idx) if vars.row.is_some() && idx.as_var() == vars.row => {
+            Some(atom(Atom::Table(buf.clone())))
+        }
+        ExprKind::Bin(op @ (IBinOp::Add | IBinOp::Sub), a, b) => {
+            Some(linearize(a, vars)?.combine(linearize(b, vars)?, *op))
+        }
+        ExprKind::Bin(IBinOp::Mul, a, b) => {
+            let (a, b) = (linearize(a, vars)?, linearize(b, vars)?);
+            match (a.terms.is_empty(), b.terms.is_empty()) {
+                (true, _) => Some(b.scaled(&a.c)),
+                (_, true) => Some(a.scaled(&b.c)),
+                // A product of two variable-dependent factors is
+                // quadratic or bilinear — its strides are not constant.
+                _ => None,
+            }
+        }
+        // A table lookup indexed by a nest variable is not affine (and
+        // reading it out of loop order would be unsound).
+        _ => None,
     }
 }
 

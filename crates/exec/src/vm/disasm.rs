@@ -4,7 +4,7 @@ use std::fmt;
 
 use cora_ir::StoreKind;
 
-use super::isa::{fbuf_name, Instr, MapOp, Probe, VmProgram};
+use super::isa::{fbuf_name, Coef, Instr, MapOp, NestIndex, RowAffine, VmProgram};
 use crate::microkernel::NestClass;
 
 /// Disassembly: one instruction per line (`pc  mnemonic operands`), with
@@ -105,23 +105,61 @@ impl fmt::Display for VmProgram {
                 Instr::FAlloc { slot, size, aux } => {
                     format!("falloc   {}, r{size}, aux={aux}", fbuf(*slot))
                 }
+                Instr::EnterBlock { slot } => format!("block    {}", var(*slot)),
                 // One record, three mnemonics: a multiply-accumulate
                 // nest prints its two operands inline (`fmulacc`, or
                 // `fmulacc2` when two-deep), any other nest its tape and
-                // site list (`fmap`).
+                // site list (`fmap`). An index prints as `base:inner` or
+                // `base:inner:outer`; a value that varies with the row
+                // as its terms over the row variable, and the row level
+                // itself as a `rows=` suffix.
                 Instr::FNest(op) => {
-                    let probe = |p: &Probe| match p.outer {
-                        Some(outer) => format!("r{}:r{}:r{outer}", p.base, p.inner),
-                        None => format!("r{}:r{}", p.base, p.inner),
+                    let row_var = op.rows.as_ref().map(|r| var(r.slot)).unwrap_or_default();
+                    let coef = |c: Coef| match c {
+                        Coef::Lit(v) => v.to_string(),
+                        Coef::Reg(r) => format!("r{r}"),
                     };
-                    let (depth, trips, baux) = match op.n_outer {
+                    let form = |a: &RowAffine| {
+                        let mut terms = Vec::new();
+                        if a.c != Coef::Lit(0) {
+                            terms.push(coef(a.c));
+                        }
+                        match a.step {
+                            Coef::Lit(0) => {}
+                            Coef::Lit(1) => terms.push(row_var.clone()),
+                            step => terms.push(format!("{}*{row_var}", coef(step))),
+                        }
+                        for (t, w) in a.tables.iter() {
+                            let w = match w {
+                                Coef::Lit(1) => String::new(),
+                                w => format!("{}*", coef(*w)),
+                            };
+                            terms.push(format!("{w}{}[{row_var}]", ibuf(*t)));
+                        }
+                        match terms.is_empty() {
+                            true => "0".to_string(),
+                            false => terms.join(" + "),
+                        }
+                    };
+                    let probe = |p: &NestIndex| match op.n_outer {
+                        Some(_) => format!("{}:{}:{}", form(&p.base), coef(p.inner), coef(p.outer)),
+                        None => format!("{}:{}", form(&p.base), coef(p.inner)),
+                    };
+                    let (depth, trips, mut baux) = match &op.n_outer {
                         Some(n_outer) => (
                             "2",
-                            format!("r{n_outer}xr{}", op.n_inner),
+                            format!("{}x{}", form(n_outer), form(&op.n_inner)),
                             format!(", baux={}", op.aux_inner_bounds),
                         ),
-                        None => (" ", format!("r{}", op.n_inner), String::new()),
+                        None => (" ", form(&op.n_inner), String::new()),
                     };
+                    if let Some(rows) = &op.rows {
+                        let block = if rows.block { " block" } else { "" };
+                        baux += &format!(
+                            ", rows={row_var} in [r{}, +r{}){block}, raux={}",
+                            rows.first, rows.n, rows.aux
+                        );
+                    }
                     let sites: Vec<String> = op
                         .sites
                         .iter()

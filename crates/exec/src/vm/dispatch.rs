@@ -8,10 +8,11 @@ use cora_ir::{FBinOp, FUnaryOp, StoreKind};
 
 use super::bufs::{Bufs, OutPort};
 use super::isa::{
-    fbuf_name, FusedNest, Instr, MapOp, Probe, VmProgram, MAP_CHUNK, MAX_MAP_SITES, MAX_MAP_TAPE,
+    fbuf_name, FusedNest, Instr, MapOp, NestIndex, RowAffine, VmProgram, MAP_CHUNK, MAX_MAP_SITES,
+    MAX_MAP_TAPE, MAX_ROW_TABLES,
 };
 use crate::interp::InterpStats;
-use crate::microkernel::{self, KernelArgs, MathMode, NestClass, Operand, PanelCache};
+use crate::microkernel::{self, KernelArgs, MathMode, NestClass, NestKernel, Operand, PanelCache};
 
 /// Private per-execution state of one dispatch: the variable file (a
 /// copy of the binding table's, so loop variables never touch shared
@@ -250,20 +251,9 @@ pub(super) fn dispatch<P: OutPort>(
                 fbufs.alloc(*slot, nu);
             }
             Instr::FNest(op) => {
-                let n_o = op.n_outer.map_or(1, |r| iregs[r as usize]);
-                debug_assert!(n_o > 0, "zero-trip fused loops are branched around");
-                let n_i = iregs[op.n_inner as usize];
-                // The serial nest charges the inner loop header's bound
-                // loads once per outer iteration, body or not.
-                st.aux_loads += (n_o as u64) * op.aux_inner_bounds;
-                if n_i > 0 {
-                    run_fused_nest(prog, fbufs, op, [n_o, n_i], iregs, scratch);
-                    let iters = (n_o as u64) * (n_i as u64);
-                    st.aux_loads += iters * op.aux;
-                    st.flops += iters * op.flops;
-                    st.stores += iters;
-                }
+                run_fused_nest(prog, ibufs, fbufs, op, iregs, scratch, &mut st);
             }
+            Instr::EnterBlock { slot } => fbufs.enter_block(vars[*slot as usize]),
         }
         pc += 1;
     }
@@ -294,63 +284,192 @@ impl Axis {
     }
 }
 
-/// Executes one [`FusedNest`] of `n = [n_outer, n_inner]` (both positive)
-/// iterations: as a native kernel when the microkernel table has a row
-/// for its class and runtime strides, as the chunked tape sweep
-/// otherwise.
-fn run_fused_nest<P: OutPort>(
-    prog: &VmProgram,
-    fbufs: &mut Bufs<'_, P>,
-    op: &FusedNest,
-    n: [i64; 2],
-    iregs: &[i64],
-    scratch: &mut NestScratch,
-) {
-    let axis = |p: &Probe| {
-        let base = iregs[p.base as usize];
-        Axis {
-            base,
-            inner: iregs[p.inner as usize] - base,
-            outer: p.outer.map_or(0, |r| iregs[r as usize] - base),
+/// A [`RowAffine`] with its operands resolved for one execution:
+/// `c + step·v + Σ w·T[v]`.
+#[derive(Clone, Copy, Default)]
+struct RowValue {
+    c: i64,
+    step: i64,
+    tables: [(usize, i64); MAX_ROW_TABLES],
+    n_tables: usize,
+}
+
+impl RowValue {
+    fn resolve(form: &RowAffine, iregs: &[i64]) -> RowValue {
+        let mut v = RowValue {
+            c: form.c.get(iregs),
+            step: form.step.get(iregs),
+            n_tables: form.tables.len(),
+            ..RowValue::default()
+        };
+        for (t, (buf, w)) in v.tables.iter_mut().zip(form.tables.iter()) {
+            *t = (*buf as usize, w.get(iregs));
         }
-    };
-    let out = axis(&op.out_idx);
-    let site = |s: u16| axis(&op.sites[s as usize].idx);
-    let ran = match op.class {
-        // A multiply-accumulate's operands are its two sites, in tape
-        // order.
-        NestClass::MulAcc => {
-            let operands = [0, 1].map(|s| (op.sites[s as usize].buf, site(s)));
-            run_kernel(prog, fbufs, op, n, out, operands, &mut scratch.panel)
+        v
+    }
+
+    /// The value in row `v`, reading each table at `v` (the panics of
+    /// the serial `T[v]` loads).
+    #[inline]
+    fn at(&self, v: i64, ibufs: &[Arc<[i64]>], prog: &VmProgram) -> i64 {
+        let mut x = self.c + self.step * v;
+        if self.n_tables > 0 {
+            let iu = usize::try_from(v).unwrap_or_else(|_| {
+                let buf = self.tables[0].0;
+                panic!(
+                    "negative index {v} into buffer `{}`",
+                    prog.slots.ibufs.names()[buf]
+                )
+            });
+            for &(buf, w) in &self.tables[..self.n_tables] {
+                x += w * ibufs[buf][iu];
+            }
         }
-        NestClass::Map => false,
-    };
-    if !ran {
-        let map = scratch.map.as_deref_mut();
-        let map = map.expect("a chunk scratch is handed in before the run");
-        sweep_nest(prog, fbufs, op, n, out, &site, map);
+        x
     }
 }
 
-/// Runs the whole nest through the microkernel-table row matching its
-/// class and runtime strides; `operands` are the buffer slot and axis
-/// of each site the kernel loads through, `panels` the execution's
-/// packed-panel cache. Returns `false`, having stored nothing, when no
-/// row matches, a base is negative (the kernels address `usize` ranges)
-/// or the buffers have no contiguous views.
+/// Executes one [`FusedNest`] — every row of its row level, or the one
+/// nest without — charging its statistics to `st`. Strides, kernel
+/// selection and the sweep's uniform flags are resolved once; per row
+/// the executor reads the extent tables (stopping at an empty row, as
+/// the serial zero-trip test does), then the base tables, and runs the
+/// nest as a native kernel when the microkernel table has a row for its
+/// class and strides, as the chunked tape sweep otherwise.
+///
+/// Kept out of line, like [`sweep_nest`]: its locals would otherwise
+/// compete with [`dispatch`]'s for machine registers.
+#[inline(never)]
+fn run_fused_nest<P: OutPort>(
+    prog: &VmProgram,
+    ibufs: &[Arc<[i64]>],
+    fbufs: &mut Bufs<'_, P>,
+    op: &FusedNest,
+    iregs: &[i64],
+    scratch: &mut NestScratch,
+    st: &mut InterpStats,
+) {
+    // Once per execution: every index's strides and base form, the
+    // extents' forms, the kernel and the sweep's uniform flags.
+    let n_idx = 1 + op.sites.len();
+    let indices = std::iter::once(&op.out_idx).chain(op.sites.iter().map(|s| &s.idx));
+    let mut axes = [Axis::default(); MAX_MAP_SITES + 1];
+    let mut bases = [RowValue::default(); MAX_MAP_SITES + 1];
+    for ((axis, base), idx) in axes.iter_mut().zip(&mut bases).zip(indices) {
+        let NestIndex {
+            base: b,
+            inner,
+            outer,
+        } = idx;
+        (axis.inner, axis.outer) = (inner.get(iregs), outer.get(iregs));
+        *base = RowValue::resolve(b, iregs);
+    }
+    let n_inner = RowValue::resolve(&op.n_inner, iregs);
+    let n_outer = op.n_outer.as_ref().map(|f| RowValue::resolve(f, iregs));
+    let kernel = match op.class {
+        NestClass::MulAcc => {
+            let strides = [axes[0], axes[1], axes[2]].map(|x| [x.inner, x.outer]);
+            microkernel::select_kernel(op.class, &strides, op.n_outer.is_some())
+        }
+        NestClass::Map => None,
+    };
+    let uniform = uniform_temps(op, &axes[1..n_idx]);
+    let (first, n_rows) = match &op.rows {
+        Some(rows) => (iregs[rows.first as usize], iregs[rows.n as usize]),
+        None => (0, 1),
+    };
+    for v in first..first + n_rows {
+        if let Some(rows) = &op.rows {
+            // The serial row's nest header: its bound loads, then its
+            // zero-trip test.
+            st.aux_loads += rows.aux;
+            if rows.block {
+                fbufs.enter_block(v);
+            }
+        }
+        let n_o = match &n_outer {
+            Some(n) => n.at(v, ibufs, prog),
+            None => 1,
+        };
+        if n_o <= 0 {
+            continue;
+        }
+        // The serial nest charges the inner loop header's bound loads
+        // once per outer iteration, body or not.
+        st.aux_loads += (n_o as u64) * op.aux_inner_bounds;
+        let n_i = n_inner.at(v, ibufs, prog);
+        if n_i <= 0 {
+            continue;
+        }
+        for (axis, base) in axes[..n_idx].iter_mut().zip(&bases) {
+            axis.base = base.at(v, ibufs, prog);
+        }
+        let n = [n_o, n_i];
+        let ran = kernel.is_some_and(|kernel| {
+            // A multiply-accumulate's operands are its two sites, in
+            // tape order.
+            let operands = [1, 2].map(|k| (op.sites[k - 1].buf, axes[k]));
+            run_kernel(
+                prog,
+                fbufs,
+                op,
+                kernel,
+                n,
+                axes[0],
+                operands,
+                &mut scratch.panel,
+            )
+        });
+        if !ran {
+            let map = scratch.map.as_deref_mut();
+            let map = map.expect("a chunk scratch is handed in before the run");
+            sweep_nest(prog, fbufs, op, n, &axes[..n_idx], &uniform, map);
+        }
+        let iters = (n_o as u64) * (n_i as u64);
+        st.aux_loads += iters * op.aux;
+        st.flops += iters * op.flops;
+        st.stores += iters;
+    }
+}
+
+/// The tape entries that are *uniform* — every element of a chunk holds
+/// the same value: constants, stride-0 loads/casts (`sites` are the
+/// sites' axes), and any op whose inputs are all uniform. The sweep
+/// computes them once per chunk and broadcasts: the same operation on
+/// the same input yields the same bits, so this is legal even in Strict
+/// mode (it hoists the per-element `1/rowsum`, `rsqrt(var)`-style
+/// scalars that row-normalise and layer-norm tapes recompute per
+/// element).
+fn uniform_temps(op: &FusedNest, sites: &[Axis]) -> [bool; MAX_MAP_TAPE] {
+    let mut uniform = [false; MAX_MAP_TAPE];
+    for (ti, t) in op.tape.iter().enumerate() {
+        uniform[ti] = match t {
+            MapOp::Const { .. } => true,
+            MapOp::Load { site } | MapOp::Cast { site } => sites[*site as usize].inner == 0,
+            MapOp::Bin { a, b, .. } => uniform[*a as usize] && uniform[*b as usize],
+            MapOp::Un { a, .. } => uniform[*a as usize],
+        };
+    }
+    uniform
+}
+
+/// Runs the whole nest through `kernel`, the microkernel-table row
+/// matching its class and strides; `operands` are the buffer slot and
+/// axis of each site the kernel loads through, `panels` the execution's
+/// packed-panel cache. Returns `false`, having stored nothing, when a
+/// base is negative (the kernels address `usize` ranges) or the buffers
+/// have no contiguous views.
+#[allow(clippy::too_many_arguments)]
 fn run_kernel<P: OutPort>(
     prog: &VmProgram,
     fbufs: &mut Bufs<'_, P>,
     op: &FusedNest,
+    kernel: &NestKernel,
     [n_o, n_i]: [i64; 2],
     out: Axis,
     [(a_buf, a), (b_buf, b)]: [(u32, Axis); 2],
     panels: &mut PanelCache,
 ) -> bool {
-    let strides = [out, a, b].map(|x| [x.inner, x.outer]);
-    let Some(kernel) = microkernel::select_kernel(op.class, &strides, op.n_outer.is_some()) else {
-        return false;
-    };
     if out.base < 0 || a.base < 0 || b.base < 0 {
         return false;
     }
@@ -388,8 +507,8 @@ fn sweep_nest<P: OutPort>(
     fbufs: &mut Bufs<'_, P>,
     op: &FusedNest,
     [n_o, n]: [i64; 2],
-    out: Axis,
-    site: &impl Fn(u16) -> Axis,
+    axes: &[Axis],
+    uniform: &[bool; MAX_MAP_TAPE],
     scratch: &mut [[f32; MAP_CHUNK]; MAX_MAP_TAPE],
 ) {
     let nneg = |i: i64, slot: u32, what: &str| -> usize {
@@ -397,27 +516,8 @@ fn sweep_nest<P: OutPort>(
             panic!("negative {what} index {i} into `{}`", fbuf_name(prog, slot))
         })
     };
-    // Every site's axis, read once.
-    let mut sites = [Axis::default(); MAX_MAP_SITES];
-    for (s, x) in (0..).zip(&mut sites[..op.sites.len()]) {
-        *x = site(s);
-    }
-    // An entry is *uniform* when every element of its chunk holds the
-    // same value — constants, stride-0 loads/casts, and any op whose
-    // inputs are all uniform. Uniform entries are computed once per
-    // chunk and broadcast: the same operation on the same input yields
-    // the same bits, so this is legal even in Strict mode (it hoists
-    // the per-element `1/rowsum`, `rsqrt(var)`-style scalars that
-    // row-normalise and layer-norm tapes recompute per element).
-    let mut uniform = [false; MAX_MAP_TAPE];
-    for (ti, t) in op.tape.iter().enumerate() {
-        uniform[ti] = match t {
-            MapOp::Const { .. } => true,
-            MapOp::Load { site } | MapOp::Cast { site } => sites[*site as usize].inner == 0,
-            MapOp::Bin { a, b, .. } => uniform[*a as usize] && uniform[*b as usize],
-            MapOp::Un { a, .. } => uniform[*a as usize],
-        };
-    }
+    // `axes` is the store index's axis, then every site's.
+    let (out, sites) = (axes[0], &axes[1..]);
     for u in 0..n_o {
         let (o0, so) = (out.base + u * out.outer, out.inner);
         // A site's first index and inner stride in this outer iteration.
@@ -747,7 +847,6 @@ mod tests {
             let [out, a, b] = self
                 .axes
                 .map(|[base, inner, outer]| Axis { base, inner, outer });
-            let site = |s: u16| [a, b][s as usize];
             let operands = [(nest.sites[0].buf, a), (nest.sites[1].buf, b)];
             let (mut c, av, mut bv) = (self.data(0), self.data(1), self.data(2));
             let mut c_port = Some(&mut c[..]);
@@ -769,12 +868,34 @@ mod tests {
             let mut fbufs = Bufs::new(&prog, free);
             if kernel {
                 let mut panels = PanelCache::default();
-                if !run_kernel(&prog, &mut fbufs, nest, self.n, out, operands, &mut panels) {
+                let strides = [out, a, b].map(|x| [x.inner, x.outer]);
+                let kernel = select_kernel(nest.class, &strides, true)?;
+                let n = self.n;
+                if !run_kernel(
+                    &prog,
+                    &mut fbufs,
+                    nest,
+                    kernel,
+                    n,
+                    out,
+                    operands,
+                    &mut panels,
+                ) {
                     return None;
                 }
             } else {
                 let mut scratch = [[0f32; MAP_CHUNK]; MAX_MAP_TAPE];
-                sweep_nest(&prog, &mut fbufs, nest, self.n, out, &site, &mut scratch);
+                let axes = [out, a, b];
+                let uniform = uniform_temps(nest, &axes[1..]);
+                sweep_nest(
+                    &prog,
+                    &mut fbufs,
+                    nest,
+                    self.n,
+                    &axes,
+                    &uniform,
+                    &mut scratch,
+                );
             }
             drop(fbufs);
             Some(c)

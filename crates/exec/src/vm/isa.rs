@@ -124,9 +124,14 @@ pub(super) enum Instr {
     /// (Re)allocate `fbufs[slot]` as `ireg[size]` zeroes; charges `aux`.
     FAlloc { slot: u32, size: u16, aux: u64 },
     /// Fused loop nest (see [`FusedNest`]): a whole one- or two-deep
-    /// loop nest around one store in a single dispatch, bit- and
-    /// stats-identical to the unfused instruction sequence.
+    /// loop nest around one store — optionally inside a ragged row
+    /// level — in a single dispatch, bit- and stats-identical to the
+    /// unfused instruction sequence.
     FNest(Box<FusedNest>),
+    /// Announces the block value `vars[slot]` to the output ports (store
+    /// diagnostics): the first instruction of a tile body's block loop
+    /// when that loop runs in bytecode.
+    EnterBlock { slot: u32 },
 }
 
 /// One step of a [`FusedNest`] tape, producing SSA temp `t<index>`.
@@ -144,15 +149,58 @@ pub(super) enum MapOp {
     Un { op: FUnaryOp, a: u16 },
 }
 
-/// Registers holding one affine index of a [`FusedNest`] at the nest's
-/// first iteration (`base`), one step along the inner loop (`inner`)
-/// and — in a two-deep nest — one step along the outer loop (`outer`):
-/// `idx(u, t) = base + u·(outer − base) + t·(inner − base)`.
+/// A row-invariant integer operand of a [`FusedNest`], resolved once per
+/// execution of the instruction: a literal folded at compile time, or a
+/// register the bytecode before the nest computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Coef {
+    Lit(i64),
+    Reg(u16),
+}
+
+impl Coef {
+    /// The value, reading `iregs` for a register operand.
+    #[inline]
+    pub(super) fn get(self, iregs: &[i64]) -> i64 {
+        match self {
+            Coef::Lit(v) => v,
+            Coef::Reg(r) => iregs[r as usize],
+        }
+    }
+}
+
+/// An integer that varies only with the row of a [`FusedNest`]'s row
+/// level: `c + step·v + Σ w·T[v]`, over the row variable `v` and
+/// auxiliary tables indexed by `v` alone. Without a row level (or for a
+/// row-invariant value) only `c` is set.
 #[derive(Debug, Clone)]
-pub(super) struct Probe {
-    pub(super) base: u16,
-    pub(super) inner: u16,
-    pub(super) outer: Option<u16>,
+pub(super) struct RowAffine {
+    pub(super) c: Coef,
+    pub(super) step: Coef,
+    /// `(table slot, weight w)` per table term.
+    pub(super) tables: Box<[(u32, Coef)]>,
+}
+
+impl RowAffine {
+    /// The row-invariant value `c`.
+    pub(super) fn invariant(c: Coef) -> RowAffine {
+        RowAffine {
+            c,
+            step: Coef::Lit(0),
+            tables: Box::new([]),
+        }
+    }
+}
+
+/// One affine index of a [`FusedNest`]: its value at the nest's first
+/// iteration in a row (`base`) and its strides along the inner and
+/// outer nest loops (the outer stride is zero in a one-deep nest):
+/// `idx(u, t) = base + u·outer + t·inner`.
+#[derive(Debug, Clone)]
+pub(super) struct NestIndex {
+    pub(super) base: RowAffine,
+    pub(super) inner: Coef,
+    pub(super) outer: Coef,
 }
 
 /// One affine index site of a [`FusedNest`] tape. `buf == u32::MAX`
@@ -160,68 +208,107 @@ pub(super) struct Probe {
 #[derive(Debug, Clone)]
 pub(super) struct MapSite {
     pub(super) buf: u32,
-    pub(super) idx: Probe,
+    pub(super) idx: NestIndex,
+}
+
+/// The ragged row level of a [`FusedNest`]: the loop
+/// `for v in [first, first + n)` around the nest, run natively.
+#[derive(Debug, Clone)]
+pub(super) struct RowLevel {
+    /// The row variable's slot (disassembly only: no instruction reads
+    /// it).
+    pub(super) slot: u32,
+    /// Registers holding the first row and the row count.
+    pub(super) first: u16,
+    pub(super) n: u16,
+    /// Static aux loads of the nest's outermost loop header — its bounds,
+    /// which the serial row evaluates before its zero-trip test —
+    /// charged once per row.
+    pub(super) aux: u64,
+    /// True when the rows are the blocks of a tile body: each row is
+    /// announced to the output ports ([`super::bufs::OutPort::enter_block`])
+    /// before it runs, so store diagnostics name the block.
+    pub(super) block: bool,
 }
 
 /// The fused loop nest: a one- or two-deep nest
 /// `for u { for t { out[o(u,t)] (=|+=|max=) f(loads at affine sites) } }`
 /// around a single store, where the value expression is branch-free (no
 /// selects), the output buffer is not among the loaded ones, and every
-/// integer index is affine in the loop variables. The multiply-accumulate
-/// nests of GEMM-, score- and AttnV-style operators are the tape
-/// `ld a; ld b; fmul` under `+=` ([`NestClass::MulAcc`], classified once
-/// at compile time); row sweeps, bias/GELU epilogues and layer-norm
-/// passes are longer tapes in the same instruction.
+/// integer index is affine in the loop variables — optionally inside one
+/// *ragged row level* `for v in [first, first + n)`. The
+/// multiply-accumulate nests of GEMM-, score- and AttnV-style operators
+/// are the tape `ld a; ld b; fmul` under `+=` ([`NestClass::MulAcc`],
+/// classified once at compile time); row sweeps, bias/GELU epilogues and
+/// layer-norm passes are longer tapes in the same instruction.
 ///
-/// **Why probes describe an index.** The compiler proves (syntactically)
-/// that each index is *bilinear-free affine* in the loop variables — a
-/// variable appears only under `+`/`-`/`×`-by-invariant, never inside a
-/// buffer load, select, division or min/max, and never multiplied by the
-/// other variable — so `idx = base + u·s_o + t·s_i` with constant
-/// strides, fully described by its value at the first iteration and one
-/// step along each loop (a [`Probe`]). The probes are pure arithmetic
-/// over the loop variables (no memory access depends on them), so
-/// evaluating them touches exactly the memory a first iteration would.
-/// The zero-trip case of the nest's outermost loop is branched around
-/// *before* the probes, so an empty loop evaluates nothing — exactly like
-/// the unfused back-edge. A two-deep nest's inner bounds are
-/// outer-invariant and evaluated once; the serial program charges their
-/// static loads per outer iteration, which `aux_inner_bounds` reproduces.
-/// (Its *inner* extent is tested at run time, after the probes: a
-/// two-deep nest whose inner loop is empty still reads the
+/// **Indices.** The compiler proves (syntactically) that each index is
+/// *bilinear-free affine* in the nest variables — a variable appears
+/// only under `+`/`-`/`×`-by-invariant, never inside a buffer load,
+/// select, division or min/max, and never multiplied by the other
+/// variable — so `idx = base + u·s_o + t·s_i` with strides that do not
+/// change during the nest ([`NestIndex`]). The strides are the
+/// coefficients of the nest variables, read off the index expression at
+/// compile time: literals, or registers the bytecode before the nest
+/// computes once per execution. Without a row level, the base is the
+/// index evaluated at the nest's first iteration — after the zero-trip
+/// test of the nest's outermost loop, so an empty loop evaluates
+/// nothing, exactly like the unfused back-edge.
+///
+/// **The row level.** A loop `for v in [first, first + n)` whose body is
+/// one such nest, in which every index and every nest bound is affine in
+/// `v` plus auxiliary tables indexed by `v` alone (`T[v]`), with strides
+/// and coefficients that are literals or loop-invariant load-free
+/// expressions, is the same instruction with [`FusedNest::rows`] set.
+/// Every base, extent and stride is then a [`RowAffine`] whose
+/// coefficients are resolved once per execution, so a row costs a few
+/// table reads instead of a trip through bytecode. Per row the executor
+/// charges the outermost nest loop's header loads ([`RowLevel::aux`])
+/// and reads its extent — the tables the serial row's header reads —
+/// and stops there when the extent is not positive, exactly like the
+/// serial zero-trip test: an empty row reads its extent tables and
+/// nothing else. Only a non-empty row reads its base tables. Kernel
+/// selection and the sweep's set-up happen once per execution, since
+/// the strides they depend on do not change from row to row.
+///
+/// A two-deep nest's inner bounds are outer-invariant and evaluated once
+/// per row; the serial program charges their static loads per outer
+/// iteration, which `aux_inner_bounds` reproduces. (A two-deep nest
+/// without a row level evaluates its bases before testing the inner
+/// extent: when that inner loop is empty it still reads the
 /// loop-invariant tables its indices mention, which the serial program
 /// would not.)
 ///
-/// **Execution.** The nest's runtime stride pattern is looked up in the
-/// one microkernel table ([`crate::microkernel::NEST_KERNELS`]); a
-/// matching row runs the whole nest as a native panel. Otherwise the
-/// value tree — a flat SSA tape — is evaluated once per outer iteration
-/// in small chunks, each tape op applied across the whole chunk
-/// (vectorizable slice loops) before the next — legal because elements
-/// are independent (the per-element float op sequence is unchanged) —
-/// and chunk results are stored in ascending element order, so reducing
-/// kinds accumulate in exactly the serial order. Repeated loads of one
-/// `(buffer, index)` site are computed once but still charge their aux
-/// loads per occurrence, matching the interpreter. Either way the nest
-/// performs its iterations in serial nest order and charges the
-/// statistics the unfused loops would: per element `aux` auxiliary
-/// loads, `flops` float ops and one store.
+/// **Execution.** The nest's stride pattern is looked up in the one
+/// microkernel table ([`crate::microkernel::NEST_KERNELS`]); a matching
+/// row runs the whole nest (per row of the row level) as a native
+/// panel. Otherwise the value tree — a flat SSA tape — is evaluated once
+/// per outer iteration in small chunks, each tape op applied across the
+/// whole chunk (vectorizable slice loops) before the next — legal because
+/// elements are independent (the per-element float op sequence is
+/// unchanged) — and chunk results are stored in ascending element order,
+/// so reducing kinds accumulate in exactly the serial order. Repeated
+/// loads of one `(buffer, index)` site are computed once but still
+/// charge their aux loads per occurrence, matching the interpreter.
+/// Either way the nest performs its iterations in serial nest order
+/// (rows ascending) and charges the statistics the unfused loops would:
+/// per element `aux` auxiliary loads, `flops` float ops and one store.
 #[derive(Debug, Clone)]
 pub(super) struct FusedNest {
     /// Output buffer slot (proved distinct from every site's buffer).
     pub(super) out: u32,
     pub(super) kind: StoreKind,
     /// The output index.
-    pub(super) out_idx: Probe,
+    pub(super) out_idx: NestIndex,
     pub(super) sites: Box<[MapSite]>,
     pub(super) tape: Box<[MapOp]>,
     /// What the tape computes, as the kernel table keys it.
     pub(super) class: NestClass,
-    /// Register holding the inner trip count.
-    pub(super) n_inner: u16,
-    /// Register holding the outer trip count of a two-deep nest (present
-    /// iff every probe has an `outer` register).
-    pub(super) n_outer: Option<u16>,
+    /// The inner trip count.
+    pub(super) n_inner: RowAffine,
+    /// The outer trip count of a two-deep nest (present iff the nest is
+    /// two deep; every index's outer stride is zero otherwise).
+    pub(super) n_outer: Option<RowAffine>,
     /// Static aux loads per element (every load/cast occurrence plus the
     /// store index). `u64`: deeply shared (`Rc`-DAG) index expressions
     /// have exponential static load counts, which the interpreter
@@ -234,9 +321,42 @@ pub(super) struct FusedNest {
     pub(super) aux_inner_bounds: u64,
     /// Float ops per element (tape `Bin`/`Un` plus reducing store).
     pub(super) flops: u64,
+    /// The ragged row level around the nest, if any.
+    pub(super) rows: Option<RowLevel>,
 }
 
 impl FusedNest {
+    /// Calls `f` with every integer register the nest reads: the row
+    /// level's bounds and every register operand of its forms.
+    pub(super) fn for_each_reg_mut(&mut self, f: &mut impl FnMut(&mut u16)) {
+        fn coef(c: &mut Coef, f: &mut impl FnMut(&mut u16)) {
+            if let Coef::Reg(r) = c {
+                f(r);
+            }
+        }
+        fn form(a: &mut RowAffine, f: &mut impl FnMut(&mut u16)) {
+            coef(&mut a.c, f);
+            coef(&mut a.step, f);
+            for (_, w) in a.tables.iter_mut() {
+                coef(w, f);
+            }
+        }
+        let sites = self.sites.iter_mut().map(|s| &mut s.idx);
+        for idx in std::iter::once(&mut self.out_idx).chain(sites) {
+            form(&mut idx.base, f);
+            coef(&mut idx.inner, f);
+            coef(&mut idx.outer, f);
+        }
+        form(&mut self.n_inner, f);
+        if let Some(n) = &mut self.n_outer {
+            form(n, f);
+        }
+        if let Some(rows) = &mut self.rows {
+            f(&mut rows.first);
+            f(&mut rows.n);
+        }
+    }
+
     /// Classifies a tape under its store kind — the compile-time half of
     /// kernel selection, so the executor never inspects the tape.
     pub(super) fn classify(tape: &[MapOp], kind: StoreKind) -> NestClass {
@@ -279,9 +399,12 @@ pub struct VmProgram {
 }
 
 /// Pattern caps: the tape cap sizes the [`FusedNest`] executor's chunk
-/// scratch, the site cap bounds the probe rounds a nest's prologue runs.
+/// scratch, the site cap its per-execution axis table.
 pub(super) const MAX_MAP_SITES: usize = 12;
 pub(super) const MAX_MAP_TAPE: usize = 24;
+/// Table terms one [`RowAffine`] may hold: the executor resolves each
+/// form into a fixed-size record once per execution.
+pub(super) const MAX_ROW_TABLES: usize = 4;
 /// Elements processed per tape sweep.
 pub(super) const MAP_CHUNK: usize = 64;
 
@@ -303,12 +426,13 @@ impl VmProgram {
 
     /// Counts of the fused superinstructions in the stream, as
     /// `(one-deep mul-acc, two-deep mul-acc, map)` — they disassemble as
-    /// `fmulacc`, `fmulacc2` and `fmap`.
+    /// `fmulacc`, `fmulacc2` and `fmap`. A nest with a row level counts
+    /// by its nest.
     pub fn fused_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0usize, 0usize, 0usize);
         for instr in &self.code {
             if let Instr::FNest(op) = instr {
-                match (op.class, op.n_outer) {
+                match (op.class, &op.n_outer) {
                     (NestClass::MulAcc, None) => counts.0 += 1,
                     (NestClass::MulAcc, Some(_)) => counts.1 += 1,
                     (NestClass::Map, _) => counts.2 += 1,
@@ -316,6 +440,19 @@ impl VmProgram {
             }
         }
         counts
+    }
+
+    /// The source name of the row variable of every fused nest with a
+    /// ragged row level, in stream order — the loops that run natively
+    /// row by row instead of through bytecode.
+    pub fn fused_row_vars(&self) -> Vec<String> {
+        (self.code.iter())
+            .filter_map(|instr| match instr {
+                Instr::FNest(op) => op.rows.as_ref(),
+                _ => None,
+            })
+            .map(|r| self.var_slot_names[r.slot as usize - self.slots.free_vars.len()].clone())
+            .collect()
     }
 
     /// Float semantics the fused microkernels execute under.

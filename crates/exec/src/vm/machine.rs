@@ -104,15 +104,15 @@ impl VmShared {
         }
     }
 
-    /// Verifies every external binding is present. `block_slot` exempts
-    /// the block variable of a parallel run (supplied per block);
-    /// `fbuf_bound` answers for the float-buffer slots, which live
-    /// outside the table.
-    pub(super) fn check_bound(&self, block_slot: Option<u32>, fbuf_bound: impl Fn(usize) -> bool) {
+    /// Verifies every external binding is present. `exempt` lists the
+    /// free variables a parallel run supplies itself (a tile body's
+    /// tile bounds); `fbuf_bound` answers for the float-buffer slots,
+    /// which live outside the table.
+    pub(super) fn check_bound(&self, exempt: &[u32], fbuf_bound: impl Fn(usize) -> bool) {
         let s = &self.prog.slots;
         for (i, bound) in self.var_bound.iter().enumerate() {
             assert!(
-                *bound || Some(i) == block_slot.map(|b| b as usize),
+                *bound || exempt.contains(&(i as u32)),
                 "unbound variable `{}`",
                 s.free_vars.names()[i]
             );
@@ -156,9 +156,9 @@ impl VmShared {
     /// Serial core shared by [`VmShared::run_borrowed`] and
     /// [`VmMachine::run`]: one binding (or `None`) per free float slot.
     fn run_serial(&self, table: Vec<Option<BoundBuf<'_>>>) -> InterpStats {
-        // No block variable is exempt: every free variable must be bound
-        // for a full serial execution.
-        self.check_bound(None, |i| table[i].is_some());
+        // Nothing is exempt: every free variable must be bound for a
+        // full serial execution.
+        self.check_bound(&[], |i| table[i].is_some());
         let free = table.into_iter().map(|b| match b.expect("checked bound") {
             BoundBuf::In(s) => Slot::In(s),
             BoundBuf::Out(s) => Slot::Out(s),

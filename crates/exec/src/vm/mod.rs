@@ -111,7 +111,7 @@ mod validate;
 
 pub use cert::{CertError, StoreCert};
 pub use chain::{ChainInput, ChainStage};
-pub use compiler::compile;
+pub use compiler::{compile, compile_tile, TILE_FIRST, TILE_LEN};
 pub use isa::VmProgram;
 pub use machine::{BoundBuf, VmMachine, VmShared};
 pub use parallel::run_chain_proven;

@@ -37,21 +37,7 @@ fn ireg_reads_mut(ins: &mut Instr, f: &mut impl FnMut(&mut u16)) {
         }
         Instr::FLoad { idx, .. } | Instr::FStore { idx, .. } => f(idx),
         Instr::FAlloc { size, .. } => f(size),
-        Instr::FNest(op) => {
-            let probes =
-                std::iter::once(&mut op.out_idx).chain(op.sites.iter_mut().map(|s| &mut s.idx));
-            for p in probes {
-                f(&mut p.base);
-                f(&mut p.inner);
-                if let Some(r) = &mut p.outer {
-                    f(r);
-                }
-            }
-            f(&mut op.n_inner);
-            if let Some(r) = &mut op.n_outer {
-                f(r);
-            }
-        }
+        Instr::FNest(op) => op.for_each_reg_mut(f),
         Instr::IConst { .. }
         | Instr::IVar { .. }
         | Instr::ILoadV { .. }
@@ -63,7 +49,8 @@ fn ireg_reads_mut(ins: &mut Instr, f: &mut impl FnMut(&mut u16)) {
         | Instr::FBin { .. }
         | Instr::FBinC { .. }
         | Instr::FBinCL { .. }
-        | Instr::FUn { .. } => {}
+        | Instr::FUn { .. }
+        | Instr::EnterBlock { .. } => {}
     }
 }
 
@@ -100,11 +87,9 @@ fn ireg_write(ins: &Instr) -> Option<u16> {
 /// Block-local value-numbering CSE over the resolved bytecode.
 ///
 /// The compiler's fused-loop lowering evaluates each affine index
-/// expression at two or three probe points, re-emitting whole
-/// subexpressions (aux-table loads, invariant products) that only differ
-/// in the probed loop variable — per *row* of a ragged operator this
-/// redundant integer arithmetic dominates the scalar dispatch overhead.
-/// This pass value-numbers pure integer instructions (`iconst`, `ivar`,
+/// expression at the nest's first iteration and each of its strides,
+/// re-emitting whole subexpressions (aux-table loads, invariant
+/// products) the indices share. This pass value-numbers pure integer instructions (`iconst`, `ivar`,
 /// `icopy`, `ibin[.c|.v]`, `iload[.v]`) within each basic block and
 /// deletes recomputations, rewriting later reads to the register that
 /// already holds the value.

@@ -399,22 +399,20 @@ mod tests {
     use cora_ir::{Expr, FExpr, ForKind, Stmt, StoreKind};
 
     use super::super::chain::ChainInput;
-    use super::super::compile;
     use super::super::testutil::outlined_doubling_body;
+    use super::super::{compile, compile_tile};
     use super::super::{StoreCert, VmShared};
     use super::*;
 
     /// `shared` as a one-stage chain writing `output`, under `cert`.
     fn one_stage<'a>(
         shared: &'a VmShared,
-        block_var: &'a str,
         output: &'a str,
         inputs: &'a [(&'a str, ChainInput<'a>)],
         cert: &'a StoreCert,
     ) -> [ChainStage<'a>; 1] {
         [ChainStage {
             table: shared,
-            block_var,
             output,
             cert,
             inputs,
@@ -433,7 +431,6 @@ mod tests {
     fn run_raw(
         shared: &VmShared,
         pool: &CpuPool,
-        block_var: &str,
         output: &str,
         out: &mut [f32],
         inputs: &[(&str, &[f32])],
@@ -444,7 +441,7 @@ mod tests {
             shared_inputs(inputs),
             StoreCert::tiled(0, 0, 1, []).unwrap(),
         );
-        let chain = one_stage(shared, block_var, output, &inputs, &no_cert);
+        let chain = one_stage(shared, output, &inputs, &no_cert);
         // SAFETY: each caller either upholds the disjoint-store contract
         // or deliberately violates it to check the guards, which fire
         // before any racing write (in-place rejection up front; debug
@@ -467,7 +464,7 @@ mod tests {
     ) -> InterpStats {
         let (tiles, ranges) = flat(batches);
         let pool = CpuPool::new(2);
-        shared.run_blocks_proven(&pool, "b", output, out, inputs, &tiles, &ranges, cert)
+        shared.run_blocks_proven(&pool, output, out, inputs, &tiles, &ranges, cert)
     }
 
     /// Nested batches as the flat `(blocks, ranges)` pair the dispatch
@@ -484,7 +481,7 @@ mod tests {
 
     /// The doubling body's binding table for the 4-row ragged shape.
     fn doubling_shared() -> VmShared {
-        let mut shared = Arc::new(compile(&outlined_doubling_body())).shared();
+        let mut shared = Arc::new(compile_tile(&outlined_doubling_body(), "b")).shared();
         shared.set_ibuffer("lens", vec![5, 0, 3, 2]);
         shared.set_ibuffer("row", vec![0, 5, 5, 8]);
         shared
@@ -511,10 +508,10 @@ mod tests {
         sm.set_fbuffer("B", vec![0.0; n]);
         sm.run();
 
-        // Parallel: compile only the body; `b` becomes a free variable.
+        // Parallel: compile only the body, as a tile body.
         let shared = doubling_shared();
         let mut out = vec![0.0f32; n];
-        let stats = run_raw(&shared, pool, "b", "B", &mut out, &[("A", &input)], batches);
+        let stats = run_raw(&shared, pool, "B", &mut out, &[("A", &input)], batches);
 
         assert_eq!(sm.fbuffer("B").unwrap(), out.as_slice());
         // The serial program additionally charges the block loop's own
@@ -536,7 +533,7 @@ mod tests {
         let shared = doubling_shared();
         let mut out = vec![7.0f32];
         let pool = CpuPool::new(2);
-        let stats = run_raw(&shared, &pool, "b", "B", &mut out, &[("A", &[1.0])], &[]);
+        let stats = run_raw(&shared, &pool, "B", &mut out, &[("A", &[1.0])], &[]);
         assert_eq!(stats, InterpStats::default());
         assert_eq!(out, vec![7.0]);
     }
@@ -563,7 +560,7 @@ mod tests {
         let pool = CpuPool::new(3);
         let batches = vec![vec![0, 2], vec![1, 3]];
         let mut reference = vec![0.0f32; 10];
-        let ref_stats = run_raw(&shared, &pool, "b", "B", &mut reference, &inputs, &batches);
+        let ref_stats = run_raw(&shared, &pool, "B", &mut reference, &inputs, &batches);
         let mut proven = vec![0.0f32; 10];
         let cert = doubling_cert();
         let stats = run_proven(&shared, "B", &mut proven, &inputs, &batches, &cert);
@@ -616,7 +613,7 @@ mod tests {
         let shared = doubling_shared();
         let (mut want, per_block) = (vec![0.0f32; 10], [vec![0], vec![1], vec![2], vec![3]]);
         let pool = CpuPool::new(2);
-        let want_stats = run_raw(&shared, &pool, "b", "B", &mut want, &inputs, &per_block);
+        let want_stats = run_raw(&shared, &pool, "B", &mut want, &inputs, &per_block);
         let spans = [(0usize, SInt::range(0, 7)), (1, SInt::range(8, 9))];
         let cert = StoreCert::tiled(0, 4, 3, spans).expect("the two tiles are disjoint");
         for batches in [vec![vec![3], vec![0]], vec![vec![3, 0]]] {
@@ -638,7 +635,7 @@ mod tests {
             value: FExpr::constant(1.0),
             kind: StoreKind::AddAssign,
         };
-        let shared = Arc::new(compile(&body)).shared();
+        let shared = Arc::new(compile_tile(&body, "b")).shared();
         let spans = [(0usize, SInt::point(0)), (1, SInt::point(1))];
         let cert = StoreCert::tiled(0, 4, 2, spans).expect("one element per tile");
         let mut out = vec![0.0f32; 2];
@@ -680,18 +677,10 @@ mod tests {
             size: Expr::int(8),
             body: Box::new(fill.then(acc)),
         };
-        let shared = Arc::new(compile(&body)).shared();
+        let shared = Arc::new(compile_tile(&body, "b")).shared();
         let mut out = vec![0.0f32; 16];
         let batches: Vec<Vec<i64>> = (0..16).map(|b| vec![b]).collect();
-        run_raw(
-            &shared,
-            &CpuPool::new(4),
-            "b",
-            "out",
-            &mut out,
-            &[],
-            &batches,
-        );
+        run_raw(&shared, &CpuPool::new(4), "out", &mut out, &[], &batches);
         let want: Vec<f32> = (0..16).map(|b| 8.0 * b as f32).collect();
         assert_eq!(out, want);
     }
@@ -699,7 +688,7 @@ mod tests {
     /// Two single-block batches over a 2-thread pool.
     fn run_two_blocks(shared: &VmShared, output: &str, out: &mut [f32], inputs: &[(&str, &[f32])]) {
         let batches = [vec![0], vec![1]];
-        run_raw(shared, &CpuPool::new(2), "b", output, out, inputs, &batches);
+        run_raw(shared, &CpuPool::new(2), output, out, inputs, &batches);
     }
 
     #[test]
@@ -712,7 +701,7 @@ mod tests {
             Expr::var("b"),
             FExpr::load("out", Expr::int(1) - Expr::var("b")) * 2.0,
         );
-        let shared = Arc::new(compile(&body)).shared();
+        let shared = Arc::new(compile_tile(&body, "b")).shared();
         run_two_blocks(&shared, "out", &mut [0.0; 2], &[]);
     }
 
@@ -723,7 +712,7 @@ mod tests {
         // violated, and debug builds must fail deterministically instead
         // of racing.
         let body = Stmt::store("out", Expr::int(0), FExpr::cast(Expr::var("b")));
-        let shared = Arc::new(compile(&body)).shared();
+        let shared = Arc::new(compile_tile(&body, "b")).shared();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_two_blocks(&shared, "out", &mut [0.0; 1], &[]);
         }));
@@ -741,13 +730,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "missing auxiliary buffer `lens`")]
     fn run_blocks_checks_bindings() {
-        let mut shared = Arc::new(compile(&outlined_doubling_body())).shared();
+        let mut shared = Arc::new(compile_tile(&outlined_doubling_body(), "b")).shared();
         shared.set_ibuffer("row", vec![0]);
         let pool = CpuPool::new(1);
         run_raw(
             &shared,
             &pool,
-            "b",
             "B",
             &mut [0.0],
             &[("A", &[1.0])],
@@ -756,17 +744,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown block variable `nope`")]
-    fn run_blocks_rejects_unknown_block_var() {
+    #[should_panic(expected = "not a tile body: no free variable `tile.first`")]
+    fn run_blocks_rejects_a_program_that_is_not_a_tile_body() {
+        // The block body itself, compiled as a whole program: it has the
+        // block variable free, not the tile bounds.
         let shared = Arc::new(compile(&outlined_doubling_body())).shared();
-        run_raw(&shared, &CpuPool::new(1), "nope", "B", &mut [0.0], &[], &[]);
+        run_raw(&shared, &CpuPool::new(1), "B", &mut [0.0], &[], &[]);
     }
 
     #[test]
     fn run_blocks_propagates_body_panics() {
         // Block 1 indexes `lens` out of bounds; the panic must reach the
         // caller instead of poisoning the pool.
-        let mut shared = Arc::new(compile(&outlined_doubling_body())).shared();
+        let mut shared = Arc::new(compile_tile(&outlined_doubling_body(), "b")).shared();
         shared.set_ibuffer("lens", vec![1]);
         shared.set_ibuffer("row", vec![0]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

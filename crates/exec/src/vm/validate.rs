@@ -2,7 +2,10 @@
 //! CSE/DCE/register-renaming passes, run on every
 //! `CompiledProgram::compile`.
 
-use super::isa::{FusedNest, Instr, MapOp, VmProgram, MAX_MAP_SITES, MAX_MAP_TAPE};
+use super::isa::{
+    Coef, FusedNest, Instr, MapOp, VmProgram, MAX_MAP_SITES, MAX_MAP_TAPE, MAX_ROW_TABLES,
+};
+use crate::microkernel::NestClass;
 use cora_ir::StoreKind;
 
 impl VmProgram {
@@ -14,8 +17,10 @@ impl VmProgram {
     /// buffer / float buffer slot is within its census; every register
     /// index is within the allocated
     /// file; fused-nest metadata is self-consistent (no site loads the
-    /// output buffer, outer probes are present iff an outer trip count
-    /// is, the tape is non-empty, within the executor's caps and in SSA
+    /// output buffer, a one-deep nest has no outer strides and a two-deep
+    /// one is a multiply-accumulate, only a nest with a row level has
+    /// forms that vary with the row, each over at most
+    /// [`MAX_ROW_TABLES`] tables, the tape is non-empty, within the executor's caps and in SSA
     /// order over sites of the right kind, the static flop count and
     /// the nest class equal what the tape says); `FAlloc` only targets
     /// scratch slots; and — via
@@ -141,6 +146,7 @@ impl VmProgram {
                 }
                 Instr::Jump { to } => e.succ = vec![*to as usize],
                 Instr::Guard { .. } | Instr::BumpAux { .. } => {}
+                Instr::EnterBlock { slot } => ck_var(*slot)?,
                 Instr::FConst { dst, .. } => e.df.push(*dst),
                 Instr::FLoad { dst, buf, idx, .. } => {
                     ck_fbuf(*buf)?;
@@ -188,19 +194,33 @@ impl VmProgram {
                 Instr::FNest(m) => {
                     let bad = |what: String| Err(format!("bytecode pc {pc}: fused nest {what}"));
                     ck_fbuf(m.out)?;
-                    let probes = std::iter::once(&m.out_idx).chain(m.sites.iter().map(|s| &s.idx));
-                    for p in probes {
-                        if p.outer.is_some() != m.n_outer.is_some() {
-                            return bad(
-                                "has an outer trip count without outer probes (or the reverse)"
-                                    .into(),
-                            );
-                        }
-                        e.ui.extend([p.base, p.inner]);
-                        e.ui.extend(p.outer);
+                    let indices = std::iter::once(&m.out_idx).chain(m.sites.iter().map(|s| &s.idx));
+                    if m.n_outer.is_none() && indices.clone().any(|i| i.outer != Coef::Lit(0)) {
+                        return bad("has outer strides without an outer trip count".into());
                     }
-                    e.ui.push(m.n_inner);
-                    e.ui.extend(m.n_outer);
+                    let forms = (indices.map(|i| &i.base))
+                        .chain([&m.n_inner])
+                        .chain(m.n_outer.as_ref());
+                    for form in forms {
+                        let varies = form.step != Coef::Lit(0) || !form.tables.is_empty();
+                        if varies && m.rows.is_none() {
+                            return bad("has row terms without a row level".into());
+                        }
+                        if form.tables.len() > MAX_ROW_TABLES {
+                            return bad(format!(
+                                "has a row form over {} tables (at most {MAX_ROW_TABLES})",
+                                form.tables.len()
+                            ));
+                        }
+                        for (buf, _) in form.tables.iter() {
+                            ck_ibuf(*buf)?;
+                        }
+                    }
+                    if let Some(rows) = &m.rows {
+                        ck_var(rows.slot)?;
+                    }
+                    let mut regs = (**m).clone();
+                    regs.for_each_reg_mut(&mut |r| e.ui.push(*r));
                     for site in m.sites.iter() {
                         if site.buf == m.out {
                             return bad("loads its own output buffer".into());
@@ -253,6 +273,11 @@ impl VmProgram {
                     }
                     if m.class != FusedNest::classify(&m.tape, m.kind) {
                         return bad(format!("is classed {:?}, which its tape is not", m.class));
+                    }
+                    if m.n_outer.is_some() && m.class != NestClass::MulAcc {
+                        return bad(
+                            "has an outer trip count but is not a multiply-accumulate".into()
+                        );
                     }
                 }
             }
@@ -367,10 +392,23 @@ mod tests {
     use cora_ir::{Expr, FExpr, Stmt};
 
     use super::super::compile;
+    use super::super::isa::RowAffine;
     use super::super::isa::VmProgram;
     use super::super::testutil::{gemm_nest, outlined_doubling_body};
-    use super::{FusedNest, Instr, MapOp, MAX_MAP_SITES, MAX_MAP_TAPE};
+    use super::{Coef, FusedNest, Instr, MapOp, MAX_MAP_SITES, MAX_MAP_TAPE, MAX_ROW_TABLES};
     use crate::microkernel::NestClass;
+
+    /// A row-level nest: `C[c0[r] + i] = A[a0[r] + i]` over `i < n[r]`.
+    fn row_nest() -> Stmt {
+        let r = || Expr::var("r");
+        let store = Stmt::store(
+            "C",
+            Expr::load("c0", r()) + Expr::var("i"),
+            FExpr::load("A", Expr::load("a0", r()) + Expr::var("i")),
+        );
+        let row = Stmt::loop_("i", Expr::load("n", r()), store);
+        Stmt::loop_("r", Expr::var("rows"), row)
+    }
 
     #[test]
     fn validate_accepts_compiled_programs() {
@@ -454,15 +492,33 @@ mod tests {
         rejects(&map, &|n| n.sites[0].buf = n.out, "loads its own output");
         rejects(&gemm, &|n| n.sites[1].buf = n.out, "loads its own output");
 
-        // Outer probes without an outer trip count, and the reverse.
-        rejects(&map, &|n| n.n_outer = Some(n.n_inner), "outer trip count");
+        // Outer strides without an outer trip count; an outer trip
+        // count around a tape that is not a multiply-accumulate.
         rejects(
             &map,
-            &|n| n.sites[0].idx.outer = Some(0),
-            "outer trip count",
+            &|n| n.sites[0].idx.outer = Coef::Lit(3),
+            "outer strides without an outer trip count",
         );
-        rejects(&gemm, &|n| n.out_idx.outer = None, "outer trip count");
-        rejects(&gemm, &|n| n.n_outer = None, "outer trip count");
+        rejects(&gemm, &|n| n.n_outer = None, "outer strides without");
+        rejects(
+            &map,
+            &|n| n.n_outer = Some(n.n_inner.clone()),
+            "not a multiply-accumulate",
+        );
+
+        // Row terms without a row level, and a row form over too many
+        // tables.
+        rejects(&map, &|n| n.out_idx.base.step = Coef::Lit(1), "row terms");
+        let row = compile(&row_nest());
+        row.validate().expect("a row nest validates");
+        rejects(
+            &row,
+            &|n| {
+                let t = n.n_inner.tables[0];
+                n.n_inner.tables = vec![t; MAX_ROW_TABLES + 1].into();
+            },
+            "tables (at most",
+        );
 
         // Tape shape: empty, beyond the executor's caps, out of SSA
         // order, through a missing site or one of the wrong kind.
@@ -489,17 +545,22 @@ mod tests {
         rejects(&gemm, &|n| n.class = NestClass::Map, "is classed");
         rejects(&map, &|n| n.class = NestClass::MulAcc, "is classed");
 
-        // A probe or trip-count register nothing wrote.
-        for field in 0..4 {
-            let mut p = gemm.clone();
+        // A base, stride, trip-count or row-bound register nothing wrote.
+        for field in 0..5 {
+            let mut p = if field == 4 {
+                row.clone()
+            } else {
+                gemm.clone()
+            };
             let fresh = u16::try_from(p.n_iregs).unwrap();
             p.n_iregs += 1;
             let nest = nest_mut(&mut p);
             match field {
-                0 => nest.out_idx.base = fresh,
-                1 => nest.sites[0].idx.inner = fresh,
-                2 => nest.sites[1].idx.outer = Some(fresh),
-                _ => nest.n_outer = Some(fresh),
+                0 => nest.out_idx.base = RowAffine::invariant(Coef::Reg(fresh)),
+                1 => nest.sites[0].idx.inner = Coef::Reg(fresh),
+                2 => nest.sites[1].idx.outer = Coef::Reg(fresh),
+                3 => nest.n_outer = Some(RowAffine::invariant(Coef::Reg(fresh))),
+                _ => nest.rows.as_mut().expect("a row level").n = fresh,
             }
             assert!(p.validate().unwrap_err().contains("read before any write"));
         }

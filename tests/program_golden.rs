@@ -21,7 +21,9 @@
 use std::fmt::Write;
 
 use cora::core::prelude::*;
+use cora::datasets::Dataset;
 use cora::exec::VmProgram;
+use cora::ir::Stmt;
 use cora::transformer::encoder_compiled::STAGES;
 use cora::transformer::encoder_compiled::{stage, Attend, Geometry};
 use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
@@ -118,79 +120,79 @@ fn causal_stage_programs_match_the_recorded_golden() {
 }
 
 const EDGE_GOLDEN: [&str; 21] = [
-    "qkv_proj fe=0d55fc3dfbdf5829 vm=4caafaa0778c9c38",
-    "qkv_bias fe=aa8fb4271f611620 vm=e2d4fc23ace67672",
-    "scores fe=b7808722ae55a0cb vm=1ca65fc93e619f71",
-    "scale fe=83df336a7d1e318a vm=dedae3c17d3f938e",
-    "row_max fe=0391e557203a10ca vm=67991600d1e8b95c",
-    "row_exp fe=08d0ae85df9481bf vm=e37624f6bcca9e92",
-    "row_sum fe=59efcce8064dfba2 vm=cd46df69241deda8",
-    "row_softmax fe=d87bca12f2c76515 vm=7370a79d59e6b232",
-    "attnv fe=08f84b2473aec269 vm=4e57ffaaf67107a8",
-    "out_proj fe=7c7cd62e3deeab49 vm=8a5c6570d8fcb1b9",
-    "attn_bias_residual fe=3409f4d62cc0a59d vm=6dae96504330a3d1",
-    "ln1_sum fe=2fd08a67c6c69f7d vm=f66b36dada440edc",
-    "ln1_var fe=d12280f81d6fb37f vm=7ac8b683a1602822",
-    "ln1_norm fe=fe7ccfa76d81e8a8 vm=371ae4dde4471d28",
-    "ff1 fe=bd0bc1865877d228 vm=bd800e72b1a54c64",
-    "ff1_bias_gelu fe=dfdcfe8b02d02597 vm=fc9550cfdf069c6c",
-    "ff2 fe=504e985fce9b7f16 vm=51c885bae26c5874",
-    "ff_bias_residual fe=3bb7aa6d2e25e6ac vm=6dae96504330a3d1",
-    "ln2_sum fe=d9e39c65b3d85676 vm=f66b36dada440edc",
-    "ln2_var fe=f302346345ff0857 vm=7ac8b683a1602822",
-    "ln2_norm fe=28bc0cff8d428620 vm=371ae4dde4471d28",
+    "qkv_proj fe=0d55fc3dfbdf5829 vm=e32a5572d8cd1993",
+    "qkv_bias fe=aa8fb4271f611620 vm=dd2341c6f3f4115d",
+    "scores fe=b7808722ae55a0cb vm=9ce4b6e638545092",
+    "scale fe=83df336a7d1e318a vm=9891ab5444ace94b",
+    "row_max fe=0391e557203a10ca vm=902c67904c430821",
+    "row_exp fe=08d0ae85df9481bf vm=7868ede6b2dfe3d2",
+    "row_sum fe=59efcce8064dfba2 vm=901f2635285b2655",
+    "row_softmax fe=d87bca12f2c76515 vm=0bff8d422dd57f80",
+    "attnv fe=08f84b2473aec269 vm=6816f6d7769ddce4",
+    "out_proj fe=7c7cd62e3deeab49 vm=9a548a65d70c3426",
+    "attn_bias_residual fe=3409f4d62cc0a59d vm=8778af2357743a56",
+    "ln1_sum fe=2fd08a67c6c69f7d vm=655fd0f8da37fcc7",
+    "ln1_var fe=d12280f81d6fb37f vm=9f346f59ce1ca046",
+    "ln1_norm fe=fe7ccfa76d81e8a8 vm=21cfb703a34a57bf",
+    "ff1 fe=bd0bc1865877d228 vm=fd2dd8422cbdbc7d",
+    "ff1_bias_gelu fe=dfdcfe8b02d02597 vm=1e34d52a7fbcabf7",
+    "ff2 fe=504e985fce9b7f16 vm=8287ee1e9bf456f1",
+    "ff_bias_residual fe=3bb7aa6d2e25e6ac vm=8778af2357743a56",
+    "ln2_sum fe=d9e39c65b3d85676 vm=655fd0f8da37fcc7",
+    "ln2_var fe=f302346345ff0857 vm=9f346f59ce1ca046",
+    "ln2_norm fe=28bc0cff8d428620 vm=21cfb703a34a57bf",
 ];
 
 const MNLI_GOLDEN: [&str; 21] = [
-    "qkv_proj fe=546f80ee1fa4f90b vm=4caafaa0778c9c38",
-    "qkv_bias fe=2805b37020f06256 vm=e2d4fc23ace67672",
-    "scores fe=30b3dce22f50679f vm=1ca65fc93e619f71",
-    "scale fe=e39d891eb3fa6f1e vm=dedae3c17d3f938e",
-    "row_max fe=b2da9684ad75af43 vm=67991600d1e8b95c",
-    "row_exp fe=5597017052fccd77 vm=e37624f6bcca9e92",
-    "row_sum fe=5cf0c8f2c8cba98b vm=cd46df69241deda8",
-    "row_softmax fe=bb2dddbdee64badb vm=7370a79d59e6b232",
-    "attnv fe=938ebbb2c84d2f10 vm=4e57ffaaf67107a8",
-    "out_proj fe=869089ed5d0695af vm=8a5c6570d8fcb1b9",
-    "attn_bias_residual fe=38827db3e0551436 vm=6dae96504330a3d1",
-    "ln1_sum fe=354d405c8964a948 vm=f66b36dada440edc",
-    "ln1_var fe=dccaeb08ce4db289 vm=7ac8b683a1602822",
-    "ln1_norm fe=dd93876e61c8d544 vm=371ae4dde4471d28",
-    "ff1 fe=df8dc8a3b89bad8b vm=bd800e72b1a54c64",
-    "ff1_bias_gelu fe=71963abe01809e78 vm=fc9550cfdf069c6c",
-    "ff2 fe=606d104f7970618c vm=51c885bae26c5874",
-    "ff_bias_residual fe=c41b334158e27211 vm=6dae96504330a3d1",
-    "ln2_sum fe=25ab1ee261028085 vm=f66b36dada440edc",
-    "ln2_var fe=5393f17c3bb731ce vm=7ac8b683a1602822",
-    "ln2_norm fe=ac2f0bc7ac78f177 vm=371ae4dde4471d28",
+    "qkv_proj fe=546f80ee1fa4f90b vm=e32a5572d8cd1993",
+    "qkv_bias fe=2805b37020f06256 vm=dd2341c6f3f4115d",
+    "scores fe=30b3dce22f50679f vm=9ce4b6e638545092",
+    "scale fe=e39d891eb3fa6f1e vm=9891ab5444ace94b",
+    "row_max fe=b2da9684ad75af43 vm=902c67904c430821",
+    "row_exp fe=5597017052fccd77 vm=7868ede6b2dfe3d2",
+    "row_sum fe=5cf0c8f2c8cba98b vm=901f2635285b2655",
+    "row_softmax fe=bb2dddbdee64badb vm=0bff8d422dd57f80",
+    "attnv fe=938ebbb2c84d2f10 vm=6816f6d7769ddce4",
+    "out_proj fe=869089ed5d0695af vm=9a548a65d70c3426",
+    "attn_bias_residual fe=38827db3e0551436 vm=8778af2357743a56",
+    "ln1_sum fe=354d405c8964a948 vm=655fd0f8da37fcc7",
+    "ln1_var fe=dccaeb08ce4db289 vm=9f346f59ce1ca046",
+    "ln1_norm fe=dd93876e61c8d544 vm=21cfb703a34a57bf",
+    "ff1 fe=df8dc8a3b89bad8b vm=fd2dd8422cbdbc7d",
+    "ff1_bias_gelu fe=71963abe01809e78 vm=1e34d52a7fbcabf7",
+    "ff2 fe=606d104f7970618c vm=8287ee1e9bf456f1",
+    "ff_bias_residual fe=c41b334158e27211 vm=8778af2357743a56",
+    "ln2_sum fe=25ab1ee261028085 vm=655fd0f8da37fcc7",
+    "ln2_var fe=5393f17c3bb731ce vm=9f346f59ce1ca046",
+    "ln2_norm fe=ac2f0bc7ac78f177 vm=21cfb703a34a57bf",
 ];
 
 const CAUSAL_EDGE_GOLDEN: [&str; 11] = [
-    "qkv_proj fe=0d55fc3dfbdf5829 vm=4caafaa0778c9c38",
-    "qkv_bias fe=aa8fb4271f611620 vm=e2d4fc23ace67672",
-    "scores fe=20a0e8b23fce3ba6 vm=1ca65fc93e619f71",
-    "scale fe=cfb84b11afe573ac vm=dedae3c17d3f938e",
-    "row_max fe=a4ef655b78349f9b vm=67991600d1e8b95c",
-    "row_exp fe=760c5c92e3f01b41 vm=e37624f6bcca9e92",
-    "row_sum fe=9803cad03c5f672b vm=cd46df69241deda8",
-    "row_softmax fe=1e86652267bbeec9 vm=7370a79d59e6b232",
-    "attnv fe=d5294b0bec594a8c vm=4e57ffaaf67107a8",
-    "out_proj fe=7c7cd62e3deeab49 vm=8a5c6570d8fcb1b9",
-    "attn_bias fe=09541f59c0ff6742 vm=c1acfea07f2b7cd6",
+    "qkv_proj fe=0d55fc3dfbdf5829 vm=e32a5572d8cd1993",
+    "qkv_bias fe=aa8fb4271f611620 vm=dd2341c6f3f4115d",
+    "scores fe=20a0e8b23fce3ba6 vm=9ce4b6e638545092",
+    "scale fe=cfb84b11afe573ac vm=9891ab5444ace94b",
+    "row_max fe=a4ef655b78349f9b vm=902c67904c430821",
+    "row_exp fe=760c5c92e3f01b41 vm=7868ede6b2dfe3d2",
+    "row_sum fe=9803cad03c5f672b vm=901f2635285b2655",
+    "row_softmax fe=1e86652267bbeec9 vm=0bff8d422dd57f80",
+    "attnv fe=d5294b0bec594a8c vm=6816f6d7769ddce4",
+    "out_proj fe=7c7cd62e3deeab49 vm=9a548a65d70c3426",
+    "attn_bias fe=09541f59c0ff6742 vm=ac62486e51120be5",
 ];
 
 const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
-    "qkv_proj fe=546f80ee1fa4f90b vm=4caafaa0778c9c38",
-    "qkv_bias fe=2805b37020f06256 vm=e2d4fc23ace67672",
-    "scores fe=be7f649982bcb76f vm=1ca65fc93e619f71",
-    "scale fe=4ffa47a71f3513cd vm=dedae3c17d3f938e",
-    "row_max fe=ccdb47d4edd36658 vm=67991600d1e8b95c",
-    "row_exp fe=13351b65eb8824f0 vm=e37624f6bcca9e92",
-    "row_sum fe=797e94714260bb26 vm=cd46df69241deda8",
-    "row_softmax fe=bd11197974e4d01c vm=7370a79d59e6b232",
-    "attnv fe=f3f7fb08fa153935 vm=4e57ffaaf67107a8",
-    "out_proj fe=35c5623115637061 vm=8a5c6570d8fcb1b9",
-    "attn_bias fe=71131ffe1442f8d4 vm=c1acfea07f2b7cd6",
+    "qkv_proj fe=546f80ee1fa4f90b vm=e32a5572d8cd1993",
+    "qkv_bias fe=2805b37020f06256 vm=dd2341c6f3f4115d",
+    "scores fe=be7f649982bcb76f vm=9ce4b6e638545092",
+    "scale fe=4ffa47a71f3513cd vm=9891ab5444ace94b",
+    "row_max fe=ccdb47d4edd36658 vm=902c67904c430821",
+    "row_exp fe=13351b65eb8824f0 vm=7868ede6b2dfe3d2",
+    "row_sum fe=797e94714260bb26 vm=901f2635285b2655",
+    "row_softmax fe=bd11197974e4d01c vm=0bff8d422dd57f80",
+    "attnv fe=f3f7fb08fa153935 vm=6816f6d7769ddce4",
+    "out_proj fe=35c5623115637061 vm=9a548a65d70c3426",
+    "attn_bias fe=71131ffe1442f8d4 vm=ac62486e51120be5",
 ];
 
 /// Adds `program`'s fused-instruction census to `total`; a program that
@@ -260,4 +262,82 @@ fn every_stage_and_every_tuner_candidate_compiles_to_one_fused_instruction() {
     assert_eq!(built_in, (0, 24, 60), "the 84 stage-table programs");
     assert_eq!(causal_block, (0, 8, 14), "the masked block's 22 programs");
     assert_eq!(variants, (0, 14, 0), "the 14 schedule variants");
+}
+
+/// The first block-bound loop variable of a lowered statement.
+fn block_var(stmt: &Stmt) -> String {
+    match stmt {
+        Stmt::For { var, kind, .. } if kind.is_block_axis() => var.clone(),
+        Stmt::For { body, .. } | Stmt::LetInt { body, .. } => block_var(body),
+        _ => panic!("a stage statement has a block-bound loop"),
+    }
+}
+
+/// Checks that `program`'s only row level runs over `want`; a program
+/// whose loop falls back to per-row bytecode is reported by label with
+/// its disassembly.
+fn expect_row_level(label: &str, program: &VmProgram, want: &str, off_path: &mut String) {
+    let rows = program.fused_row_vars();
+    if rows != [want] {
+        writeln!(
+            off_path,
+            "\n######## {label}: row levels over {rows:?}, want [{want:?}]\n{program}"
+        )
+        .unwrap();
+    }
+}
+
+/// The deterministic tripwire for "a stage's rows run in bytecode": at
+/// both program-golden shapes and at a 16-sequence MNLI batch, under
+/// both attention masks, every stage-table program — whole program and
+/// tile body — and every program of the masked block compiles its block
+/// loop into the row level of its one fused nest. `out_proj`'s block
+/// loop holds its per-head loop, so the row level is that head loop,
+/// inside each block.
+#[test]
+fn every_stage_runs_its_rows_in_a_fused_nest_row_level() {
+    let cfg = EncoderConfig::scaled(8);
+    let mnli16 = Dataset::Mnli.sample_lengths(16, 42);
+    let mut off_path = String::new();
+    let mut programs = 0;
+    for lens in [&EDGE_LENS[..], &MNLI_LENS, &mnli16] {
+        for attend in [Attend::Full, Attend::Causal] {
+            let geometry = Geometry::new(&cfg, lens, attend);
+            let want = |label: &str| {
+                let row = stage(label).expect("pipeline labels come from the stage table");
+                let program =
+                    lower(&row.operator(&geometry)).expect("built-in schedules are legal");
+                match label {
+                    "out_proj" => "head".to_string(),
+                    _ => block_var(program.stmt()),
+                }
+            };
+            let mut check = |label: String, compiled: &CompiledProgram, want: &str| {
+                let body = compiled.parallel_body().expect("every stage outlines");
+                for (tier, program) in [("whole program", compiled.vm()), ("tile body", body)] {
+                    let label = format!("{label} ({attend:?}, {} rows, {tier})", lens.len());
+                    expect_row_level(&label, program, want, &mut off_path);
+                    programs += 1;
+                }
+            };
+            for row in STAGES.iter() {
+                let compiled = lower(&row.operator(&geometry))
+                    .expect("built-in schedules are legal")
+                    .compile();
+                check(row.label.to_string(), &compiled, &want(row.label));
+            }
+            if attend == Attend::Causal {
+                let masked = CompiledEncoderLayer::build_masked_mha(&cfg, lens).expect("builds");
+                let pipeline = masked.pipeline().expect("non-empty batch");
+                for (label, compiled) in pipeline.stage_programs() {
+                    check(format!("{label} (masked block)"), compiled, &want(label));
+                }
+            }
+        }
+    }
+    assert!(
+        off_path.is_empty(),
+        "programs whose loop is not a fused nest's row level:{off_path}"
+    );
+    assert_eq!(programs, 3 * 2 * (2 * 21 + 11), "every case was checked");
 }

@@ -321,7 +321,11 @@ proptest! {
                 p.set_math_mode(mode);
                 Arc::new(p)
             };
-            let (sp, bp) = (compile(&serial), compile(&body));
+            let (sp, bp) = (compile(&serial), Arc::new({
+                let mut p = vm::compile_tile(&body, "b");
+                p.set_math_mode(mode);
+                p
+            }));
             prop_assert_eq!(bp.fused_counts().1, 2, "both nests must fuse to panels:\n{}", bp);
 
             // Owned machine.
@@ -349,7 +353,8 @@ proptest! {
             prop_assert_eq!(&want, &bits(&out), "borrowed serial ({:?})", mode);
             prop_assert_eq!(m.stats, stats, "borrowed serial stats ({:?})", mode);
 
-            // Proven parallel: the body alone, one batch per block.
+            // Proven parallel: the body as a tile body, one batch per
+            // block.
             let mut table = bp.shared();
             table.set_ibuffer("lens", lens_i.clone());
             table.set_ibuffer("row", rows.clone());
@@ -359,7 +364,6 @@ proptest! {
                 let mut out = vec![0.0f32; total];
                 let stats: InterpStats = table.run_blocks_proven(
                     &CpuPool::new(threads),
-                    "b",
                     "O",
                     &mut out,
                     &[("A", &a), ("W", &w), ("V", &v)],
