@@ -236,6 +236,81 @@ fn every_encoder_stage_proves_in_tiles_without_the_retry() {
     }
 }
 
+/// Every chain of the encoder layer (`full`) and of the masked block
+/// (`causal`), at the program goldens' two shapes and at a 16-sequence
+/// MNLI batch: its member stages, the grain and tile count they share,
+/// and the typed refusal that ended it (`none` for the last chain). A
+/// change to the chain rule, to a stage's block domain or to its proof
+/// grain shows up here as a one-line diff.
+#[test]
+fn chain_rows_match_the_recorded_golden() {
+    let mnli16 = Dataset::Mnli.sample_lengths(16, 42);
+    let mut actual = Vec::new();
+    for (shape, lens) in [
+        ("edge", &EDGE_LENS[..]),
+        ("mnli", &MNLI_LENS[..]),
+        ("mnli16", &mnli16[..]),
+    ] {
+        let builds: [(&str, Build); 2] = [
+            ("full", CompiledEncoderLayer::build),
+            ("causal", CompiledEncoderLayer::build_masked_mha),
+        ];
+        for (mask, build) in builds {
+            let layer = layer(build, lens);
+            let session = layer.session().expect("verifies");
+            let outcomes = session.verify_outcomes();
+            for chain in layer.pipeline().expect("non-empty batch").chains() {
+                let members = &outcomes[chain.stages.clone()];
+                let head = members[0].1.expect("every encoder stage is parallel");
+                for (label, outcome) in members {
+                    let outcome = outcome.expect("every encoder stage is parallel");
+                    assert_eq!(
+                        (outcome.grain, outcome.tiles),
+                        (head.grain, head.tiles),
+                        "{label}"
+                    );
+                }
+                let labels: Vec<&str> = members.iter().map(|(label, _)| *label).collect();
+                let refusal =
+                    (chain.refusal.as_ref()).map_or("none".to_string(), |r| format!("{r:?}"));
+                actual.push(format!(
+                    "{shape}/{mask} [{}] grain={} tiles={} refusal={refusal}",
+                    labels.join(","),
+                    head.grain,
+                    head.tiles
+                ));
+            }
+        }
+    }
+    assert_eq!(
+        actual,
+        CHAIN_GOLDEN,
+        "chains changed; actual table:\n{}",
+        render(&actual)
+    );
+}
+
+const CHAIN_GOLDEN: [&str; 18] = [
+    "edge/full [qkv_proj,qkv_bias] grain=1 tiles=29 refusal=TilesDiffer",
+    "edge/full [scores,scale,row_max,row_exp,row_sum,row_softmax,attnv] grain=4 tiles=58 refusal=TilesDiffer",
+    "edge/full [out_proj,attn_bias_residual,ln1_sum,ln1_var,ln1_norm,ff1,ff1_bias_gelu,ff2,ff_bias_residual,ln2_sum,ln2_var,ln2_norm] grain=1 tiles=29 refusal=none",
+    "edge/causal [qkv_proj,qkv_bias] grain=1 tiles=29 refusal=TilesDiffer",
+    "edge/causal [scores,scale,row_max,row_exp,row_sum,row_softmax,attnv] grain=4 tiles=58 refusal=TilesDiffer",
+    "edge/causal [out_proj,attn_bias] grain=1 tiles=29 refusal=none",
+    "mnli/full [qkv_proj,qkv_bias] grain=3 tiles=56 refusal=TilesDiffer",
+    "mnli/full [scores,scale,row_max,row_exp,row_sum,row_softmax,attnv] grain=16 tiles=84 refusal=TilesDiffer",
+    "mnli/full [out_proj,attn_bias_residual,ln1_sum,ln1_var,ln1_norm,ff1,ff1_bias_gelu,ff2,ff_bias_residual,ln2_sum,ln2_var,ln2_norm] grain=3 tiles=56 refusal=none",
+    "mnli/causal [qkv_proj,qkv_bias] grain=3 tiles=56 refusal=TilesDiffer",
+    "mnli/causal [scores,scale,row_max,row_exp,row_sum,row_softmax,attnv] grain=16 tiles=84 refusal=TilesDiffer",
+    "mnli/causal [out_proj,attn_bias] grain=3 tiles=56 refusal=none",
+    "mnli16/full [qkv_proj,qkv_bias] grain=9 tiles=59 refusal=TilesDiffer",
+    "mnli16/full [scores,scale,row_max,row_exp,row_sum,row_softmax,attnv] grain=16 tiles=262 refusal=TilesDiffer",
+    "mnli16/full [out_proj,attn_bias_residual,ln1_sum,ln1_var,ln1_norm,ff1,ff1_bias_gelu,ff2,ff_bias_residual,ln2_sum,ln2_var,ln2_norm] grain=9 tiles=59 refusal=none",
+    "mnli16/causal [qkv_proj,qkv_bias] grain=9 tiles=59 refusal=TilesDiffer",
+    "mnli16/causal [scores,scale,row_max,row_exp,row_sum,row_softmax,attnv] grain=16 tiles=262 refusal=TilesDiffer",
+    "mnli16/causal [out_proj,attn_bias] grain=9 tiles=59 refusal=none",
+];
+
 fn ragged_2d(name: &str, lens: &[usize], pad: usize) -> TensorRef {
     let b = Dim::new("batch");
     let l = Dim::new("len");

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use cora::core::pipeline::{CompiledPipeline, PipelineBuilder};
 use cora::core::prelude::*;
 use cora::exec::vm::{self, BoundBuf, StoreCert};
-use cora::exec::InterpStats;
+use cora::exec::{InterpStats, Machine, VmProgram};
 use cora::ir::interval::SInt;
 use cora::ir::{Stmt, StoreKind};
 use cora::ragged::{Dim, RaggedLayout};
@@ -823,4 +823,220 @@ fn hoisting_cuts_aux_loads_identically_in_both_tiers() {
         rh.stats.aux_loads,
         rp.stats.aux_loads
     );
+}
+
+/// A random ragged row nest: the loop over rows `r < rows` around one
+/// nest whose indices read per-row offset tables. `kind`:
+///
+/// 0. `O[c0[r] + i] = A[a0[r] + i·st]·0.5 + i` over `i < n[r]` — a map
+///    with a free-parameter stride `st`;
+/// 1. the same with the causal extent `n[r] + r·cs` (free-parameter
+///    step `cs`) and unit stride;
+/// 2. `M[c0[r]] max= A[a0[r] + i]` over `i < n[r]` (`c0[r] = r`) — a
+///    row reduction;
+/// 3. `C[c0[r] + o] += A[a0[r] + i]·B[b0[r] + o·ld + i]` over
+///    `o < n[r]`, `i < 5` — the score shape, free-parameter `ld`.
+///
+/// `neg` replaces one index with a same-valued form the row level must
+/// not take: 1 reads the output offset as `c1[r + 1]`, 2 reads `A`
+/// through the identity table `id[i]` (a table indexed by a nest
+/// variable).
+fn row_nest_body(kind: usize, neg: usize) -> (Stmt, &'static str) {
+    let r = || Expr::var("r");
+    let i = || Expr::var("i");
+    let out_at = |off: Expr| match neg {
+        1 => Expr::load("c1", r() + 1) + off,
+        _ => Expr::load("c0", r()) + off,
+    };
+    let a_at = |step: Expr| match neg {
+        2 => Expr::load("a0", r()) + Expr::load("id", i()) * step,
+        _ => Expr::load("a0", r()) + i() * step,
+    };
+    let map = |ext: Expr, step: Expr| {
+        let value = FExpr::load("A", a_at(step)) * 0.5 + FExpr::cast(i());
+        Stmt::loop_("i", ext, Stmt::store("O", out_at(i()), value))
+    };
+    match kind {
+        0 => (map(Expr::load("n", r()), Expr::var("st")), "O"),
+        1 => (
+            map(Expr::load("n", r()) + r() * Expr::var("cs"), Expr::int(1)),
+            "O",
+        ),
+        2 => {
+            let store = Stmt::Store {
+                buffer: "M".into(),
+                index: out_at(Expr::int(0)),
+                value: FExpr::load("A", a_at(Expr::int(1))),
+                kind: StoreKind::MaxAssign,
+            };
+            (Stmt::loop_("i", Expr::load("n", r()), store), "M")
+        }
+        _ => {
+            let store = Stmt::Store {
+                buffer: "C".into(),
+                index: out_at(Expr::var("o")),
+                value: FExpr::load("A", a_at(Expr::int(1)))
+                    * FExpr::load(
+                        "B",
+                        Expr::load("b0", r()) + Expr::var("o") * Expr::var("ld") + i(),
+                    ),
+                kind: StoreKind::AddAssign,
+            };
+            let keys = Stmt::loop_("i", Expr::int(5), store);
+            (Stmt::loop_("o", Expr::load("n", r()), keys), "C")
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random row nests — empty rows, one-element rows, rows longer
+    /// than a sweep chunk, causal extents, offset tables that repeat and
+    /// are not monotone, free-parameter coefficients — agree bit for bit
+    /// and in statistics across the interpreter, the owned machine, the
+    /// borrowed entry point and the proven parallel tier at 1 and 4
+    /// workers and grains 1, 4, 16 and `rows + 1`, in both math modes.
+    /// The row level takes every such nest, and none of the negative
+    /// forms, which still agree.
+    #[test]
+    fn row_nests_agree_across_every_tier(
+        raw in prop::collection::vec(0usize..420, 1..13),
+        offs in prop::collection::vec(0usize..40, 13),
+        kind in 0usize..4,
+        neg in 0usize..3,
+        st in 0i64..3,
+        cs in 0i64..3,
+    ) {
+        let rows = raw.len();
+        // Every fourth row empty, every fourth one element long, the
+        // rest up to 140 (past the 64-element sweep chunk).
+        let n: Vec<i64> = (raw.iter())
+            .map(|&x| match x % 4 { 0 => 0, 1 => 1, _ => (x / 3) as i64 })
+            .collect();
+        let ext: Vec<i64> = (0..rows)
+            .map(|r| if kind == 1 { n[r] + r as i64 * cs } else { n[r] })
+            .collect();
+        let size = |r: usize| if kind == 2 { 1 } else { ext[r] };
+        let c0: Vec<i64> = (0..rows).scan(0, |at, r| Some(std::mem::replace(at, *at + size(r)))).collect();
+        let c1: Vec<i64> = std::iter::once(-1).chain(c0.iter().copied()).collect();
+        let a0: Vec<i64> = offs[..rows].iter().map(|&o| o as i64).collect();
+        let (ld, k) = (7i64, 5i64);
+        let b0: Vec<i64> = a0.iter().map(|&o| 3 * o).collect();
+        let max_ext = ext.iter().copied().max().unwrap_or(0);
+        let a_len = 40 + max_ext * st.max(1) + k + 1;
+        let b_len = 3 * 40 + max_ext * ld + k + 1;
+        let total = if kind == 2 { rows as i64 } else { c0[rows - 1] + ext[rows - 1] };
+        let data = |len: i64, f: f32| -> Vec<f32> {
+            (0..len).map(|x| ((x as f32 * f).sin() * 4.0).round() * 0.25).collect()
+        };
+        let (a, b) = (data(a_len, 0.37), data(b_len, 0.11));
+
+        let (body, out_name) = row_nest_body(kind, neg);
+        let serial = Stmt::loop_kind("r", Expr::var("rows"), ForKind::GpuBlockX, body.clone());
+        let tables: [(&str, Vec<i64>); 6] = [
+            ("n", n.clone()),
+            ("a0", a0.clone()),
+            ("b0", b0),
+            ("c0", c0.clone()),
+            ("c1", c1),
+            ("id", (0..=max_ext.max(k)).collect()),
+        ];
+        let params = [("rows", rows as i64), ("st", st), ("cs", cs), ("ld", ld)];
+        let init = if kind == 2 { f32::NEG_INFINITY } else { 0.25 };
+
+        // Ground truth: the interpreter.
+        let mut m = Machine::new();
+        for (name, t) in &tables {
+            m.env.set_buffer(*name, t.clone());
+        }
+        for (name, v) in params {
+            m.env.bind(name, v);
+        }
+        m.set_fbuffer("A", a.clone());
+        m.set_fbuffer("B", b.clone());
+        m.set_fbuffer(out_name, vec![init; total as usize]);
+        m.run(&serial);
+        let (want_stats, want) = (m.stats, bits(m.fbuffer(out_name).unwrap()));
+
+        // Every block row's store region, for the certificate.
+        let region = |r: usize| match (kind, size(r)) {
+            (2, _) => SInt::point(r as i64),
+            (_, 0) => SInt::Empty,
+            (_, s) => SInt::range(c0[r], c0[r] + s - 1),
+        };
+        for math in [MathMode::Strict, MathMode::Fast] {
+            let compile = |p: VmProgram| {
+                let mut p = p;
+                p.set_math_mode(math);
+                Arc::new(p)
+            };
+            let (sp, tp) = (compile(vm::compile(&serial)), compile(vm::compile_tile(&body, "r")));
+            let want_rows: &[&str] = if neg == 0 { &["r"] } else { &[] };
+            prop_assert_eq!(sp.fused_row_vars(), want_rows, "kind {} neg {}:\n{}", kind, neg, sp);
+            prop_assert_eq!(tp.fused_row_vars(), want_rows, "kind {} neg {}:\n{}", kind, neg, tp);
+            let bind = |table: &mut vm::VmShared| {
+                for (name, t) in &tables {
+                    table.set_ibuffer(name, t.clone());
+                }
+                for (name, v) in params {
+                    table.bind_var(name, v);
+                }
+            };
+            let exact = |got: &[f32], stats: InterpStats, tier: &str| -> Result<(), TestCaseError> {
+                prop_assert_eq!(stats, want_stats, "{} stats, kind {} neg {} {:?}", tier, kind, neg, math);
+                if math == MathMode::Strict {
+                    prop_assert_eq!(&bits(got), &want, "{}, kind {} neg {}", tier, kind, neg);
+                }
+                Ok(())
+            };
+
+            // Owned machine.
+            let mut owned = sp.machine();
+            bind(&mut owned);
+            owned.set_fbuffer("A", a.clone());
+            owned.set_fbuffer("B", b.clone());
+            owned.set_fbuffer(out_name, vec![init; total as usize]);
+            owned.run();
+            let owned_out = owned.fbuffer(out_name).unwrap().to_vec();
+            exact(&owned_out, owned.stats, "owned")?;
+
+            // Borrowed entry point, inputs read-only.
+            let mut table = sp.shared();
+            bind(&mut table);
+            let mut out = vec![init; total as usize];
+            let stats = table.run_borrowed(vec![
+                ("A", BoundBuf::In(&a)),
+                ("B", BoundBuf::In(&b)),
+                (out_name, BoundBuf::Out(&mut out)),
+            ]);
+            exact(&out, stats, "borrowed")?;
+            prop_assert_eq!(bits(&out), bits(&owned_out), "borrowed vs owned {:?}", math);
+
+            // Proven parallel, tile by tile.
+            let mut table = tp.shared();
+            bind(&mut table);
+            for grain in [1usize, 4, 16, rows + 1] {
+                let spans = (0..rows).map(|r| (r / grain, region(r)));
+                let cert = StoreCert::tiled(0, rows, grain, spans).expect("rows are disjoint");
+                let tiles: Vec<i64> = (0..cert.tiles()).rev().map(|t| cert.tile_start(t)).collect();
+                let batches: Vec<std::ops::Range<usize>> = (0..tiles.len()).map(|t| t..t + 1).collect();
+                for threads in [1usize, 4] {
+                    let mut out = vec![init; total as usize];
+                    let stats = table.run_blocks_proven(
+                        &CpuPool::new(threads),
+                        out_name,
+                        &mut out,
+                        &[("A", &a), ("B", &b)],
+                        &tiles,
+                        &batches,
+                        &cert,
+                    );
+                    let tier = format!("parallel grain {grain}, {threads} threads");
+                    exact(&out, stats, &tier)?;
+                    prop_assert_eq!(bits(&out), bits(&owned_out), "{} vs owned {:?}", tier, math);
+                }
+            }
+        }
+    }
 }
