@@ -625,7 +625,7 @@ impl Compiler {
     }
 
     /// Emits the header of a fused loop: its bounds and the variable's
-    /// initialisation, returning `(slot, extent register)`. A nest's
+    /// initialisation, returning the extent register. A nest's
     /// outermost loop passes `zero_trip: Some(end)` and also charges the
     /// bounds' static load counts once, exactly like the unfused loop
     /// header, and branches to `end` when the extent is not positive —

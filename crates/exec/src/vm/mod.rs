@@ -34,14 +34,36 @@
 //!   and every row sweep, bias/GELU epilogue and layer-norm pass —
 //!   compiles to **one** superinstruction, the *fused nest*
 //!   (`isa::FusedNest`, one matcher in `compiler`, one executor in
-//!   `dispatch`). It runs the whole nest natively — as a panel kernel
-//!   when the one microkernel table ([`crate::microkernel`]) has a row
-//!   for the nest's class and runtime strides, as a chunked sweep of its
-//!   float-op tape otherwise — with bit-identical results and statistics
-//!   to the unfused form. It disassembles as `fmulacc`/`fmulacc2` (a
-//!   one-/two-deep multiply-accumulate) or `fmap` (any other tape).
+//!   `dispatch`). Each index is read as a linear form whose
+//!   coefficients are its strides — *static*: literals folded at compile
+//!   time, or registers the bytecode before the nest computes once per
+//!   execution — so no index is probed at run time. It runs the whole
+//!   nest natively — as a panel kernel when the one microkernel table
+//!   ([`crate::microkernel`]) has a row for the nest's class and
+//!   strides, as a chunked sweep of its float-op tape otherwise — with
+//!   bit-identical results and statistics to the unfused form. It
+//!   disassembles as `fmulacc`/`fmulacc2` (a one-/two-deep
+//!   multiply-accumulate) or `fmap` (any other tape).
 //!   *Adding a microkernel* is one function and one table row; the
 //!   recipe is in [`crate::microkernel`]'s module docs.
+//! * **The ragged row level**: a loop around such a nest — the block
+//!   loop of every encoder stage — compiles into the same instruction
+//!   when every index and bound of the nest is affine in the loop
+//!   variable `v` plus tables indexed by `v` alone (`T[v]`: the
+//!   per-row extents and offsets of a ragged operator), over
+//!   loop-invariant load-free coefficients. Per row the executor reads
+//!   the row's extent tables, charges the header loads the serial row
+//!   charges, and stops there when the extent is empty — **a
+//!   zero-length row reads its extent tables and nothing else**, as the
+//!   serial zero-trip test does — else reads its base tables and runs
+//!   the kernel or sweep, selected and set up once per instruction. A
+//!   loop the matcher does not take runs in bytecode, its body fused
+//!   where it can be.
+//! * **Tile bodies**: [`compile_tile`] compiles an outlined block body
+//!   with its block loop over `[tile.first, tile.first + tile.len)`
+//!   ([`TILE_FIRST`], [`TILE_LEN`]), so the parallel tier runs a tile of
+//!   blocks in one dispatch — through the row level when the body is a
+//!   fusable nest.
 //!
 //! # Layout
 //!
@@ -50,7 +72,7 @@
 //! | module | holds |
 //! |---|---|
 //! | `isa` | instruction set, the fused-nest record, [`VmProgram`] |
-//! | `compiler` | [`compile`]: `Stmt` → bytecode, the fused-nest matcher |
+//! | `compiler` | [`compile`], [`compile_tile`]: `Stmt` → bytecode, the fused-nest matcher |
 //! | `opt` | block-local CSE + DCE over the instruction stream |
 //! | `validate` | [`VmProgram::validate`] (census, registers, def-before-use) |
 //! | `disasm` | [`VmProgram`]'s `Display` (golden-tested disassembly) |
@@ -58,7 +80,7 @@
 //! | `dispatch` | the instruction loop and the fused-nest executor |
 //! | `machine` | [`VmShared`] binding table, [`VmMachine`], serial runs |
 //! | `cert` | [`StoreCert`], the per-tile disjoint-store certificate |
-//! | `chain` | [`ChainStage`]: stages run tile by tile, intermediates in per-worker windows |
+//! | `chain` | [`ChainStage`]: stages run tile by tile (one dispatch per stage per tile), intermediates in per-worker windows |
 //! | `parallel` | [`run_chain_proven`], the shared output — **all `unsafe`** |
 //!
 //! # Execution model
@@ -80,7 +102,8 @@
 //!   exclusive `&mut [f32]`; the owned machine is just the borrowed view
 //!   over its own `Vec`s;
 //! * parallel workers ([`run_chain_proven`]) run whole tiles of blocks
-//!   through a chain of one or more stages; every stage but the last
+//!   through a chain of one or more stages, one dispatch of each
+//!   stage's tile body per tile; every stage but the last
 //!   writes a per-worker window (an origin-shifted port of its own), and
 //!   the last uses the shared output, where every store is checked
 //!   against the executing tile's [`StoreCert`] regions (and, in debug

@@ -604,6 +604,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside block 2's certified regions")]
+    fn run_blocks_proven_names_the_block_of_a_bytecode_tile_loop() {
+        // `out[b] = b` has no nest to fuse, so the tile body's block loop
+        // runs in bytecode; its first instruction announces the block,
+        // so the store the certificate rejects names block 2, not the
+        // tile's first block.
+        let body = Stmt::store("out", Expr::var("b"), FExpr::cast(Expr::var("b")));
+        let program = compile_tile(&body, "b");
+        assert!(program.to_string().contains("block    b@"), "{program}");
+        let shared = Arc::new(program).shared();
+        // Tile [2, 4) certifies only element 3.
+        let spans = [(0usize, SInt::range(0, 1)), (1, SInt::point(3))];
+        let cert = StoreCert::tiled(0, 4, 2, spans).unwrap();
+        run_proven(&shared, "out", &mut [0.0; 4], &[], &[vec![0, 2]], &cert);
+    }
+
+    #[test]
     fn run_blocks_proven_runs_whole_tiles_in_any_dispatch_order() {
         // Tiles of three rows: [0, 3) owns the hull [0, 7] of rows 0–2,
         // [3, 4) owns row 3's [8, 9]. Dispatched last tile first, in one

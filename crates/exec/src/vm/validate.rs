@@ -20,8 +20,9 @@ impl VmProgram {
     /// output buffer, a one-deep nest has no outer strides and a two-deep
     /// one is a multiply-accumulate, only a nest with a row level has
     /// forms that vary with the row, each over at most
-    /// [`MAX_ROW_TABLES`] tables, the tape is non-empty, within the executor's caps and in SSA
-    /// order over sites of the right kind, the static flop count and
+    /// `MAX_ROW_TABLES` tables, the tape is non-empty, within the
+    /// executor's caps and in SSA order over sites of the right kind,
+    /// the static flop count and
     /// the nest class equal what the tape says); `FAlloc` only targets
     /// scratch slots; and — via
     /// a forward dataflow pass with intersection merge over the
