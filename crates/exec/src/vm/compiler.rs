@@ -175,7 +175,7 @@ impl<'s> NestShape<'s> {
     }
 }
 
-/// A [`NestShape`] the matcher took: its variables, output slot, the
+/// A [`NestShape`] the matcher took: its output slot, the
 /// store index's linear form, the tape and the tape's class.
 struct Matched {
     out: u32,

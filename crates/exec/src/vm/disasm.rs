@@ -141,7 +141,7 @@ impl fmt::Display for VmProgram {
                             false => terms.join(" + "),
                         }
                     };
-                    let probe = |p: &NestIndex| match op.n_outer {
+                    let index = |p: &NestIndex| match op.n_outer {
                         Some(_) => format!("{}:{}:{}", form(&p.base), coef(p.inner), coef(p.outer)),
                         None => format!("{}:{}", form(&p.base), coef(p.inner)),
                     };
@@ -165,13 +165,13 @@ impl fmt::Display for VmProgram {
                         .iter()
                         .map(|s| {
                             if s.buf == u32::MAX {
-                                format!("<idx {}>", probe(&s.idx))
+                                format!("<idx {}>", index(&s.idx))
                             } else {
-                                format!("{}[{}]", fbuf(s.buf), probe(&s.idx))
+                                format!("{}[{}]", fbuf(s.buf), index(&s.idx))
                             }
                         })
                         .collect();
-                    let out = format!("{}[{}]", fbuf(op.out), probe(&op.out_idx));
+                    let out = format!("{}[{}]", fbuf(op.out), index(&op.out_idx));
                     match op.class {
                         NestClass::MulAcc => format!(
                             "fmulacc{depth} {out} += {} * {}, n={trips}, aux={}{baux}",

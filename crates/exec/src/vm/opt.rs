@@ -185,7 +185,7 @@ pub(super) fn local_cse(code: Vec<Instr>, n_iregs: &mut usize) -> Vec<Instr> {
     let mut next_val = 0u32;
     // Fresh registers for block-local renaming (SSA within a block, so
     // the compiler's in-place accumulations stop destroying values the
-    // next probe could reuse).
+    // next index could reuse).
     let mut next_reg = u16::try_from(*n_iregs).unwrap_or(u16::MAX);
     // Per-block state.
     let mut reg_val: std::collections::HashMap<u16, u32> = std::collections::HashMap::new();
@@ -320,7 +320,7 @@ pub(super) fn local_cse(code: Vec<Instr>, n_iregs: &mut usize) -> Vec<Instr> {
                     None if block_local && next_reg < u16::MAX => {
                         // First computation: write it to a fresh register
                         // so a later in-place accumulation into `d` can't
-                        // destroy the value before another probe needs it.
+                        // destroy the value before another index needs it.
                         let nd = next_reg;
                         next_reg += 1;
                         set_ireg_dst(&mut ins, nd);
