@@ -147,9 +147,9 @@ fn span(regions: &[SInt]) -> (usize, usize) {
 /// # Panics
 ///
 /// Panics if a program is not a tile body, an output is unknown to its
-/// program, a program reads its output back, a binding is missing, a window input
-/// does not name an earlier stage, or a stage other than the last has
-/// no window (or the last one has).
+/// program, a program reads its output back, a binding is missing, a
+/// window input does not name an earlier stage, or a stage other than
+/// the last has no window (or the last one has).
 pub(super) fn resolve<'a>(chain: &'a [ChainStage<'a>]) -> Vec<Resolved<'a>> {
     assert!(!chain.is_empty(), "a chain holds at least one stage");
     let resolve_one = |(k, stage): (usize, &'a ChainStage<'a>)| {

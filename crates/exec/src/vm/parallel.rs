@@ -1,9 +1,9 @@
 //! Parallel block dispatch — the one VM module that contains `unsafe`.
 //!
-//! A chain of bound block bodies ([`super::chain`]; one stage is a chain
-//! of one) is executed once per block value across a [`CpuPool`],
-//! dispatched in *tiles* — the consecutive block values a [`StoreCert`](super::StoreCert)
-//! certifies together. A worker runs a whole tile through every stage,
+//! A chain of bound tile bodies ([`super::chain`]; one stage is a chain
+//! of one) is executed across a [`CpuPool`], dispatched in *tiles* — the
+//! consecutive block values a [`StoreCert`](super::StoreCert) certifies
+//! together, each run by one dispatch of every stage's tile body. A worker runs a whole tile through every stage,
 //! its blocks in ascending order, so only distinct tiles run
 //! concurrently. Each worker keeps private registers, loop variables,
 //! `Alloc` scratch and windows, reads the float inputs through shared
@@ -277,8 +277,8 @@ impl OutPort for WorkerOut<'_> {
     }
 }
 
-/// Executes a chain of outlined block bodies across `pool`, tile by
-/// tile, under their machine-checked disjoint-store certificates — the
+/// Executes a chain of outlined tile bodies
+/// ([`compile_tile`](super::compile_tile)) across `pool`, tile by tile, under their machine-checked disjoint-store certificates — the
 /// one public parallel entry point, and a *safe* one. A single stage is
 /// a chain of one.
 ///
@@ -306,10 +306,10 @@ impl OutPort for WorkerOut<'_> {
 ///
 /// # Panics
 ///
-/// Panics on an unknown block variable or output, a program that loads
-/// its own output, a missing binding or a malformed chain (a window
-/// input naming a later stage, a window on the last stage or none on
-/// another), if `batches` overlap or dispatch a tile twice, if a value of
+/// Panics on a program that is not a tile body, an unknown output, a
+/// program that loads its own output, a missing binding or a malformed
+/// chain (a window input naming a later stage, a window on the last
+/// stage or none on another), if `batches` overlap or dispatch a tile twice, if a value of
 /// `tiles` lies inside a certificate without starting a tile, if the
 /// stages tile the blocks differently, on any store outside the
 /// executing tile's certified regions, or if a program itself panics
