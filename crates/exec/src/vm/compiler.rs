@@ -168,11 +168,6 @@ impl<'s> NestShape<'s> {
             kind: *kind,
         })
     }
-
-    /// The outermost loop of the nest.
-    fn head(&self) -> (&'s str, &'s Expr, &'s Expr) {
-        self.outer.unwrap_or(self.inner)
-    }
 }
 
 /// A [`NestShape`] the matcher took: its output slot, the
@@ -862,7 +857,8 @@ impl Compiler {
         }
         let n_inner = self.row_affine(&iext_l, &iext_l.c);
         let n_outer = oext_l.map(|l| self.row_affine(&l, &l.c));
-        let (_, hmin, hext) = shape.head();
+        // The nest's outermost loop, whose header the serial row runs.
+        let (_, hmin, hext) = shape.outer.unwrap_or(shape.inner);
         let aux_inner_bounds = match shape.outer {
             Some(_) => count_loads(imin) + count_loads(iext),
             None => 0,
