@@ -7,8 +7,8 @@
 //!
 //! * the **front-end** hash (`fe=`) covers the C source of the lowered
 //!   statement, every prelude table and parameter, and the stage's
-//!   arena-plan entry — what lowering, preludes and the pipeline plan
-//!   decide;
+//!   arena entry of the chain it ends (none for a chain intermediate) —
+//!   what lowering, preludes and the pipeline plan decide;
 //! * the **VM** hash (`vm=`) covers the serial program's disassembly and
 //!   the parallel body's — what the bytecode compiler decides.
 //!
@@ -76,7 +76,13 @@ fn check(build: Build, attend: Attend, lens: &[usize], golden: &[&str]) {
     let mut actual = Vec::new();
     let mut moved = String::new();
     for (si, (label, compiled)) in pipeline.stage_programs().enumerate() {
-        let entry = plan.entries().iter().find(|e| e.def == si);
+        // A chain's last stage writes the chain's arena entry (the arena
+        // lists them in chain order); a chain intermediate has none.
+        let chain = pipeline
+            .chains()
+            .iter()
+            .position(|c| c.stages.end - 1 == si);
+        let entry = chain.map(|k| &plan.arena()[k]);
         let (front, vm) = stage_text(label, compiled, &geometry, &format!("{entry:?}"));
         let line = format!("{label} fe={:016x} vm={:016x}", fnv1a(&front), fnv1a(&vm));
         if golden.get(si) != Some(&line.as_str()) {
@@ -120,79 +126,79 @@ fn causal_stage_programs_match_the_recorded_golden() {
 }
 
 const EDGE_GOLDEN: [&str; 21] = [
-    "qkv_proj fe=0d55fc3dfbdf5829 vm=e32a5572d8cd1993",
-    "qkv_bias fe=aa8fb4271f611620 vm=dd2341c6f3f4115d",
-    "scores fe=b7808722ae55a0cb vm=9ce4b6e638545092",
-    "scale fe=83df336a7d1e318a vm=9891ab5444ace94b",
-    "row_max fe=0391e557203a10ca vm=902c67904c430821",
-    "row_exp fe=08d0ae85df9481bf vm=7868ede6b2dfe3d2",
-    "row_sum fe=59efcce8064dfba2 vm=901f2635285b2655",
-    "row_softmax fe=d87bca12f2c76515 vm=0bff8d422dd57f80",
-    "attnv fe=08f84b2473aec269 vm=6816f6d7769ddce4",
-    "out_proj fe=7c7cd62e3deeab49 vm=9a548a65d70c3426",
-    "attn_bias_residual fe=3409f4d62cc0a59d vm=8778af2357743a56",
-    "ln1_sum fe=2fd08a67c6c69f7d vm=655fd0f8da37fcc7",
-    "ln1_var fe=d12280f81d6fb37f vm=9f346f59ce1ca046",
-    "ln1_norm fe=fe7ccfa76d81e8a8 vm=21cfb703a34a57bf",
-    "ff1 fe=bd0bc1865877d228 vm=fd2dd8422cbdbc7d",
-    "ff1_bias_gelu fe=dfdcfe8b02d02597 vm=1e34d52a7fbcabf7",
-    "ff2 fe=504e985fce9b7f16 vm=8287ee1e9bf456f1",
-    "ff_bias_residual fe=3bb7aa6d2e25e6ac vm=8778af2357743a56",
-    "ln2_sum fe=d9e39c65b3d85676 vm=655fd0f8da37fcc7",
-    "ln2_var fe=f302346345ff0857 vm=9f346f59ce1ca046",
-    "ln2_norm fe=28bc0cff8d428620 vm=21cfb703a34a57bf",
+    "qkv_proj fe=93e012fc6bf8446f vm=e32a5572d8cd1993",
+    "qkv_bias fe=cde11d71d83c5bcc vm=dd2341c6f3f4115d",
+    "scores fe=6bd9016091ef3d56 vm=9ce4b6e638545092",
+    "scale fe=142c9a3d0880c8d4 vm=9891ab5444ace94b",
+    "row_max fe=674d9e77701d184c vm=902c67904c430821",
+    "row_exp fe=7d9c734b0c60f288 vm=7868ede6b2dfe3d2",
+    "row_sum fe=d2bb10659a6793ae vm=901f2635285b2655",
+    "row_softmax fe=59856ae2279a99dd vm=0bff8d422dd57f80",
+    "attnv fe=f9bd01b5896074d8 vm=6816f6d7769ddce4",
+    "out_proj fe=512e927029e6d832 vm=9a548a65d70c3426",
+    "attn_bias_residual fe=4a6ddd332f06bc8a vm=8778af2357743a56",
+    "ln1_sum fe=dd6664c1cb183d75 vm=655fd0f8da37fcc7",
+    "ln1_var fe=0423e53803d28d4d vm=9f346f59ce1ca046",
+    "ln1_norm fe=273a7bc1c977339b vm=21cfb703a34a57bf",
+    "ff1 fe=103c3ba4e6b0d3d3 vm=fd2dd8422cbdbc7d",
+    "ff1_bias_gelu fe=0d4f1ed2df5284eb vm=1e34d52a7fbcabf7",
+    "ff2 fe=b626438997718bdd vm=8287ee1e9bf456f1",
+    "ff_bias_residual fe=15b65cd723f9aff1 vm=8778af2357743a56",
+    "ln2_sum fe=5244ef47c06f80b6 vm=655fd0f8da37fcc7",
+    "ln2_var fe=1a66a9cfedc7f598 vm=9f346f59ce1ca046",
+    "ln2_norm fe=b0684b9c6e5cffb5 vm=21cfb703a34a57bf",
 ];
 
 const MNLI_GOLDEN: [&str; 21] = [
-    "qkv_proj fe=546f80ee1fa4f90b vm=e32a5572d8cd1993",
-    "qkv_bias fe=2805b37020f06256 vm=dd2341c6f3f4115d",
-    "scores fe=30b3dce22f50679f vm=9ce4b6e638545092",
-    "scale fe=e39d891eb3fa6f1e vm=9891ab5444ace94b",
-    "row_max fe=b2da9684ad75af43 vm=902c67904c430821",
-    "row_exp fe=5597017052fccd77 vm=7868ede6b2dfe3d2",
-    "row_sum fe=5cf0c8f2c8cba98b vm=901f2635285b2655",
-    "row_softmax fe=bb2dddbdee64badb vm=0bff8d422dd57f80",
-    "attnv fe=938ebbb2c84d2f10 vm=6816f6d7769ddce4",
-    "out_proj fe=869089ed5d0695af vm=9a548a65d70c3426",
-    "attn_bias_residual fe=38827db3e0551436 vm=8778af2357743a56",
-    "ln1_sum fe=354d405c8964a948 vm=655fd0f8da37fcc7",
-    "ln1_var fe=dccaeb08ce4db289 vm=9f346f59ce1ca046",
-    "ln1_norm fe=dd93876e61c8d544 vm=21cfb703a34a57bf",
-    "ff1 fe=df8dc8a3b89bad8b vm=fd2dd8422cbdbc7d",
-    "ff1_bias_gelu fe=71963abe01809e78 vm=1e34d52a7fbcabf7",
-    "ff2 fe=606d104f7970618c vm=8287ee1e9bf456f1",
-    "ff_bias_residual fe=c41b334158e27211 vm=8778af2357743a56",
-    "ln2_sum fe=25ab1ee261028085 vm=655fd0f8da37fcc7",
-    "ln2_var fe=5393f17c3bb731ce vm=9f346f59ce1ca046",
-    "ln2_norm fe=ac2f0bc7ac78f177 vm=21cfb703a34a57bf",
+    "qkv_proj fe=91d9ecf6be166ca5 vm=e32a5572d8cd1993",
+    "qkv_bias fe=d6eb29162db4d95a vm=dd2341c6f3f4115d",
+    "scores fe=b80b22dc241ff0e1 vm=9ce4b6e638545092",
+    "scale fe=46e37ae2760d3389 vm=9891ab5444ace94b",
+    "row_max fe=20f78b7f185df4a0 vm=902c67904c430821",
+    "row_exp fe=a6ff46b7b15f1447 vm=7868ede6b2dfe3d2",
+    "row_sum fe=0f72816caefd1df0 vm=901f2635285b2655",
+    "row_softmax fe=b176e6d23a029994 vm=0bff8d422dd57f80",
+    "attnv fe=83ddf1f232336d40 vm=6816f6d7769ddce4",
+    "out_proj fe=c999b405cd66e8e6 vm=9a548a65d70c3426",
+    "attn_bias_residual fe=4af6cd65d76d74ae vm=8778af2357743a56",
+    "ln1_sum fe=f53392ae7f73f6e7 vm=655fd0f8da37fcc7",
+    "ln1_var fe=c1915ebbe5e6d28f vm=9f346f59ce1ca046",
+    "ln1_norm fe=8262765e88008971 vm=21cfb703a34a57bf",
+    "ff1 fe=55a120e17ca86839 vm=fd2dd8422cbdbc7d",
+    "ff1_bias_gelu fe=a8c766fc33446981 vm=1e34d52a7fbcabf7",
+    "ff2 fe=4dfbd0313bca39df vm=8287ee1e9bf456f1",
+    "ff_bias_residual fe=c64d6c099757f993 vm=8778af2357743a56",
+    "ln2_sum fe=8ab6ca9715b2a59a vm=655fd0f8da37fcc7",
+    "ln2_var fe=85d63d6bd0266f90 vm=9f346f59ce1ca046",
+    "ln2_norm fe=cd85b3f9d1b5ad00 vm=21cfb703a34a57bf",
 ];
 
 const CAUSAL_EDGE_GOLDEN: [&str; 11] = [
-    "qkv_proj fe=0d55fc3dfbdf5829 vm=e32a5572d8cd1993",
-    "qkv_bias fe=aa8fb4271f611620 vm=dd2341c6f3f4115d",
-    "scores fe=20a0e8b23fce3ba6 vm=9ce4b6e638545092",
-    "scale fe=cfb84b11afe573ac vm=9891ab5444ace94b",
-    "row_max fe=a4ef655b78349f9b vm=902c67904c430821",
-    "row_exp fe=760c5c92e3f01b41 vm=7868ede6b2dfe3d2",
-    "row_sum fe=9803cad03c5f672b vm=901f2635285b2655",
-    "row_softmax fe=1e86652267bbeec9 vm=0bff8d422dd57f80",
-    "attnv fe=d5294b0bec594a8c vm=6816f6d7769ddce4",
-    "out_proj fe=7c7cd62e3deeab49 vm=9a548a65d70c3426",
-    "attn_bias fe=09541f59c0ff6742 vm=ac62486e51120be5",
+    "qkv_proj fe=93e012fc6bf8446f vm=e32a5572d8cd1993",
+    "qkv_bias fe=cde11d71d83c5bcc vm=dd2341c6f3f4115d",
+    "scores fe=74915c4801278883 vm=9ce4b6e638545092",
+    "scale fe=1ff3b8af95f48eea vm=9891ab5444ace94b",
+    "row_max fe=18c79fdfcb5927cd vm=902c67904c430821",
+    "row_exp fe=95e38beebf2276ae vm=7868ede6b2dfe3d2",
+    "row_sum fe=da53cd54df81b6c7 vm=901f2635285b2655",
+    "row_softmax fe=c29aa8519fcddca9 vm=0bff8d422dd57f80",
+    "attnv fe=76338dc4f1d0d476 vm=6816f6d7769ddce4",
+    "out_proj fe=512e927029e6d832 vm=9a548a65d70c3426",
+    "attn_bias fe=7f0a853e0f36c3e1 vm=ac62486e51120be5",
 ];
 
 const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
-    "qkv_proj fe=546f80ee1fa4f90b vm=e32a5572d8cd1993",
-    "qkv_bias fe=2805b37020f06256 vm=dd2341c6f3f4115d",
-    "scores fe=be7f649982bcb76f vm=9ce4b6e638545092",
-    "scale fe=4ffa47a71f3513cd vm=9891ab5444ace94b",
-    "row_max fe=ccdb47d4edd36658 vm=902c67904c430821",
-    "row_exp fe=13351b65eb8824f0 vm=7868ede6b2dfe3d2",
-    "row_sum fe=797e94714260bb26 vm=901f2635285b2655",
-    "row_softmax fe=bd11197974e4d01c vm=0bff8d422dd57f80",
-    "attnv fe=f3f7fb08fa153935 vm=6816f6d7769ddce4",
-    "out_proj fe=35c5623115637061 vm=9a548a65d70c3426",
-    "attn_bias fe=71131ffe1442f8d4 vm=ac62486e51120be5",
+    "qkv_proj fe=91d9ecf6be166ca5 vm=e32a5572d8cd1993",
+    "qkv_bias fe=d6eb29162db4d95a vm=dd2341c6f3f4115d",
+    "scores fe=d073d1a7f56604a4 vm=9ce4b6e638545092",
+    "scale fe=37bc8c317bc10549 vm=9891ab5444ace94b",
+    "row_max fe=5726ecb1f1eb6de5 vm=902c67904c430821",
+    "row_exp fe=36332d7d77353867 vm=7868ede6b2dfe3d2",
+    "row_sum fe=5bd2a15e883bffad vm=901f2635285b2655",
+    "row_softmax fe=eefd3abe94152b92 vm=0bff8d422dd57f80",
+    "attnv fe=3f2fdbdc82ce9a54 vm=6816f6d7769ddce4",
+    "out_proj fe=c999b405cd66e8e6 vm=9a548a65d70c3426",
+    "attn_bias fe=39fd650e2d48f776 vm=ac62486e51120be5",
 ];
 
 /// Adds `program`'s fused-instruction census to `total`; a program that
