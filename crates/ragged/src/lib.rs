@@ -15,7 +15,6 @@ pub mod aux;
 pub mod csf;
 pub mod dgraph;
 pub mod dim;
-pub mod dimsched;
 pub mod extent;
 pub mod layout;
 
@@ -23,6 +22,5 @@ pub use aux::{AuxOffsets, FusedLoopMaps};
 pub use csf::CsfStorage;
 pub use dgraph::{Dgraph, DgraphError};
 pub use dim::Dim;
-pub use dimsched::{can_swap_dims, fuse_dims, split_dim, DimSchedError};
 pub use extent::{DimExtent, LengthFn};
 pub use layout::{LayoutBuilder, LayoutDim, RaggedLayout};

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use cora::core::prelude::*;
-use cora::ragged::{fuse_dims, Dim, RaggedLayout};
+use cora::ragged::{Dim, RaggedLayout};
 
 fn ragged_2d(name: &str, lens: &[usize], pad: usize) -> TensorRef {
     let b = Dim::new("batch");
@@ -128,22 +128,6 @@ proptest! {
         let r = p.run(&[("A", input.clone())]);
         let expect: Vec<f32> = input.iter().map(|x| 2.0 * x + 1.0).collect();
         prop_assert_eq!(r.output, expect);
-    }
-
-    /// Dimension fusion preserves size and density for unpadded layouts.
-    #[test]
-    fn dim_fusion_preserves_size(lens in prop::collection::vec(0usize..10, 1..8)) {
-        let b = Dim::new("b");
-        let l = Dim::new("l");
-        let layout = RaggedLayout::builder()
-            .cdim(b.clone(), lens.len())
-            .vdim(l, &b, lens.clone())
-            .build()
-            .unwrap();
-        let fused = fuse_dims(&layout, 0).unwrap();
-        prop_assert_eq!(fused.ndim(), 1);
-        prop_assert_eq!(fused.size(), layout.size());
-        prop_assert_eq!(fused.unpadded_size(), layout.unpadded_size());
     }
 
     /// Simulated kernels conserve total work under thread remapping.

@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use cora::core::prelude::*;
-use cora::ragged::{can_swap_dims, DgraphError, Dim, DimSchedError, RaggedLayout};
+use cora::ragged::{DgraphError, Dim, RaggedLayout};
 
 fn ragged_2d(name: &str, lens: &[usize], pad: usize) -> TensorRef {
     let b = Dim::new("batch");
@@ -152,20 +152,23 @@ fn layout_level_rules_enforced() {
 }
 
 #[test]
-fn dimension_reorder_legality_mirrors_vloop_rule() {
-    // §4.1: a vloop cannot move outside the loop its bound depends on;
-    // the same holds for storage dimensions.
-    let b = Dim::new("b");
-    let l = Dim::new("l");
-    let layout = RaggedLayout::builder()
-        .cdim(b.clone(), 3)
-        .vdim(l, &b, vec![1usize, 2, 3])
-        .build()
-        .unwrap();
-    assert!(matches!(
-        can_swap_dims(&layout, 0),
-        Err(DimSchedError::ReorderPastDependence { vdim: 1 })
-    ));
+fn vloop_reordered_outside_its_dependence_is_a_schedule_error() {
+    // §4.1: a vloop cannot move outside the loop its bound depends on.
+    let lens = [1usize, 2, 3];
+    let mut op = op_with_pads(&lens, 1);
+    op.schedule_mut().reorder(&["i", "o"]);
+    let err = lower(&op).expect_err("`i`'s extent is indexed by `o`");
+    assert_eq!(
+        err,
+        ScheduleError::VloopReorderedPastDependence {
+            loop_name: "i".into()
+        }
+    );
+    assert!(err.to_string().contains("vloop `i`"), "{err}");
+    // The identity order keeps the dependence inside and lowers.
+    let mut op = op_with_pads(&lens, 1);
+    op.schedule_mut().reorder(&["o", "i"]);
+    assert!(lower(&op).is_ok());
 }
 
 #[test]
