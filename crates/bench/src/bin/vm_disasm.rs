@@ -7,8 +7,8 @@
 //! sizes from its verifier-proven access hulls, so the tool cannot drift
 //! from what `CompiledEncoderLayer::build` compiles. Pass stage labels
 //! as arguments to print their full disassembly. After the stages it
-//! prints the layer's chains — the stages each parallel dispatch runs
-//! tile by tile, and why each chain ends — and the arena they leave. Times are best of N
+//! prints the layer's chains — the stages each dispatch runs tile by
+//! tile, and why each chain ends — and the arena they leave. Times are best of N
 //! serial runs as the pipeline makes them: prelude built once, inputs
 //! bound read-only, output written in place.
 
@@ -82,7 +82,7 @@ fn main() {
     }
     println!("\nsum of standalone stage times: {total_ms:.3} ms");
 
-    // The chains the layer's parallel run dispatches, and why each ends.
+    // The chains the layer's run dispatches, and why each ends.
     let layer = CompiledEncoderLayer::build(&cfg, &lens).expect("built-in schedules are legal");
     let pipeline = layer.pipeline().expect("a non-empty batch");
     let labels = pipeline.stage_labels();
@@ -96,10 +96,10 @@ fn main() {
     }
     let plan = pipeline.plan();
     println!(
-        "arena: {} elements in {} slots; stage by stage: {}",
+        "arena: {} elements in {} slots; every stage output unshared: {}",
         plan.arena_elems(),
         plan.slot_count(),
-        plan.serial_elems()
+        plan.unshared_elems()
     );
 
     // Microkernel primitive sweep: exp/tanh chunk cost per element.

@@ -24,14 +24,16 @@
 //!   disjoint; slots are allocated once per session, so repeated calls
 //!   allocate no intermediate storage beyond the workers' windows.
 //! * **Execution** ([`PipelinePrep`] + [`PipelineSession`]): a prep owns
-//!   everything shape-dependent — per stage, the prelude-bound serial
-//!   table and the parallel tier's [`ParallelPrep`] (bound block-body
-//!   table, proof, dispatch order); per chain, the dispatch batches cut
-//!   for the last pool width; and the arena. A session is a view
-//!   `{&pipeline, prep}`. [`PipelineSession::run`] dispatches each chain
-//!   once across a [`CpuPool`]; [`PipelineSession::run_serial`] runs
-//!   stage after stage on the calling thread, the reference the chained
-//!   run is bit-identical to, with identical per-stage [`InterpStats`].
+//!   everything shape-dependent — per stage, the parallel tier's
+//!   [`ParallelPrep`] (bound block-body table, proof, dispatch order),
+//!   or, for a stage with no block axis, its prelude-bound whole-program
+//!   table; per chain, the dispatch batches cut for the last pool width;
+//!   and the arena. A session is a view `{&pipeline, prep}`.
+//!   [`PipelineSession::run`] dispatches each chain once across a
+//!   [`CpuPool`]. There is one execution order: a serial run is the same
+//!   run on `CpuPool::new(1)`, every tile inline on the calling thread.
+//!   Its outputs and per-stage [`InterpStats`] equal those of each
+//!   stage's program run alone on fresh buffers.
 //!
 //! # Chains
 //!
@@ -71,9 +73,7 @@
 //!
 //! **Plan.** Because a chain interleaves its stages tile by tile, the
 //! arena keeps a chain's output live from the chain's first stage, and
-//! every arena buffer the chain reads live through its last stage. The
-//! stage-by-stage lifetimes ([`BufferPlan::entries`]) are what a serial
-//! run allocates for the duration of its call.
+//! every arena buffer the chain reads live through its last stage.
 //!
 //! # Example
 //!
@@ -359,10 +359,7 @@ impl PipelineBuilder {
             decls: self.decls,
             resolved,
             stages: self.stages,
-            plan: BufferPlan {
-                serial: Slots::default(),
-                arena: Slots::default(),
-            },
+            plan: BufferPlan::default(),
             output: out_id,
             chains: Vec::new(),
         };
@@ -390,123 +387,35 @@ pub struct PlanEntry {
     pub name: String,
     /// Element count.
     pub size: usize,
-    /// Producing stage index (in the chained arena, the first stage of
-    /// the producer's chain).
+    /// First stage of the producing chain.
     pub def: usize,
-    /// Last stage index that reads the buffer (the pipeline output stays
-    /// live through the final stage; in the chained arena, the last
-    /// stage of the reader's chain). Equals `def` for dead outputs.
+    /// Last stage of the last chain that reads the buffer (the pipeline
+    /// output stays live through the final stage); the producing chain's
+    /// last stage for dead outputs.
     pub last_use: usize,
     /// Assigned arena slot.
     pub slot: u32,
 }
 
-/// One side of the plan: the planned buffers, where each one sits, and
-/// the slot sizes.
+/// The static buffer plan: the arena a session allocates once. Only the
+/// buffers that outlive their chain — each chain's last output — are
+/// planned, each live for the whole chain it is written in (from its
+/// first stage) and through the last stage of every chain that reads it;
+/// chain intermediates are per-worker windows, outside the arena. Two
+/// buffers share a slot only when their lifetimes are disjoint, and
+/// each slot is sized for the largest buffer it ever holds.
 #[derive(Debug, Clone, Default)]
-struct Slots {
+pub struct BufferPlan {
     entries: Vec<PlanEntry>,
     /// Buffer id → planned entry index (externals and windows unmapped).
     entry_of: Vec<Option<usize>>,
     sizes: Vec<usize>,
-}
-
-impl Slots {
-    /// Best-fit slot assignment: `(buffer, def, last_use)` in ascending
-    /// `def` order; two buffers share a slot only when their lifetimes
-    /// are disjoint, and each slot is sized for the largest buffer it
-    /// ever holds.
-    fn assign(bufs: &Interner, decls: &[BufDecl], items: &[(u32, usize, usize)]) -> Slots {
-        let mut entries: Vec<PlanEntry> = Vec::new();
-        let mut entry_of: Vec<Option<usize>> = vec![None; decls.len()];
-        let mut slot_sizes: Vec<usize> = Vec::new();
-        let mut free: Vec<u32> = Vec::new();
-        for &(id, def, last_use) in items {
-            // Release buffers whose last use is strictly before this
-            // definition — their slots may be reused by this buffer
-            // (but not by anything live *during* their last use).
-            for e in &entries {
-                if e.last_use < def && !free.contains(&e.slot) {
-                    let still_held = entries
-                        .iter()
-                        .any(|o| o.slot == e.slot && o.last_use >= def);
-                    if !still_held {
-                        free.push(e.slot);
-                    }
-                }
-            }
-            let size = decls[id as usize].size;
-            // Best fit: the smallest free slot that already fits, else
-            // the free slot needing the least growth, else a new slot.
-            let slot = match free
-                .iter()
-                .enumerate()
-                .filter(|(_, &s)| slot_sizes[s as usize] >= size)
-                .min_by_key(|(_, &s)| slot_sizes[s as usize])
-                .or_else(|| {
-                    free.iter()
-                        .enumerate()
-                        .max_by_key(|(_, &s)| slot_sizes[s as usize])
-                })
-                .map(|(i, _)| i)
-            {
-                Some(i) => free.swap_remove(i),
-                None => {
-                    slot_sizes.push(0);
-                    (slot_sizes.len() - 1) as u32
-                }
-            };
-            slot_sizes[slot as usize] = slot_sizes[slot as usize].max(size);
-            entry_of[id as usize] = Some(entries.len());
-            entries.push(PlanEntry {
-                name: bufs.names()[id as usize].clone(),
-                size,
-                def,
-                last_use,
-                slot,
-            });
-        }
-        Slots {
-            entries,
-            entry_of,
-            sizes: slot_sizes,
-        }
-    }
-
-    fn slot_of(&self, buf: u32) -> Option<u32> {
-        self.entry_of[buf as usize].map(|i| self.entries[i].slot)
-    }
-
-    /// One zeroed buffer per slot.
-    fn alloc(&self) -> Vec<Vec<f32>> {
-        self.sizes.iter().map(|&n| vec![0.0f32; n]).collect()
-    }
-}
-
-/// The static buffer plan, in two layouts of the same stage outputs:
-///
-/// * the **arena** a session holds ([`BufferPlan::arena`]): only the
-///   buffers that outlive their chain — each chain's last output — live
-///   for the whole chain they are written in (from its first stage) and
-///   through the last stage of every chain that reads them. Chain
-///   intermediates are per-worker windows, outside the arena;
-/// * the **stage-major** buffers ([`BufferPlan::entries`]): every stage
-///   output, live from its producing stage to its last reader — what
-///   [`PipelineSession::run_serial`] allocates for the duration of one
-///   call.
-///
-/// In both, two buffers share a slot only when their lifetimes are
-/// disjoint, and each slot is sized for the largest buffer it ever
-/// holds.
-#[derive(Debug, Clone)]
-pub struct BufferPlan {
-    /// Stage-major: every stage output.
-    serial: Slots,
-    /// Chained: the outputs that outlive their chain.
-    arena: Slots,
+    /// Σ of every stage output's size.
+    unshared: usize,
 }
 
 impl BufferPlan {
+    /// Best-fit slot assignment of each chain's output, in chain order.
     fn assign(
         bufs: &Interner,
         decls: &[BufDecl],
@@ -520,77 +429,92 @@ impl BufferPlan {
         let chain_end: Vec<usize> = (chains.iter())
             .flat_map(|c| c.stages.clone().map(|_| c.stages.end - 1))
             .collect();
-        let mut last_read: Vec<Option<usize>> = vec![None; decls.len()];
         let mut last_chained: Vec<Option<usize>> = vec![None; decls.len()];
         for (si, st) in stages.iter().enumerate() {
             for (_, id) in &st.inputs {
-                last_read[*id as usize] = last_read[*id as usize].max(Some(si));
                 last_chained[*id as usize] = last_chained[*id as usize].max(Some(chain_end[si]));
             }
         }
-        let end = stages.len();
-        let serial: Vec<(u32, usize, usize)> = (stages.iter().enumerate())
-            .map(|(si, st)| {
-                let read = if st.output == output {
-                    end
-                } else {
-                    last_read[st.output as usize].unwrap_or(si).max(si)
-                };
-                (st.output, si, read)
-            })
-            .collect();
-        let arena: Vec<(u32, usize, usize)> = (chains.iter())
-            .map(|c| {
-                let id = stages[c.stages.end - 1].output;
-                let read = if id == output {
-                    end
-                } else {
-                    last_chained[id as usize].unwrap_or(0).max(c.stages.end - 1)
-                };
-                (id, c.stages.start, read)
-            })
-            .collect();
-        BufferPlan {
-            serial: Slots::assign(bufs, decls, &serial),
-            arena: Slots::assign(bufs, decls, &arena),
+        let mut plan = BufferPlan {
+            entry_of: vec![None; decls.len()],
+            unshared: (stages.iter())
+                .map(|st| decls[st.output as usize].size)
+                .sum(),
+            ..BufferPlan::default()
+        };
+        let mut free: Vec<u32> = Vec::new();
+        for c in chains {
+            let id = stages[c.stages.end - 1].output;
+            let def = c.stages.start;
+            let last_use = if id == output {
+                stages.len()
+            } else {
+                last_chained[id as usize].unwrap_or(0).max(c.stages.end - 1)
+            };
+            // Release buffers whose last use is strictly before this
+            // definition — their slots may be reused by this buffer
+            // (but not by anything live *during* their last use).
+            for e in &plan.entries {
+                if e.last_use < def && !free.contains(&e.slot) {
+                    let still_held =
+                        (plan.entries.iter()).any(|o| o.slot == e.slot && o.last_use >= def);
+                    if !still_held {
+                        free.push(e.slot);
+                    }
+                }
+            }
+            let size = decls[id as usize].size;
+            let sizes = &mut plan.sizes;
+            // Best fit: the smallest free slot that already fits, else
+            // the free slot needing the least growth, else a new slot.
+            let slot = match (free.iter().enumerate())
+                .filter(|(_, &s)| sizes[s as usize] >= size)
+                .min_by_key(|(_, &s)| sizes[s as usize])
+                .or_else(|| {
+                    free.iter()
+                        .enumerate()
+                        .max_by_key(|(_, &s)| sizes[s as usize])
+                })
+                .map(|(i, _)| i)
+            {
+                Some(i) => free.swap_remove(i),
+                None => {
+                    sizes.push(0);
+                    (sizes.len() - 1) as u32
+                }
+            };
+            sizes[slot as usize] = sizes[slot as usize].max(size);
+            plan.entry_of[id as usize] = Some(plan.entries.len());
+            plan.entries.push(PlanEntry {
+                name: bufs.names()[id as usize].clone(),
+                size,
+                def,
+                last_use,
+                slot,
+            });
         }
+        plan
     }
 
-    /// The stage-major plan: every stage output, in stage order, with
-    /// its lifetime and slot among the full-size buffers a serial run
-    /// allocates for the duration of the call.
-    pub fn entries(&self) -> &[PlanEntry] {
-        &self.serial.entries
-    }
-
-    /// The arena a session allocates once: the buffers that outlive
-    /// their chain, in chain order, each live from its chain's first
-    /// stage through the last stage of every chain that reads it.
+    /// The planned buffers, in chain order.
     pub fn arena(&self) -> &[PlanEntry] {
-        &self.arena.entries
+        &self.entries
     }
 
     /// Number of arena slots.
     pub fn slot_count(&self) -> usize {
-        self.arena.sizes.len()
+        self.sizes.len()
     }
 
     /// Total arena size in elements (what a session allocates once).
     pub fn arena_elems(&self) -> usize {
-        self.arena.sizes.iter().sum()
+        self.sizes.iter().sum()
     }
 
-    /// Total size of the stage-major buffers in elements (what a serial
-    /// run allocates for the duration of one call).
-    pub fn serial_elems(&self) -> usize {
-        self.serial.sizes.iter().sum()
-    }
-
-    /// Sum of all planned buffer sizes — what per-op fresh allocation
-    /// would cost per call; `arena_elems() ≤ serial_elems() ≤
-    /// unshared_elems()`.
+    /// Sum of every stage output's size — what per-op fresh allocation
+    /// would cost per call; `arena_elems() ≤ unshared_elems()`.
     pub fn unshared_elems(&self) -> usize {
-        self.serial.entries.iter().map(|e| e.size).sum()
+        self.unshared
     }
 }
 
@@ -782,12 +706,12 @@ impl CompiledPipeline {
         self.stages.iter().map(|s| (s.label.as_str(), &s.program))
     }
 
-    /// The buffer plan: the chained arena and the stage-major buffers.
+    /// The buffer plan: the arena a session allocates.
     pub fn plan(&self) -> &BufferPlan {
         &self.plan
     }
 
-    /// The chains a parallel run dispatches, in stage order, each with
+    /// The chains a run dispatches, in stage order, each with
     /// the reason the next stage did not join it.
     pub fn chains(&self) -> &[Chain] {
         &self.chains
@@ -810,7 +734,7 @@ impl CompiledPipeline {
     /// Returns [`ScheduleError::BlockAxisNotOutlinable`] when a stage
     /// binds a block axis the outliner cannot hoist or the verifier
     /// cannot prove (stages with *no* block axis are legal — they run
-    /// serially in both modes).
+    /// alone on the calling thread).
     pub fn session(&self) -> Result<PipelineSession<'_, PipelinePrep>, ScheduleError> {
         Ok(self.session_with(self.prepare()?))
     }
@@ -830,7 +754,7 @@ impl CompiledPipeline {
     /// As for [`CompiledPipeline::session`].
     pub fn prepare(&self) -> Result<PipelinePrep, ScheduleError> {
         let stages = self.resolved.clone()?;
-        Ok(self.prep_of(stages, self.chains.clone(), &self.plan.arena))
+        Ok(self.prep_of(stages, self.chains.clone(), &self.plan))
     }
 
     /// [`CompiledPipeline::prepare`] with every stage proven and
@@ -851,27 +775,30 @@ impl CompiledPipeline {
         let stages = resolve_stages(&self.decls, &self.stages, Some(grain))?;
         let chains = self.form_chains(&stages);
         let plan = BufferPlan::assign(&self.bufs, &self.decls, &self.stages, self.output, &chains);
-        Ok(self.prep_of(Arc::from(stages), chains, &plan.arena))
+        Ok(self.prep_of(Arc::from(stages), chains, &plan))
     }
 
     /// The chain pass over resolved stages.
     fn form_chains(&self, stages: &[StagePrep]) -> Vec<Chain> {
-        let par: Vec<Option<&ParallelPrep>> = stages.iter().map(|st| st.par.as_ref()).collect();
+        let par: Vec<Option<&ParallelPrep>> = stages.iter().map(StagePrep::par).collect();
         form_chains(&self.bufs, &self.decls, &self.stages, self.output, &par)
     }
 
-    fn prep_of(&self, stages: Arc<[StagePrep]>, chains: Vec<Chain>, arena: &Slots) -> PipelinePrep {
+    fn prep_of(
+        &self,
+        stages: Arc<[StagePrep]>,
+        chains: Vec<Chain>,
+        plan: &BufferPlan,
+    ) -> PipelinePrep {
         PipelinePrep {
             stages,
             chains: (chains.into_iter())
                 .map(|chain| (chain, DispatchBatches::default()))
                 .collect(),
-            arena: arena
-                .entry_of
-                .iter()
-                .map(|e| e.map(|i| arena.entries[i].slot))
+            arena: (plan.entry_of.iter())
+                .map(|e| e.map(|i| plan.entries[i].slot))
                 .collect(),
-            slots: arena.alloc(),
+            slots: plan.sizes.iter().map(|&n| vec![0.0f32; n]).collect(),
         }
     }
 
@@ -888,8 +815,10 @@ impl CompiledPipeline {
             .iter()
             .zip(prep.stages.iter())
             .map(|(spec, st)| {
-                let outcome = st.par.as_ref().map(|prep| prep.verify_outcome());
-                (spec.label.as_str(), outcome)
+                (
+                    spec.label.as_str(),
+                    st.par().map(ParallelPrep::verify_outcome),
+                )
             })
             .collect()
     }
@@ -920,10 +849,9 @@ impl CompiledPipeline {
     }
 }
 
-/// Resolves every stage at its shape: one built prelude per stage (the
-/// proof, the serial tier and the parallel tier all share its tables),
-/// the serial table and, for stages with a block axis, the parallel
-/// prep — proven at `grain` (`None`: the tile-grain rule).
+/// Resolves every stage at its shape: one built prelude per stage, and
+/// the parallel prep proven at `grain` (`None`: the tile-grain rule), or,
+/// for a stage with no block axis, the prelude-bound whole program.
 fn resolve_stages(
     decls: &[BufDecl],
     specs: &[StageSpec],
@@ -932,37 +860,36 @@ fn resolve_stages(
     let mut stages = Vec::with_capacity(specs.len());
     for spec in specs {
         let prelude = spec.program.build_prelude();
-        let par = spec.program.parallel_prep_with(&prelude, grain)?;
-        if let Some(prep) = &par {
-            // Cross-check the verifier's proven access hulls against
-            // the planner's buffer sizes: every input the stage reads
-            // must fit inside the buffer it is wired to. Both derive
-            // from the same lowering, so a mismatch is a planner or
-            // verifier bug, not a user error.
-            let outcome = prep.verify_outcome();
-            for (name, buf) in &spec.inputs {
-                if let Some(need) = outcome.required_input_len(name) {
-                    let planned = decls[*buf as usize].size;
-                    assert!(
-                        planned as i64 >= need,
-                        "stage `{}`: verified access hull of `{name}` needs \
-                         {need} elements but the plan allots {planned}",
-                        spec.label
-                    );
-                }
+        let Some(prep) = spec.program.parallel_prep_with(&prelude, grain)? else {
+            stages.push(StagePrep::Serial(spec.program.serial_shared_with(&prelude)));
+            continue;
+        };
+        // Cross-check the verifier's proven access hulls against
+        // the planner's buffer sizes: every input the stage reads
+        // must fit inside the buffer it is wired to. Both derive
+        // from the same lowering, so a mismatch is a planner or
+        // verifier bug, not a user error.
+        let outcome = prep.verify_outcome();
+        for (name, buf) in &spec.inputs {
+            if let Some(need) = outcome.required_input_len(name) {
+                let planned = decls[*buf as usize].size;
+                assert!(
+                    planned as i64 >= need,
+                    "stage `{}`: verified access hull of `{name}` needs \
+                     {need} elements but the plan allots {planned}",
+                    spec.label
+                );
             }
         }
-        stages.push(StagePrep {
-            serial: spec.program.serial_shared_with(&prelude),
-            par,
-        });
+        stages.push(StagePrep::Parallel(prep));
     }
     Ok(stages)
 }
 
-/// Everything shape-dependent about one pipeline: per stage, the serial
-/// program's prelude-bound table and (for stages with a block axis) the
-/// parallel prep; the chains with their dispatch batches; and the arena.
+/// Everything shape-dependent about one pipeline: per stage, the
+/// parallel prep (or, for a stage with no block axis, the prelude-bound
+/// whole program); the chains with their dispatch batches; and the
+/// arena.
 /// Borrows nothing; create with [`CompiledPipeline::prepare`], run
 /// through [`CompiledPipeline::session_with`].
 #[derive(Debug, Clone)]
@@ -989,15 +916,15 @@ impl PipelinePrep {
         self.chains.iter().map(|(chain, _)| chain)
     }
 
-    /// Per parallel stage, the pool width its chain's cached dispatch
-    /// batches were cut for (0: the chain has not run in parallel yet).
+    /// Per stage with a block axis, the pool width its chain's cached
+    /// dispatch batches were cut for (0: the chain has not run yet).
     /// Batches are re-cut only when a run's pool width differs from this
     /// tag, so it persisting across sessions is what makes a new session
     /// free.
     pub fn dispatch_widths(&self) -> Vec<usize> {
         (self.chains.iter())
             .flat_map(|(chain, batches)| chain.stages.clone().map(|s| (s, batches.threads())))
-            .filter(|&(s, _)| self.stages[s].par.is_some())
+            .filter(|&(s, _)| self.stages[s].par().is_some())
             .map(|(_, width)| width)
             .collect()
     }
@@ -1005,11 +932,22 @@ impl PipelinePrep {
 
 /// Shape-resolved state of one stage.
 #[derive(Debug, Clone)]
-struct StagePrep {
-    /// Full serial program with its prelude bound (borrowed-buffer runs).
-    serial: VmShared,
-    /// The parallel tier, when the stage has a block axis.
-    par: Option<ParallelPrep>,
+#[allow(clippy::large_enum_variant)] // one per stage, held in a shared slice
+enum StagePrep {
+    /// A stage with no block axis: the whole program with its prelude
+    /// bound, run on the calling thread.
+    Serial(VmShared),
+    /// A stage with a block axis: its parallel tier.
+    Parallel(ParallelPrep),
+}
+
+impl StagePrep {
+    fn par(&self) -> Option<&ParallelPrep> {
+        match self {
+            StagePrep::Serial(_) => None,
+            StagePrep::Parallel(prep) => Some(prep),
+        }
+    }
 }
 
 /// Statistics of one executed stage.
@@ -1017,8 +955,8 @@ struct StagePrep {
 pub struct StageStats {
     /// Stage label.
     pub label: String,
-    /// Instruction-mix statistics (parallel runs sum per-worker counters,
-    /// equalling the serial run exactly).
+    /// Instruction-mix statistics (summed over workers, so independent
+    /// of the pool width).
     pub stats: InterpStats,
 }
 
@@ -1029,8 +967,7 @@ pub struct PipelineRun {
     pub output: Vec<f32>,
     /// Per-stage statistics, in execution order.
     pub stages: Vec<StageStats>,
-    /// Passes over the blocks: one per chain in a parallel run, one per
-    /// stage in a serial run.
+    /// Passes over the blocks: one per chain.
     pub dispatches: usize,
 }
 
@@ -1046,8 +983,8 @@ impl PipelineRun {
 /// A pipeline execution at one shape: a view over the pipeline and its
 /// [`PipelinePrep`] (borrowed by default, owned when created by
 /// [`CompiledPipeline::session`]). Reuse one prep for every run of the
-/// same shape (per layer, per call) — parallel runs allocate no
-/// intermediate buffers beyond their workers' windows.
+/// same shape (per layer, per call) — runs allocate no intermediate
+/// buffers beyond their workers' windows.
 #[derive(Debug)]
 pub struct PipelineSession<'p, P = &'p mut PipelinePrep> {
     pipeline: &'p CompiledPipeline,
@@ -1056,9 +993,10 @@ pub struct PipelineSession<'p, P = &'p mut PipelinePrep> {
 
 impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
     /// Runs every chain as one dispatch across `pool` (stages without a
-    /// block axis run serially). Outputs are bit-identical to
-    /// [`PipelineSession::run_serial`], and each stage's summed
-    /// per-worker statistics equal its serial statistics exactly.
+    /// block axis run alone on the calling thread); `CpuPool::new(1)`
+    /// runs every tile inline on the calling thread. Outputs and each
+    /// stage's summed per-worker statistics are the same at every pool
+    /// width.
     ///
     /// # Panics
     ///
@@ -1107,28 +1045,23 @@ impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
                     spec.inputs.iter().map(wire).collect()
                 })
                 .collect();
-            let stats = match &stages[range.start].par {
-                Some(_) => {
+            let stats = match &stages[range.start] {
+                StagePrep::Parallel(_) => {
                     let runs: Vec<ChainRun<'_>> = (range.clone().zip(&inputs))
                         .map(|(s, ins)| {
-                            let par = stages[s].par.as_ref().expect("a chain stage is parallel");
+                            let par = stages[s].par().expect("a chain stage is parallel");
                             (&pl.stages[s].program, par, &ins[..])
                         })
                         .collect();
                     run_chain(&runs, batches, pool, out_view)
                 }
-                None => {
+                StagePrep::Serial(table) => {
                     let shared = inputs[0].iter().map(|&(name, input)| match input {
                         ChainInput::Shared(data) => (name, data),
                         ChainInput::Window(_) => unreachable!("a serial stage runs alone"),
                     });
                     let bufs = shared.collect::<Vec<_>>();
-                    vec![run_stage(
-                        &pl.stages[range.start],
-                        &stages[range.start],
-                        &bufs,
-                        out_view,
-                    )]
+                    vec![run_stage(&pl.stages[range.start], table, &bufs, out_view)]
                 }
             };
             drop(inputs);
@@ -1152,69 +1085,12 @@ impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
     pub fn verify_outcomes(&self) -> Vec<(&str, Option<&VerifyOutcome>)> {
         self.pipeline.verify_outcomes(self.prep.borrow())
     }
-
-    /// Runs every stage on the calling thread, stage by stage, through
-    /// the stage-major buffers ([`BufferPlan::entries`]), which live
-    /// for the duration of the call: the reference the chained parallel
-    /// run is bit-identical to.
-    ///
-    /// # Panics
-    ///
-    /// As for [`PipelineSession::run`].
-    pub fn run_serial(&mut self, inputs: &[(&str, &[f32])]) -> PipelineRun {
-        let pl = self.pipeline;
-        let ext = pl.externals(inputs);
-        let serial = &pl.plan.serial;
-        let mut slots = serial.alloc();
-        let mut stage_stats = Vec::with_capacity(pl.stages.len());
-        for (spec, st) in pl.stages.iter().zip(self.prep.borrow().stages.iter()) {
-            let out_slot = serial
-                .slot_of(spec.output)
-                .expect("stage outputs are planned") as usize;
-            let mut out = mem::take(&mut slots[out_slot]);
-            let ins: Vec<(&str, &[f32])> = (spec.inputs.iter())
-                .map(|(pname, bid)| {
-                    let slice: &[f32] = match pl.decls[*bid as usize].def {
-                        None => ext[*bid as usize].expect("validated"),
-                        Some(_) => {
-                            let slot = serial.slot_of(*bid).expect("planned") as usize;
-                            assert_ne!(
-                                slot, out_slot,
-                                "buffer plan aliased a live input of stage `{}`",
-                                spec.label
-                            );
-                            &slots[slot][..pl.decls[*bid as usize].size]
-                        }
-                    };
-                    (pname.as_str(), slice)
-                })
-                .collect();
-            let stats = run_stage(
-                spec,
-                st,
-                &ins,
-                &mut out[..pl.decls[spec.output as usize].size],
-            );
-            drop(ins);
-            slots[out_slot] = out;
-            stage_stats.push(StageStats {
-                label: spec.label.clone(),
-                stats,
-            });
-        }
-        let out_slot = serial.slot_of(pl.output).expect("output is planned") as usize;
-        PipelineRun {
-            output: slots[out_slot][..pl.output_size()].to_vec(),
-            stages: stage_stats,
-            dispatches: pl.stages.len(),
-        }
-    }
 }
 
 /// Runs one stage serially on the calling thread into `out`.
 fn run_stage(
     spec: &StageSpec,
-    st: &StagePrep,
+    table: &VmShared,
     ins: &[(&str, &[f32])],
     out: &mut [f32],
 ) -> InterpStats {
@@ -1222,7 +1098,7 @@ fn run_stage(
     let mut bufs: Vec<(&str, BoundBuf<'_>)> =
         ins.iter().map(|(n, s)| (*n, BoundBuf::In(s))).collect();
     bufs.push((spec.program.output_name(), BoundBuf::Out(out)));
-    st.serial.run_borrowed(bufs)
+    table.run_borrowed(bufs)
 }
 
 impl CompiledPipeline {
@@ -1305,6 +1181,41 @@ mod tests {
         lower(op).expect("legal schedule").compile()
     }
 
+    /// Stage by stage, each program run alone on fresh owned buffers
+    /// ([`CompiledProgram::run`]): the output and per-stage statistics a
+    /// pipeline run must reproduce at every pool width.
+    fn fresh_run(p: &CompiledPipeline, x: &[f32]) -> (Vec<f32>, Vec<InterpStats>) {
+        let mut bufs: Vec<Option<Vec<f32>>> = vec![None; p.decls.len()];
+        bufs[p.bufs.get("X").expect("input X") as usize] = Some(x.to_vec());
+        let mut stats = Vec::new();
+        for spec in &p.stages {
+            let ins: Vec<(&str, Vec<f32>)> = (spec.inputs.iter())
+                .map(|(name, id)| (name.as_str(), bufs[*id as usize].clone().expect("defined")))
+                .collect();
+            let run = spec.program.run(&ins);
+            stats.push(run.stats);
+            bufs[spec.output as usize] = Some(run.output);
+        }
+        (bufs[p.output as usize].take().expect("produced"), stats)
+    }
+
+    /// Runs `p` on `x` at 1 and 4 workers, twice off one session, and
+    /// checks each run against [`fresh_run`]; returns the output.
+    fn run_matches_fresh_buffers(p: &CompiledPipeline, x: &[f32], dispatches: usize) -> Vec<f32> {
+        let (want, want_stats) = fresh_run(p, x);
+        let mut session = p.session().unwrap();
+        for workers in [1, 4, 1] {
+            let run = session.run(&CpuPool::new(workers), &[("X", x)]);
+            assert_eq!(run.output, want, "{workers} workers");
+            assert_eq!(run.dispatches, dispatches);
+            let labels = run.stages.iter().map(|s| s.label.as_str());
+            assert_eq!(labels.collect::<Vec<_>>(), p.stage_labels());
+            let stats: Vec<InterpStats> = run.stages.iter().map(|s| s.stats).collect();
+            assert_eq!(stats, want_stats, "{workers} workers");
+        }
+        want
+    }
+
     /// X → double → Y → add(Y, X) → Z → halve → W: a diamond with a
     /// long-lived input and reusable intermediate slots.
     fn diamond(n: usize) -> CompiledPipeline {
@@ -1340,11 +1251,6 @@ mod tests {
         let p = diamond(n);
         assert_eq!(p.stage_count(), 3);
         assert_eq!(p.output_size(), n);
-        // Stage by stage, Y dies after stage 1, so W (def stage 2) reuses
-        // its slot: the serial buffers need 2 slots, not 3.
-        let serial_slots = p.plan().entries().iter().map(|e| e.slot);
-        assert_eq!(serial_slots.collect::<Vec<_>>(), [0, 1, 0]);
-        assert_eq!(p.plan().serial_elems(), 2 * n);
         // All three stages are row-local over the same rows: one chain,
         // whose intermediates are windows, so the arena holds W alone.
         let one = Chain {
@@ -1353,47 +1259,33 @@ mod tests {
         };
         assert_eq!(p.chains(), [one]);
         assert_eq!((p.plan().slot_count(), p.plan().arena_elems()), (1, n));
-        assert!(p.plan().arena_elems() < p.plan().unshared_elems());
+        assert_eq!(p.plan().unshared_elems(), 3 * n);
 
         let x: Vec<f32> = (0..n).map(|v| v as f32).collect();
-        let mut session = p.session().unwrap();
-        let pool = CpuPool::new(4);
         let want: Vec<f32> = x.iter().map(|v| 0.5 * (2.0 * v + v) + 1.0).collect();
-        // Session reuse: repeated runs, serial and parallel, all agree.
-        for _ in 0..2 {
-            let serial = session.run_serial(&[("X", &x)]);
-            assert_eq!(serial.output, want);
-            let par = session.run(&pool, &[("X", &x)]);
-            assert_eq!(par.output, serial.output, "parallel must be bit-identical");
-            assert_eq!((par.dispatches, serial.dispatches), (1, 3));
-            assert_eq!(par.stages.len(), serial.stages.len());
-            for (a, b) in par.stages.iter().zip(&serial.stages) {
-                assert_eq!(a.label, b.label);
-                assert_eq!(a.stats, b.stats, "stage `{}` stats diverge", a.label);
-            }
-            assert_eq!(par.total_stats(), serial.total_stats());
-        }
+        assert_eq!(run_matches_fresh_buffers(&p, &x, 1), want);
     }
 
     #[test]
     fn plan_never_aliases_overlapping_lifetimes() {
-        let p = diamond(5);
-        let entries = p.plan().entries();
-        for (i, a) in entries.iter().enumerate() {
-            assert!(a.last_use >= a.def);
-            for b in &entries[i + 1..] {
-                if a.slot == b.slot {
-                    assert!(
-                        a.last_use < b.def || b.last_use < a.def,
-                        "`{}` [{}, {}] and `{}` [{}, {}] share slot {}",
-                        a.name,
-                        a.def,
-                        a.last_use,
-                        b.name,
-                        b.def,
-                        b.last_use,
-                        a.slot
-                    );
+        for p in [diamond(5), serial_then_chain(37)] {
+            let entries = p.plan().arena();
+            for (i, a) in entries.iter().enumerate() {
+                assert!(a.last_use >= a.def);
+                for b in &entries[i + 1..] {
+                    if a.slot == b.slot {
+                        assert!(
+                            a.last_use < b.def || b.last_use < a.def,
+                            "`{}` [{}, {}] and `{}` [{}, {}] share slot {}",
+                            a.name,
+                            a.def,
+                            a.last_use,
+                            b.name,
+                            b.def,
+                            b.last_use,
+                            a.slot
+                        );
+                    }
                 }
             }
         }
@@ -1472,14 +1364,8 @@ mod tests {
     }
 
     /// Four stages: a serial `X → Y`, then a row chain `Y → A → B → C`
-    /// whose first stage reads `Y` back to front. Stage by stage `Y`
-    /// dies at stage 1 and `C` is born at stage 3, so a plan that kept
-    /// those lifetimes could put `C` in `Y`'s slot — and the chain's
-    /// first tile would overwrite the `Y` rows its last tile reads. The
-    /// arena keeps `Y` live through the chain and `C` from its start.
-    #[test]
-    fn a_chain_keeps_the_arena_buffers_it_reads_live() {
-        let n = 37usize;
+    /// whose first stage reads `Y` back to front.
+    fn serial_then_chain(n: usize) -> CompiledPipeline {
         let mut head = affine_op("head", n, 3.0, 1.0);
         head.schedule = Schedule::default();
         let mut b = PipelineBuilder::new("regression");
@@ -1492,23 +1378,28 @@ mod tests {
         b.stage("scale", scale, &[("In", "A")], "B").unwrap();
         let shift = compiled(&affine_op("shift", n, 1.0, -4.0));
         b.stage("shift", shift, &[("In", "B")], "C").unwrap();
-        let p = b.build("C").unwrap();
+        b.build("C").unwrap()
+    }
+
+    /// Stage by stage `Y` would die at stage 1 and `C` be born at stage
+    /// 3, so a plan that kept those lifetimes could put `C` in `Y`'s slot
+    /// — and the chain's first tile would overwrite the `Y` rows its last
+    /// tile reads. The arena keeps `Y` live through the chain and `C`
+    /// from its start.
+    #[test]
+    fn a_chain_keeps_the_arena_buffers_it_reads_live() {
+        let n = 37usize;
+        let p = serial_then_chain(n);
         let chains: Vec<Range<usize>> = p.chains().iter().map(|c| c.stages.clone()).collect();
         assert_eq!(chains, [0..1, 1..4]);
         assert_eq!(p.chains()[0].refusal, Some(ChainRefusal::Serial));
-        let entry = |entries: &[PlanEntry], name: &str| {
-            let e = entries.iter().find(|e| e.name == name).expect("planned");
+        let entry = |name: &str| {
+            let e = (p.plan().arena().iter())
+                .find(|e| e.name == name)
+                .expect("planned");
             (e.def, e.last_use, e.slot)
         };
-        let (y, c) = (
-            entry(p.plan().entries(), "Y"),
-            entry(p.plan().entries(), "C"),
-        );
-        assert!(
-            y.1 < c.0,
-            "stage by stage, Y {y:?} dies before C {c:?} is born"
-        );
-        let (y, c) = (entry(p.plan().arena(), "Y"), entry(p.plan().arena(), "C"));
+        let (y, c) = (entry("Y"), entry("C"));
         assert_eq!((y.0, y.1, c.0, c.1), (0, 3, 1, 4));
         assert_ne!(y.2, c.2, "the chain reads Y while it writes C");
 
@@ -1516,17 +1407,7 @@ mod tests {
         let want: Vec<f32> = (0..n)
             .map(|i| ((3.0 * x[n - 1 - i] + 1.0) * 0.5 + 2.0) * 1.0 - 4.0)
             .collect();
-        let mut session = p.session().unwrap();
-        let serial = session.run_serial(&[("X", &x)]);
-        assert_eq!(serial.output, want);
-        for workers in [1, 4] {
-            let par = session.run(&CpuPool::new(workers), &[("X", &x)]);
-            assert_eq!(par.output, serial.output, "{workers} workers");
-            assert_eq!(par.dispatches, 2);
-            for (a, b) in par.stages.iter().zip(&serial.stages) {
-                assert_eq!((&a.label, a.stats), (&b.label, b.stats));
-            }
-        }
+        assert_eq!(run_matches_fresh_buffers(&p, &x, 2), want);
     }
 
     /// `Out[r] = In[r] + In[(r + 1) mod n]` reads its neighbour row, so
@@ -1570,10 +1451,7 @@ mod tests {
         assert_eq!(p.chains(), chains);
         let x: Vec<f32> = (0..n).map(|v| v as f32).collect();
         let want: Vec<f32> = (0..n).map(|i| 2.0 * x[i] + 2.0 * x[(i + 1) % n]).collect();
-        let mut session = p.session().unwrap();
-        assert_eq!(session.run_serial(&[("X", &x)]).output, want);
-        let par = session.run(&CpuPool::new(4), &[("X", &x)]);
-        assert_eq!((par.output, par.dispatches), (want, 2));
+        assert_eq!(run_matches_fresh_buffers(&p, &x, 2), want);
     }
 
     #[test]

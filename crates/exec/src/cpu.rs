@@ -1,9 +1,9 @@
 //! `CpuPool`: the parallel-loop facade for CPU execution.
 //!
 //! The CPU experiments (Table 5, Table 9, Fig. 27) run for real on the
-//! host. A [`CpuPool`] is a cheap, copyable *configuration* — thread
-//! width and grain size — over the process-wide persistent
-//! [`Runtime`] (see [`crate::runtime`] for the worker model):
+//! host. A [`CpuPool`] is a cheap, copyable *configuration* — a thread
+//! width — over the process-wide persistent [`Runtime`] (see
+//! [`crate::runtime`] for the worker model):
 //!
 //! * [`CpuPool::parallel_for`] distributes iterations dynamically
 //!   (chunked work-stealing deques — the load-balanced schedule ragged
@@ -25,7 +25,6 @@ type RowBatch<'a> = Vec<(usize, &'a mut [f32])>;
 #[derive(Debug, Clone, Copy)]
 pub struct CpuPool {
     threads: usize,
-    grain: Option<usize>,
 }
 
 impl CpuPool {
@@ -39,10 +38,7 @@ impl CpuPool {
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "thread count must be positive");
-        CpuPool {
-            threads,
-            grain: None,
-        }
+        CpuPool { threads }
     }
 
     /// A pool sized to the full global runtime team — the machine's
@@ -51,36 +47,18 @@ impl CpuPool {
         CpuPool::new(Runtime::global().threads())
     }
 
-    /// Overrides the dynamic-schedule chunk size (default: ~16 chunks per
-    /// worker). Small grains maximize load balancing for ragged rows;
-    /// large grains amortize scheduling for long loops of tiny bodies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grain == 0`.
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        assert!(grain > 0, "grain must be positive");
-        self.grain = Some(grain);
-        self
-    }
-
     /// Number of workers.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The configured grain size, if overridden.
-    pub fn grain(&self) -> Option<usize> {
-        self.grain
-    }
-
     /// Runs `f(i)` for every `i in 0..n`, pulling iterations dynamically
-    /// (chunked work-stealing).
+    /// (chunked work-stealing, ~16 chunks per worker).
     pub fn parallel_for<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        Runtime::global().run(n, self.threads, Schedule::Dynamic, self.grain, f)
+        Runtime::global().run(n, self.threads, Schedule::Dynamic, None, f)
     }
 
     /// Runs `f(i)` for every `i in 0..n` with static contiguous chunking:
@@ -308,18 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn grain_override_still_covers_everything() {
-        for grain in [1usize, 7, 100, 100_000] {
-            let pool = CpuPool::new(4).with_grain(grain);
-            let hits = AtomicU64::new(0);
-            pool.parallel_for(500, |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 500, "grain={grain}");
-        }
-    }
-
-    #[test]
     fn pool_panic_propagates() {
         let pool = CpuPool::new(4);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -342,11 +308,5 @@ mod tests {
     #[should_panic(expected = "thread count must be positive")]
     fn zero_threads_rejected() {
         CpuPool::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "grain must be positive")]
-    fn zero_grain_rejected() {
-        let _ = CpuPool::new(2).with_grain(0);
     }
 }

@@ -19,8 +19,7 @@
 //!   the load-balanced policy CoRa's ragged loops rely on (§6, Fig. 27).
 //! * **Grain size.** Tiny ragged rows batch into chunks instead of paying
 //!   one atomic operation per iteration; the default grain targets ~16
-//!   chunks per participant and is overridable per pool
-//!   ([`crate::cpu::CpuPool::with_grain`]).
+//!   chunks per participant, and [`Runtime::run`] takes an explicit one.
 //! * **Static schedule.** [`Schedule::Static`] splits the range into one
 //!   contiguous chunk per participant and never rebalances — the policy
 //!   under which ragged workloads show load imbalance, kept for the

@@ -1141,7 +1141,7 @@ pub struct EncoderSession<'p, P = &'p mut EncoderPrep> {
 impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
     /// Runs the layer with each chain of stages dispatched once across
     /// `pool`; returns the `Σ lens × hidden` output rows. Bit-identical
-    /// to [`EncoderSession::forward_serial`].
+    /// at every pool width, and to [`EncoderSession::forward_serial`].
     ///
     /// # Panics
     ///
@@ -1150,9 +1150,9 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
         self.run(Some(pool), w, x).output
     }
 
-    /// Runs the layer on the calling thread, stage by stage, through
-    /// full-size intermediates that live for the call; returns the
-    /// output rows.
+    /// Runs the layer serially on the calling thread —
+    /// [`EncoderSession::forward`] on `CpuPool::new(1)`, through the
+    /// same chains and arena — and returns the output rows.
     ///
     /// # Panics
     ///
@@ -1161,7 +1161,8 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
         self.run(None, w, x).output
     }
 
-    /// Full run with per-stage statistics (`pool = None` runs serially).
+    /// Full run with per-stage statistics. `pool = None` runs on
+    /// `CpuPool::new(1)`: every tile inline on the calling thread.
     ///
     /// # Panics
     ///
@@ -1192,10 +1193,7 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
             .collect();
         let prep = self.prep.borrow_mut().inner.as_mut();
         let mut session = pipeline.session_with(prep.expect("same lens, so same emptiness"));
-        match pool {
-            Some(pool) => session.run(pool, &inputs),
-            None => session.run_serial(&inputs),
-        }
+        session.run(pool.unwrap_or(&CpuPool::new(1)), &inputs)
     }
 
     /// Per-stage safety proofs, in stage order: each parallel stage's
@@ -1283,7 +1281,7 @@ mod tests {
         // Session reuse across "layers": same shape, same result.
         let again = session.forward(&pool, &w, &x);
         assert_eq!(again, compiled);
-        // Serial pipeline is bit-identical to the parallel one.
+        // The serial run is the same run on the calling thread.
         let serial = session.forward_serial(&w, &x);
         assert_eq!(serial, compiled);
     }
@@ -1307,10 +1305,10 @@ mod tests {
         let layer = CompiledEncoderLayer::build(&cfg, &lens).unwrap();
         let plan = layer.pipeline().unwrap().plan();
         assert!(
-            plan.slot_count() < plan.entries().len(),
-            "21 stages must share fewer arena slots ({} slots for {} buffers)",
-            plan.slot_count(),
-            plan.entries().len()
+            plan.slot_count() < plan.arena().len(),
+            "{} chain outputs must share fewer arena slots ({} slots)",
+            plan.arena().len(),
+            plan.slot_count()
         );
         assert!(plan.arena_elems() < plan.unshared_elems());
     }

@@ -5,10 +5,10 @@
 //! * match the hand-written reference `encoder_layer_ragged` within
 //!   tight tolerance (the compiled operators replay the reference
 //!   kernels' loop orders, so the drift is a few ULPs),
-//! * produce bit-identical outputs serially and at 1, 2 and 8 workers
-//!   on both pool backends, and
-//! * report per-stage `InterpStats` whose parallel (per-worker-summed)
-//!   values equal the serial run's exactly.
+//! * produce, serially and at 1, 2 and 8 workers, outputs bit-identical
+//!   to its stages run one by one as standalone programs, and
+//! * report per-stage `InterpStats` (summed over workers) equal to
+//!   those standalone runs' exactly.
 //!
 //! The same table under `Attend::Causal` — the masked-MHA block — is
 //! held to `masked_mha_ragged` the same way, plus the property that
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use cora::core::pipeline::{Chain, ChainRefusal, PipelineRun};
+use cora::core::pipeline::{Chain, ChainRefusal, PipelineRun, StageStats};
 use cora::core::prelude::{lower, ScheduleError};
 use cora::datasets::Dataset;
 use cora::exec::{CpuPool, MathMode};
@@ -45,9 +45,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random raggedness (0-/1-length sequences included) × model shape:
-    /// the compiled pipeline matches the reference kernels, parallel
-    /// runs are bit-identical to serial at every worker count on both
-    /// backends, and per-stage statistics sum exactly.
+    /// the compiled pipeline matches the reference kernels, and its runs
+    /// at every worker count are bit-identical to the stages run one by
+    /// one on the owned-buffer VM, with the same per-stage statistics.
     #[test]
     fn compiled_encoder_layer_matches_reference(
         lens in prop::collection::vec(0usize..7, 1..5),
@@ -83,24 +83,13 @@ proptest! {
             rows
         );
 
-        // Parallel runs: bit-identical outputs, exactly equal per-stage
-        // statistics, across worker counts.
+        // Every worker count: bit-identical outputs and exactly equal
+        // per-stage statistics to the stages run alone.
+        let want = stage_by_stage(&layer, (&cfg, Attend::Full), &w, &x, false);
+        assert_same_run(&serial, &want, "serial");
         for workers in [1usize, 2, 8] {
-            let pool = CpuPool::new(workers);
-            let par = session.run(Some(&pool), &w, &x);
-            let sb: Vec<u32> = serial.output.iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = par.output.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(sb, pb, "parallel output diverges at {} workers", workers);
-            prop_assert_eq!(par.stages.len(), serial.stages.len());
-            for (p, s) in par.stages.iter().zip(&serial.stages) {
-                prop_assert_eq!(&p.label, &s.label);
-                prop_assert_eq!(
-                    p.stats, s.stats,
-                    "stage `{}` stats diverge at {} workers",
-                    p.label, workers
-                );
-            }
-            prop_assert_eq!(par.total_stats(), serial.total_stats());
+            let par = session.run(Some(&CpuPool::new(workers)), &w, &x);
+            assert_same_run(&par, &want, &format!("{workers} workers"));
         }
     }
 }
@@ -111,8 +100,9 @@ proptest! {
     /// Strict vs Fast differential across random ragged batches
     /// (0-/1-length sequences included): a Fast-mode layer stays within
     /// the compounded microkernel tolerances of both the Strict run and
-    /// the hand-written reference, and Fast is deterministic — parallel
-    /// runs are bit-identical to the Fast serial run.
+    /// the hand-written reference, and Fast is deterministic — serial
+    /// and parallel runs are bit-identical to the unchained Fast
+    /// parallel tier.
     #[test]
     fn fast_encoder_layer_matches_strict_within_tolerance(
         lens in prop::collection::vec(0usize..7, 1..5),
@@ -165,14 +155,14 @@ proptest! {
         // Stats are static metadata: mode must not change the charge.
         prop_assert_eq!(s_out.total_stats(), f_out.total_stats());
 
-        // Fast is deterministic: parallel == serial, bit for bit.
+        // Fast is deterministic: every width, bit for bit.
+        let want = unchained(&fast, &w, &x, &CpuPool::new(2));
+        prop_assert_eq!(bits(&f_out.output), bits(&want), "fast serial run");
         for workers in [2usize, 8] {
             let pool = CpuPool::new(workers);
             let par = f_session.run(Some(&pool), &w, &x);
-            let fb: Vec<u32> = f_out.output.iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = par.output.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(
-                fb, pb,
+                bits(&par.output), bits(&want),
                 "fast parallel output diverges at {} workers", workers
             );
         }
@@ -190,8 +180,9 @@ proptest! {
     /// prefix under `Attend::Causal` plus the output bias), across
     /// random raggedness (0-/1-length sequences included) × heads:
     /// matches the hand-written `masked_mha_ragged`, is triangular and
-    /// proven block-parallel, runs bit-identically serially and at 1, 2
-    /// and 8 workers, and never lets a later token reach an earlier one.
+    /// proven block-parallel, runs serially and at 1, 2 and 8 workers
+    /// bit-identically to its stages run alone, and never lets a later
+    /// token reach an earlier one.
     #[test]
     fn causal_masked_mha_matches_reference_and_never_leaks(
         lens in prop::collection::vec(0usize..7, 1..5),
@@ -243,15 +234,12 @@ proptest! {
         }
 
         // Serial, every worker count, session reuse and the one-shot
-        // convenience: bit-identical outputs, equal statistics.
+        // convenience: the stages' standalone outputs and statistics.
+        let want = stage_by_stage(&layer, (&cfg, Attend::Causal), &w, &x, false);
+        assert_same_run(&serial, &want, "serial");
         for workers in [1usize, 2, 8] {
-            let pool = CpuPool::new(workers);
-            let par = session.run(Some(&pool), &w, &x);
-            prop_assert_eq!(
-                bits(&par.output), bits(&serial.output),
-                "parallel output diverges at {} workers", workers
-            );
-            prop_assert_eq!(par.total_stats(), serial.total_stats());
+            let par = session.run(Some(&CpuPool::new(workers)), &w, &x);
+            assert_same_run(&par, &want, &format!("{workers} workers"));
         }
         let one_shot = masked_mha_compiled(&CpuPool::new(2), &cfg, &w, &x);
         prop_assert_eq!(bits(&one_shot), bits(&serial.output));
@@ -332,17 +320,21 @@ fn external_buffers(w: &EncoderWeights, x: &RaggedBatch) -> HashMap<&'static str
 /// `Strict` — or, with `interpret == false`, on the owned-buffer VM,
 /// which binds every buffer as written and so never takes the
 /// packed-panel row (`vm_props` holds that tier to the interpreter).
+/// Returns the last output and each stage's statistics, one dispatch
+/// per stage; an empty batch runs nothing.
 fn stage_by_stage(
     layer: &CompiledEncoderLayer,
     (cfg, attend): (&EncoderConfig, Attend),
     w: &EncoderWeights,
     x: &RaggedBatch,
     interpret: bool,
-) -> Vec<f32> {
+) -> PipelineRun {
     let geometry = Geometry::new(cfg, &x.lens, attend);
     let mut bufs = external_buffers(w, x);
     let mut out = "";
-    for label in layer.pipeline().expect("non-empty batch").stage_labels() {
+    let mut stages = Vec::new();
+    let labels = layer.pipeline().map_or(Vec::new(), |p| p.stage_labels());
+    for label in labels {
         let row = stage(label).expect("pipeline labels come from the stage table");
         let inputs: Vec<(&str, Vec<f32>)> = (row.wires.iter())
             .map(|(name, buf)| (*name, bufs[buf].clone()))
@@ -355,12 +347,21 @@ fn stage_by_stage(
         };
         bufs.insert(row.out, run.output);
         out = row.out;
+        let label = label.to_string();
+        stages.push(StageStats {
+            label,
+            stats: run.stats,
+        });
     }
-    bufs.remove(out).expect("the last stage's output")
+    PipelineRun {
+        output: bufs.remove(out).unwrap_or_default(),
+        dispatches: stages.len(),
+        stages,
+    }
 }
 
-/// The Strict parallel forward at 1 and 4 workers is bit-identical to
-/// `forward_serial` and to the interpreter, under `Full` (the encoder
+/// The Strict forward, serial and at 1 and 4 workers, is bit-identical
+/// to the interpreter, under `Full` (the encoder
 /// layer) and `Causal` (the masked block), on the shapes the score
 /// stage's packed-panel reuse must survive: zero-length and single-token
 /// sequences, one 512-token sequence, and `(head, row)` tiles that
@@ -388,11 +389,11 @@ fn strict_forwards_match_the_interpreter_on_panel_reuse_edges() {
             let layer = build(&cfg, &lens).expect("legal schedules");
             let mut session = layer.session().expect("stages outline");
             let serial = session.forward_serial(&w, &x);
-            let reference = stage_by_stage(&layer, (&cfg, attend), &w, &x, interpret);
+            let reference = stage_by_stage(&layer, (&cfg, attend), &w, &x, interpret).output;
             assert_eq!(bits(&serial), bits(&reference), "{at}: serial");
             for workers in [1usize, 4] {
                 let par = session.forward(&CpuPool::new(workers), &w, &x);
-                assert_eq!(bits(&par), bits(&serial), "{at}: {workers} workers");
+                assert_eq!(bits(&par), bits(&reference), "{at}: {workers} workers");
             }
             if lens == straddling {
                 // Some score tile holds rows of two sequences.
@@ -440,8 +441,9 @@ const BUILDS: [(Attend, Build); 2] = [
 /// The chain tripwire: at `program_golden`'s two shapes and at MNLI-16,
 /// the encoder layer (`Full`) and the masked block (`Causal`) run as
 /// exactly three chains — the QKV projection, the attention block, and
-/// everything after it — so a forward is three dispatches, not one per
-/// stage, and the arena holds only the three chain outputs.
+/// everything after it — so a forward, serial or parallel, is three
+/// dispatches, not one per stage, and the arena holds only the three
+/// chain outputs.
 #[test]
 fn encoder_layers_run_as_three_chains() {
     let cfg = EncoderConfig::scaled(8);
@@ -510,11 +512,7 @@ fn encoder_layers_run_as_three_chains() {
             let mut session = layer.session().expect("stages outline");
             let par = session.run(Some(&CpuPool::new(2)), &w, &x);
             let serial = session.run(None, &w, &x);
-            assert_eq!(
-                (par.dispatches, serial.dispatches),
-                (3, labels.len()),
-                "{at}"
-            );
+            assert_eq!((par.dispatches, serial.dispatches), (3, 3), "{at}");
             assert_eq!(bits(&par.output), bits(&serial.output), "{at}");
         }
     }
@@ -544,16 +542,19 @@ fn pipeline_inputs<'a>(
 
 /// `layer`'s stage programs run one after another, each on its own
 /// parallel session over `pool` — the unchained parallel tier, one
-/// dispatch per stage.
+/// dispatch per stage; an empty batch runs nothing.
 fn unchained(
     layer: &CompiledEncoderLayer,
     w: &EncoderWeights,
     x: &RaggedBatch,
     pool: &CpuPool,
 ) -> Vec<f32> {
+    let Some(pipeline) = layer.pipeline() else {
+        return Vec::new();
+    };
     let mut bufs = external_buffers(w, x);
     let mut out = "";
-    for (label, program) in layer.pipeline().expect("non-empty batch").stage_programs() {
+    for (label, program) in pipeline.stage_programs() {
         let row = stage(label).expect("a table stage");
         let inputs: Vec<(&str, Vec<f32>)> = (row.wires.iter())
             .map(|(name, buf)| (*name, bufs[buf].clone()))
@@ -568,10 +569,12 @@ fn unchained(
     bufs.remove(out).expect("the last stage's output")
 }
 
-fn assert_same_run(run: &PipelineRun, serial: &PipelineRun, at: &str) {
-    assert_eq!(bits(&run.output), bits(&serial.output), "{at}");
-    assert_eq!(run.stages.len(), serial.stages.len(), "{at}");
-    for (a, b) in run.stages.iter().zip(&serial.stages) {
+/// Asserts `run` has `want`'s output bits and, stage by stage, its
+/// labels and statistics.
+fn assert_same_run(run: &PipelineRun, want: &PipelineRun, at: &str) {
+    assert_eq!(bits(&run.output), bits(&want.output), "{at}");
+    assert_eq!(run.stages.len(), want.stages.len(), "{at}");
+    for (a, b) in run.stages.iter().zip(&want.stages) {
         assert_eq!((&a.label, a.stats), (&b.label, b.stats), "{at}");
     }
 }
@@ -580,11 +583,11 @@ fn assert_same_run(run: &PipelineRun, serial: &PipelineRun, at: &str) {
 /// single-token sequences, one 512-token sequence, and tiles that
 /// straddle sequence boundaries. Strict chained runs — at the grain
 /// rule's tiles and at grain 1 (`prepare_at_grain`), on 1 and 4 workers,
-/// `Full` and `Causal` — are bit-identical to `forward_serial` with
-/// exactly its per-stage statistics (the interpreter holds the serial
-/// run in `strict_forwards_match_the_interpreter_on_panel_reuse_edges`);
-/// Fast chained runs are bit-identical to the unchained Fast parallel
-/// tier.
+/// `Full` and `Causal` — are bit-identical to the stages run one by one
+/// on the owned-buffer VM, with exactly their per-stage statistics (the
+/// interpreter holds that tier in
+/// `strict_forwards_match_the_interpreter_on_panel_reuse_edges`); Fast
+/// chained runs are bit-identical to the unchained Fast parallel tier.
 #[test]
 fn chained_forwards_match_serial_at_every_grain_and_unchained_fast_runs() {
     for (cfg, lens) in [
@@ -599,7 +602,7 @@ fn chained_forwards_match_serial_at_every_grain_and_unchained_fast_runs() {
             let layer = build(&cfg, &lens).expect("legal schedules");
             let pipeline = layer.pipeline().expect("non-empty batch");
             let inputs = pipeline_inputs(&layer, &bufs);
-            let serial = layer.session().expect("outlines").run(None, &w, &x);
+            let serial = stage_by_stage(&layer, (&cfg, attend), &w, &x, false);
             for workers in [1usize, 4] {
                 let pool = CpuPool::new(workers);
                 let at = format!("{attend:?} lens {lens:?}, {workers} workers");
@@ -624,5 +627,27 @@ fn chained_forwards_match_serial_at_every_grain_and_unchained_fast_runs() {
                 "Fast lens {lens:?}, {workers} workers"
             );
         }
+    }
+}
+
+/// The ledger's batch shape — 32 MNLI sequences at
+/// `EncoderConfig::scaled(8)` — run serially and at 1 and 2 workers is
+/// bit-identical to the stages run one by one on the owned-buffer VM,
+/// with exactly their per-stage statistics: the independent pin behind
+/// the benchmark's "1-thread parallel tier is bit-identical to
+/// `forward_serial`" gate, which compares one code path at one width.
+#[test]
+fn mnli_batch_forwards_match_the_stages_run_alone() {
+    let cfg = EncoderConfig::scaled(8);
+    let lens = Dataset::Mnli.sample_lengths(32, 42);
+    let w = EncoderWeights::random(&cfg, 21);
+    let x = RaggedBatch::random(&lens, cfg.hidden, 22);
+    let layer = CompiledEncoderLayer::build(&cfg, &lens).expect("legal schedules");
+    let want = stage_by_stage(&layer, (&cfg, Attend::Full), &w, &x, false);
+    let mut session = layer.session().expect("stages outline");
+    assert_same_run(&session.run(None, &w, &x), &want, "serial");
+    for workers in [1usize, 2] {
+        let run = session.run(Some(&CpuPool::new(workers)), &w, &x);
+        assert_same_run(&run, &want, &format!("{workers} workers"));
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the persistent work-stealing CPU runtime:
 //! every parallel-for policy must visit each index in `0..n` exactly
-//! once, for any thread width and grain size.
+//! once, for any thread width (and, for a direct runtime region, any
+//! grain size).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -20,14 +21,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Dynamic scheduling visits every index exactly once, for any
-    /// (n, threads, grain) combination.
+    /// (n, threads) combination.
     #[test]
-    fn dynamic_visits_each_index_once(
-        n in 0usize..600,
-        threads in 1usize..9,
-        grain in 1usize..80,
-    ) {
-        let pool = CpuPool::new(threads).with_grain(grain);
+    fn dynamic_visits_each_index_once(n in 0usize..600, threads in 1usize..9) {
+        let pool = CpuPool::new(threads);
         let counts = visit_counts(n, |f| pool.parallel_for(n, f));
         prop_assert!(counts.iter().all(|&c| c == 1), "n={} counts={:?}", n, counts);
     }

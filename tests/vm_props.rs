@@ -647,9 +647,10 @@ proptest! {
 
     /// Random operator chains through `CompiledPipeline`: (a) the arena
     /// plan never assigns one slot to two buffers with overlapping
-    /// lifetimes, and (b) pipeline execution — serial and parallel — is
+    /// lifetimes, and (b) pipeline execution at 1 and 4 workers is
     /// bit-identical to running the same compiled programs one by one
-    /// with fresh per-op buffers.
+    /// with fresh per-op buffers, with each stage's statistics equal to
+    /// its program's own run.
     #[test]
     fn pipeline_arena_matches_fresh_buffers(
         lens in prop::collection::vec(0usize..10, 1..5),
@@ -662,7 +663,7 @@ proptest! {
         let last = &progs.last().unwrap().2;
 
         // (a) Plan soundness: a shared slot implies disjoint lifetimes.
-        let entries = pipeline.plan().entries();
+        let entries = pipeline.plan().arena();
         for (i, a) in entries.iter().enumerate() {
             for o in &entries[i + 1..] {
                 if a.slot == o.slot {
@@ -679,32 +680,31 @@ proptest! {
         let x: Vec<f32> = (0..size).map(|v| v as f32 * 0.25 - 2.0).collect();
         let mut vals: HashMap<String, Vec<f32>> = HashMap::new();
         vals.insert("B0".to_string(), x.clone());
+        let mut want_stats = Vec::new();
         for (prog, src, out) in &progs {
             let r = prog.run(&[("A", vals[src].clone())]);
+            want_stats.push(r.stats);
             vals.insert(out.clone(), r.output);
         }
         let want = &vals[last];
 
         let mut session = pipeline.session().unwrap();
-        let serial = session.run_serial(&[("B0", &x)]);
-        let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u32> = serial.output.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(wb, sb, "arena execution diverges from fresh buffers");
-
-        let par = session.run(&CpuPool::new(4), &[("B0", &x)]);
-        let pb: Vec<u32> = par.output.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u32> = serial.output.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(pb, sb, "parallel pipeline diverges from serial");
-        for (p, s) in par.stages.iter().zip(&serial.stages) {
-            prop_assert_eq!(p.stats, s.stats, "stage `{}` stats diverge", p.label);
+        for workers in [1, 4] {
+            let run = session.run(&CpuPool::new(workers), &[("B0", &x)]);
+            prop_assert_eq!(
+                bits(want), bits(&run.output),
+                "arena execution at {} workers diverges from fresh buffers", workers
+            );
+            let stats: Vec<InterpStats> = run.stages.iter().map(|s| s.stats).collect();
+            prop_assert_eq!(&stats, &want_stats, "{} workers", workers);
         }
     }
 
     /// A session is a view over a prep: sessions minted in turn from one
-    /// `PipelinePrep`, the owned-convenience session and a session run
-    /// at a different pool width all give identical outputs and stats,
-    /// and the dispatch batches cut by the first session are still in
-    /// the prep for the second — no re-cut.
+    /// `PipelinePrep`, the owned-convenience session and sessions run
+    /// at other pool widths (down to one, the serial run) all give
+    /// identical outputs and stats, and the dispatch batches cut by the
+    /// first session are still in the prep for the second — no re-cut.
     #[test]
     fn sessions_over_one_prep_agree(
         lens in prop::collection::vec(0usize..10, 1..5),
@@ -735,7 +735,8 @@ proptest! {
         prop_assert_eq!(prep.dispatch_widths(), vec![2; progs.len()], "re-cut for the new width");
         prop_assert_eq!(bits(&want.output), bits(&narrow.output));
         prop_assert_eq!(stats_of(&want), stats_of(&narrow));
-        let serial = pipeline.session_with(&mut prep).run_serial(&inputs);
+        let serial = pipeline.session_with(&mut prep).run(&CpuPool::new(1), &inputs);
+        prop_assert_eq!(prep.dispatch_widths(), vec![1; progs.len()], "re-cut for one worker");
         prop_assert_eq!(bits(&want.output), bits(&serial.output));
         prop_assert_eq!(stats_of(&want), stats_of(&serial));
     }
