@@ -407,8 +407,8 @@ pub struct PlanEntry {
 #[derive(Debug, Clone, Default)]
 pub struct BufferPlan {
     entries: Vec<PlanEntry>,
-    /// Buffer id → planned entry index (externals and windows unmapped).
-    entry_of: Vec<Option<usize>>,
+    /// Buffer id → arena slot (externals and windows unmapped).
+    slot_of: Vec<Option<u32>>,
     sizes: Vec<usize>,
     /// Σ of every stage output's size.
     unshared: usize,
@@ -436,7 +436,7 @@ impl BufferPlan {
             }
         }
         let mut plan = BufferPlan {
-            entry_of: vec![None; decls.len()],
+            slot_of: vec![None; decls.len()],
             unshared: (stages.iter())
                 .map(|st| decls[st.output as usize].size)
                 .sum(),
@@ -484,7 +484,7 @@ impl BufferPlan {
                 }
             };
             sizes[slot as usize] = sizes[slot as usize].max(size);
-            plan.entry_of[id as usize] = Some(plan.entries.len());
+            plan.slot_of[id as usize] = Some(slot);
             plan.entries.push(PlanEntry {
                 name: bufs.names()[id as usize].clone(),
                 size,
@@ -795,9 +795,7 @@ impl CompiledPipeline {
             chains: (chains.into_iter())
                 .map(|chain| (chain, DispatchBatches::default()))
                 .collect(),
-            arena: (plan.entry_of.iter())
-                .map(|e| e.map(|i| plan.entries[i].slot))
-                .collect(),
+            arena: plan.slot_of.clone(),
             slots: plan.sizes.iter().map(|&n| vec![0.0f32; n]).collect(),
         }
     }
@@ -1199,8 +1197,9 @@ mod tests {
         (bufs[p.output as usize].take().expect("produced"), stats)
     }
 
-    /// Runs `p` on `x` at 1 and 4 workers, twice off one session, and
-    /// checks each run against [`fresh_run`]; returns the output.
+    /// Runs `p` on `x` off one session at 1 worker, 4 workers and 1
+    /// worker again, and checks each run against [`fresh_run`]; returns
+    /// the output.
     fn run_matches_fresh_buffers(p: &CompiledPipeline, x: &[f32], dispatches: usize) -> Vec<f32> {
         let (want, want_stats) = fresh_run(p, x);
         let mut session = p.session().unwrap();
