@@ -86,7 +86,8 @@
 //! within a few ULPs (and the causal block tracks
 //! [`masked_mha_ragged`](crate::masked_mha::masked_mha_ragged)); the
 //! differential proptest suite (`tests/encoder_compiled_props.rs`) locks
-//! serial, parallel and reference paths together.
+//! the layer at every pool width, its stages run alone and the reference
+//! kernels together.
 
 use std::borrow::BorrowMut;
 use std::rc::Rc;
