@@ -12,7 +12,6 @@ use super::isa::{
     Coef, FusedNest, Instr, MapOp, MapSite, NestIndex, RowAffine, RowLevel, VmProgram,
     MAX_MAP_SITES, MAX_MAP_TAPE, MAX_ROW_TABLES,
 };
-use super::opt::local_cse;
 use crate::microkernel::{MathMode, NestClass};
 
 /// Compiles a lowered statement to bytecode.
@@ -1052,7 +1051,8 @@ impl Compiler {
         }
     }
 
-    /// Resolves label ids in jump fields to program counters.
+    /// Resolves label ids in jump fields to program counters; the
+    /// program runs the code as emitted.
     fn finish(mut self) -> VmProgram {
         for instr in &mut self.code {
             match instr {
@@ -1068,11 +1068,9 @@ impl Compiler {
                 _ => {}
             }
         }
-        let mut n_iregs = self.iregs.max as usize;
-        let code = local_cse(self.code, &mut n_iregs);
         VmProgram {
-            code,
-            n_iregs,
+            code: self.code,
+            n_iregs: self.iregs.max as usize,
             n_fregs: self.fregs.max as usize,
             slots: self.slots,
             var_slot_names: self.var_slot_names,

@@ -328,32 +328,32 @@ pub(super) struct FusedNest {
 impl FusedNest {
     /// Calls `f` with every integer register the nest reads: the row
     /// level's bounds and every register operand of its forms.
-    pub(super) fn for_each_reg_mut(&mut self, f: &mut impl FnMut(&mut u16)) {
-        fn coef(c: &mut Coef, f: &mut impl FnMut(&mut u16)) {
+    pub(super) fn for_each_reg(&self, f: &mut impl FnMut(u16)) {
+        fn coef(c: &Coef, f: &mut impl FnMut(u16)) {
             if let Coef::Reg(r) = c {
-                f(r);
+                f(*r);
             }
         }
-        fn form(a: &mut RowAffine, f: &mut impl FnMut(&mut u16)) {
-            coef(&mut a.c, f);
-            coef(&mut a.step, f);
-            for (_, w) in a.tables.iter_mut() {
+        fn form(a: &RowAffine, f: &mut impl FnMut(u16)) {
+            coef(&a.c, f);
+            coef(&a.step, f);
+            for (_, w) in a.tables.iter() {
                 coef(w, f);
             }
         }
-        let sites = self.sites.iter_mut().map(|s| &mut s.idx);
-        for idx in std::iter::once(&mut self.out_idx).chain(sites) {
-            form(&mut idx.base, f);
-            coef(&mut idx.inner, f);
-            coef(&mut idx.outer, f);
+        let sites = self.sites.iter().map(|s| &s.idx);
+        for idx in std::iter::once(&self.out_idx).chain(sites) {
+            form(&idx.base, f);
+            coef(&idx.inner, f);
+            coef(&idx.outer, f);
         }
-        form(&mut self.n_inner, f);
-        if let Some(n) = &mut self.n_outer {
+        form(&self.n_inner, f);
+        if let Some(n) = &self.n_outer {
             form(n, f);
         }
-        if let Some(rows) = &mut self.rows {
-            f(&mut rows.first);
-            f(&mut rows.n);
+        if let Some(rows) = &self.rows {
+            f(rows.first);
+            f(rows.n);
         }
     }
 

@@ -73,7 +73,6 @@
 //! |---|---|
 //! | `isa` | instruction set, the fused-nest record, [`VmProgram`] |
 //! | `compiler` | [`compile`], [`compile_tile`]: `Stmt` → bytecode, the fused-nest matcher |
-//! | `opt` | block-local CSE + DCE over the instruction stream |
 //! | `validate` | [`VmProgram::validate`] (census, registers, def-before-use) |
 //! | `disasm` | [`VmProgram`]'s `Display` (golden-tested disassembly) |
 //! | `bufs` | the one float-buffer view + the output-port trait |
@@ -126,7 +125,6 @@ mod disasm;
 mod dispatch;
 mod isa;
 mod machine;
-mod opt;
 mod parallel;
 #[cfg(test)]
 mod testutil;

@@ -1,6 +1,5 @@
-//! Bytecode validation: the regression net under the compiler's
-//! CSE/DCE/register-renaming passes, run on every
-//! `CompiledProgram::compile`.
+//! Bytecode validation: the check on what the compiler emits, run on
+//! every `CompiledProgram::compile`.
 
 use super::isa::{
     Coef, FusedNest, Instr, MapOp, VmProgram, MAX_MAP_SITES, MAX_MAP_TAPE, MAX_ROW_TABLES,
@@ -30,9 +29,8 @@ impl VmProgram {
     /// *any* path before an instruction wrote it.
     ///
     /// This is the bytecode layer of the three-layer safety story (see
-    /// the README's "Safety & verification"): a regression net under
-    /// the compiler's CSE/DCE/register-renaming passes, run on every
-    /// `CompiledProgram::compile`.
+    /// the README's "Safety & verification"): the check on the
+    /// compiler's output, run on every `CompiledProgram::compile`.
     pub fn validate(&self) -> Result<(), String> {
         let code = &self.code;
         let n = code.len();
@@ -220,8 +218,7 @@ impl VmProgram {
                     if let Some(rows) = &m.rows {
                         ck_var(rows.slot)?;
                     }
-                    let mut regs = (**m).clone();
-                    regs.for_each_reg_mut(&mut |r| e.ui.push(*r));
+                    m.for_each_reg(&mut |r| e.ui.push(r));
                     for site in m.sites.iter() {
                         if site.buf == m.out {
                             return bad("loads its own output buffer".into());

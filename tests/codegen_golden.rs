@@ -93,8 +93,8 @@ fn fused_source_reads_fusion_maps_and_param() {
 fn vm_disassembly_of_fig4_is_golden() {
     // The full bytecode of the block-bound Fig. 4 kernel, one line per
     // instruction with resolved slot names. Any change to slot
-    // resolution, peepholes, the block-local CSE/DCE pass, loop shape or
-    // the outliner's input shows up here as a one-line diff. The block
+    // resolution, peepholes, loop shape or the outliner's input shows up
+    // here as a one-line diff. The block
     // loop is the fused map's row level: each row reads its extent
     // (`fig4__ext_i[o]`) and its row-offset tables (`B__A0`, `A__A0`)
     // natively, with no bytecode per row.
@@ -102,10 +102,10 @@ fn vm_disassembly_of_fig4_is_golden() {
     op.schedule_mut().bind("o", ForKind::GpuBlockX);
     let p = lower(&op).unwrap();
     let compiled = p.compile();
-    let golden = "   0  iconst   r2, 0
-   1  iconst   r3, 3
+    let golden = "   0  iconst   r0, 0
+   1  iconst   r1, 3
    2  bumpaux  n=0
-   3  fmap     B[B__A0[o@0]:1] assign (ld0; #2.0; fmul t0 t1), sites=[A[A__A0[o@0]:1]], n=fig4__ext_i[o@0], aux=2, flops=1, rows=o@0 in [r2, +r3), raux=1
+   3  fmap     B[B__A0[o@0]:1] assign (ld0; #2.0; fmul t0 t1), sites=[A[A__A0[o@0]:1]], n=fig4__ext_i[o@0], aux=2, flops=1, rows=o@0 in [r0, +r1), raux=1
 ";
     assert_eq!(
         compiled.vm().to_string(),
@@ -116,10 +116,10 @@ fn vm_disassembly_of_fig4_is_golden() {
     // block loop runs over `[tile.first, tile.first + tile.len)` — the
     // entry point each worker executes once per tile — and is the same
     // row level, announcing each block to the output port (`block`).
-    let body_golden = "   0  ivar     r2, tile.first
-   1  ivar     r3, tile.len
+    let body_golden = "   0  ivar     r0, tile.first
+   1  ivar     r1, tile.len
    2  bumpaux  n=0
-   3  fmap     B[B__A0[o@2]:1] assign (ld0; #2.0; fmul t0 t1), sites=[A[A__A0[o@2]:1]], n=fig4__ext_i[o@2], aux=2, flops=1, rows=o@2 in [r2, +r3) block, raux=1
+   3  fmap     B[B__A0[o@2]:1] assign (ld0; #2.0; fmul t0 t1), sites=[A[A__A0[o@2]:1]], n=fig4__ext_i[o@2], aux=2, flops=1, rows=o@2 in [r0, +r1) block, raux=1
 ";
     let body = compiled
         .parallel_body()
@@ -160,10 +160,10 @@ fn vm_disassembly_of_projection_gemm_is_golden() {
     ))
     .unwrap();
     let compiled = p.compile();
-    let golden = "   0  iconst   r2, 0
-   1  ivar     r3, rows
+    let golden = "   0  iconst   r0, 0
+   1  ivar     r1, rows
    2  bumpaux  n=0
-   3  fmulacc2 Out[2*r@1:1:0] += In[2*r@1:0:1] * W[0:1:2], n=2x2, aux=0, baux=0, rows=r@1 in [r2, +r3), raux=0
+   3  fmulacc2 Out[2*r@1:1:0] += In[2*r@1:0:1] * W[0:1:2], n=2x2, aux=0, baux=0, rows=r@1 in [r0, +r1), raux=0
 ";
     assert_eq!(
         compiled.vm().to_string(),
@@ -171,10 +171,10 @@ fn vm_disassembly_of_projection_gemm_is_golden() {
         "projection-GEMM serial bytecode diverged"
     );
     // The tile body: the same instruction over the tile's rows.
-    let body_golden = "   0  ivar     r2, tile.first
-   1  ivar     r3, tile.len
+    let body_golden = "   0  ivar     r0, tile.first
+   1  ivar     r1, tile.len
    2  bumpaux  n=0
-   3  fmulacc2 Out[2*r@2:1:0] += In[2*r@2:0:1] * W[0:1:2], n=2x2, aux=0, baux=0, rows=r@2 in [r2, +r3) block, raux=0
+   3  fmulacc2 Out[2*r@2:1:0] += In[2*r@2:0:1] * W[0:1:2], n=2x2, aux=0, baux=0, rows=r@2 in [r0, +r1) block, raux=0
 ";
     let body = compiled
         .parallel_body()
@@ -199,20 +199,20 @@ fn vm_disassembly_of_layernorm_is_golden() {
     ))
     .unwrap();
     let compiled = p.compile();
-    let golden = "   0  iconst   r2, 0
-   1  ivar     r3, rows
+    let golden = "   0  iconst   r0, 0
+   1  ivar     r1, rows
    2  bumpaux  n=0
-   3  fmap     Out[2*r@1:1] assign (ld0; ld1; #2.0; fdiv t1 t2; fsub t0 t3; ld2; #2.0; fdiv t5 t6; #1e-5; fadd t7 t8; sqrt t9; recip t10; fmul t4 t11; ld3; fmul t12 t13; ld4; fadd t14 t15), sites=[In[2*r@1:1], S[r@1:0], V[r@1:0], G[0:1], Bt[0:1]], n=2, aux=0, flops=9, rows=r@1 in [r2, +r3), raux=0
+   3  fmap     Out[2*r@1:1] assign (ld0; ld1; #2.0; fdiv t1 t2; fsub t0 t3; ld2; #2.0; fdiv t5 t6; #1e-5; fadd t7 t8; sqrt t9; recip t10; fmul t4 t11; ld3; fmul t12 t13; ld4; fadd t14 t15), sites=[In[2*r@1:1], S[r@1:0], V[r@1:0], G[0:1], Bt[0:1]], n=2, aux=0, flops=9, rows=r@1 in [r0, +r1), raux=0
 ";
     assert_eq!(
         compiled.vm().to_string(),
         golden,
         "layer-norm serial bytecode diverged"
     );
-    let body_golden = "   0  ivar     r2, tile.first
-   1  ivar     r3, tile.len
+    let body_golden = "   0  ivar     r0, tile.first
+   1  ivar     r1, tile.len
    2  bumpaux  n=0
-   3  fmap     Out[2*r@2:1] assign (ld0; ld1; #2.0; fdiv t1 t2; fsub t0 t3; ld2; #2.0; fdiv t5 t6; #1e-5; fadd t7 t8; sqrt t9; recip t10; fmul t4 t11; ld3; fmul t12 t13; ld4; fadd t14 t15), sites=[In[2*r@2:1], S[r@2:0], V[r@2:0], G[0:1], Bt[0:1]], n=2, aux=0, flops=9, rows=r@2 in [r2, +r3) block, raux=0
+   3  fmap     Out[2*r@2:1] assign (ld0; ld1; #2.0; fdiv t1 t2; fsub t0 t3; ld2; #2.0; fdiv t5 t6; #1e-5; fadd t7 t8; sqrt t9; recip t10; fmul t4 t11; ld3; fmul t12 t13; ld4; fadd t14 t15), sites=[In[2*r@2:1], S[r@2:0], V[r@2:0], G[0:1], Bt[0:1]], n=2, aux=0, flops=9, rows=r@2 in [r0, +r1) block, raux=0
 ";
     let body = compiled
         .parallel_body()

@@ -126,79 +126,79 @@ fn causal_stage_programs_match_the_recorded_golden() {
 }
 
 const EDGE_GOLDEN: [&str; 21] = [
-    "qkv_proj fe=93e012fc6bf8446f vm=e32a5572d8cd1993",
-    "qkv_bias fe=cde11d71d83c5bcc vm=dd2341c6f3f4115d",
-    "scores fe=6bd9016091ef3d56 vm=9ce4b6e638545092",
-    "scale fe=142c9a3d0880c8d4 vm=9891ab5444ace94b",
-    "row_max fe=674d9e77701d184c vm=902c67904c430821",
-    "row_exp fe=7d9c734b0c60f288 vm=7868ede6b2dfe3d2",
-    "row_sum fe=d2bb10659a6793ae vm=901f2635285b2655",
-    "row_softmax fe=59856ae2279a99dd vm=0bff8d422dd57f80",
-    "attnv fe=f9bd01b5896074d8 vm=6816f6d7769ddce4",
-    "out_proj fe=512e927029e6d832 vm=9a548a65d70c3426",
-    "attn_bias_residual fe=4a6ddd332f06bc8a vm=8778af2357743a56",
-    "ln1_sum fe=dd6664c1cb183d75 vm=655fd0f8da37fcc7",
-    "ln1_var fe=0423e53803d28d4d vm=9f346f59ce1ca046",
-    "ln1_norm fe=273a7bc1c977339b vm=21cfb703a34a57bf",
-    "ff1 fe=103c3ba4e6b0d3d3 vm=fd2dd8422cbdbc7d",
-    "ff1_bias_gelu fe=0d4f1ed2df5284eb vm=1e34d52a7fbcabf7",
-    "ff2 fe=b626438997718bdd vm=8287ee1e9bf456f1",
-    "ff_bias_residual fe=15b65cd723f9aff1 vm=8778af2357743a56",
-    "ln2_sum fe=5244ef47c06f80b6 vm=655fd0f8da37fcc7",
-    "ln2_var fe=1a66a9cfedc7f598 vm=9f346f59ce1ca046",
-    "ln2_norm fe=b0684b9c6e5cffb5 vm=21cfb703a34a57bf",
+    "qkv_proj fe=93e012fc6bf8446f vm=8215b269e7f3b60b",
+    "qkv_bias fe=cde11d71d83c5bcc vm=76175bd6bdd3e629",
+    "scores fe=6bd9016091ef3d56 vm=91da3eabf2a4b966",
+    "scale fe=142c9a3d0880c8d4 vm=5415276cca70b6c7",
+    "row_max fe=674d9e77701d184c vm=cd81bc9c6f2016d5",
+    "row_exp fe=7d9c734b0c60f288 vm=2545efa0ecaa2ee6",
+    "row_sum fe=d2bb10659a6793ae vm=f7f14b2afb45cd91",
+    "row_softmax fe=59856ae2279a99dd vm=e891ca6a3278ab88",
+    "attnv fe=f9bd01b5896074d8 vm=6faf6fb3d2e4ccdc",
+    "out_proj fe=512e927029e6d832 vm=664dd7156d34f739",
+    "attn_bias_residual fe=4a6ddd332f06bc8a vm=7102b8da2b6ac632",
+    "ln1_sum fe=dd6664c1cb183d75 vm=ac18f5198d4065bb",
+    "ln1_var fe=0423e53803d28d4d vm=fe2e739e67a3cde6",
+    "ln1_norm fe=273a7bc1c977339b vm=f81ff869c7aaec33",
+    "ff1 fe=103c3ba4e6b0d3d3 vm=ab9bda60c5c305e9",
+    "ff1_bias_gelu fe=0d4f1ed2df5284eb vm=fe2e18ac76fa146b",
+    "ff2 fe=b626438997718bdd vm=62b44f9af593f549",
+    "ff_bias_residual fe=15b65cd723f9aff1 vm=7102b8da2b6ac632",
+    "ln2_sum fe=5244ef47c06f80b6 vm=ac18f5198d4065bb",
+    "ln2_var fe=1a66a9cfedc7f598 vm=fe2e739e67a3cde6",
+    "ln2_norm fe=b0684b9c6e5cffb5 vm=f81ff869c7aaec33",
 ];
 
 const MNLI_GOLDEN: [&str; 21] = [
-    "qkv_proj fe=91d9ecf6be166ca5 vm=e32a5572d8cd1993",
-    "qkv_bias fe=d6eb29162db4d95a vm=dd2341c6f3f4115d",
-    "scores fe=b80b22dc241ff0e1 vm=9ce4b6e638545092",
-    "scale fe=46e37ae2760d3389 vm=9891ab5444ace94b",
-    "row_max fe=20f78b7f185df4a0 vm=902c67904c430821",
-    "row_exp fe=a6ff46b7b15f1447 vm=7868ede6b2dfe3d2",
-    "row_sum fe=0f72816caefd1df0 vm=901f2635285b2655",
-    "row_softmax fe=b176e6d23a029994 vm=0bff8d422dd57f80",
-    "attnv fe=83ddf1f232336d40 vm=6816f6d7769ddce4",
-    "out_proj fe=c999b405cd66e8e6 vm=9a548a65d70c3426",
-    "attn_bias_residual fe=4af6cd65d76d74ae vm=8778af2357743a56",
-    "ln1_sum fe=f53392ae7f73f6e7 vm=655fd0f8da37fcc7",
-    "ln1_var fe=c1915ebbe5e6d28f vm=9f346f59ce1ca046",
-    "ln1_norm fe=8262765e88008971 vm=21cfb703a34a57bf",
-    "ff1 fe=55a120e17ca86839 vm=fd2dd8422cbdbc7d",
-    "ff1_bias_gelu fe=a8c766fc33446981 vm=1e34d52a7fbcabf7",
-    "ff2 fe=4dfbd0313bca39df vm=8287ee1e9bf456f1",
-    "ff_bias_residual fe=c64d6c099757f993 vm=8778af2357743a56",
-    "ln2_sum fe=8ab6ca9715b2a59a vm=655fd0f8da37fcc7",
-    "ln2_var fe=85d63d6bd0266f90 vm=9f346f59ce1ca046",
-    "ln2_norm fe=cd85b3f9d1b5ad00 vm=21cfb703a34a57bf",
+    "qkv_proj fe=91d9ecf6be166ca5 vm=8215b269e7f3b60b",
+    "qkv_bias fe=d6eb29162db4d95a vm=76175bd6bdd3e629",
+    "scores fe=b80b22dc241ff0e1 vm=91da3eabf2a4b966",
+    "scale fe=46e37ae2760d3389 vm=5415276cca70b6c7",
+    "row_max fe=20f78b7f185df4a0 vm=cd81bc9c6f2016d5",
+    "row_exp fe=a6ff46b7b15f1447 vm=2545efa0ecaa2ee6",
+    "row_sum fe=0f72816caefd1df0 vm=f7f14b2afb45cd91",
+    "row_softmax fe=b176e6d23a029994 vm=e891ca6a3278ab88",
+    "attnv fe=83ddf1f232336d40 vm=6faf6fb3d2e4ccdc",
+    "out_proj fe=c999b405cd66e8e6 vm=664dd7156d34f739",
+    "attn_bias_residual fe=4af6cd65d76d74ae vm=7102b8da2b6ac632",
+    "ln1_sum fe=f53392ae7f73f6e7 vm=ac18f5198d4065bb",
+    "ln1_var fe=c1915ebbe5e6d28f vm=fe2e739e67a3cde6",
+    "ln1_norm fe=8262765e88008971 vm=f81ff869c7aaec33",
+    "ff1 fe=55a120e17ca86839 vm=ab9bda60c5c305e9",
+    "ff1_bias_gelu fe=a8c766fc33446981 vm=fe2e18ac76fa146b",
+    "ff2 fe=4dfbd0313bca39df vm=62b44f9af593f549",
+    "ff_bias_residual fe=c64d6c099757f993 vm=7102b8da2b6ac632",
+    "ln2_sum fe=8ab6ca9715b2a59a vm=ac18f5198d4065bb",
+    "ln2_var fe=85d63d6bd0266f90 vm=fe2e739e67a3cde6",
+    "ln2_norm fe=cd85b3f9d1b5ad00 vm=f81ff869c7aaec33",
 ];
 
 const CAUSAL_EDGE_GOLDEN: [&str; 11] = [
-    "qkv_proj fe=93e012fc6bf8446f vm=e32a5572d8cd1993",
-    "qkv_bias fe=cde11d71d83c5bcc vm=dd2341c6f3f4115d",
-    "scores fe=74915c4801278883 vm=9ce4b6e638545092",
-    "scale fe=1ff3b8af95f48eea vm=9891ab5444ace94b",
-    "row_max fe=18c79fdfcb5927cd vm=902c67904c430821",
-    "row_exp fe=95e38beebf2276ae vm=7868ede6b2dfe3d2",
-    "row_sum fe=da53cd54df81b6c7 vm=901f2635285b2655",
-    "row_softmax fe=c29aa8519fcddca9 vm=0bff8d422dd57f80",
-    "attnv fe=76338dc4f1d0d476 vm=6816f6d7769ddce4",
-    "out_proj fe=512e927029e6d832 vm=9a548a65d70c3426",
-    "attn_bias fe=7f0a853e0f36c3e1 vm=ac62486e51120be5",
+    "qkv_proj fe=93e012fc6bf8446f vm=8215b269e7f3b60b",
+    "qkv_bias fe=cde11d71d83c5bcc vm=76175bd6bdd3e629",
+    "scores fe=74915c4801278883 vm=91da3eabf2a4b966",
+    "scale fe=1ff3b8af95f48eea vm=5415276cca70b6c7",
+    "row_max fe=18c79fdfcb5927cd vm=cd81bc9c6f2016d5",
+    "row_exp fe=95e38beebf2276ae vm=2545efa0ecaa2ee6",
+    "row_sum fe=da53cd54df81b6c7 vm=f7f14b2afb45cd91",
+    "row_softmax fe=c29aa8519fcddca9 vm=e891ca6a3278ab88",
+    "attnv fe=76338dc4f1d0d476 vm=6faf6fb3d2e4ccdc",
+    "out_proj fe=512e927029e6d832 vm=664dd7156d34f739",
+    "attn_bias fe=7f0a853e0f36c3e1 vm=6446b943567da2b1",
 ];
 
 const CAUSAL_MNLI_GOLDEN: [&str; 11] = [
-    "qkv_proj fe=91d9ecf6be166ca5 vm=e32a5572d8cd1993",
-    "qkv_bias fe=d6eb29162db4d95a vm=dd2341c6f3f4115d",
-    "scores fe=d073d1a7f56604a4 vm=9ce4b6e638545092",
-    "scale fe=37bc8c317bc10549 vm=9891ab5444ace94b",
-    "row_max fe=5726ecb1f1eb6de5 vm=902c67904c430821",
-    "row_exp fe=36332d7d77353867 vm=7868ede6b2dfe3d2",
-    "row_sum fe=5bd2a15e883bffad vm=901f2635285b2655",
-    "row_softmax fe=eefd3abe94152b92 vm=0bff8d422dd57f80",
-    "attnv fe=3f2fdbdc82ce9a54 vm=6816f6d7769ddce4",
-    "out_proj fe=c999b405cd66e8e6 vm=9a548a65d70c3426",
-    "attn_bias fe=39fd650e2d48f776 vm=ac62486e51120be5",
+    "qkv_proj fe=91d9ecf6be166ca5 vm=8215b269e7f3b60b",
+    "qkv_bias fe=d6eb29162db4d95a vm=76175bd6bdd3e629",
+    "scores fe=d073d1a7f56604a4 vm=91da3eabf2a4b966",
+    "scale fe=37bc8c317bc10549 vm=5415276cca70b6c7",
+    "row_max fe=5726ecb1f1eb6de5 vm=cd81bc9c6f2016d5",
+    "row_exp fe=36332d7d77353867 vm=2545efa0ecaa2ee6",
+    "row_sum fe=5bd2a15e883bffad vm=f7f14b2afb45cd91",
+    "row_softmax fe=eefd3abe94152b92 vm=e891ca6a3278ab88",
+    "attnv fe=3f2fdbdc82ce9a54 vm=6faf6fb3d2e4ccdc",
+    "out_proj fe=c999b405cd66e8e6 vm=664dd7156d34f739",
+    "attn_bias fe=39fd650e2d48f776 vm=6446b943567da2b1",
 ];
 
 /// Adds `program`'s fused-instruction census to `total`; a program that
