@@ -11,12 +11,9 @@
 //!   triangle) fully padded to the sequence length.
 //! * **CoRa-NoPad** — both vloops partially padded: row `i` computes only
 //!   `pad(i+1)` scores.
-//!
-//! Also provides a numeric CPU implementation pair for correctness tests.
 
 use cora_exec::cost::{GpuModel, KernelTraits};
 use cora_exec::gpu::{GpuSim, SimKernel};
-use cora_kernels::softmax::softmax_row;
 
 use crate::config::EncoderConfig;
 
@@ -106,62 +103,6 @@ pub fn masked_sdpa_latency_ms(
         / 1e3
 }
 
-/// Numeric masked SDPA over one sequence's Q/K/V (each `l × hd`,
-/// contiguous): row `i` attends to keys `0..=i`. Returns `l × hd`.
-pub fn masked_sdpa_reference(l: usize, hd: usize, q: &[f32], k: &[f32], v: &[f32]) -> Vec<f32> {
-    let scale = 1.0 / (hd as f32).sqrt();
-    let mut out = vec![0.0f32; l * hd];
-    let mut row = vec![0.0f32; l];
-    for i in 0..l {
-        let valid = i + 1;
-        for (j, r) in row.iter_mut().enumerate().take(valid) {
-            let mut acc = 0.0;
-            for d in 0..hd {
-                acc += q[i * hd + d] * k[j * hd + d];
-            }
-            *r = acc * scale;
-        }
-        softmax_row(&mut row[..valid], valid);
-        for j in 0..valid {
-            let p = row[j];
-            for d in 0..hd {
-                out[i * hd + d] += p * v[j * hd + d];
-            }
-        }
-    }
-    out
-}
-
-/// Numeric masked SDPA computed the *padded* way (full `l × l` scores
-/// with an additive mask), for equivalence testing against the ragged
-/// path.
-pub fn masked_sdpa_padded(l: usize, hd: usize, q: &[f32], k: &[f32], v: &[f32]) -> Vec<f32> {
-    let scale = 1.0 / (hd as f32).sqrt();
-    let mut out = vec![0.0f32; l * hd];
-    let mut scores = vec![0.0f32; l];
-    for i in 0..l {
-        for j in 0..l {
-            let mut acc = 0.0;
-            for d in 0..hd {
-                acc += q[i * hd + d] * k[j * hd + d];
-            }
-            scores[j] = if j <= i {
-                acc * scale
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
-        softmax_row(&mut scores, l);
-        for j in 0..l {
-            let p = scores[j];
-            for d in 0..hd {
-                out[i * hd + d] += p * v[j * hd + d];
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,21 +133,5 @@ mod tests {
                 / masked_sdpa_latency_ms(&cfg, &model, MaskedImpl::CoraNoPad, lens, 32)
         };
         assert!(gain(&race) > gain(&mnli));
-    }
-
-    #[test]
-    fn ragged_reference_matches_padded_masking() {
-        let (l, hd) = (13, 8);
-        let q: Vec<f32> = (0..l * hd).map(|i| ((i % 11) as f32 - 5.0) * 0.1).collect();
-        let k: Vec<f32> = (0..l * hd).map(|i| ((i % 7) as f32 - 3.0) * 0.1).collect();
-        let v: Vec<f32> = (0..l * hd).map(|i| ((i % 5) as f32 - 2.0) * 0.1).collect();
-        let a = masked_sdpa_reference(l, hd, &q, &k, &v);
-        let b = masked_sdpa_padded(l, hd, &q, &k, &v);
-        let worst = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        assert!(worst < 1e-5, "divergence {worst}");
     }
 }
