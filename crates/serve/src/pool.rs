@@ -70,25 +70,22 @@ impl PooledSession {
         &self.lens
     }
 
-    /// Runs one microbatch on the calling thread (the deterministic
-    /// simulator path — zero real threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not match this session's shape.
-    pub fn run_serial(&mut self, w: &EncoderWeights, x: &RaggedBatch) -> Vec<f32> {
-        self.layer.session_with(&mut self.prep).forward_serial(w, x)
-    }
-
     /// Runs one microbatch with every stage's block axis dispatched
-    /// across `pool` (the real-thread serving path). Bit-identical to
-    /// [`PooledSession::run_serial`].
+    /// across `pool` (the real-thread serving path); `None` runs on the
+    /// calling thread (the deterministic simulator path — zero real
+    /// threads), bit-identically.
     ///
     /// # Panics
     ///
     /// Panics if `x` does not match this session's shape.
-    pub fn run(&mut self, pool: &CpuPool, w: &EncoderWeights, x: &RaggedBatch) -> Vec<f32> {
-        self.layer.session_with(&mut self.prep).forward(pool, w, x)
+    pub fn run<'p>(
+        &mut self,
+        pool: impl Into<Option<&'p CpuPool>>,
+        w: &EncoderWeights,
+        x: &RaggedBatch,
+    ) -> Vec<f32> {
+        let mut session = self.layer.session_with(&mut self.prep);
+        session.run(pool.into(), w, x).output
     }
 }
 
@@ -263,8 +260,8 @@ mod tests {
         let x = RaggedBatch::random(&lens, pool.cfg.hidden, 5);
 
         let mut s = pool.checkout(&lens).unwrap();
-        let y1 = s.run_serial(&w, &x);
-        let y2 = s.run_serial(&w, &x);
+        let y1 = s.run(None, &w, &x);
+        let y2 = s.run(None, &w, &x);
         assert_eq!(y1, y2, "arena reuse must not change results");
         pool.check_in(s);
 
@@ -294,7 +291,7 @@ mod tests {
         let w = EncoderWeights::random(&pool.cfg, 3);
         let x = RaggedBatch::random(&[4], pool.cfg.hidden, 9);
         let mut a = a;
-        let _ = a.run_serial(&w, &x);
+        let _ = a.run(None, &w, &x);
         // ...and checking it in now evicts the older idle entry, not a.
         pool.check_in(a);
         assert_eq!(pool.len(), 1);
@@ -326,7 +323,7 @@ mod tests {
             // built for the shape computes.
             let built = CompiledEncoderLayer::build(&pool.cfg, lens).unwrap();
             let want = built.session().unwrap().forward_serial(&w, &x);
-            assert_eq!(s.run_serial(&w, &x), want, "{lens:?}");
+            assert_eq!(s.run(None, &w, &x), want, "{lens:?}");
             pool.check_in(s);
         }
         let stats = pool.stats();

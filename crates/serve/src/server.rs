@@ -531,10 +531,7 @@ impl Server {
             if inject {
                 panic!("injected stage panic");
             }
-            match exec_pool {
-                Some(p) => session.run(p, weights, &x),
-                None => session.run_serial(weights, &x),
-            }
+            session.run(exec_pool, weights, &x)
         }));
         let done_ns = now + model.service_ns(&lens);
         let (results, failed) = match run {
