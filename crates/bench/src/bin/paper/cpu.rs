@@ -79,7 +79,7 @@ pub fn tiers(r: &mut Run) {
     let (few, many) = r.size((10, 200), (30, 1000));
     let kernels = [
         ("identity", plain, &affine_in, (few, many), Some(92.5)),
-        ("fused_hoisted", fused, &affine_in, (few, many), Some(13.4)),
+        ("fused_hoisted", fused, &affine_in, (few, many), Some(13.3)),
         ("affine", blocks, &affine_in, (few, r.size(40, 200)), None),
         ("masked_scores", scores, &qkv_in, (1, r.size(3, 10)), None),
     ];
