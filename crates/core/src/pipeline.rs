@@ -25,15 +25,17 @@
 //!   allocate no intermediate storage beyond the workers' windows.
 //! * **Execution** ([`PipelinePrep`] + [`PipelineSession`]): a prep owns
 //!   everything shape-dependent — per stage, the parallel tier's
-//!   [`ParallelPrep`] (bound block-body table, proof, dispatch order),
-//!   or, for a stage with no block axis, its prelude-bound whole-program
-//!   table; per chain, the dispatch batches cut for the last pool width;
-//!   and the arena. A session is a view `{&pipeline, prep}`.
+//!   [`ParallelPrep`] (bound block-body table, proof, dispatch order);
+//!   per chain, the dispatch batches cut for the last pool width; and
+//!   the arena. A session is a view `{&pipeline, prep}`.
 //!   [`PipelineSession::run`] dispatches each chain once across a
 //!   [`CpuPool`]. There is one execution order: a serial run is the same
 //!   run on `CpuPool::new(1)`, every tile inline on the calling thread.
 //!   Its outputs and per-stage [`InterpStats`] equal those of each
 //!   stage's program run alone on fresh buffers.
+//!
+//! Every stage is a tile body: a program that binds no block axis is
+//! refused when it is wired ([`PipelineError::NoBlockAxis`]).
 //!
 //! # Chains
 //!
@@ -47,8 +49,7 @@
 //!
 //! 1. has the same block domain: the same block count and first value,
 //!    proven at the same grain, so the tile starts agree
-//!    ([`ChainRefusal::TilesDiffer`], [`ChainRefusal::GrainMismatch`];
-//!    a stage without a block axis runs alone, [`ChainRefusal::Serial`]);
+//!    ([`ChainRefusal::TilesDiffer`], [`ChainRefusal::GrainMismatch`]);
 //! 2. loads, in every tile, only elements of the chain's outputs that
 //!    the producing stage stores in the same tile — each tile's load set
 //!    ([`VerifyOutcome::tile_loads`]) inside the producer's certified
@@ -132,7 +133,7 @@ use std::sync::Arc;
 
 use cora_exec::cpu::CpuPool;
 use cora_exec::interp::InterpStats;
-use cora_exec::vm::{BoundBuf, ChainInput, VmShared};
+use cora_exec::vm::ChainInput;
 use cora_ir::interval::SInt;
 use cora_ir::slots::Interner;
 
@@ -177,6 +178,9 @@ pub enum PipelineError {
     },
     /// The designated pipeline output is not produced by any stage.
     MissingOutput(String),
+    /// The stage's program binds no block axis, so it has no tile body
+    /// to dispatch.
+    NoBlockAxis(String),
 }
 
 impl fmt::Display for PipelineError {
@@ -205,6 +209,9 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::MissingOutput(n) => {
                 write!(f, "pipeline output `{n}` is not produced by any stage")
+            }
+            PipelineError::NoBlockAxis(n) => {
+                write!(f, "stage `{n}` binds no block axis")
             }
         }
     }
@@ -278,8 +285,9 @@ impl PipelineBuilder {
     ///
     /// # Errors
     ///
-    /// See [`PipelineError`]: unknown or duplicate buffers, wires to
-    /// buffers the program never reads, or unwired program inputs.
+    /// See [`PipelineError`]: a program that binds no block axis,
+    /// unknown or duplicate buffers, wires to buffers the program never
+    /// reads, or unwired program inputs.
     pub fn stage(
         &mut self,
         label: &str,
@@ -287,6 +295,9 @@ impl PipelineBuilder {
         wires: &[(&str, &str)],
         output: &str,
     ) -> Result<&mut Self, PipelineError> {
+        if !program.binds_block_axis() {
+            return Err(PipelineError::NoBlockAxis(label.to_string()));
+        }
         let needed = program.input_names();
         for (i, (pname, _)) in wires.iter().enumerate() {
             if !needed.contains(pname) {
@@ -522,9 +533,6 @@ impl BufferPlan {
 /// rule that joining it would break.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChainRefusal {
-    /// This stage or the next has no block axis, so it runs serially,
-    /// on its own.
-    Serial,
     /// The next stage runs over other block values (another count or
     /// first value), so its tiles start elsewhere.
     TilesDiffer,
@@ -552,7 +560,6 @@ pub enum ChainRefusal {
 impl fmt::Display for ChainRefusal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChainRefusal::Serial => write!(f, "a serial stage runs alone"),
             ChainRefusal::TilesDiffer => write!(f, "the next stage tiles other blocks"),
             ChainRefusal::GrainMismatch => write!(f, "the next stage's proof has another grain"),
             ChainRefusal::ReadOutsideChain { buffer } => {
@@ -587,7 +594,7 @@ fn form_chains(
     decls: &[BufDecl],
     stages: &[StageSpec],
     output: u32,
-    par: &[Option<&ParallelPrep>],
+    par: &[ParallelPrep],
 ) -> Vec<Chain> {
     let mut last_read: Vec<Option<usize>> = vec![None; decls.len()];
     for (si, st) in stages.iter().enumerate() {
@@ -604,10 +611,7 @@ fn form_chains(
     };
     // Whether stage `s` may join the chain `start..s`.
     let joins = |start: usize, s: usize| -> Result<(), ChainRefusal> {
-        let (Some(head), Some(next)) = (par[start], par[s]) else {
-            return Err(ChainRefusal::Serial);
-        };
-        let (a, b) = (head.verify_outcome(), next.verify_outcome());
+        let (a, b) = (par[start].verify_outcome(), par[s].verify_outcome());
         if a.n_blocks != b.n_blocks || a.cert.tile_start(0) != b.cert.tile_start(0) {
             return Err(ChainRefusal::TilesDiffer);
         }
@@ -618,10 +622,7 @@ fn form_chains(
             let Some(k) = decls[*id as usize].def.filter(|&k| k >= start) else {
                 continue;
             };
-            let cert = &par[k]
-                .expect("a chain stage is parallel")
-                .verify_outcome()
-                .cert;
+            let cert = &par[k].verify_outcome().cert;
             let loads = b.loads_of(pname).unwrap_or(&[]);
             let contained = |t: usize| {
                 let regions = cert.tile_at(cert.tile_start(t)).1;
@@ -680,7 +681,7 @@ pub struct CompiledPipeline {
     /// Per stage, the shape-resolved state at the tile-grain rule's
     /// grain (what every [`CompiledPipeline::prepare`] shares), or the
     /// error a stage's proof raised.
-    resolved: Result<Arc<[StagePrep]>, ScheduleError>,
+    resolved: Result<Arc<[ParallelPrep]>, ScheduleError>,
     /// The chains of `resolved` (one stage each when it failed).
     chains: Vec<Chain>,
 }
@@ -731,10 +732,9 @@ impl CompiledPipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError::BlockAxisNotOutlinable`] when a stage
-    /// binds a block axis the outliner cannot hoist or the verifier
-    /// cannot prove (stages with *no* block axis are legal — they run
-    /// alone on the calling thread).
+    /// Returns [`ScheduleError::BlockAxisNotOutlinable`] when a stage's
+    /// block axis is one the outliner cannot hoist or the verifier
+    /// cannot prove.
     pub fn session(&self) -> Result<PipelineSession<'_, PipelinePrep>, ScheduleError> {
         Ok(self.session_with(self.prepare()?))
     }
@@ -779,14 +779,13 @@ impl CompiledPipeline {
     }
 
     /// The chain pass over resolved stages.
-    fn form_chains(&self, stages: &[StagePrep]) -> Vec<Chain> {
-        let par: Vec<Option<&ParallelPrep>> = stages.iter().map(StagePrep::par).collect();
-        form_chains(&self.bufs, &self.decls, &self.stages, self.output, &par)
+    fn form_chains(&self, stages: &[ParallelPrep]) -> Vec<Chain> {
+        form_chains(&self.bufs, &self.decls, &self.stages, self.output, stages)
     }
 
     fn prep_of(
         &self,
-        stages: Arc<[StagePrep]>,
+        stages: Arc<[ParallelPrep]>,
         chains: Vec<Chain>,
         plan: &BufferPlan,
     ) -> PipelinePrep {
@@ -801,23 +800,14 @@ impl CompiledPipeline {
     }
 
     /// The safety proof behind each stage of `prep`, in stage order:
-    /// `Some` with the stage's [`VerifyOutcome`] when it runs on the
-    /// parallel tier (in-bounds and disjoint-store proven at this
-    /// shape), `None` when the stage has no block axis and runs serially
-    /// (no shared-output writes to prove anything about).
+    /// the stage's [`VerifyOutcome`] (in-bounds and disjoint-store
+    /// proven at this shape).
     pub fn verify_outcomes<'a>(
         &'a self,
         prep: &'a PipelinePrep,
-    ) -> Vec<(&'a str, Option<&'a VerifyOutcome>)> {
-        self.stages
-            .iter()
-            .zip(prep.stages.iter())
-            .map(|(spec, st)| {
-                (
-                    spec.label.as_str(),
-                    st.par().map(ParallelPrep::verify_outcome),
-                )
-            })
+    ) -> Vec<(&'a str, &'a VerifyOutcome)> {
+        (self.stages.iter().zip(prep.stages.iter()))
+            .map(|(spec, st)| (spec.label.as_str(), st.verify_outcome()))
             .collect()
     }
 
@@ -848,20 +838,17 @@ impl CompiledPipeline {
 }
 
 /// Resolves every stage at its shape: one built prelude per stage, and
-/// the parallel prep proven at `grain` (`None`: the tile-grain rule), or,
-/// for a stage with no block axis, the prelude-bound whole program.
+/// the parallel prep proven at `grain` (`None`: the tile-grain rule).
 fn resolve_stages(
     decls: &[BufDecl],
     specs: &[StageSpec],
     grain: Option<usize>,
-) -> Result<Vec<StagePrep>, ScheduleError> {
+) -> Result<Vec<ParallelPrep>, ScheduleError> {
     let mut stages = Vec::with_capacity(specs.len());
     for spec in specs {
         let prelude = spec.program.build_prelude();
-        let Some(prep) = spec.program.parallel_prep_with(&prelude, grain)? else {
-            stages.push(StagePrep::Serial(spec.program.serial_shared_with(&prelude)));
-            continue;
-        };
+        let prep = (spec.program.parallel_prep_with(&prelude, grain)?)
+            .expect("a pipeline stage binds a block axis");
         // Cross-check the verifier's proven access hulls against
         // the planner's buffer sizes: every input the stage reads
         // must fit inside the buffer it is wired to. Both derive
@@ -879,21 +866,19 @@ fn resolve_stages(
                 );
             }
         }
-        stages.push(StagePrep::Parallel(prep));
+        stages.push(prep);
     }
     Ok(stages)
 }
 
 /// Everything shape-dependent about one pipeline: per stage, the
-/// parallel prep (or, for a stage with no block axis, the prelude-bound
-/// whole program); the chains with their dispatch batches; and the
-/// arena.
+/// parallel prep; the chains with their dispatch batches; and the arena.
 /// Borrows nothing; create with [`CompiledPipeline::prepare`], run
 /// through [`CompiledPipeline::session_with`].
 #[derive(Debug, Clone)]
 pub struct PipelinePrep {
     /// Shared with the pipeline (and every prep at the rule's grain).
-    stages: Arc<[StagePrep]>,
+    stages: Arc<[ParallelPrep]>,
     /// The chains, each with the dispatch batches cut for the last pool
     /// it ran on.
     chains: Vec<(Chain, DispatchBatches)>,
@@ -914,37 +899,15 @@ impl PipelinePrep {
         self.chains.iter().map(|(chain, _)| chain)
     }
 
-    /// Per stage with a block axis, the pool width its chain's cached
-    /// dispatch batches were cut for (0: the chain has not run yet).
+    /// Per stage, the pool width its chain's cached dispatch batches
+    /// were cut for (0: the chain has not run yet).
     /// Batches are re-cut only when a run's pool width differs from this
     /// tag, so it persisting across sessions is what makes a new session
     /// free.
     pub fn dispatch_widths(&self) -> Vec<usize> {
         (self.chains.iter())
-            .flat_map(|(chain, batches)| chain.stages.clone().map(|s| (s, batches.threads())))
-            .filter(|&(s, _)| self.stages[s].par().is_some())
-            .map(|(_, width)| width)
+            .flat_map(|(chain, batches)| chain.stages.clone().map(|_| batches.threads()))
             .collect()
-    }
-}
-
-/// Shape-resolved state of one stage.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one per stage, held in a shared slice
-enum StagePrep {
-    /// A stage with no block axis: the whole program with its prelude
-    /// bound, run on the calling thread.
-    Serial(VmShared),
-    /// A stage with a block axis: its parallel tier.
-    Parallel(ParallelPrep),
-}
-
-impl StagePrep {
-    fn par(&self) -> Option<&ParallelPrep> {
-        match self {
-            StagePrep::Serial(_) => None,
-            StagePrep::Parallel(prep) => Some(prep),
-        }
     }
 }
 
@@ -990,8 +953,7 @@ pub struct PipelineSession<'p, P = &'p mut PipelinePrep> {
 }
 
 impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
-    /// Runs every chain as one dispatch across `pool` (stages without a
-    /// block axis run alone on the calling thread); `CpuPool::new(1)`
+    /// Runs every chain as one dispatch across `pool`; `CpuPool::new(1)`
     /// runs every tile inline on the calling thread. Outputs and each
     /// stage's summed per-worker statistics are the same at every pool
     /// width.
@@ -1043,25 +1005,10 @@ impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
                     spec.inputs.iter().map(wire).collect()
                 })
                 .collect();
-            let stats = match &stages[range.start] {
-                StagePrep::Parallel(_) => {
-                    let runs: Vec<ChainRun<'_>> = (range.clone().zip(&inputs))
-                        .map(|(s, ins)| {
-                            let par = stages[s].par().expect("a chain stage is parallel");
-                            (&pl.stages[s].program, par, &ins[..])
-                        })
-                        .collect();
-                    run_chain(&runs, batches, pool, out_view)
-                }
-                StagePrep::Serial(table) => {
-                    let shared = inputs[0].iter().map(|&(name, input)| match input {
-                        ChainInput::Shared(data) => (name, data),
-                        ChainInput::Window(_) => unreachable!("a serial stage runs alone"),
-                    });
-                    let bufs = shared.collect::<Vec<_>>();
-                    vec![run_stage(&pl.stages[range.start], table, &bufs, out_view)]
-                }
-            };
+            let runs: Vec<ChainRun<'_>> = (range.clone().zip(&inputs))
+                .map(|(s, ins)| (&pl.stages[s].program, &stages[s], &ins[..]))
+                .collect();
+            let stats = run_chain(&runs, batches, pool, out_view);
             drop(inputs);
             slots[out_slot as usize] = out;
             for (s, stats) in range.zip(stats) {
@@ -1080,23 +1027,9 @@ impl<'p, P: BorrowMut<PipelinePrep>> PipelineSession<'p, P> {
     }
 
     /// [`CompiledPipeline::verify_outcomes`] of this session's prep.
-    pub fn verify_outcomes(&self) -> Vec<(&str, Option<&VerifyOutcome>)> {
+    pub fn verify_outcomes(&self) -> Vec<(&str, &VerifyOutcome)> {
         self.pipeline.verify_outcomes(self.prep.borrow())
     }
-}
-
-/// Runs one stage serially on the calling thread into `out`.
-fn run_stage(
-    spec: &StageSpec,
-    table: &VmShared,
-    ins: &[(&str, &[f32])],
-    out: &mut [f32],
-) -> InterpStats {
-    out.fill(spec.program.output_init());
-    let mut bufs: Vec<(&str, BoundBuf<'_>)> =
-        ins.iter().map(|(n, s)| (*n, BoundBuf::In(s))).collect();
-    bufs.push((spec.program.output_name(), BoundBuf::Out(out)));
-    table.run_borrowed(bufs)
 }
 
 impl CompiledPipeline {
@@ -1267,7 +1200,7 @@ mod tests {
 
     #[test]
     fn plan_never_aliases_overlapping_lifetimes() {
-        for p in [diamond(5), serial_then_chain(37)] {
+        for p in [diamond(5), head_then_chain(37)] {
             let entries = p.plan().arena();
             for (i, a) in entries.iter().enumerate() {
                 assert!(a.last_use >= a.def);
@@ -1362,15 +1295,13 @@ mod tests {
         op
     }
 
-    /// Four stages: a serial `X → Y`, then a row chain `Y → A → B → C`
-    /// whose first stage reads `Y` back to front.
-    fn serial_then_chain(n: usize) -> CompiledPipeline {
-        let mut head = affine_op("head", n, 3.0, 1.0);
-        head.schedule = Schedule::default();
+    /// Four stages: `X → Y`, then a row chain `Y → A → B → C` whose
+    /// first stage reads `Y` back to front.
+    fn head_then_chain(n: usize) -> CompiledPipeline {
+        let head = compiled(&affine_op("head", n, 3.0, 1.0));
         let mut b = PipelineBuilder::new("regression");
         b.input("X", n).unwrap();
-        b.stage("head", compiled(&head), &[("In", "X")], "Y")
-            .unwrap();
+        b.stage("head", head, &[("In", "X")], "Y").unwrap();
         let rev = compiled(&reverse_op("rev", n));
         b.stage("rev", rev, &[("In", "Y")], "A").unwrap();
         let scale = compiled(&affine_op("scale", n, 0.5, 2.0));
@@ -1388,10 +1319,14 @@ mod tests {
     #[test]
     fn a_chain_keeps_the_arena_buffers_it_reads_live() {
         let n = 37usize;
-        let p = serial_then_chain(n);
+        let p = head_then_chain(n);
         let chains: Vec<Range<usize>> = p.chains().iter().map(|c| c.stages.clone()).collect();
         assert_eq!(chains, [0..1, 1..4]);
-        assert_eq!(p.chains()[0].refusal, Some(ChainRefusal::Serial));
+        let refused = ChainRefusal::NotContained {
+            buffer: "Y".into(),
+            tile: 0,
+        };
+        assert_eq!(p.chains()[0].refusal, Some(refused));
         let entry = |name: &str| {
             let e = (p.plan().arena().iter())
                 .find(|e| e.name == name)
@@ -1454,19 +1389,15 @@ mod tests {
     }
 
     #[test]
-    fn serial_stage_without_block_axis_is_legal() {
+    fn a_stage_without_block_axis_is_refused() {
         let n = 4;
         let mut op = affine_op("plain", n, 3.0, 0.0);
         op.schedule = Schedule::default(); // drop the block binding
         let mut b = PipelineBuilder::new("serial");
         b.input("X", n).unwrap();
-        b.stage("plain", compiled(&op), &[("In", "X")], "Y")
-            .unwrap();
-        let p = b.build("Y").unwrap();
-        let mut s = p.session().unwrap();
-        let x = vec![1.0f32; n];
-        // Parallel mode falls back to serial execution for this stage.
-        let run = s.run(&CpuPool::new(2), &[("X", &x)]);
-        assert_eq!(run.output, vec![3.0; n]);
+        let err = b
+            .stage("plain", compiled(&op), &[("In", "X")], "Y")
+            .unwrap_err();
+        assert_eq!(err, PipelineError::NoBlockAxis("plain".into()));
     }
 }

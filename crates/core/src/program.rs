@@ -520,6 +520,11 @@ impl CompiledProgram {
         matches!(self.code.parallel, Ok(Some(_)))
     }
 
+    /// True when the schedule binds a block axis, outlinable or not.
+    pub(crate) fn binds_block_axis(&self) -> bool {
+        !matches!(self.code.parallel, Ok(None))
+    }
+
     /// The outlined block body's bytecode, if a parallel tier exists, as
     /// a *tile body* ([`cora_exec::vm::compile_tile`]): the block loop
     /// over `[tile.first, tile.first + tile.len)` around the body, the
@@ -903,11 +908,6 @@ impl ParallelPrep {
     /// The machine-checked safety proof computed for this shape.
     pub fn verify_outcome(&self) -> &VerifyOutcome {
         &self.verify
-    }
-
-    /// The prelude data built for this shape.
-    pub fn prelude_data(&self) -> &PreludeData {
-        &self.prelude
     }
 }
 

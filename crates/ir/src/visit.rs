@@ -198,11 +198,6 @@ pub fn subst_cond(c: &Cond, map: &HashMap<String, Expr>) -> Cond {
     map_cond(c, &mut |e| subst(e, map))
 }
 
-/// Substitutes variables in a float expression (indices only).
-pub fn subst_fexpr(e: &FExpr, map: &HashMap<String, Expr>) -> FExpr {
-    map_fexpr(e, &mut |i| subst(i, map))
-}
-
 /// Substitutes variables throughout a statement tree, respecting
 /// shadowing (see the module docs).
 pub fn subst_stmt(s: &Stmt, map: &HashMap<String, Expr>) -> Stmt {
@@ -228,11 +223,6 @@ pub fn mentions(n: Node<'_>, var: &str) -> bool {
 /// Collects free variable names of an expression.
 pub fn free_vars(e: &Expr, out: &mut BTreeSet<String>) {
     vars_in(Node::Expr(e), out);
-}
-
-/// Collects free variable names of a condition.
-pub fn free_vars_cond(c: &Cond, out: &mut BTreeSet<String>) {
-    vars_in(Node::Cond(c), out);
 }
 
 fn vars_in(n: Node<'_>, out: &mut BTreeSet<String>) {

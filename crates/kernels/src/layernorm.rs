@@ -37,11 +37,6 @@ pub fn parallel_layernorm_rows(
     pool.parallel_uniform_rows(data, n, |row| layernorm_row(row, gamma, beta, eps));
 }
 
-/// FLOP count for one layer-norm row of length `n` (≈ 8 ops/element).
-pub fn layernorm_flops(n: usize) -> f64 {
-    8.0 * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

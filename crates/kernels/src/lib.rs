@@ -23,4 +23,4 @@ pub use gemm::{
     batched_sgemm, gemm_flops, parallel_sgemm, sgemm, sgemm_ld, sgemm_nt, sgemm_nt_ld, trmm_lower,
 };
 pub use layernorm::{layernorm_row, layernorm_rows, parallel_layernorm_rows};
-pub use softmax::{parallel_softmax_rows, softmax_row, softmax_rows};
+pub use softmax::{softmax_row, softmax_rows};

@@ -48,19 +48,6 @@ pub fn softmax_rows(data: &mut [f32], n: usize, valid: usize) {
     }
 }
 
-/// Parallel softmax over each length-`n` row of `data`, batched onto the
-/// pool's persistent runtime (rows are tiny, so they are packed into
-/// cost-balanced batches rather than scheduled one by one).
-pub fn parallel_softmax_rows(pool: &cora_exec::CpuPool, data: &mut [f32], n: usize, valid: usize) {
-    pool.parallel_uniform_rows(data, n, |row| softmax_row(row, valid));
-}
-
-/// FLOP count for one softmax row of length `l` (max + sub/exp + sum +
-/// div ≈ 4 ops per element, the convention used for the analytic figures).
-pub fn softmax_flops(l: usize) -> f64 {
-    4.0 * l as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,30 +107,5 @@ mod tests {
         softmax_rows(&mut d, 2, 2);
         assert!((d[0] - 0.5).abs() < 1e-6);
         assert!((d[3] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parallel_rows_matches_serial() {
-        let n = 7;
-        let rows = 300;
-        let mut serial: Vec<f32> = (0..rows * n).map(|i| ((i % 23) as f32) - 11.0).collect();
-        let mut par = serial.clone();
-        softmax_rows(&mut serial, n, 5);
-        parallel_softmax_rows(&cora_exec::CpuPool::new(4), &mut par, n, 5);
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn parallel_rows_processes_trailing_partial_row() {
-        // data.len() not a multiple of n: the short tail row must be
-        // softmaxed too, matching serial chunks_mut semantics.
-        let n = 4;
-        let mut serial: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let mut par = serial.clone();
-        softmax_rows(&mut serial, n, n);
-        parallel_softmax_rows(&cora_exec::CpuPool::new(4), &mut par, n, n);
-        assert_eq!(serial, par);
-        let tail: f32 = par[8..].iter().sum();
-        assert!((tail - 1.0).abs() < 1e-6, "tail row must be normalized");
     }
 }

@@ -82,11 +82,6 @@ impl CsfStorage {
             .sum()
     }
 
-    /// Total number of stored auxiliary entries.
-    pub fn num_entries(&self) -> usize {
-        self.pos.iter().map(Vec::len).sum()
-    }
-
     /// Computes the flat offset of `index` by walking the tree levels —
     /// one dependent load per level, the cost the paper's comparison
     /// highlights.

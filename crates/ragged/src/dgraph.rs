@@ -161,11 +161,6 @@ impl Dgraph {
         self.dep.contains(&Some(d))
     }
 
-    /// True if dimension `d` is variable.
-    pub fn is_variable(&self, d: usize) -> bool {
-        self.dep[d].is_some()
-    }
-
     /// Number of variable dimensions.
     pub fn num_vdims(&self) -> usize {
         self.dep.iter().filter(|d| d.is_some()).count()

@@ -232,14 +232,6 @@ impl RaggedLayout {
             .map(|d| d.extent.max_extent().div_ceil(d.pad) * d.pad)
             .product()
     }
-
-    /// The fully padded (rectangular) shape.
-    pub fn padded_shape(&self) -> Vec<usize> {
-        self.dims
-            .iter()
-            .map(|d| d.extent.max_extent().div_ceil(d.pad) * d.pad)
-            .collect()
-    }
 }
 
 #[cfg(test)]

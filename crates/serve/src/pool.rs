@@ -11,11 +11,11 @@
 //! recurring compositions map to recurring keys). The code is not: the
 //! stage programs are shape-generic, so the pool compiles the declared
 //! schedules once ([`CompiledEncoderLayer::build_with_math`], at its
-//! first non-empty miss), keeps that layer as its code, and every later
-//! miss costs [`CompiledEncoderLayer::for_shape`] (lower and rebind) +
-//! [`CompiledEncoderLayer::prepare`]. [`PoolStats::compiles`] counts the
-//! compiles: 1 for the pool's lifetime, however many shapes it serves
-//! or evicts.
+//! first miss, empty batch or not), keeps that layer as its code, and
+//! every later miss costs [`CompiledEncoderLayer::for_shape`] (lower
+//! and rebind) + [`CompiledEncoderLayer::prepare`].
+//! [`PoolStats::compiles`] counts the compiles: 1 for the pool's
+//! lifetime, however many shapes it serves or evicts.
 //!
 //! # Checkout discipline
 //!
@@ -50,7 +50,7 @@ pub struct PoolStats {
     /// Sessions discarded after a mid-run panic.
     pub poisoned: u64,
     /// Layers compiled: at most 1 — the pool's code, compiled at its
-    /// first non-empty miss and rebound for every other shape.
+    /// first miss and rebound for every other shape.
     pub compiles: u64,
 }
 
@@ -107,8 +107,8 @@ pub struct SessionPool {
     entries: BTreeMap<Vec<usize>, PoolEntry>,
     tick: u64,
     stats: PoolStats,
-    /// The first non-empty layer the pool built: the compiled code every
-    /// session's layer shares.
+    /// The first layer the pool built: the compiled code every session's
+    /// layer shares.
     code: Option<CompiledEncoderLayer>,
 }
 
@@ -158,8 +158,8 @@ impl SessionPool {
 
     /// The pool's layer at the shape `lens`: the pool's code rebound to
     /// `lens` ([`CompiledEncoderLayer::for_shape`]). Before the pool has
-    /// code, it builds the layer, and a non-empty one becomes the code —
-    /// the only compile ([`PoolStats::compiles`]).
+    /// code, it builds the layer, which becomes the code — the only
+    /// compile ([`PoolStats::compiles`]).
     ///
     /// # Errors
     ///
@@ -172,10 +172,8 @@ impl SessionPool {
             return code.for_shape(lens);
         }
         let layer = CompiledEncoderLayer::build_with_math(&self.cfg, lens, self.math)?;
-        if layer.pipeline().is_some() {
-            self.stats.compiles += 1;
-            self.code = Some(layer.clone());
-        }
+        self.stats.compiles += 1;
+        self.code = Some(layer.clone());
         Ok(layer)
     }
 
@@ -344,16 +342,23 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_first_miss_leaves_the_compile_to_the_first_non_empty_one() {
+    fn an_empty_first_miss_compiles_the_code_every_later_shape_shares() {
         let mut pool = small_pool(4);
-        let empty = pool.checkout(&[0, 0]).unwrap();
-        assert_eq!(pool.stats().compiles, 0, "an empty batch has no code");
+        let w = EncoderWeights::random(&pool.cfg, 3);
+        let mut empty = pool.checkout(&[0, 0]).unwrap();
+        let x = RaggedBatch::random(&[0, 0], pool.cfg.hidden, 5);
+        assert!(empty.run(None, &w, &x).is_empty());
+        assert_eq!(pool.stats().compiles, 1, "an empty batch is a batch");
         pool.check_in(empty);
-        let _ = pool.checkout(&[2]).unwrap();
-        assert_eq!(pool.stats().compiles, 1);
-        let _ = pool.checkout(&[0]).unwrap();
-        let _ = pool.checkout(&[4, 1]).unwrap();
-        assert_eq!(pool.stats().compiles, 1);
+        for lens in [&[2usize][..], &[0], &[4, 1]] {
+            let mut s = pool.checkout(lens).unwrap();
+            let x = RaggedBatch::random(lens, pool.cfg.hidden, 5);
+            let built = CompiledEncoderLayer::build_with_math(&pool.cfg, lens, pool.math);
+            let want = built.unwrap().session().unwrap().forward_serial(&w, &x);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.run(None, &w, &x)), bits(&want), "{lens:?}");
+        }
+        assert_eq!(pool.stats().compiles, 1, "{:?}", pool.stats());
     }
 
     /// `[3, 2]` and `[2, 3]` plan equal buffer sizes and share the code,

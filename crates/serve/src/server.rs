@@ -177,15 +177,6 @@ impl SimReport {
         lat[rank.clamp(1, lat.len()) - 1]
     }
 
-    /// Successful completions per second of run time.
-    pub fn throughput_rps(&self) -> f64 {
-        let ok = self.completions.iter().filter(|c| c.result.is_ok()).count();
-        if self.end_ns == 0 {
-            return 0.0;
-        }
-        ok as f64 * 1e9 / self.end_ns as f64
-    }
-
     /// The largest *engine-idle* wait any request experienced: its
     /// queue wait minus the time the engine was busy during that wait.
     /// The policy discipline bounds this by

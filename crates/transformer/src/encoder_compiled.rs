@@ -10,10 +10,9 @@
 //! A [`Stage`] row holds everything the rest of the system needs to know
 //! about one stage: its label, an operator constructor over the shared
 //! [`Geometry`], the wires from pipeline buffers to the operator's
-//! inputs, its output buffer, and whether it opts into
-//! [`MathMode::Fast`]. `EXTERNALS` does the same for the pipeline's
-//! external inputs (name, size, where the data comes from). Everything
-//! else is a loop over or a lookup in those two tables:
+//! inputs and its output buffer. `EXTERNALS` does the same for the
+//! pipeline's external inputs (name, size, where the data comes from).
+//! Everything else is a loop over or a lookup in those two tables:
 //! [`CompiledEncoderLayer::build_with_math`] wires them,
 //! [`crate::autotune::stage_operator`] projects them, the `vm_disasm`
 //! tool walks them, and sessions bind the externals from them. No other
@@ -62,7 +61,9 @@
 //! per `(cfg, MathMode, Attend)` serves them all:
 //! [`CompiledEncoderLayer::for_shape`] lowers the stages at a new shape
 //! and rebinds them to a layer's code; only the preludes, proofs and
-//! arena ([`CompiledEncoderLayer::prepare`]) are per shape.
+//! arena ([`CompiledEncoderLayer::prepare`]) are per shape. An empty
+//! batch is one more shape: its loops run zero times, and it runs
+//! through the same pipeline as one chain of zero tiles.
 //!
 //! # Adding or fusing a stage
 //!
@@ -598,11 +599,6 @@ pub struct Stage {
     pub wires: &'static [(&'static str, &'static str)],
     /// Pipeline buffer the stage produces.
     pub out: &'static str,
-    /// Opts into the layer's [`MathMode`]: reduction- and
-    /// transcendental-heavy stages do; purely elementwise maps always
-    /// run Strict (Fast changes nothing for them, so opting in would
-    /// only blur the contract).
-    pub fast: bool,
 }
 
 impl Stage {
@@ -625,77 +621,66 @@ pub static STAGES: [Stage; 21] = [
         op: |l, g| proj_operator(l, g.rows, g.cfg.hidden, 3 * g.cfg.hidden),
         wires: &[("In", "X"), ("W", "Wqkv")],
         out: "QKV0",
-        fast: true,
     },
     Stage {
         label: "qkv_bias",
         op: |l, g| bias_operator(l, g.rows, 3 * g.cfg.hidden, false),
         wires: &[("In", "QKV0"), ("B", "Bqkv")],
         out: "QKV",
-        fast: false,
     },
     Stage {
         label: SCORES,
         op: |_, g| scores_operator(g),
         wires: &[("QKV", "QKV")],
         out: "S0",
-        fast: true,
     },
     Stage {
         label: "scale",
         op: |_, g| score_scale_operator(g),
         wires: &[("S", "S0")],
         out: "S",
-        fast: false,
     },
     Stage {
         label: "row_max",
         op: |_, g| row_max_operator(g),
         wires: &[("S", "S")],
         out: "M",
-        fast: true,
     },
     Stage {
         label: "row_exp",
         op: |_, g| row_exp_operator(g),
         wires: &[("S", "S"), ("M", "M")],
         out: "EX",
-        fast: true,
     },
     Stage {
         label: "row_sum",
         op: |_, g| row_sum_operator(g),
         wires: &[("Ex", "EX")],
         out: "E",
-        fast: true,
     },
     Stage {
         label: "row_softmax",
         op: |_, g| row_softmax_operator(g),
         wires: &[("Ex", "EX"), ("E", "E")],
         out: "P",
-        fast: false,
     },
     Stage {
         label: "attnv",
         op: |_, g| attnv_operator(g),
         wires: &[("P", "P"), ("QKV", "QKV")],
         out: "O",
-        fast: true,
     },
     Stage {
         label: "out_proj",
         op: |_, g| merge_proj_operator(g),
         wires: &[("O", "O"), ("W", "Wo")],
         out: "AO",
-        fast: true,
     },
     Stage {
         label: "attn_bias_residual",
         op: |l, g| bias_operator(l, g.rows, g.cfg.hidden, true),
         wires: &[("In", "AO"), ("B", "Bo"), ("R", "X")],
         out: "Y1",
-        fast: false,
     },
     // First layer norm.
     Stage {
@@ -703,14 +688,12 @@ pub static STAGES: [Stage; 21] = [
         op: |l, g| ln_sum_operator(l, g.rows, g.cfg.hidden),
         wires: &[("In", "Y1")],
         out: "S1",
-        fast: true,
     },
     Stage {
         label: "ln1_var",
         op: |l, g| ln_var_operator(l, g.rows, g.cfg.hidden),
         wires: &[("In", "Y1"), ("S", "S1")],
         out: "V1",
-        fast: true,
     },
     Stage {
         label: "ln1_norm",
@@ -723,7 +706,6 @@ pub static STAGES: [Stage; 21] = [
             ("Bt", "Ln1B"),
         ],
         out: "Z1",
-        fast: false,
     },
     // Feed-forward block.
     Stage {
@@ -731,28 +713,24 @@ pub static STAGES: [Stage; 21] = [
         op: |l, g| proj_operator(l, g.rows, g.cfg.hidden, g.cfg.ff),
         wires: &[("In", "Z1"), ("W", "W1")],
         out: "F0",
-        fast: true,
     },
     Stage {
         label: "ff1_bias_gelu",
         op: |l, g| bias_gelu_operator(l, g.rows, g.cfg.ff),
         wires: &[("In", "F0"), ("B", "B1")],
         out: "F",
-        fast: true,
     },
     Stage {
         label: "ff2",
         op: |l, g| proj_operator(l, g.rows, g.cfg.ff, g.cfg.hidden),
         wires: &[("In", "F"), ("W", "W2")],
         out: "G0",
-        fast: true,
     },
     Stage {
         label: "ff_bias_residual",
         op: |l, g| bias_operator(l, g.rows, g.cfg.hidden, true),
         wires: &[("In", "G0"), ("B", "B2"), ("R", "Z1")],
         out: "Y2",
-        fast: false,
     },
     // Second layer norm.
     Stage {
@@ -760,14 +738,12 @@ pub static STAGES: [Stage; 21] = [
         op: |l, g| ln_sum_operator(l, g.rows, g.cfg.hidden),
         wires: &[("In", "Y2")],
         out: "S2",
-        fast: true,
     },
     Stage {
         label: "ln2_var",
         op: |l, g| ln_var_operator(l, g.rows, g.cfg.hidden),
         wires: &[("In", "Y2"), ("S", "S2")],
         out: "V2",
-        fast: true,
     },
     Stage {
         label: "ln2_norm",
@@ -780,7 +756,6 @@ pub static STAGES: [Stage; 21] = [
             ("Bt", "Ln2B"),
         ],
         out: "OUT",
-        fast: false,
     },
 ];
 
@@ -796,7 +771,6 @@ static MHA_OUT_BIAS: Stage = Stage {
     op: |l, g| bias_operator(l, g.rows, g.cfg.hidden, false),
     wires: &[("In", "AO"), ("B", "Bo")],
     out: "Y",
-    fast: false,
 };
 
 /// The table row of a stage label, if any.
@@ -864,9 +838,7 @@ static EXTERNALS: [External; 13] = {
 /// re-compiled or re-planned).
 #[derive(Debug, Clone)]
 pub struct CompiledEncoderLayer {
-    /// `None` for an empty batch (zero total rows): forward returns an
-    /// empty output without executing anything.
-    pipeline: Option<CompiledPipeline>,
+    pipeline: CompiledPipeline,
     /// The table rows the pipeline runs, in order.
     stages: Vec<&'static Stage>,
     /// The externals the pipeline's stages read, in declaration order.
@@ -896,12 +868,13 @@ impl CompiledEncoderLayer {
 
     /// [`CompiledEncoderLayer::build`] with an explicit [`MathMode`].
     ///
-    /// The mode is threaded per stage: the rows of [`STAGES`] that opt
-    /// in (projection/score/attention GEMMs, softmax max/exp/sum, GELU,
-    /// layer-norm sums and variances) compile under the requested mode,
-    /// the purely elementwise rest always run Strict. Under
-    /// [`MathMode::Fast`] the layer output drifts from the Strict run by
-    /// at most the per-op tolerances documented in
+    /// Every stage compiles under the requested mode. [`MathMode::Fast`]
+    /// changes only `exp`/`tanh` and the reducing stores and
+    /// multiply-accumulate nests (projection/score/attention GEMMs,
+    /// softmax max/exp/sum, GELU, layer-norm sums and variances); the
+    /// purely elementwise stages have none of these and compute the same
+    /// bits in both modes. Under `Fast` the layer output drifts from the
+    /// Strict run by at most the per-op tolerances documented in
     /// `cora_exec::microkernel`, compounded across stages; the
     /// differential suite bounds the end-to-end error.
     ///
@@ -951,9 +924,8 @@ impl CompiledEncoderLayer {
     ///
     /// # Panics
     ///
-    /// Panics if this layer is empty (zero total rows: it holds no code)
-    /// and `lens` is not, or if a stage lowers at `lens` to a program
-    /// other than the one this layer compiled — a compiler bug.
+    /// Panics if a stage lowers at `lens` to a program other than the one
+    /// this layer compiled — a compiler bug.
     pub fn for_shape(&self, lens: &[usize]) -> Result<CompiledEncoderLayer, ScheduleError> {
         Self::wire(
             &self.cfg,
@@ -979,39 +951,19 @@ impl CompiledEncoderLayer {
     ) -> Result<CompiledEncoderLayer, ScheduleError> {
         cfg.validate().expect("consistent encoder config");
         let geometry = Geometry::new(cfg, lens, attend);
-        let mut layer = CompiledEncoderLayer {
-            pipeline: None,
-            stages,
-            externals: Vec::new(),
-            cfg: *cfg,
-            attend,
-            lens: lens.to_vec(),
-            rows: geometry.rows,
-            math,
-        };
-        if layer.rows == 0 {
-            return Ok(layer);
-        }
-        let mut code = code.map(|layer| {
-            layer
-                .pipeline
-                .as_ref()
-                .expect("an empty layer holds no code to rebind")
-                .stage_programs()
-        });
-        let stages = &layer.stages;
+        let mut code = code.map(|layer| layer.pipeline.stage_programs());
         let mut b = PipelineBuilder::new(match attend {
             Attend::Full => "encoder_layer",
             Attend::Causal => "masked_mha",
         });
         let wired = stages.iter().flat_map(|s| s.wires).map(|(_, buf)| *buf);
         let read = |e: &&External| wired.clone().any(|buf| buf == e.name);
-        layer.externals = EXTERNALS.iter().filter(read).collect();
-        for e in &layer.externals {
+        let externals: Vec<&External> = EXTERNALS.iter().filter(read).collect();
+        for e in &externals {
             b.input(e.name, (e.size)(&geometry))
                 .expect("unique external names");
         }
-        for stage in stages {
+        for stage in &stages {
             let lowered = lower(&stage.operator(&geometry))?;
             let program = match code.as_mut() {
                 Some(programs) => {
@@ -1019,24 +971,30 @@ impl CompiledEncoderLayer {
                     debug_assert_eq!(label, stage.label, "code of the same stage rows");
                     lowered.rebind(compiled)
                 }
-                None if stage.fast => lowered.compile().with_math_mode(math),
-                None => lowered.compile(),
+                None => lowered.compile().with_math_mode(math),
             };
             b.stage(stage.label, program, stage.wires, stage.out)
                 .expect("encoder pipeline wiring is static");
         }
         let out = stages.last().expect("at least one stage").out;
-        layer.pipeline = Some(b.build(out).expect("the last stage produces the output"));
-        Ok(layer)
+        Ok(CompiledEncoderLayer {
+            pipeline: b.build(out).expect("the last stage produces the output"),
+            stages,
+            externals,
+            cfg: *cfg,
+            attend,
+            lens: lens.to_vec(),
+            rows: geometry.rows,
+            math,
+        })
     }
 
-    /// The wired pipeline (buffer plan, stage labels), when the batch is
-    /// non-empty.
+    /// The wired pipeline (buffer plan, stage labels); always `Some`.
     pub fn pipeline(&self) -> Option<&CompiledPipeline> {
-        self.pipeline.as_ref()
+        Some(&self.pipeline)
     }
 
-    /// The [`MathMode`] the compute-heavy stages were compiled under.
+    /// The [`MathMode`] every stage was compiled under.
     pub fn math_mode(&self) -> MathMode {
         self.math
     }
@@ -1072,10 +1030,7 @@ impl CompiledEncoderLayer {
     /// As for [`CompiledEncoderLayer::session`].
     pub fn prepare(&self) -> Result<EncoderPrep, ScheduleError> {
         Ok(EncoderPrep {
-            inner: match &self.pipeline {
-                Some(p) => Some(p.prepare()?),
-                None => None,
-            },
+            inner: self.pipeline.prepare()?,
             lens: self.lens.clone(),
         })
     }
@@ -1118,11 +1073,10 @@ impl CompiledEncoderLayer {
 
 /// Everything shape-dependent about one [`CompiledEncoderLayer`]: what
 /// [`CompiledEncoderLayer::prepare`] resolves, borrowing nothing from
-/// the layer — storable beside it in caches and pools. `None` inner
-/// prep corresponds to an empty batch (no pipeline).
+/// the layer — storable beside it in caches and pools.
 #[derive(Debug, Clone)]
 pub struct EncoderPrep {
-    inner: Option<PipelinePrep>,
+    inner: PipelinePrep,
     /// The batch shape the tables, proofs and arena were resolved at.
     lens: Vec<usize>,
 }
@@ -1180,32 +1134,24 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
             "batch shape differs from the compiled shape"
         );
         assert_eq!(x.hidden, layer.cfg.hidden, "hidden size mismatch");
-        let Some(pipeline) = &layer.pipeline else {
-            return PipelineRun {
-                output: Vec::new(),
-                stages: Vec::new(),
-                dispatches: 0,
-            };
-        };
         let inputs: Vec<(&str, &[f32])> = layer
             .externals
             .iter()
             .map(|e| (e.name, (e.data)(w, x)))
             .collect();
-        let prep = self.prep.borrow_mut().inner.as_mut();
-        let mut session = pipeline.session_with(prep.expect("same lens, so same emptiness"));
+        let mut session = layer
+            .pipeline
+            .session_with(&mut self.prep.borrow_mut().inner);
         session.run(pool.unwrap_or(&CpuPool::new(1)), &inputs)
     }
 
-    /// Per-stage safety proofs, in stage order: each parallel stage's
+    /// Per-stage safety proofs, in stage order: each stage's
     /// [`cora_core::verify::VerifyOutcome`] (in-bounds and
-    /// disjoint-store, verified at this layer's shape), `None` for
-    /// serial stages. Empty for an empty batch (no pipeline is built).
-    pub fn verify_outcomes(&self) -> Vec<(&str, Option<&cora_core::verify::VerifyOutcome>)> {
-        match (&self.layer.pipeline, &self.prep.borrow().inner) {
-            (Some(pipeline), Some(prep)) => pipeline.verify_outcomes(prep),
-            _ => Vec::new(),
-        }
+    /// disjoint-store, verified at this layer's shape).
+    pub fn verify_outcomes(&self) -> Vec<(&str, &cora_core::verify::VerifyOutcome)> {
+        self.layer
+            .pipeline
+            .verify_outcomes(&self.prep.borrow().inner)
     }
 }
 
@@ -1294,7 +1240,6 @@ mod tests {
         let lens = vec![0usize, 0];
         let x = RaggedBatch::random(&lens, cfg.hidden, 2);
         let layer = CompiledEncoderLayer::build(&cfg, &lens).unwrap();
-        assert!(layer.pipeline().is_none());
         let out = layer.forward(&CpuPool::new(2), &w, &x);
         assert!(out.is_empty());
     }

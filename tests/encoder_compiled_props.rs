@@ -226,7 +226,6 @@ proptest! {
                 .expect("the attention prefix has a score stage");
             prop_assert_eq!(scores.output_size(), heads * triangle);
             for (label, outcome) in session.verify_outcomes() {
-                let outcome = outcome.expect("every stage binds a block axis");
                 if label == "scores" {
                     prop_assert_eq!(outcome.n_blocks, heads * rows);
                 }
@@ -398,7 +397,7 @@ fn strict_forwards_match_the_interpreter_on_panel_reuse_edges() {
             if lens == straddling {
                 // Some score tile holds rows of two sequences.
                 let grain = (session.verify_outcomes().into_iter())
-                    .find_map(|(label, v)| (label == "scores").then(|| v.unwrap().grain))
+                    .find_map(|(label, v)| (label == "scores").then_some(v.grain))
                     .expect("a score stage");
                 let mut end = 0;
                 assert!(grain > 1, "{at}");

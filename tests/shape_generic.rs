@@ -16,7 +16,14 @@
 //!   threads.
 //!
 //! Layer-level: `CompiledEncoderLayer::for_shape` matches `build` at the
-//! new shape for the encoder layer and the masked block.
+//! new shape for the encoder layer and the masked block, from a
+//! non-empty layer's code and from an empty layer's, and an empty layer
+//! shares the code and forwards to an empty output.
+//!
+//! Math mode: the stages with no `exp`/`tanh` and no reducing store or
+//! multiply-accumulate nest compute the same bits and statistics under
+//! `Fast` as under `Strict`, so every stage compiles under the layer's
+//! mode.
 
 use cora::core::prelude::*;
 use cora::transformer::encoder_compiled::{stage, Attend, Geometry, STAGES};
@@ -48,8 +55,8 @@ fn labels() -> Vec<&'static str> {
         .collect()
 }
 
-/// One stage lowered and compiled at one shape, as the layer compiles
-/// it (a stage that opts into the math mode gets it).
+/// One stage lowered and compiled at one shape under `math`, as the
+/// layer compiles it.
 struct AtShape {
     operator: Operator,
     lowered: Program,
@@ -60,10 +67,7 @@ fn at_shape(label: &str, attend: Attend, math: MathMode, lens: &[usize]) -> AtSh
     let row = stage(label).expect("a table label");
     let operator = row.operator(&Geometry::new(&small_config(), lens, attend));
     let lowered = lower(&operator).expect("built-in schedules are legal");
-    let mut compiled = lowered.compile();
-    if row.fast {
-        compiled = compiled.with_math_mode(math);
-    }
+    let compiled = lowered.compile().with_math_mode(math);
     AtShape {
         operator,
         lowered,
@@ -199,34 +203,75 @@ fn a_layer_moved_to_another_shape_matches_one_built_there() {
         ("encoder", CompiledEncoderLayer::build),
         ("masked block", CompiledEncoderLayer::build_masked_mha),
     ];
+    fn shares(a: &CompiledEncoderLayer, b: &CompiledEncoderLayer) -> bool {
+        let (a, b) = (
+            a.pipeline().expect("a pipeline"),
+            b.pipeline().expect("a pipeline"),
+        );
+        (a.stage_programs().zip(b.stage_programs()))
+            .all(|((_, a), (_, b))| std::ptr::eq(a.vm(), b.vm()))
+    }
     for (what, build) in builds {
-        let code = build(&cfg, SHAPES[0]).expect("builds");
-        for lens in &SHAPES[1..] {
-            let x = RaggedBatch::random(lens, cfg.hidden, 11);
-            let moved = code.for_shape(lens).expect("lowers");
-            let built = build(&cfg, lens).expect("builds");
-            let want = built.session().expect("verifies").forward_serial(&w, &x);
-            let mut session = moved.session().expect("verifies");
-            assert_eq!(
-                bits(&session.forward_serial(&w, &x)),
-                bits(&want),
-                "{what} {lens:?}"
-            );
-            assert_eq!(
-                bits(&session.forward(&pool, &w, &x)),
-                bits(&want),
-                "{what} {lens:?}"
-            );
-            let shared = moved
-                .pipeline()
-                .expect("non-empty")
-                .stage_programs()
-                .zip(code.pipeline().expect("non-empty").stage_programs())
-                .all(|((_, a), (_, b))| std::ptr::eq(a.vm(), b.vm()));
-            assert!(shared, "{what} {lens:?}: every stage shares the code");
+        // From a non-empty layer's code, and from an empty one's.
+        for source in [SHAPES[0], &[]] {
+            let code = build(&cfg, source).expect("builds");
+            for lens in &SHAPES[1..] {
+                let what = format!("{what} from {source:?} to {lens:?}");
+                let x = RaggedBatch::random(lens, cfg.hidden, 11);
+                let moved = code.for_shape(lens).expect("lowers");
+                let built = build(&cfg, lens).expect("builds");
+                let want = built.session().expect("verifies").forward_serial(&w, &x);
+                let mut session = moved.session().expect("verifies");
+                assert_eq!(bits(&session.forward_serial(&w, &x)), bits(&want), "{what}");
+                assert_eq!(bits(&session.forward(&pool, &w, &x)), bits(&want), "{what}");
+                assert!(shares(&moved, &code), "{what}: every stage shares the code");
+            }
+            // An empty batch is a batch: the layer moved there shares the
+            // code and forwards to an empty output.
+            let lens = [0, 0];
+            let empty = code.for_shape(&lens).expect("lowers");
+            assert!(shares(&empty, &code), "{what} from {source:?} to {lens:?}");
+            let x = RaggedBatch::random(&lens, cfg.hidden, 11);
+            let mut session = empty.session().expect("verifies");
+            assert!(session.forward_serial(&w, &x).is_empty());
+            assert!(session.forward(&pool, &w, &x).is_empty());
         }
-        // An empty batch needs no code; a layer moved there is empty too.
-        let empty = code.for_shape(&[0, 0]).expect("lowers");
-        assert!(empty.pipeline().is_none());
+    }
+}
+
+/// The stages with no `exp`/`tanh`, no reducing store and no
+/// multiply-accumulate nest run alone under `Fast` to the same bits and
+/// statistics as under `Strict`, serially and on two threads, at every
+/// shape and under both attention kinds.
+#[test]
+fn elementwise_stages_compute_the_same_bits_under_either_math_mode() {
+    const ELEMENTWISE: [&str; 8] = [
+        "qkv_bias",
+        "scale",
+        "row_softmax",
+        "attn_bias_residual",
+        "ln1_norm",
+        "ff_bias_residual",
+        "ln2_norm",
+        "attn_bias",
+    ];
+    let pool = CpuPool::new(2);
+    for attend in [Attend::Full, Attend::Causal] {
+        for lens in SHAPES {
+            for label in ELEMENTWISE {
+                let what = format!("{label} ({attend:?}) at {lens:?}");
+                let strict = at_shape(label, attend, MathMode::Strict, lens);
+                let fast = at_shape(label, attend, MathMode::Fast, lens);
+                assert_eq!(fast.compiled.math_mode(), MathMode::Fast, "{what}");
+                let data = inputs(&strict);
+                let want = strict.compiled.run(&data);
+                let serial = fast.compiled.run(&data);
+                assert_eq!(bits(&serial.output), bits(&want.output), "{what}");
+                assert_eq!(serial.stats, want.stats, "{what}");
+                let parallel = fast.compiled.run_parallel(&pool, &data).expect("verifies");
+                assert_eq!(bits(&parallel.output), bits(&want.output), "{what}");
+                assert_eq!(parallel.stats, want.stats, "{what}");
+            }
+        }
     }
 }
