@@ -350,12 +350,12 @@ mod tests {
         assert!(empty.run(None, &w, &x).is_empty());
         assert_eq!(pool.stats().compiles, 1, "an empty batch is a batch");
         pool.check_in(empty);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for lens in [&[2usize][..], &[0], &[4, 1]] {
             let mut s = pool.checkout(lens).unwrap();
             let x = RaggedBatch::random(lens, pool.cfg.hidden, 5);
             let built = CompiledEncoderLayer::build_with_math(&pool.cfg, lens, pool.math);
             let want = built.unwrap().session().unwrap().forward_serial(&w, &x);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&s.run(None, &w, &x)), bits(&want), "{lens:?}");
         }
         assert_eq!(pool.stats().compiles, 1, "{:?}", pool.stats());

@@ -1237,11 +1237,14 @@ mod tests {
     fn empty_batch_returns_empty_output() {
         let cfg = EncoderConfig::scaled(8);
         let w = EncoderWeights::random(&cfg, 1);
-        let lens = vec![0usize, 0];
-        let x = RaggedBatch::random(&lens, cfg.hidden, 2);
-        let layer = CompiledEncoderLayer::build(&cfg, &lens).unwrap();
-        let out = layer.forward(&CpuPool::new(2), &w, &x);
-        assert!(out.is_empty());
+        for lens in [&[][..], &[0, 0]] {
+            let x = RaggedBatch::random(lens, cfg.hidden, 2);
+            let layer = CompiledEncoderLayer::build(&cfg, lens).unwrap();
+            let mut session = layer.session().unwrap();
+            assert!(session.forward(&CpuPool::new(2), &w, &x).is_empty());
+            assert!(session.forward_serial(&w, &x).is_empty());
+            assert!(masked_mha_compiled(&CpuPool::new(2), &cfg, &w, &x).is_empty());
+        }
     }
 
     #[test]
