@@ -847,8 +847,7 @@ fn resolve_stages(
     let mut stages = Vec::with_capacity(specs.len());
     for spec in specs {
         let prelude = spec.program.build_prelude();
-        let prep = (spec.program.parallel_prep_with(&prelude, grain)?)
-            .expect("a pipeline stage binds a block axis");
+        let prep = spec.program.parallel_prep_with(&prelude, grain)?;
         // Cross-check the verifier's proven access hulls against
         // the planner's buffer sizes: every input the stage reads
         // must fit inside the buffer it is wired to. Both derive

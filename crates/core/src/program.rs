@@ -634,6 +634,7 @@ impl CompiledProgram {
             return Ok(None);
         }
         self.parallel_prep_with(&self.prelude.build(), None)
+            .map(Some)
     }
 
     /// [`CompiledProgram::parallel_prep`] with every proof and dispatch
@@ -659,6 +660,7 @@ impl CompiledProgram {
             return Ok(None);
         }
         self.parallel_prep_with(&self.prelude.build(), Some(grain))
+            .map(Some)
     }
 
     /// [`CompiledProgram::parallel_prep`] against an already-built
@@ -666,16 +668,20 @@ impl CompiledProgram {
     /// [`CompiledProgram::build_prelude`]): the tables are shared, not
     /// rebuilt or copied. `grain`: as for
     /// [`CompiledProgram::parallel_prep_at_grain`]; `None` is the rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program binds no block axis: every caller checks
+    /// that first (the public wrappers return `None`, and a pipeline
+    /// refuses such a stage when it is added).
     pub(crate) fn parallel_prep_with(
         &self,
         data: &PreludeData,
         grain: Option<usize>,
-    ) -> Result<Option<ParallelPrep>, ScheduleError> {
-        let kernel = match &self.code.parallel {
-            Err(e) => return Err(e.clone()),
-            Ok(None) => return Ok(None),
-            Ok(Some(k)) => k,
-        };
+    ) -> Result<ParallelPrep, ScheduleError> {
+        let kernel = (self.code.parallel.as_ref().map_err(Clone::clone)?)
+            .as_ref()
+            .expect("the caller checked that a block axis is bound");
 
         // Host side: evaluate the hoisted bindings and the block loop's
         // bounds exactly once, charging the same static aux-load counts
@@ -751,14 +757,14 @@ impl CompiledProgram {
             shared.bind_var(name, *v);
         }
 
-        Ok(Some(ParallelPrep {
+        Ok(ParallelPrep {
             prelude: data.clone(),
             shared,
             host,
             ordered_costs: order.iter().map(|&t| tile_costs[t]).collect(),
             tiles: order.iter().map(|&t| outcome.cert.tile_start(t)).collect(),
             verify: outcome,
-        }))
+        })
     }
 
     /// The one way to make a [`ParallelSession`]: a view over this

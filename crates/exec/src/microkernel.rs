@@ -9,6 +9,15 @@
 //! this codebase's whole point. Arch-gated intrinsics can slot in behind
 //! the same functions later without touching the VM.
 //!
+//! A kernel runs once per row of a fused nest's row level, so both
+//! halves of a row's cost matter. Inside the row, [`saxpy_panel`] keeps a
+//! 32-column register block — four `[f32; LANES]` accumulators whose add
+//! chains are independent — before its [`LANES`]-column blocks: one
+//! vector's adds depend on each other, so a lone block waits on the add
+//! latency. Around the row, the executor resolves the operand views and
+//! claims the output run once per execution (`vm::dispatch`), so a row
+//! starts at its first element.
+//!
 //! # The kernel table
 //!
 //! Rather than hard-coding stride peepholes inside the VM's dispatch,
@@ -275,16 +284,24 @@ pub(crate) fn select_kernel(
 // GEMM-shaped panels
 // ---------------------------------------------------------------------
 
+/// Columns of [`saxpy_panel`]'s wide register block: four [`LANES`]
+/// vectors, whose add chains are independent and so overlap.
+const SAXPY_WIDE: usize = 4 * LANES;
+
 /// Register-blocked i-k-j saxpy panel:
 /// `out[0..n_i] += a[a0 + t·sa_o] · b[b0 + t·sb_o ..][..n_i]` for
 /// `t in 0..n_o`.
 ///
-/// The output row is processed in `[f32; LANES]` register blocks held
-/// across the *entire* outer loop, so each output element is loaded and
-/// stored once instead of once per `t` — the classic GEMM register
-/// tile. Per element the adds still happen in ascending-`t` order, one
-/// `mul` + one `add` each, so results are **bit-identical to the scalar
-/// nest in both math modes** (independent outputs reassociate nothing).
+/// The output row is processed in register blocks held across the
+/// *entire* outer loop, so each output element is loaded and stored once
+/// instead of once per `t` — the classic GEMM register tile. Blocks of
+/// `4 · LANES` columns run first: one vector's adds form a dependent
+/// chain, so one block alone waits on the add latency, while four
+/// independent chains keep the adder busy. Then [`LANES`]-column blocks,
+/// then a scalar tail. Per element the adds still happen in
+/// ascending-`t` order, one `mul` + one `add` each, so results are
+/// **bit-identical to the scalar nest in both math modes** (independent
+/// outputs reassociate nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn saxpy_panel(
     out: &mut [f32],
@@ -298,17 +315,12 @@ pub fn saxpy_panel(
 ) {
     let n_i = out.len();
     let mut i = 0;
+    while i + SAXPY_WIDE <= n_i {
+        saxpy_block::<SAXPY_WIDE>(&mut out[i..], a, a0, sa_o, b, b0 + i, sb_o, n_o);
+        i += SAXPY_WIDE;
+    }
     while i + LANES <= n_i {
-        let mut acc = [0.0f32; LANES];
-        acc.copy_from_slice(&out[i..i + LANES]);
-        for t in 0..n_o {
-            let s = a[a0 + t * sa_o];
-            let br = &b[b0 + t * sb_o + i..b0 + t * sb_o + i + LANES];
-            for l in 0..LANES {
-                acc[l] += s * br[l];
-            }
-        }
-        out[i..i + LANES].copy_from_slice(&acc);
+        saxpy_block::<LANES>(&mut out[i..], a, a0, sa_o, b, b0 + i, sb_o, n_o);
         i += LANES;
     }
     if i < n_i {
@@ -321,6 +333,32 @@ pub fn saxpy_panel(
             }
         }
     }
+}
+
+/// One `W`-column register block of [`saxpy_panel`]: `out[..W] +=
+/// a[a0 + t·sa_o] · b[b0 + t·sb_o ..][..W]` for ascending `t`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn saxpy_block<const W: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    a0: usize,
+    sa_o: usize,
+    b: &[f32],
+    b0: usize,
+    sb_o: usize,
+    n_o: usize,
+) {
+    let out: &mut [f32; W] = (&mut out[..W]).try_into().expect("W columns");
+    let mut acc = *out;
+    for t in 0..n_o {
+        let s = a[a0 + t * sa_o];
+        let row: &[f32; W] = b[b0 + t * sb_o..][..W].try_into().expect("W columns");
+        for l in 0..W {
+            acc[l] += s * row[l];
+        }
+    }
+    *out = acc;
 }
 
 /// Dot panel: `out[t] += a_row(t) · b_row(t)` for `t in 0..n_o`, rows of
@@ -728,8 +766,12 @@ mod tests {
 
     #[test]
     fn saxpy_panel_is_bit_identical_to_scalar_nest() {
-        // All tail lengths mod LANES, including 0 and a multi-block row.
-        for n_i in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 64, 67] {
+        // All tail lengths mod LANES, including 0 and a multi-block row,
+        // every boundary of the wide / LANES / scalar cascade, and the
+        // encoder's GEMM widths.
+        for n_i in [
+            0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 40, 41, 63, 64, 67, 96, 97, 192, 256,
+        ] {
             for n_o in [0usize, 1, 2, 5, 31] {
                 let a = seq(n_o.max(1) * 3, 0.25);
                 let b = seq(n_o.max(1) * (n_i + 2) + 4, 0.5);

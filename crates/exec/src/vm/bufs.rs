@@ -3,9 +3,10 @@
 //! A [`Bufs`] is a slot table: every free float buffer of the program is
 //! either a read-only slice ([`Slot::In`]) or a *written* buffer reached
 //! through an [`OutPort`] ([`Slot::Out`]); every `Alloc` site is private
-//! scratch ([`Slot::Scratch`]). The element accessors and the two fused
-//! fast paths (chunk store, whole-nest kernel) are written once, here,
-//! and monomorphised over the port:
+//! scratch ([`Slot::Scratch`]). The element accessors and the fused
+//! nest's split of the table ([`Bufs::split_out`]: the output's [`Sink`]
+//! beside the operand views) are written once, here, and monomorphised
+//! over the port:
 //!
 //! * serial runs use the exclusive-slice port (`&mut [f32]`) — the
 //!   borrowed entry point binds caller storage, and the owned
@@ -30,7 +31,6 @@
 //! from tile to tile, so it never counts as [`Slot::In`].
 
 use cora_ir::interval::SInt;
-use cora_ir::StoreKind;
 
 use super::isa::{fbuf_name, VmProgram};
 
@@ -54,6 +54,12 @@ pub(super) trait OutPort {
     /// Exclusive view of the dense run `[o0, o0 + n)` — the chunked
     /// store sweeps and panel kernels write through it.
     fn run_mut(&mut self, o0: usize, n: usize) -> &mut [f32];
+
+    /// Whether [`OutPort::run_mut`] may take the dense run `[o0, o0 + n)`
+    /// whole: in bounds and, for a certificate-checked port, inside one
+    /// of the executing tile's certified regions. Never panics; a port
+    /// without a certificate to check against answers `false`.
+    fn covers(&self, o0: usize, n: usize) -> bool;
 
     /// The panic for a store to the free buffer `name` bound read-only.
     fn reject_input_store(name: &str) -> !;
@@ -90,6 +96,11 @@ impl OutPort for &mut [f32] {
     #[inline]
     fn run_mut(&mut self, o0: usize, n: usize) -> &mut [f32] {
         &mut self[o0..o0 + n]
+    }
+
+    #[inline]
+    fn covers(&self, o0: usize, n: usize) -> bool {
+        o0.checked_add(n).is_some_and(|end| end <= self.len())
     }
 
     fn reject_input_store(name: &str) -> ! {
@@ -156,6 +167,11 @@ impl OutPort for WindowOut<'_> {
         &mut self.data[i..i + n]
     }
 
+    #[inline]
+    fn covers(&self, o0: usize, n: usize) -> bool {
+        (self.regions.iter()).any(|r| r.contains_run(o0 as i64, n as i64))
+    }
+
     fn reject_input_store(name: &str) -> ! {
         panic!("chain stage stored to input buffer `{name}`")
     }
@@ -191,35 +207,53 @@ impl<P: OutPort> Slot<'_, P> {
             Slot::Out(p) => p.ro().map(|b| (b, 0)),
         }
     }
+
+    #[inline]
+    fn get(&self, idx: usize) -> f32 {
+        match self {
+            Slot::In(b) => b[idx],
+            Slot::Win(b, origin) => b[idx - origin],
+            Slot::Out(p) => p.get(idx),
+            Slot::Scratch(b) => b[idx],
+        }
+    }
 }
 
-/// Every slot of a table except the one a fast path is writing: the
-/// operand view [`Bufs::with_out_run`] hands out beside the exclusive
-/// output run.
-struct Operands<'s, 'a, P> {
+/// Every slot of a table except the output of a fused nest: the
+/// operand side [`Bufs::split_out`] hands out beside the output's
+/// [`Sink`].
+pub(super) struct Operands<'s, 'a, P> {
     /// Slots below the output slot.
     lo: &'s [Slot<'a, P>],
     /// Slots above it.
     hi: &'s [Slot<'a, P>],
 }
 
-impl<P: OutPort> Operands<'_, '_, P> {
+impl<'s, 'a, P: OutPort> Operands<'s, 'a, P> {
     /// An operand slot.
     #[inline]
-    fn slot(&self, slot: u32) -> &Slot<'_, P> {
+    fn slot(&self, slot: u32) -> &'s Slot<'a, P> {
         let (slot, out) = (slot as usize, self.lo.len());
         assert_ne!(slot, out, "aliasing fused-loop operands");
+        let (lo, hi) = (self.lo, self.hi);
         if slot < out {
-            &self.lo[slot]
+            &lo[slot]
         } else {
-            &self.hi[slot - out - 1]
+            &hi[slot - out - 1]
         }
     }
 
-    /// [`Slot::ro`] of an operand slot.
+    /// The contiguous read-only view of an operand slot, when it has
+    /// one, and the absolute index of its first element.
     #[inline]
-    fn ro(&self, slot: u32) -> Option<(&[f32], usize)> {
+    pub(super) fn ro(&self, slot: u32) -> Option<(&'s [f32], usize)> {
         self.slot(slot).ro()
+    }
+
+    /// Element load from an operand slot.
+    #[inline]
+    pub(super) fn get(&self, slot: u32, idx: usize) -> f32 {
+        self.slot(slot).get(idx)
     }
 
     /// Whether an operand slot is bound [`Slot::In`]: a shared borrow
@@ -228,8 +262,75 @@ impl<P: OutPort> Operands<'_, '_, P> {
     /// reuse a copy of it across nests. Written and scratch slots never
     /// qualify.
     #[inline]
-    fn is_input(&self, slot: u32) -> bool {
+    pub(super) fn is_input(&self, slot: u32) -> bool {
         matches!(self.slot(slot), Slot::In(_))
+    }
+}
+
+/// Where the stores of one fused-nest execution land
+/// ([`Bufs::split_out`]).
+pub(super) enum Sink<'s, P> {
+    /// The exclusive run `[origin, origin + run.len())`, claimed once
+    /// and spanning every store of the execution: stores land with no
+    /// further check.
+    Run(&'s mut [f32], usize),
+    /// A written buffer whose port checks every store as it lands —
+    /// each row's, announced first ([`Sink::enter_block`]).
+    Port(&'s mut P),
+    /// The output, named, is bound read-only: every access is the port's
+    /// read-only panic.
+    ReadOnly(String),
+}
+
+impl<P: OutPort> Sink<'_, P> {
+    /// Notes the block value about to run (store diagnostics; only a
+    /// port that checks each store needs it).
+    #[inline]
+    pub(super) fn enter_block(&mut self, block: i64) {
+        if let Sink::Port(p) = self {
+            p.enter_block(block);
+        }
+    }
+
+    /// The exclusive run `[o0, o0 + n)`, or `None` when the output is
+    /// bound read-only (the element paths then raise the panic).
+    #[inline]
+    pub(super) fn run(&mut self, o0: usize, n: usize) -> Option<&mut [f32]> {
+        match self {
+            Sink::Run(run, origin) => Some(&mut run[o0 - *origin..][..n]),
+            Sink::Port(p) => Some(p.run_mut(o0, n)),
+            Sink::ReadOnly(_) => None,
+        }
+    }
+
+    #[inline]
+    pub(super) fn get(&self, idx: usize) -> f32 {
+        match self {
+            Sink::Run(run, origin) => run[idx - origin],
+            Sink::Port(p) => p.get(idx),
+            Sink::ReadOnly(name) => P::reject_input_store(name),
+        }
+    }
+
+    #[inline]
+    pub(super) fn set(&mut self, idx: usize, v: f32) {
+        match self {
+            Sink::Run(run, origin) => run[idx - *origin] = v,
+            Sink::Port(p) => p.set(idx, v),
+            Sink::ReadOnly(name) => P::reject_input_store(name),
+        }
+    }
+
+    #[inline]
+    pub(super) fn rmw(&mut self, idx: usize, f: impl FnOnce(f32) -> f32) {
+        match self {
+            Sink::Run(run, origin) => {
+                let cell = &mut run[idx - *origin];
+                *cell = f(*cell);
+            }
+            Sink::Port(p) => p.rmw(idx, f),
+            Sink::ReadOnly(name) => P::reject_input_store(name),
+        }
     }
 }
 
@@ -269,12 +370,7 @@ impl<'a, P: OutPort> Bufs<'a, P> {
 
     #[inline]
     pub(super) fn get(&self, slot: u32, idx: usize) -> f32 {
-        match &self.slots[slot as usize] {
-            Slot::In(b) => b[idx],
-            Slot::Win(b, origin) => b[idx - origin],
-            Slot::Out(p) => p.get(idx),
-            Slot::Scratch(b) => b[idx],
-        }
+        self.slots[slot as usize].get(idx)
     }
 
     #[inline]
@@ -320,93 +416,29 @@ impl<'a, P: OutPort> Bufs<'a, P> {
         }
     }
 
-    /// The contiguous read-only run `[i0, i0 + n)` of a slot, when the
-    /// slot has a contiguous view (used by the fused-loop fast paths;
-    /// `None` falls back to per-element `get`).
-    #[inline]
-    pub(super) fn ro_run(&self, slot: u32, i0: usize, n: usize) -> Option<&[f32]> {
-        let (b, origin) = self.slots[slot as usize].ro()?;
-        let at = i0 - origin;
-        Some(&b[at..at + n])
-    }
-
-    /// Runs `f` over the exclusive run `[o0, o0 + n)` of slot `out`,
-    /// beside a read view of every *other* slot (the table is split
-    /// around `out`, so nothing is moved or copied). Returns `false` —
-    /// the caller falls back to per-element stores, which raise the
-    /// canonical read-only panic — without calling `f` when `out` is
-    /// bound read-only, else `f`'s verdict.
-    #[inline]
-    fn with_out_run(
+    /// Splits the table around the output slot `out` of a fused nest:
+    /// where its stores land beside a read view of every *other* slot
+    /// (nothing is moved or copied). A written buffer's port hands over
+    /// the run `hull()` names — the dense run spanning every store of
+    /// the execution — when it covers that run ([`OutPort::covers`]);
+    /// otherwise, or when `hull()` is `None`, its port checks each store.
+    /// Scratch is private to the execution, so it is always one run.
+    /// `hull` is evaluated only for a written buffer.
+    pub(super) fn split_out(
         &mut self,
         out: u32,
-        o0: usize,
-        n: usize,
-        f: impl FnOnce(&mut [f32], Operands<'_, 'a, P>) -> bool,
-    ) -> bool {
+        hull: impl FnOnce() -> Option<(usize, usize)>,
+    ) -> (Sink<'_, P>, Operands<'_, 'a, P>) {
         let (lo, rest) = self.slots.split_at_mut(out as usize);
         let (slot, hi) = rest.split_first_mut().expect("census-checked slot");
-        let others = Operands { lo, hi };
-        match slot {
-            Slot::In(_) | Slot::Win(..) => false,
-            Slot::Out(p) => f(p.run_mut(o0, n), others),
-            Slot::Scratch(b) => f(&mut b[o0..o0 + n], others),
-        }
-    }
-
-    /// Stores a chunk of values into the contiguous range
-    /// `out[o0 .. o0 + vals.len()]` under the given combine rule — the
-    /// unit-stride store sweep of a fused map. Element order and the
-    /// per-element float op are those of the serial store loop, so the
-    /// result is bit-identical in every mode.
-    pub(super) fn store_chunk(
-        &mut self,
-        out: u32,
-        o0: usize,
-        kind: StoreKind,
-        vals: &[f32],
-    ) -> bool {
-        self.with_out_run(out, o0, vals.len(), |run, _| {
-            match kind {
-                StoreKind::Assign => run.copy_from_slice(vals),
-                StoreKind::AddAssign => {
-                    for (o, v) in run.iter_mut().zip(vals) {
-                        *o += *v;
-                    }
-                }
-                StoreKind::MaxAssign => {
-                    for (o, v) in run.iter_mut().zip(vals) {
-                        *o = o.max(*v);
-                    }
-                }
-            }
-            true
-        })
-    }
-
-    /// Runs a whole-nest microkernel `f` over the exclusive output run
-    /// `[o0, o0 + n)` of slot `out` beside contiguous read-only views of
-    /// the operand slots `a` and `b` (each with the absolute index of
-    /// its first element), and whether `b` is bound [`Slot::In`]
-    /// (immutable for the execution). Callers guarantee `out ∉ {a, b}`
-    /// (validated at compile time) and a non-negative base. Returns
-    /// `false` without calling `f` — the caller falls back to the
-    /// element paths — when `out` is bound read-only or an operand has
-    /// no contiguous view.
-    pub(super) fn run_kernel(
-        &mut self,
-        out: u32,
-        o0: usize,
-        n: usize,
-        [a, b]: [u32; 2],
-        f: impl FnOnce(&mut [f32], (&[f32], usize), (&[f32], usize), bool),
-    ) -> bool {
-        self.with_out_run(out, o0, n, |run, others| {
-            let (Some(av), Some(bv)) = (others.ro(a), others.ro(b)) else {
-                return false;
-            };
-            f(run, av, bv, others.is_input(b));
-            true
-        })
+        let sink = match slot {
+            Slot::In(_) | Slot::Win(..) => Sink::ReadOnly(fbuf_name(self.prog, out)),
+            Slot::Scratch(b) => Sink::Run(b, 0),
+            Slot::Out(p) => match hull() {
+                Some((o0, n)) if p.covers(o0, n) => Sink::Run(p.run_mut(o0, n), o0),
+                _ => Sink::Port(p),
+            },
+        };
+        (sink, Operands { lo, hi })
     }
 }

@@ -2,11 +2,12 @@
 //! machine and the parallel workers, monomorphised over the output
 //! port of the float-buffer view ([`super::bufs`]).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cora_ir::{FBinOp, FUnaryOp, StoreKind};
 
-use super::bufs::{Bufs, OutPort};
+use super::bufs::{Bufs, Operands, OutPort, Sink};
 use super::isa::{
     fbuf_name, FusedNest, Instr, MapOp, NestIndex, RowAffine, VmProgram, MAP_CHUNK, MAX_MAP_SITES,
     MAX_MAP_TAPE, MAX_ROW_TABLES,
@@ -330,8 +331,16 @@ impl RowValue {
 }
 
 /// Executes one [`FusedNest`] — every row of its row level, or the one
-/// nest without — charging its statistics to `st`. Strides, kernel
-/// selection and the sweep's uniform flags are resolved once; per row
+/// nest without — charging its statistics to `st`.
+///
+/// Once per execution (for a tile body's row level: once per tile) it
+/// resolves the strides, the kernel, the sweep's uniform flags, each
+/// operand's contiguous view and where the stores land: the output
+/// port hands over the dense run spanning every row's stores when it
+/// covers that run with one check ([`Bufs::split_out`]), and every row
+/// then stores into that run unchecked. When the port does not cover
+/// it — a tile certified region by region, say — each row's stores are
+/// checked as they land, with the row's block announced first. Per row
 /// the executor reads the extent tables (stopping at an empty row, as
 /// the serial zero-trip test does), then the base tables, and runs the
 /// nest as a native kernel when the microkernel table has a row for its
@@ -374,30 +383,44 @@ fn run_fused_nest<P: OutPort>(
         NestClass::Map => None,
     };
     let uniform = uniform_temps(op, &axes[1..n_idx]);
-    let (first, n_rows) = match &op.rows {
-        Some(rows) => (iregs[rows.first as usize], iregs[rows.n as usize]),
-        None => (0, 1),
+    let rows = match &op.rows {
+        Some(level) => {
+            let first = iregs[level.first as usize];
+            first..first + iregs[level.n as usize]
+        }
+        None => 0..1,
     };
-    for v in first..first + n_rows {
-        if let Some(rows) = &op.rows {
+    // A row's trip counts, read as the serial row reads them: the outer
+    // extent, then the inner one only when the outer is positive.
+    let extents = |v: i64| {
+        let n_o = n_outer.as_ref().map_or(1, |n| n.at(v, ibufs, prog));
+        let n_i = if n_o > 0 {
+            n_inner.at(v, ibufs, prog)
+        } else {
+            0
+        };
+        [n_o, n_i]
+    };
+    let out_base = |v: i64| bases[0].at(v, ibufs, prog);
+    let mut io = NestIo::new(fbufs, op, || {
+        store_hull(rows.clone(), extents, out_base, axes[0])
+    });
+    for v in rows {
+        if let Some(level) = &op.rows {
             // The serial row's nest header: its bound loads, then its
             // zero-trip test.
-            st.aux_loads += rows.aux;
-            if rows.block {
-                fbufs.enter_block(v);
+            st.aux_loads += level.aux;
+            if level.block {
+                io.out.enter_block(v);
             }
         }
-        let n_o = match &n_outer {
-            Some(n) => n.at(v, ibufs, prog),
-            None => 1,
-        };
+        let [n_o, n_i] = extents(v);
         if n_o <= 0 {
             continue;
         }
         // The serial nest charges the inner loop header's bound loads
         // once per outer iteration, body or not.
         st.aux_loads += (n_o as u64) * op.aux_inner_bounds;
-        let n_i = n_inner.at(v, ibufs, prog);
         if n_i <= 0 {
             continue;
         }
@@ -408,27 +431,87 @@ fn run_fused_nest<P: OutPort>(
         let ran = kernel.is_some_and(|kernel| {
             // A multiply-accumulate's operands are its two sites, in
             // tape order.
-            let operands = [1, 2].map(|k| (op.sites[k - 1].buf, axes[k]));
-            run_kernel(
-                prog,
-                fbufs,
-                op,
-                kernel,
-                n,
-                axes[0],
-                operands,
-                &mut scratch.panel,
-            )
+            let axes = [axes[0], axes[1], axes[2]];
+            run_kernel(prog, op, kernel, n, axes, &mut io, &mut scratch.panel)
         });
         if !ran {
             let map = scratch.map.as_deref_mut();
             let map = map.expect("a chunk scratch is handed in before the run");
-            sweep_nest(prog, fbufs, op, n, &axes[..n_idx], &uniform, map);
+            sweep_nest(prog, op, n, &axes[..n_idx], &uniform, &mut io, map);
         }
         let iters = (n_o as u64) * (n_i as u64);
         st.aux_loads += iters * op.aux;
         st.flops += iters * op.flops;
         st.stores += iters;
+    }
+}
+
+/// The dense run `(first index, length)` spanning every store of the
+/// nest's `rows`: per row its `extents`, and only for a row that stores
+/// its `base` (the output index at the row's first iteration), moved
+/// along the output axis `out`. `None` when no row stores, an index is
+/// negative or the arithmetic overflows.
+fn store_hull(
+    rows: Range<i64>,
+    extents: impl Fn(i64) -> [i64; 2],
+    base: impl Fn(i64) -> i64,
+    out: Axis,
+) -> Option<(usize, usize)> {
+    let mut hull: Option<(i64, i64)> = None;
+    for v in rows {
+        let [n_o, n_i] = extents(v);
+        if n_o <= 0 || n_i <= 0 {
+            continue;
+        }
+        let (di, d_o) = (
+            (n_i - 1).checked_mul(out.inner)?,
+            (n_o - 1).checked_mul(out.outer)?,
+        );
+        let b = base(v);
+        let lo = b.checked_add(di.min(0))?.checked_add(d_o.min(0))?;
+        let hi = b.checked_add(di.max(0))?.checked_add(d_o.max(0))?;
+        hull = Some(hull.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
+    }
+    let (lo, hi) = hull?;
+    let n = hi.checked_sub(lo)?.checked_add(1)?;
+    Some((usize::try_from(lo).ok()?, usize::try_from(n).ok()?))
+}
+
+/// The buffers of one fused-nest execution, resolved once: every slot
+/// but the output, each site's contiguous view, and where the stores
+/// land.
+struct NestIo<'s, 'a, P> {
+    slots: Operands<'s, 'a, P>,
+    /// Per site, its buffer's contiguous view and the absolute index of
+    /// the view's first element, when it has one (never for a cast
+    /// site).
+    views: [Option<(&'s [f32], usize)>; MAX_MAP_SITES],
+    out: Sink<'s, P>,
+}
+
+impl<'s, 'a, P: OutPort> NestIo<'s, 'a, P> {
+    /// Splits `fbufs` around `op`'s output, which takes the run `hull()`
+    /// names when its port covers it ([`Bufs::split_out`]).
+    fn new(
+        fbufs: &'s mut Bufs<'a, P>,
+        op: &FusedNest,
+        hull: impl FnOnce() -> Option<(usize, usize)>,
+    ) -> Self {
+        let (out, slots) = fbufs.split_out(op.out, hull);
+        let views = std::array::from_fn(|k| {
+            let site = op.sites.get(k).filter(|s| s.buf != u32::MAX)?;
+            slots.ro(site.buf)
+        });
+        NestIo { slots, views, out }
+    }
+
+    /// Element `idx` of site `k`, whose buffer is `buf`.
+    #[inline]
+    fn load(&self, k: usize, buf: u32, idx: usize) -> f32 {
+        match self.views[k] {
+            Some((data, origin)) => data[idx - origin],
+            None => self.slots.get(buf, idx),
+        }
     }
 }
 
@@ -453,41 +536,45 @@ fn uniform_temps(op: &FusedNest, sites: &[Axis]) -> [bool; MAX_MAP_TAPE] {
     uniform
 }
 
-/// Runs the whole nest through `kernel`, the microkernel-table row
-/// matching its class and strides; `operands` are the buffer slot and
-/// axis of each site the kernel loads through, `panels` the execution's
-/// packed-panel cache. Returns `false`, having stored nothing, when a
-/// base is negative (the kernels address `usize` ranges) or the buffers
-/// have no contiguous views.
-#[allow(clippy::too_many_arguments)]
+/// Runs one row of the nest through `kernel`, the microkernel-table row
+/// matching its class and strides; `axes` are the output's and the two
+/// sites' axes, `panels` the execution's packed-panel cache. Returns
+/// `false`, having stored nothing, when a base is negative (the kernels
+/// address `usize` ranges), an operand has no contiguous view or the
+/// output is bound read-only.
 fn run_kernel<P: OutPort>(
     prog: &VmProgram,
-    fbufs: &mut Bufs<'_, P>,
     op: &FusedNest,
     kernel: &NestKernel,
     [n_o, n_i]: [i64; 2],
-    out: Axis,
-    [(a_buf, a), (b_buf, b)]: [(u32, Axis); 2],
+    [out, a, b]: [Axis; 3],
+    io: &mut NestIo<'_, '_, P>,
     panels: &mut PanelCache,
 ) -> bool {
     if out.base < 0 || a.base < 0 || b.base < 0 {
         return false;
     }
+    let (Some(av), Some(bv)) = (io.views[0], io.views[1]) else {
+        return false;
+    };
+    let [a_buf, b_buf] = [0, 1].map(|k| op.sites[k].buf);
+    // A packed copy of `b` may be reused only while `b` cannot change.
+    let b_fixed = io.slots.is_input(b_buf);
     // A row pins the output strides to a dense pattern, so the nest's
     // stores cover exactly this run.
     let span = 1 + (n_i - 1) * out.inner + (n_o - 1) * out.outer;
-    let (o0, span) = (out.base as usize, span as usize);
-    fbufs.run_kernel(op.out, o0, span, [a_buf, b_buf], |run, av, bv, b_fixed| {
-        let args = KernelArgs {
-            a: a.operand(a_buf, av),
-            b: b.operand(b_buf, bv),
-            n_inner: n_i as usize,
-            n_outer: n_o as usize,
-            mode: prog.math,
-        };
-        // A packed copy of `b` may be reused only while `b` cannot change.
-        (kernel.run)(run, &args, b_fixed.then_some(panels));
-    })
+    let Some(run) = io.out.run(out.base as usize, span as usize) else {
+        return false;
+    };
+    let args = KernelArgs {
+        a: a.operand(a_buf, av),
+        b: b.operand(b_buf, bv),
+        n_inner: n_i as usize,
+        n_outer: n_o as usize,
+        mode: prog.math,
+    };
+    (kernel.run)(run, &args, b_fixed.then_some(panels));
+    true
 }
 
 /// The generic executor of a [`FusedNest`]: per outer iteration, `n_i`
@@ -495,7 +582,8 @@ fn run_kernel<P: OutPort>(
 /// (each tape op swept across a whole chunk before the next — element
 /// independence keeps the per-element float sequence identical) and
 /// stored in ascending element order, so reductions accumulate exactly
-/// as the unfused loops would.
+/// as the unfused loops would. Loads read the execution's resolved
+/// views and stores land in its [`Sink`].
 ///
 /// Kept out of line: inlined into [`dispatch`], its locals compete with
 /// the loop's program counter and register-file pointers for machine
@@ -504,11 +592,11 @@ fn run_kernel<P: OutPort>(
 #[inline(never)]
 fn sweep_nest<P: OutPort>(
     prog: &VmProgram,
-    fbufs: &mut Bufs<'_, P>,
     op: &FusedNest,
     [n_o, n]: [i64; 2],
     axes: &[Axis],
     uniform: &[bool; MAX_MAP_TAPE],
+    io: &mut NestIo<'_, '_, P>,
     scratch: &mut [[f32; MAP_CHUNK]; MAX_MAP_TAPE],
 ) {
     let nneg = |i: i64, slot: u32, what: &str| -> usize {
@@ -534,24 +622,19 @@ fn sweep_nest<P: OutPort>(
                 match &op.tape[ti] {
                     MapOp::Const { v } => dst.fill(*v),
                     MapOp::Load { site } => {
-                        let s = &op.sites[*site as usize];
-                        let (base, stride) = row(*site);
+                        let (k, (base, stride)) = (*site as usize, row(*site));
+                        let buf = op.sites[k].buf;
+                        let at = |i: i64| nneg(i, buf, "load");
                         let first = base + start * stride;
-                        if stride == 0 {
-                            dst.fill(fbufs.get(s.buf, nneg(first, s.buf, "load")));
-                        } else if stride == 1 {
-                            let i0 = nneg(first, s.buf, "load");
-                            if let Some(run) = fbufs.ro_run(s.buf, i0, m) {
-                                dst.copy_from_slice(run);
-                            } else {
-                                for (e, d) in dst.iter_mut().enumerate() {
-                                    *d = fbufs.get(s.buf, nneg(first + e as i64, s.buf, "load"));
-                                }
+                        match (io.views[k], stride) {
+                            (_, 0) => dst.fill(io.load(k, buf, at(first))),
+                            (Some((data, origin)), 1) => {
+                                dst.copy_from_slice(&data[at(first) - origin..][..m]);
                             }
-                        } else {
-                            for (e, d) in dst.iter_mut().enumerate() {
-                                *d = fbufs
-                                    .get(s.buf, nneg(first + e as i64 * stride, s.buf, "load"));
+                            _ => {
+                                for (e, d) in dst.iter_mut().enumerate() {
+                                    *d = io.load(k, buf, at(first + e as i64 * stride));
+                                }
                             }
                         }
                     }
@@ -608,10 +691,22 @@ fn sweep_nest<P: OutPort>(
             let vals = &scratch[op.tape.len() - 1][..m];
             let first = o0 + start * so;
             if so == 1 {
-                // Contiguous output: one bounds-checked chunk store instead
-                // of a dispatch per element (bit-identical element order).
-                let i0 = nneg(first, op.out, "store");
-                if fbufs.store_chunk(op.out, i0, op.kind, vals) {
+                // Contiguous output: one chunk store instead of a store
+                // per element (bit-identical element order).
+                if let Some(run) = io.out.run(nneg(first, op.out, "store"), m) {
+                    match op.kind {
+                        StoreKind::Assign => run.copy_from_slice(vals),
+                        StoreKind::AddAssign => {
+                            for (o, v) in run.iter_mut().zip(vals) {
+                                *o += *v;
+                            }
+                        }
+                        StoreKind::MaxAssign => {
+                            for (o, v) in run.iter_mut().zip(vals) {
+                                *o = o.max(*v);
+                            }
+                        }
+                    }
                     start += m as i64;
                     continue;
                 }
@@ -625,9 +720,9 @@ fn sweep_nest<P: OutPort>(
                 let idx = nneg(first, op.out, "store");
                 match op.kind {
                     // Repeated plain stores: the last value wins.
-                    StoreKind::Assign => fbufs.set(op.out, idx, vals[m - 1]),
+                    StoreKind::Assign => io.out.set(idx, vals[m - 1]),
                     StoreKind::AddAssign => {
-                        let mut acc = fbufs.get(op.out, idx);
+                        let mut acc = io.out.get(idx);
                         match prog.math {
                             MathMode::Strict => {
                                 for v in vals {
@@ -636,15 +731,15 @@ fn sweep_nest<P: OutPort>(
                             }
                             MathMode::Fast => acc += microkernel::sum_fast(vals),
                         }
-                        fbufs.set(op.out, idx, acc);
+                        io.out.set(idx, acc);
                     }
                     StoreKind::MaxAssign => {
-                        let acc = fbufs.get(op.out, idx);
+                        let acc = io.out.get(idx);
                         let acc = match prog.math {
                             MathMode::Strict => vals.iter().fold(acc, |c, v| c.max(*v)),
                             MathMode::Fast => microkernel::max_fast(acc, vals),
                         };
-                        fbufs.set(op.out, idx, acc);
+                        io.out.set(idx, acc);
                     }
                 }
                 start += m as i64;
@@ -654,19 +749,19 @@ fn sweep_nest<P: OutPort>(
                 StoreKind::Assign => {
                     for (e, v) in vals.iter().enumerate() {
                         let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
-                        fbufs.set(op.out, idx, *v);
+                        io.out.set(idx, *v);
                     }
                 }
                 StoreKind::AddAssign => {
                     for (e, v) in vals.iter().enumerate() {
                         let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
-                        fbufs.rmw(op.out, idx, |c| c + *v);
+                        io.out.rmw(idx, |c| c + *v);
                     }
                 }
                 StoreKind::MaxAssign => {
                     for (e, v) in vals.iter().enumerate() {
                         let idx = nneg(o0 + (start + e as i64) * so, op.out, "store");
-                        fbufs.rmw(op.out, idx, |c| c.max(*v));
+                        io.out.rmw(idx, |c| c.max(*v));
                     }
                 }
             }
@@ -754,12 +849,14 @@ fn un_chunk(op: FUnaryOp, dst: &mut [f32], a: &[f32]) {
 
 #[cfg(test)]
 mod tests {
-    use cora_ir::{Expr, FExpr, Stmt};
+    use cora_ir::interval::SInt;
+    use cora_ir::{Expr, FExpr, ForKind, Stmt};
 
     use super::super::bufs::Slot;
-    use super::super::testutil::differential;
-    use super::super::{compile, BoundBuf};
+    use super::super::testutil::{differential, outlined_doubling_body};
+    use super::super::{compile, compile_tile, BoundBuf, StoreCert};
     use super::*;
+    use crate::cpu::CpuPool;
     use crate::interp::Machine;
     use crate::microkernel::{select_kernel, NEST_KERNELS};
 
@@ -847,7 +944,6 @@ mod tests {
             let [out, a, b] = self
                 .axes
                 .map(|[base, inner, outer]| Axis { base, inner, outer });
-            let operands = [(nest.sites[0].buf, a), (nest.sites[1].buf, b)];
             let (mut c, av, mut bv) = (self.data(0), self.data(1), self.data(2));
             let mut c_port = Some(&mut c[..]);
             let mut b_slot = Some(if b_read_only {
@@ -866,37 +962,23 @@ mod tests {
                     _ => b_slot.take().expect("one `B` slot"),
                 });
             let mut fbufs = Bufs::new(&prog, free);
+            let mut io = NestIo::new(&mut fbufs, nest, || None);
             if kernel {
                 let mut panels = PanelCache::default();
                 let strides = [out, a, b].map(|x| [x.inner, x.outer]);
                 let kernel = select_kernel(nest.class, &strides, true)?;
-                let n = self.n;
-                if !run_kernel(
-                    &prog,
-                    &mut fbufs,
-                    nest,
-                    kernel,
-                    n,
-                    out,
-                    operands,
-                    &mut panels,
-                ) {
+                let (n, axes) = (self.n, [out, a, b]);
+                if !run_kernel(&prog, nest, kernel, n, axes, &mut io, &mut panels) {
                     return None;
                 }
             } else {
                 let mut scratch = [[0f32; MAP_CHUNK]; MAX_MAP_TAPE];
                 let axes = [out, a, b];
                 let uniform = uniform_temps(nest, &axes[1..]);
-                sweep_nest(
-                    &prog,
-                    &mut fbufs,
-                    nest,
-                    self.n,
-                    &axes,
-                    &uniform,
-                    &mut scratch,
-                );
+                let n = self.n;
+                sweep_nest(&prog, nest, n, &axes, &uniform, &mut io, &mut scratch);
             }
+            drop(io);
             drop(fbufs);
             Some(c)
         }
@@ -1180,6 +1262,55 @@ mod tests {
                 };
                 differential(&stmt, |m| shape.bind(m, false), &["C"]);
             }
+        }
+    }
+
+    /// A tile whose rows interleave with another tile's, certified one
+    /// region per row: no region covers the tile's hull, so each row's
+    /// stores are checked as they land — the hull would take the other
+    /// tile's rows, outside this tile's regions. The result equals the
+    /// interpreter's bit for bit and in statistics, on one worker and on
+    /// two.
+    #[test]
+    fn rows_certified_region_by_region_are_claimed_row_by_row() {
+        let body = outlined_doubling_body();
+        let (row, lens) = (vec![0i64, 4, 2, 6], vec![2i64; 4]);
+        let a: Vec<f32> = (0..8).map(|x| x as f32 * 0.75 - 2.0).collect();
+        let mut m = Machine::new();
+        m.env.set_buffer("row", row.clone());
+        m.env.set_buffer("lens", lens.clone());
+        m.set_fbuffer("A", a.clone());
+        m.set_fbuffer("B", vec![0.0; 8]);
+        m.run(&Stmt::loop_kind(
+            "b",
+            Expr::int(4),
+            ForKind::GpuBlockX,
+            body.clone(),
+        ));
+        let want = (bits(m.fbuffer("B").unwrap()), m.stats);
+
+        let program = compile_tile(&body, "b");
+        assert_eq!(program.fused_row_vars(), ["b"], "{program}");
+        let mut shared = Arc::new(program).shared();
+        shared.set_ibuffer("row", row.clone());
+        shared.set_ibuffer("lens", lens);
+        // Tile 0 stores [0, 2) and [4, 6), tile 1 [2, 4) and [6, 8).
+        let spans = (0..4).map(|b| (b / 2, SInt::range(row[b], row[b] + 1)));
+        let cert = StoreCert::tiled(0, 4, 2, spans).expect("the rows are disjoint");
+        for threads in [1, 2] {
+            let mut out = vec![0.0f32; 8];
+            let pool = CpuPool::new(threads);
+            let batches = [0..1, 1..2];
+            let stats = shared.run_blocks_proven(
+                &pool,
+                "B",
+                &mut out,
+                &[("A", &a)],
+                &[2, 0],
+                &batches,
+                &cert,
+            );
+            assert_eq!((bits(&out), stats), want, "{threads} threads");
         }
     }
 

@@ -265,6 +265,14 @@ impl OutPort for WorkerOut<'_> {
         unsafe { self.out.slice_mut(o0, n) }
     }
 
+    /// Only under a certificate: in bounds and inside one region.
+    #[inline]
+    fn covers(&self, o0: usize, n: usize) -> bool {
+        let fits = o0.checked_add(n).is_some_and(|end| end <= self.out.0.len());
+        let certified = |r: &[SInt]| r.iter().any(|r| r.contains_run(o0 as i64, n as i64));
+        fits && self.regions.is_some_and(certified)
+    }
+
     fn reject_input_store(name: &str) -> ! {
         // The outliner rejects such programs statically; reaching this
         // means a compiler bug, not a user error.

@@ -320,7 +320,7 @@ fn external_buffers(w: &EncoderWeights, x: &RaggedBatch) -> HashMap<&'static str
 /// which binds every buffer as written and so never takes the
 /// packed-panel row (`vm_props` holds that tier to the interpreter).
 /// Returns the last output and each stage's statistics, one dispatch
-/// per stage; an empty batch runs nothing.
+/// per stage; an empty batch runs every stage over zero rows.
 fn stage_by_stage(
     layer: &CompiledEncoderLayer,
     (cfg, attend): (&EncoderConfig, Attend),
@@ -541,7 +541,7 @@ fn pipeline_inputs<'a>(
 
 /// `layer`'s stage programs run one after another, each on its own
 /// parallel session over `pool` — the unchained parallel tier, one
-/// dispatch per stage; an empty batch runs nothing.
+/// dispatch per stage; an empty batch runs every stage over zero tiles.
 fn unchained(
     layer: &CompiledEncoderLayer,
     w: &EncoderWeights,
