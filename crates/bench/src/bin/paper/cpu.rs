@@ -1,6 +1,8 @@
 //! Rows timed in wall-clock on the host CPU: the execution tiers, MHA on
 //! a multi-core CPU (Fig. 27, Tables 5 and 9) and the Taco comparison
-//! (Table 6). Every time is `time_best_ms`, the best of N calls.
+//! (Table 6). Every time is `time_best_ms`, the best of N calls. CoRa's
+//! column times compiled code — the compiled MHA block and the lowered
+//! trmm — except Table 6's tradd and trmul, a hand-written packed loop.
 
 use std::hint::black_box;
 use std::rc::Rc;
@@ -13,8 +15,8 @@ use cora_ragged::{Dim, RaggedLayout};
 use cora_sparse::ops::{tradd_csr, trmm_bcsr, trmm_csr, trmul_bcsr, trmul_csr};
 use cora_sparse::{BcsrMatrix, CsrMatrix};
 use cora_transformer::encoder::RaggedBatch;
-use cora_transformer::encoder_compiled::{stage, Attend, Geometry, SCORES};
-use cora_transformer::mha::{mha_padded, mha_ragged, search_micro_batch, time_best_ms};
+use cora_transformer::encoder_compiled::{stage, Attend, CompiledEncoderLayer, Geometry, SCORES};
+use cora_transformer::mha::{mha_padded, search_micro_batch, time_best_ms};
 use cora_transformer::{EncoderConfig, EncoderWeights};
 
 use crate::{geomean, joined, least, table, Run};
@@ -157,11 +159,16 @@ impl Mha {
         RaggedBatch::random(&lens, self.cfg.hidden, self.lens_seed + 1)
     }
 
-    /// Best-of-[`MHA_REPS`] ms of the fully padded (TF) and the ragged (CoRa)
-    /// MHA and, with `eager`, of PT: the padded MHA plus the unfused
-    /// elementwise passes eager execution makes.
+    /// Best-of-[`MHA_REPS`] ms of the fully padded (TF) and the compiled
+    /// ragged (CoRa) MHA and, with `eager`, of PT: the padded MHA plus the
+    /// unfused elementwise passes eager execution makes. CoRa's code is
+    /// built per model, so it compiles outside the timed call; each call
+    /// prepares (prelude, proofs, arena) and runs, paying the per-batch
+    /// prelude as in §7.4.
     fn time(&self, pool: &CpuPool, x: &RaggedBatch, eager: bool) -> (f64, f64, Option<f64>) {
         let (cfg, w, max_len) = (&self.cfg, &self.w, x.lens[0]);
+        let layer = CompiledEncoderLayer::build_mha(cfg, &x.lens, Attend::Full)
+            .expect("built-in schedules are legal");
         let padded = x.to_padded(max_len);
         let tf = || mha_padded(pool, cfg, w, &x.lens, max_len, &padded);
         let pt = || {
@@ -172,7 +179,7 @@ impl Mha {
             scale(&mut out, 0.5);
         };
         let tf = time_best_ms(MHA_REPS, || drop(tf()));
-        let cora = time_best_ms(MHA_REPS, || drop(mha_ragged(pool, cfg, w, x)));
+        let cora = time_best_ms(MHA_REPS, || drop(layer.forward(pool, w, x)));
         (tf, cora, eager.then(|| time_best_ms(MHA_REPS, pt)))
     }
 }
@@ -191,7 +198,7 @@ pub fn fig27(r: &mut Run) {
     }
     table(&["threads", "TF(padded)", "CoRa"], rows, f2);
     let least = least(tf_over_cora);
-    r.clock("least TF/CoRa over thread counts", least, 1.0, 1.54);
+    r.clock("least TF/CoRa over thread counts", least, 1.0, 1.09);
 
     // Executor overhead on small ops: many short parallel regions, the
     // shape of an encoder forward pass (one region per operator), each
@@ -250,7 +257,7 @@ fn mha_table(r: &Run, m: &Mha, pool: &CpuPool, eager: bool) -> (f64, f64) {
 pub fn tab05(r: &mut Run) {
     let m = Mha::new(r, 42, 47);
     let (tf, ub) = mha_table(r, &m, &CpuPool::host(), false);
-    r.clock("geomean TF/CoRa", tf, 1.2, 1.65);
+    r.clock("geomean TF/CoRa", tf, 1.2, 1.45);
     let here = format!("TF-UB/CoRa {ub:.2}");
     r.note("CoRa 1.37x faster than TF-UB in geomean", ub >= 1.37, here);
 }
@@ -263,28 +270,41 @@ pub fn tab09(r: &mut Run) {
     widths.dedup();
     for t in widths {
         let (tf, _) = mha_table(r, &m, &CpuPool::new(t), true);
-        r.clock(&format!("{t} threads: geomean TF/CoRa"), tf, 1.2, 1.56);
+        r.clock(&format!("{t} threads: geomean TF/CoRa"), tf, 1.2, 1.38);
         println!();
     }
 }
 
-/// CoRa's trmm on *packed* ragged storage: row `i` lives at offset
-/// `i(i+1)/2` with length `i+1` — O(1) offsets, no stored column indices.
-fn cora_trmm(n: usize, l_packed: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..n {
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let off = i * (i + 1) / 2;
-        for (p, &v) in l_packed[off..off + i + 1].iter().enumerate() {
-            for (cv, bv) in c_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
-                *cv += v * *bv;
-            }
-        }
-    }
+/// Table 6's trmm `C = L·B` lowered through the ragged API: `L` is a
+/// lower triangle in CoRa's packed row storage (row `i` at offset
+/// `i(i+1)/2`, length `i + 1`: O(1) offsets, no stored column indices),
+/// so the reduction `k` is a vloop of extent `i + 1`, reordered `i, k, j`
+/// to stream rows of `B` and `C`.
+fn trmm_op(n: usize) -> Operator {
+    let (row, col) = (Dim::new("row"), Dim::new("col"));
+    let tri: Vec<usize> = (1..=n).collect();
+    let packed = RaggedLayout::builder().cdim(row.clone(), n);
+    let packed = packed.vdim(col, &row, tri.clone()).build();
+    let l = TensorRef::new("L", packed.expect("a valid triangular layout"));
+    let b = TensorRef::new("B", RaggedLayout::dense(&[n, n]));
+    let (lt, bt) = (l.clone(), b.clone());
+    let body: BodyFn = Rc::new(move |args| {
+        let (i, j, k) = (args[0].clone(), args[1].clone(), args[2].clone());
+        lt.at(&[i, k.clone()]) * bt.at(&[k, j])
+    });
+    let (i, j) = (LoopSpec::fixed("i", n), LoopSpec::fixed("j", n));
+    let k = LoopSpec::variable("k", 0, tri);
+    let c = TensorRef::new("C", RaggedLayout::dense(&[n, n]));
+    let mut op = Operator::new("trmm", vec![i, j], vec![k], c, vec![l, b], body);
+    op.schedule_mut().reorder(&["i", "k", "j"]);
+    op
 }
 
 /// `c = op(a, b)` elementwise over CoRa's packed triangles: they share
 /// one raggedness pattern (insight I1), so tradd and trmul are one
-/// contiguous loop where Taco merges two coordinate streams.
+/// contiguous loop where Taco merges two coordinate streams. Written by
+/// hand: the compiled map row is 3-9x slower than this loop (ROADMAP
+/// item 8).
 fn packed_elementwise(c: &mut [f32], a: &[f32], b: &[f32], op: impl Fn(f32, f32) -> f32) {
     for ((cv, av), bv) in c.iter_mut().zip(a).zip(b) {
         *cv = op(*av, *bv);
@@ -292,11 +312,14 @@ fn packed_elementwise(c: &mut [f32], a: &[f32], b: &[f32], op: impl Fn(f32, f32)
 }
 
 /// Table 6, serial on the CPU for a like-for-like comparison, up to size
-/// 2048 (the paper's 8192 trmm is ~0.3 TFLOP of scalar work). BCSR tradd
-/// is absent, as in the paper (Taco's union iteration over BCSR could
-/// not be scheduled).
+/// 2048 (the paper's 8192 trmm is ~0.3 TFLOP of scalar work). CoRa's
+/// trmm is the compiled operator on the serial VM, prepared outside the
+/// timed calls; its tradd and trmul are the hand-written packed loop.
+/// BCSR tradd is absent, as in the paper (Taco's union iteration over
+/// BCSR could not be scheduled).
 pub fn tab06(r: &mut Run) {
-    println!("triangular ops, best of 3 ms (slowdown vs CoRa): CoRa vs Taco-style CSR/BCSR\n");
+    println!("triangular ops, best of 3 ms (slowdown vs CoRa): CoRa vs Taco-style CSR/BCSR");
+    println!("CoRa: trmm compiled (serial VM); tradd, trmul the hand-written packed loop\n");
     let sizes = r.size(vec![128usize, 512], vec![128, 512, 1024, 2048]);
     let (mut rows, mut csr_ew, mut bcsr_mul, mut trmm) = (vec![], vec![], vec![], vec![]);
     for &n in &sizes {
@@ -315,10 +338,15 @@ pub fn tab06(r: &mut Run) {
         // CoRa's ragged row storage of a lower triangle.
         let pack = |d: &[f32]| (0..n).flat_map(|i| d[i * n..=i * n + i].to_vec()).collect();
         let (ap, bp): (&Vec<f32>, &Vec<f32>) = (&pack(&ad), &pack(&bd));
+        let trmm_in = [("L", ap.clone()), ("B", dense_b.clone())];
+        let (mut vm, _) = lower(&trmm_op(n))
+            .expect("legal schedule")
+            .compile()
+            .prepare(&trmm_in);
         let mut c = vec![0.0f32; n * n];
         let mut time = |f: &dyn Fn(&mut [f32])| time_best_ms(3, || f(&mut c));
         let cora = [
-            time(&|c| cora_trmm(n, ap, &dense_b, c)),
+            time_best_ms(3, || vm.run()),
             time(&|c| packed_elementwise(c, ap, bp, |a, b| a + b)),
             time(&|c| packed_elementwise(c, ap, bp, |a, b| a * b)),
         ];
@@ -332,7 +360,9 @@ pub fn tab06(r: &mut Run) {
         let bcsr = [Some(bcsr_mm), None, Some(bcsr_mul_ms)];
         for (i, op) in ["trmm", "tradd", "trmul"].into_iter().enumerate() {
             let slow = |t: f64| format!("{} ({:.2}x)", f3(t), t / cora[i]);
-            let cells = [f3(cora[i]), slow(csr[i]), bcsr[i].map_or("-".into(), slow)];
+            let hand = if i == 0 { "" } else { " hand loop" };
+            let cora_cell = format!("{}{hand}", f3(cora[i]));
+            let cells = [cora_cell, slow(csr[i]), bcsr[i].map_or("-".into(), slow)];
             rows.push([vec![op.into(), n.to_string()], cells.into()].concat());
         }
         csr_ew.extend([csr[1] / cora[1], csr[2] / cora[2]]);
@@ -350,4 +380,30 @@ pub fn tab06(r: &mut Run) {
         .map(|[n, csr, bcsr]| format!("{n}: {csr:.2}, {bcsr:.2}"));
     let here = format!("Taco CSR, BCSR / CoRa trmm time by size: {}", joined(here));
     r.note("Taco never beats CoRa, trmm included", held, here);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tab06 trmm operator, compiled, is bit-identical to a dense
+    /// `sgemm` over the expanded triangle, the empty triangle included.
+    #[test]
+    fn compiled_trmm_matches_dense_sgemm() {
+        for n in [0usize, 1, 2, 24, 33] {
+            let packed: Vec<f32> = (0..n * (n + 1) / 2).map(|x| (x % 7) as f32 - 3.5).collect();
+            let b: Vec<f32> = (0..n * n).map(|x| (x % 5) as f32 * 0.75 - 1.5).collect();
+            let mut dense = vec![0.0f32; n * n];
+            let rows = (0..n).map(|i| i * n..=i * n + i);
+            for (row, v) in rows.flatten().zip(&packed) {
+                dense[row] = *v;
+            }
+            let mut want = vec![0.0f32; n * n];
+            cora_kernels::sgemm(n, n, n, &dense, &b, &mut want);
+            let program = lower(&trmm_op(n)).expect("legal schedule");
+            let got = program.compile().run(&[("L", packed), ("B", b)]).output;
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
+        }
+    }
 }

@@ -14,7 +14,8 @@
 //! Analytic and simulated checks are exact. A wall-clock check prints
 //! the worst value of at least three quick runs with `CORA_NUM_THREADS=4`
 //! (the CI setting) on a 2-CPU Xeon VM; its bound sits at least 1.3x
-//! below that.
+//! below that, except `fig27`, `tab05` and `tab09` (1.09-1.21x): their
+//! CoRa column became the compiled MHA, and their bounds did not move.
 
 mod cpu;
 mod matmul;

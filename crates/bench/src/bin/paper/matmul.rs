@@ -144,9 +144,9 @@ fn trmm_latencies_ms(model: &GpuModel, n: usize) -> [f64; 5] {
         gemm_kernel("sgemm", model, vendor, GemmTiling::default(), n, n, n),
         // Unsplit, the tiled reduction vloop keeps a bound check in the
         // main body (§7.1); splitting elides it.
-        kernel("cora_trmm", generated.with_guards()),
-        kernel("cora_trmm", generated),
-        kernel("cora_trmm", generated).remap_longest_first(),
+        kernel("trmm", generated.with_guards()),
+        kernel("trmm", generated),
+        kernel("trmm", generated).remap_longest_first(),
         kernel("cublas_trmm", cublas).remap_longest_first(),
     ]
     .map(|k| sim_ms(model, k))

@@ -10,13 +10,14 @@ use cora_exec::CpuPool;
 use cora_kernels::vendor::elementwise_kernel;
 use cora_transformer::config::EncoderConfig;
 use cora_transformer::encoder::{max_divergence, RaggedBatch};
+use cora_transformer::encoder_compiled::{Attend, CompiledEncoderLayer};
 use cora_transformer::flops::wasted_computation_ratio;
 use cora_transformer::flops::{encoder_activation_bytes, encoder_flops, Padding};
 use cora_transformer::gpu::EncoderImpl::{self, Cora, Ft, FtEff, PyTorch};
 use cora_transformer::gpu::EncoderSim;
 use cora_transformer::masked::masked_sdpa_latency_ms as masked_ms;
 use cora_transformer::masked::MaskedImpl::{self, CoraNoPad, CoraPad};
-use cora_transformer::masked_mha::{masked_mha_padded, masked_mha_ragged};
+use cora_transformer::masked_mha::masked_mha_padded;
 use cora_transformer::prelude_costs::{measure_prelude, PreludeCosts};
 use cora_transformer::variants::variant_latency_ms;
 use cora_transformer::variants::SplitVariant::{self, NoSplit, Split, Split2HFused, SplitHFused};
@@ -205,12 +206,16 @@ pub fn fig18(r: &mut Run) {
     }
     r.cmp("largest NoPad/Pad and Pad/PyTorch", worst, "<", 1.0);
     // Numeric cross-check at reduced scale, real CPU execution: the
-    // triangular ragged path and the masked padded path must agree.
+    // compiled causal block (triangular, ragged) and the masked padded
+    // path must agree.
     let cfg = EncoderConfig::scaled(8);
     let w = EncoderWeights::random(&cfg, 1);
     let x = RaggedBatch::random(&Cola.sample_batch_sorted(8, 9), cfg.hidden, 2);
     let (pool, max_len) = (CpuPool::host(), x.lens[0]);
-    let data = masked_mha_ragged(&pool, &cfg, &w, &x);
+    let causal = CompiledEncoderLayer::build_mha(&cfg, &x.lens, Attend::Causal);
+    let data = causal
+        .expect("built-in schedules are legal")
+        .forward(&pool, &w, &x);
     let padded = masked_mha_padded(&pool, &cfg, &w, &x.lens, max_len, &x.to_padded(max_len));
     let diff = max_divergence(&RaggedBatch { data, ..x.clone() }, &padded, max_len);
     r.cmp("CoLA @ 8: max |ragged - padded|", diff.into(), "≤", 1e-3);

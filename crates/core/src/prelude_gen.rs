@@ -6,8 +6,10 @@
 //! shape changes, so the compiled code itself stays shape-generic;
 //! [`PreludeSpec::build`] runs on
 //! the host and produces the concrete arrays, timing each category
-//! separately — the §7.4 overhead table reports exactly these times and
-//! byte counts.
+//! separately. The `paper` binary's §7.4 overhead table does not report
+//! these yet: it times the structures `cora_transformer::prelude_costs`
+//! builds for a hand-listed set of tensors, not a compiled layer's
+//! preludes.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -168,7 +170,7 @@ impl PreludeSpec {
     }
 
     /// Builds all auxiliary structures, timing storage and fusion work
-    /// separately (the split the §7.4 table reports).
+    /// separately (the split the §7.4 table makes).
     pub fn build(&self) -> PreludeData {
         let mut data = PreludeData {
             params: self.params.clone(),

@@ -45,11 +45,11 @@
 //! `seq_len` ([`Attend::Full`], the bidirectional encoder) or `pos + 1`
 //! ([`Attend::Causal`], masked attention, §D.3 / Fig. 18). That is the
 //! *only* difference between the two — the operators, schedules and
-//! tables are the same — so masked multi-head attention
-//! ([`CompiledEncoderLayer::build_masked_mha`], [`masked_mha_compiled`])
-//! is the table's attention prefix (`qkv_proj … out_proj`) under
-//! `Causal` plus a plain output bias, run through the same pipeline
-//! session.
+//! tables are the same — so multi-head attention
+//! ([`CompiledEncoderLayer::build_mha`]) is the table's attention prefix
+//! (`qkv_proj … out_proj`) plus a plain output bias under either extent
+//! function, run through the same pipeline session: `Full` is the CPU
+//! MHA module of Fig. 27 and Tables 5 and 9, `Causal` the masked block.
 //!
 //! # Compiled once, prepared per shape
 //!
@@ -84,8 +84,9 @@
 //! Because every operator replays the reference kernels' loop orders and
 //! float operations, [`CompiledEncoderLayer::forward`] tracks
 //! [`encoder_layer_ragged`](crate::encoder::encoder_layer_ragged) to
-//! within a few ULPs (and the causal block tracks
-//! [`masked_mha_ragged`](crate::masked_mha::masked_mha_ragged)); the
+//! within a few ULPs (the causal block tracks
+//! [`masked_mha_ragged`](crate::masked_mha::masked_mha_ragged), the full
+//! one the un-padded rows of [`mha_padded`](crate::mha::mha_padded)); the
 //! differential proptest suite (`tests/encoder_compiled_props.rs`) locks
 //! the layer at every pool width, its stages run alone and the reference
 //! kernels together.
@@ -760,10 +761,10 @@ pub static STAGES: [Stage; 21] = [
 ];
 
 /// How many leading rows of [`STAGES`] form the attention block
-/// (`qkv_proj … out_proj`) that masked multi-head attention shares.
+/// (`qkv_proj … out_proj`) that multi-head attention shares.
 const ATTENTION_STAGES: usize = 10;
 
-/// Masked MHA's last stage: the output projection's bias alone. (The
+/// MHA's last stage: the output projection's bias alone. (The
 /// encoder's row at this position also adds the layer's residual, which
 /// a bare attention block does not have.)
 static MHA_OUT_BIAS: Stage = Stage {
@@ -824,8 +825,8 @@ static EXTERNALS: [External; 13] = {
 
 /// A run of table stages at one batch shape, wired through a
 /// buffer-planned [`CompiledPipeline`]: the full 21-stage encoder layer
-/// ([`CompiledEncoderLayer::build`]) or the causal masked-MHA block
-/// ([`CompiledEncoderLayer::build_masked_mha`]).
+/// ([`CompiledEncoderLayer::build`]) or the multi-head-attention block
+/// ([`CompiledEncoderLayer::build_mha`]).
 ///
 /// The compiled code is shape-generic — batch shape reaches it only
 /// through prelude parameters and tables — so it is compiled once per
@@ -890,26 +891,30 @@ impl CompiledEncoderLayer {
         Self::wire(cfg, lens, Attend::Full, STAGES.iter().collect(), math, None)
     }
 
-    /// The causally masked multi-head-attention block (§D.3) at a batch
-    /// shape: the table's attention prefix (`qkv_proj … out_proj`) under
-    /// [`Attend::Causal`], then the output bias. Runs through the same
-    /// sessions as the encoder layer (only `wqkv`/`bqkv`/`wo`/`bo` of
-    /// the weights are read); [`EncoderSession::forward`] returns the
-    /// `Σ lens × hidden` block output, numerically equivalent to
-    /// [`crate::masked_mha::masked_mha_ragged`].
+    /// The multi-head-attention block at a batch shape: the table's
+    /// attention prefix (`qkv_proj … out_proj`) under `attend`, then the
+    /// output bias. [`Attend::Full`] is the CPU MHA module (Fig. 27,
+    /// Tables 5 and 9); [`Attend::Causal`] the masked block (§D.3). Runs
+    /// through the same sessions as the encoder layer (only
+    /// `wqkv`/`bqkv`/`wo`/`bo` of the weights are read);
+    /// [`EncoderSession::forward`] returns the `Σ lens × hidden` block
+    /// output — under `Causal` numerically equivalent to
+    /// [`crate::masked_mha::masked_mha_ragged`], under `Full` to the
+    /// un-padded rows of [`crate::mha::mha_padded`].
     ///
     /// # Errors
     ///
     /// As for [`CompiledEncoderLayer::build`].
-    pub fn build_masked_mha(
+    pub fn build_mha(
         cfg: &EncoderConfig,
         lens: &[usize],
+        attend: Attend,
     ) -> Result<CompiledEncoderLayer, ScheduleError> {
         let stages = STAGES[..ATTENTION_STAGES]
             .iter()
             .chain([&MHA_OUT_BIAS])
             .collect();
-        Self::wire(cfg, lens, Attend::Causal, stages, MathMode::Strict, None)
+        Self::wire(cfg, lens, attend, stages, MathMode::Strict, None)
     }
 
     /// This layer's stages at the batch shape `lens`, over this layer's
@@ -952,9 +957,10 @@ impl CompiledEncoderLayer {
         cfg.validate().expect("consistent encoder config");
         let geometry = Geometry::new(cfg, lens, attend);
         let mut code = code.map(|layer| layer.pipeline.stage_programs());
-        let mut b = PipelineBuilder::new(match attend {
-            Attend::Full => "encoder_layer",
-            Attend::Causal => "masked_mha",
+        let mut b = PipelineBuilder::new(if stages.len() == STAGES.len() {
+            "encoder_layer"
+        } else {
+            "mha"
         });
         let wired = stages.iter().flat_map(|s| s.wires).map(|(_, buf)| *buf);
         let read = |e: &&External| wired.clone().any(|buf| buf == e.name);
@@ -1155,51 +1161,6 @@ impl<P: BorrowMut<EncoderPrep>> EncoderSession<'_, P> {
     }
 }
 
-/// One-shot convenience mirroring [`crate::encoder::encoder_layer_ragged`]:
-/// compiles the layer for `x`'s shape and runs it once on `pool`.
-/// Repeated / multi-layer callers should [`CompiledEncoderLayer::build`]
-/// once per shape and reuse a session.
-///
-/// # Panics
-///
-/// Panics if lowering or outlining rejects a built-in schedule — a
-/// compiler regression by definition.
-pub fn encoder_layer_compiled(
-    pool: &CpuPool,
-    cfg: &EncoderConfig,
-    w: &EncoderWeights,
-    x: &RaggedBatch,
-) -> RaggedBatch {
-    let layer = CompiledEncoderLayer::build(cfg, &x.lens).expect("built-in schedules are legal");
-    RaggedBatch {
-        lens: x.lens.clone(),
-        data: layer.forward(pool, w, x),
-        hidden: cfg.hidden,
-    }
-}
-
-/// One-shot convenience mirroring
-/// [`crate::masked_mha::masked_mha_ragged`]: compiles the causal
-/// attention block ([`CompiledEncoderLayer::build_masked_mha`]) for
-/// `x`'s shape and runs it once on `pool`. Every stage — projections
-/// and biases included — is a compiled program; nothing is computed by
-/// hand-written kernels.
-///
-/// # Panics
-///
-/// Panics if lowering or outlining rejects a built-in schedule — a
-/// compiler regression by definition.
-pub fn masked_mha_compiled(
-    pool: &CpuPool,
-    cfg: &EncoderConfig,
-    w: &EncoderWeights,
-    x: &RaggedBatch,
-) -> Vec<f32> {
-    CompiledEncoderLayer::build_masked_mha(cfg, &x.lens)
-        .expect("built-in schedules are legal")
-        .forward(pool, w, x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1243,7 +1204,10 @@ mod tests {
             let mut session = layer.session().unwrap();
             assert!(session.forward(&CpuPool::new(2), &w, &x).is_empty());
             assert!(session.forward_serial(&w, &x).is_empty());
-            assert!(masked_mha_compiled(&CpuPool::new(2), &cfg, &w, &x).is_empty());
+            for attend in [Attend::Full, Attend::Causal] {
+                let mha = CompiledEncoderLayer::build_mha(&cfg, lens, attend).unwrap();
+                assert!(mha.forward(&CpuPool::new(2), &w, &x).is_empty());
+            }
         }
     }
 
@@ -1274,12 +1238,14 @@ mod tests {
         for label in &labels {
             assert!(stage_operator(label, &cfg, &lens).is_some(), "{label}");
         }
-        // Masked MHA is the attention prefix plus its own bias stage.
-        let mha = CompiledEncoderLayer::build_masked_mha(&cfg, &lens).unwrap();
+        // MHA is the attention prefix plus its own bias stage.
         let mut want = labels[..ATTENTION_STAGES].to_vec();
         want.push(MHA_OUT_BIAS.label);
-        assert_eq!(mha.pipeline().unwrap().stage_labels(), want);
-        assert_eq!(mha.externals.len(), 5, "X and the attention weights");
+        for attend in [Attend::Full, Attend::Causal] {
+            let mha = CompiledEncoderLayer::build_mha(&cfg, &lens, attend).unwrap();
+            assert_eq!(mha.pipeline().unwrap().stage_labels(), want);
+            assert_eq!(mha.externals.len(), 5, "X and the attention weights");
+        }
     }
 
     /// `[3, 2]` and `[2, 3]` plan equal buffer sizes, so only the

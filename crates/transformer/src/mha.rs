@@ -1,10 +1,12 @@
-//! CPU multi-head attention: the Table 5 / Table 9 / Fig. 27 workloads.
+//! CPU multi-head attention baselines: the Table 5 / Table 9 / Fig. 27
+//! workloads.
 //!
-//! Three execution modes, all computing the same MHA module (Proj1 → SDPA
-//! → Proj2) for real on the host:
+//! CoRa's side of those rows is the compiled MHA block,
+//! [`CompiledEncoderLayer::build_mha`] under [`Attend::Full`]. This
+//! module holds the padded baselines it is compared against, all
+//! computing the same MHA module (Proj1 → SDPA → Proj2) for real on the
+//! host:
 //!
-//! * [`mha_ragged`] — CoRa: fused-row projections, per-sequence exact
-//!   SDPA, sequences sorted so heavy work schedules first.
 //! * [`mha_padded`] — TF/PT: every sequence padded to the batch maximum.
 //! * [`mha_micro_batched`] — TF-UB/PT-UB: the sorted batch runs as a
 //!   series of micro-batches, each padded only to its own maximum
@@ -12,6 +14,9 @@
 //!
 //! [`search_micro_batch`] reproduces the paper's search over power-of-two
 //! micro-batch sizes.
+//!
+//! [`CompiledEncoderLayer::build_mha`]: crate::encoder_compiled::CompiledEncoderLayer::build_mha
+//! [`Attend::Full`]: crate::encoder_compiled::Attend::Full
 
 use std::time::Instant;
 
@@ -21,33 +26,6 @@ use cora_kernels::elementwise::bias_add_rows;
 use crate::config::EncoderConfig;
 use crate::encoder::{parallel_sgemm, sdpa_sequence, RaggedBatch};
 use crate::weights::EncoderWeights;
-
-/// MHA forward over ragged storage (CoRa). Returns `Σ lens × hidden`.
-pub fn mha_ragged(
-    pool: &CpuPool,
-    cfg: &EncoderConfig,
-    w: &EncoderWeights,
-    x: &RaggedBatch,
-) -> Vec<f32> {
-    let h = cfg.hidden;
-    let rows = x.rows();
-    let mut qkv = vec![0.0f32; rows * 3 * h];
-    parallel_sgemm(pool, rows, h, 3 * h, &x.data, &w.wqkv, &mut qkv);
-    bias_add_rows(&mut qkv, 3 * h, &w.bqkv);
-
-    let mut attn = vec![0.0f32; rows * h];
-    let row_lens: Vec<usize> = x.lens.iter().map(|&l| l * h).collect();
-    pool.parallel_rows(&mut attn, &row_lens, |s, out| {
-        let l = x.lens[s];
-        let mut scores = Vec::new();
-        sdpa_sequence(cfg, l, l, &qkv, x.row_offset(s), out, &mut scores);
-    });
-
-    let mut out = vec![0.0f32; rows * h];
-    parallel_sgemm(pool, rows, h, h, &attn, &w.wo, &mut out);
-    bias_add_rows(&mut out, h, &w.bo);
-    out
-}
 
 /// MHA forward over fully padded storage (`batch × max_len` rows).
 /// Returns the padded output.
@@ -155,6 +133,18 @@ pub fn search_micro_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoder_compiled::{Attend, CompiledEncoderLayer};
+
+    /// The compiled full-attention MHA block (CoRa's side of the rows).
+    fn mha_compiled(
+        pool: &CpuPool,
+        cfg: &EncoderConfig,
+        w: &EncoderWeights,
+        x: &RaggedBatch,
+    ) -> Vec<f32> {
+        let layer = CompiledEncoderLayer::build_mha(cfg, &x.lens, Attend::Full).unwrap();
+        layer.forward(pool, w, x)
+    }
 
     fn unpad(out: &[f32], lens: &[usize], max_len: usize, h: usize) -> Vec<f32> {
         let mut v = Vec::new();
@@ -179,7 +169,7 @@ mod tests {
         let lens = vec![9usize, 6, 4, 2];
         let x = RaggedBatch::random(&lens, cfg.hidden, 8);
         let pool = CpuPool::new(2);
-        let r = mha_ragged(&pool, &cfg, &w, &x);
+        let r = mha_compiled(&pool, &cfg, &w, &x);
         let max_len = 9;
         let p = mha_padded(&pool, &cfg, &w, &lens, max_len, &x.to_padded(max_len));
         let p_valid = unpad(&p, &lens, max_len, cfg.hidden);
@@ -187,13 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn micro_batched_agrees_with_ragged() {
+    fn micro_batched_agrees_with_compiled() {
         let cfg = EncoderConfig::scaled(8);
         let w = EncoderWeights::random(&cfg, 9);
         let lens = vec![12usize, 9, 5, 3, 2]; // sorted descending
         let x = RaggedBatch::random(&lens, cfg.hidden, 10);
         let pool = CpuPool::new(2);
-        let r = mha_ragged(&pool, &cfg, &w, &x);
+        let r = mha_compiled(&pool, &cfg, &w, &x);
         let chunks = mha_micro_batched(&pool, &cfg, &w, &x, 2);
         let mut collected = Vec::new();
         let mut s = 0usize;

@@ -81,10 +81,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 
 /// Every stage's serial program and outlined body, as text.
 fn stage_programs(layer: &CompiledEncoderLayer) -> Vec<String> {
-    let Some(pipeline) = layer.pipeline() else {
-        return Vec::new();
-    };
-    pipeline
+    (layer.pipeline().expect("a pipeline"))
         .stage_programs()
         .map(|(label, compiled)| {
             let body = compiled.parallel_body().expect("every stage outlines");

@@ -10,9 +10,10 @@
 //! * report per-stage `InterpStats` (summed over workers) equal to
 //!   those standalone runs' exactly.
 //!
-//! The same table under `Attend::Causal` — the masked-MHA block — is
-//! held to `masked_mha_ragged` the same way, plus the property that
-//! defines it: no token's output depends on a later token.
+//! The table's MHA block is held the same way under both `Attend`s: to
+//! `masked_mha_ragged` under `Causal`, plus the property that defines
+//! it (no token's output depends on a later token), and to the padded
+//! baseline `mha_padded` under `Full`.
 //!
 //! The encoder pipeline is the paper's end-to-end artifact; this suite
 //! is what locks it to the reference implementation.
@@ -27,9 +28,8 @@ use cora::datasets::Dataset;
 use cora::exec::{CpuPool, MathMode};
 use cora::transformer::encoder_compiled::{stage, Attend, CompiledEncoderLayer, Geometry};
 use cora::transformer::masked_mha::masked_mha_ragged;
-use cora::transformer::{
-    encoder_layer_ragged, masked_mha_compiled, EncoderConfig, EncoderWeights, RaggedBatch,
-};
+use cora::transformer::mha::mha_padded;
+use cora::transformer::{encoder_layer_ragged, EncoderConfig, EncoderWeights, RaggedBatch};
 
 fn small_config(heads: usize, head_dim: usize, ff_mult: usize) -> EncoderConfig {
     EncoderConfig {
@@ -176,77 +176,82 @@ fn bits(v: &[f32]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The causal variant of the stage table (masked MHA: the attention
-    /// prefix under `Attend::Causal` plus the output bias), across
-    /// random raggedness (0-/1-length sequences included) × heads:
-    /// matches the hand-written `masked_mha_ragged`, is triangular and
-    /// proven block-parallel, runs serially and at 1, 2 and 8 workers
-    /// bit-identically to its stages run alone, and never lets a later
-    /// token reach an earlier one.
+    /// The MHA block (the stage table's attention prefix plus the output
+    /// bias) under either `Attend`, across random raggedness (0-/1-length
+    /// sequences included) × heads: matches its reference — the
+    /// hand-written `masked_mha_ragged` under `Causal`, the un-padded rows
+    /// of `mha_padded` under `Full` — stores one score per attended key
+    /// and is proven block-parallel, runs serially and at 1, 2 and 8
+    /// workers bit-identically to its stages run alone, and, causal,
+    /// never lets a later token reach an earlier one.
     #[test]
-    fn causal_masked_mha_matches_reference_and_never_leaks(
+    fn mha_block_matches_reference_and_causal_never_leaks(
         lens in prop::collection::vec(0usize..7, 1..5),
         heads_idx in 0usize..3,
         head_dim_idx in 0usize..3,
+        attend_idx in 0usize..2,
         seed in 0u64..1000,
     ) {
         let heads = [1usize, 2, 4][heads_idx];
         let head_dim = [2usize, 4, 8][head_dim_idx];
+        let attend = [Attend::Full, Attend::Causal][attend_idx];
         let cfg = small_config(heads, head_dim, 1);
         let h = cfg.hidden;
         let w = EncoderWeights::random(&cfg, seed);
         let x = RaggedBatch::random(&lens, h, seed.wrapping_add(1));
         let rows: usize = lens.iter().sum();
 
-        let reference = masked_mha_ragged(&CpuPool::new(4), &cfg, &w, &x);
-        let layer = CompiledEncoderLayer::build_masked_mha(&cfg, &lens).expect("legal schedules");
+        let (reference, tolerance) = match attend {
+            Attend::Causal => (masked_mha_ragged(&CpuPool::new(4), &cfg, &w, &x), 1e-3),
+            Attend::Full => (mha_padded_rows(&cfg, &w, &x), 1e-4),
+        };
+        let layer = CompiledEncoderLayer::build_mha(&cfg, &lens, attend).expect("legal schedules");
         let mut session = layer.session().expect("stages outline");
         let serial = session.run(None, &w, &x);
         prop_assert_eq!(serial.output.len(), reference.len());
-        let worst = reference
-            .iter()
-            .zip(&serial.output)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
+        let worst = max_abs_diff(&reference, &serial.output);
         prop_assert!(
-            worst < 1e-3,
-            "compiled masked MHA diverges from reference by {} (rows = {})",
+            worst < tolerance,
+            "compiled {:?} MHA diverges from reference by {} (rows = {})",
+            attend,
             worst,
             rows
         );
 
-        // Triangular and block-bound: the score stage stores `pos + 1`
-        // entries per (head, row), and every stage carries a proof for
-        // the parallel tier — one block per (head, row) in attention.
-        if let Some(pipeline) = layer.pipeline() {
-            let triangle: usize = lens.iter().map(|l| l * (l + 1) / 2).sum();
-            let (_, scores) = pipeline
-                .stage_programs()
-                .find(|(label, _)| *label == "scores")
-                .expect("the attention prefix has a score stage");
-            prop_assert_eq!(scores.output_size(), heads * triangle);
-            for (label, outcome) in session.verify_outcomes() {
-                if label == "scores" {
-                    prop_assert_eq!(outcome.n_blocks, heads * rows);
-                }
+        // Ragged and block-bound: the score stage stores one entry per
+        // attended key of each (head, row), and every stage carries a
+        // proof for the parallel tier — one block per (head, row) in
+        // attention.
+        let keys: usize = lens.iter().map(|&l| (0..l).map(|p| attend.extent(p, l)).sum::<usize>()).sum();
+        let (_, scores) = layer
+            .pipeline()
+            .expect("a pipeline")
+            .stage_programs()
+            .find(|(label, _)| *label == "scores")
+            .expect("the attention prefix has a score stage");
+        prop_assert_eq!(scores.output_size(), heads * keys);
+        for (label, outcome) in session.verify_outcomes() {
+            if label == "scores" {
+                prop_assert_eq!(outcome.n_blocks, heads * rows);
             }
         }
 
         // Serial, every worker count, session reuse and the one-shot
-        // convenience: the stages' standalone outputs and statistics.
-        let want = stage_by_stage(&layer, (&cfg, Attend::Causal), &w, &x, false);
+        // `forward`: the stages' standalone outputs and statistics.
+        let want = stage_by_stage(&layer, (&cfg, attend), &w, &x, false);
         assert_same_run(&serial, &want, "serial");
         for workers in [1usize, 2, 8] {
             let par = session.run(Some(&CpuPool::new(workers)), &w, &x);
             assert_same_run(&par, &want, &format!("{workers} workers"));
         }
-        let one_shot = masked_mha_compiled(&CpuPool::new(2), &cfg, &w, &x);
+        let one_shot = layer.forward(&CpuPool::new(2), &w, &x);
         prop_assert_eq!(bits(&one_shot), bits(&serial.output));
 
         // Causality: perturb the last token of the first non-empty
         // sequence. Only that token's own row may change — not the
         // earlier rows of its sequence, not any other sequence.
-        if let Some(s) = lens.iter().position(|&l| l > 0) {
+        let first = lens.iter().position(|&l| l > 0);
+        if let (Attend::Causal, Some(s)) = (attend, first) {
             let last = x.row_offset(s) + lens[s] - 1;
             let mut moved = x.clone();
             for v in &mut moved.data[last * h..(last + 1) * h] {
@@ -261,6 +266,49 @@ proptest! {
             prop_assert_eq!(bits(&y[after.clone()]), bits(&serial.output[after]));
             prop_assert_ne!(bits(&y[own.clone()]), bits(&serial.output[own]));
         }
+    }
+}
+
+/// The un-padded rows of the padded baseline MHA (`mha_padded`): the
+/// full-attention reference, `Σ lens × hidden`.
+fn mha_padded_rows(cfg: &EncoderConfig, w: &EncoderWeights, x: &RaggedBatch) -> Vec<f32> {
+    let max_len = x.lens.iter().copied().max().unwrap_or(0);
+    let padded = mha_padded(
+        &CpuPool::new(4),
+        cfg,
+        w,
+        &x.lens,
+        max_len,
+        &x.to_padded(max_len),
+    );
+    let h = cfg.hidden;
+    let rows = x.lens.iter().enumerate();
+    rows.flat_map(|(s, &l)| padded[s * max_len * h..][..l * h].to_vec())
+        .collect()
+}
+
+fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f32::max)
+}
+
+/// The compiled full-attention MHA on the empty shapes — no batch, and
+/// zero-length sequences beside non-empty ones — against the padded
+/// baseline's un-padded rows.
+#[test]
+fn full_mha_matches_the_padded_baseline_on_empty_shapes() {
+    let cfg = small_config(2, 4, 1);
+    let w = EncoderWeights::random(&cfg, 5);
+    for lens in [vec![], vec![0usize], vec![0, 0], vec![3, 0, 5, 1]] {
+        let x = RaggedBatch::random(&lens, cfg.hidden, 6);
+        let want = mha_padded_rows(&cfg, &w, &x);
+        let layer = CompiledEncoderLayer::build_mha(&cfg, &lens, Attend::Full).expect("builds");
+        let got = layer.forward(&CpuPool::new(2), &w, &x);
+        assert_eq!(got.len(), want.len(), "lens {lens:?}");
+        let worst = max_abs_diff(&got, &want);
+        assert!(worst < 1e-4, "lens {lens:?}: diverges by {worst}");
     }
 }
 
@@ -332,7 +380,7 @@ fn stage_by_stage(
     let mut bufs = external_buffers(w, x);
     let mut out = "";
     let mut stages = Vec::new();
-    let labels = layer.pipeline().map_or(Vec::new(), |p| p.stage_labels());
+    let labels = layer.pipeline().expect("a pipeline").stage_labels();
     for label in labels {
         let row = stage(label).expect("pipeline labels come from the stage table");
         let inputs: Vec<(&str, Vec<f32>)> = (row.wires.iter())
@@ -372,7 +420,9 @@ fn strict_forwards_match_the_interpreter_on_panel_reuse_edges() {
     type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
     let builds: [(Attend, Build); 2] = [
         (Attend::Full, CompiledEncoderLayer::build),
-        (Attend::Causal, CompiledEncoderLayer::build_masked_mha),
+        (Attend::Causal, |c, l| {
+            CompiledEncoderLayer::build_mha(c, l, Attend::Causal)
+        }),
     ];
     let straddling = vec![13usize, 5, 0, 21, 1, 9];
     for (cfg, lens) in [
@@ -434,7 +484,9 @@ type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, Schedu
 /// `Causal`.
 const BUILDS: [(Attend, Build); 2] = [
     (Attend::Full, CompiledEncoderLayer::build),
-    (Attend::Causal, CompiledEncoderLayer::build_masked_mha),
+    (Attend::Causal, |c, l| {
+        CompiledEncoderLayer::build_mha(c, l, Attend::Causal)
+    }),
 ];
 
 /// The chain tripwire: at `program_golden`'s two shapes and at MNLI-16,
@@ -476,7 +528,7 @@ fn encoder_layers_run_as_three_chains() {
         for (attend, build) in BUILDS {
             let at = format!("{attend:?} lens {lens:?}");
             let layer = build(&cfg, lens).expect("legal schedules");
-            let pipeline = layer.pipeline().expect("non-empty batch");
+            let pipeline = layer.pipeline().expect("a pipeline");
             let labels = pipeline.stage_labels();
             let (tail, out): (&[&str], &str) = match attend {
                 Attend::Full => (&encoder_tail, "OUT"),
@@ -523,7 +575,7 @@ fn pipeline_inputs<'a>(
     layer: &CompiledEncoderLayer,
     bufs: &'a HashMap<&'static str, Vec<f32>>,
 ) -> Vec<(&'static str, &'a [f32])> {
-    let rows: Vec<_> = (layer.pipeline().expect("non-empty batch").stage_labels())
+    let rows: Vec<_> = (layer.pipeline().expect("a pipeline").stage_labels())
         .into_iter()
         .map(|label| stage(label).expect("a table stage"))
         .collect();
@@ -548,9 +600,7 @@ fn unchained(
     x: &RaggedBatch,
     pool: &CpuPool,
 ) -> Vec<f32> {
-    let Some(pipeline) = layer.pipeline() else {
-        return Vec::new();
-    };
+    let pipeline = layer.pipeline().expect("a pipeline");
     let mut bufs = external_buffers(w, x);
     let mut out = "";
     for (label, program) in pipeline.stage_programs() {
@@ -599,7 +649,7 @@ fn chained_forwards_match_serial_at_every_grain_and_unchained_fast_runs() {
         let bufs = external_buffers(&w, &x);
         for (attend, build) in BUILDS {
             let layer = build(&cfg, &lens).expect("legal schedules");
-            let pipeline = layer.pipeline().expect("non-empty batch");
+            let pipeline = layer.pipeline().expect("a pipeline");
             let inputs = pipeline_inputs(&layer, &bufs);
             let serial = stage_by_stage(&layer, (&cfg, attend), &w, &x, false);
             for workers in [1usize, 4] {

@@ -34,7 +34,9 @@ type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, Schedu
 /// `Causal`.
 const BUILDS: [(Attend, Build); 2] = [
     (Attend::Full, CompiledEncoderLayer::build),
-    (Attend::Causal, CompiledEncoderLayer::build_masked_mha),
+    (Attend::Causal, |c, l| {
+        CompiledEncoderLayer::build_mha(c, l, Attend::Causal)
+    }),
 ];
 
 fn bits(v: &[f32]) -> Vec<u32> {

@@ -120,7 +120,7 @@ fn encoder_stage_programs_match_the_recorded_golden_mnli_shape() {
 
 #[test]
 fn causal_stage_programs_match_the_recorded_golden() {
-    let build: Build = CompiledEncoderLayer::build_masked_mha;
+    let build: Build = |c, l| CompiledEncoderLayer::build_mha(c, l, Attend::Causal);
     check(build, Attend::Causal, &EDGE_LENS, &CAUSAL_EDGE_GOLDEN);
     check(build, Attend::Causal, &MNLI_LENS, &CAUSAL_MNLI_GOLDEN);
 }
@@ -244,7 +244,7 @@ fn every_stage_and_every_tuner_candidate_compiles_to_one_fused_instruction() {
             }
         }
     }
-    let masked = CompiledEncoderLayer::build_masked_mha(&cfg, &MNLI_LENS).expect("builds");
+    let masked = CompiledEncoderLayer::build_mha(&cfg, &MNLI_LENS, Attend::Causal).expect("builds");
     for (label, compiled) in masked.pipeline().expect("non-empty batch").stage_programs() {
         let body = compiled.parallel_body().expect("every stage outlines");
         for (tier, program) in [("whole program", compiled.vm()), ("body", body)] {
@@ -333,7 +333,8 @@ fn every_stage_runs_its_rows_in_a_fused_nest_row_level() {
                 check(row.label.to_string(), &compiled, &want(row.label));
             }
             if attend == Attend::Causal {
-                let masked = CompiledEncoderLayer::build_masked_mha(&cfg, lens).expect("builds");
+                let masked =
+                    CompiledEncoderLayer::build_mha(&cfg, lens, Attend::Causal).expect("builds");
                 let pipeline = masked.pipeline().expect("non-empty batch");
                 for (label, compiled) in pipeline.stage_programs() {
                     check(format!("{label} (masked block)"), compiled, &want(label));

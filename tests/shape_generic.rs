@@ -201,7 +201,9 @@ fn a_layer_moved_to_another_shape_matches_one_built_there() {
     type Build = fn(&EncoderConfig, &[usize]) -> Result<CompiledEncoderLayer, ScheduleError>;
     let builds: [(&str, Build); 2] = [
         ("encoder", CompiledEncoderLayer::build),
-        ("masked block", CompiledEncoderLayer::build_masked_mha),
+        ("masked block", |c, l| {
+            CompiledEncoderLayer::build_mha(c, l, Attend::Causal)
+        }),
     ];
     fn shares(a: &CompiledEncoderLayer, b: &CompiledEncoderLayer) -> bool {
         let (a, b) = (

@@ -28,6 +28,7 @@ use cora::datasets::Dataset;
 use cora::ir::interval::SInt;
 use cora::ir::ForKind;
 use cora::ragged::{Dim, RaggedLayout};
+use cora::transformer::encoder_compiled::Attend;
 use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
 
 /// FNV-1a over a stream of `i64`s.
@@ -169,7 +170,7 @@ fn encoder_stage_verdicts_match_the_recorded_golden_mnli_shape() {
 /// above while the dense stages' agree.
 #[test]
 fn causal_stage_verdicts_match_the_recorded_golden() {
-    let build: Build = CompiledEncoderLayer::build_masked_mha;
+    let build: Build = |c, l| CompiledEncoderLayer::build_mha(c, l, Attend::Causal);
     check(build, &EDGE_LENS, &CAUSAL_EDGE_GOLDEN);
     check(build, &MNLI_LENS, &CAUSAL_MNLI_GOLDEN);
 }
@@ -199,10 +200,9 @@ fn tiled_stage_verdicts_match_the_recorded_golden_mnli_shape() {
 #[test]
 fn every_encoder_stage_proves_in_tiles_without_the_retry() {
     let mnli16 = Dataset::Mnli.sample_lengths(16, 42);
-    let builds: [Build; 2] = [
-        CompiledEncoderLayer::build,
-        CompiledEncoderLayer::build_masked_mha,
-    ];
+    let builds: [Build; 2] = [CompiledEncoderLayer::build, |c, l| {
+        CompiledEncoderLayer::build_mha(c, l, Attend::Causal)
+    }];
     for build in builds {
         for lens in [&EDGE_LENS[..], &MNLI_LENS, &mnli16] {
             let layer = layer(build, lens);
@@ -252,7 +252,9 @@ fn chain_rows_match_the_recorded_golden() {
     ] {
         let builds: [(&str, Build); 2] = [
             ("full", CompiledEncoderLayer::build),
-            ("causal", CompiledEncoderLayer::build_masked_mha),
+            ("causal", |c, l| {
+                CompiledEncoderLayer::build_mha(c, l, Attend::Causal)
+            }),
         ];
         for (mask, build) in builds {
             let layer = layer(build, lens);

@@ -22,6 +22,7 @@ use cora::core::verify::{tile_grain, verify_outlined, ProofProgram, VerifyCtx, V
 use cora::ir::interval::SInt;
 use cora::ir::{Env, ForKind, Stmt};
 use cora::ragged::{Dim, RaggedLayout};
+use cora::transformer::encoder_compiled::Attend;
 use cora::transformer::{CompiledEncoderLayer, EncoderConfig};
 
 // ---------------------------------------------------------------------
@@ -536,11 +537,11 @@ fn every_encoder_stage_runs_as_serially_at_every_grain() {
     let cfg = EncoderConfig::scaled(8);
     let lens = [5usize, 0, 3, 1, 7, 12, 1, 0];
     let pool = CpuPool::new(4);
-    for build in [
-        CompiledEncoderLayer::build,
-        CompiledEncoderLayer::build_masked_mha,
+    for layer in [
+        CompiledEncoderLayer::build(&cfg, &lens),
+        CompiledEncoderLayer::build_mha(&cfg, &lens, Attend::Causal),
     ] {
-        let layer = build(&cfg, &lens).expect("builds");
+        let layer = layer.expect("builds");
         for (label, program) in layer.pipeline().expect("rows").stage_programs() {
             let per_block = program.parallel_prep_at_grain(1).unwrap().unwrap();
             let outcome = per_block.verify_outcome();
