@@ -19,6 +19,7 @@ use cora_transformer::encoder_compiled::{stage, Attend, CompiledEncoderLayer, Ge
 use cora_transformer::mha::{mha_padded, search_micro_batch, time_best_ms};
 use cora_transformer::{EncoderConfig, EncoderWeights};
 
+use crate::matmul::trmm_op;
 use crate::{geomean, joined, least, table, Run};
 
 /// `B[o,i] = 2*A[o,i] + 1` over a dataset-shaped ragged batch, with the
@@ -275,27 +276,10 @@ pub fn tab09(r: &mut Run) {
     }
 }
 
-/// Table 6's trmm `C = L·B` lowered through the ragged API: `L` is a
-/// lower triangle in CoRa's packed row storage (row `i` at offset
-/// `i(i+1)/2`, length `i + 1`: O(1) offsets, no stored column indices),
-/// so the reduction `k` is a vloop of extent `i + 1`, reordered `i, k, j`
-/// to stream rows of `B` and `C`.
-fn trmm_op(n: usize) -> Operator {
-    let (row, col) = (Dim::new("row"), Dim::new("col"));
-    let tri: Vec<usize> = (1..=n).collect();
-    let packed = RaggedLayout::builder().cdim(row.clone(), n);
-    let packed = packed.vdim(col, &row, tri.clone()).build();
-    let l = TensorRef::new("L", packed.expect("a valid triangular layout"));
-    let b = TensorRef::new("B", RaggedLayout::dense(&[n, n]));
-    let (lt, bt) = (l.clone(), b.clone());
-    let body: BodyFn = Rc::new(move |args| {
-        let (i, j, k) = (args[0].clone(), args[1].clone(), args[2].clone());
-        lt.at(&[i, k.clone()]) * bt.at(&[k, j])
-    });
-    let (i, j) = (LoopSpec::fixed("i", n), LoopSpec::fixed("j", n));
-    let k = LoopSpec::variable("k", 0, tri);
-    let c = TensorRef::new("C", RaggedLayout::dense(&[n, n]));
-    let mut op = Operator::new("trmm", vec![i, j], vec![k], c, vec![l, b], body);
+/// Table 6's trmm ([`trmm_op`]) reordered `i, k, j` to stream rows of
+/// `B` and `C`.
+fn trmm_rows(n: usize) -> Operator {
+    let mut op = trmm_op(n);
     op.schedule_mut().reorder(&["i", "k", "j"]);
     op
 }
@@ -339,7 +323,7 @@ pub fn tab06(r: &mut Run) {
         let pack = |d: &[f32]| (0..n).flat_map(|i| d[i * n..=i * n + i].to_vec()).collect();
         let (ap, bp): (&Vec<f32>, &Vec<f32>) = (&pack(&ad), &pack(&bd));
         let trmm_in = [("L", ap.clone()), ("B", dense_b.clone())];
-        let (mut vm, _) = lower(&trmm_op(n))
+        let (mut vm, _) = lower(&trmm_rows(n))
             .expect("legal schedule")
             .compile()
             .prepare(&trmm_in);
@@ -400,7 +384,7 @@ mod tests {
             }
             let mut want = vec![0.0f32; n * n];
             cora_kernels::sgemm(n, n, n, &dense, &b, &mut want);
-            let program = lower(&trmm_op(n)).expect("legal schedule");
+            let program = lower(&trmm_rows(n)).expect("legal schedule");
             let got = program.compile().run(&[("L", packed), ("B", b)]).output;
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "n = {n}");

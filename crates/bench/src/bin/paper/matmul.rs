@@ -1,13 +1,15 @@
 //! Figs. 9 and 10: variable-sized batched gemm and triangular matmul.
 
+use std::rc::Rc;
 use std::sync::Mutex;
 
 use cora_bench::f2;
+use cora_core::prelude::*;
 use cora_exec::cost::{GpuModel, KernelTraits};
 use cora_exec::gpu::{GpuSim, SimKernel};
-use cora_exec::CpuPool;
 use cora_kernels::sgemm;
-use cora_kernels::vendor::{batched_gemm_kernel, gemm_kernel, vgemm_kernel, GemmTiling};
+use cora_kernels::vendor::{gemm_kernel, vgemm_kernel, GemmTiling};
+use cora_ragged::{Dim, RaggedLayout};
 use cora_transformer::mha::time_best_ms;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,6 +41,39 @@ pub fn fig09(r: &mut Run) {
     fig09_cpu(r);
 }
 
+/// CoRa's ragged vgemm, `C[p] = A[p] · B[p]` for every problem `p` at
+/// once: each problem's `m`, `k` and `n` are vloops over its index, the
+/// output in 64×64 tiles, one block each, heaviest first.
+fn vgemm_program(shapes: &[Shape]) -> Program {
+    let table = |f: fn(&Shape) -> usize| shapes.iter().map(f).collect::<Vec<_>>();
+    let (ms, ks, ns) = (table(|s| s.0), table(|s| s.1), table(|s| s.2));
+    let p = Dim::new("problem");
+    let matrix = |rows: &[usize], cols: &[usize]| {
+        let layout = RaggedLayout::builder().cdim(p.clone(), shapes.len());
+        let layout = layout.vdim(Dim::new("row"), &p, rows.to_vec());
+        let layout = layout.vdim(Dim::new("col"), &p, cols.to_vec()).build();
+        layout.expect("a per-problem ragged layout")
+    };
+    let a = TensorRef::new("A", matrix(&ms, &ks));
+    let b = TensorRef::new("B", matrix(&ks, &ns));
+    let c = TensorRef::new("C", matrix(&ms, &ns));
+    let (at, bt) = (a.clone(), b.clone());
+    let body: BodyFn = Rc::new(move |x| {
+        let (p, i, j, k) = (x[0].clone(), x[1].clone(), x[2].clone(), x[3].clone());
+        at.at(&[p.clone(), i, k.clone()]) * bt.at(&[p, k, j])
+    });
+    let loops = vec![
+        LoopSpec::fixed("p", shapes.len()),
+        LoopSpec::variable("i", 0, ms),
+        LoopSpec::variable("j", 0, ns),
+    ];
+    let reduce = vec![LoopSpec::variable("k", 0, ks)];
+    let mut op = Operator::new("vgemm_cora", loops, reduce, c, vec![a, b], body);
+    op.tile_blocks(1, &["i", "j"], 64)
+        .thread_remap(RemapPolicy::LongestFirst);
+    lower(&op).expect("built-in schedules are legal")
+}
+
 /// Fig. 9 on the simulated GPU: hand-optimized ragged vgemm (Li et al. /
 /// MKL), CoRa's generated ragged vgemm, fully padded batched gemm.
 pub fn fig09_sim(r: &mut Run) {
@@ -49,11 +84,10 @@ pub fn fig09_sim(r: &mut Run) {
     for bs in [2usize, 4, 8, 16, 32, 64, 128, 256, 512] {
         let shapes = vgemm_shapes(bs, 7);
         let (m, k, n) = max_shape(&shapes);
-        let vgemm = |name, traits| vgemm_kernel(name, &model, traits, tiling, &shapes);
         let [hand, cora, padded] = [
-            vgemm("vgemm_hand", vendor),
-            vgemm("vgemm_cora", generated).remap_longest_first(),
-            batched_gemm_kernel("padded", &model, vendor, tiling, bs, m, k, n),
+            vgemm_kernel("vgemm_hand", &model, vendor, tiling, &shapes),
+            vgemm_program(&shapes).sim_kernel(&model, generated),
+            vgemm_kernel("padded", &model, vendor, tiling, &vec![(m, k, n); bs]),
         ]
         .map(|kernel| sim_ms(&model, kernel));
         hand_over_cora.push(hand / cora);
@@ -113,41 +147,66 @@ const TRMM: [&str; 5] = [
 
 const TRMM_TILE: usize = 64;
 
+/// Trmm `C = L·B` through the ragged API: `L` is a lower triangle in
+/// CoRa's packed row storage (row `i` at offset `i(i+1)/2`, length
+/// `i + 1`: O(1) offsets, no stored column indices), so the reduction
+/// `k` is a vloop of extent `i + 1`. Unscheduled: Table 6 runs it by
+/// rows on the CPU, Fig. 10 in tiles on the simulated GPU.
+pub(crate) fn trmm_op(n: usize) -> Operator {
+    let (row, col) = (Dim::new("row"), Dim::new("col"));
+    let tri: Vec<usize> = (1..=n).collect();
+    let packed = RaggedLayout::builder().cdim(row.clone(), n);
+    let packed = packed.vdim(col, &row, tri.clone()).build();
+    let l = TensorRef::new("L", packed.expect("a valid triangular layout"));
+    let b = TensorRef::new("B", RaggedLayout::dense(&[n, n]));
+    let (lt, bt) = (l.clone(), b.clone());
+    let body: BodyFn = Rc::new(move |args| {
+        let (i, j, k) = (args[0].clone(), args[1].clone(), args[2].clone());
+        lt.at(&[i, k.clone()]) * bt.at(&[k, j])
+    });
+    let (i, j) = (LoopSpec::fixed("i", n), LoopSpec::fixed("j", n));
+    let k = LoopSpec::variable("k", 0, tri);
+    let c = TensorRef::new("C", RaggedLayout::dense(&[n, n]));
+    Operator::new("trmm", vec![i, j], vec![k], c, vec![l, b], body)
+}
+
 /// Simulated latency (ms) of each of [`TRMM`] for an `n×n`
 /// lower-triangular times dense matrix.
 fn trmm_latencies_ms(model: &GpuModel, n: usize) -> [f64; 5] {
-    let tiles = n.div_ceil(TRMM_TILE);
-    // The reduction depth of the row block ending at row `r` is `r` —
-    // the raggedness that makes later blocks heavier and the natural
-    // dispatch order unbalanced.
-    let kernel = |name: &str, traits| {
-        let mut blocks = Vec::new();
-        for bi in 0..tiles {
-            let rows = (n - bi * TRMM_TILE).min(TRMM_TILE);
-            let depth = (bi * TRMM_TILE + rows) as f64;
-            for bj in 0..tiles {
-                let cols = (n - bj * TRMM_TILE).min(TRMM_TILE);
-                blocks.push(model.block_time_us(2.0 * rows as f64 * depth * cols as f64, traits));
-            }
-        }
-        SimKernel::new(name, blocks)
+    // CoRa's trmm in 64×64 output tiles, one block each: a tile reduces
+    // over its last row's `bi·64 + 64` columns — the raggedness that
+    // makes later blocks heavier and the natural dispatch order
+    // unbalanced. Balanced dispatches the heaviest blocks first.
+    let tiled = |remap| {
+        let mut op = trmm_op(n);
+        op.tile_blocks(0, &["i", "j"], TRMM_TILE)
+            .thread_remap(remap);
+        lower(&op).expect("built-in schedules are legal")
     };
+    let unbalanced = tiled(RemapPolicy::Identity);
+    let balanced = tiled(RemapPolicy::LongestFirst);
     let (vendor, generated) = (KernelTraits::vendor(), KernelTraits::generated());
-    // Hand-optimized trmm: exact triangular work, vendor-grade inner
-    // loops slightly below sgemm's peak (trmm kernels are less tuned),
-    // heaviest blocks first.
+    // Hand-optimized trmm: one dense gemm per row tile over exactly the
+    // columns the triangle holds, vendor-grade inner loops slightly below
+    // sgemm's peak (trmm kernels are less tuned), heaviest blocks first.
     let cublas = KernelTraits {
         efficiency: 0.92,
         ..vendor
     };
+    let tiling = GemmTiling::default();
+    let row_tiles = (0..n.div_ceil(TRMM_TILE)).map(|bi| {
+        let rows = (n - bi * TRMM_TILE).min(TRMM_TILE);
+        (rows, bi * TRMM_TILE + rows, n)
+    });
+    let row_tiles: Vec<Shape> = row_tiles.collect();
     [
-        gemm_kernel("sgemm", model, vendor, GemmTiling::default(), n, n, n),
+        gemm_kernel("sgemm", model, vendor, tiling, n, n, n),
         // Unsplit, the tiled reduction vloop keeps a bound check in the
         // main body (§7.1); splitting elides it.
-        kernel("trmm", generated.with_guards()),
-        kernel("trmm", generated),
-        kernel("trmm", generated).remap_longest_first(),
-        kernel("cublas_trmm", cublas).remap_longest_first(),
+        unbalanced.sim_kernel(model, generated.with_guards()),
+        unbalanced.sim_kernel(model, generated),
+        balanced.sim_kernel(model, generated),
+        vgemm_kernel("cublas_trmm", model, cublas, tiling, &row_tiles).remap_longest_first(),
     ]
     .map(|k| sim_ms(model, k))
 }

@@ -197,7 +197,7 @@ pub fn fig18(r: &mut Run) {
         println!("{}: time relative to PyTorch (simulated GPU)\n", ds.name());
         let rel = [32usize, 64, 128].map(|bs| {
             let lens = ds.sample_batch_sorted(bs, 4);
-            let [pt, pad, nopad] = imps.map(|i| masked_ms(&cfg, &model, i, &lens, 32));
+            let [pt, pad, nopad] = imps.map(|i| masked_ms(&cfg, &model, i, &lens));
             worst = worst.max(nopad / pad).max(pad / pt);
             (bs, [1.0, pad / pt, nopad / pt])
         });

@@ -11,7 +11,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use cora_ir::{Expr, FExpr, StoreKind};
+use cora_ir::{Expr, FExpr, ForKind, StoreKind};
 use cora_ragged::access::offset_expr;
 use cora_ragged::{LengthFn, RaggedLayout};
 
@@ -282,6 +282,40 @@ impl Operator {
     ) -> &mut Self {
         self.aux_tables.push((name.into(), values.into()));
         self
+    }
+
+    /// Schedules one GPU thread block per tile: splits each loop of
+    /// `tiled` by `tile`, orders the nest as the first `lead` loops, the
+    /// tiled loops' outer halves, then the rest in declaration order
+    /// (tiled ones by their inner halves), and binds the last of the
+    /// outer loops to `blockIdx.x`. Returns the schedule for further
+    /// directives; padding a tiled vloop must precede this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no block loop (`lead == 0` and nothing tiled).
+    pub fn tile_blocks(&mut self, lead: usize, tiled: &[&str], tile: usize) -> &mut Schedule {
+        let all = self.loops.iter().chain(&self.reduce);
+        let names: Vec<&str> = all.map(|l| l.name.as_str()).collect();
+        let half = |l: &str, h: &str| {
+            if tiled.contains(&l) {
+                format!("{l}_{h}")
+            } else {
+                l.to_string()
+            }
+        };
+        let outer = tiled.iter().map(|l| half(l, "o"));
+        let mut order: Vec<String> = names[..lead].iter().map(|l| l.to_string()).collect();
+        order.extend(outer);
+        let block = order.last().expect("a block loop").clone();
+        order.extend(names[lead..].iter().map(|l| half(l, "i")));
+        for l in tiled {
+            self.schedule.split(*l, tile);
+        }
+        let order: Vec<&str> = order.iter().map(String::as_str).collect();
+        self.schedule
+            .reorder(&order)
+            .bind(block, ForKind::GpuBlockX)
     }
 
     /// Finds a loop (spatial or reduction) by name.

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use cora_ir::interval::decide;
+use cora_ir::interval::{decide, range_of};
 use cora_ir::simplify::simplify_cond;
 use cora_ir::visit::{mentions, subst, subst_cond, Node};
 use cora_ir::{Cond, Expr, ExprKind, FExprKind, ForKind, SInt, Stmt, StoreKind};
@@ -588,18 +588,37 @@ fn count_flops(n: Node<'_>) -> f64 {
 }
 
 /// A loop's trip count as block-cost enumeration resolves it: fixed at
-/// this shape, or a table read at the index of an enumerated outer loop.
+/// this shape, a table read at the index of an enumerated outer loop, or
+/// (for a loop inside the block) the largest table entry over the range
+/// its rebuilt index spans within the block.
 #[derive(Clone, Copy)]
 enum CostExtent<'a> {
     Fixed(i64),
     At(usize, &'a LengthFn),
+    Hull(&'a Expr, &'a LengthFn),
 }
 
 impl CostExtent<'_> {
-    fn at(self, idx: &[i64]) -> i64 {
+    /// The trip count at the enumerated indices `idx`; `ranges` holds the
+    /// inner loops' ranges and is read only by [`CostExtent::Hull`].
+    fn at(self, idx: &[i64], names: &[&str], ranges: &HashMap<String, SInt>) -> i64 {
         match self {
             CostExtent::Fixed(e) => e,
             CostExtent::At(dep, lens) => lens.len_at(idx[dep] as usize) as i64,
+            CostExtent::Hull(index, lens) => {
+                let mut ranges = ranges.clone();
+                for (name, &v) in names.iter().zip(idx) {
+                    ranges.insert(name.to_string(), SInt::point(v));
+                }
+                let last = lens.domain() as i64 - 1;
+                match range_of(index, &ranges).hull() {
+                    Some((lo, hi)) => (lo.max(0)..=hi.min(last))
+                        .map(|i| lens.len_at(i as usize) as i64)
+                        .max()
+                        .unwrap_or(0),
+                    None => lens.max() as i64,
+                }
+            }
         }
     }
 }
@@ -616,49 +635,60 @@ fn derive_block_costs(loops: &[LoweredLoop], body_flops: f64) -> Vec<BlockCost> 
     let outer = (block_pos + 1).min(loops.len());
     // A table indexed by an enumerated loop's variable resolves at that
     // loop's index — one outside it, or, for loops inside the block, any
-    // of the enumerated ones — and otherwise (another loop, or an index
-    // rebuilt by a split) falls back to its maximum (conservative).
+    // of the enumerated ones. Inside the block, any other index (one a
+    // split rebuilt, say `i_o * 64 + i_i`) resolves to the table's
+    // largest entry over the index's range at the block's indices; an
+    // enumerated loop's falls back to the table's maximum (conservative).
     let extents: Vec<CostExtent<'_>> = loops
         .iter()
         .enumerate()
         .map(|(pos, l)| match &l.extent {
             ExtentIr::Const(e) | ExtentIr::Param { value: e, .. } => CostExtent::Fixed(*e),
-            ExtentIr::Table { lens, .. } => {
+            ExtentIr::Table { lens, index, .. } => {
                 let enumerated = &loops[..pos.min(outer)];
                 let dep = l.extent.dep_var();
                 match dep.and_then(|v| enumerated.iter().position(|o| o.var == v)) {
                     Some(dep) => CostExtent::At(dep, lens),
+                    None if pos >= outer => CostExtent::Hull(index, lens),
                     None => CostExtent::Fixed(lens.max() as i64),
                 }
             }
         })
         .collect();
+    let names: Vec<&str> = loops[..outer].iter().map(|l| l.var.as_str()).collect();
+    let inner = loops[outer..].iter();
+    let ranges: HashMap<String, SInt> = inner
+        .map(|l| (l.var.clone(), l.extent.var_range()))
+        .collect();
     let mut costs = Vec::new();
     let mut idx = vec![0; outer];
-    enumerate_blocks(&extents, 0, body_flops, &mut idx, &mut costs);
+    let ctx = (names.as_slice(), &ranges);
+    enumerate_blocks(&extents, 0, body_flops, &mut idx, ctx, &mut costs);
     costs
 }
 
 /// Iterates the enumerated loops from position `at` concretely (`idx`
-/// holds the outer ones' indices) and pushes one cost per block.
+/// holds the outer ones' indices, `ctx` their names and the inner loops'
+/// ranges) and pushes one cost per block.
 fn enumerate_blocks(
     extents: &[CostExtent<'_>],
     at: usize,
     body_flops: f64,
     idx: &mut [i64],
+    ctx: (&[&str], &HashMap<String, SInt>),
     out: &mut Vec<BlockCost>,
 ) {
     if at == idx.len() {
         let mut work = body_flops;
         for e in &extents[at..] {
-            work *= e.at(idx) as f64;
+            work *= e.at(idx, ctx.0, ctx.1) as f64;
         }
         out.push(BlockCost { flops: work });
         return;
     }
-    for v in 0..extents[at].at(idx) {
+    for v in 0..extents[at].at(idx, ctx.0, ctx.1) {
         idx[at] = v;
-        enumerate_blocks(extents, at + 1, body_flops, idx, out);
+        enumerate_blocks(extents, at + 1, body_flops, idx, ctx, out);
     }
 }
 
@@ -921,6 +951,47 @@ mod tests {
             }
             assert_block_costs_match(&op);
         }
+    }
+
+    #[test]
+    fn a_table_indexed_by_a_split_index_resolves_per_tile() {
+        let flops = |op: &Operator| -> Vec<f64> {
+            let program = lower(op).expect("legal schedule");
+            program.block_costs().iter().map(|b| b.flops).collect()
+        };
+        // Tiled trmm, `C[i, j] += L[i, k] · B[k, j]` over `k ≤ i`: each
+        // 64×64 tile reduces over its longest row, 64·bi + 64.
+        let n = 256;
+        let mut trmm = nest(
+            "trmm",
+            vec![LoopSpec::fixed("i", n), LoopSpec::fixed("j", n)],
+            vec![LoopSpec::variable("k", 0, (1..=n).collect::<Vec<_>>())],
+            RaggedLayout::dense(&[n, n]),
+        );
+        trmm.schedule_mut()
+            .split("i", 64)
+            .split("j", 64)
+            .reorder(&["i_o", "j_o", "i_i", "j_i", "k"])
+            .bind("j_o", ForKind::GpuBlockX);
+        let tile = |bi: usize| 2.0 * 64.0 * (64 * bi + 64) as f64 * 64.0;
+        let want: Vec<f64> = (0..4).flat_map(|bi| [tile(bi); 4]).collect();
+        assert_eq!(flops(&trmm), want);
+        // An unordered table under a non-dividing split: each tile reads
+        // the largest entry of its rows, the last tile only its one row.
+        let lens = vec![3usize, 9, 1, 4, 7];
+        let mut op = nest(
+            "rows",
+            vec![LoopSpec::fixed("i", 5)],
+            vec![LoopSpec::variable("k", 0, lens)],
+            RaggedLayout::dense(&[5]),
+        );
+        op.schedule_mut()
+            .split("i", 2)
+            .bind("i_o", ForKind::GpuBlockX);
+        assert_eq!(
+            flops(&op),
+            [2.0 * 2.0 * 9.0, 2.0 * 2.0 * 4.0, 2.0 * 2.0 * 7.0]
+        );
     }
 
     #[test]

@@ -105,15 +105,15 @@ fn set_loop_lens(op: &mut Operator, loop_name: &str, new_lens: LengthFn) {
 
 /// Horizontally fuses the simulated kernels of several programs into one
 /// launch.
+///
+/// # Panics
+///
+/// Panics if `programs` is empty.
 pub fn hfuse_sim(programs: &[&Program], model: &GpuModel, traits: KernelTraits) -> SimKernel {
-    assert!(!programs.is_empty(), "hfusion needs at least one program");
-    let mut it = programs.iter();
-    let first = it.next().expect("non-empty");
-    let mut k = first.sim_kernel(model, traits);
-    for p in it {
-        k = k.hfuse(p.sim_kernel(model, traits));
-    }
-    k
+    let kernels = programs.iter().map(|p| p.sim_kernel(model, traits));
+    kernels
+        .reduce(SimKernel::hfuse)
+        .expect("hfusion needs at least one program")
 }
 
 #[cfg(test)]

@@ -66,19 +66,14 @@ impl KernelTraits {
         self
     }
 
-    /// Marks a scalar inner loop: no panel microkernels reachable, so
-    /// the tile loses most of its throughput (the compiled tier's
-    /// measured scalar-vs-panel gap).
-    pub fn with_scalar_inner(mut self) -> Self {
-        self.efficiency *= 0.35;
-        self
-    }
-
     /// Effective seconds-per-FLOP multiplier.
     pub fn cost_multiplier(&self) -> f64 {
         self.guard_factor * self.indirect_factor / self.efficiency
     }
 }
+
+/// Device memory bandwidth, bytes per microsecond (V100-like, ~900 GB/s).
+const DRAM_BYTES_PER_US: f64 = 900_000.0;
 
 /// Device-level constants for the simulated GPU.
 #[derive(Debug, Clone, Copy)]
@@ -116,6 +111,14 @@ impl GpuModel {
         (flops * traits.cost_multiplier() / self.flops_per_sm_per_us).max(self.min_block_us)
     }
 
+    /// FLOP-equivalents of moving `bytes` through device memory: the
+    /// time they take at the device bandwidth (V100-like, ~900 GB/s), in
+    /// peak-rate FLOPs. A memory-bound kernel's per-element cost (its
+    /// bytes moved) is priced through this.
+    pub fn membound_flops(&self, bytes: f64) -> f64 {
+        bytes * (self.flops_per_sm_per_us * self.sm_count as f64) / DRAM_BYTES_PER_US
+    }
+
     /// Time to copy `bytes` host-to-device.
     pub fn copy_time_us(&self, bytes: usize) -> f64 {
         self.h2d_latency_us + bytes as f64 / self.h2d_bytes_per_us
@@ -144,15 +147,6 @@ mod tests {
         let m = GpuModel::default();
         assert_eq!(m.block_time_us(0.0, KernelTraits::vendor()), m.min_block_us);
         assert!(m.block_time_us(1e9, KernelTraits::vendor()) > 1000.0);
-    }
-
-    #[test]
-    fn scalar_inner_is_a_heavy_penalty() {
-        let base = KernelTraits::generated().cost_multiplier();
-        let scalar = KernelTraits::generated()
-            .with_scalar_inner()
-            .cost_multiplier();
-        assert!(scalar > 2.0 * base);
     }
 
     #[test]

@@ -55,31 +55,11 @@ pub fn gemm_kernel(
     SimKernel::new(name, blocks)
 }
 
-/// Builds the block list of a *batched* dense gemm where every problem in
-/// the batch is padded to the same `m×k×n` (the cuBLAS
-/// `batched gemm` baseline of Fig. 9).
-#[allow(clippy::too_many_arguments)]
-pub fn batched_gemm_kernel(
-    name: &str,
-    model: &GpuModel,
-    traits: KernelTraits,
-    tiling: GemmTiling,
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> SimKernel {
-    let one = gemm_kernel(name, model, traits, tiling, m, k, n);
-    let mut blocks = Vec::with_capacity(one.block_costs_us.len() * batch);
-    for _ in 0..batch {
-        blocks.extend_from_slice(&one.block_costs_us);
-    }
-    SimKernel::new(name, blocks)
-}
-
 /// Builds the block list of a batched gemm with *per-problem* shapes —
 /// the hand-optimised vgemm baselines (Li et al., 2019; MKL's vgemm),
-/// which skip padding FLOPs but still run at vendor efficiency.
+/// which skip padding FLOPs but still run at vendor efficiency. With
+/// every shape padded to the largest it is cuBLAS's batched gemm (Fig.
+/// 9's fully padded baseline).
 pub fn vgemm_kernel(
     name: &str,
     model: &GpuModel,
@@ -139,15 +119,12 @@ mod tests {
         let model = GpuModel::default();
         let shapes: Vec<(usize, usize, usize)> = (0..8).map(|i| (128 + 64 * i, 512, 512)).collect();
         let max_m = shapes.iter().map(|s| s.0).max().unwrap();
-        let padded = batched_gemm_kernel(
+        let padded = vgemm_kernel(
             "pad",
             &model,
             KernelTraits::vendor(),
             GemmTiling::default(),
-            shapes.len(),
-            max_m,
-            512,
-            512,
+            &vec![(max_m, 512, 512); shapes.len()],
         );
         let ragged = vgemm_kernel(
             "vg",

@@ -1300,11 +1300,7 @@ mod tests {
         // Older names that happen to collide with a label and mean
         // something else: the benches' `--scale=` model-size flag and
         // the GPU simulator's kernel names.
-        const HOMONYMS: [&str; 3] = [
-            "opt_usize(\"scale\"",
-            "SimKernel::new(\"attnv\"",
-            "elementwise(\"qkv_bias\"",
-        ];
+        const HOMONYMS: [&str; 2] = ["opt_usize(\"scale\"", "elementwise(\"qkv_bias\""];
         fn walk(dir: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
             for entry in std::fs::read_dir(dir).expect("readable source tree") {
                 let path = entry.expect("readable entry").path();

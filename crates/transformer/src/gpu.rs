@@ -12,19 +12,27 @@
 //!   operators run on the packed `Σ lens` rows; SDPA stays fully padded;
 //!   explicit AddPad/RemovePad kernels convert between the two.
 //! * **CoRa** — 9 compiler-generated kernels: fused-row linear operators
-//!   (bulk-padded to 64), SDPA partially padded to 32, padding-change
-//!   operators fused away, sequences sorted so heavy blocks schedule
-//!   first.
+//!   (bulk-padded to 64), QKT partially padded to 32 with hoisted loads,
+//!   AttnV split and hfused (§7.3), padding-change operators fused away,
+//!   sequences sorted so heavy blocks schedule first.
 //!
-//! Memory-bound kernels are priced by bytes moved (converted to
-//! FLOP-equivalents), compute-bound kernels by FLOPs — both through the
-//! same [`GpuModel`].
+//! The baselines' kernels are the vendor model's
+//! ([`cora_kernels::vendor`]). CoRa's six GEMM-like kernels are lowered
+//! programs priced from their blocks ([`Program::sim_kernel`]), so the
+//! schedule directives above are what the simulator prices. Memory-bound
+//! kernels (softmax, layer norm, pad changes) are priced by bytes moved,
+//! converted to FLOP-equivalents ([`GpuModel::membound_flops`]).
 
+use std::rc::Rc;
+
+use cora_core::prelude::*;
 use cora_exec::cost::{GpuModel, KernelTraits};
 use cora_exec::gpu::{GpuSim, SimKernel};
-use cora_ragged::FusedLoopMaps;
+use cora_kernels::vendor::{elementwise_kernel, gemm_kernel, vgemm_kernel, GemmTiling};
+use cora_ragged::{Dim, FusedLoopMaps, RaggedLayout};
 
 use crate::config::EncoderConfig;
+use crate::variants::{attnv_kernels, qkt_programs, SplitVariant};
 
 /// Bytes-per-element conventions for the memory-bound kernels.
 mod bytes {
@@ -41,15 +49,6 @@ mod bytes {
     pub const SOFTMAX_FT: f64 = 14.0;
     /// Eager-mode softmax with separate max/exp/sum/div passes.
     pub const SOFTMAX_EAGER: f64 = 18.0;
-}
-
-/// Converts a byte count per element to FLOP-equivalents under `model`
-/// (compute-throughput / memory-bandwidth balance).
-fn membound_ops(model: &GpuModel, bytes_per_elem: f64) -> f64 {
-    let peak_flops_per_us = model.flops_per_sm_per_us * model.sm_count as f64;
-    // V100-like: ~900 GB/s = 900e3 bytes/us.
-    let bandwidth_bytes_per_us = 900_000.0;
-    bytes_per_elem * peak_flops_per_us / bandwidth_bytes_per_us
 }
 
 /// The four encoder implementations of Table 4.
@@ -77,6 +76,13 @@ impl EncoderImpl {
     }
 }
 
+/// CoRa's SDPA padding multiple and QKT tile (Fig. 3: 32).
+const SEQ_PAD: usize = 32;
+
+/// CoRa's bulk padding multiple and tile of the fused linear rows (Fig.
+/// 3: 64).
+const BULK_PAD: usize = 64;
+
 /// Simulated encoder-layer builder.
 #[derive(Debug, Clone)]
 pub struct EncoderSim {
@@ -84,14 +90,42 @@ pub struct EncoderSim {
     pub cfg: EncoderConfig,
     /// Device model.
     pub model: GpuModel,
-    /// SDPA per-sequence padding multiple for CoRa (Fig. 3: 32).
-    pub seq_pad: usize,
-    /// Bulk padding multiple for CoRa's fused linear rows (Fig. 3: 64).
-    pub bulk_pad: usize,
     /// Whether CoRa fuses the padding-change operators (Fig. 12 ablation).
     pub fuse_pad_change: bool,
-    /// Whether CoRa hoists auxiliary loads in QKT (Fig. 23 ablation).
-    pub hoist_loads: bool,
+}
+
+/// CoRa's fused-row linear operator `Y[b, i, c] = Σ_d X[b, i, d] · W[d,
+/// c]`: the batch loop fused with the ragged row loop, bulk-padded to
+/// 64, and 64×64 output tiles, one block each.
+fn linear_program(name: &str, lens: &[usize], k: usize, n: usize) -> Program {
+    let b = Dim::new("batch");
+    let rows = |width| {
+        let layout = RaggedLayout::builder().cdim(b.clone(), lens.len());
+        let layout = layout.vdim(Dim::new("row"), &b, lens.to_vec());
+        layout.cdim(Dim::new("col"), width).build()
+    };
+    let x = TensorRef::new("X", rows(k).expect("a ragged row layout"));
+    let y = TensorRef::new("Y", rows(n).expect("a ragged row layout"));
+    let w = TensorRef::new("W", RaggedLayout::dense(&[k, n]));
+    let (xt, wt) = (x.clone(), w.clone());
+    let body: BodyFn = Rc::new(move |a| {
+        xt.at(&[a[0].clone(), a[1].clone(), a[3].clone()]) * wt.at(&[a[3].clone(), a[2].clone()])
+    });
+    let loops = vec![
+        LoopSpec::fixed("b", lens.len()),
+        LoopSpec::variable("i", 0, lens.to_vec()),
+        LoopSpec::fixed("c", n),
+    ];
+    let reduce = vec![LoopSpec::fixed("d", k)];
+    let mut op = Operator::new(name, loops, reduce, y, vec![x, w], body);
+    op.schedule_mut()
+        .fuse_loops("b", "i")
+        .bulk_pad("b_i_f", BULK_PAD)
+        .split("b_i_f", BULK_PAD)
+        .split("c", BULK_PAD)
+        .reorder(&["b_i_f_o", "c_o", "b_i_f_i", "c_i", "d"])
+        .bind("c_o", ForKind::GpuBlockX);
+    lower(&op).expect("built-in schedules are legal")
 }
 
 impl EncoderSim {
@@ -100,197 +134,85 @@ impl EncoderSim {
         EncoderSim {
             cfg,
             model: GpuModel::default(),
-            seq_pad: 32,
-            bulk_pad: 64,
             fuse_pad_change: true,
-            hoist_loads: true,
-        }
-    }
-
-    fn pad_to(&self, l: usize, m: usize) -> usize {
-        l.div_ceil(m) * m
-    }
-
-    /// Tiled gemm blocks for one matrix of `rows×cols` with reduction
-    /// depth `k`, tile `t`, appended per head/sequence.
-    fn gemm_blocks(
-        &self,
-        blocks: &mut Vec<f64>,
-        traits: KernelTraits,
-        rows: usize,
-        k: usize,
-        cols: usize,
-        t: usize,
-    ) {
-        for bi in 0..rows.div_ceil(t).max(1) {
-            let r = (rows - bi * t).min(t);
-            for bj in 0..cols.div_ceil(t).max(1) {
-                let c = (cols - bj * t).min(t);
-                blocks.push(
-                    self.model
-                        .block_time_us(2.0 * r as f64 * k as f64 * c as f64, traits),
-                );
-            }
         }
     }
 
     fn elementwise(&self, name: &str, traits: KernelTraits, elems: usize, bpe: f64) -> SimKernel {
-        cora_kernels::vendor::elementwise_kernel(
-            name,
-            &self.model,
-            traits,
-            elems,
-            membound_ops(&self.model, bpe),
-            32 * 1024,
-        )
+        let ops = self.model.membound_flops(bpe);
+        elementwise_kernel(name, &self.model, traits, elems, ops, 32 * 1024)
     }
 
     fn mm(&self, name: &str, traits: KernelTraits, m: usize, k: usize, n: usize) -> SimKernel {
-        cora_kernels::vendor::gemm_kernel(
-            name,
-            &self.model,
-            traits,
-            cora_kernels::vendor::GemmTiling::default(),
-            m,
-            k,
-            n,
-        )
+        gemm_kernel(name, &self.model, traits, GemmTiling::default(), m, k, n)
+    }
+
+    /// A vendor SDPA gemm: one `m×k×n` problem per (sequence, head) of a
+    /// `b`-sequence batch, in 32×32 tiles.
+    fn sdpa_mm(&self, name: &str, b: usize, m: usize, k: usize, n: usize) -> SimKernel {
+        let tiling = GemmTiling {
+            tile_m: 32,
+            tile_n: 32,
+        };
+        let problems = vec![(m, k, n); b * self.cfg.heads];
+        vgemm_kernel(name, &self.model, KernelTraits::vendor(), tiling, &problems)
     }
 
     /// The kernel list one layer launches under `imp` for batch `lens`.
     pub fn kernels(&self, imp: EncoderImpl, lens: &[usize]) -> Vec<SimKernel> {
-        let h = self.cfg.hidden;
-        let ff = self.cfg.ff;
-        let heads = self.cfg.heads;
-        let hd = self.cfg.head_dim;
-        let b = lens.len();
-        let maxlen = lens.iter().copied().max().unwrap_or(0);
-        let s_rows: usize = lens.iter().sum();
-        let rows_full = b * maxlen;
-        let vendor = KernelTraits::vendor();
-        let gener = KernelTraits::generated();
+        let (h, ff, hd) = (self.cfg.hidden, self.cfg.ff, self.cfg.head_dim);
+        let (b, maxlen) = (lens.len(), lens.iter().copied().max().unwrap_or(0));
+        let (s_rows, rows_full) = (lens.iter().sum::<usize>(), b * maxlen);
+        let (vendor, gener) = (KernelTraits::vendor(), KernelTraits::generated());
+        // Fully padded SDPA: every (sequence, head) at the longest length.
+        let attn_elems = b * self.cfg.heads * maxlen * maxlen;
+        let qkt = || self.sdpa_mm("qkt", b, maxlen, hd, maxlen);
+        let attnv = || self.sdpa_mm("attn_v", b, maxlen, maxlen, hd);
         match imp {
-            EncoderImpl::PyTorch => {
-                // Eager fully padded: vendor MMs, every elementwise its
-                // own kernel (and an explicit mask-apply in SDPA).
-                let mut ks = vec![
-                    self.mm("qkv_mm", vendor, rows_full, h, 3 * h),
-                    self.elementwise("qkv_bias", gener, rows_full * 3 * h, bytes::BIAS),
-                ];
-                let mut qkt = Vec::new();
-                let mut attnv = Vec::new();
-                for _ in 0..b {
-                    for _ in 0..heads {
-                        self.gemm_blocks(&mut qkt, vendor, maxlen, hd, maxlen, 32);
-                        self.gemm_blocks(&mut attnv, vendor, maxlen, maxlen, hd, 32);
-                    }
-                }
-                ks.push(SimKernel::new("qkt", qkt));
-                ks.push(self.elementwise(
-                    "mask_add",
-                    gener,
-                    b * heads * maxlen * maxlen,
-                    bytes::BIAS,
-                ));
-                ks.push(self.elementwise(
-                    "softmax",
-                    gener,
-                    b * heads * maxlen * maxlen,
-                    bytes::SOFTMAX_EAGER,
-                ));
-                ks.push(SimKernel::new("attnv", attnv));
-                ks.push(self.elementwise("transpose", gener, rows_full * h, bytes::COPY));
-                ks.push(self.mm("proj2_mm", vendor, rows_full, h, h));
-                ks.push(self.elementwise("proj2_bias", gener, rows_full * h, bytes::BIAS));
-                ks.push(self.elementwise("residual1", gener, rows_full * h, bytes::BIAS));
-                ks.push(self.elementwise("layernorm1", gener, rows_full * h, bytes::LAYERNORM));
-                ks.push(self.mm("ff1_mm", vendor, rows_full, h, ff));
-                ks.push(self.elementwise("ff1_bias_act", gener, rows_full * ff, bytes::BIAS));
-                ks.push(self.mm("ff2_mm", vendor, rows_full, ff, h));
-                ks.push(self.elementwise("ff2_bias", gener, rows_full * h, bytes::BIAS));
-                ks.push(self.elementwise("residual2", gener, rows_full * h, bytes::BIAS));
-                ks.push(self.elementwise("layernorm2", gener, rows_full * h, bytes::LAYERNORM));
-                ks
-            }
-            EncoderImpl::Ft => {
-                // Fig. 3 left, with full padding everywhere: 12 kernels.
-                let mut qkt = Vec::new();
-                let mut attnv = Vec::new();
-                for _ in 0..b {
-                    for _ in 0..heads {
-                        self.gemm_blocks(&mut qkt, vendor, maxlen, hd, maxlen, 32);
-                        self.gemm_blocks(&mut attnv, vendor, maxlen, maxlen, hd, 32);
-                    }
-                }
+            // Eager fully padded: vendor MMs, every elementwise its own
+            // kernel (and an explicit mask-apply in SDPA).
+            EncoderImpl::PyTorch => vec![
+                self.mm("qkv_mm", vendor, rows_full, h, 3 * h),
+                self.elementwise("qkv_bias", gener, rows_full * 3 * h, bytes::BIAS),
+                qkt(),
+                self.elementwise("mask_add", gener, attn_elems, bytes::BIAS),
+                self.elementwise("softmax", gener, attn_elems, bytes::SOFTMAX_EAGER),
+                attnv(),
+                self.elementwise("transpose", gener, rows_full * h, bytes::COPY),
+                self.mm("proj2_mm", vendor, rows_full, h, h),
+                self.elementwise("proj2_bias", gener, rows_full * h, bytes::BIAS),
+                self.elementwise("residual1", gener, rows_full * h, bytes::BIAS),
+                self.elementwise("layernorm1", gener, rows_full * h, bytes::LAYERNORM),
+                self.mm("ff1_mm", vendor, rows_full, h, ff),
+                self.elementwise("ff1_bias_act", gener, rows_full * ff, bytes::BIAS),
+                self.mm("ff2_mm", vendor, rows_full, ff, h),
+                self.elementwise("ff2_bias", gener, rows_full * h, bytes::BIAS),
+                self.elementwise("residual2", gener, rows_full * h, bytes::BIAS),
+                self.elementwise("layernorm2", gener, rows_full * h, bytes::LAYERNORM),
+            ],
+            EncoderImpl::Ft | EncoderImpl::FtEff => {
+                // Fig. 3 left, 12 kernels. FT pads everywhere; FT-Eff runs
+                // the linear ops on packed rows, and its AddPad/RemovePad
+                // kernels convert for the fully padded SDPA.
+                let rows = if imp == EncoderImpl::Ft {
+                    rows_full
+                } else {
+                    s_rows
+                };
+                let norm = bytes::BIAS + bytes::LAYERNORM;
                 vec![
-                    self.mm("qkv_proj_mm", vendor, rows_full, h, 3 * h),
+                    self.mm("qkv_proj_mm", vendor, rows, h, 3 * h),
                     self.elementwise("qkv_bias_addpad", vendor, rows_full * 3 * h, bytes::BIAS),
-                    SimKernel::new("qkt", qkt),
-                    self.elementwise(
-                        "softmax",
-                        vendor,
-                        b * heads * maxlen * maxlen,
-                        bytes::SOFTMAX_FT,
-                    ),
-                    SimKernel::new("attnv", attnv),
+                    qkt(),
+                    self.elementwise("softmax", vendor, attn_elems, bytes::SOFTMAX_FT),
+                    attnv(),
                     self.elementwise("transpose_removepad", vendor, rows_full * h, bytes::COPY),
-                    self.mm("linproj_mm", vendor, rows_full, h, h),
-                    self.elementwise(
-                        "bias_residual_layernorm1",
-                        vendor,
-                        rows_full * h,
-                        bytes::BIAS + bytes::LAYERNORM,
-                    ),
-                    self.mm("ff1_mm", vendor, rows_full, h, ff),
-                    self.elementwise("ff1_bias_act", vendor, rows_full * ff, bytes::BIAS),
-                    self.mm("ff2_mm", vendor, rows_full, ff, h),
-                    self.elementwise(
-                        "ff2_bias_residual_layernorm2",
-                        vendor,
-                        rows_full * h,
-                        bytes::BIAS + bytes::LAYERNORM,
-                    ),
-                ]
-            }
-            EncoderImpl::FtEff => {
-                // Linear ops on packed rows; SDPA fully padded; explicit
-                // padding-change kernels (Fig. 3's AddPad/RemovePad).
-                let mut qkt = Vec::new();
-                let mut attnv = Vec::new();
-                for _ in 0..b {
-                    for _ in 0..heads {
-                        self.gemm_blocks(&mut qkt, vendor, maxlen, hd, maxlen, 32);
-                        self.gemm_blocks(&mut attnv, vendor, maxlen, maxlen, hd, 32);
-                    }
-                }
-                vec![
-                    self.mm("qkv_proj_mm", vendor, s_rows, h, 3 * h),
-                    self.elementwise("qkv_bias_addpad", vendor, rows_full * 3 * h, bytes::BIAS),
-                    SimKernel::new("qkt", qkt),
-                    self.elementwise(
-                        "softmax",
-                        vendor,
-                        b * heads * maxlen * maxlen,
-                        bytes::SOFTMAX_FT,
-                    ),
-                    SimKernel::new("attnv", attnv),
-                    self.elementwise("transpose_removepad", vendor, rows_full * h, bytes::COPY),
-                    self.mm("linproj_mm", vendor, s_rows, h, h),
-                    self.elementwise(
-                        "bias_residual_layernorm1",
-                        vendor,
-                        s_rows * h,
-                        bytes::BIAS + bytes::LAYERNORM,
-                    ),
-                    self.mm("ff1_mm", vendor, s_rows, h, ff),
-                    self.elementwise("ff1_bias_act", vendor, s_rows * ff, bytes::BIAS),
-                    self.mm("ff2_mm", vendor, s_rows, ff, h),
-                    self.elementwise(
-                        "ff2_bias_residual_layernorm2",
-                        vendor,
-                        s_rows * h,
-                        bytes::BIAS + bytes::LAYERNORM,
-                    ),
+                    self.mm("linproj_mm", vendor, rows, h, h),
+                    self.elementwise("bias_residual_layernorm1", vendor, rows * h, norm),
+                    self.mm("ff1_mm", vendor, rows, h, ff),
+                    self.elementwise("ff1_bias_act", vendor, rows * ff, bytes::BIAS),
+                    self.mm("ff2_mm", vendor, rows, ff, h),
+                    self.elementwise("ff2_bias_residual_layernorm2", vendor, rows * h, norm),
                 ]
             }
             EncoderImpl::Cora => self.cora_kernels(lens),
@@ -298,73 +220,45 @@ impl EncoderSim {
     }
 
     fn cora_kernels(&self, lens: &[usize]) -> Vec<SimKernel> {
-        let h = self.cfg.hidden;
-        let ff = self.cfg.ff;
-        let heads = self.cfg.heads;
-        let hd = self.cfg.head_dim;
+        let (cfg, model) = (&self.cfg, &self.model);
+        let (h, ff) = (cfg.hidden, cfg.ff);
         let s_rows: usize = lens.iter().sum();
-        let s_bulk = self.pad_to(s_rows, self.bulk_pad);
         let gener = KernelTraits::generated();
-        let qkt_traits = if self.hoist_loads {
-            KernelTraits::generated().with_hoisted_indirect()
-        } else {
-            KernelTraits::generated().with_indirect()
-        };
         // Sorted descending = the longest-first block schedule of §D.2.
         let mut sorted: Vec<usize> = lens.to_vec();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
-
-        let mut qkt = Vec::new();
-        let mut softmax_elems = 0usize;
-        let mut attnv = Vec::new();
-        for &l in &sorted {
-            let lp = self.pad_to(l, self.seq_pad);
-            for _ in 0..heads {
-                // QKT on the partially padded lp×lp matrix.
-                self.gemm_blocks(&mut qkt, qkt_traits, lp, hd, lp, 32);
-                // AttnV via op-split + hfusion: exact rows, tile 64 plus
-                // ragged tail in the same launch (§7.3).
-                let full_tiles = l / 64;
-                for _ in 0..full_tiles {
-                    attnv.push(
-                        self.model
-                            .block_time_us(2.0 * 64.0 * l as f64 * hd as f64, gener),
-                    );
-                }
-                let tail = l % 64;
-                if tail > 0 {
-                    attnv.push(
-                        self.model
-                            .block_time_us(2.0 * tail as f64 * l as f64 * hd as f64, gener),
-                    );
-                }
-            }
-            softmax_elems += heads * lp * lp;
-        }
+        let linear = |name, k, n| linear_program(name, &sorted, k, n).sim_kernel(model, gener);
+        // QKT on the partially padded lp×lp matrices, loads hoisted.
+        let qkt = qkt_programs(cfg, SplitVariant::NoSplit, &sorted, SEQ_PAD);
+        let qkt = qkt[0].sim_kernel(model, gener.with_hoisted_indirect());
+        // AttnV via op-split + hfusion: exact rows, tile 64 plus ragged
+        // tail in the same launch (§7.3).
+        let attnv = attnv_kernels(cfg, model, SplitVariant::SplitHFused, &sorted).remove(0);
+        let padded = |l: usize| l.div_ceil(SEQ_PAD) * SEQ_PAD;
+        let attn_elems: usize = sorted
+            .iter()
+            .map(|&l| cfg.heads * padded(l) * padded(l))
+            .sum();
         let mut ks = vec![
             // 1: fused QKV projection + bias over bulk-padded rows.
-            self.mm("qkv_proj_bias", gener, s_bulk, h, 3 * h),
+            linear("qkv_proj_bias", h, 3 * h),
             // 2-4: SDPA.
-            SimKernel::new("qkt", qkt),
-            self.elementwise("softmax", gener, softmax_elems, bytes::SOFTMAX_CORA),
-            SimKernel::new("attnv", attnv),
+            qkt,
+            self.elementwise("softmax", gener, attn_elems, bytes::SOFTMAX_CORA),
+            attnv,
             // 5: output projection + bias + residual (+ fused pad change).
-            self.mm("proj2_bias_residual", gener, s_bulk, h, h),
+            linear("proj2_bias_residual", h, h),
             // 6: layer norm.
             self.elementwise("layernorm1", gener, s_rows * h, bytes::LAYERNORM),
             // 7-8: feed-forward.
-            self.mm("ff1_bias_act", gener, s_bulk, h, ff),
-            self.mm("ff2_bias_residual", gener, s_bulk, ff, h),
+            linear("ff1_bias_act", h, ff),
+            linear("ff2_bias_residual", ff, h),
             // 9: layer norm.
             self.elementwise("layernorm2", gener, s_rows * h, bytes::LAYERNORM),
         ];
         if !self.fuse_pad_change {
             // Fig. 12 ablation: unfused padding-change operators become
             // standalone memory passes around the SDPA ops.
-            let attn_elems: usize = sorted
-                .iter()
-                .map(|&l| heads * self.pad_to(l, self.seq_pad) * self.pad_to(l, self.seq_pad))
-                .sum();
             ks.insert(
                 1,
                 self.elementwise("change_pad_q", gener, s_rows * h, bytes::COPY),
@@ -401,6 +295,11 @@ impl EncoderSim {
     /// End-to-end per-layer latency in milliseconds, charging CoRa its
     /// per-layer share of the prelude (built once per mini-batch, shared
     /// across [`EncoderConfig::layers`] layers, as in Table 4).
+    ///
+    /// CoRa's figure is not exact: the prelude's build time is measured
+    /// on the host ([`EncoderSim::cora_prelude`]), so it varies from run
+    /// to run in the last digits (RACE / 128 has read 28.951 and 28.957
+    /// ms). The other implementations' figures are exact.
     pub fn layer_latency_ms(&self, imp: EncoderImpl, lens: &[usize]) -> f64 {
         let sim = GpuSim::with_model(self.model);
         let ks = self.kernels(imp, lens);
