@@ -342,14 +342,6 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                 let idx = find_loop(&loops, loop_name)?;
                 loops[idx].kind = *kind;
             }
-            Directive::Unroll { loop_name } => {
-                let idx = find_loop(&loops, loop_name)?;
-                loops[idx].kind = ForKind::Unrolled;
-            }
-            Directive::Vectorize { loop_name } => {
-                let idx = find_loop(&loops, loop_name)?;
-                loops[idx].kind = ForKind::Vectorized;
-            }
             Directive::FuseLoops { outer, inner } => {
                 let oi = find_loop(&loops, outer)?;
                 let ii = find_loop(&loops, inner)?;

@@ -692,11 +692,6 @@ impl CompiledPipeline {
         &self.name
     }
 
-    /// Number of stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Stage labels, in execution order.
     pub fn stage_labels(&self) -> Vec<&str> {
         self.stages.iter().map(|s| s.label.as_str()).collect()
@@ -1180,7 +1175,7 @@ mod tests {
     fn pipeline_computes_the_chain_and_reuses_slots() {
         let n = 6usize;
         let p = diamond(n);
-        assert_eq!(p.stage_count(), 3);
+        assert_eq!(p.stage_labels().len(), 3);
         assert_eq!(p.output_size(), n);
         // All three stages are row-local over the same rows: one chain,
         // whose intermediates are windows, so the arena holds W alone.

@@ -334,7 +334,6 @@ pub fn dispatch_order(remap: RemapPolicy, costs: &[f64]) -> Vec<usize> {
             });
             idx
         }
-        RemapPolicy::Reversed => (0..n).rev().collect(),
     }
 }
 
@@ -1081,10 +1080,6 @@ mod tests {
         assert_eq!(
             dispatch_order(RemapPolicy::LongestFirst, &costs),
             vec![1, 3, 2, 0]
-        );
-        assert_eq!(
-            dispatch_order(RemapPolicy::Reversed, &costs),
-            vec![3, 2, 1, 0]
         );
         assert!(dispatch_order(RemapPolicy::LongestFirst, &[]).is_empty());
     }

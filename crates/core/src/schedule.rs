@@ -1,8 +1,9 @@
 //! Scheduling primitives (§4.1).
 //!
 //! A [`Schedule`] is an ordered list of directives applied during lowering.
-//! Alongside the primitives every dense tensor compiler has (split, bind,
-//! unroll), CoRa adds the ragged-specific ones this module models:
+//! Alongside the dense primitives the executors implement (split, reorder,
+//! and binding a loop to the block or thread axis), CoRa adds the
+//! ragged-specific ones this module models:
 //!
 //! * [`Schedule::pad_loop`] — partial padding of vloops, legal only when
 //!   storage padding covers it (checked during lowering);
@@ -14,7 +15,9 @@
 
 use cora_ir::ForKind;
 
-/// Thread-remapping policies for the block-axis loop (§4.1, Fig. 15).
+/// Thread-remapping policies for the block-axis loop (§4.1, Fig. 15):
+/// the order in which [`crate::program::dispatch_order`] hands blocks to
+/// the simulated GPU and to the CPU parallel tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum RemapPolicy {
     /// Blocks dispatch in loop order.
@@ -23,9 +26,6 @@ pub enum RemapPolicy {
     /// Blocks with the most work dispatch first (the policy used for trmm
     /// and the transformer kernels).
     LongestFirst,
-    /// Reverse loop order (useful for triangular nests where later rows
-    /// are heavier).
-    Reversed,
 }
 
 /// One scheduling directive.
@@ -80,16 +80,6 @@ pub enum Directive {
     ThreadRemap(RemapPolicy),
     /// Hoist loop-invariant auxiliary-array loads (§D.7).
     HoistLoads,
-    /// Mark a loop for unrolling.
-    Unroll {
-        /// Loop to unroll.
-        loop_name: String,
-    },
-    /// Mark a loop for vectorization.
-    Vectorize {
-        /// Loop to vectorize.
-        loop_name: String,
-    },
 }
 
 /// Errors raised when a schedule is illegal for its operator.
@@ -267,22 +257,6 @@ impl Schedule {
         self
     }
 
-    /// Marks a loop unrolled.
-    pub fn unroll(&mut self, loop_name: impl Into<String>) -> &mut Self {
-        self.directives.push(Directive::Unroll {
-            loop_name: loop_name.into(),
-        });
-        self
-    }
-
-    /// Marks a loop vectorized.
-    pub fn vectorize(&mut self, loop_name: impl Into<String>) -> &mut Self {
-        self.directives.push(Directive::Vectorize {
-            loop_name: loop_name.into(),
-        });
-        self
-    }
-
     /// The configured remap policy (last directive wins).
     pub fn remap_policy(&self) -> RemapPolicy {
         self.directives
@@ -325,8 +299,9 @@ mod tests {
         let mut s = Schedule::new();
         assert_eq!(s.remap_policy(), RemapPolicy::Identity);
         s.thread_remap(RemapPolicy::LongestFirst);
-        s.thread_remap(RemapPolicy::Reversed);
-        assert_eq!(s.remap_policy(), RemapPolicy::Reversed);
+        assert_eq!(s.remap_policy(), RemapPolicy::LongestFirst);
+        s.thread_remap(RemapPolicy::Identity);
+        assert_eq!(s.remap_policy(), RemapPolicy::Identity);
     }
 
     #[test]

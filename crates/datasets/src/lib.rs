@@ -109,22 +109,6 @@ impl Dataset {
     }
 }
 
-/// Splits a (sorted) batch into micro-batches of size `micro`, each padded
-/// to its own maximum (the TF-UB / PT-UB execution mode of §D.8).
-pub fn micro_batches(lens: &[usize], micro: usize) -> Vec<Vec<usize>> {
-    assert!(micro > 0, "micro-batch size must be positive");
-    lens.chunks(micro).map(|c| c.to_vec()).collect()
-}
-
-/// Adds *bulk padding*: appends one virtual sequence so the total length
-/// is a multiple of `multiple` (§7.2's fused-linear-operator padding).
-/// Returns the padded total.
-pub fn bulk_pad_total(lens: &[usize], multiple: usize) -> usize {
-    assert!(multiple > 0, "bulk padding multiple must be positive");
-    let total: usize = lens.iter().sum();
-    total.div_ceil(multiple) * multiple
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,23 +149,6 @@ mod tests {
     fn sorted_batches_descend() {
         let lens = Dataset::Race.sample_batch_sorted(128, 1);
         assert!(lens.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    #[test]
-    fn micro_batching_partitions() {
-        let lens = vec![9, 8, 7, 6, 5];
-        let mb = micro_batches(&lens, 2);
-        assert_eq!(mb.len(), 3);
-        assert_eq!(mb[2], vec![5]);
-        let total: usize = mb.iter().flatten().sum();
-        assert_eq!(total, 35);
-    }
-
-    #[test]
-    fn bulk_padding_rounds_up() {
-        assert_eq!(bulk_pad_total(&[10, 20, 33], 64), 64);
-        assert_eq!(bulk_pad_total(&[64], 64), 64);
-        assert_eq!(bulk_pad_total(&[65], 64), 128);
     }
 
     #[test]

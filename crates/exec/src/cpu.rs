@@ -8,15 +8,12 @@
 //! * [`CpuPool::parallel_for`] distributes iterations dynamically
 //!   (chunked work-stealing deques — the load-balanced schedule ragged
 //!   loops need);
-//! * [`CpuPool::parallel_for_static`] splits the range into contiguous
-//!   per-worker chunks with no rebalancing — the policy under which
-//!   ragged workloads show load imbalance, used by the ablation benches;
 //! * [`CpuPool::parallel_rows`] hands out disjoint `&mut` rows of a
 //!   buffer, pre-packed into cost-balanced batches.
 
 use std::sync::Mutex;
 
-use crate::runtime::{Runtime, Schedule};
+use crate::runtime::Runtime;
 
 /// A batch of `(row index, row slice)` pairs handed to one participant.
 type RowBatch<'a> = Vec<(usize, &'a mut [f32])>;
@@ -58,16 +55,7 @@ impl CpuPool {
     where
         F: Fn(usize) + Sync,
     {
-        Runtime::global().run(n, self.threads, Schedule::Dynamic, None, f)
-    }
-
-    /// Runs `f(i)` for every `i in 0..n` with static contiguous chunking:
-    /// worker `w` gets the `w`-th chunk. No load balancing.
-    pub fn parallel_for_static<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        Runtime::global().run(n, self.threads, Schedule::Static, None, f)
+        Runtime::global().run(n, self.threads, None, f)
     }
 
     /// Splits `data` into `n` disjoint mutable rows of given lengths and
@@ -111,13 +99,7 @@ impl CpuPool {
                 f(i, row);
             }
         };
-        Runtime::global().run(
-            batches.len(),
-            self.threads,
-            Schedule::Dynamic,
-            Some(1),
-            run_batch,
-        )
+        Runtime::global().run(batches.len(), self.threads, Some(1), run_batch)
     }
 
     /// Runs `f` over each length-`n` row of `data` in parallel, with rows
@@ -196,19 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_covers_all() {
-        let hits = AtomicU64::new(0);
-        CpuPool::new(3).parallel_for_static(10, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
     fn zero_iterations_is_noop() {
         let pool = CpuPool::new(4);
         pool.parallel_for(0, |_| panic!("must not run"));
-        pool.parallel_for_static(0, |_| panic!("must not run"));
     }
 
     #[test]

@@ -28,24 +28,18 @@
 //! * [`cost`] — the analytic cost model shared by the simulator and the
 //!   benchmark harnesses.
 //!
-//! ## CPU scheduling policies
+//! ## CPU scheduling
 //!
 //! Ragged workloads give parallel loops wildly uneven iteration costs
-//! (sorted sequence lengths decay across a batch), so the runtime offers
-//! two schedules, mirroring the paper's CPU backend:
-//!
-//! * **Dynamic** ([`CpuPool::parallel_for`]) — iterations are cut into
-//!   chunks of a configurable grain; each participant owns a deque of
-//!   chunks and idle participants steal from the far end of a victim's
-//!   deque. This is the load-balanced policy behind the CoRa lines of
-//!   Table 5, Table 9, and Fig. 27.
-//! * **Static** ([`CpuPool::parallel_for_static`]) — one contiguous chunk
-//!   per participant, never rebalanced. Ragged batches load-imbalance
-//!   under this policy; the scheduling ablations measure exactly that
-//!   gap.
+//! (sorted sequence lengths decay across a batch), so the runtime has one
+//! load-balanced schedule: [`CpuPool::parallel_for`] cuts iterations into
+//! chunks of a configurable grain; each participant owns a deque of
+//! chunks and idle participants steal from the far end of a victim's
+//! deque. This is the policy behind the CoRa lines of Table 5, Table 9,
+//! and Fig. 27.
 //!
 //! [`CpuPool::parallel_rows`] pre-packs disjoint `&mut` rows into
-//! cost-balanced batches and runs them under the dynamic schedule — the
+//! cost-balanced batches and runs them under the same schedule — the
 //! pattern used by per-sequence SDPA (exactly `l×l` attention per
 //! sequence, heaviest sequences first).
 
@@ -64,5 +58,5 @@ pub use cpu::CpuPool;
 pub use gpu::{GpuRunReport, GpuSim, KernelReport, SimKernel};
 pub use interp::{InterpStats, Machine};
 pub use microkernel::MathMode;
-pub use runtime::{Runtime, Schedule};
+pub use runtime::Runtime;
 pub use vm::{BoundBuf, CertError, StoreCert, VmMachine, VmProgram, VmShared};

@@ -15,15 +15,11 @@
 //! * **Chunked deques with stealing.** The iteration range is cut into
 //!   chunks of `grain` iterations. Each participant owns a deque of
 //!   contiguous chunks and pops from the front; an idle participant steals
-//!   from the *back* of a victim's deque ([`Schedule::Dynamic`]). This is
-//!   the load-balanced policy CoRa's ragged loops rely on (§6, Fig. 27).
+//!   from the *back* of a victim's deque. This is the load-balanced
+//!   policy CoRa's ragged loops rely on (§6, Fig. 27), and the only one.
 //! * **Grain size.** Tiny ragged rows batch into chunks instead of paying
 //!   one atomic operation per iteration; the default grain targets ~16
 //!   chunks per participant, and [`Runtime::run`] takes an explicit one.
-//! * **Static schedule.** [`Schedule::Static`] splits the range into one
-//!   contiguous chunk per participant and never rebalances — the policy
-//!   under which ragged workloads show load imbalance, kept for the
-//!   ablation benches.
 //! * **Panic propagation.** A panicking iteration poisons the region
 //!   (remaining chunks are skipped), the payload is captured, and the
 //!   caller re-raises it after the region completes; workers survive.
@@ -62,17 +58,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Scheduling policy for one parallel region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Chunks of `grain` iterations, work-stealing between participants:
-    /// the load-balanced policy for ragged loops (Fig. 27's "CoRa" line).
-    Dynamic,
-    /// One contiguous chunk per participant, never rebalanced: the
-    /// load-imbalance baseline used by the scheduling ablations.
-    Static,
-}
-
 /// Lifetime-erased pointer to the loop body of the region in flight.
 ///
 /// Safety contract: dereferenced only while executing a chunk, and every
@@ -107,8 +92,6 @@ struct Job {
     /// the job take participant slots 1..width; later arrivals skip. This
     /// lets the poster wake only as many workers as the region needs.
     claimed: AtomicUsize,
-    /// Whether idle participants may steal from other deques.
-    steal: bool,
     /// Per-participant chunk deques; owner pops front, thieves pop back.
     deques: Vec<Mutex<VecDeque<Range<usize>>>>,
     /// Iterations not yet executed-and-accounted. The region is complete
@@ -125,20 +108,12 @@ struct Job {
 
 impl Job {
     /// Pops the next chunk for participant `me`: own deque first (front),
-    /// then — under [`Schedule::Dynamic`] — other deques back-first.
+    /// then other deques back-first.
     fn take_chunk(&self, me: usize) -> Option<Range<usize>> {
         if let Some(r) = lock(&self.deques[me]).pop_front() {
             return Some(r);
         }
-        if self.steal {
-            for k in 1..self.width {
-                let victim = (me + k) % self.width;
-                if let Some(r) = lock(&self.deques[victim]).pop_back() {
-                    return Some(r);
-                }
-            }
-        }
-        None
+        (1..self.width).find_map(|k| lock(&self.deques[(me + k) % self.width]).pop_back())
     }
 
     /// Runs chunks until none are obtainable, then returns. The last
@@ -309,14 +284,12 @@ impl Runtime {
         self.threads
     }
 
-    /// Runs `f(i)` for every `i in 0..n` on up to `width` participants.
-    ///
-    /// `grain` is the chunk size under [`Schedule::Dynamic`] (`None`
-    /// targets ~16 chunks per participant); it is ignored under
-    /// [`Schedule::Static`], which always cuts one chunk per participant.
+    /// Runs `f(i)` for every `i in 0..n` on up to `width` participants,
+    /// in chunks of `grain` iterations (`None` targets ~16 chunks per
+    /// participant) that idle participants steal from each other.
     /// Panics inside `f` are re-raised on the calling thread after the
     /// region drains.
-    pub fn run<F>(&self, n: usize, width: usize, schedule: Schedule, grain: Option<usize>, f: F)
+    pub fn run<F>(&self, n: usize, width: usize, grain: Option<usize>, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -330,13 +303,7 @@ impl Runtime {
             }
             return;
         }
-        let (grain, steal) = match schedule {
-            Schedule::Static => (n.div_ceil(width.min(n)), false),
-            Schedule::Dynamic => {
-                let g = grain.unwrap_or_else(|| n.div_ceil(width * 16)).max(1);
-                (g, true)
-            }
-        };
+        let grain = grain.unwrap_or_else(|| n.div_ceil(width * 16)).max(1);
         let count = n.div_ceil(grain);
         let width = width.min(count);
         if width == 1 {
@@ -363,7 +330,6 @@ impl Runtime {
             func: erase(&f),
             width,
             claimed: AtomicUsize::new(0),
-            steal,
             deques,
             remaining: AtomicUsize::new(n),
             poisoned: AtomicBool::new(false),
@@ -429,7 +395,7 @@ mod tests {
         for &n in &[1usize, 2, 7, 64, 1000] {
             for grain in [None, Some(1), Some(3), Some(64), Some(5000)] {
                 let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                rt.run(n, 4, Schedule::Dynamic, grain, |i| {
+                rt.run(n, 4, grain, |i| {
                     counts[i].fetch_add(1, Ordering::Relaxed);
                 });
                 assert!(
@@ -441,51 +407,59 @@ mod tests {
     }
 
     #[test]
-    fn static_covers_every_index_once() {
-        let rt = Runtime::new(3);
-        for &n in &[1usize, 2, 3, 10, 100] {
-            let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            rt.run(n, 3, Schedule::Static, None, |i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
+    fn ragged_stress_covers_every_index_once() {
+        // Ragged per-iteration costs (quadratic decay, like sorted
+        // sequence lengths): every index must execute exactly once even
+        // under heavy imbalance and repeated regions.
+        let rt = Runtime::new(4);
+        let n = 256usize;
+        let cost = |i: usize| ((n - i) * (n - i)) / 512 + 1;
+        for round in 0..20 {
+            let sums: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            rt.run(n, 4, Some(1), |i| {
+                let mut acc = 0u64;
+                for k in 0..cost(i) {
+                    acc = acc.wrapping_add((k as u64).wrapping_mul(0x9e3779b9));
+                }
+                sums[i].store(acc.max(1), Ordering::Relaxed);
             });
             assert!(
-                counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                "n={n}"
+                sums.iter().all(|s| s.load(Ordering::Relaxed) != 0),
+                "round={round}"
             );
         }
     }
 
     #[test]
-    fn ragged_stress_dynamic_and_static_both_cover() {
-        // Ragged per-iteration costs (quadratic decay, like sorted
-        // sequence lengths): both policies must execute every index
-        // exactly once even under heavy imbalance and repeated regions.
-        let rt = Runtime::new(4);
-        let n = 256usize;
-        let cost = |i: usize| ((n - i) * (n - i)) / 512 + 1;
-        for round in 0..20 {
-            for schedule in [Schedule::Dynamic, Schedule::Static] {
-                let sums: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                rt.run(n, 4, schedule, Some(1), |i| {
-                    let mut acc = 0u64;
-                    for k in 0..cost(i) {
-                        acc = acc.wrapping_add((k as u64).wrapping_mul(0x9e3779b9));
-                    }
-                    sums[i].store(acc.max(1), Ordering::Relaxed);
-                });
-                assert!(
-                    sums.iter().all(|s| s.load(Ordering::Relaxed) != 0),
-                    "round={round} schedule={schedule:?}"
-                );
+    fn an_idle_participant_steals_from_a_blocked_owner() {
+        // Two participants, four one-iteration chunks: the caller's deque
+        // holds 0 and 1, the worker's 2 and 3. Iteration 0 waits for
+        // iteration 1, which sits behind it in the caller's own deque, so
+        // the region completes only if the worker steals it.
+        let rt = Runtime::new(2);
+        let one_done = AtomicBool::new(false);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        rt.run(4, 2, Some(1), |i| match i {
+            0 => {
+                while !one_done.load(Ordering::Acquire) {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "iteration 1 was never stolen"
+                    );
+                    std::thread::yield_now();
+                }
             }
-        }
+            1 => one_done.store(true, Ordering::Release),
+            _ => {}
+        });
+        assert!(one_done.load(Ordering::Relaxed));
     }
 
     #[test]
     fn width_capped_to_team() {
         let rt = Runtime::new(2);
         let hits = AtomicU64::new(0);
-        rt.run(100, 64, Schedule::Dynamic, None, |_| {
+        rt.run(100, 64, None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 100);
@@ -495,10 +469,10 @@ mod tests {
     fn nested_regions_run_inline() {
         let rt = Runtime::new(4);
         let hits = AtomicU64::new(0);
-        rt.run(8, 4, Schedule::Dynamic, Some(1), |_| {
+        rt.run(8, 4, Some(1), |_| {
             // Inner region: must run inline on this participant (the
             // global runtime would deadlock re-posting otherwise).
-            Runtime::global().run(16, 4, Schedule::Dynamic, None, |_| {
+            Runtime::global().run(16, 4, None, |_| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -509,7 +483,7 @@ mod tests {
     fn panic_propagates_and_team_survives() {
         let rt = Runtime::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            rt.run(100, 4, Schedule::Dynamic, Some(1), |i| {
+            rt.run(100, 4, Some(1), |i| {
                 if i == 37 {
                     panic!("boom at {i}");
                 }
@@ -523,7 +497,7 @@ mod tests {
         assert!(msg.contains("boom at 37"), "unexpected payload: {msg}");
         // The team must stay usable after a panicked region.
         let hits = AtomicU64::new(0);
-        rt.run(50, 4, Schedule::Dynamic, None, |_| {
+        rt.run(50, 4, None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 50);
@@ -533,7 +507,7 @@ mod tests {
     fn drop_joins_workers() {
         let rt = Runtime::new(3);
         let hits = AtomicU64::new(0);
-        rt.run(10, 3, Schedule::Dynamic, None, |_| {
+        rt.run(10, 3, None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         drop(rt);
@@ -545,7 +519,7 @@ mod tests {
         let rt = Runtime::global();
         assert!(rt.threads() >= 1);
         let hits = AtomicU64::new(0);
-        rt.run(100, rt.threads(), Schedule::Dynamic, None, |_| {
+        rt.run(100, rt.threads(), None, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 100);

@@ -263,7 +263,7 @@ impl VmMachine {
 mod tests {
     use std::sync::Arc;
 
-    use cora_ir::{Expr, FExpr, FUnaryOp, ForKind, Stmt, StoreKind};
+    use cora_ir::{CmpOp, Cond, Expr, FExpr, FUnaryOp, ForKind, Stmt, StoreKind};
 
     use super::super::isa::Instr;
     use super::super::testutil::{differential, gemm_nest};
@@ -357,9 +357,11 @@ mod tests {
         // if (i < 2 && lens[i] != 0) B[i] = select(lens[i] < 2, A[i], -A[i])
         // Note: lens has only 2 entries, so the && must short-circuit for
         // i in 2..4 exactly as the interpreter does.
-        let cond = Expr::var("i")
-            .lt(Expr::int(2))
-            .and(Expr::load("lens", Expr::var("i")).ne_expr(Expr::int(0)));
+        let cond = Expr::var("i").lt(Expr::int(2)).and(Cond::cmp(
+            CmpOp::Ne,
+            Expr::load("lens", Expr::var("i")),
+            Expr::int(0),
+        ));
         let sel = FExpr::select(
             Expr::load("lens", Expr::var("i")).lt(Expr::int(2)),
             FExpr::load("A", Expr::var("i")),

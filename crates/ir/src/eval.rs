@@ -136,15 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn ceil_div_round_up_semantics() {
+    fn ceil_div_semantics() {
         let env = Env::new();
         for n in 0..30i64 {
             for k in 1..6i64 {
                 let e = Expr::int(n).ceil_div(Expr::int(k));
                 assert_eq!(env.eval(&e), (n + k - 1).div_euclid(k));
-                let r = Expr::int(n).round_up(Expr::int(k));
-                assert_eq!(env.eval(&r) % k, 0);
-                assert!(env.eval(&r) >= n && env.eval(&r) < n + k);
             }
         }
     }

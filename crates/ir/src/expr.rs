@@ -108,11 +108,6 @@ impl Expr {
         (self + other.clone() - Expr::int(1)).floor_div(other)
     }
 
-    /// Rounds `self` up to the nearest multiple of `multiple`.
-    pub fn round_up(self, multiple: Expr) -> Self {
-        self.ceil_div(multiple.clone()) * multiple
-    }
-
     /// `self < other`.
     pub fn lt(self, other: Expr) -> Cond {
         Cond::cmp(CmpOp::Lt, self, other)
@@ -126,11 +121,6 @@ impl Expr {
     /// `self == other`.
     pub fn eq_expr(self, other: Expr) -> Cond {
         Cond::cmp(CmpOp::Eq, self, other)
-    }
-
-    /// `self != other`.
-    pub fn ne_expr(self, other: Expr) -> Cond {
-        Cond::cmp(CmpOp::Ne, self, other)
     }
 
     /// `self > other`.

@@ -53,16 +53,6 @@ impl Printer {
         self.out.push('\n');
     }
 
-    fn axis_name(kind: ForKind) -> &'static str {
-        match kind {
-            ForKind::GpuBlockX => "blockIdx.x",
-            ForKind::GpuBlockY => "blockIdx.y",
-            ForKind::GpuThreadX => "threadIdx.x",
-            ForKind::GpuThreadY => "threadIdx.y",
-            _ => unreachable!("not a GPU axis"),
-        }
-    }
-
     fn stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::For {
@@ -72,24 +62,16 @@ impl Printer {
                 kind,
                 body,
             } => {
-                let is_gpu_axis = kind.is_block_axis() || kind.is_thread_axis();
-                if self.dialect == Dialect::Cuda && is_gpu_axis {
-                    let axis = Self::axis_name(*kind);
+                let axis = match kind {
+                    ForKind::GpuBlockX => "blockIdx.x",
+                    ForKind::GpuThreadX => "threadIdx.x",
+                    ForKind::Serial => "",
+                };
+                if self.dialect == Dialect::Cuda && !axis.is_empty() {
                     self.line(&format!("// {axis} in [{min}, {min} + {extent})"));
                     self.line(&format!("int {var} = {min} + {axis};"));
                     self.stmt(body);
                 } else {
-                    let prefix = match kind {
-                        ForKind::Parallel => "#pragma omp parallel for\n",
-                        ForKind::Unrolled => "#pragma unroll\n",
-                        ForKind::Vectorized => "#pragma vectorize\n",
-                        _ => "",
-                    };
-                    if !prefix.is_empty() {
-                        for l in prefix.trim_end().lines() {
-                            self.line(l);
-                        }
-                    }
                     self.line(&format!(
                         "for (int {var} = {min}; {var} < {min} + {extent}; ++{var}) {{"
                     ));

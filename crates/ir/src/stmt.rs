@@ -1,7 +1,7 @@
 //! Statement IR: the loop-nest form CoRa lowers ragged operators into.
 //!
-//! A lowered kernel is a tree of [`Stmt`]s: loops (serial, parallel, or
-//! bound to simulated GPU grid/thread axes), integer `let` bindings (used
+//! A lowered kernel is a tree of [`Stmt`]s: loops (serial, or bound to
+//! the simulated GPU grid/thread x-axes), integer `let` bindings (used
 //! for load hoisting, §D.7), stores with accumulation kinds, guards and
 //! local allocations. The interpreter in `cora-exec` gives these precise
 //! semantics; the printer renders C- and CUDA-flavoured text.
@@ -17,31 +17,16 @@ use crate::visit::Node;
 pub enum ForKind {
     /// Ordinary sequential loop.
     Serial,
-    /// CPU-parallel loop (maps to the thread pool).
-    Parallel,
-    /// Annotation: body should be unrolled.
-    Unrolled,
-    /// Annotation: body should be vectorized.
-    Vectorized,
     /// Bound to the simulated GPU grid x-axis (`blockIdx.x`).
     GpuBlockX,
-    /// Bound to the simulated GPU grid y-axis (`blockIdx.y`).
-    GpuBlockY,
     /// Bound to the simulated GPU thread x-axis (`threadIdx.x`).
     GpuThreadX,
-    /// Bound to the simulated GPU thread y-axis (`threadIdx.y`).
-    GpuThreadY,
 }
 
 impl ForKind {
-    /// True for GPU grid axes.
+    /// True for the GPU grid axis.
     pub fn is_block_axis(self) -> bool {
-        matches!(self, ForKind::GpuBlockX | ForKind::GpuBlockY)
-    }
-
-    /// True for GPU thread axes.
-    pub fn is_thread_axis(self) -> bool {
-        matches!(self, ForKind::GpuThreadX | ForKind::GpuThreadY)
+        self == ForKind::GpuBlockX
     }
 }
 
@@ -233,7 +218,6 @@ mod tests {
     #[test]
     fn for_kind_classification() {
         assert!(ForKind::GpuBlockX.is_block_axis());
-        assert!(ForKind::GpuThreadY.is_thread_axis());
         assert!(!ForKind::Serial.is_block_axis());
     }
 }

@@ -1,6 +1,5 @@
-//! Elementwise and data-movement operators of the encoder layer: bias add,
-//! residual add, activations, transposes, and the padding-change copies
-//! (AddPad / RemovePad / ChangePad of Fig. 3).
+//! Elementwise operators of the encoder layer: bias add, residual add,
+//! the GELU activation and scaling.
 
 /// Adds `bias` (length `n`) to each length-`n` row of `data`.
 pub fn bias_add_rows(data: &mut [f32], n: usize, bias: &[f32]) {
@@ -20,13 +19,6 @@ pub fn residual_add(data: &mut [f32], other: &[f32]) {
     }
 }
 
-/// In-place ReLU.
-pub fn relu(data: &mut [f32]) {
-    for v in data.iter_mut() {
-        *v = v.max(0.0);
-    }
-}
-
 /// In-place tanh-approximation GELU (the activation of the encoder's FF1).
 pub fn gelu(data: &mut [f32]) {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
@@ -40,40 +32,6 @@ pub fn gelu(data: &mut [f32]) {
 pub fn scale(data: &mut [f32], s: f32) {
     for v in data.iter_mut() {
         *v *= s;
-    }
-}
-
-/// Copies a `[rows, n]` matrix into a `[rows, n_padded]` buffer
-/// (`AddPad`): each row is zero-extended.
-pub fn add_pad_rows(src: &[f32], n: usize, n_padded: usize, dst: &mut [f32]) {
-    assert!(n_padded >= n, "padding must not shrink rows");
-    let rows = src.len() / n;
-    assert!(dst.len() >= rows * n_padded, "destination too small");
-    for r in 0..rows {
-        dst[r * n_padded..r * n_padded + n].copy_from_slice(&src[r * n..(r + 1) * n]);
-        for v in &mut dst[r * n_padded + n..(r + 1) * n_padded] {
-            *v = 0.0;
-        }
-    }
-}
-
-/// Copies a `[rows, n_padded]` buffer back to `[rows, n]` (`RemovePad`).
-pub fn remove_pad_rows(src: &[f32], n_padded: usize, n: usize, dst: &mut [f32]) {
-    assert!(n_padded >= n, "cannot remove negative padding");
-    let rows = src.len() / n_padded;
-    assert!(dst.len() >= rows * n, "destination too small");
-    for r in 0..rows {
-        dst[r * n..(r + 1) * n].copy_from_slice(&src[r * n_padded..r * n_padded + n]);
-    }
-}
-
-/// Transposes an `[m, n]` row-major matrix into `[n, m]`.
-pub fn transpose(src: &[f32], m: usize, n: usize, dst: &mut [f32]) {
-    assert!(src.len() >= m * n && dst.len() >= m * n, "buffer too small");
-    for i in 0..m {
-        for j in 0..n {
-            dst[j * m + i] = src[i * n + j];
-        }
     }
 }
 
@@ -96,36 +54,10 @@ mod tests {
     }
 
     #[test]
-    fn relu_clamps_negatives() {
-        let mut d = vec![-1.0, 2.0, 0.0];
-        relu(&mut d);
-        assert_eq!(d, vec![0.0, 2.0, 0.0]);
-    }
-
-    #[test]
     fn gelu_fixed_points() {
         let mut d = vec![0.0f32, 100.0];
         gelu(&mut d);
         assert_eq!(d[0], 0.0);
         assert!((d[1] - 100.0).abs() < 1e-3, "gelu(x) -> x for large x");
-    }
-
-    #[test]
-    fn pad_round_trip() {
-        let src = vec![1.0, 2.0, 3.0, 4.0]; // [2,2]
-        let mut padded = vec![9.0; 6]; // [2,3]
-        add_pad_rows(&src, 2, 3, &mut padded);
-        assert_eq!(padded, vec![1.0, 2.0, 0.0, 3.0, 4.0, 0.0]);
-        let mut back = vec![0.0; 4];
-        remove_pad_rows(&padded, 3, 2, &mut back);
-        assert_eq!(back, src);
-    }
-
-    #[test]
-    fn transpose_2x3() {
-        let src = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut dst = vec![0.0; 6];
-        transpose(&src, 2, 3, &mut dst);
-        assert_eq!(dst, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
     }
 }

@@ -83,55 +83,6 @@ pub fn sgemm_nt_ld(
     }
 }
 
-/// Contiguous convenience wrapper for [`sgemm_nt_ld`].
-pub fn sgemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    sgemm_nt_ld(m, k, n, a, k, b, k, c, n);
-}
-
-/// Batched gemm on equal-shaped (fully padded) operands:
-/// `C[b] += A[b] · B[b]` for each of `batch` problems.
-pub fn batched_sgemm(
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    for bi in 0..batch {
-        sgemm(
-            m,
-            k,
-            n,
-            &a[bi * m * k..(bi + 1) * m * k],
-            &b[bi * k * n..(bi + 1) * k * n],
-            &mut c[bi * m * n..(bi + 1) * m * n],
-        );
-    }
-}
-
-/// Reference triangular matrix multiply: `C[n,n] += L[n,n] · B[n,n]` where
-/// `L` is lower-triangular (entries above the diagonal ignored).
-///
-/// Row `i` of `L` has `i+1` meaningful entries, which is what makes trmm a
-/// ragged problem (§7.1).
-pub fn trmm_lower(n: usize, l: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..n {
-        let row = &l[i * n..i * n + i + 1];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (p, &l_ip) in row.iter().enumerate() {
-            if l_ip == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += l_ip * *bv;
-            }
-        }
-    }
-}
-
 /// Multithreaded gemm: `C[m,n] += A[m,k]·B[k,n]`, rows split into one
 /// contiguous block per worker and dispatched onto the pool's persistent
 /// runtime. Small problems (`m < 64`) run serially.
@@ -245,46 +196,8 @@ mod tests {
             }
         }
         let mut c1 = vec![0.0; m * n];
-        sgemm_nt(m, k, n, &a, &bt, &mut c1);
+        sgemm_nt_ld(m, k, n, &a, k, &bt, k, &mut c1, n);
         assert_eq!(c1, naive(m, k, n, &a, &b));
-    }
-
-    #[test]
-    fn batched_processes_each_problem() {
-        let (batch, m, k, n) = (3, 2, 3, 2);
-        let a = seq(batch * m * k);
-        let b = seq(batch * k * n);
-        let mut c = vec![0.0; batch * m * n];
-        batched_sgemm(batch, m, k, n, &a, &b, &mut c);
-        for bi in 0..batch {
-            let want = naive(
-                m,
-                k,
-                n,
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-            );
-            assert_eq!(&c[bi * m * n..(bi + 1) * m * n], want.as_slice());
-        }
-    }
-
-    #[test]
-    fn trmm_ignores_upper_triangle() {
-        let n = 4;
-        let mut l = seq(n * n);
-        // Poison the upper triangle; trmm_lower must not read it.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                l[i * n + j] = f32::NAN;
-            }
-        }
-        let b = seq(n * n);
-        let mut c = vec![0.0; n * n];
-        trmm_lower(n, &l, &b, &mut c);
-        assert!(c.iter().all(|v| v.is_finite()));
-        // Check one entry: c[2][1] = sum_{p<=2} l[2][p] * b[p][1].
-        let want: f32 = (0..=2).map(|p| l[2 * n + p] * b[p * n + 1]).sum();
-        assert_eq!(c[2 * n + 1], want);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! # cora-kernels
 //!
 //! Dense baseline kernels and microkernels for the CoRa reproduction:
-//! blocked row-major gemm (plain, transposed-B, batched, triangular),
-//! softmax, layer norm, elementwise/padding-change operators, and the
-//! vendor-library cost model that prices cuBLAS/MKL-style kernels on the
-//! simulated GPU.
+//! row-major gemm (plain and transposed-B), softmax, layer norm,
+//! elementwise operators, and the vendor-library cost model that prices
+//! cuBLAS/MKL-style kernels on the simulated GPU.
 //!
 //! CoRa-compiled operators dispatch their dense inner tiles to the
 //! leading-dimension gemm variants here, mirroring the paper's CPU backend
@@ -19,8 +18,6 @@ pub mod layernorm;
 pub mod softmax;
 pub mod vendor;
 
-pub use gemm::{
-    batched_sgemm, gemm_flops, parallel_sgemm, sgemm, sgemm_ld, sgemm_nt, sgemm_nt_ld, trmm_lower,
-};
+pub use gemm::{gemm_flops, parallel_sgemm, sgemm, sgemm_ld, sgemm_nt_ld};
 pub use layernorm::{layernorm_row, layernorm_rows, parallel_layernorm_rows};
-pub use softmax::{softmax_row, softmax_rows};
+pub use softmax::softmax_row;

@@ -40,14 +40,6 @@ pub fn softmax_row(row: &mut [f32], valid: usize) {
     }
 }
 
-/// Softmax over each length-`n` row of a contiguous `[rows, n]` buffer,
-/// with a shared valid length.
-pub fn softmax_rows(data: &mut [f32], n: usize, valid: usize) {
-    for row in data.chunks_mut(n) {
-        softmax_row(row, valid);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +91,5 @@ mod tests {
         softmax_row(&mut r, 3);
         assert_eq!(r[0], 0.0);
         assert!((r[1] - 0.5).abs() < 1e-6 && (r[2] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rows_helper_applies_per_row() {
-        let mut d = vec![0.0, 0.0, 10.0, 10.0];
-        softmax_rows(&mut d, 2, 2);
-        assert!((d[0] - 0.5).abs() < 1e-6);
-        assert!((d[3] - 0.5).abs() < 1e-6);
     }
 }

@@ -269,6 +269,6 @@ mod tests {
         let l = RaggedLayout::dense(&[2, 3, 4]);
         let aux = AuxOffsets::build(&l);
         assert_eq!(offset(&l, &aux, &[1, 2, 3]), 12 + 2 * 4 + 3);
-        assert_eq!(aux.num_arrays(), 0);
+        assert_eq!(aux.memory_bytes(), 0);
     }
 }

@@ -99,11 +99,6 @@ impl AuxOffsets {
             .map(|a| a.len() * std::mem::size_of::<i64>())
             .sum()
     }
-
-    /// Number of arrays materialised.
-    pub fn num_arrays(&self) -> usize {
-        self.arrays.iter().flatten().count()
-    }
 }
 
 /// The maps created by fusing an outer loop `o` (extent `m`) with an inner
@@ -117,50 +112,29 @@ pub struct FusedLoopMaps {
     /// `foif_row[o]` — start of row `o` in fused iteration space, so
     /// `foif(o, i) = foif_row[o] + i`. (The paper notes the dense `foif`
     /// table "can, in most cases, be optimized away"; the row form is that
-    /// optimisation. [`FusedLoopMaps::build_full`] keeps the dense table
-    /// for the redundant-prelude measurements.)
+    /// optimisation.)
     pub foif_row: Vec<i64>,
     /// Fused extent `F = sum_o lens[o]`.
     pub fused_extent: i64,
     /// Time spent constructing the maps.
     pub build_time: std::time::Duration,
-    /// Dense `foif` table if built unoptimised.
-    pub foif_full: Option<Vec<i64>>,
 }
 
 impl FusedLoopMaps {
     /// Builds the maps with the dense `foif` table elided (the optimised
     /// form CoRa generates).
     pub fn build(lens: &[usize]) -> FusedLoopMaps {
-        Self::build_inner(lens, false)
-    }
-
-    /// Builds the maps *including* the dense `foif` table, as the naive
-    /// prelude would (used by the §7.4 redundancy accounting).
-    pub fn build_full(lens: &[usize]) -> FusedLoopMaps {
-        Self::build_inner(lens, true)
-    }
-
-    fn build_inner(lens: &[usize], full: bool) -> FusedLoopMaps {
         let start = Instant::now();
         let total: usize = lens.iter().sum();
         let mut ffo = Vec::with_capacity(total);
         let mut ffi = Vec::with_capacity(total);
         let mut foif_row = Vec::with_capacity(lens.len() + 1);
-        let mut foif_full = if full {
-            Some(Vec::with_capacity(total))
-        } else {
-            None
-        };
         let mut fctr = 0i64;
         foif_row.push(0);
         for (o, &l) in lens.iter().enumerate() {
             for i in 0..l {
                 ffo.push(o as i64);
                 ffi.push(i as i64);
-                if let Some(t) = foif_full.as_mut() {
-                    t.push(fctr);
-                }
                 fctr += 1;
             }
             foif_row.push(fctr);
@@ -171,7 +145,6 @@ impl FusedLoopMaps {
             foif_row,
             fused_extent: fctr,
             build_time: start.elapsed(),
-            foif_full,
         }
     }
 
@@ -182,12 +155,7 @@ impl FusedLoopMaps {
 
     /// Auxiliary memory in bytes.
     pub fn memory_bytes(&self) -> usize {
-        let base =
-            (self.ffo.len() + self.ffi.len() + self.foif_row.len()) * std::mem::size_of::<i64>();
-        base + self
-            .foif_full
-            .as_ref()
-            .map_or(0, |t| t.len() * std::mem::size_of::<i64>())
+        (self.ffo.len() + self.ffi.len() + self.foif_row.len()) * std::mem::size_of::<i64>()
     }
 }
 
@@ -242,7 +210,6 @@ mod tests {
         let aux = AuxOffsets::build(&x);
         assert_eq!(aux.array(0).unwrap(), &[0, 1, 5]);
         assert_eq!(aux.outer_multiplier(0), 2);
-        assert_eq!(aux.num_arrays(), 1);
         assert_eq!(aux.memory_bytes(), 3 * 8);
     }
 
@@ -256,14 +223,6 @@ mod tests {
         assert_eq!(m.ffi, vec![0, 1, 2, 3, 4, 0, 1, 0, 1, 2]);
         assert_eq!(m.foif(1, 1), 6);
         assert_eq!(m.foif_row, vec![0, 5, 7, 10]);
-    }
-
-    #[test]
-    fn full_foif_costs_more_memory() {
-        let opt = FusedLoopMaps::build(&[4, 4]);
-        let full = FusedLoopMaps::build_full(&[4, 4]);
-        assert!(full.memory_bytes() > opt.memory_bytes());
-        assert_eq!(full.foif_full.as_ref().unwrap().len(), 8);
     }
 
     #[test]

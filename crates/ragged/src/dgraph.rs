@@ -7,7 +7,7 @@
 //! dimensions, which inflates their auxiliary data (compared in
 //! [`crate::csf`] and the §7.4 experiment).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::dim::Dim;
 use crate::extent::DimExtent;
@@ -150,29 +150,10 @@ impl Dgraph {
         self.dep[d]
     }
 
-    /// `OG(d)`: dimensions whose extent depends on `d`.
-    pub fn outgoing(&self, d: usize) -> BTreeSet<usize> {
-        (0..self.n).filter(|&j| self.dep[j] == Some(d)).collect()
-    }
-
     /// True if any dimension depends on `d` (i.e. `d` needs an `A_d`
     /// prefix-sum array in the prelude).
     pub fn has_dependents(&self, d: usize) -> bool {
         self.dep.contains(&Some(d))
-    }
-
-    /// Number of variable dimensions.
-    pub fn num_vdims(&self) -> usize {
-        self.dep.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// The conservative dgraph used by past sparse-tensor schemes: every
-    /// dimension depends on *all* outer dimensions (Fig. 8, right).
-    ///
-    /// Returned as `dep_sets[i] = {0, .., i-1}` for comparison in tests and
-    /// the §7.4 accounting.
-    pub fn conservative_dependences(&self) -> Vec<BTreeSet<usize>> {
-        (0..self.n).map(|i| (0..i).collect()).collect()
     }
 }
 
@@ -205,10 +186,8 @@ mod tests {
         assert_eq!(g.incoming(1), Some(0));
         assert_eq!(g.incoming(3), Some(0));
         assert_eq!(g.incoming(2), None);
-        assert_eq!(g.outgoing(0), BTreeSet::from([1, 3]));
         assert!(g.has_dependents(0));
         assert!(!g.has_dependents(2));
-        assert_eq!(g.num_vdims(), 2);
     }
 
     #[test]
@@ -257,15 +236,5 @@ mod tests {
                 required: 3
             }
         );
-    }
-
-    #[test]
-    fn conservative_graph_overapproximates() {
-        let (dims, extents) = mha_layout();
-        let g = Dgraph::build(&dims, &extents).unwrap();
-        let cons = g.conservative_dependences();
-        // Past work: heads depends on batch and len1; CoRa: on nothing.
-        assert_eq!(cons[2], BTreeSet::from([0, 1]));
-        assert_eq!(g.incoming(2), None);
     }
 }

@@ -39,14 +39,6 @@ impl DimExtent {
     pub fn is_fixed(&self) -> bool {
         matches!(self, DimExtent::Fixed(_))
     }
-
-    /// The maximum extent over all slices (the fully padded extent).
-    pub fn max_extent(&self) -> usize {
-        match self {
-            DimExtent::Fixed(e) => *e,
-            DimExtent::Variable { lens, .. } => lens.max(),
-        }
-    }
 }
 
 /// A tabulated length function `index -> slice length`.
@@ -136,10 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn extent_max() {
+    fn fixed_and_variable_extents() {
         let d = Dim::new("b");
         let e = DimExtent::variable(d, vec![1usize, 9, 4]);
-        assert_eq!(e.max_extent(), 9);
         assert!(!e.is_fixed());
         assert!(DimExtent::Fixed(7).is_fixed());
     }

@@ -199,39 +199,6 @@ impl RaggedLayout {
             }
         }
     }
-
-    /// Number of elements ignoring all storage padding (the "useful data").
-    pub fn unpadded_size(&self) -> usize {
-        self.unpadded_rec(0, 0)
-    }
-
-    fn unpadded_rec(&self, d: usize, outer_index: usize) -> usize {
-        if d == self.ndim() {
-            return 1;
-        }
-        let has_dependents = self.graph.has_dependents(d);
-        match &self.dims[d].extent {
-            DimExtent::Fixed(e) => {
-                if !has_dependents {
-                    e * self.unpadded_rec(d + 1, outer_index)
-                } else {
-                    (0..*e).map(|i| self.unpadded_rec(d + 1, i)).sum()
-                }
-            }
-            DimExtent::Variable { lens, .. } => {
-                lens.len_at(outer_index) * self.unpadded_rec(d + 1, outer_index)
-            }
-        }
-    }
-
-    /// The size of the same tensor stored with *full* padding (every vdim
-    /// padded to its maximum extent) — the dense-baseline footprint.
-    pub fn fully_padded_size(&self) -> usize {
-        self.dims
-            .iter()
-            .map(|d| d.extent.max_extent().div_ceil(d.pad) * d.pad)
-            .product()
-    }
 }
 
 #[cfg(test)]
@@ -255,13 +222,10 @@ mod tests {
     fn sizes_match_fig4() {
         let a = fig4_layout(1);
         assert_eq!(a.size(), 5 + 2 + 3 + 4);
-        assert_eq!(a.unpadded_size(), 14);
         let b = fig4_layout(4);
         // Rows pad to 8,4,4,4 (cf. Fig. 4's row_idx_b = [0,8,12,16] for
         // its three-row example).
         assert_eq!(b.size(), 8 + 4 + 4 + 4);
-        assert_eq!(b.unpadded_size(), 14);
-        assert_eq!(b.fully_padded_size(), 4 * 8);
     }
 
     #[test]
@@ -280,15 +244,12 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(l.size(), 4 * (9 + 1 + 4));
-        assert_eq!(l.fully_padded_size(), 3 * 3 * 4 * 3);
     }
 
     #[test]
     fn dense_layout_is_product() {
         let l = RaggedLayout::dense(&[2, 3, 4]);
         assert_eq!(l.size(), 24);
-        assert_eq!(l.unpadded_size(), 24);
-        assert_eq!(l.fully_padded_size(), 24);
     }
 
     #[test]

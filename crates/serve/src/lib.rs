@@ -43,6 +43,6 @@ pub use clock::{ChannelSource, Clock, Source, SystemClock, TraceSource, VirtualC
 pub use policy::BatchPolicy;
 pub use pool::{PoolStats, PooledSession, SessionPool};
 pub use queue::{AdmitError, RequestQueue};
-pub use request::{pack_ragged, requests_from_padded, unpack_rows, Request};
+pub use request::{pack_ragged, unpack_rows, Request};
 pub use server::{BatchRecord, Completion, Server, ServerConfig, ServiceModel, SimReport};
 pub use trace::{generate, Arrival, TraceConfig};

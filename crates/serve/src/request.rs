@@ -32,43 +32,6 @@ impl Request {
     }
 }
 
-/// `dense_to_ragged` ingestion: strips a `[batch, max_len, hidden]`
-/// padded tensor down to per-sequence packed rows — the boundary
-/// contract for callers arriving from padded-tensor land. Request ids
-/// are `first_id..first_id + lens.len()`, all stamped `arrival_ns`.
-///
-/// # Panics
-///
-/// Panics if `dense` is not exactly `lens.len() * max_len * hidden`
-/// floats or any length exceeds `max_len`.
-pub fn requests_from_padded(
-    dense: &[f32],
-    lens: &[usize],
-    max_len: usize,
-    hidden: usize,
-    first_id: u64,
-    arrival_ns: u64,
-) -> Vec<Request> {
-    assert_eq!(
-        dense.len(),
-        lens.len() * max_len * hidden,
-        "dense tensor shape mismatch"
-    );
-    lens.iter()
-        .enumerate()
-        .map(|(s, &len)| {
-            assert!(len <= max_len, "sequence {s} longer than max_len");
-            let row0 = s * max_len * hidden;
-            Request::new(
-                first_id + s as u64,
-                len,
-                dense[row0..row0 + len * hidden].to_vec(),
-                arrival_ns,
-            )
-        })
-        .collect()
-}
-
 /// Packs selected requests (already in canonical batch order) into a
 /// [`RaggedBatch`]: concatenated rows, no padding.
 pub fn pack_ragged(selected: &[Request], hidden: usize) -> RaggedBatch {
@@ -103,25 +66,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_to_ragged_strips_padding_and_roundtrips() {
-        let (max_len, hidden) = (3usize, 2usize);
+    fn pack_and_unpack_roundtrip_without_padding() {
+        let hidden = 2usize;
         let lens = vec![2usize, 0, 3];
-        // dense[s][t][h] = 100*s + 10*t + h, padding rows included.
-        let mut dense = Vec::new();
-        for s in 0..lens.len() {
-            for t in 0..max_len {
-                for h in 0..hidden {
-                    dense.push((100 * s + 10 * t + h) as f32);
-                }
-            }
-        }
-        let reqs = requests_from_padded(&dense, &lens, max_len, hidden, 7, 42);
-        assert_eq!(reqs.len(), 3);
-        assert_eq!(reqs[0].id, 7);
-        assert_eq!(reqs[1].len, 0);
-        assert!(reqs[1].data.is_empty());
-        assert_eq!(reqs[2].data, vec![200.0, 201.0, 210.0, 211.0, 220.0, 221.0]);
-
+        let reqs: Vec<Request> = lens
+            .iter()
+            .enumerate()
+            .map(|(s, &len)| {
+                let data = (0..len * hidden).map(|k| (100 * s + k) as f32).collect();
+                Request::new(7 + s as u64, len, data, 42)
+            })
+            .collect();
         let batch = pack_ragged(&reqs, hidden);
         assert_eq!(batch.lens, lens);
         assert_eq!(batch.data.len(), 5 * hidden, "no padding rows packed");

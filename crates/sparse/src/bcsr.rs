@@ -82,11 +82,6 @@ impl BcsrMatrix {
         self.col_idx.len()
     }
 
-    /// Stored values including block padding.
-    pub fn stored_values(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Converts back to dense.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.nrows * self.ncols];
@@ -105,11 +100,6 @@ impl BcsrMatrix {
             }
         }
         out
-    }
-
-    /// Auxiliary (index) memory in bytes.
-    pub fn index_bytes(&self) -> usize {
-        (self.row_ptr.len() + self.col_idx.len()) * std::mem::size_of::<usize>()
     }
 }
 
@@ -142,7 +132,7 @@ mod tests {
         assert_eq!(m.nblocks(), 3);
         // Stored values include diagonal-block padding: 3 * 16 = 48 vs 36
         // true entries.
-        assert_eq!(m.stored_values(), 48);
+        assert_eq!(m.vals.len(), 48);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Converts back to a dense row-major buffer.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.nrows * self.ncols];
@@ -97,11 +92,6 @@ impl CsrMatrix {
             Err(_) => 0.0,
         }
     }
-
-    /// Auxiliary (index) memory in bytes: row pointers + column indices.
-    pub fn index_bytes(&self) -> usize {
-        (self.row_ptr.len() + self.col_idx.len()) * std::mem::size_of::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -112,14 +102,14 @@ mod tests {
     fn dense_round_trip() {
         let d = vec![1.0, 0.0, 0.0, 2.0, 3.0, 0.0];
         let m = CsrMatrix::from_dense(2, 3, &d);
-        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.vals.len(), 3);
         assert_eq!(m.to_dense(), d);
     }
 
     #[test]
     fn lower_triangular_shape() {
         let m = CsrMatrix::lower_triangular(4, |i, j| (i * 10 + j) as f32);
-        assert_eq!(m.nnz(), 10);
+        assert_eq!(m.vals.len(), 10);
         assert_eq!(m.get(3, 2), 32.0);
         assert_eq!(m.get(0, 3), 0.0);
         assert_eq!(m.row_ptr, vec![0, 1, 3, 6, 10]);
@@ -132,11 +122,5 @@ mod tests {
         assert_eq!(m.get(0, 1), 5.0);
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(m.get(1, 1), 7.0);
-    }
-
-    #[test]
-    fn index_memory_accounts_ptr_and_cols() {
-        let m = CsrMatrix::lower_triangular(3, |_, _| 1.0);
-        assert_eq!(m.index_bytes(), (4 + 6) * std::mem::size_of::<usize>());
     }
 }

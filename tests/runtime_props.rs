@@ -1,5 +1,5 @@
 //! Property-based tests for the persistent work-stealing CPU runtime:
-//! every parallel-for policy must visit each index in `0..n` exactly
+//! every parallel-for entry point must visit each index in `0..n` exactly
 //! once, for any thread width (and, for a direct runtime region, any
 //! grain size).
 
@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use proptest::prelude::*;
 
-use cora::exec::{CpuPool, Runtime, Schedule};
+use cora::exec::{CpuPool, Runtime};
 
 fn visit_counts(n: usize, run: impl FnOnce(&(dyn Fn(usize) + Sync))) -> Vec<u8> {
     let counts: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
@@ -29,14 +29,6 @@ proptest! {
         prop_assert!(counts.iter().all(|&c| c == 1), "n={} counts={:?}", n, counts);
     }
 
-    /// Static scheduling visits every index exactly once.
-    #[test]
-    fn static_visits_each_index_once(n in 0usize..600, threads in 1usize..9) {
-        let pool = CpuPool::new(threads);
-        let counts = visit_counts(n, |f| pool.parallel_for_static(n, f));
-        prop_assert!(counts.iter().all(|&c| c == 1), "n={} counts={:?}", n, counts);
-    }
-
     /// Direct runtime regions (bypassing the pool facade) hold the same
     /// exactly-once property for explicit grain choices.
     #[test]
@@ -45,9 +37,7 @@ proptest! {
         width in 1usize..9,
         grain in prop_oneof![Just(None), (1usize..100).prop_map(Some)],
     ) {
-        let counts = visit_counts(n, |f| {
-            Runtime::global().run(n, width, Schedule::Dynamic, grain, f)
-        });
+        let counts = visit_counts(n, |f| Runtime::global().run(n, width, grain, f));
         prop_assert!(counts.iter().all(|&c| c == 1), "n={} counts={:?}", n, counts);
     }
 

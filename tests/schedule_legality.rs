@@ -67,13 +67,17 @@ fn unknown_loop_names_rejected_everywhere() {
             s.split("ghost", 2);
         },
         |s: &mut Schedule| {
-            s.bind("ghost", ForKind::Parallel);
+            s.bind("ghost", ForKind::GpuBlockX);
         },
         |s: &mut Schedule| {
-            s.unroll("ghost");
+            s.fuse_loops("ghost", "i");
         },
         |s: &mut Schedule| {
-            s.vectorize("ghost");
+            // `o` exists but is not a fused loop.
+            s.bulk_pad("o", 8);
+        },
+        |s: &mut Schedule| {
+            s.reorder(&["o", "ghost"]);
         },
     ] {
         let mut op = op_with_pads(&[4, 4], 1);

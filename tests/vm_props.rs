@@ -165,12 +165,12 @@ fn apply_block_schedule(op: &mut Operator, sched: usize, pad: usize) {
                 .thread_remap(RemapPolicy::LongestFirst);
         }
         2 => {
-            // Pad + dividing split below the block axis, reversed dispatch.
+            // Pad + dividing split below the block axis, heaviest first.
             op.schedule_mut()
                 .pad_loop("i", pad)
                 .split("i", pad)
                 .bind("o", ForKind::GpuBlockX)
-                .thread_remap(RemapPolicy::Reversed);
+                .thread_remap(RemapPolicy::LongestFirst);
         }
         _ => {
             // Fused vloop bound to blocks: one block per (o, i) pair.
