@@ -31,8 +31,8 @@
 //! ## CPU scheduling
 //!
 //! Ragged workloads give parallel loops wildly uneven iteration costs
-//! (sorted sequence lengths decay across a batch), so the runtime has one
-//! load-balanced schedule: [`CpuPool::parallel_for`] cuts iterations into
+//! (sorted sequence lengths decay across a batch), so the runtime balances
+//! them dynamically: [`CpuPool::parallel_for`] cuts iterations into
 //! chunks of a configurable grain; each participant owns a deque of
 //! chunks and idle participants steal from the far end of a victim's
 //! deque. This is the policy behind the CoRa lines of Table 5, Table 9,

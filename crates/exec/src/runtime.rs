@@ -16,7 +16,7 @@
 //!   chunks of `grain` iterations. Each participant owns a deque of
 //!   contiguous chunks and pops from the front; an idle participant steals
 //!   from the *back* of a victim's deque. This is the load-balanced
-//!   policy CoRa's ragged loops rely on (§6, Fig. 27), and the only one.
+//!   policy CoRa's ragged loops rely on (§6, Fig. 27).
 //! * **Grain size.** Tiny ragged rows batch into chunks instead of paying
 //!   one atomic operation per iteration; the default grain targets ~16
 //!   chunks per participant, and [`Runtime::run`] takes an explicit one.
@@ -113,7 +113,13 @@ impl Job {
         if let Some(r) = lock(&self.deques[me]).pop_front() {
             return Some(r);
         }
-        (1..self.width).find_map(|k| lock(&self.deques[(me + k) % self.width]).pop_back())
+        for k in 1..self.width {
+            let victim = (me + k) % self.width;
+            if let Some(r) = lock(&self.deques[victim]).pop_back() {
+                return Some(r);
+            }
+        }
+        None
     }
 
     /// Runs chunks until none are obtainable, then returns. The last

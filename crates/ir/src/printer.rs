@@ -63,11 +63,11 @@ impl Printer {
                 body,
             } => {
                 let axis = match kind {
-                    ForKind::GpuBlockX => "blockIdx.x",
-                    ForKind::GpuThreadX => "threadIdx.x",
-                    ForKind::Serial => "",
+                    ForKind::Serial => None,
+                    ForKind::GpuBlockX => Some("blockIdx.x"),
+                    ForKind::GpuThreadX => Some("threadIdx.x"),
                 };
-                if self.dialect == Dialect::Cuda && !axis.is_empty() {
+                if let (Dialect::Cuda, Some(axis)) = (self.dialect, axis) {
                     self.line(&format!("// {axis} in [{min}, {min} + {extent})"));
                     self.line(&format!("int {var} = {min} + {axis};"));
                     self.stmt(body);

@@ -12,7 +12,9 @@ use crate::expr::{Cond, Expr};
 use crate::fexpr::FExpr;
 use crate::visit::Node;
 
-/// How a loop's iterations are executed.
+/// How a loop's iterations are executed. Every executor runs `Serial` and
+/// `GpuThreadX` loops in order; the `GpuBlockX` loop is the one the CPU
+/// parallel tier splits into tiles and the simulated GPU prices per block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ForKind {
     /// Ordinary sequential loop.
