@@ -12,14 +12,17 @@
 //! ```
 //!
 //! Analytic and simulated checks are exact, except in `tab04`, `fig11`
-//! and `fig12`: CoRa's simulated encoder latency includes the prelude's
-//! build time, measured on the host (`EncoderSim::layer_latency_ms`), so
-//! their CoRa figures move in the last digits from run to run (RACE /
-//! 128 has read 28.951 and 28.957 ms). A wall-clock check prints
-//! the worst value of at least three quick runs with `CORA_NUM_THREADS=4`
-//! (the CI setting) on a 2-CPU Xeon VM; its bound sits at least 1.3x
-//! below that, except `fig27`, `tab05` and `tab09` (1.09-1.21x): their
-//! CoRa column became the compiled MHA, and their bounds did not move.
+//! and `fig12`: CoRa's simulated encoder latency includes the build time
+//! of its lowered programs' prelude, measured on the host
+//! (`EncoderSim::layer_latency_ms`), so their CoRa figures move in the
+//! last digits from run to run (RACE / 128 has read 28.993 and 29.019
+//! ms). `sec74` builds that same prelude (`PreludeSpec::build_union`):
+//! its memory table is exact, its time table measured. A wall-clock
+//! check prints the worst value of at least three quick runs with
+//! `CORA_NUM_THREADS=4` (the CI setting) on a 2-CPU Xeon VM; its bound
+//! sits at least 1.3x below that, except `fig27`, `tab05` and `tab09`
+//! (1.09-1.21x): their CoRa column became the compiled MHA, and their
+//! bounds did not move.
 
 mod cpu;
 mod matmul;

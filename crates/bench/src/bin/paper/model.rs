@@ -1,13 +1,18 @@
 //! Rows whose numbers are analytic (FLOP and byte counts) or come from
 //! the simulated GPU, plus §7.4's prelude structures.
 
+use std::time::{Duration, Instant};
+
 use cora_bench::{f2, f3};
+use cora_core::prelude::{PreludeData, PreludeSpec};
 use cora_datasets::Dataset::{self, Cola, Mnli, Race, Wiki128, Wiki512};
 use cora_datasets::ALL_DATASETS;
 use cora_exec::cost::{GpuModel, KernelTraits};
 use cora_exec::gpu::{GpuSim, SimKernel};
 use cora_exec::CpuPool;
 use cora_kernels::vendor::elementwise_kernel;
+use cora_ragged::csf::CsfStorage;
+use cora_ragged::RaggedLayout;
 use cora_transformer::config::EncoderConfig;
 use cora_transformer::encoder::{max_divergence, RaggedBatch};
 use cora_transformer::encoder_compiled::{Attend, CompiledEncoderLayer};
@@ -18,7 +23,6 @@ use cora_transformer::gpu::EncoderSim;
 use cora_transformer::masked::masked_sdpa_latency_ms as masked_ms;
 use cora_transformer::masked::MaskedImpl::{self, CoraNoPad, CoraPad};
 use cora_transformer::masked_mha::masked_mha_padded;
-use cora_transformer::prelude_costs::{measure_prelude, PreludeCosts};
 use cora_transformer::variants::variant_latency_ms;
 use cora_transformer::variants::SplitVariant::{self, NoSplit, Split, Split2HFused, SplitHFused};
 use cora_transformer::variants::{attnv_kernels, cpu_device_model, qkt_kernels};
@@ -301,12 +305,51 @@ pub fn fig23(r: &mut Run) {
 /// §7.4's batches.
 const PRELUDE_CASES: [(Dataset, usize); 4] = [(Cola, 32), (Cola, 128), (Race, 32), (Race, 128)];
 
-fn prelude(builds: usize, (ds, bs): (Dataset, usize)) -> PreludeCosts {
-    let lens = ds.sample_batch_sorted(bs, 31);
-    measure_prelude(&EncoderConfig::base(), &GpuModel::default(), &lens, builds)
+/// §7.4's figures for one batch, summed over builds of the simulated
+/// CoRa layer's prelude: the union of its lowered programs' preludes
+/// ([`PreludeSpec::build_union`]), and the CSF scheme of past work over
+/// the same ragged tensors, each distinct tensor's structure counted
+/// once as each distinct CoRa table is.
+#[derive(Default)]
+struct Prelude {
+    cora: PreludeData,
+    csf_bytes: usize,
+    csf_time: Duration,
 }
 
-type Field = fn(&PreludeCosts) -> f64;
+impl Prelude {
+    /// The device copy of CoRa's structures.
+    fn copy_ms(&self) -> f64 {
+        GpuModel::default().copy_time_us(self.cora.total_bytes()) / 1e3
+    }
+}
+
+/// [`Prelude`] of batch `ds / bs` with the layer prelude built `builds`
+/// times.
+fn prelude(builds: usize, (ds, bs): (Dataset, usize)) -> Prelude {
+    let lens = ds.sample_batch_sorted(bs, 31);
+    let specs = EncoderSim::new(EncoderConfig::base()).cora_preludes(&lens);
+    let ragged = |l: &&RaggedLayout| (0..l.ndim()).any(|d| l.padded_lens(d).is_some());
+    let tensors = specs.iter().flat_map(PreludeSpec::tensors);
+    let tensors: Vec<&RaggedLayout> = tensors.map(|(_, l)| &**l).filter(ragged).collect();
+    let mut sum = Prelude::default();
+    for _ in 0..builds {
+        let cora = PreludeSpec::build_union(&specs);
+        sum.cora.storage_bytes += cora.storage_bytes;
+        sum.cora.fusion_bytes += cora.fusion_bytes;
+        sum.cora.storage_time += cora.storage_time;
+        sum.cora.fusion_time += cora.fusion_time;
+        let t0 = Instant::now();
+        let mut csf: Vec<CsfStorage> = tensors.iter().map(|l| CsfStorage::build(l)).collect();
+        sum.csf_time += t0.elapsed();
+        csf.sort_by(|a, b| a.pos().cmp(b.pos()));
+        csf.dedup_by(|a, b| a.pos() == b.pos());
+        sum.csf_bytes += csf.iter().map(CsfStorage::memory_bytes).sum::<usize>();
+    }
+    sum
+}
+
+type Field = fn(&Prelude) -> f64;
 
 /// One §7.4 table over every batch, built once ("Optimized", shared) and
 /// six times (the prototype's per-operator rebuilds, §6/§D.7), one
@@ -341,9 +384,9 @@ pub fn sec74_memory(r: &mut Run) {
     println!("prelude memory in kB\n");
     let kb = prelude_table(
         [
-            ("sparse (CSF)", |c| c.sparse_mem_kb),
-            ("CoRa store", |c| c.cora_storage_mem_kb),
-            ("CoRa fusion", |c| c.cora_fusion_mem_kb),
+            ("sparse (CSF)", |c| c.csf_bytes as f64 / 1024.0),
+            ("CoRa store", |c| c.cora.storage_bytes as f64 / 1024.0),
+            ("CoRa fusion", |c| c.cora.fusion_bytes as f64 / 1024.0),
         ],
         0,
         f3,
@@ -363,20 +406,42 @@ fn sec74_times(r: &mut Run) {
     println!("\nprelude build and copy time in ms, best of {calls} warm calls\n");
     let ms = prelude_table(
         [
-            ("sparse (CSF)", |c| c.sparse_time_ms),
-            ("CoRa store", |c| c.cora_storage_time_ms),
-            ("CoRa fusion", |c| c.cora_fusion_time_ms),
-            ("copy", |c| c.cora_copy_ms),
+            ("sparse (CSF)", |c| c.csf_time.as_secs_f64() * 1e3),
+            ("CoRa store", |c| c.cora.storage_time.as_secs_f64() * 1e3),
+            ("CoRa fusion", |c| c.cora.fusion_time.as_secs_f64() * 1e3),
+            ("copy", Prelude::copy_ms),
         ],
         calls,
         |v| format!("{v:.2e}"),
     );
     let build = |t: &[f64; 4]| t[0] + t[1] + t[2];
     let cut = least((0..4).map(|i| build(&ms[1][i]) / build(&ms[0][i])));
-    r.clock("least ×6/×1 build time", cut, 2.5, 3.42);
+    r.clock("least ×6/×1 build time", cut, 2.5, 5.03);
     let cases = PRELUDE_CASES.iter().zip(&ms[0]);
     let here = cases.map(|((ds, bs), t)| format!("{} / {bs} {:.3}", ds.name(), t[3] / t[2]));
     let here = format!("copy/fusion time {}", joined(here));
     let held = ms[0].iter().all(|t| t[3] >= t[1].max(t[2]));
     r.note("the device copy is CoRa's largest prelude cost", held, here);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cora_storage_is_far_smaller_than_csf_and_smaller_than_fusion() {
+        let c = prelude(1, (Race, 128));
+        let (csf, store) = (c.csf_bytes, c.cora.storage_bytes);
+        // §7.4: CoRa's storage aux data is orders of magnitude smaller.
+        assert!(csf > 50 * store, "CSF {csf} B vs CoRa storage {store} B");
+        // Loop fusion dominates CoRa's own aux memory.
+        assert!(c.cora.fusion_bytes > store);
+    }
+
+    #[test]
+    fn six_builds_scale_the_copy() {
+        let (once, six) = (prelude(1, (Cola, 32)), prelude(6, (Cola, 32)));
+        assert_eq!(six.cora.total_bytes(), 6 * once.cora.total_bytes());
+        assert!(six.copy_ms() > once.copy_ms());
+    }
 }

@@ -364,14 +364,14 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                     } => Some(*m as usize),
                     _ => None,
                 };
-                let (outer_extent, inner_lens) = match (outer_count, &loops[ii].extent) {
-                    (Some(m), inner @ ExtentIr::Table { lens, .. })
+                let inner_lens = match (outer_count, &loops[ii].extent) {
+                    (Some(_), inner @ ExtentIr::Table { lens, .. })
                         if inner.dep_var() == Some(loops[oi].var.as_str()) =>
                     {
-                        (m, lens.clone())
+                        lens.clone()
                     }
                     // Fusing two constant loops is ordinary dense fusion.
-                    (Some(m), ExtentIr::Const(e)) => (m, LengthFn::new(vec![*e as usize; m])),
+                    (Some(m), ExtentIr::Const(e)) => LengthFn::new(vec![*e as usize; m]),
                     _ => {
                         return Err(ScheduleError::NonAdjacentFusion {
                             outer: outer.clone(),
@@ -380,7 +380,7 @@ fn schedule(op: &Operator) -> Result<(Vec<LoweredLoop>, Stmt, PreludeSpec), Sche
                     }
                 };
                 let fused = format!("{}_{}_f", loops[oi].var, loops[ii].var);
-                let spec = FusionSpec::new(fused.clone(), outer_extent, inner_lens.clone());
+                let spec = FusionSpec::new(fused.clone(), inner_lens);
                 let total = spec.fused_extent();
                 // Body reconstructs o and i from the prelude maps.
                 let o_expr = Expr::load(format!("{fused}__ffo"), Expr::var(fused.clone()));

@@ -107,14 +107,6 @@ impl LinForm {
         self.terms.get(var).map_or(0, |(_, c)| *c)
     }
 
-    /// Removes `var`'s own linear term, returning its coefficient.
-    /// Opaque terms mentioning `var` are untouched (check
-    /// [`LinTerm::mentions`] over the remaining [`LinForm::terms`] to see
-    /// whether the rest is truly `var`-free).
-    pub fn remove_var(&mut self, var: &str) -> i64 {
-        self.terms.remove(var).map_or(0, |(_, c)| c)
-    }
-
     fn add_term(&mut self, t: LinTerm, c: i64) {
         if c == 0 {
             return;

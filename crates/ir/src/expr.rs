@@ -123,16 +123,6 @@ impl Expr {
         Cond::cmp(CmpOp::Eq, self, other)
     }
 
-    /// `self > other`.
-    pub fn gt(self, other: Expr) -> Cond {
-        other.lt(self)
-    }
-
-    /// `self >= other`.
-    pub fn ge(self, other: Expr) -> Cond {
-        other.le(self)
-    }
-
     /// The root operator.
     pub fn kind(&self) -> &ExprKind {
         &self.0

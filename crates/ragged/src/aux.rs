@@ -13,8 +13,6 @@
 //! Construction cost (time and bytes) is what the §7.4 prelude-overhead
 //! experiment measures, so builders report exact byte counts.
 
-use std::time::Instant;
-
 use crate::layout::RaggedLayout;
 
 /// The offset arrays for one layout, plus accounting metadata.
@@ -27,14 +25,11 @@ pub struct AuxOffsets {
     /// Inner volume multiplier applied *outside* `A_d` (product of inner
     /// cdims independent of `d`).
     outer_multipliers: Vec<i64>,
-    /// Time spent constructing the arrays.
-    pub build_time: std::time::Duration,
 }
 
 impl AuxOffsets {
     /// Builds the offset arrays for `layout`.
     pub fn build(layout: &RaggedLayout) -> AuxOffsets {
-        let start = Instant::now();
         let n = layout.ndim();
         let g = layout.graph();
         let mut arrays: Vec<Option<Vec<i64>>> = vec![None; n];
@@ -76,7 +71,6 @@ impl AuxOffsets {
         AuxOffsets {
             arrays,
             outer_multipliers,
-            build_time: start.elapsed(),
         }
     }
 
@@ -116,15 +110,12 @@ pub struct FusedLoopMaps {
     pub foif_row: Vec<i64>,
     /// Fused extent `F = sum_o lens[o]`.
     pub fused_extent: i64,
-    /// Time spent constructing the maps.
-    pub build_time: std::time::Duration,
 }
 
 impl FusedLoopMaps {
     /// Builds the maps with the dense `foif` table elided (the optimised
     /// form CoRa generates).
     pub fn build(lens: &[usize]) -> FusedLoopMaps {
-        let start = Instant::now();
         let total: usize = lens.iter().sum();
         let mut ffo = Vec::with_capacity(total);
         let mut ffi = Vec::with_capacity(total);
@@ -144,18 +135,12 @@ impl FusedLoopMaps {
             ffi,
             foif_row,
             fused_extent: fctr,
-            build_time: start.elapsed(),
         }
     }
 
     /// `foif(o, i)` — fused index for `(o, i)`.
     pub fn foif(&self, o: usize, i: usize) -> i64 {
         self.foif_row[o] + i as i64
-    }
-
-    /// Auxiliary memory in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        (self.ffo.len() + self.ffi.len() + self.foif_row.len()) * std::mem::size_of::<i64>()
     }
 }
 

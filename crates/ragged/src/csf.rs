@@ -12,8 +12,6 @@
 //! measurable, and we verify the scheme produces the same flat offsets as
 //! CoRa's.
 
-use std::time::Instant;
-
 use crate::layout::RaggedLayout;
 
 /// CSF-style per-level offset structures for a ragged layout.
@@ -24,28 +22,26 @@ pub struct CsfStorage {
     /// extent is constant *and* independent still store per-slice entries,
     /// mirroring the conservative dgraph.
     pos: Vec<Vec<i64>>,
-    /// Time spent constructing all levels.
-    pub build_time: std::time::Duration,
 }
 
 impl CsfStorage {
     /// Builds the CSF-style structures for `layout`.
     pub fn build(layout: &RaggedLayout) -> CsfStorage {
-        let start = Instant::now();
         let n = layout.ndim();
         let g = layout.graph();
-        // Walk levels outermost-first. `slices` is the list of index
-        // prefixes for the current level (conservatively one node per
-        // prefix, as the tree scheme stores).
-        let mut prefixes: Vec<Vec<usize>> = vec![vec![]];
+        // Walk levels outermost-first. `prefixes` holds the index prefix
+        // (`d` indices, flat) of each node of level `d` — conservatively
+        // one node per prefix, as the tree scheme stores.
+        let mut prefixes: Vec<usize> = Vec::new();
+        let mut nodes = 1;
         let mut pos: Vec<Vec<i64>> = Vec::with_capacity(n);
         for d in 0..n {
-            let mut level_pos = Vec::with_capacity(prefixes.len() + 1);
+            let mut level_pos = Vec::with_capacity(nodes + 1);
             let mut acc = 0i64;
             level_pos.push(0);
             let last_level = d + 1 == n;
             let mut next_prefixes = Vec::new();
-            for p in &prefixes {
+            for p in (0..nodes).map(|node| &prefixes[node * d..(node + 1) * d]) {
                 let extent = match g.incoming(d) {
                     None => layout.fixed_extent(d).unwrap(),
                     Some(k) => layout.extent_at(d, p[k]),
@@ -54,19 +50,16 @@ impl CsfStorage {
                 level_pos.push(acc);
                 if !last_level {
                     for i in 0..extent {
-                        let mut np = p.clone();
-                        np.push(i);
-                        next_prefixes.push(np);
+                        next_prefixes.extend_from_slice(p);
+                        next_prefixes.push(i);
                     }
                 }
             }
             pos.push(level_pos);
+            nodes = acc as usize;
             prefixes = next_prefixes;
         }
-        CsfStorage {
-            pos,
-            build_time: start.elapsed(),
-        }
+        CsfStorage { pos }
     }
 
     /// Offset arrays per level.

@@ -29,10 +29,10 @@ use cora_core::prelude::*;
 use cora_exec::cost::{GpuModel, KernelTraits};
 use cora_exec::gpu::{GpuSim, SimKernel};
 use cora_kernels::vendor::{elementwise_kernel, gemm_kernel, vgemm_kernel, GemmTiling};
-use cora_ragged::{Dim, FusedLoopMaps, RaggedLayout};
+use cora_ragged::{Dim, RaggedLayout};
 
 use crate::config::EncoderConfig;
-use crate::variants::{attnv_kernels, qkt_programs, SplitVariant};
+use crate::variants::{attnv_programs, qkt_programs, SplitVariant};
 
 /// Bytes-per-element conventions for the memory-bound kernels.
 mod bytes {
@@ -128,6 +128,43 @@ fn linear_program(name: &str, lens: &[usize], k: usize, n: usize) -> Program {
     lower(&op).expect("built-in schedules are legal")
 }
 
+/// The lowered programs of CoRa's compute kernels for one batch, its
+/// sequences sorted longest first (the block schedule of §D.2): the
+/// fused-row linear operators in launch order (QKV, output projection,
+/// FF1, FF2), QKT partially padded to 32, and AttnV's split head and
+/// tail.
+struct CoraPrograms {
+    linear: [Program; 4],
+    qkt: Program,
+    attnv: Vec<Program>,
+}
+
+impl CoraPrograms {
+    fn lower(cfg: &EncoderConfig, lens: &[usize]) -> CoraPrograms {
+        let (h, ff) = (cfg.hidden, cfg.ff);
+        let mut sorted: Vec<usize> = lens.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let linear = |name, k, n| linear_program(name, &sorted, k, n);
+        let mut qkt = qkt_programs(cfg, SplitVariant::NoSplit, &sorted, SEQ_PAD);
+        CoraPrograms {
+            linear: [
+                linear("qkv_proj_bias", h, 3 * h),
+                linear("proj2_bias_residual", h, h),
+                linear("ff1_bias_act", h, ff),
+                linear("ff2_bias_residual", ff, h),
+            ],
+            qkt: qkt.remove(0),
+            attnv: attnv_programs(cfg, SplitVariant::SplitHFused, &sorted),
+        }
+    }
+
+    /// Every program's prelude spec.
+    fn preludes(&self) -> impl Iterator<Item = &PreludeSpec> {
+        let programs = self.linear.iter().chain([&self.qkt]).chain(&self.attnv);
+        programs.map(Program::prelude_spec)
+    }
+}
+
 impl EncoderSim {
     /// Default simulator for a config.
     pub fn new(cfg: EncoderConfig) -> EncoderSim {
@@ -215,44 +252,40 @@ impl EncoderSim {
                     self.elementwise("ff2_bias_residual_layernorm2", vendor, rows * h, norm),
                 ]
             }
-            EncoderImpl::Cora => self.cora_kernels(lens),
+            EncoderImpl::Cora => self.cora_kernels(&CoraPrograms::lower(&self.cfg, lens), lens),
         }
     }
 
-    fn cora_kernels(&self, lens: &[usize]) -> Vec<SimKernel> {
+    fn cora_kernels(&self, programs: &CoraPrograms, lens: &[usize]) -> Vec<SimKernel> {
         let (cfg, model) = (&self.cfg, &self.model);
-        let (h, ff) = (cfg.hidden, cfg.ff);
-        let s_rows: usize = lens.iter().sum();
+        let (h, s_rows) = (cfg.hidden, lens.iter().sum::<usize>());
         let gener = KernelTraits::generated();
-        // Sorted descending = the longest-first block schedule of §D.2.
-        let mut sorted: Vec<usize> = lens.to_vec();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let linear = |name, k, n| linear_program(name, &sorted, k, n).sim_kernel(model, gener);
+        let CoraPrograms { linear, qkt, attnv } = programs;
+        let [qkv, proj2, ff1, ff2] = linear.each_ref().map(|p| p.sim_kernel(model, gener));
         // QKT on the partially padded lp×lp matrices, loads hoisted.
-        let qkt = qkt_programs(cfg, SplitVariant::NoSplit, &sorted, SEQ_PAD);
-        let qkt = qkt[0].sim_kernel(model, gener.with_hoisted_indirect());
+        let qkt = qkt.sim_kernel(model, gener.with_hoisted_indirect());
         // AttnV via op-split + hfusion: exact rows, tile 64 plus ragged
         // tail in the same launch (§7.3).
-        let attnv = attnv_kernels(cfg, model, SplitVariant::SplitHFused, &sorted).remove(0);
+        let attnv = hfuse_sim(&attnv.iter().collect::<Vec<_>>(), model, gener);
         let padded = |l: usize| l.div_ceil(SEQ_PAD) * SEQ_PAD;
-        let attn_elems: usize = sorted
+        let attn_elems: usize = lens
             .iter()
             .map(|&l| cfg.heads * padded(l) * padded(l))
             .sum();
         let mut ks = vec![
             // 1: fused QKV projection + bias over bulk-padded rows.
-            linear("qkv_proj_bias", h, 3 * h),
+            qkv,
             // 2-4: SDPA.
             qkt,
             self.elementwise("softmax", gener, attn_elems, bytes::SOFTMAX_CORA),
             attnv,
             // 5: output projection + bias + residual (+ fused pad change).
-            linear("proj2_bias_residual", h, h),
+            proj2,
             // 6: layer norm.
             self.elementwise("layernorm1", gener, s_rows * h, bytes::LAYERNORM),
             // 7-8: feed-forward.
-            linear("ff1_bias_act", h, ff),
-            linear("ff2_bias_residual", ff, h),
+            ff1,
+            ff2,
             // 9: layer norm.
             self.elementwise("layernorm2", gener, s_rows * h, bytes::LAYERNORM),
         ];
@@ -275,41 +308,36 @@ impl EncoderSim {
         ks
     }
 
-    /// CoRa's prelude cost for one mini-batch: auxiliary bytes (fusion
-    /// maps + row offsets), host build time, and the copy.
-    ///
-    /// Returns `(bytes, build_us)`.
-    pub fn cora_prelude(&self, lens: &[usize]) -> (usize, f64) {
-        let t0 = std::time::Instant::now();
-        let maps = FusedLoopMaps::build(lens);
-        let bytes = maps.memory_bytes()
-            // Row-offset arrays (A_d) for the ragged tensors of the layer:
-            // qkv/attn/hidden rows + per-(seq) attention offsets.
-            + 4 * (lens.len() + 1) * 8
-            // Per-dimension padded length tables.
-            + 2 * lens.len() * 8;
-        let build_us = t0.elapsed().as_secs_f64() * 1e6;
-        (bytes, build_us)
+    /// The prelude specs of the lowered programs CoRa's layer launches
+    /// for batch `lens`; [`PreludeSpec::build_union`] builds them as the
+    /// layer's prelude.
+    pub fn cora_preludes(&self, lens: &[usize]) -> Vec<PreludeSpec> {
+        let programs = CoraPrograms::lower(&self.cfg, lens);
+        programs.preludes().cloned().collect()
     }
 
     /// End-to-end per-layer latency in milliseconds, charging CoRa its
-    /// per-layer share of the prelude (built once per mini-batch, shared
-    /// across [`EncoderConfig::layers`] layers, as in Table 4).
+    /// per-layer share of the prelude: the union of its programs'
+    /// preludes ([`PreludeSpec::build_union`]), built and copied to the
+    /// device once per mini-batch and shared across
+    /// [`EncoderConfig::layers`] layers, as in Table 4.
     ///
     /// CoRa's figure is not exact: the prelude's build time is measured
-    /// on the host ([`EncoderSim::cora_prelude`]), so it varies from run
-    /// to run in the last digits (RACE / 128 has read 28.951 and 28.957
-    /// ms). The other implementations' figures are exact.
+    /// on the host, so it varies from run to run in the last digits
+    /// (RACE / 128 has read 28.993 and 29.019 ms). The other
+    /// implementations' figures are exact.
     pub fn layer_latency_ms(&self, imp: EncoderImpl, lens: &[usize]) -> f64 {
         let sim = GpuSim::with_model(self.model);
-        let ks = self.kernels(imp, lens);
-        let mut total_us = sim.run(&ks, 0).total_us;
-        if imp == EncoderImpl::Cora {
-            let (bytes, build_us) = self.cora_prelude(lens);
-            let copy_us = self.model.copy_time_us(bytes);
-            total_us += (build_us + copy_us) / self.cfg.layers as f64;
+        if imp != EncoderImpl::Cora {
+            return sim.run(&self.kernels(imp, lens), 0).total_us / 1e3;
         }
-        total_us / 1e3
+        let programs = CoraPrograms::lower(&self.cfg, lens);
+        let ks = self.cora_kernels(&programs, lens);
+        let prelude = PreludeSpec::build_union(programs.preludes());
+        let build_us = (prelude.storage_time + prelude.fusion_time).as_secs_f64() * 1e6;
+        let copy_us = self.model.copy_time_us(prelude.total_bytes());
+        let prelude_us = (build_us + copy_us) / self.cfg.layers as f64;
+        (sim.run(&ks, 0).total_us + prelude_us) / 1e3
     }
 
     /// Per-kernel breakdown (name, milliseconds) including launch
@@ -381,12 +409,48 @@ mod tests {
     fn prelude_cost_is_small_fraction() {
         let s = sim();
         let lens = Dataset::Race.sample_batch_sorted(128, 5);
-        let (bytes, _) = s.cora_prelude(&lens);
-        let copy_ms = s.model.copy_time_us(bytes) / 1e3;
+        let prelude = PreludeSpec::build_union(&s.cora_preludes(&lens));
+        let copy_ms = s.model.copy_time_us(prelude.total_bytes()) / 1e3;
         let layer_ms = s.layer_latency_ms(EncoderImpl::Cora, &lens);
         assert!(
             copy_ms / s.cfg.layers as f64 / layer_ms < 0.1,
             "prelude share too large: {copy_ms} vs {layer_ms}"
         );
+    }
+
+    #[test]
+    fn the_layer_prelude_is_the_union_of_its_programs_preludes() {
+        let s = sim();
+        let lens = Dataset::Race.sample_batch_sorted(32, 6);
+        let specs = s.cora_preludes(&lens);
+        assert_eq!(
+            specs.len(),
+            7,
+            "four linear operators, QKT, AttnV's head and tail"
+        );
+        let union = PreludeSpec::build_union(&specs);
+        // Every table a program binds, under its name, equal contents.
+        for spec in &specs {
+            for (name, table) in spec.build().int_buffers {
+                let found = union.int_buffers.iter().find(|(n, _)| *n == name);
+                assert_eq!(found.map(|(_, t)| t), Some(&table), "{name}");
+            }
+        }
+        // Each distinct table counted once.
+        let mut distinct: Vec<&[i64]> = union.int_buffers.iter().map(|(_, t)| &t[..]).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let bytes: usize = distinct.iter().map(|t| t.len() * 8).sum();
+        assert_eq!(union.total_bytes(), bytes);
+        // Sharing is real: the per-sequence prefix sums are one table.
+        let table = |name: &str| {
+            union
+                .int_buffers
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|b| &b.1)
+        };
+        let (q, k) = (table("Q__A0").unwrap(), table("K__A0").unwrap());
+        assert!(std::sync::Arc::ptr_eq(q, k));
     }
 }

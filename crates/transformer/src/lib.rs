@@ -4,9 +4,10 @@
 //! §D.3–§D.8): hyperparameters, analytic FLOP/memory accounting, numeric
 //! ragged and padded encoder layers (real CPU execution), the padded and
 //! micro-batched CPU MHA baselines ([`mha`]), simulated-GPU encoder
-//! implementations (PyTorch / FT / FT-Eff / CoRa), masked SDPA,
-//! operation-splitting and hfusion ablations, prelude-overhead
-//! measurement, and the compiled tier ([`encoder_compiled`]): one
+//! implementations (PyTorch / FT / FT-Eff / CoRa, CoRa's with the
+//! prelude its lowered programs build), masked SDPA,
+//! operation-splitting and hfusion ablations, and the compiled tier
+//! ([`encoder_compiled`]): one
 //! declarative stage table from which the 21-stage encoder layer, its
 //! multi-head-attention prefix under full or causal attention
 //! ([`CompiledEncoderLayer::build_mha`], [`encoder_compiled::Attend`]),
@@ -28,7 +29,6 @@ pub mod gpu;
 pub mod masked;
 pub mod masked_mha;
 pub mod mha;
-pub mod prelude_costs;
 pub mod variants;
 pub mod weights;
 

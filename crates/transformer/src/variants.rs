@@ -106,23 +106,24 @@ fn qkt_op(cfg: &EncoderConfig, lens: &[usize], pad: usize) -> Operator {
     Operator::new("qkt", loops, reduce, s, vec![q, k], body)
 }
 
-/// AttnV, `O[b, h, i, c] = Σ_k S[b, h, i, k] · V[b, h, k, c]`: the row
-/// vloop `i` is the transform target, its output rows storage-padded to
-/// the tile.
+/// AttnV, `O[b, h, i, c] = Σ_k P[b, h, i, k] · V[b, h, k, c]` over the
+/// softmax output `P` (unpadded, unlike QKT's scores `S`): the row vloop
+/// `i` is the transform target, its output rows storage-padded to the
+/// tile.
 fn attnv_op(cfg: &EncoderConfig, lens: &[usize]) -> Operator {
-    let s = TensorRef::new("S", per_head(lens, cfg.heads, 1, None));
+    let p = TensorRef::new("P", per_head(lens, cfg.heads, 1, None));
     let v = TensorRef::new("V", per_head(lens, cfg.heads, 1, Some(cfg.head_dim)));
     let out = TensorRef::new("O", per_head(lens, cfg.heads, TILE, Some(cfg.head_dim)));
-    let (st, vt) = (s.clone(), v.clone());
+    let (pt, vt) = (p.clone(), v.clone());
     let body: BodyFn = Rc::new(move |x| {
         let (b, h, i, c, k) = (&x[0], &x[1], &x[2], &x[3], &x[4]);
-        st.at(&[b.clone(), h.clone(), i.clone(), k.clone()])
+        pt.at(&[b.clone(), h.clone(), i.clone(), k.clone()])
             * vt.at(&[b.clone(), h.clone(), k.clone(), c.clone()])
     });
     let mut loops = rows(cfg, lens);
     loops.push(LoopSpec::fixed("c", cfg.head_dim));
     let reduce = vec![LoopSpec::variable("k", 0, lens.to_vec())];
-    Operator::new("attn_v", loops, reduce, out, vec![s, v], body)
+    Operator::new("attn_v", loops, reduce, out, vec![p, v], body)
 }
 
 /// Splits `op`'s vloop `l` at each sequence's last full tile.
@@ -145,7 +146,11 @@ fn lower_tiled(pieces: Vec<(Operator, &[&str])>, padded: &[&str], tile: usize) -
 }
 
 /// The lowered AttnV programs of a variant (one, or a split's two).
-fn attnv_programs(cfg: &EncoderConfig, variant: SplitVariant, lens: &[usize]) -> Vec<Program> {
+pub(crate) fn attnv_programs(
+    cfg: &EncoderConfig,
+    variant: SplitVariant,
+    lens: &[usize],
+) -> Vec<Program> {
     let op = attnv_op(cfg, lens);
     if variant == SplitVariant::NoSplit {
         return lower_tiled(vec![(op, &["i"])], &["i"], TILE);
